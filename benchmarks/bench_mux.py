@@ -14,7 +14,7 @@ total work, so the states are *bulk-loaded*: primaries are drawn from a
 fixed pool of distinct paths, requirements come from a pool×degree group
 computation (exact, because bandwidths are uniformly 1.0 so every fold
 order yields the same integer-valued float), and the reference twin is
-transplanted via :func:`~repro.core.muxkernel.reference_link_state`.
+transplanted entry by entry (:func:`reference_twin`).
 ``test_bulk_loader_matches_sequential`` proves the loader against real
 sequential admission; the naive cells are restricted to populations where
 O(n²) terminates (their growth ratio is the point of
@@ -27,12 +27,9 @@ import random
 
 import numpy as np
 
-from repro.core.muxkernel import (
-    ComponentArena,
-    VectorLinkMux,
-    reference_link_state,
-)
-from repro.core.overlap import ComponentSpace, OverlapPolicy
+from repro.core.multiplexing import LinkMuxState
+from repro.core.muxkernel import ComponentArena, VectorLinkMux
+from repro.core.overlap import OverlapPolicy
 from repro.network import torus
 from repro.network.components import LinkId
 from repro.routing import reference_shortest_path
@@ -131,30 +128,25 @@ def build_kernel_state(population: int, seed: int = 1) -> VectorLinkMux:
     return state
 
 
-def build_reference_state(population: int, seed: int = 1):
-    """The per-pair twin of :func:`build_kernel_state`, with pre-resolved
-    integer masks (its fastest pair test) and no Π sets (see
-    :func:`reference_link_state`; the cycle only removes fresh ids).
-    Returns ``(state, space)`` — masks are only meaningful under the
-    space that interned them."""
-    space = ComponentSpace()
-    state = reference_link_state(
-        build_kernel_state(population, seed), space=space, conflicts=False
-    )
-    return state, space
+def reference_twin(state: VectorLinkMux) -> LinkMuxState:
+    """Transplant a kernel state into a per-pair :class:`LinkMuxState`
+    with identical live state (entries, requirements, spare pool) —
+    standing the oracle up at populations where replaying the op history
+    through Python pair tests would take minutes."""
+    reference = LinkMuxState(state.link, state.policy)
+    for entry in state.entries():
+        entry.mask = reference._space.mask(entry.primary_components)
+        reference._entries[entry.channel_id] = entry
+    reference._spare_required = state.spare_required()
+    return reference
 
 
 _CANDIDATE = _POOL[7]
 _CANDIDATE_ID = 10_000_000
 
 
-def _kernel_cycle(state: VectorLinkMux):
-    state.add(_CANDIDATE_ID, 1.0, 3, _CANDIDATE, len(_CANDIDATE))
-    state.remove(_CANDIDATE_ID)
-
-
-def _reference_cycle(state, mask: int):
-    state.add(_CANDIDATE_ID, 1.0, 3, _CANDIDATE, len(_CANDIDATE), mask)
+def _cycle(state):
+    state.add(_CANDIDATE_ID, 1.0, 3, _CANDIDATE)
     state.remove(_CANDIDATE_ID)
 
 
@@ -172,7 +164,7 @@ def test_bulk_loader_matches_sequential():
         entry = loaded.entry(int(loaded._channel_ids[pos]))
         replayed.add(
             entry.channel_id, entry.bandwidth, entry.mux_degree,
-            entry.primary_components, entry.primary_count,
+            entry.primary_components,
         )
     assert replayed.spare_required() == loaded.spare_required()
     for pos in range(len(loaded)):
@@ -186,19 +178,19 @@ def test_bulk_loader_matches_sequential():
 # ----------------------------------------------------------------------
 def test_mux_kernel_cycle_1k(benchmark):
     state = build_kernel_state(1_000)
-    benchmark(_kernel_cycle, state)
+    benchmark(_cycle, state)
     assert len(state) == 1_000
 
 
 def test_mux_kernel_cycle_10k(benchmark):
     state = build_kernel_state(10_000)
-    benchmark(_kernel_cycle, state)
+    benchmark(_cycle, state)
     assert len(state) == 10_000
 
 
 def test_mux_kernel_cycle_100k(benchmark):
     state = build_kernel_state(100_000)
-    benchmark(_kernel_cycle, state)
+    benchmark(_cycle, state)
     assert len(state) == 100_000
 
 
@@ -206,20 +198,20 @@ def test_mux_kernel_cycle_100k(benchmark):
 # admission/teardown cycle: per-pair reference (incremental)
 # ----------------------------------------------------------------------
 def test_mux_reference_cycle_1k(benchmark):
-    state, space = build_reference_state(1_000)
-    benchmark(_reference_cycle, state, space.mask(_CANDIDATE))
+    state = reference_twin(build_kernel_state(1_000))
+    benchmark(_cycle, state)
     assert len(state) == 1_000
 
 
 def test_mux_reference_cycle_10k(benchmark):
-    state, space = build_reference_state(10_000)
-    benchmark(_reference_cycle, state, space.mask(_CANDIDATE))
+    state = reference_twin(build_kernel_state(10_000))
+    benchmark(_cycle, state)
     assert len(state) == 10_000
 
 
 def test_mux_reference_cycle_100k(benchmark):
-    state, space = build_reference_state(100_000)
-    benchmark(_reference_cycle, state, space.mask(_CANDIDATE))
+    state = reference_twin(build_kernel_state(100_000))
+    benchmark(_cycle, state)
     assert len(state) == 100_000
 
 
@@ -242,7 +234,7 @@ def _teardown_refill_kernel(state: VectorLinkMux):
     for entry in reversed(entries):
         state.add(
             entry.channel_id, entry.bandwidth, entry.mux_degree,
-            entry.primary_components, entry.primary_count,
+            entry.primary_components,
         )
 
 
@@ -255,35 +247,16 @@ def test_mux_kernel_bulk_teardown_10k(benchmark):
 
 def test_mux_reference_bulk_teardown_10k(benchmark):
     kernel = build_kernel_state(10_000)
-    space = ComponentSpace()
-    reference = reference_link_state(kernel, space=space, conflicts=False)
-    victims = list(range(10_000 - TEARDOWN_BATCH, 10_000))
-    # The transplant skipped Π materialization (O(n²) at this size); the
-    # teardown path only needs the *reverse* memberships of the victims,
-    # one vectorized pass each via the kernel twin.
-    n = len(kernel)
-    rows = kernel._row[:n]
-    degrees = kernel._degree[:n]
-    ids = kernel._channel_ids[:n]
-    for cid in victims:
-        pos = kernel._ids[cid]
-        shared = kernel.arena.shared_counts(rows, int(rows[pos]))
-        reverse = VectorLinkMux._reverse_pi_mask(
-            int(degrees[pos]), degrees, shared
-        )
-        reverse[pos] = False
-        for other_id in ids[reverse]:
-            reference._entries[int(other_id)].conflicts.add(cid)
+    reference = reference_twin(kernel)
 
     def cycle():
         order = list(reference._entries)[-TEARDOWN_BATCH:]
         entries = [reference._entries[cid] for cid in reversed(order)]
-        for entry in entries:
-            reference.remove(entry.channel_id)
+        reference.remove_many([entry.channel_id for entry in entries])
         for entry in reversed(entries):
             reference.add(
                 entry.channel_id, entry.bandwidth, entry.mux_degree,
-                entry.primary_components, entry.primary_count, entry.mask,
+                entry.primary_components,
             )
 
     benchmark(cycle)
@@ -298,7 +271,7 @@ def test_mux_reference_bulk_teardown_10k(benchmark):
 # ----------------------------------------------------------------------
 def test_mux_naive_recompute_1k(benchmark):
     state = build_kernel_state(1_000)
-    reference = reference_link_state(state, space=ComponentSpace())
+    reference = reference_twin(state)
     result = benchmark(reference.spare_required_recomputed)
     assert result == state.spare_required()
 

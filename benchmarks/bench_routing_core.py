@@ -16,10 +16,11 @@ from repro.network import torus
 from repro.network.reservations import ReservationLedger
 from repro.routing import (
     RouteConstraints,
+    flat_view,
     reference_shortest_path,
-    set_route_cache_enabled,
     shortest_path,
 )
+from repro.routing.flatgraph import RouteCache
 from repro.routing.shortest import hop_distance
 
 TOPOLOGY = torus(8, 8, capacity=200.0)
@@ -27,11 +28,21 @@ DEEP_PAIR = (0, 36)  # torus antipode (4+4 wrap distance): the deepest search
 
 
 @pytest.fixture
-def no_cache():
-    """Disable memoisation so the benchmark times the kernel itself."""
-    previous = set_route_cache_enabled(False)
-    yield
-    set_route_cache_enabled(previous)
+def uncached(benchmark):
+    """Time the kernel itself: every round runs once against a fresh,
+    empty :class:`RouteCache`, so nothing is ever served memoised."""
+    flat = flat_view(TOPOLOGY)
+
+    def empty_cache():
+        flat.cache = RouteCache()
+
+    def run(function, *args):
+        benchmark.pedantic(
+            function, args=args, setup=empty_cache, rounds=3000,
+            warmup_rounds=100,
+        )
+
+    return run
 
 
 def test_calibration_reference_bfs(benchmark):
@@ -39,8 +50,8 @@ def test_calibration_reference_bfs(benchmark):
     benchmark(reference_shortest_path, TOPOLOGY, *DEEP_PAIR)
 
 
-def test_flat_bfs_uncached(benchmark, no_cache):
-    benchmark(shortest_path, TOPOLOGY, *DEEP_PAIR)
+def test_flat_bfs_uncached(uncached):
+    uncached(shortest_path, TOPOLOGY, *DEEP_PAIR)
 
 
 def test_flat_bfs_cache_hit(benchmark):
@@ -48,18 +59,19 @@ def test_flat_bfs_cache_hit(benchmark):
     benchmark(shortest_path, TOPOLOGY, *DEEP_PAIR)
 
 
-def test_flat_hop_distance_uncached(benchmark, no_cache):
-    benchmark(hop_distance, TOPOLOGY, *DEEP_PAIR)
+def test_flat_hop_distance_uncached(uncached):
+    uncached(hop_distance, TOPOLOGY, *DEEP_PAIR)
 
 
-def test_flat_capacity_floor_uncached(benchmark, no_cache):
+def test_flat_capacity_floor_uncached(uncached):
     ledger = ReservationLedger(TOPOLOGY)
     for link in list(TOPOLOGY.links())[::5]:
         ledger.reserve_primary(link, 180.0)
     constraints = RouteConstraints(link_admissible=ledger.capacity_floor(50.0))
-    benchmark(shortest_path, TOPOLOGY, *DEEP_PAIR, constraints)
+    uncached(shortest_path, TOPOLOGY, *DEEP_PAIR, constraints)
 
 
-def test_flat_dijkstra_uncached(benchmark, no_cache):
+def test_flat_dijkstra_uncached(benchmark):
+    # A custom cost function is never memoised: nothing to empty.
     cost = lambda link: 1.0 + (hash(link) % 7)  # noqa: E731 - benchmark body
     benchmark(shortest_path, TOPOLOGY, *DEEP_PAIR, None, cost)

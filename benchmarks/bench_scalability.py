@@ -25,15 +25,14 @@ from repro.routing.paths import Path
 def _random_components(rng: random.Random):
     length = rng.randint(3, 9)
     nodes = rng.sample(range(400), length)
-    path = Path(nodes)
-    return path.components, len(path.components)
+    return Path(nodes).components
 
 
 def _populate(state, count: int, seed: int = 0) -> None:
     rng = random.Random(seed)
     for cid in range(count):
-        components, size = _random_components(rng)
-        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), components, size)
+        components = _random_components(rng)
+        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), components)
 
 
 def _vector_state() -> VectorLinkMux:
@@ -45,13 +44,13 @@ def test_incremental_add_is_linear(benchmark, population):
     state = LinkMuxState(LinkId("x", "y"), OverlapPolicy())
     _populate(state, population)
     rng = random.Random(99)
-    components, size = _random_components(rng)
+    components = _random_components(rng)
     counter = [population]
 
     def add_remove():
         cid = counter[0]
         counter[0] += 1
-        state.add(cid, 1.0, 3, components, size)
+        state.add(cid, 1.0, 3, components)
         state.remove(cid)
 
     benchmark(add_remove)
@@ -70,13 +69,13 @@ def test_vectorized_add_is_linear(benchmark, population):
     state = _vector_state()
     _populate(state, population)
     rng = random.Random(99)
-    components, size = _random_components(rng)
+    components = _random_components(rng)
     counter = [population]
 
     def add_remove():
         cid = counter[0]
         counter[0] += 1
-        state.add(cid, 1.0, 3, components, size)
+        state.add(cid, 1.0, 3, components)
         state.remove(cid)
 
     benchmark(add_remove)
@@ -99,16 +98,16 @@ def _measure(population: int, operation: str) -> float:
     rng = random.Random(7)
     pool = [_random_components(rng) for _ in range(64)]
     for cid in range(population):
-        components, size = rng.choice(pool)
-        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), components, size)
-    components, size = pool[13]
+        components = rng.choice(pool)
+        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), components)
+    components = pool[13]
     start = time.perf_counter()
     repetitions = 30
     for i in range(repetitions):
         if operation == "naive":
             state.spare_required_recomputed()
         else:
-            state.add(10_000 + i, 1.0, 3, components, size)
+            state.add(10_000 + i, 1.0, 3, components)
             state.remove(10_000 + i)
     return (time.perf_counter() - start) / repetitions
 

@@ -10,10 +10,6 @@ Runs the same scenario evaluations with ``--workers 1`` and
 * ``repro.metrics/1`` counter maps,
 * grouped (per-mux-degree) evaluation,
 * the fully formatted Table 1 panel produced by the experiment driver,
-* the same panel with the route cache disabled (``--no-route-cache``),
-* the same panel and a churn run with the vectorized multiplexing
-  kernel disabled (``--no-mux-kernel``) — the kernel-vs-reference
-  byte-identity contract at the experiment level,
 * a complete churn run with per-epoch recovery evaluation (stats dict
   and the full ``repro.metrics/1`` snapshot, series included),
 * a chaos campaign under non-default switchover retry/backoff knobs
@@ -36,7 +32,6 @@ from repro.obs.registry import MetricsRegistry
 from repro.parallel import evaluate_scenarios, evaluate_scenarios_grouped
 from repro.recovery import ActivationOrder
 from repro.recovery.grouping import by_mux_degree
-from repro.routing import set_route_cache_enabled
 
 CONFIG = NetworkConfig(topology="torus", rows=4, cols=4)
 SEED = 0
@@ -205,80 +200,6 @@ def check_chaos_switchover(workers: int) -> None:
           f"({summary1['runs']} runs, switchover counters {switchover})")
 
 
-def check_route_cache_escape_hatch() -> None:
-    """The ``--no-route-cache`` escape hatch must not change any result."""
-    cached = run_table1(CONFIG, double_node_samples=20, seed=SEED,
-                        workers=1).format()
-    previous = set_route_cache_enabled(False)
-    try:
-        uncached = run_table1(CONFIG, double_node_samples=20, seed=SEED,
-                              workers=1).format()
-    finally:
-        set_route_cache_enabled(previous)
-    if cached != uncached:
-        _fail("Table 1 panel with route cache disabled", cached, uncached)
-    print("  Table 1 panel identical with --no-route-cache")
-
-
-def check_mux_kernel_escape_hatch(workers: int) -> None:
-    """Kernel on vs off (``--no-mux-kernel``) must be byte-identical —
-    the vectorized engine's golden contract, checked at the experiment
-    level and across worker counts."""
-    from repro.core import BCPNetwork
-    from repro.core.muxkernel import kernel_available, set_mux_kernel_enabled
-    from repro.network import torus
-    from repro.workload import ChurnConfig, ChurnEngine
-
-    if not kernel_available():
-        print("  mux kernel unavailable (numpy); skipping escape hatch")
-        return
-
-    def table_panel() -> str:
-        return run_table1(CONFIG, double_node_samples=20, seed=SEED,
-                          workers=workers).format()
-
-    def churn_run() -> tuple[dict, dict]:
-        config = ChurnConfig(
-            arrival_rate=30.0, holding_time=2.0, duration=6.0,
-            epoch_interval=2.0, seed=SEED, pairs=8, eval_scenarios=8,
-            workers=workers,
-        )
-        registry = MetricsRegistry()
-        network = BCPNetwork(torus(4, 4, capacity=200.0))
-        stats = ChurnEngine(network, config, metrics=registry).run()
-        snapshot = registry.snapshot()
-        # The kernel exports its own counters/gauges (mux.kernel.*,
-        # mux.space.bytes); everything the reference also produces must
-        # still match bit-for-bit.
-        for section in ("counters", "gauges"):
-            snapshot[section] = {
-                name: value
-                for name, value in snapshot[section].items()
-                if not name.startswith("mux.")
-            }
-        return stats.to_dict(), snapshot
-
-    kernel_panel = table_panel()
-    kernel_churn, kernel_snapshot = churn_run()
-    previous = set_mux_kernel_enabled(False)
-    try:
-        reference_panel = table_panel()
-        reference_churn, reference_snapshot = churn_run()
-    finally:
-        set_mux_kernel_enabled(previous)
-    if kernel_panel != reference_panel:
-        _fail("Table 1 panel with mux kernel disabled",
-              kernel_panel, reference_panel)
-    if kernel_churn != reference_churn:
-        _fail("churn stats with mux kernel disabled",
-              kernel_churn, reference_churn)
-    if kernel_snapshot != reference_snapshot:
-        _fail("churn metrics snapshot with mux kernel disabled",
-              kernel_snapshot, reference_snapshot)
-    print("  Table 1 panel + churn run identical with --no-mux-kernel "
-          f"(workers={workers})")
-
-
 def main() -> None:
     workers = int(sys.argv[1]) if len(sys.argv) > 1 else 2
     if workers < 2:
@@ -294,8 +215,6 @@ def main() -> None:
     check_stats(network, scenarios, workers)
     check_grouped(network, scenarios, workers)
     check_table1(workers)
-    check_route_cache_escape_hatch()
-    check_mux_kernel_escape_hatch(workers)
     check_churn(workers)
     check_chaos_switchover(workers)
     print("OK: parallel evaluation is deterministic.")

@@ -484,16 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="worker processes for parallel evaluation (positive "
                  "integer or 'auto' = one per CPU; default auto). Results "
                  "are identical for any worker count.")
-        sub.add_argument(
-            "--no-route-cache", action="store_true",
-            help="disable the version-keyed route cache (escape hatch; "
-                 "results are identical either way, only slower)")
-        sub.add_argument(
-            "--no-mux-kernel", action="store_true",
-            help="route backup multiplexing through the per-pair "
-                 "reference engine instead of the vectorized "
-                 "packed-bitset kernel (escape hatch; results are "
-                 "identical either way, only slower)")
 
     return parser
 
@@ -1330,14 +1320,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.no_route_cache:
-        from repro.routing import set_route_cache_enabled
-
-        set_route_cache_enabled(False)
-    if args.no_mux_kernel:
-        from repro.core import set_mux_kernel_enabled
-
-        set_mux_kernel_enabled(False)
     # Each invocation observes itself through a fresh session registry
     # (and, with --trace-out, a shared trace sink), so exported counters
     # reflect exactly this run and are reproducible run-to-run.

@@ -6,8 +6,7 @@
   Π/Ψ sets, spare-pool sizing with O(n) incremental maintenance
   (Sections 3.2, 6).
 * :mod:`repro.core.muxkernel` — the vectorized packed-bitset kernel the
-  multiplexing engine routes through by default; the per-pair
-  implementation is retained as the validation oracle.
+  multiplexing engine promotes densely populated links to.
 * :mod:`repro.core.reliability` — the combinatorial ``P_r`` model and the
   multiplexing-failure bound (Sections 3.1, 3.3).
 * :mod:`repro.core.dconnection` — dependable-connection objects.
@@ -25,13 +24,7 @@ from repro.core.establishment import (
     NegotiationOffer,
 )
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
-from repro.core.muxkernel import (
-    ComponentArena,
-    VectorLinkMux,
-    kernel_available,
-    mux_kernel_enabled,
-    set_mux_kernel_enabled,
-)
+from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import (
     OverlapPolicy,
     simultaneous_activation_probability,
@@ -55,9 +48,6 @@ __all__ = [
     "LinkMuxState",
     "ComponentArena",
     "VectorLinkMux",
-    "kernel_available",
-    "mux_kernel_enabled",
-    "set_mux_kernel_enabled",
     "OverlapPolicy",
     "simultaneous_activation_probability",
     "simultaneous_activation_probability_heterogeneous",

@@ -84,15 +84,12 @@ class BCPNetwork:
         topology: Topology,
         policy: OverlapPolicy | None = None,
         spare_aware_backup_routing: bool = False,
-        mux_kernel: "bool | None" = None,
     ) -> None:
         self.topology = topology
         self.policy = policy or OverlapPolicy()
         self.ledger = ReservationLedger(topology)
         self.registry = ChannelRegistry()
-        # mux_kernel=None defers to the process-wide toggle
-        # (``--no-mux-kernel``); True/False pins this network's engine.
-        self.mux = MultiplexingEngine(self.policy, use_kernel=mux_kernel)
+        self.mux = MultiplexingEngine(self.policy)
         cost_factory = (
             spare_aware_backup_cost if spare_aware_backup_routing else None
         )

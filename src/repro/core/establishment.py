@@ -115,13 +115,11 @@ def spare_aware_backup_cost(engine: "EstablishmentEngine",
     """
     policy = engine.mux.policy
     components = policy.component_set(connection.primary.path)
-    count = len(components)
-    mask = engine.mux.space.mask(components)
     bandwidth = connection.traffic.bandwidth
 
     def cost(link: LinkId) -> float:
         required = engine.mux.link_state(link).preview_add(
-            bandwidth, mux_degree, components, count, mask
+            bandwidth, mux_degree, components
         )
         growth = max(0.0, required - engine.ledger.spare_reserved(link))
         # The per-hop base (2x the channel bandwidth) keeps routes short —
@@ -626,8 +624,6 @@ class EstablishmentEngine:
         max_hops = connection.delay_qos.max_hops(baseline)
         primary = connection.primary
         components = self.mux.policy.component_set(primary.path)
-        count = len(components)
-        mask = self.mux.space.mask(components)
         bandwidth = traffic.bandwidth
 
         cost = None
@@ -654,7 +650,7 @@ class EstablishmentEngine:
                 if not self.ledger.can_set_spare(
                     link,
                     self.mux.link_state(link).preview_add(
-                        bandwidth, mux_degree, components, count, mask
+                        bandwidth, mux_degree, components
                     ),
                 )
             ]
@@ -742,7 +738,6 @@ class EstablishmentEngine:
         policy = self.mux.policy
         primary_components = policy.component_set(connection.primary.path)
         primary_count = len(primary_components)
-        primary_mask = self.mux.space.mask(primary_components)
 
         backup_counts = []
         p_muxfs = []
@@ -753,7 +748,7 @@ class EstablishmentEngine:
 
         psi_new = [
             self.mux.link_state(link).psi_sizes_for_candidate(
-                primary_components, primary_count, [degree], primary_mask
+                primary_components, [degree]
             )[degree]
             for link in path.links
         ]

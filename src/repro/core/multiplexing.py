@@ -27,32 +27,37 @@ recomputing from scratch would be O(n²).  Both paths exist (the scratch
 recompute doubles as a validation oracle) and the benchmarks
 ``bench_scalability`` / ``bench_mux`` measure the gap.
 
-At scale the engine routes per-link state through the vectorized
-packed-bitset kernel (:mod:`repro.core.muxkernel`), which keeps the same
-O(n) contract but performs the n pair tests of an admission or teardown
-as one numpy conflict test per link, bit-identically.  The per-pair
-:class:`LinkMuxState` below is retained as the golden reference oracle
-(the ``reference_shortest_path`` pattern) and serves exact-``S`` policies.
+Two link-state backends exist and only :class:`MultiplexingEngine` knows
+it: every link starts on the per-pair :class:`LinkMuxState` below, and is
+promoted once, one-way, to the vectorized packed-bitset kernel
+(:class:`~repro.core.muxkernel.VectorLinkMux`) when its resident
+population passes :data:`KERNEL_MIN_POPULATION`.  Both keep the same O(n)
+contract and are property-tested bit-identical, so *when* a link is
+promoted cannot change an output byte.  Exact-``S`` policies, which the
+kernel does not implement, never promote.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.channels.channel import Channel, ChannelRole
-from repro.core.muxkernel import (
-    ComponentArena,
-    VectorLinkMux,
-    kernel_available,
-    mux_kernel_enabled,
-    publish_engine_obs,
-    _ObsSync,
-)
-from repro.core.overlap import ComponentSpace, OverlapIndex, OverlapPolicy
+from repro.core.muxkernel import ComponentArena, VectorLinkMux, check_resident
+from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network.components import LinkId
 from repro.obs.registry import get_registry
 from repro.routing.paths import Path
 from repro.util.validation import check_positive
+
+#: Resident backups on one link above which the engine promotes it from
+#: :class:`LinkMuxState` to the vectorized kernel.  Measured crossover of
+#: one preview+add+remove cycle on one link, kernel vs scalar, in µs:
+#: n=25 95/11 · 100 80/37 · 200 88/71 · 400 109/142 · 800 137/284 ·
+#: 3200 185/1121 — the kernel pays ~80 µs of fixed numpy overhead per
+#: link operation and wins from ~250-300 backups up.  The paper's §7
+#: networks (8×8 torus, all pairs) put a median of 73 and at most 110
+#: backups on a link (263 with double backups), so they run scalar.
+KERNEL_MIN_POPULATION = 256
 
 
 @dataclass(slots=True)
@@ -63,15 +68,13 @@ class MuxEntry:
     bandwidth: float
     mux_degree: int
     primary_components: frozenset
-    primary_count: int
-    #: Integer bitset of ``primary_components`` under the engine's
-    #: :class:`~repro.core.overlap.ComponentSpace` (0 when the caller did
-    #: not pre-resolve one; pair tests then fall back to set intersection).
-    mask: int = 0
-    #: ids of the backups in Π(B_i, ℓ) — non-multiplexable, priority ≤ ours.
-    conflicts: set[int] = field(default_factory=set)
-    #: bw(B_i) + Σ bw over `conflicts`; maintained incrementally.
+    #: bw(B_i) + Σ bw over Π(B_i, ℓ); maintained incrementally.  Π itself
+    #: is not stored: membership is a pure function of the two entries,
+    #: so removal re-derives it with the pair test that ``add`` used.
     requirement: float = 0.0
+    #: Integer bitset of ``primary_components`` under the owning link
+    #: state's :class:`~repro.core.overlap.ComponentSpace`.
+    mask: int = 0
 
 
 class LinkMuxState:
@@ -81,13 +84,14 @@ class LinkMuxState:
         self,
         link: LinkId,
         policy: OverlapPolicy,
-        overlaps: "OverlapIndex | None" = None,
+        space: "ComponentSpace | None" = None,
     ) -> None:
         self.link = link
         self.policy = policy
-        #: Shared-count cache, usually shared across every link of an
-        #: engine (the same backup pair meets on many links).
-        self.overlaps = overlaps
+        #: Component interner, shared across every link of an engine:
+        #: each distinct primary resolves to an integer bitset once, and
+        #: every pairwise shared-count below is a popcount.
+        self._space = space if space is not None else ComponentSpace()
         self._entries: dict[int, MuxEntry] = {}
         self._spare_required = 0.0
 
@@ -116,10 +120,10 @@ class LinkMuxState:
         Requirement values are maintained *incrementally* by :meth:`add` /
         :meth:`remove`, so in IEEE arithmetic they depend on the full
         add/remove history, not just the resident entry set.  Snapshot
-        restore therefore re-adds entries to rebuild the integer
-        structure (Π conflict sets) and then calls this to transplant the
-        float state recorded at snapshot time, making post-restore pool
-        sizing bit-identical to the uninterrupted run.
+        restore therefore re-adds entries in recorded order and then
+        calls this to transplant the float state recorded at snapshot
+        time, making post-restore pool sizing bit-identical to the
+        uninterrupted run.
         """
         for channel_id, requirement in requirements.items():
             self._entries[channel_id].requirement = requirement
@@ -151,57 +155,41 @@ class LinkMuxState:
         (Section 3.3's multiplexing-failure bound input)."""
         entry = self._entries[channel_id]
         if not self.policy.exact:
-            # Integer mode: multiplexable ⇔ sc < ν, with sc a popcount
-            # when both entries carry pre-resolved bitset masks.
+            # Integer mode, inlined: multiplexable ⇔ sc < ν.
             degree = entry.mux_degree
             if degree <= 0:
                 return 0
             mask = entry.mask
-            components = entry.primary_components
-            count = 0
-            for other in self._entries.values():
-                if other.channel_id == channel_id:
-                    continue
-                other_mask = other.mask
-                shared = (
-                    (mask & other_mask).bit_count()
-                    if mask and other_mask
-                    else len(components & other.primary_components)
-                )
-                if shared < degree:
-                    count += 1
-            return count
+            return sum(
+                1
+                for other in self._entries.values()
+                if other is not entry
+                and (mask & other.mask).bit_count() < degree
+            )
         return sum(
             1
             for other in self._entries.values()
-            if other.channel_id != channel_id and self._multiplexable(entry, other)
+            if other is not entry and self._multiplexable(entry, other)
         )
 
     def psi_sizes_for_candidate(
-        self,
-        primary_components: frozenset,
-        primary_count: int,
-        mux_degrees: list[int],
-        mask: int = 0,
+        self, primary_components: frozenset, mux_degrees: list[int]
     ) -> dict[int, int]:
         """|Ψ| a *new* backup would see on this link, per candidate degree.
 
         This is the forward-pass computation of the literal negotiation
         scheme (Section 3.4): the reservation message collects these counts
-        so the destination can pick the largest admissible ν.  ``mask`` is
-        the candidate primary's pre-resolved component bitset (optional).
+        so the destination can pick the largest admissible ν.
         """
+        mask = self._space.mask(primary_components)
+        count = len(primary_components)
         sizes = dict.fromkeys(mux_degrees, 0)
         for other in self._entries.values():
-            other_mask = other.mask
-            shared = (
-                (mask & other_mask).bit_count()
-                if mask and other_mask
-                else len(primary_components & other.primary_components)
-            )
+            shared = (mask & other.mask).bit_count()
+            other_count = len(other.primary_components)
             for degree in mux_degrees:
                 if self.policy.multiplexable_counts(
-                    primary_count, other.primary_count, shared, degree
+                    count, other_count, shared, degree
                 ):
                     sizes[degree] += 1
         return sizes
@@ -209,23 +197,13 @@ class LinkMuxState:
     # ------------------------------------------------------------------
     # pair tests
     # ------------------------------------------------------------------
-    def _shared(self, a: MuxEntry, b: MuxEntry) -> int:
-        if a.mask and b.mask:
-            return (a.mask & b.mask).bit_count()
-        if self.overlaps is not None and a.channel_id >= 0 and b.channel_id >= 0:
-            return self.overlaps.shared_count(
-                a.channel_id, a.primary_components,
-                b.channel_id, b.primary_components,
-            )
-        return len(a.primary_components & b.primary_components)
-
     def _multiplexable(self, perspective: MuxEntry, other: MuxEntry) -> bool:
         """Whether ``other`` may share ``perspective``'s spare, judged by
         ``perspective``'s own threshold ν."""
         return self.policy.multiplexable_counts(
-            perspective.primary_count,
-            other.primary_count,
-            self._shared(perspective, other),
+            len(perspective.primary_components),
+            len(other.primary_components),
+            (perspective.mask & other.mask).bit_count(),
             perspective.mux_degree,
         )
 
@@ -239,37 +217,26 @@ class LinkMuxState:
     # mutation
     # ------------------------------------------------------------------
     def preview_add(
-        self,
-        bandwidth: float,
-        mux_degree: int,
-        primary_components: frozenset,
-        primary_count: int,
-        mask: int = 0,
+        self, bandwidth: float, mux_degree: int, primary_components: frozenset
     ) -> float:
         """Pool size this link would need if the described backup joined.
 
         Pure query — used by establishment to test admission before
-        committing, without mutating any state.  ``mask`` is the candidate
-        primary's pre-resolved component bitset (optional; enables the
-        popcount pair test in integer mode).
+        committing, without mutating any state.
         """
         check_positive(bandwidth, "bandwidth")
+        mask = self._space.mask(primary_components)
         if not self.policy.exact:
             # Integer mode, inlined: in_pi(p, o) ⇔ o.ν ≤ p.ν and not
-            # (p.ν > 0 and sc < p.ν), with sc a popcount where possible.
-            # Entries the candidate does not conflict with keep their
-            # current requirement, whose maximum is already maintained in
+            # (p.ν > 0 and sc < p.ν), with sc a popcount.  Entries the
+            # candidate does not conflict with keep their current
+            # requirement, whose maximum is already maintained in
             # ``_spare_required`` — only conflicting entries need a look.
             degree = mux_degree
             new_requirement = bandwidth
             conflict_peak = -1.0
             for other in self._entries.values():
-                other_mask = other.mask
-                shared = (
-                    (mask & other_mask).bit_count()
-                    if mask and other_mask
-                    else len(primary_components & other.primary_components)
-                )
+                shared = (mask & other.mask).bit_count()
                 other_degree = other.mux_degree
                 if other_degree <= degree and (degree <= 0 or shared >= degree):
                     new_requirement += other.bandwidth
@@ -282,14 +249,7 @@ class LinkMuxState:
             if conflict_peak >= 0.0 and conflict_peak + bandwidth > best:
                 best = conflict_peak + bandwidth
             return max(best, new_requirement)
-        candidate = MuxEntry(
-            channel_id=-1,
-            bandwidth=bandwidth,
-            mux_degree=mux_degree,
-            primary_components=primary_components,
-            primary_count=primary_count,
-            mask=mask,
-        )
+        candidate = MuxEntry(-1, bandwidth, mux_degree, primary_components, mask=mask)
         new_requirement = bandwidth
         best = 0.0
         for other in self._entries.values():
@@ -307,27 +267,19 @@ class LinkMuxState:
         bandwidth: float,
         mux_degree: int,
         primary_components: frozenset,
-        primary_count: int,
-        mask: int = 0,
     ) -> float:
         """Register a backup; returns the new required pool size.
 
         O(n) in the number of backups already on the link: one pairwise
         test per existing entry, updating requirements incrementally.
-        ``mask`` is the primary's pre-resolved component bitset (optional).
         """
         if channel_id in self._entries:
             raise ValueError(f"backup {channel_id} already on link {self.link}")
         check_positive(bandwidth, "bandwidth")
+        mask = self._space.mask(primary_components)
         entry = MuxEntry(
-            channel_id=channel_id,
-            bandwidth=bandwidth,
-            mux_degree=mux_degree,
-            primary_components=primary_components,
-            primary_count=primary_count,
-            mask=mask,
+            channel_id, bandwidth, mux_degree, primary_components, bandwidth, mask
         )
-        entry.requirement = bandwidth
         # Requirements only grow on add, so the cached maximum needs at
         # most the new entry's requirement and the ones that just grew.
         peak = self._spare_required
@@ -335,30 +287,21 @@ class LinkMuxState:
             # Integer mode, inlined (see preview_add).
             degree = mux_degree
             for other in self._entries.values():
-                other_mask = other.mask
-                shared = (
-                    (mask & other_mask).bit_count()
-                    if mask and other_mask
-                    else len(primary_components & other.primary_components)
-                )
+                shared = (mask & other.mask).bit_count()
                 other_degree = other.mux_degree
                 if other_degree <= degree and (degree <= 0 or shared >= degree):
-                    entry.conflicts.add(other.channel_id)
                     entry.requirement += other.bandwidth
                 if degree <= other_degree and (
                     other_degree <= 0 or shared >= other_degree
                 ):
-                    other.conflicts.add(channel_id)
                     other.requirement += bandwidth
                     if other.requirement > peak:
                         peak = other.requirement
         else:
             for other in self._entries.values():
                 if self._in_pi(entry, other):
-                    entry.conflicts.add(other.channel_id)
                     entry.requirement += other.bandwidth
                 if self._in_pi(other, entry):
-                    other.conflicts.add(channel_id)
                     other.requirement += bandwidth
                     if other.requirement > peak:
                         peak = other.requirement
@@ -368,17 +311,38 @@ class LinkMuxState:
 
     def remove(self, channel_id: int) -> float:
         """Deregister a backup; returns the new required pool size."""
-        entry = self._entries.pop(channel_id, None)
-        if entry is None:
-            raise KeyError(f"backup {channel_id} not on link {self.link}")
-        for other in self._entries.values():
-            if channel_id in other.conflicts:
-                other.conflicts.discard(channel_id)
-                other.requirement -= entry.bandwidth
+        return self.remove_many([channel_id])
+
+    def remove_many(self, channel_ids: list[int]) -> float:
+        """Deregister several backups in order; returns the final pool
+        size.  Validate-then-apply: an unknown id raises ``KeyError``
+        and leaves the link untouched."""
+        check_resident(self, channel_ids)
+        entries = self._entries
+        exact = self.policy.exact
+        for channel_id in channel_ids:
+            entry = entries.pop(channel_id)
+            bandwidth = entry.bandwidth
+            degree = entry.mux_degree
+            mask = entry.mask
+            # Survivors whose Π held the leaver shed its bandwidth —
+            # in_pi(other, entry), the test ``add`` charged them by.
+            for other in entries.values():
+                other_degree = other.mux_degree
+                if degree > other_degree:
+                    continue
+                if exact:
+                    charged = not self._multiplexable(other, entry)
+                else:
+                    charged = (
+                        other_degree <= 0
+                        or (mask & other.mask).bit_count() >= other_degree
+                    )
+                if charged:
+                    other.requirement -= bandwidth
         # Requirements only shrink on remove; the old maximum may be gone.
         self._spare_required = max(
-            (other.requirement for other in self._entries.values()),
-            default=0.0,
+            (other.requirement for other in entries.values()), default=0.0
         )
         return self._spare_required
 
@@ -386,50 +350,29 @@ class LinkMuxState:
 class MultiplexingEngine:
     """Backup-multiplexing state across all links of a network.
 
-    Owns one :class:`LinkMuxState` per link (created lazily), keyed by the
-    channels' paths.  The engine is pure bookkeeping: the establishment
-    machinery is responsible for mirroring pool sizes into the reservation
-    ledger.
+    Owns one link state per link (created lazily), keyed by the channels'
+    paths, and is the only code that knows there are two link-state
+    implementations (see :data:`KERNEL_MIN_POPULATION`).  The engine is
+    pure bookkeeping: the establishment machinery is responsible for
+    mirroring pool sizes into the reservation ledger.
     """
 
-    def __init__(
-        self,
-        policy: OverlapPolicy | None = None,
-        use_kernel: "bool | None" = None,
-    ) -> None:
+    def __init__(self, policy: OverlapPolicy | None = None) -> None:
         self.policy = policy or OverlapPolicy()
-        #: Engine-wide shared-count cache: a backup pair sharing k links
-        #: costs one set intersection instead of k.  Only consulted for
-        #: entry pairs without pre-resolved bitset masks (see ``space``).
-        self.overlaps = OverlapIndex()
-        #: Engine-wide component interner: primaries' component sets are
-        #: resolved to integer bitsets once, turning every pairwise
-        #: shared-count in the mux hot loops into a popcount.
-        self.space = ComponentSpace()
-        #: Whether links use the vectorized packed-bitset kernel
-        #: (:mod:`repro.core.muxkernel`).  Resolved at construction from
-        #: the process-wide toggle; the kernel implements the integer
-        #: multiplexability test only, so exact-``S`` policies always
-        #: keep the per-pair reference path.
-        if use_kernel is None:
-            use_kernel = mux_kernel_enabled()
-        self.use_kernel = (
-            bool(use_kernel) and kernel_available() and not self.policy.exact
-        )
-        #: Shared packed-bitset arena (kernel engines only).
-        self.arena = ComponentArena() if self.use_kernel else None
-        self._links: "dict[LinkId, LinkMuxState | VectorLinkMux]" = {}
-        self._obs = _ObsSync()
+        #: Engine-wide interners: primaries' component sets resolve once
+        #: to an integer bitset (scalar links) or a packed arena row
+        #: (promoted links), no matter how many links a backup crosses.
+        self._space = ComponentSpace()
+        self._arena = ComponentArena()
+        self._links: dict = {}
 
-    def link_state(self, link: LinkId) -> "LinkMuxState | VectorLinkMux":
+    def link_state(self, link: LinkId):
         """The (lazily created) multiplexing state of ``link``."""
         state = self._links.get(link)
         if state is None:
-            if self.use_kernel:
-                state = VectorLinkMux(link, self.policy, self.arena)
-            else:
-                state = LinkMuxState(link, self.policy, overlaps=self.overlaps)
-            self._links[link] = state
+            state = self._links[link] = LinkMuxState(
+                link, self.policy, self._space
+            )
         return state
 
     def spare_required(self, link: LinkId) -> float:
@@ -437,7 +380,7 @@ class MultiplexingEngine:
         state = self._links.get(link)
         return state.spare_required() if state else 0.0
 
-    def link_states(self) -> "dict[LinkId, LinkMuxState | VectorLinkMux]":
+    def link_states(self) -> dict:
         """Live per-link states — only links that ever saw a backup.
 
         Read-only view for the snapshot codec; an empty state is
@@ -447,28 +390,34 @@ class MultiplexingEngine:
         return self._links
 
     # ------------------------------------------------------------------
-    def component_mask(self, primary_path: Path) -> int:
-        """The primary's component set as an interned integer bitset."""
-        return self.space.mask(self.policy.component_set(primary_path))
+    def _add(self, link: LinkId, backup: Channel, components: frozenset) -> float:
+        """Register ``backup`` on one link, promoting the link to the
+        vectorized kernel when this add takes it past
+        :data:`KERNEL_MIN_POPULATION`."""
+        state = self.link_state(link)
+        required = state.add(
+            backup.channel_id, backup.bandwidth, backup.mux_degree, components
+        )
+        if (
+            len(state) > KERNEL_MIN_POPULATION
+            and isinstance(state, LinkMuxState)
+            and not self.policy.exact
+        ):
+            promoted = VectorLinkMux(link, self.policy, self._arena)
+            promoted.adopt(state.entries(), required)
+            self._links[link] = promoted
+            get_registry().counter("mux.kernel.promotions").inc()
+        return required
 
-    def _describe(
-        self, backup: Channel, primary: Channel
-    ) -> tuple[frozenset, int, int]:
-        components = self.policy.component_set(primary.path)
-        # Kernel links resolve components to arena rows themselves; the
-        # integer mask would be dead weight there.
-        mask = 0 if self.use_kernel else self.space.mask(components)
-        return components, len(components), mask
-
-    def describe_backup(
-        self, backup: Channel, primary: Channel
-    ) -> tuple[frozenset, int, int]:
-        """``(components, count, mask)`` of ``primary`` as the per-link
-        states consume it — the arguments their ``add`` takes after the
-        channel identity and QoS numbers.  Public for the snapshot codec
-        (:mod:`repro.serve.state`), which replays ``add`` per link to
-        rebuild mux structure without re-routing anything."""
-        return self._describe(backup, primary)
+    def _publish_obs(self) -> None:
+        """Export interner health into the session registry: gauges
+        ``mux.space.components`` (interned bit positions),
+        ``mux.space.rows`` (interned primary sets) and ``mux.space.bytes``
+        (the packed arena promoted links share)."""
+        registry = get_registry()
+        registry.gauge("mux.space.components").set(float(len(self._space)))
+        registry.gauge("mux.space.rows").set(float(self._space.rows))
+        registry.gauge("mux.space.bytes").set(float(self._arena.nbytes))
 
     def preview_backup(
         self, backup_path: Path, bandwidth: float, mux_degree: int, primary: Channel
@@ -476,57 +425,52 @@ class MultiplexingEngine:
         """Required pool size per link of ``backup_path`` if the backup
         were added — the establishment admission query."""
         components = self.policy.component_set(primary.path)
-        count = len(components)
-        mask = 0 if self.use_kernel else self.space.mask(components)
         requirements = {
             link: self.link_state(link).preview_add(
-                bandwidth, mux_degree, components, count, mask
+                bandwidth, mux_degree, components
             )
             for link in backup_path.links
         }
-        if self.use_kernel:
-            get_registry().counter("mux.kernel.previews").inc()
-        publish_engine_obs(self)
+        self._publish_obs()
         return requirements
 
     def add_backup(self, backup: Channel, primary: Channel) -> dict[LinkId, float]:
         """Register ``backup`` on every link of its path; returns the new
-        required pool size per link.
-
-        With the kernel, the admission touches only the rows of the links
-        on the backup's path — one vectorized conflict test per link."""
+        required pool size per link."""
         if backup.role is not ChannelRole.BACKUP:
             raise ValueError(f"channel {backup.channel_id} is not a backup")
-        components, count, mask = self._describe(backup, primary)
-        self.overlaps.register(backup.channel_id)
+        components = self.policy.component_set(primary.path)
         requirements = {
-            link: self.link_state(link).add(
-                backup.channel_id,
-                backup.bandwidth,
-                backup.mux_degree,
-                components,
-                count,
-                mask,
-            )
+            link: self._add(link, backup, components)
             for link in backup.path.links
         }
-        if self.use_kernel:
-            get_registry().counter("mux.kernel.adds").inc()
-        publish_engine_obs(self)
+        self._publish_obs()
         return requirements
+
+    def restore_link(
+        self,
+        link: LinkId,
+        entries: "list[tuple[Channel, Channel, float]]",
+        spare_required: float,
+    ) -> None:
+        """Rebuild ``link`` from a snapshot row: ``entries`` holds
+        ``(backup, primary, requirement)`` in recorded insertion order.
+
+        Adds are replayed in that order (so the link lands on whichever
+        backend its population selects), then the recorded floats are
+        transplanted over the freshly computed ones — see
+        :meth:`LinkMuxState.set_requirements` for why."""
+        for backup, primary, _ in entries:
+            self._add(link, backup, self.policy.component_set(primary.path))
+        self.link_state(link).set_requirements(
+            {backup.channel_id: requirement for backup, _, requirement in entries},
+            spare_required,
+        )
 
     def remove_backup(self, backup: Channel) -> dict[LinkId, float]:
         """Deregister ``backup`` from every link of its path; returns the
         new required pool size per link."""
-        requirements = {
-            link: self.link_state(link).remove(backup.channel_id)
-            for link in backup.path.links
-        }
-        self.overlaps.unregister(backup.channel_id)
-        if self.use_kernel:
-            get_registry().counter("mux.kernel.removes").inc()
-        publish_engine_obs(self)
-        return requirements
+        return self._remove([backup])
 
     def remove_backups(self, backups: "list[Channel]") -> dict[LinkId, float]:
         """Deregister several backups at once; returns the new required
@@ -535,32 +479,26 @@ class MultiplexingEngine:
         The returned mapping holds each link's final requirement —
         suitable for one bulk :meth:`ReservationLedger.set_spares` mirror
         (the incremental-teardown path: only links some removed backup
-        crossed are touched, everything else keeps its pool untouched).
+        crossed are touched, everything else keeps its pool untouched)."""
+        return self._remove(backups)
 
-        Kernel engines group the removals by link first and tear each
-        link down in one :meth:`~repro.core.muxkernel.VectorLinkMux.remove_many`
-        call (same per-removal order as the sequential path, so the final
-        state is bit-identical); reference engines fall back to
-        backup-by-backup removal."""
-        if not self.use_kernel:
-            requirements: dict[LinkId, float] = {}
-            for backup in backups:
-                requirements.update(self.remove_backup(backup))
-            return requirements
+    def _remove(self, backups: "list[Channel]") -> dict[LinkId, float]:
+        """Group the removals by link and tear each link down in one
+        ``remove_many`` call (same per-link order as backup-by-backup
+        removal, so the final state is bit-identical).
+        Validate-then-apply: a backup missing from any of its links
+        raises ``KeyError`` before any link is touched."""
         per_link: dict[LinkId, list[int]] = {}
         for backup in backups:
             for link in backup.path.links:
                 per_link.setdefault(link, []).append(backup.channel_id)
+        for link, channel_ids in per_link.items():
+            check_resident(self.link_state(link), channel_ids)
         requirements = {
-            link: self.link_state(link).remove_many(channel_ids)
+            link: self._links[link].remove_many(channel_ids)
             for link, channel_ids in per_link.items()
         }
-        for backup in backups:
-            self.overlaps.unregister(backup.channel_id)
-        registry = get_registry()
-        registry.counter("mux.kernel.removes").inc(len(backups))
-        registry.counter("mux.kernel.batched_teardowns").inc()
-        publish_engine_obs(self)
+        self._publish_obs()
         return requirements
 
     def psi_sizes(self, backup: Channel) -> dict[LinkId, int]:

@@ -30,62 +30,37 @@ tests with *one vectorized conflict test per link*:
 
 The kernel covers the paper's integer multiplexability test (``sc < α``,
 the default :class:`~repro.core.overlap.OverlapPolicy`).  Exact-``S``
-policies keep the scalar reference path — their verdicts hinge on libm
-``pow`` behaviour that the kernel will not re-derive in float32/float64
-array form.  The reference engine remains the validation oracle, exactly
-like ``reference_shortest_path`` does for the flat routing kernels.
+policies keep the scalar path — their verdicts hinge on libm ``pow``
+behaviour that the kernel will not re-derive in float32/float64 array
+form.
 
-Process-wide escape hatch: ``--no-mux-kernel`` on the CLI (mirroring
-``--no-route-cache``) routes every new engine through the reference
-per-pair implementation; results are identical either way, only slower.
+Each link operation pays a fixed numpy dispatch overhead, so the kernel
+only wins on densely populated links;
+:class:`~repro.core.multiplexing.MultiplexingEngine` decides per link
+when to promote (see ``KERNEL_MIN_POPULATION`` there) and nothing else
+constructs a :class:`VectorLinkMux` outside tests and benchmarks.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.network.components import LinkId
-from repro.obs.registry import get_registry
 from repro.util.validation import check_positive
 
-try:  # pragma: no cover - import guard exercised only without numpy
-    import numpy as np
-
-    _HAVE_NUMPY = hasattr(np, "bitwise_count")
-except Exception:  # pragma: no cover - numpy is baked into the image
-    np = None
-    _HAVE_NUMPY = False
-
-__all__ = [
-    "ComponentArena",
-    "VectorLinkMux",
-    "kernel_available",
-    "mux_kernel_enabled",
-    "set_mux_kernel_enabled",
-    "reference_link_state",
-]
-
-#: Process-wide escape hatch (``--no-mux-kernel`` on the CLI).  Consulted
-#: when a :class:`~repro.core.multiplexing.MultiplexingEngine` is built;
-#: live engines keep the representation they were built with.
-_MUX_KERNEL_ENABLED = True
+__all__ = ["ComponentArena", "VectorLinkMux", "check_resident"]
 
 
-def set_mux_kernel_enabled(enabled: bool) -> bool:
-    """Enable/disable the vectorized kernel for *new* multiplexing
-    engines; returns the previous state."""
-    global _MUX_KERNEL_ENABLED
-    previous = _MUX_KERNEL_ENABLED
-    _MUX_KERNEL_ENABLED = bool(enabled)
-    return previous
-
-
-def mux_kernel_enabled() -> bool:
-    """Whether new engines default to the vectorized kernel."""
-    return _MUX_KERNEL_ENABLED
-
-
-def kernel_available() -> bool:
-    """Whether the numpy backend (with ``bitwise_count``) is importable."""
-    return _HAVE_NUMPY
+def check_resident(state, channel_ids: list[int]) -> None:
+    """Raise ``KeyError`` unless ``state.remove_many(channel_ids)`` would
+    succeed: every id resident and listed once.  Both link-state classes
+    call it before removing anything, and the engine calls it on every
+    link of a teardown before touching any."""
+    seen = set()
+    for channel_id in channel_ids:
+        if channel_id not in state or channel_id in seen:
+            raise KeyError(f"backup {channel_id} not on link {state.link}")
+        seen.add(channel_id)
 
 
 class ComponentArena:
@@ -107,8 +82,6 @@ class ComponentArena:
     _INITIAL_WORDS = 4
 
     def __init__(self) -> None:
-        if not _HAVE_NUMPY:  # pragma: no cover - guarded by callers
-            raise RuntimeError("numpy with bitwise_count is required")
         self._bits: dict[object, int] = {}
         self._rows: dict[frozenset, int] = {}
         self._sets: list[frozenset] = []
@@ -271,13 +244,8 @@ class VectorLinkMux:
         return channel_id in self._ids
 
     def entries(self) -> list:
-        """All backup entries, materialized in registration order.
-
-        Entry objects are snapshots: the kernel does not maintain the
-        per-entry ``conflicts`` sets (removal recomputes the conflict
-        mask vectorized instead), so they are returned empty — use
-        :meth:`conflict_ids` when the actual Π membership is needed.
-        """
+        """All backup entries, materialized in registration order
+        (snapshots: mutating one does not write back)."""
         return [self._materialize(pos) for pos in range(self._n)]
 
     def entry(self, channel_id: int):
@@ -288,15 +256,13 @@ class VectorLinkMux:
         from repro.core.multiplexing import MuxEntry
 
         components = self.arena.components(int(self._row[pos]))
-        entry = MuxEntry(
+        return MuxEntry(
             channel_id=int(self._channel_ids[pos]),
             bandwidth=float(self._bandwidth[pos]),
             mux_degree=int(self._degree[pos]),
             primary_components=components,
-            primary_count=len(components),
+            requirement=float(self._requirement[pos]),
         )
-        entry.requirement = float(self._requirement[pos])
-        return entry
 
     def spare_required(self) -> float:
         """The pool size required by the current backup set (O(1))."""
@@ -356,11 +322,7 @@ class VectorLinkMux:
         return int(multiplexable.sum())
 
     def psi_sizes_for_candidate(
-        self,
-        primary_components: frozenset,
-        primary_count: int,
-        mux_degrees: list[int],
-        mask: int = 0,
+        self, primary_components: frozenset, mux_degrees: list[int]
     ) -> dict[int, int]:
         """|Ψ| a *new* backup would see on this link, per candidate degree
         (the forward-pass computation of the literal scheme)."""
@@ -372,18 +334,6 @@ class VectorLinkMux:
             if degree > 0:
                 sizes[degree] = int((shared < degree).sum())
         return sizes
-
-    def conflict_ids(self, channel_id: int) -> set[int]:
-        """Π(B_i, ℓ) membership, recomputed vectorized — what the
-        reference engine maintains as ``MuxEntry.conflicts``."""
-        pos = self._ids[channel_id]
-        n = self._n
-        shared = self._shared_with_all(int(self._row[pos]))
-        in_pi = self._pi_mask(
-            int(self._degree[pos]), self._degree[:n], shared
-        )
-        in_pi[pos] = False
-        return {int(cid) for cid in self._channel_ids[:n][in_pi]}
 
     # ------------------------------------------------------------------
     # the vectorized pair tests
@@ -407,12 +357,7 @@ class VectorLinkMux:
     # mutation
     # ------------------------------------------------------------------
     def preview_add(
-        self,
-        bandwidth: float,
-        mux_degree: int,
-        primary_components: frozenset,
-        primary_count: int,
-        mask: int = 0,
+        self, bandwidth: float, mux_degree: int, primary_components: frozenset
     ) -> float:
         """Pool size this link would need if the described backup joined
         (pure query; one vectorized conflict test)."""
@@ -438,8 +383,6 @@ class VectorLinkMux:
         bandwidth: float,
         mux_degree: int,
         primary_components: frozenset,
-        primary_count: int,
-        mask: int = 0,
     ) -> float:
         """Register a backup; returns the new required pool size.
 
@@ -470,28 +413,29 @@ class VectorLinkMux:
         self._spare_required = max(peak, requirement)
         return self._spare_required
 
+    def adopt(self, entries: list, spare_required: float) -> None:
+        """Take over another link state's resident ``entries`` (in
+        registration order) and pool maximum verbatim — promotion: no
+        pair test runs and no float is recomputed."""
+        for entry in entries:
+            self._append(
+                entry.channel_id, entry.bandwidth, entry.mux_degree,
+                entry.requirement, self.arena.row(entry.primary_components),
+            )
+        self._spare_required = spare_required
+
     def remove(self, channel_id: int) -> float:
         """Deregister a backup; returns the new required pool size."""
-        pos = self._ids.pop(channel_id, None)
-        if pos is None:
-            raise KeyError(f"backup {channel_id} not on link {self.link}")
-        self._remove_at(pos)
-        n = self._n
-        self._spare_required = (
-            float(self._requirement[:n].max()) if n else 0.0
-        )
-        return self._spare_required
+        return self.remove_many([channel_id])
 
     def remove_many(self, channel_ids: list[int]) -> float:
         """Deregister several backups in order; returns the final pool
-        size (the bulk-teardown path: one call per touched link)."""
+        size (the bulk-teardown path: one call per touched link).
+        Validate-then-apply: an unknown id raises ``KeyError`` and
+        leaves the link untouched."""
+        check_resident(self, channel_ids)
         for channel_id in channel_ids:
-            pos = self._ids.pop(channel_id, None)
-            if pos is None:
-                raise KeyError(
-                    f"backup {channel_id} not on link {self.link}"
-                )
-            self._remove_at(pos)
+            self._remove_at(self._ids.pop(channel_id))
         n = self._n
         self._spare_required = (
             float(self._requirement[:n].max()) if n else 0.0
@@ -561,94 +505,3 @@ class VectorLinkMux:
         self._rowslot[n] = self._slot(row)
         self._ids[channel_id] = n
         self._n = n + 1
-
-
-def reference_link_state(
-    state: VectorLinkMux, overlaps=None, space=None, conflicts: bool = True
-):
-    """Transplant a :class:`VectorLinkMux` into a per-pair reference
-    :class:`~repro.core.multiplexing.LinkMuxState` with identical live
-    state (entries, requirements, full conflict sets, spare pool).
-
-    Used by benchmarks to stand up the reference oracle at populations
-    where replaying the op history through Python pair tests would take
-    minutes, and by tests to prove the transplant itself is faithful.
-    ``space`` (a :class:`~repro.core.overlap.ComponentSpace`) pre-resolves
-    integer masks so the reference runs its fastest pair test.
-
-    ``conflicts=False`` skips materializing the per-entry Π sets (an
-    O(n²) cost at benchmark populations).  The resulting state sizes
-    pools and admits *new* backups correctly — integer-mode ``add`` /
-    ``preview_add`` never read existing conflict sets — but may only
-    ``remove`` backups added *after* the transplant.
-    """
-    from repro.core.multiplexing import LinkMuxState
-
-    reference = LinkMuxState(state.link, state.policy, overlaps=overlaps)
-    for entry in state.entries():
-        if space is not None:
-            entry.mask = space.mask(entry.primary_components)
-        if conflicts:
-            entry.conflicts = set(state.conflict_ids(entry.channel_id))
-        reference._entries[entry.channel_id] = entry
-    reference._spare_required = state.spare_required()
-    return reference
-
-
-class _ObsSync:
-    """Registry bindings for the engine's obs export.
-
-    Re-resolved lazily because obs sessions swap the process registry;
-    dropped on pickle so engines ship cleanly to worker processes (the
-    worker re-baselines against its own registry and publishes only the
-    deltas it produces).
-    """
-
-    __slots__ = ("registry", "hits_base", "misses_base")
-
-    def __init__(self) -> None:
-        self.registry = None
-        self.hits_base = 0
-        self.misses_base = 0
-
-    def __getstate__(self) -> bool:
-        return True
-
-    def __setstate__(self, state) -> None:
-        self.__init__()
-
-
-def publish_engine_obs(engine) -> None:
-    """Export the engine's cache/arena health into the session registry.
-
-    Counters: ``overlap_index.hits`` / ``overlap_index.misses`` (synced
-    by delta from the :class:`~repro.core.overlap.OverlapIndex` so the
-    reference hot loop stays free of registry lookups).  Gauges:
-    ``mux.space.components`` (interned bit positions), ``mux.space.rows``
-    (interned primary sets), and ``mux.space.bytes`` (allocated arena
-    size; 0 for reference engines, whose interner holds Python ints).
-    """
-    obs = engine._obs
-    registry = get_registry()
-    overlaps = engine.overlaps
-    if registry is not obs.registry:
-        # New session (or a worker's first publish): count from here.
-        obs.registry = registry
-        obs.hits_base = overlaps.hits
-        obs.misses_base = overlaps.misses
-    delta = overlaps.hits - obs.hits_base
-    if delta:
-        registry.counter("overlap_index.hits").inc(delta)
-        obs.hits_base = overlaps.hits
-    delta = overlaps.misses - obs.misses_base
-    if delta:
-        registry.counter("overlap_index.misses").inc(delta)
-        obs.misses_base = overlaps.misses
-    arena = engine.arena
-    if arena is not None:
-        registry.gauge("mux.space.components").set(float(len(arena)))
-        registry.gauge("mux.space.rows").set(float(arena.rows))
-        registry.gauge("mux.space.bytes").set(float(arena.nbytes))
-    else:
-        registry.gauge("mux.space.components").set(float(len(engine.space)))
-        registry.gauge("mux.space.rows").set(float(engine.space.rows))

@@ -138,70 +138,6 @@ class ComponentSpace:
         return mask
 
 
-class OverlapIndex:
-    """Cache of pairwise shared-component counts between primary paths.
-
-    The multiplexing engine evaluates ``sc(M_i, M_j)`` — the size of the
-    intersection of two primaries' component sets — once per *pair of
-    backups per link*.  Backups routinely share many links, so the same
-    intersection is recomputed O(path length) times; across a scenario
-    sweep this is the dominant establishment-side cost.  The index
-    memoises the count per unordered pair of registered keys (backup
-    channel ids) and evicts all of a key's pairs when it unregisters, so
-    the cache never outlives the backups it describes.
-
-    The index is pure bookkeeping and deliberately has no notion of
-    policy: callers hand it the component sets to intersect, and the
-    :class:`OverlapPolicy` decides what those sets contain.
-    """
-
-    __slots__ = ("_shared", "_pairs_of", "hits", "misses")
-
-    def __init__(self) -> None:
-        self._shared: dict[tuple[int, int], int] = {}
-        #: key -> the cached pair keys involving it (for O(deg) eviction).
-        self._pairs_of: dict[int, set[tuple[int, int]]] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __len__(self) -> int:
-        return len(self._shared)
-
-    def register(self, key: int) -> None:
-        """Start tracking ``key`` (idempotent)."""
-        self._pairs_of.setdefault(key, set())
-
-    def unregister(self, key: int) -> None:
-        """Drop ``key`` and every cached pair involving it (idempotent)."""
-        for pair in self._pairs_of.pop(key, ()):
-            self._shared.pop(pair, None)
-            other = pair[0] if pair[1] == key else pair[1]
-            others = self._pairs_of.get(other)
-            if others is not None:
-                others.discard(pair)
-
-    def shared_count(
-        self, key_a: int, components_a: frozenset,
-        key_b: int, components_b: frozenset,
-    ) -> int:
-        """``len(components_a & components_b)``, cached per key pair.
-
-        Both keys must be registered; unregistered callers should compute
-        the intersection directly (candidate previews do).
-        """
-        pair = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-        cached = self._shared.get(pair)
-        if cached is not None:
-            self.hits += 1
-            return cached
-        self.misses += 1
-        count = len(components_a & components_b)
-        self._shared[pair] = count
-        self._pairs_of[key_a].add(pair)
-        self._pairs_of[key_b].add(pair)
-        return count
-
-
 @dataclass(frozen=True)
 class OverlapPolicy:
     """How primary-path overlap is measured and compared against ν.

@@ -95,7 +95,8 @@ def _multiplexable_fraction(network: BCPNetwork, mux_degree: int) -> float:
                 total += 1
                 shared = len(a.primary_components & b.primary_components)
                 if policy.multiplexable_counts(
-                    a.primary_count, b.primary_count, shared, mux_degree
+                    len(a.primary_components), len(b.primary_components),
+                    shared, mux_degree,
                 ):
                     multiplexable += 1
         fractions.append(multiplexable / total)

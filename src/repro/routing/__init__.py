@@ -13,8 +13,6 @@ from repro.routing.flatgraph import (
     FlatTopology,
     StaleFlatViewError,
     flat_view,
-    route_cache_enabled,
-    set_route_cache_enabled,
 )
 from repro.routing.ksp import k_shortest_paths
 from repro.routing.paths import Path
@@ -39,8 +37,6 @@ __all__ = [
     "FlatTopology",
     "StaleFlatViewError",
     "flat_view",
-    "route_cache_enabled",
-    "set_route_cache_enabled",
     "reference_shortest_path",
     "reference_hop_distance",
 ]

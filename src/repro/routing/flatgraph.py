@@ -57,8 +57,6 @@ __all__ = [
     "RouteCache",
     "StaleFlatViewError",
     "flat_view",
-    "route_cache_enabled",
-    "set_route_cache_enabled",
 ]
 
 
@@ -73,25 +71,8 @@ class StaleFlatViewError(RuntimeError):
     :mod:`repro.routing.shortest` do this on every call.
     """
 
-#: Process-wide escape hatch (``--no-route-cache`` on the CLI).  Search
-#: kernels still run flat; only memoisation is disabled.
-_ROUTE_CACHE_ENABLED = True
-
 #: Sentinel distinguishing "cached None" (no feasible path) from a miss.
 _MISSING = object()
-
-
-def set_route_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable route-result memoisation; returns the previous state."""
-    global _ROUTE_CACHE_ENABLED
-    previous = _ROUTE_CACHE_ENABLED
-    _ROUTE_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
-def route_cache_enabled() -> bool:
-    """Whether route-result memoisation is currently enabled."""
-    return _ROUTE_CACHE_ENABLED
 
 
 def flat_view(topology: Topology) -> "FlatTopology":
@@ -292,7 +273,7 @@ class FlatTopology:
             floor = pred
             pred = None
 
-        cacheable = _ROUTE_CACHE_ENABLED and cost is None and pred is None
+        cacheable = cost is None and pred is None
         table = key = None
         if cacheable:
             cache = self.cache
@@ -340,23 +321,20 @@ class FlatTopology:
                 f"but {self.topology.name!r} is now at "
                 f"{self.topology.version}; re-resolve via flat_view()"
             )
-        cacheable = _ROUTE_CACHE_ENABLED
-        if cacheable:
-            cache = self.cache
-            table = cache.static_table()
-            key = ("hop", src, dst)
-            hit = table.get(key, _MISSING)
-            if hit is not _MISSING:
-                cache.record_hit()
-                return hit
+        cache = self.cache
+        table = cache.static_table()
+        key = ("hop", src, dst)
+        hit = table.get(key, _MISSING)
+        if hit is not _MISSING:
+            cache.record_hit()
+            return hit
 
         s = self.index[src]  # KeyError on unknown src, like the reference
         t = self.index.get(dst)
         dist = -1 if t is None else self._run_bidirectional(s, t)
 
-        if cacheable:
-            cache.record_miss()
-            cache.store(table, key, dist)
+        cache.record_miss()
+        cache.store(table, key, dist)
         return dist
 
     # ------------------------------------------------------------------

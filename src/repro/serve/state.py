@@ -10,8 +10,8 @@ no re-admission, no re-routing, no drifted floats.
 Why the mux section stores floats verbatim
 ------------------------------------------
 
-Both mux backends maintain per-entry ``requirement`` values and the
-per-link pool maximum *incrementally* (``+= bandwidth`` on add,
+The multiplexing engine maintains per-entry ``requirement`` values and
+the per-link pool maximum *incrementally* (``+= bandwidth`` on add,
 ``-= bandwidth`` on remove).  IEEE arithmetic makes those values a
 function of the full add/remove **history**, not of the resident entry
 set — ``(x + b) - b != x`` in general.  Recomputing requirements from
@@ -20,21 +20,15 @@ different floats, different admission decisions, and a diverged run.
 
 The codec instead records, per link, the resident entries **in
 insertion order** with their exact requirement floats plus the link's
-pool maximum.  Restore replays ``add`` per link in that order — the
-integer structure (Π conflict sets, arena rows, distinct-row slots) is
-order-deterministic and rebuilds identically — then transplants the
-recorded floats over the freshly computed ones via
-``set_requirements``.  The same reasoning covers the ledger: pools are
-written back verbatim through
+pool maximum.  Restore hands each row to
+:meth:`~repro.core.multiplexing.MultiplexingEngine.restore_link`, which
+replays the adds in that order and then transplants the recorded floats
+over the freshly computed ones.  The same reasoning covers the ledger:
+pools are written back verbatim through
 :meth:`~repro.network.reservations.ReservationLedger.restore_pools`,
 which also bumps the ledger version (and the restore path bumps the
 topology version) so route-cache floor tables, flat-view free mirrors,
 and spare snapshots can never serve pre-restore state.
-
-Snapshots are portable across mux backends: the kernel and reference
-engines agree bit-for-bit on requirements, so a snapshot taken with the
-vectorized kernel restores correctly into a ``--no-mux-kernel`` engine
-and vice versa.
 """
 
 from __future__ import annotations
@@ -248,31 +242,17 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
         (pair[0], pair[1]) for pair in snapshot["ledger"]
     )
 
-    # 3. Multiplexing state: replay add per link in recorded insertion
-    # order (rebuilds the integer structure deterministically), then
-    # transplant the recorded floats (see module docstring).
-    mux = network.mux
-    described: dict[int, tuple] = {}
+    # 3. Multiplexing state, link by link in recorded insertion order
+    # with the recorded floats (see module docstring).
     for row in snapshot["mux"]:
-        state = mux.link_state(links[row["link"]])
-        requirements: dict[int, float] = {}
+        entries = []
         for channel_id, requirement in row["entries"]:
             backup = channels[channel_id]
-            if channel_id not in described:
-                mux.overlaps.register(channel_id)
-                primary = network._connections[backup.connection_id].primary
-                described[channel_id] = mux.describe_backup(backup, primary)
-            components, count, mask = described[channel_id]
-            state.add(
-                channel_id,
-                backup.bandwidth,
-                backup.mux_degree,
-                components,
-                count,
-                mask,
-            )
-            requirements[channel_id] = requirement
-        state.set_requirements(requirements, row["spare_required"])
+            primary = network._connections[backup.connection_id].primary
+            entries.append((backup, primary, requirement))
+        network.mux.restore_link(
+            links[row["link"]], entries, row["spare_required"]
+        )
 
     # 4. Belt and braces: force every topology-keyed view (flat CSR
     # arrays, route caches, the capacity cache) to recompile too.

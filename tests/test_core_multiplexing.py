@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.channels import Channel, ChannelRole, TrafficSpec
+from repro.core import multiplexing
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
 from repro.core.overlap import OverlapPolicy
 from repro.network import LinkId
+from repro.obs import obs_session
 from repro.routing import Path
 
 LINK = LinkId("x", "y")
@@ -17,9 +19,8 @@ def state(**policy_kwargs) -> LinkMuxState:
     return LinkMuxState(LINK, OverlapPolicy(**policy_kwargs))
 
 
-def components(*nodes) -> tuple[frozenset, int]:
-    path = Path(nodes)
-    return path.components, len(path.components)
+def components(*nodes) -> frozenset:
+    return Path(nodes).components
 
 
 class TestLinkMuxStateBasics:
@@ -28,15 +29,15 @@ class TestLinkMuxStateBasics:
 
     def test_single_backup_needs_own_bandwidth(self):
         s = state()
-        comps, count = components(1, 2, 3)
-        assert s.add(0, 2.0, 3, comps, count) == 2.0
+        comps = components(1, 2, 3)
+        assert s.add(0, 2.0, 3, comps) == 2.0
 
     def test_duplicate_add_rejected(self):
         s = state()
-        comps, count = components(1, 2, 3)
-        s.add(0, 1.0, 3, comps, count)
+        comps = components(1, 2, 3)
+        s.add(0, 1.0, 3, comps)
         with pytest.raises(ValueError, match="already"):
-            s.add(0, 1.0, 3, comps, count)
+            s.add(0, 1.0, 3, comps)
 
     def test_remove_unknown_rejected(self):
         with pytest.raises(KeyError):
@@ -44,77 +45,77 @@ class TestLinkMuxStateBasics:
 
     def test_len_and_contains(self):
         s = state()
-        comps, count = components(1, 2)
-        s.add(5, 1.0, 1, comps, count)
+        comps = components(1, 2)
+        s.add(5, 1.0, 1, comps)
         assert len(s) == 1 and 5 in s and 6 not in s
 
 
 class TestSharingSemantics:
     def test_disjoint_primaries_share_at_mux1(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(4, 5, 6)
-        s.add(0, 1.0, 1, a, ca)
-        assert s.add(1, 1.0, 1, b, cb) == 1.0  # fully multiplexed
+        a = components(1, 2, 3)
+        b = components(4, 5, 6)
+        s.add(0, 1.0, 1, a)
+        assert s.add(1, 1.0, 1, b) == 1.0  # fully multiplexed
 
     def test_overlapping_primaries_do_not_share_at_mux1(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(9, 2, 8)  # shares node 2
-        s.add(0, 1.0, 1, a, ca)
-        assert s.add(1, 1.0, 1, b, cb) == 2.0
+        a = components(1, 2, 3)
+        b = components(9, 2, 8)  # shares node 2
+        s.add(0, 1.0, 1, a)
+        assert s.add(1, 1.0, 1, b) == 2.0
 
     def test_mux0_disables_sharing_entirely(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(4, 5, 6)
-        s.add(0, 1.0, 0, a, ca)
-        assert s.add(1, 1.0, 0, b, cb) == 2.0
+        a = components(1, 2, 3)
+        b = components(4, 5, 6)
+        s.add(0, 1.0, 0, a)
+        assert s.add(1, 1.0, 0, b) == 2.0
 
     def test_link_sharing_blocks_mux3(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(0, 2, 3, 4)  # shares link 2->3 (sc = 3)
-        s.add(0, 1.0, 3, a, ca)
-        assert s.add(1, 1.0, 3, b, cb) == 2.0
+        a = components(1, 2, 3)
+        b = components(0, 2, 3, 4)  # shares link 2->3 (sc = 3)
+        s.add(0, 1.0, 3, a)
+        assert s.add(1, 1.0, 3, b) == 2.0
 
     def test_node_sharing_allowed_at_mux3(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(9, 2, 8)  # sc = 1 < 3
-        s.add(0, 1.0, 3, a, ca)
-        assert s.add(1, 1.0, 3, b, cb) == 1.0
+        a = components(1, 2, 3)
+        b = components(9, 2, 8)  # sc = 1 < 3
+        s.add(0, 1.0, 3, a)
+        assert s.add(1, 1.0, 3, b) == 1.0
 
     def test_priority_filter_excludes_lower_priority_conflicts(self):
         # A high-priority (mux=1) backup's requirement counts conflicting
         # peers of priority <= its own; a LOWER-priority conflicting backup
         # (larger degree) is excluded — it will activate after us.
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(9, 2, 8)  # conflicts with a at degree 1 (sc=1)
-        s.add(0, 1.0, 1, a, ca)       # high priority
-        spare = s.add(1, 1.0, 6, b, cb)  # low priority, sc=1 < 6: shares
+        a = components(1, 2, 3)
+        b = components(9, 2, 8)  # conflicts with a at degree 1 (sc=1)
+        s.add(0, 1.0, 1, a)       # high priority
+        spare = s.add(1, 1.0, 6, b)  # low priority, sc=1 < 6: shares
         # Entry a: conflicts judged at degree 1 but only peers with degree
         # <= 1 count; entry b: degree 6 sees sc=1 < 6 so multiplexable.
         assert spare == 1.0
 
     def test_requirement_is_max_over_entries(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(9, 2, 8)    # conflicts with a (sc=1)
-        c, cc = components(10, 11, 12)  # disjoint from both
-        s.add(0, 1.0, 1, a, ca)
-        s.add(1, 1.0, 1, b, cb)
+        a = components(1, 2, 3)
+        b = components(9, 2, 8)    # conflicts with a (sc=1)
+        c = components(10, 11, 12)  # disjoint from both
+        s.add(0, 1.0, 1, a)
+        s.add(1, 1.0, 1, b)
         assert s.spare_required() == 2.0
-        s.add(2, 1.0, 1, c, cc)
+        s.add(2, 1.0, 1, c)
         assert s.spare_required() == 2.0  # c shares with both
 
     def test_heterogeneous_bandwidths(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(9, 2, 8)
-        s.add(0, 5.0, 1, a, ca)
-        assert s.add(1, 2.0, 1, b, cb) == 7.0
+        a = components(1, 2, 3)
+        b = components(9, 2, 8)
+        s.add(0, 5.0, 1, a)
+        assert s.add(1, 2.0, 1, b) == 7.0
 
 
 class TestIncrementalConsistency:
@@ -129,8 +130,8 @@ class TestIncrementalConsistency:
             (5, (6, 5, 3), 0),
         ]
         for cid, nodes, degree in paths:
-            comps, count = components(*nodes)
-            s.add(cid, 1.0 + cid * 0.5, degree, comps, count)
+            comps = components(*nodes)
+            s.add(cid, 1.0 + cid * 0.5, degree, comps)
             assert s.spare_required() == pytest.approx(
                 s.spare_required_recomputed()
             )
@@ -148,39 +149,39 @@ class TestIncrementalConsistency:
             (2, (7, 5, 4), 6),
         ]
         for cid, nodes, degree in backups:
-            comps, count = components(*nodes)
-            predicted = s.preview_add(1.0, degree, comps, count)
-            actual = s.add(cid, 1.0, degree, comps, count)
+            comps = components(*nodes)
+            predicted = s.preview_add(1.0, degree, comps)
+            actual = s.add(cid, 1.0, degree, comps)
             assert predicted == pytest.approx(actual)
 
     def test_preview_does_not_mutate(self):
         s = state()
-        comps, count = components(1, 2, 3)
-        s.add(0, 1.0, 1, comps, count)
+        comps = components(1, 2, 3)
+        s.add(0, 1.0, 1, comps)
         before = s.spare_required()
-        other, oc = components(9, 2, 8)
-        s.preview_add(1.0, 1, other, oc)
+        other = components(9, 2, 8)
+        s.preview_add(1.0, 1, other)
         assert s.spare_required() == before and len(s) == 1
 
 
 class TestPsiSets:
     def test_psi_counts_multiplexed_peers(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        b, cb = components(4, 5, 6)     # disjoint: multiplexable with a
-        c, cc = components(9, 2, 8)     # conflicts with a
-        s.add(0, 1.0, 1, a, ca)
-        s.add(1, 1.0, 1, b, cb)
-        s.add(2, 1.0, 1, c, cc)
+        a = components(1, 2, 3)
+        b = components(4, 5, 6)     # disjoint: multiplexable with a
+        c = components(9, 2, 8)     # conflicts with a
+        s.add(0, 1.0, 1, a)
+        s.add(1, 1.0, 1, b)
+        s.add(2, 1.0, 1, c)
         assert s.psi_size(0) == 1  # only b shares with a
         assert s.psi_size(1) == 2  # b shares with both a and c
 
     def test_psi_sizes_for_candidate(self):
         s = state()
-        a, ca = components(1, 2, 3)
-        s.add(0, 1.0, 1, a, ca)
-        candidate, count = components(9, 2, 8)  # sc = 1 against a
-        sizes = s.psi_sizes_for_candidate(candidate, count, [0, 1, 2, 6])
+        a = components(1, 2, 3)
+        s.add(0, 1.0, 1, a)
+        candidate = components(9, 2, 8)  # sc = 1 against a
+        sizes = s.psi_sizes_for_candidate(candidate, [0, 1, 2, 6])
         assert sizes == {0: 0, 1: 0, 2: 1, 6: 1}
 
 
@@ -273,70 +274,69 @@ class TestEngineOverlapCache:
         )
 
     def test_masks_resolve_pairs_without_set_intersections(self):
-        engine = MultiplexingEngine(use_kernel=False)
-        # Two backups sharing two links: in integer mode the pair test is
-        # a popcount over interned component bitsets, so the set-based
-        # OverlapIndex is never consulted...
-        engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
-                         self._primary(0, (1, 8, 4)))
-        engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
-                         self._primary(1, (0, 9, 4)))
-        assert engine.overlaps.misses == 0
-        assert engine.overlaps.hits == 0
-        # ...and both primaries' component sets are interned in the
-        # engine-wide space (5 distinct components each, sharing node 4).
-        assert len(engine.space) == 9
+        # Two backups sharing two links: each primary's component set is
+        # interned once in the engine-wide space (5 distinct components
+        # each, sharing node 4), however many links the backups cross.
+        with obs_session() as registry:
+            engine = MultiplexingEngine()
+            engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
+                             self._primary(0, (1, 8, 4)))
+            engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
+                             self._primary(1, (0, 9, 4)))
+            gauges = registry.snapshot()["gauges"]
+        assert gauges["mux.space.components"]["value"] == 9
+        assert gauges["mux.space.rows"]["value"] == 2
 
-    def test_kernel_interns_into_shared_arena(self):
-        # The kernel twin of the test above: pair tests run as popcounts
-        # over arena rows, the OverlapIndex and the integer-mask interner
-        # are both left untouched.
-        engine = MultiplexingEngine(use_kernel=True)
-        if not engine.use_kernel:  # numpy-less environment
-            import pytest
-
-            pytest.skip("vectorized kernel unavailable")
-        engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
-                         self._primary(0, (1, 8, 4)))
-        engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
-                         self._primary(1, (0, 9, 4)))
-        assert engine.overlaps.misses == 0
-        assert engine.overlaps.hits == 0
-        assert len(engine.space) == 0
-        assert len(engine.arena) == 9
-        assert engine.arena.rows == 2
+    def test_kernel_interns_into_shared_arena(self, monkeypatch):
+        # The promoted twin of the test above: with the promotion
+        # threshold at zero every link moves to the kernel on its first
+        # backup, and all of them intern into one shared arena.
+        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
+        with obs_session() as registry:
+            engine = MultiplexingEngine()
+            engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
+                             self._primary(0, (1, 8, 4)))
+            engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
+                             self._primary(1, (0, 9, 4)))
+            counters = registry.snapshot()["counters"]
+        states = engine.link_states()
+        assert counters["mux.kernel.promotions"] == len(states) == 4
+        arenas = {id(state.arena) for state in states.values()}
+        assert len(arenas) == 1
+        arena = states[LinkId(2, 3)].arena
+        assert len(arena) == 9
+        assert arena.rows == 2
 
     def test_masks_agree_with_set_intersections(self):
-        # The mask fast path must size pools identically to the maskless
-        # set-intersection path, including mixed entries (one masked, one
-        # not) via the per-pair fallback.
+        # The popcount pair test must size pools exactly as explicit set
+        # intersections do, whether the link state shares the engine's
+        # interner or owns a private one.
         engine = MultiplexingEngine()
         engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
                          self._primary(0, (1, 8, 4)))
         engine.add_backup(self._backup(1, (0, 2, 3, 4), 2),
                          self._primary(1, (0, 9, 4)))
-        masked = engine.link_state(LinkId(2, 3))
-
-        from repro.core.multiplexing import LinkMuxState
-        maskless = LinkMuxState(LinkId(2, 3), engine.policy)
-        mixed = LinkMuxState(LinkId(2, 3), engine.policy)
-        for i, (primary, degree) in enumerate(
-            [(self._primary(0, (1, 8, 4)), 3), (self._primary(1, (0, 9, 4)), 2)]
-        ):
-            components = engine.policy.component_set(primary.path)
-            maskless.add(i, 1.0, degree, components, len(components))
-            # Mixed: first entry masked, second not.
-            mask = engine.space.mask(components) if i == 0 else 0
-            mixed.add(i, 1.0, degree, components, len(components), mask)
-        assert (masked.spare_required()
-                == maskless.spare_required()
-                == mixed.spare_required()
-                == masked.spare_required_recomputed())
-        preview_args = (1.0, 2, frozenset({4, 7}), 2)
-        assert (masked.preview_add(*preview_args)
-                == maskless.preview_add(*preview_args)
-                == masked.preview_add(*preview_args,
-                                      engine.space.mask(frozenset({4, 7}))))
+        shared_space = engine.link_state(LinkId(2, 3))
+        own_space = LinkMuxState(LinkId(2, 3), engine.policy)
+        primaries = [self._primary(0, (1, 8, 4)), self._primary(1, (0, 9, 4))]
+        for i, (primary, degree) in enumerate(zip(primaries, (3, 2))):
+            own_space.add(
+                i, 1.0, degree, engine.policy.component_set(primary.path)
+            )
+        # By hand: the primaries share only node 4 (sc = 1 < 2 < 3), so
+        # the two backups multiplex and one unit of spare covers both.
+        a, b = (primary.path.components for primary in primaries)
+        assert len(a & b) == 1
+        assert (shared_space.spare_required()
+                == own_space.spare_required()
+                == shared_space.spare_required_recomputed()
+                == 1.0)
+        # A candidate through node 4 alone (sc = 1 with each primary)
+        # multiplexes with both residents at degree 2.
+        preview_args = (1.0, 2, frozenset({4, 7}))
+        assert (shared_space.preview_add(*preview_args)
+                == own_space.preview_add(*preview_args)
+                == 1.0)
 
     def test_readd_with_new_primary_not_served_stale_counts(self):
         engine = MultiplexingEngine()

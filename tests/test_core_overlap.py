@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.overlap import (
     DEFAULT_FAILURE_PROBABILITY,
-    OverlapIndex,
     OverlapPolicy,
     simultaneous_activation_probability,
 )
@@ -145,36 +144,3 @@ class TestMultiplexabilityTest:
         s = policy.activation_probability(a, b)
         # One shared component -> S ≈ λ.
         assert s == pytest.approx(1e-3, rel=0.05)
-
-
-class TestOverlapIndex:
-    def test_caches_shared_counts(self):
-        index = OverlapIndex()
-        index.register(1)
-        index.register(2)
-        a, b = frozenset({1, 2, 3}), frozenset({3, 4, 5})
-        assert index.shared_count(1, a, 2, b) == 1
-        assert index.shared_count(2, b, 1, a) == 1  # order-insensitive key
-        assert index.hits == 1 and index.misses == 1
-        assert len(index) == 1
-
-    def test_unregister_evicts_stale_pairs(self):
-        index = OverlapIndex()
-        for key in (1, 2, 3):
-            index.register(key)
-        a, b, c = (frozenset({1, 2}), frozenset({2, 3}), frozenset({9}))
-        index.shared_count(1, a, 2, b)
-        index.shared_count(1, a, 3, c)
-        index.shared_count(2, b, 3, c)
-        index.unregister(1)
-        assert len(index) == 1  # only the (2, 3) pair survives
-        # Re-registering key 1 with a *different* component set must not
-        # resurrect the old cached counts.
-        index.register(1)
-        assert index.shared_count(1, frozenset({3}), 2, b) == 1
-        assert index.misses == 4
-
-    def test_unregister_unknown_key_is_noop(self):
-        index = OverlapIndex()
-        index.unregister(42)
-        assert len(index) == 0

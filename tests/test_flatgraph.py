@@ -25,8 +25,6 @@ from repro.routing import (
     hop_distance,
     reference_hop_distance,
     reference_shortest_path,
-    route_cache_enabled,
-    set_route_cache_enabled,
     shortest_path,
 )
 
@@ -246,18 +244,6 @@ class TestRouteCache:
         assert shortest_path(topology, "a", "c", constraints).nodes == (
             "a", "b", "c",
         )
-
-    def test_escape_hatch_disables_memoisation(self):
-        previous = set_route_cache_enabled(False)
-        try:
-            assert not route_cache_enabled()
-            topology = torus(4, 4)
-            cached_free = shortest_path(topology, 0, 5)
-            assert len(flat_view(topology).cache) == 0
-        finally:
-            set_route_cache_enabled(previous)
-        assert route_cache_enabled()
-        assert shortest_path(torus(4, 4), 0, 5) == cached_free
 
     def test_opaque_predicates_bypass_the_cache(self):
         topology = torus(4, 4)

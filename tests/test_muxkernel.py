@@ -1,10 +1,13 @@
-"""Property and golden tests for the vectorized multiplexing kernel.
+"""Property and golden tests for the two multiplexing backends.
 
-The per-pair :class:`~repro.core.multiplexing.LinkMuxState` is the
-validation oracle (the ``reference_shortest_path`` pattern): every test
-here drives the :class:`~repro.core.muxkernel.VectorLinkMux` kernel and
-the reference through identical op sequences and demands *bit-identical*
-results — ``==`` on floats, never ``pytest.approx``.
+Every test here drives the vectorized
+:class:`~repro.core.muxkernel.VectorLinkMux` and the per-pair
+:class:`~repro.core.multiplexing.LinkMuxState` (constructed directly,
+or reached through a :class:`MultiplexingEngine` whose promotion
+threshold the test patches) through identical op sequences and demands
+*bit-identical* results — ``==`` on floats, never ``pytest.approx``.
+That identity is what lets the engine choose a link's backend from its
+population without the choice ever showing in an output.
 """
 
 from __future__ import annotations
@@ -15,28 +18,20 @@ import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS
 from repro.channels.traffic import TrafficSpec
-from repro.core import set_mux_kernel_enabled
+from repro.channels import Channel, ChannelRole
+from repro.core import multiplexing
 from repro.core.bcp import BatchRequest
 from repro.core.dconnection import DConnection
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
-from repro.core.muxkernel import (
-    ComponentArena,
-    VectorLinkMux,
-    kernel_available,
-    mux_kernel_enabled,
-    reference_link_state,
-)
+from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import OverlapPolicy
+from repro.experiments.setup import NetworkConfig, load_network
 from repro.network.components import LinkId
 from repro.network.generators import random_regular, ring, torus
 from repro.faults import all_single_link_failures
 from repro.obs import obs_session
 from repro.recovery import RecoveryEvaluator
 from repro.routing.paths import Path
-
-pytestmark = pytest.mark.skipif(
-    not kernel_available(), reason="numpy with bitwise_count unavailable"
-)
 
 LINK = LinkId("u", "v")
 BANDWIDTHS = (0.5, 1.0, 1.25, 2.0, 3.3)
@@ -64,6 +59,18 @@ def _random_walk_path(topology, rng: random.Random, max_len: int = 9) -> Path:
             return Path(walk)
 
 
+def _channel(cid, nodes, role, bandwidth=1.0, mux_degree=3) -> Channel:
+    return Channel(
+        channel_id=cid,
+        connection_id=cid,
+        role=role,
+        serial=0 if role is ChannelRole.PRIMARY else 1,
+        path=Path(nodes),
+        traffic=TrafficSpec(bandwidth=bandwidth),
+        mux_degree=mux_degree,
+    )
+
+
 def _twin_states(policy=None):
     policy = policy or OverlapPolicy()
     arena = ComponentArena()
@@ -83,7 +90,6 @@ def _assert_twins_equal(vector: VectorLinkMux, reference: LinkMuxState):
         assert twin.requirement == entry.requirement
         assert twin.bandwidth == entry.bandwidth
         assert twin.mux_degree == entry.mux_degree
-        assert vector.conflict_ids(cid) == entry.conflicts
 
 
 TOPOLOGY_FAMILIES = {
@@ -113,10 +119,8 @@ class TestVectorVsReferenceProperty:
                 components = policy.component_set(path)
                 bw = rng.choice(BANDWIDTHS)
                 degree = rng.choice(DEGREES)
-                grown = vector.add(next_id, bw, degree, components, len(components))
-                assert grown == reference.add(
-                    next_id, bw, degree, components, len(components)
-                )
+                grown = vector.add(next_id, bw, degree, components)
+                assert grown == reference.add(next_id, bw, degree, components)
                 live.append(next_id)
                 next_id += 1
             if step % 25 == 0:
@@ -139,22 +143,20 @@ class TestVectorVsReferenceProperty:
             components = policy.component_set(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
-            vector.add(cid, bw, degree, components, len(components))
-            reference.add(cid, bw, degree, components, len(components))
+            vector.add(cid, bw, degree, components)
+            reference.add(cid, bw, degree, components)
         for _ in range(40):
             path = _random_walk_path(topology, rng)
             components = policy.component_set(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
             assert vector.preview_add(
-                bw, degree, components, len(components)
-            ) == reference.preview_add(bw, degree, components, len(components))
+                bw, degree, components
+            ) == reference.preview_add(bw, degree, components)
             degrees = list(DEGREES)
             assert vector.psi_sizes_for_candidate(
-                components, len(components), degrees
-            ) == reference.psi_sizes_for_candidate(
-                components, len(components), degrees
-            )
+                components, degrees
+            ) == reference.psi_sizes_for_candidate(components, degrees)
 
     def test_bulk_teardown_matches_sequential_removal(self):
         topology = TOPOLOGY_FAMILIES["torus"]()
@@ -166,8 +168,8 @@ class TestVectorVsReferenceProperty:
             components = policy.component_set(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
-            vector.add(cid, bw, degree, components, len(components))
-            reference.add(cid, bw, degree, components, len(components))
+            vector.add(cid, bw, degree, components)
+            reference.add(cid, bw, degree, components)
         victims = rng.sample(range(80), 30)
         final = vector.remove_many(victims)
         for cid in victims:
@@ -176,10 +178,117 @@ class TestVectorVsReferenceProperty:
         _assert_twins_equal(vector, reference)
 
     def test_remove_many_unknown_id_raises(self):
-        vector, _ = _twin_states()
-        vector.add(1, 1.0, 3, frozenset({"a", "b"}), 2)
+        """Validate-then-apply on both backends: an unknown (or
+        repeated) id fails loudly and leaves the link untouched."""
+        for state in _twin_states():
+            state.add(1, 1.0, 1, frozenset({"a", "b"}))
+            state.add(2, 2.0, 1, frozenset({"b", "c"}))
+            before = [
+                (entry.channel_id, entry.requirement)
+                for entry in state.entries()
+            ]
+            assert state.spare_required() == 3.0
+            for bad in ([1, 42], [2, 1, 2]):
+                with pytest.raises(KeyError):
+                    state.remove_many(bad)
+                assert [
+                    (entry.channel_id, entry.requirement)
+                    for entry in state.entries()
+                ] == before
+                assert state.spare_required() == 3.0
+            assert state.remove_many([1, 2]) == 0.0
+
+    def test_engine_teardown_checks_every_link_first(self):
+        engine = MultiplexingEngine()
+        primary = _channel(100, ("p", "q", "r"), ChannelRole.PRIMARY)
+        resident = _channel(1, ("a", "b", "c"), ChannelRole.BACKUP)
+        engine.add_backup(resident, primary)
+        # Shares link a->b with the resident, but was never added: the
+        # teardown must fail on b->d before a->b loses the resident.
+        stranger = _channel(1, ("a", "b", "d"), ChannelRole.BACKUP)
         with pytest.raises(KeyError):
-            vector.remove_many([1, 42])
+            engine.remove_backups([stranger])
+        with pytest.raises(KeyError):
+            engine.remove_backup(stranger)
+        assert engine.spare_required(LinkId("a", "b")) == 1.0
+        assert engine.spare_required(LinkId("b", "c")) == 1.0
+        assert engine.remove_backup(resident) == {
+            LinkId("a", "b"): 0.0, LinkId("b", "c"): 0.0,
+        }
+
+    def test_promotion_is_invisible_across_the_threshold(self):
+        """A random add/remove walk on one engine-owned link that climbs
+        past ``KERNEL_MIN_POPULATION``, falls back below it and climbs
+        again, compared after every op against a never-promoted
+        ``LinkMuxState``."""
+        threshold = multiplexing.KERNEL_MIN_POPULATION
+        topology = TOPOLOGY_FAMILIES["torus"]()
+        rng = random.Random(256)
+        policy = OverlapPolicy()
+        reference = LinkMuxState(LINK, policy)
+        live: dict[int, Channel] = {}
+        next_id = 0
+        saw_scalar_above_zero = saw_promoted_below = False
+        with obs_session() as registry:
+            engine = MultiplexingEngine(policy)
+            # (target population, probability that a step removes)
+            for target, p_remove in (
+                (threshold + 40, 0.2), (threshold - 60, 0.8),
+                (threshold + 20, 0.2),
+            ):
+                while len(reference) != target:
+                    if live and rng.random() < p_remove:
+                        cid = rng.choice(sorted(live))
+                        grown = engine.remove_backup(live.pop(cid))[LINK]
+                        assert grown == reference.remove(cid)
+                    else:
+                        primary = _channel(
+                            10_000_000 + next_id,
+                            _random_walk_path(topology, rng).nodes,
+                            ChannelRole.PRIMARY,
+                        )
+                        backup = _channel(
+                            next_id, (LINK.src, LINK.dst), ChannelRole.BACKUP,
+                            bandwidth=rng.choice(BANDWIDTHS),
+                            mux_degree=rng.choice(DEGREES),
+                        )
+                        grown = engine.add_backup(backup, primary)[LINK]
+                        assert grown == reference.add(
+                            next_id, backup.bandwidth, backup.mux_degree,
+                            policy.component_set(primary.path),
+                        )
+                        live[next_id] = backup
+                        next_id += 1
+                    state = engine.link_state(LINK)
+                    promoted = isinstance(state, VectorLinkMux)
+                    saw_scalar_above_zero |= not promoted and len(state) > 0
+                    saw_promoted_below |= promoted and len(state) <= threshold
+                    assert state.spare_required() == reference.spare_required()
+                    assert [
+                        (e.channel_id, e.requirement) for e in state.entries()
+                    ] == [
+                        (e.channel_id, e.requirement)
+                        for e in reference.entries()
+                    ]
+                    for cid in rng.sample(sorted(live), min(3, len(live))):
+                        assert state.psi_size(cid) == reference.psi_size(cid)
+                    candidate = policy.component_set(
+                        _random_walk_path(topology, rng)
+                    )
+                    bw, degree = rng.choice(BANDWIDTHS), rng.choice(DEGREES)
+                    assert state.preview_add(
+                        bw, degree, candidate
+                    ) == reference.preview_add(bw, degree, candidate)
+                    assert state.psi_sizes_for_candidate(
+                        candidate, list(DEGREES)
+                    ) == reference.psi_sizes_for_candidate(
+                        candidate, list(DEGREES)
+                    )
+            counters = registry.snapshot()["counters"]
+        # Promoted once, one-way: the link stayed on the kernel while
+        # its population sat below the threshold.
+        assert saw_scalar_above_zero and saw_promoted_below
+        assert counters["mux.kernel.promotions"] == 1
 
 
 class TestPolicyAgreement:
@@ -205,11 +314,23 @@ class TestPolicyAgreement:
             )
             checked += 1
 
-    def test_exact_policy_engine_stays_on_reference_path(self):
-        engine = MultiplexingEngine(OverlapPolicy(exact=True), use_kernel=True)
-        assert not engine.use_kernel
-        assert engine.arena is None
-        assert isinstance(engine.link_state(LINK), LinkMuxState)
+    def test_exact_policy_engine_stays_on_reference_path(self, monkeypatch):
+        """The kernel does not implement exact-S, so an exact engine
+        never promotes — not even with the threshold at zero."""
+        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
+        with obs_session() as registry:
+            engine = MultiplexingEngine(OverlapPolicy(exact=True))
+            primary = _channel(100, ("p", "q", "r"), ChannelRole.PRIMARY)
+            for cid in range(3):
+                engine.add_backup(
+                    _channel(cid, ("a", "b", "c"), ChannelRole.BACKUP), primary
+                )
+            counters = registry.snapshot()["counters"]
+        assert "mux.kernel.promotions" not in counters
+        states = engine.link_states()
+        assert len(states) == 2
+        for state in states.values():
+            assert isinstance(state, LinkMuxState) and len(state) == 3
 
     def test_vector_state_rejects_exact_policy(self):
         with pytest.raises(ValueError, match="integer"):
@@ -217,14 +338,16 @@ class TestPolicyAgreement:
 
 
 class TestEngineGolden:
-    """Two BCPNetworks replaying one workload, kernel on vs off: every
+    """Two BCPNetworks replaying one workload, one with every link
+    promoted on its first backup and one never promoting: every
     observable — spare pools, Ψ sizes, P_r, recovery stats — matches."""
 
     @staticmethod
-    def _build_pair():
+    def _build_pair(monkeypatch):
         networks = []
-        for use_kernel in (True, False):
-            network = BCPNetwork(torus(6, 6), mux_kernel=use_kernel)
+        for threshold in (0, 10**9):
+            monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", threshold)
+            network = BCPNetwork(torus(6, 6))
             rng = random.Random(4242)
             nodes = list(network.topology.nodes())
             requests = []
@@ -262,10 +385,17 @@ class TestEngineGolden:
             networks.append(network)
         return networks
 
-    def test_spare_pools_and_psi_match(self):
-        kernel_net, reference_net = self._build_pair()
-        assert kernel_net.mux.use_kernel
-        assert not reference_net.mux.use_kernel
+    def test_spare_pools_and_psi_match(self, monkeypatch):
+        kernel_net, reference_net = self._build_pair(monkeypatch)
+        for network, backend in (
+            (kernel_net, VectorLinkMux), (reference_net, LinkMuxState),
+        ):
+            populated = [
+                state for state in network.mux.link_states().values()
+                if len(state)
+            ]
+            assert populated
+            assert all(isinstance(state, backend) for state in populated)
         assert kernel_net.num_connections == reference_net.num_connections
         for link in kernel_net.topology.links():
             assert kernel_net.mux.spare_required(
@@ -287,8 +417,8 @@ class TestEngineGolden:
                     backup
                 ) == reference_net.mux.psi_sizes(twin_backup)
 
-    def test_recovery_stats_match(self):
-        kernel_net, reference_net = self._build_pair()
+    def test_recovery_stats_match(self, monkeypatch):
+        kernel_net, reference_net = self._build_pair(monkeypatch)
         scenarios = list(all_single_link_failures(kernel_net.topology))
         kernel_stats = RecoveryEvaluator(kernel_net).evaluate_many(scenarios)
         reference_stats = RecoveryEvaluator(reference_net).evaluate_many(
@@ -298,29 +428,31 @@ class TestEngineGolden:
 
 
 class TestTransplant:
-    """``reference_link_state`` must hand benchmarks a faithful oracle."""
+    """Promotion hands the kernel a link's entries and floats verbatim."""
 
     def test_transplant_state_and_future_ops_match(self):
         topology = TOPOLOGY_FAMILIES["torus"]()
         rng = random.Random(5)
         policy = OverlapPolicy()
-        arena = ComponentArena()
-        vector = VectorLinkMux(LINK, policy, arena)
+        reference = LinkMuxState(LINK, policy)
         for cid in range(50):
             path = _random_walk_path(topology, rng)
             components = policy.component_set(path)
-            vector.add(
-                cid, rng.choice(BANDWIDTHS), rng.choice(DEGREES),
-                components, len(components),
+            reference.add(
+                cid, rng.choice(BANDWIDTHS), rng.choice(DEGREES), components
             )
-        reference = reference_link_state(vector)
+        # A history the transplant must not recompute away.
+        for cid in (3, 17, 40):
+            reference.remove(cid)
+        vector = VectorLinkMux(LINK, policy, ComponentArena())
+        vector.adopt(reference.entries(), reference.spare_required())
         _assert_twins_equal(vector, reference)
         # The transplant is live: the same subsequent ops stay identical.
         path = _random_walk_path(topology, rng)
         components = policy.component_set(path)
         assert vector.add(
-            777, 2.0, 3, components, len(components)
-        ) == reference.add(777, 2.0, 3, components, len(components))
+            777, 2.0, 3, components
+        ) == reference.add(777, 2.0, 3, components)
         assert vector.remove(10) == reference.remove(10)
         _assert_twins_equal(vector, reference)
 
@@ -352,67 +484,42 @@ class TestComponentArena:
 
 
 class TestObsExport:
-    def test_kernel_counters_and_arena_gauges(self):
+    def test_kernel_counters_and_arena_gauges(self, monkeypatch):
+        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
         with obs_session() as registry:
-            network = BCPNetwork(torus(4, 4), mux_kernel=True)
+            network = BCPNetwork(torus(4, 4))
             network.establish(0, 5, ft_qos=FaultToleranceQoS(num_backups=1))
             conn = network.establish(
                 1, 6, ft_qos=FaultToleranceQoS(num_backups=1)
             )
             network.teardown(conn)
             snapshot = registry.snapshot()
-        counters = snapshot["counters"]
-        assert counters.get("mux.kernel.adds", 0) >= 2
-        assert counters.get("mux.kernel.removes", 0) >= 1
-        assert counters.get("mux.kernel.batched_teardowns", 0) >= 1
+        promoted = [
+            state for state in network.mux.link_states().values()
+            if isinstance(state, VectorLinkMux)
+        ]
+        assert promoted
+        assert snapshot["counters"]["mux.kernel.promotions"] == len(promoted)
         gauges = snapshot["gauges"]
         assert gauges["mux.space.components"]["value"] > 0
         assert gauges["mux.space.rows"]["value"] > 0
         assert gauges["mux.space.bytes"]["value"] > 0
 
-    def test_reference_engine_exports_overlap_index_counters(self):
-        from repro.core.muxkernel import publish_engine_obs
 
-        # Integer-mode pair tests are inlined (set intersections /
-        # popcounts), so the OverlapIndex is consulted on the exact-S
-        # reference path — which always bypasses the kernel.
+class TestPaperScaleTraffic:
+    def test_paper_network_never_reaches_the_threshold(self):
+        """The fact the selection rests on: the 8×8 torus ν=3 all-pairs
+        build keeps every link far below ``KERNEL_MIN_POPULATION``, so
+        the paper-scale experiments run on the scalar path throughout."""
         with obs_session() as registry:
-            engine = MultiplexingEngine(OverlapPolicy(exact=True))
-            assert not engine.use_kernel
-            publish_engine_obs(engine)  # baseline against this session
-            state = engine.link_state(LINK)
-            engine.overlaps.register(1)
-            engine.overlaps.register(2)
-            state.add(1, 1.0, 3, frozenset({"a", "b", "c"}), 3)
-            state.add(2, 1.0, 3, frozenset({"b", "c", "d"}), 3)  # miss
-            state.spare_required_recomputed()  # hits the cached pair
-            publish_engine_obs(engine)
-            snapshot = registry.snapshot()
-        assert "mux.space.components" in snapshot["gauges"]
-        assert snapshot["counters"].get("overlap_index.hits", 0) > 0
-        assert snapshot["counters"].get("overlap_index.misses", 0) > 0
-
-
-class TestEscapeHatch:
-    def test_toggle_governs_new_engines(self):
-        previous = set_mux_kernel_enabled(False)
-        try:
-            assert not mux_kernel_enabled()
-            assert not MultiplexingEngine().use_kernel
-            set_mux_kernel_enabled(True)
-            assert MultiplexingEngine().use_kernel
-        finally:
-            set_mux_kernel_enabled(previous)
-
-    def test_explicit_argument_overrides_toggle(self):
-        previous = set_mux_kernel_enabled(True)
-        try:
-            assert not MultiplexingEngine(use_kernel=False).use_kernel
-        finally:
-            set_mux_kernel_enabled(previous)
-
-    def test_cli_flag_disables_kernel(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["stats", "--no-mux-kernel"])
-        assert args.no_mux_kernel
+            network, report = load_network(
+                NetworkConfig(topology="torus", rows=8, cols=8),
+                FaultToleranceQoS(num_backups=1, mux_degree=3),
+            )
+            counters = registry.snapshot()["counters"]
+        assert report.established == 4032
+        populations = [
+            len(state) for state in network.mux.link_states().values()
+        ]
+        assert max(populations) < multiplexing.KERNEL_MIN_POPULATION
+        assert "mux.kernel.promotions" not in counters

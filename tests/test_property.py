@@ -151,8 +151,7 @@ class TestMuxStateProperties:
             if op[0] == "add":
                 _, cid, nodes, degree, bandwidth = op
                 path = Path(nodes)
-                state.add(cid, bandwidth, degree, path.components,
-                          len(path.components))
+                state.add(cid, bandwidth, degree, path.components)
             else:
                 state.remove(op[1])
             incremental = state.spare_required()
@@ -168,8 +167,7 @@ class TestMuxStateProperties:
             if op[0] == "add":
                 _, cid, nodes, degree, bandwidth = op
                 path = Path(nodes)
-                state.add(cid, bandwidth, degree, path.components,
-                          len(path.components))
+                state.add(cid, bandwidth, degree, path.components)
                 live[cid] = bandwidth
             else:
                 state.remove(op[1])
@@ -190,12 +188,8 @@ class TestMuxStateProperties:
                 continue
             _, cid, nodes, degree, bandwidth = op
             path = Path(nodes)
-            preview = state.preview_add(
-                bandwidth, degree, path.components, len(path.components)
-            )
-            actual = state.add(
-                cid, bandwidth, degree, path.components, len(path.components)
-            )
+            preview = state.preview_add(bandwidth, degree, path.components)
+            actual = state.add(cid, bandwidth, degree, path.components)
             assert abs(preview - actual) < 1e-9
 
 

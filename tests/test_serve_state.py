@@ -16,7 +16,9 @@ import json
 
 import pytest
 
+from repro.core import multiplexing
 from repro.core.bcp import BCPNetwork
+from repro.core.muxkernel import VectorLinkMux
 from repro.network import LinkId, Topology, torus
 from repro.network.reservations import InsufficientCapacityError, ReservationLedger
 from repro.obs.registry import MetricsRegistry
@@ -39,10 +41,15 @@ def churn_config(workers: int = 1) -> ChurnConfig:
     )
 
 
-def fresh_network(mux_kernel: "bool | None" = None) -> BCPNetwork:
-    if mux_kernel is None:
-        return BCPNetwork(torus(4, 4, capacity=160.0))
-    return BCPNetwork(torus(4, 4, capacity=160.0), mux_kernel=mux_kernel)
+def fresh_network() -> BCPNetwork:
+    return BCPNetwork(torus(4, 4, capacity=160.0))
+
+
+def promoted_links(network: BCPNetwork) -> int:
+    return sum(
+        isinstance(state, VectorLinkMux)
+        for state in network.mux.link_states().values()
+    )
 
 
 def dumps(snapshot: dict) -> str:
@@ -104,14 +111,42 @@ class TestSnapshotRoundTrip:
     @pytest.mark.parametrize("snapshot_kernel, restore_kernel",
                              [(True, False), (False, True)])
     def test_snapshots_are_portable_across_mux_backends(
-        self, snapshot_kernel, restore_kernel
+        self, snapshot_kernel, restore_kernel, monkeypatch
     ):
+        """A snapshot taken with every link on one backend restores
+        byte-identically into a network that puts them on the other."""
+        def threshold(kernel: bool) -> None:
+            monkeypatch.setattr(
+                multiplexing, "KERNEL_MIN_POPULATION", 0 if kernel else 10**9
+            )
+
         config = churn_config()
-        network = fresh_network(mux_kernel=snapshot_kernel)
+        threshold(snapshot_kernel)
+        network = fresh_network()
         ChurnEngine(network, config, metrics=MetricsRegistry()).run(until=10.0)
         snapshot = snapshot_network(network)
-        restored = fresh_network(mux_kernel=restore_kernel)
+        threshold(restore_kernel)
+        restored = fresh_network()
         restore_network(restored, snapshot)
+        assert bool(promoted_links(network)) == snapshot_kernel
+        assert bool(promoted_links(restored)) == restore_kernel
+        assert dumps(snapshot_network(restored)) == dumps(snapshot)
+        assert restored.audit_invariants() == []
+
+    def test_promoted_link_that_emptied_out_round_trips(self, monkeypatch):
+        """Promotion is one-way in a live network but a restore selects
+        afresh from the recorded population: links that were promoted
+        and then drained below the threshold come back scalar, and the
+        snapshot is byte-identical all the same."""
+        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 3)
+        network = fresh_network()
+        ChurnEngine(
+            network, churn_config(), metrics=MetricsRegistry()
+        ).run(until=10.0)
+        snapshot = snapshot_network(network)
+        restored = fresh_network()
+        restore_network(restored, snapshot)
+        assert 0 < promoted_links(restored) < promoted_links(network)
         assert dumps(snapshot_network(restored)) == dumps(snapshot)
         assert restored.audit_invariants() == []
 
