@@ -40,7 +40,7 @@ class ChannelRegistry:
         Settable so snapshot restore (:mod:`repro.serve.state`) resumes
         the allocation sequence exactly where the snapshotted registry
         stopped — re-used ids would collide with departed channels'
-        history in overlap caches and artifacts.
+        history in traces and artifacts.
         """
         return self._next_id
 

@@ -98,6 +98,9 @@ class BCPNetwork:
             backup_cost_factory=cost_factory,
         )
         self._connections: dict[int, DConnection] = {}
+        #: Compiled recovery plan (see :mod:`repro.recovery.plan`), built
+        #: lazily and recompiled whenever ``ledger.version`` moves on.
+        self._recovery_plan = None
 
     # ------------------------------------------------------------------
     # establishment / teardown
@@ -275,6 +278,14 @@ class BCPNetwork:
                     f"ledger mirrors {mirrored!r}"
                 )
         return violations
+
+    def __getstate__(self) -> dict:
+        # The recovery plan is derived state, cheap to recompile and as
+        # large as the connection table — drop it from pickles (workers
+        # recompile lazily on first evaluation), like ``Topology._flat``.
+        state = self.__dict__.copy()
+        state["_recovery_plan"] = None
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -32,7 +32,9 @@ drift.  Worker processes receive the pickled network and evaluator
 configuration once, at pool initialisation, not per shard; per-worker
 construction cost is then amortised by the ledger's version-cached
 spare snapshots (:meth:`~repro.network.reservations.ReservationLedger.
-shared_spares`).
+shared_spares`) and the network's version-cached recovery plan
+(:func:`~repro.recovery.plan.recovery_plan`), both built once per network
+state rather than once per shard.
 
 Failures in a worker are *surfaced*, never swallowed: the parent blocks
 on ``Future.result()`` which re-raises the worker's exception (or
@@ -60,6 +62,7 @@ from repro.obs.registry import (
 from repro.recovery.evaluator import ActivationOrder, RecoveryEvaluator
 from repro.recovery.grouping import GroupKey, by_mux_degree, evaluate_grouped
 from repro.recovery.metrics import RecoveryStats
+from repro.recovery.plan import recovery_plan
 from repro.sim.trace import TraceLog
 from repro.util.rng import make_rng
 
@@ -234,6 +237,10 @@ def _run_sharded(
             # network at all.  Every worker is forked during the submit
             # loop, strictly inside the window where ``_SHARED`` is set;
             # the previous value is restored once all results are in.
+            # The compiled recovery plan rides along the same way: built
+            # here, once, every worker inherits it instead of compiling
+            # its own.
+            recovery_plan(network)
             global _SHARED
             previous = _SHARED
             _SHARED = shared

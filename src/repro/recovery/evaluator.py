@@ -20,23 +20,30 @@ The evaluation works on a scratch copy of the spare pools, so a network
 can be evaluated against thousands of scenarios without re-establishment.
 An optional uniform spare override implements the brute-force baseline of
 Section 7.4.
+
+A scenario costs time proportional to what it hits, not to the network:
+everything scenario-independent (connection records, the channel ->
+connection map, dense link indices) is read from the network's compiled
+:class:`~repro.recovery.plan.RecoveryPlan`.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from operator import attrgetter
 from time import perf_counter
+from typing import NamedTuple
 
-from repro.channels.channel import Channel
 from repro.core.bcp import BCPNetwork
-from repro.core.dconnection import DConnection
 from repro.faults.models import FailureScenario
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
 from repro.recovery.metrics import RecoveryStats
+from repro.recovery.plan import ConnectionRecord, RecoveryPlan, recovery_plan
 from repro.util.rng import make_rng
+from repro.util.validation import check_non_negative
 
 
 class ActivationOrder(enum.Enum):
@@ -60,6 +67,19 @@ class ConnectionOutcome(enum.Enum):
     UNAFFECTED = "unaffected"
 
 
+class OutcomeTally(NamedTuple):
+    """How many connections of one scenario ended in each outcome."""
+
+    fast_recovered: int = 0
+    mux_failures: int = 0
+    channels_lost: int = 0
+    excluded: int = 0
+
+    @property
+    def failed_primaries(self) -> int:
+        return self.fast_recovered + self.mux_failures + self.channels_lost
+
+
 @dataclass
 class ScenarioResult:
     """Outcome of one failure scenario."""
@@ -68,6 +88,23 @@ class ScenarioResult:
     outcomes: dict[int, ConnectionOutcome] = field(default_factory=dict)
     #: connection id -> serial of the backup that took over.
     activated_serial: dict[int, int] = field(default_factory=dict)
+    #: The evaluator's own count of ``outcomes``, kept as it classifies so
+    #: that aggregation never re-walks the dict; ``None`` on a hand-built
+    #: result.
+    _tally: "OutcomeTally | None" = field(
+        default=None, repr=False, compare=False
+    )
+
+    def tally(self) -> OutcomeTally:
+        """Every outcome count at once."""
+        if self._tally is not None:
+            return self._tally
+        return OutcomeTally(
+            self.count(ConnectionOutcome.FAST_RECOVERED),
+            self.count(ConnectionOutcome.MUX_FAILURE),
+            self.count(ConnectionOutcome.CHANNELS_LOST),
+            self.count(ConnectionOutcome.EXCLUDED),
+        )
 
     def count(self, outcome: ConnectionOutcome) -> int:
         """Number of connections with the given outcome."""
@@ -155,6 +192,10 @@ class RecoveryEvaluator:
             if free_capacity_fallback
             else {}
         )
+        # The plan the flat pools below are laid out for; see _current_plan.
+        self._plan: "RecoveryPlan | None" = None
+        self._spare_pool: list[float] = []
+        self._free_pool: list[float] = []
 
     @property
     def is_stale(self) -> bool:
@@ -183,6 +224,7 @@ class RecoveryEvaluator:
             # scenario-local copies), so sharing is safe.
             return self.network.ledger.shared_spares()
         if isinstance(override, (int, float)):
+            check_non_negative(override, "spare_override")
             # A uniform pool cannot exceed what the link can actually hold.
             return {
                 link: min(
@@ -192,11 +234,37 @@ class RecoveryEvaluator:
                 )
                 for link in topology.links()
             }
+        for link, amount in override.items():
+            if not (isinstance(link, LinkId) and link in topology):
+                raise ValueError(
+                    f"spare_override names {link!r}, which is not a link "
+                    f"of {topology.name}"
+                )
+            check_non_negative(amount, f"spare_override for link {link}")
         return {link: float(override.get(link, 0.0)) for link in topology.links()}
+
+    def _current_plan(self) -> RecoveryPlan:
+        """The network's plan, with this evaluator's flat base pools laid
+        out in its link order.
+
+        Connections are read live (the plan recompiles when the ledger
+        moved); the pool *amounts* stay the construction snapshot.
+        """
+        plan = recovery_plan(self.network)
+        if plan is not self._plan:
+            self._plan = plan
+            spares, free = self._base_spares, self._base_free
+            self._spare_pool = [spares.get(link, 0.0) for link in plan.links]
+            self._free_pool = [free.get(link, 0.0) for link in plan.links]
+        return plan
 
     # ------------------------------------------------------------------
     def evaluate(self, scenario: FailureScenario) -> ScenarioResult:
-        """Replay one scenario; the network itself is untouched."""
+        """Replay one scenario; the network itself is untouched.
+
+        Raises ``ValueError`` for a scenario naming a node or link the
+        topology does not have.
+        """
         if not self._timed:
             return self._evaluate(scenario)
         start = perf_counter()
@@ -204,13 +272,11 @@ class RecoveryEvaluator:
         self._t_scenario.record(perf_counter() - start)
         ordinal = self._c_scenarios.value
         self._c_scenarios.inc()
-        fast = result.count(ConnectionOutcome.FAST_RECOVERED)
-        mux = result.count(ConnectionOutcome.MUX_FAILURE)
-        lost = result.count(ConnectionOutcome.CHANNELS_LOST)
+        fast, mux, lost, excluded = result.tally()
         self._c_fast.inc(fast)
         self._c_mux.inc(mux)
         self._c_lost.inc(lost)
-        self._c_excluded.inc(result.count(ConnectionOutcome.EXCLUDED))
+        self._c_excluded.inc(excluded)
         sink = get_trace_sink()
         if sink is not None:
             # The evaluator has no simulation clock; the time field is
@@ -223,113 +289,120 @@ class RecoveryEvaluator:
 
     def _evaluate(self, scenario: FailureScenario) -> ScenarioResult:
         network = self.network
-        failed_components = scenario.components(network.topology)
+        topology = network.topology
+        for component in (*scenario.failed_nodes, *scenario.failed_links):
+            if component not in topology:
+                raise ValueError(
+                    f"scenario {scenario} fails {component!r}, which is not "
+                    f"a component of {topology.name}"
+                )
+        failed_components = scenario.components(topology)
         affected_ids = network.registry.affected_by(failed_components)
         result = ScenarioResult(scenario=scenario)
         if not affected_ids:
+            result._tally = OutcomeTally()
             return result
 
-        # Group affected channels by connection and classify.
-        contenders: list[DConnection] = []
-        for connection in network.connections():
-            if scenario.hits_endpoint(connection.source, connection.destination):
-                if any(
-                    channel.channel_id in affected_ids
-                    for channel in connection.channels
-                ):
-                    result.outcomes[connection.connection_id] = (
-                        ConnectionOutcome.EXCLUDED
-                    )
-                continue
-            if connection.primary.channel_id in affected_ids:
-                contenders.append(connection)
+        # Classify the connections owning an affected channel, in
+        # connections() order.
+        plan = self._current_plan()
+        records = plan.records
+        touched = set(map(plan.owner.get, affected_ids))
+        touched.discard(None)  # channels registered outside any connection
+        failed_nodes = scenario.failed_nodes
+        outcomes = result.outcomes
+        contenders: list[ConnectionRecord] = []
+        for position in sorted(touched):
+            record = records[position]
+            if record.source in failed_nodes or record.destination in failed_nodes:
+                # Unrecoverable by any protocol; excluded (Section 7.2).
+                outcomes[record.connection_id] = ConnectionOutcome.EXCLUDED
+            elif record.primary_id in affected_ids:
+                contenders.append(record)
             # A failed backup alone does not disrupt service; it is handled
             # by resource reconfiguration, not by this evaluator.
+        excluded = len(outcomes)
 
-        pools: dict[LinkId, float] = {}
-        free: dict[LinkId, float] = {}
-        for connection in self._ordered(contenders):
-            outcome = self._try_activate(
-                connection, failed_components, pools, free, result
-            )
-            result.outcomes[connection.connection_id] = outcome
+        # Scenario-local remaining amounts; draws persist within the
+        # scenario.
+        pools = self._spare_pool.copy()
+        free = self._free_pool.copy()
+        activated = result.activated_serial
+        fast = mux = 0
+        for record in self._ordered(contenders):
+            bandwidth = record.bandwidth
+            outcome = ConnectionOutcome.CHANNELS_LOST
+            for serial, components, links in record.backups:
+                if not components.isdisjoint(failed_components):
+                    continue
+                if self._draw(links, bandwidth, pools, free):
+                    activated[record.connection_id] = serial
+                    outcome = ConnectionOutcome.FAST_RECOVERED
+                    fast += 1
+                    break
+                outcome = ConnectionOutcome.MUX_FAILURE
+            if outcome is ConnectionOutcome.MUX_FAILURE:
+                mux += 1
+            outcomes[record.connection_id] = outcome
+        result._tally = OutcomeTally(
+            fast, mux, len(contenders) - fast - mux, excluded
+        )
         return result
 
     def evaluate_many(self, scenarios: Iterable[FailureScenario]) -> RecoveryStats:
         """Aggregate :class:`RecoveryStats` over a scenario set."""
         stats = RecoveryStats()
         for scenario in scenarios:
-            result = self.evaluate(scenario)
+            tally = self.evaluate(scenario).tally()
             stats.add_scenario(
-                failed_primaries=result.failed_primaries,
-                fast_recovered=result.count(ConnectionOutcome.FAST_RECOVERED),
-                mux_failures=result.count(ConnectionOutcome.MUX_FAILURE),
-                channels_lost=result.count(ConnectionOutcome.CHANNELS_LOST),
-                excluded_connections=result.count(ConnectionOutcome.EXCLUDED),
+                failed_primaries=tally.failed_primaries,
+                fast_recovered=tally.fast_recovered,
+                mux_failures=tally.mux_failures,
+                channels_lost=tally.channels_lost,
+                excluded_connections=tally.excluded,
             )
         return stats
 
     # ------------------------------------------------------------------
-    def _ordered(self, contenders: Sequence[DConnection]) -> list[DConnection]:
+    def _ordered(
+        self, contenders: list[ConnectionRecord]
+    ) -> list[ConnectionRecord]:
+        """``contenders`` (in connections() order) in activation order."""
         if self.order is ActivationOrder.PRIORITY:
             return sorted(
-                contenders,
-                key=lambda conn: (conn.mux_degree, conn.connection_id),
+                contenders, key=attrgetter("mux_degree", "connection_id")
             )
         if self.order is ActivationOrder.CONNECTION_ID:
-            return sorted(contenders, key=lambda conn: conn.connection_id)
+            return sorted(contenders, key=attrgetter("connection_id"))
         shuffled = list(contenders)
         self._rng.shuffle(shuffled)
         return shuffled
 
-    def _try_activate(
-        self,
-        connection: DConnection,
-        failed_components: frozenset,
-        pools: dict[LinkId, float],
-        free: dict[LinkId, float],
-        result: ScenarioResult,
-    ) -> ConnectionOutcome:
-        bandwidth = connection.traffic.bandwidth
-        saw_healthy_backup = False
-        for backup in connection.backups_in_serial_order():
-            if backup.fails_under(failed_components):
-                continue
-            saw_healthy_backup = True
-            if self._draw(backup, bandwidth, pools, free):
-                result.activated_serial[connection.connection_id] = backup.serial
-                return ConnectionOutcome.FAST_RECOVERED
-        if saw_healthy_backup:
-            return ConnectionOutcome.MUX_FAILURE
-        return ConnectionOutcome.CHANNELS_LOST
-
     def _draw(
         self,
-        backup: Channel,
+        links: tuple[int, ...],
         bandwidth: float,
-        pools: dict[LinkId, float],
-        free: dict[LinkId, float],
+        pools: list[float],
+        free: list[float],
     ) -> bool:
-        """Atomically draw ``bandwidth`` on every link of ``backup``.
+        """Atomically draw ``bandwidth`` on every link of a backup.
 
-        ``pools``/``free`` hold the scenario-local remaining amounts,
-        lazily seeded from the construction-time snapshots.
+        ``links`` are the plan's dense link indices; ``pools``/``free``
+        hold the scenario-local remaining amounts.
         """
-        links = backup.path.links
         for link in links:
-            available = pools.setdefault(link, self._base_spares.get(link, 0.0))
+            available = pools[link]
             if available + 1e-9 < bandwidth:
                 if not self.free_capacity_fallback:
                     return False
                 spill = bandwidth - available
-                free_here = free.setdefault(link, self._base_free.get(link, 0.0))
-                if free_here + 1e-9 < spill:
+                if free[link] + 1e-9 < spill:
                     return False
         for link in links:
             remaining = pools[link] - bandwidth
             if remaining < -1e-9:
-                # Fallback mode: the shortfall was checked (and `free`
-                # seeded) in the first pass; draw the rest from there.
+                # Fallback mode: the shortfall was checked in the first
+                # pass; draw the rest from the free capacity.
                 free[link] += remaining
                 remaining = 0.0
             pools[link] = max(0.0, remaining)  # absorb float round-off

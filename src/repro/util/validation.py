@@ -15,8 +15,8 @@ def check_positive(value: float, name: str) -> float:
 
 
 def check_non_negative(value: float, name: str) -> float:
-    """Require ``value >= 0``."""
-    if value < 0:
+    """Require ``value >= 0`` (NaN fails: it is not ``>= 0``)."""
+    if not value >= 0:
         raise ValueError(f"{name} must be non-negative, got {value!r}")
     return value
 

@@ -10,6 +10,7 @@ from repro.faults import (
     all_single_link_failures,
     all_single_node_failures,
 )
+from repro.network import LinkId
 from repro.recovery import (
     ActivationOrder,
     ConnectionOutcome,
@@ -255,6 +256,50 @@ class TestSpareOverride:
         evaluator = RecoveryEvaluator(torus4, spare_override=pools)
         scenario = FailureScenario.of_links([connection.primary.path.links[0]])
         assert evaluator.evaluate(scenario).r_fast == 1.0
+
+    @pytest.mark.parametrize("amount", [float("nan"), -1.0, float("-inf")])
+    def test_bad_uniform_override_rejected(self, loaded_torus4, amount):
+        with pytest.raises(ValueError, match="spare_override must be non-negative"):
+            RecoveryEvaluator(loaded_torus4, spare_override=amount)
+
+    @pytest.mark.parametrize("amount", [float("nan"), -0.5])
+    def test_bad_mapping_value_rejected(self, loaded_torus4, amount):
+        link = next(iter(loaded_torus4.topology.links()))
+        with pytest.raises(ValueError, match=f"link {link} must be non-negative"):
+            RecoveryEvaluator(loaded_torus4, spare_override={link: amount})
+
+    @pytest.mark.parametrize("key", [LinkId(99, 100), LinkId(0, 5), 0])
+    def test_mapping_key_outside_topology_rejected(self, loaded_torus4, key):
+        # LinkId(0, 5): both nodes exist, the link does not; 0: a node id.
+        with pytest.raises(ValueError, match="not a link"):
+            RecoveryEvaluator(loaded_torus4, spare_override={key: 5.0})
+
+    def test_infinite_override_accepted(self, loaded_torus4):
+        link = next(iter(loaded_torus4.topology.links()))
+        for override in (float("inf"), {link: float("inf")}):
+            RecoveryEvaluator(loaded_torus4, spare_override=override)
+
+
+class TestScenarioValidation:
+    """A scenario naming a component the topology lacks used to die with a
+    bare ``KeyError`` (node) or silently evaluate as "nothing failed"
+    (link)."""
+
+    @pytest.mark.parametrize(
+        "scenario, offender",
+        [
+            (FailureScenario.of_nodes([999]), "999"),
+            (FailureScenario.of_nodes([3, 999]), "999"),
+            (FailureScenario.of_links([LinkId(99, 100)]), "LinkId"),
+            (FailureScenario.of_links([LinkId(0, 5)]), "LinkId"),
+        ],
+    )
+    def test_unknown_component_rejected(self, loaded_torus4, scenario, offender):
+        evaluator = RecoveryEvaluator(loaded_torus4)
+        with pytest.raises(ValueError, match=f"{offender}.*not a component"):
+            evaluator.evaluate(scenario)
+        with pytest.raises(ValueError, match="not a component"):
+            evaluator.evaluate_many([scenario])
 
 
 class TestAggregation:
