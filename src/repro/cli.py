@@ -504,10 +504,13 @@ def _run_stats(args: argparse.Namespace) -> str:
     simulation.inject_scenario(FailureScenario.of_links(links), at=1.0)
     # Explicit timed injections on top of (or instead of, with
     # --failures 0) the default scenario.
-    for time, component in args.fail_at:
-        simulation.fail(component, at=time)
-    for time, component in args.repair_at:
-        simulation.repair(component, at=time)
+    try:
+        for time, component in args.fail_at:
+            simulation.fail(component, at=time)
+        for time, component in args.repair_at:
+            simulation.repair(component, at=time)
+    except ValueError as error:  # a component the topology lacks
+        raise SystemExit(f"--fail-at/--repair-at: {error}") from None
     simulation.run(until=args.horizon)
     recovered = simulation.metrics.recovered_count()
     worst = simulation.metrics.max_service_disruption()

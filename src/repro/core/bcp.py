@@ -101,6 +101,9 @@ class BCPNetwork:
         #: Compiled recovery plan (see :mod:`repro.recovery.plan`), built
         #: lazily and recompiled whenever ``ledger.version`` moves on.
         self._recovery_plan = None
+        #: Compiled protocol state (see :mod:`repro.protocol.plan`), same
+        #: lifetime rule.
+        self._protocol_plan = None
 
     # ------------------------------------------------------------------
     # establishment / teardown
@@ -280,11 +283,12 @@ class BCPNetwork:
         return violations
 
     def __getstate__(self) -> dict:
-        # The recovery plan is derived state, cheap to recompile and as
-        # large as the connection table — drop it from pickles (workers
-        # recompile lazily on first evaluation), like ``Topology._flat``.
+        # The compiled plans are derived state, cheap to recompile and as
+        # large as the connection table — drop them from pickles (workers
+        # recompile lazily on first use), like ``Topology._flat``.
         state = self.__dict__.copy()
         state["_recovery_plan"] = None
+        state["_protocol_plan"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -4,6 +4,10 @@ Each node runs one daemon.  It keeps a :class:`LocalChannelRecord` for
 every channel whose path crosses the node, and — at the end-nodes of a
 D-connection — an :class:`EndpointView` with the connection-level
 knowledge needed for channel switching (backup serials, paths, health).
+Both tables are read from the node's slice of the compiled
+:class:`~repro.protocol.plan.ProtocolPlan`: what establishment wrote is
+shared by every simulation of the network state, and a record or view
+becomes this daemon's own mutable object the first time it is touched.
 
 The daemon implements:
 
@@ -19,6 +23,7 @@ The daemon implements:
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.network.components import LinkId, NodeId
@@ -51,9 +56,10 @@ class _FailureSide(enum.Enum):
     DOWNSTREAM = "downstream"  # we are the upstream neighbour
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class BackupInfo:
-    """Endpoint-side knowledge of one backup channel."""
+    """Endpoint-side knowledge of one backup channel (immutable: the
+    compiled plan's instances are shared by every view built from it)."""
 
     channel_id: int
     serial: int
@@ -111,8 +117,13 @@ class BCPDaemon:
     def __init__(self, node: NodeId, runtime) -> None:
         self.node = node
         self.runtime = runtime
-        self.records: dict[int, LocalChannelRecord] = {}
-        self.views: dict[int, EndpointView] = {}
+        #: This node's slice of the compiled plan: what establishment
+        #: installed here, plus the indices the whole-node scans read.
+        self.table = runtime.plan.tables[node]
+        #: channel id -> record, for every channel through this node.
+        self.records: Mapping[int, LocalChannelRecord] = self.table.records()
+        #: connection id -> view, for every connection ending here.
+        self.views: Mapping[int, EndpointView] = self.table.views()
         self._rejoin_timers: dict[int, Timeout] = {}
         self._probe_timers: dict[int, PeriodicTimer] = {}
         #: In-flight switchover handshakes this end-node initiated, keyed
@@ -139,43 +150,6 @@ class BCPDaemon:
         # (it has __len__), so this must be a None check, not ``or``.
         spans = getattr(runtime, "spans", None)
         self._spans = spans if spans is not None else NULL_SPAN_LOG
-
-    # ------------------------------------------------------------------
-    # registration (channel establishment has already happened; the
-    # runtime installs the resulting state)
-    # ------------------------------------------------------------------
-    def register_channel(
-        self,
-        channel_id: int,
-        connection_id: int,
-        serial: int,
-        path: Path,
-        mux_degree: int,
-        state: LocalChannelState,
-    ) -> LocalChannelRecord:
-        """Install a channel's local record in the given state."""
-        record = LocalChannelRecord(
-            channel_id=channel_id,
-            connection_id=connection_id,
-            serial=serial,
-            path=path,
-            node=self.node,
-            mux_degree=mux_degree,
-        )
-        event = (
-            ChannelEvent.ESTABLISH_PRIMARY
-            if state is LocalChannelState.PRIMARY
-            else ChannelEvent.ESTABLISH_BACKUP
-            if state is LocalChannelState.BACKUP
-            else None
-        )
-        record.transition(state, event)
-        self.records[channel_id] = record
-        return record
-
-    def register_endpoint(self, view: EndpointView) -> None:
-        """Install connection-level knowledge at an end-node."""
-        self.views[view.connection_id] = view
 
     # ------------------------------------------------------------------
     # plumbing
@@ -256,7 +230,8 @@ class BCPDaemon:
         either on a surviving channel, or into a consistent unrecoverable
         verdict.
         """
-        for record in self.records.values():
+        # An untouched record is still in its installed P/B state.
+        for record in self.records.touched():
             if record.state is LocalChannelState.UNHEALTHY:
                 self._start_rejoin_timer(record)
         if self._config.debug_unguarded_switchover:
@@ -310,7 +285,17 @@ class BCPDaemon:
         we host that traverses it and start the recovery machinery."""
         if not self._alive():
             return
-        for record in list(self.records.values()):
+        # Only a channel whose previous or next hop is the failed node, or
+        # the far end of the failed link, can relate to the component.
+        if isinstance(component, LinkId):
+            neighbour = (
+                component.src if component.dst == self.node else component.dst
+            )
+        else:
+            neighbour = component
+        records = self.records
+        for channel_id in self.table.by_neighbour.get(neighbour, ()):
+            record = records[channel_id]
             side = self._relation(record, component)
             if side is None:
                 continue
@@ -779,7 +764,9 @@ class BCPDaemon:
         a healed *lower* serial over a dead higher one.  Intermediate
         sweeps keep the lower-only rule — an old sweep still in flight
         must never demote a newer primary it crosses."""
-        for other in self.records.values():
+        records = self.records
+        for channel_id in self.table.by_connection[record.connection_id]:
+            other = records[channel_id]
             if (
                 other.connection_id != record.connection_id
                 or other.channel_id == record.channel_id

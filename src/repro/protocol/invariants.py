@@ -90,6 +90,13 @@ class InvariantAuditor:
     The auditor is strictly read-only with respect to the simulation: it
     never schedules events, never mutates daemon or RCC state, and its
     hooks tolerate being called at any point of the run.
+
+    The per-record and per-view checks sweep only what the run *touched*
+    (``daemon.records.touched()`` / ``daemon.views.touched()``): a record
+    or view the run never read is, by construction, still in the state
+    establishment installed — one PRIMARY per connection, no UNHEALTHY
+    record, both end-nodes on the primary — which satisfies every check.
+    Violations come out in the order a sweep of everything would give.
     """
 
     def __init__(self, simulation) -> None:
@@ -301,14 +308,22 @@ class InvariantAuditor:
         for node, daemon in simulation.daemons.items():
             if not simulation.node_up(node):
                 continue
+            # A connection's records are contiguous in registration order,
+            # so the touched connections come out in that order too; their
+            # untouched siblings are read (and materialised) for the count.
+            touched = dict.fromkeys(
+                record.connection_id for record in daemon.records.touched()
+            )
             primaries: dict[int, list[int]] = {}
-            for channel_id, record in daemon.records.items():
-                if not record.is_endpoint:
-                    continue
-                if record.state is LocalChannelState.PRIMARY:
-                    primaries.setdefault(record.connection_id, []).append(
-                        channel_id
-                    )
+            for connection_id in touched:
+                for channel_id in daemon.table.by_connection[connection_id]:
+                    record = daemon.records[channel_id]
+                    if not record.is_endpoint:
+                        continue
+                    if record.state is LocalChannelState.PRIMARY:
+                        primaries.setdefault(
+                            record.connection_id, []
+                        ).append(channel_id)
             for connection_id, channel_ids in primaries.items():
                 if len(channel_ids) > 1:
                     self.record(
@@ -323,7 +338,14 @@ class InvariantAuditor:
         channel once the network settles — the serial-number switching
         rule's whole purpose (Section 4.2)."""
         simulation = self.simulation
+        touched = {
+            view.connection_id
+            for daemon in simulation.daemons.values()
+            for view in daemon.views.touched()
+        }
         for connection in simulation.network.connections():
+            if connection.connection_id not in touched:
+                continue
             src, dst = connection.source, connection.destination
             if not (simulation.node_up(src) and simulation.node_up(dst)):
                 continue
@@ -360,10 +382,10 @@ class InvariantAuditor:
         for node, daemon in simulation.daemons.items():
             if not simulation.node_up(node):
                 continue
-            for channel_id, record in daemon.records.items():
+            for record in daemon.records.touched():
                 if record.state is LocalChannelState.UNHEALTHY:
                     self.record(
-                        "stuck-soft-state", f"channel {channel_id}",
+                        "stuck-soft-state", f"channel {record.channel_id}",
                         f"still UNHEALTHY at node {node!r} after the run "
                         f"drained; its rejoin timer never resolved it",
                     )

@@ -23,10 +23,10 @@ from repro.faults.models import FailureScenario
 from repro.network.components import LinkId, NodeId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
 from repro.protocol.config import ProtocolConfig
-from repro.protocol.daemon import BackupInfo, BCPDaemon, EndpointView
+from repro.protocol.daemon import BCPDaemon
 from repro.protocol.messages import ControlMessage
+from repro.protocol.plan import protocol_plan
 from repro.protocol.rcc import RCCLink
-from repro.protocol.states import LocalChannelState
 from repro.protocol.signaling import establishment_latency
 from repro.routing.shortest import (
     NoPathError,
@@ -278,6 +278,10 @@ class ProtocolSimulation:
         self._episode_spans: dict[int, int] = {}
         self.failed_components: set = set()
 
+        #: What establishment installed at every node, compiled once per
+        #: network state and pinned here: this simulation keeps running on
+        #: it even if the network is changed afterwards.
+        self.plan = protocol_plan(network)
         rng = make_rng(seed)
         self.daemons: dict[NodeId, BCPDaemon] = {
             node: BCPDaemon(node, self) for node in network.topology.nodes()
@@ -303,15 +307,14 @@ class ProtocolSimulation:
         self._draws: dict[LinkId, dict[int, float]] = {}
         self._drawn_links: dict[int, set[LinkId]] = {}
         #: channel id -> (connection id, serial, bandwidth, hops, mux degree)
-        self._channel_meta: dict[int, tuple[int, int, float, int, int]] = {}
+        self._channel_meta = self.plan.channel_meta
         #: Links where a channel holds a *dedicated* reservation (its
         #: original primary reservation, or spare converted by a completed
         #: activation, Section 4.4).  Activating over an owned link needs
         #: no spare draw — this is what lets a repaired-and-rejoined
-        #: channel be re-activated without new resources.
+        #: channel be re-activated without new resources.  Filled by
+        #: :meth:`_owned` as channels are touched.
         self._owned_links: dict[int, set[LinkId]] = {}
-
-        self._install_channels()
 
         self.heartbeats = None
         #: Links already declared failed via RCC give-up (one declaration
@@ -362,67 +365,6 @@ class ProtocolSimulation:
             daemon.receive(message)
 
         return deliver
-
-    def _install_channels(self) -> None:
-        for connection in self.network.connections():
-            for channel in connection.channels:
-                state = (
-                    LocalChannelState.PRIMARY
-                    if channel.role is ChannelRole.PRIMARY
-                    else LocalChannelState.BACKUP
-                )
-                self._channel_meta[channel.channel_id] = (
-                    connection.connection_id,
-                    channel.serial,
-                    channel.bandwidth,
-                    channel.path.hops,
-                    channel.mux_degree,
-                )
-                if channel.role is ChannelRole.PRIMARY:
-                    self._owned_links[channel.channel_id] = set(
-                        channel.path.links
-                    )
-                for node in channel.path.nodes:
-                    self.daemons[node].register_channel(
-                        channel_id=channel.channel_id,
-                        connection_id=connection.connection_id,
-                        serial=channel.serial,
-                        path=channel.path,
-                        mux_degree=channel.mux_degree,
-                        state=state,
-                    )
-            backups = [
-                BackupInfo(
-                    channel_id=backup.channel_id,
-                    serial=backup.serial,
-                    path=backup.path,
-                    mux_degree=backup.mux_degree,
-                )
-                for backup in connection.backups_in_serial_order()
-            ]
-            for node, role in (
-                (connection.source, "source"),
-                (connection.destination, "destination"),
-            ):
-                self.daemons[node].register_endpoint(
-                    EndpointView(
-                        connection_id=connection.connection_id,
-                        source=connection.source,
-                        destination=connection.destination,
-                        role=role,
-                        current_channel=connection.primary.channel_id,
-                        current_serial=connection.primary.serial,
-                        backups=[
-                            BackupInfo(
-                                channel_id=info.channel_id,
-                                serial=info.serial,
-                                path=info.path,
-                                mux_degree=info.mux_degree,
-                            )
-                            for info in backups
-                        ],
-                    )
-                )
 
     # ------------------------------------------------------------------
     # health model
@@ -477,8 +419,7 @@ class ProtocolSimulation:
         remain (Section 4.3).
         """
         bandwidth = self._channel_meta[channel_id][2]
-        owned = self._owned_links.get(channel_id)
-        if owned is not None and link in owned:
+        if link in self._owned(channel_id):
             # The channel still holds its dedicated reservation here (an
             # original primary that was repaired and rejoined): no spare
             # draw needed.
@@ -502,6 +443,16 @@ class ProtocolSimulation:
         draws_here[channel_id] = bandwidth
         self._note_link_active(channel_id, link)
         return True, victims
+
+    def _owned(self, channel_id: int) -> set[LinkId]:
+        """This simulation's own set of the links ``channel_id`` holds a
+        dedicated reservation on, seeded from the plan on first touch."""
+        owned = self._owned_links.get(channel_id)
+        if owned is None:
+            owned = self._owned_links[channel_id] = set(
+                self.plan.owned_links.get(channel_id, ())
+            )
+        return owned
 
     def _note_link_active(self, channel_id: int, link: LinkId) -> None:
         drawn_links = self._drawn_links.setdefault(channel_id, set())
@@ -528,7 +479,7 @@ class ProtocolSimulation:
                     )
             # The activated channel's bandwidth is now dedicated to it
             # (spare converted to primary, Section 4.4).
-            self._owned_links.setdefault(channel_id, set()).update(drawn_links)
+            self._owned(channel_id).update(drawn_links)
 
     def _pick_victim(self, link: LinkId, degree: int) -> "int | None":
         """Lowest-priority (largest mux degree) channel drawing on ``link``
@@ -568,11 +519,10 @@ class ProtocolSimulation:
             for link in list(drawn_links):
                 if link.src == node:
                     self.release_draw(link, channel_id)
-        owned = self._owned_links.get(channel_id)
-        if owned:
-            for link in list(owned):
-                if link.src == node:
-                    owned.discard(link)
+        owned = self._owned(channel_id)
+        for link in list(owned):
+            if link.src == node:
+                owned.discard(link)
 
     # ------------------------------------------------------------------
     # control-plane accounting (Section 5.2's overhead view)
@@ -706,12 +656,28 @@ class ProtocolSimulation:
     # ------------------------------------------------------------------
     # failure and repair injection
     # ------------------------------------------------------------------
+    def _require_component(self, component) -> None:
+        topology = self.network.topology
+        if component not in topology:
+            kind = "link" if isinstance(component, LinkId) else "node"
+            raise ValueError(
+                f"{kind} {component} is not a component of {topology.name}"
+            )
+
     def fail(self, component, at: float) -> None:
-        """Schedule a component crash at absolute time ``at``."""
+        """Schedule a component crash at absolute time ``at``.
+
+        Raises ``ValueError`` (and schedules nothing) for a node or link
+        the topology does not have."""
+        self._require_component(component)
         self.engine.schedule_at(at, self._apply_failure, component)
 
     def repair(self, component, at: float) -> None:
-        """Schedule a component repair at absolute time ``at``."""
+        """Schedule a component repair at absolute time ``at``.
+
+        Raises ``ValueError`` (and schedules nothing) for a node or link
+        the topology does not have."""
+        self._require_component(component)
         self.engine.schedule_at(at, self._apply_repair, component)
 
     def _apply_repair(self, component) -> None:
@@ -734,11 +700,15 @@ class ProtocolSimulation:
                              component=str(component))
 
     def inject_scenario(self, scenario: FailureScenario, at: float) -> None:
-        """Crash every component of ``scenario`` at time ``at``."""
-        for node in scenario.failed_nodes:
-            self.fail(node, at)
-        for link in scenario.failed_links:
-            self.fail(link, at)
+        """Crash every component of ``scenario`` at time ``at``.
+
+        Raises ``ValueError`` before scheduling anything if the scenario
+        names a node or link the topology does not have."""
+        components = (*scenario.failed_nodes, *scenario.failed_links)
+        for component in components:
+            self._require_component(component)
+        for component in components:
+            self.engine.schedule_at(at, self._apply_failure, component)
 
     def _apply_failure(self, component) -> None:
         if component in self.failed_components:

@@ -128,26 +128,36 @@ class LocalChannelRecord:
     #: spare for it (a multiplexing failure); a rejoin through this node
     #: must re-acquire spare on that link before the channel can heal.
     mux_failed_link: object = None
+    #: Position of ``node`` on ``path``; looked up when not given (the
+    #: compiled protocol plan already knows it).
+    index: "int | None" = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.node not in self.path.nodes:
+        nodes = self.path.nodes
+        if self.index is None:
+            if self.node not in nodes:
+                raise ValueError(
+                    f"node {self.node!r} is not on the path of channel "
+                    f"{self.channel_id}"
+                )
+            self.index = nodes.index(self.node)
+        elif not (0 <= self.index < len(nodes)
+                  and nodes[self.index] == self.node):
             raise ValueError(
-                f"node {self.node!r} is not on the path of channel "
-                f"{self.channel_id}"
+                f"node {self.node!r} is not at position {self.index} of "
+                f"the path of channel {self.channel_id}"
             )
-        index = self.path.nodes.index(self.node)
-        self._index = index
 
     # ------------------------------------------------------------------
     # topology of the record's position on the path
     # ------------------------------------------------------------------
     @property
     def is_source(self) -> bool:
-        return self._index == 0
+        return self.index == 0
 
     @property
     def is_destination(self) -> bool:
-        return self._index == len(self.path.nodes) - 1
+        return self.index == len(self.path.nodes) - 1
 
     @property
     def is_endpoint(self) -> bool:
@@ -158,14 +168,14 @@ class LocalChannelRecord:
         """Previous node along the channel direction, if any."""
         if self.is_source:
             return None
-        return self.path.nodes[self._index - 1]
+        return self.path.nodes[self.index - 1]
 
     @property
     def downstream(self) -> "NodeId | None":
         """Next node along the channel direction, if any."""
         if self.is_destination:
             return None
-        return self.path.nodes[self._index + 1]
+        return self.path.nodes[self.index + 1]
 
     # ------------------------------------------------------------------
     # state machine

@@ -1,0 +1,285 @@
+"""Reference oracle for the plan-driven :class:`ProtocolSimulation`.
+
+This is the protocol runtime as it stood before the compiled protocol
+plan: every simulation eagerly installs a :class:`LocalChannelRecord` at
+every node of every channel and an :class:`EndpointView` at both ends of
+every connection (``_install_channels`` via ``register_channel`` /
+``register_endpoint``), the daemon's three whole-node operations scan
+every record it holds, and the auditor sweeps every record and view.  It
+is slow and obviously right, and it lives here — not in ``src/`` — so the
+product has one construction path and the tests have something
+independent to hold it against (``test_protocol_differential``).
+
+Everything else — message handling, draws, RCC, timers — is the product
+code itself, run over the eagerly-built plain dicts.
+"""
+
+from __future__ import annotations
+
+from repro.channels.channel import ChannelRole
+from repro.core.bcp import BCPNetwork
+from repro.protocol.daemon import BackupInfo, BCPDaemon, EndpointView
+from repro.protocol.invariants import InvariantAuditor
+from repro.protocol.runtime import ProtocolSimulation
+from repro.protocol.states import (
+    ChannelEvent,
+    LocalChannelRecord,
+    LocalChannelState,
+)
+from repro.routing.paths import Path
+
+
+class OracleDaemon(BCPDaemon):
+    """A daemon over plain, eagerly-filled dicts that scans all of them."""
+
+    def __init__(self, node, runtime) -> None:
+        super().__init__(node, runtime)
+        self.table = None  # the oracle reads no index
+        self.records: dict[int, LocalChannelRecord] = {}
+        self.views: dict[int, EndpointView] = {}
+
+    # -- registration (the old eager install) ----------------------------
+    def register_channel(
+        self,
+        channel_id: int,
+        connection_id: int,
+        serial: int,
+        path: Path,
+        mux_degree: int,
+        state: LocalChannelState,
+    ) -> LocalChannelRecord:
+        record = LocalChannelRecord(
+            channel_id=channel_id,
+            connection_id=connection_id,
+            serial=serial,
+            path=path,
+            node=self.node,
+            mux_degree=mux_degree,
+        )
+        event = (
+            ChannelEvent.ESTABLISH_PRIMARY
+            if state is LocalChannelState.PRIMARY
+            else ChannelEvent.ESTABLISH_BACKUP
+            if state is LocalChannelState.BACKUP
+            else None
+        )
+        record.transition(state, event)
+        self.records[channel_id] = record
+        return record
+
+    def register_endpoint(self, view: EndpointView) -> None:
+        self.views[view.connection_id] = view
+
+    # -- the three whole-node scans ---------------------------------------
+    def on_component_failure(self, component) -> None:
+        if not self._alive():
+            return
+        for record in list(self.records.values()):
+            side = self._relation(record, component)
+            if side is None:
+                continue
+            self._handle_detected_failure(record, side, component)
+
+    def _demote_stale_primaries(self, record, all_serials: bool = False) -> None:
+        for other in self.records.values():
+            if (
+                other.connection_id != record.connection_id
+                or other.channel_id == record.channel_id
+                or (not all_serials and other.serial >= record.serial)
+                or other.state is not LocalChannelState.PRIMARY
+            ):
+                continue
+            other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
+            self._start_rejoin_timer(other)
+            self._c_so_demotions.inc()
+            self._trace(
+                "switchover",
+                f"demoted stale primary channel {other.channel_id} "
+                f"(serial {other.serial}) superseded by serial "
+                f"{record.serial}",
+            )
+            if self._spans.enabled:
+                self._span_point(
+                    "switchover-demote", record.connection_id,
+                    channel=other.channel_id, serial=other.serial,
+                    superseded_by=record.serial,
+                )
+            view = self.views.get(record.connection_id)
+            if view is not None:
+                view.unhealthy.add(other.channel_id)
+
+    def on_repaired(self) -> None:
+        for record in self.records.values():
+            if record.state is LocalChannelState.UNHEALTHY:
+                self._start_rejoin_timer(record)
+        if self._config.debug_unguarded_switchover:
+            return
+        for view in self.views.values():
+            view.unhealthy.add(view.current_channel)
+            view.episode += 1
+            self._c_so_episodes.inc()
+            view.recovering = False
+            self._trace(
+                "switchover",
+                f"end-node repaired; reconciling connection "
+                f"{view.connection_id} (pre-crash channel "
+                f"{view.current_channel} is suspect)",
+            )
+            if view.role == "source":
+                for channel_id in sorted(view.unhealthy):
+                    probed = self.records.get(channel_id)
+                    if (
+                        probed is not None
+                        and probed.is_source
+                        and probed.state is not LocalChannelState.NON_EXISTENT
+                    ):
+                        self.start_rejoin_probe(channel_id)
+                        self._start_probe_timer(channel_id)
+            if self._initiates_activation(view):
+                self._initiate_recovery(view)
+
+
+class OracleSimulation(ProtocolSimulation):
+    """A :class:`ProtocolSimulation` (same arguments) whose daemons and
+    draw bookkeeping are built the old way: fresh, eager, per simulation."""
+
+    def __init__(self, network: BCPNetwork, *args, **kwargs) -> None:
+        super().__init__(network, *args, **kwargs)
+        for node in self.daemons:
+            self.daemons[node] = OracleDaemon(node, self)
+        self.plan = None  # nothing below may read it
+        self._channel_meta = {}
+        self._owned_links = {}
+        _install_channels(self)
+
+    def _owned(self, channel_id: int) -> set:
+        return self._owned_links.setdefault(channel_id, set())
+
+
+def _install_channels(simulation: ProtocolSimulation) -> None:
+    for connection in simulation.network.connections():
+        for channel in connection.channels:
+            state = (
+                LocalChannelState.PRIMARY
+                if channel.role is ChannelRole.PRIMARY
+                else LocalChannelState.BACKUP
+            )
+            simulation._channel_meta[channel.channel_id] = (
+                connection.connection_id,
+                channel.serial,
+                channel.bandwidth,
+                channel.path.hops,
+                channel.mux_degree,
+            )
+            if channel.role is ChannelRole.PRIMARY:
+                simulation._owned_links[channel.channel_id] = set(
+                    channel.path.links
+                )
+            for node in channel.path.nodes:
+                simulation.daemons[node].register_channel(
+                    channel_id=channel.channel_id,
+                    connection_id=connection.connection_id,
+                    serial=channel.serial,
+                    path=channel.path,
+                    mux_degree=channel.mux_degree,
+                    state=state,
+                )
+        backups = [
+            BackupInfo(
+                channel_id=backup.channel_id,
+                serial=backup.serial,
+                path=backup.path,
+                mux_degree=backup.mux_degree,
+            )
+            for backup in connection.backups_in_serial_order()
+        ]
+        for node, role in (
+            (connection.source, "source"),
+            (connection.destination, "destination"),
+        ):
+            simulation.daemons[node].register_endpoint(
+                EndpointView(
+                    connection_id=connection.connection_id,
+                    source=connection.source,
+                    destination=connection.destination,
+                    role=role,
+                    current_channel=connection.primary.channel_id,
+                    current_serial=connection.primary.serial,
+                    backups=[
+                        BackupInfo(
+                            channel_id=info.channel_id,
+                            serial=info.serial,
+                            path=info.path,
+                            mux_degree=info.mux_degree,
+                        )
+                        for info in backups
+                    ],
+                )
+            )
+
+
+class OracleAuditor(InvariantAuditor):
+    """The auditor with its three per-record / per-view checks sweeping
+    everything, as they did before the plan."""
+
+    def _check_single_active(self) -> None:
+        simulation = self.simulation
+        for node, daemon in simulation.daemons.items():
+            if not simulation.node_up(node):
+                continue
+            primaries: dict[int, list[int]] = {}
+            for channel_id, record in daemon.records.items():
+                if not record.is_endpoint:
+                    continue
+                if record.state is LocalChannelState.PRIMARY:
+                    primaries.setdefault(record.connection_id, []).append(
+                        channel_id
+                    )
+            for connection_id, channel_ids in primaries.items():
+                if len(channel_ids) > 1:
+                    self.record(
+                        "multiple-active", f"connection {connection_id}",
+                        f"node {node!r} holds {len(channel_ids)} PRIMARY "
+                        f"channels {sorted(channel_ids)} for one connection",
+                    )
+        self._check_endpoint_agreement()
+
+    def _check_endpoint_agreement(self) -> None:
+        simulation = self.simulation
+        for connection in simulation.network.connections():
+            src, dst = connection.source, connection.destination
+            if not (simulation.node_up(src) and simulation.node_up(dst)):
+                continue
+            view_src = simulation.daemons[src].views.get(
+                connection.connection_id
+            )
+            view_dst = simulation.daemons[dst].views.get(
+                connection.connection_id
+            )
+            if view_src is None or view_dst is None:
+                continue
+            if view_src.current_channel in view_src.unhealthy:
+                continue
+            if view_dst.current_channel in view_dst.unhealthy:
+                continue
+            if view_src.current_channel != view_dst.current_channel:
+                self.record(
+                    "endpoint-disagreement",
+                    f"connection {connection.connection_id}",
+                    f"source {src!r} carries channel "
+                    f"{view_src.current_channel} but destination {dst!r} "
+                    f"carries {view_dst.current_channel}",
+                )
+
+    def _check_soft_state_expired(self) -> None:
+        simulation = self.simulation
+        for node, daemon in simulation.daemons.items():
+            if not simulation.node_up(node):
+                continue
+            for channel_id, record in daemon.records.items():
+                if record.state is LocalChannelState.UNHEALTHY:
+                    self.record(
+                        "stuck-soft-state", f"channel {channel_id}",
+                        f"still UNHEALTHY at node {node!r} after the run "
+                        f"drained; its rejoin timer never resolved it",
+                    )

@@ -170,6 +170,12 @@ class TestTimedInjectionFlags:
         ) == 0
         assert "repro stats" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--fail-at", "--repair-at"])
+    @pytest.mark.parametrize("spec", ["1:node:999", "1:link:0->5"])
+    def test_component_outside_the_topology_exits_cleanly(self, flag, spec):
+        with pytest.raises(SystemExit, match="not a component of"):
+            main(["stats", "--failures", "0", flag, spec] + SMALL)
+
 
 class TestChaosCommand:
     def test_clean_campaign_exits_zero(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.faults import FailureScenario
+from repro.network.components import LinkId
 from repro.protocol import (
     ProtocolConfig,
     ProtocolSimulation,
@@ -287,3 +288,50 @@ class TestGiveUpDeduplication:
         simulation._on_rcc_give_up(link)
         assert declared == []
         assert link not in simulation._suspected_links
+
+
+class TestInjectionValidation:
+    """``fail`` / ``repair`` / ``inject_scenario`` reject a component the
+    topology lacks when it is scheduled — not as a bare ``KeyError`` from
+    inside ``run()``, and never by silently "failing" a phantom link."""
+
+    @pytest.mark.parametrize("component, named", [
+        (999, "node 999"),
+        (LinkId(0, 999), "link"),
+        (LinkId(0, 5), "link"),  # both ends exist, the link does not
+    ])
+    @pytest.mark.parametrize("action", ["fail", "repair"])
+    def test_unknown_component_is_a_value_error(
+        self, single_connection, action, component, named
+    ):
+        network, _ = single_connection
+        assert component not in network.topology
+        simulation = ProtocolSimulation(network, seed=0)
+        with pytest.raises(ValueError, match=named) as raised:
+            getattr(simulation, action)(component, at=1.0)
+        assert str(component) in str(raised.value)
+        assert simulation.engine.pending == 0
+        simulation.run(until=50.0)
+        assert simulation.failed_components == set()
+        assert simulation.engine.events_processed == 0
+
+    def test_scenario_with_one_bad_component_schedules_nothing(
+        self, single_connection
+    ):
+        network, connection = single_connection
+        good = connection.primary.path.links[1]
+        simulation = ProtocolSimulation(network, seed=0)
+        for scenario in (
+            FailureScenario(failed_nodes=frozenset({3, 999})),
+            FailureScenario(failed_links=frozenset({good, LinkId(0, 5)})),
+        ):
+            with pytest.raises(ValueError, match="not a component"):
+                simulation.inject_scenario(scenario, at=1.0)
+            assert simulation.engine.pending == 0
+        simulation.run(until=50.0)
+        assert simulation.failed_components == set()
+        assert not simulation.metrics.recoveries
+        # The same simulation still takes a valid injection afterwards.
+        simulation.inject_scenario(FailureScenario.of_links([good]), at=60.0)
+        simulation.run(until=500.0)
+        assert simulation.metrics.recoveries[connection.connection_id].recovered
