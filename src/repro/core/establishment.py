@@ -596,29 +596,33 @@ class EstablishmentEngine:
         verifies the multiplexing admission (spare-pool growth must fit
         each link) on the found path; violating links are excluded and the
         search retried.  Each retry removes at least one link, so the loop
-        terminates.
+        terminates.  With a per-channel delay baseline and hop-count
+        routing, the baseline path itself is the first path verified.
         """
         src, dst = connection.source, connection.destination
         traffic = connection.traffic
         excluded_nodes, excluded_links = self._disjointness_constraints(connection)
+        excluded_nodes = frozenset(excluded_nodes)
+        path: Path | None = None
         if connection.delay_qos.per_channel_baseline:
             # The backup's delay budget is relative to the shortest path
             # *it* could take given disjointness (see DelayQoS).
             try:
-                baseline = shortest_path(
+                path = shortest_path(
                     self.topology,
                     src,
                     dst,
                     RouteConstraints(
-                        excluded_nodes=frozenset(excluded_nodes),
+                        excluded_nodes=excluded_nodes,
                         excluded_links=frozenset(excluded_links),
                     ),
-                ).hops
+                )
             except NoPathError as error:
                 raise EstablishmentError(
                     f"no disjoint backup route exists {src!r}->{dst!r} "
                     f"(serial {connection.num_backups + 1}): {error}"
                 ) from error
+            baseline = path.hops
         else:
             baseline = hop_distance(self.topology, src, dst)
         max_hops = connection.delay_qos.max_hops(baseline)
@@ -629,21 +633,27 @@ class EstablishmentEngine:
         cost = None
         if self.backup_cost_factory is not None:
             cost = self.backup_cost_factory(self, connection, mux_degree)
+            path = None
 
         extra_excluded: set[LinkId] = set()
         for _ in range(self.MAX_ROUTE_RETRIES):
-            constraints = RouteConstraints(
-                excluded_nodes=frozenset(excluded_nodes),
-                excluded_links=frozenset(excluded_links | extra_excluded),
-                max_hops=max_hops,
-            )
-            try:
-                path = shortest_path(self.topology, src, dst, constraints, cost)
-            except NoPathError as error:
-                raise EstablishmentError(
-                    f"no feasible backup path {src!r}->{dst!r} "
-                    f"(serial {connection.num_backups + 1}): {error}"
-                ) from error
+            # The baseline path is the first candidate: a hop-count search
+            # under the same exclusions and a hop limit no shorter than
+            # that path finds exactly it again.  A cost-biased route, a
+            # connection-wide baseline and every retry search.
+            if path is None:
+                constraints = RouteConstraints(
+                    excluded_nodes=excluded_nodes,
+                    excluded_links=frozenset(excluded_links | extra_excluded),
+                    max_hops=max_hops,
+                )
+                try:
+                    path = shortest_path(self.topology, src, dst, constraints, cost)
+                except NoPathError as error:
+                    raise EstablishmentError(
+                        f"no feasible backup path {src!r}->{dst!r} "
+                        f"(serial {connection.num_backups + 1}): {error}"
+                    ) from error
             violations = [
                 link
                 for link in path.links
@@ -657,6 +667,7 @@ class EstablishmentEngine:
             if not violations:
                 return path
             extra_excluded.update(violations)
+            path = None
         raise EstablishmentError(
             f"backup routing for {src!r}->{dst!r} exceeded "
             f"{self.MAX_ROUTE_RETRIES} retries"

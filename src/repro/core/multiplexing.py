@@ -25,7 +25,9 @@ Complexity (Section 6): adding or removing a backup updates a link in
 O(n) pairwise tests by maintaining each entry's requirement incrementally;
 recomputing from scratch would be O(n²).  Both paths exist (the scratch
 recompute doubles as a validation oracle) and the benchmarks
-``bench_scalability`` / ``bench_mux`` measure the gap.
+``bench_scalability`` / ``bench_mux`` measure the gap.  Admitting one
+backup costs one such pass per link, not three: the admission preview,
+the commit and the new entry's |Ψ| share :meth:`LinkMuxState._pair_scan`.
 
 Two link-state backends exist and only :class:`MultiplexingEngine` knows
 it: every link starts on the per-pair :class:`LinkMuxState` below, and is
@@ -77,6 +79,26 @@ class MuxEntry:
     mask: int = 0
 
 
+@dataclass(slots=True)
+class _PairScan:
+    """What one pass over a link's residents learns about a candidate
+    backup ``(mask, ν, bandwidth)`` under the integer test — everything
+    ``preview_add``, ``add`` and the candidate's ``psi_size`` need."""
+
+    key: tuple
+    #: bw(candidate) + Σ bw over Π(candidate, ℓ), folded in resident order.
+    requirement: float
+    #: Residents whose Π gains the candidate, in resident order.
+    charged: "list[MuxEntry]"
+    #: Largest current requirement among ``charged`` (-1.0 if none).
+    charged_peak: float
+    #: |Ψ(candidate, ℓ)|.
+    psi: int
+    #: ``None`` while the scan describes a candidate; the channel id once
+    #: ``add`` committed it (it then answers that entry's ``psi_size``).
+    channel_id: "int | None" = None
+
+
 class LinkMuxState:
     """Multiplexing state of the backups on one simplex link."""
 
@@ -94,6 +116,9 @@ class LinkMuxState:
         self._space = space if space is not None else ComponentSpace()
         self._entries: dict[int, MuxEntry] = {}
         self._spare_required = 0.0
+        #: The last integer-mode pair scan — a previewed candidate's, or
+        #: the last added entry's; any later mutation drops or replaces it.
+        self._scan: "_PairScan | None" = None
 
     # ------------------------------------------------------------------
     # queries
@@ -123,11 +148,14 @@ class LinkMuxState:
         restore therefore re-adds entries in recorded order and then
         calls this to transplant the float state recorded at snapshot
         time, making post-restore pool sizing bit-identical to the
-        uninterrupted run.
+        uninterrupted run.  ``spare_required`` must be the largest
+        resident requirement, as in every recorded state:
+        :meth:`remove_many` relies on that to skip recomputing it.
         """
         for channel_id, requirement in requirements.items():
             self._entries[channel_id].requirement = requirement
         self._spare_required = spare_required
+        self._scan = None
 
     def spare_required(self) -> float:
         """The pool size required by the current backup set.
@@ -155,6 +183,10 @@ class LinkMuxState:
         (Section 3.3's multiplexing-failure bound input)."""
         entry = self._entries[channel_id]
         if not self.policy.exact:
+            scan = self._scan
+            if scan is not None and scan.channel_id == channel_id:
+                # Nothing changed since this entry's own add scanned.
+                return scan.psi
             # Integer mode, inlined: multiplexable ⇔ sc < ν.
             degree = entry.mux_degree
             if degree <= 0:
@@ -213,6 +245,37 @@ class LinkMuxState:
             perspective, other
         )
 
+    def _pair_scan(self, mask: int, degree: int, bandwidth: float) -> _PairScan:
+        """The integer-mode pass over the residents for one candidate:
+        ``in_pi(p, o) ⇔ o.ν ≤ p.ν and not (p.ν > 0 and sc < p.ν)`` with
+        ``sc`` a popcount, judged both ways per resident.  Served from
+        the link's memo when the same candidate was scanned last and
+        nothing mutated since — a commit that follows its own preview —
+        and rescanned otherwise."""
+        key = (mask, degree, bandwidth)
+        scan = self._scan
+        if scan is not None and scan.channel_id is None and scan.key == key:
+            return scan
+        requirement = bandwidth
+        charged = []
+        charged_peak = -1.0
+        psi = 0
+        for other in self._entries.values():
+            shared = (mask & other.mask).bit_count()
+            other_degree = other.mux_degree
+            if shared < degree:
+                psi += 1
+            elif other_degree <= degree:
+                requirement += other.bandwidth
+            if degree <= other_degree and (
+                other_degree <= 0 or shared >= other_degree
+            ):
+                charged.append(other)
+                if other.requirement > charged_peak:
+                    charged_peak = other.requirement
+        scan = self._scan = _PairScan(key, requirement, charged, charged_peak, psi)
+        return scan
+
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
@@ -227,28 +290,14 @@ class LinkMuxState:
         check_positive(bandwidth, "bandwidth")
         mask = self._space.mask(primary_components)
         if not self.policy.exact:
-            # Integer mode, inlined: in_pi(p, o) ⇔ o.ν ≤ p.ν and not
-            # (p.ν > 0 and sc < p.ν), with sc a popcount.  Entries the
-            # candidate does not conflict with keep their current
-            # requirement, whose maximum is already maintained in
-            # ``_spare_required`` — only conflicting entries need a look.
-            degree = mux_degree
-            new_requirement = bandwidth
-            conflict_peak = -1.0
-            for other in self._entries.values():
-                shared = (mask & other.mask).bit_count()
-                other_degree = other.mux_degree
-                if other_degree <= degree and (degree <= 0 or shared >= degree):
-                    new_requirement += other.bandwidth
-                if degree <= other_degree and (
-                    other_degree <= 0 or shared >= other_degree
-                ):
-                    if other.requirement > conflict_peak:
-                        conflict_peak = other.requirement
+            # Entries the candidate does not conflict with keep their
+            # current requirement, whose maximum is already maintained in
+            # ``_spare_required`` — only the charged ones can exceed it.
+            scan = self._pair_scan(mask, mux_degree, bandwidth)
             best = self._spare_required
-            if conflict_peak >= 0.0 and conflict_peak + bandwidth > best:
-                best = conflict_peak + bandwidth
-            return max(best, new_requirement)
+            if scan.charged_peak >= 0.0 and scan.charged_peak + bandwidth > best:
+                best = scan.charged_peak + bandwidth
+            return max(best, scan.requirement)
         candidate = MuxEntry(-1, bandwidth, mux_degree, primary_components, mask=mask)
         new_requirement = bandwidth
         best = 0.0
@@ -284,19 +333,13 @@ class LinkMuxState:
         # most the new entry's requirement and the ones that just grew.
         peak = self._spare_required
         if not self.policy.exact:
-            # Integer mode, inlined (see preview_add).
-            degree = mux_degree
-            for other in self._entries.values():
-                shared = (mask & other.mask).bit_count()
-                other_degree = other.mux_degree
-                if other_degree <= degree and (degree <= 0 or shared >= degree):
-                    entry.requirement += other.bandwidth
-                if degree <= other_degree and (
-                    other_degree <= 0 or shared >= other_degree
-                ):
-                    other.requirement += bandwidth
-                    if other.requirement > peak:
-                        peak = other.requirement
+            scan = self._pair_scan(mask, mux_degree, bandwidth)
+            entry.requirement = scan.requirement
+            for other in scan.charged:
+                other.requirement += bandwidth
+                if other.requirement > peak:
+                    peak = other.requirement
+            scan.channel_id = channel_id
         else:
             for other in self._entries.values():
                 if self._in_pi(entry, other):
@@ -318,10 +361,17 @@ class LinkMuxState:
         size.  Validate-then-apply: an unknown id raises ``KeyError``
         and leaves the link untouched."""
         check_resident(self, channel_ids)
+        self._scan = None
         entries = self._entries
         exact = self.policy.exact
+        # Requirements only shrink on remove, so the pool maximum moves
+        # only if an entry that held it leaves or sheds bandwidth.
+        old_peak = self._spare_required
+        peak_moved = False
         for channel_id in channel_ids:
             entry = entries.pop(channel_id)
+            if entry.requirement >= old_peak:
+                peak_moved = True
             bandwidth = entry.bandwidth
             degree = entry.mux_degree
             mask = entry.mask
@@ -339,11 +389,13 @@ class LinkMuxState:
                         or (mask & other.mask).bit_count() >= other_degree
                     )
                 if charged:
+                    if other.requirement >= old_peak:
+                        peak_moved = True
                     other.requirement -= bandwidth
-        # Requirements only shrink on remove; the old maximum may be gone.
-        self._spare_required = max(
-            (other.requirement for other in entries.values()), default=0.0
-        )
+        if peak_moved:
+            self._spare_required = max(
+                (other.requirement for other in entries.values()), default=0.0
+            )
         return self._spare_required
 
 
@@ -365,6 +417,16 @@ class MultiplexingEngine:
         self._space = ComponentSpace()
         self._arena = ComponentArena()
         self._links: dict = {}
+        #: What :meth:`_publish_obs` last published, and where.
+        self._obs_registry = None
+        self._obs_health: tuple = ()
+
+    def __getstate__(self) -> dict:
+        # A metrics registry belongs to its process; a pickled engine
+        # (worker shards) republishes into whatever registry it finds.
+        state = self.__dict__.copy()
+        state["_obs_registry"] = None
+        return state
 
     def link_state(self, link: LinkId):
         """The (lazily created) multiplexing state of ``link``."""
@@ -413,11 +475,21 @@ class MultiplexingEngine:
         """Export interner health into the session registry: gauges
         ``mux.space.components`` (interned bit positions),
         ``mux.space.rows`` (interned primary sets) and ``mux.space.bytes``
-        (the packed arena promoted links share)."""
+        (the packed arena promoted links share).  The three values move
+        only when an interner grows, so most calls find nothing new and
+        return; a swapped process registry (an obs session started or
+        ended) republishes, since gauges belong to the registry that
+        minted them."""
         registry = get_registry()
-        registry.gauge("mux.space.components").set(float(len(self._space)))
-        registry.gauge("mux.space.rows").set(float(self._space.rows))
-        registry.gauge("mux.space.bytes").set(float(self._arena.nbytes))
+        health = (len(self._space), self._space.rows, self._arena.nbytes)
+        if registry is self._obs_registry and health == self._obs_health:
+            return
+        self._obs_registry = registry
+        self._obs_health = health
+        components, rows, nbytes = health
+        registry.gauge("mux.space.components").set(float(components))
+        registry.gauge("mux.space.rows").set(float(rows))
+        registry.gauge("mux.space.bytes").set(float(nbytes))
 
     def preview_backup(
         self, backup_path: Path, bandwidth: float, mux_degree: int, primary: Channel

@@ -31,15 +31,46 @@ guarantees follow:
   silently route on stale capacities.
 
 Reconciliation bumps :attr:`version` so every version-keyed consumer
-(route-cache floor tables, the flat view's free mirror, spare-pool
-snapshots) refreshes.  Link *removal* is not supported — failures are
-modelled as state on top of a static link set, never as deletion.
+(route-cache floor tables, spare-pool snapshots, compiled plans)
+refreshes.  Link *removal* is not supported — failures are modelled as
+state on top of a static link set, never as deletion.
+
+Free-capacity mirror contract
+-----------------------------
+
+The flat routing core keeps a per-edge copy of every link's free
+bandwidth and must not re-read all links for each search.  The ledger
+therefore keeps a **change log**: every mutator that succeeds appends the
+:class:`LinkLedger` entries it wrote (each entry knows its position in
+``topology.links()`` order) before it bumps :attr:`version`; a
+validate-then-apply call that raises logs nothing, because it wrote
+nothing.  A consumer remembers :attr:`~ReservationLedger.change_cursor`
+as of its last refresh and asks :meth:`~ReservationLedger.changes_since`
+for the suffix it has not seen, re-reading ``entry.free`` of exactly
+those entries (an entry may appear more than once; replay is idempotent).
+The ledger holds no per-consumer state, so any number of mirrors may
+follow one ledger and none of them ever writes to it.
+
+``changes_since`` answers ``None`` — *resync fully through*
+:meth:`~ReservationLedger.free_values` — whenever the suffix cannot be
+served: the cursor predates a trim, or the ledger was rewritten
+wholesale since (:meth:`~ReservationLedger.restore_pools`, or
+reconciliation with a grown topology, which adds positions no consumer
+was sized for).  A consumer must also resync fully on first use and when
+it is handed a different ledger object; cursors of different ledgers are
+unrelated.
+
+*Trim rule.*  The log is bounded: once it holds more than
+:attr:`~ReservationLedger.CHANGE_LOG_LIMIT` entries the older half is
+dropped.  A consumer that lags by more than the kept half would have
+paid about as much replaying as resyncing, so nothing is lost.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from repro.network.components import LinkId
 from repro.network.topology import Topology
@@ -98,6 +129,9 @@ class LinkLedger:
     capacity: float
     primary: float = 0.0
     spare: float = 0.0
+    #: Position in ``topology.links()`` order — how the ledger's change
+    #: log addresses this entry to positional consumers.
+    pos: int = 0
 
     @property
     def reserved(self) -> float:
@@ -120,6 +154,10 @@ class ReservationLedger:
     is admissible via :meth:`can_reserve_primary` / :meth:`can_set_spare`.
     """
 
+    #: Change-log length past which the older half is dropped (see the
+    #: module docstring's mirror contract).
+    CHANGE_LOG_LIMIT: ClassVar[int] = 4096
+
     topology: Topology
     _links: dict[LinkId, LinkLedger] = field(init=False)
     _version: int = field(init=False, default=0)
@@ -127,11 +165,15 @@ class ReservationLedger:
     _spares_cache: "tuple[int, dict[LinkId, float]] | None" = field(
         init=False, default=None, repr=False
     )
+    #: Entries written since ``_log_base``, oldest first; absolute log
+    #: position of ``_log[i]`` is ``_log_base + i``.
+    _log: list[LinkLedger] = field(init=False, default_factory=list, repr=False)
+    _log_base: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
         self._links = {
-            link: LinkLedger(capacity=self.topology.capacity(link))
-            for link in self.topology.links()
+            link: LinkLedger(capacity=self.topology.capacity(link), pos=pos)
+            for pos, link in enumerate(self.topology.links())
         }
         self._topology_version = self.topology.version
 
@@ -143,8 +185,8 @@ class ReservationLedger:
         ``topology.links()`` is insertion-ordered and existing entries were
         inserted in that same order, so appending the missing tail keeps
         ``free_values()`` aligned with the flat view's positional mapping.
-        Bumps :attr:`version` when anything was added, invalidating every
-        version-keyed derived view.
+        Bumps :attr:`version` and voids the change log when anything was
+        added, invalidating every derived view.
         """
         if self._topology_version == self.topology.version:
             return
@@ -152,10 +194,13 @@ class ReservationLedger:
         grew = False
         for link in self.topology.links():
             if link not in links:
-                links[link] = LinkLedger(capacity=self.topology.capacity(link))
+                links[link] = LinkLedger(
+                    capacity=self.topology.capacity(link), pos=len(links)
+                )
                 grew = True
         self._topology_version = self.topology.version
         if grew:
+            self._void_log()
             self._version += 1
 
     def _entry(self, link: LinkId) -> LinkLedger:
@@ -175,6 +220,43 @@ class ReservationLedger:
         spare-pool snapshots for as long as no connection changed.
         """
         return self._version
+
+    # ------------------------------------------------------------------
+    # change log (the free-capacity mirror contract, module docstring)
+    # ------------------------------------------------------------------
+    @property
+    def change_cursor(self) -> int:
+        """Absolute position of the change log's end.  Moves whenever a
+        pool is written, so an unchanged cursor means unchanged pools."""
+        return self._log_base + len(self._log)
+
+    def changes_since(self, cursor: int) -> "list[LinkLedger] | None":
+        """The entries written since ``cursor`` (a past
+        :attr:`change_cursor` of *this* ledger), oldest first and possibly
+        repeating — or ``None`` when the log no longer reaches back that
+        far and the caller must resync through :meth:`free_values`."""
+        start = cursor - self._log_base
+        if start < 0:
+            return None
+        return self._log[start:]
+
+    def _commit(self, entries: "Iterable[LinkLedger]") -> None:
+        """Close a successful mutation: log the entries it wrote, trim the
+        log to its bound, bump :attr:`version`."""
+        log = self._log
+        log.extend(entries)
+        if len(log) > self.CHANGE_LOG_LIMIT:
+            drop = len(log) // 2
+            del log[:drop]
+            self._log_base += drop
+        self._version += 1
+
+    def _void_log(self) -> None:
+        """Make every outstanding cursor unservable (wholesale rewrite):
+        the base jumps past the old end, so even a caught-up consumer
+        gets ``None`` from :meth:`changes_since`."""
+        self._log_base += len(self._log) + 1
+        self._log.clear()
 
     # ------------------------------------------------------------------
     # per-link accessors
@@ -230,7 +312,7 @@ class ReservationLedger:
         if entry.free + _EPSILON < bandwidth:
             raise InsufficientCapacityError(link, bandwidth, entry.free)
         entry.primary += bandwidth
-        self._version += 1
+        self._commit((entry,))
 
     def release_primary(self, link: LinkId, bandwidth: float) -> None:
         """Return primary bandwidth to the free pool."""
@@ -242,7 +324,7 @@ class ReservationLedger:
                 f"{entry.primary:g} reserved"
             )
         entry.primary = max(0.0, entry.primary - bandwidth)
-        self._version += 1
+        self._commit((entry,))
 
     def reserve_primary_path(
         self, links: Iterable[LinkId], bandwidth: float
@@ -261,7 +343,7 @@ class ReservationLedger:
                 raise InsufficientCapacityError(link, bandwidth, entry.free)
         for _, entry in entries:
             entry.primary += bandwidth
-        self._version += 1
+        self._commit(entry for _, entry in entries)
 
     def release_primary_path(
         self, links: Iterable[LinkId], bandwidth: float
@@ -281,7 +363,7 @@ class ReservationLedger:
                 )
         for _, entry in entries:
             entry.primary = max(0.0, entry.primary - bandwidth)
-        self._version += 1
+        self._commit(entry for _, entry in entries)
 
     # ------------------------------------------------------------------
     # spare-pool operations
@@ -305,7 +387,7 @@ class ReservationLedger:
                 link, amount, entry.capacity - entry.primary
             )
         entry.spare = amount
-        self._version += 1
+        self._commit((entry,))
 
     def set_spares(self, amounts: "Mapping[LinkId, float]") -> None:
         """Resize many links' spare pools at once, atomically.
@@ -332,7 +414,7 @@ class ReservationLedger:
             return
         for entry, amount in resolved:
             entry.spare = amount
-        self._version += 1
+        self._commit(entry for entry, _ in resolved)
 
     def convert_spare_to_primary(self, link: LinkId, bandwidth: float) -> None:
         """Move ``bandwidth`` from the spare pool into the primary pool.
@@ -347,7 +429,7 @@ class ReservationLedger:
             raise InsufficientCapacityError(link, bandwidth, entry.spare)
         entry.spare -= bandwidth
         entry.primary += bandwidth
-        self._version += 1
+        self._commit((entry,))
 
     # ------------------------------------------------------------------
     # network-wide metrics (paper Section 7.1)
@@ -419,10 +501,11 @@ class ReservationLedger:
 
         Validate-then-apply: pool values must be non-negative and fit the
         link's capacity (admission tolerance applies), or nothing changes.
-        On success the ledger :attr:`version` is bumped and the spare
-        cache dropped, so every version-keyed consumer — route-cache
-        floor tables, the flat view's free-capacity mirror, spare-pool
-        snapshots — recompiles instead of serving pre-restore state.
+        On success the ledger :attr:`version` is bumped, the change log
+        voided and the spare cache dropped, so every consumer —
+        route-cache floor tables, the flat view's free-capacity mirror,
+        spare-pool snapshots — recompiles instead of serving pre-restore
+        state.
         """
         self._sync_topology()
         rows = list(pools)
@@ -446,6 +529,7 @@ class ReservationLedger:
         for entry, primary, spare in resolved:
             entry.primary = primary
             entry.spare = spare
+        self._void_log()
         self._version += 1
         self._spares_cache = None
 

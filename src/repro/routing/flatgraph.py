@@ -22,8 +22,9 @@ over them:
 * **Constraint pre-resolution** — excluded node/link sets are stamped
   into integer arrays before the scan, and the standard "enough free
   bandwidth" predicate (a :class:`~repro.network.reservations.CapacityFloor`)
-  is resolved to an array compare against a ledger-synced free-capacity
-  mirror instead of a per-link closure call.
+  is resolved to an array compare against a free-capacity mirror that
+  replays the ledger's change log (only the links written since the
+  last search are re-read) instead of a per-link closure call.
 * **Route cache** — results keyed by ``(src, dst, constraint signature)``
   are memoised; searches that depend on the ledger additionally key on the
   capacity floor's bandwidth and are invalidated wholesale whenever
@@ -189,6 +190,7 @@ class FlatTopology:
         # and that difference dominates the inner loops.  The cold tables
         # (capacities, link-position map) stay compact ``array`` storage.
         nbr: list[int] = []
+        esrc: list[int] = []
         links: list[LinkId] = []
         cap = array("d")
         edge_slot: dict[LinkId, int] = {}
@@ -197,6 +199,7 @@ class FlatTopology:
         for i, node in enumerate(nodes):
             for neighbour, link in topology.out_edges(node):
                 nbr.append(index[neighbour])
+                esrc.append(i)
                 edge_slot[link] = total
                 links.append(link)
                 cap.append(topology.capacity(link))
@@ -204,6 +207,7 @@ class FlatTopology:
             off[i + 1] = total
         self._off = off
         self._nbr = nbr
+        self._esrc = esrc
         self._links = links
         self._cap = cap
         self.edge_slot = edge_slot
@@ -233,7 +237,7 @@ class FlatTopology:
         self._epoch = 0
         self._seen = [0] * n          # BFS visited / forward side
         self._seen_b = [0] * n        # bidirectional backward side
-        self._parent = [0] * n
+        self._pedge = [0] * n         # edge slot a node was reached over
         self._depth = [0] * n         # BFS depth / forward dist
         self._depth_b = [0] * n       # backward dist
         self._xnode = [0] * n         # excluded-node stamps
@@ -243,11 +247,11 @@ class FlatTopology:
         self._done = [0] * n          # Dijkstra settled stamps
         self._hops = [0] * n          # Dijkstra hop counts
 
-        # Free-capacity mirror for CapacityFloor admissibility, synced
-        # against (ledger identity, ledger.version).
+        # Free-capacity mirror for CapacityFloor admissibility, current as
+        # of (ledger identity, that ledger's change cursor).
         self._free = [0.0] * num_edges
         self._free_ledger: ReservationLedger | None = None
-        self._free_version = -1
+        self._free_cursor = -1
 
         self.cache = RouteCache()
 
@@ -367,41 +371,58 @@ class FlatTopology:
         return ep
 
     def _sync_free(self, ledger: ReservationLedger) -> None:
-        """Refresh the per-edge free-bandwidth mirror from ``ledger``.
+        """Bring the per-edge free-bandwidth mirror up to date with
+        ``ledger`` (the consumer side of the mirror contract in
+        :mod:`repro.network.reservations`).
 
-        Refresh contract: the mirror is keyed on ``(ledger identity,
-        ledger.version)``, so any reservation change — *including* the
-        version bump the ledger performs when it reconciles with a grown
-        topology — forces a resync.  The bulk path indexes
-        ``ledger.free_values()`` positionally against the CSR edge
-        table, which is sound because (a) ``free_values()`` reconciles
-        to the current ``topology.links()`` order/length (the ledger's
-        mutation contract) and (b) a stale *view* can never get here —
-        :meth:`search` raises :class:`StaleFlatViewError` first.
+        The mirror is current as of ``(ledger identity, change cursor)``;
+        an unchanged cursor means nothing was reserved, released or
+        resized and the call is O(1).  Otherwise, for the ledger of this
+        view's own topology, only the entries the ledger logged since the
+        remembered cursor are re-read — ``entry.free`` into the edge slot
+        of ``entry.pos`` — so a search pays for the links the last
+        establishment touched, not for every link.  The mirror resyncs
+        fully through ``ledger.free_values()`` on first use, for a ledger
+        object other than the last one served, and whenever
+        ``changes_since`` answers ``None`` (trimmed log,
+        ``restore_pools``, a grown topology).  Indexing ``free_values()``
+        and ``entry.pos`` positionally against the CSR edge table is sound
+        because (a) the ledger keeps both in the current
+        ``topology.links()`` order (its mutation contract) and (b) a stale
+        *view* can never get here — :meth:`search` raises
+        :class:`StaleFlatViewError` first.  The ledger is only read.
         """
-        if (self._free_ledger is ledger
-                and self._free_version == ledger.version):
+        same = self._free_ledger is ledger
+        if same and self._free_cursor == ledger.change_cursor:
             return
         free = self._free
         if ledger.topology is self.topology:
-            # Bulk path: ledger entries are in topology.links() order.
-            for pos, value in enumerate(ledger.free_values()):
-                free[self._links_pos_slot[pos]] = value
+            slot = self._links_pos_slot
+            changed = ledger.changes_since(self._free_cursor) if same else None
+            if changed is None:
+                for pos, value in enumerate(ledger.free_values()):
+                    free[slot[pos]] = value
+            else:
+                for entry in changed:
+                    free[slot[entry.pos]] = entry.free
         else:
             # Routing on one topology against another's ledger (the
             # runtime re-establishes over a residual topology with the
-            # live ledger); fall back to per-link lookups by LinkId.
+            # live ledger): log positions address the ledger's topology,
+            # not this one, so re-read every edge by LinkId.
             for e, link in enumerate(self._links):
                 free[e] = ledger.free(link)
         self._free_ledger = ledger
-        self._free_version = ledger.version
+        # Read after the resync: ``free_values()`` / ``free()`` may have
+        # reconciled the ledger with a grown topology, which moves it.
+        self._free_cursor = ledger.change_cursor
 
     # ------------------------------------------------------------------
     # kernels
     # ------------------------------------------------------------------
     def _run_bfs(self, s: int, t: int, ep: int, max_hops, floor_bw, pred):
         seen = self._seen
-        parent = self._parent
+        pedge = self._pedge
         depth = self._depth
         off = self._off
         nbr = self._nbr
@@ -412,7 +433,6 @@ class FlatTopology:
         limit = len(self.nodes) if max_hops is None else max_hops
 
         seen[s] = ep
-        parent[s] = s
         depth[s] = 0
         queue = [s]
         head = 0
@@ -434,7 +454,7 @@ class FlatTopology:
                 elif pred is not None and not pred(links[e]):
                     continue
                 seen[v] = ep
-                parent[v] = u
+                pedge[v] = e
                 if v == t:
                     return self._walk_parents(s, t)
                 depth[v] = d + 1
@@ -447,7 +467,7 @@ class FlatTopology:
         best_stamp = self._best_stamp
         done = self._done
         hops = self._hops
-        parent = self._parent
+        pedge = self._pedge
         off = self._off
         nbr = self._nbr
         xnode = self._xnode
@@ -463,7 +483,6 @@ class FlatTopology:
         counter = 0
         best[s] = 0.0
         best_stamp[s] = ep
-        parent[s] = s
         hops[s] = 0
         heap = [(0.0, 0, s)]
         while heap:
@@ -496,7 +515,7 @@ class FlatTopology:
                 if best_stamp[v] != ep or candidate < best[v]:
                     best[v] = candidate
                     best_stamp[v] = ep
-                    parent[v] = u
+                    pedge[v] = e
                     hops[v] = u_hops
                     counter += 1
                     heappush(heap, (candidate, counter, v))
@@ -568,15 +587,25 @@ class FlatTopology:
         return best
 
     def _walk_parents(self, s: int, t: int) -> Path:
+        """The found path, walked back over the parent edges.  Its
+        ``links`` are the topology's own :class:`LinkId` objects, so the
+        ledger / mux dicts keyed by them resolve on identity instead of
+        falling into ``LinkId.__eq__``."""
         nodes = self.nodes
-        parent = self._parent
+        links = self._links
+        esrc = self._esrc
+        pedge = self._pedge
         out = [nodes[t]]
+        via = []
         u = t
         while u != s:
-            u = parent[u]
+            e = pedge[u]
+            via.append(links[e])
+            u = esrc[e]
             out.append(nodes[u])
         out.reverse()
-        return Path(out)
+        via.reverse()
+        return Path(out, via)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

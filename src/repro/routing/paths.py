@@ -24,17 +24,31 @@ class Path:
     nodes:
         The node sequence, source first.  Must contain at least two distinct
         nodes and no repeats (real-time channels are simple virtual circuits).
+    links:
+        The :class:`LinkId` of every hop, when the caller already holds
+        them (the routing core passes the topology's own link objects);
+        derived from ``nodes`` on first use otherwise.
     """
 
     __slots__ = ("_nodes", "__dict__")
 
-    def __init__(self, nodes: Sequence[NodeId]) -> None:
+    def __init__(
+        self, nodes: Sequence[NodeId], links: "Sequence[LinkId] | None" = None
+    ) -> None:
         node_tuple = tuple(nodes)
         if len(node_tuple) < 2:
             raise ValueError(f"a path needs at least 2 nodes, got {node_tuple!r}")
         if len(set(node_tuple)) != len(node_tuple):
             raise ValueError(f"path contains repeated nodes: {node_tuple!r}")
         self._nodes = node_tuple
+        if links is not None:
+            link_tuple = tuple(links)
+            if len(link_tuple) != len(node_tuple) - 1:
+                raise ValueError(
+                    f"{len(link_tuple)} links cannot join {len(node_tuple)} nodes"
+                )
+            # Pre-fills the ``links`` cached property.
+            self.__dict__["links"] = link_tuple
 
     # ------------------------------------------------------------------
     # basic views

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+import random
+
 import pytest
 
 from repro.channels import Channel, ChannelRole, TrafficSpec
@@ -358,3 +361,235 @@ class TestEngineOverlapCache:
                          self._primary(1, (5, 8, 6)))
         assert after == fresh.spare_required(LinkId(2, 3))
         assert after < before  # disjoint primaries now multiplex
+
+
+def link_floats(s: LinkMuxState) -> tuple:
+    """Every float and Ψ size a link state holds, for exact comparison."""
+    return (
+        [(entry.channel_id, entry.requirement) for entry in s.entries()],
+        s.spare_required(),
+        [s.psi_size(entry.channel_id) for entry in s.entries()],
+    )
+
+
+class TestPairScanMemo:
+    """``preview_add`` → ``add`` shares one pass over the residents; a
+    link that previews must stay bit-equal to a twin that never does, and
+    a scan must never outlive the state it was taken on."""
+
+    #: Exactly representable, so incremental sums equal the recompute.
+    BANDWIDTHS = (0.25, 0.5, 1.0, 2.75)
+    DEGREES = (0, 1, 2, 3, 6)
+
+    def candidate(self, rng):
+        nodes = rng.sample(range(10), rng.randint(2, 5))
+        return (rng.choice(self.BANDWIDTHS), rng.choice(self.DEGREES),
+                components(*nodes))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_previewing_link_equals_its_twin(self, seed, exact):
+        rng = random.Random(seed)
+        previewing, twin = state(exact=exact), state(exact=exact)
+        next_id = 0
+        for _ in range(160):
+            if len(twin) and rng.random() < 0.35:
+                cid = rng.choice([e.channel_id for e in twin.entries()])
+                assert previewing.remove(cid) == twin.remove(cid)
+            else:
+                bandwidth, degree, comps = self.candidate(rng)
+                mode = rng.choice(("own", "other", "none"))
+                if mode == "own":
+                    predicted = previewing.preview_add(bandwidth, degree, comps)
+                elif mode == "other":
+                    previewing.preview_add(*self.candidate(rng))
+                grown = previewing.add(next_id, bandwidth, degree, comps)
+                assert grown == twin.add(next_id, bandwidth, degree, comps)
+                if mode == "own":
+                    assert predicted == grown
+                # The freshly added entry's Ψ comes from its add's scan.
+                assert previewing.psi_size(next_id) == twin.psi_size(next_id)
+                next_id += 1
+            assert link_floats(previewing) == link_floats(twin)
+            assert (previewing.spare_required()
+                    == previewing.spare_required_recomputed())
+        assert next_id > 60 and len(twin) > 10
+
+    def test_preview_a_preview_b_add_a(self):
+        previewing, twin = state(), state()
+        for s in (previewing, twin):
+            s.add(0, 1.0, 1, components(1, 2, 3))
+            s.add(1, 0.5, 3, components(3, 4, 5))
+        a = (2.75, 1, components(1, 2, 9))
+        b = (0.25, 6, components(7, 8))
+        predicted = previewing.preview_add(*a)
+        previewing.preview_add(*b)
+        assert previewing.add(2, *a) == twin.add(2, *a) == predicted
+        assert link_floats(previewing) == link_floats(twin)
+
+    def test_remove_between_preview_and_add(self):
+        previewing, twin = state(), state()
+        for s in (previewing, twin):
+            s.add(0, 1.0, 1, components(1, 2, 3))
+            s.add(1, 0.5, 1, components(3, 4, 5))
+        candidate = (2.0, 1, components(1, 4))   # conflicts with both
+        stale = previewing.preview_add(*candidate)
+        for s in (previewing, twin):
+            s.remove(0)
+        grown = previewing.add(2, *candidate)
+        assert grown == twin.add(2, *candidate) == 2.5 < stale
+        assert link_floats(previewing) == link_floats(twin)
+
+    def test_set_requirements_between_preview_and_add(self):
+        previewing, twin = state(), state()
+        for s in (previewing, twin):
+            s.add(0, 1.0, 1, components(1, 2, 3))
+        candidate = (2.0, 1, components(1, 9))
+        previewing.preview_add(*candidate)
+        for s in (previewing, twin):
+            s.set_requirements({0: 4.0}, 4.0)
+        assert previewing.preview_add(*candidate) == 6.0
+        assert previewing.add(1, *candidate) == twin.add(1, *candidate) == 6.0
+        assert link_floats(previewing) == link_floats(twin)
+
+    def test_committed_scan_is_not_a_preview(self):
+        """Adding the same description twice: the second add (and a
+        preview between them) must see the first as a resident."""
+        s = state()
+        candidate = (1.0, 1, components(1, 2, 3))
+        assert s.preview_add(*candidate) == 1.0
+        assert s.add(0, *candidate) == 1.0
+        assert s.preview_add(*candidate) == 2.0
+        assert s.add(1, *candidate) == 2.0
+        assert s.psi_size(0) == s.psi_size(1) == 0
+        assert s.spare_required() == s.spare_required_recomputed()
+
+    def test_psi_of_an_older_entry_rescans(self):
+        s = state()
+        s.add(0, 1.0, 1, components(1, 2, 3))
+        assert s.psi_size(0) == 0
+        s.add(1, 1.0, 1, components(7, 8, 9))      # multiplexes with 0
+        assert s.psi_size(1) == 1
+        assert s.psi_size(0) == 1                  # not 1's scan, not stale
+        s.remove(1)
+        assert s.psi_size(0) == 0
+
+    def test_preview_on_one_link_never_serves_another(self):
+        engine = MultiplexingEngine()
+        near, far = LinkId(1, 2), LinkId(2, 3)
+        engine.link_state(near).add(0, 1.0, 1, components(1, 5, 3))
+        candidate = (1.0, 1, components(1, 6, 3))  # conflicts on `near`
+        assert engine.link_state(near).preview_add(*candidate) == 2.0
+        assert engine.link_state(far).preview_add(*candidate) == 1.0
+        assert engine.link_state(far).add(1, *candidate) == 1.0
+        assert engine.link_state(near).add(1, *candidate) == 2.0
+
+    def test_memoised_preview_then_promoting_add(self, monkeypatch):
+        """The add that crosses ``KERNEL_MIN_POPULATION`` consumes its
+        own preview's scan; promotion then adopts exactly those floats."""
+        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 6)
+        rng = random.Random(4)
+        engine = MultiplexingEngine()
+        twin = state()
+        kinds = []
+        for cid in range(12):
+            nodes = rng.sample(range(10), 4)
+            primary = Channel(
+                channel_id=1000 + cid, connection_id=cid,
+                role=ChannelRole.PRIMARY, serial=0, path=Path(nodes),
+                traffic=TrafficSpec(),
+            )
+            backup = Channel(
+                channel_id=cid, connection_id=cid, role=ChannelRole.BACKUP,
+                serial=1, path=Path([LINK.src, LINK.dst]),
+                traffic=TrafficSpec(bandwidth=rng.choice(self.BANDWIDTHS)),
+                mux_degree=rng.choice(self.DEGREES),
+            )
+            predicted = engine.preview_backup(
+                backup.path, backup.bandwidth, backup.mux_degree, primary
+            )[LINK]
+            grown = engine.add_backup(backup, primary)[LINK]
+            assert predicted == grown == twin.add(
+                cid, backup.bandwidth, backup.mux_degree,
+                primary.path.components,
+            )
+            live = engine.link_state(LINK)
+            kinds.append(type(live).__name__)
+            assert engine.psi_sizes(backup)[LINK] == twin.psi_size(cid)
+            assert [
+                (e.channel_id, e.requirement) for e in live.entries()
+            ] == [(e.channel_id, e.requirement) for e in twin.entries()]
+        assert kinds[5] == "LinkMuxState" and kinds[6] == "VectorLinkMux"
+
+
+class TestLazyPoolMaximum:
+    def test_maximum_through_untouched_shrunk_and_departed_holders(self):
+        s = state()
+        s.add(0, 1.0, 1, components(1, 2, 3))
+        s.add(1, 2.0, 1, components(3, 4, 5))   # conflicts with 0 (node 3)
+        s.add(2, 0.5, 1, components(7, 8))      # multiplexes with both
+        s.add(3, 2.5, 1, components(9, 10))     # multiplexes with all
+        assert [e.requirement for e in s.entries()] == [3.0, 3.0, 0.5, 2.5]
+        # Neither peak holder (0, 1) is charged by 2: maximum untouched.
+        assert s.remove(2) == 3.0 == s.spare_required_recomputed()
+        # 1 leaves and 0 sheds its bandwidth: both held the maximum.
+        assert s.remove(1) == 2.5 == s.spare_required_recomputed()
+        # The sole holder leaves.
+        assert s.remove(3) == 1.0 == s.spare_required_recomputed()
+        assert s.remove(0) == 0.0
+
+
+class TestPublishOnChange:
+    def _pair(self, cid, nodes, primary_nodes):
+        backup = Channel(
+            channel_id=cid, connection_id=cid, role=ChannelRole.BACKUP,
+            serial=1, path=Path(nodes), traffic=TrafficSpec(), mux_degree=3,
+        )
+        primary = Channel(
+            channel_id=cid + 1000, connection_id=cid,
+            role=ChannelRole.PRIMARY, serial=0, path=Path(primary_nodes),
+            traffic=TrafficSpec(),
+        )
+        return backup, primary
+
+    def test_gauges_follow_registry_swaps_and_interner_growth(self):
+        engine = MultiplexingEngine()
+        first = self._pair(0, (1, 2, 3), (1, 8, 3))
+        second = self._pair(1, (1, 2, 3), (1, 9, 3))
+        with obs_session() as outer:
+            engine.add_backup(*first)
+            assert outer.snapshot()["gauges"]["mux.space.rows"]["value"] == 1
+            with obs_session() as inner:
+                # Nothing grew, but this registry has never been told.
+                engine.preview_backup(first[0].path, 1.0, 3, first[1])
+                gauges = inner.snapshot()["gauges"]
+                assert gauges["mux.space.rows"]["value"] == 1
+                assert gauges["mux.space.components"]["value"] == 5
+            engine.add_backup(*second)           # interner grew
+            gauges = outer.snapshot()["gauges"]
+            assert gauges["mux.space.rows"]["value"] == 2
+            assert gauges["mux.space.components"]["value"] == 8
+
+    def test_steady_state_skips_the_gauge_lookups(self, monkeypatch):
+        engine = MultiplexingEngine()
+        backup, primary = self._pair(0, (1, 2, 3), (1, 8, 3))
+        with obs_session() as registry:
+            engine.add_backup(backup, primary)
+            lookups = []
+            original = registry.gauge
+            monkeypatch.setattr(
+                registry, "gauge",
+                lambda name: lookups.append(name) or original(name),
+            )
+            for _ in range(5):
+                engine.preview_backup(backup.path, 1.0, 3, primary)
+            engine.remove_backup(backup)
+            assert lookups == []
+
+    def test_pickled_engine_forgets_the_registry(self):
+        engine = MultiplexingEngine()
+        with obs_session():
+            engine.add_backup(*self._pair(0, (1, 2, 3), (1, 8, 3)))
+            clone = pickle.loads(pickle.dumps(engine))
+        assert clone._obs_registry is None
+        assert clone.spare_required(LinkId(1, 2)) == 1.0
