@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.core import BCPNetwork, BatchRequest
 from repro.network import torus
 from repro.obs.registry import MetricsRegistry
-from repro.routing import reference_shortest_path
 from repro.workload import ChurnConfig, ChurnEngine
+from tests.routing_oracle import reference_shortest_path
 
 TOPOLOGY = torus(8, 8, capacity=200.0)
 DEEP_PAIR = (0, 36)  # torus antipode: the deepest search

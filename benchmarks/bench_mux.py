@@ -32,8 +32,8 @@ from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import OverlapPolicy
 from repro.network import torus
 from repro.network.components import LinkId
-from repro.routing import reference_shortest_path
 from repro.routing.paths import Path
+from tests.routing_oracle import reference_shortest_path
 
 LINK = LinkId("hot", "spot")
 CALIBRATION_TOPOLOGY = torus(8, 8, capacity=200.0)

@@ -17,11 +17,11 @@ from repro.network.reservations import ReservationLedger
 from repro.routing import (
     RouteConstraints,
     flat_view,
-    reference_shortest_path,
     shortest_path,
 )
 from repro.routing.flatgraph import RouteCache
 from repro.routing.shortest import hop_distance
+from tests.routing_oracle import reference_shortest_path
 
 TOPOLOGY = torus(8, 8, capacity=200.0)
 DEEP_PAIR = (0, 36)  # torus antipode (4+4 wrap distance): the deepest search

@@ -18,7 +18,6 @@ import pytest
 from repro.core.bcp import BCPNetwork
 from repro.network import torus
 from repro.obs.registry import MetricsRegistry
-from repro.routing import reference_shortest_path
 from repro.scenario import (
     ProtocolSpec,
     ScenarioSpec,
@@ -28,6 +27,7 @@ from repro.scenario import (
 from repro.serve import AdmissionServer, MessageStream, ServeClient
 from repro.serve.state import restore_network, snapshot_network
 from repro.workload import ChurnConfig, ChurnEngine
+from tests.routing_oracle import reference_shortest_path
 
 ANCHOR_TOPOLOGY = torus(8, 8, capacity=200.0)
 DEEP_PAIR = (0, 36)  # torus antipode: the deepest search

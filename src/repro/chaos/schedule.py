@@ -158,8 +158,22 @@ def protocol_config_to_json(config: ProtocolConfig) -> dict:
 
 
 def protocol_config_from_json(data: dict) -> ProtocolConfig:
-    """Inverse of :func:`protocol_config_to_json`."""
+    """Inverse of :func:`protocol_config_to_json`.
+
+    Keys that are not :class:`ProtocolConfig` fields are rejected: the
+    artifact was recorded under a protocol this build does not have, and
+    dropping them would replay a different scenario.
+    """
     data = dict(data)
+    known = {spec.name for spec in dataclasses.fields(ProtocolConfig)}
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise ValueError(
+            f"unknown protocol config key(s) {unknown}: the artifact was "
+            f"recorded under a protocol variant this build does not have "
+            f"(one recorded under a test-side variant replays only "
+            f"through the test harness)"
+        )
     data["scheme"] = SwitchingScheme(data["scheme"])
     data["rcc"] = RCCParams(**data["rcc"])
     return ProtocolConfig(**data)

@@ -330,14 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--mux", type=int, default=1)
     chaos.add_argument("--connections", type=int, default=6,
                        help="connections to establish (default 6)")
-    chaos.add_argument("--plant-bug", action="store_true",
-                       help="enable the planted spare-pool double-release "
-                            "(validates the auditor + shrinker pipeline)")
-    chaos.add_argument("--plant-race", action="store_true",
-                       help="run switchover unguarded (pre-hardening "
-                            "behaviour: no serial/episode staleness check, "
-                            "acks, retries, or demotion) so the auditor + "
-                            "shrinker must catch the channel-switching race")
     chaos.add_argument("--artifact-dir", metavar="DIR", default=".",
                        help="where shrunk failure artifacts are written "
                             "(default: current directory)")
@@ -356,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--spec", metavar="PATH", default=None,
                        help="drive the campaign from a one-cell grid-family "
                             "repro.scenario/1 spec file instead of the "
-                            "flags above (--slo/--plant-bug/--plant-race "
-                            "still apply)")
+                            "flags above (--slo still applies)")
 
     matrix = subparsers.add_parser(
         "matrix", help="expand, diff, and run declarative scenario "
@@ -796,7 +787,10 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
 
     if args.replay:
         payload = load_artifact(args.replay)
-        result = replay_artifact(payload)
+        try:
+            result = replay_artifact(payload)
+        except ValueError as error:
+            raise SystemExit(f"{args.replay}: {error}") from None
         lines = [
             f"repro chaos — replay of {args.replay} "
             f"(profile {result.schedule.profile}, "
@@ -844,10 +838,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
             seed=args.seed,
         )
     environment = chaos_environment_from_spec(spec)
-    config = spec.protocol.config(
-        debug_double_release=args.plant_bug,
-        debug_unguarded_switchover=args.plant_race,
-    )
+    config = spec.protocol.config()
     network = environment.build()
     profiles = spec.workload.profiles or None
     schedules = (

@@ -12,18 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.channels.qos import FaultToleranceQoS
-from repro.core.bcp import BCPNetwork
 from repro.experiments.setup import (
     FAILURE_MODELS,
     NetworkConfig,
     load_network,
     standard_failure_models,
 )
-from repro.faults.models import FailureScenario
 from repro.parallel import evaluate_scenarios_grouped
-from repro.recovery.evaluator import ActivationOrder, RecoveryEvaluator
-from repro.recovery.grouping import by_mux_degree, evaluate_grouped
-from repro.recovery.metrics import RecoveryStats
+from repro.recovery.evaluator import ActivationOrder
+from repro.recovery.grouping import by_mux_degree
 from repro.util.tables import format_percent, format_table
 
 PAPER_MIX = (1, 3, 5, 6)
@@ -49,16 +46,6 @@ PAPER_TABLE2 = {
         "2 node failures": {1: 0.8946, 3: 0.8904, 5: 0.7855, 6: 0.4747},
     },
 }
-
-
-def evaluate_by_class(
-    network: BCPNetwork,
-    evaluator: RecoveryEvaluator,
-    scenarios: list[FailureScenario],
-) -> dict[int, RecoveryStats]:
-    """Aggregate recovery stats per multiplexing-degree class (thin alias
-    over the general :func:`repro.recovery.grouping.evaluate_grouped`)."""
-    return evaluate_grouped(network, evaluator, scenarios, key=by_mux_degree)
 
 
 @dataclass

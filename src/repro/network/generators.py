@@ -13,10 +13,8 @@ paper's network model.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.network.components import NodeId
-from repro.network.topology import Topology
+from repro.network.topology import Topology, import_networkx
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
@@ -151,7 +149,9 @@ def random_regular(num_nodes: int, degree: int, capacity: float = 200.0,
     """
     check_positive(capacity, "capacity")
     rng = make_rng(seed)
-    graph = nx.random_regular_graph(degree, num_nodes, seed=rng.getrandbits(32))
+    graph = import_networkx().random_regular_graph(
+        degree, num_nodes, seed=rng.getrandbits(32)
+    )
     topology = Topology(name=f"random {degree}-regular n={num_nodes}")
     for node in range(num_nodes):
         topology.add_node(node)

@@ -10,11 +10,26 @@ produced by a generator in :mod:`repro.network.generators`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.network.components import LinkId, NodeId
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    import networkx as nx
+
+
+def import_networkx():
+    """``networkx``, needed only by the interop methods below and by
+    :func:`~repro.network.generators.random_regular`."""
+    try:
+        import networkx
+    except ImportError as error:
+        raise ImportError(
+            "networkx is not installed; it is an optional dependency — "
+            "install the 'interop' extra (pip install 'repro[interop]')"
+        ) from error
+    return networkx
 
 
 class Topology:
@@ -190,7 +205,7 @@ class Topology:
     # ------------------------------------------------------------------
     def to_networkx(self) -> nx.DiGraph:
         """Export as a ``networkx.DiGraph`` with ``capacity`` link attributes."""
-        graph = nx.DiGraph(name=self.name)
+        graph = import_networkx().DiGraph(name=self.name)
         graph.add_nodes_from(self._out)
         for link, cap in self._capacity.items():
             graph.add_edge(link.src, link.dst, capacity=cap)

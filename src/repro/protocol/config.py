@@ -123,22 +123,6 @@ class ProtocolConfig:
     switchover_ack_timeout: float = 12.0
     switchover_retry_limit: int = 2
     switchover_backoff: float = 2.0
-    #: Planted bug for validating the invariant auditor (never enable
-    #: outside tests/chaos validation): releasing an activation draw also
-    #: credits the bandwidth back into the runtime's spare pool, i.e. a
-    #: spare-pool double-release.  The auditor's reservation-conservation
-    #: check must catch it, and the chaos shrinker must reduce a failing
-    #: campaign schedule to a minimal reproducing event sequence.
-    debug_double_release: bool = False
-    #: Planted race for validating the invariant auditor (never enable
-    #: outside tests/chaos validation): disables every switchover guard —
-    #: episode/serial staleness rejection, stale-primary demotion, the
-    #: activation ack/retry layer, and duplicate-report suppression —
-    #: restoring the unguarded pre-hardening handshake.  Regional/cascade
-    #: chaos schedules then drive the endpoints into `multiple-active` /
-    #: `endpoint-disagreement` violations the auditor must catch and the
-    #: shrinker must reduce.
-    debug_unguarded_switchover: bool = False
 
     def __post_init__(self) -> None:
         check_non_negative(self.detection_delay, "detection_delay")

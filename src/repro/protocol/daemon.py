@@ -234,8 +234,6 @@ class BCPDaemon:
         for record in self.records.touched():
             if record.state is LocalChannelState.UNHEALTHY:
                 self._start_rejoin_timer(record)
-        if self._config.debug_unguarded_switchover:
-            return
         for view in self.views.values():
             view.unhealthy.add(view.current_channel)
             view.episode += 1
@@ -436,8 +434,7 @@ class BCPDaemon:
         view = self.views.get(record.connection_id)
         if view is None:  # pragma: no cover - every endpoint has a view
             return
-        guarded = not self._config.debug_unguarded_switchover
-        if guarded and record.channel_id in view.unhealthy:
+        if record.channel_id in view.unhealthy:
             # Duplicate report for a channel this end-node already knows
             # is dead (e.g. a component report racing a mux report, or an
             # exhaustion declaration racing the real failure report) —
@@ -477,12 +474,11 @@ class BCPDaemon:
             self._start_probe_timer(record.channel_id)
         if record.channel_id != view.current_channel:
             return  # a standby backup failed; health table updated, done
-        if guarded:
-            # The channel carrying data died: a new recovery round starts.
-            # Any handshake still in flight is for a dead channel — drop it.
-            view.episode += 1
-            self._c_so_episodes.inc()
-            self._cancel_pending(view.connection_id)
+        # The channel carrying data died: a new recovery round starts.
+        # Any handshake still in flight is for a dead channel — drop it.
+        view.episode += 1
+        self._c_so_episodes.inc()
+        self._cancel_pending(view.connection_id)
         if not self._initiates_activation(view):
             return
         self._initiate_recovery(view)
@@ -533,7 +529,6 @@ class BCPDaemon:
             return
         if backup.channel_id in view.attempted:
             return
-        guarded = not self._config.debug_unguarded_switchover
         view.attempted.add(backup.channel_id)
         view.current_channel = backup.channel_id
         view.current_serial = backup.serial
@@ -561,10 +556,9 @@ class BCPDaemon:
             # whole path, or already failed; nothing to send.
             return
         record.transition(LocalChannelState.PRIMARY, ChannelEvent.ACTIVATE)
-        if guarded:
-            # Idempotence: at most one primary per connection at this
-            # node — the endpoint's own activation supersedes any other.
-            self._demote_stale_primaries(record, all_serials=True)
+        # Idempotence: at most one primary per connection at this
+        # node — the endpoint's own activation supersedes any other.
+        self._demote_stale_primaries(record, all_serials=True)
         # The endpoint draws its own outgoing link (the source end);
         # the destination end owns no forward link on the channel.
         if view.role == "source":
@@ -582,15 +576,11 @@ class BCPDaemon:
                     episode=view.episode,
                 ),
             )
-            if guarded:
-                self._arm_pending(view, backup)
+            self._arm_pending(view, backup)
 
     def _receive_activation(
         self, record: LocalChannelRecord, message: ActivationMessage
     ) -> None:
-        if self._config.debug_unguarded_switchover:
-            self._receive_activation_unguarded(record, message)
-            return
         next_hop = self._next_hop(record, message.direction)
         if next_hop is None:
             self._activation_reaches_endpoint(record, message)
@@ -610,39 +600,6 @@ class BCPDaemon:
             self._send(next_hop, message)
         # U / N: the activation dies here (Fig. 4); the initiator's
         # retry/backoff layer deals with the silence.
-
-    def _receive_activation_unguarded(
-        self, record: LocalChannelRecord, message: ActivationMessage
-    ) -> None:
-        """The pre-hardening switchover path (``debug_unguarded_switchover``):
-        no episode/serial staleness guard, no demotion, no acks — and a
-        crossing sweep dies at the first already-primary record."""
-        if record.state is LocalChannelState.UNHEALTHY:
-            return  # Fig. 4: activation in U is ignored
-        if record.state is LocalChannelState.PRIMARY:
-            return  # already activated from the other end; discard
-        if record.state is LocalChannelState.NON_EXISTENT:
-            return
-        record.transition(LocalChannelState.PRIMARY, ChannelEvent.ACTIVATE)
-        if record.is_source:
-            # Scheme 1/3: the destination-initiated activation reached the
-            # source; the source can now resume data transfer.
-            view = self.views.get(record.connection_id)
-            if view is not None:
-                view.current_channel = record.channel_id
-                view.attempted.add(record.channel_id)
-            self.runtime.metrics.note_source_resumed(
-                record.connection_id, record.serial, self.runtime.engine.now
-            )
-            if self._spans.enabled:
-                self._span_point("resumed", record.connection_id,
-                                 serial=record.serial)
-        if not record.is_destination:
-            if not self._draw_or_mux_fail(record):
-                return
-        next_hop = self._next_hop(record, message.direction)
-        if next_hop is not None:
-            self._send(next_hop, message)
 
     def _activation_reaches_endpoint(
         self, record: LocalChannelRecord, message: ActivationMessage
@@ -1154,8 +1111,7 @@ class BCPDaemon:
                 )
             )
         if (
-            not self._config.debug_unguarded_switchover
-            and view.current_channel in view.unhealthy
+            view.current_channel in view.unhealthy
             and not view.recovering
             and self._initiates_activation(view)
         ):

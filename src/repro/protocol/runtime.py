@@ -246,6 +246,9 @@ class ProtocolMetrics:
 class ProtocolSimulation:
     """A running BCP network: daemons + RCC links over an event kernel."""
 
+    #: The per-node agent every node of this runtime runs.
+    daemon_class = BCPDaemon
+
     def __init__(
         self,
         network: BCPNetwork,
@@ -284,7 +287,8 @@ class ProtocolSimulation:
         self.plan = protocol_plan(network)
         rng = make_rng(seed)
         self.daemons: dict[NodeId, BCPDaemon] = {
-            node: BCPDaemon(node, self) for node in network.topology.nodes()
+            node: self.daemon_class(node, self)
+            for node in network.topology.nodes()
         }
         self._rcc: dict[LinkId, RCCLink] = {}
         for link in network.topology.links():
@@ -498,14 +502,7 @@ class ProtocolSimulation:
         """Return a channel's draw on ``link`` to the pool."""
         draws_here = self._draws.get(link)
         if draws_here is not None:
-            released = draws_here.pop(channel_id, None)
-            if released is not None and self.config.debug_double_release:
-                # Planted bug (see ProtocolConfig.debug_double_release):
-                # the draw is returned implicitly by leaving the pool
-                # untouched, so also crediting the pool releases twice.
-                self._spare_pools[link] = (
-                    self._spare_pools.get(link, 0.0) + released
-                )
+            draws_here.pop(channel_id, None)
         drawn_links = self._drawn_links.get(channel_id)
         if drawn_links is not None:
             drawn_links.discard(link)

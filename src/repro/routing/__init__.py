@@ -20,8 +20,6 @@ from repro.routing.shortest import (
     NoPathError,
     RouteConstraints,
     hop_distance,
-    reference_hop_distance,
-    reference_shortest_path,
     shortest_path,
 )
 
@@ -37,6 +35,4 @@ __all__ = [
     "FlatTopology",
     "StaleFlatViewError",
     "flat_view",
-    "reference_shortest_path",
-    "reference_hop_distance",
 ]

@@ -9,15 +9,12 @@ all links of every previously routed path.
 
 Greedy sequential search is not maximally disjoint (unlike the max-flow
 based algorithms of [WHA90, SID91] cited by the paper), but it is the
-algorithm the evaluation actually uses, and it is what we reproduce.  A
-max-flow variant built on ``networkx`` is provided for comparison.
+algorithm the evaluation actually uses, and it is what we reproduce.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-
-import networkx as nx
 
 from repro.network.components import NodeId
 from repro.network.topology import Topology
@@ -91,16 +88,3 @@ def sequential_disjoint_paths(
         except NoPathError:
             raise DisjointPathError(src, dst, routed, count) from None
     return routed
-
-
-def max_disjoint_paths(topology: Topology, src: NodeId, dst: NodeId) -> list[Path]:
-    """Maximum set of node-disjoint paths via max-flow (comparison utility).
-
-    This corresponds to the optimal algorithms the paper cites [WHA90,
-    SID91].  It ignores capacity and QoS constraints and is used to verify
-    the greedy search and to probe topological limits (e.g. why the 8x8
-    mesh cannot support double backups at its corners).
-    """
-    graph = topology.to_networkx()
-    paths = list(nx.node_disjoint_paths(graph, src, dst))
-    return [Path(nodes) for nodes in paths]

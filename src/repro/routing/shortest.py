@@ -8,19 +8,17 @@ must respect the delay QoS (at most ``shortest + slack`` hops, Section 7).
 Hop-count search uses BFS; an optional per-link cost function switches to
 Dijkstra, which the cost-biased backup-routing ablation uses.
 
-Both searches normally execute on the flat-index routing core
+Both searches execute on the flat-index routing core
 (:mod:`repro.routing.flatgraph`): the topology is compiled once into
 integer CSR arrays, searches reuse epoch-stamped buffers, and cacheable
-results are memoised.  The original dict-based kernels are retained below
-as the *reference implementation* — :func:`reference_shortest_path` and
-:func:`reference_hop_distance` — and the golden-path equivalence tests
-assert the two produce bit-identical paths, tie-breaks included.
+results are memoised.  The original dict-based kernels live beside the
+tests (``tests/routing_oracle.py``) as the reference the golden-path
+equivalence tests hold this module to: bit-identical paths, tie-breaks
+included.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -87,8 +85,7 @@ def hop_distance(topology: Topology, src: NodeId, dst: NodeId) -> int:
     This is the paper's "shortest-possible path" length used as the baseline
     of the delay QoS.  Raises :class:`NoPathError` if ``dst`` is unreachable.
 
-    Runs on the flat routing core (cached bidirectional BFS); see
-    :func:`reference_hop_distance` for the retained reference kernel.
+    Runs on the flat routing core (cached bidirectional BFS).
     """
     if src == dst:
         return 0
@@ -96,23 +93,6 @@ def hop_distance(topology: Topology, src: NodeId, dst: NodeId) -> int:
     if dist < 0:
         raise NoPathError(src, dst, "disconnected")
     return dist
-
-
-def reference_hop_distance(topology: Topology, src: NodeId, dst: NodeId) -> int:
-    """Reference (dict-based, single-direction BFS) ``hop_distance``."""
-    if src == dst:
-        return 0
-    seen = {src}
-    frontier = deque([(src, 0)])
-    while frontier:
-        node, dist = frontier.popleft()
-        for neighbour in topology.successors(node):
-            if neighbour == dst:
-                return dist + 1
-            if neighbour not in seen:
-                seen.add(neighbour)
-                frontier.append((neighbour, dist + 1))
-    raise NoPathError(src, dst, "disconnected")
 
 
 def shortest_path(
@@ -131,8 +111,7 @@ def shortest_path(
     Ties are broken deterministically by node insertion order, making whole
     experiments reproducible without a seed.
 
-    Runs on the flat routing core; see :func:`reference_shortest_path` for
-    the retained reference kernels the golden tests compare against.
+    Runs on the flat routing core.
     """
     constraints = constraints or RouteConstraints()
     if src == dst:
@@ -145,94 +124,3 @@ def shortest_path(
     if path is None:
         raise NoPathError(src, dst, "constraints unsatisfiable")
     return path
-
-
-def reference_shortest_path(
-    topology: Topology,
-    src: NodeId,
-    dst: NodeId,
-    constraints: RouteConstraints | None = None,
-    cost: LinkCost | None = None,
-) -> Path:
-    """Reference (dict-based) ``shortest_path`` — identical contract.
-
-    Kept as the behavioural oracle: the flat-index kernels must return
-    bit-identical paths, and the golden equivalence tests enforce it.
-    """
-    constraints = constraints or RouteConstraints()
-    if src == dst:
-        raise ValueError(f"source and destination are both {src!r}")
-    if not topology.has_node(src) or not topology.has_node(dst):
-        raise NoPathError(src, dst, "unknown endpoint")
-    if not constraints.allows_source(src) or dst in constraints.excluded_nodes:
-        raise NoPathError(src, dst, "endpoint excluded")
-    if cost is None:
-        return _bfs(topology, src, dst, constraints)
-    return _dijkstra(topology, src, dst, constraints, cost)
-
-
-def _bfs(topology: Topology, src: NodeId, dst: NodeId,
-         constraints: RouteConstraints) -> Path:
-    parent: dict[NodeId, NodeId] = {src: src}
-    frontier = deque([(src, 0)])
-    max_hops = constraints.max_hops
-    while frontier:
-        node, dist = frontier.popleft()
-        if max_hops is not None and dist >= max_hops:
-            continue
-        for neighbour in topology.successors(node):
-            if neighbour in parent:
-                continue
-            if not constraints.allows_link(topology.link(node, neighbour)):
-                continue
-            parent[neighbour] = node
-            if neighbour == dst:
-                return _reconstruct(parent, src, dst)
-            frontier.append((neighbour, dist + 1))
-    raise NoPathError(src, dst, "constraints unsatisfiable")
-
-
-def _dijkstra(topology: Topology, src: NodeId, dst: NodeId,
-              constraints: RouteConstraints, cost: LinkCost) -> Path:
-    # Heap entries carry a monotone counter so ties never compare node ids.
-    counter = 0
-    best: dict[NodeId, float] = {src: 0.0}
-    parent: dict[NodeId, NodeId] = {src: src}
-    hops: dict[NodeId, int] = {src: 0}
-    heap: list[tuple[float, int, NodeId]] = [(0.0, counter, src)]
-    done: set[NodeId] = set()
-    max_hops = constraints.max_hops
-    while heap:
-        dist, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == dst:
-            return _reconstruct(parent, src, dst)
-        done.add(node)
-        if max_hops is not None and hops[node] >= max_hops:
-            continue
-        for neighbour in topology.successors(node):
-            if neighbour in done:
-                continue
-            link = topology.link(node, neighbour)
-            if not constraints.allows_link(link):
-                continue
-            link_cost = cost(link)
-            if link_cost < 0:
-                raise ValueError(f"negative link cost {link_cost!r} on {link}")
-            candidate = dist + link_cost
-            if candidate < best.get(neighbour, float("inf")):
-                best[neighbour] = candidate
-                parent[neighbour] = node
-                hops[neighbour] = hops[node] + 1
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, neighbour))
-    raise NoPathError(src, dst, "constraints unsatisfiable")
-
-
-def _reconstruct(parent: dict[NodeId, NodeId], src: NodeId, dst: NodeId) -> Path:
-    nodes = [dst]
-    while nodes[-1] != src:
-        nodes.append(parent[nodes[-1]])
-    nodes.reverse()
-    return Path(nodes)

@@ -231,13 +231,12 @@ class ProtocolSpec:
         check_non_negative(self.detection_delay, "detection_delay")
         SwitchingScheme(self.scheme)  # raises on unknown scheme numbers
 
-    def config(self, **overrides) -> ProtocolConfig:
+    def config(self) -> ProtocolConfig:
         """The :class:`ProtocolConfig` this spec pins (rest at defaults)."""
         return ProtocolConfig(
             scheme=SwitchingScheme(self.scheme),
             rcc=RCCParams(max_delay=self.d_max),
             detection_delay=self.detection_delay,
-            **overrides,
         )
 
     def qos(self) -> FaultToleranceQoS:

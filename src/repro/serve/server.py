@@ -27,11 +27,7 @@ from repro.channels.qos import DelayQoS, FaultToleranceQoS
 from repro.channels.traffic import TrafficSpec
 from repro.core.bcp import BCPNetwork, BatchRequest, EstablishmentError
 from repro.faults.models import FailureScenario
-from repro.obs.registry import (
-    MetricsRegistry,
-    SNAPSHOT_SCHEMA,
-    get_registry,
-)
+from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.slo import SLOEngine
 from repro.parallel import evaluate_scenarios
 from repro.recovery.metrics import RecoveryStats
@@ -317,15 +313,3 @@ def remote_recovery_stats(data: dict) -> RecoveryStats:
         _r_fast_sum=data["r_fast_sum"],
         _r_fast_scenarios=data["r_fast_scenarios"],
     )
-
-
-def counters_only_snapshot(counters: dict) -> dict:
-    """A ``repro.metrics/1`` snapshot carrying only counters — the shape
-    the churn engine absorbs after a remote recovery evaluation."""
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "counters": dict(counters),
-        "gauges": {},
-        "histograms": {},
-        "series": {},
-    }

@@ -196,6 +196,23 @@ def _check_topology(network: BCPNetwork, snapshot: dict) -> list:
     return links
 
 
+def _check_mux_rows(snapshot: dict) -> None:
+    """Reject a row whose ``spare_required`` is not its largest resident
+    requirement: the engine takes the recorded pool maximum on trust and
+    does not recompute it until a holder leaves.  Exact ``==``: every
+    recorded state satisfies it bit for bit."""
+    for row in snapshot["mux"]:
+        largest = max(
+            (requirement for _, requirement in row["entries"]), default=0.0
+        )
+        if row["spare_required"] != largest:
+            raise ValueError(
+                f"snapshot mux row for link index {row['link']}: "
+                f"spare_required {row['spare_required']!r} is not its "
+                f"largest resident requirement {largest!r}"
+            )
+
+
 def restore_network(network: BCPNetwork, snapshot: dict) -> None:
     """Restore ``snapshot`` into a freshly built ``network`` in place.
 
@@ -218,6 +235,7 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
             "restore_network needs a fresh network; this one already "
             f"holds {network.num_connections} connection(s)"
         )
+    _check_mux_rows(snapshot)
 
     # 1. Connections and channels.  Channels register in channel-id
     # order: registration originally happened in allocation order, and

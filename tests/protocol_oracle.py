@@ -112,8 +112,6 @@ class OracleDaemon(BCPDaemon):
         for record in self.records.values():
             if record.state is LocalChannelState.UNHEALTHY:
                 self._start_rejoin_timer(record)
-        if self._config.debug_unguarded_switchover:
-            return
         for view in self.views.values():
             view.unhealthy.add(view.current_channel)
             view.episode += 1
@@ -143,10 +141,10 @@ class OracleSimulation(ProtocolSimulation):
     """A :class:`ProtocolSimulation` (same arguments) whose daemons and
     draw bookkeeping are built the old way: fresh, eager, per simulation."""
 
+    daemon_class = OracleDaemon
+
     def __init__(self, network: BCPNetwork, *args, **kwargs) -> None:
         super().__init__(network, *args, **kwargs)
-        for node in self.daemons:
-            self.daemons[node] = OracleDaemon(node, self)
         self.plan = None  # nothing below may read it
         self._channel_meta = {}
         self._owned_links = {}

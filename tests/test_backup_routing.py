@@ -22,9 +22,9 @@ from repro.routing import (
     Path,
     RouteConstraints,
     flat_view,
-    reference_shortest_path,
     shortest_path,
 )
+from tests.routing_oracle import reference_shortest_path
 
 MUX3 = FaultToleranceQoS(num_backups=1, mux_degree=3)
 

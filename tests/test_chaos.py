@@ -28,9 +28,11 @@ from repro.chaos import (
     violation_signature,
     write_artifact,
 )
+from repro.chaos.schedule import protocol_config_to_json
 from repro.chaos.shrink import _ddmin
 from repro.network.components import LinkId
 from repro.protocol import ProtocolConfig
+from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
 
 
 ENVIRONMENT = ChaosEnvironment()
@@ -199,8 +201,9 @@ class TestCampaigns:
         assert summary["violations"] == {}
         assert summary["undrained"] == 0
 
-    def test_summary_counts_failing_runs(self, chaos_network):
-        config = ProtocolConfig(debug_double_release=True)
+    def test_summary_counts_failing_runs(self, chaos_network, monkeypatch):
+        plant(monkeypatch, DoubleReleaseSimulation)
+        config = ProtocolConfig()
         schedules = build_campaign(7, 8, chaos_network, config)
         results = run_campaign(schedules, chaos_network, config, workers=1)
         summary = campaign_summary(results)
@@ -220,11 +223,14 @@ class TestShrinking:
         )
         assert result == [3, 9]
 
-    def test_planted_bug_shrinks_to_few_events(self, chaos_network, tmp_path):
+    def test_planted_bug_shrinks_to_few_events(
+        self, chaos_network, tmp_path, monkeypatch
+    ):
         """Acceptance criterion: the planted double-release is caught by a
         campaign and shrunk to a <=5 event reproduction, exported as a
         replayable artifact."""
-        config = ProtocolConfig(debug_double_release=True)
+        plant(monkeypatch, DoubleReleaseSimulation)
+        config = ProtocolConfig()
         schedules = build_campaign(7, 8, chaos_network, config)
         results = run_campaign(schedules, chaos_network, config, workers=1)
         failing = [result for result in results if result.violations]
@@ -253,8 +259,64 @@ class TestShrinking:
             replayed.violations
         )
 
-    def test_replay_validates_protocol_block(self, chaos_network, tmp_path):
-        config = ProtocolConfig(debug_double_release=True)
+    def test_planted_race_shrinks_to_few_events(
+        self, chaos_network, tmp_path, monkeypatch
+    ):
+        """The inverse switchover gate: with the handshake unguarded, a
+        3-schedule campaign at seed 1 lets the historical race through,
+        ddmin shrinks it to <=3 events, and the exported artifact replays
+        to the same signature under the planted daemon — and clean
+        through the product."""
+        plant(monkeypatch, UnguardedSimulation)
+        config = ProtocolConfig()
+        schedules = build_campaign(1, 3, chaos_network, config)
+        results = run_campaign(schedules, chaos_network, config, workers=1)
+        failing = [result for result in results if result.violations]
+        assert failing, "campaign must catch the unguarded switchover"
+        shrink = shrink_failing_run(failing[0], chaos_network, config)
+        assert shrink.reproduced
+        assert shrink.minimal_events <= 3
+        signature = violation_signature(shrink.violations)
+        assert "multiple-active" in signature
+
+        path = tmp_path / "artifact.json"
+        write_artifact(path, artifact_payload(shrink, config, ENVIRONMENT))
+        payload = load_artifact(path)
+        replayed = replay_artifact(payload)
+        assert violation_signature(replayed.violations) == signature
+        monkeypatch.undo()
+        guarded = replay_artifact(payload)
+        assert guarded.violations == ()
+        assert guarded.drained
+
+    def test_replay_rejects_unknown_config_keys(self, chaos_network):
+        """An artifact whose config names a field this build does not
+        have (e.g. one recorded under a since-retired switch) fails with
+        one named error instead of a bare TypeError."""
+        schedule = build_schedule(
+            "flapping", 3, chaos_network, ProtocolConfig()
+        )
+        payload = {
+            "schema": SCHEMA,
+            "schedule": schedule.to_dict(),
+            "config": {
+                **protocol_config_to_json(ProtocolConfig()),
+                "debug_double_release": False,
+                "no_such_knob": 1,
+            },
+        }
+        with pytest.raises(
+            ValueError,
+            match=r"unknown protocol config key\(s\) "
+                  r"\['debug_double_release', 'no_such_knob'\]",
+        ):
+            replay_artifact(payload, chaos_network)
+
+    def test_replay_validates_protocol_block(
+        self, chaos_network, tmp_path, monkeypatch
+    ):
+        plant(monkeypatch, DoubleReleaseSimulation)
+        config = ProtocolConfig()
         schedules = build_campaign(7, 8, chaos_network, config)
         results = run_campaign(schedules, chaos_network, config, workers=1)
         failing = [result for result in results if result.violations]

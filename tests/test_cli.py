@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs import SNAPSHOT_SCHEMA
+from repro.protocol import ProtocolConfig
+from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
 
 SMALL = ["--rows", "4", "--cols", "4"]
 
@@ -191,9 +194,12 @@ class TestChaosCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["chaos", "--profiles", "volcano"])
 
-    def test_planted_bug_fails_and_writes_artifact(self, capsys, tmp_path):
+    def test_planted_bug_fails_and_writes_artifact(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        plant(monkeypatch, DoubleReleaseSimulation)
         assert main(
-            ["chaos", "--plant-bug", "--campaign-size", "6", "--seed", "7",
+            ["chaos", "--campaign-size", "6", "--seed", "7",
              "--max-artifacts", "1", "--artifact-dir", str(tmp_path),
              "--workers", "1"]
         ) == 1
@@ -206,11 +212,14 @@ class TestChaosCommand:
         assert payload["reproduced"] is True
         assert len(payload["schedule"]["events"]) <= 5
 
-    def test_planted_race_fails_and_shrinks(self, capsys, tmp_path):
+    def test_planted_race_fails_and_shrinks(
+        self, capsys, tmp_path, monkeypatch
+    ):
         # The inverse switchover gate: unguarded activation must let the
         # historical race through, and ddmin must shrink it small.
+        plant(monkeypatch, UnguardedSimulation)
         assert main(
-            ["chaos", "--plant-race", "--campaign-size", "3", "--seed", "1",
+            ["chaos", "--campaign-size", "3", "--seed", "1",
              "--max-artifacts", "1", "--artifact-dir", str(tmp_path),
              "--workers", "1"]
         ) == 1
@@ -221,9 +230,38 @@ class TestChaosCommand:
         assert artifacts
         payload = json.loads(artifacts[0].read_text())
         assert payload["reproduced"] is True
-        assert payload["config"]["debug_unguarded_switchover"] is True
         assert len(payload["schedule"]["events"]) <= 3
 
-        # The exported artifact replays and reproduces the violation.
+        # The exported artifact replays and reproduces the violation under
+        # the planted daemon; through the product it replays clean.
         assert main(["chaos", "--replay", str(artifacts[0])]) == 1
         assert "violations reproduced" in capsys.readouterr().out
+        monkeypatch.undo()
+        assert main(["chaos", "--replay", str(artifacts[0])]) == 0
+        assert "did not reproduce" in capsys.readouterr().out
+
+    def test_replay_rejects_unknown_config_key(self, tmp_path):
+        artifact = os.path.join(
+            os.path.dirname(__file__), "artifacts",
+            "switchover-race-seed1.json",
+        )
+        with open(artifact) as handle:
+            payload = json.load(handle)
+        payload["config"]["no_such_knob"] = True
+        path = tmp_path / "stale.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(
+            SystemExit, match=r"unknown protocol config key\(s\) "
+                              r"\['no_such_knob'\]",
+        ):
+            main(["chaos", "--replay", str(path)])
+
+    def test_product_has_no_planted_switch(self):
+        """The planted bugs live in ``tests/planted.py``: neither the
+        config nor the CLI can select one."""
+        for name in ("debug_double_release", "debug_unguarded_switchover"):
+            with pytest.raises(TypeError):
+                ProtocolConfig(**{name: True})
+        for flag in ("--plant-bug", "--plant-race"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["chaos", flag])

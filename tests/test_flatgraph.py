@@ -23,9 +23,11 @@ from repro.routing import (
     StaleFlatViewError,
     flat_view,
     hop_distance,
+    shortest_path,
+)
+from tests.routing_oracle import (
     reference_hop_distance,
     reference_shortest_path,
-    shortest_path,
 )
 
 

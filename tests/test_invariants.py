@@ -9,11 +9,11 @@ from repro.faults import FailureScenario
 from repro.network.components import LinkId
 from repro.protocol import (
     InvariantAuditor,
-    ProtocolConfig,
     ProtocolSimulation,
 )
 from repro.protocol.messages import RCCFrame
 from repro.protocol.states import LocalChannelState
+from tests.planted import DoubleReleaseSimulation
 
 
 @pytest.fixture
@@ -74,14 +74,13 @@ class TestCleanRuns:
 
 class TestPlantedDoubleRelease:
     def test_auditor_catches_spare_pool_drift(self, single_connection):
-        """The planted bug (debug_double_release) credits released draws
+        """The planted bug (``tests/planted.py``) credits released draws
         back into the spare pool; conservation must flag the drift."""
         network, connection = single_connection
-        config = ProtocolConfig(debug_double_release=True)
         scenario = FailureScenario.of_links(
             [connection.primary.path.links[1]]
         )
-        simulation = ProtocolSimulation(network, config, seed=0)
+        simulation = DoubleReleaseSimulation(network, seed=0)
         auditor = InvariantAuditor(simulation)
         auditor.attach()
         simulation.inject_scenario(scenario, at=1.0)

@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.network import LinkId, ReservationLedger, Topology, torus
 from repro.network.reservations import InsufficientCapacityError
 
@@ -111,6 +117,31 @@ class TestNetworkxInterop:
         graph.add_edge("a", "b")
         rebuilt = Topology.from_networkx(graph, default_capacity=7.0)
         assert rebuilt.capacity(LinkId("a", "b")) == 7.0
+
+
+    def test_networkx_is_optional(self):
+        """The package and the CLI import without ``networkx``; only the
+        interop methods and ``random_regular`` need it, and they say which
+        extra provides it."""
+        script = textwrap.dedent("""
+            import sys
+            sys.modules["networkx"] = None  # any import of it now fails
+            import repro.core.bcp, repro.cli
+            from repro.network.generators import random_regular, torus
+            for call in (torus(3, 3).to_networkx,
+                         lambda: random_regular(8, 3)):
+                try:
+                    call()
+                except ImportError as error:
+                    assert "'interop' extra" in str(error), error
+                else:
+                    raise AssertionError("networkx was importable")
+        """)
+        source = os.path.dirname(os.path.dirname(repro.__file__))
+        subprocess.run(
+            [sys.executable, "-c", script], check=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": source},
+        )
 
 
 class TestSubgraphWithout:

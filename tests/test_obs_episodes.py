@@ -31,6 +31,7 @@ from repro.obs import (
 )
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.sim.trace import TraceLog
+from tests.planted import DoubleReleaseSimulation, plant
 
 ENVIRONMENT = ChaosEnvironment()
 
@@ -485,8 +486,11 @@ class TestSpanOverhead:
 # chaos flight artifacts
 # ----------------------------------------------------------------------
 class TestChaosFlight:
-    def test_violating_run_carries_flight_snapshot(self, chaos_network):
-        config = ProtocolConfig(debug_double_release=True)
+    def test_violating_run_carries_flight_snapshot(
+        self, chaos_network, monkeypatch
+    ):
+        plant(monkeypatch, DoubleReleaseSimulation)
+        config = ProtocolConfig()
         schedules = build_campaign(7, 8, chaos_network, config)
         results = run_campaign(schedules, chaos_network, config, workers=1)
         failing = [result for result in results if result.violations]

@@ -21,6 +21,7 @@ from repro.protocol import (
 )
 from repro.protocol import plan as plan_module
 from repro.protocol.plan import protocol_plan
+from tests.planted import UnguardedOracleSimulation, UnguardedSimulation
 from tests.protocol_oracle import OracleAuditor, OracleSimulation
 from tests.test_recovery_differential import TOPOLOGIES, build_network
 
@@ -42,10 +43,17 @@ CONFIGS = {
         preemption=True, activation_delay_per_degree=0.25,
         reestablish_unrecoverable=True,
     ), (2, 3)),
-    # The planted race makes the auditor report multiple-active and
-    # endpoint-disagreement violations: the touched-only sweep must list
-    # them exactly as the full sweep does.
-    "unguarded": (ProtocolConfig(debug_unguarded_switchover=True), (3, 4)),
+    # The planted race (``tests/planted.py``, see ``SIMULATIONS``) makes
+    # the auditor report multiple-active and endpoint-disagreement
+    # violations: the touched-only sweep must list them exactly as the
+    # full sweep does.
+    "unguarded": (ProtocolConfig(), (3, 4)),
+}
+
+#: name -> (product simulation, oracle simulation), where they are not
+#: the plain pair: both run the same planted daemon mixin.
+SIMULATIONS = {
+    "unguarded": (UnguardedSimulation, UnguardedOracleSimulation),
 }
 
 HORIZON = 400.0
@@ -146,9 +154,12 @@ def test_matches_fresh_construction_oracle(kind, seed):
     mux_failures = demotions = rejoins = violations = preemptions = 0
     schedules = schedules_for(network, seed)
     for name, (config, chosen) in CONFIGS.items():
+        product, oracle = SIMULATIONS.get(
+            name, (ProtocolSimulation, OracleSimulation)
+        )
         for schedule in (schedules[index] for index in chosen):
             context = (kind, seed, name, schedule)
-            got = run(ProtocolSimulation, InvariantAuditor,
+            got = run(product, InvariantAuditor,
                       network, config, seed, schedule)
             simulation = got[0]
             # Neither the run nor the audit materialised the world.
@@ -159,7 +170,7 @@ def test_matches_fresh_construction_oracle(kind, seed):
             assert live <= touched_bound(simulation), context
             if len(schedule) == 1:
                 assert live < total_records, context
-            want = run(OracleSimulation, OracleAuditor,
+            want = run(oracle, OracleAuditor,
                        network, config, seed, schedule)
             assert_same_run(got, want, context)
             mux_failures += simulation.metrics.mux_failures

@@ -14,7 +14,7 @@ from repro.routing import (
     sequential_disjoint_paths,
     shortest_path,
 )
-from repro.routing.disjoint import max_disjoint_paths
+from tests.routing_oracle import max_disjoint_paths
 
 
 class TestHopDistance:

@@ -172,6 +172,45 @@ class TestRestoreGuards:
         with pytest.raises(ValueError, match="topology mismatch"):
             restore_network(other, snapshot)
 
+    @pytest.mark.parametrize("delta", [-1.0, 1.0])
+    def test_rejects_wrong_pool_maximum_and_touches_nothing(self, delta):
+        """``set_requirements`` trusts the recorded pool maximum, so a row
+        whose ``spare_required`` is not its largest resident requirement
+        is refused before the target network is mutated."""
+        network = fresh_network()
+        ChurnEngine(
+            network, churn_config(), metrics=MetricsRegistry()
+        ).run(until=10.0)
+        snapshot = json.loads(dumps(snapshot_network(network)))
+        row = snapshot["mux"][len(snapshot["mux"]) // 2]
+        recorded = row["spare_required"]
+        assert recorded == max(r for _, r in row["entries"])
+        row["spare_required"] = recorded + delta
+
+        target = fresh_network()
+
+        def state() -> tuple:
+            return (
+                target.ledger.version,
+                target.ledger.change_cursor,
+                target.registry.next_id,
+                target.engine.next_connection_id,
+            )
+
+        before = state()
+        with pytest.raises(
+            ValueError, match=rf"link index {row['link']}: spare_required"
+        ):
+            restore_network(target, snapshot)
+        assert state() == before
+        assert target.num_connections == 0
+        assert next(target.registry.channels(), None) is None
+        assert not target.mux.link_states()
+        # The untampered snapshot still restores into the same target.
+        row["spare_required"] = recorded
+        restore_network(target, snapshot)
+        assert dumps(snapshot_network(target)) == dumps(snapshot)
+
     def test_load_snapshot_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/1"}\n')

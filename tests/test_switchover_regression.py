@@ -2,19 +2,23 @@
 
 The checked-in ``tests/artifacts/switchover-race-*.json`` documents are
 ddmin-shrunk 2-event schedules captured from the historical failing
-seeds (``repro chaos --seed 1/2 --plant-race``): a cascade kills the
+seeds (default 25-schedule campaigns at seeds 1 and 2 under the
+unguarded daemon of ``tests/planted.py``): a cascade kills the
 primary and the first backup close together, scheme 3 activates from
 both ends, and — without the serial/episode handshake guard — one
 end-node finishes holding TWO primary channels for one connection.
 
 Each artifact is replayed twice:
 
-* **unguarded** (as recorded, ``debug_unguarded_switchover=True``): the
-  race must still reproduce its violation signature — this proves the
+* **unguarded** (as recorded, through the planted daemon): the race
+  must still reproduce its violation signature — this proves the
   artifact, the auditor, and the replay path stay honest;
-* **guarded** (same schedule, hardening enabled): the run must be
+* **guarded** (same schedule, through the product): the run must be
   clean — this is the actual regression test for the switchover
   handshake.
+
+The artifacts carry a plain product config: which daemon ran is the
+harness's choice, not a recorded switch.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from repro.chaos import (
     violation_signature,
 )
 from repro.chaos.schedule import protocol_config_from_json
+from repro.protocol import ProtocolConfig
+from tests.planted import UnguardedSimulation, plant
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 
@@ -50,13 +56,14 @@ class TestSwitchoverRaceArtifacts:
     def test_artifact_shape(self, path):
         payload = load_artifact(path)
         # Shrunk to the 2-3 event core the ISSUE calls for, recorded
-        # with the unguarded switchover and a reproduced signature.
+        # under the default config with a reproduced signature.
         assert payload["reproduced"] is True
         assert len(payload["schedule"]["events"]) <= 3
-        assert payload["config"]["debug_unguarded_switchover"] is True
+        assert protocol_config_from_json(payload["config"]) == ProtocolConfig()
         assert payload["violations"]
 
-    def test_unguarded_replay_reproduces_race(self, path):
+    def test_unguarded_replay_reproduces_race(self, path, monkeypatch):
+        plant(monkeypatch, UnguardedSimulation)
         payload = load_artifact(path)
         recorded = frozenset(
             violation["invariant"] for violation in payload["violations"]
@@ -67,13 +74,7 @@ class TestSwitchoverRaceArtifacts:
         )
 
     def test_guarded_replay_is_clean(self, path):
-        payload = load_artifact(path)
-        config = protocol_config_from_json(payload["config"])
-        assert config.debug_unguarded_switchover is True
-        payload = dict(payload)
-        payload["config"] = dict(payload["config"])
-        payload["config"]["debug_unguarded_switchover"] = False
-        result = replay_artifact(payload)
+        result = replay_artifact(load_artifact(path))
         assert result.violations == (), [
             f"{violation.invariant}: {violation.detail}"
             for violation in result.violations
