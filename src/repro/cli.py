@@ -485,6 +485,7 @@ def _run_stats(args: argparse.Namespace) -> str:
     from repro.experiments.setup import load_network
     from repro.faults.models import FailureScenario
     from repro.protocol import ProtocolConfig, ProtocolSimulation
+    from repro.sim import SimulationError
 
     config = _config(args)
     qos = FaultToleranceQoS(num_backups=args.backups, mux_degree=args.mux)
@@ -502,7 +503,10 @@ def _run_stats(args: argparse.Namespace) -> str:
             simulation.repair(component, at=time)
     except ValueError as error:  # a component the topology lacks
         raise SystemExit(f"--fail-at/--repair-at: {error}") from None
-    simulation.run(until=args.horizon)
+    try:
+        simulation.run(until=args.horizon)
+    except SimulationError as error:  # --horizon nan
+        raise SystemExit(f"--horizon: {error}") from None
     recovered = simulation.metrics.recovered_count()
     worst = simulation.metrics.max_service_disruption()
     failed = ", ".join(str(link) for link in links)

@@ -1,22 +1,24 @@
 """The event engine: a heap-based calendar queue.
 
-Events are callbacks scheduled at absolute times.  Same-time events fire
-in scheduling order (a monotone sequence number breaks ties), which keeps
-protocol runs fully deterministic.
+Events are callbacks scheduled at absolute times.  The calendar is a
+binary heap of ``(time, seq, event)`` tuples: ``seq`` is a monotone,
+unique sequence number, so same-time events fire in scheduling order,
+the comparison never reaches the event object, and ordering runs at C
+speed.  That total order keeps protocol runs fully deterministic.
 
-The engine is instrumented (see :mod:`repro.obs`): it counts schedules,
-cancellations, and firings, tracks the heap-depth high-water mark, and —
-when the registry is a real one — records per-callback-category wall
-time.  Pass ``metrics=NULL_REGISTRY`` to de-instrument a hot loop; by
-default the session registry is used.
+The engine is instrumented (see :mod:`repro.obs`): with a live registry
+it counts schedules, cancellations, and firings, tracks the heap-depth
+high-water mark, and records per-callback-category wall time.  Pass
+``metrics=NULL_REGISTRY`` to de-instrument a hot loop — the engine then
+skips its instruments altogether; by default the session registry is
+used.
 """
 
 from __future__ import annotations
 
-import heapq
-import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import inf
 from time import perf_counter
 from typing import Any
 
@@ -27,42 +29,38 @@ class SimulationError(Exception):
     """Raised on kernel misuse (scheduling in the past, etc.)."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    fired: bool = field(default=False, compare=False)
-    category: str = field(default="", compare=False)
-
-
 class EventHandle:
-    """Handle to a scheduled event; supports cancellation."""
+    """A scheduled event, and the handle to cancel it — one object.
 
-    __slots__ = ("_event", "_engine")
+    ``time`` is the absolute fire time; ``active`` is whether the event
+    is still pending (not fired, not cancelled).  Both are the engine's
+    to write; callers read them and call :meth:`cancel`.
+    """
 
-    def __init__(self, event: _ScheduledEvent, engine: "EventEngine") -> None:
-        self._event = event
+    __slots__ = ("time", "active", "_callback", "_args", "_engine")
+
+    def __init__(
+        self, time: float, callback: Callable[..., None], args: tuple,
+        engine: "EventEngine",
+    ) -> None:
+        self.time = time
+        self.active = True
+        self._callback = callback
+        self._args = args
         self._engine = engine
 
-    @property
-    def time(self) -> float:
-        """Absolute fire time."""
-        return self._event.time
-
-    @property
-    def active(self) -> bool:
-        """Whether the event is still pending (not fired, not cancelled)."""
-        return not self._event.cancelled
-
     def cancel(self) -> None:
-        """Cancel the event; cancelling a fired/cancelled event is a no-op."""
-        event = self._event
-        if not event.cancelled and not event.fired:
-            self._engine._live -= 1
-            self._engine._c_cancelled.inc()
-        event.cancelled = True
+        """Cancel the event; cancelling a fired/cancelled event is a no-op.
+
+        The calendar entry stays behind as a tombstone the engine drops
+        when it reaches the head of the heap.
+        """
+        if self.active:
+            self.active = False
+            engine = self._engine
+            engine._live -= 1
+            if engine._timed:
+                engine._c_cancelled.inc()
 
 
 class EventEngine:
@@ -71,16 +69,15 @@ class EventEngine:
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[_ScheduledEvent] = []
+        self._heap: list[tuple[float, int, EventHandle]] = []
         self._events_processed = 0
-        #: Post-fire observers: called as ``observer(time, category)`` after
-        #: every fired event.  Kept in a plain list checked for truthiness
-        #: per event, so the hook is free when nobody subscribed.
-        self._observers: list[Callable[[float, str], None]] = []
-        #: Live count of non-cancelled events in the calendar, maintained
-        #: on push/fire/cancel so :attr:`pending` is O(1).
+        #: Live count of pending events in the calendar, maintained on
+        #: push/fire/cancel so :attr:`pending` is O(1).
         self._live = 0
         self._metrics = metrics if metrics is not None else get_registry()
+        #: Whether the registry is a live one.  When it is not, the
+        #: instruments below are the shared no-op twins and the hot path
+        #: does not call them at all.
         self._timed = self._metrics.enabled
         self._c_fired = self._metrics.counter("engine.events_fired")
         self._c_scheduled = self._metrics.counter("engine.events_scheduled")
@@ -108,91 +105,80 @@ class EventEngine:
         return self._live
 
     # ------------------------------------------------------------------
-    def subscribe(self, observer: Callable[[float, str], None]) -> None:
-        """Register ``observer(time, category)`` to run after every fired
-        event.  Observers are how auditors watch a run without patching
-        callbacks; they must not schedule or cancel events."""
-        self._observers.append(observer)
-
-    def unsubscribe(self, observer: Callable[[float, str], None]) -> None:
-        """Remove a previously subscribed observer (no-op if absent)."""
-        try:
-            self._observers.remove(observer)
-        except ValueError:
-            pass
-
-    # ------------------------------------------------------------------
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        if not math.isfinite(delay):
-            raise SimulationError(f"cannot schedule non-finite delay {delay!r}")
-        if delay < 0:
-            raise SimulationError(f"cannot schedule {delay!r} in the past")
-        return self.schedule_at(self._now + delay, callback, *args)
+        time = self._now + delay
+        # One chained test rejects NaN (every comparison is False), both
+        # infinities, a negative delay and a sum that overflowed to inf.
+        if not (delay >= 0 and time < inf):
+            raise SimulationError(
+                f"cannot schedule {delay!r} from {self._now}: the delay must "
+                "be finite and non-negative, the fire time finite"
+            )
+        return self._push(time, callback, args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute ``time``."""
-        if not math.isfinite(time):
-            # NaN would also silently corrupt heap ordering (every
-            # comparison against it is False), so reject loudly.
-            raise SimulationError(f"cannot schedule at non-finite time {time!r}")
-        if time < self._now:
+        # NaN would silently corrupt heap ordering; it fails this test too.
+        if not (self._now <= time < inf):
             raise SimulationError(
-                f"cannot schedule at {time}; clock is already at {self._now}"
+                f"cannot schedule at {time!r}: the time must be finite and "
+                f"not before the clock ({self._now})"
             )
-        category = getattr(callback, "__qualname__", None) \
-            or type(callback).__name__
-        bound = (lambda: callback(*args)) if args else callback
-        event = _ScheduledEvent(time=time, seq=self._seq, callback=bound,
-                                category=category)
+        return self._push(time, callback, args)
+
+    def _push(
+        self, time: float, callback: Callable[..., None], args: tuple
+    ) -> EventHandle:
+        """Put one already-validated event on the calendar."""
+        event = EventHandle(time, callback, args, self)
+        heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._heap, event)
         self._live += 1
-        self._c_scheduled.inc()
-        self._g_heap.set(len(self._heap))
-        return EventHandle(event, self)
+        if self._timed:
+            self._c_scheduled.inc()
+            self._g_heap.set(len(self._heap))
+        return event
 
     # ------------------------------------------------------------------
-    def _fire(self, event: _ScheduledEvent) -> None:
-        event.fired = True
+    def _fire(self, event: EventHandle) -> None:
+        event.active = False
         self._live -= 1
         self._now = event.time
         self._events_processed += 1
-        self._c_fired.inc()
+        callback = event._callback
         if not self._timed:
-            event.callback()
-            if self._observers:
-                for observer in self._observers:
-                    observer(event.time, event.category)
+            callback(*event._args)
             return
-        timer = self._category_timers.get(event.category)
+        self._c_fired.inc()
+        category = getattr(callback, "__qualname__", None) \
+            or type(callback).__name__
+        timer = self._category_timers.get(category)
         if timer is None:
-            timer = self._metrics.timer(f"engine.callback_s.{event.category}")
-            self._category_timers[event.category] = timer
+            timer = self._metrics.timer(f"engine.callback_s.{category}")
+            self._category_timers[category] = timer
         start = perf_counter()
         try:
-            event.callback()
+            callback(*event._args)
         finally:
             timer.record(perf_counter() - start)
-        if self._observers:
-            for observer in self._observers:
-                observer(event.time, event.category)
 
     def step(self) -> bool:
         """Fire the next pending event; returns ``False`` when idle."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            # The gauge tracks the physical heap (tombstones included), so
-            # every pop moves it — not just pushes in ``schedule_at``.
-            self._g_heap.set(len(self._heap))
-            if event.cancelled:
-                continue
-            self._fire(event)
-            return True
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
+            if self._timed:
+                # The gauge tracks the physical heap (tombstones included),
+                # so every pop moves it — not just pushes in ``_push``.
+                self._g_heap.set(len(heap))
+            if event.active:
+                self._fire(event)
+                return True
         return False
 
     def run(
@@ -203,23 +189,28 @@ class EventEngine:
 
         With ``until`` set, events scheduled beyond it stay pending and the
         clock is advanced exactly to ``until`` (so repeated bounded runs
-        compose).
+        compose).  ``until=inf`` means the same as ``None`` — drain, and
+        leave the clock at the last event — so the clock stays finite.
         """
+        if until is not None:
+            if until != until:
+                raise SimulationError(f"cannot run until {until!r}")
+            if until == inf:
+                until = None
+        heap = self._heap
         fired = 0
-        while self._heap:
+        while heap:
             if max_events is not None and fired >= max_events:
                 return self._now
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
-                self._g_heap.set(len(self._heap))
-                continue
-            if until is not None and head.time > until:
-                self._now = max(self._now, until)
-                return self._now
-            if not self.step():  # pragma: no cover - guarded by loop head
+            time, _, event = heap[0]
+            if event.active and until is not None and time > until:
                 break
-            fired += 1
+            heappop(heap)  # the head: a live event in range, or a tombstone
+            if self._timed:
+                self._g_heap.set(len(heap))
+            if event.active:
+                self._fire(event)
+                fired += 1
         if until is not None:
             self._now = max(self._now, until)
         return self._now

@@ -7,10 +7,11 @@ recurring work (the RCC eligibility clock).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 from repro.sim.engine import EventEngine, EventHandle
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive_finite
 
 
 class Timeout:
@@ -23,7 +24,7 @@ class Timeout:
     def __init__(
         self, engine: EventEngine, duration: float, callback: Callable[[], None]
     ) -> None:
-        check_positive(duration, "duration")
+        check_positive_finite(duration, "duration")
         self._engine = engine
         self.duration = duration
         self._callback = callback
@@ -35,8 +36,11 @@ class Timeout:
 
     def start(self) -> None:
         """(Re)arm the timer for ``duration`` from now."""
+        # Schedule first: if the engine rejects the new deadline, the
+        # armed one survives.
+        handle = self._engine.schedule(self.duration, self._fire)
         self.cancel()
-        self._handle = self._engine.schedule(self.duration, self._fire)
+        self._handle = handle
 
     def cancel(self) -> None:
         """Disarm without firing; safe to call when not running."""
@@ -59,7 +63,7 @@ class PeriodicTimer:
     def __init__(
         self, engine: EventEngine, period: float, callback: Callable[[], None]
     ) -> None:
-        check_positive(period, "period")
+        check_positive_finite(period, "period")
         self._engine = engine
         self.period = period
         self._callback = callback
@@ -72,14 +76,16 @@ class PeriodicTimer:
 
     def start(self, phase: float | None = None) -> None:
         """Begin firing; the first tick comes after ``phase`` (default: one
-        full period).  ``phase`` must be non-negative — a negative phase
-        would schedule the first tick in the simulated past."""
-        if phase is not None and not phase >= 0:
-            raise ValueError(f"phase must be >= 0, got {phase!r}")
+        full period).  ``phase`` must be finite and non-negative — a
+        negative phase would schedule the first tick in the simulated
+        past.  A rejected call leaves a running timer's schedule alone."""
+        if phase is not None and not 0 <= phase < math.inf:
+            raise ValueError(f"phase must be finite and >= 0, got {phase!r}")
+        delay = self.period if phase is None else phase
+        handle = self._engine.schedule(delay, self._tick)
         self.stop()
         self._running = True
-        delay = self.period if phase is None else phase
-        self._handle = self._engine.schedule(delay, self._tick)
+        self._handle = handle
 
     def stop(self) -> None:
         """Stop firing; safe to call when not running."""

@@ -6,6 +6,7 @@ from repro.util.validation import (
     check_fraction,
     check_non_negative,
     check_positive,
+    check_positive_finite,
     check_probability,
 )
 
@@ -17,5 +18,6 @@ __all__ = [
     "check_fraction",
     "check_non_negative",
     "check_positive",
+    "check_positive_finite",
     "check_probability",
 ]

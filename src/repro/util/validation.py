@@ -14,6 +14,13 @@ def check_positive(value: float, name: str) -> float:
     return value
 
 
+def check_positive_finite(value: float, name: str) -> float:
+    """Require ``0 < value < inf`` (NaN fails both comparisons)."""
+    if not 0 < value < float("inf"):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 def check_non_negative(value: float, name: str) -> float:
     """Require ``value >= 0`` (NaN fails: it is not ``>= 0``)."""
     if not value >= 0:

@@ -179,6 +179,14 @@ class TestTimedInjectionFlags:
         with pytest.raises(SystemExit, match="not a component of"):
             main(["stats", "--failures", "0", flag, spec] + SMALL)
 
+    def test_nan_horizon_exits_cleanly(self):
+        with pytest.raises(SystemExit, match="--horizon"):
+            main(["stats", "--horizon", "nan"] + SMALL)
+
+    def test_infinite_horizon_drains(self, capsys):
+        assert main(["stats", "--horizon", "inf"] + SMALL) == 0
+        assert "connections recovered via backup" in capsys.readouterr().out
+
 
 class TestChaosCommand:
     def test_clean_campaign_exits_zero(self, capsys):

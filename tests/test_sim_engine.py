@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.sim import EventEngine, PeriodicTimer, SimulationError, Timeout
@@ -170,6 +172,33 @@ class TestEventEngine:
         with pytest.raises(SimulationError):
             EventEngine().schedule_at(bad, lambda: None)
 
+    def test_handle_is_inactive_once_fired(self):
+        engine = EventEngine()
+        handle = engine.schedule(1.0, lambda: None)
+        assert handle.active
+        engine.run()
+        assert not handle.active  # pending-only: fired is not active
+
+    def test_run_until_infinity_drains_and_keeps_the_clock_finite(self):
+        engine = EventEngine()
+        fired = []
+        engine.schedule(3.0, lambda: fired.append(engine.now))
+        assert engine.run(until=math.inf) == 3.0
+        assert engine.now == 3.0
+        engine.schedule(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [3.0, 4.0]
+
+    def test_run_until_nan_rejected_before_anything_fires(self):
+        engine = EventEngine()
+        fired = []
+        engine.schedule(1.0, lambda: fired.append(1))
+        with pytest.raises(SimulationError):
+            engine.run(until=math.nan)
+        assert fired == []
+        assert engine.pending == 1
+        assert engine.now == 0.0
+
 
 class TestTimeout:
     def test_fires_after_duration(self):
@@ -226,6 +255,24 @@ class TestTimeout:
         assert fired == [2.0, 4.0, 6.0]
         assert not timer.running
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_duration_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Timeout(EventEngine(), bad, lambda: None)
+
+    def test_rejected_restart_keeps_the_armed_deadline(self):
+        engine = EventEngine()
+        fired = []
+        timer = Timeout(engine, 3.0, lambda: fired.append(engine.now))
+        timer.start()
+        timer.duration = math.inf  # the engine will refuse this deadline
+        with pytest.raises(SimulationError):
+            timer.start()
+        assert timer.running
+        assert engine.pending == 1
+        engine.run()
+        assert fired == [3.0]
+
 
 class TestPeriodicTimer:
     def test_fires_periodically_until_stopped(self):
@@ -271,3 +318,28 @@ class TestPeriodicTimer:
         engine.schedule(5.0, timer.stop)
         engine.run()
         assert fired == [0.0, 2.0, 4.0]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_period_rejected(self, bad):
+        with pytest.raises(ValueError):
+            PeriodicTimer(EventEngine(), bad, lambda: None)
+
+    def test_infinite_phase_rejected_and_running_schedule_survives(self):
+        engine = EventEngine()
+        fired = []
+        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
+        timer.start()
+        with pytest.raises(ValueError):
+            timer.start(phase=math.inf)
+        assert timer.running
+        assert engine.pending == 1
+        engine.run(until=5.0)
+        assert fired == [2.0, 4.0]
+
+    def test_infinite_phase_rejected_on_a_stopped_timer(self):
+        engine = EventEngine()
+        timer = PeriodicTimer(engine, 2.0, lambda: None)
+        with pytest.raises(ValueError):
+            timer.start(phase=math.inf)
+        assert not timer.running
+        assert engine.pending == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from repro.util import (
     check_fraction,
     check_non_negative,
     check_positive,
+    check_positive_finite,
     check_probability,
     format_percent,
     format_table,
@@ -99,6 +101,14 @@ class TestValidation:
     def test_check_positive_rejects(self, bad):
         with pytest.raises(ValueError, match="x"):
             check_positive(bad, "x")
+
+    def test_check_positive_finite(self):
+        assert check_positive_finite(0.5, "x") == 0.5
+
+    @pytest.mark.parametrize("bad", [0, -1, math.inf, -math.inf, math.nan])
+    def test_check_positive_finite_rejects(self, bad):
+        with pytest.raises(ValueError, match="x"):
+            check_positive_finite(bad, "x")
 
     def test_check_non_negative(self):
         assert check_non_negative(0, "x") == 0
