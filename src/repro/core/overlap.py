@@ -17,6 +17,7 @@ implemented; they agree for realistic λ (tested property).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from repro.routing.paths import Path, shared_component_count
@@ -135,6 +136,18 @@ class ComponentSpace:
                 bits[component] = bit
             mask |= bit
         self._set_masks[components] = mask
+        return mask
+
+    def known(self, components: Iterable) -> int:
+        """The bits of those ``components`` some interned set contains.
+
+        Interns and memoises nothing, so one-off query sets (a failure
+        scenario's components) never pile up in the space.
+        """
+        bits = self._bits
+        mask = 0
+        for component in components:
+            mask |= bits.get(component, 0)
         return mask
 
 

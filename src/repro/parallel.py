@@ -34,7 +34,8 @@ construction cost is then amortised by the ledger's version-cached
 spare snapshots (:meth:`~repro.network.reservations.ReservationLedger.
 shared_spares`) and the network's version-cached recovery plan
 (:func:`~repro.recovery.plan.recovery_plan`), both built once per network
-state rather than once per shard.
+state rather than once per shard; the plan's lookup tables fill as the
+shards touch them.
 
 Failures in a worker are *surfaced*, never swallowed: the parent blocks
 on ``Future.result()`` which re-raises the worker's exception (or
@@ -237,9 +238,10 @@ def _run_sharded(
             # network at all.  Every worker is forked during the submit
             # loop, strictly inside the window where ``_SHARED`` is set;
             # the previous value is restored once all results are in.
-            # The compiled recovery plan rides along the same way: built
-            # here, once, every worker inherits it instead of compiling
-            # its own.
+            # The recovery plan rides along the same way: its eager part
+            # is compiled here, once, and every worker inherits it; the
+            # demand-filled tables are then filled per worker, copy-on-
+            # write, for the components of that worker's shards only.
             recovery_plan(network)
             global _SHARED
             previous = _SHARED

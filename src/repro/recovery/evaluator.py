@@ -21,10 +21,15 @@ can be evaluated against thousands of scenarios without re-establishment.
 An optional uniform spare override implements the brute-force baseline of
 Section 7.4.
 
-A scenario costs time proportional to what it hits, not to the network:
-everything scenario-independent (connection records, the channel ->
-connection map, dense link indices) is read from the network's compiled
-:class:`~repro.recovery.plan.RecoveryPlan`.
+A scenario costs time proportional to what it hits, not to the network,
+and is a merge of lookups in the network's
+:class:`~repro.recovery.plan.RecoveryPlan`: the union of
+``primaries_on(component)`` over the failed components is the work list,
+``record(position)`` describes each connection on it, a backup is dead
+iff ``mask & failed`` on integers, and both passes of a draw run inline on
+the flat scenario-local pools.  ``ActivationOrder.PRIORITY`` sorts only
+when ``connections()`` order is not already priority order (on every
+paper network it is).
 """
 
 from __future__ import annotations
@@ -44,6 +49,10 @@ from repro.recovery.metrics import RecoveryStats
 from repro.recovery.plan import ConnectionRecord, RecoveryPlan, recovery_plan
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative
+
+# Activation-order sort keys over the contending records.
+_by_priority = attrgetter("mux_degree", "connection_id")
+_by_connection_id = attrgetter("connection_id")
 
 
 class ActivationOrder(enum.Enum):
@@ -65,6 +74,14 @@ class ConnectionOutcome(enum.Enum):
     CHANNELS_LOST = "channels_lost"
     EXCLUDED = "excluded"
     UNAFFECTED = "unaffected"
+
+
+# Bound once: attribute access on an Enum class is too slow for a loop
+# that runs once per contending connection.
+_FAST_RECOVERED = ConnectionOutcome.FAST_RECOVERED
+_MUX_FAILURE = ConnectionOutcome.MUX_FAILURE
+_CHANNELS_LOST = ConnectionOutcome.CHANNELS_LOST
+_EXCLUDED = ConnectionOutcome.EXCLUDED
 
 
 class OutcomeTally(NamedTuple):
@@ -113,23 +130,14 @@ class ScenarioResult:
     @property
     def failed_primaries(self) -> int:
         """Connections whose primary failed and whose endpoints survived."""
-        return sum(
-            1
-            for value in self.outcomes.values()
-            if value
-            in (
-                ConnectionOutcome.FAST_RECOVERED,
-                ConnectionOutcome.MUX_FAILURE,
-                ConnectionOutcome.CHANNELS_LOST,
-            )
-        )
+        return self.tally().failed_primaries
 
     @property
     def r_fast(self) -> float | None:
-        failed = self.failed_primaries
-        if failed == 0:
+        tally = self.tally()
+        if tally.failed_primaries == 0:
             return None
-        return self.count(ConnectionOutcome.FAST_RECOVERED) / failed
+        return tally.fast_recovered / tally.failed_primaries
 
 
 class RecoveryEvaluator:
@@ -254,8 +262,9 @@ class RecoveryEvaluator:
         if plan is not self._plan:
             self._plan = plan
             spares, free = self._base_spares, self._base_free
-            self._spare_pool = [spares.get(link, 0.0) for link in plan.links]
-            self._free_pool = [free.get(link, 0.0) for link in plan.links]
+            # The trailing empty slot is the one off-topology hops share.
+            self._spare_pool = [*(spares.get(link, 0.0) for link in plan.links), 0.0]
+            self._free_pool = [*(free.get(link, 0.0) for link in plan.links), 0.0]
         return plan
 
     # ------------------------------------------------------------------
@@ -288,8 +297,7 @@ class RecoveryEvaluator:
         return result
 
     def _evaluate(self, scenario: FailureScenario) -> ScenarioResult:
-        network = self.network
-        topology = network.topology
+        topology = self.network.topology
         for component in (*scenario.failed_nodes, *scenario.failed_links):
             if component not in topology:
                 raise ValueError(
@@ -297,51 +305,72 @@ class RecoveryEvaluator:
                     f"a component of {topology.name}"
                 )
         failed_components = scenario.components(topology)
-        affected_ids = network.registry.affected_by(failed_components)
-        result = ScenarioResult(scenario=scenario)
-        if not affected_ids:
-            result._tally = OutcomeTally()
-            return result
-
-        # Classify the connections owning an affected channel, in
-        # connections() order.
         plan = self._current_plan()
-        records = plan.records
-        touched = set(map(plan.owner.get, affected_ids))
-        touched.discard(None)  # channels registered outside any connection
+        result = ScenarioResult(scenario=scenario)
+
+        # The connections whose primary the scenario crosses, in
+        # connections() order.  A failed backup alone does not disrupt
+        # service; it is handled by resource reconfiguration, not here.
         failed_nodes = scenario.failed_nodes
         outcomes = result.outcomes
         contenders: list[ConnectionRecord] = []
-        for position in sorted(touched):
-            record = records[position]
+        for record in map(plan.record, sorted(
+            set().union(*map(plan.primaries_on, failed_components))
+        )):
             if record.source in failed_nodes or record.destination in failed_nodes:
                 # Unrecoverable by any protocol; excluded (Section 7.2).
-                outcomes[record.connection_id] = ConnectionOutcome.EXCLUDED
-            elif record.primary_id in affected_ids:
+                outcomes[record.connection_id] = _EXCLUDED
+            else:
                 contenders.append(record)
-            # A failed backup alone does not disrupt service; it is handled
-            # by resource reconfiguration, not by this evaluator.
         excluded = len(outcomes)
+        if self.order is ActivationOrder.RANDOM:
+            self._rng.shuffle(contenders)
+        elif self.order is ActivationOrder.CONNECTION_ID:
+            contenders.sort(key=_by_connection_id)
+        elif not plan.priority_ordered:
+            contenders.sort(key=_by_priority)
 
+        # Every record above is compiled, so every component a backup of
+        # theirs crosses has its bit by now.
+        failed = plan.space.known(failed_components)
         # Scenario-local remaining amounts; draws persist within the
         # scenario.
         pools = self._spare_pool.copy()
         free = self._free_pool.copy()
+        fallback = self.free_capacity_fallback
         activated = result.activated_serial
         fast = mux = 0
-        for record in self._ordered(contenders):
+        for record in contenders:
             bandwidth = record.bandwidth
-            outcome = ConnectionOutcome.CHANNELS_LOST
-            for serial, components, links in record.backups:
-                if not components.isdisjoint(failed_components):
+            outcome = _CHANNELS_LOST
+            for serial, mask, links in record.backups:
+                if mask & failed:
                     continue
-                if self._draw(links, bandwidth, pools, free):
+                # Atomically draw ``bandwidth`` on every link: check all,
+                # then take all.  In fallback mode a link short on spare
+                # may cover the shortfall from its free capacity.
+                for link in links:
+                    available = pools[link]
+                    if available + 1e-9 < bandwidth and (
+                        not fallback
+                        or free[link] + 1e-9 < bandwidth - available
+                    ):
+                        outcome = _MUX_FAILURE
+                        break
+                else:
+                    for link in links:
+                        remaining = pools[link] - bandwidth
+                        if remaining < -1e-9:
+                            free[link] += remaining
+                            remaining = 0.0
+                        # max(0.0, remaining) without the call: absorbs
+                        # float round-off.
+                        pools[link] = remaining if remaining > 0.0 else 0.0
                     activated[record.connection_id] = serial
-                    outcome = ConnectionOutcome.FAST_RECOVERED
+                    outcome = _FAST_RECOVERED
                     fast += 1
                     break
-                outcome = ConnectionOutcome.MUX_FAILURE
-            if outcome is ConnectionOutcome.MUX_FAILURE:
+            if outcome is _MUX_FAILURE:
                 mux += 1
             outcomes[record.connection_id] = outcome
         result._tally = OutcomeTally(
@@ -362,48 +391,3 @@ class RecoveryEvaluator:
                 excluded_connections=tally.excluded,
             )
         return stats
-
-    # ------------------------------------------------------------------
-    def _ordered(
-        self, contenders: list[ConnectionRecord]
-    ) -> list[ConnectionRecord]:
-        """``contenders`` (in connections() order) in activation order."""
-        if self.order is ActivationOrder.PRIORITY:
-            return sorted(
-                contenders, key=attrgetter("mux_degree", "connection_id")
-            )
-        if self.order is ActivationOrder.CONNECTION_ID:
-            return sorted(contenders, key=attrgetter("connection_id"))
-        shuffled = list(contenders)
-        self._rng.shuffle(shuffled)
-        return shuffled
-
-    def _draw(
-        self,
-        links: tuple[int, ...],
-        bandwidth: float,
-        pools: list[float],
-        free: list[float],
-    ) -> bool:
-        """Atomically draw ``bandwidth`` on every link of a backup.
-
-        ``links`` are the plan's dense link indices; ``pools``/``free``
-        hold the scenario-local remaining amounts.
-        """
-        for link in links:
-            available = pools[link]
-            if available + 1e-9 < bandwidth:
-                if not self.free_capacity_fallback:
-                    return False
-                spill = bandwidth - available
-                if free[link] + 1e-9 < spill:
-                    return False
-        for link in links:
-            remaining = pools[link] - bandwidth
-            if remaining < -1e-9:
-                # Fallback mode: the shortfall was checked in the first
-                # pass; draw the rest from the free capacity.
-                free[link] += remaining
-                remaining = 0.0
-            pools[link] = max(0.0, remaining)  # absorb float round-off
-        return True

@@ -107,18 +107,25 @@ class RemoteNetwork:
     locally from the ``hello`` spec — seeded node-pair and failure-link
     sampling need the node/link tables, and building them from the same
     :class:`~repro.scenario.spec.TopologySpec` guarantees both sides
-    agree on insertion order.  All admission state stays server-side.
+    agree on insertion order.  All admission state stays server-side;
+    the one thing mirrored is the live-connection count, which every
+    ``hello`` / ``establish`` / ``teardown`` response carries
+    (``connections``) — the server serves one connection at a time, so
+    the latest one is exact and :attr:`num_connections` costs no round
+    trip.
     """
 
     def __init__(self, client: ServeClient, retry_window: float = 0.0) -> None:
         self.client = client
-        hello = client.connect(retry_window=retry_window)
+        hello = self.reconnect(retry_window)
         self.spec = ScenarioSpec.from_dict(hello["spec"])
         self.topology = self.spec.topology.build()
 
     def reconnect(self, retry_window: float = 30.0) -> dict:
         """Ride through a server restart; returns the new ``hello``."""
-        return self.client.connect(retry_window=retry_window)
+        hello = self.client.connect(retry_window=retry_window)
+        self._num_connections = hello["connections"]
+        return hello
 
     # -- the ChurnEngine surface ---------------------------------------
     def establish_batch(self, requests) -> list:
@@ -152,6 +159,7 @@ class RemoteNetwork:
                 for request in requests
             ],
         )
+        self._num_connections = response["connections"]
         return [
             RemoteConnection(item["connection_id"], item["total_hops"])
             if item["ok"]
@@ -160,11 +168,13 @@ class RemoteNetwork:
         ]
 
     def teardown(self, connection_id: int) -> None:
-        self.client.call("teardown", connection_id=connection_id)
+        response = self.client.call("teardown", connection_id=connection_id)
+        self._num_connections = response["connections"]
 
     @property
     def num_connections(self) -> int:
-        return self.client.call("num_connections")["value"]
+        """Live connections as of the latest admission response."""
+        return self._num_connections
 
     def network_load(self) -> float:
         return self.client.call("network_load")["value"]

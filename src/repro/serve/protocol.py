@@ -12,6 +12,10 @@ payload is ``sort_keys`` JSON so a captured wire exchange is
 deterministic for a deterministic workload.  Framing is a single ``\\n``;
 JSON strings never contain raw newlines, so no escaping is needed.
 
+``hello``, ``establish`` and ``teardown`` responses carry ``connections``,
+the server's live-connection count after the op, so a client tracking the
+count spends no round trip (``num_connections``) on it.
+
 Addresses are strings: ``host:port`` (last-colon split) selects TCP,
 anything else is a filesystem path to a Unix domain socket.
 """

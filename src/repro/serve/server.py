@@ -226,7 +226,7 @@ class AdmissionServer:
                         "total_hops": result.total_hops,
                     }
                 )
-        return {"results": encoded}
+        return {"results": encoded, "connections": self.network.num_connections}
 
     def _op_teardown(self, request: dict) -> dict:
         self.network.teardown(request["connection_id"])

@@ -1,14 +1,18 @@
 """Differential tests: the plan-driven evaluator against the full-scan
 oracle (``tests/recovery_oracle.py``), per scenario and bit for bit, plus
-the plan's lifetime — when it is compiled, shared and recompiled."""
+the plan's lifetime — when it is compiled, shared and recompiled — and
+what of it is filled, when."""
 
 from __future__ import annotations
 
+import gc
 import random
+import weakref
 
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, TrafficSpec
+from repro.channels.channel import Channel, ChannelRole
 from repro.core.establishment import EstablishmentError
 from repro.faults import (
     FailureScenario,
@@ -20,8 +24,10 @@ from repro.network.generators import hypercube, mesh, ring, torus
 from repro.obs import NULL_REGISTRY
 from repro.parallel import evaluate_scenarios
 from repro.recovery import ActivationOrder, RecoveryEvaluator
+from repro.recovery import evaluator as evaluator_module
 from repro.recovery import plan as plan_module
 from repro.recovery.plan import recovery_plan
+from repro.routing.paths import Path
 from tests.recovery_oracle import OracleEvaluator
 
 TOPOLOGIES = {
@@ -73,15 +79,12 @@ def overrides_for(network: BCPNetwork, seed: int) -> list:
     return [None, 1.5, float("inf"), partial]
 
 
-@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
-@pytest.mark.parametrize("seed", [0, 1])
-def test_matches_full_scan_oracle(kind, seed):
-    network = build_network(kind, seed)
-    scenarios = scenarios_for(network, seed)
-    backup_counts = {c.num_backups for c in network.connections()}
-    assert {0, 1} <= backup_counts
-    saw_mux_failure = saw_second_backup = False
-    for override in overrides_for(network, seed):
+def compare_with_oracle(network, scenarios, seed=0, overrides=(None,)) -> list:
+    """Hold the evaluator to the oracle over every activation order and
+    both draw modes, per scenario and bit for bit; returns the
+    evaluator's results."""
+    results = []
+    for override in overrides:
         for order in ActivationOrder:
             for fallback in (False, True):
                 evaluator = RecoveryEvaluator(
@@ -96,7 +99,7 @@ def test_matches_full_scan_oracle(kind, seed):
                 for scenario in scenarios:
                     got = evaluator.evaluate(scenario)
                     want = oracle.evaluate(scenario)
-                    context = (kind, seed, override, order, fallback, scenario)
+                    context = (seed, override, order, fallback, scenario)
                     assert list(got.outcomes.items()) == list(
                         want.outcomes.items()
                     ), context
@@ -104,14 +107,165 @@ def test_matches_full_scan_oracle(kind, seed):
                         want.activated_serial.items()
                     ), context
                     # The tally kept while classifying is the count of
-                    # the outcomes it produced.
+                    # the outcomes it produced (the oracle's result is
+                    # hand-built, so its numbers are re-walked).
+                    assert want._tally is None
                     assert got.tally() == want.tally(), context
-                    assert got.failed_primaries == got.tally().failed_primaries
-                    saw_mux_failure |= got.tally().mux_failures > 0
-                    saw_second_backup |= 2 in got.activated_serial.values()
+                    assert got.failed_primaries == want.failed_primaries
+                    assert got.r_fast == want.r_fast
+                    results.append(got)
+    return results
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_matches_full_scan_oracle(kind, seed):
+    network = build_network(kind, seed)
+    backup_counts = {c.num_backups for c in network.connections()}
+    assert {0, 1} <= backup_counts
+    results = compare_with_oracle(
+        network, scenarios_for(network, seed), seed,
+        overrides_for(network, seed),
+    )
     # The sweep must actually reach the contention and k-backup paths.
-    assert saw_mux_failure
-    assert saw_second_backup or 2 not in backup_counts
+    assert any(got.tally().mux_failures for got in results)
+    assert 2 not in backup_counts or any(
+        2 in got.activated_serial.values() for got in results
+    )
+
+
+# ----------------------------------------------------------------------
+# what a scenario can see, and in what order it activates
+# ----------------------------------------------------------------------
+def test_connection_whose_channels_left_the_registry_is_invisible():
+    network = build_network("torus", 0)
+    ghost = network.connections()[3]
+    # The engine's teardown deregisters the channels; the facade still
+    # lists the connection.
+    network.engine.teardown(ghost)
+    assert ghost in network.connections()
+    scenarios = scenarios_for(network, 0)
+    for got in compare_with_oracle(network, scenarios):
+        assert ghost.connection_id not in got.outcomes
+
+
+def test_channel_registered_outside_any_connection_is_invisible():
+    network = build_network("torus", 0)
+    live, other = network.connections()[:2]
+    # Two strays carrying a live connection's id: one along that
+    # connection's own primary, one where only a backup of another runs.
+    for path in (live.primary.path, other.backups[0].path):
+        network.registry.add(Channel(
+            channel_id=network.registry.allocate_id(),
+            connection_id=live.connection_id, role=ChannelRole.PRIMARY,
+            serial=0, path=path, traffic=live.traffic,
+        ))
+    results = compare_with_oracle(network, scenarios_for(network, 0))
+    assert any(live.connection_id in got.outcomes for got in results)
+
+
+def test_failure_must_hit_the_promoted_primary():
+    network = build_network("torus", 1)
+    switched = [c for c in network.connections() if c.backups][:6]
+    for connection in switched:
+        retired = connection.primary.path
+        network.switch_to_backup(connection)
+        assert connection.primary.path != retired
+    results = compare_with_oracle(network, scenarios_for(network, 1))
+    for connection in switched:
+        promoted = set(connection.primary.path.links)
+        for got in results:
+            if got.scenario.failed_links:  # a single-link scenario
+                hit = connection.connection_id in got.outcomes
+                assert hit == bool(got.scenario.failed_links & promoted)
+
+
+def mixed_degree_network(degrees) -> BCPNetwork:
+    """All ordered pairs of a 4x4 torus's first rows, one block of
+    connections per entry of ``degrees``, established in that order."""
+    network = BCPNetwork(torus(4, 4, capacity=12.0))
+    for mux_degree in degrees:
+        for src in range(8):
+            for dst in range(8):
+                if src != dst:
+                    try:
+                        network.establish(src, dst, ft_qos=FaultToleranceQoS(
+                            num_backups=1, mux_degree=mux_degree,
+                        ))
+                    except EstablishmentError:
+                        pass
+    return network
+
+
+@pytest.fixture
+def count_priority_keys(monkeypatch):
+    """How often ``ActivationOrder.PRIORITY`` computed a sort key."""
+    calls = []
+    real_key = evaluator_module._by_priority
+
+    def counting_key(record):
+        calls.append(record.connection_id)
+        return real_key(record)
+
+    monkeypatch.setattr(evaluator_module, "_by_priority", counting_key)
+    return lambda: len(calls)
+
+
+def test_priority_sorts_when_establishment_order_is_not_priority_order(
+    count_priority_keys,
+):
+    network = mixed_degree_network((6, 3, 1))
+    assert {c.mux_degree for c in network.connections()} == {6, 3, 1}
+    assert not recovery_plan(network).priority_ordered
+    results = compare_with_oracle(network, scenarios_for(network, 0))
+    assert count_priority_keys() > 0
+    # Somewhere the activation order really differs from connections()
+    # order, and it matters: contention is reached.
+    assert any(
+        list(got.outcomes) != sorted(got.outcomes) for got in results
+    )
+    assert any(got.tally().mux_failures for got in results)
+
+
+@pytest.mark.parametrize("degrees", [(3,), (1, 3, 6)])
+def test_priority_does_not_sort_a_network_already_in_priority_order(
+    count_priority_keys, degrees
+):
+    network = mixed_degree_network(degrees)
+    assert recovery_plan(network).priority_ordered
+    compare_with_oracle(network, scenarios_for(network, 0))
+    assert count_priority_keys() == 0
+
+
+def test_backup_with_an_off_topology_hop_never_draws():
+    network = BCPNetwork(torus(4, 4, capacity=12.0))
+    bare = network.establish(0, 5, ft_qos=FaultToleranceQoS(num_backups=0))
+    covered = network.establish(
+        0, 5, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
+    )
+    assert not network.topology.has_link(0, 10)
+    for connection, serial in ((bare, 1), (covered, 2)):
+        # 0 -> 10 is no link of the torus: its pool is empty whatever the
+        # override says, so this backup is healthy but never activates.
+        connection.backups.append(Channel(
+            channel_id=network.registry.allocate_id(),
+            connection_id=connection.connection_id, role=ChannelRole.BACKUP,
+            serial=serial, path=Path([0, 10, 5]), traffic=connection.traffic,
+            mux_degree=1,
+        ))
+    scenarios = scenarios_for(network, 0)
+    results = compare_with_oracle(
+        network, scenarios, overrides=(None, float("inf"))
+    )
+    outcomes = {got.outcomes.get(bare.connection_id) for got in results}
+    assert outcomes == {
+        None, evaluator_module.ConnectionOutcome.MUX_FAILURE,
+        evaluator_module.ConnectionOutcome.EXCLUDED,
+    }
+    assert all(
+        got.activated_serial.get(covered.connection_id, 1) == 1
+        for got in results
+    )
 
 
 # ----------------------------------------------------------------------
@@ -205,3 +359,94 @@ class TestPlanLifetime:
         )
         assert again == stats
         assert count_compiles() == 1
+
+
+# ----------------------------------------------------------------------
+# demand fill
+# ----------------------------------------------------------------------
+@pytest.fixture
+def count_fills(monkeypatch):
+    """``count_fills(network)`` -> a reader of (records constructed,
+    ``registry.on_component`` calls) since the previous reading."""
+    records = []
+    real_record = plan_module.ConnectionRecord
+
+    def counting_record(*args):
+        records.append(args[0])
+        return real_record(*args)
+
+    monkeypatch.setattr(plan_module, "ConnectionRecord", counting_record)
+
+    def attach(network):
+        reads = []
+        real_read = network.registry.on_component
+
+        def counting_read(component):
+            reads.append(component)
+            return real_read(component)
+
+        monkeypatch.setattr(network.registry, "on_component", counting_read)
+
+        def reading():
+            counts = (len(records), len(reads))
+            records.clear()
+            reads.clear()
+            return counts
+
+        return reading
+
+    return attach
+
+
+class TestDemandFill:
+    @pytest.mark.parametrize("pairs", [12, 240])
+    def test_fill_follows_the_scenarios_not_the_population(
+        self, torus4, count_fills, pairs
+    ):
+        qos = FaultToleranceQoS(num_backups=1, mux_degree=3)
+        wanted = [(s, d) for s in range(16) for d in range(16) if s != d]
+        for src, dst in random.Random(5).sample(wanted, pairs):
+            torus4.establish(src, dst, ft_qos=qos)
+        reading = count_fills(torus4)
+        links = random.Random(7).sample(list(torus4.topology.links()), 16)
+        scenarios = [FailureScenario.of_links([link]) for link in links]
+        evaluator = RecoveryEvaluator(torus4, metrics=NULL_REGISTRY)
+        evaluator.evaluate_many(scenarios)  # fills the previous plan
+        reading()
+
+        torus4.teardown(torus4.connections()[0])  # the ledger moves
+        registry = torus4.registry
+        hit = {
+            channel.connection_id
+            for link in links
+            for channel in registry.primaries_on_link(link)
+        }
+        assert 0 < len(hit) < torus4.num_connections
+        stats = evaluator.evaluate_many(scenarios)
+        assert stats.scenarios == 16
+        assert reading() == (len(hit), 16)
+
+        # A second sweep over the unchanged network reads what is there,
+        # through any evaluator.
+        assert evaluator.evaluate_many(scenarios) == stats
+        sharded = evaluate_scenarios(
+            torus4, scenarios, workers=1, shard_size=4, metrics=NULL_REGISTRY
+        )
+        assert sharded == stats
+        assert reading() == (0, 0)
+
+    def test_plan_does_not_keep_the_network_alive(self):
+        gc.collect()
+        gc.disable()
+        try:
+            network = build_network("torus", 0)
+            evaluator = RecoveryEvaluator(network, metrics=NULL_REGISTRY)
+            evaluator.evaluate_many(scenarios_for(network, 0))
+            assert network._recovery_plan is not None
+            freed = weakref.ref(network)
+            del network, evaluator
+            # No cycle runs through the plan: dropping the last reference
+            # frees the network without the collector.
+            assert freed() is None
+        finally:
+            gc.enable()

@@ -16,10 +16,30 @@ from repro.recovery import (
     ConnectionOutcome,
     RecoveryEvaluator,
     RecoveryStats,
+    ScenarioResult,
 )
 
 
 class TestScenarioMechanics:
+    def test_hand_built_result_counts_its_outcomes(self):
+        # No evaluator tally to read: every number walks ``outcomes``.
+        result = ScenarioResult(FailureScenario(), outcomes={
+            1: ConnectionOutcome.FAST_RECOVERED,
+            2: ConnectionOutcome.MUX_FAILURE,
+            3: ConnectionOutcome.CHANNELS_LOST,
+            4: ConnectionOutcome.EXCLUDED,
+            5: ConnectionOutcome.FAST_RECOVERED,
+        })
+        assert result._tally is None
+        assert result.tally() == (2, 1, 1, 1)
+        assert result.failed_primaries == 4
+        assert result.r_fast == 0.5
+        only_excluded = ScenarioResult(
+            FailureScenario(), outcomes={4: ConnectionOutcome.EXCLUDED}
+        )
+        assert only_excluded.failed_primaries == 0
+        assert only_excluded.r_fast is None
+
     def test_unaffected_scenario_is_empty(self, loaded_torus4):
         evaluator = RecoveryEvaluator(loaded_torus4)
         # Fail a link carrying traffic in a *different* tiny network: build

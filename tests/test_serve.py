@@ -11,6 +11,7 @@ stream.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import threading
@@ -73,26 +74,37 @@ class PairClient(ServeClient):
         return self.call("hello")
 
 
-@pytest.fixture
-def served():
-    """(client, server): an AdmissionServer serving one socketpair peer
-    in a daemon thread, with a handshaken PairClient attached."""
+@contextlib.contextmanager
+def serving(server: AdmissionServer):
+    """Serve one socketpair peer from a daemon thread; yields the
+    client's end of the pair."""
     server_sock, client_sock = socket.socketpair()
-    server = AdmissionServer(smoke_spec(), workers=1,
-                             metrics=MetricsRegistry())
     server._running = True
     thread = threading.Thread(
         target=server.serve_connection, args=(server_sock,), daemon=True
     )
     thread.start()
-    client = PairClient(client_sock)
-    client.connect()
-    yield client, server
-    # Close the client first: its EOF unblocks the serve loop, so the
-    # thread is gone before the server-side fd goes away under it.
-    client.close()
-    thread.join(timeout=5.0)
-    server_sock.close()
+    try:
+        yield client_sock
+    finally:
+        # Close the client end first: its EOF unblocks the serve loop, so
+        # the thread is gone before the server-side fd goes away under it.
+        client_sock.close()
+        thread.join(timeout=5.0)
+        server_sock.close()
+        assert not thread.is_alive()
+
+
+@pytest.fixture
+def served():
+    """(client, server): an AdmissionServer serving one socketpair peer
+    in a daemon thread, with a handshaken PairClient attached."""
+    server = AdmissionServer(smoke_spec(), workers=1,
+                             metrics=MetricsRegistry())
+    with serving(server) as client_sock:
+        client = PairClient(client_sock)
+        client.connect()
+        yield client, server
 
 
 class TestProtocol:
@@ -155,8 +167,10 @@ class TestAdmissionServer:
         assert client.call("ping")["ok"] is True
 
     def test_establish_teardown_round_trip(self, served):
-        client, _ = served
+        client, server = served
         network = RemoteNetwork(client)
+        requests = server.registry.counter("serve.requests")
+        handshakes = requests.value
         request = BatchRequest(
             src=0, dst=5,
             traffic=TrafficSpec(bandwidth=4.0),
@@ -169,7 +183,51 @@ class TestAdmissionServer:
         assert network.num_connections == 1
         network.teardown(result.connection_id)
         assert network.num_connections == 0
+        # The count rode on the two responses: no round trip of its own.
+        assert requests.value == handshakes + 2
         assert network.audit_invariants() == []
+
+    def test_admission_responses_carry_the_connection_count(self, served):
+        client, server = served
+        assert client.call("hello")["connections"] == 0
+        request = {"src": 0, "dst": 5}
+        response = client.call("establish", requests=[request, request])
+        assert [item["ok"] for item in response["results"]] == [True, True]
+        assert response["connections"] == 2 == server.network.num_connections
+        first = response["results"][0]["connection_id"]
+        assert client.call("teardown", connection_id=first)["connections"] == 1
+        # The op other clients poll stays.
+        assert client.call("num_connections")["value"] == 1
+
+    def test_remote_count_follows_reconnect_to_restored_server(
+        self, served, tmp_path
+    ):
+        client, server = served
+        network = RemoteNetwork(client)
+        request = BatchRequest(
+            src=0, dst=5, traffic=TrafficSpec(), delay_qos=DelayQoS(),
+            ft_qos=FaultToleranceQoS(),
+        )
+        results = network.establish_batch([request, request, request])
+        network.teardown(results[0].connection_id)
+        path = str(tmp_path / "mid.json")
+        network.snapshot(path)
+        network.establish_batch([request])  # after the snapshot: lost
+        assert network.num_connections == 3
+
+        restarted = AdmissionServer(smoke_spec(), workers=1,
+                                    metrics=MetricsRegistry())
+        assert restarted.restore(path) == 2
+        with serving(restarted) as client_sock:
+            # Re-dial: the restarted server is a new peer.
+            client.close()
+            client._sock = client_sock
+            assert network.reconnect()["connections"] == 2
+            assert network.num_connections == 2
+            network.establish_batch([request])
+            assert network.num_connections == 3 == (
+                restarted.network.num_connections
+            )
 
     def test_snapshot_op_writes_restorable_file(self, served, tmp_path):
         client, server = served
@@ -209,6 +267,14 @@ class TestRemoteChurn:
         ).run()
 
         assert remote.to_dict() == local.to_dict()
+        assert remote.peak_connections > 0 < remote.final_connections
+        # One round trip per admitted batch and per departure, four per
+        # epoch (audit, load, spare, evaluate) and the two handshakes
+        # (fixture, adapter); the live count rides on the responses.
+        assert remote.batches > 0 < remote.departures
+        assert server.registry.counter("serve.requests").value == (
+            2 + remote.batches + remote.departures + 4 * remote.epochs
+        )
         # Admission latency was observed server-side for every arrival.
         histograms = server.registry.snapshot()["histograms"]
         assert (histograms["serve.admission_latency"]["count"]
