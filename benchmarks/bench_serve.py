@@ -69,7 +69,7 @@ class PairClient(ServeClient):
 def remote():
     """A handshaken PairClient against an in-thread AdmissionServer."""
     server_sock, client_sock = socket.socketpair()
-    server = AdmissionServer(SPEC, workers=1, metrics=MetricsRegistry())
+    server = AdmissionServer(SPEC, metrics=MetricsRegistry())
     server._running = True
     thread = threading.Thread(
         target=server.serve_connection, args=(server_sock,), daemon=True

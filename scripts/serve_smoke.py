@@ -17,7 +17,7 @@ files are compared byte-wise.  Finally the restarted server's
 ``serve.*`` histograms are gated against admission-latency and
 recovery-delay SLOs.
 
-Usage: PYTHONPATH=src python scripts/serve_smoke.py [WORKERS]
+Usage: PYTHONPATH=src python scripts/serve_smoke.py
 """
 
 from __future__ import annotations
@@ -85,7 +85,6 @@ class Server:
         self,
         bind: str,
         spec_path: str,
-        workers: int,
         log_path: str,
         restore: "str | None" = None,
     ) -> None:
@@ -101,8 +100,6 @@ class Server:
             spec_path,
             "--bind",
             bind,
-            "--workers",
-            str(workers),
         ]
         if restore is not None:
             command += ["--restore", restore]
@@ -129,21 +126,19 @@ class Server:
             fail(f"server on {self.bind} exited {code}")
 
 
-def run_remote(
-    workdir: str, spec_path: str, workers: int, interrupt: bool
-) -> tuple[dict, bytes]:
+def run_remote(workdir: str, spec_path: str, interrupt: bool) -> tuple[dict, bytes]:
     """Drive the churn workload against a fresh server; returns the
     client-side stats dict and the server's final snapshot bytes."""
     tag = "interrupted" if interrupt else "baseline"
     bind = os.path.join(workdir, f"{tag}.sock")
     log_path = os.path.join(workdir, f"{tag}.log")
     final_path = os.path.join(workdir, f"{tag}-final.json")
-    server = Server(bind, spec_path, workers, log_path)
+    server = Server(bind, spec_path, log_path)
 
     network = RemoteNetwork(ServeClient(bind), retry_window=CONNECT_RETRY)
     # The serve.* SLOs live in the *server's* registry — they gate its
     # metrics snapshot below, not the client engine's per-epoch checks.
-    config = churn_config_from_spec(SPEC, workers=workers)
+    config = churn_config_from_spec(SPEC)
     engine = ChurnEngine(network, config, metrics=MetricsRegistry())
 
     if interrupt:
@@ -152,7 +147,7 @@ def run_remote(
         network.snapshot(mid_path)
         server.kill()
         print(f"  killed server mid-run, restarting from {mid_path}")
-        server = Server(bind, spec_path, workers, log_path, restore=mid_path)
+        server = Server(bind, spec_path, log_path, restore=mid_path)
         network.reconnect(retry_window=CONNECT_RETRY)
 
     stats = engine.run()
@@ -183,21 +178,13 @@ def run_remote(
 
 
 def main() -> None:
-    workers = int(sys.argv[1]) if len(sys.argv) > 1 else 1
-    print(
-        f"Serve smoke: snapshot/restore byte-identity at workers={workers} "
-        f"on {SPEC.topology.label}..."
-    )
+    print(f"Serve smoke: snapshot/restore byte-identity on {SPEC.topology.label}...")
     with tempfile.TemporaryDirectory(prefix="serve-smoke-") as workdir:
         spec_path = os.path.join(workdir, "spec.json")
         with open(spec_path, "w") as handle:
             json.dump(SPEC.to_dict(), handle)
-        baseline, baseline_snapshot = run_remote(
-            workdir, spec_path, workers, interrupt=False
-        )
-        resumed, resumed_snapshot = run_remote(
-            workdir, spec_path, workers, interrupt=True
-        )
+        baseline, baseline_snapshot = run_remote(workdir, spec_path, interrupt=False)
+        resumed, resumed_snapshot = run_remote(workdir, spec_path, interrupt=True)
     if baseline != resumed:
         fail("churn stats (baseline vs resumed)", baseline, resumed)
     if baseline_snapshot != resumed_snapshot:

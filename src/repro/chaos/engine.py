@@ -256,9 +256,9 @@ def build_campaign(
 ) -> list[ChaosSchedule]:
     """Generate ``size`` schedules, rotating over ``profiles``.
 
-    Per-item seeds are drawn from one parent RNG (the
-    :mod:`repro.parallel` seeding discipline), so the campaign's contents
-    depend only on ``seed`` — never on worker count or execution order.
+    Per-item seeds are drawn from one parent RNG, so the campaign's
+    contents depend only on ``seed`` — never on worker count or execution
+    order.
     """
     if size < 1:
         raise ValueError(f"campaign size must be >= 1, got {size}")

@@ -157,16 +157,29 @@ def protocol_config_to_json(config: ProtocolConfig) -> dict:
     return data
 
 
+def _field_names(cls) -> set:
+    return {spec.name for spec in dataclasses.fields(cls)}
+
+
 def protocol_config_from_json(data: dict) -> ProtocolConfig:
     """Inverse of :func:`protocol_config_to_json`.
 
-    Keys that are not :class:`ProtocolConfig` fields are rejected: the
-    artifact was recorded under a protocol this build does not have, and
-    dropping them would replay a different scenario.
+    Keys that are not :class:`ProtocolConfig` (or, under ``rcc``,
+    :class:`RCCParams`) fields are rejected: the artifact was recorded
+    under a protocol this build does not have, and dropping them would
+    replay a different scenario.  So is an artifact without ``scheme`` or
+    ``rcc``, which every recorded one carries.  Either way: one
+    ``ValueError`` naming the keys.
     """
     data = dict(data)
-    known = {spec.name for spec in dataclasses.fields(ProtocolConfig)}
-    unknown = sorted(set(data) - known)
+    missing = sorted({"scheme", "rcc"} - set(data))
+    if missing:
+        raise ValueError(f"missing protocol config key(s) {missing}")
+    if not isinstance(data["rcc"], dict):
+        raise ValueError("protocol config key 'rcc' must be an object")
+    unknown = sorted(set(data) - _field_names(ProtocolConfig)) + sorted(
+        f"rcc.{key}" for key in set(data["rcc"]) - _field_names(RCCParams)
+    )
     if unknown:
         raise ValueError(
             f"unknown protocol config key(s) {unknown}: the artifact was "

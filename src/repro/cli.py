@@ -22,11 +22,12 @@ to stdout.  The default 8x8 scale takes seconds-to-minutes per table;
 ``--rows 4 --cols 4`` gives a fast small-scale pass.
 
 Every subcommand also accepts ``--metrics-out PATH`` (write the run's
-``repro.metrics/1`` snapshot as JSON), ``--trace-out PATH`` (write the
-run's structured trace as JSONL), and ``--workers N`` (fan scenario
-evaluation out over N worker processes, ``auto`` = one per CPU;
-results are identical for any worker count); see the Observability and
-Parallel execution sections of docs/architecture.md.
+``repro.metrics/1`` snapshot as JSON) and ``--trace-out PATH`` (write the
+run's structured trace as JSONL).  The five commands whose tasks were
+measured to gain from a process pool — ``matrix``, ``chaos``,
+``reliability``, ``report``, ``all`` — accept ``--workers N`` (``auto`` =
+one per CPU; results are identical for any worker count); see the
+Observability and Parallel evaluation sections of docs/architecture.md.
 """
 
 from __future__ import annotations
@@ -460,9 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "'serve.admission_latency.p99 <= 0.05'; "
                             "churn: per-epoch targets as in 'repro churn'")
 
-    # Observability and execution flags are global: every subcommand
-    # exports the same way (the whole run records into one session
-    # registry/trace sink) and shares the worker-pool setting.
+    # Observability flags are global: every subcommand exports the same
+    # way (the whole run records into one session registry/trace sink).
     for sub in subparsers.choices.values():
         sub.add_argument(
             "--metrics-out", metavar="PATH", default=None,
@@ -470,11 +470,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument(
             "--trace-out", metavar="PATH", default=None,
             help="write the run's structured trace as JSONL (repro.trace/1)")
+    # A pool only where it was measured to pay — commands whose tasks each
+    # build their own network (matrix cells, reliability configurations) —
+    # plus chaos campaigns, a wash on 2 CPUs (docs/architecture.md,
+    # "Parallel evaluation").
+    for sub in (matrix, chaos, reliability, report, everything):
         sub.add_argument(
             "--workers", metavar="N", type=_parse_workers, default=None,
-            help="worker processes for parallel evaluation (positive "
-                 "integer or 'auto' = one per CPU; default auto). Results "
-                 "are identical for any worker count.")
+            help="worker processes (positive integer or 'auto' = one per "
+                 "CPU; default auto). Results are identical for any "
+                 "worker count.")
 
     return parser
 
@@ -588,8 +593,7 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     # Per-epoch SLO evaluation stays a CLI concern: matrix cells judge
     # their SLOs once against the finished cell's snapshot instead.
     churn_config = dataclasses.replace(
-        churn_config_from_spec(spec, workers=args.workers),
-        slos=tuple(args.slo),
+        churn_config_from_spec(spec), slos=tuple(args.slo)
     )
     network = BCPNetwork(spec.topology.build())
     engine = ChurnEngine(network, churn_config)
@@ -657,7 +661,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         if not args.spec or not args.bind:
             raise SystemExit("repro serve start requires --spec and --bind")
         spec = _load_single_spec(args.spec, "churn")
-        server = AdmissionServer(spec, workers=args.workers)
+        server = AdmissionServer(spec)
         restored = 0
         if args.restore:
             restored = server.restore(args.restore)
@@ -666,8 +670,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         server.serve_forever(args.bind)
         breaches = server.slo_breaches(tuple(args.slo))
         lines = [
-            f"repro serve — {spec.topology.label} on {args.bind}, "
-            f"workers {args.workers}"
+            f"repro serve — {spec.topology.label} on {args.bind}"
             + (f", restored {restored} connection(s)" if args.restore
                else ""),
             f"shut down with {server.network.num_connections} live "
@@ -697,8 +700,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         # The workload comes from the server's hello spec, so both sides
         # agree on every seeded draw without shipping a spec file around.
         churn_config = dataclasses.replace(
-            churn_config_from_spec(spec, workers=args.workers),
-            slos=tuple(args.slo),
+            churn_config_from_spec(spec), slos=tuple(args.slo)
         )
         engine = ChurnEngine(network, churn_config)
         stats = engine.run(until=args.until)
@@ -742,8 +744,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         if args.action == "ping":
             return (
                 f"repro serve — {args.connect} alive ({hello['schema']}, "
-                f"{hello['connections']} connection(s), "
-                f"workers {hello['workers']})"
+                f"{hello['connections']} connection(s))"
             ), 0
         if args.action == "snapshot":
             if not args.snapshot_out:
@@ -1226,34 +1227,28 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
     if args.command == "table1":
         return run_table1(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples,
-                          workers=args.workers).format()
+                          double_node_samples=args.double_samples).format()
     if args.command == "table2":
         return run_table2(config, num_backups=args.backups,
                           classes=args.classes,
-                          double_node_samples=args.double_samples,
-                          workers=args.workers).format()
+                          double_node_samples=args.double_samples).format()
     if args.command == "table3":
         return run_table3(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples,
-                          workers=args.workers).format()
+                          double_node_samples=args.double_samples).format()
     if args.command == "delay-bound":
         return run_delay_bound(config, num_backups=args.backups,
-                               sample_connections=args.connections,
-                               workers=args.workers).format()
+                               sample_connections=args.connections).format()
     if args.command == "rcc-sizing":
         return run_rcc_sizing(config).format()
     if args.command == "reliability":
         return run_reliability(config, workers=args.workers).format()
     if args.command == "inhomogeneous":
         return run_inhomogeneous(rows=args.rows, cols=args.cols,
-                                 mux_degree=args.mux,
-                                 workers=args.workers).format()
+                                 mux_degree=args.mux).format()
     if args.command == "message-loss":
         return run_message_loss(config, message_rate=args.rate,
-                                sample_connections=args.connections,
-                                workers=args.workers).format()
+                                sample_connections=args.connections).format()
     if args.command == "baselines":
         return run_baseline_comparison(config,
                                        bcp_mux_degree=args.mux).format()
@@ -1261,8 +1256,7 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
         return run_scaling(mux_degree=args.mux,
                            torus_sizes=args.sizes).format()
     if args.command == "ablations":
-        return run_ablations(config, mux_degree=args.mux,
-                             workers=args.workers).format()
+        return run_ablations(config, mux_degree=args.mux).format()
     if args.command == "report":
         from repro.experiments.report import generate_report
 
@@ -1295,19 +1289,16 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
                 continue  # topologically impossible (paper Section 7.1)
             sections.append(
                 run_table1(config, num_backups=backups,
-                           double_node_samples=args.double_samples,
-                           workers=args.workers).format()
+                           double_node_samples=args.double_samples).format()
             )
         sections.append(
             run_table2(config,
-                       double_node_samples=args.double_samples,
-                       workers=args.workers).format())
+                       double_node_samples=args.double_samples).format())
         sections.append(
             run_table3(config,
-                       double_node_samples=args.double_samples,
-                       workers=args.workers).format())
+                       double_node_samples=args.double_samples).format())
         sections.append(run_figure9(config).format())
-        sections.append(run_delay_bound(config, workers=args.workers).format())
+        sections.append(run_delay_bound(config).format())
         sections.append(run_rcc_sizing(config).format())
         sections.append(run_reliability(config, workers=args.workers).format())
         return "\n\n".join(sections)

@@ -284,8 +284,9 @@ class BCPNetwork:
 
     def __getstate__(self) -> dict:
         # The compiled plans are derived state, cheap to recompile and as
-        # large as the connection table — drop them from pickles (workers
-        # recompile lazily on first use), like ``Topology._flat``.
+        # large as the connection table — drop them from pickles (only a
+        # chaos campaign's pool processes receive a pickled network, and
+        # recompile on first use), like ``Topology._flat``.
         state = self.__dict__.copy()
         state["_recovery_plan"] = None
         state["_protocol_plan"] = None

@@ -423,7 +423,7 @@ class MultiplexingEngine:
 
     def __getstate__(self) -> dict:
         # A metrics registry belongs to its process; a pickled engine
-        # (worker shards) republishes into whatever registry it finds.
+        # (in a pool worker) republishes into whatever registry it finds.
         state = self.__dict__.copy()
         state["_obs_registry"] = None
         return state

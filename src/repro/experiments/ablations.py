@@ -27,8 +27,7 @@ from repro.experiments.setup import (
     load_network,
     standard_failure_models,
 )
-from repro.parallel import evaluate_scenarios
-from repro.recovery.evaluator import ActivationOrder
+from repro.recovery import ActivationOrder, evaluate_scenarios
 from repro.util.tables import format_percent, format_table
 
 
@@ -75,13 +74,8 @@ def run_ablations(
     mux_degree: int = 5,
     double_node_samples: int = 0,
     seed: "int | None" = 0,
-    workers: "int | None" = 1,
 ) -> AblationResult:
-    """Measure each design-choice variant's spare and R_fast.
-
-    ``workers`` fans the scenario evaluation out over processes (``None``
-    = one per CPU); results are identical for any worker count.
-    """
+    """Measure each design-choice variant's spare and R_fast."""
     config = config or NetworkConfig()
     result = AblationResult(config=config, mux_degree=mux_degree)
     qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
@@ -90,12 +84,10 @@ def run_ablations(
         models = standard_failure_models(network.topology,
                                          double_node_samples, seed)
         link = evaluate_scenarios(
-            network, models["1 link failure"],
-            workers=workers, seed=seed, **evaluator_kwargs,
+            network, models["1 link failure"], seed=seed, **evaluator_kwargs
         ).r_fast
         node = evaluate_scenarios(
-            network, models["1 node failure"],
-            workers=workers, seed=seed, **evaluator_kwargs,
+            network, models["1 node failure"], seed=seed, **evaluator_kwargs
         ).r_fast
         return link, node
 

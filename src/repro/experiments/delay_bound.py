@@ -17,7 +17,6 @@ from repro.analysis.delay import connection_delay_bound
 from repro.channels.qos import FaultToleranceQoS
 from repro.experiments.setup import NetworkConfig, load_network
 from repro.faults.models import FailureScenario
-from repro.parallel import parallel_map
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runtime import simulate_scenario
 from repro.util.tables import format_table
@@ -81,30 +80,6 @@ class DelayBoundResult:
         )
 
 
-def _measure_delay(item: tuple) -> DelayMeasurement:
-    """One failure injection against one connection — one simulation.
-
-    Module-level so :func:`repro.parallel.parallel_map` can ship it to a
-    worker process.
-    """
-    network, connection_id, hops, bound, index, link, protocol, horizon = item
-    metrics = simulate_scenario(
-        network,
-        FailureScenario.of_links([link]),
-        protocol,
-        failure_time=1.0,
-        horizon=horizon,
-    )
-    record = metrics.recoveries.get(connection_id)
-    return DelayMeasurement(
-        connection_id=connection_id,
-        hops=hops,
-        failed_link_index=index,
-        measured=record.service_disruption if record else None,
-        bound=bound,
-    )
-
-
 def run_delay_bound(
     config: "NetworkConfig | None" = None,
     num_backups: int = 2,
@@ -112,15 +87,13 @@ def run_delay_bound(
     sample_connections: int = 6,
     d_max: float = 1.0,
     horizon: float = 2000.0,
-    workers: "int | None" = 1,
 ) -> DelayBoundResult:
     """Measure service disruptions against the Γ bound.
 
     ``sample_connections`` distinct connections are picked evenly from the
-    workload; every link of each one's primary path is failed in turn.
-    ``workers`` parallelises the independent injections (one simulation
-    each) across processes; measurement order is preserved, so any worker
-    count gives the same table.
+    workload; every link of each one's primary path is failed in turn, one
+    simulation per injection, all on the one network's compiled
+    :class:`~repro.protocol.plan.ProtocolPlan`.
     """
     config = config or NetworkConfig(rows=4, cols=4)
     qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=mux_degree)
@@ -130,16 +103,25 @@ def run_delay_bound(
 
     connections = network.connections()
     stride = max(1, len(connections) // sample_connections)
-    sampled = connections[::stride][:sample_connections]
-    items = [
-        (network, connection.connection_id,
-         max(c.path.hops for c in connection.channels),
-         connection_delay_bound(connection, protocol.rcc.max_delay),
-         index, link, protocol, horizon)
-        for connection in sampled
-        for index, link in enumerate(connection.primary.path.links)
-    ]
-    result.measurements.extend(
-        parallel_map(_measure_delay, items, workers=workers)
-    )
+    for connection in connections[::stride][:sample_connections]:
+        hops = max(c.path.hops for c in connection.channels)
+        bound = connection_delay_bound(connection, protocol.rcc.max_delay)
+        for index, link in enumerate(connection.primary.path.links):
+            metrics = simulate_scenario(
+                network,
+                FailureScenario.of_links([link]),
+                protocol,
+                failure_time=1.0,
+                horizon=horizon,
+            )
+            record = metrics.recoveries.get(connection.connection_id)
+            result.measurements.append(
+                DelayMeasurement(
+                    connection_id=connection.connection_id,
+                    hops=hops,
+                    failed_link_index=index,
+                    measured=record.service_disruption if record else None,
+                    bound=bound,
+                )
+            )
     return result

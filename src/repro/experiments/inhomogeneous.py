@@ -29,7 +29,7 @@ from repro.experiments.workloads import (
 )
 from repro.faults.enumerate import all_single_link_failures
 from repro.network.generators import mesh, random_regular, torus
-from repro.parallel import evaluate_scenarios
+from repro.recovery import evaluate_scenarios
 from repro.util.tables import format_percent, format_table
 
 
@@ -88,13 +88,8 @@ def run_inhomogeneous(
     num_backups: int = 1,
     hotspot_count: int = 4,
     seed: int = 0,
-    workers: "int | None" = 1,
 ) -> InhomogeneousResult:
-    """Sweep workload variants across topologies.
-
-    ``workers`` fans the scenario evaluation out over processes (``None``
-    = one per CPU); results are identical for any worker count.
-    """
+    """Sweep workload variants across topologies."""
     result = InhomogeneousResult()
     qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=mux_degree)
     for topo_name, factory in _topologies(rows, cols).items():
@@ -117,10 +112,10 @@ def run_inhomogeneous(
             cell = InhomogeneousCell(spare=network.spare_fraction())
             scenarios = all_single_link_failures(network.topology)
             cell.proposed_r_fast = evaluate_scenarios(
-                network, scenarios, workers=workers
+                network, scenarios
             ).r_fast
             cell.bruteforce_r_fast = evaluate_scenarios(
-                network, scenarios, workers=workers,
+                network, scenarios,
                 spare_override=uniform_spare_amount(network),
             ).r_fast
             result.cells[(topo_name, workload_name)] = cell

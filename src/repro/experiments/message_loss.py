@@ -23,7 +23,6 @@ from repro.channels.qos import FaultToleranceQoS
 from repro.datapath.stream import DataStream
 from repro.experiments.setup import NetworkConfig, load_network
 from repro.faults.models import FailureScenario
-from repro.parallel import parallel_map
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runtime import ProtocolSimulation
 from repro.util.tables import format_table
@@ -71,47 +70,16 @@ class MessageLossResult:
         )
 
 
-def _measure_loss(item: tuple) -> LossMeasurement:
-    """One failure injection with a live data stream — one simulation.
-
-    Module-level so :func:`repro.parallel.parallel_map` can ship it to a
-    worker process.
-    """
-    (network, connection_id, victim, index,
-     message_rate, failure_time, horizon) = item
-    simulation = ProtocolSimulation(network, ProtocolConfig())
-    stream = DataStream(simulation, connection_id, message_rate=message_rate)
-    stream.start(at=0.0, until=horizon - 50.0)
-    simulation.inject_scenario(
-        FailureScenario.of_links([victim]), at=failure_time
-    )
-    simulation.run(until=horizon)
-    record = simulation.metrics.recoveries.get(connection_id)
-    return LossMeasurement(
-        connection_id=connection_id,
-        failed_link_index=index,
-        sent=stream.report.sent,
-        delivered=stream.report.delivered,
-        lost=stream.report.lost,
-        service_disruption=record.service_disruption if record else None,
-        loss_window=stream.report.loss_window,
-    )
-
-
 def run_message_loss(
     config: "NetworkConfig | None" = None,
     message_rate: float = 2.0,
     sample_connections: int = 4,
     failure_time: float = 50.0,
     horizon: float = 400.0,
-    workers: "int | None" = 1,
 ) -> MessageLossResult:
-    """Measure per-message loss around single link failures.
-
-    ``workers`` parallelises the independent failure injections (one
-    simulation each) across processes; measurement order is preserved,
-    so any worker count gives the same table.
-    """
+    """Measure per-message loss around single link failures: one
+    simulation with a live data stream per injection, all on the one
+    network's compiled :class:`~repro.protocol.plan.ProtocolPlan`."""
     config = config or NetworkConfig(rows=4, cols=4)
     qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
     network, _ = load_network(config, qos)
@@ -122,14 +90,30 @@ def run_message_loss(
         if connection.primary.path.hops >= 3
     ]
     stride = max(1, len(connections) // sample_connections)
-    items = [
-        (network, connection.connection_id,
-         connection.primary.path.links[index], index,
-         message_rate, failure_time, horizon)
-        for connection in connections[::stride][:sample_connections]
-        for index in range(connection.primary.path.hops)
-    ]
-    result.measurements.extend(
-        parallel_map(_measure_loss, items, workers=workers)
-    )
+    for connection in connections[::stride][:sample_connections]:
+        connection_id = connection.connection_id
+        for index, victim in enumerate(connection.primary.path.links):
+            simulation = ProtocolSimulation(network, ProtocolConfig())
+            stream = DataStream(
+                simulation, connection_id, message_rate=message_rate
+            )
+            stream.start(at=0.0, until=horizon - 50.0)
+            simulation.inject_scenario(
+                FailureScenario.of_links([victim]), at=failure_time
+            )
+            simulation.run(until=horizon)
+            record = simulation.metrics.recoveries.get(connection_id)
+            result.measurements.append(
+                LossMeasurement(
+                    connection_id=connection_id,
+                    failed_link_index=index,
+                    sent=stream.report.sent,
+                    delivered=stream.report.delivered,
+                    lost=stream.report.lost,
+                    service_disruption=(
+                        record.service_disruption if record else None
+                    ),
+                    loss_window=stream.report.loss_window,
+                )
+            )
     return result

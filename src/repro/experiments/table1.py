@@ -18,8 +18,7 @@ from repro.experiments.setup import (
     load_network,
     standard_failure_models,
 )
-from repro.parallel import evaluate_scenarios
-from repro.recovery.evaluator import ActivationOrder
+from repro.recovery import ActivationOrder, evaluate_scenarios
 from repro.util.tables import format_percent, format_table
 
 PAPER_DEGREES = (1, 3, 5, 6)
@@ -107,13 +106,8 @@ def run_table1(
     double_node_samples: int = 200,
     order: ActivationOrder = ActivationOrder.PRIORITY,
     seed: "int | None" = 0,
-    workers: "int | None" = 1,
 ) -> Table1Result:
-    """Regenerate one Table 1 panel.
-
-    ``workers`` fans the scenario evaluation out over processes (``None``
-    = one per CPU); results are identical for any worker count.
-    """
+    """Regenerate one Table 1 panel."""
     config = config or NetworkConfig()
     result = Table1Result(
         config=config, num_backups=num_backups, mux_degrees=tuple(mux_degrees)
@@ -137,7 +131,7 @@ def run_table1(
         )
         for model, scenarios in models.items():
             stats = evaluate_scenarios(
-                network, scenarios, workers=workers, order=order, seed=seed
+                network, scenarios, order=order, seed=seed
             )
             result.r_fast[model][degree] = stats.r_fast
     return result

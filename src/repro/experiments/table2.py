@@ -18,9 +18,12 @@ from repro.experiments.setup import (
     load_network,
     standard_failure_models,
 )
-from repro.parallel import evaluate_scenarios_grouped
-from repro.recovery.evaluator import ActivationOrder
-from repro.recovery.grouping import by_mux_degree
+from repro.recovery import (
+    ActivationOrder,
+    RecoveryEvaluator,
+    by_mux_degree,
+    evaluate_grouped,
+)
 from repro.util.tables import format_percent, format_table
 
 PAPER_MIX = (1, 3, 5, 6)
@@ -91,13 +94,8 @@ def run_table2(
     double_node_samples: int = 200,
     order: ActivationOrder = ActivationOrder.PRIORITY,
     seed: "int | None" = 0,
-    workers: "int | None" = 1,
 ) -> Table2Result:
-    """Regenerate one Table 2 panel.
-
-    ``workers`` fans the scenario evaluation out over processes (``None``
-    = one per CPU); results are identical for any worker count.
-    """
+    """Regenerate one Table 2 panel."""
     config = config or NetworkConfig()
     result = Table2Result(
         config=config, num_backups=num_backups, classes=tuple(classes)
@@ -116,10 +114,11 @@ def run_table2(
     )
     models = standard_failure_models(network.topology, double_node_samples, seed)
     for model in FAILURE_MODELS:
-        scenarios = models[model]
-        per_class = evaluate_scenarios_grouped(
-            network, scenarios, key=by_mux_degree,
-            workers=workers, order=order, seed=seed,
+        per_class = evaluate_grouped(
+            network,
+            RecoveryEvaluator(network, order=order, seed=seed),
+            models[model],
+            by_mux_degree,
         )
         result.r_fast[model] = {
             degree: (per_class[degree].r_fast if degree in per_class else None)

@@ -31,9 +31,9 @@ guarantees follow:
   silently route on stale capacities.
 
 Reconciliation bumps :attr:`version` so every version-keyed consumer
-(route-cache floor tables, spare-pool snapshots, compiled plans)
-refreshes.  Link *removal* is not supported — failures are modelled as
-state on top of a static link set, never as deletion.
+(route-cache floor tables, compiled plans) refreshes.  Link *removal* is
+not supported — failures are modelled as state on top of a static link
+set, never as deletion.
 
 Free-capacity mirror contract
 -----------------------------
@@ -162,9 +162,6 @@ class ReservationLedger:
     _links: dict[LinkId, LinkLedger] = field(init=False)
     _version: int = field(init=False, default=0)
     _topology_version: int = field(init=False, default=-1)
-    _spares_cache: "tuple[int, dict[LinkId, float]] | None" = field(
-        init=False, default=None, repr=False
-    )
     #: Entries written since ``_log_base``, oldest first; absolute log
     #: position of ``_log[i]`` is ``_log_base + i``.
     _log: list[LinkLedger] = field(init=False, default_factory=list, repr=False)
@@ -215,9 +212,9 @@ class ReservationLedger:
     def version(self) -> int:
         """Monotonic mutation counter.
 
-        Bumped by every reservation change; snapshot consumers (the
-        recovery evaluator, parallel shard workers) use it to reuse
-        spare-pool snapshots for as long as no connection changed.
+        Bumped by every reservation change; version-keyed consumers
+        (compiled plans, route-cache floor tables, a recovery evaluator's
+        ``is_stale``) compare it to tell whether any pool moved.
         """
         return self._version
 
@@ -531,37 +528,12 @@ class ReservationLedger:
             entry.spare = spare
         self._void_log()
         self._version += 1
-        self._spares_cache = None
 
     def snapshot_spares(self) -> dict[LinkId, float]:
         """Copy of every link's current spare reservation.
 
-        The recovery evaluator works on scenario-local copies so that
-        evaluating one failure scenario never mutates the network.  The
-        copy is rebuilt only when :attr:`version` changed since the last
-        call; repeated snapshots of an unchanged ledger are free.
+        The recovery evaluator and the protocol runtime draw from copies
+        so that evaluating a failure never mutates the network.
         """
         self._sync_topology()
-        cache = self._spares_cache
-        if cache is not None and cache[0] == self._version:
-            return dict(cache[1])
-        spares = {link: entry.spare for link, entry in self._links.items()}
-        self._spares_cache = (self._version, spares)
-        return dict(spares)
-
-    def shared_spares(self) -> dict[LinkId, float]:
-        """Read-only view of the current spare pools (cached by version).
-
-        Unlike :meth:`snapshot_spares` the returned mapping is shared
-        between callers and **must not be mutated**; it exists for hot
-        paths (evaluator construction per shard) where even the O(links)
-        copy matters.
-        """
-        self._sync_topology()
-        cache = self._spares_cache
-        if cache is None or cache[0] != self._version:
-            self._spares_cache = (
-                self._version,
-                {link: entry.spare for link, entry in self._links.items()},
-            )
-        return self._spares_cache[1]
+        return {link: entry.spare for link, entry in self._links.items()}

@@ -249,7 +249,7 @@ class Topology:
     def __getstate__(self) -> dict:
         # The flat view holds array buffers and a route cache that are
         # cheap to rebuild but expensive to ship to worker processes —
-        # drop it from pickles (workers recompile lazily on first search).
+        # drop it from pickles (the receiver recompiles on first search).
         state = self.__dict__.copy()
         state["_flat"] = None
         return state

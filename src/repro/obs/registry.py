@@ -530,9 +530,8 @@ def merge_snapshots(snapshots: "list[dict]") -> dict:
     merge exactly; gauge values are last-in-merge-order with union
     watermarks; histogram percentiles are count-weighted averages of the
     inputs' percentiles (an approximation — the underlying samples never
-    left their processes).  Used by the parallel layer to fold per-shard
-    worker snapshots into one result, and handy for combining the
-    ``--metrics-out`` files of separate runs.
+    left their processes).  Handy for combining the ``--metrics-out``
+    files of separate runs.
     """
     counters: dict[str, int] = {}
     gauges: dict[str, dict] = {}

@@ -13,8 +13,9 @@ Design constraints, mirrored from the metrics registry:
 * **Deterministic ids.**  Span ids are a monotone counter starting at 1,
   assigned in emission order.  No wall clock, no randomness — two runs
   of the same seed produce byte-identical span streams, and
-  :meth:`SpanLog.absorb` remaps ids so sharded parallel runs merge into
-  the same stream the sequential run would have produced.
+  :meth:`SpanLog.absorb` remaps ids so pooled runs
+  (:func:`repro.parallel.parallel_map`) merge into the same stream the
+  sequential run would have produced.
 * **Inert when disabled.**  A disabled log's ``begin``/``end``/``point``
   are cheap no-ops returning id 0, so instrumented code needs only a
   single ``if spans.enabled`` guard around attribute construction.
@@ -122,7 +123,7 @@ class SpanLog:
         Ids are remapped by a constant offset so the merged stream keeps
         unique, monotone ids; parent links are shifted by the same
         offset, preserving the causal structure.  Replaying worker logs
-        in shard order therefore reproduces the exact stream a
+        in task order therefore reproduces the exact stream a
         sequential run would have written.
         """
         offset = self._next_id - 1

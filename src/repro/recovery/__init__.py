@@ -12,6 +12,7 @@ from repro.recovery.evaluator import (
     ConnectionOutcome,
     RecoveryEvaluator,
     ScenarioResult,
+    evaluate_scenarios,
 )
 from repro.recovery.grouping import (
     by_backup_count,
@@ -27,6 +28,7 @@ __all__ = [
     "ConnectionOutcome",
     "ActivationOrder",
     "RecoveryStats",
+    "evaluate_scenarios",
     "evaluate_grouped",
     "by_mux_degree",
     "by_backup_count",

@@ -211,26 +211,12 @@ class RecoveryEvaluator:
         this evaluator was built from (the evaluate-under-churn guard)."""
         return self.network.ledger.version != self.ledger_version
 
-    def reseed(self, seed: "int | None") -> None:
-        """Replace the activation-order RNG (``ActivationOrder.RANDOM``).
-
-        The parallel execution layer reseeds one evaluator per scenario
-        shard so results are independent of how shards map to workers.
-        """
-        self._rng = make_rng(seed)
-
     def _resolve_spares(
         self, override: "Mapping[LinkId, float] | float | None"
     ) -> dict[LinkId, float]:
         topology = self.network.topology
         if override is None:
-            # Shared, version-cached view: constructing many evaluators
-            # against an unchanged network (one per shard in a parallel
-            # sweep, or one per activation-order variant in the ablation
-            # experiment) re-derives the spare pools exactly once.  The
-            # evaluator never mutates its base pools (scenario draws go to
-            # scenario-local copies), so sharing is safe.
-            return self.network.ledger.shared_spares()
+            return self.network.ledger.snapshot_spares()
         if isinstance(override, (int, float)):
             check_non_negative(override, "spare_override")
             # A uniform pool cannot exceed what the link can actually hold.
@@ -289,7 +275,8 @@ class RecoveryEvaluator:
         sink = get_trace_sink()
         if sink is not None:
             # The evaluator has no simulation clock; the time field is
-            # the scenario ordinal within this evaluator.
+            # the scenario's ordinal in the registry it records into (the
+            # running ``evaluator.scenarios`` count).
             sink.record(
                 float(ordinal), "scenario", "evaluator",
                 f"{scenario}: fast={fast} mux={mux} lost={lost}",
@@ -391,3 +378,30 @@ class RecoveryEvaluator:
                 excluded_connections=tally.excluded,
             )
         return stats
+
+
+def evaluate_scenarios(
+    network: BCPNetwork,
+    scenarios: Iterable[FailureScenario],
+    *,
+    order: ActivationOrder = ActivationOrder.PRIORITY,
+    spare_override: "Mapping[LinkId, float] | float | None" = None,
+    free_capacity_fallback: bool = False,
+    seed: "int | None" = 0,
+    metrics: "MetricsRegistry | None" = None,
+) -> RecoveryStats:
+    """Evaluate a scenario stream against ``network`` as it is now.
+
+    One :class:`RecoveryEvaluator` built from the keyword arguments, one
+    :meth:`~RecoveryEvaluator.evaluate_many` — the call for consumers that
+    evaluate a network that keeps changing (churn epochs, serve
+    ``evaluate`` requests) and so never keep an evaluator.
+    """
+    return RecoveryEvaluator(
+        network,
+        order=order,
+        spare_override=spare_override,
+        free_capacity_fallback=free_capacity_fallback,
+        seed=seed,
+        metrics=metrics,
+    ).evaluate_many(scenarios)

@@ -11,9 +11,9 @@ Routing Configurations, PAPERS.md).
 The plan is owned by the :class:`~repro.core.bcp.BCPNetwork` it describes
 (``network._recovery_plan``) and keyed on ``network.ledger.version``,
 which every establishment, teardown and activation bumps.  All evaluators
-of one network — the per-shard evaluators of :mod:`repro.parallel`, the
-serve ``evaluate`` op, the ablation variants — share it; like
-``Topology._flat`` it is dropped from pickles and recompiled on demand.
+of one network — one per failure model of a table, the serve ``evaluate``
+op, the ablation variants — share it; like ``Topology._flat`` it is
+dropped from pickles and recompiled on demand.
 
 Under churn a plan lives for one ledger version and answers a handful of
 scenarios (the online setting of Keslassy & Orda, PAPERS.md), so only

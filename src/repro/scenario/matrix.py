@@ -4,10 +4,9 @@ A :class:`ScenarioMatrix` holds one list per axis — topologies,
 workloads, protocol configurations — and :meth:`~ScenarioMatrix.expand`
 takes their cartesian product in a fixed order (topology outermost,
 protocol innermost), deriving one deterministic per-cell seed from
-``base_seed`` via the :mod:`repro.parallel` seeding discipline (one
-parent RNG, one draw per cell, in expansion order).  Expanding the same
-matrix therefore always yields the same lattice, cell names and seeds
-included, no matter where or how many times it runs.
+``base_seed`` (one parent RNG, one draw per cell, in expansion order).
+Expanding the same matrix therefore always yields the same lattice, cell
+names and seeds included, no matter where or how many times it runs.
 
 The ``repro.matrix/1`` JSON codec stores the axes, not the product, so a
 hundreds-of-cells sweep is a dozen lines of JSON; :func:`load_cells`

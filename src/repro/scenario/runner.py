@@ -57,7 +57,8 @@ from repro.faults.enumerate import (
 from repro.network.topology import Topology
 from repro.obs.registry import get_registry
 from repro.obs.slo import SLOEngine
-from repro.parallel import evaluate_scenarios, parallel_map
+from repro.parallel import parallel_map
+from repro.recovery import evaluate_scenarios
 from repro.routing.flatgraph import flat_view
 from repro.scenario.spec import ScenarioSpec, TopologySpec
 from repro.workload.churn import ChurnConfig, ChurnEngine
@@ -149,9 +150,7 @@ class CellResult:
 # ----------------------------------------------------------------------
 # spec -> engine-configuration bridges (the CLI consumes these too)
 # ----------------------------------------------------------------------
-def churn_config_from_spec(
-    spec: ScenarioSpec, workers: "int | None" = 1
-) -> ChurnConfig:
+def churn_config_from_spec(spec: ScenarioSpec) -> ChurnConfig:
     """The :class:`ChurnConfig` a churn cell pins.
 
     SLOs are *not* threaded into the per-epoch engine here — matrix cells
@@ -172,7 +171,6 @@ def churn_config_from_spec(
         epoch_interval=workload.epoch_interval,
         eval_scenarios=workload.eval_scenarios,
         pairs=workload.pairs,
-        workers=workers,
     )
 
 
@@ -261,7 +259,9 @@ def _run_eval_cell(spec: ScenarioSpec, cache: TopologyCache):
         spare_override = uniform_spare_amount(network)
         free_capacity_fallback = True
     stats = evaluate_scenarios(
-        network, scenarios, workers=1, seed=spec.seed,
+        network,
+        scenarios,
+        seed=spec.seed,
         spare_override=spare_override,
         free_capacity_fallback=free_capacity_fallback,
     )
@@ -293,7 +293,7 @@ def _run_eval_cell(spec: ScenarioSpec, cache: TopologyCache):
 def _run_churn_cell(spec: ScenarioSpec, cache: TopologyCache):
     topology = cache.get(spec.topology)
     network = BCPNetwork(topology)
-    engine = ChurnEngine(network, churn_config_from_spec(spec, workers=1))
+    engine = ChurnEngine(network, churn_config_from_spec(spec))
     stats = engine.run()
     return (
         network,

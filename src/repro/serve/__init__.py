@@ -8,8 +8,8 @@ over a line-delimited JSON protocol (:mod:`repro.serve.protocol`) on a
 Unix or TCP socket.
 
 * :mod:`repro.serve.server` — the single-threaded
-  :class:`~repro.serve.server.AdmissionServer`; recovery queries fan out
-  over :func:`repro.parallel.evaluate_scenarios` worker processes, and
+  :class:`~repro.serve.server.AdmissionServer`; recovery queries run
+  in-process through :func:`repro.recovery.evaluate_scenarios`, and
   p50/p99 admission latency and recovery delay are tracked as
   ``serve.*`` histograms for :mod:`repro.obs` SLO gating.
 * :mod:`repro.serve.client` — :class:`~repro.serve.client.ServeClient`

@@ -186,22 +186,15 @@ class RemoteNetwork:
         """The server-side epoch audit, in one round trip."""
         return self.client.call("audit")["violations"]
 
-    def evaluate_failures(
-        self,
-        links: "list[LinkId]",
-        seed: int,
-        workers: "int | None" = None,
-    ) -> tuple:
-        """Run a recovery evaluation server-side (its worker pool, its
-        warm caches); returns ``(RecoveryStats, counters)`` exactly as
+    def evaluate_failures(self, links: "list[LinkId]", seed: int) -> tuple:
+        """Run a recovery evaluation server-side (its warm network, its
+        compiled plan); returns ``(RecoveryStats, counters)`` exactly as
         the local evaluate-under-churn path produces them."""
-        params = {
-            "links": [[link.src, link.dst] for link in links],
-            "seed": seed,
-        }
-        if workers is not None:
-            params["workers"] = workers
-        response = self.client.call("evaluate", **params)
+        response = self.client.call(
+            "evaluate",
+            links=[[link.src, link.dst] for link in links],
+            seed=seed,
+        )
         stats = remote_recovery_stats(response["stats"])
         return stats, response["counters"]
 

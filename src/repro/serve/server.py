@@ -5,9 +5,9 @@ One :class:`AdmissionServer` owns one warm
 compiled flat views, route-cache floor tables, the mux-kernel arena, and
 the reservation ledger all persist across requests instead of being
 rebuilt per CLI invocation.  Requests arrive over the line-delimited
-JSON protocol of :mod:`repro.serve.protocol`; recovery queries fan out
-across worker processes through
-:func:`repro.parallel.evaluate_scenarios`'s deterministic sharding.
+JSON protocol of :mod:`repro.serve.protocol`; recovery queries are
+answered in-process from the warm network's compiled recovery plan
+(:func:`repro.recovery.evaluate_scenarios`) — the server never forks.
 
 The server itself is single-threaded and handles one connection at a
 time — admission is a serialized state machine by design (the
@@ -29,8 +29,7 @@ from repro.core.bcp import BCPNetwork, BatchRequest, EstablishmentError
 from repro.faults.models import FailureScenario
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.slo import SLOEngine
-from repro.parallel import evaluate_scenarios
-from repro.recovery.metrics import RecoveryStats
+from repro.recovery import RecoveryStats, evaluate_scenarios
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.protocol import (
     SERVE_SCHEMA,
@@ -53,8 +52,8 @@ class AdmissionServer:
         they can rebuild an identical local topology for seeded pair and
         failure-link sampling.
     workers:
-        Worker-process count for recovery evaluations (``None`` = one
-        per CPU) — the :mod:`repro.parallel` fan-out.
+        Accepted and ignored: the frozen ``benchmarks/e2e/workloads.py``
+        still passes ``workers=1`` (ROADMAP, "One benchmark system").
     metrics:
         Target registry for the ``serve.*`` metrics (default: the
         session registry).
@@ -67,7 +66,6 @@ class AdmissionServer:
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.spec = spec
-        self.workers = workers
         self.registry = metrics if metrics is not None else get_registry()
         self.network = BCPNetwork(spec.topology.build())
         self._h_admission = self.registry.histogram("serve.admission_latency")
@@ -184,7 +182,6 @@ class AdmissionServer:
         return {
             "schema": SERVE_SCHEMA,
             "spec": self.spec.to_dict(),
-            "workers": self.workers,
             "connections": self.network.num_connections,
         }
 
@@ -249,13 +246,11 @@ class AdmissionServer:
         topology = self.network.topology
         links = [topology.link(src, dst) for src, dst in request["links"]]
         scenarios = [FailureScenario.of_links([link]) for link in links]
-        workers = request.get("workers", self.workers)
         started = perf_counter()
         private = MetricsRegistry()
         stats = evaluate_scenarios(
             self.network,
             scenarios,
-            workers=workers,
             seed=request["seed"],
             metrics=private,
         )

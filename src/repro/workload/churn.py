@@ -26,7 +26,7 @@ the recorded establishment latency, ``per_hop_latency`` x channel hops)
 is computed from seeded state, and per-epoch scenario evaluation folds
 only its *counters* into the session registry (its wall-clock timers
 stay in a private registry).  Metrics and stats exports are therefore
-byte-identical for any ``workers`` count.
+byte-identical run to run, local or served.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from repro.obs.registry import (
     get_registry,
 )
 from repro.obs.slo import SLOEngine
-from repro.parallel import evaluate_scenarios
-from repro.recovery.metrics import RecoveryStats
+from repro.recovery import RecoveryStats, evaluate_scenarios
 from repro.util.rng import spawn_rngs
 from repro.util.validation import check_non_negative, check_positive
 
@@ -75,7 +74,6 @@ class ChurnConfig:
     eval_scenarios: int = 0
     pairs: int = 0
     per_hop_latency: float = 0.001
-    workers: "int | None" = 1
     #: Declarative SLO target specs (see :mod:`repro.obs.slo`), evaluated
     #: against the engine's registry snapshot at every epoch boundary,
     #: e.g. ``("churn.establish_latency.p99 <= 0.02",)``.  Breaches are
@@ -426,7 +424,7 @@ class ChurnEngine:
         The evaluation runs under a private registry; only its *counters*
         — which are deterministic — are folded into the engine's registry.
         Its wall-clock scenario timer never reaches the session snapshot,
-        keeping ``--metrics-out`` byte-identical across worker counts.
+        keeping ``--metrics-out`` byte-identical run to run.
 
         A network exposing ``evaluate_failures`` (the remote adapter)
         runs the sweep on its side — the link sample and epoch seed are
@@ -438,14 +436,13 @@ class ChurnEngine:
         epoch_seed = self._eval_rng.getrandbits(64)
         remote = getattr(self.network, "evaluate_failures", None)
         if remote is not None:
-            stats, counters = remote(links, epoch_seed, self.config.workers)
+            stats, counters = remote(links, epoch_seed)
         else:
             scenarios = [FailureScenario.of_links([link]) for link in links]
             private = MetricsRegistry()
             stats = evaluate_scenarios(
                 self.network,
                 scenarios,
-                workers=self.config.workers,
                 seed=epoch_seed,
                 metrics=private,
             )

@@ -31,6 +31,7 @@ from repro.chaos import (
 from repro.chaos.schedule import protocol_config_to_json
 from repro.chaos.shrink import _ddmin
 from repro.network.components import LinkId
+from repro.obs.registry import MetricsRegistry
 from repro.protocol import ProtocolConfig
 from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
 
@@ -187,11 +188,45 @@ class TestCampaigns:
 
     def test_campaign_bit_identical_across_worker_counts(self, chaos_network):
         """Acceptance criterion: a seeded campaign replays bit-identically
-        whether run serially or sharded over four workers."""
-        schedules = build_campaign(7, 8, chaos_network)
-        serial = run_campaign(schedules, chaos_network, workers=1)
-        sharded = run_campaign(schedules, chaos_network, workers=4)
-        assert serial == sharded
+        whether run serially or sharded over four workers — results,
+        summary and the merged metrics snapshot (switchover.* counters,
+        series) — also under non-default switchover retry/backoff knobs
+        with re-establishment fallback."""
+
+        def run(config, workers: int) -> tuple:
+            registry = MetricsRegistry()
+            results = run_campaign(
+                build_campaign(7, 8, chaos_network, config), chaos_network,
+                config, workers=workers, metrics=registry,
+            )
+            snapshot = registry.snapshot()
+            # Timer histograms are wall-clock, and the route cache is
+            # process-global (the hit/miss split depends on which process
+            # computed a route, not on what was computed) — neither is
+            # part of the determinism contract.
+            del snapshot["histograms"]
+            snapshot["counters"] = {
+                name: value
+                for name, value in snapshot["counters"].items()
+                if not name.startswith("route_cache.")
+            }
+            return results, campaign_summary(results), snapshot
+
+        for config in (
+            ProtocolConfig(),
+            ProtocolConfig(
+                switchover_ack_timeout=7.0,
+                switchover_retry_limit=3,
+                switchover_backoff=1.5,
+                reestablish_unrecoverable=True,
+            ),
+        ):
+            serial = run(config, workers=1)
+            assert serial == run(config, workers=4), config
+            assert any(
+                name.startswith("switchover.")
+                for name in serial[2]["counters"]
+            )
 
     def test_healthy_protocol_passes_clean_campaign(self, chaos_network):
         schedules = build_campaign(0, 6, chaos_network)
@@ -311,6 +346,20 @@ class TestShrinking:
                   r"\['debug_double_release', 'no_such_knob'\]",
         ):
             replay_artifact(payload, chaos_network)
+        # The nested RCC block and the two keys every artifact records
+        # are held to the same contract (they used to escape as a bare
+        # TypeError / KeyError).
+        recorded = protocol_config_to_json(ProtocolConfig())
+        for config, message in (
+            ({**recorded, "rcc": {**recorded["rcc"], "burst": 3}},
+             r"unknown protocol config key\(s\) \['rcc.burst'\]"),
+            ({key: value for key, value in recorded.items()
+              if key not in ("scheme", "rcc")},
+             r"missing protocol config key\(s\) \['rcc', 'scheme'\]"),
+            ({**recorded, "rcc": 3}, r"'rcc' must be an object"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                replay_artifact({**payload, "config": config}, chaos_network)
 
     def test_replay_validates_protocol_block(
         self, chaos_network, tmp_path, monkeypatch

@@ -34,6 +34,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["table1", "--topology", "blimp"])
 
+    def test_workers_only_where_a_pool_pays(self, capsys):
+        """``--workers`` parses on the five pooled commands and is an
+        argparse error (exit 2) on each of the other fifteen."""
+        pooled = {"matrix", "chaos", "reliability", "report", "all"}
+        # Positionals the command needs before it gets to the flag.
+        positional = {"matrix": ["run", "x.json"], "obs": ["episodes"],
+                      "serve": ["ping"]}
+        parser = build_parser()
+        commands = parser._subparsers._group_actions[0].choices
+        assert len(commands) == 20 and pooled < set(commands)
+        for name in commands:
+            argv = [name, *positional.get(name, []), "--workers", "2"]
+            if name in pooled:
+                assert parser.parse_args(argv).workers == 2, name
+            else:
+                with pytest.raises(SystemExit) as raised:
+                    parser.parse_args(argv)
+                assert raised.value.code == 2, name
+                assert "--workers" in capsys.readouterr().err, name
+
 
 class TestCommands:
     def test_table1(self, capsys):
@@ -255,14 +275,26 @@ class TestChaosCommand:
         )
         with open(artifact) as handle:
             payload = json.load(handle)
-        payload["config"]["no_such_knob"] = True
         path = tmp_path / "stale.json"
-        path.write_text(json.dumps(payload))
-        with pytest.raises(
-            SystemExit, match=r"unknown protocol config key\(s\) "
-                              r"\['no_such_knob'\]",
-        ):
+
+        def replay_with(config: dict) -> None:
+            path.write_text(json.dumps({**payload, "config": config}))
             main(["chaos", "--replay", str(path)])
+
+        recorded = payload["config"]
+        for config, message in (
+            ({**recorded, "no_such_knob": True},
+             r"unknown protocol config key\(s\) \['no_such_knob'\]"),
+            ({**recorded, "rcc": {**recorded["rcc"], "burst": 3}},
+             r"unknown protocol config key\(s\) \['rcc.burst'\]"),
+            ({key: value for key, value in recorded.items()
+              if key != "scheme"},
+             r"missing protocol config key\(s\) \['scheme'\]"),
+        ):
+            # A message (not a traceback), prefixed with the file.
+            with pytest.raises(SystemExit, match=message) as raised:
+                replay_with(config)
+            assert str(raised.value).startswith(f"{path}: ")
 
     def test_product_has_no_planted_switch(self):
         """The planted bugs live in ``tests/planted.py``: neither the

@@ -93,7 +93,6 @@ class TestTopologyMutation:
         topology.add_duplex_link(0, 2, capacity=8.0)
         ledger.set_spare(LinkId(0, 2), 2.0)
         assert ledger.snapshot_spares()[LinkId(0, 2)] == 2.0
-        assert ledger.shared_spares()[LinkId(0, 2)] == 2.0
 
 
 class TestBulkPathOperations:

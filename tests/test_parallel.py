@@ -1,9 +1,11 @@
-"""Tests for repro.parallel: determinism, crash surfacing, metric merges.
+"""Tests for repro.parallel (the ordered process-pool map, metric
+merges) and for :func:`repro.recovery.evaluate_scenarios`, the in-process
+call that replaced the scenario-shard pool.
 
-The load-bearing property is that ``workers=1`` and ``workers=N`` produce
-*identical* results for a fixed seed — identical
-:class:`~repro.recovery.metrics.RecoveryStats` (every field, including
-the float accumulators) and identical ``repro.metrics/1`` counters.
+``parallel_map``'s load-bearing property is that ``workers=1`` and
+``workers=N`` produce *identical* results and identical
+``repro.metrics/1`` counters; ``evaluate_scenarios`` is exactly one
+:class:`RecoveryEvaluator` and one ``evaluate_many``.
 """
 
 from __future__ import annotations
@@ -17,15 +19,10 @@ from repro.faults import (
     all_single_link_failures,
     all_single_node_failures,
 )
-from repro.obs.registry import MetricsRegistry, merge_snapshots
-from repro.parallel import (
-    evaluate_scenarios,
-    evaluate_scenarios_grouped,
-    parallel_map,
-    resolve_workers,
-)
-from repro.recovery import ActivationOrder, RecoveryEvaluator
-from repro.recovery.grouping import by_mux_degree, evaluate_grouped
+from repro.obs.registry import MetricsRegistry, merge_snapshots, obs_session
+from repro.parallel import parallel_map, resolve_workers
+from repro.recovery import ActivationOrder, RecoveryEvaluator, evaluate_scenarios
+from repro.sim.trace import TraceLog
 
 
 @pytest.fixture
@@ -52,85 +49,44 @@ class TestResolveWorkers:
 
 
 # ----------------------------------------------------------------------
-# determinism across worker counts
+# evaluate_scenarios is one evaluator, one evaluate_many
 # ----------------------------------------------------------------------
 class TestDeterminism:
-    def test_stats_identical_across_worker_counts(
-        self, loaded_torus4, scenarios
-    ):
-        reg1, reg2 = MetricsRegistry(), MetricsRegistry()
-        one = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=1, seed=0,
-            shard_size=7, metrics=reg1,
-        )
-        many = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=3, seed=0,
-            shard_size=7, metrics=reg2,
-        )
-        # Dataclass equality covers every field, including the float
-        # accumulators behind r_fast_mean_of_scenarios.
-        assert one == many
-        assert reg1.snapshot()["counters"] == reg2.snapshot()["counters"]
-
     def test_matches_direct_evaluator(self, loaded_torus4, scenarios):
-        direct = RecoveryEvaluator(
-            loaded_torus4, metrics=MetricsRegistry()
-        ).evaluate_many(scenarios)
-        parallel = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=2, metrics=MetricsRegistry()
-        )
-        assert parallel.scenarios == direct.scenarios
-        assert parallel.failed_primaries == direct.failed_primaries
-        assert parallel.fast_recovered == direct.fast_recovered
-        assert parallel.mux_failures == direct.mux_failures
-        assert parallel.channels_lost == direct.channels_lost
-        assert parallel.excluded_connections == direct.excluded_connections
+        """Same stats (float accumulators included), registry counters and
+        trace as a directly built evaluator, for every activation order;
+        for ``RANDOM`` that means same seed, same single RNG stream."""
 
-    def test_random_order_identical_across_worker_counts(
-        self, loaded_torus4, scenarios
-    ):
-        kwargs = dict(order=ActivationOrder.RANDOM, seed=11, shard_size=5)
-        one = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=1,
-            metrics=MetricsRegistry(), **kwargs,
-        )
-        many = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=4,
-            metrics=MetricsRegistry(), **kwargs,
-        )
-        assert one == many
+        def observed(evaluate) -> tuple:
+            registry, trace = MetricsRegistry(), TraceLog()
+            with obs_session(registry, trace):
+                stats = evaluate(registry)
+            return stats, registry.snapshot()["counters"], trace
 
-    def test_grouped_identical_across_worker_counts(
-        self, loaded_torus4, scenarios
-    ):
-        one = evaluate_scenarios_grouped(
-            loaded_torus4, scenarios, key=by_mux_degree,
-            workers=1, shard_size=9, metrics=MetricsRegistry(),
-        )
-        many = evaluate_scenarios_grouped(
-            loaded_torus4, scenarios, key=by_mux_degree,
-            workers=3, shard_size=9, metrics=MetricsRegistry(),
-        )
-        assert one == many
-        direct = evaluate_grouped(
-            loaded_torus4,
-            RecoveryEvaluator(loaded_torus4, metrics=MetricsRegistry()),
-            scenarios,
-            by_mux_degree,
-        )
-        assert set(one) == set(direct)
-        for group, stats in direct.items():
-            assert one[group].fast_recovered == stats.fast_recovered
-            assert one[group].failed_primaries == stats.failed_primaries
+        for order in ActivationOrder:
+            direct_stats, direct_counters, direct_trace = observed(
+                lambda registry: RecoveryEvaluator(
+                    loaded_torus4, order=order, seed=11, metrics=registry
+                ).evaluate_many(scenarios)
+            )
+            stats, counters, trace = observed(
+                lambda registry: evaluate_scenarios(
+                    loaded_torus4, scenarios, order=order, seed=11, metrics=registry
+                )
+            )
+            assert stats == direct_stats, order
+            assert counters == direct_counters, order
+            assert counters["evaluator.scenarios"] == len(scenarios)
+            assert trace.to_jsonl() == direct_trace.to_jsonl(), order
+            # One evaluator per call: the scenario ordinal runs over the
+            # whole stream.
+            assert [event.time for event in trace.events] == list(
+                range(len(scenarios))
+            )
 
     def test_empty_scenario_stream(self, loaded_torus4):
-        stats = evaluate_scenarios(
-            loaded_torus4, [], workers=2, metrics=MetricsRegistry()
-        )
+        stats = evaluate_scenarios(loaded_torus4, [], metrics=MetricsRegistry())
         assert stats.scenarios == 0
-        assert evaluate_scenarios_grouped(
-            loaded_torus4, [], workers=2, metrics=MetricsRegistry()
-        ) == {}
 
 
 # ----------------------------------------------------------------------
@@ -138,26 +94,17 @@ class TestDeterminism:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _PoisonedScenario(FailureScenario):
-    """A scenario whose component expansion explodes in the worker."""
+    """A scenario whose component expansion explodes."""
 
     def components(self, topology):
         raise RuntimeError("poisoned scenario")
 
 
 class TestCrashSurfacing:
-    def test_worker_exception_propagates(self, loaded_torus4, scenarios):
-        poisoned = scenarios[:4] + [_PoisonedScenario()] + scenarios[4:8]
-        with pytest.raises(RuntimeError, match="poisoned"):
-            evaluate_scenarios(
-                loaded_torus4, poisoned, workers=2, shard_size=2,
-                metrics=MetricsRegistry(),
-            )
-
     def test_inline_exception_propagates(self, loaded_torus4):
         with pytest.raises(RuntimeError, match="poisoned"):
             evaluate_scenarios(
-                loaded_torus4, [_PoisonedScenario()], workers=1,
-                metrics=MetricsRegistry(),
+                loaded_torus4, [_PoisonedScenario()], metrics=MetricsRegistry()
             )
 
 
@@ -283,66 +230,11 @@ class TestRegistryMerge:
 
 
 # ----------------------------------------------------------------------
-# the spare-snapshot cache behind evaluator construction (regression)
-# ----------------------------------------------------------------------
-class TestSharedSpareCache:
-    def test_evaluators_share_base_pools_while_unchanged(self, loaded_torus4):
-        first = RecoveryEvaluator(loaded_torus4, metrics=MetricsRegistry())
-        second = RecoveryEvaluator(loaded_torus4, metrics=MetricsRegistry())
-        assert first._base_spares is second._base_spares
-
-    def test_cache_invalidated_by_mutation(self, loaded_torus4):
-        before = loaded_torus4.ledger.shared_spares()
-        link = next(iter(loaded_torus4.topology.links()))
-        loaded_torus4.ledger.set_spare(link, 7.5)
-        after = loaded_torus4.ledger.shared_spares()
-        assert after is not before
-        assert after[link] == 7.5
-
-    def test_snapshot_spares_still_returns_copies(self, loaded_torus4):
-        copy = loaded_torus4.ledger.snapshot_spares()
-        shared = loaded_torus4.ledger.shared_spares()
-        assert copy == shared
-        assert copy is not shared
-        link = next(iter(copy))
-        copy[link] = -1.0
-        assert loaded_torus4.ledger.shared_spares()[link] != -1.0
-
-    def test_override_still_builds_private_pools(self, loaded_torus4):
-        uniform = RecoveryEvaluator(
-            loaded_torus4, spare_override=5.0, metrics=MetricsRegistry()
-        )
-        assert uniform._base_spares is not (
-            loaded_torus4.ledger.shared_spares()
-        )
-
-
-# ----------------------------------------------------------------------
 # trace capture
 # ----------------------------------------------------------------------
 class TestTraceCapture:
-    def _trace_of(self, network, scenarios, workers):
-        from repro.obs.registry import obs_session
-        from repro.sim.trace import TraceLog
-
-        trace = TraceLog()
-        with obs_session(MetricsRegistry(), trace):
-            evaluate_scenarios(
-                network, scenarios, workers=workers, shard_size=6
-            )
-        return trace.to_jsonl()
-
-    def test_trace_identical_across_worker_counts(
-        self, loaded_torus4, scenarios
-    ):
-        one = self._trace_of(loaded_torus4, scenarios, 1)
-        many = self._trace_of(loaded_torus4, scenarios, 3)
-        assert one == many
-        assert one.count("\n") == len(scenarios)
-
     def test_no_sink_is_fine(self, loaded_torus4, scenarios):
         stats = evaluate_scenarios(
-            loaded_torus4, scenarios[:4], workers=2, shard_size=2,
-            metrics=MetricsRegistry(),
+            loaded_torus4, scenarios[:4], metrics=MetricsRegistry()
         )
         assert stats.scenarios == 4

@@ -22,8 +22,7 @@ from repro.faults import (
 )
 from repro.network.generators import hypercube, mesh, ring, torus
 from repro.obs import NULL_REGISTRY
-from repro.parallel import evaluate_scenarios
-from repro.recovery import ActivationOrder, RecoveryEvaluator
+from repro.recovery import ActivationOrder, RecoveryEvaluator, evaluate_scenarios
 from repro.recovery import evaluator as evaluator_module
 from repro.recovery import plan as plan_module
 from repro.recovery.plan import recovery_plan
@@ -343,20 +342,16 @@ class TestPlanLifetime:
         assert recovery_plan(clone) is not plan
         assert recovery_plan(torus4) is plan
 
-    @pytest.mark.parametrize("workers", [1, 2])
     def test_plan_built_once_per_network_state_not_per_shard(
-        self, loaded_torus4, count_compiles, workers
+        self, loaded_torus4, count_compiles
     ):
         scenarios = all_single_link_failures(loaded_torus4.topology)
-        stats = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=workers, shard_size=8,
-        )
-        assert stats.scenarios == len(scenarios) == 64  # 8 shards
+        stats = evaluate_scenarios(loaded_torus4, scenarios)
+        assert stats.scenarios == len(scenarios) == 64
         assert count_compiles() == 1
-        # A second sweep over the unchanged network builds nothing.
-        again = evaluate_scenarios(
-            loaded_torus4, scenarios, workers=workers, shard_size=8,
-        )
+        # A second sweep (a second evaluator) over the unchanged network
+        # builds nothing.
+        again = evaluate_scenarios(loaded_torus4, scenarios)
         assert again == stats
         assert count_compiles() == 1
 
@@ -429,10 +424,8 @@ class TestDemandFill:
         # A second sweep over the unchanged network reads what is there,
         # through any evaluator.
         assert evaluator.evaluate_many(scenarios) == stats
-        sharded = evaluate_scenarios(
-            torus4, scenarios, workers=1, shard_size=4, metrics=NULL_REGISTRY
-        )
-        assert sharded == stats
+        fresh = evaluate_scenarios(torus4, scenarios, metrics=NULL_REGISTRY)
+        assert fresh == stats
         assert reading() == (0, 0)
 
     def test_plan_does_not_keep_the_network_alive(self):

@@ -449,7 +449,7 @@ def test_churn_config_from_spec():
         protocol=ProtocolSpec(num_backups=2, mux_degree=5),
         seed=77,
     )
-    config = churn_config_from_spec(spec, workers=1)
+    config = churn_config_from_spec(spec)
     assert config.arrival_rate == 5.0
     assert config.duration == 3.0
     assert config.seed == 77

@@ -215,8 +215,7 @@ class TestAdmissionServer:
         network.establish_batch([request])  # after the snapshot: lost
         assert network.num_connections == 3
 
-        restarted = AdmissionServer(smoke_spec(), workers=1,
-                                    metrics=MetricsRegistry())
+        restarted = AdmissionServer(smoke_spec(), metrics=MetricsRegistry())
         assert restarted.restore(path) == 2
         with serving(restarted) as client_sock:
             # Re-dial: the restarted server is a new peer.
@@ -228,6 +227,31 @@ class TestAdmissionServer:
             assert network.num_connections == 3 == (
                 restarted.network.num_connections
             )
+
+    def test_evaluate_never_starts_a_process(self, served, monkeypatch):
+        """The ``served`` fixture still passes ``workers=1`` (as the frozen
+        e2e benchmark does): accepted, unused.  A client-chosen ``workers``
+        on an ``evaluate`` request is not read either."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the evaluate op built a process pool")
+
+        monkeypatch.setattr(
+            "concurrent.futures.ProcessPoolExecutor", refuse
+        )
+        monkeypatch.setattr("repro.parallel.ProcessPoolExecutor", refuse)
+        client, server = served
+        assert "workers" not in client.call("hello")
+        request = {"src": 0, "dst": 5}
+        client.call("establish", requests=[request, request])
+        links = [[link.src, link.dst]
+                 for link in server.network.topology.links()]
+        assert len(links) == 64
+        response = client.call(
+            "evaluate", links=links, seed=0, workers=10**6
+        )
+        assert response["stats"]["scenarios"] == 64
+        assert response["stats"]["fast_recovered"] > 0
 
     def test_snapshot_op_writes_restorable_file(self, served, tmp_path):
         client, server = served

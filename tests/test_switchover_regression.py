@@ -80,3 +80,25 @@ class TestSwitchoverRaceArtifacts:
             for violation in result.violations
         ]
         assert result.drained
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open protocol bug: invariant endpoint-disagreement — after "
+           "three cascading link failures the drained run leaves source 0 "
+           "on channel 1 and destination 8 on channel 0 (ROADMAP, "
+           "cross-path item)",
+)
+def test_cascade_leaves_both_ends_on_one_channel():
+    """Run 56 of ``repro chaos --seed 0 --campaign-size 200``, shrunk to
+    three link failures through the product daemon.  Fixing it moves the
+    ``protocol-recovery`` calendar, so it waits for its own issue; until
+    then the strict xfail keeps the artifact reproducing."""
+    payload = load_artifact(os.path.join(
+        ARTIFACT_DIR, "cascade-endpoint-disagreement-seed0-run56.json"
+    ))
+    result = replay_artifact(payload)
+    assert result.drained
+    assert "endpoint-disagreement" not in violation_signature(
+        result.violations
+    )

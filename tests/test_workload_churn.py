@@ -27,7 +27,6 @@ class TestChurnConfig:
     def test_defaults_valid(self):
         config = ChurnConfig()
         assert config.arrival_rate == 50.0
-        assert config.workers == 1
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -197,21 +196,3 @@ class TestInvariantChecks:
         violations = engine._check_invariants()
         assert violations
         assert any("spare" in violation for violation in violations)
-
-
-class TestWorkerDeterminism:
-    def test_workers_do_not_change_stats_or_metrics(self):
-        def run(workers: int) -> tuple[str, str]:
-            registry = MetricsRegistry()
-            config = ChurnConfig(
-                arrival_rate=20.0, holding_time=2.0, duration=4.0,
-                epoch_interval=2.0, seed=11, pairs=8, eval_scenarios=4,
-                workers=workers,
-            )
-            stats = ChurnEngine(make_network(), config, metrics=registry).run()
-            return (
-                json.dumps(stats.to_dict(), sort_keys=True),
-                json.dumps(registry.snapshot(), sort_keys=True),
-            )
-
-        assert run(1) == run(2)
