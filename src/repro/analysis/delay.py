@@ -8,7 +8,8 @@ where ``K`` is the hop count of the connection's longest channel and ``b``
 its number of backups: the first term bounds the failure-reporting delay,
 the second the activation-retrial round trips when earlier backups turn
 out to be dead.  The protocol runtime's measured service disruptions are
-validated against this bound (``benchmarks/bench_delay_bound.py``).
+validated against this bound (``python -m repro delay-bound``;
+``benchmarks/paper`` asserts it).
 
 Section 5.2's sizing rule makes ``D_max`` hold: the RCC frame must carry
 the worst-case burst, ``S_max ≥ max(x·y)`` over link pairs, with ``y`` the

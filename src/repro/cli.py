@@ -14,12 +14,11 @@ Examples::
     python -m repro chaos --trace-out spans.jsonl \
         --slo "protocol.recovery_delay.p99 <= gamma"
     python -m repro obs episodes --input spans.jsonl    # Γ breakdown
-    python -m repro obs trajectory                      # perf history
     python -m repro all --rows 4 --cols 4       # quick full sweep
 
 Every subcommand prints the regenerated table (same rows as the paper)
-to stdout.  The default 8x8 scale takes seconds-to-minutes per table;
-``--rows 4 --cols 4`` gives a fast small-scale pass.
+to stdout.  The default 8x8 scale takes seconds per table;
+``--rows 4 --cols 4`` gives a faster small-scale pass.
 
 Every subcommand also accepts ``--metrics-out PATH`` (write the run's
 ``repro.metrics/1`` snapshot as JSON) and ``--trace-out PATH`` (write the
@@ -33,6 +32,7 @@ Observability and Parallel evaluation sections of docs/architecture.md.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Sequence
 
@@ -378,16 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run: write one deterministic "
                              "repro.scenario-result/1 JSON line per cell "
                              "(byte-identical for any worker count)")
-    matrix.add_argument("--trajectory", metavar="PATH",
-                        default="benchmarks/TRAJECTORY.jsonl",
-                        help="run: append per-cell measure rows to this "
-                             "perf-trajectory store (default "
-                             "benchmarks/TRAJECTORY.jsonl)")
-    matrix.add_argument("--no-trajectory", action="store_true",
-                        help="run: skip the trajectory append")
-    matrix.add_argument("--label", default="matrix",
-                        help="run: label prefix for trajectory rows "
-                             "(default 'matrix')")
     matrix.add_argument("--artifact-dir", metavar="DIR", default=None,
                         help="run: write flight recordings of failing "
                              "chaos cells into this directory")
@@ -395,19 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
     obs = subparsers.add_parser(
         "obs", help="offline observability: reconstruct recovery episodes "
                     "from a span stream, evaluate SLOs against a metrics "
-                    "snapshot, inspect the benchmark trajectory store")
-    obs.add_argument("action", choices=("episodes", "slo", "trajectory"),
+                    "snapshot")
+    obs.add_argument("action", choices=("episodes", "slo"),
                      help="episodes: fold a --trace-out JSONL into "
                           "per-failure recovery episodes with the delay "
                           "breakdown and Γ-bound verdicts; slo: evaluate "
                           "--slo targets against a repro.metrics/1 "
-                          "snapshot; trajectory: print the benchmark "
-                          "perf-trajectory store")
+                          "snapshot")
     obs.add_argument("--input", metavar="PATH", default=None,
                      help="input file: span/trace JSONL for 'episodes', "
-                          "repro.metrics/1 JSON for 'slo', trajectory "
-                          "JSONL for 'trajectory' (default "
-                          "benchmarks/TRAJECTORY.jsonl)")
+                          "repro.metrics/1 JSON for 'slo'")
     obs.add_argument("--episodes-out", metavar="PATH", default=None,
                      help="also write the reconstructed episodes as "
                           "deterministic JSON lines (episodes action)")
@@ -777,7 +764,6 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     """Chaos campaign / artifact replay; exit code 1 on any violation
     or SLO breach."""
     import json
-    import os
 
     from repro.chaos import (
         artifact_payload,
@@ -974,10 +960,8 @@ def _parse_shard(text: str) -> tuple[int, int]:
 def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     """Scenario-matrix actions: expand/diff a lattice, or run its cells."""
     import json
-    import os
 
     from repro.scenario import (
-        append_trajectory,
         diff_cells,
         load_cells,
         run_cells,
@@ -1102,11 +1086,6 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
                 f"{len(failing)} failing cell dump(s) + {dumped} flight "
                 f"recording(s) -> {args.artifact_dir}"
             )
-    if not args.no_trajectory:
-        appended = append_trajectory(results, args.trajectory, args.label)
-        lines.append(
-            f"trajectory: appended {appended} row(s) -> {args.trajectory}"
-        )
     return "\n".join(lines), (1 if failing else 0)
 
 
@@ -1155,108 +1134,74 @@ def _run_obs(args: argparse.Namespace) -> tuple[str, int]:
             lines.append("Γ bound respected by every recovered episode")
         return "\n".join(lines), 0
 
-    if args.action == "slo":
-        from repro.obs import SLOEngine, format_results
+    # action == "slo"
+    from repro.obs import SLOEngine, format_results
 
-        if not args.input:
-            raise SystemExit("repro obs slo requires --input "
-                             "(a repro.metrics/1 snapshot)")
-        if not args.slo:
-            raise SystemExit("repro obs slo requires at least one "
-                             "--slo SPEC")
-        with open(args.input) as handle:
-            snapshot = json.load(handle)
-        constants = {} if args.gamma is None else {"gamma": args.gamma}
-        results = SLOEngine(args.slo).evaluate(snapshot,
-                                               constants=constants)
-        breached = any(result.ok is False for result in results)
-        return (
-            format_results(results, title=f"SLOs — {args.input}"),
-            1 if breached else 0,
-        )
-
-    # action == "trajectory"
-    from repro.util.tables import format_table
-
-    path = args.input or "benchmarks/TRAJECTORY.jsonl"
-    try:
-        with open(path) as handle:
-            entries = []
-            for number, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    entries.append(json.loads(line))
-                except json.JSONDecodeError as error:
-                    raise SystemExit(
-                        f"{path}:{number}: malformed trajectory line: "
-                        f"{error}"
-                    ) from None
-    except FileNotFoundError:
-        raise SystemExit(f"trajectory store not found: {path}") from None
-    if not entries:
-        return f"repro obs trajectory — {path}: empty store", 0
-    benches = sorted({
-        name for entry in entries for name in entry.get("normalized", {})
-    })
-    labels = [
-        str(entry.get("label", f"entry{index}"))
-        for index, entry in enumerate(entries)
-    ]
-    rows = []
-    for bench in benches:
-        row: list[str] = [bench]
-        for entry in entries:
-            value = entry.get("normalized", {}).get(bench)
-            row.append(f"{value:.4f}" if value is not None else "-")
-        rows.append(row)
-    table = format_table(
-        ["bench"] + labels, rows,
-        title=f"Benchmark trajectory — {path} "
-              f"(medians normalised by the calibration anchor)",
+    if not args.input:
+        raise SystemExit("repro obs slo requires --input "
+                         "(a repro.metrics/1 snapshot)")
+    if not args.slo:
+        raise SystemExit("repro obs slo requires at least one "
+                         "--slo SPEC")
+    with open(args.input) as handle:
+        snapshot = json.load(handle)
+    constants = {} if args.gamma is None else {"gamma": args.gamma}
+    results = SLOEngine(args.slo).evaluate(snapshot, constants=constants)
+    breached = any(result.ok is False for result in results)
+    return (
+        format_results(results, title=f"SLOs — {args.input}"),
+        1 if breached else 0,
     )
-    return table, 0
 
 
-def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
+def run_experiment(args: argparse.Namespace):
+    """Run one table/figure command and return its result object —
+    ``format()`` of which is what the command prints — or ``None`` for
+    the commands that are not one experiment."""
     config = _config(args) if hasattr(args, "topology") else None
     if args.command == "figure9":
         return run_figure9(config, num_backups=args.backups,
                            mux_degrees=args.degrees,
-                           checkpoints=args.checkpoints).format()
+                           checkpoints=args.checkpoints)
     if args.command == "table1":
         return run_table1(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples).format()
+                          double_node_samples=args.double_samples)
     if args.command == "table2":
         return run_table2(config, num_backups=args.backups,
                           classes=args.classes,
-                          double_node_samples=args.double_samples).format()
+                          double_node_samples=args.double_samples)
     if args.command == "table3":
         return run_table3(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples).format()
+                          double_node_samples=args.double_samples)
     if args.command == "delay-bound":
         return run_delay_bound(config, num_backups=args.backups,
-                               sample_connections=args.connections).format()
+                               sample_connections=args.connections)
     if args.command == "rcc-sizing":
-        return run_rcc_sizing(config).format()
+        return run_rcc_sizing(config)
     if args.command == "reliability":
-        return run_reliability(config, workers=args.workers).format()
+        return run_reliability(config, workers=args.workers)
     if args.command == "inhomogeneous":
         return run_inhomogeneous(rows=args.rows, cols=args.cols,
-                                 mux_degree=args.mux).format()
+                                 mux_degree=args.mux)
     if args.command == "message-loss":
         return run_message_loss(config, message_rate=args.rate,
-                                sample_connections=args.connections).format()
+                                sample_connections=args.connections)
     if args.command == "baselines":
-        return run_baseline_comparison(config,
-                                       bcp_mux_degree=args.mux).format()
+        return run_baseline_comparison(config, bcp_mux_degree=args.mux)
     if args.command == "scaling":
-        return run_scaling(mux_degree=args.mux,
-                           torus_sizes=args.sizes).format()
+        return run_scaling(mux_degree=args.mux, torus_sizes=args.sizes)
     if args.command == "ablations":
-        return run_ablations(config, mux_degree=args.mux).format()
+        return run_ablations(config, mux_degree=args.mux)
+    return None
+
+
+def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
+    result = run_experiment(args)
+    if result is not None:
+        return result.format()
+    config = _config(args) if hasattr(args, "topology") else None
     if args.command == "report":
         from repro.experiments.report import generate_report
 
@@ -1305,10 +1250,23 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
+#: Namespace fields naming a file this process writes once the run is
+#: over (``serve --snapshot-out`` is written by the server process and
+#: answered over the wire; ``--artifact-dir`` creates its directory).
+_OUTPUT_FLAGS = ("metrics_out", "trace_out", "stats_out", "results_out",
+                 "episodes_out", "out", "output")
+
+
 def main(argv: "Sequence[str] | None" = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # A path that cannot be written fails here, not after the whole run.
+    for dest in _OUTPUT_FLAGS:
+        path = getattr(args, dest, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            parser.error(f"--{dest.replace('_', '-')} {path}: "
+                         f"directory does not exist")
     # Each invocation observes itself through a fresh session registry
     # (and, with --trace-out, a shared trace sink), so exported counters
     # reflect exactly this run and are reproducible run-to-run.

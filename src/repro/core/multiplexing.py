@@ -24,8 +24,8 @@ the same order.
 Complexity (Section 6): adding or removing a backup updates a link in
 O(n) pairwise tests by maintaining each entry's requirement incrementally;
 recomputing from scratch would be O(n²).  Both paths exist (the scratch
-recompute doubles as a validation oracle) and the benchmarks
-``bench_scalability`` / ``bench_mux`` measure the gap.  Admitting one
+recompute doubles as a validation oracle) and the ratio tests of
+``benchmarks/paper`` measure the gap.  Admitting one
 backup costs one such pass per link, not three: the admission preview,
 the commit and the new entry's |Ψ| share :meth:`LinkMuxState._pair_scan`.
 

@@ -174,6 +174,7 @@ def establish_workload(
     traffic = traffic or uniform_traffic()
     delay_qos = delay_qos or DelayQoS()
     report = WorkloadReport(requested=len(pairs))
+    sampled = False
     for index, (src, dst) in enumerate(pairs):
         qos = ft_qos(index) if callable(ft_qos) else ft_qos
         try:
@@ -184,9 +185,13 @@ def establish_workload(
                 report.first_error = str(error)
         else:
             report.established += 1
-        if checkpoint_every and (index + 1) % checkpoint_every == 0:
+        sampled = bool(checkpoint_every) and (index + 1) % checkpoint_every == 0
+        if sampled:
             report.checkpoints.append(
                 (network.network_load(), network.spare_fraction())
             )
-    report.checkpoints.append((network.network_load(), network.spare_fraction()))
+    if not sampled:  # the final state, unless the last step just sampled it
+        report.checkpoints.append(
+            (network.network_load(), network.spare_fraction())
+        )
     return report

@@ -29,7 +29,6 @@ from repro.obs.registry import (
     Timer,
     get_registry,
     get_trace_sink,
-    merge_snapshots,
     obs_session,
     set_registry,
     set_trace_sink,
@@ -51,7 +50,6 @@ __all__ = [
     "get_trace_sink",
     "set_trace_sink",
     "obs_session",
-    "merge_snapshots",
     "write_metrics",
     "write_trace",
     "format_metrics",

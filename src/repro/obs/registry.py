@@ -523,84 +523,6 @@ class NullRegistry(MetricsRegistry):
 NULL_REGISTRY = NullRegistry()
 
 
-def merge_snapshots(snapshots: "list[dict]") -> dict:
-    """Merge exported ``repro.metrics/1`` snapshots into one document.
-
-    Counters and histogram ``count``/``sum``/``min``/``max``/``mean``
-    merge exactly; gauge values are last-in-merge-order with union
-    watermarks; histogram percentiles are count-weighted averages of the
-    inputs' percentiles (an approximation — the underlying samples never
-    left their processes).  Handy for combining the ``--metrics-out``
-    files of separate runs.
-    """
-    counters: dict[str, int] = {}
-    gauges: dict[str, dict] = {}
-    histograms: dict[str, dict] = {}
-    series: dict[str, dict] = {}
-    for snapshot in snapshots:
-        for name, value in snapshot.get("counters", {}).items():
-            counters[name] = counters.get(name, 0) + value
-        for name, summary in snapshot.get("gauges", {}).items():
-            if summary.get("value") is None:
-                gauges.setdefault(
-                    name, {"value": None, "min": None, "max": None}
-                )
-                continue
-            merged = gauges.get(name)
-            if merged is None or merged["value"] is None:
-                gauges[name] = dict(summary)
-            else:
-                merged["value"] = summary["value"]
-                merged["min"] = min(merged["min"], summary["min"])
-                merged["max"] = max(merged["max"], summary["max"])
-        for name, summary in snapshot.get("histograms", {}).items():
-            merged = histograms.get(name)
-            if merged is None:
-                histograms[name] = dict(summary)
-                continue
-            if not summary.get("count"):
-                continue
-            if not merged["count"]:
-                histograms[name] = dict(summary)
-                continue
-            total_count = merged["count"] + summary["count"]
-            for key in ("p50", "p95", "p99"):
-                a, b = merged.get(key), summary.get(key)
-                if a is None or b is None:
-                    merged[key] = a if b is None else b
-                else:
-                    merged[key] = (
-                        a * merged["count"] + b * summary["count"]
-                    ) / total_count
-            merged["sum"] += summary["sum"]
-            merged["min"] = min(merged["min"], summary["min"])
-            merged["max"] = max(merged["max"], summary["max"])
-            merged["count"] = total_count
-            merged["mean"] = merged["sum"] / total_count
-        for name, summary in snapshot.get("series", {}).items():
-            merged = series.get(name)
-            if merged is None:
-                series[name] = {
-                    "count": summary["count"],
-                    "points": [list(point) for point in summary["points"]],
-                }
-            else:
-                merged["count"] += summary["count"]
-                merged["points"].extend(list(point) for point in summary["points"])
-    for summary in series.values():
-        if len(summary["points"]) > DEFAULT_MAX_SAMPLES:
-            holder = Series("merge", max_points=DEFAULT_MAX_SAMPLES)
-            holder.absorb(summary)
-            summary["points"] = [list(point) for point in holder.points()]
-    return {
-        "schema": SNAPSHOT_SCHEMA,
-        "counters": dict(sorted(counters.items())),
-        "gauges": dict(sorted(gauges.items())),
-        "histograms": dict(sorted(histograms.items())),
-        "series": dict(sorted(series.items())),
-    }
-
-
 # ----------------------------------------------------------------------
 # The process-wide observability session
 # ----------------------------------------------------------------------

@@ -25,13 +25,14 @@ over them:
   is resolved to an array compare against a free-capacity mirror that
   replays the ledger's change log (only the links written since the
   last search are re-read) instead of a per-link closure call.
-* **Route cache** — results keyed by ``(src, dst, constraint signature)``
-  are memoised; searches that depend on the ledger additionally key on the
-  capacity floor's bandwidth and are invalidated wholesale whenever
-  ``ledger.version`` moves (any reserve/release/spare change).  Negative
-  results (*no feasible path*) are cached too.  Hit/miss totals surface as
-  ``route_cache.hits`` / ``route_cache.misses`` in the ``repro.obs``
-  registry.
+* **Route cache** — results of searches that depend only on the topology
+  and the constraint sets are memoised under ``(src, dst, constraint
+  signature)``.  A search gated by a capacity floor, a custom predicate or
+  a cost function is not cacheable (an admitted floor-gated search is
+  followed by its own reservation, which moves the ledger, so its result
+  could never be served twice).  Negative results (*no feasible path*)
+  are cached too.  Hit/miss totals surface as ``route_cache.hits`` /
+  ``route_cache.misses`` in the ``repro.obs`` registry.
 
 The compiled view lives on ``topology._flat`` and is discarded whenever
 ``topology.version`` changes; worker processes never receive it in pickles
@@ -92,16 +93,11 @@ def flat_view(topology: Topology) -> "FlatTopology":
 class RouteCache:
     """Memoised search results for one :class:`FlatTopology`.
 
-    Two tables:
-
-    * ``static`` — searches whose outcome depends only on the topology and
-      the constraint sets (no bandwidth floor, no custom predicate/cost).
-      Valid for the lifetime of the flat view, i.e. until the topology
-      mutates.  Also holds ``hop_distance`` results under ``("hop", src,
-      dst)`` keys.
-    * ``floor`` — searches gated by a :class:`CapacityFloor`; keys gain the
-      floor's bandwidth and the whole table is cleared whenever the
-      observed ledger (by identity) or its ``version`` changes.
+    One table: searches whose outcome depends only on the topology and
+    the constraint sets (no bandwidth floor, no custom predicate/cost).
+    Valid for the lifetime of the flat view, i.e. until the topology
+    mutates.  Also holds ``hop_distance`` results under ``("hop", src,
+    dst)`` keys.
     """
 
     #: Safety valve: a table exceeding this is cleared outright rather
@@ -109,16 +105,10 @@ class RouteCache:
     #: bounds pathological key churn).
     MAX_ENTRIES = 65536
 
-    __slots__ = (
-        "_static", "_floor", "_floor_ledger", "_floor_version",
-        "_registry", "_hits", "_misses",
-    )
+    __slots__ = ("_static", "_registry", "_hits", "_misses")
 
     def __init__(self) -> None:
         self._static: dict = {}
-        self._floor: dict = {}
-        self._floor_ledger: ReservationLedger | None = None
-        self._floor_version = -1
         self._registry = None
         self._hits = None
         self._misses = None
@@ -127,15 +117,8 @@ class RouteCache:
     def static_table(self) -> dict:
         return self._static
 
-    def floor_table(self, ledger: ReservationLedger) -> dict:
-        """The floor table, cleared if ``ledger`` moved since last use."""
-        if self._floor_ledger is not ledger or self._floor_version != ledger.version:
-            self._floor.clear()
-            self._floor_ledger = ledger
-            self._floor_version = ledger.version
-        return self._floor
-
-    def store(self, table: dict, key, value) -> None:
+    def store(self, key, value) -> None:
+        table = self._static
         if len(table) >= self.MAX_ENTRIES:
             table.clear()
         table[key] = value
@@ -158,7 +141,7 @@ class RouteCache:
         self._counters()[1].inc()
 
     def __len__(self) -> int:
-        return len(self._static) + len(self._floor)
+        return len(self._static)
 
 
 class FlatTopology:
@@ -277,20 +260,14 @@ class FlatTopology:
             floor = pred
             pred = None
 
-        cacheable = cost is None and pred is None
-        table = key = None
+        cacheable = cost is None and pred is None and floor is None
         if cacheable:
             cache = self.cache
             key = (
                 src, dst, constraints.excluded_nodes,
                 constraints.excluded_links, constraints.max_hops,
             )
-            if floor is None:
-                table = cache.static_table()
-            else:
-                table = cache.floor_table(floor.ledger)
-                key = (*key, floor.bandwidth)
-            hit = table.get(key, _MISSING)
+            hit = cache.static_table().get(key, _MISSING)
             if hit is not _MISSING:
                 cache.record_hit()
                 return hit
@@ -313,7 +290,7 @@ class FlatTopology:
 
         if cacheable:
             cache.record_miss()
-            cache.store(table, key, path)
+            cache.store(key, path)
         return path
 
     def hop_distance(self, src: NodeId, dst: NodeId) -> int:
@@ -326,9 +303,8 @@ class FlatTopology:
                 f"{self.topology.version}; re-resolve via flat_view()"
             )
         cache = self.cache
-        table = cache.static_table()
         key = ("hop", src, dst)
-        hit = table.get(key, _MISSING)
+        hit = cache.static_table().get(key, _MISSING)
         if hit is not _MISSING:
             cache.record_hit()
             return hit
@@ -338,7 +314,7 @@ class FlatTopology:
         dist = -1 if t is None else self._run_bidirectional(s, t)
 
         cache.record_miss()
-        cache.store(table, key, dist)
+        cache.store(key, dist)
         return dist
 
     # ------------------------------------------------------------------

@@ -19,7 +19,6 @@ from repro.scenario.runner import (
     RESULT_SCHEMA,
     CellResult,
     TopologyCache,
-    append_trajectory,
     build_loaded_network,
     chaos_environment_from_spec,
     churn_config_from_spec,
@@ -54,7 +53,6 @@ __all__ = [
     "TopologyCache",
     "TopologySpec",
     "WorkloadSpec",
-    "append_trajectory",
     "build_loaded_network",
     "chaos_environment_from_spec",
     "churn_config_from_spec",

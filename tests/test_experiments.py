@@ -1,6 +1,6 @@
 """Tests for the experiment harness at reduced scale.
 
-Full-scale (8x8) regeneration lives in benchmarks/; these tests check the
+Full-scale (8x8) regeneration lives in benchmarks/paper; these tests check the
 harness machinery itself — workload drivers, result shapes, the paper's
 qualitative relationships — on 4x4 networks.
 """
@@ -69,6 +69,23 @@ class TestWorkloads:
         assert len(report.checkpoints) >= 4
         loads = [load for load, _ in report.checkpoints]
         assert loads == sorted(loads)
+
+    @pytest.mark.parametrize("every, samples", [(60, 4), (70, 4), (None, 1)])
+    def test_final_checkpoint_is_sampled_once(self, every, samples):
+        # 240 pairs: every=60 divides the workload (the Figure 9 default,
+        # 4032 / 8), so the loop's last sample *is* the final state.
+        network = BCPNetwork(torus(4, 4))
+        report = establish_workload(
+            network,
+            all_pairs(network.topology),
+            FaultToleranceQoS(num_backups=1, mux_degree=3),
+            checkpoint_every=every,
+        )
+        assert len(report.checkpoints) == samples
+        assert report.checkpoints[-1] == (
+            network.network_load(), network.spare_fraction()
+        )
+        assert len(set(report.checkpoints)) == samples
 
     def test_establish_workload_tolerates_rejections(self):
         network = BCPNetwork(torus(4, 4, capacity=3.0))

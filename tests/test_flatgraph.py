@@ -205,9 +205,9 @@ class TestRouteCache:
                     shortest_path(topology, 0, 10, constraints)
             assert registry.counter("route_cache.hits").value == 1
 
-    def test_ledger_version_evicts_floor_entries(self):
+    def test_floor_route_reflects_a_reservation(self):
         # a->b->c is shortest but capacity-limited; once a reservation
-        # saturates a->b the cached route must not be served stale.
+        # saturates a->b the same search must route around it.
         topology = Topology()
         topology.add_link("a", "b", 1.0)
         topology.add_link("b", "c", 5.0)
@@ -226,7 +226,7 @@ class TestRouteCache:
         after = shortest_path(topology, "a", "c", constraints)
         assert after.nodes == ("a", "d", "e", "c")
 
-    def test_release_also_invalidates(self):
+    def test_floor_route_reflects_a_release(self):
         topology = Topology()
         topology.add_link("a", "b", 1.0)
         topology.add_link("b", "c", 5.0)

@@ -408,20 +408,6 @@ class TestSeries:
         series.append(1.0, 2.0)
         assert NULL_REGISTRY.snapshot()["series"] == {}
 
-    def test_merge_snapshots_concatenates_series(self):
-        from repro.obs import merge_snapshots
-
-        first = MetricsRegistry()
-        first.series("s").append(1.0, 10.0)
-        second = MetricsRegistry()
-        second.series("s").append(2.0, 20.0)
-        second.series("other").append(3.0, 30.0)
-        merged = merge_snapshots([first.snapshot(), second.snapshot()])
-        assert merged["series"]["s"] == {
-            "count": 2, "points": [[1.0, 10.0], [2.0, 20.0]],
-        }
-        assert merged["series"]["other"]["count"] == 1
-
     def test_merged_series_rendered_in_export(self):
         registry = MetricsRegistry()
         registry.series("churn.blocking").append(5.0, 0.25)

@@ -606,17 +606,3 @@ class TestObsCLI:
             "--slo", "protocol.recovery_delay.p99 <= 1.0",
         ]) == 1
         assert "BREACH" in capsys.readouterr().out
-
-    def test_trajectory_action_renders_store(self, tmp_path, capsys):
-        from repro.cli import main
-
-        store = tmp_path / "TRAJECTORY.jsonl"
-        store.write_text(json.dumps({
-            "schema": "repro.bench-trajectory/1",
-            "label": "seed:test",
-            "anchor": "test_calibration_reference_bfs",
-            "normalized": {"bench_a": 1.5},
-        }) + "\n")
-        assert main(["obs", "trajectory", "--input", str(store)]) == 0
-        output = capsys.readouterr().out
-        assert "seed:test" in output and "1.5000" in output

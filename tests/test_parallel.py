@@ -19,7 +19,7 @@ from repro.faults import (
     all_single_link_failures,
     all_single_node_failures,
 )
-from repro.obs.registry import MetricsRegistry, merge_snapshots, obs_session
+from repro.obs.registry import MetricsRegistry, obs_session
 from repro.parallel import parallel_map, resolve_workers
 from repro.recovery import ActivationOrder, RecoveryEvaluator, evaluate_scenarios
 from repro.sim.trace import TraceLog
@@ -199,34 +199,6 @@ class TestRegistryMerge:
         snapshot = parent.snapshot()
         assert snapshot["counters"] == {}
         assert snapshot["gauges"].get("g", {}).get("value") is None
-
-    def test_merge_snapshots_totals(self):
-        snapshots = [self._worker_snapshot(offset) for offset in (0, 5, 9)]
-        merged = merge_snapshots(snapshots)
-        assert merged["schema"] == "repro.metrics/1"
-        assert merged["counters"]["c"] == 3 + 8 + 12
-        histogram = merged["histograms"]["h_s"]
-        assert histogram["count"] == 12
-        assert histogram["sum"] == 6.0 + 26.0 + 42.0
-        assert histogram["min"] == 0.0
-        assert histogram["max"] == 12.0
-        assert histogram["mean"] == pytest.approx(histogram["sum"] / 12)
-        assert merged["gauges"]["g"] == {
-            "value": 100.0, "min": 10.0, "max": 100.0,
-        }
-
-    def test_merge_snapshots_matches_absorb(self):
-        snapshots = [self._worker_snapshot(offset) for offset in (0, 5)]
-        via_absorb = MetricsRegistry()
-        for snapshot in snapshots:
-            via_absorb.absorb(snapshot)
-        merged = merge_snapshots(snapshots)
-        absorbed = via_absorb.snapshot()
-        assert merged["counters"] == absorbed["counters"]
-        for key in ("count", "sum", "min", "max", "mean"):
-            assert merged["histograms"]["h_s"][key] == pytest.approx(
-                absorbed["histograms"]["h_s"][key]
-            )
 
 
 # ----------------------------------------------------------------------

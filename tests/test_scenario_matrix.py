@@ -28,7 +28,6 @@ from repro.scenario import (
     TopologyCache,
     TopologySpec,
     WorkloadSpec,
-    append_trajectory,
     chaos_environment_from_spec,
     churn_config_from_spec,
     diff_cells,
@@ -399,7 +398,7 @@ def test_sharded_run_recombines_byte_identically():
     assert merged == serial
 
 
-def test_cell_result_shape_and_trajectory(tmp_path):
+def test_cell_result_shape():
     cells = _runnable_cells()[:2]
     results = run_cells(cells, workers=1)
     for result in results:
@@ -408,16 +407,6 @@ def test_cell_result_shape_and_trajectory(tmp_path):
         assert data["cell"] == result.spec.name
         assert data["ok"] is True
         assert data["measures"]
-    path = tmp_path / "traj.jsonl"
-    rows = append_trajectory(results, str(path), "test")
-    assert rows == 2
-    lines = [json.loads(line) for line in path.read_text().splitlines()]
-    for line, result in zip(lines, results):
-        assert line["schema"] == "repro.bench-trajectory/1"
-        assert line["anchor"] == "scenario-matrix"
-        assert line["cell"] == result.spec.name
-        assert line["label"] == f"test:{result.spec.name}"
-        assert line["normalized"] == dict(sorted(result.measures.items()))
 
 
 def test_slo_breach_marks_cell_failing():
@@ -498,21 +487,17 @@ def test_cli_matrix_run_and_diff(tmp_path, capsys):
     cells = _runnable_cells()[:2]
     write_lattice(str(lattice), cells)
     results_out = tmp_path / "results.jsonl"
-    trajectory = tmp_path / "traj.jsonl"
     code = main(
         [
             "matrix", "run", str(lattice),
             "--workers", "1",
             "--results-out", str(results_out),
-            "--trajectory", str(trajectory),
-            "--label", "test",
         ]
     )
     assert code == 0
     out = capsys.readouterr().out
     assert "2 cell(s)" in out
     assert len(results_out.read_text().splitlines()) == 2
-    assert trajectory.exists()
     # identical lattices diff clean; a modified one does not
     assert main(["matrix", "diff", str(lattice), str(lattice)]) == 0
     capsys.readouterr()
@@ -520,6 +505,21 @@ def test_cli_matrix_run_and_diff(tmp_path, capsys):
     write_lattice(str(other), cells[:1])
     assert main(["matrix", "diff", str(lattice), str(other)]) == 1
     assert "removed (1)" in capsys.readouterr().out
+
+
+def test_cli_matrix_run_writes_only_what_its_flags_name(
+    tmp_path, capsys, monkeypatch
+):
+    from repro.cli import main
+
+    lattice = tmp_path / "l.jsonl"
+    write_lattice(str(lattice), _runnable_cells()[:2])
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    assert main(["matrix", "run", str(lattice), "--workers", "1"]) == 0
+    assert "2 cell(s)" in capsys.readouterr().out
+    assert list(cwd.iterdir()) == []
 
 
 def test_cli_checked_in_scenarios_validate(capsys):

@@ -22,7 +22,8 @@ from repro.core.muxkernel import VectorLinkMux
 from repro.network import LinkId, Topology, torus
 from repro.network.reservations import InsufficientCapacityError, ReservationLedger
 from repro.obs.registry import MetricsRegistry
-from repro.routing.flatgraph import RouteCache, flat_view
+from repro.routing import NoPathError, RouteConstraints, shortest_path
+from repro.routing.flatgraph import flat_view
 from repro.serve import (
     SNAPSHOT_SCHEMA,
     load_snapshot,
@@ -232,7 +233,7 @@ class TestRestoreGuards:
 
 class TestStaleCacheRegression:
     """Satellite: a restore must bump the ledger and topology versions so
-    route-cache floor tables, flat free mirrors, and spare snapshots
+    capacity-floor searches, flat free mirrors, and spare snapshots
     never serve pre-restore state."""
 
     def line_ledger(self) -> "tuple[Topology, ReservationLedger]":
@@ -257,17 +258,16 @@ class TestStaleCacheRegression:
         assert ledger.spare_reserved(LinkId(1, 2)) == 0.5
         assert ledger.snapshot_spares()[LinkId(0, 1)] == 1.0
 
-    def test_route_cache_floor_table_cannot_outlive_a_restore(self):
-        _, ledger = self.line_ledger()
-        cache = RouteCache()
-        table = cache.floor_table(ledger)
-        table[("stale", "entry")] = object()
-        # Same version, same ledger: the warm table is served as-is.
-        assert cache.floor_table(ledger) is table
-        assert ("stale", "entry") in cache.floor_table(ledger)
+    def test_floor_route_reflects_a_restore(self):
+        topology, ledger = self.line_ledger()
+        constraints = RouteConstraints(
+            link_admissible=ledger.capacity_floor(9.0)
+        )
+        assert shortest_path(topology, 0, 2, constraints).nodes == (0, 1, 2)
         ledger.restore_pools([(2.0, 0.0)] + [(0.0, 0.0)] * 3)
-        # The version bump invalidates the floor table wholesale.
-        assert ("stale", "entry") not in cache.floor_table(ledger)
+        # 0→1 now has 8 free: the same search must see the restored pool.
+        with pytest.raises(NoPathError):
+            shortest_path(topology, 0, 2, constraints)
 
     def test_restore_pools_validates_then_applies(self):
         _, ledger = self.line_ledger()
