@@ -1,15 +1,20 @@
 """Analytic models: Markov reliability (Fig. 3), delay bounds (Section 5),
 and RCC sizing (Section 5.2)."""
 
-from repro.analysis.delay import (
-    connection_delay_bound,
-    recovery_delay_bound,
-    required_rcc_frame_messages,
-)
-from repro.analysis.markov import (
-    DConnectionMarkovModel,
-    simplified_markov_model,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
+    from repro.analysis.delay import (
+        connection_delay_bound,
+        recovery_delay_bound,
+        required_rcc_frame_messages,
+    )
+    from repro.analysis.markov import (
+        DConnectionMarkovModel,
+        simplified_markov_model,
+    )
 
 __all__ = [
     "recovery_delay_bound",
@@ -18,3 +23,12 @@ __all__ = [
     "DConnectionMarkovModel",
     "simplified_markov_model",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "delay": (
+        "connection_delay_bound",
+        "recovery_delay_bound",
+        "required_rcc_frame_messages",
+    ),
+    "markov": ("DConnectionMarkovModel", "simplified_markov_model"),
+})

@@ -35,6 +35,7 @@ import argparse
 import os
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from repro.obs import (
     MetricsRegistry,
@@ -45,21 +46,11 @@ from repro.obs import (
     write_trace,
 )
 from repro.sim.trace import TraceLog
-from repro.experiments import (
-    run_baseline_comparison,
-    run_delay_bound,
-    run_figure9,
-    run_inhomogeneous,
-    run_message_loss,
-    run_rcc_sizing,
-    run_reliability,
-    run_table1,
-    run_table2,
-    run_table3,
-)
-from repro.experiments.ablations import run_ablations
-from repro.experiments.scaling import run_scaling
-from repro.experiments.setup import NetworkConfig
+
+# Everything a command runs is imported by the handler that runs it, so
+# a process pays for one experiment, or for none (--help, serve, churn).
+if TYPE_CHECKING:
+    from repro.experiments.setup import NetworkConfig
 
 
 def _parse_workers(text: str) -> "int | None":
@@ -163,6 +154,8 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> NetworkConfig:
+    from repro.experiments.setup import NetworkConfig
+
     return NetworkConfig(
         topology=args.topology, rows=args.rows, cols=args.cols,
         capacity=args.capacity,
@@ -1160,39 +1153,63 @@ def run_experiment(args: argparse.Namespace):
     the commands that are not one experiment."""
     config = _config(args) if hasattr(args, "topology") else None
     if args.command == "figure9":
+        from repro.experiments.figure9 import run_figure9
+
         return run_figure9(config, num_backups=args.backups,
                            mux_degrees=args.degrees,
                            checkpoints=args.checkpoints)
     if args.command == "table1":
+        from repro.experiments.table1 import run_table1
+
         return run_table1(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
                           double_node_samples=args.double_samples)
     if args.command == "table2":
+        from repro.experiments.table2 import run_table2
+
         return run_table2(config, num_backups=args.backups,
                           classes=args.classes,
                           double_node_samples=args.double_samples)
     if args.command == "table3":
+        from repro.experiments.table3 import run_table3
+
         return run_table3(config, num_backups=args.backups,
                           mux_degrees=args.degrees,
                           double_node_samples=args.double_samples)
     if args.command == "delay-bound":
+        from repro.experiments.delay_bound import run_delay_bound
+
         return run_delay_bound(config, num_backups=args.backups,
                                sample_connections=args.connections)
     if args.command == "rcc-sizing":
+        from repro.experiments.rcc_sizing import run_rcc_sizing
+
         return run_rcc_sizing(config)
     if args.command == "reliability":
+        from repro.experiments.reliability import run_reliability
+
         return run_reliability(config, workers=args.workers)
     if args.command == "inhomogeneous":
+        from repro.experiments.inhomogeneous import run_inhomogeneous
+
         return run_inhomogeneous(rows=args.rows, cols=args.cols,
                                  mux_degree=args.mux)
     if args.command == "message-loss":
+        from repro.experiments.message_loss import run_message_loss
+
         return run_message_loss(config, message_rate=args.rate,
                                 sample_connections=args.connections)
     if args.command == "baselines":
+        from repro.experiments.baseline_comparison import run_baseline_comparison
+
         return run_baseline_comparison(config, bcp_mux_degree=args.mux)
     if args.command == "scaling":
+        from repro.experiments.scaling import run_scaling
+
         return run_scaling(mux_degree=args.mux, torus_sizes=args.sizes)
     if args.command == "ablations":
+        from repro.experiments.ablations import run_ablations
+
         return run_ablations(config, mux_degree=args.mux)
     return None
 
@@ -1228,6 +1245,16 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
     if args.command == "obs":
         return _run_obs(args)
     if args.command == "all":
+        from repro.experiments import (
+            run_delay_bound,
+            run_figure9,
+            run_rcc_sizing,
+            run_reliability,
+            run_table1,
+            run_table2,
+            run_table3,
+        )
+
         sections = []
         for backups in (1, 2):
             if args.topology == "mesh" and backups == 2:

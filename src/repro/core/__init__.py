@@ -16,25 +16,30 @@
   the library's main entry point.
 """
 
-from repro.core.bcp import BCPNetwork, EstablishmentError
-from repro.core.dconnection import ConnectionState, DConnection
-from repro.core.establishment import (
-    BatchRequest,
-    EstablishmentEngine,
-    NegotiationOffer,
-)
-from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
-from repro.core.muxkernel import ComponentArena, VectorLinkMux
-from repro.core.overlap import (
-    OverlapPolicy,
-    simultaneous_activation_probability,
-    simultaneous_activation_probability_heterogeneous,
-)
-from repro.core.reliability import (
-    channel_reliability,
-    connection_pr,
-    p_muxf_upper_bound,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
+    from repro.core.bcp import BCPNetwork, EstablishmentError
+    from repro.core.dconnection import ConnectionState, DConnection
+    from repro.core.establishment import (
+        BatchRequest,
+        EstablishmentEngine,
+        NegotiationOffer,
+    )
+    from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
+    from repro.core.muxkernel import ComponentArena, VectorLinkMux
+    from repro.core.overlap import (
+        OverlapPolicy,
+        simultaneous_activation_probability,
+        simultaneous_activation_probability_heterogeneous,
+    )
+    from repro.core.reliability import (
+        channel_reliability,
+        connection_pr,
+        p_muxf_upper_bound,
+    )
 
 __all__ = [
     "BCPNetwork",
@@ -55,3 +60,21 @@ __all__ = [
     "connection_pr",
     "p_muxf_upper_bound",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "bcp": ("BCPNetwork", "EstablishmentError"),
+    "dconnection": ("ConnectionState", "DConnection"),
+    "establishment": (
+        "BatchRequest", "EstablishmentEngine", "NegotiationOffer",
+    ),
+    "multiplexing": ("LinkMuxState", "MultiplexingEngine"),
+    "muxkernel": ("ComponentArena", "VectorLinkMux"),
+    "overlap": (
+        "OverlapPolicy",
+        "simultaneous_activation_probability",
+        "simultaneous_activation_probability_heterogeneous",
+    ),
+    "reliability": (
+        "channel_reliability", "connection_pr", "p_muxf_upper_bound",
+    ),
+})

@@ -36,7 +36,9 @@ promoted once, one-way, to the vectorized packed-bitset kernel
 population passes :data:`KERNEL_MIN_POPULATION`.  Both keep the same O(n)
 contract and are property-tested bit-identical, so *when* a link is
 promoted cannot change an output byte.  Exact-``S`` policies, which the
-kernel does not implement, never promote.
+kernel does not implement, never promote.  The kernel module — and numpy
+with it — is imported by the first promotion, so a process whose links
+all stay below the threshold never loads either.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.channels.channel import Channel, ChannelRole
-from repro.core.muxkernel import ComponentArena, VectorLinkMux, check_resident
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network.components import LinkId
 from repro.obs.registry import get_registry
@@ -60,6 +61,18 @@ from repro.util.validation import check_positive
 #: networks (8×8 torus, all pairs) put a median of 73 and at most 110
 #: backups on a link (263 with double backups), so they run scalar.
 KERNEL_MIN_POPULATION = 256
+
+
+def check_resident(state, channel_ids: list[int]) -> None:
+    """Raise ``KeyError`` unless ``state.remove_many(channel_ids)`` would
+    succeed: every id resident and listed once.  Both link-state classes
+    call it before removing anything, and the engine calls it on every
+    link of a teardown before touching any."""
+    seen = set()
+    for channel_id in channel_ids:
+        if channel_id not in state or channel_id in seen:
+            raise KeyError(f"backup {channel_id} not on link {state.link}")
+        seen.add(channel_id)
 
 
 @dataclass(slots=True)
@@ -414,8 +427,9 @@ class MultiplexingEngine:
         #: Engine-wide interners: primaries' component sets resolve once
         #: to an integer bitset (scalar links) or a packed arena row
         #: (promoted links), no matter how many links a backup crosses.
+        #: The arena is created by the first promotion.
         self._space = ComponentSpace()
-        self._arena = ComponentArena()
+        self._arena = None
         self._links: dict = {}
         #: What :meth:`_publish_obs` last published, and where.
         self._obs_registry = None
@@ -465,6 +479,10 @@ class MultiplexingEngine:
             and isinstance(state, LinkMuxState)
             and not self.policy.exact
         ):
+            from repro.core.muxkernel import ComponentArena, VectorLinkMux
+
+            if self._arena is None:
+                self._arena = ComponentArena()
             promoted = VectorLinkMux(link, self.policy, self._arena)
             promoted.adopt(state.entries(), required)
             self._links[link] = promoted
@@ -475,13 +493,17 @@ class MultiplexingEngine:
         """Export interner health into the session registry: gauges
         ``mux.space.components`` (interned bit positions),
         ``mux.space.rows`` (interned primary sets) and ``mux.space.bytes``
-        (the packed arena promoted links share).  The three values move
-        only when an interner grows, so most calls find nothing new and
-        return; a swapped process registry (an obs session started or
-        ended) republishes, since gauges belong to the registry that
-        minted them."""
+        (the packed arena promoted links share; 0 until a link has been
+        promoted).  The three values move only when an interner grows,
+        so most calls find nothing new and return; a swapped process
+        registry (an obs session started or ended) republishes, since
+        gauges belong to the registry that minted them."""
         registry = get_registry()
-        health = (len(self._space), self._space.rows, self._arena.nbytes)
+        health = (
+            len(self._space),
+            self._space.rows,
+            self._arena.nbytes if self._arena is not None else 0,
+        )
         if registry is self._obs_registry and health == self._obs_health:
             return
         self._obs_registry = registry

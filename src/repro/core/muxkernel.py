@@ -38,29 +38,20 @@ Each link operation pays a fixed numpy dispatch overhead, so the kernel
 only wins on densely populated links;
 :class:`~repro.core.multiplexing.MultiplexingEngine` decides per link
 when to promote (see ``KERNEL_MIN_POPULATION`` there) and nothing else
-constructs a :class:`VectorLinkMux` outside tests and benchmarks.
+constructs a :class:`VectorLinkMux` outside tests and benchmarks.  The
+engine imports this module at its first promotion, which is what keeps
+numpy out of every process that never promotes a link.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.core.multiplexing import MuxEntry, check_resident
 from repro.network.components import LinkId
 from repro.util.validation import check_positive
 
-__all__ = ["ComponentArena", "VectorLinkMux", "check_resident"]
-
-
-def check_resident(state, channel_ids: list[int]) -> None:
-    """Raise ``KeyError`` unless ``state.remove_many(channel_ids)`` would
-    succeed: every id resident and listed once.  Both link-state classes
-    call it before removing anything, and the engine calls it on every
-    link of a teardown before touching any."""
-    seen = set()
-    for channel_id in channel_ids:
-        if channel_id not in state or channel_id in seen:
-            raise KeyError(f"backup {channel_id} not on link {state.link}")
-        seen.add(channel_id)
+__all__ = ["ComponentArena", "VectorLinkMux"]
 
 
 class ComponentArena:
@@ -253,8 +244,6 @@ class VectorLinkMux:
         return self._materialize(self._ids[channel_id])
 
     def _materialize(self, pos: int):
-        from repro.core.multiplexing import MuxEntry
-
         components = self.arena.components(int(self._row[pos]))
         return MuxEntry(
             channel_id=int(self._channel_ids[pos]),

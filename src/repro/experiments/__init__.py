@@ -7,32 +7,37 @@ parameterised by network size so tests can exercise scaled-down versions
 while the benchmarks regenerate the full 8x8 configurations.
 """
 
-from repro.experiments.workloads import (
-    WorkloadReport,
-    all_pairs,
-    bit_reversal_pairs,
-    establish_workload,
-    hotspot_pairs,
-    mixed_bandwidth_traffic,
-    transpose_pairs,
-    uniform_traffic,
-)
-from repro.experiments.figure9 import Figure9Result, run_figure9
-from repro.experiments.table1 import Table1Result, run_table1
-from repro.experiments.table2 import Table2Result, run_table2
-from repro.experiments.table3 import Table3Result, run_table3
-from repro.experiments.delay_bound import DelayBoundResult, run_delay_bound
-from repro.experiments.rcc_sizing import RCCSizingResult, run_rcc_sizing
-from repro.experiments.reliability import ReliabilityResult, run_reliability
-from repro.experiments.inhomogeneous import (
-    InhomogeneousResult,
-    run_inhomogeneous,
-)
-from repro.experiments.message_loss import MessageLossResult, run_message_loss
-from repro.experiments.baseline_comparison import (
-    BaselineComparisonResult,
-    run_baseline_comparison,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
+    from repro.experiments.workloads import (
+        WorkloadReport,
+        all_pairs,
+        bit_reversal_pairs,
+        establish_workload,
+        hotspot_pairs,
+        mixed_bandwidth_traffic,
+        transpose_pairs,
+        uniform_traffic,
+    )
+    from repro.experiments.figure9 import Figure9Result, run_figure9
+    from repro.experiments.table1 import Table1Result, run_table1
+    from repro.experiments.table2 import Table2Result, run_table2
+    from repro.experiments.table3 import Table3Result, run_table3
+    from repro.experiments.delay_bound import DelayBoundResult, run_delay_bound
+    from repro.experiments.rcc_sizing import RCCSizingResult, run_rcc_sizing
+    from repro.experiments.reliability import ReliabilityResult, run_reliability
+    from repro.experiments.inhomogeneous import (
+        InhomogeneousResult,
+        run_inhomogeneous,
+    )
+    from repro.experiments.message_loss import MessageLossResult, run_message_loss
+    from repro.experiments.baseline_comparison import (
+        BaselineComparisonResult,
+        run_baseline_comparison,
+    )
 
 __all__ = [
     "all_pairs",
@@ -64,3 +69,28 @@ __all__ = [
     "run_baseline_comparison",
     "BaselineComparisonResult",
 ]
+
+__getattr__ = lazy_exports(__name__, {
+    "workloads": (
+        "WorkloadReport",
+        "all_pairs",
+        "bit_reversal_pairs",
+        "establish_workload",
+        "hotspot_pairs",
+        "mixed_bandwidth_traffic",
+        "transpose_pairs",
+        "uniform_traffic",
+    ),
+    "figure9": ("Figure9Result", "run_figure9"),
+    "table1": ("Table1Result", "run_table1"),
+    "table2": ("Table2Result", "run_table2"),
+    "table3": ("Table3Result", "run_table3"),
+    "delay_bound": ("DelayBoundResult", "run_delay_bound"),
+    "rcc_sizing": ("RCCSizingResult", "run_rcc_sizing"),
+    "reliability": ("ReliabilityResult", "run_reliability"),
+    "inhomogeneous": ("InhomogeneousResult", "run_inhomogeneous"),
+    "message_loss": ("MessageLossResult", "run_message_loss"),
+    "baseline_comparison": (
+        "BaselineComparisonResult", "run_baseline_comparison",
+    ),
+})

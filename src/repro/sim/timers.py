@@ -7,11 +7,13 @@ recurring work (the RCC eligibility clock).
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 
 from repro.sim.engine import EventEngine, EventHandle
-from repro.util.validation import check_positive_finite
+from repro.util.validation import (
+    check_non_negative_finite,
+    check_positive_finite,
+)
 
 
 class Timeout:
@@ -79,8 +81,8 @@ class PeriodicTimer:
         full period).  ``phase`` must be finite and non-negative — a
         negative phase would schedule the first tick in the simulated
         past.  A rejected call leaves a running timer's schedule alone."""
-        if phase is not None and not 0 <= phase < math.inf:
-            raise ValueError(f"phase must be finite and >= 0, got {phase!r}")
+        if phase is not None:
+            check_non_negative_finite(phase, "phase")
         delay = self.period if phase is None else phase
         handle = self._engine.schedule(delay, self._tick)
         self.stop()

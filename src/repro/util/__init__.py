@@ -5,6 +5,7 @@ from repro.util.tables import format_table, format_percent
 from repro.util.validation import (
     check_fraction,
     check_non_negative,
+    check_non_negative_finite,
     check_positive,
     check_positive_finite,
     check_probability,
@@ -17,6 +18,7 @@ __all__ = [
     "format_percent",
     "check_fraction",
     "check_non_negative",
+    "check_non_negative_finite",
     "check_positive",
     "check_positive_finite",
     "check_probability",

@@ -28,6 +28,15 @@ def check_non_negative(value: float, name: str) -> float:
     return value
 
 
+def check_non_negative_finite(value: float, name: str) -> float:
+    """Require ``0 <= value < inf`` (NaN fails both comparisons)."""
+    if not 0 <= value < float("inf"):
+        raise ValueError(
+            f"{name} must be non-negative and finite, got {value!r}"
+        )
+    return value
+
+
 def check_probability(value: float, name: str) -> float:
     """Require ``0 <= value <= 1``."""
     if not 0.0 <= value <= 1.0:

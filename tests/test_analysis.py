@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,75 @@ class TestMarkovModel:
     def test_shared_rate_validation(self):
         with pytest.raises(ValueError, match="shared_rate"):
             DConnectionMarkovModel(0.01, 0.01, shared_rate=0.02)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    @pytest.mark.parametrize(
+        "name", ["primary_rate", "backup_rate", "shared_rate", "repair_rate"]
+    )
+    def test_non_finite_rate_names_the_parameter(self, name, bad):
+        # inf used to pass check_positive / check_non_negative and come
+        # back as a silent nan from reliability().
+        rates = dict(primary_rate=0.02, backup_rate=0.03, shared_rate=0.0,
+                     repair_rate=0.0)
+        rates[name] = bad
+        with pytest.raises(ValueError, match=name):
+            DConnectionMarkovModel(**rates)
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan"), -1.0])
+    def test_non_finite_time_is_rejected(self, bad):
+        model = DConnectionMarkovModel(0.02, 0.03)
+        with pytest.raises(ValueError, match=r"\bt must be"):
+            model.reliability(bad)
+        with pytest.raises(ValueError, match=r"\bt must be"):
+            model.state_probabilities(bad)
+
+    @pytest.mark.parametrize("repair_rate", [0.0, 0.03, 1e3])
+    def test_reliability_is_a_probability_for_every_finite_time(
+        self, repair_rate
+    ):
+        model = DConnectionMarkovModel(0.02, 0.03, 0.005, repair_rate)
+        times = [0.0, 5e-324, 1e-300, 1e-9, 1.0, 37.0, 1e3, 1e9, 1e18,
+                 1e300, 1.7976931348623157e308]
+        previous = 1.0
+        for t in times:
+            probabilities = model.state_probabilities(t)
+            assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
+            assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+            reliability = model.reliability(t)
+            assert 0.0 <= reliability <= previous + 1e-12, (t, reliability)
+            previous = reliability
+        assert DConnectionMarkovModel(0.02, 0.03).reliability(1e9) == 0.0
+
+    def test_rate_time_product_may_overflow(self):
+        model = DConnectionMarkovModel(1e300, 1e300, repair_rate=1e300)
+        assert model.reliability(1e300) == 0.0
+        assert model.reliability(1e-320) == pytest.approx(1.0)
+
+    def test_transition_matrix_matches_scipy_expm(self):
+        """The differential oracle for ``_transition_matrix``: scipy's
+        Padé ``expm`` (a dev-only dependency since the product computes
+        ``exp(Qt)`` itself)."""
+        linalg = pytest.importorskip("scipy.linalg")
+        from repro.analysis.markov import _transition_matrix
+
+        worst = 0.0
+        for lam1, lam2, shared, mu, t in itertools.product(
+            (1e-6, 1e-3, 0.02, 1.0),
+            (1e-6, 0.03, 2.0),
+            (0.0, 0.5, 1.0),          # λ₃ as a fraction of min(λ₁, λ₂)
+            (0.0, 0.03, 1.0, 50.0, 1e3),
+            (0.0, 1e-3, 1.0, 37.0, 1e3, 2.5e3),
+        ):
+            if (lam1 + lam2 + mu) * t > 1e4:
+                continue  # the oracle itself drifts past 1e-12 out there
+            generator = DConnectionMarkovModel(
+                lam1, lam2, shared * min(lam1, lam2), mu
+            ).generator
+            ours = _transition_matrix(generator, t)
+            worst = max(worst, abs(ours - linalg.expm(generator * t)).max())
+            assert abs(ours.sum(axis=1) - 1.0).max() <= 1e-12
+            assert ours.min() >= 0.0 and ours.max() <= 1.0
+        assert worst <= 1e-12
 
 
 class TestDelayBound:

@@ -1,0 +1,152 @@
+"""Import budget: what a ``repro`` process loads before it is useful.
+
+Cold start is gated on a *count* — which third-party packages are in
+``sys.modules`` — never on a time.  Every check runs in a fresh
+interpreter, because the pytest process itself has numpy (and scipy,
+hypothesis, networkx) loaded.
+"""
+
+from __future__ import annotations
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+import repro
+
+HEAVY = ("networkx", "numpy", "scipy")
+
+_PRELUDE = textwrap.dedent("""
+    import json
+    import sys
+
+    def heavy():
+        return sorted({name.split(".")[0] for name in sys.modules}
+                      & set(%r))
+""" % (HEAVY,))
+
+#: All pairs on the 4x4 torus at ν=3, then one pass through every layer a
+#: paper-scale run touches: evaluator, protocol simulation, snapshot and
+#: restore.  ``sys.argv[1]`` overrides the kernel promotion threshold.
+_WORKLOAD = _PRELUDE + textwrap.dedent("""
+    from repro.channels.qos import FaultToleranceQoS
+    from repro.core import multiplexing
+    from repro.core.bcp import BCPNetwork
+    from repro.experiments.setup import NetworkConfig, load_network
+    from repro.faults.enumerate import all_single_link_failures
+    from repro.obs import obs_session
+    from repro.protocol.runtime import ProtocolSimulation
+    from repro.recovery.evaluator import RecoveryEvaluator
+    from repro.serve.state import restore_network, snapshot_network
+
+    if len(sys.argv) > 1:
+        multiplexing.KERNEL_MIN_POPULATION = int(sys.argv[1])
+    config = NetworkConfig(rows=4, cols=4)
+    with obs_session() as registry:
+        network, report = load_network(
+            config, FaultToleranceQoS(num_backups=1, mux_degree=3))
+        scenarios = all_single_link_failures(network.topology)
+        stats = RecoveryEvaluator(network).evaluate_many(scenarios)
+        simulation = ProtocolSimulation(network)
+        simulation.inject_scenario(scenarios[0], at=1.0)
+        simulation.run(until=200.0)
+        snapshot = snapshot_network(network)
+        restored = BCPNetwork(config.build())
+        restore_network(restored, snapshot)
+        counters = registry.snapshot()["counters"]
+    assert snapshot_network(restored) == snapshot
+    print(json.dumps({
+        "heavy": heavy(),
+        "established": report.established,
+        "scenarios": stats.scenarios,
+        "recovered": simulation.metrics.recovered_count(),
+        "promotions": counters.get("mux.kernel.promotions", 0),
+        "spare_fraction": network.spare_fraction().hex(),
+        "restored_spare_fraction": restored.spare_fraction().hex(),
+    }))
+""")
+
+
+def run_fresh(script: str, *argv: str) -> dict:
+    """Run ``script`` in a fresh interpreter; its last stdout line is one
+    JSON object."""
+    source = os.path.dirname(os.path.dirname(repro.__file__))
+    completed = subprocess.run(
+        [sys.executable, "-c", script, *argv], check=True, timeout=120,
+        stdout=subprocess.PIPE, text=True,
+        env={**os.environ, "PYTHONPATH": source},
+    )
+    return json.loads(completed.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("module, shared", [
+    ("repro.cli", []),
+    # The scenario runner the server builds on uses the Γ-bound formula
+    # and the traffic-pattern generators; neither is an experiment.
+    ("repro.serve", ["repro.analysis.delay", "repro.experiments.workloads"]),
+])
+def test_entry_point_import_loads_no_numerics(module, shared):
+    script = _PRELUDE + textwrap.dedent(f"""
+        import {module}
+        print(json.dumps({{
+            "heavy": heavy(),
+            "experiments": sorted(
+                name for name in sys.modules
+                if name.startswith(("repro.experiments.", "repro.analysis."))
+            ),
+        }}))
+    """)
+    loaded = run_fresh(script)
+    assert loaded["heavy"] == []
+    # A command imports what it runs: no table, figure or Markov model
+    # before a handler asks for one.
+    assert loaded["experiments"] == shared
+
+
+@pytest.fixture(scope="module")
+def scalar_run() -> dict:
+    """The workload at the shipped promotion threshold."""
+    return run_fresh(_WORKLOAD)
+
+
+def test_paper_scale_layers_never_load_numpy(scalar_run):
+    assert scalar_run["established"] == 240 and scalar_run["scenarios"] == 64
+    assert scalar_run["recovered"] > 0
+    assert scalar_run["promotions"] == 0
+    assert scalar_run["heavy"] == []
+
+
+def test_first_promotion_loads_numpy_and_changes_no_bit(scalar_run):
+    promoted = run_fresh(_WORKLOAD, "4")
+    assert promoted["promotions"] > 0
+    assert promoted["heavy"] == ["numpy"]
+    for key in ("established", "scenarios", "recovered", "spare_fraction",
+                "restored_spare_fraction"):
+        assert promoted[key] == scalar_run[key], key
+    assert promoted["restored_spare_fraction"] == promoted["spare_fraction"]
+
+
+@pytest.mark.parametrize(
+    "package", ["repro.core", "repro.analysis", "repro.experiments"]
+)
+def test_lazy_package_exports_every_name_of_all(package):
+    """The three packages resolve their re-exports on first read (PEP
+    562); ``__all__``, ``from package import name`` and ``import *`` must
+    not notice."""
+    module = importlib.import_module(package)
+    namespace: dict = {}
+    exec(f"from {package} import *", namespace)
+    for name in module.__all__:
+        value = getattr(module, name)
+        assert namespace[name] is value
+        assert value.__module__.startswith(package + ".")
+        assert vars(module)[name] is value  # cached: a plain attribute now
+    with pytest.raises(AttributeError, match="no_such_name"):
+        module.no_such_name
+    with pytest.raises(ImportError):
+        exec(f"from {package} import no_such_name", {})
