@@ -6,8 +6,9 @@ topology and an expected traffic matrix, sweep the backup configurations
 and print the spare-bandwidth overhead next to the failure coverage each
 buys, including the brute-force and local-detour alternatives.
 
-Swap in your own topology with Topology.from_networkx() — everything else
-is topology-agnostic.
+Swap in your own topology with repro.network.from_edge_list() (one
+"src dst capacity" line per duplex link) — everything else is
+topology-agnostic.
 
 Run:  python examples/capacity_planning.py
 """

@@ -13,7 +13,6 @@ if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
     )
     from repro.analysis.markov import (
         DConnectionMarkovModel,
-        simplified_markov_model,
     )
 
 __all__ = [
@@ -21,7 +20,6 @@ __all__ = [
     "connection_delay_bound",
     "required_rcc_frame_messages",
     "DConnectionMarkovModel",
-    "simplified_markov_model",
 ]
 
 __getattr__ = lazy_exports(__name__, {
@@ -30,5 +28,5 @@ __getattr__ = lazy_exports(__name__, {
         "recovery_delay_bound",
         "required_rcc_frame_messages",
     ),
-    "markov": ("DConnectionMarkovModel", "simplified_markov_model"),
+    "markov": ("DConnectionMarkovModel",),
 })

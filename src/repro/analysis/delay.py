@@ -46,6 +46,16 @@ def connection_delay_bound(connection: DConnection, d_max: float) -> float:
     return recovery_delay_bound(k, max(1, connection.num_backups), d_max)
 
 
+def network_delay_bound(network: BCPNetwork, d_max: float) -> float:
+    """The worst Γ bound over the network's live connections — what the
+    symbolic ``gamma`` SLO threshold resolves to (0 with none)."""
+    return max(
+        (connection_delay_bound(connection, d_max)
+         for connection in network.connections()),
+        default=0.0,
+    )
+
+
 def required_rcc_frame_messages(network: BCPNetwork) -> int:
     """Smallest per-frame message capacity guaranteeing bounded control
     delay (Section 5.2), in units of control messages.

@@ -118,28 +118,3 @@ class DConnectionMarkovModel:
     def reliability(self, t: float) -> float:
         """``R(t) = 1 − P(absorbed by t)`` (footnote 3 of the paper)."""
         return float(1.0 - self.state_probabilities(t)[3])
-
-    def reliability_curve(self, times) -> np.ndarray:
-        """Vectorised :meth:`reliability` over an array of times."""
-        return np.array([self.reliability(t) for t in np.asarray(times)])
-
-    def mean_time_to_failure(self) -> float:
-        """Expected absorption time from state 0 (fundamental-matrix
-        method: ``MTTF = [(-Q_T)^{-1} 1]_0`` over the transient states)."""
-        transient = self._generator[:3, :3]
-        ones = np.ones(3)
-        times = np.linalg.solve(-transient, ones)
-        return float(times[0])
-
-
-def simplified_markov_model(
-    channel_rate: float, shared_rate: float = 0.0, repair_rate: float = 0.0
-) -> DConnectionMarkovModel:
-    """The Fig. 3(b) simplification: primary and backup of equal length
-    (λ₁ = λ₂ = ``channel_rate``)."""
-    return DConnectionMarkovModel(
-        primary_rate=channel_rate,
-        backup_rate=channel_rate,
-        shared_rate=shared_rate,
-        repair_rate=repair_rate,
-    )

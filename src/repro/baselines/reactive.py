@@ -56,21 +56,6 @@ class ReactiveResult:
             if outcome is not ReactiveOutcome.EXCLUDED
         )
 
-    @property
-    def recovery_ratio(self) -> float | None:
-        """Fraction of disrupted connections that found a new channel —
-        the reactive analogue of R_fast (but with re-establishment-scale
-        latency, not backup-activation latency)."""
-        failed = self.failed_primaries
-        if failed == 0:
-            return None
-        recovered = sum(
-            1
-            for outcome in self.outcomes.values()
-            if outcome is ReactiveOutcome.REROUTED
-        )
-        return recovered / failed
-
 
 def evaluate_reactive(
     network: BCPNetwork,

@@ -49,12 +49,6 @@ class AdmissionController:
         """
         return self.ledger.capacity_floor(traffic.bandwidth)
 
-    def check_primary(self, path: Path, traffic: TrafficSpec) -> None:
-        """Admission test for a primary over ``path``; raises on failure."""
-        for link in path.links:
-            if not self.ledger.can_reserve_primary(link, traffic.bandwidth):
-                raise AdmissionError("insufficient free bandwidth", link)
-
     def reserve_primary(self, path: Path, traffic: TrafficSpec) -> None:
         """Reserve primary bandwidth along ``path`` (all-or-nothing).
 

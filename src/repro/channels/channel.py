@@ -69,14 +69,6 @@ class Channel:
         return self.traffic.bandwidth
 
     @property
-    def is_primary(self) -> bool:
-        return self.role is ChannelRole.PRIMARY
-
-    @property
-    def is_backup(self) -> bool:
-        return self.role is ChannelRole.BACKUP
-
-    @property
     def components(self) -> frozenset:
         """All components (nodes + links) of the channel path."""
         return self._components

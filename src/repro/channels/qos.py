@@ -48,10 +48,6 @@ class DelayQoS:
         check_non_negative(shortest_possible, "shortest_possible")
         return shortest_possible + self.slack_hops
 
-    def satisfied_by(self, hops: int, shortest_possible: int) -> bool:
-        """Whether a path of ``hops`` hops meets the requirement."""
-        return hops <= self.max_hops(shortest_possible)
-
 
 @dataclass(frozen=True, slots=True)
 class FaultToleranceQoS:

@@ -104,18 +104,6 @@ class ChannelRegistry:
         """All channels, in registration order."""
         return iter(self._by_id.values())
 
-    def on_link(self, link: LinkId) -> list[Channel]:
-        """Channels whose path traverses ``link``."""
-        return list(self._by_link.get(link, {}).values())
-
-    def backups_on_link(self, link: LinkId) -> list[Channel]:
-        """Backup channels traversing ``link`` — the multiplexing domain."""
-        return [
-            channel
-            for channel in self._by_link.get(link, {}).values()
-            if channel.role is ChannelRole.BACKUP
-        ]
-
     def primaries_on_link(self, link: LinkId) -> list[Channel]:
         """Primary channels traversing ``link``."""
         return [

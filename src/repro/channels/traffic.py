@@ -38,18 +38,3 @@ class TrafficSpec:
         check_positive(self.bandwidth, "bandwidth")
         check_positive(self.max_message_size, "max_message_size")
         check_positive(self.max_message_rate, "max_message_rate")
-
-    @property
-    def peak_rate(self) -> float:
-        """Peak bit-rate implied by the message parameters (bits/second)."""
-        return self.max_message_size * self.max_message_rate
-
-    def scaled(self, factor: float) -> "TrafficSpec":
-        """A copy with bandwidth scaled by ``factor`` (mixed-bandwidth
-        workloads use this)."""
-        check_positive(factor, "factor")
-        return TrafficSpec(
-            bandwidth=self.bandwidth * factor,
-            max_message_size=self.max_message_size,
-            max_message_rate=self.max_message_rate * factor,
-        )

@@ -35,6 +35,25 @@ from repro.protocol.states import IllegalTransitionError
 from repro.util.rng import make_rng
 
 
+def establish_antipodal(network: BCPNetwork, connections: int,
+                        qos: FaultToleranceQoS) -> None:
+    """Establish the deterministic chaos connection set: node ``i`` to the
+    node half the network away, in ascending node order, until
+    ``connections`` are up or the nodes run out."""
+    nodes = sorted(network.topology.nodes())
+    half = len(nodes) // 2
+    established = 0
+    for index in range(len(nodes)):
+        if established >= connections:
+            break
+        src = nodes[index]
+        dst = nodes[(index + half) % len(nodes)]
+        if src == dst:
+            continue
+        network.establish(src, dst, ft_qos=qos)
+        established += 1
+
+
 @dataclass(frozen=True)
 class ChaosEnvironment:
     """The network a chaos campaign runs against (artifact-serialisable).
@@ -55,8 +74,8 @@ class ChaosEnvironment:
     def build(self) -> BCPNetwork:
         """Instantiate the topology and establish the connection set.
 
-        Endpoint pairs are chosen deterministically (node ``i`` to the
-        node half the network away), so the same environment always
+        Endpoint pairs are chosen deterministically
+        (:func:`establish_antipodal`), so the same environment always
         yields the same established state.
         """
         if self.topology == "torus":
@@ -66,21 +85,10 @@ class ChaosEnvironment:
         else:
             raise ValueError(f"unknown topology {self.topology!r}")
         network = BCPNetwork(topo)
-        nodes = sorted(topo.nodes())
-        half = len(nodes) // 2
         qos = FaultToleranceQoS(
             num_backups=self.num_backups, mux_degree=self.mux_degree
         )
-        established = 0
-        for index in range(len(nodes)):
-            if established >= self.connections:
-                break
-            src = nodes[index]
-            dst = nodes[(index + half) % len(nodes)]
-            if src == dst:
-                continue
-            network.establish(src, dst, ft_qos=qos)
-            established += 1
+        establish_antipodal(network, self.connections, qos)
         return network
 
     def to_dict(self) -> dict:

@@ -35,6 +35,7 @@ from repro.chaos.schedule import (
     protocol_config_from_json,
     protocol_config_to_json,
 )
+from repro.obs.export import write_json
 from repro.protocol.config import ProtocolConfig
 
 
@@ -193,9 +194,7 @@ def artifact_payload(
 
 def write_artifact(path, payload: dict) -> None:
     """Write one artifact document (pretty-printed, stable key order)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(payload, path)
 
 
 def load_artifact(path) -> dict:

@@ -42,6 +42,7 @@ from repro.obs import (
     format_metrics,
     get_registry,
     obs_session,
+    write_json,
     write_metrics,
     write_trace,
 )
@@ -68,6 +69,26 @@ def _parse_workers(text: str) -> "int | None":
             f"workers must be >= 1, got {value}"
         )
     return value
+
+
+def _at_least(minimum, number=int):
+    """The argparse type of a count or a duration: a ``number`` (``int``
+    or ``float``) >= ``minimum`` — 0 where "none" is a request, 1 where
+    the count sizes or divides something.  Rejected by the parser, before
+    any network is built."""
+    def parse(text: str):
+        try:
+            value = number(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {number.__name__}, got {text!r}"
+            ) from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {text}"
+            )
+        return value
+    return parse
 
 
 def _parse_component(kind: str, ident: str):
@@ -176,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure9.add_argument("--backups", type=int, default=1)
     figure9.add_argument("--degrees", type=_parse_degrees,
                          default=(0, 1, 3, 5, 6))
-    figure9.add_argument("--checkpoints", type=int, default=8)
+    figure9.add_argument("--checkpoints", type=_at_least(1), default=8)
 
     for name, helptext in (
         ("table1", "R_fast with uniform multiplexing degrees"),
@@ -187,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--backups", type=int, default=1)
         sub.add_argument("--degrees", type=_parse_degrees,
                          default=(1, 3, 5, 6))
-        sub.add_argument("--double-samples", type=int, default=200)
+        sub.add_argument("--double-samples", type=_at_least(0), default=200)
 
     table2 = subparsers.add_parser(
         "table2", help="per-connection fault-tolerance control")
@@ -195,13 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     table2.add_argument("--backups", type=int, default=1)
     table2.add_argument("--classes", type=_parse_degrees,
                         default=(1, 3, 5, 6))
-    table2.add_argument("--double-samples", type=int, default=200)
+    table2.add_argument("--double-samples", type=_at_least(0), default=200)
 
     delay = subparsers.add_parser(
         "delay-bound", help="measured recovery delay vs the Γ bound")
     _add_network_arguments(delay)
     delay.add_argument("--backups", type=int, default=2)
-    delay.add_argument("--connections", type=int, default=6)
+    delay.add_argument("--connections", type=_at_least(1), default=6)
 
     rcc = subparsers.add_parser(
         "rcc-sizing", help="RCC frame sizing and control-delay bound")
@@ -221,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
         "message-loss", help="data-message loss during recovery (Fig. 8)")
     _add_network_arguments(loss)
     loss.add_argument("--rate", type=float, default=2.0)
-    loss.add_argument("--connections", type=int, default=4)
+    loss.add_argument("--connections", type=_at_least(1), default=4)
 
     baselines = subparsers.add_parser(
         "baselines", help="BCP vs reactive vs local-detour trade-offs")
@@ -241,12 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
     everything = subparsers.add_parser(
         "all", help="run every experiment at one scale")
     _add_network_arguments(everything)
-    everything.add_argument("--double-samples", type=int, default=100)
+    everything.add_argument("--double-samples", type=_at_least(0), default=100)
 
     report = subparsers.add_parser(
         "report", help="run the full suite and write a markdown report")
     _add_network_arguments(report)
-    report.add_argument("--double-samples", type=int, default=100)
+    report.add_argument("--double-samples", type=_at_least(0), default=100)
     report.add_argument("--output", default="reproduction-report.md")
 
     stats = subparsers.add_parser(
@@ -255,10 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arguments(stats)
     stats.add_argument("--mux", type=int, default=3)
     stats.add_argument("--backups", type=int, default=1)
-    stats.add_argument("--failures", type=int, default=1,
+    stats.add_argument("--failures", type=_at_least(0), default=1,
                        help="fail this many links (lexicographically first); "
                             "0 with --fail-at for fully explicit injection")
-    stats.add_argument("--horizon", type=float, default=200.0)
+    stats.add_argument("--horizon", type=_at_least(0, float), default=200.0)
     stats.add_argument(
         "--fail-at", metavar="SPEC", type=_parse_injection,
         action="append", default=[],
@@ -315,19 +336,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arguments(chaos)
     chaos.set_defaults(rows=4, cols=4)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--campaign-size", type=int, default=25,
+    chaos.add_argument("--campaign-size", type=_at_least(1), default=25,
                        help="number of schedules to run (default 25)")
     chaos.add_argument("--profiles", type=_parse_profiles, default=None,
                        help="comma-separated chaos profiles "
                             "(default: all of them, rotated)")
     chaos.add_argument("--backups", type=int, default=2)
     chaos.add_argument("--mux", type=int, default=1)
-    chaos.add_argument("--connections", type=int, default=6,
+    chaos.add_argument("--connections", type=_at_least(1), default=6,
                        help="connections to establish (default 6)")
     chaos.add_argument("--artifact-dir", metavar="DIR", default=".",
                        help="where shrunk failure artifacts are written "
                             "(default: current directory)")
-    chaos.add_argument("--max-artifacts", type=int, default=5,
+    chaos.add_argument("--max-artifacts", type=_at_least(0), default=5,
                        help="shrink and export at most this many failing "
                             "runs (default 5)")
     chaos.add_argument("--replay", metavar="ARTIFACT", default=None,
@@ -530,10 +551,33 @@ def _load_single_spec(path: str, kind: str):
     return spec
 
 
+def _churn_verdict(stats, slos: tuple) -> list[str]:
+    """The invariant and SLO lines a churn summary ends with, local or
+    served."""
+    lines = []
+    if stats.clean:
+        lines.append("invariants: every epoch boundary clean")
+    else:
+        lines.append(
+            f"invariants VIOLATED ({len(stats.audit_violations)} findings):"
+        )
+        lines.extend(f"  {finding}" for finding in stats.audit_violations)
+    if stats.slo_breaches:
+        lines.append(
+            f"SLOs BREACHED ({len(stats.slo_breaches)} findings):"
+        )
+        lines.extend(f"  {finding}" for finding in stats.slo_breaches)
+    elif slos:
+        lines.append(
+            f"SLOs: all {len(slos)} target(s) met at "
+            f"every epoch boundary"
+        )
+    return lines
+
+
 def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     """Seeded churn run; exit code 1 on any epoch invariant violation."""
     import dataclasses
-    import json
 
     from repro.core.bcp import BCPNetwork
     from repro.scenario import (
@@ -579,9 +623,7 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     engine = ChurnEngine(network, churn_config)
     stats = engine.run()
     if args.stats_out:
-        with open(args.stats_out, "w") as handle:
-            json.dump(stats.to_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(stats.to_dict(), args.stats_out)
     lines = [
         f"repro churn — {spec.topology.label}, "
         f"mux={spec.protocol.mux_degree}, "
@@ -603,23 +645,7 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
             f"R_fast "
             + (f"{r_fast:.4f}" if r_fast is not None else "N/A")
         )
-    if stats.clean:
-        lines.append("invariants: every epoch boundary clean")
-    else:
-        lines.append(
-            f"invariants VIOLATED ({len(stats.audit_violations)} findings):"
-        )
-        lines.extend(f"  {finding}" for finding in stats.audit_violations)
-    if stats.slo_breaches:
-        lines.append(
-            f"SLOs BREACHED ({len(stats.slo_breaches)} findings):"
-        )
-        lines.extend(f"  {finding}" for finding in stats.slo_breaches)
-    elif churn_config.slos:
-        lines.append(
-            f"SLOs: all {len(churn_config.slos)} target(s) met at "
-            f"every epoch boundary"
-        )
+    lines.extend(_churn_verdict(stats, churn_config.slos))
     # Gate on ``healthy`` (invariants AND SLOs), not ``clean`` — gating
     # on clean alone waved breached SLOs through whenever the breach
     # list was populated by a path other than the --slo flags.
@@ -633,8 +659,6 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
 def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
     """Always-on admission service: run the server, or drive one as a
     churn client / one-shot management call."""
-    import json
-
     from repro.serve import AdmissionServer, RemoteNetwork, ServeClient
 
     if args.action == "start":
@@ -686,9 +710,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         stats = engine.run(until=args.until)
         network.client.close()
         if args.stats_out:
-            with open(args.stats_out, "w") as handle:
-                json.dump(stats.to_dict(), handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json(stats.to_dict(), args.stats_out)
         lines = [
             f"repro serve churn — {spec.topology.label} via {args.connect}, "
             f"seed {spec.seed}"
@@ -698,24 +720,7 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
             f"established: {stats.established}; blocked: {stats.blocked}; "
             f"departures: {stats.departures}; epochs audited: {stats.epochs}",
         ]
-        if stats.clean:
-            lines.append("invariants: every epoch boundary clean")
-        else:
-            lines.append(
-                f"invariants VIOLATED "
-                f"({len(stats.audit_violations)} findings):"
-            )
-            lines.extend(f"  {finding}" for finding in stats.audit_violations)
-        if stats.slo_breaches:
-            lines.append(
-                f"SLOs BREACHED ({len(stats.slo_breaches)} findings):"
-            )
-            lines.extend(f"  {finding}" for finding in stats.slo_breaches)
-        elif churn_config.slos:
-            lines.append(
-                f"SLOs: all {len(churn_config.slos)} target(s) met at "
-                f"every epoch boundary"
-            )
+        lines.extend(_churn_verdict(stats, churn_config.slos))
         return "\n".join(lines), 0 if stats.healthy else 1
 
     client = ServeClient(args.connect)
@@ -756,8 +761,6 @@ def _format_violations(violations) -> list[str]:
 def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     """Chaos campaign / artifact replay; exit code 1 on any violation
     or SLO breach."""
-    import json
-
     from repro.chaos import (
         artifact_payload,
         build_campaign,
@@ -852,14 +855,10 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     slo_lines: list[str] = []
     slo_breaches = []
     if args.slo:
-        from repro.analysis.delay import connection_delay_bound
+        from repro.analysis.delay import network_delay_bound
         from repro.obs import SLOEngine, format_results
 
-        gamma = max(
-            (connection_delay_bound(connection, config.rcc.max_delay)
-             for connection in network.connections()),
-            default=0.0,
-        )
+        gamma = network_delay_bound(network, config.rcc.max_delay)
         slo_results = SLOEngine(args.slo).evaluate(
             get_registry().snapshot(), constants={"gamma": gamma}
         )
@@ -872,21 +871,19 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
                 args.artifact_dir, f"flight-seed{spec.seed}-slo.json")
             from repro.obs import FLIGHT_SCHEMA
 
-            with open(flight_path, "w") as handle:
-                json.dump({
-                    "schema": FLIGHT_SCHEMA,
-                    "reason": "slo-breach",
-                    "capacity": 0,
-                    "events": [],
-                    "spans": [],
-                    "context": {
-                        "seed": spec.seed,
-                        "gamma": gamma,
-                        "breaches": [r.to_dict() for r in slo_breaches],
-                        "summary": summary,
-                    },
-                }, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json({
+                "schema": FLIGHT_SCHEMA,
+                "reason": "slo-breach",
+                "capacity": 0,
+                "events": [],
+                "spans": [],
+                "context": {
+                    "seed": spec.seed,
+                    "gamma": gamma,
+                    "breaches": [r.to_dict() for r in slo_breaches],
+                    "summary": summary,
+                },
+            }, flight_path)
             slo_lines.append(f"SLO breach artifact -> {flight_path}")
 
     failing = [
@@ -927,9 +924,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
                 args.artifact_dir,
                 f"flight-seed{spec.seed}-run{index}.json",
             )
-            with open(flight_path, "w") as handle:
-                json.dump(result.flight, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            write_json(result.flight, flight_path)
             lines.append(f"  flight recording -> {flight_path}")
     skipped = len(failing) - min(len(failing), args.max_artifacts)
     if skipped:
@@ -952,8 +947,6 @@ def _parse_shard(text: str) -> tuple[int, int]:
 
 def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     """Scenario-matrix actions: expand/diff a lattice, or run its cells."""
-    import json
-
     from repro.scenario import (
         diff_cells,
         load_cells,
@@ -1064,16 +1057,11 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
             for index, flight in enumerate(result.flights):
                 flight_path = os.path.join(
                     args.artifact_dir, f"{safe}-flight{index}.json")
-                with open(flight_path, "w") as handle:
-                    json.dump(flight, handle, indent=2, sort_keys=True)
-                    handle.write("\n")
+                write_json(flight, flight_path)
                 dumped += 1
             result_path = os.path.join(args.artifact_dir,
                                        f"{safe}-result.json")
-            with open(result_path, "w") as handle:
-                json.dump(result.to_dict(), handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
+            write_json(result.to_dict(), result_path)
         if failing:
             lines.append(
                 f"{len(failing)} failing cell dump(s) + {dumped} flight "

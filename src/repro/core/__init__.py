@@ -33,7 +33,6 @@ if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
     from repro.core.overlap import (
         OverlapPolicy,
         simultaneous_activation_probability,
-        simultaneous_activation_probability_heterogeneous,
     )
     from repro.core.reliability import (
         channel_reliability,
@@ -55,7 +54,6 @@ __all__ = [
     "VectorLinkMux",
     "OverlapPolicy",
     "simultaneous_activation_probability",
-    "simultaneous_activation_probability_heterogeneous",
     "channel_reliability",
     "connection_pr",
     "p_muxf_upper_bound",
@@ -72,7 +70,6 @@ __getattr__ = lazy_exports(__name__, {
     "overlap": (
         "OverlapPolicy",
         "simultaneous_activation_probability",
-        "simultaneous_activation_probability_heterogeneous",
     ),
     "reliability": (
         "channel_reliability", "connection_pr", "p_muxf_upper_bound",

@@ -49,7 +49,6 @@ from repro.channels.channel import Channel, ChannelRole
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network.components import LinkId
 from repro.obs.registry import get_registry
-from repro.routing.paths import Path
 from repro.util.validation import check_positive
 
 #: Resident backups on one link above which the engine promotes it from
@@ -512,21 +511,6 @@ class MultiplexingEngine:
         registry.gauge("mux.space.components").set(float(components))
         registry.gauge("mux.space.rows").set(float(rows))
         registry.gauge("mux.space.bytes").set(float(nbytes))
-
-    def preview_backup(
-        self, backup_path: Path, bandwidth: float, mux_degree: int, primary: Channel
-    ) -> dict[LinkId, float]:
-        """Required pool size per link of ``backup_path`` if the backup
-        were added — the establishment admission query."""
-        components = self.policy.component_set(primary.path)
-        requirements = {
-            link: self.link_state(link).preview_add(
-                bandwidth, mux_degree, components
-            )
-            for link in backup_path.links
-        }
-        self._publish_obs()
-        return requirements
 
     def add_backup(self, backup: Channel, primary: Channel) -> dict[LinkId, float]:
         """Register ``backup`` on every link of its path; returns the new

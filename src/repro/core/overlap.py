@@ -52,50 +52,6 @@ def simultaneous_activation_probability(
     )
 
 
-def simultaneous_activation_probability_heterogeneous(
-    nodes_i: int,
-    links_i: int,
-    nodes_j: int,
-    links_j: int,
-    shared_nodes: int,
-    shared_links: int,
-    node_failure_probability: float,
-    link_failure_probability: float,
-) -> float:
-    """``S(B_i, B_j)`` with distinct node and link failure rates.
-
-    The paper's footnote to the S formula: "One can use different failure
-    rates for nodes and links by slightly modifying the equation."  With
-    per-unit survival probabilities ``p_n = 1-λ_n`` and ``p_l = 1-λ_l``:
-
-        P(channel M survives) = p_n^{nodes(M)} · p_l^{links(M)}
-
-    and S keeps its inclusion-exclusion shape with the shared part
-    factored out by component kind.
-    """
-    for name, count in (("nodes_i", nodes_i), ("links_i", links_i),
-                        ("nodes_j", nodes_j), ("links_j", links_j),
-                        ("shared_nodes", shared_nodes),
-                        ("shared_links", shared_links)):
-        if count < 0:
-            raise ValueError(f"{name} must be >= 0, got {count}")
-    if shared_nodes > min(nodes_i, nodes_j) or shared_links > min(
-        links_i, links_j
-    ):
-        raise ValueError("shared counts exceed a channel's component counts")
-    check_probability(node_failure_probability, "node_failure_probability")
-    check_probability(link_failure_probability, "link_failure_probability")
-    p_node = 1.0 - node_failure_probability
-    p_link = 1.0 - link_failure_probability
-    survive_i = p_node**nodes_i * p_link**links_i
-    survive_j = p_node**nodes_j * p_link**links_j
-    survive_union = (
-        p_node ** (nodes_i + nodes_j - shared_nodes)
-        * p_link ** (links_i + links_j - shared_links)
-    )
-    return 1.0 - (survive_i + survive_j - survive_union)
-
-
 class ComponentSpace:
     """Interner from components (nodes/links) to bit positions.
 
@@ -198,15 +154,6 @@ class OverlapPolicy:
         return shared_component_count(primary_i, primary_j, self.count_endpoints)
 
     # ------------------------------------------------------------------
-    def activation_probability(self, primary_i: Path, primary_j: Path) -> float:
-        """Exact ``S`` for two primary paths."""
-        return simultaneous_activation_probability(
-            self.component_count(primary_i),
-            self.component_count(primary_j),
-            self.shared_count(primary_i, primary_j),
-            self.failure_probability,
-        )
-
     def nu(self, mux_degree: int) -> float:
         """The threshold ν = α·λ for an integer mux degree α."""
         if mux_degree < 0:

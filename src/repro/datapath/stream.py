@@ -46,12 +46,6 @@ class StreamReport:
             return None
         return (min(self.loss_times), max(self.loss_times))
 
-    @property
-    def delivery_ratio(self) -> "float | None":
-        if self.sent == 0:
-            return None
-        return self.delivered / self.sent
-
 
 class DataStream:
     """A periodic, regulated message source for one connection."""

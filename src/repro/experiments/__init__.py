@@ -15,11 +15,9 @@ if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
     from repro.experiments.workloads import (
         WorkloadReport,
         all_pairs,
-        bit_reversal_pairs,
         establish_workload,
         hotspot_pairs,
         mixed_bandwidth_traffic,
-        transpose_pairs,
         uniform_traffic,
     )
     from repro.experiments.figure9 import Figure9Result, run_figure9
@@ -42,8 +40,6 @@ if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
 __all__ = [
     "all_pairs",
     "hotspot_pairs",
-    "transpose_pairs",
-    "bit_reversal_pairs",
     "uniform_traffic",
     "mixed_bandwidth_traffic",
     "establish_workload",
@@ -74,11 +70,9 @@ __getattr__ = lazy_exports(__name__, {
     "workloads": (
         "WorkloadReport",
         "all_pairs",
-        "bit_reversal_pairs",
         "establish_workload",
         "hotspot_pairs",
         "mixed_bandwidth_traffic",
-        "transpose_pairs",
         "uniform_traffic",
     ),
     "figure9": ("Figure9Result", "run_figure9"),

@@ -51,11 +51,6 @@ class DelayBoundResult:
     def violations(self) -> list[DelayMeasurement]:
         return [m for m in self.measurements if m.within_bound is False]
 
-    @property
-    def max_measured(self) -> "float | None":
-        values = [m.measured for m in self.measurements if m.measured is not None]
-        return max(values) if values else None
-
     def format(self) -> str:
         """Render the measurement table."""
         rows = [

@@ -23,29 +23,6 @@ from repro.util.tables import format_percent, format_table
 
 PAPER_DEGREES = (1, 3, 5, 6)
 
-#: The paper's reported values, for side-by-side comparison in reports
-#: (panel -> row -> mux degree -> value as a fraction).
-PAPER_TABLE1 = {
-    ("torus", 1): {
-        "Spare bandwidth": {1: 0.3025, 3: 0.225, 5: 0.16, 6: 0.095},
-        "1 link failure": {1: 1.0, 3: 1.0, 5: 0.9727, 6: 0.7411},
-        "1 node failure": {1: 1.0, 3: 1.0, 5: 0.8999, 6: 0.6472},
-        "2 node failures": {1: 0.9311, 3: 0.9298, 5: 0.8405, 6: 0.5836},
-    },
-    ("torus", 2): {
-        "Spare bandwidth": {1: None, 3: 0.3025, 5: 0.2125, 6: 0.1288},
-        "1 link failure": {1: None, 3: 1.0, 5: 1.0, 6: 1.0},
-        "1 node failure": {1: None, 3: 1.0, 5: 1.0, 6: 0.9768},
-        "2 node failures": {1: None, 3: 1.0, 5: 0.9982, 6: 0.9328},
-    },
-    ("mesh", 1): {
-        "Spare bandwidth": {1: 0.3311, 3: 0.2447, 5: 0.1969, 6: 0.1722},
-        "1 link failure": {1: 1.0, 3: 1.0, 5: 0.9763, 6: 0.9039},
-        "1 node failure": {1: 1.0, 3: 0.9994, 5: 0.9174, 6: 0.8408},
-        "2 node failures": {1: 0.8922, 3: 0.8883, 5: 0.8182, 6: 0.7532},
-    },
-}
-
 
 @dataclass
 class Table1Result:
@@ -93,10 +70,6 @@ class Table1Result:
                 + ")"
             )
         return text
-
-    def paper_reference(self) -> "dict | None":
-        """The paper's values for this panel at the 8x8 scale, if any."""
-        return PAPER_TABLE1.get((self.config.topology, self.num_backups))
 
 
 def run_table1(

@@ -28,28 +28,6 @@ from repro.util.tables import format_percent, format_table
 
 PAPER_MIX = (1, 3, 5, 6)
 
-#: Paper-reported values (panel -> row -> class degree -> fraction).
-PAPER_TABLE2 = {
-    ("torus", 1): {
-        "Spare bandwidth": 0.1243,
-        "1 link failure": {1: 1.0, 3: 1.0, 5: 0.9348, 6: 0.5043},
-        "1 node failure": {1: 1.0, 3: 0.9964, 5: 0.6992, 6: 0.4414},
-        "2 node failures": {1: 0.9311, 3: 0.9241, 5: 0.6588, 6: 0.3929},
-    },
-    ("torus", 2): {
-        "Spare bandwidth": 0.1688,
-        "1 link failure": {1: 1.0, 3: 1.0, 5: 1.0, 6: 1.0},
-        "1 node failure": {1: 1.0, 3: 1.0, 5: 1.0, 6: 1.0},
-        "2 node failures": {1: 1.0, 3: 1.0, 5: 0.9945, 6: 0.9367},
-    },
-    ("mesh", 1): {
-        "Spare bandwidth": 0.1741,
-        "1 link failure": {1: 1.0, 3: 1.0, 5: 0.9729, 6: 0.68},
-        "1 node failure": {1: 1.0, 3: 0.9961, 5: 0.8815, 6: 0.5218},
-        "2 node failures": {1: 0.8946, 3: 0.8904, 5: 0.7855, 6: 0.4747},
-    },
-}
-
 
 @dataclass
 class Table2Result:
@@ -81,10 +59,6 @@ class Table2Result:
             f"— {self.config.label}, {self.num_backups} backup(s)"
         )
         return format_table(headers, rows, title=title)
-
-    def paper_reference(self) -> "dict | None":
-        """The paper's values for this panel at 8x8 scale, if any."""
-        return PAPER_TABLE2.get((self.config.topology, self.num_backups))
 
 
 def run_table2(

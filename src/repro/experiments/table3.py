@@ -23,22 +23,6 @@ from repro.util.tables import format_percent, format_table
 
 PAPER_DEGREES = (1, 3, 5, 6)
 
-#: Paper values (topology -> row -> mux degree -> fraction).
-PAPER_TABLE3 = {
-    "torus": {
-        "Spare bandwidth": {1: 0.3025, 3: 0.225, 5: 0.16, 6: 0.095},
-        "1 link failure": {1: 1.0, 3: 0.9805, 5: 0.9219, 6: 0.7631},
-        "1 node failure": {1: 1.0, 3: 0.9534, 5: 0.8798, 6: 0.6887},
-        "2 node failures": {1: 0.9311, 3: 0.8982, 5: 0.8223, 6: 0.6353},
-    },
-    "mesh": {
-        "Spare bandwidth": {1: 0.3311, 3: 0.2447, 5: 0.1969, 6: 0.1722},
-        "1 link failure": {1: 0.9618, 3: 0.8974, 5: 0.8318, 6: 0.7818},
-        "1 node failure": {1: 0.9503, 3: 0.8719, 5: 0.7949, 6: 0.7303},
-        "2 node failures": {1: 0.8678, 3: 0.7962, 5: 0.7188, 6: 0.6603},
-    },
-}
-
 
 @dataclass
 class Table3Result:
@@ -69,10 +53,6 @@ class Table3Result:
             f"Table 3: R_fast, brute-force multiplexing — {self.config.label}"
         )
         return format_table(headers, rows, title=title)
-
-    def paper_reference(self) -> "dict | None":
-        """The paper's values for this panel at 8x8 scale, if any."""
-        return PAPER_TABLE3.get(self.config.topology)
 
 
 def run_table3(

@@ -64,48 +64,6 @@ def hotspot_pairs(
     return pairs
 
 
-def transpose_pairs(topology: Topology, rows: int, cols: int) -> list[NodePair]:
-    """The matrix-transpose permutation: node (r, c) talks to (c, r).
-
-    A classic adversarial pattern for grid/torus networks — traffic
-    concentrates on the diagonal, stressing exactly the links where
-    backup multiplexing has the least routing diversity.
-    """
-    if rows != cols:
-        raise ValueError(
-            f"transpose needs a square grid, got {rows}x{cols}"
-        )
-    pairs: list[NodePair] = []
-    for row in range(rows):
-        for col in range(cols):
-            src = row * cols + col
-            dst = col * cols + row
-            if src != dst:
-                if not topology.has_node(src) or not topology.has_node(dst):
-                    raise ValueError(f"grid node {src} not in topology")
-                pairs.append((src, dst))
-    return pairs
-
-
-def bit_reversal_pairs(topology: Topology) -> list[NodePair]:
-    """The bit-reversal permutation over power-of-two node counts.
-
-    Another standard stress pattern (long, structured paths); requires
-    the topology's node count to be a power of two with integer labels.
-    """
-    nodes = sorted(topology.nodes())
-    count = len(nodes)
-    if count & (count - 1) != 0:
-        raise ValueError(f"bit reversal needs 2^k nodes, got {count}")
-    bits = count.bit_length() - 1
-    pairs: list[NodePair] = []
-    for src in nodes:
-        dst = int(format(src, f"0{bits}b")[::-1], 2)
-        if src != dst:
-            pairs.append((src, dst))
-    return pairs
-
-
 def uniform_traffic(bandwidth: float = 1.0) -> Callable[[int], TrafficSpec]:
     """The paper's traffic model: every channel needs the same bandwidth."""
     spec = TrafficSpec(bandwidth=bandwidth)

@@ -9,11 +9,9 @@ the discrete-event runtime.
 
 from repro.faults.models import FailureScenario
 from repro.faults.enumerate import (
-    all_double_node_failures,
     all_single_link_failures,
     all_single_node_failures,
     sample_double_node_failures,
-    sample_multi_component_failures,
 )
 from repro.faults.poisson import FailureEvent, PoissonFailureProcess
 
@@ -21,9 +19,7 @@ __all__ = [
     "FailureScenario",
     "all_single_link_failures",
     "all_single_node_failures",
-    "all_double_node_failures",
     "sample_double_node_failures",
-    "sample_multi_component_failures",
     "PoissonFailureProcess",
     "FailureEvent",
 ]

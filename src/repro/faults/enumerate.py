@@ -19,15 +19,6 @@ def all_single_node_failures(topology: Topology) -> list[FailureScenario]:
     return [FailureScenario.of_nodes([node]) for node in topology.nodes()]
 
 
-def all_double_node_failures(topology: Topology) -> list[FailureScenario]:
-    """One scenario per unordered node pair — exhaustive but quadratic;
-    prefer :func:`sample_double_node_failures` on large networks."""
-    return [
-        FailureScenario.of_nodes(pair)
-        for pair in combinations(topology.nodes(), 2)
-    ]
-
-
 def sample_double_node_failures(
     topology: Topology, count: int, seed: "int | None" = 0
 ) -> list[FailureScenario]:
@@ -42,35 +33,3 @@ def sample_double_node_failures(
         return [FailureScenario.of_nodes(pair) for pair in pairs]
     rng = make_rng(seed)
     return [FailureScenario.of_nodes(pair) for pair in rng.sample(pairs, count)]
-
-
-def sample_multi_component_failures(
-    topology: Topology,
-    count: int,
-    nodes_per_scenario: int = 0,
-    links_per_scenario: int = 0,
-    seed: "int | None" = 0,
-) -> list[FailureScenario]:
-    """Random mixed scenarios with the given number of node and link
-    crashes each — used by stress tests beyond the paper's three models."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
-    if nodes_per_scenario < 0 or links_per_scenario < 0:
-        raise ValueError("per-scenario failure counts must be >= 0")
-    if nodes_per_scenario == 0 and links_per_scenario == 0:
-        raise ValueError("each scenario needs at least one failed component")
-    rng = make_rng(seed)
-    nodes = list(topology.nodes())
-    links = list(topology.links())
-    if nodes_per_scenario > len(nodes) or links_per_scenario > len(links):
-        raise ValueError("scenario size exceeds the topology")
-    scenarios = []
-    for index in range(count):
-        scenarios.append(
-            FailureScenario(
-                failed_nodes=frozenset(rng.sample(nodes, nodes_per_scenario)),
-                failed_links=frozenset(rng.sample(links, links_per_scenario)),
-                name=f"random#{index}",
-            )
-        )
-    return scenarios

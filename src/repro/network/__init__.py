@@ -7,7 +7,7 @@ bandwidth bookkeeping live in :class:`~repro.network.reservations.ReservationLed
 and in the fault-injection layer.
 """
 
-from repro.network.components import LinkId, NodeId, link_between
+from repro.network.components import LinkId, NodeId
 from repro.network.generators import (
     complete_graph,
     hypercube,
@@ -19,20 +19,13 @@ from repro.network.generators import (
     torus,
     tree,
 )
-from repro.network.io import (
-    from_edge_list,
-    load_edge_list,
-    save_edge_list,
-    to_dot,
-    to_edge_list,
-)
+from repro.network.io import from_edge_list
 from repro.network.reservations import LinkLedger, ReservationLedger
 from repro.network.topology import Topology
 
 __all__ = [
     "NodeId",
     "LinkId",
-    "link_between",
     "Topology",
     "LinkLedger",
     "ReservationLedger",
@@ -45,9 +38,5 @@ __all__ = [
     "complete_graph",
     "random_regular",
     "tree",
-    "to_edge_list",
     "from_edge_list",
-    "save_edge_list",
-    "load_edge_list",
-    "to_dot",
 ]

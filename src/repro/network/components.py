@@ -68,8 +68,3 @@ class LinkId:
 
 # A component is either a node id or a link id.  Type alias for signatures.
 Component = "NodeId | LinkId"
-
-
-def link_between(src: NodeId, dst: NodeId) -> LinkId:
-    """Convenience constructor mirroring ``LinkId(src, dst)``."""
-    return LinkId(src, dst)

@@ -13,8 +13,10 @@ paper's network model.
 
 from __future__ import annotations
 
+import random
+
 from repro.network.components import NodeId
-from repro.network.topology import Topology, import_networkx
+from repro.network.topology import Topology
 from repro.util.rng import make_rng
 from repro.util.validation import check_positive
 
@@ -140,22 +142,87 @@ def complete_graph(num_nodes: int, capacity: float = 200.0) -> Topology:
     return topology
 
 
+def check_regular(num_nodes: int, degree: int) -> None:
+    """Raise unless a ``degree``-regular simple graph on ``num_nodes``
+    nodes exists."""
+    if not 0 <= degree < num_nodes:
+        raise ValueError(
+            f"random regular graph needs 0 <= degree < nodes, got degree "
+            f"{degree} on {num_nodes} nodes"
+        )
+    if num_nodes * degree % 2:
+        raise ValueError(
+            f"random regular graph needs nodes * degree even, got "
+            f"{num_nodes} * {degree}"
+        )
+
+
+def _joinable(edges: "set[tuple[int, int]]", leftover: "dict[int, int]") -> bool:
+    """Whether some two leftover nodes are not yet joined — as ``networkx``
+    decides it, which a seed's topology depends on: the swap below rebinds
+    ``a`` for the rest of the inner loop, so a few pairs go untested and an
+    attempt can be abandoned although a free pair was left."""
+    if not leftover:
+        return True
+    for a in leftover:
+        for b in leftover:
+            if a == b:
+                break
+            if a > b:
+                a, b = b, a
+            if (a, b) not in edges:
+                return True
+    return False
+
+
+def _regular_edge_set(num_nodes: int, degree: int,
+                      rng: random.Random) -> "set[tuple[int, int]] | None":
+    """One attempt at the Steger-Wormald pairing: shuffle the stub list,
+    pair it off, and re-pair whatever formed a loop or a parallel edge.
+    ``None`` when the leftover stubs can no longer be joined."""
+    edges: set[tuple[int, int]] = set()
+    stubs = list(range(num_nodes)) * degree
+    while stubs:
+        leftover: dict[int, int] = {}
+        rng.shuffle(stubs)
+        halves = iter(stubs)
+        for a, b in zip(halves, halves):
+            if a > b:
+                a, b = b, a
+            if a != b and (a, b) not in edges:
+                edges.add((a, b))
+            else:
+                leftover[a] = leftover.get(a, 0) + 1
+                leftover[b] = leftover.get(b, 0) + 1
+        if not _joinable(edges, leftover):
+            return None
+        stubs = [node for node, count in leftover.items() for _ in range(count)]
+    return edges
+
+
 def random_regular(num_nodes: int, degree: int, capacity: float = 200.0,
                    seed: int | None = 0) -> Topology:
     """A random ``degree``-regular topology (duplex links).
 
-    Uses ``networkx.random_regular_graph``; the default seed keeps
-    experiment scripts reproducible.
+    The pairing model of Steger and Wormald, restarted until an attempt
+    succeeds — step for step what ``networkx.random_regular_graph`` does,
+    and links are added in the order ``networkx`` lists that graph's
+    edges, so a seed builds the topology it built when this function
+    called ``networkx`` (``tests/test_network_generators.py`` holds the
+    two together).  The default seed keeps experiment scripts reproducible.
     """
+    check_regular(num_nodes, degree)
     check_positive(capacity, "capacity")
-    rng = make_rng(seed)
-    graph = import_networkx().random_regular_graph(
-        degree, num_nodes, seed=rng.getrandbits(32)
-    )
+    rng = random.Random(make_rng(seed).getrandbits(32))
+    edges = None
+    while edges is None:
+        edges = _regular_edge_set(num_nodes, degree, rng)
     topology = Topology(name=f"random {degree}-regular n={num_nodes}")
     for node in range(num_nodes):
         topology.add_node(node)
-    for a, b in graph.edges:
+    # networkx's Graph.edges: nodes ascending, each node's neighbours in
+    # the order the edge *set* yielded them — a stable sort of that order.
+    for a, b in sorted(edges, key=lambda edge: edge[0]):
         topology.add_duplex_link(a, b, capacity)
     return topology
 

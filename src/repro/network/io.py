@@ -1,11 +1,7 @@
-"""Topology import/export.
+"""Topology import.
 
-Operators bring their own networks; these helpers move topologies in and
-out of the library: plain edge-list text (one link per line) and Graphviz
-DOT for visualisation.  ``networkx`` interop lives on
-:class:`~repro.network.topology.Topology` itself.
-
-Edge-list format::
+Operators bring their own networks as plain edge-list text, one link per
+line::
 
     # comment lines and blanks are ignored
     a b 200          # duplex pair a<->b at capacity 200
@@ -14,36 +10,7 @@ Edge-list format::
 
 from __future__ import annotations
 
-from pathlib import Path as FilePath
-
 from repro.network.topology import Topology
-
-
-def to_edge_list(topology: Topology) -> str:
-    """Serialise to edge-list text.
-
-    Duplex pairs with equal capacities collapse to one line; odd simplex
-    links get the ``simplex`` marker.
-    """
-    lines = [f"# {topology.name}"]
-    emitted = set()
-    for link in topology.links():
-        if link in emitted:
-            continue
-        reverse = link.reversed()
-        capacity = topology.capacity(link)
-        if (
-            reverse in topology
-            and topology.capacity(reverse) == capacity
-            and reverse not in emitted
-        ):
-            lines.append(f"{link.src} {link.dst} {capacity:g}")
-            emitted.add(link)
-            emitted.add(reverse)
-        else:
-            lines.append(f"{link.src} {link.dst} {capacity:g} simplex")
-            emitted.add(link)
-    return "\n".join(lines) + "\n"
 
 
 def from_edge_list(text: str, name: str = "imported") -> Topology:
@@ -84,41 +51,3 @@ def from_edge_list(text: str, name: str = "imported") -> Topology:
         else:
             topology.add_duplex_link(src, dst, capacity)
     return topology
-
-
-def save_edge_list(topology: Topology, path: "FilePath | str") -> None:
-    """Write :func:`to_edge_list` output to a file."""
-    FilePath(path).write_text(to_edge_list(topology))
-
-
-def load_edge_list(path: "FilePath | str", name: "str | None" = None) -> Topology:
-    """Read a topology from an edge-list file."""
-    file_path = FilePath(path)
-    return from_edge_list(
-        file_path.read_text(), name=name or file_path.stem
-    )
-
-
-def to_dot(topology: Topology) -> str:
-    """Graphviz DOT export (duplex pairs render as one undirected edge)."""
-    lines = [f'digraph "{topology.name}" {{']
-    emitted = set()
-    for link in topology.links():
-        if link in emitted:
-            continue
-        reverse = link.reversed()
-        capacity = topology.capacity(link)
-        if reverse in topology and topology.capacity(reverse) == capacity:
-            lines.append(
-                f'  "{link.src}" -> "{link.dst}" '
-                f'[label="{capacity:g}", dir=both];'
-            )
-            emitted.add(link)
-            emitted.add(reverse)
-        else:
-            lines.append(
-                f'  "{link.src}" -> "{link.dst}" [label="{capacity:g}"];'
-            )
-            emitted.add(link)
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -214,7 +214,7 @@ class ReservationLedger:
 
         Bumped by every reservation change; version-keyed consumers
         (compiled plans, route-cache floor tables, a recovery evaluator's
-        ``is_stale``) compare it to tell whether any pool moved.
+        ``ledger_version``) compare it to tell whether any pool moved.
         """
         return self._version
 
@@ -448,14 +448,6 @@ class ReservationLedger:
         """Absolute spare bandwidth summed over all links."""
         self._sync_topology()
         return sum(entry.spare for entry in self._links.values())
-
-    def max_link_utilization(self) -> float:
-        """Highest ``reserved / capacity`` ratio over all links."""
-        self._sync_topology()
-        return max(
-            (entry.reserved / entry.capacity for entry in self._links.values()),
-            default=0.0,
-        )
 
     def audit(self) -> list[str]:
         """Conservation check over every link: both pools non-negative and

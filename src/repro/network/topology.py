@@ -10,27 +10,9 @@ produced by a generator in :mod:`repro.network.generators`.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from typing import TYPE_CHECKING
 
 from repro.network.components import LinkId, NodeId
 from repro.util.validation import check_positive
-
-if TYPE_CHECKING:
-    import networkx as nx
-
-
-def import_networkx():
-    """``networkx``, needed only by the interop methods below and by
-    :func:`~repro.network.generators.random_regular`."""
-    try:
-        import networkx
-    except ImportError as error:
-        raise ImportError(
-            "networkx is not installed; it is an optional dependency — "
-            "install the 'interop' extra (pip install 'repro[interop]')"
-        ) from error
-    return networkx
-
 
 class Topology:
     """A directed graph of nodes and capacitated simplex links.
@@ -176,14 +158,6 @@ class Topology:
         in insertion order (the deterministic tie-break order)."""
         return iter(self._out[node].items())
 
-    def out_links(self, node: NodeId) -> Iterator[LinkId]:
-        """Outgoing simplex links of ``node``."""
-        return iter(self._out[node].values())
-
-    def in_links(self, node: NodeId) -> Iterator[LinkId]:
-        """Incoming simplex links of ``node``."""
-        return iter(self._in[node].values())
-
     def incident_links(self, node: NodeId) -> list[LinkId]:
         """All simplex links touching ``node`` (both directions).
 
@@ -192,40 +166,9 @@ class Topology:
         """
         return list(self._out[node].values()) + list(self._in[node].values())
 
-    def out_degree(self, node: NodeId) -> int:
-        """Number of outgoing simplex links of ``node``."""
-        return len(self._out[node])
-
-    def in_degree(self, node: NodeId) -> int:
-        """Number of incoming simplex links of ``node``."""
-        return len(self._in[node])
-
     # ------------------------------------------------------------------
-    # interop / dunder
+    # derived topologies / dunder
     # ------------------------------------------------------------------
-    def to_networkx(self) -> nx.DiGraph:
-        """Export as a ``networkx.DiGraph`` with ``capacity`` link attributes."""
-        graph = import_networkx().DiGraph(name=self.name)
-        graph.add_nodes_from(self._out)
-        for link, cap in self._capacity.items():
-            graph.add_edge(link.src, link.dst, capacity=cap)
-        return graph
-
-    @classmethod
-    def from_networkx(cls, graph: nx.DiGraph, default_capacity: float = 1.0,
-                      name: str | None = None) -> "Topology":
-        """Build a topology from a ``networkx`` directed graph.
-
-        Edge attribute ``capacity`` is used when present, else
-        ``default_capacity``.
-        """
-        topology = cls(name=name or (graph.name or "network"))
-        for node in graph.nodes:
-            topology.add_node(node)
-        for src, dst, data in graph.edges(data=True):
-            topology.add_link(src, dst, data.get("capacity", default_capacity))
-        return topology
-
     def subgraph_without(self, failed_nodes: Iterable[NodeId] = (),
                          failed_links: Iterable[LinkId] = ()) -> "Topology":
         """A copy of this topology with the given components removed.

@@ -12,7 +12,12 @@ exported schemas and the instrument naming scheme.
 """
 
 from repro.obs.episodes import EpisodeReconstructor, RecoveryEpisode
-from repro.obs.export import format_metrics, write_metrics, write_trace
+from repro.obs.export import (
+    format_metrics,
+    write_json,
+    write_metrics,
+    write_trace,
+)
 from repro.obs.flight import DEFAULT_CAPACITY, FLIGHT_SCHEMA, FlightRecorder
 from repro.obs.slo import SLOEngine, SLOResult, SLOTarget, format_results
 from repro.obs.spans import NULL_SPAN_LOG, SPAN_SCHEMA, Span, SpanLog
@@ -50,6 +55,7 @@ __all__ = [
     "get_trace_sink",
     "set_trace_sink",
     "obs_session",
+    "write_json",
     "write_metrics",
     "write_trace",
     "format_metrics",

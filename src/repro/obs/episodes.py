@@ -30,7 +30,6 @@ honest comparison; for single-failure episodes this equals the total.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,11 +223,6 @@ class EpisodeReconstructor:
         elif kind == "activate":
             if episode.activate_at is None or t < episode.activate_at:
                 episode.activate_at = t
-
-    def add_rows(self, rows: Iterable[dict]) -> "EpisodeReconstructor":
-        for row in rows:
-            self.add_row(row)
-        return self
 
     def add_jsonl(self, text: str) -> "EpisodeReconstructor":
         """Consume a JSONL document (blank lines are skipped)."""

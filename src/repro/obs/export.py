@@ -25,6 +25,15 @@ from repro.obs.registry import MetricsRegistry
 from repro.util.tables import format_table
 
 
+def write_json(document, path: "Path | str") -> Path:
+    """Write ``document`` the way every JSON artifact of the package is
+    written — indent 2, sorted keys, trailing newline — so two runs can be
+    compared with ``cmp``; returns the target path."""
+    target = Path(path)
+    target.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    return target
+
+
 def write_metrics(
     registry: MetricsRegistry,
     path: "Path | str",
@@ -35,9 +44,7 @@ def write_metrics(
     snapshot = registry.snapshot()
     if command is not None:
         snapshot["command"] = command
-    target = Path(path)
-    target.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    return target
+    return write_json(snapshot, path)
 
 
 def write_trace(trace, path: "Path | str") -> Path:
@@ -50,7 +57,7 @@ def write_trace(trace, path: "Path | str") -> Path:
 
 def _series_quantile(summary: dict, q: float) -> "float | None":
     """Nearest-rank quantile over a series summary's retained point
-    values (mirrors :meth:`repro.obs.registry.Series.quantile`)."""
+    values."""
     values = sorted(point[1] for point in summary.get("points") or [])
     if not values:
         return None

@@ -14,9 +14,10 @@ so the recorder works on runs that are not otherwise tracing.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from pathlib import Path
+
+from repro.obs.export import write_json
 
 #: Schema tag for dumped flight artifacts.
 FLIGHT_SCHEMA = "repro.flight/1"
@@ -80,8 +81,6 @@ class FlightRecorder:
     def dump(self, path: "Path | str", reason: str = "", spans=None,
              context: "dict | None" = None) -> Path:
         """Write the snapshot as pretty-printed JSON; returns the path."""
-        target = Path(path)
-        document = self.snapshot(reason=reason, spans=spans, context=context)
-        target.write_text(json.dumps(document, indent=2, sort_keys=True)
-                          + "\n")
-        return target
+        return write_json(
+            self.snapshot(reason=reason, spans=spans, context=context), path
+        )

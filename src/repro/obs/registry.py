@@ -164,13 +164,6 @@ class Histogram:
         rank = max(0, math.ceil(p / 100.0 * len(samples)) - 1)
         return samples[min(rank, len(samples) - 1)]
 
-    def quantile(self, q: float) -> "float | None":
-        """Nearest-rank quantile for ``q`` in [0, 1] — exact while the
-        sample buffer is undecimated, deterministic always."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        return self.percentile(q * 100.0)
-
     def summary(self) -> dict:
         """The exported shape: count/sum/min/max/mean/p50/p95/p99."""
         if not self.count:
@@ -255,17 +248,6 @@ class Series:
                 and (not points or points[-1][0] != self.last_time)):
             points.append((self.last_time, self.last_value))
         return points
-
-    def quantile(self, q: float) -> "float | None":
-        """Nearest-rank quantile (``q`` in [0, 1]) over the *values* of
-        the retained points — deterministic, exact until decimation."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q must be in [0, 1], got {q}")
-        values = sorted(value for _, value in self.points())
-        if not values:
-            return None
-        rank = max(0, math.ceil(q * len(values)) - 1)
-        return values[min(rank, len(values) - 1)]
 
     def absorb(self, summary: dict) -> None:
         """Fold another series' exported summary in (parallel merges).
@@ -403,10 +385,6 @@ class MetricsRegistry:
         for name, summary in snapshot.get("series", {}).items():
             self.series(name).absorb(summary)
 
-    def reset(self) -> None:
-        """Drop every instrument (callers' cached references go stale)."""
-        self._instruments.clear()
-
 
 # ----------------------------------------------------------------------
 # The no-op twin
@@ -449,9 +427,6 @@ class _NullHistogram:
     def percentile(self, p: float) -> None:
         return None
 
-    def quantile(self, q: float) -> None:
-        return None
-
     def summary(self) -> dict:
         return {"count": 0, "sum": 0.0, "min": None, "max": None,
                 "mean": None, "p50": None, "p95": None, "p99": None}
@@ -473,9 +448,6 @@ class _NullSeries:
 
     def points(self) -> list:
         return []
-
-    def quantile(self, q: float) -> None:
-        return None
 
     def summary(self) -> dict:
         return {"count": 0, "points": []}

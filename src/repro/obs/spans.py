@@ -104,15 +104,6 @@ class SpanLog:
         return self._by_id.get(span_id)
 
     # ------------------------------------------------------------------
-    def filter(self, kind: "str | Iterable[str] | None" = None) -> list[Span]:
-        """Spans matching the given kind(s), in emission order."""
-        if kind is None:
-            return list(self.spans)
-        if isinstance(kind, str):
-            return [s for s in self.spans if s.kind == kind]
-        wanted = frozenset(kind)
-        return [s for s in self.spans if s.kind in wanted]
-
     def tail(self, n: int) -> list[Span]:
         """The last ``n`` spans, in emission order."""
         return self.spans[-n:] if n else []

@@ -30,10 +30,6 @@ from repro.protocol.messages import (
     RejoinConfirm,
     RejoinRequest,
 )
-from repro.protocol.establishment import (
-    DistributedEstablishment,
-    EstablishmentOutcome,
-)
 from repro.protocol.invariants import InvariantAuditor, InvariantViolation
 from repro.protocol.runtime import (
     ProtocolMetrics,
@@ -41,11 +37,7 @@ from repro.protocol.runtime import (
     RecoveryRecord,
     simulate_scenario,
 )
-from repro.protocol.signaling import (
-    SignalingParams,
-    SignalingSession,
-    establishment_latency,
-)
+from repro.protocol.signaling import SignalingParams, establishment_latency
 from repro.protocol.states import ChannelEvent, LocalChannelState
 
 __all__ = [
@@ -53,10 +45,7 @@ __all__ = [
     "ProtocolMetrics",
     "RecoveryRecord",
     "simulate_scenario",
-    "DistributedEstablishment",
-    "EstablishmentOutcome",
     "SignalingParams",
-    "SignalingSession",
     "establishment_latency",
     "ProtocolConfig",
     "RCCParams",

@@ -396,10 +396,6 @@ class ProtocolSimulation:
             return
         self._rcc[link].send(message)
 
-    def rcc_link(self, src: NodeId, dst: NodeId) -> RCCLink:
-        """The RCC over a physical link (tests and diagnostics)."""
-        return self._rcc[self.network.topology.link(src, dst)]
-
     # ------------------------------------------------------------------
     # spare-pool draws
     # ------------------------------------------------------------------

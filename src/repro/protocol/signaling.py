@@ -3,34 +3,20 @@
 A channel is established "by using a pair of channel-establishment
 messages: (i) the 'resource reservation message' from source to
 destination and (ii) the 'resource relaxation message' from destination to
-source".  This module simulates those two passes hop by hop:
-
-* the **forward pass** visits each node, spends per-hop processing time on
-  the admission test, tentatively reserves bandwidth, and — for backup
-  channels — collects the |Ψ| counts for the candidate multiplexing
-  degrees (the literal negotiation scheme's raw material);
-* on admission failure the pass aborts and a **release pass** walks back,
-  undoing the tentative reservations;
-* the **backward pass** (relaxation) returns to the source, committing the
-  final reservation level.
+source".
 
 The point of modelling this is the paper's central latency argument:
 "establishing a new channel is usually a time-consuming process" —
 re-establishment costs a full signalling round trip with per-hop
 admission work, whereas backup activation costs one failure report plus
-an activation sweep.  :func:`establishment_latency` and the
-:class:`SignalingSession` make that cost measurable under the same clock
-as the recovery protocol.
+an activation sweep.  :func:`establishment_latency` prices that round
+trip in the time unit of the recovery protocol's clock.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.channels.traffic import TrafficSpec
-from repro.network.reservations import ReservationLedger
-from repro.routing.paths import Path
-from repro.sim.engine import EventEngine
 from repro.util.validation import check_non_negative, check_positive
 
 
@@ -75,94 +61,3 @@ def establishment_latency(hops: int, params: "SignalingParams | None" = None,
         + (2 * hops + 1) * params.processing_delay
     )
     return attempts * round_trip
-
-
-@dataclass
-class SignalingOutcome:
-    """Result of one simulated establishment session."""
-
-    success: bool
-    completed_at: "float | None" = None
-    #: Node index at which admission failed (forward pass), if any.
-    blocked_at: "int | None" = None
-    #: Times at which each node finished its forward-pass processing.
-    visit_times: list[float] = field(default_factory=list)
-
-
-class SignalingSession:
-    """One two-pass establishment walk over a path, against a live ledger.
-
-    Reservations are tentative during the forward pass and either
-    committed by the backward pass or rolled back by the release pass —
-    so concurrent sessions contend realistically for capacity.
-    """
-
-    def __init__(
-        self,
-        engine: EventEngine,
-        ledger: ReservationLedger,
-        path: Path,
-        traffic: TrafficSpec,
-        params: "SignalingParams | None" = None,
-    ) -> None:
-        self.engine = engine
-        self.ledger = ledger
-        self.path = path
-        self.traffic = traffic
-        self.params = params or SignalingParams()
-        self.outcome = SignalingOutcome(success=False)
-        self._reserved_upto = -1  # index of last link reserved
-
-    def start(self, at: float = 0.0) -> "SignalingSession":
-        """Schedule the forward pass; returns self for chaining."""
-        self.engine.schedule_at(
-            at + self.params.processing_delay, self._forward, 0
-        )
-        return self
-
-    # ------------------------------------------------------------------
-    def _forward(self, node_index: int) -> None:
-        self.outcome.visit_times.append(self.engine.now)
-        if node_index == self.path.hops:
-            # Destination reached: admission succeeded everywhere; start
-            # the relaxation (confirmation) pass back to the source.
-            self.engine.schedule(
-                self.params.hop_delay + self.params.processing_delay,
-                self._backward, self.path.hops - 1,
-            )
-            return
-        link = self.path.links[node_index]
-        if not self.ledger.can_reserve_primary(link, self.traffic.bandwidth):
-            self.outcome.blocked_at = node_index
-            self._release(node_index - 1)
-            return
-        self.ledger.reserve_primary(link, self.traffic.bandwidth)
-        self._reserved_upto = node_index
-        self.engine.schedule(
-            self.params.hop_delay + self.params.processing_delay,
-            self._forward, node_index + 1,
-        )
-
-    def _backward(self, link_index: int) -> None:
-        # Invoked when the upstream node of `link_index` has processed the
-        # relaxation message; the source (link 0) completes the session.
-        if link_index == 0:
-            self.outcome.success = True
-            self.outcome.completed_at = self.engine.now
-            return
-        self.engine.schedule(
-            self.params.hop_delay + self.params.processing_delay,
-            self._backward, link_index - 1,
-        )
-
-    def _release(self, link_index: int) -> None:
-        if link_index < 0:
-            self.outcome.completed_at = self.engine.now
-            return
-        self.ledger.release_primary(
-            self.path.links[link_index], self.traffic.bandwidth
-        )
-        self.engine.schedule(
-            self.params.hop_delay + self.params.processing_delay,
-            self._release, link_index - 1,
-        )

@@ -202,7 +202,3 @@ class LocalChannelRecord:
         self.state = target
         if target is not LocalChannelState.UNHEALTHY:
             self.reported.clear()
-
-    def can_transition(self, target: LocalChannelState) -> bool:
-        """Whether Fig. 4 permits moving to ``target`` from here."""
-        return target in _ALLOWED[self.state]

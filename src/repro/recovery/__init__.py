@@ -15,7 +15,6 @@ from repro.recovery.evaluator import (
     evaluate_scenarios,
 )
 from repro.recovery.grouping import (
-    by_backup_count,
     by_mux_degree,
     by_source,
     evaluate_grouped,
@@ -31,6 +30,5 @@ __all__ = [
     "evaluate_scenarios",
     "evaluate_grouped",
     "by_mux_degree",
-    "by_backup_count",
     "by_source",
 ]

@@ -190,8 +190,8 @@ class RecoveryEvaluator:
         self._base_spares = self._resolve_spares(spare_override)
         #: Ledger version the base spare snapshot was captured at.
         #: Consumers evaluating under churn (where establishment and
-        #: teardown keep moving the pools) check :attr:`is_stale` and
-        #: build a fresh evaluator instead of replaying dead state.
+        #: teardown keep moving the pools) compare it with the ledger's
+        #: and build a fresh evaluator instead of replaying dead state.
         self.ledger_version = network.ledger.version
         # Free capacity per link, fixed at construction — only needed (and
         # only paid for) in fallback mode.
@@ -204,12 +204,6 @@ class RecoveryEvaluator:
         self._plan: "RecoveryPlan | None" = None
         self._spare_pool: list[float] = []
         self._free_pool: list[float] = []
-
-    @property
-    def is_stale(self) -> bool:
-        """Whether the network's ledger has moved past the spare snapshot
-        this evaluator was built from (the evaluate-under-churn guard)."""
-        return self.network.ledger.version != self.ledger_version
 
     def _resolve_spares(
         self, override: "Mapping[LinkId, float] | float | None"

@@ -23,10 +23,6 @@ def by_mux_degree(connection: DConnection) -> int:
     """Group by the connection's multiplexing degree (Table 2's classes)."""
     return connection.mux_degree
 
-def by_backup_count(connection: DConnection) -> int:
-    """Group by how many backups the connection owns."""
-    return connection.num_backups
-
 
 def by_source(connection: DConnection) -> object:
     """Group by source node (per-site reporting)."""

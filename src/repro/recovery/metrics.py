@@ -82,19 +82,3 @@ class RecoveryStats:
         if self.failed_primaries == 0:
             return None
         return self.fast_recovered / self.failed_primaries
-
-    @property
-    def r_fast_mean_of_scenarios(self) -> float | None:
-        """Mean of per-scenario R_fast values — an alternative aggregation
-        that weights scenarios equally regardless of blast radius."""
-        if self._r_fast_scenarios == 0:
-            return None
-        return self._r_fast_sum / self._r_fast_scenarios
-
-    @property
-    def mean_failed_primaries(self) -> float:
-        """Average number of primaries disabled per scenario (the paper
-        quotes these: ~64 per link failure in the torus, etc.)."""
-        if self.scenarios == 0:
-            return 0.0
-        return self.failed_primaries / self.scenarios

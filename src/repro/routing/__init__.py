@@ -1,11 +1,11 @@
-"""Routing substrate: paths, constrained shortest paths, disjoint paths.
+"""Routing substrate: paths and constrained shortest paths.
 
 The paper routes channels with a *sequential shortest-path search*: the
 primary over a shortest feasible path, then each backup over a shortest
 feasible path that avoids the components already used by the connection
-(Section 7).  :func:`~repro.routing.disjoint.sequential_disjoint_paths`
-implements exactly that; Yen's k-shortest-paths is provided for the
-cost-biased backup-routing ablation.
+(Section 7).  Establishment runs that sequence itself
+(:mod:`repro.core.establishment`), one :func:`shortest_path` call per
+channel over the flat CSR view of :mod:`repro.routing.flatgraph`.
 """
 
 from repro.routing.disjoint import DisjointPathError, sequential_disjoint_paths
@@ -14,7 +14,6 @@ from repro.routing.flatgraph import (
     StaleFlatViewError,
     flat_view,
 )
-from repro.routing.ksp import k_shortest_paths
 from repro.routing.paths import Path
 from repro.routing.shortest import (
     NoPathError,
@@ -31,7 +30,6 @@ __all__ = [
     "NoPathError",
     "sequential_disjoint_paths",
     "DisjointPathError",
-    "k_shortest_paths",
     "FlatTopology",
     "StaleFlatViewError",
     "flat_view",

@@ -107,10 +107,6 @@ class Path:
         source = self.components if count_endpoints else self.transit_components
         return len(source)
 
-    def uses(self, component: "NodeId | LinkId") -> bool:
-        """Whether the path traverses the given node or link."""
-        return component in self.components
-
     def intersects(self, components: frozenset | set) -> bool:
         """Whether any of ``components`` lies on this path."""
         # Iterate the smaller set for speed; failure sets are tiny.

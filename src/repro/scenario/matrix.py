@@ -60,13 +60,6 @@ class ScenarioMatrix:
             if not values:
                 raise ValueError(f"matrix axis {axis!r} must be non-empty")
 
-    @property
-    def num_cells(self) -> int:
-        return (
-            len(self.topologies) * len(self.workloads) * len(self.protocols)
-            + len(self.cells)
-        )
-
     def expand(self) -> list[ScenarioSpec]:
         """The full cell lattice, in deterministic product order.
 

@@ -30,12 +30,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.delay import connection_delay_bound
+from repro.analysis.delay import network_delay_bound
 from repro.baselines.bruteforce import uniform_spare_amount
 from repro.chaos.engine import (
     ChaosEnvironment,
     build_campaign,
     campaign_summary,
+    establish_antipodal,
     run_campaign,
 )
 from repro.chaos.profiles import DEFAULT_PROFILES
@@ -190,39 +191,13 @@ def chaos_environment_from_spec(spec: ScenarioSpec) -> ChaosEnvironment:
 def build_loaded_network(
     spec: ScenarioSpec, cache: "TopologyCache | None" = None
 ) -> BCPNetwork:
-    """A network carrying the deterministic chaos connection set.
-
-    Mirrors :meth:`ChaosEnvironment.build` (node ``i`` to the node half
-    the network away) but works over any topology family and reuses the
-    compiled topology from ``cache``.
-    """
+    """A network carrying the deterministic chaos connection set — that
+    of :meth:`ChaosEnvironment.build`, over any topology family and on
+    the compiled topology ``cache`` holds."""
     cache = cache if cache is not None else _SHARED_CACHE
-    topology = cache.get(spec.topology)
-    network = BCPNetwork(topology)
-    nodes = sorted(topology.nodes())
-    half = len(nodes) // 2
-    qos = spec.protocol.qos()
-    established = 0
-    for index in range(len(nodes)):
-        if established >= spec.workload.connections:
-            break
-        src = nodes[index]
-        dst = nodes[(index + half) % len(nodes)]
-        if src == dst:
-            continue
-        network.establish(src, dst, ft_qos=qos)
-        established += 1
+    network = BCPNetwork(cache.get(spec.topology))
+    establish_antipodal(network, spec.workload.connections, spec.protocol.qos())
     return network
-
-
-def _gamma(network: BCPNetwork, d_max: float) -> float:
-    """The worst-case analytic recovery bound over live connections —
-    the value the symbolic ``gamma`` SLO threshold resolves to."""
-    return max(
-        (connection_delay_bound(connection, d_max)
-         for connection in network.connections()),
-        default=0.0,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -360,7 +335,7 @@ def run_cell(
         registry.counter("matrix.cell_violations").inc(len(violations))
     slo_breaches: tuple = ()
     if spec.slos:
-        constants = {"gamma": _gamma(network, spec.protocol.d_max)}
+        constants = {"gamma": network_delay_bound(network, spec.protocol.d_max)}
         slo_breaches = tuple(
             f"{breach.target.spec()} observed {breach.observed!r}"
             + (f" ({breach.detail})" if breach.detail else "")

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from repro.channels.qos import FaultToleranceQoS
 from repro.chaos.profiles import PROFILES
 from repro.network.generators import (
+    check_regular,
     complete_graph,
     hypercube,
     line,
@@ -149,6 +150,8 @@ class TopologySpec:
             raise ValueError(
                 f"{self.family} needs size >= 1, got {self.size}"
             )
+        if self.family == "random_regular":
+            check_regular(self.size, self.degree)
         if self.capacity is not None:
             check_positive(self.capacity, "capacity")
 

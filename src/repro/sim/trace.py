@@ -23,7 +23,7 @@ import json
 from collections.abc import Collection, Iterable, Iterator
 from dataclasses import dataclass, field
 
-from repro.obs.spans import Span, SpanLog
+from repro.obs.spans import SpanLog
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +67,6 @@ class TraceLog:
     #: :mod:`repro.obs.spans`).  Created in ``__post_init__`` with the
     #: same enabled state as the log itself.
     spans: "SpanLog | None" = None
-    #: Sticky view filter installed by :meth:`set_filter`; applied by
-    #: :meth:`view`, :meth:`tail`, and :meth:`format` even to events
-    #: recorded before the filter was set.
-    _view_filter: "dict | None" = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.spans is None:
@@ -129,59 +125,6 @@ class TraceLog:
             selected = (e for e in selected if e.time <= until)
         return list(selected)
 
-    def set_filter(
-        self,
-        category: "str | Collection[str] | None" = None,
-        node: object = None,
-        kind: "str | Collection[str] | None" = None,
-    ) -> None:
-        """Install a sticky view filter.
-
-        The filter applies retroactively: :meth:`view`, :meth:`tail`,
-        and :meth:`format` all select from the *full* event history, so
-        a filter set after events were recorded still narrows them
-        consistently.  ``kind`` filters the span view (:meth:`view_spans`)
-        by span kind.  Call :meth:`clear_filter` to remove it.
-        """
-        if category is None and node is None and kind is None:
-            self._view_filter = None
-            return
-        self._view_filter = {"category": category, "node": node,
-                             "kind": kind}
-
-    def clear_filter(self) -> None:
-        """Remove the sticky view filter installed by :meth:`set_filter`."""
-        self._view_filter = None
-
-    def view(self) -> list[TraceEvent]:
-        """Events as seen through the sticky filter (all events when no
-        filter is set), in recording order."""
-        if self._view_filter is None:
-            return list(self.events)
-        return self.filter(category=self._view_filter["category"],
-                           node=self._view_filter["node"])
-
-    def view_spans(self) -> "list[Span]":
-        """Spans as seen through the sticky filter's ``kind`` criterion
-        (all spans when no filter / no kind is set), in emission order."""
-        if self._view_filter is None:
-            return list(self.spans.spans)
-        return self.spans.filter(kind=self._view_filter["kind"])
-
-    def tail(self, n: int) -> list[TraceEvent]:
-        """The last ``n`` events of the (filtered) view, in recording
-        order.  Unlike slicing :attr:`events` directly, this respects a
-        filter installed after the events were recorded."""
-        rows = self.view()
-        return rows[-n:] if n else []
-
-    def categories(self) -> dict[str, int]:
-        """Event counts per category."""
-        counts: dict[str, int] = {}
-        for event in self.events:
-            counts[event.category] = counts.get(event.category, 0) + 1
-        return counts
-
     def format(self, limit: "int | None" = None,
                tail: "int | None" = None) -> str:
         """Human-readable timeline — the first ``limit`` rows, or the last
@@ -189,7 +132,7 @@ class TraceLog:
         if limit is not None and tail is not None:
             raise ValueError("pass at most one of limit and tail")
         lines: list[str] = []
-        selected = self.view()
+        selected = self.events
         rows = selected
         if tail is not None:
             rows = selected[-tail:] if tail else []

@@ -3,7 +3,6 @@
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.tables import format_table, format_percent
 from repro.util.validation import (
-    check_fraction,
     check_non_negative,
     check_non_negative_finite,
     check_positive,
@@ -16,7 +15,6 @@ __all__ = [
     "spawn_rngs",
     "format_table",
     "format_percent",
-    "check_fraction",
     "check_non_negative",
     "check_non_negative_finite",
     "check_positive",

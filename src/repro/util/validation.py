@@ -42,10 +42,3 @@ def check_probability(value: float, name: str) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"{name} must be a probability in [0, 1], got {value!r}")
     return value
-
-
-def check_fraction(value: float, name: str) -> float:
-    """Require ``0 < value <= 1`` (a non-zero fraction of a whole)."""
-    if not 0.0 < value <= 1.0:
-        raise ValueError(f"{name} must be a fraction in (0, 1], got {value!r}")
-    return value

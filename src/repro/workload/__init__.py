@@ -12,12 +12,10 @@ from repro.workload.churn import (
     ChurnConfig,
     ChurnEngine,
     ChurnStats,
-    run_churn,
 )
 
 __all__ = [
     "ChurnConfig",
     "ChurnEngine",
     "ChurnStats",
-    "run_churn",
 ]

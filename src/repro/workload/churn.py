@@ -457,13 +457,3 @@ class ChurnEngine:
                 "series": {},
             }
         )
-
-
-def run_churn(
-    network: BCPNetwork,
-    config: "ChurnConfig | None" = None,
-    metrics: "MetricsRegistry | None" = None,
-) -> ChurnStats:
-    """Convenience wrapper: run one churn process over ``network``."""
-    engine = ChurnEngine(network, config or ChurnConfig(), metrics=metrics)
-    return engine.run()

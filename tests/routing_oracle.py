@@ -8,7 +8,8 @@ enforce it.
 
 :func:`max_disjoint_paths` is the optimal (max-flow) disjoint-path count
 the greedy sequential search of :mod:`repro.routing.disjoint` is checked
-against; it is the one place ``networkx`` is used as an algorithm.
+against; ``networkx`` is a test-only oracle (the ``dev`` extra), and
+:func:`to_networkx` is how the tests hand it a topology.
 
 They live here — not in ``src/`` — so the product has one routing path
 and no comparison-only dependency.
@@ -139,6 +140,16 @@ def _reconstruct(parent: dict[NodeId, NodeId], src: NodeId, dst: NodeId) -> Path
     return Path(nodes)
 
 
+def to_networkx(topology: Topology) -> nx.DiGraph:
+    """``topology`` as a ``networkx.DiGraph`` with ``capacity`` link
+    attributes — what every ``networkx`` comparison in the tests runs on."""
+    graph = nx.DiGraph(name=topology.name)
+    graph.add_nodes_from(topology.nodes())
+    for link in topology.links():
+        graph.add_edge(link.src, link.dst, capacity=topology.capacity(link))
+    return graph
+
+
 def max_disjoint_paths(topology: Topology, src: NodeId, dst: NodeId) -> list[Path]:
     """Maximum set of node-disjoint paths via max-flow (comparison utility).
 
@@ -147,6 +158,6 @@ def max_disjoint_paths(topology: Topology, src: NodeId, dst: NodeId) -> list[Pat
     the greedy search and to probe topological limits (e.g. why the 8x8
     mesh cannot support double backups at its corners).
     """
-    graph = topology.to_networkx()
+    graph = to_networkx(topology)
     paths = list(nx.node_disjoint_paths(graph, src, dst))
     return [Path(nodes) for nodes in paths]

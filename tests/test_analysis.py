@@ -13,7 +13,6 @@ from repro.analysis import (
     connection_delay_bound,
     recovery_delay_bound,
     required_rcc_frame_messages,
-    simplified_markov_model,
 )
 from repro.core.reliability import pr_single_backup
 
@@ -29,7 +28,7 @@ class TestMarkovModel:
 
     def test_reliability_monotone_decreasing(self):
         model = DConnectionMarkovModel(0.02, 0.03, 0.005, repair_rate=0.5)
-        curve = model.reliability_curve(np.linspace(0, 50, 20))
+        curve = [model.reliability(t) for t in np.linspace(0, 50, 20)]
         assert all(a >= b - 1e-12 for a, b in zip(curve, curve[1:]))
 
     def test_repair_improves_reliability(self):
@@ -50,25 +49,6 @@ class TestMarkovModel:
         model = DConnectionMarkovModel(c_primary * lam, c_backup * lam)
         combinatorial = pr_single_backup(c_primary, c_backup, lam)
         assert model.reliability(1.0) == pytest.approx(combinatorial, abs=1e-8)
-
-    def test_mttf_positive_and_scales(self):
-        short = DConnectionMarkovModel(0.1, 0.1).mean_time_to_failure()
-        long = DConnectionMarkovModel(0.01, 0.01).mean_time_to_failure()
-        assert 0 < short < long
-
-    def test_mttf_increases_with_repair(self):
-        without = DConnectionMarkovModel(0.05, 0.05).mean_time_to_failure()
-        with_repair = DConnectionMarkovModel(
-            0.05, 0.05, repair_rate=2.0
-        ).mean_time_to_failure()
-        assert with_repair > without
-
-    def test_simplified_model_is_symmetric_special_case(self):
-        simplified = simplified_markov_model(0.04, shared_rate=0.01)
-        general = DConnectionMarkovModel(0.04, 0.04, shared_rate=0.01)
-        assert simplified.reliability(7.0) == pytest.approx(
-            general.reliability(7.0)
-        )
 
     def test_shared_rate_validation(self):
         with pytest.raises(ValueError, match="shared_rate"):

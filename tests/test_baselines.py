@@ -78,7 +78,7 @@ class TestReactive:
         assert result.outcomes[connection.connection_id] is (
             ReactiveOutcome.REROUTED
         )
-        assert result.recovery_ratio == 1.0
+        assert result.failed_primaries == 1
         assert result.new_hops[connection.connection_id] >= (
             connection.primary.path.hops
         )
@@ -122,7 +122,7 @@ class TestReactive:
         assert result.outcomes[connection.connection_id] is (
             ReactiveOutcome.EXCLUDED
         )
-        assert result.recovery_ratio is None
+        assert result.failed_primaries == 0
 
     def test_network_not_mutated(self):
         network = BCPNetwork(torus(4, 4))

@@ -92,6 +92,43 @@ class TestParser:
         assert raised.value.code == 2
         assert f"{argv[-1]} {target}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        # Once: every link but one failed, exit 0.
+        ["stats", "--failures", "-1"],
+        # Once: nothing ran, exit 0.
+        ["stats", "--horizon", "-5"],
+        # Once: the last failing run silently not exported.
+        ["chaos", "--max-artifacts", "-1"],
+        ["table1", "--double-samples", "-1"],
+        ["chaos", "--campaign-size", "0"],
+        # Once: a ZeroDivisionError traceback each.
+        ["figure9", "--checkpoints", "0"],
+        ["delay-bound", "--connections", "0"],
+        ["message-loss", "--connections", "0"],
+        ["stats", "--failures", "many"],
+    ])
+    def test_impossible_count_fails_before_the_run(
+        self, argv, capsys, monkeypatch
+    ):
+        """A count that cannot be honoured is an argparse error (exit 2)
+        naming the flag, raised before any topology is built."""
+        monkeypatch.setattr(
+            "repro.cli._run_command",
+            lambda args: pytest.fail("the command ran"),
+        )
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    def test_counts_that_mean_none_still_parse(self):
+        parser = build_parser()
+        assert parser.parse_args(["stats", "--failures", "0"]).failures == 0
+        assert parser.parse_args(
+            ["chaos", "--max-artifacts", "0"]).max_artifacts == 0
+        assert parser.parse_args(
+            ["table1", "--double-samples", "0"]).double_samples == 0
+
 
 class TestCommands:
     def test_table1(self, capsys):

@@ -13,10 +13,6 @@ from repro import (
     TrafficSpec,
 )
 from repro.channels.channel import Channel
-from repro.core.overlap import (
-    simultaneous_activation_probability,
-    simultaneous_activation_probability_heterogeneous,
-)
 from repro.protocol.config import ProtocolConfig, RCCParams
 from repro.routing import Path
 
@@ -68,7 +64,7 @@ class TestDConnection:
         old = conn.switch_to_backup(target)
         assert old.serial == 0
         assert conn.primary is target
-        assert conn.primary.is_primary
+        assert conn.primary.role is ChannelRole.PRIMARY
         assert len(conn.backups) == 1
         assert conn.state is ConnectionState.ACTIVE
 
@@ -89,51 +85,6 @@ class TestDConnection:
 
     def test_mux_degree_reflects_qos(self):
         assert connection().mux_degree == 3
-
-
-class TestHeterogeneousS:
-    def test_equal_rates_reduce_to_homogeneous(self):
-        lam = 1e-3
-        hetero = simultaneous_activation_probability_heterogeneous(
-            nodes_i=5, links_i=4, nodes_j=6, links_j=5,
-            shared_nodes=2, shared_links=1,
-            node_failure_probability=lam, link_failure_probability=lam,
-        )
-        homo = simultaneous_activation_probability(9, 11, 3, lam)
-        assert hetero == pytest.approx(homo)
-
-    def test_link_only_failures(self):
-        # With λ_node = 0, only link overlap matters.
-        s = simultaneous_activation_probability_heterogeneous(
-            5, 4, 6, 5, shared_nodes=2, shared_links=0,
-            node_failure_probability=0.0, link_failure_probability=1e-4,
-        )
-        # sc_links = 0 -> product form over link failures.
-        p_i = 1 - (1 - 1e-4) ** 4
-        p_j = 1 - (1 - 1e-4) ** 5
-        assert s == pytest.approx(p_i * p_j, rel=1e-6)
-
-    def test_node_heavy_rates_weight_shared_nodes(self):
-        heavy_nodes = simultaneous_activation_probability_heterogeneous(
-            5, 4, 6, 5, shared_nodes=2, shared_links=0,
-            node_failure_probability=1e-3, link_failure_probability=1e-6,
-        )
-        light_nodes = simultaneous_activation_probability_heterogeneous(
-            5, 4, 6, 5, shared_nodes=0, shared_links=0,
-            node_failure_probability=1e-3, link_failure_probability=1e-6,
-        )
-        assert heavy_nodes > light_nodes
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="shared"):
-            simultaneous_activation_probability_heterogeneous(
-                2, 2, 2, 2, shared_nodes=3, shared_links=0,
-                node_failure_probability=0.1, link_failure_probability=0.1,
-            )
-        with pytest.raises(ValueError, match="nodes_i"):
-            simultaneous_activation_probability_heterogeneous(
-                -1, 2, 2, 2, 0, 0, 0.1, 0.1
-            )
 
 
 class TestProtocolConfig:

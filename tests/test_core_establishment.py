@@ -172,7 +172,11 @@ class TestMultiplexingDuringEstablishment:
                        network.establish(1, 6, ft_qos=qos)]
         for connection in connections:
             for link in connection.backups[0].path.links:
-                backups_here = network.registry.backups_on_link(link)
+                backups_here = [
+                    channel
+                    for channel in network.registry.on_component(link)
+                    if channel.role is ChannelRole.BACKUP
+                ]
                 expected = sum(channel.bandwidth for channel in backups_here)
                 assert network.ledger.spare_reserved(link) == pytest.approx(expected)
 

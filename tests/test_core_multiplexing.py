@@ -236,12 +236,6 @@ class TestMultiplexingEngine:
     def test_spare_required_unknown_link_is_zero(self):
         assert MultiplexingEngine().spare_required(LinkId(7, 8)) == 0.0
 
-    def test_preview_backup(self):
-        engine = MultiplexingEngine()
-        primary = self._primary(0, (1, 5, 3))
-        preview = engine.preview_backup(Path([1, 2, 3]), 1.0, 1, primary)
-        assert preview == {LinkId(1, 2): 1.0, LinkId(2, 3): 1.0}
-
     def test_psi_sizes_per_link(self):
         engine = MultiplexingEngine()
         first = self._backup(0, (1, 2, 3), 1)
@@ -505,9 +499,10 @@ class TestPairScanMemo:
                 traffic=TrafficSpec(bandwidth=rng.choice(self.BANDWIDTHS)),
                 mux_degree=rng.choice(self.DEGREES),
             )
-            predicted = engine.preview_backup(
-                backup.path, backup.bandwidth, backup.mux_degree, primary
-            )[LINK]
+            predicted = engine.link_state(LINK).preview_add(
+                backup.bandwidth, backup.mux_degree,
+                engine.policy.component_set(primary.path),
+            )
             grown = engine.add_backup(backup, primary)[LINK]
             assert predicted == grown == twin.add(
                 cid, backup.bandwidth, backup.mux_degree,
@@ -561,7 +556,8 @@ class TestPublishOnChange:
             assert outer.snapshot()["gauges"]["mux.space.rows"]["value"] == 1
             with obs_session() as inner:
                 # Nothing grew, but this registry has never been told.
-                engine.preview_backup(first[0].path, 1.0, 3, first[1])
+                engine.remove_backup(first[0])
+                engine.add_backup(*first)
                 gauges = inner.snapshot()["gauges"]
                 assert gauges["mux.space.rows"]["value"] == 1
                 assert gauges["mux.space.components"]["value"] == 5
@@ -582,7 +578,8 @@ class TestPublishOnChange:
                 lambda name: lookups.append(name) or original(name),
             )
             for _ in range(5):
-                engine.preview_backup(backup.path, 1.0, 3, primary)
+                engine.remove_backup(backup)
+                engine.add_backup(backup, primary)
             engine.remove_backup(backup)
             assert lookups == []
 

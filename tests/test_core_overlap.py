@@ -136,11 +136,3 @@ class TestMultiplexabilityTest:
         b = Path([0, 2, 3, 4])  # shares link 2->3
         assert not policy.multiplexable(a, b, mux_degree=3)
         assert policy.multiplexable(a, b, mux_degree=4)
-
-    def test_activation_probability_path_api(self):
-        policy = OverlapPolicy(failure_probability=1e-3)
-        a = Path([1, 2, 3])
-        b = Path([4, 2, 5])
-        s = policy.activation_probability(a, b)
-        # One shared component -> S ≈ λ.
-        assert s == pytest.approx(1e-3, rel=0.05)

@@ -68,7 +68,6 @@ class TestDataStreamHealthy:
         assert stream.report.sent > 40
         assert stream.report.lost == 0
         assert stream.report.delivered == stream.report.sent
-        assert stream.report.delivery_ratio == 1.0
 
     def test_latency_is_hops_times_hop_delay(self, stream_setup):
         _, connection, simulation = stream_setup

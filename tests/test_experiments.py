@@ -156,10 +156,6 @@ class TestTable1:
         for model in FAILURE_MODELS:
             assert model in text
 
-    def test_paper_reference_at_full_scale_only(self, result):
-        # 4x4 has no embedded paper numbers; 8x8 torus single does.
-        assert result.paper_reference() is not None  # keyed by topology
-
     def test_double_backup_improves_coverage(self):
         single = run_table1(CFG, num_backups=1, mux_degrees=(6,),
                             double_node_samples=20)

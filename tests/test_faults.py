@@ -7,11 +7,9 @@ import pytest
 from repro.faults import (
     FailureScenario,
     PoissonFailureProcess,
-    all_double_node_failures,
     all_single_link_failures,
     all_single_node_failures,
     sample_double_node_failures,
-    sample_multi_component_failures,
 )
 from repro.network import LinkId, torus
 
@@ -62,9 +60,6 @@ class TestEnumerators:
     def test_single_node_count(self):
         assert len(all_single_node_failures(torus(4, 4))) == 16
 
-    def test_double_node_exhaustive_count(self):
-        assert len(all_double_node_failures(torus(3, 3))) == 9 * 8 // 2
-
     def test_double_node_sampling(self):
         scenarios = sample_double_node_failures(torus(8, 8), count=50, seed=1)
         assert len(scenarios) == 50
@@ -79,19 +74,6 @@ class TestEnumerators:
     def test_sampling_falls_back_to_exhaustive(self):
         scenarios = sample_double_node_failures(torus(3, 3), count=10_000)
         assert len(scenarios) == 36
-
-    def test_multi_component_sampler(self):
-        scenarios = sample_multi_component_failures(
-            torus(4, 4), count=5, nodes_per_scenario=1, links_per_scenario=2
-        )
-        assert len(scenarios) == 5
-        for scenario in scenarios:
-            assert len(scenario.failed_nodes) == 1
-            assert len(scenario.failed_links) == 2
-
-    def test_multi_component_validation(self):
-        with pytest.raises(ValueError, match="at least one"):
-            sample_multi_component_failures(torus(4, 4), count=1)
 
 
 class TestPoissonProcess:

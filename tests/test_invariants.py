@@ -115,7 +115,7 @@ class TestDirectChecks:
         simulation = ProtocolSimulation(network, seed=0)
         auditor = InvariantAuditor(simulation)
         auditor.attach()
-        rcc = simulation.rcc_link(0, 1)
+        rcc = simulation._rcc[LinkId(0, 1)]
         frame = RCCFrame(seq=5, messages=(), acks=())
         auditor._on_frame_delivered(rcc, frame)
         assert any(
@@ -127,7 +127,7 @@ class TestDirectChecks:
         simulation = ProtocolSimulation(network, seed=0)
         auditor = InvariantAuditor(simulation)
         auditor.attach()
-        rcc = simulation.rcc_link(0, 1)
+        rcc = simulation._rcc[LinkId(0, 1)]
         rcc._next_seq = 10
         frame = RCCFrame(seq=3, messages=(), acks=())
         auditor._on_frame_delivered(rcc, frame)
@@ -143,7 +143,7 @@ class TestDirectChecks:
         simulation = ProtocolSimulation(network, seed=0)
         auditor = InvariantAuditor(simulation)
         auditor.attach()
-        rcc = simulation.rcc_link(0, 1)
+        rcc = simulation._rcc[LinkId(0, 1)]
         rcc._next_seq = 1
         simulation.failed_components.add(rcc.link)
         auditor._on_frame_delivered(

@@ -9,8 +9,6 @@ from repro import BCPNetwork, FaultToleranceQoS, TrafficSpec, torus
 from repro.experiments.workloads import WorkloadReport, all_pairs, establish_workload
 from repro.faults import FailureScenario
 from repro.protocol import ProtocolConfig, simulate_scenario
-from repro.routing.ksp import iter_shortest_paths
-from repro.network.generators import ring
 
 
 class TestSwitchoverDeficits:
@@ -96,14 +94,6 @@ class TestWorkloadThresholds:
 
     def test_empty_workload_is_complete(self):
         assert WorkloadReport().essentially_complete
-
-
-class TestIterShortestPaths:
-    def test_lazy_iteration(self):
-        topology = ring(5)
-        paths = list(iter_shortest_paths(topology, 0, 2, limit=4))
-        assert 1 <= len(paths) <= 4
-        assert paths[0].hops == 2
 
 
 class TestSpareAwareRoutingUnit:

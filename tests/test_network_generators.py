@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
 
@@ -17,10 +19,20 @@ from repro.network import (
     torus,
     tree,
 )
+from tests.routing_oracle import to_networkx
 
 
 def _is_strongly_connected(topology) -> bool:
-    return nx.is_strongly_connected(topology.to_networkx())
+    return nx.is_strongly_connected(to_networkx(topology))
+
+
+def _degrees(topology) -> set:
+    """The out- and in-degrees that occur in ``topology``."""
+    return {
+        len(list(neighbours(node)))
+        for node in topology.nodes()
+        for neighbours in (topology.successors, topology.predecessors)
+    }
 
 
 class TestTorus:
@@ -33,8 +45,7 @@ class TestTorus:
 
     def test_every_node_has_degree_four(self):
         topology = torus(8, 8)
-        assert all(topology.out_degree(node) == 4 for node in topology.nodes())
-        assert all(topology.in_degree(node) == 4 for node in topology.nodes())
+        assert _degrees(topology) == {4}
 
     def test_wraparound_links_exist(self):
         topology = torus(4, 4)
@@ -67,7 +78,7 @@ class TestMesh:
 
     def test_corner_degree_two(self):
         topology = mesh(8, 8)
-        assert topology.out_degree(0) == 2
+        assert len(list(topology.successors(0))) == 2
 
     def test_connected(self):
         assert _is_strongly_connected(mesh(3, 4))
@@ -91,8 +102,8 @@ class TestOtherGenerators:
 
     def test_star_hub_degree(self):
         topology = star(5)
-        assert topology.out_degree(0) == 5
-        assert topology.out_degree(3) == 1
+        assert len(list(topology.successors(0))) == 5
+        assert len(list(topology.successors(3))) == 1
 
     def test_hypercube(self):
         topology = hypercube(3)
@@ -107,8 +118,37 @@ class TestOtherGenerators:
     def test_random_regular_is_regular_and_reproducible(self):
         a = random_regular(10, 3, seed=1)
         b = random_regular(10, 3, seed=1)
-        assert all(a.out_degree(node) == 3 for node in a.nodes())
-        assert set(a.links()) == set(b.links())
+        assert _degrees(a) == {3}
+        assert list(a.links()) == list(b.links())
+
+    @pytest.mark.parametrize("nodes, degree", [
+        (8, 8),    # degree >= nodes
+        (8, -1),
+        (9, 3),    # nodes * degree odd
+    ])
+    def test_random_regular_rejects_impossible_degrees(self, nodes, degree):
+        with pytest.raises(ValueError, match="random regular"):
+            random_regular(nodes, degree)
+
+    @pytest.mark.parametrize("nodes, degree", [
+        (nodes, degree)
+        for nodes in (4, 6, 8, 9, 16, 32, 64) for degree in (2, 3, 4, 5)
+        if degree < nodes and nodes * degree % 2 == 0
+    ])
+    def test_random_regular_is_networkx_edge_for_edge(self, nodes, degree):
+        """The generator once called ``networkx.random_regular_graph`` and
+        added a duplex link per edge of ``graph.edges``; the port must add
+        the same links in the same order — link insertion order is every
+        routing tie-break."""
+        for seed in range(40):
+            graph = nx.random_regular_graph(
+                degree, nodes, seed=random.Random(seed).getrandbits(32)
+            )
+            expected = [
+                link for a, b in graph.edges for link in (LinkId(a, b), LinkId(b, a))
+            ]
+            built = random_regular(nodes, degree, seed=seed)
+            assert list(built.links()) == expected, (nodes, degree, seed)
 
     def test_tree_node_count(self):
         topology = tree(branching=2, depth=3)
@@ -118,7 +158,7 @@ class TestOtherGenerators:
         topology = tree(branching=2, depth=2)
         # Removing the root disconnects the leaves.
         residual = topology.subgraph_without(failed_nodes=[0])
-        assert not nx.is_strongly_connected(residual.to_networkx())
+        assert not _is_strongly_connected(residual)
 
     @pytest.mark.parametrize("factory", [line, ring, star, complete_graph])
     def test_capacity_validation(self, factory):

@@ -19,9 +19,7 @@ from repro.chaos import (
 from repro.obs import (
     EpisodeReconstructor,
     FlightRecorder,
-    Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     NULL_SPAN_LOG,
     SLOEngine,
     SLOTarget,
@@ -80,15 +78,6 @@ class TestSpanLog:
         log.end(99, 1.0)
         assert len(log) == 0
 
-    def test_filter_by_kind(self):
-        log = SpanLog()
-        log.point("detect", 1.0)
-        log.point("activate", 2.0)
-        log.point("detect", 3.0)
-        assert [s.t_start for s in log.filter(kind="detect")] == [1.0, 3.0]
-        assert len(log.filter(kind=("detect", "activate"))) == 3
-        assert len(log.filter()) == 3
-
     def test_tail(self):
         log = SpanLog()
         for t in range(5):
@@ -122,7 +111,7 @@ class TestSpanLog:
 
 
 # ----------------------------------------------------------------------
-# trace-log sticky filters
+# trace-log export
 # ----------------------------------------------------------------------
 class TestTraceFilters:
     def _traced(self):
@@ -134,37 +123,6 @@ class TestTraceFilters:
         trace.spans.point("activate", 2.5)
         return trace
 
-    def test_set_filter_applies_retroactively(self):
-        trace = self._traced()
-        trace.set_filter(category="failure")
-        assert [e.time for e in trace.view()] == [1.0, 3.0]
-        assert [e.time for e in trace.tail(1)] == [3.0]
-
-    def test_clear_filter_restores_everything(self):
-        trace = self._traced()
-        trace.set_filter(category="failure")
-        trace.clear_filter()
-        assert len(trace.view()) == 3
-
-    def test_all_none_clears(self):
-        trace = self._traced()
-        trace.set_filter(category="failure")
-        trace.set_filter()
-        assert len(trace.view()) == 3
-
-    def test_span_kind_filter(self):
-        trace = self._traced()
-        trace.set_filter(kind="detect")
-        assert [s.kind for s in trace.view_spans()] == ["detect"]
-        # The kind filter must not hide trace events.
-        assert len(trace.view()) == 3
-
-    def test_format_respects_filter(self):
-        trace = self._traced()
-        trace.set_filter(node=1)
-        assert "daemon noticed" in trace.format()
-        assert "link 0->1 down" not in trace.format()
-
     def test_to_jsonl_mixes_event_and_span_rows(self):
         trace = self._traced()
         rows = [json.loads(line) for line in
@@ -173,40 +131,6 @@ class TestTraceFilters:
         span_rows = [row for row in rows if "span" in row]
         assert len(event_rows) == 3 and len(span_rows) == 2
         assert span_rows[0]["kind"] == "detect"
-
-
-# ----------------------------------------------------------------------
-# quantiles
-# ----------------------------------------------------------------------
-class TestQuantiles:
-    def test_histogram_quantile_matches_percentile(self):
-        histogram = Histogram("t")
-        for value in range(1, 101):
-            histogram.record(float(value))
-        assert histogram.quantile(0.5) == histogram.percentile(50.0)
-        assert histogram.quantile(0.99) == 99.0
-        assert histogram.quantile(1.0) == 100.0
-
-    def test_histogram_quantile_validates(self):
-        with pytest.raises(ValueError):
-            Histogram("t").quantile(1.5)
-
-    def test_series_quantile_nearest_rank(self):
-        registry = MetricsRegistry()
-        series = registry.series("s")
-        for t, value in enumerate([5.0, 1.0, 3.0]):
-            series.append(float(t), value)
-        assert series.quantile(0.5) == 3.0
-        assert series.quantile(1.0) == 5.0
-
-    def test_empty_quantiles_are_none(self):
-        registry = MetricsRegistry()
-        assert registry.series("s").quantile(0.5) is None
-        assert Histogram("t").quantile(0.5) is None
-
-    def test_null_instruments_quantiles(self):
-        assert NULL_REGISTRY.histogram("x").quantile(0.5) is None
-        assert NULL_REGISTRY.series("x").quantile(0.5) is None
 
 
 # ----------------------------------------------------------------------
@@ -452,8 +376,9 @@ class TestEpisodeReconstruction:
         simulation.fail(connection.primary.path.links[0], at=5.0)
         simulation.run(until=60.0)
         from_jsonl = _reconstruct(simulation.trace)
-        from_rows = EpisodeReconstructor().add_rows(
-            simulation.trace.spans.to_dicts())
+        from_rows = EpisodeReconstructor()
+        for row in simulation.trace.spans.to_dicts():
+            from_rows.add_row(row)
         assert ([e.to_dict() for e in from_jsonl.episodes]
                 == [e.to_dict() for e in from_rows.episodes])
 
@@ -529,14 +454,14 @@ class TestChurnSLO:
         return ChurnConfig(**defaults)
 
     def test_breaches_recorded_per_epoch(self):
-        from repro.workload import run_churn
+        from repro.workload import ChurnEngine
 
         registry = MetricsRegistry()
-        stats = run_churn(
+        stats = ChurnEngine(
             self._network(),
             self._config(slos=("churn.establish_latency.p99 <= 1e-09",)),
             metrics=registry,
-        )
+        ).run()
         assert stats.slo_breaches
         assert all("epoch" in finding for finding in stats.slo_breaches)
         snapshot = registry.snapshot()
@@ -545,13 +470,13 @@ class TestChurnSLO:
         assert stats.to_dict()["slo_breaches"] == stats.slo_breaches
 
     def test_met_targets_record_nothing(self):
-        from repro.workload import run_churn
+        from repro.workload import ChurnEngine
 
-        stats = run_churn(
+        stats = ChurnEngine(
             self._network(),
             self._config(slos=("churn.establish_latency.p99 <= 10.0",)),
             metrics=MetricsRegistry(),
-        )
+        ).run()
         assert stats.slo_breaches == []
 
     def test_bad_spec_fails_fast(self):

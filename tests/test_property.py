@@ -307,31 +307,16 @@ class TestRoutingOracle:
         import networkx as nx
 
         from repro.routing import hop_distance, shortest_path
+        from tests.routing_oracle import to_networkx
 
         nodes = sorted(topology.nodes())
         src, dst = nodes[a % len(nodes)], nodes[b % len(nodes)]
         if src == dst:
             return
-        graph = topology.to_networkx()
+        graph = to_networkx(topology)
         expected = nx.shortest_path_length(graph, src, dst)
         assert hop_distance(topology, src, dst) == expected
         assert shortest_path(topology, src, dst).hops == expected
-
-    @given(random_topologies(), st.integers(0, 11), st.integers(0, 11))
-    @settings(max_examples=40, deadline=None)
-    def test_ksp_first_path_optimal_and_sorted(self, topology, a, b):
-        from repro.routing import hop_distance, k_shortest_paths
-
-        nodes = sorted(topology.nodes())
-        src, dst = nodes[a % len(nodes)], nodes[b % len(nodes)]
-        if src == dst:
-            return
-        paths = k_shortest_paths(topology, src, dst, k=4)
-        assert paths
-        assert paths[0].hops == hop_distance(topology, src, dst)
-        hops = [path.hops for path in paths]
-        assert hops == sorted(hops)
-        assert len(set(paths)) == len(paths)
 
     @given(random_topologies(), st.integers(0, 11), st.integers(0, 11))
     @settings(max_examples=40, deadline=None)
@@ -339,13 +324,14 @@ class TestRoutingOracle:
         import networkx as nx
 
         from repro.routing import DisjointPathError, sequential_disjoint_paths
+        from tests.routing_oracle import to_networkx
 
         nodes = sorted(topology.nodes())
         src, dst = nodes[a % len(nodes)], nodes[b % len(nodes)]
         if src == dst:
             return
         optimum = len(list(nx.node_disjoint_paths(
-            topology.to_networkx(), src, dst
+            to_networkx(topology), src, dst
         )))
         try:
             found = sequential_disjoint_paths(topology, src, dst, optimum)

@@ -1,0 +1,281 @@
+"""Reachability gate: ``src/`` ships what an entry point reaches.
+
+An *entry point* is what a user runs and a gate executes: ``python -m
+repro <command>`` (``repro/__main__.py``) and every ``.py`` under
+``benchmarks/``, ``scripts/`` and ``examples/``.  Two static walks start
+there, both on the standard library's ``ast`` alone:
+
+* **modules** — follow import statements; ``from pkg import name``
+  follows ``name`` through eager and ``lazy_exports`` re-exports to the
+  module that defines it, so a package ``__init__`` that re-exports a
+  module does not keep it alive;
+* **names** — a function, class or method of a reached module is alive
+  when reached code mentions its name, and its body then counts as
+  reached code.  Every same-named definition stays alive, so the walk can
+  miss dead code but cannot flag live code.  Import statements and
+  ``__all__`` are not mentions; a root may also name its target in a
+  string, as ``benchmarks/e2e/layers.py`` does.
+
+What neither walk reaches must equal ``ALLOWED``, each entry with the
+reason it stays: a frozen-benchmark target, what a named test compares
+against or drives, or a file another ROADMAP item owns — not "might be
+useful".  The same file holds the documents to the tree (DESIGN.md §6,
+the module map of docs/architecture.md).
+"""
+
+from __future__ import annotations
+
+import ast
+import functools
+import re
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+ROOT_DIRS = ("benchmarks", "scripts", "examples")
+
+_SWITCHOVER = (
+    "§4.4 management-level switchover: the reference "
+    "test_integration_crosscheck.py compares the runtime protocol against, "
+    "and the mutation the stateful / free-mirror property tests drive"
+)
+_DAEMON = "protocol/daemon.py is ROADMAP item 1's file; not opened here"
+
+ALLOWED = {
+    "repro.routing.disjoint":
+        "frozen benchmarks/e2e/layers.py wraps its shortest_path by module "
+        "name; goes with ROADMAP item 2",
+    "repro.core.bcp.BCPNetwork.switch_to_backup": _SWITCHOVER,
+    "repro.core.bcp.ReconfigurationReport": _SWITCHOVER,
+    "repro.core.dconnection.DConnection.switch_to_backup": _SWITCHOVER,
+    "repro.channels.channel.Channel.promote": _SWITCHOVER,
+    "repro.network.reservations.ReservationLedger.convert_spare_to_primary":
+        _SWITCHOVER,
+    "repro.protocol.daemon.BCPDaemon.initiate_closure": _DAEMON,
+    "repro.protocol.runtime.ProtocolSimulation.close_connection":
+        "the only caller of BCPDaemon.initiate_closure; " + _DAEMON,
+    "repro.routing.shortest.RouteConstraints.allows_link":
+        "the per-link predicate tests/routing_oracle.py's reference search "
+        "filters with",
+    "repro.sim.trace.TraceLog.filter":
+        "the trace query test_trace_and_detection.py, test_reestablishment.py "
+        "and test_recovery_robustness.py assert causal orderings with",
+}
+
+
+def _module_name(src: Path, path: Path) -> str:
+    parts = path.relative_to(src).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+@functools.cache
+def parse_package(src: Path, package: str) -> "dict[str, ast.Module]":
+    """Dotted module name -> tree, for every module of ``src/package``."""
+    return {
+        _module_name(src, path): ast.parse(path.read_text())
+        for path in sorted((src / package).rglob("*.py"))
+    }
+
+
+def _is_def(node) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+
+
+def _imports(tree):
+    """``(module, name or None)`` for every absolute import in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, None
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                yield node.module, alias.name
+
+
+def _reexports(module: str, tree: ast.Module) -> "dict[str, tuple[str, str]]":
+    """Name ``module`` exports -> ``(module, name)`` it imports it from."""
+    table = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                table[alias.asname or alias.name] = (node.module, alias.name)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "lazy_exports"):
+            for submodule, names in ast.literal_eval(node.args[1]).items():
+                for name in names:
+                    table[name] = (f"{module}.{submodule}", name)
+    return table
+
+
+def _mentions(nodes, *, strings: bool = False) -> "set[str]":
+    """Every identifier the subtrees mention (``strings``: and every string
+    constant that is one)."""
+    found = set()
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif (strings and isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and node.value.isidentifier()):
+            found.add(node.value)
+        todo.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def _definitions(module: str, tree: ast.Module):
+    """``(dotted name, parent or None, simple name, own mentions)`` for the
+    module's functions and classes and, one level down, a class's members.
+    A class owns its decorators, bases and attribute statements; a function
+    owns its whole body."""
+    for node in tree.body:
+        if not _is_def(node):
+            continue
+        top = f"{module}.{node.name}"
+        if not isinstance(node, ast.ClassDef):
+            yield top, None, node.name, _mentions([node])
+            continue
+        members = [child for child in node.body if _is_def(child)]
+        own = [c for c in ast.iter_child_nodes(node) if c not in members]
+        yield top, None, node.name, _mentions(own)
+        for member in members:
+            yield f"{top}.{member.name}", top, member.name, _mentions([member])
+
+
+def unreached(src: Path, package: str, roots: "list[Path]") -> "set[str]":
+    """Dotted names of the modules no root imports and, inside the reached
+    modules, of the definitions no reached code mentions."""
+    modules = parse_package(src, package)
+    exports = {name: _reexports(name, tree) for name, tree in modules.items()}
+
+    def home(module: str, name: str, seen=()) -> str:
+        """The module ``from module import name`` ends up reading."""
+        if f"{module}.{name}" in modules:
+            return f"{module}.{name}"
+        origin = exports[module].get(name)
+        if origin is None or origin[0] not in modules or origin in seen:
+            return module
+        return home(*origin, seen + (origin,))
+
+    reached: "set[str]" = set()
+    todo: "list[tuple[str | None, ast.Module]]" = []
+
+    def reach(module: str) -> None:
+        # Importing a module runs the __init__ of every enclosing package.
+        while module and module not in reached:
+            reached.add(module)
+            todo.append((module, modules[module]))
+            module = module.rpartition(".")[0]
+
+    root_trees = []
+    for path in roots:
+        if src in path.parents:
+            reach(_module_name(src, path))
+            root_trees.append(modules[_module_name(src, path)])
+        else:
+            root_trees.append(ast.parse(path.read_text()))
+            todo.append((None, root_trees[-1]))
+    while todo:
+        importer, tree = todo.pop()
+        for module, name in _imports(tree):
+            if module not in modules:
+                continue
+            target = module if name is None else home(module, name)
+            # What a package's __init__ imports from its own submodules is
+            # a re-export: followed per name, from whoever imports it.
+            if importer is None or not target.startswith(importer + "."):
+                reach(target)
+
+    mentioned = _mentions(root_trees, strings=True)
+    pending = {}
+    for module in reached:
+        tree = modules[module]
+        mentioned |= _mentions(n for n in tree.body if not _is_def(n))
+        for dotted, parent, name, own in _definitions(module, tree):
+            pending[dotted] = (parent, name, own)
+    alive: "set[str]" = set()
+    grew = True
+    while grew:
+        grew = False
+        for dotted, (parent, name, own) in list(pending.items()):
+            dunder = name.startswith("__") and name.endswith("__")
+            if (parent is None or parent in alive) and (
+                    dunder or name in mentioned):
+                alive.add(dotted)
+                mentioned |= own
+                del pending[dotted]
+                grew = True
+    dead = {dotted for dotted, (parent, _, _) in pending.items()
+            if parent is None or parent in alive}
+    return (set(modules) - reached) | dead
+
+
+def test_src_ships_only_what_an_entry_point_reaches():
+    roots = [REPO / "src" / "repro" / "__main__.py"]
+    for directory in ROOT_DIRS:
+        roots.extend(sorted((REPO / directory).rglob("*.py")))
+    found = unreached(REPO / "src", "repro", roots)
+    assert found == set(ALLOWED), (
+        "not reached by any entry point (delete it, call it, or allow-list "
+        f"it with a reason): {sorted(found - set(ALLOWED))}; allow-listed "
+        f"but reached or gone: {sorted(set(ALLOWED) - found)}"
+    )
+    assert len(ALLOWED) <= 15 and all(ALLOWED.values())
+
+
+def test_walker_flags_the_planted_module_and_function(tmp_path):
+    """Three modules: ``planted`` is re-exported by the package but
+    imported by no root; ``used.stray`` is public but mentioned by none."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from pkg.planted import orphan\nfrom pkg.used import helper\n"
+        "__all__ = ['helper', 'orphan', 'stray']\n"
+    )
+    (package / "used.py").write_text(
+        "def helper():\n    return _inner()\n\n"
+        "def _inner():\n    return 1\n\n"
+        "def stray():\n    return helper()\n"
+    )
+    (package / "planted.py").write_text("def orphan():\n    return 2\n")
+    root = tmp_path / "run.py"
+    root.write_text("from pkg import helper\nprint(helper())\n")
+    assert unreached(tmp_path / "src", "pkg", [root]) == {
+        "pkg.planted", "pkg.used.stray",
+    }
+    root.write_text(
+        "from pkg import helper, orphan\nimport pkg.used\n"
+        "print(helper(), orphan(), pkg.used.stray())\n"
+    )
+    assert unreached(tmp_path / "src", "pkg", [root]) == set()
+
+
+def test_design_layout_names_every_package():
+    design = (REPO / "DESIGN.md").read_text()
+    layout = design[design.index("## 6. Repository layout"):]
+    packages = sorted(
+        path.parent.name
+        for path in (REPO / "src" / "repro").glob("*/__init__.py")
+    )
+    missing = [name for name in packages if f"  {name}/" not in layout]
+    assert not missing, f"DESIGN.md §6 omits {missing}"
+
+
+def test_module_map_key_types_exist_in_their_package():
+    """Every back-ticked identifier in the "Key types" column of
+    docs/architecture.md's module map is defined in the package (or
+    module) its row names."""
+    modules = parse_package(REPO / "src", "repro")
+    text = (REPO / "docs" / "architecture.md").read_text()
+    rows = re.findall(r"^\| `(repro\.\w+)` \|.*\|(.*)\|$",
+                      text[text.index("## Module map"):], flags=re.M)
+    assert len(rows) >= 15
+    for package, key_types in rows:
+        defined = set()
+        for name, tree in modules.items():
+            if name == package or name.startswith(package + "."):
+                defined |= {node.name for node in tree.body if _is_def(node)}
+        wanted = re.findall(r"`([A-Za-z_]\w*)`", key_types)
+        assert wanted, package
+        assert not set(wanted) - defined, (package, set(wanted) - defined)

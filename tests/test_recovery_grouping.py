@@ -9,7 +9,6 @@ from repro.faults import all_single_link_failures
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.recovery import (
     RecoveryEvaluator,
-    by_backup_count,
     by_mux_degree,
     by_source,
     evaluate_grouped,
@@ -68,7 +67,8 @@ class TestEvaluateGrouped:
         evaluator = RecoveryEvaluator(mixed_network)
         scenarios = all_single_link_failures(mixed_network.topology)[:10]
         grouped = evaluate_grouped(
-            mixed_network, evaluator, scenarios, key=by_backup_count
+            mixed_network, evaluator, scenarios,
+            key=lambda connection: connection.num_backups,
         )
         assert set(grouped) == {1, 2}
 

@@ -32,12 +32,8 @@ class TestRCCGiveUpDetection:
         backup_link = connection.backups[0].path.links[
             len(connection.backups[0].path.links) // 2
         ]
-        simulation.rcc_link(
-            backup_link.src, backup_link.dst
-        ).loss_probability = 1.0
-        simulation.rcc_link(
-            backup_link.dst, backup_link.src
-        ).loss_probability = 1.0
+        simulation._rcc[backup_link].loss_probability = 1.0
+        simulation._rcc[backup_link.reversed()].loss_probability = 1.0
 
         primary_link = connection.primary.path.links[1]
         simulation.fail(primary_link, at=1.0)

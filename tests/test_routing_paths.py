@@ -54,12 +54,6 @@ class TestComponents:
         assert LinkId(1, 2) in path.transit_components
         assert path.component_count(count_endpoints=False) == 3
 
-    def test_uses(self):
-        path = Path([1, 2, 3])
-        assert path.uses(2)
-        assert path.uses(LinkId(2, 3))
-        assert not path.uses(LinkId(3, 2))
-
     def test_intersects(self):
         path = Path([1, 2, 3])
         assert path.intersects(frozenset({2}))

@@ -1,4 +1,4 @@
-"""Tests for repro.routing: shortest paths, disjoint routing, Yen's KSP."""
+"""Tests for repro.routing: shortest paths and disjoint routing."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.routing import (
     NoPathError,
     RouteConstraints,
     hop_distance,
-    k_shortest_paths,
     sequential_disjoint_paths,
     shortest_path,
 )
@@ -158,41 +157,3 @@ class TestMaxDisjoint:
         # degree 2, so at most 2 disjoint channels exist.
         assert len(max_disjoint_paths(mesh(8, 8), 0, 63)) == 2
 
-
-class TestKShortestPaths:
-    def test_first_is_shortest_and_ordered(self):
-        paths = k_shortest_paths(torus(4, 4), 0, 5, k=5)
-        assert len(paths) == 5
-        hops = [path.hops for path in paths]
-        assert hops == sorted(hops)
-        assert hops[0] == hop_distance(torus(4, 4), 0, 5)
-
-    def test_paths_distinct(self):
-        paths = k_shortest_paths(torus(4, 4), 0, 5, k=8)
-        assert len(set(paths)) == len(paths)
-
-    def test_exhausts_small_graph(self):
-        # The 4-ring has exactly two loopless paths between opposite nodes.
-        paths = k_shortest_paths(ring(4), 0, 2, k=10)
-        assert len(paths) == 2
-
-    def test_no_path_returns_empty(self):
-        topology = Topology()
-        topology.add_node("a")
-        topology.add_node("b")
-        assert k_shortest_paths(topology, "a", "b", k=3) == []
-
-    def test_respects_constraints(self):
-        constraints = RouteConstraints(max_hops=1)
-        paths = k_shortest_paths(ring(4), 0, 2, k=10, constraints=constraints)
-        assert paths == []
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            k_shortest_paths(ring(4), 0, 2, k=0)
-
-    def test_all_returned_are_valid_paths(self):
-        topology = torus(4, 4)
-        for path in k_shortest_paths(topology, 0, 15, k=6):
-            path.validate(topology)
-            assert path.source == 0 and path.destination == 15

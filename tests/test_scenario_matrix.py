@@ -111,6 +111,8 @@ def test_unknown_keys_rejected():
         ({"family": "torus", "rows": 0}, "rows >= 1"),
         ({"family": "ring", "size": 0}, "size >= 1"),
         ({"family": "ring", "size": 8, "capacity": -1.0}, "capacity"),
+        ({"family": "random_regular", "size": 9, "degree": 3}, "degree even"),
+        ({"family": "random_regular", "size": 8, "degree": 8}, "degree < nodes"),
     ],
 )
 def test_topology_validation(kwargs, match):
@@ -178,7 +180,7 @@ def _small_matrix(base_seed=5):
 def test_expand_is_axis_product():
     matrix = _small_matrix()
     cells = matrix.expand()
-    assert len(cells) == matrix.num_cells == 8
+    assert len(cells) == 8
     assert cells[0].name == "m/4x4-torus/eval-single-link/K1b1"
     # topology outermost, protocol innermost
     assert [c.name for c in cells[:2]] == [
@@ -222,7 +224,7 @@ def test_pinned_cells_appended_with_their_own_seeds():
     )
     matrix = dataclasses.replace(_small_matrix(), cells=(pinned,))
     cells = matrix.expand()
-    assert len(cells) == matrix.num_cells == 9
+    assert len(cells) == 9
     # Pinned cells ride after the product, seed untouched by base_seed.
     assert cells[-1] == pinned
     assert cells[:-1] == _small_matrix().expand()

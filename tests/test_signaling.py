@@ -5,23 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro import BCPNetwork, FaultToleranceQoS, TrafficSpec, torus
+from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.analysis import recovery_delay_bound
-from repro.network import ReservationLedger, Topology
-from repro.protocol.signaling import (
-    SignalingParams,
-    SignalingSession,
-    establishment_latency,
-)
-from repro.routing import Path
-from repro.sim import EventEngine
-
-
-def make_line_ledger(capacity=10.0, nodes=5):
-    topology = Topology()
-    for i in range(nodes - 1):
-        topology.add_duplex_link(i, i + 1, capacity)
-    return topology, ReservationLedger(topology)
+from repro.protocol.signaling import SignalingParams, establishment_latency
 
 
 class TestClosedForm:
@@ -43,64 +29,6 @@ class TestClosedForm:
             establishment_latency(3, attempts=0)
         with pytest.raises(ValueError):
             SignalingParams(hop_delay=0.0)
-
-
-class TestSignalingSession:
-    def test_successful_session_reserves_and_matches_formula(self):
-        _, ledger = make_line_ledger()
-        engine = EventEngine()
-        path = Path([0, 1, 2, 3, 4])
-        session = SignalingSession(
-            engine, ledger, path, TrafficSpec(bandwidth=2.0)
-        ).start()
-        engine.run()
-        assert session.outcome.success
-        assert session.outcome.completed_at == pytest.approx(
-            establishment_latency(4)
-        )
-        for link in path.links:
-            assert ledger.primary_reserved(link) == 2.0
-
-    def test_blocked_session_rolls_back(self):
-        _, ledger = make_line_ledger(capacity=10.0)
-        # Saturate the middle link.
-        ledger.reserve_primary(Path([2, 3]).links[0], 10.0)
-        engine = EventEngine()
-        path = Path([0, 1, 2, 3, 4])
-        session = SignalingSession(
-            engine, ledger, path, TrafficSpec(bandwidth=1.0)
-        ).start()
-        engine.run()
-        assert not session.outcome.success
-        assert session.outcome.blocked_at == 2
-        # Tentative reservations on earlier links were released.
-        assert ledger.primary_reserved(path.links[0]) == 0.0
-        assert ledger.primary_reserved(path.links[1]) == 0.0
-
-    def test_concurrent_sessions_contend(self):
-        _, ledger = make_line_ledger(capacity=1.0)
-        engine = EventEngine()
-        path = Path([0, 1, 2, 3, 4])
-        first = SignalingSession(
-            engine, ledger, path, TrafficSpec(bandwidth=1.0)
-        ).start(at=0.0)
-        second = SignalingSession(
-            engine, ledger, path, TrafficSpec(bandwidth=1.0)
-        ).start(at=0.5)
-        engine.run()
-        outcomes = sorted([first.outcome.success, second.outcome.success])
-        assert outcomes == [False, True]
-
-    def test_visit_times_monotone(self):
-        _, ledger = make_line_ledger()
-        engine = EventEngine()
-        session = SignalingSession(
-            engine, ledger, Path([0, 1, 2, 3]), TrafficSpec()
-        ).start()
-        engine.run()
-        times = session.outcome.visit_times
-        assert times == sorted(times)
-        assert len(times) == 4
 
 
 class TestLatencyArgument:

@@ -44,7 +44,7 @@ class TestTraceLog:
         log = TraceLog()
         log.record(1.0, "a", 1, "one")
         log.record(2.0, "a", 1, "two")
-        assert log.categories() == {"a": 2}
+        assert [event.category for event in log.events] == ["a", "a"]
         assert "one" in log.format()
         assert "more" in log.format(limit=1)
 
@@ -95,10 +95,10 @@ class TestProtocolTracing:
     def test_recovery_leaves_causal_trail(self, traced_run):
         connection, simulation = traced_run
         trace = simulation.trace
-        categories = trace.categories()
+        categories = {event.category for event in trace.events}
         for expected in ("failure", "detect", "report", "informed",
                          "activation", "recovered"):
-            assert categories.get(expected, 0) >= 1, expected
+            assert expected in categories
 
     def test_trail_is_causally_ordered(self, traced_run):
         _, simulation = traced_run

@@ -8,7 +8,6 @@ import random
 import pytest
 
 from repro.util import (
-    check_fraction,
     check_non_negative,
     check_positive,
     check_positive_finite,
@@ -123,8 +122,3 @@ class TestValidation:
     def test_check_probability_rejects(self, bad):
         with pytest.raises(ValueError, match="p"):
             check_probability(bad, "p")
-
-    def test_check_fraction(self):
-        assert check_fraction(1.0, "f") == 1.0
-        with pytest.raises(ValueError):
-            check_fraction(0.0, "f")

@@ -9,7 +9,7 @@ import pytest
 from repro.core.bcp import BCPNetwork
 from repro.network import torus
 from repro.obs.registry import MetricsRegistry
-from repro.workload import ChurnConfig, ChurnEngine, ChurnStats, run_churn
+from repro.workload import ChurnConfig, ChurnEngine, ChurnStats
 
 
 def make_network(rows: int = 4, cols: int = 4, capacity: float = 200.0) -> BCPNetwork:
@@ -144,18 +144,6 @@ class TestChurnRun:
         # wall-clock timers must not (they would break determinism).
         assert snapshot["counters"]["evaluator.scenarios"] > 0
         assert "evaluator.scenario_s" not in snapshot["histograms"]
-
-    def test_run_churn_convenience(self):
-        stats = run_churn(
-            make_network(),
-            ChurnConfig(
-                arrival_rate=10.0, holding_time=1.0, duration=2.0,
-                epoch_interval=1.0, seed=6,
-            ),
-            metrics=MetricsRegistry(),
-        )
-        assert isinstance(stats, ChurnStats)
-        assert stats.arrivals > 0
 
     def test_rejects_single_node_topology(self):
         from repro.network import Topology

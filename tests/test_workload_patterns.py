@@ -1,58 +1,12 @@
-"""Tests for teardown messaging, literal-scheme relaxation, and the
-classic traffic permutations."""
+"""Tests for teardown messaging and literal-scheme relaxation."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
-from repro.experiments.workloads import (
-    bit_reversal_pairs,
-    establish_workload,
-    transpose_pairs,
-)
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.protocol.states import LocalChannelState
-
-
-class TestTransposePairs:
-    def test_square_permutation(self):
-        topology = torus(4, 4)
-        pairs = transpose_pairs(topology, 4, 4)
-        # 16 nodes, 4 on the diagonal excluded.
-        assert len(pairs) == 12
-        assert all(src != dst for src, dst in pairs)
-        # (r,c) -> (c,r): node 1 = (0,1) talks to node 4 = (1,0).
-        assert (1, 4) in pairs
-
-    def test_non_square_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            transpose_pairs(torus(2, 4), 2, 4)
-
-    def test_establishes_cleanly(self):
-        network = BCPNetwork(torus(4, 4))
-        report = establish_workload(
-            network,
-            transpose_pairs(network.topology, 4, 4),
-            FaultToleranceQoS(num_backups=1, mux_degree=3),
-        )
-        assert report.complete
-
-
-class TestBitReversalPairs:
-    def test_permutation_shape(self):
-        topology = torus(4, 4)  # 16 = 2^4 nodes
-        pairs = bit_reversal_pairs(topology)
-        assert all(src != dst for src, dst in pairs)
-        # 0b0001 -> 0b1000: node 1 talks to node 8.
-        assert (1, 8) in pairs
-        # Palindromic labels (0, 6=0110, 9=1001, 15) map to themselves.
-        sources = {src for src, _ in pairs}
-        assert 6 not in sources and 9 not in sources
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="2\\^k"):
-            bit_reversal_pairs(torus(3, 3))
 
 
 class TestRuntimeClosure:
