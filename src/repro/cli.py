@@ -14,29 +14,32 @@ Examples::
     python -m repro chaos --trace-out spans.jsonl \
         --slo "protocol.recovery_delay.p99 <= gamma"
     python -m repro obs episodes --input spans.jsonl    # Γ breakdown
-    python -m repro all --rows 4 --cols 4       # quick full sweep
+    python -m repro report --rows 4 --cols 4    # quick full sweep
 
-Every subcommand prints the regenerated table (same rows as the paper)
-to stdout.  The default 8x8 scale takes seconds per table;
-``--rows 4 --cols 4`` gives a faster small-scale pass.
+The table and figure commands are the rows of
+:data:`repro.experiments.EXPERIMENTS`; each prints the regenerated table
+(same rows as the paper) to stdout.  The default 8x8 scale takes seconds
+per table; ``--rows 4 --cols 4`` gives a faster small-scale pass.
 
 Every subcommand also accepts ``--metrics-out PATH`` (write the run's
 ``repro.metrics/1`` snapshot as JSON) and ``--trace-out PATH`` (write the
-run's structured trace as JSONL).  The five commands whose tasks were
+run's structured trace as JSONL).  The four commands whose tasks were
 measured to gain from a process pool — ``matrix``, ``chaos``,
-``reliability``, ``report``, ``all`` — accept ``--workers N`` (``auto`` =
-one per CPU; results are identical for any worker count); see the
+``reliability``, ``report`` — accept ``--workers N`` (``auto`` = one per
+CPU; results are identical for any worker count); see the
 Observability and Parallel evaluation sections of docs/architecture.md.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.experiments import EXPERIMENTS, FLAGS, GRID, at_least
 from repro.obs import (
     MetricsRegistry,
     format_metrics,
@@ -52,43 +55,6 @@ from repro.sim.trace import TraceLog
 # a process pays for one experiment, or for none (--help, serve, churn).
 if TYPE_CHECKING:
     from repro.experiments.setup import NetworkConfig
-
-
-def _parse_workers(text: str) -> "int | None":
-    """``auto`` -> one worker per CPU (None); else a positive integer."""
-    if text == "auto":
-        return None
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"workers must be a positive integer or 'auto', got {text!r}"
-        ) from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 1, got {value}"
-        )
-    return value
-
-
-def _at_least(minimum, number=int):
-    """The argparse type of a count or a duration: a ``number`` (``int``
-    or ``float``) >= ``minimum`` — 0 where "none" is a request, 1 where
-    the count sizes or divides something.  Rejected by the parser, before
-    any network is built."""
-    def parse(text: str):
-        try:
-            value = number(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected {number.__name__}, got {text!r}"
-            ) from None
-        if value < minimum:
-            raise argparse.ArgumentTypeError(
-                f"must be >= {minimum}, got {text}"
-            )
-        return value
-    return parse
 
 
 def _parse_component(kind: str, ident: str):
@@ -153,25 +119,23 @@ def _parse_profiles(text: str) -> tuple[str, ...]:
     return names
 
 
-def _parse_degrees(text: str) -> tuple[int, ...]:
-    try:
-        degrees = tuple(int(part) for part in text.split(",") if part != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"degrees must be comma-separated integers, got {text!r}"
-        ) from None
-    if not degrees:
-        raise argparse.ArgumentTypeError("at least one degree is required")
-    return degrees
+def _add_flag(parser: argparse.ArgumentParser, flag: str, default) -> None:
+    """Put one declared flag (:data:`repro.experiments.FLAGS`) on
+    ``parser``: its spelling, its validated type and its help are written
+    there, once."""
+    declared = FLAGS[flag]
+    accepts = ({"choices": declared.type} if isinstance(declared.type, tuple)
+               else {"type": declared.type})
+    parser.add_argument(
+        flag, default=default, **accepts,
+        help=declared.help + ("" if default is None
+                              else " (default %(default)s)"),
+    )
 
 
 def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--topology", choices=("torus", "mesh"),
-                        default="torus", help="network type (default torus)")
-    parser.add_argument("--rows", type=int, default=8)
-    parser.add_argument("--cols", type=int, default=8)
-    parser.add_argument("--capacity", type=float, default=None,
-                        help="simplex link capacity (defaults per topology)")
+    for flag, default in GRID.items():
+        _add_flag(parser, flag, default)
 
 
 def _config(args: argparse.Namespace) -> NetworkConfig:
@@ -191,83 +155,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    figure9 = subparsers.add_parser(
-        "figure9", help="spare bandwidth vs network load")
-    _add_network_arguments(figure9)
-    figure9.add_argument("--backups", type=int, default=1)
-    figure9.add_argument("--degrees", type=_parse_degrees,
-                         default=(0, 1, 3, 5, 6))
-    figure9.add_argument("--checkpoints", type=_at_least(1), default=8)
-
-    for name, helptext in (
-        ("table1", "R_fast with uniform multiplexing degrees"),
-        ("table3", "R_fast under brute-force multiplexing"),
-    ):
-        sub = subparsers.add_parser(name, help=helptext)
-        _add_network_arguments(sub)
-        sub.add_argument("--backups", type=int, default=1)
-        sub.add_argument("--degrees", type=_parse_degrees,
-                         default=(1, 3, 5, 6))
-        sub.add_argument("--double-samples", type=_at_least(0), default=200)
-
-    table2 = subparsers.add_parser(
-        "table2", help="per-connection fault-tolerance control")
-    _add_network_arguments(table2)
-    table2.add_argument("--backups", type=int, default=1)
-    table2.add_argument("--classes", type=_parse_degrees,
-                        default=(1, 3, 5, 6))
-    table2.add_argument("--double-samples", type=_at_least(0), default=200)
-
-    delay = subparsers.add_parser(
-        "delay-bound", help="measured recovery delay vs the Γ bound")
-    _add_network_arguments(delay)
-    delay.add_argument("--backups", type=int, default=2)
-    delay.add_argument("--connections", type=_at_least(1), default=6)
-
-    rcc = subparsers.add_parser(
-        "rcc-sizing", help="RCC frame sizing and control-delay bound")
-    _add_network_arguments(rcc)
-
-    reliability = subparsers.add_parser(
-        "reliability", help="Markov vs combinatorial reliability models")
-    _add_network_arguments(reliability)
-
-    inhomogeneous = subparsers.add_parser(
-        "inhomogeneous", help="hotspot/mixed-bandwidth/topology sensitivity")
-    inhomogeneous.add_argument("--rows", type=int, default=8)
-    inhomogeneous.add_argument("--cols", type=int, default=8)
-    inhomogeneous.add_argument("--mux", type=int, default=5)
-
-    loss = subparsers.add_parser(
-        "message-loss", help="data-message loss during recovery (Fig. 8)")
-    _add_network_arguments(loss)
-    loss.add_argument("--rate", type=float, default=2.0)
-    loss.add_argument("--connections", type=_at_least(1), default=4)
-
-    baselines = subparsers.add_parser(
-        "baselines", help="BCP vs reactive vs local-detour trade-offs")
-    _add_network_arguments(baselines)
-    baselines.add_argument("--mux", type=int, default=3)
-
-    scaling = subparsers.add_parser(
-        "scaling", help="multiplexing efficiency vs network size (§6)")
-    scaling.add_argument("--mux", type=int, default=5)
-    scaling.add_argument("--sizes", type=_parse_degrees, default=(4, 6, 8))
-
-    ablations = subparsers.add_parser(
-        "ablations", help="design-choice ablations (see DESIGN.md)")
-    _add_network_arguments(ablations)
-    ablations.add_argument("--mux", type=int, default=5)
-
-    everything = subparsers.add_parser(
-        "all", help="run every experiment at one scale")
-    _add_network_arguments(everything)
-    everything.add_argument("--double-samples", type=_at_least(0), default=100)
+    for name, experiment in EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, help=experiment.help)
+        for flag in experiment.grid:
+            _add_flag(sub, flag, GRID[flag])
+        for flag, default in experiment.options.items():
+            _add_flag(sub, flag, default)
 
     report = subparsers.add_parser(
         "report", help="run the full suite and write a markdown report")
     _add_network_arguments(report)
-    report.add_argument("--double-samples", type=_at_least(0), default=100)
+    _add_flag(report, "--double-samples", 100)
     report.add_argument("--output", default="reproduction-report.md")
 
     stats = subparsers.add_parser(
@@ -276,10 +174,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arguments(stats)
     stats.add_argument("--mux", type=int, default=3)
     stats.add_argument("--backups", type=int, default=1)
-    stats.add_argument("--failures", type=_at_least(0), default=1,
+    stats.add_argument("--failures", type=at_least(0), default=1,
                        help="fail this many links (lexicographically first); "
                             "0 with --fail-at for fully explicit injection")
-    stats.add_argument("--horizon", type=_at_least(0, float), default=200.0)
+    stats.add_argument("--horizon", type=at_least(0, float), default=200.0)
     stats.add_argument(
         "--fail-at", metavar="SPEC", type=_parse_injection,
         action="append", default=[],
@@ -336,19 +234,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_network_arguments(chaos)
     chaos.set_defaults(rows=4, cols=4)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--campaign-size", type=_at_least(1), default=25,
+    chaos.add_argument("--campaign-size", type=at_least(1), default=25,
                        help="number of schedules to run (default 25)")
     chaos.add_argument("--profiles", type=_parse_profiles, default=None,
                        help="comma-separated chaos profiles "
                             "(default: all of them, rotated)")
     chaos.add_argument("--backups", type=int, default=2)
     chaos.add_argument("--mux", type=int, default=1)
-    chaos.add_argument("--connections", type=_at_least(1), default=6,
+    chaos.add_argument("--connections", type=at_least(1), default=6,
                        help="connections to establish (default 6)")
     chaos.add_argument("--artifact-dir", metavar="DIR", default=".",
                        help="where shrunk failure artifacts are written "
                             "(default: current directory)")
-    chaos.add_argument("--max-artifacts", type=_at_least(0), default=5,
+    chaos.add_argument("--max-artifacts", type=at_least(0), default=5,
                        help="shrink and export at most this many failing "
                             "runs (default 5)")
     chaos.add_argument("--replay", metavar="ARTIFACT", default=None,
@@ -472,15 +370,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace-out", metavar="PATH", default=None,
             help="write the run's structured trace as JSONL (repro.trace/1)")
     # A pool only where it was measured to pay — commands whose tasks each
-    # build their own network (matrix cells, reliability configurations) —
-    # plus chaos campaigns, a wash on 2 CPUs (docs/architecture.md,
-    # "Parallel evaluation").
-    for sub in (matrix, chaos, reliability, report, everything):
-        sub.add_argument(
-            "--workers", metavar="N", type=_parse_workers, default=None,
-            help="worker processes (positive integer or 'auto' = one per "
-                 "CPU; default auto). Results are identical for any "
-                 "worker count.")
+    # build their own network (matrix cells; reliability configurations,
+    # declared with the experiment) — plus chaos campaigns, a wash on 2
+    # CPUs (docs/architecture.md, "Parallel evaluation").
+    for sub in (matrix, chaos, report):
+        _add_flag(sub, "--workers", None)
 
     return parser
 
@@ -1139,80 +1033,48 @@ def run_experiment(args: argparse.Namespace):
     """Run one table/figure command and return its result object —
     ``format()`` of which is what the command prints — or ``None`` for
     the commands that are not one experiment."""
-    config = _config(args) if hasattr(args, "topology") else None
-    if args.command == "figure9":
-        from repro.experiments.figure9 import run_figure9
+    experiment = EXPERIMENTS.get(args.command)
+    if experiment is None:
+        return None
+    module, _, name = experiment.runner.partition(":")
+    runner = getattr(importlib.import_module(module), name)
 
-        return run_figure9(config, num_backups=args.backups,
-                           mux_degrees=args.degrees,
-                           checkpoints=args.checkpoints)
-    if args.command == "table1":
-        from repro.experiments.table1 import run_table1
+    def keywords(flags) -> dict:
+        return {FLAGS[flag].keyword: getattr(args, flag[2:].replace("-", "_"))
+                for flag in flags}
 
-        return run_table1(config, num_backups=args.backups,
-                          mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples)
-    if args.command == "table2":
-        from repro.experiments.table2 import run_table2
+    # The full grid is the runner's NetworkConfig.
+    if experiment.grid == tuple(GRID):
+        return runner(_config(args), **keywords(experiment.options))
+    return runner(**keywords((*experiment.grid, *experiment.options)))
 
-        return run_table2(config, num_backups=args.backups,
-                          classes=args.classes,
-                          double_node_samples=args.double_samples)
-    if args.command == "table3":
-        from repro.experiments.table3 import run_table3
 
-        return run_table3(config, num_backups=args.backups,
-                          mux_degrees=args.degrees,
-                          double_node_samples=args.double_samples)
-    if args.command == "delay-bound":
-        from repro.experiments.delay_bound import run_delay_bound
+def _check_grid(parser: argparse.ArgumentParser,
+                args: argparse.Namespace) -> None:
+    """A grid only the chosen topology can reject (the torus needs 2x2,
+    the mesh two nodes) is a usage error naming the flags, raised before
+    anything is established.  A command without ``--topology`` builds
+    every family."""
+    from repro.experiments.setup import NetworkConfig
 
-        return run_delay_bound(config, num_backups=args.backups,
-                               sample_connections=args.connections)
-    if args.command == "rcc-sizing":
-        from repro.experiments.rcc_sizing import run_rcc_sizing
-
-        return run_rcc_sizing(config)
-    if args.command == "reliability":
-        from repro.experiments.reliability import run_reliability
-
-        return run_reliability(config, workers=args.workers)
-    if args.command == "inhomogeneous":
-        from repro.experiments.inhomogeneous import run_inhomogeneous
-
-        return run_inhomogeneous(rows=args.rows, cols=args.cols,
-                                 mux_degree=args.mux)
-    if args.command == "message-loss":
-        from repro.experiments.message_loss import run_message_loss
-
-        return run_message_loss(config, message_rate=args.rate,
-                                sample_connections=args.connections)
-    if args.command == "baselines":
-        from repro.experiments.baseline_comparison import run_baseline_comparison
-
-        return run_baseline_comparison(config, bcp_mux_degree=args.mux)
-    if args.command == "scaling":
-        from repro.experiments.scaling import run_scaling
-
-        return run_scaling(mux_degree=args.mux, torus_sizes=args.sizes)
-    if args.command == "ablations":
-        from repro.experiments.ablations import run_ablations
-
-        return run_ablations(config, mux_degree=args.mux)
-    return None
+    families = ([args.topology] if hasattr(args, "topology")
+                else FLAGS["--topology"].type)
+    for family in families:
+        try:
+            NetworkConfig(family, args.rows, args.cols).build()
+        except ValueError as error:
+            parser.error(f"--rows/--cols: {error}")
 
 
 def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
     result = run_experiment(args)
     if result is not None:
         return result.format()
-    config = _config(args) if hasattr(args, "topology") else None
     if args.command == "report":
         from repro.experiments.report import generate_report
 
         result = generate_report(
-            config, double_node_samples=args.double_samples,
-            include_double_backups=(args.topology == "torus"),
+            _config(args), double_node_samples=args.double_samples,
             workers=args.workers,
         )
         target = result.save(args.output)
@@ -1232,36 +1094,6 @@ def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
         return _run_matrix(args)
     if args.command == "obs":
         return _run_obs(args)
-    if args.command == "all":
-        from repro.experiments import (
-            run_delay_bound,
-            run_figure9,
-            run_rcc_sizing,
-            run_reliability,
-            run_table1,
-            run_table2,
-            run_table3,
-        )
-
-        sections = []
-        for backups in (1, 2):
-            if args.topology == "mesh" and backups == 2:
-                continue  # topologically impossible (paper Section 7.1)
-            sections.append(
-                run_table1(config, num_backups=backups,
-                           double_node_samples=args.double_samples).format()
-            )
-        sections.append(
-            run_table2(config,
-                       double_node_samples=args.double_samples).format())
-        sections.append(
-            run_table3(config,
-                       double_node_samples=args.double_samples).format())
-        sections.append(run_figure9(config).format())
-        sections.append(run_delay_bound(config).format())
-        sections.append(run_rcc_sizing(config).format())
-        sections.append(run_reliability(config, workers=args.workers).format())
-        return "\n\n".join(sections)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 
@@ -1282,6 +1114,8 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if path and not os.path.isdir(os.path.dirname(path) or "."):
             parser.error(f"--{dest.replace('_', '-')} {path}: "
                          f"directory does not exist")
+    if hasattr(args, "rows"):
+        _check_grid(parser, args)
     # Each invocation observes itself through a fresh session registry
     # (and, with --trace-out, a shared trace sink), so exported counters
     # reflect exactly this run and are reproducible run-to-run.

@@ -69,25 +69,20 @@ class AblationResult:
         )
 
 
-def run_ablations(
-    config: "NetworkConfig | None" = None,
-    mux_degree: int = 5,
-    double_node_samples: int = 0,
-    seed: "int | None" = 0,
-) -> AblationResult:
+def run_ablations(config: NetworkConfig, *, mux_degree: int) -> AblationResult:
     """Measure each design-choice variant's spare and R_fast."""
-    config = config or NetworkConfig()
     result = AblationResult(config=config, mux_degree=mux_degree)
     qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
 
     def evaluate(network, **evaluator_kwargs) -> tuple:
-        models = standard_failure_models(network.topology,
-                                         double_node_samples, seed)
+        models = standard_failure_models(
+            network.topology, double_node_samples=0
+        )
         link = evaluate_scenarios(
-            network, models["1 link failure"], seed=seed, **evaluator_kwargs
+            network, models["1 link failure"], **evaluator_kwargs
         ).r_fast
         node = evaluate_scenarios(
-            network, models["1 node failure"], seed=seed, **evaluator_kwargs
+            network, models["1 node failure"], **evaluator_kwargs
         ).r_fast
         return link, node
 

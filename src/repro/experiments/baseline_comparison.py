@@ -88,25 +88,21 @@ class BaselineComparisonResult:
 
 
 def run_baseline_comparison(
-    config: "NetworkConfig | None" = None,
-    bcp_mux_degree: int = 3,
-    reactive_samples: "int | None" = None,
-    disruption_samples: int = 8,
-    seed: "int | None" = 0,
+    config: NetworkConfig, *, mux_degree: int
 ) -> BaselineComparisonResult:
-    """Compare BCP (single backup), reactive re-establishment, and
-    pre-planned local detours on the all-pairs workload."""
-    config = config or NetworkConfig(rows=6, cols=6)
+    """Compare BCP (single backup at ``mux_degree``), reactive
+    re-establishment, and pre-planned local detours on the all-pairs
+    workload."""
     result = BaselineComparisonResult(config=config)
 
     # --- BCP -----------------------------------------------------------
-    qos = FaultToleranceQoS(num_backups=1, mux_degree=bcp_mux_degree)
+    qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
     network, _ = load_network(config, qos)
     scenarios = all_single_link_failures(network.topology)
-    stats = RecoveryEvaluator(network, seed=seed).evaluate_many(scenarios)
+    evaluator = RecoveryEvaluator(network)
+    stats = evaluator.evaluate_many(scenarios)
     # Stretch of the activated backup vs the failed primary.
     stretches = []
-    evaluator = RecoveryEvaluator(network, seed=seed)
     for scenario in scenarios:
         outcome = evaluator.evaluate(scenario)
         for connection_id, serial in outcome.activated_serial.items():
@@ -115,14 +111,14 @@ def run_baseline_comparison(
                 b for b in connection.backups if b.serial == serial
             )
             stretches.append(backup.path.hops - connection.primary.path.hops)
-    # Measured service disruptions via the protocol runtime.
+    # Measured service disruptions via the protocol runtime, on eight
+    # scenarios spread evenly over the links.
     disruptions: list[float] = []
-    stride = max(1, len(scenarios) // disruption_samples)
-    for scenario in scenarios[::stride][:disruption_samples]:
+    for scenario in scenarios[::max(1, len(scenarios) // 8)][:8]:
         metrics = simulate_scenario(network, scenario, ProtocolConfig())
         disruptions.extend(metrics.service_disruptions().values())
     result.schemes.append(SchemeSummary(
-        name=f"BCP (1 backup, mux={bcp_mux_degree})",
+        name=f"BCP (1 backup, mux={mux_degree})",
         spare_fraction=network.spare_fraction(),
         coverage_single_link=stats.r_fast,
         latency_class="activation",
@@ -135,14 +131,11 @@ def run_baseline_comparison(
     # --- reactive ([BAN93]) ---------------------------------------------
     bare_qos = FaultToleranceQoS(num_backups=0, mux_degree=0)
     bare_network, _ = load_network(config, bare_qos)
-    sampled = scenarios if reactive_samples is None else (
-        scenarios[:reactive_samples]
-    )
     rerouted = failed = 0
     reactive_stretches = []
     reactive_latencies = []
-    for scenario in sampled:
-        reactive = evaluate_reactive(bare_network, scenario, seed=seed)
+    for scenario in scenarios:
+        reactive = evaluate_reactive(bare_network, scenario)
         for connection_id, outcome in reactive.outcomes.items():
             if outcome is ReactiveOutcome.EXCLUDED:
                 continue

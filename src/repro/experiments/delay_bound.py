@@ -76,12 +76,10 @@ class DelayBoundResult:
 
 
 def run_delay_bound(
-    config: "NetworkConfig | None" = None,
-    num_backups: int = 2,
-    mux_degree: int = 1,
-    sample_connections: int = 6,
-    d_max: float = 1.0,
-    horizon: float = 2000.0,
+    config: NetworkConfig,
+    *,
+    num_backups: int,
+    sample_connections: int,
 ) -> DelayBoundResult:
     """Measure service disruptions against the Γ bound.
 
@@ -90,8 +88,7 @@ def run_delay_bound(
     simulation per injection, all on the one network's compiled
     :class:`~repro.protocol.plan.ProtocolPlan`.
     """
-    config = config or NetworkConfig(rows=4, cols=4)
-    qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=mux_degree)
+    qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=1)
     network, _ = load_network(config, qos)
     protocol = ProtocolConfig()
     result = DelayBoundResult(config=config, d_max=protocol.rcc.max_delay)
@@ -107,7 +104,7 @@ def run_delay_bound(
                 FailureScenario.of_links([link]),
                 protocol,
                 failure_time=1.0,
-                horizon=horizon,
+                horizon=2000.0,
             )
             record = metrics.recoveries.get(connection.connection_id)
             result.measurements.append(

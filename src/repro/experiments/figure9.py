@@ -18,11 +18,6 @@ from repro.channels.qos import FaultToleranceQoS
 from repro.experiments.setup import NetworkConfig, load_network
 from repro.util.tables import format_percent, format_table
 
-#: The degrees the paper plots ('mux=2'/'mux=4' dropped as near-identical
-#: to 'mux=3'/'mux=5'; Section 7.1 explains why).
-PAPER_DEGREES = (0, 1, 3, 5, 6)
-
-
 @dataclass
 class Figure9Result:
     """One panel of Figure 9."""
@@ -69,10 +64,11 @@ class Figure9Result:
 
 
 def run_figure9(
-    config: "NetworkConfig | None" = None,
-    num_backups: int = 1,
-    mux_degrees: tuple[int, ...] = PAPER_DEGREES,
-    checkpoints: int = 8,
+    config: NetworkConfig,
+    *,
+    num_backups: int,
+    mux_degrees: tuple[int, ...],
+    checkpoints: int,
 ) -> Figure9Result:
     """Regenerate one Figure 9 panel.
 
@@ -80,7 +76,6 @@ def run_figure9(
     simulation); ``checkpoints`` controls the sampling resolution along
     the establishment sequence.
     """
-    config = config or NetworkConfig()
     result = Figure9Result(config=config, num_backups=num_backups)
     nodes = config.rows * config.cols
     total_connections = nodes * (nodes - 1)

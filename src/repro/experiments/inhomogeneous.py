@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.baselines.bruteforce import uniform_spare_amount
+from repro.baselines.bruteforce import brute_force_evaluator
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.bcp import BCPNetwork
 from repro.core.overlap import OverlapPolicy
@@ -29,7 +29,7 @@ from repro.experiments.workloads import (
 )
 from repro.faults.enumerate import all_single_link_failures
 from repro.network.generators import mesh, random_regular, torus
-from repro.recovery import evaluate_scenarios
+from repro.recovery import RecoveryEvaluator
 from repro.util.tables import format_percent, format_table
 
 
@@ -82,28 +82,24 @@ def _topologies(rows: int, cols: int):
 
 
 def run_inhomogeneous(
-    rows: int = 8,
-    cols: int = 8,
-    mux_degree: int = 5,
-    num_backups: int = 1,
-    hotspot_count: int = 4,
-    seed: int = 0,
+    *, rows: int, cols: int, mux_degree: int
 ) -> InhomogeneousResult:
-    """Sweep workload variants across topologies."""
+    """Sweep workload variants across topologies (single backups; the four
+    lowest-numbered nodes are the hotspots)."""
     result = InhomogeneousResult()
-    qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=mux_degree)
+    qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
     for topo_name, factory in _topologies(rows, cols).items():
         topology_sample = factory()
-        hotspots = sorted(topology_sample.nodes())[:hotspot_count]
+        hotspots = sorted(topology_sample.nodes())[:4]
         workloads = {
             "uniform": (all_pairs(topology_sample), uniform_traffic(1.0)),
             "hotspot": (
-                hotspot_pairs(topology_sample, hotspots, seed=seed),
+                hotspot_pairs(topology_sample, hotspots),
                 uniform_traffic(1.0),
             ),
             "mixed-bw": (
                 all_pairs(topology_sample),
-                mixed_bandwidth_traffic(seed=seed),
+                mixed_bandwidth_traffic(),
             ),
         }
         for workload_name, (pairs, traffic) in workloads.items():
@@ -111,12 +107,11 @@ def run_inhomogeneous(
             establish_workload(network, pairs, qos, traffic=traffic)
             cell = InhomogeneousCell(spare=network.spare_fraction())
             scenarios = all_single_link_failures(network.topology)
-            cell.proposed_r_fast = evaluate_scenarios(
-                network, scenarios
-            ).r_fast
-            cell.bruteforce_r_fast = evaluate_scenarios(
-                network, scenarios,
-                spare_override=uniform_spare_amount(network),
-            ).r_fast
+            cell.proposed_r_fast = (
+                RecoveryEvaluator(network).evaluate_many(scenarios).r_fast
+            )
+            cell.bruteforce_r_fast = (
+                brute_force_evaluator(network).evaluate_many(scenarios).r_fast
+            )
             result.cells[(topo_name, workload_name)] = cell
     return result

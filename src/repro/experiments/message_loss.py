@@ -71,16 +71,14 @@ class MessageLossResult:
 
 
 def run_message_loss(
-    config: "NetworkConfig | None" = None,
-    message_rate: float = 2.0,
-    sample_connections: int = 4,
-    failure_time: float = 50.0,
-    horizon: float = 400.0,
+    config: NetworkConfig,
+    *,
+    message_rate: float,
+    sample_connections: int,
 ) -> MessageLossResult:
     """Measure per-message loss around single link failures: one
     simulation with a live data stream per injection, all on the one
     network's compiled :class:`~repro.protocol.plan.ProtocolPlan`."""
-    config = config or NetworkConfig(rows=4, cols=4)
     qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
     network, _ = load_network(config, qos)
     result = MessageLossResult(config=config, message_rate=message_rate)
@@ -97,11 +95,13 @@ def run_message_loss(
             stream = DataStream(
                 simulation, connection_id, message_rate=message_rate
             )
-            stream.start(at=0.0, until=horizon - 50.0)
+            # The stream stops 50 time units before the run does, so
+            # every message it sent has landed or is lost.
+            stream.start(at=0.0, until=350.0)
             simulation.inject_scenario(
-                FailureScenario.of_links([victim]), at=failure_time
+                FailureScenario.of_links([victim]), at=50.0
             )
-            simulation.run(until=horizon)
+            simulation.run(until=400.0)
             record = simulation.metrics.recoveries.get(connection_id)
             result.measurements.append(
                 LossMeasurement(

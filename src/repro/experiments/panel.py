@@ -1,41 +1,50 @@
-"""Table 1: R_fast with uniform multiplexing degrees.
+"""Tables 1 and 3: R_fast per multiplexing degree, one panel at a time.
 
 For each mux degree the full all-pairs workload is established, then the
 three failure models are replayed and the fast-recovery rate measured.
-Panels: (a) single backup, 8x8 torus; (b) double backups, 8x8 torus;
-(c) single backup, 8x8 mesh.  A degree whose workload does not fully fit
-reports N/A (the paper's Table 1(b) mux=1 case).
+Table 1 panels: (a) single backup, 8x8 torus; (b) double backups, 8x8
+torus; (c) single backup, 8x8 mesh.  A degree whose workload does not
+fully fit reports N/A (the paper's Table 1(b) mux=1 case).
+
+Table 3 (Section 7.4) keeps the workload and the backup routing and
+changes only the evaluator: brute-force multiplexing gives every link the
+*same* spare, the proposed scheme's average.  The paper's finding:
+near-parity on the homogeneous torus, clear loss on the mesh (and under
+any inhomogeneity).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 
+from repro.baselines.bruteforce import brute_force_evaluator
 from repro.channels.qos import FaultToleranceQoS
+from repro.core.bcp import BCPNetwork
 from repro.experiments.setup import (
     FAILURE_MODELS,
     NetworkConfig,
     load_network,
     standard_failure_models,
 )
-from repro.recovery import ActivationOrder, evaluate_scenarios
+from repro.recovery import RecoveryEvaluator
 from repro.util.tables import format_percent, format_table
-
-PAPER_DEGREES = (1, 3, 5, 6)
 
 
 @dataclass
-class Table1Result:
-    """One panel of Table 1."""
+class PanelResult:
+    """One panel of Table 1 or Table 3."""
 
+    title: str
     config: NetworkConfig
     num_backups: int
     mux_degrees: tuple[int, ...]
     #: mux degree -> spare fraction (None when the workload didn't fit).
+    #: Brute force spreads the same total, so Table 3 reuses Table 1's row.
     spare: dict[int, "float | None"] = field(default_factory=dict)
     #: failure model -> mux degree -> R_fast.
     r_fast: dict[str, dict[int, "float | None"]] = field(default_factory=dict)
-    network_load: dict[int, float] = field(default_factory=dict)
     #: mux degree -> connections rejected at establishment (sub-threshold
     #: residuals; above the threshold the degree reports N/A instead).
     rejected: dict[int, int] = field(default_factory=dict)
@@ -53,11 +62,7 @@ class Table1Result:
                 + [format_percent(self.r_fast[model].get(d))
                    for d in self.mux_degrees]
             )
-        title = (
-            f"Table 1: R_fast, uniform mux — {self.config.label}, "
-            f"{self.num_backups} backup(s)"
-        )
-        text = format_table(headers, rows, title=title)
+        text = format_table(headers, rows, title=self.title)
         residuals = {
             degree: count
             for degree, count in self.rejected.items()
@@ -72,18 +77,21 @@ class Table1Result:
         return text
 
 
-def run_table1(
-    config: "NetworkConfig | None" = None,
-    num_backups: int = 1,
-    mux_degrees: tuple[int, ...] = PAPER_DEGREES,
-    double_node_samples: int = 200,
-    order: ActivationOrder = ActivationOrder.PRIORITY,
-    seed: "int | None" = 0,
-) -> Table1Result:
-    """Regenerate one Table 1 panel."""
-    config = config or NetworkConfig()
-    result = Table1Result(
-        config=config, num_backups=num_backups, mux_degrees=tuple(mux_degrees)
+def _run_panel(
+    title: str,
+    make_evaluator: Callable[[BCPNetwork], RecoveryEvaluator],
+    config: NetworkConfig,
+    *,
+    num_backups: int,
+    mux_degrees: tuple[int, ...],
+    double_node_samples: int,
+) -> PanelResult:
+    """Regenerate one panel: per degree, one establishment, one evaluator
+    from ``make_evaluator``, the three failure models."""
+    result = PanelResult(
+        title=title.format(label=config.label, backups=num_backups),
+        config=config, num_backups=num_backups,
+        mux_degrees=tuple(mux_degrees),
     )
     for model in FAILURE_MODELS:
         result.r_fast[model] = {}
@@ -98,13 +106,25 @@ def run_table1(
                 result.r_fast[model][degree] = None
             continue
         result.spare[degree] = network.spare_fraction()
-        result.network_load[degree] = network.network_load()
-        models = standard_failure_models(
-            network.topology, double_node_samples, seed
-        )
+        evaluator = make_evaluator(network)
+        models = standard_failure_models(network.topology, double_node_samples)
         for model, scenarios in models.items():
-            stats = evaluate_scenarios(
-                network, scenarios, order=order, seed=seed
-            )
-            result.r_fast[model][degree] = stats.r_fast
+            result.r_fast[model][degree] = evaluator.evaluate_many(
+                scenarios
+            ).r_fast
     return result
+
+
+#: ``run_table1(config, *, num_backups, mux_degrees, double_node_samples)``:
+#: the proposed scheme, each link drawing on its own spare pool.
+run_table1 = partial(
+    _run_panel,
+    "Table 1: R_fast, uniform mux — {label}, {backups} backup(s)",
+    RecoveryEvaluator,
+)
+#: ``run_table3``, same signature: the same total spread uniformly.
+run_table3 = partial(
+    _run_panel,
+    "Table 3: R_fast, brute-force multiplexing — {label}",
+    brute_force_evaluator,
+)

@@ -51,16 +51,9 @@ class RCCSizingResult:
         )
 
 
-def run_rcc_sizing(
-    config: "NetworkConfig | None" = None,
-    num_backups: int = 1,
-    mux_degree: int = 3,
-    undersized_messages: int = 2,
-    horizon: float = 300.0,
-) -> RCCSizingResult:
+def run_rcc_sizing(config: NetworkConfig) -> RCCSizingResult:
     """Compare compliant vs. undersized RCC frames under a failure burst."""
-    config = config or NetworkConfig(rows=4, cols=4)
-    qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=mux_degree)
+    qos = FaultToleranceQoS(num_backups=1, mux_degree=3)
     network, _ = load_network(config, qos)
     required = required_rcc_frame_messages(network)
     result = RCCSizingResult(config=config, required_messages=required)
@@ -75,13 +68,13 @@ def run_rcc_sizing(
     victim = max(network.topology.nodes(), key=burst_size)
     scenario = FailureScenario.of_nodes([victim])
 
-    for capacity in (required, max(1, undersized_messages)):
+    for capacity in (required, 2):  # compliant, deliberately undersized
         protocol = ProtocolConfig(
             rcc=RCCParams(max_messages_per_frame=capacity, max_rate=10.0)
         )
         result.budget = protocol.rcc.max_delay + protocol.rcc.min_interval
         simulation = ProtocolSimulation(network, protocol)
         simulation.inject_scenario(scenario, at=1.0)
-        simulation.run(until=horizon)
+        simulation.run(until=300.0)
         result.worst_delay[capacity] = simulation.worst_control_delay()
     return result

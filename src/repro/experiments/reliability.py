@@ -23,6 +23,14 @@ from repro.parallel import parallel_map
 from repro.util.tables import format_table
 
 
+#: The model comparison: a primary of 9 components (a 4-hop path) and a
+#: disjoint backup of 11, over these per-component failure rates.
+PRIMARY_COMPONENTS, BACKUP_COMPONENTS = 9, 11
+LAMBDAS = (1e-6, 1e-5, 1e-4, 1e-3)
+#: The (backups, mux degree) cells of the configuration sweep.
+CONFIGURATIONS = ((1, 1), (1, 3), (1, 6), (2, 3), (2, 6))
+
+
 @dataclass
 class ReliabilityResult:
     #: λ -> (markov R(1), combinatorial P_r) for the model comparison.
@@ -70,10 +78,7 @@ def _configuration_cell(item: tuple) -> "tuple | None":
     """
     config, backups, degree = item
     qos = FaultToleranceQoS(num_backups=backups, mux_degree=degree)
-    try:
-        network, report = load_network(config, qos)
-    except Exception:  # pragma: no cover - tiny topologies may refuse
-        return None
+    network, report = load_network(config, qos)
     if report.established == 0:
         return None
     values = [
@@ -88,14 +93,7 @@ def _configuration_cell(item: tuple) -> "tuple | None":
 
 
 def run_reliability(
-    config: "NetworkConfig | None" = None,
-    primary_components: int = 9,
-    backup_components: int = 11,
-    lambdas: tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3),
-    configurations: tuple[tuple[int, int], ...] = (
-        (1, 1), (1, 3), (1, 6), (2, 3), (2, 6),
-    ),
-    workers: "int | None" = 1,
+    config: NetworkConfig, *, workers: "int | None"
 ) -> ReliabilityResult:
     """Run both reliability sweeps.
 
@@ -103,19 +101,18 @@ def run_reliability(
     per cell) across processes; cell results are position-independent, so
     any worker count gives the same tables.
     """
-    config = config or NetworkConfig(rows=4, cols=4)
     result = ReliabilityResult()
 
     # Model comparison: one disjointly-routed backup, no multiplexing.
-    for lam in lambdas:
+    for lam in LAMBDAS:
         markov = DConnectionMarkovModel(
-            primary_rate=primary_components * lam,
-            backup_rate=backup_components * lam,
+            primary_rate=PRIMARY_COMPONENTS * lam,
+            backup_rate=BACKUP_COMPONENTS * lam,
             shared_rate=0.0,
             repair_rate=0.0,  # combinatorial model resets per unit instead
         )
         combinatorial = pr_single_backup(
-            primary_components, backup_components, lam
+            PRIMARY_COMPONENTS, BACKUP_COMPONENTS, lam
         )
         result.model_comparison[lam] = (markov.reliability(1.0), combinatorial)
 
@@ -123,7 +120,7 @@ def run_reliability(
     # fanned out over workers.
     cells = parallel_map(
         _configuration_cell,
-        [(config, backups, degree) for backups, degree in configurations],
+        [(config, backups, degree) for backups, degree in CONFIGURATIONS],
         workers=workers,
     )
     for cell in cells:

@@ -129,9 +129,7 @@ def _measure(factory: Callable[[], Topology], label: str,
 
 
 def run_scaling(
-    mux_degree: int = 5,
-    torus_sizes: tuple[int, ...] = (4, 6, 8),
-    include_connectivity_sweep: bool = True,
+    *, mux_degree: int, torus_sizes: tuple[int, ...]
 ) -> ScalingResult:
     """Measure the multiplexing saving across sizes and connectivities.
 
@@ -148,12 +146,12 @@ def run_scaling(
             f"{size}x{size} torus",
             mux_degree,
         ))
-    if include_connectivity_sweep:
-        # Capacities chosen for ~32% load on each topology's own workload.
-        result.points.append(_measure(
-            lambda: mesh(6, 6, 131.0), "6x6 mesh (degree<4)", mux_degree
-        ))
-        result.points.append(_measure(
-            lambda: hypercube(5, 49.0), "5-cube (degree 5)", mux_degree
-        ))
+    # The connectivity sweep: capacities chosen for ~32% load on each
+    # topology's own workload.
+    result.points.append(_measure(
+        lambda: mesh(6, 6, 131.0), "6x6 mesh (degree<4)", mux_degree
+    ))
+    result.points.append(_measure(
+        lambda: hypercube(5, 49.0), "5-cube (degree 5)", mux_degree
+    ))
     return result

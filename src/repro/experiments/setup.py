@@ -19,7 +19,6 @@ from repro.experiments.workloads import (
     WorkloadReport,
     all_pairs,
     establish_workload,
-    uniform_traffic,
 )
 from repro.faults.enumerate import (
     all_single_link_failures,
@@ -68,7 +67,6 @@ def load_network(
         network,
         all_pairs(network.topology),
         ft_qos,
-        traffic=uniform_traffic(1.0),
         checkpoint_every=checkpoint_every,
     )
     return network, report

@@ -18,15 +18,8 @@ from repro.experiments.setup import (
     load_network,
     standard_failure_models,
 )
-from repro.recovery import (
-    ActivationOrder,
-    RecoveryEvaluator,
-    by_mux_degree,
-    evaluate_grouped,
-)
+from repro.recovery import RecoveryEvaluator, by_mux_degree, evaluate_grouped
 from repro.util.tables import format_percent, format_table
-
-PAPER_MIX = (1, 3, 5, 6)
 
 
 @dataclass
@@ -38,7 +31,6 @@ class Table2Result:
     classes: tuple[int, ...]
     spare: "float | None" = None
     complete: bool = True
-    rejected: int = 0
     #: failure model -> class degree -> R_fast.
     r_fast: dict[str, dict[int, "float | None"]] = field(default_factory=dict)
 
@@ -62,15 +54,13 @@ class Table2Result:
 
 
 def run_table2(
-    config: "NetworkConfig | None" = None,
-    num_backups: int = 1,
-    classes: tuple[int, ...] = PAPER_MIX,
-    double_node_samples: int = 200,
-    order: ActivationOrder = ActivationOrder.PRIORITY,
-    seed: "int | None" = 0,
+    config: NetworkConfig,
+    *,
+    num_backups: int,
+    classes: tuple[int, ...],
+    double_node_samples: int,
 ) -> Table2Result:
     """Regenerate one Table 2 panel."""
-    config = config or NetworkConfig()
     result = Table2Result(
         config=config, num_backups=num_backups, classes=tuple(classes)
     )
@@ -82,17 +72,13 @@ def run_table2(
 
     network, report = load_network(config, qos_for)
     result.complete = report.essentially_complete
-    result.rejected = report.rejected
     result.spare = (
         network.spare_fraction() if report.essentially_complete else None
     )
-    models = standard_failure_models(network.topology, double_node_samples, seed)
+    models = standard_failure_models(network.topology, double_node_samples)
     for model in FAILURE_MODELS:
         per_class = evaluate_grouped(
-            network,
-            RecoveryEvaluator(network, order=order, seed=seed),
-            models[model],
-            by_mux_degree,
+            network, RecoveryEvaluator(network), models[model], by_mux_degree
         )
         result.r_fast[model] = {
             degree: (per_class[degree].r_fast if degree in per_class else None)

@@ -31,30 +31,23 @@ def all_pairs(topology: Topology) -> list[NodePair]:
 
 
 def hotspot_pairs(
-    topology: Topology,
-    hotspots: Sequence[NodeId],
-    hotspot_weight: int = 4,
-    count: "int | None" = None,
-    seed: "int | None" = 0,
+    topology: Topology, hotspots: Sequence[NodeId]
 ) -> list[NodePair]:
     """A workload skewed toward a few hotspot nodes.
 
-    Each connection endpoint is drawn from a distribution where every
-    hotspot counts ``hotspot_weight`` times.  ``count`` defaults to the
-    all-pairs size so overhead comparisons stay like-for-like.
+    Each connection endpoint is drawn (seed 0) from a distribution where
+    every hotspot counts four times; as many pairs as :func:`all_pairs`,
+    so overhead comparisons stay like-for-like.
     """
-    if hotspot_weight < 1:
-        raise ValueError(f"hotspot_weight must be >= 1, got {hotspot_weight}")
     nodes = sorted(topology.nodes())
     for hotspot in hotspots:
         if not topology.has_node(hotspot):
             raise ValueError(f"hotspot {hotspot!r} not in topology")
     weighted = list(nodes)
     for hotspot in hotspots:
-        weighted.extend([hotspot] * (hotspot_weight - 1))
-    rng = make_rng(seed)
-    if count is None:
-        count = len(nodes) * (len(nodes) - 1)
+        weighted.extend([hotspot] * 3)
+    rng = make_rng(0)
+    count = len(nodes) * (len(nodes) - 1)
     pairs: list[NodePair] = []
     while len(pairs) < count:
         src = rng.choice(weighted)
@@ -70,14 +63,11 @@ def uniform_traffic(bandwidth: float = 1.0) -> Callable[[int], TrafficSpec]:
     return lambda index: spec
 
 
-def mixed_bandwidth_traffic(
-    bandwidths: Sequence[float] = (0.5, 1.0, 2.0, 4.0),
-    seed: "int | None" = 0,
-) -> Callable[[int], TrafficSpec]:
+def mixed_bandwidth_traffic() -> Callable[[int], TrafficSpec]:
     """Mixed bandwidth requirements (Section 7.1's inhomogeneous variant):
-    each connection draws its bandwidth from ``bandwidths``."""
-    rng = make_rng(seed)
-    choices = [TrafficSpec(bandwidth=b) for b in bandwidths]
+    each connection draws (seed 0) one of 0.5, 1, 2 or 4."""
+    rng = make_rng(0)
+    choices = [TrafficSpec(bandwidth=b) for b in (0.5, 1.0, 2.0, 4.0)]
     return lambda index: rng.choice(choices)
 
 
@@ -90,9 +80,6 @@ class WorkloadReport:
     rejected: int = 0
     #: (network_load, spare_fraction) samples taken along the way.
     checkpoints: list[tuple[float, float]] = field(default_factory=list)
-    #: First establishment error encountered, if any (the paper's "N/A"
-    #: condition: capacity exhausted before all connections fit).
-    first_error: "str | None" = None
 
     #: Rejection fraction above which a configuration counts as infeasible
     #: (the paper's N/A: "the total bandwidth requirement had exceeded the
@@ -119,7 +106,6 @@ def establish_workload(
     pairs: Sequence[NodePair],
     ft_qos: "FaultToleranceQoS | Callable[[int], FaultToleranceQoS]",
     traffic: "Callable[[int], TrafficSpec] | None" = None,
-    delay_qos: DelayQoS | None = None,
     checkpoint_every: "int | None" = None,
 ) -> WorkloadReport:
     """Establish ``pairs`` incrementally, tolerating rejections.
@@ -130,17 +116,15 @@ def establish_workload(
     Figure 9 curves.
     """
     traffic = traffic or uniform_traffic()
-    delay_qos = delay_qos or DelayQoS()
+    delay_qos = DelayQoS()
     report = WorkloadReport(requested=len(pairs))
     sampled = False
     for index, (src, dst) in enumerate(pairs):
         qos = ft_qos(index) if callable(ft_qos) else ft_qos
         try:
             network.establish(src, dst, traffic(index), delay_qos, qos)
-        except EstablishmentError as error:
+        except EstablishmentError:
             report.rejected += 1
-            if report.first_error is None:
-                report.first_error = str(error)
         else:
             report.established += 1
         sampled = bool(checkpoint_every) and (index + 1) % checkpoint_every == 0

@@ -213,8 +213,8 @@ class ReservationLedger:
         """Monotonic mutation counter.
 
         Bumped by every reservation change; version-keyed consumers
-        (compiled plans, route-cache floor tables, a recovery evaluator's
-        ``ledger_version``) compare it to tell whether any pool moved.
+        (compiled plans, route-cache floor tables) compare it to tell
+        whether any pool moved.
         """
         return self._version
 

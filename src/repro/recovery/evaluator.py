@@ -188,11 +188,6 @@ class RecoveryEvaluator:
         self._c_lost = obs.counter("evaluator.channels_lost")
         self._c_excluded = obs.counter("evaluator.excluded")
         self._base_spares = self._resolve_spares(spare_override)
-        #: Ledger version the base spare snapshot was captured at.
-        #: Consumers evaluating under churn (where establishment and
-        #: teardown keep moving the pools) compare it with the ledger's
-        #: and build a fresh evaluator instead of replaying dead state.
-        self.ledger_version = network.ledger.version
         # Free capacity per link, fixed at construction — only needed (and
         # only paid for) in fallback mode.
         self._base_free = (
@@ -379,7 +374,6 @@ def evaluate_scenarios(
     scenarios: Iterable[FailureScenario],
     *,
     order: ActivationOrder = ActivationOrder.PRIORITY,
-    spare_override: "Mapping[LinkId, float] | float | None" = None,
     free_capacity_fallback: bool = False,
     seed: "int | None" = 0,
     metrics: "MetricsRegistry | None" = None,
@@ -394,7 +388,6 @@ def evaluate_scenarios(
     return RecoveryEvaluator(
         network,
         order=order,
-        spare_override=spare_override,
         free_capacity_fallback=free_capacity_fallback,
         seed=seed,
         metrics=metrics,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -28,9 +28,6 @@ class RecoveryStats:
     mux_failures: int = 0
     channels_lost: int = 0
     excluded_connections: int = 0
-    #: Sum over scenarios of each scenario's own R_fast (for mean-of-ratios).
-    _r_fast_sum: float = field(default=0.0, repr=False)
-    _r_fast_scenarios: int = field(default=0, repr=False)
 
     # ------------------------------------------------------------------
     def add_scenario(
@@ -54,13 +51,10 @@ class RecoveryStats:
         self.mux_failures += mux_failures
         self.channels_lost += channels_lost
         self.excluded_connections += excluded_connections
-        if failed_primaries > 0:
-            self._r_fast_sum += fast_recovered / failed_primaries
-            self._r_fast_scenarios += 1
 
     def merge(self, other: "RecoveryStats") -> "RecoveryStats":
         """Combine with another stats object (parallel sweeps)."""
-        merged = RecoveryStats(
+        return RecoveryStats(
             scenarios=self.scenarios + other.scenarios,
             failed_primaries=self.failed_primaries + other.failed_primaries,
             fast_recovered=self.fast_recovered + other.fast_recovered,
@@ -70,9 +64,6 @@ class RecoveryStats:
                 self.excluded_connections + other.excluded_connections
             ),
         )
-        merged._r_fast_sum = self._r_fast_sum + other._r_fast_sum
-        merged._r_fast_scenarios = self._r_fast_scenarios + other._r_fast_scenarios
-        return merged
 
     # ------------------------------------------------------------------
     @property

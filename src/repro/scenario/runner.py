@@ -31,7 +31,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.analysis.delay import network_delay_bound
-from repro.baselines.bruteforce import uniform_spare_amount
+from repro.baselines.bruteforce import brute_force_evaluator
 from repro.chaos.engine import (
     ChaosEnvironment,
     build_campaign,
@@ -41,27 +41,22 @@ from repro.chaos.engine import (
 )
 from repro.chaos.profiles import DEFAULT_PROFILES
 from repro.core.bcp import BCPNetwork
-from repro.experiments.workloads import (
-    all_pairs,
-    establish_workload,
-    uniform_traffic,
-)
-from repro.faults.enumerate import (
-    all_single_link_failures,
-    all_single_node_failures,
-    sample_double_node_failures,
-)
+from repro.experiments.workloads import all_pairs, establish_workload
 from repro.network.topology import Topology
 from repro.obs.registry import get_registry
 from repro.obs.slo import SLOEngine
 from repro.parallel import parallel_map
-from repro.recovery import evaluate_scenarios
+from repro.recovery import RecoveryEvaluator
 from repro.routing.flatgraph import flat_view
+from repro.scenario.spec import FAILURE_MODELS as SPEC_FAILURE_MODELS
 from repro.scenario.spec import ScenarioSpec, TopologySpec
 from repro.workload.churn import ChurnConfig, ChurnEngine
 
 #: Result-row schema identifier (bumped on incompatible format changes).
 RESULT_SCHEMA = "repro.scenario-result/1"
+
+#: ``spare_mode`` of an ``eval`` cell -> what builds the evaluator of its table.
+_EVALUATORS = {"multiplexed": RecoveryEvaluator, "bruteforce": brute_force_evaluator}
 
 
 class TopologyCache:
@@ -204,33 +199,20 @@ def build_loaded_network(
 # per-kind cell executors (each runs under the *current* registry)
 # ----------------------------------------------------------------------
 def _run_eval_cell(spec: ScenarioSpec, cache: TopologyCache):
+    # The one executor that is an experiment imports it when it runs: a
+    # server or a churn client loads no table (tests/test_import_budget.py).
+    from repro.experiments.setup import FAILURE_MODELS, standard_failure_models
+
     workload = spec.workload
     topology = cache.get(spec.topology)
     network = BCPNetwork(topology)
-    report = establish_workload(
-        network, all_pairs(topology), spec.protocol.qos(),
-        traffic=uniform_traffic(1.0),
-    )
-    if workload.failure_model == "single-link":
-        scenarios = all_single_link_failures(topology)
-    elif workload.failure_model == "single-node":
-        scenarios = all_single_node_failures(topology)
-    else:
-        scenarios = sample_double_node_failures(
-            topology, workload.samples, spec.seed
-        )
-    spare_override = None
-    free_capacity_fallback = False
-    if workload.spare_mode == "bruteforce":
-        spare_override = uniform_spare_amount(network)
-        free_capacity_fallback = True
-    stats = evaluate_scenarios(
-        network,
-        scenarios,
-        seed=spec.seed,
-        spare_override=spare_override,
-        free_capacity_fallback=free_capacity_fallback,
-    )
+    report = establish_workload(network, all_pairs(topology), spec.protocol.qos())
+    # The tables' own failure models and evaluators: a cell is a cell of
+    # Table 1 or, under ``spare_mode="bruteforce"``, of Table 3.
+    table_row = dict(zip(SPEC_FAILURE_MODELS, FAILURE_MODELS))
+    models = standard_failure_models(topology, workload.samples, spec.seed)
+    evaluator = _EVALUATORS[workload.spare_mode](network, seed=spec.seed)
+    stats = evaluator.evaluate_many(models[table_row[workload.failure_model]])
     outcome = {
         "requested": report.requested,
         "established": report.established,

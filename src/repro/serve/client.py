@@ -16,9 +16,9 @@ import time
 
 from repro.core.bcp import EstablishmentError
 from repro.network.components import LinkId
+from repro.recovery import RecoveryStats
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.protocol import MessageStream, connect
-from repro.serve.server import remote_recovery_stats
 
 
 class ServeError(Exception):
@@ -195,8 +195,7 @@ class RemoteNetwork:
             links=[[link.src, link.dst] for link in links],
             seed=seed,
         )
-        stats = remote_recovery_stats(response["stats"])
-        return stats, response["counters"]
+        return RecoveryStats(**response["stats"]), response["counters"]
 
     # -- management helpers (not part of the engine surface) -----------
     def snapshot(self, path: str) -> dict:

@@ -21,6 +21,7 @@ serve-smoke CI job fails on breached targets).
 from __future__ import annotations
 
 import os
+from dataclasses import asdict
 from time import perf_counter
 
 from repro.channels.qos import DelayQoS, FaultToleranceQoS
@@ -29,7 +30,7 @@ from repro.core.bcp import BCPNetwork, BatchRequest, EstablishmentError
 from repro.faults.models import FailureScenario
 from repro.obs.registry import MetricsRegistry, get_registry
 from repro.obs.slo import SLOEngine
-from repro.recovery import RecoveryStats, evaluate_scenarios
+from repro.recovery import evaluate_scenarios
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.protocol import (
     SERVE_SCHEMA,
@@ -256,16 +257,7 @@ class AdmissionServer:
         )
         self._h_recovery.record(perf_counter() - started)
         return {
-            "stats": {
-                "scenarios": stats.scenarios,
-                "failed_primaries": stats.failed_primaries,
-                "fast_recovered": stats.fast_recovered,
-                "mux_failures": stats.mux_failures,
-                "channels_lost": stats.channels_lost,
-                "excluded_connections": stats.excluded_connections,
-                "r_fast_sum": stats._r_fast_sum,
-                "r_fast_scenarios": stats._r_fast_scenarios,
-            },
+            "stats": asdict(stats),
             "counters": private.snapshot()["counters"],
         }
 
@@ -294,17 +286,3 @@ class AdmissionServer:
         "snapshot": _op_snapshot,
         "metrics": _op_metrics,
     }
-
-
-def remote_recovery_stats(data: dict) -> RecoveryStats:
-    """Rebuild a :class:`RecoveryStats` from an ``evaluate`` response."""
-    return RecoveryStats(
-        scenarios=data["scenarios"],
-        failed_primaries=data["failed_primaries"],
-        fast_recovered=data["fast_recovered"],
-        mux_failures=data["mux_failures"],
-        channels_lost=data["channels_lost"],
-        excluded_connections=data["excluded_connections"],
-        _r_fast_sum=data["r_fast_sum"],
-        _r_fast_scenarios=data["r_fast_scenarios"],
-    )

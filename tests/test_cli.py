@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, run_experiment
+from repro.experiments import EXPERIMENTS
+from repro.experiments.report import report_rows
+from repro.experiments.setup import NetworkConfig
 from repro.obs import SNAPSHOT_SCHEMA
 from repro.protocol import ProtocolConfig
 from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
@@ -35,15 +40,15 @@ class TestParser:
             build_parser().parse_args(["table1", "--topology", "blimp"])
 
     def test_workers_only_where_a_pool_pays(self, capsys):
-        """``--workers`` parses on the five pooled commands and is an
+        """``--workers`` parses on the four pooled commands and is an
         argparse error (exit 2) on each of the other fifteen."""
-        pooled = {"matrix", "chaos", "reliability", "report", "all"}
+        pooled = {"matrix", "chaos", "reliability", "report"}
         # Positionals the command needs before it gets to the flag.
         positional = {"matrix": ["run", "x.json"], "obs": ["episodes"],
                       "serve": ["ping"]}
         parser = build_parser()
         commands = parser._subparsers._group_actions[0].choices
-        assert len(commands) == 20 and pooled < set(commands)
+        assert len(commands) == 19 and pooled < set(commands)
         for name in commands:
             argv = [name, *positional.get(name, []), "--workers", "2"]
             if name in pooled:
@@ -128,6 +133,119 @@ class TestParser:
             ["chaos", "--max-artifacts", "0"]).max_artifacts == 0
         assert parser.parse_args(
             ["table1", "--double-samples", "0"]).double_samples == 0
+        assert parser.parse_args(["table1", "--backups", "0"]).backups == 0
+        assert parser.parse_args(["table1", "--degrees", "0"]).degrees == (0,)
+
+    @pytest.mark.parametrize("argv", [
+        # Once: a ValueError traceback each, from generators.py, qos.py or
+        # validation.py, after the topology (or the whole workload) was
+        # built.
+        ["table1", "--backups", "-1"],
+        ["table1", "--degrees", "-2"],
+        ["table2", "--classes", "1,-6"],
+        ["table1", "--capacity", "-5"],
+        ["table1", "--capacity", "nan"],
+        ["table1", "--rows", "0"],
+        ["table1", "--cols", "-3"],
+        ["ablations", "--mux", "-1"],
+        ["message-loss", "--rate", "0"],
+        ["scaling", "--sizes", "1"],
+    ])
+    def test_out_of_range_experiment_flag_fails_before_the_run(
+        self, argv, capsys, monkeypatch
+    ):
+        """An experiment flag is range-checked where it is declared
+        (``repro.experiments.FLAGS``): exit 2 naming the flag."""
+        monkeypatch.setattr(
+            "repro.cli._run_command",
+            lambda args: pytest.fail("the command ran"),
+        )
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert f"argument {argv[1]}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["table1", "--rows", "1", "--cols", "1"],
+        ["table1", "--topology", "mesh", "--rows", "1", "--cols", "1"],
+        ["inhomogeneous", "--rows", "1", "--cols", "3"],
+    ])
+    def test_grid_the_topology_rejects_fails_before_the_run(
+        self, argv, capsys, monkeypatch
+    ):
+        """The torus needs 2x2 and the mesh two nodes: only the chosen
+        topology can say, so the check follows parsing — still exit 2,
+        naming the flags, before anything is established."""
+        monkeypatch.setattr(
+            "repro.cli._run_command",
+            lambda args: pytest.fail("the command ran"),
+        )
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert "--rows/--cols:" in capsys.readouterr().err
+
+    def test_smallest_mesh_still_runs(self, capsys):
+        assert main(["table1", "--topology", "mesh", "--rows", "1",
+                     "--cols", "2", "--degrees", "1",
+                     "--double-samples", "0"]) == 0
+        assert "1x2 mesh" in capsys.readouterr().out
+
+
+#: The first line every experiment command prints.
+TITLES = {
+    "figure9": "Figure 9: spare bandwidth vs network load — 4x4 torus",
+    "table1": "Table 1: R_fast, uniform mux — 4x4 torus, 1 backup(s)",
+    "table2": "Table 2: R_fast, mixed mux (1/3/5/6) — 4x4 torus",
+    "table3": "Table 3: R_fast, brute-force multiplexing — 4x4 torus",
+    "delay-bound": "Section 5.3: recovery delay vs bound — 4x4 torus",
+    "rcc-sizing": "Section 5.2: RCC sizing — 4x4 torus",
+    "reliability": "Fig. 3 models: Markov vs combinatorial",
+    "inhomogeneous": "Section 7.1/7.4: inhomogeneity and topology",
+    "message-loss": "Figure 8: message loss during recovery — 4x4 torus",
+    "scaling": "Section 6: multiplexing efficiency vs scale",
+    "baselines": "Section 8: restoration-scheme trade-offs — 4x4 torus",
+    "ablations": "Design-choice ablations — 4x4 torus, mux=5",
+}
+
+
+def small_argv(command: str) -> list[str]:
+    """``command`` at the smallest scale its own flags allow."""
+    options = EXPERIMENTS[command].options
+    return ([command]
+            + (SMALL if "--rows" in EXPERIMENTS[command].grid else [])
+            + (["--sizes", "3,4"] if "--sizes" in options else [])
+            + (["--workers", "1"] if "--workers" in options else []))
+
+
+class TestRegistry:
+    """One table declares the experiments; the parser, the dispatcher,
+    the report and the README read it."""
+
+    @pytest.mark.parametrize("command", EXPERIMENTS)
+    def test_every_experiment_runs_and_prints_its_table(
+        self, command, capsys
+    ):
+        assert main(small_argv(command)) == 0
+        assert capsys.readouterr().out.startswith(TITLES[command])
+
+    def test_parser_and_readme_list_the_registry(self):
+        commands = set(build_parser()._subparsers._group_actions[0].choices)
+        others = {"report", "stats", "churn", "chaos", "matrix", "obs",
+                  "serve"}
+        assert commands == set(EXPERIMENTS) | others
+        assert set(TITLES) == set(EXPERIMENTS)
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        table = readme[readme.index("| Artifact | Command"):]
+        table = table[:table.index("\n\n")]
+        rows = re.findall(r"^\| [^|]+ \| `([a-z0-9-]+)", table, flags=re.M)
+        assert sorted(rows) == sorted(EXPERIMENTS)
+
+    def test_all_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["all"])
+        assert raised.value.code == 2
+        assert "invalid choice: 'all'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -181,13 +299,21 @@ class TestCommands:
     def test_report(self, capsys, tmp_path):
         target = tmp_path / "report.md"
         assert main(["report", "--output", str(target),
-                     "--double-samples", "5"] + SMALL) == 0
+                     "--double-samples", "5", "--workers", "1"] + SMALL) == 0
         out = capsys.readouterr().out
         assert "wrote" in out
         text = target.read_text()
         assert "# Reproduction report" in text
-        assert "Table 1" in text
         assert "0 failures" in out
+        # A section is what its row — a ``python -m repro ...`` command
+        # line — prints when run on its own.
+        rows = report_rows(NetworkConfig(rows=4, cols=4), 5, 1)
+        assert len(rows) == 13
+        parser = build_parser()
+        for title, line in rows:
+            assert line.split()[0] in EXPERIMENTS
+            body = run_experiment(parser.parse_args(line.split())).format()
+            assert f"## {title}\n\n```\n{body}\n```\n" in text, title
 
     def test_mesh_topology(self, capsys):
         assert main(["table1", "--topology", "mesh", "--degrees", "3",

@@ -186,7 +186,8 @@ class TestMessageLossExperiment:
         from repro.experiments.setup import NetworkConfig
 
         result = run_message_loss(
-            NetworkConfig(rows=4, cols=4), sample_connections=2
+            NetworkConfig(rows=4, cols=4), message_rate=2.0,
+            sample_connections=2,
         )
         assert result.measurements
         for m in result.measurements:

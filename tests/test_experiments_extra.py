@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
-from repro.experiments import run_baseline_comparison, run_inhomogeneous
+from repro.experiments.baseline_comparison import run_baseline_comparison
+from repro.experiments.inhomogeneous import run_inhomogeneous
 from repro.experiments.scaling import run_scaling
 from repro.experiments.setup import NetworkConfig
 from repro.faults import FailureScenario
@@ -16,11 +17,10 @@ from repro.protocol import ProtocolConfig, ProtocolSimulation
 class TestScalingExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_scaling(mux_degree=5, torus_sizes=(3, 4),
-                           include_connectivity_sweep=False)
+        return run_scaling(mux_degree=5, torus_sizes=(3, 4))
 
     def test_points_and_format(self, result):
-        assert len(result.points) == 2
+        assert len(result.points) == 4  # two tori + the connectivity sweep
         text = result.format()
         assert "3x3 torus" in text and "saving" in text
 
@@ -42,8 +42,7 @@ class TestBaselineComparisonExperiment:
     @pytest.fixture(scope="class")
     def result(self):
         return run_baseline_comparison(
-            NetworkConfig(rows=4, cols=4), reactive_samples=8,
-            disruption_samples=3,
+            NetworkConfig(rows=4, cols=4), mux_degree=3
         )
 
     def test_three_schemes(self, result):

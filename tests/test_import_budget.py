@@ -131,11 +131,9 @@ def test_first_promotion_loads_numpy_and_changes_no_bit(scalar_run):
     assert promoted["restored_spare_fraction"] == promoted["spare_fraction"]
 
 
-@pytest.mark.parametrize(
-    "package", ["repro.core", "repro.analysis", "repro.experiments"]
-)
+@pytest.mark.parametrize("package", ["repro.core", "repro.analysis"])
 def test_lazy_package_exports_every_name_of_all(package):
-    """The three packages resolve their re-exports on first read (PEP
+    """The two packages resolve their re-exports on first read (PEP
     562); ``__all__``, ``from package import name`` and ``import *`` must
     not notice."""
     module = importlib.import_module(package)

@@ -2,25 +2,31 @@
 
 An *entry point* is what a user runs and a gate executes: ``python -m
 repro <command>`` (``repro/__main__.py``) and every ``.py`` under
-``benchmarks/``, ``scripts/`` and ``examples/``.  Two static walks start
-there, both on the standard library's ``ast`` alone:
+``benchmarks/``, ``scripts/`` and ``examples/``.  Three static walks start
+there, all on the standard library's ``ast`` alone:
 
 * **modules** — follow import statements; ``from pkg import name``
   follows ``name`` through eager and ``lazy_exports`` re-exports to the
   module that defines it, so a package ``__init__`` that re-exports a
-  module does not keep it alive;
+  module does not keep it alive.  A ``"pkg.module:function"`` string —
+  how the experiment registry names its runners — is an import of that
+  function;
 * **names** — a function, class or method of a reached module is alive
   when reached code mentions its name, and its body then counts as
   reached code.  Every same-named definition stays alive, so the walk can
   miss dead code but cannot flag live code.  Import statements and
   ``__all__`` are not mentions; a root may also name its target in a
-  string, as ``benchmarks/e2e/layers.py`` does.
+  string, as ``benchmarks/e2e/layers.py`` does;
+* **parameters** (over ``repro.experiments``) — a parameter with a
+  default is a knob somebody turns: some call of that name sets it, by
+  keyword, by position or through ``*`` / ``**``.  One no call sets is a
+  constant written as an option.
 
-What neither walk reaches must equal ``ALLOWED``, each entry with the
-reason it stays: a frozen-benchmark target, what a named test compares
-against or drives, or a file another ROADMAP item owns — not "might be
-useful".  The same file holds the documents to the tree (DESIGN.md §6,
-the module map of docs/architecture.md).
+What the first two walks do not reach must equal ``ALLOWED``, each entry
+with the reason it stays: a frozen-benchmark target, what a named test
+compares against or drives, or a file another ROADMAP item owns — not
+"might be useful".  The same file holds the documents to the tree
+(DESIGN.md §6, the module map of docs/architecture.md).
 """
 
 from __future__ import annotations
@@ -76,6 +82,18 @@ def parse_package(src: Path, package: str) -> "dict[str, ast.Module]":
     }
 
 
+#: ``"pkg.module:function"``, the entry-point spelling.
+_ENTRY_POINT = re.compile(r"[\w.]+:\w+")
+
+
+def _entry_point(node) -> "tuple[str, str] | None":
+    if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _ENTRY_POINT.fullmatch(node.value)):
+        module, _, name = node.value.partition(":")
+        return module, name
+    return None
+
+
 def _is_def(node) -> bool:
     return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 
@@ -107,8 +125,9 @@ def _reexports(module: str, tree: ast.Module) -> "dict[str, tuple[str, str]]":
 
 
 def _mentions(nodes, *, strings: bool = False) -> "set[str]":
-    """Every identifier the subtrees mention (``strings``: and every string
-    constant that is one)."""
+    """Every identifier the subtrees mention — the function of a
+    ``"module:function"`` string included (``strings``: and every string
+    constant that is an identifier)."""
     found = set()
     todo = list(nodes)
     while todo:
@@ -117,6 +136,8 @@ def _mentions(nodes, *, strings: bool = False) -> "set[str]":
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
+        elif entry := _entry_point(node):
+            found.add(entry[1])
         elif (strings and isinstance(node, ast.Constant)
                 and isinstance(node.value, str) and node.value.isidentifier()):
             found.add(node.value)
@@ -186,6 +207,11 @@ def unreached(src: Path, package: str, roots: "list[Path]") -> "set[str]":
             # a re-export: followed per name, from whoever imports it.
             if importer is None or not target.startswith(importer + "."):
                 reach(target)
+        # A "module:function" string imports when it is read, whoever
+        # holds it — the registry is its package's __init__.
+        for module, _ in filter(None, map(_entry_point, ast.walk(tree))):
+            if module in modules:
+                reach(module)
 
     mentioned = _mentions(root_trees, strings=True)
     pending = {}
@@ -211,17 +237,122 @@ def unreached(src: Path, package: str, roots: "list[Path]") -> "set[str]":
     return (set(modules) - reached) | dead
 
 
-def test_src_ships_only_what_an_entry_point_reaches():
+def unset_parameters(src: Path, package: str, roots: "list[Path]",
+                     under: str) -> "set[str]":
+    """``module.function(parameter)`` for every defaulted parameter of a
+    function or method defined under the module prefix ``under`` that no
+    call in the package or the roots sets.  A call is matched to a
+    definition by the callee's simple name (a class: its ``__init__``), so
+    a call through an alias is not seen."""
+    modules = parse_package(src, package)
+    trees = [*modules.values(),
+             *(ast.parse(path.read_text()) for path in roots
+               if src not in path.parents)]
+    calls: "dict[str, list[ast.Call]]" = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, (ast.Name, ast.Attribute)):
+                callee = getattr(node.func, "id", None) or node.func.attr
+                calls.setdefault(callee, []).append(node)
+
+    def is_set(callee: str, parameter: str, position: "int | None") -> bool:
+        return any(
+            any(keyword.arg in (None, parameter) for keyword in call.keywords)
+            or position is not None and (
+                len(call.args) > position
+                or any(isinstance(arg, ast.Starred) for arg in call.args))
+            for call in calls.get(callee, ())
+        )
+
+    unset = set()
+    for module, tree in modules.items():
+        if not (module == under or module.startswith(under + ".")):
+            continue
+        # Functions and, one level down, methods: ``self`` takes no
+        # position at the call, and a class is called as its __init__.
+        for top in tree.body:
+            method = isinstance(top, ast.ClassDef)
+            for node in (top.body if method else [top]):
+                if not isinstance(node, (ast.FunctionDef,
+                                         ast.AsyncFunctionDef)):
+                    continue
+                callee = top.name if node.name == "__init__" else node.name
+                positional = node.args.posonlyargs + node.args.args
+                first = len(positional) - len(node.args.defaults)
+                defaulted = [
+                    (arg.arg, index - method)
+                    for index, arg in enumerate(positional) if index >= first
+                ] + [
+                    (arg.arg, None) for arg, default in zip(
+                        node.args.kwonlyargs, node.args.kw_defaults)
+                    if default is not None
+                ]
+                scope = f"{module}.{top.name}" if method else module
+                unset |= {
+                    f"{scope}.{node.name}({parameter})"
+                    for parameter, position in defaulted
+                    if not is_set(callee, parameter, position)
+                }
+    return unset
+
+
+def _roots() -> "list[Path]":
     roots = [REPO / "src" / "repro" / "__main__.py"]
     for directory in ROOT_DIRS:
         roots.extend(sorted((REPO / directory).rglob("*.py")))
-    found = unreached(REPO / "src", "repro", roots)
+    return roots
+
+
+def test_src_ships_only_what_an_entry_point_reaches():
+    found = unreached(REPO / "src", "repro", _roots())
     assert found == set(ALLOWED), (
         "not reached by any entry point (delete it, call it, or allow-list "
         f"it with a reason): {sorted(found - set(ALLOWED))}; allow-listed "
         f"but reached or gone: {sorted(set(ALLOWED) - found)}"
     )
     assert len(ALLOWED) <= 15 and all(ALLOWED.values())
+
+
+def test_no_experiment_parameter_has_a_default_nobody_overrides():
+    found = unset_parameters(REPO / "src", "repro", _roots(),
+                             "repro.experiments")
+    assert not found, (
+        "defaulted, and no call under src/, benchmarks/, scripts/ or "
+        f"examples/ sets it (make it a constant): {sorted(found)}"
+    )
+
+
+def test_parameter_walk_flags_the_planted_knob(tmp_path):
+    """``scale`` is set by keyword, ``shift`` by position, ``depth``
+    through ``**``; nobody sets ``offset`` or ``Box(unit)``.  A string
+    names ``run`` the way the experiment registry names a runner."""
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text('RUNNER = "pkg.used:run"\n')
+    (package / "used.py").write_text(
+        "def run(shift=0, scale=1, offset=0):\n    return Box(depth=2)\n\n"
+        "class Box:\n"
+        "    def __init__(self, unit=1, **options):\n"
+        "        self.unit = unit\n\n"
+        "    def grow(self, depth=1):\n        return depth\n"
+    )
+    root = tmp_path / "run.py"
+    root.write_text(
+        "import pkg\n"
+        "from pkg.used import Box\n"
+        "print(pkg.RUNNER, Box().grow(**{'depth': 3}))\n"
+    )
+    src = tmp_path / "src"
+    assert unreached(src, "pkg", [root]) == set()
+    assert unset_parameters(src, "pkg", [root], "pkg") == {
+        "pkg.used.run(shift)", "pkg.used.run(scale)", "pkg.used.run(offset)",
+        "pkg.used.Box.__init__(unit)",
+    }
+    root.write_text(root.read_text() + "pkg.used.run(4, scale=2)\n")
+    assert unset_parameters(src, "pkg", [root], "pkg") == {
+        "pkg.used.run(offset)", "pkg.used.Box.__init__(unit)",
+    }
 
 
 def test_walker_flags_the_planted_module_and_function(tmp_path):

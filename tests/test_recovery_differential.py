@@ -301,13 +301,11 @@ class TestPlanLifetime:
         }
         evaluator.evaluate(scenario)
         assert count_compiles() == 1  # unchanged ledger: plan reused
-        assert evaluator.ledger_version == torus4.ledger.version
 
         # Establish after construction: the stale evaluator sees the new
         # connection (live), but its spare pools are still the snapshot —
         # on links the snapshot had no spare for, activation mux-fails.
         second = torus4.establish(0, 5, ft_qos=qos)
-        assert evaluator.ledger_version != torus4.ledger.version
         assert second.primary.path == first.primary.path
         stale = evaluator.evaluate(scenario)
         assert count_compiles() == 2  # ledger.version moved: recompiled once

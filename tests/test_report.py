@@ -40,14 +40,16 @@ class TestGenerateReport:
     @pytest.fixture(scope="class")
     def report(self):
         return generate_report(
-            NetworkConfig(rows=4, cols=4),
+            NetworkConfig(topology="mesh", rows=4, cols=4),
             double_node_samples=5,
-            include_double_backups=False,
+            workers=1,
         )
 
     def test_all_sections_succeed(self, report):
         assert report.errors == []
-        assert len(report.sections) >= 11
+        # The mesh cannot carry double backups: no Table 1(b).
+        assert len(report.sections) == 12
+        assert not any("1(b)" in section.title for section in report.sections)
 
     def test_sections_carry_the_tables(self, report):
         text = report.to_markdown()

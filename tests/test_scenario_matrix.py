@@ -20,6 +20,8 @@ import json
 
 import pytest
 
+from repro.experiments.panel import run_table1, run_table3
+from repro.experiments.setup import FAILURE_MODELS, NetworkConfig
 from repro.routing.flatgraph import flat_view
 from repro.scenario import (
     ProtocolSpec,
@@ -409,6 +411,41 @@ def test_cell_result_shape():
         assert data["cell"] == result.spec.name
         assert data["ok"] is True
         assert data["measures"]
+
+
+def test_eval_cells_are_cells_of_tables_1_and_3():
+    """An ``eval`` cell is float-equal to the cell of the table it names:
+    Table 1 when ``multiplexed``, Table 3 — spare spread uniformly, drawn
+    from spare only — when ``bruteforce``.  On the 4x4 mesh at mux 6 the
+    free-capacity fallback once made every brute-force cell 1.0."""
+    samples = 10
+    panel = dict(num_backups=1, mux_degrees=(3, 6), double_node_samples=samples)
+    config = NetworkConfig(topology="mesh", rows=4, cols=4)
+    tables = {
+        "multiplexed": run_table1(config, **panel),
+        "bruteforce": run_table3(config, **panel),
+    }
+    assert tables["bruteforce"].r_fast["1 link failure"][6] < 0.5
+    cache = TopologyCache()
+    models = ("single-link", "single-node", "double-node")
+    for spare_mode, table in tables.items():
+        for failure_model, row in zip(models, FAILURE_MODELS):
+            for degree in panel["mux_degrees"]:
+                spec = ScenarioSpec(
+                    name=f"{spare_mode}/{failure_model}/b{degree}",
+                    topology=TopologySpec(family="mesh", rows=4, cols=4),
+                    workload=WorkloadSpec(
+                        kind="eval",
+                        failure_model=failure_model,
+                        spare_mode=spare_mode,
+                        samples=samples,
+                    ),
+                    protocol=ProtocolSpec(num_backups=1, mux_degree=degree),
+                    seed=0,
+                )
+                outcome = run_cell(spec, cache).outcome
+                assert outcome["r_fast"] == table.r_fast[row][degree], spec.name
+                assert outcome["spare_fraction"] == table.spare[degree]
 
 
 def test_slo_breach_marks_cell_failing():
