@@ -129,6 +129,11 @@ class BCPDaemon:
         #: In-flight switchover handshakes this end-node initiated, keyed
         #: by connection id (at most one per connection).
         self._pending: dict[int, _PendingActivation] = {}
+        # The timer callbacks, bound once: every timer of this daemon holds
+        # the same method object instead of binding one of its own.
+        self._rejoin_expired = self._rejoin_expired
+        self._activation_retry = self._activation_retry
+        self._probe_tick = self._probe_tick
         # Network-wide control-plane counters, shared by every daemon of
         # the runtime (stub runtimes without .obs fall back to the
         # session registry).
@@ -190,7 +195,7 @@ class BCPDaemon:
             timer = Timeout(
                 self.runtime.engine,
                 self._config.rejoin_timeout,
-                lambda cid=record.channel_id: self._rejoin_expired(cid),
+                self._rejoin_expired, record.channel_id,
             )
             self._rejoin_timers[record.channel_id] = timer
         timer.start()
@@ -303,12 +308,17 @@ class BCPDaemon:
         """Whether ``component`` is this record's upstream/downstream
         neighbour component (link or node)."""
         up, down = record.upstream, record.downstream
-        if up is not None:
-            if component == up or component == LinkId(up, self.node):
+        if isinstance(component, LinkId):
+            # Endpoint by endpoint: no LinkId is built just to compare.
+            src, dst = component.src, component.dst
+            if dst == self.node and src == up:
                 return _FailureSide.UPSTREAM
-        if down is not None:
-            if component == down or component == LinkId(self.node, down):
+            if src == self.node and dst == down:
                 return _FailureSide.DOWNSTREAM
+        elif up is not None and component == up:
+            return _FailureSide.UPSTREAM
+        elif down is not None and component == down:
+            return _FailureSide.DOWNSTREAM
         return None
 
     def _handle_detected_failure(
@@ -350,7 +360,7 @@ class BCPDaemon:
     ) -> None:
         if direction in record.reported:
             return
-        record.reported.add(direction)
+        record.reported = record.reported | {direction}
         report = FailureReport(
             channel_id=record.channel_id,
             direction=direction,
@@ -384,8 +394,9 @@ class BCPDaemon:
         if not self._alive():
             return
         self._c_received.inc()
-        record = self.records.get(message.channel_id)
-        if record is None:
+        try:
+            record = self.records[message.channel_id]
+        except KeyError:
             return  # the channel was never established through this node
         if isinstance(message, FailureReport):
             self._receive_failure_report(record, message)
@@ -414,7 +425,7 @@ class BCPDaemon:
             self._start_rejoin_timer(record)
         if record.state is LocalChannelState.NON_EXISTENT:
             return  # already torn down; nothing to do or forward
-        record.reported.add(report.direction)
+        record.reported = record.reported | {report.direction}
         next_hop = self._next_hop(record, report.direction)
         if next_hop is None:
             self._end_node_learns_failure(record, report)
@@ -757,7 +768,7 @@ class BCPDaemon:
         timer = Timeout(
             self.runtime.engine,
             self._config.switchover_ack_timeout,
-            lambda cid=view.connection_id: self._activation_retry(cid),
+            self._activation_retry, view.connection_id,
         )
         self._pending[view.connection_id] = _PendingActivation(
             backup=backup, episode=view.episode, attempts=0, timer=timer,
@@ -907,8 +918,9 @@ class BCPDaemon:
     def _draw_or_mux_fail(self, record: LocalChannelRecord) -> bool:
         """Draw this node's outgoing backup-path link from the spare pool;
         on exhaustion, declare a multiplexing failure (Section 3.3)."""
-        downstream = record.downstream
-        link = LinkId(self.node, downstream)
+        # The topology's own interned id: the runtime keys its draws on it
+        # and the record may keep it, so nothing is built per draw.
+        link = self.runtime.network.topology.link(self.node, record.downstream)
         drawn, preempted = self.runtime.try_draw(
             link, record.channel_id, record.mux_degree
         )
@@ -995,7 +1007,7 @@ class BCPDaemon:
             timer = PeriodicTimer(
                 self.runtime.engine,
                 self._config.rejoin_probe_interval,
-                lambda cid=channel_id: self._probe_tick(cid),
+                self._probe_tick, channel_id,
             )
             self._probe_timers[channel_id] = timer
         if not timer.running:

@@ -18,7 +18,7 @@ was built on, so establishing or tearing down afterwards does not move
 the ground under a run in flight.
 
 Everything in the plan is immutable and shared.  What a simulation
-mutates — a record's state and ``reported`` set, a view's ``backups``
+mutates — a record's state and ``reported`` value, a view's ``backups``
 list and health sets — lives in objects a :class:`LazyTable` builds from
 the plan's rows on first touch, one table per daemon per simulation.
 """
@@ -39,6 +39,7 @@ from repro.protocol.states import (
     LocalChannelState,
 )
 from repro.routing.paths import Path
+from repro.util.lazytable import FilledOnTouch
 
 
 class ChannelRow(NamedTuple):
@@ -77,27 +78,22 @@ _ESTABLISH = {
 }
 
 
-class LazyTable(Mapping):
+class LazyTable(FilledOnTouch):
     """One daemon's mutable entries over one immutable plan table.
 
-    Reads like the dict it replaces — ``[]``, ``.get`` and ``in`` by key,
-    full iteration in registration order — but an entry is built from its
-    row only when first touched, so constructing a simulation costs
-    nothing per channel and a run materialises what its failures reach.
+    The dict itself holds the entries built so far, so ``[]`` on one of
+    them never leaves C; any other row's entry is built by ``fill(key)``
+    when first touched, so constructing a simulation costs nothing per
+    channel and a run materialises what its failures reach.  Everything
+    else reads like the full table it replaces: ``.get``, ``in``, ``len``
+    and iteration (in registration order) range over every row.
     """
 
-    __slots__ = ("_rows", "_make", "_live")
+    __slots__ = ("_rows",)
 
-    def __init__(self, rows: Mapping, make: Callable) -> None:
+    def __init__(self, rows: Mapping, fill: Callable) -> None:
+        super().__init__(fill)
         self._rows = rows
-        self._make = make
-        self._live: dict = {}
-
-    def __getitem__(self, key):
-        entry = self._live.get(key)
-        if entry is None:
-            entry = self._live[key] = self._make(key, self._rows[key])
-        return entry
 
     def __contains__(self, key) -> bool:
         return key in self._rows
@@ -108,13 +104,19 @@ class LazyTable(Mapping):
     def __len__(self) -> int:
         return len(self._rows)
 
+    # ``dict``'s own would see the built entries only.
+    get = Mapping.get
+    keys = Mapping.keys
+    items = Mapping.items
+    values = Mapping.values
+
     def touched(self) -> list:
         """The entries materialised so far, in registration order.  Every
         other entry is still exactly what its row says."""
         rows = self._rows
         return [
             entry for _, entry in sorted(
-                self._live.items(), key=lambda item: rows[item[0]].position
+                dict.items(self), key=lambda item: rows[item[0]].position
             )
         ]
 
@@ -147,7 +149,8 @@ class NodeTable:
         """A fresh, untouched end-node view table for one daemon."""
         return LazyTable(self.endpoints, self._view)
 
-    def _record(self, channel_id: int, row: ChannelRow) -> LocalChannelRecord:
+    def _record(self, channel_id: int) -> LocalChannelRecord:
+        row = self.channels[channel_id]
         record = LocalChannelRecord(
             channel_id=channel_id,
             connection_id=row.connection_id,
@@ -160,8 +163,8 @@ class NodeTable:
         record.transition(row.state, _ESTABLISH[row.state])
         return record
 
-    @staticmethod
-    def _view(connection_id: int, row: EndpointRow) -> EndpointView:
+    def _view(self, connection_id: int) -> EndpointView:
+        row = self.endpoints[connection_id]
         return EndpointView(
             connection_id=connection_id,
             source=row.source,

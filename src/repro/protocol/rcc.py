@@ -46,8 +46,11 @@ class RCCStats:
     max_message_delay: float = 0.0
 
 
-@dataclass
+@dataclass(slots=True)
 class _PendingFrame:
+    """An unacknowledged frame.  ``timer`` is dropped the moment the
+    frame is acked, given up on or halted, so nothing outlives it."""
+
     frame: RCCFrame
     retries: int = 0
     timer: "EventHandle | None" = field(default=None, repr=False)
@@ -190,6 +193,7 @@ class RCCLink:
         if pending.frame.seq not in self._pending:
             return  # acked in the meantime
         if pending.retries >= self.config.max_retransmissions:
+            pending.timer = None
             del self._pending[pending.frame.seq]
             self._frame_times.pop(pending.frame.seq, None)
             self.stats.gave_up += 1
@@ -212,6 +216,7 @@ class RCCLink:
         pending = self._pending.pop(seq, None)
         if pending is not None and pending.timer is not None:
             pending.timer.cancel()
+            pending.timer = None
 
     def halt(self) -> None:
         """Stop all sender-side activity: a crashed source node transmits
@@ -221,6 +226,7 @@ class RCCLink:
         for pending in self._pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()
+                pending.timer = None
         self._pending.clear()
         self._frame_times.clear()
         self._queue.clear()

@@ -605,11 +605,11 @@ class ProtocolSimulation:
             f"replacement (ready in {latency:g})",
         )
         self.engine.schedule(
-            latency,
-            lambda: self.metrics.note_reestablished(
-                connection_id, self.engine.now, path.hops
-            ),
+            latency, self._note_reestablished, connection_id, path.hops
         )
+
+    def _note_reestablished(self, connection_id: int, hops: int) -> None:
+        self.metrics.note_reestablished(connection_id, self.engine.now, hops)
 
     # ------------------------------------------------------------------
     # recovery-episode spans

@@ -93,6 +93,11 @@ def allowed_transitions() -> dict[LocalChannelState, frozenset[LocalChannelState
     return dict(_ALLOWED)
 
 
+#: The one empty ``reported`` value every record starts from and returns
+#: to: immutable, so sharing it between records and simulations is safe.
+NOTHING_REPORTED: frozenset = frozenset()
+
+
 class IllegalTransitionError(Exception):
     """A transition outside the Fig. 4 state machine was attempted."""
 
@@ -122,8 +127,10 @@ class LocalChannelRecord:
     mux_degree: int
     state: LocalChannelState = LocalChannelState.NON_EXISTENT
     #: Reporting dedup: directions in which this node already forwarded a
-    #: failure report for the current failure episode.
-    reported: set = field(default_factory=set)
+    #: failure report for the current failure episode.  Never mutated in
+    #: place: a write rebinds it (``reported | {direction}``), so a record
+    #: owns a set only while it is UNHEALTHY and has reported.
+    reported: frozenset = NOTHING_REPORTED
     #: Set when the channel entered U because this node could not draw
     #: spare for it (a multiplexing failure); a rejoin through this node
     #: must re-acquire spare on that link before the channel can heal.
@@ -201,4 +208,4 @@ class LocalChannelRecord:
             )
         self.state = target
         if target is not LocalChannelState.UNHEALTHY:
-            self.reported.clear()
+            self.reported = NOTHING_REPORTED

@@ -51,6 +51,7 @@ from dataclasses import dataclass
 from repro.core.bcp import BCPNetwork
 from repro.core.overlap import ComponentSpace
 from repro.network.components import LinkId, NodeId
+from repro.util.lazytable import FilledOnTouch
 
 
 @dataclass(slots=True, eq=False)
@@ -66,20 +67,6 @@ class ConnectionRecord:
     #: serial (activation try) order; masks are bitsets in
     #: :attr:`RecoveryPlan.space`.
     backups: "tuple[tuple[int, int, tuple[int, ...]], ...]"
-
-
-class _FilledOnTouch(dict):
-    """A lookup table whose missing entries are computed by ``fill(key)``
-    on first touch and kept; a hit never leaves C."""
-
-    __slots__ = ("fill",)
-
-    def __init__(self, fill) -> None:
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 class RecoveryPlan:
@@ -142,9 +129,9 @@ class RecoveryPlan:
         # over the plan or the network.
         #: ``primaries_on(component)`` — sorted positions (``connections()``
         #: order) of the records whose primary crosses ``component``.
-        self.primaries_on = _FilledOnTouch(read_primaries).__getitem__
+        self.primaries_on = FilledOnTouch(read_primaries).__getitem__
         #: ``record(position)`` — the :class:`ConnectionRecord` there.
-        self.record = _FilledOnTouch(compile_record).__getitem__
+        self.record = FilledOnTouch(compile_record).__getitem__
 
 
 def recovery_plan(network: BCPNetwork) -> RecoveryPlan:

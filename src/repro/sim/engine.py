@@ -35,6 +35,12 @@ class EventHandle:
     ``time`` is the absolute fire time; ``active`` is whether the event
     is still pending (not fired, not cancelled).  Both are the engine's
     to write; callers read them and call :meth:`cancel`.
+
+    A fired or cancelled handle holds neither its callback nor its
+    arguments: an owner that keeps its handle (a timer, a pending frame)
+    is then never tied to it in an ``owner -> handle -> bound method /
+    args -> owner`` loop, and everything the event carried is freed by
+    reference count the moment the event is over.
     """
 
     __slots__ = ("time", "active", "_callback", "_args", "_engine")
@@ -57,6 +63,7 @@ class EventHandle:
         """
         if self.active:
             self.active = False
+            self._callback = self._args = None
             engine = self._engine
             engine._live -= 1
             if engine._timed:
@@ -150,9 +157,10 @@ class EventEngine:
         self._live -= 1
         self._now = event.time
         self._events_processed += 1
-        callback = event._callback
+        callback, args = event._callback, event._args
+        event._callback = event._args = None
         if not self._timed:
-            callback(*event._args)
+            callback(*args)
             return
         self._c_fired.inc()
         category = getattr(callback, "__qualname__", None) \
@@ -163,7 +171,7 @@ class EventEngine:
             self._category_timers[category] = timer
         start = perf_counter()
         try:
-            callback(*event._args)
+            callback(*args)
         finally:
             timer.record(perf_counter() - start)
 

@@ -8,6 +8,7 @@ recurring work (the RCC eligibility clock).
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import Any
 
 from repro.sim.engine import EventEngine, EventHandle
 from repro.util.validation import (
@@ -19,17 +20,19 @@ from repro.util.validation import (
 class Timeout:
     """A one-shot timer that can be restarted or cancelled.
 
-    The callback fires once, ``duration`` after the most recent
+    ``callback(*args)`` fires once, ``duration`` after the most recent
     :meth:`start`.  Starting a running timer restarts it.
     """
 
     def __init__(
-        self, engine: EventEngine, duration: float, callback: Callable[[], None]
+        self, engine: EventEngine, duration: float,
+        callback: Callable[..., None], *args: Any,
     ) -> None:
         check_positive_finite(duration, "duration")
         self._engine = engine
         self.duration = duration
         self._callback = callback
+        self._args = args
         self._handle: EventHandle | None = None
 
     @property
@@ -52,23 +55,26 @@ class Timeout:
 
     def _fire(self) -> None:
         self._handle = None
-        self._callback()
+        self._callback(*self._args)
 
 
 class PeriodicTimer:
     """A fixed-period recurring timer.
 
-    The callback fires every ``period`` until :meth:`stop`.  The first
-    firing happens one period after :meth:`start` (or at a given phase).
+    ``callback(*args)`` fires every ``period`` until :meth:`stop`.  The
+    first firing happens one period after :meth:`start` (or at a given
+    phase).
     """
 
     def __init__(
-        self, engine: EventEngine, period: float, callback: Callable[[], None]
+        self, engine: EventEngine, period: float,
+        callback: Callable[..., None], *args: Any,
     ) -> None:
         check_positive_finite(period, "period")
         self._engine = engine
         self.period = period
         self._callback = callback
+        self._args = args
         self._handle: EventHandle | None = None
         self._running = False
 
@@ -100,4 +106,4 @@ class PeriodicTimer:
         if not self._running:  # pragma: no cover - stop() cancels the event
             return
         self._handle = self._engine.schedule(self.period, self._tick)
-        self._callback()
+        self._callback(*self._args)

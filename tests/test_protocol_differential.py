@@ -294,6 +294,53 @@ class TestPlanLifetime:
         assert outcome(pinned) == reference
         assert pinned.metrics.recoveries[first.connection_id].recovered
 
+    def test_lazy_table_fills_on_touch_and_reads_like_the_full_table(
+        self, ring6
+    ):
+        qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
+        connections = [ring6.establish(0, dst, ft_qos=qos) for dst in (2, 3)]
+        channel_ids = [
+            channel.channel_id
+            for connection in connections for channel in connection.channels
+        ]
+        node_table = protocol_plan(ring6).tables[0]
+        built = []
+        real_record = node_table._record
+
+        def fill(channel_id):
+            record = real_record(channel_id)  # KeyError: not a row
+            built.append(channel_id)
+            return record
+
+        table = plan_module.LazyTable(node_table.channels, fill)
+        # Untouched, it already reads like the whole table ...
+        assert len(table) == 4 and list(table) == channel_ids
+        assert all(channel_id in table for channel_id in channel_ids)
+        assert list(table.keys()) == channel_ids
+        assert table.touched() == [] and not built
+        # ... ``[]`` and ``get`` build an entry once, later hits are the
+        # dict's own ...
+        third = table[channel_ids[2]]
+        assert table[channel_ids[2]] is third
+        first = table.get(channel_ids[0])
+        assert table.get(channel_ids[0]) is first
+        assert built == [channel_ids[2], channel_ids[0]]
+        assert dict.__len__(table) == 2
+        # ... ``touched()`` is in registration order, not touch order ...
+        assert table.touched() == [first, third]
+        # ... and an unknown key builds nothing.
+        unknown = max(channel_ids) + 1
+        assert unknown not in table
+        assert table.get(unknown) is None
+        assert table.get(unknown, "default") == "default"
+        with pytest.raises(KeyError):
+            table[unknown]
+        assert len(built) == 2 and dict.__len__(table) == 2
+        # Whole-table reads build what is left, in registration order.
+        assert [record.channel_id for record in table.values()] == channel_ids
+        assert [key for key, _ in table.items()] == channel_ids
+        assert sorted(built) == channel_ids and len(table.touched()) == 4
+
     def test_simulation_state_never_aliases_the_plan(self, ring6):
         qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
         connection = ring6.establish(0, 2, ft_qos=qos)
@@ -319,7 +366,12 @@ class TestPlanLifetime:
         assert view.attempted == {backup.channel_id}
         # ... and mutate by hand everything a simulation owns.
         record = first.daemons[source].records[primary.channel_id]
-        record.reported.add("anything")
+        untouched = first.daemons[source].records[backup.channel_id]
+        assert record.reported is untouched.reported  # the shared empty set
+        with pytest.raises(AttributeError):
+            record.reported.add("anything")  # ... which nobody can write to
+        record.reported = record.reported | {"anything"}
+        assert not untouched.reported
         view.unhealthy.add(12345)
         first._owned(primary.channel_id).clear()
         first._owned(backup.channel_id).add(primary.path.links[0])

@@ -68,9 +68,22 @@ class TestStateMachine:
         r = record()
         r.transition(B)
         r.transition(U)
-        r.reported.add("to_source")
+        r.reported = r.reported | {"to_source"}  # the daemon's write path
+        assert r.reported == {"to_source"}
         r.transition(B)
-        assert r.reported == set()
+        assert r.reported == frozenset()
+
+    def test_empty_reported_is_one_shared_immutable_value(self):
+        first, second = record(), record()
+        first.transition(B)
+        first.transition(U)
+        # A write rebinds the writer's attribute; nobody else can see it.
+        first.reported = first.reported | {"to_source"}
+        assert second.reported == frozenset()
+        first.transition(B)
+        assert first.reported is second.reported
+        with pytest.raises(AttributeError):
+            first.reported.add("to_source")
 
 
 class TestRecordGeometry:

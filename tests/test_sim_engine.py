@@ -210,6 +210,16 @@ class TestTimeout:
         assert fired == [3.0]
         assert not timer.running
 
+    def test_callback_receives_its_arguments_on_every_expiry(self):
+        engine = EventEngine()
+        fired = []
+        timer = Timeout(engine, 3.0, lambda *args: fired.append(args), 7, "x")
+        timer.start()
+        engine.run()
+        timer.start()
+        engine.run()
+        assert fired == [(7, "x"), (7, "x")]
+
     def test_restart_resets_deadline(self):
         engine = EventEngine()
         fired = []
@@ -283,6 +293,17 @@ class TestPeriodicTimer:
         engine.schedule(7.0, timer.stop)
         engine.run()
         assert fired == [2.0, 4.0, 6.0]
+
+    def test_callback_receives_its_arguments_on_every_tick(self):
+        engine = EventEngine()
+        fired = []
+        timer = PeriodicTimer(
+            engine, 2.0, lambda *args: fired.append((engine.now, *args)), 7
+        )
+        timer.start()
+        engine.schedule(5.0, timer.stop)
+        engine.run()
+        assert fired == [(2.0, 7), (4.0, 7)]
 
     def test_phase_controls_first_tick(self):
         engine = EventEngine()
