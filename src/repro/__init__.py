@@ -15,7 +15,7 @@ Quickstart::
     from repro.faults import FailureScenario
     from repro.recovery import RecoveryEvaluator
 
-    net = BCPNetwork(torus(8, 8, capacity=200.0))
+    net = BCPNetwork(torus(8, 8))  # the paper's torus and link capacity
     conn = net.establish(0, 63, ft_qos=FaultToleranceQoS(num_backups=1,
                                                          mux_degree=3))
     evaluator = RecoveryEvaluator(net)

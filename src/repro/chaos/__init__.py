@@ -6,7 +6,7 @@ parts:
 
 * :mod:`repro.chaos.schedule` — seeded, replayable fault schedules
   (timed crash/repair events plus trace-armed reactive triggers) with
-  the ``repro.chaos/1`` JSON codec,
+  their JSON codec,
 * :mod:`repro.chaos.profiles` — generators for the interesting failure
   shapes (link flapping, correlated regional failures, cascades,
   failure-during-recovery, backup-before-primary, repair/rejoin races),
@@ -15,8 +15,8 @@ parts:
   fan-out over :func:`repro.parallel.parallel_map` (bit-identical for
   any worker count),
 * :mod:`repro.chaos.shrink` — ddmin reduction of failing schedules to
-  minimal reproducing event sequences, exported as self-contained
-  replay artifacts.
+  minimal reproducing event sequences, exported as ``repro.chaos/2``
+  replay artifacts that carry the scenario cell they ran.
 
 Entry points: ``build_campaign`` + ``run_campaign`` for sweeps,
 ``run_schedule`` for one schedule, ``shrink_failing_run`` +
@@ -26,7 +26,6 @@ the whole loop.
 """
 
 from repro.chaos.engine import (
-    ChaosEnvironment,
     ChaosRunResult,
     build_campaign,
     campaign_summary,
@@ -53,7 +52,6 @@ from repro.chaos.shrink import (
 )
 
 __all__ = [
-    "ChaosEnvironment",
     "ChaosRunResult",
     "ChaosEvent",
     "ChaosSchedule",

@@ -25,8 +25,7 @@ from repro.chaos.schedule import FAIL, ChaosEvent, ChaosSchedule
 from repro.chaos.profiles import DEFAULT_PROFILES, build_schedule
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.bcp import BCPNetwork
-from repro.network.generators import mesh, torus
-from repro.obs.flight import DEFAULT_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.parallel import parallel_map
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.invariants import InvariantAuditor, InvariantViolation
@@ -39,7 +38,8 @@ def establish_antipodal(network: BCPNetwork, connections: int,
                         qos: FaultToleranceQoS) -> None:
     """Establish the deterministic chaos connection set: node ``i`` to the
     node half the network away, in ascending node order, until
-    ``connections`` are up or the nodes run out."""
+    ``connections`` are up or the nodes run out — so one topology, ``qos``
+    and count always yield the same established state."""
     nodes = sorted(network.topology.nodes())
     half = len(nodes) // 2
     established = 0
@@ -52,59 +52,6 @@ def establish_antipodal(network: BCPNetwork, connections: int,
             continue
         network.establish(src, dst, ft_qos=qos)
         established += 1
-
-
-@dataclass(frozen=True)
-class ChaosEnvironment:
-    """The network a chaos campaign runs against (artifact-serialisable).
-
-    Deliberately small by default: chaos runs execute hundreds of
-    schedules, and a handful of multi-hop connections over a 4x4 torus
-    already exercises every recovery path.
-    """
-
-    topology: str = "torus"
-    rows: int = 4
-    cols: int = 4
-    capacity: float = 200.0
-    num_backups: int = 2
-    mux_degree: int = 1
-    connections: int = 6
-
-    def build(self) -> BCPNetwork:
-        """Instantiate the topology and establish the connection set.
-
-        Endpoint pairs are chosen deterministically
-        (:func:`establish_antipodal`), so the same environment always
-        yields the same established state.
-        """
-        if self.topology == "torus":
-            topo = torus(self.rows, self.cols, capacity=self.capacity)
-        elif self.topology == "mesh":
-            topo = mesh(self.rows, self.cols, capacity=self.capacity)
-        else:
-            raise ValueError(f"unknown topology {self.topology!r}")
-        network = BCPNetwork(topo)
-        qos = FaultToleranceQoS(
-            num_backups=self.num_backups, mux_degree=self.mux_degree
-        )
-        establish_antipodal(network, self.connections, qos)
-        return network
-
-    def to_dict(self) -> dict:
-        return {
-            "topology": self.topology,
-            "rows": self.rows,
-            "cols": self.cols,
-            "capacity": self.capacity,
-            "num_backups": self.num_backups,
-            "mux_degree": self.mux_degree,
-            "connections": self.connections,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "ChaosEnvironment":
-        return ChaosEnvironment(**data)
 
 
 @dataclass
@@ -150,25 +97,19 @@ def run_schedule(
     schedule: ChaosSchedule,
     network: BCPNetwork,
     config: "ProtocolConfig | None" = None,
-    metrics=None,
-    trace_log=None,
-    flight_capacity: int = DEFAULT_CAPACITY,
 ) -> ChaosRunResult:
     """Execute one schedule against a fresh runtime and audit it.
 
-    A :class:`~repro.obs.flight.FlightRecorder` rides along on every
-    run; when the auditor records violations, the result carries the
-    recorder's snapshot (the last ``flight_capacity`` trace events plus
-    trailing spans) as a replayable diagnosis artifact.  ``trace_log``
-    overrides the runtime's trace sink (see
-    :class:`~repro.protocol.runtime.ProtocolSimulation`).
+    The run records into the session registry and trace sink (see
+    :class:`~repro.protocol.runtime.ProtocolSimulation`).  A
+    :class:`~repro.obs.flight.FlightRecorder` rides along on every run;
+    when the auditor records violations, the result carries the
+    recorder's snapshot (the last trace events plus trailing spans) as a
+    replayable diagnosis artifact.
     """
     config = config or ProtocolConfig()
-    simulation = ProtocolSimulation(
-        network, config, seed=schedule.seed, metrics=metrics,
-        trace_log=trace_log,
-    )
-    recorder = FlightRecorder(capacity=flight_capacity)
+    simulation = ProtocolSimulation(network, config, seed=schedule.seed)
+    recorder = FlightRecorder()
     recorder.attach(simulation.trace)
     auditor = InvariantAuditor(simulation)
     auditor.attach()
@@ -296,18 +237,17 @@ def run_campaign(
     network: BCPNetwork,
     config: "ProtocolConfig | None" = None,
     workers: "int | None" = 1,
-    metrics=None,
 ) -> list[ChaosRunResult]:
     """Run a batch of schedules, optionally across worker processes.
 
     Results come back in schedule order and are bit-identical for any
-    worker count (each item runs under its own seed and fresh registry;
-    merging is ordered — see :func:`repro.parallel.parallel_map`).
+    worker count (each item runs under its own seed and fresh registry,
+    folded into the session registry in order — see
+    :func:`repro.parallel.parallel_map`).
     """
     config = config or ProtocolConfig()
     runner = functools.partial(_campaign_item, network=network, config=config)
-    return parallel_map(runner, list(schedules), workers=workers,
-                        metrics=metrics)
+    return parallel_map(runner, list(schedules), workers=workers)
 
 
 def campaign_summary(results) -> dict:
@@ -334,7 +274,6 @@ def campaign_summary(results) -> dict:
 
 # Re-exported for artifact consumers.
 __all__ = [
-    "ChaosEnvironment",
     "ChaosRunResult",
     "run_schedule",
     "build_campaign",

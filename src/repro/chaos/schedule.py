@@ -4,7 +4,7 @@ A :class:`ChaosSchedule` is the unit the chaos engine executes: a list of
 timed crash/repair :class:`ChaosEvent`\\ s, plus optional reactive
 :class:`ChaosTrigger`\\ s that fire off live trace events (e.g. *fail the
 backup while its activation is in flight*).  Schedules are pure data —
-built once from a seed by a profile, serialised to the ``repro.chaos/1``
+built once from a seed by a profile, serialised into the ``repro.chaos/2``
 JSON artifact format, and replayed bit-identically on any worker.
 
 Triggers carry their target component pre-chosen at build time, so the
@@ -21,10 +21,9 @@ import json
 from dataclasses import dataclass, field
 
 from repro.faults.models import component_from_json, component_to_json
-from repro.protocol.config import ProtocolConfig, RCCParams, SwitchingScheme
 
 #: Artifact schema identifier (bumped on incompatible format changes).
-SCHEMA = "repro.chaos/1"
+SCHEMA = "repro.chaos/2"
 
 #: The two injection actions.
 FAIL = "fail"
@@ -145,48 +144,3 @@ class ChaosSchedule:
     @staticmethod
     def from_json(text: str) -> "ChaosSchedule":
         return ChaosSchedule.from_dict(json.loads(text))
-
-
-# ----------------------------------------------------------------------
-# protocol-config codec (artifacts must replay under the exact config)
-# ----------------------------------------------------------------------
-def protocol_config_to_json(config: ProtocolConfig) -> dict:
-    """JSON-safe encoding of a :class:`ProtocolConfig` (full fidelity)."""
-    data = dataclasses.asdict(config)
-    data["scheme"] = config.scheme.value
-    return data
-
-
-def _field_names(cls) -> set:
-    return {spec.name for spec in dataclasses.fields(cls)}
-
-
-def protocol_config_from_json(data: dict) -> ProtocolConfig:
-    """Inverse of :func:`protocol_config_to_json`.
-
-    Keys that are not :class:`ProtocolConfig` (or, under ``rcc``,
-    :class:`RCCParams`) fields are rejected: the artifact was recorded
-    under a protocol this build does not have, and dropping them would
-    replay a different scenario.  So is an artifact without ``scheme`` or
-    ``rcc``, which every recorded one carries.  Either way: one
-    ``ValueError`` naming the keys.
-    """
-    data = dict(data)
-    missing = sorted({"scheme", "rcc"} - set(data))
-    if missing:
-        raise ValueError(f"missing protocol config key(s) {missing}")
-    if not isinstance(data["rcc"], dict):
-        raise ValueError("protocol config key 'rcc' must be an object")
-    unknown = sorted(set(data) - _field_names(ProtocolConfig)) + sorted(
-        f"rcc.{key}" for key in set(data["rcc"]) - _field_names(RCCParams)
-    )
-    if unknown:
-        raise ValueError(
-            f"unknown protocol config key(s) {unknown}: the artifact was "
-            f"recorded under a protocol variant this build does not have "
-            f"(one recorded under a test-side variant replays only "
-            f"through the test harness)"
-        )
-    data["scheme"] = SwitchingScheme(data["scheme"])
-    data["rcc"] = RCCParams(**data["rcc"])
-    return ProtocolConfig(**data)

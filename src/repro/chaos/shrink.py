@@ -13,10 +13,12 @@ it trips at least one invariant from that signature; insisting on the
 identical violation list would make shrinking brittle (removing events
 legitimately changes times and counts without changing the bug).
 
-The minimal schedule plus its violations serialise to a ``repro.chaos/1``
-JSON artifact that is self-contained: it carries the environment and
-protocol config needed to rebuild the network and replay the failure
-(``repro chaos --replay <artifact>``).
+The minimal schedule plus its violations serialise to a ``repro.chaos/2``
+JSON artifact that is self-contained: it carries the one-cell
+``repro.scenario/1`` spec the campaign ran, which is everything needed to
+rebuild the network, derive the protocol config and replay the failure
+(``repro chaos --replay <artifact>``); the block loads as a ``--spec``
+file too.
 """
 
 from __future__ import annotations
@@ -24,19 +26,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.chaos.engine import (
-    ChaosEnvironment,
-    ChaosRunResult,
-    run_schedule,
-)
-from repro.chaos.schedule import (
-    SCHEMA,
-    ChaosSchedule,
-    protocol_config_from_json,
-    protocol_config_to_json,
-)
+from repro.chaos.engine import ChaosRunResult, run_schedule
+from repro.chaos.schedule import SCHEMA, ChaosSchedule
 from repro.obs.export import write_json
 from repro.protocol.config import ProtocolConfig
+
+#: Schedule re-executions one shrink may spend; hitting the cap returns
+#: the best reduction found so far.
+MAX_SHRINK_RUNS = 300
 
 
 @dataclass
@@ -96,14 +93,12 @@ def shrink_failing_run(
     result: ChaosRunResult,
     network,
     config: "ProtocolConfig | None" = None,
-    max_runs: int = 300,
 ) -> ShrinkResult:
     """Reduce a failing run to a minimal reproducing event sequence.
 
     Operates on the run's materialized stream (triggers already resolved
     to timed events), so the minimal schedule replays with no reactive
-    state.  ``max_runs`` caps re-executions; hitting the cap returns the
-    best reduction found so far.
+    state.  At most :data:`MAX_SHRINK_RUNS` re-executions are spent.
     """
     if not result.violations:
         raise ValueError("nothing to shrink: the run violated no invariant")
@@ -120,7 +115,7 @@ def shrink_failing_run(
         cached = cache.get(key)
         if cached is not None:
             return cached
-        if runs >= max_runs:
+        if runs >= MAX_SHRINK_RUNS:
             return False  # budget exhausted: treat as non-reproducing
         runs += 1
         outcome = run_schedule(base.with_events(candidate), network, config)
@@ -155,41 +150,21 @@ def shrink_failing_run(
 
 
 # ----------------------------------------------------------------------
-# replayable artifacts (the ``repro.chaos/1`` schema)
+# replayable artifacts (the ``repro.chaos/2`` schema)
 # ----------------------------------------------------------------------
-def artifact_payload(
-    shrink: ShrinkResult,
-    config: ProtocolConfig,
-    environment: "ChaosEnvironment | None" = None,
-) -> dict:
-    """The JSON document for one shrunk failure."""
-    payload = {
+def artifact_payload(shrink: ShrinkResult, spec) -> dict:
+    """The JSON document for one shrunk failure of the campaign that
+    ``spec`` (a one-cell :class:`~repro.scenario.spec.ScenarioSpec`)
+    describes."""
+    return {
         "schema": SCHEMA,
+        "scenario": spec.to_dict(),
         "schedule": shrink.schedule.to_dict(),
         "violations": [v.as_dict() for v in shrink.violations],
         "shrunk_from": shrink.original_events,
         "shrink_runs": shrink.runs,
         "reproduced": shrink.reproduced,
-        "config": protocol_config_to_json(config),
-        "environment": (
-            environment.to_dict() if environment is not None else None
-        ),
-        # The (K, b, D) triple spelled out explicitly: K and b shape the
-        # *established* state (they live in the environment), D is the
-        # RCC per-hop bound (it lives in the config).  Replays validate
-        # this block against both so an artifact edited by hand — or one
-        # replayed under drifted CLI defaults — fails loudly instead of
-        # reproducing a different scenario byte-for-byte.
-        "protocol": {
-            "d_max": config.rcc.max_delay,
-        },
     }
-    if environment is not None:
-        payload["protocol"].update(
-            num_backups=environment.num_backups,
-            mux_degree=environment.mux_degree,
-        )
-    return payload
 
 
 def write_artifact(path, payload: dict) -> None:
@@ -203,60 +178,20 @@ def load_artifact(path) -> dict:
         payload = json.load(handle)
     schema = payload.get("schema")
     if schema != SCHEMA:
-        raise ValueError(
-            f"{path}: expected schema {SCHEMA!r}, found {schema!r}"
-        )
+        raise ValueError(f"expected schema {SCHEMA!r}, found {schema!r}")
     return payload
 
 
-def _check_protocol_block(payload: dict, config: ProtocolConfig) -> None:
-    """Cross-validate the artifact's explicit (K, b, D) block against the
-    environment and config it also carries.  Old artifacts without the
-    block pass unchecked (the config/environment remain authoritative)."""
-    protocol = payload.get("protocol")
-    if protocol is None:
-        return
-    mismatches = []
-    d_max = protocol.get("d_max")
-    if d_max is not None and d_max != config.rcc.max_delay:
-        mismatches.append(
-            f"d_max {d_max!r} != config rcc.max_delay "
-            f"{config.rcc.max_delay!r}"
-        )
-    environment = payload.get("environment")
-    if environment is not None:
-        for key in ("num_backups", "mux_degree"):
-            declared = protocol.get(key)
-            recorded = environment.get(key)
-            if declared is not None and declared != recorded:
-                mismatches.append(
-                    f"{key} {declared!r} != environment {key} {recorded!r}"
-                )
-    if mismatches:
-        raise ValueError(
-            "artifact protocol block contradicts its recorded "
-            "environment/config: " + "; ".join(mismatches)
-        )
+def replay_artifact(payload: dict) -> ChaosRunResult:
+    """Re-execute an artifact's schedule on the network its scenario
+    builds, under the protocol config the scenario derives — the network
+    and config the campaign itself ran.  Nothing comes from CLI defaults,
+    which is what makes artifacts portable across machines."""
+    # Imported here: the scenario package builds on this one.
+    from repro.scenario import ScenarioSpec, build_loaded_network
 
-
-def replay_artifact(payload: dict, network=None) -> ChaosRunResult:
-    """Re-execute an artifact's schedule under its recorded config.
-
-    ``network`` overrides the artifact's environment (tests replaying
-    against a live network); otherwise the environment is rebuilt, which
-    is what makes artifacts portable across machines.  Replays never read
-    CLI defaults: everything comes from the artifact, and the explicit
-    ``protocol`` block is validated against the recorded
-    environment/config first.
-    """
-    config = protocol_config_from_json(payload["config"])
-    _check_protocol_block(payload, config)
+    spec = ScenarioSpec.from_dict(payload["scenario"])
     schedule = ChaosSchedule.from_dict(payload["schedule"])
-    if network is None:
-        environment = payload.get("environment")
-        if environment is None:
-            raise ValueError(
-                "artifact has no environment; pass the network explicitly"
-            )
-        network = ChaosEnvironment.from_dict(environment).build()
-    return run_schedule(schedule, network, config)
+    return run_schedule(
+        schedule, build_loaded_network(spec), spec.protocol.config()
+    )

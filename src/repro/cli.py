@@ -54,7 +54,7 @@ from repro.sim.trace import TraceLog
 # Everything a command runs is imported by the handler that runs it, so
 # a process pays for one experiment, or for none (--help, serve, churn).
 if TYPE_CHECKING:
-    from repro.experiments.setup import NetworkConfig
+    from repro.network.spec import TopologySpec
 
 
 def _parse_component(kind: str, ident: str):
@@ -138,13 +138,17 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
         _add_flag(parser, flag, default)
 
 
-def _config(args: argparse.Namespace) -> NetworkConfig:
-    from repro.experiments.setup import NetworkConfig
+def _keywords(args: argparse.Namespace, flags) -> dict:
+    """The declared flags' values, by the keyword each feeds."""
+    return {FLAGS[flag].keyword: getattr(args, flag[2:].replace("-", "_"))
+            for flag in flags}
 
-    return NetworkConfig(
-        topology=args.topology, rows=args.rows, cols=args.cols,
-        capacity=args.capacity,
-    )
+
+def _config(args: argparse.Namespace) -> TopologySpec:
+    """The network the grid flags describe."""
+    from repro.network.spec import TopologySpec
+
+    return TopologySpec(**_keywords(args, GRID))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shrink and export at most this many failing "
                             "runs (default 5)")
     chaos.add_argument("--replay", metavar="ARTIFACT", default=None,
-                       help="re-execute a saved repro.chaos/1 artifact "
+                       help="re-execute a saved repro.chaos/2 artifact "
                             "instead of running a campaign")
     chaos.add_argument("--slo", metavar="SPEC", action="append", default=[],
                        help="SLO target evaluated against the campaign's "
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "worst-case analytic recovery bound "
                             "(repeatable; any breach exits 1)")
     chaos.add_argument("--spec", metavar="PATH", default=None,
-                       help="drive the campaign from a one-cell grid-family "
+                       help="drive the campaign from a one-cell "
                             "repro.scenario/1 spec file instead of the "
                             "flags above (--slo still applies)")
 
@@ -387,9 +391,8 @@ def _run_stats(args: argparse.Namespace) -> str:
     from repro.protocol import ProtocolConfig, ProtocolSimulation
     from repro.sim import SimulationError
 
-    config = _config(args)
     qos = FaultToleranceQoS(num_backups=args.backups, mux_degree=args.mux)
-    network, _ = load_network(config, qos)
+    network, _ = load_network(_config(args), qos)
     links = sorted(network.topology.links(), key=str)[:args.failures]
     simulation = ProtocolSimulation(network, ProtocolConfig(), seed=0,
                                     trace=True)
@@ -411,7 +414,7 @@ def _run_stats(args: argparse.Namespace) -> str:
     worst = simulation.metrics.max_service_disruption()
     failed = ", ".join(str(link) for link in links)
     header = (
-        f"repro stats — {config.label}, mux={args.mux}, "
+        f"repro stats — {network.topology.name}, mux={args.mux}, "
         f"{args.backups} backup(s); failed: {failed}\n"
         f"connections recovered via backup: {recovered}"
         + (f"; worst service disruption: {worst:g}" if worst is not None
@@ -477,7 +480,6 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     from repro.scenario import (
         ProtocolSpec,
         ScenarioSpec,
-        TopologySpec,
         WorkloadSpec,
         churn_config_from_spec,
     )
@@ -488,10 +490,7 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     else:
         spec = ScenarioSpec(
             name=f"cli/churn/{args.topology}{args.rows}x{args.cols}",
-            topology=TopologySpec(
-                family=args.topology, rows=args.rows, cols=args.cols,
-                capacity=args.capacity,
-            ),
+            topology=_config(args),
             workload=WorkloadSpec(
                 kind="churn",
                 arrival_rate=args.arrival_rate,
@@ -656,6 +655,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     """Chaos campaign / artifact replay; exit code 1 on any violation
     or SLO breach."""
     from repro.chaos import (
+        DEFAULT_PROFILES,
         artifact_payload,
         build_campaign,
         campaign_summary,
@@ -667,9 +667,8 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     )
 
     if args.replay:
-        payload = load_artifact(args.replay)
         try:
-            result = replay_artifact(payload)
+            result = replay_artifact(load_artifact(args.replay))
         except ValueError as error:
             raise SystemExit(f"{args.replay}: {error}") from None
         lines = [
@@ -690,9 +689,8 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     from repro.scenario import (
         ProtocolSpec,
         ScenarioSpec,
-        TopologySpec,
         WorkloadSpec,
-        chaos_environment_from_spec,
+        build_loaded_network,
     )
 
     if args.spec:
@@ -700,13 +698,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     else:
         spec = ScenarioSpec(
             name=f"cli/chaos/{args.topology}{args.rows}x{args.cols}",
-            topology=TopologySpec(
-                family=args.topology, rows=args.rows, cols=args.cols,
-                # The chaos harness has always pinned 200 simplex units
-                # regardless of family; keep campaigns replayable.
-                capacity=(args.capacity if args.capacity is not None
-                          else 200.0),
-            ),
+            topology=_config(args),
             workload=WorkloadSpec(
                 kind="chaos",
                 campaign_size=args.campaign_size,
@@ -718,25 +710,19 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
             ),
             seed=args.seed,
         )
-    environment = chaos_environment_from_spec(spec)
     config = spec.protocol.config()
-    network = environment.build()
-    profiles = spec.workload.profiles or None
-    schedules = (
-        build_campaign(spec.seed, spec.workload.campaign_size, network,
-                       config, profiles=profiles)
-        if profiles is not None
-        else build_campaign(spec.seed, spec.workload.campaign_size,
-                            network, config)
+    network = build_loaded_network(spec)
+    schedules = build_campaign(
+        spec.seed, spec.workload.campaign_size, network, config,
+        profiles=spec.workload.profiles or DEFAULT_PROFILES,
     )
     results = run_campaign(schedules, network, config, workers=args.workers)
     summary = campaign_summary(results)
-    profile_list = ", ".join(profiles) if profiles is not None else "all"
     lines = [
-        f"repro chaos — {environment.rows}x{environment.cols} "
-        f"{environment.topology}, {environment.connections} connections, "
+        f"repro chaos — {network.topology.name}, "
+        f"{spec.workload.connections} connections, "
         f"seed {spec.seed}, {summary['runs']} schedules "
-        f"(profiles: {profile_list})",
+        f"(profiles: {', '.join(spec.workload.profiles) or 'all'})",
         f"recovered: {summary['recovered']}; "
         f"unrecoverable: {summary['unrecoverable']}; "
         f"rejoins: {summary['rejoins']}; "
@@ -802,9 +788,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
         path = os.path.join(
             args.artifact_dir, f"chaos-seed{spec.seed}-run{index}.json"
         )
-        write_artifact(
-            path, artifact_payload(shrunk, config, environment)
-        )
+        write_artifact(path, artifact_payload(shrunk, spec))
         lines.append(
             f"run {index} ({result.schedule.profile}): shrunk "
             f"{shrunk.original_events} -> {shrunk.minimal_events} events "
@@ -1038,32 +1022,30 @@ def run_experiment(args: argparse.Namespace):
         return None
     module, _, name = experiment.runner.partition(":")
     runner = getattr(importlib.import_module(module), name)
-
-    def keywords(flags) -> dict:
-        return {FLAGS[flag].keyword: getattr(args, flag[2:].replace("-", "_"))
-                for flag in flags}
-
-    # The full grid is the runner's NetworkConfig.
+    # The full grid is the runner's TopologySpec.
     if experiment.grid == tuple(GRID):
-        return runner(_config(args), **keywords(experiment.options))
-    return runner(**keywords((*experiment.grid, *experiment.options)))
+        return runner(_config(args), **_keywords(args, experiment.options))
+    return runner(**_keywords(args, (*experiment.grid, *experiment.options)))
 
 
 def _check_grid(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> None:
-    """A grid only the chosen topology can reject (the torus needs 2x2,
-    the mesh two nodes) is a usage error naming the flags, raised before
-    anything is established.  A command without ``--topology`` builds
-    every family."""
-    from repro.experiments.setup import NetworkConfig
-
-    families = ([args.topology] if hasattr(args, "topology")
-                else FLAGS["--topology"].type)
-    for family in families:
-        try:
-            NetworkConfig(family, args.rows, args.cols).build()
-        except ValueError as error:
-            parser.error(f"--rows/--cols: {error}")
+    """A grid a topology the command builds rejects (the torus needs 2x2,
+    the mesh two nodes, a 3-regular graph an even node count) is a usage
+    error naming the flags, raised before anything is established.  A
+    command without ``--topology`` picks its own networks: its runner's
+    module lists them as ``topologies(rows, cols)``."""
+    try:
+        if hasattr(args, "topology"):
+            specs = [_config(args)]
+        else:
+            module, _, _ = EXPERIMENTS[args.command].runner.partition(":")
+            specs = importlib.import_module(module).topologies(
+                args.rows, args.cols).values()
+        for spec in specs:
+            spec.build()
+    except ValueError as error:
+        parser.error(f"--rows/--cols: {error}")
 
 
 def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":

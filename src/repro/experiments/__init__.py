@@ -10,8 +10,8 @@ tables and nothing else names an experiment, so adding one is a module
 plus one row here.
 
 A runner is ``run_*(config, **options)`` — ``config`` the
-:class:`~repro.experiments.setup.NetworkConfig` its grid flags describe
-(a command without ``--topology`` gets its grid flags as keywords) — and
+:class:`~repro.network.spec.TopologySpec` its grid flags describe (a
+command without ``--topology`` gets its grid flags as keywords) — and
 returns a result object whose ``format()`` prints the paper's rows.  A
 default lives here and not in the runner's signature.
 
@@ -67,18 +67,18 @@ def workers(text: str) -> "int | None":
 
 
 class Flag(NamedTuple):
-    keyword: str  # the runner keyword (or NetworkConfig field) it feeds
+    keyword: str  # the runner keyword (or TopologySpec field) it feeds
     type: object  # an argparse type, or a tuple of choices
     help: str
 
 
 FLAGS = {
-    "--topology": Flag("topology", ("torus", "mesh"), "network type"),
+    "--topology": Flag("family", ("torus", "mesh"), "network type"),
     "--rows": Flag("rows", at_least(1), "grid rows"),
     "--cols": Flag("cols", at_least(1), "grid columns"),
     "--capacity": Flag("capacity", positive,
-                       "simplex link capacity (default: 200 on the torus, "
-                       "300 on the mesh)"),
+                       "simplex link capacity (default: the paper's for the "
+                       "topology)"),
     "--backups": Flag("num_backups", at_least(0),
                       "backup channels per connection"),
     "--degrees": Flag("mux_degrees", each(at_least(0)),

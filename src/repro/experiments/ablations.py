@@ -22,11 +22,8 @@ from dataclasses import dataclass, field
 
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.overlap import OverlapPolicy
-from repro.experiments.setup import (
-    NetworkConfig,
-    load_network,
-    standard_failure_models,
-)
+from repro.experiments.setup import load_network, standard_failure_models
+from repro.network.spec import TopologySpec
 from repro.recovery import ActivationOrder, evaluate_scenarios
 from repro.util.tables import format_percent, format_table
 
@@ -41,7 +38,8 @@ class AblationRow:
 
 @dataclass
 class AblationResult:
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     mux_degree: int
     rows: list[AblationRow] = field(default_factory=list)
 
@@ -63,15 +61,14 @@ class AblationResult:
             ["variant", "spare", "R_fast 1-link", "R_fast 1-node"],
             table,
             title=(
-                f"Design-choice ablations — {self.config.label}, "
+                f"Design-choice ablations — {self.topology}, "
                 f"mux={self.mux_degree}"
             ),
         )
 
 
-def run_ablations(config: NetworkConfig, *, mux_degree: int) -> AblationResult:
+def run_ablations(config: TopologySpec, *, mux_degree: int) -> AblationResult:
     """Measure each design-choice variant's spare and R_fast."""
-    result = AblationResult(config=config, mux_degree=mux_degree)
     qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
 
     def evaluate(network, **evaluator_kwargs) -> tuple:
@@ -88,6 +85,9 @@ def run_ablations(config: NetworkConfig, *, mux_degree: int) -> AblationResult:
 
     # Baseline: paper-literal policy, priority activation.
     baseline_network, _ = load_network(config, qos)
+    result = AblationResult(
+        topology=baseline_network.topology.name, mux_degree=mux_degree
+    )
     spare = baseline_network.spare_fraction()
     for name, evaluator_kwargs in (
         ("baseline (priority order)", {"order": ActivationOrder.PRIORITY}),

@@ -22,8 +22,9 @@ from dataclasses import dataclass, field
 from repro.baselines.localdetour import plan_local_detours
 from repro.baselines.reactive import ReactiveOutcome, evaluate_reactive
 from repro.channels.qos import FaultToleranceQoS
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
 from repro.faults.enumerate import all_single_link_failures
+from repro.network.spec import TopologySpec
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runtime import simulate_scenario
 from repro.protocol.signaling import establishment_latency
@@ -51,7 +52,8 @@ class SchemeSummary:
 
 @dataclass
 class BaselineComparisonResult:
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     schemes: list[SchemeSummary] = field(default_factory=list)
 
     def format(self) -> str:
@@ -75,7 +77,7 @@ class BaselineComparisonResult:
             rows,
             title=(
                 f"Section 8: restoration-scheme trade-offs — "
-                f"{self.config.label}"
+                f"{self.topology}"
             ),
         )
 
@@ -88,16 +90,15 @@ class BaselineComparisonResult:
 
 
 def run_baseline_comparison(
-    config: NetworkConfig, *, mux_degree: int
+    config: TopologySpec, *, mux_degree: int
 ) -> BaselineComparisonResult:
     """Compare BCP (single backup at ``mux_degree``), reactive
     re-establishment, and pre-planned local detours on the all-pairs
     workload."""
-    result = BaselineComparisonResult(config=config)
-
     # --- BCP -----------------------------------------------------------
     qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
     network, _ = load_network(config, qos)
+    result = BaselineComparisonResult(topology=network.topology.name)
     scenarios = all_single_link_failures(network.topology)
     evaluator = RecoveryEvaluator(network)
     stats = evaluator.evaluate_many(scenarios)

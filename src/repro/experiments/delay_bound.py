@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.delay import connection_delay_bound
 from repro.channels.qos import FaultToleranceQoS
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
 from repro.faults.models import FailureScenario
+from repro.network.spec import TopologySpec
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runtime import simulate_scenario
 from repro.util.tables import format_table
@@ -43,7 +44,8 @@ class DelayMeasurement:
 class DelayBoundResult:
     """All measurements plus the aggregate verdict."""
 
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     d_max: float
     measurements: list[DelayMeasurement] = field(default_factory=list)
 
@@ -69,14 +71,14 @@ class DelayBoundResult:
              "within"],
             rows,
             title=(
-                f"Section 5.3: recovery delay vs bound — {self.config.label}, "
+                f"Section 5.3: recovery delay vs bound — {self.topology}, "
                 f"D_max={self.d_max}"
             ),
         )
 
 
 def run_delay_bound(
-    config: NetworkConfig,
+    config: TopologySpec,
     *,
     num_backups: int,
     sample_connections: int,
@@ -91,7 +93,8 @@ def run_delay_bound(
     qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=1)
     network, _ = load_network(config, qos)
     protocol = ProtocolConfig()
-    result = DelayBoundResult(config=config, d_max=protocol.rcc.max_delay)
+    result = DelayBoundResult(
+        topology=network.topology.name, d_max=protocol.rcc.max_delay)
 
     connections = network.connections()
     stride = max(1, len(connections) // sample_connections)

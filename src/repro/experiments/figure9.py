@@ -15,14 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.channels.qos import FaultToleranceQoS
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
+from repro.network.spec import TopologySpec
 from repro.util.tables import format_percent, format_table
 
 @dataclass
 class Figure9Result:
     """One panel of Figure 9."""
 
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     num_backups: int
     #: mux degree -> [(network_load, spare_fraction), ...] checkpoints.
     curves: dict[int, list[tuple[float, float]]] = field(default_factory=dict)
@@ -58,13 +60,13 @@ class Figure9Result:
             headers.extend([f"load mux={degree}{suffix}", f"spare mux={degree}"])
         title = (
             f"Figure 9: spare bandwidth vs network load — "
-            f"{self.config.label}, {self.num_backups} backup(s)"
+            f"{self.topology}, {self.num_backups} backup(s)"
         )
         return format_table(headers, rows, title=title)
 
 
 def run_figure9(
-    config: NetworkConfig,
+    config: TopologySpec,
     *,
     num_backups: int,
     mux_degrees: tuple[int, ...],
@@ -76,8 +78,9 @@ def run_figure9(
     simulation); ``checkpoints`` controls the sampling resolution along
     the establishment sequence.
     """
-    result = Figure9Result(config=config, num_backups=num_backups)
-    nodes = config.rows * config.cols
+    topology = config.build()
+    result = Figure9Result(topology=topology.name, num_backups=num_backups)
+    nodes = topology.num_nodes
     total_connections = nodes * (nodes - 1)
     every = max(1, total_connections // checkpoints)
     for degree in mux_degrees:

@@ -28,7 +28,7 @@ from repro.experiments.workloads import (
     uniform_traffic,
 )
 from repro.faults.enumerate import all_single_link_failures
-from repro.network.generators import mesh, random_regular, torus
+from repro.network.spec import TopologySpec
 from repro.recovery import RecoveryEvaluator
 from repro.util.tables import format_percent, format_table
 
@@ -72,12 +72,15 @@ class InhomogeneousResult:
         )
 
 
-def _topologies(rows: int, cols: int):
-    nodes = rows * cols
+def topologies(rows: int, cols: int) -> dict[str, TopologySpec]:
+    """The swept networks by row label: the paper's torus and mesh, and a
+    3-regular graph on as many nodes (an odd count has none)."""
     return {
-        "torus": lambda: torus(rows, cols, 200.0),
-        "mesh": lambda: mesh(rows, cols, 300.0),
-        "sparse(3-reg)": lambda: random_regular(nodes, 3, 250.0, seed=0),
+        "torus": TopologySpec("torus", rows, cols),
+        "mesh": TopologySpec("mesh", rows, cols),
+        "sparse(3-reg)": TopologySpec(
+            "random_regular", size=rows * cols, degree=3, capacity=250.0
+        ),
     }
 
 
@@ -88,8 +91,8 @@ def run_inhomogeneous(
     lowest-numbered nodes are the hotspots)."""
     result = InhomogeneousResult()
     qos = FaultToleranceQoS(num_backups=1, mux_degree=mux_degree)
-    for topo_name, factory in _topologies(rows, cols).items():
-        topology_sample = factory()
+    for topo_name, spec in topologies(rows, cols).items():
+        topology_sample = spec.build()
         hotspots = sorted(topology_sample.nodes())[:4]
         workloads = {
             "uniform": (all_pairs(topology_sample), uniform_traffic(1.0)),
@@ -103,7 +106,7 @@ def run_inhomogeneous(
             ),
         }
         for workload_name, (pairs, traffic) in workloads.items():
-            network = BCPNetwork(factory(), policy=OverlapPolicy())
+            network = BCPNetwork(spec.build(), policy=OverlapPolicy())
             establish_workload(network, pairs, qos, traffic=traffic)
             cell = InhomogeneousCell(spare=network.spare_fraction())
             scenarios = all_single_link_failures(network.topology)

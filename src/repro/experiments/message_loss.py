@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 from repro.channels.qos import FaultToleranceQoS
 from repro.datapath.stream import DataStream
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
 from repro.faults.models import FailureScenario
+from repro.network.spec import TopologySpec
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.runtime import ProtocolSimulation
 from repro.util.tables import format_table
@@ -41,7 +42,8 @@ class LossMeasurement:
 
 @dataclass
 class MessageLossResult:
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     message_rate: float
     measurements: list[LossMeasurement] = field(default_factory=list)
 
@@ -65,13 +67,13 @@ class MessageLossResult:
             rows,
             title=(
                 f"Figure 8: message loss during recovery — "
-                f"{self.config.label}, rate={self.message_rate:g}"
+                f"{self.topology}, rate={self.message_rate:g}"
             ),
         )
 
 
 def run_message_loss(
-    config: NetworkConfig,
+    config: TopologySpec,
     *,
     message_rate: float,
     sample_connections: int,
@@ -81,7 +83,9 @@ def run_message_loss(
     network's compiled :class:`~repro.protocol.plan.ProtocolPlan`."""
     qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
     network, _ = load_network(config, qos)
-    result = MessageLossResult(config=config, message_rate=message_rate)
+    result = MessageLossResult(
+        topology=network.topology.name, message_rate=message_rate
+    )
 
     connections = [
         connection for connection in network.connections()

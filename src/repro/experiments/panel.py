@@ -24,10 +24,10 @@ from repro.channels.qos import FaultToleranceQoS
 from repro.core.bcp import BCPNetwork
 from repro.experiments.setup import (
     FAILURE_MODELS,
-    NetworkConfig,
     load_network,
     standard_failure_models,
 )
+from repro.network.spec import TopologySpec
 from repro.recovery import RecoveryEvaluator
 from repro.util.tables import format_percent, format_table
 
@@ -37,7 +37,6 @@ class PanelResult:
     """One panel of Table 1 or Table 3."""
 
     title: str
-    config: NetworkConfig
     num_backups: int
     mux_degrees: tuple[int, ...]
     #: mux degree -> spare fraction (None when the workload didn't fit).
@@ -80,7 +79,7 @@ class PanelResult:
 def _run_panel(
     title: str,
     make_evaluator: Callable[[BCPNetwork], RecoveryEvaluator],
-    config: NetworkConfig,
+    config: TopologySpec,
     *,
     num_backups: int,
     mux_degrees: tuple[int, ...],
@@ -89,8 +88,8 @@ def _run_panel(
     """Regenerate one panel: per degree, one establishment, one evaluator
     from ``make_evaluator``, the three failure models."""
     result = PanelResult(
-        title=title.format(label=config.label, backups=num_backups),
-        config=config, num_backups=num_backups,
+        title=title.format(label=config.build().name, backups=num_backups),
+        num_backups=num_backups,
         mux_degrees=tuple(mux_degrees),
     )
     for model in FAILURE_MODELS:

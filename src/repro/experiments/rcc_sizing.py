@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 
 from repro.analysis.delay import required_rcc_frame_messages
 from repro.channels.qos import FaultToleranceQoS
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
 from repro.faults.models import FailureScenario
+from repro.network.spec import TopologySpec
 from repro.protocol.config import ProtocolConfig, RCCParams
 from repro.protocol.runtime import ProtocolSimulation
 from repro.util.tables import format_table
@@ -24,7 +25,8 @@ from repro.util.tables import format_table
 
 @dataclass
 class RCCSizingResult:
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     required_messages: int = 0
     #: frame capacity -> worst observed per-hop message delay.
     worst_delay: dict[int, float] = field(default_factory=dict)
@@ -44,19 +46,21 @@ class RCCSizingResult:
             ["frame capacity (msgs)", "worst hop delay", "within budget"],
             rows,
             title=(
-                f"Section 5.2: RCC sizing — {self.config.label}, required "
+                f"Section 5.2: RCC sizing — {self.topology}, required "
                 f">= {self.required_messages} msgs/frame, "
                 f"budget={self.budget:.2f}"
             ),
         )
 
 
-def run_rcc_sizing(config: NetworkConfig) -> RCCSizingResult:
+def run_rcc_sizing(config: TopologySpec) -> RCCSizingResult:
     """Compare compliant vs. undersized RCC frames under a failure burst."""
     qos = FaultToleranceQoS(num_backups=1, mux_degree=3)
     network, _ = load_network(config, qos)
     required = required_rcc_frame_messages(network)
-    result = RCCSizingResult(config=config, required_messages=required)
+    result = RCCSizingResult(
+        topology=network.topology.name, required_messages=required
+    )
 
     # The worst single-failure burst: fail the most loaded node.
     def burst_size(node) -> int:

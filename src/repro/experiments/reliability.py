@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 from repro.analysis.markov import DConnectionMarkovModel
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.reliability import pr_single_backup
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
+from repro.network.spec import TopologySpec
 from repro.parallel import parallel_map
 from repro.util.tables import format_table
 
@@ -93,7 +94,7 @@ def _configuration_cell(item: tuple) -> "tuple | None":
 
 
 def run_reliability(
-    config: NetworkConfig, *, workers: "int | None"
+    config: TopologySpec, *, workers: "int | None"
 ) -> ReliabilityResult:
     """Run both reliability sweeps.
 

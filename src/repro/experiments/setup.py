@@ -1,16 +1,16 @@
-"""Shared experiment setup: the paper's network configurations and
-failure models (Section 7).
+"""Shared experiment setup: the paper's failure models (Section 7) and
+the all-pairs load every table starts from.
 
-The torus gets 200 Mbps simplex links and the mesh 300 Mbps so their total
-capacities are comparable; channels need 1 Mbps per link; the delay QoS is
-shortest+2 hops.  Experiments default to the paper's 8x8 scale but accept
-smaller dimensions for fast tests.
+A network is a :class:`~repro.network.spec.TopologySpec`; without a
+capacity it builds at the paper's per-family link capacity.  Channels
+need 1 Mbps per link; the delay QoS is shortest+2 hops.  Experiments
+default to the paper's 8x8 scale but accept smaller dimensions for fast
+tests.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.bcp import BCPNetwork
@@ -26,37 +26,15 @@ from repro.faults.enumerate import (
     sample_double_node_failures,
 )
 from repro.faults.models import FailureScenario
-from repro.network.generators import mesh, torus
+from repro.network.spec import TopologySpec
 from repro.network.topology import Topology
 
 #: Failure-model labels exactly as the paper's table rows.
 FAILURE_MODELS = ("1 link failure", "1 node failure", "2 node failures")
 
 
-@dataclass(frozen=True)
-class NetworkConfig:
-    """One evaluated network configuration."""
-
-    topology: str = "torus"  # "torus" | "mesh"
-    rows: int = 8
-    cols: int = 8
-    capacity: "float | None" = None  # paper defaults per topology
-
-    def build(self) -> Topology:
-        """Instantiate the configured topology."""
-        if self.topology == "torus":
-            return torus(self.rows, self.cols, self.capacity or 200.0)
-        if self.topology == "mesh":
-            return mesh(self.rows, self.cols, self.capacity or 300.0)
-        raise ValueError(f"unknown topology {self.topology!r}")
-
-    @property
-    def label(self) -> str:
-        return f"{self.rows}x{self.cols} {self.topology}"
-
-
 def load_network(
-    config: NetworkConfig,
+    config: TopologySpec,
     ft_qos: "FaultToleranceQoS | Callable[[int], FaultToleranceQoS]",
     policy: "OverlapPolicy | None" = None,
     checkpoint_every: "int | None" = None,

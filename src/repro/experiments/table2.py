@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from repro.channels.qos import FaultToleranceQoS
 from repro.experiments.setup import (
     FAILURE_MODELS,
-    NetworkConfig,
     load_network,
     standard_failure_models,
 )
+from repro.network.spec import TopologySpec
 from repro.recovery import RecoveryEvaluator, by_mux_degree, evaluate_grouped
 from repro.util.tables import format_percent, format_table
 
@@ -26,7 +26,8 @@ from repro.util.tables import format_percent, format_table
 class Table2Result:
     """One panel of Table 2."""
 
-    config: NetworkConfig
+    #: ``Topology.name`` of the evaluated network.
+    topology: str
     num_backups: int
     classes: tuple[int, ...]
     spare: "float | None" = None
@@ -48,22 +49,19 @@ class Table2Result:
             )
         title = (
             f"Table 2: R_fast, mixed mux ({'/'.join(map(str, self.classes))}) "
-            f"— {self.config.label}, {self.num_backups} backup(s)"
+            f"— {self.topology}, {self.num_backups} backup(s)"
         )
         return format_table(headers, rows, title=title)
 
 
 def run_table2(
-    config: NetworkConfig,
+    config: TopologySpec,
     *,
     num_backups: int,
     classes: tuple[int, ...],
     double_node_samples: int,
 ) -> Table2Result:
     """Regenerate one Table 2 panel."""
-    result = Table2Result(
-        config=config, num_backups=num_backups, classes=tuple(classes)
-    )
 
     def qos_for(index: int) -> FaultToleranceQoS:
         return FaultToleranceQoS(
@@ -71,6 +69,10 @@ def run_table2(
         )
 
     network, report = load_network(config, qos_for)
+    result = Table2Result(
+        topology=network.topology.name, num_backups=num_backups,
+        classes=tuple(classes),
+    )
     result.complete = report.essentially_complete
     result.spare = (
         network.spare_fraction() if report.essentially_complete else None

@@ -4,7 +4,7 @@ Operators bring their own networks as plain edge-list text, one link per
 line::
 
     # comment lines and blanks are ignored
-    a b 200          # duplex pair a<->b at capacity 200
+    a b 150          # duplex pair a<->b at capacity 150
     b c 100 simplex  # one simplex link b->c only
 """
 

@@ -256,7 +256,6 @@ class ProtocolSimulation:
         seed: "int | None" = 0,
         trace: bool = False,
         metrics: "MetricsRegistry | None" = None,
-        trace_log: "TraceLog | None" = None,
     ) -> None:
         self.network = network
         self.config = config or ProtocolConfig()
@@ -267,13 +266,9 @@ class ProtocolSimulation:
         self.metrics = ProtocolMetrics(self.obs)
         # When the session has a shared trace sink (e.g. the CLI's
         # --trace-out), record straight into it so the whole run exports
-        # as one timeline; otherwise keep a private per-run log.  An
-        # explicitly passed ``trace_log`` wins over both.
-        if trace_log is not None:
-            self.trace = trace_log
-        else:
-            sink = get_trace_sink()
-            self.trace = sink if sink is not None else TraceLog(enabled=trace)
+        # as one timeline; otherwise keep a private per-run log.
+        sink = get_trace_sink()
+        self.trace = sink if sink is not None else TraceLog(enabled=trace)
         #: Causal span log shared with the trace log; recovery episodes
         #: and their child spans land here (see repro.obs.spans).
         self.spans = self.trace.spans

@@ -8,6 +8,7 @@ compiled-topology caching and deterministic sharding over
 :mod:`repro.parallel`.
 """
 
+from repro.network.spec import TOPOLOGY_FAMILIES
 from repro.scenario.matrix import (
     MATRIX_SCHEMA,
     ScenarioMatrix,
@@ -20,7 +21,6 @@ from repro.scenario.runner import (
     CellResult,
     TopologyCache,
     build_loaded_network,
-    chaos_environment_from_spec,
     churn_config_from_spec,
     run_cell,
     run_cells,
@@ -29,7 +29,6 @@ from repro.scenario.spec import (
     FAILURE_MODELS,
     SCENARIO_SCHEMA,
     SPARE_MODES,
-    TOPOLOGY_FAMILIES,
     WORKLOAD_KINDS,
     ProtocolSpec,
     ScenarioSpec,
@@ -54,7 +53,6 @@ __all__ = [
     "TopologySpec",
     "WorkloadSpec",
     "build_loaded_network",
-    "chaos_environment_from_spec",
     "churn_config_from_spec",
     "diff_cells",
     "load_cells",

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from repro.analysis.delay import network_delay_bound
 from repro.baselines.bruteforce import brute_force_evaluator
 from repro.chaos.engine import (
-    ChaosEnvironment,
     build_campaign,
     campaign_summary,
     establish_antipodal,
@@ -161,34 +160,14 @@ def churn_config_from_spec(spec: ScenarioSpec) -> ChurnConfig:
     )
 
 
-def chaos_environment_from_spec(spec: ScenarioSpec) -> ChaosEnvironment:
-    """The artifact-serialisable :class:`ChaosEnvironment` of a chaos
-    cell (grid families only — artifacts replay through it)."""
-    topology = spec.topology
-    if topology.family not in ("torus", "mesh"):
-        raise ValueError(
-            f"chaos artifacts replay through ChaosEnvironment, which "
-            f"covers grid families only; got {topology.family!r} "
-            f"(matrix chaos cells support every family)"
-        )
-    return ChaosEnvironment(
-        topology=topology.family,
-        rows=topology.rows,
-        cols=topology.cols,
-        capacity=topology.capacity if topology.capacity is not None
-        else 200.0,
-        num_backups=spec.protocol.num_backups,
-        mux_degree=spec.protocol.mux_degree,
-        connections=spec.workload.connections,
-    )
-
-
 def build_loaded_network(
     spec: ScenarioSpec, cache: "TopologyCache | None" = None
 ) -> BCPNetwork:
-    """A network carrying the deterministic chaos connection set — that
-    of :meth:`ChaosEnvironment.build`, over any topology family and on
-    the compiled topology ``cache`` holds."""
+    """The network a chaos cell runs against: its topology, from
+    ``cache``, carrying the deterministic chaos connection set
+    (:func:`~repro.chaos.engine.establish_antipodal`).  ``repro chaos``,
+    matrix cells and artifact replays all build it here, so one spec is
+    one network."""
     cache = cache if cache is not None else _SHARED_CACHE
     network = BCPNetwork(cache.get(spec.topology))
     establish_antipodal(network, spec.workload.connections, spec.protocol.qos())
@@ -341,17 +320,13 @@ def _run_cell_item(spec: ScenarioSpec) -> CellResult:
     return run_cell(spec, cache=_SHARED_CACHE)
 
 
-def run_cells(
-    specs, workers: "int | None" = 1, metrics=None
-) -> list[CellResult]:
+def run_cells(specs, workers: "int | None" = 1) -> list[CellResult]:
     """Run a lattice, optionally across worker processes.
 
     Results come back in cell order and are byte-identical for any
     worker count: each cell runs under a fresh registry and the per-cell
-    snapshots fold into ``metrics`` (default: session registry) in cell
-    order — see :func:`repro.parallel.parallel_map`.
+    snapshots fold into the session registry in cell order — see
+    :func:`repro.parallel.parallel_map`.
     """
-    return parallel_map(
-        _run_cell_item, list(specs), workers=workers, metrics=metrics
-    )
+    return parallel_map(_run_cell_item, list(specs), workers=workers)
 

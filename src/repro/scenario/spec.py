@@ -1,13 +1,14 @@
 """Declarative scenario specs: the single description every surface runs.
 
 A :class:`ScenarioSpec` names one *cell* of the evaluation space — a
-topology (family + size), a workload profile (steady-state recovery
-evaluation, churn, or a chaos campaign), a protocol configuration
-``(K, b, D)`` (backups per connection, multiplexing degree, RCC per-hop
-delay bound), and a seed.  Chaos campaigns, churn runs, the paper's
-experiment tables, and CI sweeps all consume the same spec instead of
-hand-wiring their own combination, so a new scenario family is one JSON
-value, not a new driver.
+topology (a :class:`~repro.network.spec.TopologySpec`: family + size), a
+workload profile (steady-state recovery evaluation, churn, or a chaos
+campaign), a protocol configuration ``(K, b, D)`` (backups per
+connection, multiplexing degree, RCC per-hop delay bound), and a seed.
+Chaos campaigns and their replay artifacts, churn runs, the served
+network and CI sweeps all consume the same spec instead of hand-wiring
+their own combination, so a new scenario family is one JSON value, not
+new code.
 
 Specs are pure frozen data with a full-fidelity JSON codec
 (``repro.scenario/1``); a JSONL file of specs is a *lattice* the matrix
@@ -17,25 +18,12 @@ lists into lattices; :mod:`repro.scenario.runner` executes them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 from repro.channels.qos import FaultToleranceQoS
 from repro.chaos.profiles import PROFILES
-from repro.network.generators import (
-    check_regular,
-    complete_graph,
-    hypercube,
-    line,
-    mesh,
-    random_regular,
-    ring,
-    star,
-    torus,
-    tree,
-)
-from repro.network.topology import Topology
+from repro.network.spec import TopologySpec, from_trimmed_dict, trimmed_dict
 from repro.protocol.config import ProtocolConfig, RCCParams, SwitchingScheme
 from repro.util.validation import check_non_negative, check_positive
 
@@ -46,23 +34,6 @@ SCENARIO_SCHEMA = "repro.scenario/1"
 #: ignores them instead of rejecting the file.
 MATRIX_DOC_KEYS = frozenset({"description", "notes"})
 
-#: Topology families a spec may name, with their paper-default capacities.
-TOPOLOGY_FAMILIES = (
-    "torus",
-    "mesh",
-    "ring",
-    "line",
-    "star",
-    "hypercube",
-    "complete",
-    "tree",
-    "random_regular",
-)
-
-#: Grid families sized by ``rows x cols``; the rest use ``size`` (and
-#: ``degree``/``depth`` where noted).
-_GRID_FAMILIES = ("torus", "mesh")
-
 #: Workload kinds a spec may name.
 WORKLOAD_KINDS = ("eval", "churn", "chaos")
 
@@ -72,135 +43,6 @@ FAILURE_MODELS = ("single-link", "single-node", "double-node")
 #: Spare-placement modes of the ``eval`` workload: the proposed
 #: multiplexed placement, or the Table 3 brute-force uniform placement.
 SPARE_MODES = ("multiplexed", "bruteforce")
-
-
-def _trimmed(instance) -> dict:
-    """``asdict`` minus fields still at their default value.
-
-    Keeps checked-in spec files short and diff-friendly: a cell names only
-    what it pins, and the codec fills the rest back in on load.
-    """
-    data = {}
-    for spec_field in fields(instance):
-        value = getattr(instance, spec_field.name)
-        if spec_field.default is not dataclasses.MISSING:
-            if value == spec_field.default:
-                continue
-        elif spec_field.default_factory is not dataclasses.MISSING:
-            if value == spec_field.default_factory():
-                continue
-        if isinstance(value, tuple):
-            value = list(value)
-        data[spec_field.name] = value
-    return data
-
-
-def _from_dict(cls, data: dict, context: str):
-    """Strict inverse of :func:`_trimmed`: unknown keys are an error."""
-    known = {spec_field.name for spec_field in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"{context}: unknown field(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(known))}"
-        )
-    kwargs = {
-        key: tuple(value) if isinstance(value, list) else value
-        for key, value in data.items()
-    }
-    return cls(**kwargs)
-
-
-# ----------------------------------------------------------------------
-# topology
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TopologySpec:
-    """One topology family + size; :meth:`build` instantiates it.
-
-    ``rows``/``cols`` size the grid families (torus, mesh); ``size``
-    sizes everything else (node count, or the hypercube dimension);
-    ``degree`` is the random-regular degree or tree branching; ``depth``
-    is the tree depth; ``seed`` only affects ``random_regular``.
-    ``capacity`` ``None`` means the family's paper default.
-    """
-
-    family: str = "torus"
-    rows: int = 8
-    cols: int = 8
-    size: int = 0
-    degree: int = 0
-    depth: int = 0
-    capacity: "float | None" = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.family not in TOPOLOGY_FAMILIES:
-            raise ValueError(
-                f"unknown topology family {self.family!r}; "
-                f"known: {', '.join(TOPOLOGY_FAMILIES)}"
-            )
-        if self.family in _GRID_FAMILIES:
-            if self.rows < 1 or self.cols < 1:
-                raise ValueError(
-                    f"{self.family} needs rows >= 1 and cols >= 1, "
-                    f"got {self.rows}x{self.cols}"
-                )
-        elif self.size < 1:
-            raise ValueError(
-                f"{self.family} needs size >= 1, got {self.size}"
-            )
-        if self.family == "random_regular":
-            check_regular(self.size, self.degree)
-        if self.capacity is not None:
-            check_positive(self.capacity, "capacity")
-
-    def build(self) -> Topology:
-        """Instantiate the configured topology (paper-default capacities)."""
-        family = self.family
-        if family == "torus":
-            return torus(self.rows, self.cols, self.capacity or 200.0)
-        if family == "mesh":
-            return mesh(self.rows, self.cols, self.capacity or 300.0)
-        capacity = self.capacity or 200.0
-        if family == "ring":
-            return ring(self.size, capacity)
-        if family == "line":
-            return line(self.size, capacity)
-        if family == "star":
-            return star(self.size, capacity)
-        if family == "hypercube":
-            return hypercube(self.size, capacity)
-        if family == "complete":
-            return complete_graph(self.size, capacity)
-        if family == "tree":
-            return tree(self.degree, self.depth, capacity)
-        if family == "random_regular":
-            return random_regular(self.size, self.degree, capacity,
-                                  seed=self.seed)
-        raise AssertionError(f"unhandled family {family!r}")
-
-    @property
-    def cache_key(self) -> tuple:
-        """Hashable identity for compiled-topology reuse across cells."""
-        return dataclasses.astuple(self)
-
-    @property
-    def label(self) -> str:
-        if self.family in _GRID_FAMILIES:
-            return f"{self.rows}x{self.cols}-{self.family}"
-        if self.family == "tree":
-            return f"tree-b{self.degree}-d{self.depth}"
-        if self.family == "random_regular":
-            return f"rr{self.size}-d{self.degree}"
-        return f"{self.family}{self.size}"
-
-    def to_dict(self) -> dict:
-        return _trimmed(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "TopologySpec":
-        return _from_dict(TopologySpec, data, "topology spec")
 
 
 # ----------------------------------------------------------------------
@@ -255,11 +97,11 @@ class ProtocolSpec:
         return text
 
     def to_dict(self) -> dict:
-        return _trimmed(self)
+        return trimmed_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "ProtocolSpec":
-        return _from_dict(ProtocolSpec, data, "protocol spec")
+        return from_trimmed_dict(ProtocolSpec, data, "protocol spec")
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +198,11 @@ class WorkloadSpec:
         return self.kind
 
     def to_dict(self) -> dict:
-        return _trimmed(self)
+        return trimmed_dict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "WorkloadSpec":
-        return _from_dict(WorkloadSpec, data, "workload spec")
+        return from_trimmed_dict(WorkloadSpec, data, "workload spec")
 
 
 # ----------------------------------------------------------------------

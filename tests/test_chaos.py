@@ -12,10 +12,10 @@ from repro.chaos import (
     PROFILES,
     REPAIR,
     SCHEMA,
-    ChaosEnvironment,
     ChaosEvent,
     ChaosSchedule,
     ChaosTrigger,
+    ShrinkResult,
     artifact_payload,
     build_campaign,
     build_schedule,
@@ -28,20 +28,34 @@ from repro.chaos import (
     violation_signature,
     write_artifact,
 )
-from repro.chaos.schedule import protocol_config_to_json
 from repro.chaos.shrink import _ddmin
+from repro.cli import main
 from repro.network.components import LinkId
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, obs_session
 from repro.protocol import ProtocolConfig
+from repro.scenario import (
+    ProtocolSpec,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    build_loaded_network,
+    load_cells,
+)
 from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
 
-
-ENVIRONMENT = ChaosEnvironment()
+#: The chaos harness's network: six antipodal connections with two
+#: backups each over the 4x4 torus, mux 1.
+SPEC = ScenarioSpec(
+    name="test/chaos",
+    topology=TopologySpec(rows=4, cols=4),
+    workload=WorkloadSpec(kind="chaos"),
+    protocol=ProtocolSpec(num_backups=2, mux_degree=1),
+)
 
 
 @pytest.fixture(scope="module")
 def chaos_network():
-    return ENVIRONMENT.build()
+    return build_loaded_network(SPEC)
 
 
 class TestScheduleCodec:
@@ -95,8 +109,6 @@ class TestScheduleCodec:
         assert flattened.triggers == ()
         assert len(flattened.events) == 1
 
-    def test_environment_roundtrip(self):
-        assert ChaosEnvironment.from_dict(ENVIRONMENT.to_dict()) == ENVIRONMENT
 
 
 class TestProfiles:
@@ -194,11 +206,11 @@ class TestCampaigns:
         with re-establishment fallback."""
 
         def run(config, workers: int) -> tuple:
-            registry = MetricsRegistry()
-            results = run_campaign(
-                build_campaign(7, 8, chaos_network, config), chaos_network,
-                config, workers=workers, metrics=registry,
-            )
+            with obs_session(MetricsRegistry()) as registry:
+                results = run_campaign(
+                    build_campaign(7, 8, chaos_network, config),
+                    chaos_network, config, workers=workers,
+                )
             snapshot = registry.snapshot()
             # Timer histograms are wall-clock, and the route cache is
             # process-global (the hit/miss split depends on which process
@@ -278,17 +290,11 @@ class TestShrinking:
         )
 
         path = tmp_path / "artifact.json"
-        write_artifact(
-            path, artifact_payload(shrink, config, ENVIRONMENT)
-        )
+        write_artifact(path, artifact_payload(shrink, SPEC))
         payload = load_artifact(path)
         assert payload["schema"] == SCHEMA
-        # The explicit (K, b, D) block rides along for replay validation.
-        assert payload["protocol"] == {
-            "d_max": config.rcc.max_delay,
-            "num_backups": ENVIRONMENT.num_backups,
-            "mux_degree": ENVIRONMENT.mux_degree,
-        }
+        # The scenario is the artifact's only description of the run.
+        assert ScenarioSpec.from_dict(payload["scenario"]) == SPEC
         replayed = replay_artifact(payload)
         assert "reservation-conservation" in violation_signature(
             replayed.violations
@@ -315,7 +321,7 @@ class TestShrinking:
         assert "multiple-active" in signature
 
         path = tmp_path / "artifact.json"
-        write_artifact(path, artifact_payload(shrink, config, ENVIRONMENT))
+        write_artifact(path, artifact_payload(shrink, SPEC))
         payload = load_artifact(path)
         replayed = replay_artifact(payload)
         assert violation_signature(replayed.violations) == signature
@@ -325,69 +331,69 @@ class TestShrinking:
         assert guarded.drained
 
     def test_replay_rejects_unknown_config_keys(self, chaos_network):
-        """An artifact whose config names a field this build does not
-        have (e.g. one recorded under a since-retired switch) fails with
-        one named error instead of a bare TypeError."""
+        """An artifact whose scenario names a protocol field this build
+        does not have (e.g. one recorded under a since-retired switch)
+        fails with one named error instead of replaying something else."""
         schedule = build_schedule(
             "flapping", 3, chaos_network, ProtocolConfig()
         )
-        payload = {
-            "schema": SCHEMA,
-            "schedule": schedule.to_dict(),
-            "config": {
-                **protocol_config_to_json(ProtocolConfig()),
-                "debug_double_release": False,
-                "no_such_knob": 1,
-            },
-        }
+        payload = artifact_payload(ShrinkResult(schedule=schedule), SPEC)
+        payload["scenario"]["protocol"]["debug_double_release"] = False
         with pytest.raises(
             ValueError,
-            match=r"unknown protocol config key\(s\) "
-                  r"\['debug_double_release', 'no_such_knob'\]",
+            match=r"protocol spec: unknown field\(s\) debug_double_release",
         ):
-            replay_artifact(payload, chaos_network)
-        # The nested RCC block and the two keys every artifact records
-        # are held to the same contract (they used to escape as a bare
-        # TypeError / KeyError).
-        recorded = protocol_config_to_json(ProtocolConfig())
-        for config, message in (
-            ({**recorded, "rcc": {**recorded["rcc"], "burst": 3}},
-             r"unknown protocol config key\(s\) \['rcc.burst'\]"),
-            ({key: value for key, value in recorded.items()
-              if key not in ("scheme", "rcc")},
-             r"missing protocol config key\(s\) \['rcc', 'scheme'\]"),
-            ({**recorded, "rcc": 3}, r"'rcc' must be an object"),
-        ):
-            with pytest.raises(ValueError, match=message):
-                replay_artifact({**payload, "config": config}, chaos_network)
+            replay_artifact(payload)
 
-    def test_replay_validates_protocol_block(
-        self, chaos_network, tmp_path, monkeypatch
+    def test_version_1_artifact_names_both_schemas(self, tmp_path):
+        """The former format carried the network and the config twice
+        over; it is not read, and says so rather than replaying."""
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"schema": "repro.chaos/1"}))
+        with pytest.raises(
+            ValueError,
+            match=r"expected schema 'repro.chaos/2', found 'repro.chaos/1'",
+        ):
+            load_artifact(path)
+
+    def test_artifact_scenario_loads_as_a_spec_file(
+        self, chaos_network, tmp_path
     ):
-        plant(monkeypatch, DoubleReleaseSimulation)
-        config = ProtocolConfig()
-        schedules = build_campaign(7, 8, chaos_network, config)
-        results = run_campaign(schedules, chaos_network, config, workers=1)
-        failing = [result for result in results if result.violations]
-        shrink = shrink_failing_run(failing[0], chaos_network, config)
-        payload = artifact_payload(shrink, config, ENVIRONMENT)
-        # A hand-edited (K, b, D) triple contradicting the recorded
-        # environment/config must refuse to replay...
-        tampered = json.loads(json.dumps(payload))
-        tampered["protocol"]["num_backups"] = ENVIRONMENT.num_backups + 1
-        with pytest.raises(ValueError, match="num_backups"):
-            replay_artifact(tampered)
-        tampered = json.loads(json.dumps(payload))
-        tampered["protocol"]["d_max"] = config.rcc.max_delay + 1.0
-        with pytest.raises(ValueError, match="d_max"):
-            replay_artifact(tampered)
-        # ...while a pre-block artifact still replays (old format).
-        legacy = json.loads(json.dumps(payload))
-        del legacy["protocol"]
-        replayed = replay_artifact(legacy)
-        assert "reservation-conservation" in violation_signature(
-            replayed.violations
+        schedule = build_schedule(
+            "flapping", 3, chaos_network, ProtocolConfig()
         )
+        payload = artifact_payload(ShrinkResult(schedule=schedule), SPEC)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(payload["scenario"]))
+        assert load_cells(str(path)) == [SPEC]
+
+    def test_ring_artifact_writes_and_replays(self, tmp_path, capsys):
+        """The six-node ring (every pair has exactly two disjoint paths,
+        so K=1 and every failure is a switchover) replays like a grid."""
+        spec = ScenarioSpec(
+            name="test/ring6",
+            topology=TopologySpec(family="ring", size=6),
+            workload=WorkloadSpec(kind="chaos", connections=3),
+            protocol=ProtocolSpec(num_backups=1, mux_degree=1),
+        )
+        network = build_loaded_network(spec)
+        assert network.num_connections == 3
+        config = spec.protocol.config()
+        result = run_schedule(
+            build_schedule("cascade", 5, network, config), network, config
+        )
+        assert result.materialized
+        path = tmp_path / "ring.json"
+        write_artifact(path, artifact_payload(ShrinkResult(
+            schedule=result.schedule.with_events(result.materialized),
+            violations=result.violations,
+        ), spec))
+        replayed = replay_artifact(load_artifact(path))
+        assert replayed.materialized == result.materialized
+        assert replayed.final_time == result.final_time
+        assert replayed.violations == result.violations
+        assert main(["chaos", "--replay", str(path)]) == 0
+        assert "profile cascade" in capsys.readouterr().out
 
     def test_shrink_without_violations_rejected(self, chaos_network):
         schedule = build_schedule(

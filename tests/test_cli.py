@@ -12,7 +12,7 @@ import pytest
 from repro.cli import build_parser, main, run_experiment
 from repro.experiments import EXPERIMENTS
 from repro.experiments.report import report_rows
-from repro.experiments.setup import NetworkConfig
+from repro.network.spec import TopologySpec
 from repro.obs import SNAPSHOT_SCHEMA
 from repro.protocol import ProtocolConfig
 from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
@@ -169,13 +169,17 @@ class TestParser:
         ["table1", "--rows", "1", "--cols", "1"],
         ["table1", "--topology", "mesh", "--rows", "1", "--cols", "1"],
         ["inhomogeneous", "--rows", "1", "--cols", "3"],
+        # Once: a ValueError traceback from the sparse 3-regular network,
+        # after the torus and the mesh rows were measured.
+        ["inhomogeneous", "--rows", "3", "--cols", "3"],
     ])
     def test_grid_the_topology_rejects_fails_before_the_run(
         self, argv, capsys, monkeypatch
     ):
-        """The torus needs 2x2 and the mesh two nodes: only the chosen
-        topology can say, so the check follows parsing — still exit 2,
-        naming the flags, before anything is established."""
+        """The torus needs 2x2, the mesh two nodes and a 3-regular graph
+        an even node count: only the topologies the command builds can
+        say, so the check follows parsing — still exit 2, naming the
+        flags, before anything is established."""
         monkeypatch.setattr(
             "repro.cli._run_command",
             lambda args: pytest.fail("the command ran"),
@@ -307,7 +311,7 @@ class TestCommands:
         assert "0 failures" in out
         # A section is what its row — a ``python -m repro ...`` command
         # line — prints when run on its own.
-        rows = report_rows(NetworkConfig(rows=4, cols=4), 5, 1)
+        rows = report_rows(TopologySpec(rows=4, cols=4), 5, 1)
         assert len(rows) == 13
         parser = build_parser()
         for title, line in rows:
@@ -437,9 +441,13 @@ class TestChaosCommand:
         artifacts = sorted(tmp_path.glob("chaos-seed7-run*.json"))
         assert artifacts
         payload = json.loads(artifacts[0].read_text())
-        assert payload["schema"] == "repro.chaos/1"
+        assert payload["schema"] == "repro.chaos/2"
         assert payload["reproduced"] is True
         assert len(payload["schedule"]["events"]) <= 5
+        # The campaign's own cell, flags and defaults resolved: the torus
+        # at its paper capacity, so nothing about the network is pinned.
+        assert payload["scenario"]["topology"] == {"rows": 4, "cols": 4}
+        assert payload["scenario"]["workload"]["campaign_size"] == 6
 
     def test_planted_race_fails_and_shrinks(
         self, capsys, tmp_path, monkeypatch
@@ -477,24 +485,23 @@ class TestChaosCommand:
         with open(artifact) as handle:
             payload = json.load(handle)
         path = tmp_path / "stale.json"
-
-        def replay_with(config: dict) -> None:
-            path.write_text(json.dumps({**payload, "config": config}))
-            main(["chaos", "--replay", str(path)])
-
-        recorded = payload["config"]
-        for config, message in (
-            ({**recorded, "no_such_knob": True},
-             r"unknown protocol config key\(s\) \['no_such_knob'\]"),
-            ({**recorded, "rcc": {**recorded["rcc"], "burst": 3}},
-             r"unknown protocol config key\(s\) \['rcc.burst'\]"),
-            ({key: value for key, value in recorded.items()
-              if key != "scheme"},
-             r"missing protocol config key\(s\) \['scheme'\]"),
+        scenario = payload["scenario"]
+        for document, message in (
+            ({**payload, "scenario": {
+                **scenario,
+                "protocol": {**scenario["protocol"], "no_such_knob": True}}},
+             r"protocol spec: unknown field\(s\) no_such_knob"),
+            ({**payload, "scenario": {
+                **scenario,
+                "topology": {**scenario["topology"], "family": "moebius"}}},
+             r"unknown topology family 'moebius'"),
+            ({**payload, "schema": "repro.chaos/1"},
+             r"expected schema 'repro.chaos/2', found 'repro.chaos/1'"),
         ):
+            path.write_text(json.dumps(document))
             # A message (not a traceback), prefixed with the file.
             with pytest.raises(SystemExit, match=message) as raised:
-                replay_with(config)
+                main(["chaos", "--replay", str(path)])
             assert str(raised.value).startswith(f"{path}: ")
 
     def test_product_has_no_planted_switch(self):

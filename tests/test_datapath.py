@@ -183,10 +183,10 @@ class TestDataStreamUnderFailure:
 class TestMessageLossExperiment:
     def test_experiment_runs_and_losses_bounded(self):
         from repro.experiments.message_loss import run_message_loss
-        from repro.experiments.setup import NetworkConfig
+        from repro.network.spec import TopologySpec
 
         result = run_message_loss(
-            NetworkConfig(rows=4, cols=4), message_rate=2.0,
+            TopologySpec(rows=4, cols=4), message_rate=2.0,
             sample_connections=2,
         )
         assert result.measurements

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.experiments.panel import run_table1
-from repro.experiments.setup import NetworkConfig
+from repro.network.spec import TopologySpec
 from repro.experiments.workloads import all_pairs, establish_workload
 from repro.faults import sample_double_node_failures
 from repro.protocol import ProtocolConfig, simulate_scenario
@@ -35,7 +35,7 @@ class TestDeterminism:
         assert snapshot() == snapshot()
 
     def test_table1_repeatable(self):
-        config = NetworkConfig(rows=3, cols=3)
+        config = TopologySpec(rows=3, cols=3)
         panel = dict(num_backups=1, mux_degrees=(3,), double_node_samples=5)
         first = run_table1(config, **panel)
         second = run_table1(config, **panel)

@@ -15,11 +15,7 @@ from repro.experiments.figure9 import run_figure9
 from repro.experiments.panel import run_table1, run_table3
 from repro.experiments.rcc_sizing import run_rcc_sizing
 from repro.experiments.reliability import run_reliability
-from repro.experiments.setup import (
-    FAILURE_MODELS,
-    NetworkConfig,
-    standard_failure_models,
-)
+from repro.experiments.setup import FAILURE_MODELS, standard_failure_models
 from repro.experiments.table2 import run_table2
 from repro.experiments.workloads import (
     all_pairs,
@@ -28,9 +24,10 @@ from repro.experiments.workloads import (
     mixed_bandwidth_traffic,
     uniform_traffic,
 )
+from repro.network.spec import TopologySpec
 
-CFG = NetworkConfig(rows=4, cols=4)
-MESH_CFG = NetworkConfig(topology="mesh", rows=4, cols=4)
+CFG = TopologySpec(rows=4, cols=4)
+MESH_CFG = TopologySpec(family="mesh", rows=4, cols=4)
 
 
 class TestWorkloads:
@@ -111,14 +108,14 @@ class TestWorkloads:
 
 class TestSetup:
     def test_network_config_builds_paper_defaults(self):
-        assert NetworkConfig().build().capacity(next(iter(
-            NetworkConfig().build().links()
+        assert TopologySpec().build().capacity(next(iter(
+            TopologySpec().build().links()
         ))) == 200.0
         assert MESH_CFG.build().name == "4x4 mesh"
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(ValueError):
-            NetworkConfig(topology="hyperloop").build()
+            TopologySpec(family="hyperloop").build()
 
     def test_standard_failure_models_shapes(self):
         topology = torus(4, 4)
@@ -242,7 +239,7 @@ class TestAnalyticExperiments:
         assert undersized > compliant
 
     def test_reliability_models_agree(self):
-        result = run_reliability(NetworkConfig(rows=3, cols=3), workers=1)
+        result = run_reliability(TopologySpec(rows=3, cols=3), workers=1)
         for markov, combinatorial in result.model_comparison.values():
             assert markov == pytest.approx(combinatorial, abs=1e-5)
         assert result.configuration_sweep

@@ -9,7 +9,7 @@ from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.inhomogeneous import run_inhomogeneous
 from repro.experiments.scaling import run_scaling
-from repro.experiments.setup import NetworkConfig
+from repro.network.spec import TopologySpec
 from repro.faults import FailureScenario
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 
@@ -42,7 +42,7 @@ class TestBaselineComparisonExperiment:
     @pytest.fixture(scope="class")
     def result(self):
         return run_baseline_comparison(
-            NetworkConfig(rows=4, cols=4), mux_degree=3
+            TopologySpec(rows=4, cols=4), mux_degree=3
         )
 
     def test_three_schemes(self, result):

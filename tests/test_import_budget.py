@@ -37,8 +37,9 @@ _WORKLOAD = _PRELUDE + textwrap.dedent("""
     from repro.channels.qos import FaultToleranceQoS
     from repro.core import multiplexing
     from repro.core.bcp import BCPNetwork
-    from repro.experiments.setup import NetworkConfig, load_network
+    from repro.experiments.setup import load_network
     from repro.faults.enumerate import all_single_link_failures
+    from repro.network.spec import TopologySpec
     from repro.obs import obs_session
     from repro.protocol.runtime import ProtocolSimulation
     from repro.recovery.evaluator import RecoveryEvaluator
@@ -46,7 +47,7 @@ _WORKLOAD = _PRELUDE + textwrap.dedent("""
 
     if len(sys.argv) > 1:
         multiplexing.KERNEL_MIN_POPULATION = int(sys.argv[1])
-    config = NetworkConfig(rows=4, cols=4)
+    config = TopologySpec(rows=4, cols=4)
     with obs_session() as registry:
         network, report = load_network(
             config, FaultToleranceQoS(num_backups=1, mux_degree=3))
@@ -106,6 +107,21 @@ def test_entry_point_import_loads_no_numerics(module, shared):
     # A command imports what it runs: no table, figure or Markov model
     # before a handler asks for one.
     assert loaded["experiments"] == shared
+
+
+def test_experiment_setup_loads_no_protocol_chaos_or_scenario():
+    """The tables describe their network with the same ``TopologySpec``
+    a scenario cell does, without paying for the event-level protocol,
+    the chaos engine or the scenario runner."""
+    script = _PRELUDE + textwrap.dedent("""
+        import repro.experiments.setup
+        print(json.dumps(sorted(
+            name for name in sys.modules
+            if name.startswith(("repro.protocol", "repro.chaos",
+                                "repro.scenario"))
+        )))
+    """)
+    assert run_fresh(script) == []
 
 
 @pytest.fixture(scope="module")

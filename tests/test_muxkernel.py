@@ -25,7 +25,8 @@ from repro.core.dconnection import DConnection
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
 from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import OverlapPolicy
-from repro.experiments.setup import NetworkConfig, load_network
+from repro.experiments.setup import load_network
+from repro.network.spec import TopologySpec
 from repro.network.components import LinkId
 from repro.network.generators import random_regular, ring, torus
 from repro.faults import all_single_link_failures
@@ -513,7 +514,7 @@ class TestPaperScaleTraffic:
         the paper-scale experiments run on the scalar path throughout."""
         with obs_session() as registry:
             network, report = load_network(
-                NetworkConfig(topology="torus", rows=8, cols=8),
+                TopologySpec(family="torus", rows=8, cols=8),
                 FaultToleranceQoS(num_backups=1, mux_degree=3),
             )
             counters = registry.snapshot()["counters"]

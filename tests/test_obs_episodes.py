@@ -10,7 +10,6 @@ import json
 import pytest
 
 from repro.chaos import (
-    ChaosEnvironment,
     build_campaign,
     build_schedule,
     run_campaign,
@@ -28,15 +27,15 @@ from repro.obs import (
     obs_session,
 )
 from repro.protocol import ProtocolConfig, ProtocolSimulation
+from repro.scenario import build_loaded_network
 from repro.sim.trace import TraceLog
 from tests.planted import DoubleReleaseSimulation, plant
-
-ENVIRONMENT = ChaosEnvironment()
+from tests.test_chaos import SPEC
 
 
 @pytest.fixture(scope="module")
 def chaos_network():
-    return ENVIRONMENT.build()
+    return build_loaded_network(SPEC)
 
 
 # ----------------------------------------------------------------------
@@ -322,7 +321,8 @@ class TestEpisodeReconstruction:
         for seed in (1, 2, 3):
             schedule = build_schedule(profile, seed, chaos_network, config)
             trace = TraceLog(enabled=True)
-            run_schedule(schedule, chaos_network, config, trace_log=trace)
+            with obs_session(MetricsRegistry(), trace):
+                run_schedule(schedule, chaos_network, config)
             reconstructor = _reconstruct(trace)
             assert reconstructor.violations() == []
             for episode in reconstructor.episodes:
@@ -342,7 +342,7 @@ class TestEpisodeReconstruction:
         registry = MetricsRegistry()
         with obs_session(registry, sink):
             results = run_campaign(schedules, chaos_network, config,
-                                   workers=1, metrics=registry)
+                                   workers=1)
         reconstructor = _reconstruct(sink)
         recovered = sum(result.recovered for result in results)
         assert reconstructor.summary()["recovered"] == recovered
@@ -360,7 +360,7 @@ class TestEpisodeReconstruction:
             registry = MetricsRegistry()
             with obs_session(registry, sink):
                 run_campaign(schedules, chaos_network, config,
-                             workers=workers, metrics=registry)
+                             workers=workers)
             episodes = _reconstruct(sink).episodes
             dumps.append((
                 sink.to_jsonl(),

@@ -17,10 +17,11 @@ there, all on the standard library's ``ast`` alone:
   miss dead code but cannot flag live code.  Import statements and
   ``__all__`` are not mentions; a root may also name its target in a
   string, as ``benchmarks/e2e/layers.py`` does;
-* **parameters** (over ``repro.experiments``) — a parameter with a
-  default is a knob somebody turns: some call of that name sets it, by
-  keyword, by position or through ``*`` / ``**``.  One no call sets is a
-  constant written as an option.
+* **parameters** (over ``repro.experiments``, ``repro.chaos`` and
+  ``repro.scenario``) — a parameter with a default is a knob somebody
+  turns: some call of that name sets it, by keyword, by position or
+  through ``*`` / ``**``.  One no call sets is a constant written as an
+  option.
 
 What the first two walks do not reach must equal ``ALLOWED``, each entry
 with the reason it stays: a frozen-benchmark target, what a named test
@@ -314,9 +315,15 @@ def test_src_ships_only_what_an_entry_point_reaches():
     assert len(ALLOWED) <= 15 and all(ALLOWED.values())
 
 
+#: The packages whose defaulted parameters must each have a caller.
+GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario")
+
+
 def test_no_experiment_parameter_has_a_default_nobody_overrides():
-    found = unset_parameters(REPO / "src", "repro", _roots(),
-                             "repro.experiments")
+    found = set().union(*(
+        unset_parameters(REPO / "src", "repro", _roots(), package)
+        for package in GATED_PACKAGES
+    ))
     assert not found, (
         "defaulted, and no call under src/, benchmarks/, scripts/ or "
         f"examples/ sets it (make it a constant): {sorted(found)}"

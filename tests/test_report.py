@@ -9,12 +9,12 @@ from repro.experiments.report import (
     ReproductionReport,
     generate_report,
 )
-from repro.experiments.setup import NetworkConfig
+from repro.network.spec import TopologySpec
 
 
 class TestReproductionReport:
     def test_markdown_structure(self):
-        report = ReproductionReport(config=NetworkConfig(rows=4, cols=4))
+        report = ReproductionReport(config=TopologySpec(rows=4, cols=4))
         report.sections.append(ReportSection("Demo", "row | value"))
         text = report.to_markdown()
         assert text.startswith("# Reproduction report")
@@ -23,14 +23,14 @@ class TestReproductionReport:
         assert "failed to run" not in text
 
     def test_errors_section_rendered(self):
-        report = ReproductionReport(config=NetworkConfig(rows=4, cols=4))
+        report = ReproductionReport(config=TopologySpec(rows=4, cols=4))
         report.errors.append(("Broken", "ValueError: nope"))
         text = report.to_markdown()
         assert "## Sections that failed to run" in text
         assert "ValueError: nope" in text
 
     def test_save(self, tmp_path):
-        report = ReproductionReport(config=NetworkConfig(rows=4, cols=4))
+        report = ReproductionReport(config=TopologySpec(rows=4, cols=4))
         report.sections.append(ReportSection("Demo", "body"))
         target = report.save(tmp_path / "out.md")
         assert target.read_text() == report.to_markdown()
@@ -40,7 +40,7 @@ class TestGenerateReport:
     @pytest.fixture(scope="class")
     def report(self):
         return generate_report(
-            NetworkConfig(topology="mesh", rows=4, cols=4),
+            TopologySpec(family="mesh", rows=4, cols=4),
             double_node_samples=5,
             workers=1,
         )

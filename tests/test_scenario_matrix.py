@@ -21,7 +21,7 @@ import json
 import pytest
 
 from repro.experiments.panel import run_table1, run_table3
-from repro.experiments.setup import FAILURE_MODELS, NetworkConfig
+from repro.experiments.setup import FAILURE_MODELS
 from repro.routing.flatgraph import flat_view
 from repro.scenario import (
     ProtocolSpec,
@@ -30,7 +30,7 @@ from repro.scenario import (
     TopologyCache,
     TopologySpec,
     WorkloadSpec,
-    chaos_environment_from_spec,
+    build_loaded_network,
     churn_config_from_spec,
     diff_cells,
     load_cells,
@@ -420,7 +420,7 @@ def test_eval_cells_are_cells_of_tables_1_and_3():
     free-capacity fallback once made every brute-force cell 1.0."""
     samples = 10
     panel = dict(num_backups=1, mux_degrees=(3, 6), double_node_samples=samples)
-    config = NetworkConfig(topology="mesh", rows=4, cols=4)
+    config = TopologySpec(family="mesh", rows=4, cols=4)
     tables = {
         "multiplexed": run_table1(config, **panel),
         "bruteforce": run_table3(config, **panel),
@@ -486,23 +486,65 @@ def test_churn_config_from_spec():
     assert config.slos == ()
 
 
-def test_chaos_environment_from_spec_grid_only():
-    spec = ScenarioSpec(
-        name="c",
-        topology=TopologySpec(family="torus", rows=4, cols=4),
-        workload=WorkloadSpec(kind="chaos", connections=5),
-        protocol=ProtocolSpec(num_backups=2, mux_degree=1),
+def test_one_spec_gives_one_network(tmp_path, monkeypatch):
+    """The mesh chaos cell of ci_smoke runs on one network whichever
+    surface runs it — the matrix runner, ``repro chaos --spec`` and the
+    replay of an artifact recorded from it: the same link capacities (the
+    mesh's paper default) and the same loaded spare.  ``repro chaos`` once
+    pinned the torus's capacity for every family."""
+    import pathlib
+
+    from repro.chaos import (
+        ChaosSchedule,
+        ShrinkResult,
+        artifact_payload,
+        write_artifact,
     )
-    environment = chaos_environment_from_spec(spec)
-    assert environment.connections == 5
-    assert environment.num_backups == 2
-    ring = ScenarioSpec(
-        name="r",
-        topology=TopologySpec(family="ring", size=8),
-        workload=WorkloadSpec(kind="chaos"),
+    from repro.cli import main
+    from repro.network.generators import mesh
+    from repro.protocol.runtime import ProtocolSimulation
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    (cell,) = [
+        spec
+        for spec in load_cells(str(root / "ci_smoke.jsonl"))
+        if spec.name == "ci-smoke/4x4-mesh/chaos/K1b1"
+    ]
+    seen = []
+    construct = ProtocolSimulation.__init__
+
+    def spy(self, network, *args, **kwargs):
+        capacity = network.topology.capacity
+        links = network.topology.links()
+        seen.append(
+            (
+                {link: capacity(link) for link in links},
+                network.spare_fraction().hex(),
+            )
+        )
+        construct(self, network, *args, **kwargs)
+
+    monkeypatch.setattr(ProtocolSimulation, "__init__", spy)
+    spec_path = tmp_path / "cell.json"
+    spec_path.write_text(cell.to_json())
+    artifact = tmp_path / "artifact.json"
+    empty = ChaosSchedule(seed=0, profile="manual", horizon=1.0)
+    write_artifact(artifact, artifact_payload(ShrinkResult(empty), cell))
+    networks = {}
+    run_cell(cell, TopologyCache())
+    networks["matrix run"] = seen[0]
+    seen.clear()
+    assert main(["chaos", "--spec", str(spec_path), "--workers", "1"]) == 0
+    networks["chaos --spec"] = seen[0]
+    seen.clear()
+    assert main(["chaos", "--replay", str(artifact)]) == 0
+    networks["chaos --replay"] = seen[0]
+    reference = mesh(4, 4)  # at the generator's default capacity
+    expected = (
+        {link: reference.capacity(link) for link in reference.links()},
+        build_loaded_network(cell).spare_fraction().hex(),
     )
-    with pytest.raises(ValueError, match="grid families"):
-        chaos_environment_from_spec(ring)
+    assert networks == dict.fromkeys(networks, expected)
 
 
 # ----------------------------------------------------------------------

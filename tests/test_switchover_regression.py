@@ -17,8 +17,8 @@ Each artifact is replayed twice:
   clean — this is the actual regression test for the switchover
   handshake.
 
-The artifacts carry a plain product config: which daemon ran is the
-harness's choice, not a recorded switch.
+The artifacts' scenarios derive a plain product config: which daemon
+ran is the harness's choice, not a recorded switch.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from repro.chaos import (
     replay_artifact,
     violation_signature,
 )
-from repro.chaos.schedule import protocol_config_from_json
 from repro.protocol import ProtocolConfig
+from repro.scenario import ScenarioSpec
 from tests.planted import UnguardedSimulation, plant
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
@@ -55,11 +55,12 @@ def test_artifacts_are_checked_in():
 class TestSwitchoverRaceArtifacts:
     def test_artifact_shape(self, path):
         payload = load_artifact(path)
-        # Shrunk to the 2-3 event core the ISSUE calls for, recorded
-        # under the default config with a reproduced signature.
+        # Shrunk to the 2-3 event core, recorded under the default config
+        # with a reproduced signature.
         assert payload["reproduced"] is True
         assert len(payload["schedule"]["events"]) <= 3
-        assert protocol_config_from_json(payload["config"]) == ProtocolConfig()
+        spec = ScenarioSpec.from_dict(payload["scenario"])
+        assert spec.protocol.config() == ProtocolConfig()
         assert payload["violations"]
 
     def test_unguarded_replay_reproduces_race(self, path, monkeypatch):
