@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """A narrated recovery: watch every protocol step of one failure.
 
-Enables event tracing on the protocol runtime, kills one link, and prints
-the complete causal chain — crash, neighbour detection, failure reports
+Gives the protocol runtime a trace log, kills one link, and prints the
+complete causal chain — crash, neighbour detection, failure reports
 hopping node by node toward both end-nodes, bidirectional activation,
 spare draws, end-to-end completion — exactly the sequence of the paper's
 Section 4 walkthrough and Fig. 5(c).
@@ -17,6 +17,7 @@ Run:  python examples/trace_walkthrough.py
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.faults import FailureScenario
 from repro.protocol import ProtocolConfig, ProtocolSimulation
+from repro.sim import TraceLog
 
 
 def build():
@@ -30,18 +31,17 @@ def build():
 
 
 def run(network, connection, config, label):
-    simulation = ProtocolSimulation(network, config, trace=True)
+    simulation = ProtocolSimulation(network, config, trace=TraceLog())
     victim = connection.primary.path.links[2]
     simulation.inject_scenario(FailureScenario.of_links([victim]), at=10.0)
     simulation.run(until=400.0)
     print(f"\n=== {label}: failing {victim} at t=10 ===")
     interesting = [
-        event for event in simulation.trace.events
-        if event.category != "report" or event.time < 20
+        row for row in simulation.trace.rows
+        if row.kind != "report-hop" or row.t < 20
     ]
-    for event in interesting[:30]:
-        print(f"  t={event.time:7.2f}  {event.category:<12} "
-              f"@node {event.node}: {event.description}")
+    for row in interesting[:30]:
+        print(f"  {row}")
     record = simulation.metrics.recoveries[connection.connection_id]
     print(f"  -> service disruption: {record.service_disruption:.2f}, "
           f"fully recovered at t={record.completed_at:.2f}")

@@ -5,8 +5,8 @@ campaigns.
 ChaosSchedule` against a fresh :class:`~repro.protocol.runtime.
 ProtocolSimulation` with an attached :class:`~repro.protocol.invariants.
 InvariantAuditor`, checking invariants after every injected event and
-exhaustively at quiescence.  Reactive triggers are armed on the live
-trace stream and their resolved firings recorded as static events, so
+exhaustively at quiescence.  Reactive triggers are armed on the run's
+live trace log and their resolved firings recorded as static events, so
 the result is always replayable without trigger state.
 
 :func:`run_campaign` fans a batch of schedules over
@@ -25,12 +25,13 @@ from repro.chaos.schedule import FAIL, ChaosEvent, ChaosSchedule
 from repro.chaos.profiles import DEFAULT_PROFILES, build_schedule
 from repro.channels.qos import FaultToleranceQoS
 from repro.core.bcp import BCPNetwork
-from repro.obs.flight import FlightRecorder
+from repro.obs.registry import get_trace_sink
 from repro.parallel import parallel_map
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.invariants import InvariantAuditor, InvariantViolation
 from repro.protocol.runtime import ProtocolSimulation
 from repro.protocol.states import IllegalTransitionError
+from repro.sim.trace import FLIGHT_ROWS, TraceLog, flight_record
 from repro.util.rng import make_rng
 
 
@@ -70,10 +71,10 @@ class ChaosRunResult:
     recovered: int = 0
     unrecoverable: int = 0
     rejoins: int = 0
-    #: Flight-recorder snapshot (``repro.flight/1`` dict) of the last
-    #: events before the first invariant violation; ``None`` for clean
-    #: runs.  Kept out of :meth:`as_dict` — it is dumped as its own
-    #: artifact, next to the shrunk schedule.
+    #: Flight recording (``repro.flight/2`` dict): the run's last rows
+    #: before the auditor's verdict; ``None`` for clean runs.  Kept out
+    #: of :meth:`as_dict` — it is dumped as its own artifact, next to the
+    #: shrunk schedule.
     flight: "dict | None" = field(default=None, compare=False)
 
     @property
@@ -101,16 +102,20 @@ def run_schedule(
     """Execute one schedule against a fresh runtime and audit it.
 
     The run records into the session registry and trace sink (see
-    :class:`~repro.protocol.runtime.ProtocolSimulation`).  A
-    :class:`~repro.obs.flight.FlightRecorder` rides along on every run;
-    when the auditor records violations, the result carries the
-    recorder's snapshot (the last trace events plus trailing spans) as a
-    replayable diagnosis artifact.
+    :class:`~repro.protocol.runtime.ProtocolSimulation`) — without a
+    sink, into a log that keeps only the last :data:`~repro.sim.trace.
+    FLIGHT_ROWS` rows.  When the auditor records violations, the result
+    carries a flight recording as a diagnosis artifact: the last rows of
+    this run (never an earlier run's, even in a shared sink), parent ids
+    included.
     """
     config = config or ProtocolConfig()
-    simulation = ProtocolSimulation(network, config, seed=schedule.seed)
-    recorder = FlightRecorder()
-    recorder.attach(simulation.trace)
+    sink = get_trace_sink()
+    trace = sink if sink is not None else TraceLog(keep=FLIGHT_ROWS)
+    first_row = trace.next_id
+    simulation = ProtocolSimulation(
+        network, config, seed=schedule.seed, trace=trace
+    )
     auditor = InvariantAuditor(simulation)
     auditor.attach()
     engine = simulation.engine
@@ -127,15 +132,15 @@ def run_schedule(
         materialized.append(event)
         engine.schedule_at(event.time, inject, event)
 
-    # Reactive triggers: armed on the live trace stream, one firing each;
+    # Reactive triggers: armed on the live log, one firing each;
     # the resolved injection joins the materialized stream so the run is
     # replayable (and shrinkable) as plain timed events.
     pending_triggers = list(schedule.triggers)
     listener = None
     if pending_triggers:
-        def listener(trace_event) -> None:
+        def listener(row) -> None:
             for trigger in tuple(pending_triggers):
-                if trigger.category != trace_event.category:
+                if trigger.category != row.kind:
                     continue
                 pending_triggers.remove(trigger)
                 resolved = ChaosEvent(
@@ -146,7 +151,7 @@ def run_schedule(
                 materialized.append(resolved)
                 engine.schedule_at(resolved.time, inject, resolved)
 
-        simulation.trace.subscribe(listener)
+        trace.subscribe(listener)
 
     aborted = False
     try:
@@ -156,7 +161,7 @@ def run_schedule(
         auditor.record("illegal-transition", "state-machine", str(exc))
     finally:
         if listener is not None:
-            simulation.trace.unsubscribe(listener)
+            trace.unsubscribe(listener)
 
     drained = engine.pending == 0
     if not drained and not aborted:
@@ -167,13 +172,12 @@ def run_schedule(
         )
     auditor.check_quiescent(drained=drained and not aborted)
     auditor.detach()
-    recorder.detach()
     flight = None
     if auditor.violations:
-        flight = recorder.snapshot(
-            reason="invariant-violation",
-            spans=simulation.spans,
-            context={
+        flight = flight_record(
+            (row for row in trace.rows if row.id >= first_row),
+            "invariant-violation",
+            {
                 "seed": schedule.seed,
                 "horizon": schedule.horizon,
                 "violations": [v.as_dict() for v in auditor.violations],

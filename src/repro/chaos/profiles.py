@@ -121,8 +121,8 @@ def cascade(rng, network, config):
 
 def failure_during_recovery(rng, network, config):
     """Crash the primary, then crash the first backup *while its
-    activation is in flight* — armed on the run's first ``activation``
-    trace event, with the target pre-chosen here."""
+    activation is in flight* — armed on the run's first ``activate`` row,
+    with the target pre-chosen here."""
     connection = _pick_connection(rng, network)
     backup = _backup_of(rng, connection)
     events = [
@@ -133,7 +133,7 @@ def failure_during_recovery(rng, network, config):
     if backup is not None:
         triggers.append(
             ChaosTrigger(
-                category="activation",
+                category="activate",
                 delay=rng.uniform(0.0, 1.0),
                 action=FAIL,
                 component=_mid_link(rng, backup),

@@ -2,10 +2,11 @@
 
 A :class:`ChaosSchedule` is the unit the chaos engine executes: a list of
 timed crash/repair :class:`ChaosEvent`\\ s, plus optional reactive
-:class:`ChaosTrigger`\\ s that fire off live trace events (e.g. *fail the
-backup while its activation is in flight*).  Schedules are pure data —
-built once from a seed by a profile, serialised into the ``repro.chaos/2``
-JSON artifact format, and replayed bit-identically on any worker.
+:class:`ChaosTrigger`\\ s that fire off rows of the run's live trace log
+(e.g. *fail the backup while its activation is in flight*).  Schedules
+are pure data — built once from a seed by a profile, serialised into the
+``repro.chaos/2`` JSON artifact format, and replayed bit-identically on
+any worker.
 
 Triggers carry their target component pre-chosen at build time, so the
 only runtime-dependent part of a trigger is *when* it fires.  The engine
@@ -21,6 +22,7 @@ import json
 from dataclasses import dataclass, field
 
 from repro.faults.models import component_from_json, component_to_json
+from repro.sim.trace import KINDS
 
 #: Artifact schema identifier (bumped on incompatible format changes).
 SCHEMA = "repro.chaos/2"
@@ -60,15 +62,17 @@ class ChaosEvent:
 
 @dataclass(frozen=True, slots=True)
 class ChaosTrigger:
-    """A reactive injection armed on a live trace category.
+    """A reactive injection armed on a row kind of the live trace log.
 
-    When the run's first trace event of ``category`` appears (at time
+    When the run's first row of kind ``category`` appears (at time
     ``t``), the trigger injects ``action`` on ``component`` at
-    ``t + delay``.  One firing per trigger; a run whose trace never shows
-    the category simply never fires it.
+    ``t + delay``.  One firing per trigger; a run that never emits the
+    kind never fires it.  A kind the log does not declare
+    (:data:`repro.sim.trace.KINDS`) is rejected, so a typo cannot replay
+    as a silent clean run.
     """
 
-    category: str  # trace category to arm on (e.g. "activation")
+    category: str  # row kind to arm on (e.g. "activate")
     delay: float
     action: str  # FAIL | REPAIR
     component: object
@@ -76,6 +80,11 @@ class ChaosTrigger:
     def __post_init__(self) -> None:
         if self.action not in (FAIL, REPAIR):
             raise ValueError(f"unknown chaos action {self.action!r}")
+        if self.category not in KINDS:
+            raise ValueError(
+                f"unknown trigger kind {self.category!r}; known: "
+                f"{', '.join(sorted(KINDS))}"
+            )
 
     def to_dict(self) -> dict:
         return {

@@ -11,9 +11,9 @@ Examples::
         --repair-at "40:link:0->1"              # explicit timed injection
     python -m repro chaos --seed 0 --campaign-size 25   # invariant audit
     python -m repro chaos --replay chaos-seed0-run3.json
-    python -m repro chaos --trace-out spans.jsonl \
+    python -m repro chaos --trace-out trace.jsonl \
         --slo "protocol.recovery_delay.p99 <= gamma"
-    python -m repro obs episodes --input spans.jsonl    # Γ breakdown
+    python -m repro obs episodes --input trace.jsonl    # Γ breakdown
     python -m repro report --rows 4 --cols 4    # quick full sweep
 
 The table and figure commands are the rows of
@@ -23,8 +23,8 @@ per table; ``--rows 4 --cols 4`` gives a faster small-scale pass.
 
 Every subcommand also accepts ``--metrics-out PATH`` (write the run's
 ``repro.metrics/1`` snapshot as JSON) and ``--trace-out PATH`` (write the
-run's structured trace as JSONL).  The four commands whose tasks were
-measured to gain from a process pool — ``matrix``, ``chaos``,
+run's trace log as ``repro.trace/2`` JSONL).  The four commands whose
+tasks were measured to gain from a process pool — ``matrix``, ``chaos``,
 ``reliability``, ``report`` — accept ``--workers N`` (``auto`` = one per
 CPU; results are identical for any worker count); see the
 Observability and Parallel evaluation sections of docs/architecture.md.
@@ -44,12 +44,13 @@ from repro.obs import (
     MetricsRegistry,
     format_metrics,
     get_registry,
+    get_trace_sink,
     obs_session,
     write_json,
     write_metrics,
     write_trace,
 )
-from repro.sim.trace import TraceLog
+from repro.sim.trace import TraceLog, flight_record
 
 # Everything a command runs is imported by the handler that runs it, so
 # a process pays for one experiment, or for none (--help, serve, churn).
@@ -300,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     obs = subparsers.add_parser(
         "obs", help="offline observability: reconstruct recovery episodes "
-                    "from a span stream, evaluate SLOs against a metrics "
+                    "from a trace log, evaluate SLOs against a metrics "
                     "snapshot")
     obs.add_argument("action", choices=("episodes", "slo"),
                      help="episodes: fold a --trace-out JSONL into "
@@ -309,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "--slo targets against a repro.metrics/1 "
                           "snapshot")
     obs.add_argument("--input", metavar="PATH", default=None,
-                     help="input file: span/trace JSONL for 'episodes', "
-                          "repro.metrics/1 JSON for 'slo'")
+                     help="input file: a --trace-out repro.trace/2 JSONL "
+                          "for 'episodes', repro.metrics/1 JSON for 'slo'")
     obs.add_argument("--episodes-out", metavar="PATH", default=None,
                      help="also write the reconstructed episodes as "
                           "deterministic JSON lines (episodes action)")
@@ -372,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="write the run's metrics snapshot as JSON (repro.metrics/1)")
         sub.add_argument(
             "--trace-out", metavar="PATH", default=None,
-            help="write the run's structured trace as JSONL (repro.trace/1)")
+            help="write the run's trace log as JSONL (repro.trace/2)")
     # A pool only where it was measured to pay — commands whose tasks each
     # build their own network (matrix cells; reliability configurations,
     # declared with the experiment) — plus chaos campaigns, a wash on 2
@@ -394,8 +395,7 @@ def _run_stats(args: argparse.Namespace) -> str:
     qos = FaultToleranceQoS(num_backups=args.backups, mux_degree=args.mux)
     network, _ = load_network(_config(args), qos)
     links = sorted(network.topology.links(), key=str)[:args.failures]
-    simulation = ProtocolSimulation(network, ProtocolConfig(), seed=0,
-                                    trace=True)
+    simulation = ProtocolSimulation(network, ProtocolConfig(), seed=0)
     simulation.inject_scenario(FailureScenario.of_links(links), at=1.0)
     # Explicit timed injections on top of (or instead of, with
     # --failures 0) the default scenario.
@@ -749,21 +749,16 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
             os.makedirs(args.artifact_dir, exist_ok=True)
             flight_path = os.path.join(
                 args.artifact_dir, f"flight-seed{spec.seed}-slo.json")
-            from repro.obs import FLIGHT_SCHEMA
-
-            write_json({
-                "schema": FLIGHT_SCHEMA,
-                "reason": "slo-breach",
-                "capacity": 0,
-                "events": [],
-                "spans": [],
-                "context": {
+            sink = get_trace_sink()
+            write_json(flight_record(
+                () if sink is None else sink.rows, "slo-breach",
+                {
                     "seed": spec.seed,
                     "gamma": gamma,
                     "breaches": [r.to_dict() for r in slo_breaches],
                     "summary": summary,
                 },
-            }, flight_path)
+            ), flight_path)
             slo_lines.append(f"SLO breach artifact -> {flight_path}")
 
     failing = [
@@ -795,8 +790,8 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
             f"in {shrunk.runs} replays -> {path}"
         )
         lines.extend(_format_violations(shrunk.violations))
-        # The flight recording (last trace events + spans before the
-        # violation) rides next to the shrunk schedule.
+        # The flight recording (the run's last rows before the verdict)
+        # rides next to the shrunk schedule.
         if result.flight is not None:
             flight_path = os.path.join(
                 args.artifact_dir,
@@ -957,8 +952,11 @@ def _run_obs(args: argparse.Namespace) -> tuple[str, int]:
 
         if not args.input:
             raise SystemExit("repro obs episodes requires --input "
-                             "(a --trace-out JSONL containing spans)")
-        reconstructor = EpisodeReconstructor().add_file(args.input)
+                             "(a --trace-out repro.trace/2 JSONL)")
+        try:
+            reconstructor = EpisodeReconstructor().add_file(args.input)
+        except ValueError as error:
+            raise SystemExit(f"{args.input}: {error}") from None
         summary = reconstructor.summary()
         lines = [
             f"repro obs episodes — {args.input}: "
@@ -1102,7 +1100,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     # (and, with --trace-out, a shared trace sink), so exported counters
     # reflect exactly this run and are reproducible run-to-run.
     registry = MetricsRegistry()
-    sink = TraceLog(enabled=True) if args.trace_out else None
+    sink = TraceLog() if args.trace_out else None
     with obs_session(registry, sink):
         output = _run_command(args)
     # Commands that gate CI (chaos) return (text, exit_code); the rest
@@ -1110,11 +1108,19 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     code = 0
     if isinstance(output, tuple):
         output, code = output
-    print(output)
+    # The files first: a reader that stops early (``| head``) must not
+    # cost them.
     if args.metrics_out:
         write_metrics(registry, args.metrics_out, command=args.command)
     if sink is not None:
         write_trace(sink, args.trace_out)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # Quiet the interpreter's own flush at exit, and exit as a
+        # pipeline stage killed by SIGPIPE does (128 + 13).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return code
 
 

@@ -18,9 +18,7 @@ from repro.obs.export import (
     write_metrics,
     write_trace,
 )
-from repro.obs.flight import DEFAULT_CAPACITY, FLIGHT_SCHEMA, FlightRecorder
 from repro.obs.slo import SLOEngine, SLOResult, SLOTarget, format_results
-from repro.obs.spans import NULL_SPAN_LOG, SPAN_SCHEMA, Span, SpanLog
 from repro.obs.registry import (
     Counter,
     DEFAULT_MAX_SAMPLES,
@@ -59,17 +57,10 @@ __all__ = [
     "write_metrics",
     "write_trace",
     "format_metrics",
-    "Span",
-    "SpanLog",
-    "NULL_SPAN_LOG",
-    "SPAN_SCHEMA",
     "EpisodeReconstructor",
     "RecoveryEpisode",
     "SLOEngine",
     "SLOTarget",
     "SLOResult",
     "format_results",
-    "FlightRecorder",
-    "FLIGHT_SCHEMA",
-    "DEFAULT_CAPACITY",
 ]

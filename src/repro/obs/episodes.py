@@ -1,12 +1,12 @@
-"""Offline reconstruction of recovery episodes from a span stream.
+"""Offline reconstruction of recovery episodes from the trace log.
 
 The protocol runtime opens one ``episode`` span per connection whose
-primary channel is hit (see :mod:`repro.protocol.runtime`) and attaches
-detection, report-hop, activation, and resumption point spans beneath
-it.  :class:`EpisodeReconstructor` folds an exported JSONL stream (mixed
-``repro.trace/1`` event rows and ``repro.spans/1`` span rows — span rows
-carry a ``span`` key) back into :class:`RecoveryEpisode` objects with
-the paper's delay breakdown:
+primary channel is hit (see :mod:`repro.protocol.runtime`) and files the
+detect, report-hop, informed and activate rows of that recovery under
+it.  :class:`EpisodeReconstructor` folds a
+:class:`~repro.sim.trace.TraceLog` — live, or read back from its
+``repro.trace/2`` JSONL export — into :class:`RecoveryEpisode` objects
+with the paper's delay breakdown:
 
 * **detect** — failure injection to the first daemon noticing,
 * **propagate** — detection to the end-node learning of the failure
@@ -19,7 +19,7 @@ service disruption (the paper's measured Γ).
 
 Each recovered episode is also checked against the analytic bound
 Γ ≤ (K−1)·D + 2(b−1)(K−1)·D (Section 5.3) for its own (K, b, D)
-configuration, which the runtime stamps into the episode span's attrs.
+configuration, which the runtime stamps into the episode row's attrs.
 For an episode containing *multiple* failures (a backup dying while
 recovery is in flight), the bound's clock is dated from the **latest**
 failure signal preceding resumption — the analysis assumes a single
@@ -29,18 +29,22 @@ honest comparison; for single-failure episodes this equals the total.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.sim.trace import TraceLog
 from repro.util.tables import format_table
 
 #: Numerical slack for bound comparisons (pure-float arithmetic).
 _EPSILON = 1e-9
 
-#: Child span kinds that mark a (new) failure signal inside an episode —
+#: Child row kinds that mark a (new) failure signal inside an episode —
 #: used to date the Γ clock for multi-failure episodes.
 _CLOCK_KINDS = frozenset({"detect", "mux-failure"})
+
+#: The row kinds an episode is reconstructed from.
+_KINDS = ("episode", "detect", "report-hop", "informed", "activate",
+          "mux-failure")
 
 
 @dataclass
@@ -174,66 +178,58 @@ class RecoveryEpisode:
 
 
 class EpisodeReconstructor:
-    """Fold a span/trace stream into recovery episodes."""
+    """Fold a trace log into recovery episodes."""
 
     def __init__(self) -> None:
         self.episodes: list[RecoveryEpisode] = []
         self._by_span: dict[int, RecoveryEpisode] = {}
 
     # -- feeding --------------------------------------------------------
-    def add_row(self, row: dict) -> None:
-        """Consume one JSONL row (event rows are ignored)."""
-        if "span" not in row:
-            return
-        kind = row.get("kind")
-        attrs = row.get("attrs") or {}
-        if kind == "episode":
-            episode = RecoveryEpisode(
-                span_id=row["span"],
-                connection_id=attrs.get("connection", -1),
-                component=str(attrs.get("component", "?")),
-                failed_at=row["t_start"],
-                outcome=str(attrs.get("outcome", "unresolved")),
-                k_hops=int(attrs.get("k_hops", 1)),
-                num_backups=int(attrs.get("num_backups", 1)),
-                d_max=float(attrs.get("d_max", 1.0)),
-                serial=attrs.get("serial"),
-            )
-            if episode.outcome == "recovered":
-                episode.resumed_at = row["t_end"]
-                episode.completed_at = attrs.get("completed")
-            self.episodes.append(episode)
-            self._by_span[episode.span_id] = episode
-            return
-        parent = row.get("parent")
-        episode = self._by_span.get(parent) if parent else None
-        if episode is None:
-            return
-        t = row["t_start"]
-        if kind in _CLOCK_KINDS:
-            episode.failure_signals.append(t)
-        if kind == "detect":
-            if episode.detect_at is None or t < episode.detect_at:
-                episode.detect_at = t
-        elif kind == "report-hop":
-            episode.report_hops += 1
-        elif kind == "informed":
-            if episode.informed_at is None or t < episode.informed_at:
-                episode.informed_at = t
-        elif kind == "activate":
-            if episode.activate_at is None or t < episode.activate_at:
-                episode.activate_at = t
-
-    def add_jsonl(self, text: str) -> "EpisodeReconstructor":
-        """Consume a JSONL document (blank lines are skipped)."""
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                self.add_row(json.loads(line))
+    def add_log(self, trace: TraceLog) -> "EpisodeReconstructor":
+        """Consume a log's episode rows and the steps filed under them."""
+        for row in trace.select(*_KINDS):
+            if row.kind == "episode":
+                attrs = row.attrs
+                episode = RecoveryEpisode(
+                    span_id=row.id,
+                    connection_id=attrs["connection"],
+                    component=str(row.node),
+                    failed_at=row.t,
+                    outcome=str(attrs.get("outcome", "unresolved")),
+                    k_hops=int(attrs["k_hops"]),
+                    num_backups=int(attrs["num_backups"]),
+                    d_max=float(attrs["d_max"]),
+                    serial=attrs.get("serial"),
+                )
+                if episode.outcome == "recovered":
+                    episode.resumed_at = row.t_end
+                    episode.completed_at = attrs.get("completed")
+                self.episodes.append(episode)
+                self._by_span[row.id] = episode
+                continue
+            episode = self._by_span.get(row.parent)
+            if episode is None:
+                continue
+            t = row.t
+            if row.kind in _CLOCK_KINDS:
+                episode.failure_signals.append(t)
+            if row.kind == "detect":
+                if episode.detect_at is None or t < episode.detect_at:
+                    episode.detect_at = t
+            elif row.kind == "report-hop":
+                episode.report_hops += 1
+            elif row.kind == "informed":
+                if episode.informed_at is None or t < episode.informed_at:
+                    episode.informed_at = t
+            elif row.kind == "activate":
+                if episode.activate_at is None or t < episode.activate_at:
+                    episode.activate_at = t
         return self
 
     def add_file(self, path: "Path | str") -> "EpisodeReconstructor":
-        return self.add_jsonl(Path(path).read_text())
+        """Consume a ``repro.trace/2`` JSONL export (``ValueError`` on a
+        file of any other schema)."""
+        return self.add_log(TraceLog.from_jsonl(Path(path).read_text()))
 
     # -- summaries ------------------------------------------------------
     def violations(self) -> list[RecoveryEpisode]:

@@ -6,10 +6,9 @@ Two machine-readable formats (documented in docs/architecture.md):
   by :func:`write_metrics`.  Keys are sorted, so two identical seeded
   runs produce byte-identical ``counters`` sections (timer values are
   wall-clock and will differ).
-* **trace JSONL** — one JSON object per recorded
-  :class:`~repro.sim.trace.TraceEvent`, in recording order, with keys
-  ``time``/``category``/``node``/``description``, written by
-  :func:`write_trace`.
+* **trace JSONL** — the ``repro.trace/2`` rows of a
+  :class:`~repro.sim.trace.TraceLog`, one JSON object per row in
+  emission order, written by :func:`write_trace`.
 
 :func:`format_metrics` renders a snapshot as the aligned ASCII tables
 used by ``python -m repro stats``.

@@ -100,15 +100,17 @@ class Histogram:
     """
 
     __slots__ = ("name", "count", "total", "min", "max",
-                 "max_samples", "_samples", "_stride", "_skip")
+                 "_samples", "_stride", "_skip")
 
-    def __init__(self, name: str, max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
+    #: Retained-sample cap.
+    max_samples = DEFAULT_MAX_SAMPLES
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
         self.total = 0.0
         self.min = math.inf
         self.max = -math.inf
-        self.max_samples = max_samples
         self._samples: list[float] = []
         self._stride = 1   # keep 1 of every _stride recorded values
         self._skip = 0     # values left to drop before the next keep
@@ -210,13 +212,15 @@ class Series:
     run-boundary values survive decimation.
     """
 
-    __slots__ = ("name", "count", "max_points", "last_time", "last_value",
+    __slots__ = ("name", "count", "last_time", "last_value",
                  "_points", "_stride", "_skip")
 
-    def __init__(self, name: str, max_points: int = DEFAULT_MAX_SAMPLES) -> None:
+    #: Retained-point cap.
+    max_points = DEFAULT_MAX_SAMPLES
+
+    def __init__(self, name: str) -> None:
         self.name = name
         self.count = 0
-        self.max_points = max_points
         self.last_time: "float | None" = None
         self.last_value: "float | None" = None
         self._points: list[tuple[float, float]] = []
@@ -503,7 +507,7 @@ NULL_REGISTRY = NullRegistry()
 # observe a whole run without threading a registry through every
 # constructor in the stack.
 _registry: MetricsRegistry = MetricsRegistry()
-_trace_sink = None  # an enabled repro.sim.trace.TraceLog, or None
+_trace_sink = None  # a repro.sim.trace.TraceLog keeping every row, or None
 
 
 def get_registry() -> MetricsRegistry:

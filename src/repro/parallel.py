@@ -13,11 +13,12 @@ docs/architecture.md, "Parallel evaluation".
 
 :func:`parallel_map` keeps one hard guarantee: **results are bit-identical
 for any worker count.**  Every task runs under its own fresh
-:class:`~repro.obs.registry.MetricsRegistry` and
-:class:`~repro.sim.trace.TraceLog` — in a worker *or* inline, the same
-code — and the parent folds the per-task snapshots, trace events and spans
-into the caller's registry and trace sink in item order, regardless of
-completion order.  ``workers=1`` creates no pool.
+:class:`~repro.obs.registry.MetricsRegistry` — and, when the caller has a
+trace sink, its own :class:`~repro.sim.trace.TraceLog` — in a worker *or*
+inline, the same code, and the parent folds the per-task snapshots and
+rows into the caller's registry and sink in item order, regardless of
+completion order.  Without a sink a task keeps no rows.  ``workers=1``
+creates no pool.
 
 Failures in a worker are *surfaced*, never swallowed: the parent blocks on
 ``Future.result()``, which re-raises the worker's exception (or
@@ -63,32 +64,15 @@ def _mp_context():
         return multiprocessing.get_context()
 
 
-def _map_one(func: Callable, item: object) -> tuple:
+def _map_one(func: Callable, item: object, traced: bool) -> tuple:
+    """Run one task under a fresh registry and, when ``traced``, a fresh
+    log (else no session sink at all); returns the result, the snapshot
+    and the rows the task recorded."""
     registry = MetricsRegistry()
-    trace = TraceLog()
+    trace = TraceLog() if traced else None
     with obs_session(registry, trace):
         result = func(item)
-    return result, registry.snapshot(), trace.events, trace.spans.spans
-
-
-def _replay_trace(sink, events, spans=()) -> None:
-    """Append a task's captured trace events (and spans) to the caller's
-    sink.
-
-    Each task records into a private :class:`TraceLog` (worker *or*
-    inline — same capture either way), and the parent replays the events
-    in item order, so the session trace is identical for any worker
-    count.  Captured spans are absorbed the same way — span ids are
-    remapped in merge order (see :meth:`repro.obs.spans.SpanLog.absorb`),
-    so span streams are also worker-count invariant.
-    """
-    if sink is None:
-        return
-    for event in events:
-        sink.record(event.time, event.category, event.node,
-                    event.description)
-    if spans:
-        sink.spans.absorb(spans)
+    return result, registry.snapshot(), () if trace is None else trace.rows
 
 
 def parallel_map(
@@ -110,21 +94,26 @@ def parallel_map(
     """
     item_list = list(items)
     registry = metrics if metrics is not None else get_registry()
+    sink = get_trace_sink()
+    traced = sink is not None
     worker_count = min(resolve_workers(workers), max(1, len(item_list)))
     if worker_count <= 1 or len(item_list) <= 1:
-        outputs = [_map_one(func, item) for item in item_list]
+        outputs = [_map_one(func, item, traced) for item in item_list]
     else:
         with ProcessPoolExecutor(
             max_workers=worker_count, mp_context=_mp_context()
         ) as pool:
             futures = [
-                pool.submit(_map_one, func, item) for item in item_list
+                pool.submit(_map_one, func, item, traced)
+                for item in item_list
             ]
             outputs = [future.result() for future in futures]
-    sink = get_trace_sink()
     results = []
-    for result, snapshot, events, spans in outputs:
+    for result, snapshot, rows in outputs:
         registry.absorb(snapshot)
-        _replay_trace(sink, events, spans)
+        if traced:
+            # Renumbered in item order: the session log is the same for
+            # any worker count.
+            sink.absorb(rows)
         results.append(result)
     return results

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 from repro.network.components import LinkId, NodeId
 from repro.obs.registry import get_registry
-from repro.obs.spans import NULL_SPAN_LOG
 from repro.protocol.config import SwitchingScheme
 from repro.protocol.messages import (
     ActivationAck,
@@ -150,11 +149,9 @@ class BCPDaemon:
         self._c_so_acks = obs.counter("switchover.acks")
         self._c_so_completed = obs.counter("switchover.completed")
         self._c_so_fallbacks = obs.counter("switchover.fallbacks")
-        # Causal span log shared with the runtime (stub runtimes without
-        # .spans get the inert one).  Note: an *empty* SpanLog is falsy
-        # (it has __len__), so this must be a None check, not ``or``.
-        spans = getattr(runtime, "spans", None)
-        self._spans = spans if spans is not None else NULL_SPAN_LOG
+        #: The runtime's log: every step below is one row, guarded on
+        #: ``self._log.active``.
+        self._log = runtime.trace
 
     # ------------------------------------------------------------------
     # plumbing
@@ -166,19 +163,14 @@ class BCPDaemon:
     def _alive(self) -> bool:
         return self.runtime.node_up(self.node)
 
-    def _trace(self, category: str, description: str) -> None:
-        self.runtime.trace.record(
-            self.runtime.engine.now, category, self.node, description
-        )
-
-    def _span_point(self, kind: str, connection_id: int,
-                    **attrs: object) -> None:
-        """Record an instantaneous span attached to the connection's open
-        recovery episode (callers guard on ``self._spans.enabled``)."""
-        self._spans.point(
-            kind, self.runtime.engine.now,
+    def _point(self, kind: str, connection_id: int, **attrs: object) -> None:
+        """Record one step of a connection's handling at this node, filed
+        under the connection's open recovery episode (callers guard on
+        ``self._log.active``)."""
+        self._log.point(
+            kind, self.node, self.runtime.engine.now,
             parent=self.runtime.episode_parent(connection_id),
-            node=str(self.node), connection=connection_id, **attrs,
+            connection=connection_id, **attrs,
         )
 
     def _send(self, next_hop: NodeId, message: ControlMessage) -> None:
@@ -244,12 +236,9 @@ class BCPDaemon:
             view.episode += 1
             self._c_so_episodes.inc()
             view.recovering = False
-            self._trace(
-                "switchover",
-                f"end-node repaired; reconciling connection "
-                f"{view.connection_id} (pre-crash channel "
-                f"{view.current_channel} is suspect)",
-            )
+            if self._log.active:
+                self._point("switchover-reconcile", view.connection_id,
+                            suspect=view.current_channel)
             if view.role == "source":
                 # Probe everything believed dead: a channel whose soft
                 # state survived elsewhere can heal back into a standby.
@@ -273,10 +262,8 @@ class BCPDaemon:
             return
         # Soft-state teardown: the channel's local resources are released.
         record.transition(LocalChannelState.NON_EXISTENT, ChannelEvent.EXPIRE)
-        self._trace(
-            "teardown",
-            f"rejoin timer expired; channel {channel_id} released",
-        )
+        if self._log.active:
+            self._point("teardown", record.connection_id, channel=channel_id)
         self.runtime.release_channel_at_node(channel_id, self.node)
 
     # ------------------------------------------------------------------
@@ -328,13 +315,8 @@ class BCPDaemon:
             record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(record)
             self._c_detections.inc()
-            self._trace(
-                "detect",
-                f"channel {record.channel_id} lost its {side.value} "
-                f"component {component}",
-            )
-            if self._spans.enabled:
-                self._span_point(
+            if self._log.active:
+                self._point(
                     "detect", record.connection_id,
                     channel=record.channel_id, side=side.value,
                     component=str(component),
@@ -373,13 +355,8 @@ class BCPDaemon:
             self._end_node_learns_failure(record, report)
         else:
             self._c_reports.inc()
-            self._trace(
-                "report",
-                f"failure report for channel {record.channel_id} "
-                f"{direction.value} via {next_hop}",
-            )
-            if self._spans.enabled:
-                self._span_point(
+            if self._log.active:
+                self._point(
                     "report-hop", record.connection_id,
                     channel=record.channel_id, direction=direction.value,
                     via=str(next_hop),
@@ -431,8 +408,8 @@ class BCPDaemon:
             self._end_node_learns_failure(record, report)
         else:
             self._c_reports.inc()
-            if self._spans.enabled:
-                self._span_point(
+            if self._log.active:
+                self._point(
                     "report-hop", record.connection_id,
                     channel=record.channel_id,
                     direction=report.direction.value, via=str(next_hop),
@@ -463,16 +440,11 @@ class BCPDaemon:
                 self._start_probe_timer(record.channel_id)
             return
         view.unhealthy.add(record.channel_id)
-        self._trace(
-            "informed",
-            f"end-node learned channel {record.channel_id} of connection "
-            f"{record.connection_id} is unhealthy",
-        )
         self.runtime.metrics.note_endpoint_informed(
             record.connection_id, record.channel_id, self.runtime.engine.now
         )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "informed", record.connection_id,
                 channel=record.channel_id, role=view.role,
             )
@@ -511,9 +483,9 @@ class BCPDaemon:
             self.runtime.metrics.note_unrecoverable(
                 view.connection_id, self.runtime.engine.now, self.node
             )
-            if self._spans.enabled:
-                self._span_point("unrecoverable", view.connection_id,
-                                 role=view.role)
+            if self._log.active:
+                self._point("unrecoverable", view.connection_id,
+                            role=view.role)
                 self.runtime.end_episode(
                     view.connection_id, self.runtime.engine.now,
                     outcome="unrecoverable",
@@ -543,13 +515,8 @@ class BCPDaemon:
         view.attempted.add(backup.channel_id)
         view.current_channel = backup.channel_id
         view.current_serial = backup.serial
-        self._trace(
-            "activation",
-            f"activating backup serial {backup.serial} of connection "
-            f"{view.connection_id}",
-        )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "activate", view.connection_id,
                 serial=backup.serial, role=view.role,
             )
@@ -628,12 +595,9 @@ class BCPDaemon:
             # A leftover from an earlier recovery round, or a lower serial
             # than what this end already carries: deterministically stale.
             self._c_so_stale.inc()
-            self._trace(
-                "switchover",
-                f"stale activation (serial {message.serial}, episode "
-                f"{message.episode}) for connection {record.connection_id} "
-                f"dropped",
-            )
+            if self._log.active:
+                self._point("activation-stale", record.connection_id,
+                            serial=message.serial, episode=message.episode)
             return
         changed = (
             record.state is LocalChannelState.BACKUP
@@ -668,9 +632,9 @@ class BCPDaemon:
                     record.connection_id, record.serial,
                     self.runtime.engine.now,
                 )
-                if self._spans.enabled:
-                    self._span_point("resumed", record.connection_id,
-                                     serial=record.serial)
+                if self._log.active:
+                    self._point("resumed", record.connection_id,
+                                serial=record.serial)
         pending = self._pending.get(record.connection_id)
         if pending is not None and pending.backup.channel_id == record.channel_id:
             # Counterpart activation (scheme 3): the far end is provably on
@@ -711,12 +675,9 @@ class BCPDaemon:
                 view.attempted.add(info.channel_id)
         # Whatever handshake we had in flight is superseded.
         self._cancel_pending(view.connection_id)
-        self._trace(
-            "switchover",
-            f"adopted activation serial {message.serial} (episode "
-            f"{message.episode}) from the far end-node for connection "
-            f"{view.connection_id}",
-        )
+        if self._log.active:
+            self._point("activation-adopt", view.connection_id,
+                        serial=message.serial, episode=message.episode)
 
     def _demote_stale_primaries(
         self, record: LocalChannelRecord, all_serials: bool = False
@@ -745,14 +706,8 @@ class BCPDaemon:
             other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(other)
             self._c_so_demotions.inc()
-            self._trace(
-                "switchover",
-                f"demoted stale primary channel {other.channel_id} "
-                f"(serial {other.serial}) superseded by serial "
-                f"{record.serial}",
-            )
-            if self._spans.enabled:
-                self._span_point(
+            if self._log.active:
+                self._point(
                     "switchover-demote", record.connection_id,
                     channel=other.channel_id, serial=other.serial,
                     superseded_by=record.serial,
@@ -787,8 +742,8 @@ class BCPDaemon:
         self._pending.pop(view.connection_id, None)
         view.recovering = False
         self._c_so_completed.inc()
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "activation-ack", view.connection_id,
                 serial=pending.backup.serial, episode=pending.episode,
                 how=how, attempts=pending.attempts,
@@ -821,16 +776,12 @@ class BCPDaemon:
             return
         pending.attempts += 1
         self._c_so_retries.inc()
-        self._trace(
-            "switchover",
-            f"activation of serial {backup.serial} unacked; resend "
-            f"{pending.attempts}/{self._config.switchover_retry_limit}",
-        )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "activation-retry", connection_id,
                 serial=backup.serial, episode=pending.episode,
                 attempt=pending.attempts,
+                limit=self._config.switchover_retry_limit,
             )
         direction = (
             Direction.TO_DESTINATION if view.role == "source"
@@ -862,13 +813,8 @@ class BCPDaemon:
         self._cancel_pending(view.connection_id)
         backup = pending.backup
         self._c_so_exhausted.inc()
-        self._trace(
-            "switchover",
-            f"activation of serial {backup.serial} exhausted its retries; "
-            f"declaring the backup dead and falling back",
-        )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "switchover-exhausted", view.connection_id,
                 serial=backup.serial, episode=pending.episode,
                 attempts=pending.attempts,
@@ -935,15 +881,11 @@ class BCPDaemon:
         # component failure (Section 4.1).
         record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
         self._start_rejoin_timer(record)
-        self._trace(
-            "mux-failure",
-            f"spare exhausted on {link} for channel {record.channel_id}",
-        )
         self.runtime.metrics.note_mux_failure(
             record.connection_id, record.channel_id, link, self.runtime.engine.now
         )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "mux-failure", record.connection_id,
                 channel=record.channel_id, link=str(link),
             )
@@ -962,11 +904,8 @@ class BCPDaemon:
         if record.state is LocalChannelState.PRIMARY:
             record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(record)
-        self._trace(
-            "preemption",
-            f"channel {channel_id} of connection {record.connection_id} "
-            f"preempted by a higher-priority activation",
-        )
+        if self._log.active:
+            self._point("preemption", record.connection_id, channel=channel_id)
         self.runtime.metrics.note_preemption(
             record.connection_id, channel_id, self.runtime.engine.now
         )
@@ -992,7 +931,8 @@ class BCPDaemon:
         if pending is not None and pending.backup.channel_id == channel_id:
             self._cancel_pending(record.connection_id)
         self.runtime.release_channel_at_node(channel_id, self.node)
-        self._trace("closure", f"tearing down channel {channel_id}")
+        if self._log.active:
+            self._point("closure", record.connection_id, channel=channel_id)
         if record.downstream is not None:
             self._send(
                 record.downstream,
@@ -1090,17 +1030,12 @@ class BCPDaemon:
             self._cancel_rejoin_timer(record.channel_id)
         if record.is_source:
             self._refresh_view_after_rejoin(record)
-            self._trace(
-                "rejoined",
-                f"channel {record.channel_id} repaired and back in service "
-                f"as a backup",
-            )
             self.runtime.metrics.note_rejoined(
                 record.connection_id, record.channel_id, self.runtime.engine.now
             )
-            if self._spans.enabled:
-                self._span_point("rejoined", record.connection_id,
-                                 channel=record.channel_id)
+            if self._log.active:
+                self._point("rejoined", record.connection_id,
+                            channel=record.channel_id)
             return
         self._send(record.upstream, message)
 
@@ -1133,11 +1068,9 @@ class BCPDaemon:
             # of staying adrift on an abandoned channel.
             view.episode += 1
             self._c_so_episodes.inc()
-            self._trace(
-                "switchover",
-                f"channel {record.channel_id} healed while connection "
-                f"{record.connection_id} was down; restoring service",
-            )
+            if self._log.active:
+                self._point("switchover-restore", record.connection_id,
+                            channel=record.channel_id)
             self._initiate_recovery(view)
 
     def _receive_closure(

@@ -65,10 +65,10 @@ class HeartbeatDetector:
         receiver = self.link.dst
         if not self.runtime.node_up(receiver):
             return  # a dead node detects nothing
-        self.runtime.trace.record(
-            self.runtime.engine.now, "hb-detect", receiver,
-            f"missed heartbeats: declaring {self.link} failed",
-        )
+        trace = self.runtime.trace
+        if trace.active:
+            trace.point("hb-detect", receiver, self.runtime.engine.now,
+                        link=str(self.link), cause="missed-heartbeats")
         self.runtime.daemons[receiver].on_component_failure(self.link)
         # One declaration per outage; the timer re-arms when beats resume.
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.obs.spans import NULL_SPAN_LOG, SpanLog
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.messages import ControlMessage, RCCFrame
 from repro.sim.engine import EventEngine, EventHandle
@@ -68,7 +67,6 @@ class RCCLink:
         deliver: Callable[[ControlMessage], None],
         seed: "int | None" = 0,
         metrics: "MetricsRegistry | None" = None,
-        spans: "SpanLog | None" = None,
     ) -> None:
         self.engine = engine
         self.link = link
@@ -77,9 +75,6 @@ class RCCLink:
         self._deliver = deliver
         self._rng = make_rng(seed)
         self.stats = RCCStats()
-        #: Causal span log (shared with the owning runtime's trace log);
-        #: give-up verdicts are recorded as ``rcc-give-up`` point spans.
-        self.spans = spans if spans is not None else NULL_SPAN_LOG
         # Network-wide transport metrics: every RCCLink of a runtime
         # shares these instruments, so they aggregate across links.
         obs = metrics if metrics is not None else get_registry()
@@ -198,11 +193,6 @@ class RCCLink:
             self._frame_times.pop(pending.frame.seq, None)
             self.stats.gave_up += 1
             self._m_gave_up.inc()
-            if self.spans.enabled:
-                self.spans.point(
-                    "rcc-give-up", self.engine.now, link=str(self.link),
-                    retries=pending.retries,
-                )
             if self.on_give_up is not None:
                 self.on_give_up(self.link)
             return

@@ -254,7 +254,7 @@ class ProtocolSimulation:
         network: BCPNetwork,
         config: ProtocolConfig | None = None,
         seed: "int | None" = 0,
-        trace: bool = False,
+        trace: "TraceLog | None" = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.network = network
@@ -264,14 +264,13 @@ class ProtocolSimulation:
         self.obs = metrics if metrics is not None else get_registry()
         self.engine = EventEngine(metrics=self.obs)
         self.metrics = ProtocolMetrics(self.obs)
-        # When the session has a shared trace sink (e.g. the CLI's
-        # --trace-out), record straight into it so the whole run exports
-        # as one timeline; otherwise keep a private per-run log.
-        sink = get_trace_sink()
-        self.trace = sink if sink is not None else TraceLog(enabled=trace)
-        #: Causal span log shared with the trace log; recovery episodes
-        #: and their child spans land here (see repro.obs.spans).
-        self.spans = self.trace.spans
+        if trace is None:
+            trace = get_trace_sink()
+        #: The log every step of this run is recorded into: the one
+        #: passed, else the session's sink (the CLI's --trace-out, so the
+        #: whole run exports as one timeline), else one that keeps
+        #: nothing.
+        self.trace = trace if trace is not None else TraceLog(keep=0)
         #: connection id -> open ``episode`` span id.
         self._episode_spans: dict[int, int] = {}
         self.failed_components: set = set()
@@ -295,7 +294,6 @@ class ProtocolSimulation:
                 deliver=self._make_deliver(link.dst),
                 seed=rng.getrandbits(64),
                 metrics=self.obs,
-                spans=self.spans,
             )
         for link, rcc in self._rcc.items():
             reverse = self._rcc.get(link.reversed())
@@ -337,13 +335,17 @@ class ProtocolSimulation:
         failure makes *both* directions suspected — a real limitation of
         ack-based detection (the affected healthy channels just switch to
         their backups unnecessarily, which is safe)."""
+        trace = self.trace
+        if trace.active:
+            trace.point("rcc-give-up", link.src, self.engine.now,
+                        link=str(link),
+                        retries=self.config.max_retransmissions)
         if not self.node_up(link.src) or link in self._suspected_links:
             return
         self._suspected_links.add(link)
-        self.trace.record(
-            self.engine.now, "hb-detect", link.src,
-            f"RCC gave up on {link}: declaring it failed",
-        )
+        if trace.active:
+            trace.point("hb-detect", link.src, self.engine.now,
+                        link=str(link), cause="rcc-give-up")
         self.daemons[link.src].on_component_failure(link)
 
     # ------------------------------------------------------------------
@@ -455,12 +457,12 @@ class ProtocolSimulation:
         connection_id, serial, _, hops, _ = self._channel_meta[channel_id]
         if len(drawn_links) == hops:
             self.metrics.note_completed(connection_id, serial, self.engine.now)
-            self.trace.record(
-                self.engine.now, "recovered", link.src,
-                f"connection {connection_id} fully active on backup "
-                f"serial {serial}",
-            )
-            if self.spans.enabled:
+            if self.trace.active:
+                self.trace.point(
+                    "recovered", link.src, self.engine.now,
+                    parent=self.episode_parent(connection_id),
+                    connection=connection_id, serial=serial,
+                )
                 record = self.metrics.recoveries.get(connection_id)
                 if record is not None and record.recovered_serial == serial:
                     # The episode ends when the *source* resumed service
@@ -587,18 +589,15 @@ class ProtocolSimulation:
                 ),
             )
         except NoPathError:
-            self.trace.record(
-                self.engine.now, "no-route", connection.source,
-                f"connection {connection_id}: no QoS-feasible replacement "
-                f"path in the residual network",
-            )
+            if self.trace.active:
+                self.trace.point("no-route", connection.source,
+                                 self.engine.now, connection=connection_id)
             return
         latency = establishment_latency(path.hops)
-        self.trace.record(
-            self.engine.now, "reestablish", connection.source,
-            f"connection {connection_id}: building a {path.hops}-hop "
-            f"replacement (ready in {latency:g})",
-        )
+        if self.trace.active:
+            self.trace.point("reestablish", connection.source,
+                             self.engine.now, connection=connection_id,
+                             hops=path.hops, ready_in=latency)
         self.engine.schedule(
             latency, self._note_reestablished, connection_id, path.hops
         )
@@ -610,19 +609,19 @@ class ProtocolSimulation:
     # recovery-episode spans
     # ------------------------------------------------------------------
     def _begin_episode(self, connection_id: int, component, now: float) -> None:
-        """Open the connection's ``episode`` span (first failure wins).
+        """Open the connection's ``episode`` span at the failed component
+        (first failure wins; callers guard on ``self.trace.active``).
 
         The span carries the connection's (K, b, D_max) configuration so
         an offline reader can check the episode against the analytic Γ
         bound without the network object.
         """
-        if not self.spans.enabled or connection_id in self._episode_spans:
+        if connection_id in self._episode_spans:
             return
         connection = self.network.connection(connection_id)
-        self._episode_spans[connection_id] = self.spans.begin(
-            "episode", now,
+        self._episode_spans[connection_id] = self.trace.begin(
+            "episode", component, now,
             connection=connection_id,
-            component=str(component),
             k_hops=max(ch.path.hops for ch in connection.channels),
             num_backups=max(1, connection.num_backups),
             d_max=self.config.rcc.max_delay,
@@ -631,7 +630,7 @@ class ProtocolSimulation:
 
     def episode_parent(self, connection_id: int) -> "int | None":
         """The open episode span id for a connection, if any — daemons
-        attach their detect/report/activate spans under it."""
+        file their detect/report/activate rows under it."""
         return self._episode_spans.get(connection_id)
 
     def end_episode(self, connection_id: int, t_end: float,
@@ -639,7 +638,7 @@ class ProtocolSimulation:
         """Close the connection's open episode span (no-op when none)."""
         span_id = self._episode_spans.pop(connection_id, None)
         if span_id is not None:
-            self.spans.end(span_id, t_end, **attrs)
+            self.trace.end(span_id, t_end, **attrs)
 
     # ------------------------------------------------------------------
     # failure and repair injection
@@ -681,11 +680,8 @@ class ProtocolSimulation:
                 daemon.on_repaired()
             if self.heartbeats is not None:
                 self.heartbeats.on_node_repaired(component)
-        self.trace.record(self.engine.now, "repair", component,
-                          "component repaired")
-        if self.spans.enabled:
-            self.spans.point("repair", self.engine.now,
-                             component=str(component))
+        if self.trace.active:
+            self.trace.point("repair", component, self.engine.now)
 
     def inject_scenario(self, scenario: FailureScenario, at: float) -> None:
         """Crash every component of ``scenario`` at time ``at``.
@@ -703,9 +699,9 @@ class ProtocolSimulation:
             return
         self.failed_components.add(component)
         now = self.engine.now
-        self.trace.record(now, "failure", component, "component crashed")
-        if self.spans.enabled:
-            self.spans.point("failure", now, component=str(component))
+        trace = self.trace
+        if trace.active:
+            trace.point("failure", component, now)
         if not isinstance(component, LinkId):
             # A dead node holds no timers and transmits nothing: disarm its
             # rejoin/probe timers and halt every outgoing RCC so events
@@ -730,17 +726,16 @@ class ProtocolSimulation:
             self.metrics.note_primary_failed(
                 channel.connection_id, now, endpoint_failed
             )
-            self._begin_episode(channel.connection_id, component, now)
-            if self.spans.enabled:
+            if trace.active:
+                self._begin_episode(channel.connection_id, component, now)
                 # A failure landing while recovery is already in flight
                 # shows up as a child of the open episode, so the offline
                 # Γ check can date its clock from the *latest* triggering
                 # failure rather than the first.
-                self.spans.point(
-                    "primary-failed", now,
+                trace.point(
+                    "primary-failed", component, now,
                     parent=self.episode_parent(channel.connection_id),
                     connection=channel.connection_id,
-                    component=str(component),
                 )
         # Detection: with heartbeats it is emergent (missed beats); the
         # paper's default assumes an external detector informing the
@@ -766,11 +761,11 @@ class ProtocolSimulation:
     # ------------------------------------------------------------------
     def run(self, until: float | None = None) -> float:
         """Run the event loop; returns the final simulation time."""
-        if not self.spans.enabled:
+        if not self.trace.active:
             return self.engine.run(until=until)
-        span = self.spans.begin("run", self.engine.now, until=until)
+        span = self.trace.begin("run", None, self.engine.now, until=until)
         final = self.engine.run(until=until)
-        self.spans.end(span, final, events=self.engine.events_processed)
+        self.trace.end(span, final, events=self.engine.events_processed)
         return final
 
 

@@ -266,10 +266,8 @@ class RecoveryEvaluator:
             # The evaluator has no simulation clock; the time field is
             # the scenario's ordinal in the registry it records into (the
             # running ``evaluator.scenarios`` count).
-            sink.record(
-                float(ordinal), "scenario", "evaluator",
-                f"{scenario}: fast={fast} mux={mux} lost={lost}",
-            )
+            sink.point("scenario", "evaluator", float(ordinal),
+                       scenario=str(scenario), fast=fast, mux=mux, lost=lost)
         return result
 
     def _evaluate(self, scenario: FailureScenario) -> ScenarioResult:

@@ -107,8 +107,8 @@ class CellResult:
     slo_breaches: tuple = ()
     #: Deterministic scalar measures (the CLI's measures column).
     measures: dict = field(default_factory=dict)
-    #: Flight-recorder snapshots from failing chaos runs (``repro.
-    #: flight/1`` dicts); excluded from :meth:`to_dict`, dumped as
+    #: Flight recordings from failing chaos runs (``repro.flight/2``
+    #: dicts); excluded from :meth:`to_dict`, dumped as
     #: diagnosis artifacts by the CLI.
     flights: tuple = field(default=(), compare=False)
 

@@ -3,12 +3,12 @@
 A minimal, dependency-free event engine (the offline environment has no
 simpy): a monotonic clock, a binary-heap calendar, cancellable events, and
 periodic-timer helpers.  The BCP protocol runtime in :mod:`repro.protocol`
-is built on it.
+is built on it, and records every step into one :class:`TraceLog`.
 """
 
 from repro.sim.engine import EventEngine, EventHandle, SimulationError
 from repro.sim.timers import PeriodicTimer, Timeout
-from repro.sim.trace import TraceEvent, TraceLog
+from repro.sim.trace import Row, TraceLog
 
 __all__ = [
     "EventEngine",
@@ -17,5 +17,5 @@ __all__ = [
     "PeriodicTimer",
     "Timeout",
     "TraceLog",
-    "TraceEvent",
+    "Row",
 ]

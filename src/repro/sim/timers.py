@@ -11,10 +11,7 @@ from collections.abc import Callable
 from typing import Any
 
 from repro.sim.engine import EventEngine, EventHandle
-from repro.util.validation import (
-    check_non_negative_finite,
-    check_positive_finite,
-)
+from repro.util.validation import check_positive_finite
 
 
 class Timeout:
@@ -62,8 +59,7 @@ class PeriodicTimer:
     """A fixed-period recurring timer.
 
     ``callback(*args)`` fires every ``period`` until :meth:`stop`.  The
-    first firing happens one period after :meth:`start` (or at a given
-    phase).
+    first firing happens one period after :meth:`start`.
     """
 
     def __init__(
@@ -82,15 +78,10 @@ class PeriodicTimer:
     def running(self) -> bool:
         return self._running
 
-    def start(self, phase: float | None = None) -> None:
-        """Begin firing; the first tick comes after ``phase`` (default: one
-        full period).  ``phase`` must be finite and non-negative — a
-        negative phase would schedule the first tick in the simulated
-        past.  A rejected call leaves a running timer's schedule alone."""
-        if phase is not None:
-            check_non_negative_finite(phase, "phase")
-        delay = self.period if phase is None else phase
-        handle = self._engine.schedule(delay, self._tick)
+    def start(self) -> None:
+        """(Re)start firing; the first tick comes one period from now.  A
+        rejected call leaves a running timer's schedule alone."""
+        handle = self._engine.schedule(self.period, self._tick)
         self.stop()
         self._running = True
         self._handle = handle

@@ -74,16 +74,11 @@ class UnguardedSwitchover:
         if view is None:  # pragma: no cover - every endpoint has a view
             return
         view.unhealthy.add(record.channel_id)
-        self._trace(
-            "informed",
-            f"end-node learned channel {record.channel_id} of connection "
-            f"{record.connection_id} is unhealthy",
-        )
         self.runtime.metrics.note_endpoint_informed(
             record.connection_id, record.channel_id, self.runtime.engine.now
         )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "informed", record.connection_id,
                 channel=record.channel_id, role=view.role,
             )
@@ -108,13 +103,8 @@ class UnguardedSwitchover:
         view.attempted.add(backup.channel_id)
         view.current_channel = backup.channel_id
         view.current_serial = backup.serial
-        self._trace(
-            "activation",
-            f"activating backup serial {backup.serial} of connection "
-            f"{view.connection_id}",
-        )
-        if self._spans.enabled:
-            self._span_point(
+        if self._log.active:
+            self._point(
                 "activate", view.connection_id,
                 serial=backup.serial, role=view.role,
             )
@@ -172,9 +162,9 @@ class UnguardedSwitchover:
             self.runtime.metrics.note_source_resumed(
                 record.connection_id, record.serial, self.runtime.engine.now
             )
-            if self._spans.enabled:
-                self._span_point("resumed", record.connection_id,
-                                 serial=record.serial)
+            if self._log.active:
+                self._point("resumed", record.connection_id,
+                            serial=record.serial)
         if not record.is_destination:
             if not self._draw_or_mux_fail(record):
                 return

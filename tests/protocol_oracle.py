@@ -92,14 +92,8 @@ class OracleDaemon(BCPDaemon):
             other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(other)
             self._c_so_demotions.inc()
-            self._trace(
-                "switchover",
-                f"demoted stale primary channel {other.channel_id} "
-                f"(serial {other.serial}) superseded by serial "
-                f"{record.serial}",
-            )
-            if self._spans.enabled:
-                self._span_point(
+            if self._log.active:
+                self._point(
                     "switchover-demote", record.connection_id,
                     channel=other.channel_id, serial=other.serial,
                     superseded_by=record.serial,
@@ -117,12 +111,9 @@ class OracleDaemon(BCPDaemon):
             view.episode += 1
             self._c_so_episodes.inc()
             view.recovering = False
-            self._trace(
-                "switchover",
-                f"end-node repaired; reconciling connection "
-                f"{view.connection_id} (pre-crash channel "
-                f"{view.current_channel} is suspect)",
-            )
+            if self._log.active:
+                self._point("switchover-reconcile", view.connection_id,
+                            suspect=view.current_channel)
             if view.role == "source":
                 for channel_id in sorted(view.unhealthy):
                     probed = self.records.get(channel_id)

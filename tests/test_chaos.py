@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +81,7 @@ class TestScheduleCodec:
             ),
             triggers=(
                 ChaosTrigger(
-                    category="activation",
+                    category="activate",
                     delay=0.5,
                     action=FAIL,
                     component=LinkId(1, 2),
@@ -89,6 +90,28 @@ class TestScheduleCodec:
         )
         assert ChaosSchedule.from_json(schedule.to_json()) == schedule
 
+    def test_trigger_on_an_undeclared_kind_fails_loudly(self, tmp_path):
+        """A typo in a hand-edited artifact used to replay as a silent
+        clean run (the trigger never fired); it is now rejected on load,
+        naming the kinds the log declares, and ``--replay`` reports it."""
+        artifact = tmp_path / "typo.json"
+        payload = json.loads(
+            (Path(__file__).parent / "artifacts"
+             / "switchover-race-seed1.json").read_text())
+        payload["schedule"]["triggers"] = [{
+            "category": "activatoin", "delay": 0.5, "action": FAIL,
+            "component": {"kind": "link", "src": 1, "dst": 2},
+        }]
+        artifact.write_text(json.dumps(payload))
+        with pytest.raises(
+            ValueError,
+            match=r"unknown trigger kind 'activatoin'; known: .*activate,",
+        ):
+            replay_artifact(load_artifact(artifact))
+        with pytest.raises(SystemExit, match="activatoin") as raised:
+            main(["chaos", "--replay", str(artifact)])
+        assert str(raised.value).startswith(f"{artifact}: ")
+
     def test_with_events_clears_triggers(self):
         schedule = ChaosSchedule(
             seed=1,
@@ -96,7 +119,7 @@ class TestScheduleCodec:
             horizon=100.0,
             triggers=(
                 ChaosTrigger(
-                    category="activation",
+                    category="activate",
                     delay=0.5,
                     action=FAIL,
                     component=LinkId(1, 2),
@@ -135,7 +158,7 @@ class TestProfiles:
             "failure_during_recovery", 5, chaos_network, ProtocolConfig()
         )
         assert schedule.triggers
-        assert schedule.triggers[0].category == "activation"
+        assert schedule.triggers[0].category == "activate"
 
     def test_unknown_profile_rejected(self, chaos_network):
         with pytest.raises(ValueError):

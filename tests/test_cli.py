@@ -5,10 +5,13 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main, run_experiment
 from repro.experiments import EXPERIMENTS
 from repro.experiments.report import report_rows
@@ -357,8 +360,10 @@ class TestObservabilityFlags:
         assert main(["stats", "--trace-out", str(target)] + SMALL) == 0
         rows = [json.loads(line) for line in target.read_text().splitlines()]
         assert rows, "trace export should not be empty"
-        assert {"time", "category", "node", "description"} <= set(rows[0])
-        assert any(row["category"] == "recovered" for row in rows)
+        assert all(set(row) == {"id", "parent", "kind", "node", "t",
+                                "t_end", "attrs"} for row in rows)
+        assert [row["id"] for row in rows] == list(range(1, len(rows) + 1))
+        assert any(row["kind"] == "recovered" for row in rows)
 
     def test_exports_reproducible(self, capsys, tmp_path):
         def run(tag):
@@ -373,6 +378,37 @@ class TestObservabilityFlags:
             return document, trace.read_text()
 
         assert run("a") == run("b")
+
+
+class TestClosedStdout:
+    def test_outputs_survive_a_reader_that_is_gone(self, tmp_path, capsys):
+        """``repro ... | head``: a reader gone before the table is printed
+        costs neither ``--metrics-out`` nor ``--trace-out``, and the
+        process exits 141 (a pipeline stage killed by SIGPIPE) without a
+        traceback."""
+        trace = tmp_path / "chaos.jsonl"
+        assert main(["chaos", "--campaign-size", "2", "--workers", "1",
+                     "--trace-out", str(trace)]) == 0
+        capsys.readouterr()
+        metrics, trace_out = tmp_path / "m.json", tmp_path / "t.jsonl"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "obs", "episodes",
+                 "--input", str(trace), "--metrics-out", str(metrics),
+                 "--trace-out", str(trace_out)],
+                stdout=write, stderr=subprocess.PIPE, text=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": os.path.dirname(
+                    os.path.dirname(repro.__file__))},
+            )
+        finally:
+            os.close(write)
+        assert completed.returncode == 141
+        assert "Traceback" not in completed.stderr, completed.stderr
+        assert json.loads(metrics.read_text())["command"] == "obs"
+        assert trace_out.exists()
 
 
 class TestTimedInjectionFlags:

@@ -10,7 +10,7 @@ from repro.datapath import DataStream
 from repro.faults import FailureScenario
 from repro.network import LinkId
 from repro.protocol import ProtocolConfig, ProtocolSimulation
-from repro.sim.trace import TraceEvent
+from repro.sim.trace import Row
 
 
 class TestSpareAwareCostFunction:
@@ -99,6 +99,10 @@ class TestDataStreamBursts:
 
 
 class TestTraceEventStr:
+    """A trace event is a :class:`~repro.sim.trace.Row` of the one log."""
+
     def test_renders_fields(self):
-        text = str(TraceEvent(1.5, "failure", 7, "boom"))
-        assert "failure" in text and "boom" in text and "7" in text
+        point = Row(3, None, "detect", 7, 1.5, 1.5, {"channel": 4})
+        assert str(point) == "[     1.500] detect @7 channel=4"
+        span = Row(4, None, "episode", LinkId(0, 1), 1.5, None, {})
+        assert str(span) == "[     1.500] episode @0->1 t_end=None"

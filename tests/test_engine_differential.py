@@ -15,7 +15,7 @@ import pytest
 from repro.network.components import LinkId
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.protocol import ProtocolSimulation
-from repro.sim import EventEngine, SimulationError
+from repro.sim import EventEngine, SimulationError, TraceLog
 from tests import engine_oracle
 
 #: Few distinct values, so same-time ties are the rule, not the exception.
@@ -261,7 +261,7 @@ def test_protocol_simulation_is_identical_on_the_oracle_engine(
     def simulate():
         registry = MetricsRegistry()
         simulation = ProtocolSimulation(
-            loaded_torus4, seed=0, trace=True, metrics=registry)
+            loaded_torus4, seed=0, trace=TraceLog(), metrics=registry)
         for time, action, component in schedule:
             getattr(simulation, action)(component, at=time)
         simulation.run(until=400.0)
@@ -273,8 +273,8 @@ def test_protocol_simulation_is_identical_on_the_oracle_engine(
     oracle, oracle_metrics = simulate()
     assert type(product.engine) is EventEngine
     assert type(oracle.engine) is engine_oracle.EventEngine
-    assert product.trace.events == oracle.trace.events
-    assert product.spans.spans == oracle.spans.spans
+    assert product.trace.rows == oracle.trace.rows
+    assert len(product.trace) > 100
     assert product.engine.events_processed == oracle.engine.events_processed
     assert product.engine.events_processed > 1000
     assert product.engine.now == oracle.engine.now

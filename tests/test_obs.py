@@ -123,7 +123,7 @@ class TestNullRegistry:
 class TestSession:
     def test_session_scopes_registry_and_sink(self):
         outer = get_registry()
-        sink = TraceLog(enabled=True)
+        sink = TraceLog()
         with obs_session(trace_sink=sink) as registry:
             assert get_registry() is registry
             assert get_registry() is not outer
@@ -160,14 +160,15 @@ class TestSnapshotAndExport:
         assert document["counters"] == {"a": 1}
 
     def test_write_trace_jsonl(self, tmp_path):
-        trace = TraceLog(enabled=True)
-        trace.record(1.0, "failure", LinkId(0, 1), "crashed")
-        trace.record(2.0, "repair", 3, "fixed")
+        trace = TraceLog()
+        trace.point("failure", LinkId(0, 1), 1.0)
+        trace.point("repair", 3, 2.0, cause="fixed")
         target = write_trace(trace, tmp_path / "t.jsonl")
         rows = [json.loads(line) for line in target.read_text().splitlines()]
-        assert rows[0] == {"time": 1.0, "category": "failure",
-                           "node": "0->1", "description": "crashed"}
-        assert rows[1]["node"] == 3
+        assert rows[0] == {"id": 1, "parent": None, "kind": "failure",
+                           "node": "0->1", "t": 1.0, "t_end": 1.0,
+                           "attrs": {}}
+        assert rows[1]["node"] == 3 and rows[1]["attrs"] == {"cause": "fixed"}
 
     def test_format_metrics_renders_tables(self):
         registry = MetricsRegistry()
@@ -248,11 +249,11 @@ class TestProtocolInstrumentation:
                 == {n: h["count"] for n, h in b["histograms"].items()})
 
     def test_session_trace_sink_captures_protocol_run(self):
-        sink = TraceLog(enabled=True)
+        sink = TraceLog()
         with obs_session(trace_sink=sink):
             self.run_once(None)
-        categories = {event.category for event in sink.events}
-        assert {"failure", "recovered"} <= categories
+        kinds = {row.kind for row in sink.rows}
+        assert {"failure", "episode", "recovered"} <= kinds
         # And the sink exports as parseable JSONL.
         for line in sink.to_jsonl().splitlines():
             json.loads(line)
@@ -273,14 +274,14 @@ class TestEvaluatorInstrumentation:
 
     def test_trace_sink_gets_scenario_summaries(self):
         network, connection = small_network()
-        sink = TraceLog(enabled=True)
+        sink = TraceLog()
         with obs_session(trace_sink=sink):
             evaluator = RecoveryEvaluator(network)
             evaluator.evaluate(
                 FailureScenario.of_links([connection.primary.path.links[0]])
             )
-        events = sink.filter(category="scenario")
-        assert len(events) == 1 and "fast=1" in events[0].description
+        (row,) = sink.select("scenario")
+        assert row.node == "evaluator" and row.attrs["fast"] == 1
 
     def test_null_registry_disables_instrumentation(self):
         network, connection = small_network()
@@ -327,7 +328,11 @@ class TestSeries:
     def make(self, max_points=8):
         from repro.obs import Series
 
-        return Series("test", max_points=max_points)
+        class Small(Series):
+            __slots__ = ()
+
+        Small.max_points = max_points
+        return Small("test")
 
     def test_append_and_points(self):
         series = self.make()

@@ -1,6 +1,6 @@
-"""Tests of the causal span layer and its consumers: recovery-episode
+"""Tests of the trace log's span rows and their consumers: recovery-episode
 reconstruction (with the Γ-bound verdicts), the declarative SLO engine,
-the flight recorder, quantile surfacing, and the byte-identity of span
+flight recordings, quantile surfacing, and the byte-identity of trace
 exports across worker counts."""
 
 from __future__ import annotations
@@ -17,18 +17,16 @@ from repro.chaos import (
 )
 from repro.obs import (
     EpisodeReconstructor,
-    FlightRecorder,
     MetricsRegistry,
-    NULL_SPAN_LOG,
     SLOEngine,
     SLOTarget,
-    SpanLog,
     format_results,
     obs_session,
+    write_json,
 )
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.scenario import build_loaded_network
-from repro.sim.trace import TraceLog
+from repro.sim.trace import FLIGHT_ROWS, KINDS, TraceLog, flight_record
 from tests.planted import DoubleReleaseSimulation, plant
 from tests.test_chaos import SPEC
 
@@ -39,74 +37,77 @@ def chaos_network():
 
 
 # ----------------------------------------------------------------------
-# the span log
+# span rows of the trace log
 # ----------------------------------------------------------------------
 class TestSpanLog:
+    """Span rows (begin / end) beside point rows, in the one log."""
+
     def test_begin_end_point(self):
-        log = SpanLog()
-        parent = log.begin("episode", 1.0, connection=3)
-        child = log.point("detect", 1.5, parent=parent, node="2")
+        log = TraceLog()
+        parent = log.begin("episode", "0->1", 1.0, connection=3)
+        child = log.point("detect", 2, 1.5, parent=parent)
         log.end(parent, 4.0, outcome="recovered")
         assert parent == 1 and child == 2
-        episode = log.get(parent)
+        episode, detect = log.rows
         assert episode.t_end == 4.0
-        assert episode.attrs["outcome"] == "recovered"
-        detect = log.get(child)
-        assert detect.t_start == detect.t_end == 1.5
-        assert detect.parent_id == parent
+        assert episode.attrs == {"connection": 3, "outcome": "recovered"}
+        assert detect.t == detect.t_end == 1.5
+        assert detect.parent == parent
 
     def test_to_dict_row_shape(self):
-        log = SpanLog()
-        span_id = log.point("failure", 2.0, component="0->1")
-        row = log.get(span_id).to_dict()
-        assert set(row) == {"span", "parent", "kind", "t_start", "t_end",
+        log = TraceLog()
+        log.point("failure", "0->1", 2.0)
+        row = log.rows[0].to_dict()
+        assert set(row) == {"id", "parent", "kind", "node", "t", "t_end",
                             "attrs"}
-        assert row["span"] == span_id and row["parent"] is None
+        assert row["id"] == 1 and row["parent"] is None
 
     def test_disabled_log_is_inert(self):
-        log = SpanLog(enabled=False)
-        assert log.begin("episode", 1.0) == 0
-        log.end(0, 2.0)
-        log.point("detect", 1.5)
-        assert len(log) == 0
-        assert NULL_SPAN_LOG.begin("x", 0.0) == 0
-        assert len(NULL_SPAN_LOG) == 0
+        log = TraceLog(keep=0)
+        span = log.begin("episode", None, 1.0)
+        log.end(span, 2.0)
+        log.point("detect", 1, 1.5)
+        assert len(log) == 0 and not log.active
 
     def test_end_of_unknown_span_is_noop(self):
-        log = SpanLog()
+        log = TraceLog()
         log.end(99, 1.0)
-        assert len(log) == 0
+        point = log.point("detect", 1, 1.0)
+        log.end(point, 5.0)  # a point is not an open span
+        assert log.rows[0].t_end == 1.0
 
     def test_tail(self):
-        log = SpanLog()
+        log = TraceLog(keep=2)
         for t in range(5):
-            log.point("failure", float(t))
-        assert [s.t_start for s in log.tail(2)] == [3.0, 4.0]
-        assert log.tail(0) == []
+            log.point("failure", 0, float(t))
+        assert [row.t for row in log.rows] == [3.0, 4.0]
+        with pytest.raises(ValueError, match="keep"):
+            TraceLog(keep=-1)
 
     def test_absorb_remaps_ids_and_parents(self):
-        """Merging worker shards must equal the sequential recording."""
-        sequential = SpanLog()
-        merged = SpanLog()
-        shards = [SpanLog(), SpanLog()]
+        """Merging worker logs must equal the sequential recording —
+        point rows and span rows alike, parents included."""
+        sequential = TraceLog()
+        merged = TraceLog()
+        shards = [TraceLog(), TraceLog()]
+        for log in (*shards, sequential, sequential):
+            log.point("failure", 0, 0.5)
+            parent = log.begin("episode", 0, 1.0)
+            log.point("detect", 1, 1.5, parent=parent)
+            log.end(parent, 2.0)
         for shard in shards:
-            parent = shard.begin("episode", 1.0)
-            shard.point("detect", 1.5, parent=parent)
-            shard.end(parent, 2.0)
-        for shard in shards:
-            parent = sequential.begin("episode", 1.0)
-            sequential.point("detect", 1.5, parent=parent)
-            sequential.end(parent, 2.0)
-        for shard in shards:
-            merged.absorb(shard.spans)
-        assert list(merged.to_dicts()) == list(sequential.to_dicts())
+            merged.absorb(shard.rows)
+        assert merged.to_jsonl() == sequential.to_jsonl()
+        assert [row.parent for row in merged.rows] == [
+            None, None, 2, None, None, 5]
+        assert merged.next_id == sequential.next_id == 7
 
     def test_empty_spanlog_is_falsy_but_real(self):
-        """SpanLog defines __len__, so an empty log is falsy — consumers
-        must use explicit None checks, never ``log or NULL_SPAN_LOG``."""
-        log = SpanLog()
+        """TraceLog defines __len__, so an empty log is falsy — consumers
+        must use explicit None checks, never ``log or default``."""
+        log = TraceLog()
         assert not log
-        assert log.enabled
+        assert log.active
 
 
 # ----------------------------------------------------------------------
@@ -114,22 +115,39 @@ class TestSpanLog:
 # ----------------------------------------------------------------------
 class TestTraceFilters:
     def _traced(self):
-        trace = TraceLog(enabled=True)
-        trace.record(1.0, "failure", 0, "link 0->1 down")
-        trace.record(2.0, "detection", 1, "daemon noticed")
-        trace.record(3.0, "failure", 2, "node 5 down")
-        trace.spans.point("detect", 2.0)
-        trace.spans.point("activate", 2.5)
+        trace = TraceLog()
+        trace.point("failure", 0, 1.0)
+        episode = trace.begin("episode", 0, 1.0, connection=0)
+        trace.point("failure", 2, 3.0)
+        trace.point("detect", 1, 2.0, parent=episode)
+        trace.point("activate", 1, 2.5, parent=episode)
         return trace
 
     def test_to_jsonl_mixes_event_and_span_rows(self):
         trace = self._traced()
         rows = [json.loads(line) for line in
                 trace.to_jsonl().strip().splitlines()]
-        event_rows = [row for row in rows if "span" not in row]
-        span_rows = [row for row in rows if "span" in row]
-        assert len(event_rows) == 3 and len(span_rows) == 2
-        assert span_rows[0]["kind"] == "detect"
+        # One row shape, in emission order: points and the span alike.
+        assert [row["kind"] for row in rows] == [
+            "failure", "episode", "failure", "detect", "activate"]
+        assert [row["id"] for row in rows] == [1, 2, 3, 4, 5]
+        assert [row["t_end"] for row in rows] == [1.0, None, 3.0, 2.0, 2.5]
+        assert rows[3]["parent"] == rows[4]["parent"] == 2
+
+    def test_version_1_export_names_both_schemas(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"category": "failure", "description": "down", "node": 0, '
+            '"time": 1.0}\n')
+        with pytest.raises(ValueError,
+                           match=r"line 1 is not a repro\.trace/2 row.*"
+                                 r"repro\.trace/1"):
+            EpisodeReconstructor().add_file(path)
+        with pytest.raises(SystemExit, match=r"repro\.trace/2") as raised:
+            main(["obs", "episodes", "--input", str(path)])
+        assert str(raised.value).startswith(f"{path}: ")
 
 
 # ----------------------------------------------------------------------
@@ -209,55 +227,60 @@ class TestSLOEngine:
 
 
 # ----------------------------------------------------------------------
-# the flight recorder
+# flight recordings: the log's bounded tail
 # ----------------------------------------------------------------------
 class TestFlightRecorder:
+    """A flight recording is cut from the log's bounded tail."""
+
     def test_ring_keeps_last_n(self):
-        trace = TraceLog(enabled=True)
-        recorder = FlightRecorder(capacity=3)
-        recorder.attach(trace)
+        trace = TraceLog(keep=3)
         for t in range(10):
-            trace.record(float(t), "failure", 0, f"event {t}")
-        recorder.detach()
-        snapshot = recorder.snapshot(reason="test")
-        assert [event["time"] for event in snapshot["events"]] == [
-            7.0, 8.0, 9.0]
+            trace.point("failure", 0, float(t))
+        snapshot = flight_record(trace.rows, "test", {})
+        assert [row["t"] for row in snapshot["rows"]] == [7.0, 8.0, 9.0]
         assert snapshot["reason"] == "test"
 
     def test_records_even_when_trace_disabled(self):
-        trace = TraceLog(enabled=False)
-        recorder = FlightRecorder(capacity=4)
-        recorder.attach(trace)
-        trace.record(1.0, "failure", 0, "invisible to the log")
-        recorder.detach()
+        trace = TraceLog(keep=0)
+        seen = []
+        trace.subscribe(seen.append)
+        assert trace.active
+        trace.point("failure", 0, 1.0)
+        trace.unsubscribe(seen.append)
+        assert not trace.active
         assert len(trace) == 0
-        assert len(recorder) == 1
+        assert [row.kind for row in seen] == ["failure"]
 
     def test_snapshot_carries_span_tail_and_context(self):
-        spans = SpanLog()
-        spans.point("detect", 1.0)
-        recorder = FlightRecorder(capacity=2)
-        snapshot = recorder.snapshot(spans=spans, context={"seed": 7})
-        assert snapshot["spans"][0]["kind"] == "detect"
+        trace = TraceLog()
+        for t in range(FLIGHT_ROWS):
+            trace.point("failure", 0, float(t))
+        episode = trace.begin("episode", 0, 300.0)
+        trace.point("detect", 1, 301.0, parent=episode)
+        snapshot = flight_record(trace.rows, "unit", {"seed": 7})
+        assert len(snapshot["rows"]) == snapshot["capacity"] == FLIGHT_ROWS
+        assert snapshot["rows"][-1]["parent"] == snapshot["rows"][-2]["id"]
         assert snapshot["context"] == {"seed": 7}
-        assert snapshot["schema"] == "repro.flight/1"
+        assert snapshot["schema"] == "repro.flight/2"
 
     def test_dump_writes_json(self, tmp_path):
-        recorder = FlightRecorder(capacity=2)
         target = tmp_path / "flight.json"
-        recorder.dump(target, reason="unit")
-        assert json.loads(target.read_text())["reason"] == "unit"
+        write_json(flight_record((), "unit", {}), target)
+        document = json.loads(target.read_text())
+        assert document["reason"] == "unit" and document["rows"] == []
 
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
-            FlightRecorder(capacity=0)
+            TraceLog(keep=-1)
 
 
 # ----------------------------------------------------------------------
 # episode reconstruction on planted schedules
 # ----------------------------------------------------------------------
 def _reconstruct(trace: TraceLog) -> EpisodeReconstructor:
-    return EpisodeReconstructor().add_jsonl(trace.to_jsonl())
+    """Through the JSONL export, as ``repro obs episodes`` reads it."""
+    return EpisodeReconstructor().add_log(
+        TraceLog.from_jsonl(trace.to_jsonl()))
 
 
 def _assert_breakdown_telescopes(episode) -> None:
@@ -272,7 +295,7 @@ class TestEpisodeReconstruction:
         component delays sum to the observed recovery delay and respect
         the Γ bound."""
         simulation = ProtocolSimulation(
-            chaos_network, ProtocolConfig(), seed=3, trace=True)
+            chaos_network, ProtocolConfig(), seed=3, trace=TraceLog())
         connection = simulation.network.connections()[0]
         failed_link = connection.primary.path.links[1]
         simulation.fail(failed_link, at=5.0)
@@ -295,7 +318,7 @@ class TestEpisodeReconstruction:
         unrecoverable episode: no resumption, no bound verdict, and it
         must not count as a Γ violation."""
         simulation = ProtocolSimulation(
-            chaos_network, ProtocolConfig(), seed=3, trace=True)
+            chaos_network, ProtocolConfig(), seed=3, trace=TraceLog())
         connection = simulation.network.connections()[0]
         for channel in connection.channels:
             simulation.fail(channel.path.links[0], at=5.0)
@@ -320,7 +343,7 @@ class TestEpisodeReconstruction:
         recovered = 0
         for seed in (1, 2, 3):
             schedule = build_schedule(profile, seed, chaos_network, config)
-            trace = TraceLog(enabled=True)
+            trace = TraceLog()
             with obs_session(MetricsRegistry(), trace):
                 run_schedule(schedule, chaos_network, config)
             reconstructor = _reconstruct(trace)
@@ -338,7 +361,7 @@ class TestEpisodeReconstruction:
         """Every injected primary failure shows up as an episode."""
         config = ProtocolConfig()
         schedules = build_campaign(0, 6, chaos_network, config)
-        sink = TraceLog(enabled=True)
+        sink = TraceLog()
         registry = MetricsRegistry()
         with obs_session(registry, sink):
             results = run_campaign(schedules, chaos_network, config,
@@ -347,16 +370,18 @@ class TestEpisodeReconstruction:
         recovered = sum(result.recovered for result in results)
         assert reconstructor.summary()["recovered"] == recovered
         assert reconstructor.violations() == []
+        # Every kind the campaign emits is one the log declares.
+        assert {row.kind for row in sink.rows} <= KINDS
 
     def test_episode_output_byte_identical_across_workers(
             self, chaos_network):
-        """Acceptance criterion: span stream and reconstructed episodes
+        """Acceptance criterion: the trace log and reconstructed episodes
         are byte-identical for any worker count."""
         config = ProtocolConfig()
         dumps = []
         for workers in (1, 2):
             schedules = build_campaign(0, 4, chaos_network, config)
-            sink = TraceLog(enabled=True)
+            sink = TraceLog()
             registry = MetricsRegistry()
             with obs_session(registry, sink):
                 run_campaign(schedules, chaos_network, config,
@@ -371,20 +396,18 @@ class TestEpisodeReconstruction:
 
     def test_jsonl_and_rows_agree(self, chaos_network):
         simulation = ProtocolSimulation(
-            chaos_network, ProtocolConfig(), seed=3, trace=True)
+            chaos_network, ProtocolConfig(), seed=3, trace=TraceLog())
         connection = simulation.network.connections()[0]
         simulation.fail(connection.primary.path.links[0], at=5.0)
         simulation.run(until=60.0)
         from_jsonl = _reconstruct(simulation.trace)
-        from_rows = EpisodeReconstructor()
-        for row in simulation.trace.spans.to_dicts():
-            from_rows.add_row(row)
+        from_rows = EpisodeReconstructor().add_log(simulation.trace)
         assert ([e.to_dict() for e in from_jsonl.episodes]
                 == [e.to_dict() for e in from_rows.episodes])
 
     def test_format_table_renders_verdicts(self, chaos_network):
         simulation = ProtocolSimulation(
-            chaos_network, ProtocolConfig(), seed=3, trace=True)
+            chaos_network, ProtocolConfig(), seed=3, trace=TraceLog())
         connection = simulation.network.connections()[0]
         simulation.fail(connection.primary.path.links[0], at=5.0)
         simulation.run(until=60.0)
@@ -394,7 +417,7 @@ class TestEpisodeReconstruction:
 
 
 # ----------------------------------------------------------------------
-# spans stay inert when disabled
+# the log stays inert when nobody reads it
 # ----------------------------------------------------------------------
 class TestSpanOverhead:
     def test_no_spans_recorded_without_tracing(self, chaos_network):
@@ -403,7 +426,8 @@ class TestSpanOverhead:
         connection = simulation.network.connections()[0]
         simulation.fail(connection.primary.path.links[0], at=5.0)
         simulation.run(until=60.0)
-        assert len(simulation.spans) == 0
+        assert len(simulation.trace) == 0
+        assert simulation.trace.next_id == 1  # not one row was built
         assert simulation.metrics.recovered_count() > 0
 
 
@@ -422,10 +446,10 @@ class TestChaosFlight:
         assert failing
         flight = failing[0].flight
         assert flight is not None
-        assert flight["schema"] == "repro.flight/1"
+        assert flight["schema"] == "repro.flight/2"
         assert flight["reason"] == "invariant-violation"
         assert flight["context"]["violations"]
-        assert flight["events"], "the ring must hold the lead-up events"
+        assert flight["rows"], "the tail must hold the lead-up rows"
         # The replay artifact schema stays stable: flight rides separately.
         assert "flight" not in failing[0].as_dict()
 
@@ -495,7 +519,7 @@ class TestObsCLI:
     def test_episodes_roundtrip_via_cli(self, tmp_path, capsys):
         from repro.cli import main
 
-        trace_path = tmp_path / "spans.jsonl"
+        trace_path = tmp_path / "trace.jsonl"
         episodes_path = tmp_path / "episodes.jsonl"
         code = main([
             "chaos", "--seed", "0", "--campaign-size", "4",

@@ -19,8 +19,8 @@ from repro.faults import (
     all_single_link_failures,
     all_single_node_failures,
 )
-from repro.obs.registry import MetricsRegistry, obs_session
-from repro.parallel import parallel_map, resolve_workers
+from repro.obs.registry import MetricsRegistry, get_trace_sink, obs_session
+from repro.parallel import _map_one, parallel_map, resolve_workers
 from repro.recovery import ActivationOrder, RecoveryEvaluator, evaluate_scenarios
 from repro.sim.trace import TraceLog
 
@@ -80,7 +80,7 @@ class TestDeterminism:
             assert trace.to_jsonl() == direct_trace.to_jsonl(), order
             # One evaluator per call: the scenario ordinal runs over the
             # whole stream.
-            assert [event.time for event in trace.events] == list(
+            assert [row.t for row in trace.rows] == list(
                 range(len(scenarios))
             )
 
@@ -204,9 +204,32 @@ class TestRegistryMerge:
 # ----------------------------------------------------------------------
 # trace capture
 # ----------------------------------------------------------------------
+def _sink_kind(value: int) -> str:
+    """Record one row into the task's sink, if it has one; say which."""
+    sink = get_trace_sink()
+    if sink is None:
+        return "none"
+    sink.point("scenario", "test", float(value))
+    return "kept"
+
+
 class TestTraceCapture:
     def test_no_sink_is_fine(self, loaded_torus4, scenarios):
         stats = evaluate_scenarios(
             loaded_torus4, scenarios[:4], metrics=MetricsRegistry()
         )
         assert stats.scenarios == 4
+
+    def test_task_keeps_rows_only_under_a_caller_sink(self):
+        """Disabled means disabled: without a caller sink a task runs with
+        no session sink and hands back no rows; with one, its rows are
+        absorbed in item order."""
+        result, _, rows = _map_one(_sink_kind, 3, False)
+        assert result == "none" and rows == ()
+        assert parallel_map(_sink_kind, range(3), workers=2) == ["none"] * 3
+        sink = TraceLog()
+        with obs_session(MetricsRegistry(), sink):
+            kinds = parallel_map(_sink_kind, range(3), workers=2)
+        assert kinds == ["kept"] * 3
+        assert [(row.id, row.t) for row in sink.rows] == [
+            (1, 0.0), (2, 1.0), (3, 2.0)]

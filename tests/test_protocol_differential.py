@@ -21,6 +21,7 @@ from repro.protocol import (
 )
 from repro.protocol import plan as plan_module
 from repro.protocol.plan import protocol_plan
+from repro.sim import TraceLog
 from tests.planted import UnguardedOracleSimulation, UnguardedSimulation
 from tests.protocol_oracle import OracleAuditor, OracleSimulation
 from tests.test_recovery_differential import TOPOLOGIES, build_network
@@ -87,7 +88,7 @@ def schedules_for(network: BCPNetwork, seed: int) -> list[list[tuple]]:
 def run(simulation_class, auditor_class, network, config, seed, schedule):
     registry = MetricsRegistry()
     simulation = simulation_class(
-        network, config, seed=seed, trace=True, metrics=registry,
+        network, config, seed=seed, trace=TraceLog(), metrics=registry,
     )
     auditor = auditor_class(simulation)
     auditor.attach()
@@ -100,8 +101,7 @@ def run(simulation_class, auditor_class, network, config, seed, schedule):
 
 def assert_same_run(got, want, context) -> None:
     (sim, auditor, counters), (ref, ref_auditor, ref_counters) = got, want
-    assert sim.trace.events == ref.trace.events, context
-    assert sim.spans.spans == ref.spans.spans, context
+    assert sim.trace.rows == ref.trace.rows, context
     assert sim.metrics.recoveries == ref.metrics.recoveries, context
     assert sim.rcc_totals() == ref.rcc_totals(), context
     assert sim.engine.events_processed == ref.engine.events_processed, context
@@ -280,12 +280,13 @@ class TestPlanLifetime:
         def outcome(simulation):
             simulation.fail(victim, at=1.0)
             simulation.run(until=HORIZON)
-            return (simulation.trace.events, simulation.metrics.recoveries,
+            return (simulation.trace.rows, simulation.metrics.recoveries,
                     simulation.engine.events_processed)
 
-        reference = outcome(ProtocolSimulation(torus4, seed=0, trace=True))
+        reference = outcome(
+            ProtocolSimulation(torus4, seed=0, trace=TraceLog()))
         # Build, then change the network twice before running.
-        pinned = ProtocolSimulation(torus4, seed=0, trace=True)
+        pinned = ProtocolSimulation(torus4, seed=0, trace=TraceLog())
         second = torus4.establish(0, 5, ft_qos=qos)
         torus4.teardown(second)
         third = torus4.establish(5, 0, ft_qos=qos)

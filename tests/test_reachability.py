@@ -17,9 +17,9 @@ there, all on the standard library's ``ast`` alone:
   miss dead code but cannot flag live code.  Import statements and
   ``__all__`` are not mentions; a root may also name its target in a
   string, as ``benchmarks/e2e/layers.py`` does;
-* **parameters** (over ``repro.experiments``, ``repro.chaos`` and
-  ``repro.scenario``) — a parameter with a default is a knob somebody
-  turns: some call of that name sets it, by keyword, by position or
+* **parameters** (over ``repro.experiments``, ``repro.chaos``,
+  ``repro.scenario``, ``repro.obs`` and ``repro.sim``) — a parameter with
+  a default is a knob somebody turns: some call of that name sets it, by keyword, by position or
   through ``*`` / ``**``.  One no call sets is a constant written as an
   option.
 
@@ -63,9 +63,6 @@ ALLOWED = {
     "repro.routing.shortest.RouteConstraints.allows_link":
         "the per-link predicate tests/routing_oracle.py's reference search "
         "filters with",
-    "repro.sim.trace.TraceLog.filter":
-        "the trace query test_trace_and_detection.py, test_reestablishment.py "
-        "and test_recovery_robustness.py assert causal orderings with",
 }
 
 
@@ -316,7 +313,8 @@ def test_src_ships_only_what_an_entry_point_reaches():
 
 
 #: The packages whose defaulted parameters must each have a caller.
-GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario")
+GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario",
+                   "repro.obs", "repro.sim")
 
 
 def test_no_experiment_parameter_has_a_default_nobody_overrides():

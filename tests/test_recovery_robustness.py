@@ -8,6 +8,7 @@ import pytest
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.protocol.states import LocalChannelState
+from repro.sim import TraceLog
 
 
 @pytest.fixture
@@ -28,7 +29,7 @@ class TestRCCGiveUpDetection:
         exhausted — the give-up path, not silent message loss — and
         recovery must then proceed over the next backup."""
         network, connection = single_connection
-        simulation = ProtocolSimulation(network, seed=0, trace=True)
+        simulation = ProtocolSimulation(network, seed=0, trace=TraceLog())
         backup_link = connection.backups[0].path.links[
             len(connection.backups[0].path.links) // 2
         ]
@@ -41,11 +42,10 @@ class TestRCCGiveUpDetection:
 
         totals = simulation.rcc_totals()
         assert totals["gave_up"] > 0
-        give_ups = simulation.trace.filter(category="hb-detect")
+        give_ups = simulation.trace.select("hb-detect")
         assert any(
-            "RCC gave up" in event.description
-            and str(backup_link) in event.description
-            for event in give_ups
+            row.attrs == {"link": str(backup_link), "cause": "rcc-give-up"}
+            for row in give_ups
         )
         assert backup_link in simulation._suspected_links
 

@@ -8,6 +8,7 @@ from repro.faults import FailureScenario
 from repro.network.generators import ring
 from repro.protocol import ProtocolConfig, ProtocolSimulation, simulate_scenario
 from repro.protocol.signaling import establishment_latency
+from repro.sim import TraceLog
 
 REESTABLISH = ProtocolConfig(reestablish_unrecoverable=True)
 
@@ -94,10 +95,10 @@ class TestSlowPath:
         connection = torus4.establish(
             0, 10, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
         )
-        simulation = ProtocolSimulation(torus4, REESTABLISH, trace=True)
+        simulation = ProtocolSimulation(torus4, REESTABLISH, trace=TraceLog())
         simulation.inject_scenario(total_loss_scenario(connection), at=1.0)
         simulation.run(until=1000.0)
-        events = simulation.trace.filter(category="reestablish")
+        events = simulation.trace.select("reestablish")
         assert len(events) == 1
         record = simulation.metrics.recoveries[connection.connection_id]
         # The replacement cannot be shorter than the original shortest.

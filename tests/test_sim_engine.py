@@ -305,15 +305,6 @@ class TestPeriodicTimer:
         engine.run()
         assert fired == [(2.0, 7), (4.0, 7)]
 
-    def test_phase_controls_first_tick(self):
-        engine = EventEngine()
-        fired = []
-        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
-        timer.start(phase=0.5)
-        engine.schedule(5.0, timer.stop)
-        engine.run()
-        assert fired == [0.5, 2.5, 4.5]
-
     def test_restart_replaces_schedule(self):
         engine = EventEngine()
         fired = []
@@ -324,43 +315,21 @@ class TestPeriodicTimer:
         engine.run()
         assert fired == [3.0, 5.0]
 
-    @pytest.mark.parametrize("phase", [-1.0, -0.001, float("nan")])
-    def test_negative_or_nan_phase_rejected(self, phase):
-        timer = PeriodicTimer(EventEngine(), 2.0, lambda: None)
-        with pytest.raises(ValueError):
-            timer.start(phase=phase)
-        assert not timer.running
-
-    def test_zero_phase_fires_immediately_then_periodically(self):
-        engine = EventEngine()
-        fired = []
-        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
-        timer.start(phase=0.0)
-        engine.schedule(5.0, timer.stop)
-        engine.run()
-        assert fired == [0.0, 2.0, 4.0]
-
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_period_rejected(self, bad):
         with pytest.raises(ValueError):
             PeriodicTimer(EventEngine(), bad, lambda: None)
 
-    def test_infinite_phase_rejected_and_running_schedule_survives(self):
+    def test_rejected_restart_keeps_the_running_schedule(self):
         engine = EventEngine()
         fired = []
         timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
         timer.start()
-        with pytest.raises(ValueError):
-            timer.start(phase=math.inf)
-        assert timer.running
-        assert engine.pending == 1
+        timer.period = math.inf  # the engine will refuse this deadline
+        with pytest.raises(SimulationError):
+            timer.start()
+        assert timer.running and engine.pending == 1
+        timer.period = 2.0
         engine.run(until=5.0)
         assert fired == [2.0, 4.0]
 
-    def test_infinite_phase_rejected_on_a_stopped_timer(self):
-        engine = EventEngine()
-        timer = PeriodicTimer(engine, 2.0, lambda: None)
-        with pytest.raises(ValueError):
-            timer.start(phase=math.inf)
-        assert not timer.running
-        assert engine.pending == 0

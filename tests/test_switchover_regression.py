@@ -32,11 +32,16 @@ from repro.chaos import (
     replay_artifact,
     violation_signature,
 )
+from repro.obs import MetricsRegistry, obs_session
 from repro.protocol import ProtocolConfig
 from repro.scenario import ScenarioSpec
+from repro.sim import TraceLog
 from tests.planted import UnguardedSimulation, plant
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
+RUN56 = os.path.join(
+    ARTIFACT_DIR, "cascade-endpoint-disagreement-seed0-run56.json"
+)
 
 RACE_ARTIFACTS = sorted(
     os.path.join(ARTIFACT_DIR, name)
@@ -95,11 +100,43 @@ def test_cascade_leaves_both_ends_on_one_channel():
     three link failures through the product daemon.  Fixing it moves the
     ``protocol-recovery`` calendar, so it waits for its own issue; until
     then the strict xfail keeps the artifact reproducing."""
-    payload = load_artifact(os.path.join(
-        ARTIFACT_DIR, "cascade-endpoint-disagreement-seed0-run56.json"
-    ))
+    payload = load_artifact(RUN56)
     result = replay_artifact(payload)
     assert result.drained
     assert "endpoint-disagreement" not in violation_signature(
         result.violations
     )
+
+
+def _flight_of_run56(session_sink: "TraceLog | None") -> tuple[list, int]:
+    """Replay run 56 (after one other run, when there is a session sink);
+    its flight rows, and the first id the run 56 replay could get."""
+    with obs_session(MetricsRegistry(), session_sink):
+        first_id = 1
+        if session_sink is not None:
+            replay_artifact(load_artifact(RACE_ARTIFACTS[0]))
+            first_id = session_sink.next_id
+        result = replay_artifact(load_artifact(RUN56))
+    return result.flight["rows"], first_id
+
+
+@pytest.mark.parametrize("shared", [False, True],
+                         ids=["no-sink", "session-sink"])
+def test_cascade_flight_recording_carries_its_causal_chain(shared):
+    """The artifact the cascade bug is debugged from: its flight
+    recording holds the episode spans and the steps filed under them —
+    with or without a storing session sink, and only rows of this run."""
+    rows, first_id = _flight_of_run56(TraceLog() if shared else None)
+    ids = {row["id"] for row in rows}
+    episodes = {row["id"] for row in rows if row["kind"] == "episode"}
+    assert episodes
+    assert any(row["parent"] in episodes for row in rows)
+    assert min(ids) >= first_id  # nothing from the earlier run
+    # The same rows either way, numbered after whatever came before.
+    alone, _ = _flight_of_run56(None)
+    shift = first_id - 1
+    assert [
+        {**row, "id": row["id"] - shift,
+         "parent": None if row["parent"] is None else row["parent"] - shift}
+        for row in rows
+    ] == alone

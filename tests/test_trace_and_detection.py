@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.faults import FailureScenario
+from repro.network import LinkId
+from repro.obs import MetricsRegistry
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.sim import TraceLog
+from repro.sim.trace import KINDS
 
 
 @pytest.fixture
@@ -16,7 +21,8 @@ def traced_run():
     connection = network.establish(
         0, 10, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
     )
-    simulation = ProtocolSimulation(network, ProtocolConfig(), trace=True)
+    simulation = ProtocolSimulation(network, ProtocolConfig(),
+                                    trace=TraceLog())
     scenario = FailureScenario.of_links([connection.primary.path.links[1]])
     simulation.inject_scenario(scenario, at=5.0)
     simulation.run(until=300.0)
@@ -25,96 +31,120 @@ def traced_run():
 
 class TestTraceLog:
     def test_disabled_log_records_nothing(self):
-        log = TraceLog(enabled=False)
-        log.record(1.0, "x", 0, "ignored")
+        log = TraceLog(keep=0)
+        assert not log.active
+        log.point("failure", 0, 1.0)
         assert len(log) == 0
 
     def test_filtering(self):
         log = TraceLog()
-        log.record(1.0, "a", 1, "one")
-        log.record(2.0, "b", 1, "two")
-        log.record(3.0, "a", 2, "three")
-        assert len(log.filter(category="a")) == 2
-        assert len(log.filter(node=1)) == 2
-        assert len(log.filter(since=2.0)) == 2
-        assert len(log.filter(until=2.0)) == 2
-        assert len(log.filter(category="a", node=2)) == 1
+        log.point("failure", 1, 1.0)
+        log.point("repair", 1, 2.0)
+        log.point("failure", 2, 3.0)
+        assert [row.node for row in log.select("failure")] == [1, 2]
+        assert [row.t for row in log.select("repair")] == [2.0]
+        assert log.select("detect") == []
 
     def test_categories_and_format(self):
         log = TraceLog()
-        log.record(1.0, "a", 1, "one")
-        log.record(2.0, "a", 1, "two")
-        assert [event.category for event in log.events] == ["a", "a"]
-        assert "one" in log.format()
-        assert "more" in log.format(limit=1)
+        log.point("detect", 1, 1.0, connection=4, channel=7)
+        log.point("detect", 2, 2.0)
+        assert [row.kind for row in log.rows] == ["detect", "detect"]
+        assert [row.id for row in log.rows] == [1, 2]
+        assert log.format().splitlines()[0] == (
+            "[     1.000] detect @1 connection=4 channel=7")
 
     def test_filter_accepts_category_set(self):
         log = TraceLog()
-        log.record(1.0, "a", 1, "one")
-        log.record(2.0, "b", 1, "two")
-        log.record(3.0, "c", 2, "three")
-        assert len(log.filter(category={"a", "c"})) == 2
-        assert len(log.filter(category=("b",))) == 1
-        assert log.filter(category=set()) == []
-        # Combined with node/time filters.
-        assert len(log.filter(category={"a", "b", "c"}, node=1)) == 2
-        assert len(log.filter(category={"b", "c"}, since=2.5)) == 1
+        log.point("failure", 1, 1.0)
+        log.point("repair", 1, 2.0)
+        log.point("detect", 2, 3.0)
+        assert len(log.select("failure", "detect")) == 2
+        assert len(log.select("repair")) == 1
+        assert log.select() == []
 
     def test_format_tail(self):
-        log = TraceLog()
+        log = TraceLog(keep=2)
         for i in range(5):
-            log.record(float(i), "a", 1, f"event{i}")
-        tail = log.format(tail=2)
-        assert "event4" in tail and "event3" in tail
-        assert "event0" not in tail
-        assert "3 earlier" in tail
-        # A tail wider than the log shows everything, no marker.
-        assert "earlier" not in log.format(tail=10)
-
-    def test_format_limit_and_tail_exclusive(self):
-        log = TraceLog()
-        with pytest.raises(ValueError):
-            log.format(limit=1, tail=1)
+            log.point("failure", 1, float(i), n=i)
+        tail = log.format()
+        assert "n=4" in tail and "n=3" in tail
+        assert "n=0" not in tail
+        # Ids keep counting over the rows the tail dropped.
+        assert [row.id for row in log.rows] == [4, 5]
 
     def test_to_jsonl(self):
         import json
 
         log = TraceLog()
         assert log.to_jsonl() == ""
-        log.record(1.5, "a", 1, "one")
-        log.record(2.0, "b", None, "two")
+        log.point("failure", 1, 1.5)
+        span = log.begin("episode", None, 2.0, connection=3)
+        log.point("detect", 2, 2.5, parent=span)
+        log.end(span, 4.0, outcome="recovered")
         text = log.to_jsonl()
         assert text.endswith("\n")
         rows = [json.loads(line) for line in text.splitlines()]
-        assert rows[0] == {"time": 1.5, "category": "a", "node": 1,
-                           "description": "one"}
-        assert rows[1]["node"] is None
+        assert rows[0] == {"id": 1, "parent": None, "kind": "failure",
+                           "node": 1, "t": 1.5, "t_end": 1.5, "attrs": {}}
+        assert rows[1]["node"] is None and rows[1]["t_end"] == 4.0
+        assert rows[1]["attrs"] == {"connection": 3, "outcome": "recovered"}
+        assert rows[2]["parent"] == 2
+        assert TraceLog.from_jsonl(text).to_jsonl() == text
 
 
 class TestProtocolTracing:
     def test_recovery_leaves_causal_trail(self, traced_run):
         connection, simulation = traced_run
         trace = simulation.trace
-        categories = {event.category for event in trace.events}
-        for expected in ("failure", "detect", "report", "informed",
-                         "activation", "recovered"):
-            assert expected in categories
+        kinds = {row.kind for row in trace.rows}
+        for expected in ("failure", "detect", "report-hop", "informed",
+                         "activate", "recovered"):
+            assert expected in kinds
+        # Each step of the recovery is filed under its episode.
+        (episode,) = trace.select("episode")
+        for row in trace.select("detect", "informed", "activate"):
+            assert row.parent == episode.id
 
     def test_trail_is_causally_ordered(self, traced_run):
         _, simulation = traced_run
         trace = simulation.trace
 
-        def first(category):
-            events = trace.filter(category=category)
-            return events[0].time
+        def first(kind):
+            return trace.select(kind)[0].t
 
         assert (first("failure") <= first("detect") <= first("informed")
-                <= first("activation") <= first("recovered"))
+                <= first("activate") <= first("recovered"))
 
     def test_tracing_off_by_default(self):
         network = BCPNetwork(torus(4, 4))
         simulation = ProtocolSimulation(network, ProtocolConfig())
-        assert not simulation.trace.enabled
+        assert not simulation.trace.active
+
+    def test_each_step_is_recorded_once(self):
+        """One row per step: the report-hop and detect rows count exactly
+        what the protocol counters count, and every exported row names
+        itself and its kind."""
+        network = BCPNetwork(torus(4, 4))
+        qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
+        for source, destination in ((0, 10), (1, 11), (5, 15)):
+            network.establish(source, destination, ft_qos=qos)
+        registry = MetricsRegistry()
+        simulation = ProtocolSimulation(network, ProtocolConfig(),
+                                        trace=TraceLog(), metrics=registry)
+        simulation.fail(LinkId(0, 1), at=1.0)
+        simulation.run(until=300.0)
+        counters = registry.snapshot()["counters"]
+        trace = simulation.trace
+        assert counters["protocol.reports_sent"] > 0
+        assert (len(trace.select("report-hop"))
+                == counters["protocol.reports_sent"])
+        assert len(trace.select("detect")) == counters["protocol.detections"]
+        ids = [row.id for row in trace.rows]
+        assert ids == list(range(1, len(ids) + 1))
+        for line in trace.to_jsonl().splitlines():
+            row = json.loads(line)
+            assert row["id"] and row["kind"] in KINDS
 
 
 class TestHeartbeatDetection:
@@ -127,7 +157,7 @@ class TestHeartbeatDetection:
             heartbeat_detection=True,
             rejoin_timeout=200.0,
         )
-        simulation = ProtocolSimulation(network, config, trace=True)
+        simulation = ProtocolSimulation(network, config, trace=TraceLog())
         victim = connection.primary.path.links[fail_link_index]
         simulation.inject_scenario(FailureScenario.of_links([victim]),
                                    at=10.0)
@@ -161,10 +191,9 @@ class TestHeartbeatDetection:
         # The downstream side sees missed beats; the upstream side sees its
         # RCC give up; both must end up with a detection trace entry.
         connection, simulation = self._run(1)
-        events = simulation.trace.filter(category="hb-detect")
-        victims = {str(e.description) for e in events}
-        assert any("missed heartbeats" in text for text in victims)
-        assert any("gave up" in text for text in victims)
+        causes = {row.attrs["cause"]
+                  for row in simulation.trace.select("hb-detect")}
+        assert causes == {"missed-heartbeats", "rcc-give-up"}
 
     def test_no_spurious_detection_without_failures(self):
         network = BCPNetwork(torus(4, 4, capacity=200.0))
@@ -172,10 +201,11 @@ class TestHeartbeatDetection:
             0, 10, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
         )
         simulation = ProtocolSimulation(
-            network, ProtocolConfig(heartbeat_detection=True), trace=True
+            network, ProtocolConfig(heartbeat_detection=True),
+            trace=TraceLog(),
         )
         simulation.run(until=100.0)
-        assert simulation.trace.filter(category="hb-detect") == []
+        assert simulation.trace.select("hb-detect") == []
         assert simulation.metrics.recoveries == {}
 
     def test_no_false_positives_under_frame_loss(self):
@@ -193,9 +223,10 @@ class TestHeartbeatDetection:
             frame_loss_probability=0.1,
             max_retransmissions=10,
         )
-        simulation = ProtocolSimulation(network, config, trace=True, seed=3)
+        simulation = ProtocolSimulation(network, config, trace=TraceLog(),
+                                        seed=3)
         simulation.run(until=120.0)
-        assert simulation.trace.filter(category="hb-detect") == []
+        assert simulation.trace.select("hb-detect") == []
 
     def test_repair_resets_suspicion(self):
         network = BCPNetwork(torus(4, 4, capacity=200.0))
@@ -204,7 +235,7 @@ class TestHeartbeatDetection:
         )
         config = ProtocolConfig(heartbeat_detection=True,
                                 rejoin_timeout=500.0)
-        simulation = ProtocolSimulation(network, config, trace=True)
+        simulation = ProtocolSimulation(network, config, trace=TraceLog())
         victim = connection.primary.path.links[1]
         simulation.inject_scenario(FailureScenario.of_links([victim]),
                                    at=10.0)
@@ -222,14 +253,13 @@ class TestHeartbeatDetection:
         simulation = ProtocolSimulation(
             network, ProtocolConfig(heartbeat_detection=True,
                                     rejoin_timeout=300.0),
-            trace=True,
+            trace=TraceLog(),
         )
         simulation.inject_scenario(FailureScenario.of_nodes([victim]),
                                    at=10.0)
         simulation.run(until=600.0)
         record = simulation.metrics.recoveries[connection.connection_id]
         assert record.recovered_serial == 1
-        detectors = {e.node for e in simulation.trace.filter(
-            category="hb-detect")}
+        detectors = {row.node for row in simulation.trace.select("hb-detect")}
         neighbours = set(network.topology.successors(victim))
         assert detectors & neighbours

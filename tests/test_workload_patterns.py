@@ -7,6 +7,7 @@ import pytest
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.protocol.states import LocalChannelState
+from repro.sim import TraceLog
 
 
 class TestRuntimeClosure:
@@ -14,7 +15,8 @@ class TestRuntimeClosure:
         connection = torus4.establish(
             0, 10, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
         )
-        simulation = ProtocolSimulation(torus4, ProtocolConfig(), trace=True)
+        simulation = ProtocolSimulation(torus4, ProtocolConfig(),
+                                        trace=TraceLog())
         simulation.close_connection(connection.connection_id, at=5.0)
         simulation.run(until=100.0)
         for channel in connection.channels:
@@ -23,7 +25,7 @@ class TestRuntimeClosure:
                 assert record.state is LocalChannelState.NON_EXISTENT, (
                     channel.channel_id, node,
                 )
-        assert simulation.trace.filter(category="closure")
+        assert simulation.trace.select("closure")
 
     def test_closure_from_non_source_rejected(self, torus4):
         connection = torus4.establish(
