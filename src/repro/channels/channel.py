@@ -11,7 +11,7 @@ to allocate serial numbers to the backups of each D-connection" (Section
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.channels.traffic import TrafficSpec
 from repro.routing.paths import Path
@@ -56,12 +56,10 @@ class Channel:
     path: Path
     traffic: TrafficSpec
     mux_degree: int = 0
-    _components: frozenset = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.serial < 0:
             raise ValueError(f"serial must be >= 0, got {self.serial}")
-        self._components = self.path.components
 
     @property
     def bandwidth(self) -> float:
@@ -70,8 +68,9 @@ class Channel:
 
     @property
     def components(self) -> frozenset:
-        """All components (nodes + links) of the channel path."""
-        return self._components
+        """All components (nodes + links) of the channel path, built by
+        the path on first use."""
+        return self.path.components
 
     def fails_under(self, failed_components: frozenset | set) -> bool:
         """Whether this channel is disabled by the given component failures."""

@@ -1,18 +1,20 @@
 """Network-wide channel registry.
 
-The registry indexes channels three ways — by id, by link, and by
-component — so that the multiplexing engine can enumerate the backups on a
-link, and the fault models can answer "which channels does this failure
-disable?" in time proportional to the answer.
+The registry indexes channels by id and by link, so that the
+multiplexing engine can enumerate the channels on a link, and the fault
+models can answer "which channels does this failure disable?" in time
+proportional to the answer.  The link index is the only per-component
+one: every node of a path is an end of one of its links, so a node's
+channels are those on the links at that node, which a node -> links map
+names.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Iterator
 
 from repro.channels.channel import Channel, ChannelRole
-from repro.network.components import LinkId
+from repro.network.components import LinkId, NodeId
 
 
 class ChannelRegistry:
@@ -20,8 +22,11 @@ class ChannelRegistry:
 
     def __init__(self) -> None:
         self._by_id: dict[int, Channel] = {}
-        self._by_link: dict[LinkId, dict[int, Channel]] = defaultdict(dict)
-        self._by_component: dict[object, set[int]] = defaultdict(set)
+        #: link -> {channel id: channel}, in registration order; only
+        #: links that carry a channel have an entry.
+        self._by_link: dict[LinkId, dict[int, Channel]] = {}
+        #: node -> the keys of ``_by_link`` with that node at either end.
+        self._links_at: dict[NodeId, set[LinkId]] = {}
         self._next_id = 0
 
     # ------------------------------------------------------------------
@@ -58,13 +63,18 @@ class ChannelRegistry:
     # ------------------------------------------------------------------
     def add(self, channel: Channel) -> Channel:
         """Register ``channel``; its id must be unused."""
-        if channel.channel_id in self._by_id:
-            raise ValueError(f"duplicate channel id {channel.channel_id}")
-        self._by_id[channel.channel_id] = channel
+        channel_id = channel.channel_id
+        if channel_id in self._by_id:
+            raise ValueError(f"duplicate channel id {channel_id}")
+        self._by_id[channel_id] = channel
+        by_link = self._by_link
         for link in channel.path.links:
-            self._by_link[link][channel.channel_id] = channel
-        for component in channel.components:
-            self._by_component[component].add(channel.channel_id)
+            carried = by_link.get(link)
+            if carried is None:
+                carried = by_link[link] = {}
+                for node in (link.src, link.dst):
+                    self._links_at.setdefault(node, set()).add(link)
+            carried[channel_id] = channel
         return channel
 
     def remove(self, channel_id: int) -> Channel:
@@ -72,16 +82,17 @@ class ChannelRegistry:
         channel = self._by_id.pop(channel_id, None)
         if channel is None:
             raise KeyError(f"unknown channel id {channel_id}")
+        by_link = self._by_link
         for link in channel.path.links:
-            siblings = self._by_link[link]
-            siblings.pop(channel_id, None)
-            if not siblings:
-                del self._by_link[link]
-        for component in channel.components:
-            owners = self._by_component[component]
-            owners.discard(channel_id)
-            if not owners:
-                del self._by_component[component]
+            carried = by_link[link]
+            del carried[channel_id]
+            if not carried:
+                del by_link[link]
+                for node in (link.src, link.dst):
+                    at = self._links_at[node]
+                    at.discard(link)
+                    if not at:
+                        del self._links_at[node]
         return channel
 
     # ------------------------------------------------------------------
@@ -105,25 +116,38 @@ class ChannelRegistry:
         return iter(self._by_id.values())
 
     def primaries_on_link(self, link: LinkId) -> list[Channel]:
-        """Primary channels traversing ``link``."""
+        """Primary channels traversing ``link``, in registration order."""
         return [
             channel
             for channel in self._by_link.get(link, {}).values()
             if channel.role is ChannelRole.PRIMARY
         ]
 
+    def _on(self, component: object) -> dict[int, Channel]:
+        """``{channel id: channel}`` of the channels whose path includes
+        ``component`` (a node or a link); an empty dict if none do."""
+        by_link = self._by_link
+        if isinstance(component, LinkId):
+            return by_link.get(component, {})
+        on: dict[int, Channel] = {}
+        for link in self._links_at.get(component, ()):
+            on.update(by_link[link])
+        return on
+
     def on_component(self, component: object) -> list[Channel]:
-        """Channels whose path includes the given node or link."""
-        return [self._by_id[cid] for cid in self._by_component.get(component, ())]
+        """Channels whose path includes the given node or link, in
+        ascending channel id."""
+        on = self._on(component)
+        return [on[channel_id] for channel_id in sorted(on)]
 
     def affected_by(self, failed_components: Iterable[object]) -> set[int]:
         """Ids of channels disabled by failing all of ``failed_components``."""
         affected: set[int] = set()
         for component in failed_components:
-            affected.update(self._by_component.get(component, ()))
+            affected.update(self._on(component))
         return affected
 
     def channel_count_on_link(self, link: LinkId) -> int:
         """Number of channels (primary + backup) on ``link`` — the ``y``
         term of the RCC sizing rule (Section 5.2)."""
-        return len(self._by_link.get(link, {}))
+        return len(self._by_link.get(link, ()))

@@ -59,9 +59,16 @@ class ComponentSpace:
     sets pairwise (``sc(M_i, M_j)``).  Interning every component to a bit
     and every component *set* to an integer mask turns each comparison
     into ``(mask_a & mask_b).bit_count()`` — one machine-word-ish
-    operation instead of a hashed frozenset intersection.  Masks are
-    memoised per frozenset, so each distinct primary path is interned
-    once no matter how many links its backups land on.
+    operation instead of a hashed frozenset intersection.
+
+    Two ways in.  :meth:`mask` memoises per frozenset, so each distinct
+    primary path the mux holds is interned once no matter how many links
+    its backups land on.  :meth:`path_mask` reads a path's nodes and
+    links directly and memoises nothing: the recovery plan interns each
+    backup once, and no frozenset need exist for it.  A bit's position is
+    the order its component was first seen, which depends on the way in;
+    masks are only ``&``-ed and popcounted, which no relabelling of bits
+    changes.
     """
 
     __slots__ = ("_bits", "_set_masks")
@@ -75,14 +82,10 @@ class ComponentSpace:
 
     @property
     def rows(self) -> int:
-        """Distinct component sets interned so far."""
+        """Distinct component sets :meth:`mask` has memoised so far."""
         return len(self._set_masks)
 
-    def mask(self, components: frozenset) -> int:
-        """The integer bitset of ``components``, interning new ones."""
-        cached = self._set_masks.get(components)
-        if cached is not None:
-            return cached
+    def _intern(self, components: Iterable) -> int:
         bits = self._bits
         mask = 0
         for component in components:
@@ -91,8 +94,19 @@ class ComponentSpace:
                 bit = 1 << len(bits)
                 bits[component] = bit
             mask |= bit
-        self._set_masks[components] = mask
         return mask
+
+    def mask(self, components: frozenset) -> int:
+        """The integer bitset of ``components``, interning new ones."""
+        cached = self._set_masks.get(components)
+        if cached is None:
+            cached = self._set_masks[components] = self._intern(components)
+        return cached
+
+    def path_mask(self, path: Path) -> int:
+        """The integer bitset of every node and link of ``path``,
+        interning new ones; memoised nowhere."""
+        return self._intern(path.nodes) | self._intern(path.links)
 
     def known(self, components: Iterable) -> int:
         """The bits of those ``components`` some interned set contains.

@@ -28,7 +28,8 @@ a scenario ever hit).  Only primaries are indexed — a failed backup alone
 disrupts no service, so a scenario's work list is exactly the connections
 whose *primary* it crosses; whether a backup of one of those is dead is
 ``mask & failed`` on integers interned through the plan's own
-:class:`~repro.core.overlap.ComponentSpace`.
+:class:`~repro.core.overlap.ComponentSpace`, straight from the backup
+path's nodes and links (no component set is built for a backup).
 
 *Registry visibility.*  A record is hit only through a registry channel
 that *is* its connection's primary object.  A connection still listed by
@@ -115,7 +116,7 @@ class RecoveryPlan:
                 tuple(
                     (
                         backup.serial,
-                        space.mask(backup.components),
+                        space.path_mask(backup.path),
                         tuple(
                             link_index.get(link, off_topology)
                             for link in backup.path.links

@@ -26,8 +26,14 @@ over them:
   replays the ledger's change log (only the links written since the
   last search are re-read) instead of a per-link closure call.
 * **Route cache** — results of searches that depend only on the topology
-  and the constraint sets are memoised under ``(src, dst, constraint
-  signature)``.  A search gated by a capacity floor, a custom predicate or
+  and the constraint sets are memoised under ``(src, dst, node mask, edge
+  mask, max_hops)``: endpoints as dense indices, and the exclusions as
+  integer bitmasks over the dense node and edge indices, resolved in the
+  same pass that stamps them.  A key holds no frozenset, so a
+  ``RouteConstraints`` dies with its search, and two equal exclusion sets
+  share one entry however they were built.  Components absent from the
+  topology are not in the key, as the search ignores them too.  A search
+  gated by a capacity floor, a custom predicate or
   a cost function is not cacheable (an admitted floor-gated search is
   followed by its own reservation, which moves the ledger, so its result
   could never be served twice).  Negative results (*no feasible path*)
@@ -36,12 +42,18 @@ over them:
 
 The compiled view lives on ``topology._flat`` and is discarded whenever
 ``topology.version`` changes; worker processes never receive it in pickles
-(see ``Topology.__getstate__``) and recompile lazily.
+(see ``Topology.__getstate__``) and recompile lazily.  The view refers to
+its topology, and to the ledger its free-capacity mirror follows, only
+weakly: a strong reference would close a cycle (``topology._flat`` ->
+view -> topology, and view -> ledger -> topology -> view), and a dropped
+network, route cache and all, would wait for the cycle collector instead
+of going by reference count.
 """
 
 from __future__ import annotations
 
 import heapq
+import weakref
 from array import array
 
 from repro.network.components import LinkId, NodeId
@@ -156,7 +168,7 @@ class FlatTopology:
     """
 
     def __init__(self, topology: Topology) -> None:
-        self.topology = topology
+        self._topology = weakref.ref(topology)
         self.version = topology.version
 
         nodes = list(topology.nodes())
@@ -231,12 +243,28 @@ class FlatTopology:
         self._hops = [0] * n          # Dijkstra hop counts
 
         # Free-capacity mirror for CapacityFloor admissibility, current as
-        # of (ledger identity, that ledger's change cursor).
+        # of (ledger identity, that ledger's change cursor).  The ledger is
+        # held weakly, like the topology.
         self._free = [0.0] * num_edges
-        self._free_ledger: ReservationLedger | None = None
+        self._free_ledger: "weakref.ref[ReservationLedger] | None" = None
         self._free_cursor = -1
 
         self.cache = RouteCache()
+
+    @property
+    def topology(self) -> "Topology | None":
+        """The topology this view was compiled from (``None`` once it is
+        gone)."""
+        return self._topology()
+
+    def _check_current(self) -> None:
+        topology = self._topology()
+        if topology is None or self.version != topology.version:
+            now = "gone" if topology is None else f"at {topology.version}"
+            raise StaleFlatViewError(
+                f"flat view compiled at topology version {self.version} "
+                f"but the topology is now {now}; re-resolve via flat_view()"
+            )
 
     # ------------------------------------------------------------------
     # public entry points
@@ -248,33 +276,25 @@ class FlatTopology:
         is the caller's job; this mirrors the retained reference kernels
         exactly, including tie-breaks and the negative-cost ``ValueError``.
         """
-        if self.version != self.topology.version:
-            raise StaleFlatViewError(
-                f"flat view compiled at topology version {self.version} "
-                f"but {self.topology.name!r} is now at "
-                f"{self.topology.version}; re-resolve via flat_view()"
-            )
+        self._check_current()
         pred = constraints.link_admissible
         floor: CapacityFloor | None = None
         if isinstance(pred, CapacityFloor):
             floor = pred
             pred = None
 
+        s = self.index[src]
+        t = self.index[dst]
+        ep, node_mask, edge_mask = self._stamp_exclusions(constraints)
         cacheable = cost is None and pred is None and floor is None
         if cacheable:
             cache = self.cache
-            key = (
-                src, dst, constraints.excluded_nodes,
-                constraints.excluded_links, constraints.max_hops,
-            )
+            key = (s, t, node_mask, edge_mask, constraints.max_hops)
             hit = cache.static_table().get(key, _MISSING)
             if hit is not _MISSING:
                 cache.record_hit()
                 return hit
 
-        s = self.index[src]
-        t = self.index[dst]
-        ep = self._stamp_exclusions(constraints)
         if floor is not None:
             self._sync_free(floor.ledger)
             floor_bw = floor.bandwidth
@@ -296,12 +316,7 @@ class FlatTopology:
     def hop_distance(self, src: NodeId, dst: NodeId) -> int:
         """Unconstrained hop count via bidirectional BFS; ``-1`` when
         ``dst`` is unreachable.  ``src == dst`` is the caller's case."""
-        if self.version != self.topology.version:
-            raise StaleFlatViewError(
-                f"flat view compiled at topology version {self.version} "
-                f"but {self.topology.name!r} is now at "
-                f"{self.topology.version}; re-resolve via flat_view()"
-            )
+        self._check_current()
         cache = self.cache
         key = ("hop", src, dst)
         hit = cache.static_table().get(key, _MISSING)
@@ -320,14 +335,16 @@ class FlatTopology:
     # ------------------------------------------------------------------
     # constraint resolution
     # ------------------------------------------------------------------
-    def _stamp_exclusions(self, constraints) -> int:
-        """Bump the epoch and stamp excluded components; returns the epoch.
+    def _stamp_exclusions(self, constraints) -> tuple[int, int, int]:
+        """Bump the epoch and stamp excluded components; returns the epoch
+        and the excluded dense node and edge indices as bitmasks.
 
         Components absent from the topology are ignored — the reference
         implementation's membership tests can never match them either.
         """
         self._epoch += 1
         ep = self._epoch
+        node_mask = edge_mask = 0
         excluded_nodes = constraints.excluded_nodes
         if excluded_nodes:
             xnode = self._xnode
@@ -336,6 +353,7 @@ class FlatTopology:
                 i = index_get(node)
                 if i is not None:
                     xnode[i] = ep
+                    node_mask |= 1 << i
         excluded_links = constraints.excluded_links
         if excluded_links:
             xedge = self._xedge
@@ -344,7 +362,8 @@ class FlatTopology:
                 e = slot_get(link)
                 if e is not None:
                     xedge[e] = ep
-        return ep
+                    edge_mask |= 1 << e
+        return ep, node_mask, edge_mask
 
     def _sync_free(self, ledger: ReservationLedger) -> None:
         """Bring the per-edge free-bandwidth mirror up to date with
@@ -368,11 +387,12 @@ class FlatTopology:
         *view* can never get here — :meth:`search` raises
         :class:`StaleFlatViewError` first.  The ledger is only read.
         """
-        same = self._free_ledger is ledger
+        followed = self._free_ledger
+        same = followed is not None and followed() is ledger
         if same and self._free_cursor == ledger.change_cursor:
             return
         free = self._free
-        if ledger.topology is self.topology:
+        if ledger.topology is self._topology():
             slot = self._links_pos_slot
             changed = ledger.changes_since(self._free_cursor) if same else None
             if changed is None:
@@ -388,7 +408,7 @@ class FlatTopology:
             # not this one, so re-read every edge by LinkId.
             for e, link in enumerate(self._links):
                 free[e] = ledger.free(link)
-        self._free_ledger = ledger
+        self._free_ledger = weakref.ref(ledger)
         # Read after the resync: ``free_values()`` / ``free()`` may have
         # reconciled the ledger with a grown topology, which moves it.
         self._free_cursor = ledger.change_cursor
@@ -585,7 +605,7 @@ class FlatTopology:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"FlatTopology({self.topology.name!r}, "
+            f"FlatTopology({getattr(self.topology, 'name', None)!r}, "
             f"nodes={len(self.nodes)}, edges={len(self._nbr)}, "
             f"version={self.version})"
         )

@@ -1,10 +1,13 @@
 """Path objects.
 
-A :class:`Path` is an immutable node sequence with cached derived views:
-the simplex links it traverses and its *component set* — the nodes and
-links whose failure disables it.  Component sets drive both the overlap
-computation ``sc(M_i, M_j)`` of backup multiplexing (Section 3.2) and the
-failure-impact queries of the recovery evaluator.
+A :class:`Path` is an immutable node sequence plus the simplex links it
+traverses: together they *are* its components — the nodes and links
+whose failure disables it.  Every other view is derived on demand.  The
+component *set* (a frozenset, cached on first use) drives the overlap
+computation ``sc(M_i, M_j)`` of backup multiplexing (Section 3.2); the
+component *count* is arithmetic, because a simple path repeats no node.
+A backup path never needs the set: the recovery plan interns its nodes
+and links straight into a bitmask, and the registry indexes it by link.
 """
 
 from __future__ import annotations
@@ -103,9 +106,13 @@ class Path:
         return frozenset(self.interior_nodes) | frozenset(self.links)
 
     def component_count(self, count_endpoints: bool = True) -> int:
-        """``c(M)`` — the number of failure-prone components of the path."""
-        source = self.components if count_endpoints else self.transit_components
-        return len(source)
+        """``c(M)`` — the number of failure-prone components of the path.
+
+        ``hops + 1`` distinct nodes and ``hops`` distinct links, less the
+        two endpoints when they do not count; no set is built.
+        """
+        hops = len(self._nodes) - 1
+        return 2 * hops + 1 if count_endpoints else 2 * hops - 1
 
     def intersects(self, components: frozenset | set) -> bool:
         """Whether any of ``components`` lies on this path."""

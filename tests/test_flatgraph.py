@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.network import Topology, mesh, ring, star, torus
+from repro.network import LinkId, Topology, mesh, ring, star, torus
 from repro.network.generators import hypercube, random_regular, tree
 from repro.network.reservations import ReservationLedger
 from repro.obs import MetricsRegistry, obs_session
@@ -204,6 +204,35 @@ class TestRouteCache:
                 with pytest.raises(NoPathError):
                     shortest_path(topology, 0, 10, constraints)
             assert registry.counter("route_cache.hits").value == 1
+
+    def test_equal_exclusions_share_one_entry_and_no_key_holds_a_set(self):
+        registry = MetricsRegistry()
+        with obs_session(registry):
+            topology = torus(4, 4)
+            links = list(topology.links())
+            # Equal, but built separately (and in another order), plus
+            # components the topology does not have, which the search
+            # ignores and so must the key.
+            first = RouteConstraints(
+                excluded_nodes=frozenset({1, 4}),
+                excluded_links=frozenset(links[-6:]),
+            )
+            second = RouteConstraints(
+                excluded_nodes=frozenset([4, 1, "absent"]),
+                excluded_links=frozenset(
+                    [*reversed(links[-6:]), LinkId("absent", 0)]
+                ),
+            )
+            assert first.excluded_nodes is not second.excluded_nodes
+            found = shortest_path(topology, 0, 10, first)
+            assert shortest_path(topology, 0, 10, second) is found
+            assert registry.counter("route_cache.misses").value == 1
+            assert registry.counter("route_cache.hits").value == 1
+            table = flat_view(topology).cache.static_table()
+            assert len(table) == 1
+            (key,) = table
+            assert not any(isinstance(part, frozenset) for part in key)
+            assert all(isinstance(part, (int, type(None))) for part in key)
 
     def test_floor_route_reflects_a_reservation(self):
         # a->b->c is shortest but capacity-limited; once a reservation

@@ -1,0 +1,65 @@
+"""Allocation gates for a loaded network: it is freed by reference count,
+and it stores each backup's components once, as its path's nodes and
+links.
+
+``benchmarks/paper/test_allocation.py`` holds the same checks at the
+paper's 8x8 scale, with pinned heap and tracked-object budgets.
+"""
+
+from __future__ import annotations
+
+import gc
+
+from repro import BCPNetwork, FaultToleranceQoS, torus
+from repro.experiments.workloads import all_pairs, establish_workload
+from repro.faults import all_single_node_failures
+from repro.obs import NULL_REGISTRY
+from repro.protocol import ProtocolSimulation
+from repro.recovery import RecoveryEvaluator
+
+
+def _loaded_torus4() -> BCPNetwork:
+    network = BCPNetwork(torus(4, 4, capacity=200.0))
+    report = establish_workload(
+        network, all_pairs(network.topology),
+        FaultToleranceQoS(num_backups=1, mux_degree=3),
+    )
+    assert report.established == 240
+    return network
+
+
+def test_a_dropped_network_leaves_nothing_to_collect():
+    """Build, tear everything down, drop: the topology's flat view, its
+    route cache and the ledger all go by reference count."""
+    gc.collect()
+    gc.disable()
+    try:
+        network = _loaded_torus4()
+        for connection in network.connections():
+            network.teardown(connection)
+        del network
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0, "the network left cyclic garbage"
+
+
+def test_no_backup_path_builds_its_component_set():
+    """The evaluator over every single-node failure and a protocol run
+    read a backup's components through its nodes and links only."""
+    network = _loaded_torus4()
+    backups = [
+        backup.path
+        for connection in network.connections()
+        for backup in connection.backups
+    ]
+    assert len(backups) == 240
+    RecoveryEvaluator(network).evaluate_many(
+        all_single_node_failures(network.topology)
+    )
+    simulation = ProtocolSimulation(network, seed=0, metrics=NULL_REGISTRY)
+    simulation.fail(5, at=1.0)
+    simulation.run(until=500.0)
+    assert simulation.metrics.recovered_count() > 0
+    built = [path for path in backups if "components" in path.__dict__]
+    assert not built, f"{len(built)} of {len(backups)} backup paths"

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.multiplexing import LinkMuxState
@@ -66,6 +66,18 @@ class TestPathProperties:
     @given(paths())
     def test_component_count_is_nodes_plus_links(self, path):
         assert len(path.components) == len(path.nodes) + path.hops
+
+    @given(node_lists)
+    @example([7, 3])  # one hop: no transit node at all
+    def test_component_count_is_the_size_of_the_set(self, nodes):
+        # Arithmetic first, on a path that has built no set yet.
+        path = Path(nodes)
+        with_endpoints = path.component_count(True)
+        without = path.component_count(False)
+        assert "components" not in path.__dict__
+        assert "transit_components" not in path.__dict__
+        assert with_endpoints == len(path.components)
+        assert without == len(path.transit_components)
 
     @given(paths())
     def test_links_match_hops(self, path):

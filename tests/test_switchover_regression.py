@@ -19,6 +19,10 @@ Each artifact is replayed twice:
 
 The artifacts' scenarios derive a plain product config: which daemon
 ran is the harness's choice, not a recorded switch.
+
+Two open cascade bugs are pinned as strict xfails: run 56's endpoint
+disagreement (an artifact), and a ring12 run of the ci_smoke lattice
+whose recovered episodes overrun their Γ bound (rebuilt from its cell).
 """
 
 from __future__ import annotations
@@ -28,13 +32,16 @@ import os
 import pytest
 
 from repro.chaos import (
+    DEFAULT_PROFILES,
+    build_campaign,
     load_artifact,
     replay_artifact,
+    run_schedule,
     violation_signature,
 )
-from repro.obs import MetricsRegistry, obs_session
+from repro.obs import EpisodeReconstructor, MetricsRegistry, obs_session
 from repro.protocol import ProtocolConfig
-from repro.scenario import ScenarioSpec
+from repro.scenario import ScenarioSpec, build_loaded_network, load_cells
 from repro.sim import TraceLog
 from tests.planted import UnguardedSimulation, plant
 
@@ -42,6 +49,13 @@ ARTIFACT_DIR = os.path.join(os.path.dirname(__file__), "artifacts")
 RUN56 = os.path.join(
     ARTIFACT_DIR, "cascade-endpoint-disagreement-seed0-run56.json"
 )
+CI_SMOKE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "scenarios", "ci_smoke.jsonl"
+)
+#: The ci_smoke cell whose campaign holds the second cascade witness, and
+#: that run's index in it.
+RING12_CELL = "ci-smoke/regression/ring12-K1b1-base2028"
+RING12_RUN = 2
 
 RACE_ARTIFACTS = sorted(
     os.path.join(ARTIFACT_DIR, name)
@@ -106,6 +120,51 @@ def test_cascade_leaves_both_ends_on_one_channel():
     assert "endpoint-disagreement" not in violation_signature(
         result.violations
     )
+
+
+def _ring12_cascade():
+    """Run 2 of the ring12 regression cell's campaign (what ``matrix run
+    scenarios/ci_smoke.jsonl --shard 0/2`` runs), under its own log: the
+    run's result and the episodes folded from its rows."""
+    (spec,) = [cell for cell in load_cells(CI_SMOKE) if cell.name == RING12_CELL]
+    network = build_loaded_network(spec)
+    config = spec.protocol.config()
+    schedule = build_campaign(
+        spec.seed, spec.workload.campaign_size, network, config,
+        profiles=spec.workload.profiles or DEFAULT_PROFILES,
+    )[RING12_RUN]
+    trace = TraceLog()
+    with obs_session(MetricsRegistry(), trace):
+        result = run_schedule(schedule, network, config)
+    return result, EpisodeReconstructor().add_log(trace)
+
+
+def test_ring12_cascade_witness_is_pinned():
+    """The schedule behind the ci_smoke shard-0 episode gate's exit 1:
+    two link failures, K=6 hops, D_max 1; the auditor finds nothing."""
+    result, episodes = _ring12_cascade()
+    assert result.schedule.profile == "cascade"
+    assert [(event.time, event.action, str(event.component))
+            for event in result.materialized] == [
+        (5.0, "fail", "1->2"), (7.3419605412649815, "fail", "10->9"),
+    ]
+    assert result.violations == () and result.drained
+    assert {(e.k_hops, e.d_max, e.bound) for e in episodes.episodes} == {
+        (6, 1.0, 5.0)
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="open protocol bug: after the second of two cascading link "
+           "failures on ring12, connections 2 and 3 resume 7.0 and 6.0 "
+           "after it, above Γ = 5.0 (ROADMAP item 1)",
+)
+def test_ring12_cascade_recovers_within_gamma():
+    """The reconstructor's verdict on the run above; ``repro obs
+    episodes`` exits 1 on the ci_smoke shard-0 trace because of it."""
+    _, episodes = _ring12_cascade()
+    assert [(e.connection_id, e.gamma) for e in episodes.violations()] == []
 
 
 def _flight_of_run56(session_sink: "TraceLog | None") -> tuple[list, int]:
