@@ -44,9 +44,10 @@ __all__ = [
     "SPARE_MIRROR_EPSILON",
 ]
 
-#: Spare mirrored into the ledger may differ from the mux requirement by
-#: float round-off only; anything larger is a consistency violation
-#: (see :meth:`BCPNetwork.audit_invariants`).
+#: Spare mirrored into the ledger may differ from the mux requirement, and
+#: a link's primary pool from the live primaries crossing it, by float
+#: round-off only; anything larger is a consistency violation (see
+#: :meth:`BCPNetwork.audit_invariants`).
 SPARE_MIRROR_EPSILON = 1e-6
 
 
@@ -264,14 +265,24 @@ class BCPNetwork:
         return self.ledger.spare_fraction()
 
     def audit_invariants(self) -> list[str]:
-        """Ledger audit plus the mux-vs-ledger spare consistency check.
+        """Ledger audit, the mux-vs-ledger spare consistency check, and
+        two leak checks against the live connections.
 
         The churn engine's epoch auditor, hoisted onto the network so
         remote network adapters (:mod:`repro.serve`) can run the same
-        check server-side with one round trip.  Returns one problem
-        string per violation; empty means consistent.
+        check server-side with one round trip.  A leak is primary
+        bandwidth on a link beyond what the live connections' primaries
+        crossing it carry (only the excess: a switchover may draw less),
+        or a registered channel whose connection is not live.  Returns
+        one problem string per violation; empty means consistent.
         """
         violations = [str(finding) for finding in self.ledger.audit()]
+        live = self._connections
+        carried: dict[LinkId, float] = {}
+        for connection in live.values():
+            bandwidth = connection.traffic.bandwidth
+            for link in connection.primary.path.links:
+                carried[link] = carried.get(link, 0.0) + bandwidth
         for link in self.topology.links():
             required = self.mux.spare_required(link)
             mirrored = self.ledger.spare_reserved(link)
@@ -279,6 +290,19 @@ class BCPNetwork:
                 violations.append(
                     f"link {link}: mux requires {required!r} spare but "
                     f"ledger mirrors {mirrored!r}"
+                )
+            reserved = self.ledger.primary_reserved(link)
+            crossing = carried.get(link, 0.0)
+            if reserved - crossing > SPARE_MIRROR_EPSILON:
+                violations.append(
+                    f"link {link}: ledger holds {reserved!r} primary but "
+                    f"live connections carry {crossing!r}"
+                )
+        for channel in self.registry.channels():
+            if channel.connection_id not in live:
+                violations.append(
+                    f"channel {channel.channel_id} is registered but its "
+                    f"connection {channel.connection_id} is not live"
                 )
         return violations
 

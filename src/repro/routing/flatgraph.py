@@ -12,10 +12,17 @@ over them:
 * **CSR layout** — nodes are interned to dense ints in insertion order;
   ``_off[u]:_off[u+1]`` spans ``u``'s outgoing edge slots in ``_nbr``
   (neighbour index), ``_links`` (the original :class:`LinkId`), and
-  ``_cap`` (capacity).  A mirrored in-CSR (``_ioff``/``_ipred``) drives
-  the backward half of bidirectional BFS.  Because the CSR is built in
-  insertion order, scans reproduce the reference implementation's
-  deterministic tie-break order bit for bit.
+  ``_cap`` (capacity).  Because the CSR is built in insertion order,
+  scans reproduce the reference implementation's deterministic tie-break
+  order bit for bit.
+* **BFS trees** — one full unconstrained BFS tree per source, built on
+  first use: every node's parent edge, depth and discovery order.  A BFS
+  that stops at ``t`` discovers nodes in the same order, over the same
+  parent edges, as the full one up to ``t``.  So ``hop_distance``, an
+  exclusion-free search, and a capacity-floor search the floor cannot
+  change (no below-floor link is the tree edge of a node discovered no
+  later than ``t``) are each a walk up the tree; a ``t`` deeper than
+  ``max_hops`` has no route at all.
 * **Epoch-stamped buffers** — visited/parent/distance/cost arrays are
   allocated once and invalidated by bumping a single epoch counter, so a
   search does no per-call allocation beyond its frontier list.
@@ -24,21 +31,23 @@ over them:
   bandwidth" predicate (a :class:`~repro.network.reservations.CapacityFloor`)
   is resolved to an array compare against a free-capacity mirror that
   replays the ledger's change log (only the links written since the
-  last search are re-read) instead of a per-link closure call.
-* **Route cache** — results of searches that depend only on the topology
-  and the constraint sets are memoised under ``(src, dst, node mask, edge
-  mask, max_hops)``: endpoints as dense indices, and the exclusions as
+  last search are re-read).  The same replay keeps the set of *low*
+  edges, below the largest floor asked for: all a tree test reads.
+* **Route cache** — the BFS trees, under the dense source index, and the
+  results of searches with exclusions that depend only on the topology
+  and the constraint sets, under ``(src, dst, node mask, edge mask,
+  max_hops)``: endpoints as dense indices, and the exclusions as
   integer bitmasks over the dense node and edge indices, resolved in the
   same pass that stamps them.  A key holds no frozenset, so a
   ``RouteConstraints`` dies with its search, and two equal exclusion sets
   share one entry however they were built.  Components absent from the
   topology are not in the key, as the search ignores them too.  A search
-  gated by a capacity floor, a custom predicate or
+  gated by a capacity floor the tree cannot answer, a custom predicate or
   a cost function is not cacheable (an admitted floor-gated search is
   followed by its own reservation, which moves the ledger, so its result
-  could never be served twice).  Negative results (*no feasible path*)
-  are cached too.  Hit/miss totals surface as ``route_cache.hits`` /
-  ``route_cache.misses`` in the ``repro.obs`` registry.
+  could never be served twice).  Negative results are cached too.
+  ``route_cache.hits`` / ``route_cache.misses`` count lookups in the
+  ``repro.obs`` registry; a tree answer is a miss if it built the tree.
 
 The compiled view lives on ``topology._flat`` and is discarded whenever
 ``topology.version`` changes; worker processes never receive it in pickles
@@ -105,16 +114,17 @@ def flat_view(topology: Topology) -> "FlatTopology":
 class RouteCache:
     """Memoised search results for one :class:`FlatTopology`.
 
-    One table: searches whose outcome depends only on the topology and
-    the constraint sets (no bandwidth floor, no custom predicate/cost).
+    One table: each source's BFS tree under its dense index, and the
+    searches with exclusions whose outcome depends only on the topology
+    and the constraint sets (no bandwidth floor, no custom
+    predicate/cost) under ``(src, dst, node mask, edge mask, max_hops)``.
     Valid for the lifetime of the flat view, i.e. until the topology
-    mutates.  Also holds ``hop_distance`` results under ``("hop", src,
-    dst)`` keys.
+    mutates.
     """
 
     #: Safety valve: a table exceeding this is cleared outright rather
     #: than evicted entry-by-entry (workloads never get close; this only
-    #: bounds pathological key churn).
+    #: bounds pathological key churn).  A tree is one entry.
     MAX_ENTRIES = 65536
 
     __slots__ = ("_static", "_registry", "_hits", "_misses")
@@ -162,8 +172,8 @@ class FlatTopology:
     Exposes the two search entry points the public routing API dispatches
     to: :meth:`search` (constrained BFS/Dijkstra returning a
     :class:`~repro.routing.paths.Path` or ``None``) and
-    :meth:`hop_distance` (bidirectional BFS returning ``-1`` when
-    disconnected).  Kernels never raise "no path" — the thin wrappers in
+    :meth:`hop_distance` (a BFS-tree depth, ``-1`` when disconnected).
+    Kernels never raise "no path" — the thin wrappers in
     :mod:`repro.routing.shortest` own the error surface.
     """
 
@@ -208,18 +218,6 @@ class FlatTopology:
         self.edge_slot = edge_slot
         num_edges = total
 
-        # In-CSR (predecessor node indices only) for bidirectional BFS.
-        ioff = [0] * (n + 1)
-        ipred: list[int] = []
-        itotal = 0
-        for i, node in enumerate(nodes):
-            for pred in topology.predecessors(node):
-                ipred.append(index[pred])
-                itotal += 1
-            ioff[i + 1] = itotal
-        self._ioff = ioff
-        self._ipred = ipred
-
         # Position-in-``topology.links()`` -> CSR edge slot, for the bulk
         # free-capacity sync fast path.
         self._links_pos_slot = array(
@@ -230,11 +228,9 @@ class FlatTopology:
         # current epoch means "set this search"; bumping the epoch resets
         # every buffer at once.
         self._epoch = 0
-        self._seen = [0] * n          # BFS visited / forward side
-        self._seen_b = [0] * n        # bidirectional backward side
+        self._seen = [0] * n          # BFS visited
         self._pedge = [0] * n         # edge slot a node was reached over
-        self._depth = [0] * n         # BFS depth / forward dist
-        self._depth_b = [0] * n       # backward dist
+        self._depth = [0] * n         # BFS depth
         self._xnode = [0] * n         # excluded-node stamps
         self._xedge = [0] * num_edges  # excluded-link stamps
         self._best = [0.0] * n        # Dijkstra tentative cost
@@ -244,10 +240,14 @@ class FlatTopology:
 
         # Free-capacity mirror for CapacityFloor admissibility, current as
         # of (ledger identity, that ledger's change cursor).  The ledger is
-        # held weakly, like the topology.
+        # held weakly, like the topology.  ``_low`` holds the edges whose
+        # ``free + CAPACITY_EPSILON`` is below ``_low_bar``, the largest
+        # floor bandwidth asked for so far.
         self._free = [0.0] * num_edges
         self._free_ledger: "weakref.ref[ReservationLedger] | None" = None
         self._free_cursor = -1
+        self._low: set[int] = set()
+        self._low_bar = float("-inf")
 
         self.cache = RouteCache()
 
@@ -285,28 +285,36 @@ class FlatTopology:
 
         s = self.index[src]
         t = self.index[dst]
+        max_hops = constraints.max_hops
         ep, node_mask, edge_mask = self._stamp_exclusions(constraints)
+        cache = self.cache
+        if cost is None and pred is None and not (node_mask or edge_mask):
+            (pedge, depth, order), built = self._tree(s)
+            # Too deep means no route under a floor either: it only
+            # removes edges.
+            found = 0 <= depth[t] <= (len(depth) if max_hops is None else max_hops)
+            if (not found or floor is None
+                    or not self._floor_cuts(floor, pedge, order, t)):
+                (cache.record_miss if built else cache.record_hit)()
+                return self._walk_parents(s, t, pedge) if found else None
+
         cacheable = cost is None and pred is None and floor is None
         if cacheable:
-            cache = self.cache
-            key = (s, t, node_mask, edge_mask, constraints.max_hops)
+            key = (s, t, node_mask, edge_mask, max_hops)
             hit = cache.static_table().get(key, _MISSING)
             if hit is not _MISSING:
                 cache.record_hit()
                 return hit
 
+        floor_bw = None
         if floor is not None:
-            self._sync_free(floor.ledger)
             floor_bw = floor.bandwidth
-        else:
-            floor_bw = None
+            self._sync_free(floor.ledger)
 
         if cost is None:
-            path = self._run_bfs(s, t, ep, constraints.max_hops, floor_bw, pred)
+            path = self._run_bfs(s, t, ep, max_hops, floor_bw, pred)
         else:
-            path = self._run_dijkstra(
-                s, t, ep, constraints.max_hops, floor_bw, pred, cost
-            )
+            path = self._run_dijkstra(s, t, ep, max_hops, floor_bw, pred, cost)
 
         if cacheable:
             cache.record_miss()
@@ -314,23 +322,63 @@ class FlatTopology:
         return path
 
     def hop_distance(self, src: NodeId, dst: NodeId) -> int:
-        """Unconstrained hop count via bidirectional BFS; ``-1`` when
-        ``dst`` is unreachable.  ``src == dst`` is the caller's case."""
+        """Unconstrained hop count, the depth of ``dst`` in ``src``'s BFS
+        tree; ``-1`` when ``dst`` is unreachable.  Both endpoints must be
+        known (``KeyError`` otherwise); the wrapper checks."""
         self._check_current()
+        (_, depth, _), built = self._tree(self.index[src])
+        (self.cache.record_miss if built else self.cache.record_hit)()
+        return depth[self.index[dst]]
+
+    def _tree(self, s: int):
+        """``((parent edge, depth, discovery order), built)`` of the full
+        unconstrained BFS from ``s``: per node, as ``array("i")``, with
+        ``-1`` / ``-1`` / ``n`` for a node it never reaches.  Built on
+        first use and kept in the route cache under ``s``."""
         cache = self.cache
-        key = ("hop", src, dst)
-        hit = cache.static_table().get(key, _MISSING)
-        if hit is not _MISSING:
-            cache.record_hit()
-            return hit
+        tree = cache.static_table().get(s)
+        if tree is not None:
+            return tree, False
+        n = len(self.nodes)
+        off = self._off
+        nbr = self._nbr
+        pedge = array("i", [-1]) * n
+        depth = array("i", [-1]) * n
+        order = array("i", [n]) * n
+        depth[s] = order[s] = 0
+        queue = [s]
+        for u in queue:  # grows while it is walked: the BFS queue
+            d = depth[u] + 1
+            for e in range(off[u], off[u + 1]):
+                v = nbr[e]
+                if depth[v] < 0:
+                    pedge[v] = e
+                    depth[v] = d
+                    order[v] = len(queue)
+                    queue.append(v)
+        tree = (pedge, depth, order)
+        cache.store(s, tree)
+        return tree, True
 
-        s = self.index[src]  # KeyError on unknown src, like the reference
-        t = self.index.get(dst)
-        dist = -1 if t is None else self._run_bidirectional(s, t)
-
-        cache.record_miss()
-        cache.store(key, dist)
-        return dist
+    def _floor_cuts(self, floor: CapacityFloor, pedge, order, t: int) -> bool:
+        """Whether ``floor`` can change the BFS to ``t``: whether it
+        rejects (by ``_run_bfs``'s own comparison) the tree edge of a node
+        discovered no later than ``t``.  Only then does the floor search
+        leave the unconstrained one before reaching ``t``."""
+        bandwidth = floor.bandwidth
+        self._sync_free(floor.ledger)
+        if bandwidth > self._low_bar:
+            self._low_bar = bandwidth
+            self._mark_low()
+        free = self._free
+        nbr = self._nbr
+        last = order[t]
+        for e in self._low:
+            v = nbr[e]
+            if (pedge[v] == e and order[v] <= last
+                    and free[e] + CAPACITY_EPSILON < bandwidth):
+                return True
+        return False
 
     # ------------------------------------------------------------------
     # constraint resolution
@@ -366,17 +414,18 @@ class FlatTopology:
         return ep, node_mask, edge_mask
 
     def _sync_free(self, ledger: ReservationLedger) -> None:
-        """Bring the per-edge free-bandwidth mirror up to date with
-        ``ledger`` (the consumer side of the mirror contract in
-        :mod:`repro.network.reservations`).
+        """Bring the per-edge free-bandwidth mirror, and the low-edge set,
+        up to date with ``ledger`` (the consumer side of the mirror
+        contract in :mod:`repro.network.reservations`).
 
         The mirror is current as of ``(ledger identity, change cursor)``;
         an unchanged cursor means nothing was reserved, released or
         resized and the call is O(1).  Otherwise, for the ledger of this
         view's own topology, only the entries the ledger logged since the
         remembered cursor are re-read — ``entry.free`` into the edge slot
-        of ``entry.pos`` — so a search pays for the links the last
-        establishment touched, not for every link.  The mirror resyncs
+        of ``entry.pos``, moving the edge into or out of the low set — so
+        a search pays for the links the last establishment touched, not
+        for every link.  The mirror resyncs, and the low set is rebuilt,
         fully through ``ledger.free_values()`` on first use, for a ledger
         object other than the last one served, and whenever
         ``changes_since`` answers ``None`` (trimmed log,
@@ -398,9 +447,17 @@ class FlatTopology:
             if changed is None:
                 for pos, value in enumerate(ledger.free_values()):
                     free[slot[pos]] = value
+                self._mark_low()
             else:
+                low = self._low
+                bar = self._low_bar
                 for entry in changed:
-                    free[slot[entry.pos]] = entry.free
+                    e = slot[entry.pos]
+                    value = free[e] = entry.free
+                    if value + CAPACITY_EPSILON < bar:
+                        low.add(e)
+                    else:
+                        low.discard(e)
         else:
             # Routing on one topology against another's ledger (the
             # runtime re-establishes over a residual topology with the
@@ -408,10 +465,17 @@ class FlatTopology:
             # not this one, so re-read every edge by LinkId.
             for e, link in enumerate(self._links):
                 free[e] = ledger.free(link)
+            self._mark_low()
         self._free_ledger = weakref.ref(ledger)
         # Read after the resync: ``free_values()`` / ``free()`` may have
         # reconciled the ledger with a grown topology, which moves it.
         self._free_cursor = ledger.change_cursor
+
+    def _mark_low(self) -> None:
+        """Rebuild the low-edge set from the whole mirror."""
+        bar = self._low_bar
+        self._low = {e for e, value in enumerate(self._free)
+                     if value + CAPACITY_EPSILON < bar}
 
     # ------------------------------------------------------------------
     # kernels
@@ -452,7 +516,7 @@ class FlatTopology:
                 seen[v] = ep
                 pedge[v] = e
                 if v == t:
-                    return self._walk_parents(s, t)
+                    return self._walk_parents(s, t, pedge)
                 depth[v] = d + 1
                 queue.append(v)
         return None
@@ -486,7 +550,7 @@ class FlatTopology:
             if done[u] == ep:
                 continue
             if u == t:
-                return self._walk_parents(s, t)
+                return self._walk_parents(s, t, pedge)
             done[u] = ep
             if hops[u] >= limit:
                 continue
@@ -517,80 +581,15 @@ class FlatTopology:
                     heappush(heap, (candidate, counter, v))
         return None
 
-    def _run_bidirectional(self, s: int, t: int) -> int:
-        """Meet-in-the-middle BFS over the out- and in-CSR.
-
-        Expands the smaller frontier one full level at a time; a candidate
-        meeting through any scanned edge is recorded.  After levels ``df``
-        and ``db`` both complete, every s→t path of length at most
-        ``df + db`` has been detected, so any undetected path is at least
-        ``df + db + 1`` hops — a recorded best of at most that is optimal
-        and the loop stops.
-        """
-        ep = self._epoch = self._epoch + 1
-        seen_f = self._seen
-        seen_b = self._seen_b
-        dist_f = self._depth
-        dist_b = self._depth_b
-        off = self._off
-        nbr = self._nbr
-        ioff = self._ioff
-        ipred = self._ipred
-
-        seen_f[s] = ep
-        dist_f[s] = 0
-        seen_b[t] = ep
-        dist_b[t] = 0
-        frontier_f = [s]
-        frontier_b = [t]
-        df = db = 0
-        best = -1
-        while frontier_f and frontier_b:
-            if best >= 0 and best <= df + db + 1:
-                break
-            if len(frontier_f) <= len(frontier_b):
-                level = []
-                for u in frontier_f:
-                    du = dist_f[u] + 1
-                    for e in range(off[u], off[u + 1]):
-                        v = nbr[e]
-                        if seen_b[v] == ep:
-                            candidate = du + dist_b[v]
-                            if best < 0 or candidate < best:
-                                best = candidate
-                        if seen_f[v] != ep:
-                            seen_f[v] = ep
-                            dist_f[v] = du
-                            level.append(v)
-                frontier_f = level
-                df += 1
-            else:
-                level = []
-                for u in frontier_b:
-                    du = dist_b[u] + 1
-                    for e in range(ioff[u], ioff[u + 1]):
-                        v = ipred[e]
-                        if seen_f[v] == ep:
-                            candidate = dist_f[v] + du
-                            if best < 0 or candidate < best:
-                                best = candidate
-                        if seen_b[v] != ep:
-                            seen_b[v] = ep
-                            dist_b[v] = du
-                            level.append(v)
-                frontier_b = level
-                db += 1
-        return best
-
-    def _walk_parents(self, s: int, t: int) -> Path:
-        """The found path, walked back over the parent edges.  Its
+    def _walk_parents(self, s: int, t: int, pedge) -> Path:
+        """The path to ``t``, walked back over the parent edges ``pedge``
+        (a search's buffer or a BFS tree's).  Its
         ``links`` are the topology's own :class:`LinkId` objects, so the
         ledger / mux dicts keyed by them resolve on identity instead of
         falling into ``LinkId.__eq__``."""
         nodes = self.nodes
         links = self._links
         esrc = self._esrc
-        pedge = self._pedge
         out = [nodes[t]]
         via = []
         u = t

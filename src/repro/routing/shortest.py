@@ -83,10 +83,14 @@ def hop_distance(topology: Topology, src: NodeId, dst: NodeId) -> int:
     """Unconstrained hop count of the shortest path from ``src`` to ``dst``.
 
     This is the paper's "shortest-possible path" length used as the baseline
-    of the delay QoS.  Raises :class:`NoPathError` if ``dst`` is unreachable.
+    of the delay QoS.  Raises :class:`NoPathError` if ``dst`` is unreachable
+    or either endpoint is not in ``topology``.
 
-    Runs on the flat routing core (cached bidirectional BFS).
+    Runs on the flat routing core: the depth of ``dst`` in the cached BFS
+    tree of ``src``, which also answers ``src``'s exclusion-free routes.
     """
+    if not topology.has_node(src) or not topology.has_node(dst):
+        raise NoPathError(src, dst, "unknown endpoint")
     if src == dst:
         return 0
     dist = flat_view(topology).hop_distance(src, dst)

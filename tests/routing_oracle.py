@@ -33,7 +33,9 @@ from repro.routing.shortest import (
 
 
 def reference_hop_distance(topology: Topology, src: NodeId, dst: NodeId) -> int:
-    """Reference (dict-based, single-direction BFS) ``hop_distance``."""
+    """Reference (dict-based, early-exit BFS) ``hop_distance``."""
+    if not topology.has_node(src) or not topology.has_node(dst):
+        raise NoPathError(src, dst, "unknown endpoint")
     if src == dst:
         return 0
     seen = {src}

@@ -311,6 +311,46 @@ class TestSwitchover:
             assert torus4.ledger.spare_reserved(link) >= 1.0
 
 
+class TestLeakAudit:
+    """``audit_invariants`` sees bandwidth and channels that no live
+    connection owns — what a batch aborted mid-way used to leave."""
+
+    def test_primary_beyond_the_live_connections_is_reported(self, torus4):
+        connection = torus4.establish(0, 5)
+        on_path = connection.primary.path.links[0]
+        off_path = torus4.topology.link(10, 11)
+        assert off_path not in connection.primary.path.links
+        torus4.ledger.reserve_primary(on_path, 0.5)
+        torus4.ledger.reserve_primary(off_path, 2.0)
+        assert torus4.audit_invariants() == [
+            f"link {on_path}: ledger holds 1.5 primary but live "
+            f"connections carry 1.0",
+            f"link {off_path}: ledger holds 2.0 primary but live "
+            f"connections carry 0.0",
+        ]
+
+    def test_channel_of_a_connection_that_is_not_live(self, torus4):
+        connection = torus4.establish(
+            0, 5, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=3)
+        )
+        del torus4._connections[connection.connection_id]
+        assert set(torus4.audit_invariants()) == {
+            f"link {link}: ledger holds 1.0 primary but live connections "
+            f"carry 0.0"
+            for link in connection.primary.path.links
+        } | {
+            f"channel {channel.channel_id} is registered but its "
+            f"connection {connection.connection_id} is not live"
+            for channel in connection.channels
+        }
+
+    def test_switchover_is_not_a_leak(self, torus4):
+        qos = FaultToleranceQoS(num_backups=2, mux_degree=3)
+        connections = [torus4.establish(0, 5, ft_qos=qos) for _ in range(3)]
+        torus4.switch_to_backup(connections[1])
+        assert torus4.audit_invariants() == []
+
+
 class TestBatchEstablishment:
     """establish_batch must match sequential establishment outcomes while
     sharing routing passes within same-(src, dst, QoS) groups."""
@@ -411,6 +451,23 @@ class TestBatchEstablishment:
 
     def test_empty_batch(self):
         assert self.make_network().establish_batch([]) == []
+
+    def test_unknown_node_fails_alone_and_leaks_nothing(self):
+        network = BCPNetwork(torus(4, 4))
+        admitted, unknown = network.establish_batch(
+            [BatchRequest(0, 5), BatchRequest(99, 0)]
+        )
+        assert isinstance(unknown, EstablishmentError)
+        assert "unknown endpoint" in str(unknown)
+        assert network.connections() == [admitted]
+        assert network.audit_invariants() == []
+        network.teardown(admitted)
+        assert network.network_load() == 0.0
+        assert network.audit_invariants() == []
+
+    def test_unknown_destination_is_not_called_disconnected(self, torus4):
+        with pytest.raises(EstablishmentError, match="unknown endpoint"):
+            torus4.establish(0, 99)
 
     def test_bulk_teardown_releases_with_two_version_bumps(self):
         network = self.make_network()

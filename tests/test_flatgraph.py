@@ -192,6 +192,24 @@ class TestRouteCache:
         assert hop_distance(topology, 0, 5) == 2
         assert len(cache) == size
 
+    def test_one_tree_per_source_answers_distances_and_routes(self):
+        registry = MetricsRegistry()
+        with obs_session(registry):
+            topology = torus(4, 4)
+            ledger = ReservationLedger(topology)
+            assert hop_distance(topology, 0, 5) == 2          # builds it
+            assert hop_distance(topology, 0, 10) == 4
+            assert shortest_path(topology, 0, 7).hops == 2
+            floor = RouteConstraints(
+                link_admissible=ledger.capacity_floor(1.0), max_hops=3
+            )
+            assert shortest_path(topology, 0, 5, floor).hops == 2
+            with pytest.raises(NoPathError):                 # depth 4 > 3
+                shortest_path(topology, 0, 10, floor)
+            assert registry.counter("route_cache.misses").value == 1
+            assert registry.counter("route_cache.hits").value == 4
+            assert list(flat_view(topology).cache.static_table()) == [0]
+
     def test_negative_results_cached(self):
         registry = MetricsRegistry()
         with obs_session(registry):

@@ -199,6 +199,27 @@ class TestAdmissionServer:
         # The op other clients poll stays.
         assert client.call("num_connections")["value"] == 1
 
+    def test_unknown_node_fails_its_request_only_and_leaks_nothing(self):
+        server = AdmissionServer(smoke_spec(), workers=1,
+                                 metrics=MetricsRegistry())
+        response = server.handle_request({
+            "id": 1, "op": "establish",
+            "requests": [{"src": 0, "dst": 5}, {"src": 99, "dst": 0}],
+        })
+        assert response["ok"] is True
+        admitted, unknown = response["results"]
+        assert admitted["ok"] is True and unknown["ok"] is False
+        assert "unknown endpoint" in unknown["error"]
+        assert response["connections"] == 1
+        alone = BCPNetwork(smoke_spec().topology.build())
+        alone.establish_batch([BatchRequest(0, 5)])
+        assert server.network.network_load() == alone.network_load() > 0.0
+        assert server.network.audit_invariants() == []
+        server.handle_request({"id": 2, "op": "teardown",
+                               "connection_id": admitted["connection_id"]})
+        assert server.network.network_load() == 0.0
+        assert server.network.audit_invariants() == []
+
     def test_remote_count_follows_reconnect_to_restored_server(
         self, served, tmp_path
     ):
