@@ -17,9 +17,12 @@ Examples::
     python -m repro report --rows 4 --cols 4    # quick full sweep
 
 The table and figure commands are the rows of
-:data:`repro.experiments.EXPERIMENTS`; each prints the regenerated table
-(same rows as the paper) to stdout.  The default 8x8 scale takes seconds
-per table; ``--rows 4 --cols 4`` gives a faster small-scale pass.
+:data:`repro.experiments.EXPERIMENTS`, the other seven the rows of
+:data:`COMMANDS`: a row names the flags its command takes and their
+defaults, and :data:`repro.experiments.FLAGS` declares each flag once.
+Each table command prints the regenerated table (same rows as the paper)
+to stdout.  The default 8x8 scale takes seconds per table; ``--rows 4
+--cols 4`` gives a faster small-scale pass.
 
 Every subcommand also accepts ``--metrics-out PATH`` (write the run's
 ``repro.metrics/1`` snapshot as JSON) and ``--trace-out PATH`` (write the
@@ -28,6 +31,12 @@ tasks were measured to gain from a process pool — ``matrix``, ``chaos``,
 ``reliability``, ``report`` — accept ``--workers N`` (``auto`` = one per
 CPU; results are identical for any worker count); see the
 Observability and Parallel evaluation sections of docs/architecture.md.
+
+Exit codes: 0 the command ran clean; 1 it ran and found something (an
+invariant violation, an SLO breach, a Γ violation, a lattice diff); 2 it
+could not run as asked (a bad flag, a missing or malformed input file, a
+flag its action requires, a server nobody answers), reported through the
+parser as a usage line and a message.
 """
 
 from __future__ import annotations
@@ -36,10 +45,10 @@ import argparse
 import importlib
 import os
 import sys
-from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING, NamedTuple
 
-from repro.experiments import EXPERIMENTS, FLAGS, GRID, at_least
+from repro.experiments import EXPERIMENTS, FLAGS, GRID, readable
 from repro.obs import (
     MetricsRegistry,
     format_metrics,
@@ -58,85 +67,33 @@ if TYPE_CHECKING:
     from repro.network.spec import TopologySpec
 
 
-def _parse_component(kind: str, ident: str):
-    """Parse the component half of an injection spec."""
-    from repro.network.components import LinkId
-
-    def node(text: str):
-        try:
-            return int(text)
-        except ValueError:
-            return text
-
-    if kind == "node":
-        return node(ident)
-    if kind == "link":
-        try:
-            src, dst = ident.split("->")
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"link spec must be SRC->DST, got {ident!r}"
-            ) from None
-        return LinkId(node(src), node(dst))
-    raise argparse.ArgumentTypeError(
-        f"component kind must be 'node' or 'link', got {kind!r}"
-    )
-
-
-def _parse_injection(text: str) -> tuple[float, object]:
-    """``TIME:node:ID`` or ``TIME:link:SRC->DST`` -> (time, component)."""
-    parts = text.split(":", 2)
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(
-            f"injection spec must be TIME:node:ID or TIME:link:SRC->DST, "
-            f"got {text!r}"
-        )
-    time_text, kind, ident = parts
-    try:
-        time = float(time_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"injection time must be a number, got {time_text!r}"
-        ) from None
-    if time < 0:
-        raise argparse.ArgumentTypeError(
-            f"injection time must be >= 0, got {time:g}"
-        )
-    return time, _parse_component(kind, ident)
-
-
-def _parse_profiles(text: str) -> tuple[str, ...]:
-    from repro.chaos import PROFILES
-
-    names = tuple(part for part in text.split(",") if part != "")
-    if not names:
-        raise argparse.ArgumentTypeError("at least one profile is required")
-    unknown = [name for name in names if name not in PROFILES]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown profile(s) {', '.join(unknown)}; "
-            f"known: {', '.join(sorted(PROFILES))}"
-        )
-    return names
+class UsageError(Exception):
+    """The command cannot run as asked, and only running it could tell (a
+    malformed input file, a component the topology lacks, a server nobody
+    answers): :func:`main` reports it through the command's parser — a
+    usage line, the message, exit 2."""
 
 
 def _add_flag(parser: argparse.ArgumentParser, flag: str, default) -> None:
     """Put one declared flag (:data:`repro.experiments.FLAGS`) on
-    ``parser``: its spelling, its validated type and its help are written
-    there, once."""
+    ``parser`` with the command's default: its spelling, its validated
+    type, its help and how it parses are written there, once."""
     declared = FLAGS[flag]
-    accepts = ({"choices": declared.type} if isinstance(declared.type, tuple)
-               else {"type": declared.type})
+    if declared.type is bool:
+        options = {"action": "store_true"}
+    else:
+        options = {"choices" if isinstance(declared.type, tuple) else "type":
+                   declared.type}
+        if declared.metavar:
+            options["metavar"] = declared.metavar
+        if declared.repeatable:
+            options["action"] = "append"
+            default = list(default)
+    shown = not (default is None or default is False or default in ((), []))
     parser.add_argument(
-        flag, default=default, **accepts,
-        help=declared.help + ("" if default is None
-                              else " (default %(default)s)"),
+        flag, default=default, **options,
+        help=declared.help + (" (default %(default)s)" if shown else ""),
     )
-
-
-def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
-    for flag, default in GRID.items():
-        _add_flag(parser, flag, default)
 
 
 def _keywords(args: argparse.Namespace, flags) -> dict:
@@ -152,245 +109,62 @@ def _config(args: argparse.Namespace) -> TopologySpec:
     return TopologySpec(**_keywords(args, GRID))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser with one subcommand per experiment."""
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="Regenerate the evaluation of Han & Shin (SIGCOMM 1997).",
+def _cell(args: argparse.Namespace, kind: str):
+    """The one-cell scenario a run command drives: its ``--spec`` file's,
+    or the one its flags describe (each flag feeds the spec field it is
+    keyed by)."""
+    import dataclasses
+
+    from repro.scenario import ProtocolSpec, ScenarioSpec, WorkloadSpec, load_cells
+
+    if args.spec:
+        try:
+            cells = load_cells(args.spec)
+        except ValueError as error:
+            raise UsageError(str(error)) from None
+        if len(cells) != 1:
+            raise UsageError(
+                f"{args.spec}: expected exactly one scenario cell, got "
+                f"{len(cells)} (run lattices via 'repro matrix run')")
+        if cells[0].workload.kind != kind:
+            raise UsageError(
+                f"{args.spec}: expected a {kind!r} workload, got "
+                f"{cells[0].workload.kind!r}")
+        return cells[0]
+    values = _keywords(args, COMMANDS[args.command].flags)
+
+    def fields_of(spec_type) -> dict:
+        return {field.name: values[field.name]
+                for field in dataclasses.fields(spec_type)
+                if field.name in values}
+
+    return ScenarioSpec(
+        name=f"cli/{kind}/{args.topology}{args.rows}x{args.cols}",
+        topology=_config(args),
+        workload=WorkloadSpec(kind=kind, **fields_of(WorkloadSpec)),
+        protocol=ProtocolSpec(**fields_of(ProtocolSpec)),
+        seed=args.seed,
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    for name, experiment in EXPERIMENTS.items():
-        sub = subparsers.add_parser(name, help=experiment.help)
-        for flag in experiment.grid:
-            _add_flag(sub, flag, GRID[flag])
-        for flag, default in experiment.options.items():
-            _add_flag(sub, flag, default)
-
-    report = subparsers.add_parser(
-        "report", help="run the full suite and write a markdown report")
-    _add_network_arguments(report)
-    _add_flag(report, "--double-samples", 100)
-    report.add_argument("--output", default="reproduction-report.md")
-
-    stats = subparsers.add_parser(
-        "stats", help="re-run one failure scenario and print the run's "
-                      "metrics summary")
-    _add_network_arguments(stats)
-    stats.add_argument("--mux", type=int, default=3)
-    stats.add_argument("--backups", type=int, default=1)
-    stats.add_argument("--failures", type=at_least(0), default=1,
-                       help="fail this many links (lexicographically first); "
-                            "0 with --fail-at for fully explicit injection")
-    stats.add_argument("--horizon", type=at_least(0, float), default=200.0)
-    stats.add_argument(
-        "--fail-at", metavar="SPEC", type=_parse_injection,
-        action="append", default=[],
-        help="crash a component at a given time "
-             "(TIME:node:ID or TIME:link:SRC->DST; repeatable)")
-    stats.add_argument(
-        "--repair-at", metavar="SPEC", type=_parse_injection,
-        action="append", default=[],
-        help="repair a component at a given time (same spec as --fail-at; "
-             "repeatable)")
-
-    churn = subparsers.add_parser(
-        "churn", help="drive the network through a seeded arrival/"
-                      "departure churn process with epoch invariant audits")
-    _add_network_arguments(churn)
-    churn.add_argument("--arrival-rate", type=float, default=50.0,
-                       help="Poisson arrival rate, requests per simulated "
-                            "time unit (default 50)")
-    churn.add_argument("--holding-time", type=float, default=10.0,
-                       help="mean exponential connection holding time "
-                            "(default 10)")
-    churn.add_argument("--duration", type=float, default=100.0,
-                       help="simulated run length (default 100)")
-    churn.add_argument("--seed", type=int, default=0)
-    churn.add_argument("--backups", type=int, default=1)
-    churn.add_argument("--mux", type=int, default=3)
-    churn.add_argument("--bandwidth", type=float, default=1.0)
-    churn.add_argument("--batch-window", type=float, default=0.05,
-                       help="arrivals closer than this share one batched "
-                            "admission pass (default 0.05)")
-    churn.add_argument("--epoch-interval", type=float, default=10.0,
-                       help="ledger audit + time-series sampling cadence "
-                            "(default 10)")
-    churn.add_argument("--eval-scenarios", type=int, default=32,
-                       help="single-link failure scenarios evaluated per "
-                            "epoch (0 disables; default 32)")
-    churn.add_argument("--pairs", type=int, default=64,
-                       help="size of the pre-sampled node-pair pool "
-                            "(0 = fresh pair per arrival; default 64)")
-    churn.add_argument("--stats-out", metavar="PATH", default=None,
-                       help="write the deterministic churn stats as JSON")
-    churn.add_argument("--slo", metavar="SPEC", action="append", default=[],
-                       help="SLO target evaluated at every epoch boundary, "
-                            "e.g. 'churn.establish_latency.p99 <= 0.02' "
-                            "(repeatable; any breach exits 1)")
-    churn.add_argument("--spec", metavar="PATH", default=None,
-                       help="drive the run from a one-cell repro.scenario/1 "
-                            "spec file instead of the flags above "
-                            "(--slo still applies)")
-
-    chaos = subparsers.add_parser(
-        "chaos", help="run a seeded chaos campaign with the protocol "
-                      "invariant auditor; shrink and export any failures")
-    _add_network_arguments(chaos)
-    chaos.set_defaults(rows=4, cols=4)
-    chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--campaign-size", type=at_least(1), default=25,
-                       help="number of schedules to run (default 25)")
-    chaos.add_argument("--profiles", type=_parse_profiles, default=None,
-                       help="comma-separated chaos profiles "
-                            "(default: all of them, rotated)")
-    chaos.add_argument("--backups", type=int, default=2)
-    chaos.add_argument("--mux", type=int, default=1)
-    chaos.add_argument("--connections", type=at_least(1), default=6,
-                       help="connections to establish (default 6)")
-    chaos.add_argument("--artifact-dir", metavar="DIR", default=".",
-                       help="where shrunk failure artifacts are written "
-                            "(default: current directory)")
-    chaos.add_argument("--max-artifacts", type=at_least(0), default=5,
-                       help="shrink and export at most this many failing "
-                            "runs (default 5)")
-    chaos.add_argument("--replay", metavar="ARTIFACT", default=None,
-                       help="re-execute a saved repro.chaos/2 artifact "
-                            "instead of running a campaign")
-    chaos.add_argument("--slo", metavar="SPEC", action="append", default=[],
-                       help="SLO target evaluated against the campaign's "
-                            "metrics, e.g. 'protocol.recovery_delay.p99 <= "
-                            "gamma' — 'gamma' resolves to the network's "
-                            "worst-case analytic recovery bound "
-                            "(repeatable; any breach exits 1)")
-    chaos.add_argument("--spec", metavar="PATH", default=None,
-                       help="drive the campaign from a one-cell "
-                            "repro.scenario/1 spec file instead of the "
-                            "flags above (--slo still applies)")
-
-    matrix = subparsers.add_parser(
-        "matrix", help="expand, diff, and run declarative scenario "
-                       "lattices (repro.scenario/1 / repro.matrix/1)")
-    matrix.add_argument("action", choices=("run", "expand", "diff"),
-                        help="run: execute every cell of a lattice through "
-                             "the churn/chaos/evaluator engines; expand: "
-                             "print (or write) the cell lattice a spec "
-                             "file describes; diff: compare two lattices "
-                             "by cell name")
-    matrix.add_argument("paths", nargs="+", metavar="PATH",
-                        help="spec file(s): a repro.scenario/1 JSONL "
-                             "lattice, a repro.matrix/1 JSON matrix, or a "
-                             "single repro.scenario/1 JSON spec "
-                             "(diff takes exactly two)")
-    matrix.add_argument("--shard", metavar="I/N", default=None,
-                        help="run only round-robin shard I of N "
-                             "(e.g. 0/2; cell i belongs to shard i %% N)")
-    matrix.add_argument("--validate", action="store_true",
-                        help="expand: only check the spec file parses and "
-                             "expands cleanly, print the cell count")
-    matrix.add_argument("--out", metavar="PATH", default=None,
-                        help="expand: write the expanded lattice as "
-                             "repro.scenario/1 JSONL instead of a table")
-    matrix.add_argument("--results-out", metavar="PATH", default=None,
-                        help="run: write one deterministic "
-                             "repro.scenario-result/1 JSON line per cell "
-                             "(byte-identical for any worker count)")
-    matrix.add_argument("--artifact-dir", metavar="DIR", default=None,
-                        help="run: write flight recordings of failing "
-                             "chaos cells into this directory")
-
-    obs = subparsers.add_parser(
-        "obs", help="offline observability: reconstruct recovery episodes "
-                    "from a trace log, evaluate SLOs against a metrics "
-                    "snapshot")
-    obs.add_argument("action", choices=("episodes", "slo"),
-                     help="episodes: fold a --trace-out JSONL into "
-                          "per-failure recovery episodes with the delay "
-                          "breakdown and Γ-bound verdicts; slo: evaluate "
-                          "--slo targets against a repro.metrics/1 "
-                          "snapshot")
-    obs.add_argument("--input", metavar="PATH", default=None,
-                     help="input file: a --trace-out repro.trace/2 JSONL "
-                          "for 'episodes', repro.metrics/1 JSON for 'slo'")
-    obs.add_argument("--episodes-out", metavar="PATH", default=None,
-                     help="also write the reconstructed episodes as "
-                          "deterministic JSON lines (episodes action)")
-    obs.add_argument("--slo", metavar="SPEC", action="append", default=[],
-                     help="SLO target, e.g. "
-                          "'protocol.recovery_delay.p99 <= gamma' "
-                          "(repeatable; slo action)")
-    obs.add_argument("--gamma", type=float, default=None,
-                     help="value for the symbolic 'gamma' threshold "
-                          "(slo action)")
-
-    serve = subparsers.add_parser(
-        "serve", help="always-on admission service: run the long-lived "
-                      "server (start) or drive one remotely (churn/"
-                      "snapshot/ping/shutdown)")
-    serve.add_argument("action",
-                       choices=("start", "churn", "snapshot", "ping",
-                                "shutdown"),
-                       help="start: serve a warm network on --bind; "
-                            "churn: run the churn engine as a remote load "
-                            "generator against --connect; snapshot: ask "
-                            "the server to write a repro.snapshot/1 file; "
-                            "ping/shutdown: liveness check / graceful stop")
-    serve.add_argument("--spec", metavar="PATH", default=None,
-                       help="start: one-cell scenario spec pinning the "
-                            "topology (and the churn workload clients "
-                            "inherit via the hello handshake)")
-    serve.add_argument("--bind", metavar="ADDR", default=None,
-                       help="start: listen address — host:port for TCP, "
-                            "anything else a unix socket path")
-    serve.add_argument("--connect", metavar="ADDR", default=None,
-                       help="client actions: the server's address")
-    serve.add_argument("--restore", metavar="PATH", default=None,
-                       help="start: restore this repro.snapshot/1 file "
-                            "into the warm network before serving — the "
-                            "restarted server resumes byte-identically "
-                            "without re-admitting the world")
-    serve.add_argument("--snapshot-out", metavar="PATH", default=None,
-                       help="snapshot: path the *server process* writes "
-                            "the snapshot file to")
-    serve.add_argument("--stats-out", metavar="PATH", default=None,
-                       help="churn: write the client-side churn stats as "
-                            "deterministic JSON")
-    serve.add_argument("--until", type=float, default=None,
-                       help="churn: pause the run at this simulated time "
-                            "instead of running to the spec's duration")
-    serve.add_argument("--slo", metavar="SPEC", action="append", default=[],
-                       help="SLO target (repeatable). start: evaluated "
-                            "against the server's serve.* metrics at "
-                            "shutdown, e.g. "
-                            "'serve.admission_latency.p99 <= 0.05'; "
-                            "churn: per-epoch targets as in 'repro churn'")
-
-    # Observability flags are global: every subcommand exports the same
-    # way (the whole run records into one session registry/trace sink).
-    for sub in subparsers.choices.values():
-        sub.add_argument(
-            "--metrics-out", metavar="PATH", default=None,
-            help="write the run's metrics snapshot as JSON (repro.metrics/1)")
-        sub.add_argument(
-            "--trace-out", metavar="PATH", default=None,
-            help="write the run's trace log as JSONL (repro.trace/2)")
-    # A pool only where it was measured to pay — commands whose tasks each
-    # build their own network (matrix cells; reliability configurations,
-    # declared with the experiment) — plus chaos campaigns, a wash on 2
-    # CPUs (docs/architecture.md, "Parallel evaluation").
-    for sub in (matrix, chaos, report):
-        _add_flag(sub, "--workers", None)
-
-    return parser
 
 
-def _run_stats(args: argparse.Namespace) -> str:
+def _run_report(args: argparse.Namespace) -> tuple[str, int]:
+    from repro.experiments.report import generate_report
+
+    result = generate_report(
+        _config(args), double_node_samples=args.double_samples,
+        workers=args.workers,
+    )
+    target = result.save(args.output)
+    return (f"wrote {target} ({len(result.sections)} sections, "
+            f"{len(result.errors)} failures)"), 0
+
+
+def _run_stats(args: argparse.Namespace) -> tuple[str, int]:
     """Re-run one failure scenario end to end and summarise the metrics."""
     from repro.channels.qos import FaultToleranceQoS
     from repro.experiments.setup import load_network
     from repro.faults.models import FailureScenario
     from repro.protocol import ProtocolConfig, ProtocolSimulation
-    from repro.sim import SimulationError
 
     qos = FaultToleranceQoS(num_backups=args.backups, mux_degree=args.mux)
     network, _ = load_network(_config(args), qos)
@@ -405,11 +179,8 @@ def _run_stats(args: argparse.Namespace) -> str:
         for time, component in args.repair_at:
             simulation.repair(component, at=time)
     except ValueError as error:  # a component the topology lacks
-        raise SystemExit(f"--fail-at/--repair-at: {error}") from None
-    try:
-        simulation.run(until=args.horizon)
-    except SimulationError as error:  # --horizon nan
-        raise SystemExit(f"--horizon: {error}") from None
+        raise UsageError(f"--fail-at/--repair-at: {error}") from None
+    simulation.run(until=args.horizon)
     recovered = simulation.metrics.recovered_count()
     worst = simulation.metrics.max_service_disruption()
     failed = ", ".join(str(link) for link in links)
@@ -423,29 +194,7 @@ def _run_stats(args: argparse.Namespace) -> str:
     return (
         header + "\n\n"
         + format_metrics(get_registry().snapshot(), title="Metrics summary")
-    )
-
-
-def _load_single_spec(path: str, kind: str):
-    """Load a one-cell spec file for a single-run subcommand."""
-    from repro.scenario import load_cells
-
-    try:
-        cells = load_cells(path)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-    if len(cells) != 1:
-        raise SystemExit(
-            f"{path}: expected exactly one scenario cell, got "
-            f"{len(cells)} (run lattices via 'repro matrix run')"
-        )
-    spec = cells[0]
-    if spec.workload.kind != kind:
-        raise SystemExit(
-            f"{path}: expected a {kind!r} workload, got "
-            f"{spec.workload.kind!r}"
-        )
-    return spec
+    ), 0
 
 
 def _churn_verdict(stats, slos: tuple) -> list[str]:
@@ -477,36 +226,10 @@ def _run_churn(args: argparse.Namespace) -> tuple[str, int]:
     import dataclasses
 
     from repro.core.bcp import BCPNetwork
-    from repro.scenario import (
-        ProtocolSpec,
-        ScenarioSpec,
-        WorkloadSpec,
-        churn_config_from_spec,
-    )
+    from repro.scenario import churn_config_from_spec
     from repro.workload import ChurnEngine
 
-    if args.spec:
-        spec = _load_single_spec(args.spec, "churn")
-    else:
-        spec = ScenarioSpec(
-            name=f"cli/churn/{args.topology}{args.rows}x{args.cols}",
-            topology=_config(args),
-            workload=WorkloadSpec(
-                kind="churn",
-                arrival_rate=args.arrival_rate,
-                holding_time=args.holding_time,
-                duration=args.duration,
-                bandwidth=args.bandwidth,
-                batch_window=args.batch_window,
-                epoch_interval=args.epoch_interval,
-                eval_scenarios=args.eval_scenarios,
-                pairs=args.pairs,
-            ),
-            protocol=ProtocolSpec(
-                num_backups=args.backups, mux_degree=args.mux,
-            ),
-            seed=args.seed,
-        )
+    spec = _cell(args, "churn")
     # Per-epoch SLO evaluation stays a CLI concern: matrix cells judge
     # their SLOs once against the finished cell's snapshot instead.
     churn_config = dataclasses.replace(
@@ -555,13 +278,14 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
     from repro.serve import AdmissionServer, RemoteNetwork, ServeClient
 
     if args.action == "start":
-        if not args.spec or not args.bind:
-            raise SystemExit("repro serve start requires --spec and --bind")
-        spec = _load_single_spec(args.spec, "churn")
+        spec = _cell(args, "churn")
         server = AdmissionServer(spec)
         restored = 0
         if args.restore:
-            restored = server.restore(args.restore)
+            try:
+                restored = server.restore(args.restore)
+            except ValueError as error:
+                raise UsageError(f"{args.restore}: {error}") from None
         # Blocks until a client sends ``shutdown``; SLOs over the
         # serve.* metrics gate the exit code afterwards.
         server.serve_forever(args.bind)
@@ -583,8 +307,15 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
                                     title="Serve metrics"))
         return "\n".join(lines), 1 if breaches else 0
 
-    if not args.connect:
-        raise SystemExit(f"repro serve {args.action} requires --connect")
+    client = ServeClient(args.connect)
+    try:
+        if args.action == "churn":
+            # A churn client rides through a server still coming up.
+            network = RemoteNetwork(client, retry_window=5.0)
+        else:
+            hello = client.connect()
+    except OSError as error:
+        raise UsageError(f"--connect {args.connect}: {error}") from None
 
     if args.action == "churn":
         import dataclasses
@@ -592,7 +323,6 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         from repro.scenario import churn_config_from_spec
         from repro.workload import ChurnEngine
 
-        network = RemoteNetwork(ServeClient(args.connect), retry_window=5.0)
         spec = network.spec
         # The workload comes from the server's hello spec, so both sides
         # agree on every seeded draw without shipping a spec file around.
@@ -616,8 +346,6 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
         lines.extend(_churn_verdict(stats, churn_config.slos))
         return "\n".join(lines), 0 if stats.healthy else 1
 
-    client = ServeClient(args.connect)
-    hello = client.connect()
     try:
         if args.action == "ping":
             return (
@@ -625,10 +353,6 @@ def _run_serve(args: argparse.Namespace) -> tuple[str, int]:
                 f"{hello['connections']} connection(s))"
             ), 0
         if args.action == "snapshot":
-            if not args.snapshot_out:
-                raise SystemExit(
-                    "repro serve snapshot requires --snapshot-out"
-                )
             response = client.call("snapshot", path=args.snapshot_out)
             return (
                 f"server wrote {response['path']} "
@@ -670,7 +394,7 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
         try:
             result = replay_artifact(load_artifact(args.replay))
         except ValueError as error:
-            raise SystemExit(f"{args.replay}: {error}") from None
+            raise UsageError(f"{args.replay}: {error}") from None
         lines = [
             f"repro chaos — replay of {args.replay} "
             f"(profile {result.schedule.profile}, "
@@ -686,30 +410,9 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
             lines.append("no violations: the artifact did not reproduce")
         return "\n".join(lines), (1 if result.violations else 0)
 
-    from repro.scenario import (
-        ProtocolSpec,
-        ScenarioSpec,
-        WorkloadSpec,
-        build_loaded_network,
-    )
+    from repro.scenario import build_loaded_network
 
-    if args.spec:
-        spec = _load_single_spec(args.spec, "chaos")
-    else:
-        spec = ScenarioSpec(
-            name=f"cli/chaos/{args.topology}{args.rows}x{args.cols}",
-            topology=_config(args),
-            workload=WorkloadSpec(
-                kind="chaos",
-                campaign_size=args.campaign_size,
-                connections=args.connections,
-                profiles=args.profiles or (),
-            ),
-            protocol=ProtocolSpec(
-                num_backups=args.backups, mux_degree=args.mux,
-            ),
-            seed=args.seed,
-        )
+    spec = _cell(args, "chaos")
     config = spec.protocol.config()
     network = build_loaded_network(spec)
     schedules = build_campaign(
@@ -728,23 +431,23 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
         f"rejoins: {summary['rejoins']}; "
         f"undrained: {summary['undrained']}",
     ]
-    # Campaign-level SLOs: evaluated against the session registry (all
-    # per-run registries are folded into it by the campaign's ordered
-    # merge).  The symbolic 'gamma' threshold resolves to the network's
-    # worst-case analytic recovery bound.
+    # Campaign-level SLOs: judged the way a matrix cell judges its own,
+    # against the session registry (every per-run registry is folded into
+    # it by the campaign's ordered merge).
     slo_lines: list[str] = []
     slo_breaches = []
     if args.slo:
-        from repro.analysis.delay import network_delay_bound
-        from repro.obs import SLOEngine, format_results
+        import dataclasses
 
-        gamma = network_delay_bound(network, config.rcc.max_delay)
-        slo_results = SLOEngine(args.slo).evaluate(
-            get_registry().snapshot(), constants={"gamma": gamma}
-        )
-        slo_breaches = [r for r in slo_results if r.ok is False]
+        from repro.obs import format_results
+        from repro.scenario import slo_results
+
+        gamma, outcomes = slo_results(
+            dataclasses.replace(spec, slos=tuple(args.slo)), network,
+            get_registry().snapshot())
+        slo_breaches = [r for r in outcomes if r.ok is False]
         slo_lines = ["", format_results(
-            slo_results, title=f"Campaign SLOs (gamma = {gamma:g})")]
+            outcomes, title=f"Campaign SLOs (gamma = {gamma:g})")]
         if slo_breaches:
             os.makedirs(args.artifact_dir, exist_ok=True)
             flight_path = os.path.join(
@@ -807,17 +510,6 @@ def _run_chaos(args: argparse.Namespace) -> tuple[str, int]:
     return "\n".join(lines), 1
 
 
-def _parse_shard(text: str) -> tuple[int, int]:
-    """``I/N`` -> (index, count); bounds are validated by select_shard."""
-    try:
-        index_text, count_text = text.split("/")
-        return int(index_text), int(count_text)
-    except ValueError:
-        raise SystemExit(
-            f"--shard must be I/N (e.g. 0/2), got {text!r}"
-        ) from None
-
-
 def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     """Scenario-matrix actions: expand/diff a lattice, or run its cells."""
     from repro.scenario import (
@@ -829,14 +521,13 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     )
     from repro.util.tables import format_table
 
+    try:
+        lattices = [load_cells(path) for path in args.paths]
+    except ValueError as error:
+        raise UsageError(str(error)) from None
+
     if args.action == "diff":
-        if len(args.paths) != 2:
-            raise SystemExit("repro matrix diff takes exactly two PATHs")
-        try:
-            old = load_cells(args.paths[0])
-            new = load_cells(args.paths[1])
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
+        old, new = lattices
         added, removed, changed = diff_cells(old, new)
         lines = [
             f"repro matrix diff — {args.paths[0]} ({len(old)} cells) vs "
@@ -852,15 +543,7 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
             return "\n".join(lines), 0
         return "\n".join(lines), 1
 
-    if len(args.paths) != 1:
-        raise SystemExit(f"repro matrix {args.action} takes exactly "
-                         f"one PATH")
-    path = args.paths[0]
-    try:
-        cells = load_cells(path)
-    except ValueError as error:
-        raise SystemExit(str(error)) from None
-
+    [path], [cells] = args.paths, lattices
     if args.action == "expand":
         if args.validate:
             return (
@@ -885,11 +568,8 @@ def _run_matrix(args: argparse.Namespace) -> tuple[str, int]:
     total = len(cells)
     shard_note = ""
     if args.shard:
-        index, count = _parse_shard(args.shard)
-        try:
-            cells = select_shard(cells, index, count)
-        except ValueError as error:
-            raise SystemExit(str(error)) from None
+        index, count = args.shard
+        cells = select_shard(cells, index, count)
         shard_note = f", shard {index}/{count}: {len(cells)} cell(s)"
     results = run_cells(cells, workers=args.workers)
     if args.results_out:
@@ -950,13 +630,10 @@ def _run_obs(args: argparse.Namespace) -> tuple[str, int]:
     if args.action == "episodes":
         from repro.obs import EpisodeReconstructor
 
-        if not args.input:
-            raise SystemExit("repro obs episodes requires --input "
-                             "(a --trace-out repro.trace/2 JSONL)")
         try:
             reconstructor = EpisodeReconstructor().add_file(args.input)
         except ValueError as error:
-            raise SystemExit(f"{args.input}: {error}") from None
+            raise UsageError(f"{args.input}: {error}") from None
         summary = reconstructor.summary()
         lines = [
             f"repro obs episodes — {args.input}: "
@@ -992,16 +669,15 @@ def _run_obs(args: argparse.Namespace) -> tuple[str, int]:
         return "\n".join(lines), 0
 
     # action == "slo"
-    from repro.obs import SLOEngine, format_results
+    from repro.obs import SNAPSHOT_SCHEMA, SLOEngine, format_results
 
-    if not args.input:
-        raise SystemExit("repro obs slo requires --input "
-                         "(a repro.metrics/1 snapshot)")
-    if not args.slo:
-        raise SystemExit("repro obs slo requires at least one "
-                         "--slo SPEC")
-    with open(args.input) as handle:
-        snapshot = json.load(handle)
+    try:
+        with open(args.input) as handle:
+            snapshot = json.load(handle)
+    except ValueError as error:
+        raise UsageError(f"{args.input}: {error}") from None
+    if not isinstance(snapshot, dict) or snapshot.get("schema") != SNAPSHOT_SCHEMA:
+        raise UsageError(f"{args.input}: not a {SNAPSHOT_SCHEMA} snapshot")
     constants = {} if args.gamma is None else {"gamma": args.gamma}
     results = SLOEngine(args.slo).evaluate(snapshot, constants=constants)
     breached = any(result.ok is False for result in results)
@@ -1026,13 +702,139 @@ def run_experiment(args: argparse.Namespace):
     return runner(**_keywords(args, (*experiment.grid, *experiment.options)))
 
 
-def _check_grid(parser: argparse.ArgumentParser,
-                args: argparse.Namespace) -> None:
-    """A grid a topology the command builds rejects (the torus needs 2x2,
-    the mesh two nodes, a 3-regular graph an even node count) is a usage
-    error naming the flags, raised before anything is established.  A
-    command without ``--topology`` picks its own networks: its runner's
-    module lists them as ``topologies(rows, cols)``."""
+class Command(NamedTuple):
+    help: str
+    run: Callable  # (args) -> (stdout text, exit code)
+    flags: dict  # flag -> default
+
+
+#: The commands that are not one experiment: the flags each takes with
+#: their defaults, as an :data:`~repro.experiments.EXPERIMENTS` row names
+#: them, and what runs it.
+COMMANDS = {
+    "report": Command(
+        "run the full suite and write a markdown report", _run_report,
+        {**GRID, "--double-samples": 100, "--output": "reproduction-report.md",
+         "--workers": None}),
+    "stats": Command(
+        "re-run one failure scenario and print the run's metrics summary",
+        _run_stats,
+        {**GRID, "--mux": 3, "--backups": 1, "--failures": 1,
+         "--horizon": 200.0, "--fail-at": [], "--repair-at": []}),
+    "churn": Command(
+        "drive the network through a seeded arrival/departure churn process "
+        "with epoch invariant audits", _run_churn,
+        {**GRID, "--arrival-rate": 50.0, "--holding-time": 10.0,
+         "--duration": 100.0, "--seed": 0, "--backups": 1, "--mux": 3,
+         "--bandwidth": 1.0, "--batch-window": 0.05, "--epoch-interval": 10.0,
+         "--eval-scenarios": 32, "--pairs": 64, "--stats-out": None,
+         "--slo": [], "--spec": None}),
+    "chaos": Command(
+        "run a seeded chaos campaign with the protocol invariant auditor; "
+        "shrink and export any failures", _run_chaos,
+        {**GRID, "--rows": 4, "--cols": 4, "--seed": 0, "--campaign-size": 25,
+         "--profiles": (), "--backups": 2, "--mux": 1, "--connections": 6,
+         "--artifact-dir": ".", "--max-artifacts": 5, "--replay": None,
+         "--slo": [], "--spec": None, "--workers": None}),
+    "matrix": Command(
+        "expand, diff, and run declarative scenario lattices "
+        "(repro.scenario/1 / repro.matrix/1)", _run_matrix,
+        {"--shard": None, "--validate": False, "--out": None,
+         "--results-out": None, "--artifact-dir": None, "--workers": None}),
+    "obs": Command(
+        "offline observability: reconstruct recovery episodes from a trace "
+        "log, evaluate SLOs against a metrics snapshot", _run_obs,
+        {"--input": None, "--episodes-out": None, "--slo": [],
+         "--gamma": None}),
+    "serve": Command(
+        "always-on admission service: run the long-lived server (start) or "
+        "drive one remotely (churn/snapshot/ping/shutdown)", _run_serve,
+        {"--spec": None, "--bind": None, "--connect": None, "--restore": None,
+         "--snapshot-out": None, "--stats-out": None, "--until": None,
+         "--slo": []}),
+}
+
+#: Observability flags are global: every subcommand exports the same way
+#: (the whole run records into one session registry/trace sink).
+_EVERY_COMMAND = {"--metrics-out": None, "--trace-out": None}
+
+#: (command, action) -> the flags that action cannot run without.
+_REQUIRED = {
+    ("serve", "start"): ("--spec", "--bind"),
+    ("serve", "churn"): ("--connect",),
+    ("serve", "snapshot"): ("--connect", "--snapshot-out"),
+    ("serve", "ping"): ("--connect",),
+    ("serve", "shutdown"): ("--connect",),
+    ("obs", "episodes"): ("--input",),
+    ("obs", "slo"): ("--input", "--slo"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """Build the argument parser: one subcommand per row of
+    :data:`~repro.experiments.EXPERIMENTS` and of :data:`COMMANDS`."""
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="Regenerate the evaluation of Han & Shin (SIGCOMM 1997).",
+    )
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    rows = {name: (experiment.help,
+                   {**{flag: GRID[flag] for flag in experiment.grid},
+                    **experiment.options})
+            for name, experiment in EXPERIMENTS.items()}
+    rows.update((name, (command.help, command.flags))
+                for name, command in COMMANDS.items())
+    for name, (text, flags) in rows.items():
+        sub = subparsers.add_parser(name, help=text)
+        for flag, default in {**flags, **_EVERY_COMMAND}.items():
+            _add_flag(sub, flag, default)
+
+    matrix, obs, serve = (subparsers.choices[name]
+                          for name in ("matrix", "obs", "serve"))
+    matrix.add_argument(
+        "action", choices=("run", "expand", "diff"),
+        help="run: execute every cell of a lattice through the churn/chaos/"
+             "evaluator engines; expand: print (or write) the cell lattice "
+             "a spec file describes; diff: compare two lattices by cell name")
+    matrix.add_argument(
+        "paths", nargs="+", metavar="PATH", type=readable,
+        help="spec file(s): a repro.scenario/1 JSONL lattice, a "
+             "repro.matrix/1 JSON matrix, or a single repro.scenario/1 JSON "
+             "spec (diff takes exactly two)")
+    obs.add_argument(
+        "action", choices=("episodes", "slo"),
+        help="episodes: fold a --trace-out JSONL into per-failure recovery "
+             "episodes with the delay breakdown and Γ-bound verdicts; slo: "
+             "evaluate --slo targets against a repro.metrics/1 snapshot")
+    serve.add_argument(
+        "action", choices=("start", "churn", "snapshot", "ping", "shutdown"),
+        help="start: serve a warm network on --bind; churn: run the churn "
+             "engine as a remote load generator against --connect; "
+             "snapshot: ask the server to write a repro.snapshot/1 file; "
+             "ping/shutdown: liveness check / graceful stop")
+    return parser
+
+
+def _check_usage(command: argparse.ArgumentParser,
+                 args: argparse.Namespace) -> None:
+    """What no one flag's type can see is a usage error too, raised before
+    anything is built: an action's required flags, the number of PATHs,
+    and a grid a topology the command builds rejects (the torus needs 2x2,
+    the mesh two nodes, a 3-regular graph an even node count).  A command
+    without ``--topology`` picks its own networks: its runner's module
+    lists them as ``topologies(rows, cols)``."""
+    action = getattr(args, "action", None)
+    missing = [flag for flag in _REQUIRED.get((args.command, action), ())
+               if not getattr(args, flag[2:].replace("-", "_"))]
+    if missing:
+        command.error(f"{action} requires {' and '.join(missing)}")
+    if args.command == "matrix":
+        wanted = 2 if action == "diff" else 1
+        if len(args.paths) != wanted:
+            command.error(f"{action} takes exactly {wanted} PATH(s), got "
+                          f"{len(args.paths)}")
+    if not hasattr(args, "rows"):
+        return
     try:
         if hasattr(args, "topology"):
             specs = [_config(args)]
@@ -1043,71 +845,34 @@ def _check_grid(parser: argparse.ArgumentParser,
         for spec in specs:
             spec.build()
     except ValueError as error:
-        parser.error(f"--rows/--cols: {error}")
+        command.error(f"--rows/--cols: {error}")
 
 
-def _run_command(args: argparse.Namespace) -> "str | tuple[str, int]":
-    result = run_experiment(args)
-    if result is not None:
-        return result.format()
-    if args.command == "report":
-        from repro.experiments.report import generate_report
-
-        result = generate_report(
-            _config(args), double_node_samples=args.double_samples,
-            workers=args.workers,
-        )
-        target = result.save(args.output)
-        return (
-            f"wrote {target} ({len(result.sections)} sections, "
-            f"{len(result.errors)} failures)"
-        )
-    if args.command == "stats":
-        return _run_stats(args)
-    if args.command == "churn":
-        return _run_churn(args)
-    if args.command == "serve":
-        return _run_serve(args)
-    if args.command == "chaos":
-        return _run_chaos(args)
-    if args.command == "matrix":
-        return _run_matrix(args)
-    if args.command == "obs":
-        return _run_obs(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
-
-
-#: Namespace fields naming a file this process writes once the run is
-#: over (``serve --snapshot-out`` is written by the server process and
-#: answered over the wire; ``--artifact-dir`` creates its directory).
-_OUTPUT_FLAGS = ("metrics_out", "trace_out", "stats_out", "results_out",
-                 "episodes_out", "out", "output")
+def _run_command(args: argparse.Namespace) -> tuple[str, int]:
+    """The command's stdout text and exit code."""
+    command = COMMANDS.get(args.command)
+    if command is not None:
+        return command.run(args)
+    return run_experiment(args).format(), 0
 
 
 def main(argv: "Sequence[str] | None" = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (0 clean, 1 found
+    something, 2 could not run as asked)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    # A path that cannot be written fails here, not after the whole run.
-    for dest in _OUTPUT_FLAGS:
-        path = getattr(args, dest, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            parser.error(f"--{dest.replace('_', '-')} {path}: "
-                         f"directory does not exist")
-    if hasattr(args, "rows"):
-        _check_grid(parser, args)
+    command = parser._subparsers._group_actions[0].choices[args.command]
+    _check_usage(command, args)
     # Each invocation observes itself through a fresh session registry
     # (and, with --trace-out, a shared trace sink), so exported counters
     # reflect exactly this run and are reproducible run-to-run.
     registry = MetricsRegistry()
     sink = TraceLog() if args.trace_out else None
-    with obs_session(registry, sink):
-        output = _run_command(args)
-    # Commands that gate CI (chaos) return (text, exit_code); the rest
-    # return plain text and exit 0.
-    code = 0
-    if isinstance(output, tuple):
-        output, code = output
+    try:
+        with obs_session(registry, sink):
+            output, code = _run_command(args)
+    except UsageError as error:
+        command.error(str(error))
     # The files first: a reader that stops early (``| head``) must not
     # cost them.
     if args.metrics_out:

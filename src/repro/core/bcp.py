@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.channels.channel import Channel
 from repro.channels.qos import DelayQoS, FaultToleranceQoS
 from repro.channels.registry import ChannelRegistry
 from repro.channels.traffic import TrafficSpec
@@ -144,13 +143,9 @@ class BCPNetwork:
         dst: NodeId,
         required_pr: float,
         traffic: TrafficSpec | None = None,
-        delay_qos: DelayQoS | None = None,
-        num_backups: int = 1,
     ) -> NegotiationOffer:
         """Loose QoS negotiation; the returned offer's connection is live."""
-        offer = self.engine.negotiate_loose(
-            src, dst, required_pr, traffic, delay_qos, num_backups
-        )
+        offer = self.engine.negotiate_loose(src, dst, required_pr, traffic)
         self._connections[offer.connection.connection_id] = offer.connection
         return offer
 
@@ -189,14 +184,13 @@ class BCPNetwork:
     # switchover (channel switching + resource reconfiguration, Section 4)
     # ------------------------------------------------------------------
     def switch_to_backup(
-        self, connection: "DConnection | int", backup: Channel | None = None
+        self, connection: "DConnection | int"
     ) -> ReconfigurationReport:
-        """Promote a backup to primary and reconfigure resources.
-
-        ``backup`` defaults to the lowest-serial backup (the serial-number
-        rule that keeps both end-nodes consistent, Section 4.2).  The old
-        primary's reservations are released (its teardown after failure —
-        in the runtime protocol this happens via rejoin-timer expiry).
+        """Promote the lowest-serial backup to primary (the serial-number
+        rule that keeps both end-nodes consistent, Section 4.2) and
+        reconfigure resources.  The old primary's reservations are
+        released (its teardown after failure — in the runtime protocol
+        this happens via rejoin-timer expiry).
 
         Per Section 4.4, after activation the spare pools are recomputed
         for the remaining backups; links that cannot re-reserve the full
@@ -208,8 +202,7 @@ class BCPNetwork:
             raise EstablishmentError(
                 f"connection {connection.connection_id} has no backups"
             )
-        if backup is None:
-            backup = connection.backups_in_serial_order()[0]
+        backup = connection.backups_in_serial_order()[0]
 
         report = ReconfigurationReport()
 

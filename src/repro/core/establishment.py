@@ -50,6 +50,15 @@ from repro.routing.shortest import (
     shortest_path,
 )
 
+#: The backup multiplexing degrees loose negotiation tries, cheapest first
+#: (Section 3.4, scheme 1).
+NEGOTIATION_DEGREES = (6, 5, 3, 1, 0)
+
+#: How far one relaxation loosens each existing backup's degree when the
+#: literal scheme needs room for another backup (Section 3.4: "further
+#: relaxed, if necessary").
+RELAX_STEP = 2
+
 
 class EstablishmentError(Exception):
     """Raised when a D-connection (or one of its channels) cannot be
@@ -355,32 +364,27 @@ class EstablishmentEngine:
         dst: NodeId,
         required_pr: float,
         traffic: TrafficSpec | None = None,
-        delay_qos: DelayQoS | None = None,
-        num_backups: int = 1,
-        candidate_degrees: tuple[int, ...] = (6, 5, 3, 1, 0),
     ) -> NegotiationOffer:
-        """Loose negotiation (Section 3.4, scheme 1).
+        """Loose negotiation (Section 3.4, scheme 1): one backup, no delay
+        bound.
 
-        BCP starts from the cheapest candidate degree and tightens until the
-        requirement is met or candidates are exhausted; the *resultant*
-        ``P_r`` is returned as an offer the client may accept or reject.
+        BCP starts from the cheapest of :data:`NEGOTIATION_DEGREES` and
+        tightens until the requirement is met or candidates are exhausted;
+        the *resultant* ``P_r`` is returned as an offer the client may
+        accept or reject.
         """
-        traffic = traffic or TrafficSpec()
-        delay_qos = delay_qos or DelayQoS()
-        degrees = sorted(set(candidate_degrees), reverse=True)
-        if not degrees:
-            raise ValueError("candidate_degrees must not be empty")
+        cheapest, *tighter = NEGOTIATION_DEGREES
         # Establish once at the cheapest candidate, then tighten the live
         # backups in place (Section 3.4's degree adjustment) until the
         # requirement is met or capacity runs out.
         connection = self.establish(
             src,
             dst,
-            traffic,
-            delay_qos,
-            FaultToleranceQoS(num_backups=num_backups, mux_degree=degrees[0]),
+            traffic or TrafficSpec(),
+            DelayQoS(),
+            FaultToleranceQoS(num_backups=1, mux_degree=cheapest),
         )
-        for degree in degrees[1:]:
+        for degree in tighter:
             if connection_pr(connection, self.mux) >= required_pr:
                 break
             try:
@@ -700,16 +704,16 @@ class EstablishmentEngine:
         connection.backups.append(backup)
         return backup
 
-    def _relax_existing_backups(self, connection: DConnection,
-                                step: int = 2) -> bool:
-        """Loosen every existing backup's multiplexing degree by ``step``
-        (capped at the point where everything multiplexes), freeing spare
-        for an additional backup.  Returns whether anything changed."""
+    def _relax_existing_backups(self, connection: DConnection) -> bool:
+        """Loosen every existing backup's multiplexing degree by
+        :data:`RELAX_STEP` (capped at the point where everything
+        multiplexes), freeing spare for an additional backup.  Returns
+        whether anything changed."""
         policy = self.mux.policy
         cap = policy.component_count(connection.primary.path) + 1
         relaxed = False
         for backup in connection.backups:
-            target = min(cap, backup.mux_degree + step)
+            target = min(cap, backup.mux_degree + RELAX_STEP)
             if target > backup.mux_degree:
                 self.adjust_backup_degree(connection, backup, target)
                 relaxed = True

@@ -50,16 +50,17 @@ def pr_single_backup(
     primary_components: int,
     backup_components: int,
     failure_probability: float,
-    p_muxf: float = 0.0,
 ) -> float:
-    """``P_r`` of a D-connection with one disjointly-routed backup.
+    """``P_r`` of a D-connection with one disjointly-routed backup that no
+    multiplexing failure blocks.
 
-    Section 3.3:  ``P_r = P(M ok) + P(M fails)·P(B ok)·(1 - P_muxf)``.
+    Section 3.3:  ``P_r = P(M ok) + P(M fails)·P(B ok)·(1 - P_muxf)`` at
+    ``P_muxf = 0``; :func:`pr_multiple_backups` takes each backup's
+    ``P_muxf``.
     """
-    check_probability(p_muxf, "p_muxf")
     primary_ok = channel_reliability(primary_components, failure_probability)
     backup_ok = channel_reliability(backup_components, failure_probability)
-    return primary_ok + (1.0 - primary_ok) * backup_ok * (1.0 - p_muxf)
+    return primary_ok + (1.0 - primary_ok) * backup_ok
 
 
 def pr_multiple_backups(
@@ -93,22 +94,17 @@ def pr_multiple_backups(
     return 1.0 - (1.0 - primary_ok) * all_backups_unavailable
 
 
-def connection_pr(connection, engine, failure_probability: float | None = None) -> float:
+def connection_pr(connection, engine) -> float:
     """``P_r`` of a live :class:`~repro.core.dconnection.DConnection`.
 
     Reads each backup's |Ψ| sets from the multiplexing ``engine`` and its
-    ν from the backup's mux degree.  ``failure_probability`` defaults to
-    the engine policy's λ.
+    ν from the backup's mux degree; λ is the engine policy's.
 
     This is the number BCP reports back to the client after establishment
     (the "resultant P_r" of the loose negotiation scheme, Section 3.4).
     """
-    lam = (
-        engine.policy.failure_probability
-        if failure_probability is None
-        else failure_probability
-    )
     policy = engine.policy
+    lam = policy.failure_probability
     primary_count = policy.component_count(connection.primary.path)
     backup_counts = []
     p_muxfs = []

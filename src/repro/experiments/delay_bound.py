@@ -81,11 +81,11 @@ def run_delay_bound(
     config: TopologySpec,
     *,
     num_backups: int,
-    sample_connections: int,
+    connections: int,
 ) -> DelayBoundResult:
     """Measure service disruptions against the Γ bound.
 
-    ``sample_connections`` distinct connections are picked evenly from the
+    ``connections`` distinct connections are picked evenly from the
     workload; every link of each one's primary path is failed in turn, one
     simulation per injection, all on the one network's compiled
     :class:`~repro.protocol.plan.ProtocolPlan`.
@@ -96,9 +96,9 @@ def run_delay_bound(
     result = DelayBoundResult(
         topology=network.topology.name, d_max=protocol.rcc.max_delay)
 
-    connections = network.connections()
-    stride = max(1, len(connections) // sample_connections)
-    for connection in connections[::stride][:sample_connections]:
+    loaded = network.connections()
+    stride = max(1, len(loaded) // connections)
+    for connection in loaded[::stride][:connections]:
         hops = max(c.path.hops for c in connection.channels)
         bound = connection_delay_bound(connection, protocol.rcc.max_delay)
         for index, link in enumerate(connection.primary.path.links):

@@ -76,7 +76,7 @@ def run_message_loss(
     config: TopologySpec,
     *,
     message_rate: float,
-    sample_connections: int,
+    connections: int,
 ) -> MessageLossResult:
     """Measure per-message loss around single link failures: one
     simulation with a live data stream per injection, all on the one
@@ -87,12 +87,12 @@ def run_message_loss(
         topology=network.topology.name, message_rate=message_rate
     )
 
-    connections = [
+    long_enough = [
         connection for connection in network.connections()
         if connection.primary.path.hops >= 3
     ]
-    stride = max(1, len(connections) // sample_connections)
-    for connection in connections[::stride][:sample_connections]:
+    stride = max(1, len(long_enough) // connections)
+    for connection in long_enough[::stride][:connections]:
         connection_id = connection.connection_id
         for index, victim in enumerate(connection.primary.path.links):
             simulation = ProtocolSimulation(network, ProtocolConfig())

@@ -168,12 +168,10 @@ class SLOEngine:
             results.append(self._evaluate_one(target, snapshot, constants))
         return results
 
-    def breaches(self, snapshot: dict,
-                 constants: "dict[str, float] | None" = None,
-                 ) -> list[SLOResult]:
-        """Only the breached results (``ok is False``)."""
-        return [r for r in self.evaluate(snapshot, constants)
-                if r.ok is False]
+    def breaches(self, snapshot: dict) -> list[SLOResult]:
+        """Only the breached results (``ok is False``), judged without
+        constants: a symbolic threshold breaches as unresolved."""
+        return [r for r in self.evaluate(snapshot) if r.ok is False]
 
     # ------------------------------------------------------------------
     def _evaluate_one(self, target: SLOTarget, snapshot: dict,

@@ -24,6 +24,7 @@ from repro.scenario.runner import (
     churn_config_from_spec,
     run_cell,
     run_cells,
+    slo_results,
 )
 from repro.scenario.spec import (
     FAILURE_MODELS,
@@ -59,5 +60,6 @@ __all__ = [
     "run_cell",
     "run_cells",
     "select_shard",
+    "slo_results",
     "write_lattice",
 ]

@@ -90,7 +90,7 @@ class TestScheduleCodec:
         )
         assert ChaosSchedule.from_json(schedule.to_json()) == schedule
 
-    def test_trigger_on_an_undeclared_kind_fails_loudly(self, tmp_path):
+    def test_trigger_on_an_undeclared_kind_fails_loudly(self, tmp_path, capsys):
         """A typo in a hand-edited artifact used to replay as a silent
         clean run (the trigger never fired); it is now rejected on load,
         naming the kinds the log declares, and ``--replay`` reports it."""
@@ -108,9 +108,12 @@ class TestScheduleCodec:
             match=r"unknown trigger kind 'activatoin'; known: .*activate,",
         ):
             replay_artifact(load_artifact(artifact))
-        with pytest.raises(SystemExit, match="activatoin") as raised:
+        # Exit 2 (could not run as asked), the message led by the file.
+        with pytest.raises(SystemExit) as raised:
             main(["chaos", "--replay", str(artifact)])
-        assert str(raised.value).startswith(f"{artifact}: ")
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.rsplit("error: ", 1)[1]
+        assert error.startswith(f"{artifact}: ") and "activatoin" in error
 
     def test_with_events_clears_triggers(self):
         schedule = ChaosSchedule(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import re
@@ -12,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main, run_experiment
-from repro.experiments import EXPERIMENTS
+from repro.experiments import EXPERIMENTS, FLAGS
 from repro.experiments.report import report_rows
 from repro.network.spec import TopologySpec
 from repro.obs import SNAPSHOT_SCHEMA
@@ -21,6 +23,9 @@ from repro.protocol import ProtocolConfig
 from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
 
 SMALL = ["--rows", "4", "--cols", "4"]
+
+#: A spec file that exists, where a PATH must name a readable one.
+LATTICE = str(Path(__file__).parent.parent / "scenarios" / "ci_smoke.jsonl")
 
 
 class TestParser:
@@ -47,7 +52,7 @@ class TestParser:
         argparse error (exit 2) on each of the other fifteen."""
         pooled = {"matrix", "chaos", "reliability", "report"}
         # Positionals the command needs before it gets to the flag.
-        positional = {"matrix": ["run", "x.json"], "obs": ["episodes"],
+        positional = {"matrix": ["run", LATTICE], "obs": ["episodes"],
                       "serve": ["ping"]}
         parser = build_parser()
         commands = parser._subparsers._group_actions[0].choices
@@ -80,8 +85,8 @@ class TestParser:
         ["table1", "--trace-out"],
         ["churn", "--stats-out"],
         ["serve", "churn", "--stats-out"],
-        ["matrix", "run", "x.json", "--results-out"],
-        ["matrix", "expand", "x.json", "--out"],
+        ["matrix", "run", LATTICE, "--results-out"],
+        ["matrix", "expand", LATTICE, "--out"],
         ["obs", "episodes", "--episodes-out"],
         ["report", "--output"],
     ])
@@ -98,7 +103,8 @@ class TestParser:
         with pytest.raises(SystemExit) as raised:
             main([*argv, target])
         assert raised.value.code == 2
-        assert f"{argv[-1]} {target}" in capsys.readouterr().err
+        assert (f"argument {argv[-1]}: {target}: directory does not exist"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("argv", [
         # Once: every link but one failed, exit 0.
@@ -197,6 +203,100 @@ class TestParser:
                      "--cols", "2", "--degrees", "1",
                      "--double-samples", "0"]) == 0
         assert "1x2 mesh" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, named", [
+        # Once: a traceback (exit 1) each, from the engine or the spec,
+        # after the flag had been accepted.
+        (["churn", "--mux", "-1"], "--mux"),
+        (["churn", "--arrival-rate", "0"], "--arrival-rate"),
+        (["churn", "--duration", "nan"], "--duration"),
+        (["churn", "--epoch-interval", "0"], "--epoch-interval"),
+        (["churn", "--batch-window", "-1"], "--batch-window"),
+        (["churn", "--eval-scenarios", "-1"], "--eval-scenarios"),
+        (["churn", "--pairs", "-3"], "--pairs"),
+        (["churn", "--bandwidth", "-1"], "--bandwidth"),
+        (["chaos", "--backups", "-1"], "--backups"),
+        (["chaos", "--mux", "-1"], "--mux"),
+        (["stats", *SMALL, "--mux", "-2"], "--mux"),
+        (["stats", *SMALL, "--backups", "-1"], "--backups"),
+        # Once: never returned.
+        (["churn", "--duration", "inf"], "--duration"),
+        # Once: a FileNotFoundError traceback (exit 1).
+        (["churn", "--spec", "/nonexistent.json"], "/nonexistent.json"),
+        (["chaos", "--replay", "/nonexistent.json"], "/nonexistent.json"),
+        (["matrix", "run", "/nonexistent.jsonl"], "/nonexistent.jsonl"),
+        (["obs", "episodes", "--input", "/nonexistent.jsonl"],
+         "/nonexistent.jsonl"),
+        (["obs", "slo", "--input", "/nonexistent.json",
+          "--slo", "a.p99 <= 1"], "/nonexistent.json"),
+        # Once: a message, but exit 1 (CI's "found something").
+        (["serve", "start"], "--spec and --bind"),
+        (["obs", "episodes"], "--input"),
+        (["matrix", "diff", "x.json"], "x.json"),
+        (["matrix", "diff", LATTICE], "PATH"),
+        (["matrix", "run", LATTICE, "--shard", "5/2"], "--shard"),
+    ])
+    def test_input_the_command_cannot_honour_exits_2(
+        self, argv, named, capsys, monkeypatch
+    ):
+        """Exit 2 is "could not run as asked": the command's usage line
+        and a message naming the flag or the path, before anything runs."""
+        monkeypatch.setattr(
+            "repro.cli._run_command",
+            lambda args: pytest.fail("the command ran"),
+        )
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ") and named in err
+
+    def test_server_nobody_answers_exits_2(self, tmp_path, capsys):
+        """Once: a FileNotFoundError traceback (exit 1) once the client's
+        retry window ran out."""
+        address = str(tmp_path / "nosock")
+        with pytest.raises(SystemExit) as raised:
+            main(["serve", "churn", "--connect", address])
+        assert raised.value.code == 2
+        assert f"error: --connect {address}: " in capsys.readouterr().err
+
+    def test_input_of_another_schema_exits_2(self, tmp_path, capsys):
+        """Once: an AttributeError traceback (exit 1)."""
+        path = tmp_path / "metrics.json"
+        path.write_text("[]")
+        with pytest.raises(SystemExit) as raised:
+            main(["obs", "slo", "--input", str(path), "--slo", "a.p99 <= 1"])
+        assert raised.value.code == 2
+        assert (f"error: {path}: not a {SNAPSHOT_SCHEMA} snapshot"
+                in capsys.readouterr().err)
+
+
+class TestFlagTable:
+    """Every flag of every command is one row of ``FLAGS``."""
+
+    def test_every_flag_comes_from_its_row(self):
+        used = set()
+        commands = build_parser()._subparsers._group_actions[0].choices
+        for name, sub in commands.items():
+            for action in sub._actions:
+                for flag in set(action.option_strings) - {"-h", "--help"}:
+                    assert flag in FLAGS, (name, flag)
+                    assert action.help.startswith(FLAGS[flag].help), flag
+                    used.add(flag)
+        assert used == set(FLAGS), set(FLAGS) - used
+        # One spelling, one keyword: no two rows feed the same one.
+        keywords = [row.keyword for row in FLAGS.values()]
+        assert len(set(keywords)) == len(keywords)
+
+    def test_cli_declares_only_its_positionals_by_hand(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        first = [node.args[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "attr", None) == "add_argument"]
+        # The four positionals, and the one call that puts a row on a
+        # parser.
+        assert sorted(getattr(arg, "value", "<row>") for arg in first) == [
+            "<row>", "action", "action", "action", "paths"]
 
 
 #: The first line every experiment command prints.
@@ -436,13 +536,19 @@ class TestTimedInjectionFlags:
 
     @pytest.mark.parametrize("flag", ["--fail-at", "--repair-at"])
     @pytest.mark.parametrize("spec", ["1:node:999", "1:link:0->5"])
-    def test_component_outside_the_topology_exits_cleanly(self, flag, spec):
-        with pytest.raises(SystemExit, match="not a component of"):
+    def test_component_outside_the_topology_exits_cleanly(
+        self, flag, spec, capsys
+    ):
+        with pytest.raises(SystemExit) as raised:
             main(["stats", "--failures", "0", flag, spec] + SMALL)
+        assert raised.value.code == 2
+        assert "not a component of" in capsys.readouterr().err
 
-    def test_nan_horizon_exits_cleanly(self):
-        with pytest.raises(SystemExit, match="--horizon"):
+    def test_nan_horizon_exits_cleanly(self, capsys):
+        with pytest.raises(SystemExit) as raised:
             main(["stats", "--horizon", "nan"] + SMALL)
+        assert raised.value.code == 2
+        assert "argument --horizon:" in capsys.readouterr().err
 
     def test_infinite_horizon_drains(self, capsys):
         assert main(["stats", "--horizon", "inf"] + SMALL) == 0
@@ -513,7 +619,7 @@ class TestChaosCommand:
         assert main(["chaos", "--replay", str(artifacts[0])]) == 0
         assert "did not reproduce" in capsys.readouterr().out
 
-    def test_replay_rejects_unknown_config_key(self, tmp_path):
+    def test_replay_rejects_unknown_config_key(self, tmp_path, capsys):
         artifact = os.path.join(
             os.path.dirname(__file__), "artifacts",
             "switchover-race-seed1.json",
@@ -535,10 +641,12 @@ class TestChaosCommand:
              r"expected schema 'repro.chaos/2', found 'repro.chaos/1'"),
         ):
             path.write_text(json.dumps(document))
-            # A message (not a traceback), prefixed with the file.
-            with pytest.raises(SystemExit, match=message) as raised:
+            # Exit 2 (not a traceback), the message led by the file.
+            with pytest.raises(SystemExit) as raised:
                 main(["chaos", "--replay", str(path)])
-            assert str(raised.value).startswith(f"{path}: ")
+            assert raised.value.code == 2
+            error = capsys.readouterr().err.rsplit("error: ", 1)[1]
+            assert error.startswith(f"{path}: ") and re.search(message, error)
 
     def test_product_has_no_planted_switch(self):
         """The planted bugs live in ``tests/planted.py``: neither the

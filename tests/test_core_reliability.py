@@ -60,12 +60,13 @@ class TestPrFormulas:
     def test_single_backup_paper_formula(self):
         lam = 1e-3
         expected = (0.999**7) + (1 - 0.999**7) * (0.999**9) * (1 - 0.01)
-        assert pr_single_backup(7, 9, lam, p_muxf=0.01) == pytest.approx(expected)
+        assert pr_multiple_backups(7, [9], lam, [0.01]) == pytest.approx(
+            expected)
 
     def test_single_backup_matches_multi_with_one(self):
         lam = 1e-3
-        assert pr_single_backup(7, 9, lam, 0.01) == pytest.approx(
-            pr_multiple_backups(7, [9], lam, [0.01])
+        assert pr_single_backup(7, 9, lam) == pytest.approx(
+            pr_multiple_backups(7, [9], lam, [0.0])
         )
 
     def test_no_backups_reduces_to_channel_reliability(self):
@@ -109,7 +110,6 @@ class TestConnectionPr:
             network.policy.component_count(connection.primary.path),
             network.policy.component_count(connection.backups[0].path),
             lam,
-            0.0,
         )
         assert value == pytest.approx(expected)
 

@@ -187,7 +187,7 @@ class TestMessageLossExperiment:
 
         result = run_message_loss(
             TopologySpec(rows=4, cols=4), message_rate=2.0,
-            sample_connections=2,
+            connections=2,
         )
         assert result.measurements
         for m in result.measurements:

@@ -226,7 +226,7 @@ class TestTable3:
 
 class TestAnalyticExperiments:
     def test_delay_bound_holds(self):
-        result = run_delay_bound(CFG, num_backups=2, sample_connections=3)
+        result = run_delay_bound(CFG, num_backups=2, connections=3)
         assert result.measurements
         assert result.violations == []
         assert "within" in result.format()

@@ -145,9 +145,12 @@ class TestTraceFilters:
                            match=r"line 1 is not a repro\.trace/2 row.*"
                                  r"repro\.trace/1"):
             EpisodeReconstructor().add_file(path)
-        with pytest.raises(SystemExit, match=r"repro\.trace/2") as raised:
+        # Exit 2 (could not run as asked), the message led by the file.
+        with pytest.raises(SystemExit) as raised:
             main(["obs", "episodes", "--input", str(path)])
-        assert str(raised.value).startswith(f"{path}: ")
+        assert raised.value.code == 2
+        error = capsys.readouterr().err.rsplit("error: ", 1)[1]
+        assert error.startswith(f"{path}: ") and "repro.trace/2" in error
 
 
 # ----------------------------------------------------------------------

@@ -314,7 +314,8 @@ def test_src_ships_only_what_an_entry_point_reaches():
 
 #: The packages whose defaulted parameters must each have a caller.
 GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario",
-                   "repro.obs", "repro.sim", "repro.network", "repro.recovery")
+                   "repro.obs", "repro.sim", "repro.network", "repro.recovery",
+                   "repro.core", "repro.cli")
 
 
 def test_no_experiment_parameter_has_a_default_nobody_overrides():

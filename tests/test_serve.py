@@ -353,12 +353,14 @@ class TestServeClientGuards:
 
 
 class TestServeCLI:
-    def test_parser_accepts_serve_actions(self):
+    def test_parser_accepts_serve_actions(self, tmp_path):
         from repro.cli import build_parser
 
         parser = build_parser()
+        spec = tmp_path / "spec.json"  # an input path must name a file
+        spec.write_text("{}")
         args = parser.parse_args(
-            ["serve", "start", "--spec", "spec.json", "--bind", "s.sock"]
+            ["serve", "start", "--spec", str(spec), "--bind", "s.sock"]
         )
         assert args.command == "serve"
         assert args.action == "start"

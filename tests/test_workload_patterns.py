@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
+from repro.core.establishment import RELAX_STEP
 from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.protocol.states import LocalChannelState
 from repro.sim import TraceLog
@@ -64,14 +65,19 @@ class TestLiteralRelaxation:
         # Shared backup links now hold 2 spare + some primaries elsewhere;
         # relaxing both to full sharing must reduce the total.
         before = network.ledger.total_spare()
-        assert network.engine._relax_existing_backups(connection, step=20)
-        assert network.engine._relax_existing_backups(other, step=20)
+        for relaxed in (connection, other):
+            assert network.engine._relax_existing_backups(relaxed)
+            while network.engine._relax_existing_backups(relaxed):
+                pass  # on to the cap, RELAX_STEP at a time
         assert network.ledger.total_spare() < before
 
     def test_relaxation_reports_no_change_at_cap(self, torus4):
         connection = torus4.establish(
             0, 2, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=0)
         )
-        assert torus4.engine._relax_existing_backups(connection, step=100)
-        # Second call: already at the cap.
-        assert not torus4.engine._relax_existing_backups(connection, step=100)
+        assert torus4.engine._relax_existing_backups(connection)
+        assert connection.backups[0].mux_degree == RELAX_STEP
+        while torus4.engine._relax_existing_backups(connection):
+            pass
+        # At the cap: nothing is left to loosen.
+        assert not torus4.engine._relax_existing_backups(connection)
