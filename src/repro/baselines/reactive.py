@@ -8,15 +8,16 @@ connection for what capacity is left.  The paper's critique (Section 8):
 force repeated attempts.
 
 The evaluation here replays that process combinatorially: disrupted
-connections re-route one at a time (in a configurable order) over the
-residual topology with live capacity accounting, under the same delay QoS
+connections re-route one at a time, in connection-id order, over the
+residual network (the topology with the failed components excluded from
+every search) with live capacity accounting, under the same delay QoS
 as the original channel.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.bcp import BCPNetwork
 from repro.faults.models import FailureScenario
@@ -27,7 +28,6 @@ from repro.routing.shortest import (
     hop_distance,
     shortest_path,
 )
-from repro.util.rng import make_rng
 
 
 class ReactiveOutcome(enum.Enum):
@@ -58,10 +58,7 @@ class ReactiveResult:
 
 
 def evaluate_reactive(
-    network: BCPNetwork,
-    scenario: FailureScenario,
-    order: str = "connection_id",
-    seed: "int | None" = 0,
+    network: BCPNetwork, scenario: FailureScenario
 ) -> ReactiveResult:
     """Replay reactive recovery for one failure scenario.
 
@@ -71,16 +68,12 @@ def evaluate_reactive(
     """
     topology = network.topology
     failed_components = scenario.components(topology)
-    residual = topology.subgraph_without(
-        failed_nodes=scenario.failed_nodes,
-        failed_links=[
-            component
-            for component in failed_components
-            if component not in scenario.failed_nodes
-        ],
+    residual = RouteConstraints(
+        excluded_nodes=scenario.failed_nodes,
+        excluded_links=scenario.failed_links,
     )
     # Fresh ledger holding the surviving primaries' reservations.
-    ledger = ReservationLedger(residual)
+    ledger = ReservationLedger(topology)
     disrupted = []
     result = ReactiveResult(scenario=scenario)
     for connection in network.connections():
@@ -93,15 +86,11 @@ def evaluate_reactive(
         if connection.primary.fails_under(failed_components):
             disrupted.append(connection)
             continue
-        for link in connection.primary.path.links:
-            if link in residual:
-                ledger.reserve_primary(link, connection.traffic.bandwidth)
+        ledger.reserve_primary_path(
+            connection.primary.path.links, connection.traffic.bandwidth
+        )
 
-    if order == "random":
-        make_rng(seed).shuffle(disrupted)
-    else:
-        disrupted.sort(key=lambda conn: conn.connection_id)
-
+    disrupted.sort(key=lambda conn: conn.connection_id)
     for connection in disrupted:
         bandwidth = connection.traffic.bandwidth
         try:
@@ -110,13 +99,16 @@ def evaluate_reactive(
             )
         except NoPathError:  # pragma: no cover - original net is connected
             shortest_possible = 0
-        constraints = RouteConstraints(
-            link_admissible=ledger.capacity_floor(bandwidth),
-            max_hops=connection.delay_qos.max_hops(shortest_possible),
+        within_qos = replace(
+            residual, max_hops=connection.delay_qos.max_hops(shortest_possible)
         )
         try:
             path = shortest_path(
-                residual, connection.source, connection.destination, constraints
+                topology, connection.source, connection.destination,
+                replace(
+                    within_qos,
+                    link_admissible=ledger.capacity_floor(bandwidth),
+                ),
             )
         except NoPathError:
             # Distinguish "no path at all within QoS" from "paths exist but
@@ -124,12 +116,8 @@ def evaluate_reactive(
             # warns about.
             try:
                 shortest_path(
-                    residual,
-                    connection.source,
-                    connection.destination,
-                    RouteConstraints(
-                        max_hops=connection.delay_qos.max_hops(shortest_possible)
-                    ),
+                    topology, connection.source, connection.destination,
+                    within_qos,
                 )
             except NoPathError:
                 result.outcomes[connection.connection_id] = (
@@ -140,8 +128,7 @@ def evaluate_reactive(
                     ReactiveOutcome.NO_CAPACITY
                 )
             continue
-        for link in path.links:
-            ledger.reserve_primary(link, bandwidth)
+        ledger.reserve_primary_path(path.links, bandwidth)
         result.outcomes[connection.connection_id] = ReactiveOutcome.REROUTED
         result.new_hops[connection.connection_id] = path.hops
     return result

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.channels.traffic import TrafficSpec
-from repro.network.components import LinkId
 from repro.network.reservations import CapacityFloor, ReservationLedger
 from repro.routing.paths import Path
 
@@ -28,10 +27,9 @@ from repro.routing.paths import Path
 class AdmissionError(Exception):
     """Raised when a channel fails the admission test."""
 
-    def __init__(self, reason: str, link: LinkId | None = None) -> None:
-        super().__init__(reason if link is None else f"{reason} (link {link})")
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
         self.reason = reason
-        self.link = link
 
 
 @dataclass

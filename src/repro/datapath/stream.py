@@ -52,25 +52,23 @@ class DataStream:
 
     #: Per-hop delay of data messages.  The paper assumes "the activation
     #: message is delivered faster than the data message" (Section 5.3);
-    #: the default equals the RCC's D_max, and the kernel's FIFO tie-break
-    #: lets an activation scheduled first win a same-instant race, so the
-    #: first message sent after the activation survives.
-    DEFAULT_HOP_DELAY = 1.0
+    #: this equals the RCC's D_max, and the kernel's FIFO tie-break lets
+    #: an activation scheduled first win a same-instant race, so the first
+    #: message sent after the activation survives.
+    HOP_DELAY = 1.0
+    #: Depth of the stream's leaky bucket: no bursts, one message a period.
+    BURST_DEPTH = 1.0
 
     def __init__(
         self,
         simulation: ProtocolSimulation,
         connection_id: int,
         message_rate: float = 1.0,
-        hop_delay: float = DEFAULT_HOP_DELAY,
-        burst_depth: float = 1.0,
     ) -> None:
         check_positive(message_rate, "message_rate")
-        check_positive(hop_delay, "hop_delay")
         self.simulation = simulation
         self.connection = simulation.network.connection(connection_id)
-        self.hop_delay = hop_delay
-        self.regulator = TrafficRegulator(message_rate, burst_depth)
+        self.regulator = TrafficRegulator(message_rate, self.BURST_DEPTH)
         self.report = StreamReport()
         self._period = 1.0 / message_rate
         self._running = False
@@ -141,7 +139,7 @@ class DataStream:
             self._lose(sent_at)
             return
         simulation.engine.schedule(
-            self.hop_delay, self._forward, channel_id, path_nodes,
+            self.HOP_DELAY, self._forward, channel_id, path_nodes,
             index + 1, sent_at,
         )
 

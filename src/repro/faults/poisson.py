@@ -34,19 +34,13 @@ class PoissonFailureProcess:
         topology: Topology,
         failure_rate: float,
         repair_rate: float = 0.0,
-        include_links: bool = True,
-        include_nodes: bool = True,
         seed: "int | None" = 0,
     ) -> None:
         check_positive(failure_rate, "failure_rate")
         check_non_negative(repair_rate, "repair_rate")
-        if not include_links and not include_nodes:
-            raise ValueError("at least one of links/nodes must be included")
         self.topology = topology
         self.failure_rate = failure_rate
         self.repair_rate = repair_rate
-        self.include_links = include_links
-        self.include_nodes = include_nodes
         self._rng = make_rng(seed)
 
     def _exponential(self, rate: float) -> float:
@@ -60,14 +54,11 @@ class PoissonFailureProcess:
 
         With a non-zero repair rate each crash carries its repair time and
         the component can crash again after repair; with repair rate 0 each
-        component crashes at most once (permanent failures).
+        component crashes at most once (permanent failures).  Every node,
+        then every link, is a component.
         """
         check_positive(horizon, "horizon")
-        components: list[object] = []
-        if self.include_nodes:
-            components.extend(self.topology.nodes())
-        if self.include_links:
-            components.extend(self.topology.links())
+        components = [*self.topology.nodes(), *self.topology.links()]
         events: list[FailureEvent] = []
         for component in components:
             clock = self._exponential(self.failure_rate)

@@ -12,28 +12,11 @@ ledger enforces it and exposes the two network-wide percentages the paper
 reports: *network-load* (primary bandwidth over total capacity) and
 *spare bandwidth* (spare reservation over total capacity).
 
-Topology mutation contract
---------------------------
-
-A ledger observes its topology through ``topology.version``.  Links (and
-nodes) may be **added** after the ledger is constructed — the runtime
-re-establishes over grown graphs, and churn workloads mutate topologies
-between establishment rounds.  The ledger extends itself lazily: any
-accessor that misses a link, and every bulk/network-wide operation,
-first reconciles ``_links`` against ``topology.links()``.  Two
-guarantees follow:
-
-* ``ledger()`` / ``free()`` / the reserve/release/spare operations work
-  for links added after construction (no ``KeyError``), and
-* :meth:`free_values` stays in ``topology.links()`` order and length —
-  the flat routing core's bulk free-capacity mirror indexes it
-  positionally against the CSR edge table, so order drift would
-  silently route on stale capacities.
-
-Reconciliation bumps :attr:`version` so every version-keyed consumer
-(route-cache floor tables, compiled plans) refreshes.  Link *removal* is
-not supported — failures are modelled as state on top of a static link
-set, never as deletion.
+A ledger freezes its topology (:meth:`~repro.network.topology.Topology.freeze`):
+its entries, and :meth:`free_values`, are in ``topology.links()`` order
+for good, which is what lets the flat routing core's free-capacity
+mirror index them positionally.  Failures are state on top of that
+static link set — components a search excludes — never deletion.
 
 Free-capacity mirror contract
 -----------------------------
@@ -54,11 +37,9 @@ follow one ledger and none of them ever writes to it.
 ``changes_since`` answers ``None`` — *resync fully through*
 :meth:`~ReservationLedger.free_values` — whenever the suffix cannot be
 served: the cursor predates a trim, or the ledger was rewritten
-wholesale since (:meth:`~ReservationLedger.restore_pools`, or
-reconciliation with a grown topology, which adds positions no consumer
-was sized for).  A consumer must also resync fully on first use and when
-it is handed a different ledger object; cursors of different ledgers are
-unrelated.
+wholesale since (:meth:`~ReservationLedger.restore_pools`).  A consumer
+must also resync fully on first use and when it is handed a different
+ledger object; cursors of different ledgers are unrelated.
 
 *Trim rule.*  The log is bounded: once it holds more than
 :attr:`~ReservationLedger.CHANGE_LOG_LIMIT` entries the older half is
@@ -161,52 +142,17 @@ class ReservationLedger:
     topology: Topology
     _links: dict[LinkId, LinkLedger] = field(init=False)
     _version: int = field(init=False, default=0)
-    _topology_version: int = field(init=False, default=-1)
     #: Entries written since ``_log_base``, oldest first; absolute log
     #: position of ``_log[i]`` is ``_log_base + i``.
     _log: list[LinkLedger] = field(init=False, default_factory=list, repr=False)
     _log_base: int = field(init=False, default=0, repr=False)
 
     def __post_init__(self) -> None:
+        self.topology.freeze()
         self._links = {
             link: LinkLedger(capacity=self.topology.capacity(link), pos=pos)
             for pos, link in enumerate(self.topology.links())
         }
-        self._topology_version = self.topology.version
-
-    def _sync_topology(self) -> None:
-        """Extend ``_links`` with links added to the topology since the
-        last reconciliation (see the module docstring's mutation contract).
-
-        Existing entries keep their reservations; new links start empty.
-        ``topology.links()`` is insertion-ordered and existing entries were
-        inserted in that same order, so appending the missing tail keeps
-        ``free_values()`` aligned with the flat view's positional mapping.
-        Bumps :attr:`version` and voids the change log when anything was
-        added, invalidating every derived view.
-        """
-        if self._topology_version == self.topology.version:
-            return
-        links = self._links
-        grew = False
-        for link in self.topology.links():
-            if link not in links:
-                links[link] = LinkLedger(
-                    capacity=self.topology.capacity(link), pos=len(links)
-                )
-                grew = True
-        self._topology_version = self.topology.version
-        if grew:
-            self._void_log()
-            self._version += 1
-
-    def _entry(self, link: LinkId) -> LinkLedger:
-        """``_links[link]``, reconciling with the topology on a miss."""
-        entry = self._links.get(link)
-        if entry is None:
-            self._sync_topology()
-            entry = self._links[link]
-        return entry
 
     @property
     def version(self) -> int:
@@ -260,26 +206,26 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     def ledger(self, link: LinkId) -> LinkLedger:
         """The :class:`LinkLedger` for ``link``."""
-        return self._entry(link)
+        return self._links[link]
 
     def free(self, link: LinkId) -> float:
         """Uncommitted bandwidth on ``link``."""
-        return self._entry(link).free
+        return self._links[link].free
 
     def primary_reserved(self, link: LinkId) -> float:
         """Primary-pool reservation on ``link``."""
-        return self._entry(link).primary
+        return self._links[link].primary
 
     def spare_reserved(self, link: LinkId) -> float:
         """Spare-pool reservation on ``link``."""
-        return self._entry(link).spare
+        return self._links[link].spare
 
     # ------------------------------------------------------------------
     # primary-pool operations
     # ------------------------------------------------------------------
     def can_reserve_primary(self, link: LinkId, bandwidth: float) -> bool:
         """Whether ``bandwidth`` more primary reservation fits on ``link``."""
-        return self._entry(link).free + _EPSILON >= bandwidth
+        return self._links[link].free + _EPSILON >= bandwidth
 
     def capacity_floor(self, bandwidth: float) -> CapacityFloor:
         """A :class:`CapacityFloor` predicate bound to this ledger.
@@ -296,16 +242,13 @@ class ReservationLedger:
 
         Bulk accessor for the flat routing core's free-capacity mirror;
         one list build here replaces a dict lookup per link per search.
-        Reconciles with the topology first so order *and length* match
-        the current ``topology.links()`` (see the mutation contract).
         """
-        self._sync_topology()
         return [entry.free for entry in self._links.values()]
 
     def reserve_primary(self, link: LinkId, bandwidth: float) -> None:
         """Commit primary bandwidth; raises on capacity overflow."""
         check_non_negative(bandwidth, "bandwidth")
-        entry = self._entry(link)
+        entry = self._links[link]
         if entry.free + _EPSILON < bandwidth:
             raise InsufficientCapacityError(link, bandwidth, entry.free)
         entry.primary += bandwidth
@@ -314,7 +257,7 @@ class ReservationLedger:
     def release_primary(self, link: LinkId, bandwidth: float) -> None:
         """Return primary bandwidth to the free pool."""
         check_non_negative(bandwidth, "bandwidth")
-        entry = self._entry(link)
+        entry = self._links[link]
         if entry.primary + _EPSILON < bandwidth:
             raise ValueError(
                 f"link {link}: releasing {bandwidth:g} primary but only "
@@ -334,7 +277,7 @@ class ReservationLedger:
         link.  ``links`` must not repeat a link (paths are simple).
         """
         check_non_negative(bandwidth, "bandwidth")
-        entries = [(link, self._entry(link)) for link in links]
+        entries = [(link, self._links[link]) for link in links]
         for link, entry in entries:
             if entry.free + _EPSILON < bandwidth:
                 raise InsufficientCapacityError(link, bandwidth, entry.free)
@@ -351,7 +294,7 @@ class ReservationLedger:
         validate-then-apply with a single version bump.
         """
         check_non_negative(bandwidth, "bandwidth")
-        entries = [(link, self._entry(link)) for link in links]
+        entries = [(link, self._links[link]) for link in links]
         for link, entry in entries:
             if entry.primary + _EPSILON < bandwidth:
                 raise ValueError(
@@ -367,7 +310,7 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     def can_set_spare(self, link: LinkId, amount: float) -> bool:
         """Whether the spare pool of ``link`` can be resized to ``amount``."""
-        entry = self._entry(link)
+        entry = self._links[link]
         return entry.primary + amount <= entry.capacity + _EPSILON
 
     def set_spare(self, link: LinkId, amount: float) -> None:
@@ -378,7 +321,7 @@ class ReservationLedger:
         absolute set rather than a relative reserve/release.
         """
         check_non_negative(amount, "amount")
-        entry = self._entry(link)
+        entry = self._links[link]
         if entry.primary + amount > entry.capacity + _EPSILON:
             raise InsufficientCapacityError(
                 link, amount, entry.capacity - entry.primary
@@ -401,7 +344,7 @@ class ReservationLedger:
         resolved = []
         for link, amount in amounts.items():
             check_non_negative(amount, "amount")
-            entry = self._entry(link)
+            entry = self._links[link]
             if entry.primary + amount > entry.capacity + _EPSILON:
                 raise InsufficientCapacityError(
                     link, amount, entry.capacity - entry.primary
@@ -421,7 +364,7 @@ class ReservationLedger:
         shareable spare but dedicated primary reservation.
         """
         check_non_negative(bandwidth, "bandwidth")
-        entry = self._entry(link)
+        entry = self._links[link]
         if entry.spare + _EPSILON < bandwidth:
             raise InsufficientCapacityError(link, bandwidth, entry.spare)
         entry.spare -= bandwidth
@@ -433,20 +376,17 @@ class ReservationLedger:
     # ------------------------------------------------------------------
     def network_load(self) -> float:
         """Primary bandwidth over total capacity — the paper's *network-load*."""
-        self._sync_topology()
         total = self.topology.total_capacity()
         return sum(entry.primary for entry in self._links.values()) / total
 
     def spare_fraction(self) -> float:
         """Spare reservation over total capacity — the paper's
         *average spare bandwidth*."""
-        self._sync_topology()
         total = self.topology.total_capacity()
         return sum(entry.spare for entry in self._links.values()) / total
 
     def total_spare(self) -> float:
         """Absolute spare bandwidth summed over all links."""
-        self._sync_topology()
         return sum(entry.spare for entry in self._links.values())
 
     def audit(self) -> list[str]:
@@ -455,7 +395,6 @@ class ReservationLedger:
         Returns one human-readable problem string per violating link —
         empty means the ledger is internally consistent.  Used by the
         protocol invariant auditor; cheap enough to run per sweep."""
-        self._sync_topology()
         problems: list[str] = []
         for link, entry in self._links.items():
             if entry.primary < -_EPSILON:
@@ -481,7 +420,6 @@ class ReservationLedger:
         floats — restore writes them back verbatim so admission decisions
         after a restore are bit-identical to the uninterrupted run.
         """
-        self._sync_topology()
         return [(entry.primary, entry.spare) for entry in self._links.values()]
 
     def restore_pools(self, pools: "Iterable[tuple[float, float]]") -> None:
@@ -496,7 +434,6 @@ class ReservationLedger:
         spare-pool snapshots — recompiles instead of serving pre-restore
         state.
         """
-        self._sync_topology()
         rows = list(pools)
         if len(rows) != len(self._links):
             raise ValueError(
@@ -527,5 +464,4 @@ class ReservationLedger:
         The recovery evaluator and the protocol runtime draw from copies
         so that evaluating a failure never mutates the network.
         """
-        self._sync_topology()
         return {link: entry.spare for link, entry in self._links.items()}

@@ -1,15 +1,19 @@
 """Static network topology: nodes and capacitated simplex links.
 
-A :class:`Topology` is the immutable substrate under everything else —
-routing, reservation ledgers, the BCP establishment machinery, the
-discrete-event protocol runtime, and fault injection all take one.  It is
-mutable while being built (``add_node`` / ``add_link``) and is typically
-produced by a generator in :mod:`repro.network.generators`.
+A :class:`Topology` is the substrate under everything else — routing,
+reservation ledgers, the BCP establishment machinery, the discrete-event
+protocol runtime, and fault injection all take one.  It is built once
+(``add_node`` / ``add_link``, typically by a generator in
+:mod:`repro.network.generators`) and never changes after that: the first
+:class:`~repro.network.reservations.ReservationLedger` or compiled flat
+routing view built on it freezes it, and a later ``add_node`` /
+``add_link`` raises ``ValueError``.  A failure is not a smaller topology
+but a set of components a search excludes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from repro.network.components import LinkId, NodeId
 from repro.util.validation import check_positive
@@ -28,29 +32,27 @@ class Topology:
         self._out: dict[NodeId, dict[NodeId, LinkId]] = {}
         self._in: dict[NodeId, dict[NodeId, LinkId]] = {}
         self._capacity: dict[LinkId, float] = {}
-        #: Monotonic structure counter; bumped by every actual node/link
-        #: insertion.  Derived views (the flat routing core's CSR arrays,
-        #: the cached total capacity) key their caches on it.
-        self._version = 0
+        #: Set by :meth:`freeze`; kept in pickles.
+        self._frozen = False
         #: Compiled flat view (see :mod:`repro.routing.flatgraph`), built
-        #: lazily and discarded whenever :attr:`version` moves on.
+        #: lazily by the first search.
         self._flat = None
-        self._total_capacity_cache: "tuple[int, float] | None" = None
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    @property
-    def version(self) -> int:
-        """Monotonic mutation counter, bumped on ``add_node``/``add_link``."""
-        return self._version
+    def freeze(self) -> None:
+        """Fix the node and link sets for good.  The first ledger or flat
+        view built on this topology calls it: both index the links by
+        position, so a later addition would misalign them."""
+        self._frozen = True
 
     def add_node(self, node: NodeId) -> NodeId:
         """Add ``node`` if absent; returns the node id for chaining."""
+        self._check_unfrozen()
         if node not in self._out:
             self._out[node] = {}
             self._in[node] = {}
-            self._version += 1
         return node
 
     def add_link(self, src: NodeId, dst: NodeId, capacity: float) -> LinkId:
@@ -60,6 +62,7 @@ class Topology:
         error: the network model has at most one simplex link per ordered
         node pair.
         """
+        self._check_unfrozen()
         if src == dst:
             raise ValueError(f"self-loop links are not allowed (node {src!r})")
         check_positive(capacity, "capacity")
@@ -71,27 +74,18 @@ class Topology:
         self._out[src][dst] = link
         self._in[dst][src] = link
         self._capacity[link] = float(capacity)
-        self._version += 1
         return link
 
     def add_duplex_link(self, a: NodeId, b: NodeId, capacity: float) -> tuple[LinkId, LinkId]:
         """Add the two simplex links between ``a`` and ``b`` (paper's model)."""
         return (self.add_link(a, b, capacity), self.add_link(b, a, capacity))
 
-    def invalidate(self) -> int:
-        """Force every derived view to recompile: bump :attr:`version` and
-        drop the compiled flat view and capacity cache.
-
-        Snapshot *restore* rewrites reservation state out from under
-        anything keyed on this topology; restoring through this method
-        guarantees no consumer — flat-view CSR arrays, route-cache floor
-        tables, mux-kernel arena rows — can keep serving pre-restore
-        state.  Returns the new version.
-        """
-        self._version += 1
-        self._flat = None
-        self._total_capacity_cache = None
-        return self._version
+    def _check_unfrozen(self) -> None:
+        if self._frozen:
+            raise ValueError(
+                f"topology {self.name!r} is frozen: a ledger or routing view "
+                "uses it, so its nodes and links can no longer change"
+            )
 
     # ------------------------------------------------------------------
     # queries
@@ -133,17 +127,8 @@ class Topology:
 
     def total_capacity(self) -> float:
         """Sum of all simplex-link capacities (denominator of the paper's
-        *network-load* and *spare-bandwidth* percentages).
-
-        Cached per :attr:`version`, so repeated metric reads on a settled
-        topology don't re-walk the capacity table.
-        """
-        cached = self._total_capacity_cache
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        total = sum(self._capacity.values())
-        self._total_capacity_cache = (self._version, total)
-        return total
+        *network-load* and *spare-bandwidth* percentages)."""
+        return sum(self._capacity.values())
 
     def successors(self, node: NodeId) -> Iterator[NodeId]:
         """Nodes reachable from ``node`` over one outgoing link."""
@@ -167,28 +152,8 @@ class Topology:
         return list(self._out[node].values()) + list(self._in[node].values())
 
     # ------------------------------------------------------------------
-    # derived topologies / dunder
+    # dunder
     # ------------------------------------------------------------------
-    def subgraph_without(self, failed_nodes: Iterable[NodeId] = (),
-                         failed_links: Iterable[LinkId] = ()) -> "Topology":
-        """A copy of this topology with the given components removed.
-
-        Used by the reactive re-establishment baseline, which routes in the
-        residual network after a failure.
-        """
-        dead_nodes = set(failed_nodes)
-        dead_links = set(failed_links)
-        residual = Topology(name=f"{self.name} (residual)")
-        for node in self._out:
-            if node not in dead_nodes:
-                residual.add_node(node)
-        for link, cap in self._capacity.items():
-            if (link in dead_links or link.src in dead_nodes
-                    or link.dst in dead_nodes):
-                continue
-            residual.add_link(link.src, link.dst, cap)
-        return residual
-
     def __getstate__(self) -> dict:
         # The flat view holds array buffers and a route cache that are
         # cheap to rebuild but expensive to ship to worker processes —

@@ -561,29 +561,29 @@ class ProtocolSimulation:
     # slow-path re-establishment (Section 4.4)
     # ------------------------------------------------------------------
     def request_reestablishment(self, connection_id: int) -> None:
-        """Route a replacement primary in the residual network and pay the
-        two-pass establishment latency; no-op unless enabled in config."""
+        """Route a replacement primary in the residual network (the live
+        topology minus the failed components, which the search excludes)
+        and pay the two-pass establishment latency; no-op unless enabled
+        in config."""
         if not self.config.reestablish_unrecoverable:
             return
         connection = self.network.connection(connection_id)
         topology = self.network.topology
-        failed_nodes = [c for c in self.failed_components
-                        if not isinstance(c, LinkId)]
-        failed_links = [c for c in self.failed_components
-                        if isinstance(c, LinkId)]
-        residual = topology.subgraph_without(failed_nodes, failed_links)
+        failed = self.failed_components
         bandwidth = connection.traffic.bandwidth
         try:
             shortest_possible = hop_distance(
                 topology, connection.source, connection.destination
             )
             path = shortest_path(
-                residual,
+                topology,
                 connection.source,
                 connection.destination,
                 RouteConstraints(
-                    # The live ledger gates links of the *residual* topology;
-                    # the flat core handles the cross-topology ledger sync.
+                    excluded_nodes=frozenset(
+                        c for c in failed if not isinstance(c, LinkId)),
+                    excluded_links=frozenset(
+                        c for c in failed if isinstance(c, LinkId)),
                     link_admissible=self.network.ledger.capacity_floor(bandwidth),
                     max_hops=connection.delay_qos.max_hops(shortest_possible),
                 ),

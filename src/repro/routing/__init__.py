@@ -9,11 +9,7 @@ channel over the flat CSR view of :mod:`repro.routing.flatgraph`.
 """
 
 from repro.routing.disjoint import DisjointPathError, sequential_disjoint_paths
-from repro.routing.flatgraph import (
-    FlatTopology,
-    StaleFlatViewError,
-    flat_view,
-)
+from repro.routing.flatgraph import FlatTopology, flat_view
 from repro.routing.paths import Path
 from repro.routing.shortest import (
     NoPathError,
@@ -31,6 +27,5 @@ __all__ = [
     "sequential_disjoint_paths",
     "DisjointPathError",
     "FlatTopology",
-    "StaleFlatViewError",
     "flat_view",
 ]

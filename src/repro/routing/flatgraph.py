@@ -49,9 +49,12 @@ over them:
   ``route_cache.hits`` / ``route_cache.misses`` count lookups in the
   ``repro.obs`` registry; a tree answer is a miss if it built the tree.
 
-The compiled view lives on ``topology._flat`` and is discarded whenever
-``topology.version`` changes; worker processes never receive it in pickles
-(see ``Topology.__getstate__``) and recompile lazily.  The view refers to
+The compiled view lives on ``topology._flat`` for the topology's lifetime:
+compiling it freezes the topology (``Topology.freeze``), so there is no
+later version to go stale against.  A failure is searched on this same
+view, its components passed as exclusions.  Worker processes never
+receive the view in pickles (see ``Topology.__getstate__``) and recompile
+lazily.  The view refers to
 its topology, and to the ledger its free-capacity mirror follows, only
 weakly: a strong reference would close a cycle (``topology._flat`` ->
 view -> topology, and view -> ledger -> topology -> view), and a dropped
@@ -78,36 +81,20 @@ from repro.routing.paths import Path
 __all__ = [
     "FlatTopology",
     "RouteCache",
-    "StaleFlatViewError",
     "flat_view",
 ]
 
-
-class StaleFlatViewError(RuntimeError):
-    """A :class:`FlatTopology` was searched after its topology mutated.
-
-    The compiled CSR arrays, the search buffers, *and the route cache*
-    are all sized and keyed for the topology as it was at compile time;
-    running a search on a stale view would silently route on the old
-    graph (or serve a cached route the new graph no longer supports).
-    Re-resolve through :func:`flat_view` — the public entry points in
-    :mod:`repro.routing.shortest` do this on every call.
-    """
 
 #: Sentinel distinguishing "cached None" (no feasible path) from a miss.
 _MISSING = object()
 
 
 def flat_view(topology: Topology) -> "FlatTopology":
-    """The compiled flat view of ``topology``, rebuilt if stale.
-
-    The view is cached on the topology and keyed by ``topology.version``,
-    so a settled topology compiles exactly once per process.
-    """
+    """The compiled flat view of ``topology``, cached on it: a topology
+    compiles exactly once per process."""
     flat = topology._flat
-    if flat is None or flat.version != topology.version:
-        flat = FlatTopology(topology)
-        topology._flat = flat
+    if flat is None:
+        flat = topology._flat = FlatTopology(topology)
     return flat
 
 
@@ -118,8 +105,7 @@ class RouteCache:
     searches with exclusions whose outcome depends only on the topology
     and the constraint sets (no bandwidth floor, no custom
     predicate/cost) under ``(src, dst, node mask, edge mask, max_hops)``.
-    Valid for the lifetime of the flat view, i.e. until the topology
-    mutates.
+    Valid for the lifetime of the flat view.
     """
 
     #: Safety valve: a table exceeding this is cleared outright rather
@@ -178,8 +164,8 @@ class FlatTopology:
     """
 
     def __init__(self, topology: Topology) -> None:
+        topology.freeze()
         self._topology = weakref.ref(topology)
-        self.version = topology.version
 
         nodes = list(topology.nodes())
         self.nodes = nodes
@@ -257,15 +243,6 @@ class FlatTopology:
         gone)."""
         return self._topology()
 
-    def _check_current(self) -> None:
-        topology = self._topology()
-        if topology is None or self.version != topology.version:
-            now = "gone" if topology is None else f"at {topology.version}"
-            raise StaleFlatViewError(
-                f"flat view compiled at topology version {self.version} "
-                f"but the topology is now {now}; re-resolve via flat_view()"
-            )
-
     # ------------------------------------------------------------------
     # public entry points
     # ------------------------------------------------------------------
@@ -276,7 +253,6 @@ class FlatTopology:
         is the caller's job; this mirrors the retained reference kernels
         exactly, including tie-breaks and the negative-cost ``ValueError``.
         """
-        self._check_current()
         pred = constraints.link_admissible
         floor: CapacityFloor | None = None
         if isinstance(pred, CapacityFloor):
@@ -325,7 +301,6 @@ class FlatTopology:
         """Unconstrained hop count, the depth of ``dst`` in ``src``'s BFS
         tree; ``-1`` when ``dst`` is unreachable.  Both endpoints must be
         known (``KeyError`` otherwise); the wrapper checks."""
-        self._check_current()
         (_, depth, _), built = self._tree(self.index[src])
         (self.cache.record_miss if built else self.cache.record_hit)()
         return depth[self.index[dst]]
@@ -420,55 +395,46 @@ class FlatTopology:
 
         The mirror is current as of ``(ledger identity, change cursor)``;
         an unchanged cursor means nothing was reserved, released or
-        resized and the call is O(1).  Otherwise, for the ledger of this
-        view's own topology, only the entries the ledger logged since the
-        remembered cursor are re-read — ``entry.free`` into the edge slot
-        of ``entry.pos``, moving the edge into or out of the low set — so
-        a search pays for the links the last establishment touched, not
-        for every link.  The mirror resyncs, and the low set is rebuilt,
-        fully through ``ledger.free_values()`` on first use, for a ledger
-        object other than the last one served, and whenever
-        ``changes_since`` answers ``None`` (trimmed log,
-        ``restore_pools``, a grown topology).  Indexing ``free_values()``
-        and ``entry.pos`` positionally against the CSR edge table is sound
-        because (a) the ledger keeps both in the current
-        ``topology.links()`` order (its mutation contract) and (b) a stale
-        *view* can never get here — :meth:`search` raises
-        :class:`StaleFlatViewError` first.  The ledger is only read.
+        resized and the call is O(1).  Otherwise only the entries the
+        ledger logged since the remembered cursor are re-read —
+        ``entry.free`` into the edge slot of ``entry.pos``, moving the edge
+        into or out of the low set — so a search pays for the links the
+        last establishment touched, not for every link.  The mirror
+        resyncs, and the low set is rebuilt, fully through
+        ``ledger.free_values()`` on first use, for a ledger object other
+        than the last one served, and whenever ``changes_since`` answers
+        ``None`` (trimmed log, ``restore_pools``).  Indexing
+        ``free_values()`` and ``entry.pos`` positionally against the CSR
+        edge table is sound because the ledger must be one of this view's
+        own topology (``ValueError`` otherwise), and neither ever changes
+        its link order: both froze the topology.  The ledger is only read.
         """
         followed = self._free_ledger
         same = followed is not None and followed() is ledger
         if same and self._free_cursor == ledger.change_cursor:
             return
         free = self._free
-        if ledger.topology is self._topology():
-            slot = self._links_pos_slot
-            changed = ledger.changes_since(self._free_cursor) if same else None
-            if changed is None:
-                for pos, value in enumerate(ledger.free_values()):
-                    free[slot[pos]] = value
-                self._mark_low()
-            else:
-                low = self._low
-                bar = self._low_bar
-                for entry in changed:
-                    e = slot[entry.pos]
-                    value = free[e] = entry.free
-                    if value + CAPACITY_EPSILON < bar:
-                        low.add(e)
-                    else:
-                        low.discard(e)
-        else:
-            # Routing on one topology against another's ledger (the
-            # runtime re-establishes over a residual topology with the
-            # live ledger): log positions address the ledger's topology,
-            # not this one, so re-read every edge by LinkId.
-            for e, link in enumerate(self._links):
-                free[e] = ledger.free(link)
+        slot = self._links_pos_slot
+        changed = ledger.changes_since(self._free_cursor) if same else None
+        if changed is None:
+            if ledger.topology is not self._topology():
+                raise ValueError(
+                    "a capacity floor routes only on its ledger's topology"
+                )
+            for pos, value in enumerate(ledger.free_values()):
+                free[slot[pos]] = value
             self._mark_low()
+        else:
+            low = self._low
+            bar = self._low_bar
+            for entry in changed:
+                e = slot[entry.pos]
+                value = free[e] = entry.free
+                if value + CAPACITY_EPSILON < bar:
+                    low.add(e)
+                else:
+                    low.discard(e)
         self._free_ledger = weakref.ref(ledger)
-        # Read after the resync: ``free_values()`` / ``free()`` may have
-        # reconciled the ledger with a grown topology, which moves it.
         self._free_cursor = ledger.change_cursor
 
     def _mark_low(self) -> None:
@@ -605,6 +571,5 @@ class FlatTopology:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"FlatTopology({getattr(self.topology, 'name', None)!r}, "
-            f"nodes={len(self.nodes)}, edges={len(self._nbr)}, "
-            f"version={self.version})"
+            f"nodes={len(self.nodes)}, edges={len(self._nbr)})"
         )

@@ -11,9 +11,9 @@ campaign machinery (``chaos``) — and folds the outcome into a
 share one :class:`~repro.network.topology.Topology` instance through a
 :class:`TopologyCache`; the first cell pays the build *and* the CSR
 compilation (:func:`repro.routing.flatgraph.flat_view` caches the
-compiled view on the topology, keyed by its version), and every later
-cell reuses both.  Sharing is safe because cells never mutate the
-topology — each builds its own :class:`~repro.core.bcp.BCPNetwork`
+compiled view on the topology), and every later cell reuses both.
+Sharing is safe because a topology never changes once a view or ledger
+uses it — each cell builds its own :class:`~repro.core.bcp.BCPNetwork`
 (ledger, channel registry, mux state) on top, and the flat view's
 ledger-dependent tables are keyed by ledger identity + version.
 
@@ -76,7 +76,7 @@ class TopologyCache:
         if topology is None:
             topology = spec.build()
             # Compile the CSR view eagerly; it is cached on the topology
-            # (keyed by version), so every cell sharing this instance
+            # (which it freezes), so every cell sharing this instance
             # reuses the compiled form.
             flat_view(topology)
             self.builds += 1

@@ -26,9 +26,11 @@ replays the adds in that order and then transplants the recorded floats
 over the freshly computed ones.  The same reasoning covers the ledger:
 pools are written back verbatim through
 :meth:`~repro.network.reservations.ReservationLedger.restore_pools`,
-which also bumps the ledger version (and the restore path bumps the
-topology version) so route-cache floor tables, flat-view free mirrors,
-and spare snapshots can never serve pre-restore state.
+which also bumps the ledger version and voids its change log, so
+compiled plans, flat-view free mirrors and spare snapshots can never
+serve pre-restore state.  The topology, and with it the compiled CSR
+view and its route cache, does not change: it is frozen, and a restore
+writes reservation state only.
 """
 
 from __future__ import annotations
@@ -271,10 +273,6 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
         network.mux.restore_link(
             links[row["link"]], entries, row["spare_required"]
         )
-
-    # 4. Belt and braces: force every topology-keyed view (flat CSR
-    # arrays, route caches, the capacity cache) to recompile too.
-    network.topology.invalidate()
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,10 @@ flat kernels must return bit-identical paths, tie-breaks included, and the
 golden equivalence tests (``test_flatgraph``, ``test_backup_routing``)
 enforce it.
 
+:func:`residual_topology` is the copy of a topology a failure leaves;
+the product excludes the failed components from a search on the one
+topology instead.
+
 :func:`max_disjoint_paths` is the optimal (max-flow) disjoint-path count
 the greedy sequential search of :mod:`repro.routing.disjoint` is checked
 against; ``networkx`` is a test-only oracle (the ``dev`` extra), and
@@ -19,10 +23,11 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from collections.abc import Iterable
 
 import networkx as nx
 
-from repro.network.components import NodeId
+from repro.network.components import LinkId, NodeId
 from repro.network.topology import Topology
 from repro.routing.paths import Path
 from repro.routing.shortest import (
@@ -140,6 +145,29 @@ def _reconstruct(parent: dict[NodeId, NodeId], src: NodeId, dst: NodeId) -> Path
         nodes.append(parent[nodes[-1]])
     nodes.reverse()
     return Path(nodes)
+
+
+def residual_topology(topology: Topology, failed_nodes: Iterable[NodeId] = (),
+                      failed_links: Iterable[LinkId] = ()) -> Topology:
+    """A copy of ``topology`` with the given components removed: the
+    residual network a failure leaves, as a graph of its own.
+
+    The reactive re-establishment baseline and the runtime's slow path
+    search the network's own topology with the failed components
+    excluded instead; ``test_exclusion_routing`` holds the two equal.
+    """
+    dead_nodes = set(failed_nodes)
+    dead_links = set(failed_links)
+    residual = Topology(name=f"{topology.name} (residual)")
+    for node in topology.nodes():
+        if node not in dead_nodes:
+            residual.add_node(node)
+    for link in topology.links():
+        if (link in dead_links or link.src in dead_nodes
+                or link.dst in dead_nodes):
+            continue
+        residual.add_link(link.src, link.dst, topology.capacity(link))
+    return residual
 
 
 def to_networkx(topology: Topology) -> nx.DiGraph:

@@ -72,11 +72,11 @@ class TestDataStreamHealthy:
     def test_latency_is_hops_times_hop_delay(self, stream_setup):
         _, connection, simulation = stream_setup
         stream = DataStream(simulation, connection.connection_id,
-                            message_rate=1.0, hop_delay=2.0)
+                            message_rate=1.0)
         stream.start(at=0.0, until=10.0)
         simulation.run(until=100.0)
         assert stream.report.max_latency == pytest.approx(
-            2.0 * connection.primary.path.hops
+            DataStream.HOP_DELAY * connection.primary.path.hops
         )
 
     def test_rate_respected(self, stream_setup):
@@ -104,7 +104,7 @@ class TestDataStreamUnderFailure:
         # sent more than a full path-traversal before the failure had
         # already arrived and cannot be lost.
         in_flight_exposure = (
-            DataStream.DEFAULT_HOP_DELAY * connection.primary.path.hops
+            DataStream.HOP_DELAY * connection.primary.path.hops
         )
         assert first >= 20.0 - in_flight_exposure - 1e-9
         # Delivery resumes once the source switched to the backup.

@@ -67,23 +67,6 @@ class TestFailureScenarioMixed:
 
 
 class TestDataStreamBursts:
-    def test_burst_depth_allows_initial_burst(self):
-        network = BCPNetwork(torus(4, 4, capacity=200.0))
-        connection = network.establish(
-            0, 5, ft_qos=FaultToleranceQoS(num_backups=0, mux_degree=0)
-        )
-        simulation = ProtocolSimulation(network, ProtocolConfig())
-        stream = DataStream(
-            simulation, connection.connection_id,
-            message_rate=1.0, burst_depth=5.0,
-        )
-        stream.start(at=0.0, until=0.5)
-        simulation.run(until=50.0)
-        # Only the regulated schedule applies: one message at t=0 (the
-        # emit loop paces at 1/rate regardless of bucket depth).
-        assert stream.report.sent >= 1
-        assert stream.report.delivered == stream.report.sent
-
     def test_stop_halts_emission(self):
         network = BCPNetwork(torus(4, 4, capacity=200.0))
         connection = network.establish(

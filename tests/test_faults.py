@@ -119,16 +119,14 @@ class TestPoissonProcess:
         ).generate(50.0))
         assert hi > lo
 
-    def test_component_selection_flags(self):
-        only_nodes = PoissonFailureProcess(
-            torus(3, 3), failure_rate=100.0, include_links=False, seed=0
+    def test_every_node_and_link_can_crash(self):
+        topology = torus(3, 3)
+        events = PoissonFailureProcess(
+            topology, failure_rate=100.0, seed=0
         ).generate(1.0)
-        assert all(not isinstance(e.component, LinkId) for e in only_nodes)
-        with pytest.raises(ValueError):
-            PoissonFailureProcess(
-                torus(3, 3), failure_rate=1.0,
-                include_links=False, include_nodes=False,
-            )
+        assert {event.component for event in events} == {
+            *topology.nodes(), *topology.links()
+        }
 
     def test_validation(self):
         with pytest.raises(ValueError):

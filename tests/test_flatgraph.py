@@ -2,8 +2,7 @@
 
 Covers the golden-path equivalence contract (flat kernels vs the retained
 reference implementation, bit-identical including tie-breaks and error
-classes), route-cache keying and invalidation, topology version counting,
-and the pickle hygiene of the compiled view.
+classes), route-cache keying, and the pickle hygiene of the compiled view.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from repro.obs import MetricsRegistry, obs_session
 from repro.routing import (
     NoPathError,
     RouteConstraints,
-    StaleFlatViewError,
     flat_view,
     hop_distance,
     shortest_path,
@@ -310,70 +308,72 @@ class TestRouteCache:
         assert len(calls) == 2 * first  # re-evaluated, not served cached
 
 
+def _diamond() -> Topology:
+    # a->b->c is the shortest route; a new link a->c would undercut it.
+    topology = Topology(name="diamond")
+    topology.add_link("a", "b", 5.0)
+    topology.add_link("b", "c", 5.0)
+    topology.add_link("a", "d", 5.0)
+    topology.add_link("d", "e", 5.0)
+    topology.add_link("e", "c", 5.0)
+    return topology
+
+
 class TestTopologyVersion:
-    def test_add_node_bumps_once(self):
-        topology = Topology()
-        v0 = topology.version
-        topology.add_node("a")
-        assert topology.version == v0 + 1
-        topology.add_node("a")  # no-op re-add
-        assert topology.version == v0 + 1
+    """A flat view never goes stale: the topology it compiles is frozen.
 
-    def test_add_link_between_existing_nodes_bumps(self):
-        topology = Topology()
-        topology.add_node("a")
-        topology.add_node("b")
-        version = topology.version
-        topology.add_link("a", "b", 1.0)
-        assert topology.version > version
-
-    def test_mutation_invalidates_flat_view_and_routes(self):
-        topology = Topology()
-        topology.add_link("a", "b", 1.0)
-        topology.add_link("b", "c", 1.0)
-        assert shortest_path(topology, "a", "c").hops == 2
-        stale = flat_view(topology)
-        topology.add_link("a", "c", 1.0)  # both endpoints already exist
-        assert flat_view(topology) is not stale
-        assert shortest_path(topology, "a", "c").hops == 1
-        assert hop_distance(topology, "a", "c") == 1
+    Compiling the view freezes the topology, so a mutation that would make
+    the view, or a route it caches, stale is refused.
+    """
 
     def test_stale_view_search_raises(self):
-        # Holding a FlatTopology across a mutation must fail loudly, not
-        # route on the outdated compiled arrays.
-        topology = torus(3, 3)
-        stale = flat_view(topology)
-        assert stale.search(0, 4, RouteConstraints(), None) is not None
-        topology.add_link(0, 4, 1.0)
-        with pytest.raises(StaleFlatViewError):
-            stale.search(0, 4, RouteConstraints(), None)
-        with pytest.raises(StaleFlatViewError):
-            stale.hop_distance(0, 4)
-        # Re-resolving through flat_view() picks up the new compile.
-        assert flat_view(topology).hop_distance(0, 4) == 1
+        topology = _diamond()
+        view = flat_view(topology)
+        with pytest.raises(ValueError, match="'diamond' is frozen"):
+            topology.add_link("a", "c", 5.0)
+        # The refused mutation left nothing for the view to miss.
+        assert flat_view(topology) is view
+        assert shortest_path(topology, "a", "c").nodes == ("a", "b", "c")
+        assert _outcome(shortest_path, topology, "a", "c") == _outcome(
+            reference_shortest_path, topology, "a", "c"
+        )
+
+    def test_mutation_invalidates_flat_view_and_routes(self):
+        topology = _diamond()
+        route = shortest_path(topology, "a", "c")
+        view = topology._flat
+        assert view is not None
+        links = list(topology.links())
+        for mutate in (
+            lambda: topology.add_node("f"),
+            lambda: topology.add_link("a", "c", 5.0),
+            lambda: topology.add_duplex_link("c", "f", 5.0),
+        ):
+            with pytest.raises(ValueError, match="'diamond' is frozen"):
+                mutate()
+        # Nothing changed, so nothing needs invalidating: the same view
+        # answers with the same route.
+        assert list(topology.links()) == links
+        assert "f" not in set(topology.nodes())
+        assert topology._flat is view
+        assert shortest_path(topology, "a", "c") == route
 
     def test_identical_query_not_served_stale_after_mutation(self):
         registry = MetricsRegistry()
         with obs_session(registry):
-            topology = Topology()
-            topology.add_link("a", "b", 1.0)
-            topology.add_link("b", "c", 1.0)
+            topology = _diamond()
             first = shortest_path(topology, "a", "c")
-            assert first.hops == 2
-            topology.add_link("a", "c", 1.0)  # shortcut between old nodes
-            second = shortest_path(topology, "a", "c")
-            assert second.hops == 1
-            # The post-mutation query recompiled and missed — it was not
-            # answered from the pre-mutation cache entry.
-            assert registry.counter("route_cache.hits").value == 0
+            with pytest.raises(ValueError, match="'diamond' is frozen"):
+                topology.add_link("a", "c", 5.0)
+            # A grown graph is a new topology with a view of its own; the
+            # frozen one keeps answering from its unchanged graph.
+            grown = _diamond()
+            grown.add_link("a", "c", 5.0)
+            assert shortest_path(grown, "a", "c").nodes == ("a", "c")
+            assert shortest_path(topology, "a", "c") == first
+            assert first.nodes == ("a", "b", "c")
             assert registry.counter("route_cache.misses").value == 2
-
-    def test_total_capacity_cache_invalidated(self):
-        topology = Topology()
-        topology.add_link("a", "b", 1.5)
-        assert topology.total_capacity() == 1.5
-        topology.add_link("b", "a", 2.5)
-        assert topology.total_capacity() == 4.0
+            assert registry.counter("route_cache.hits").value == 1
 
 
 class TestPickleHygiene:

@@ -1,20 +1,23 @@
-"""Regression tests: the reservation ledger under topology mutation.
+"""Regression tests: the reservation ledger over a frozen topology.
 
-The ledger used to snapshot the topology's links at construction and go
-silently stale when ``add_link``/``add_node`` was called afterwards —
-reservations on the new link raised ``KeyError`` and the network-wide
-aggregates under-counted.  The ledger now reconciles lazily against
-``topology.version``.  The bulk path operations added for churn
+A ledger indexes its topology's links at construction, and so does a
+flat routing view.  The first of them built on a topology freezes it: a
+later ``add_node`` / ``add_link`` raises ``ValueError`` and leaves the
+topology as it was, in pickles too, so neither can go silently stale.
+The bulk path operations added for churn
 (``reserve_primary_path``/``release_primary_path``/``set_spares``) are
 covered here too: validate-then-apply atomicity and single version bumps.
 """
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.network import LinkId, Topology, torus
 from repro.network.reservations import InsufficientCapacityError, ReservationLedger
+from repro.routing import flat_view
 
 
 def line_topology() -> Topology:
@@ -26,73 +29,35 @@ def line_topology() -> Topology:
     return topology
 
 
-class TestTopologyMutation:
-    def test_link_added_between_existing_nodes(self):
-        """The original bug: a link added after ledger construction."""
+#: What freezes a topology, and what a frozen topology refuses.
+FIRST_USES = {"ledger": ReservationLedger, "flat view": flat_view}
+MUTATIONS = {
+    "add_node": lambda topology: topology.add_node(4),
+    "add_link": lambda topology: topology.add_link(0, 3, 5.0),
+    "add_duplex_link": lambda topology: topology.add_duplex_link(3, 4, 5.0),
+}
+
+
+class TestTopologyFreeze:
+    @pytest.mark.parametrize("first_use", sorted(FIRST_USES))
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_mutation_after_first_use_raises(self, first_use, mutation):
         topology = line_topology()
-        ledger = ReservationLedger(topology)
-        ledger.reserve_primary(LinkId(0, 1), 2.0)
+        FIRST_USES[first_use](topology)
+        for subject in (topology, pickle.loads(pickle.dumps(topology))):
+            links = list(subject.links())
+            counts = (subject.num_nodes, subject.num_links)
+            with pytest.raises(ValueError, match="'line' is frozen"):
+                MUTATIONS[mutation](subject)
+            assert (subject.num_nodes, subject.num_links) == counts
+            assert list(subject.links()) == links
+
+    def test_building_is_free_until_first_use(self):
+        topology = line_topology()
         topology.add_duplex_link(0, 3, capacity=5.0)
-        # Per-link accessors see the new link immediately...
+        ledger = ReservationLedger(topology)
         assert ledger.free(LinkId(0, 3)) == 5.0
-        ledger.reserve_primary(LinkId(0, 3), 1.0)
-        assert ledger.primary_reserved(LinkId(0, 3)) == 1.0
-        # ...and existing reservations are untouched.
-        assert ledger.primary_reserved(LinkId(0, 1)) == 2.0
-        assert ledger.audit() == []
-
-    def test_node_added_after_construction(self):
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        topology.add_node(4)
-        topology.add_duplex_link(3, 4, capacity=7.0)
-        ledger.set_spare(LinkId(3, 4), 3.0)
-        assert ledger.spare_reserved(LinkId(3, 4)) == 3.0
-        assert ledger.audit() == []
-
-    def test_aggregates_cover_new_links(self):
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        before = ledger.network_load()
-        topology.add_duplex_link(1, 3, capacity=10.0)
-        ledger.reserve_primary(LinkId(1, 3), 10.0)
-        # Load accounts for both the new reservation and the new capacity.
-        assert ledger.network_load() > before
-        assert ledger.total_spare() == 0.0
-
-    def test_free_values_alignment_after_growth(self):
-        """``free_values()`` must stay positionally aligned with
-        ``topology.links()`` after reconciliation (the flat routing core
-        consumes it by position)."""
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        ledger.reserve_primary(LinkId(1, 2), 4.0)
-        topology.add_duplex_link(0, 2, capacity=8.0)
-        frees = list(ledger.free_values())
-        links = list(topology.links())
-        assert len(frees) == len(links)
-        by_link = dict(zip(links, frees))
-        assert by_link[LinkId(1, 2)] == 6.0
-        assert by_link[LinkId(0, 2)] == 8.0
-
-    def test_reconciliation_bumps_version_once(self):
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        version = ledger.version
-        topology.add_duplex_link(0, 2, capacity=8.0)
-        topology.add_duplex_link(1, 3, capacity=8.0)
-        ledger.free(LinkId(0, 2))  # triggers one reconciliation for both
-        assert ledger.version == version + 1
-        ledger.free(LinkId(1, 3))  # already reconciled: no further bump
-        assert ledger.version == version + 1
-
-    def test_snapshot_caches_refresh_after_growth(self):
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        assert LinkId(0, 1) in ledger.snapshot_spares()
-        topology.add_duplex_link(0, 2, capacity=8.0)
-        ledger.set_spare(LinkId(0, 2), 2.0)
-        assert ledger.snapshot_spares()[LinkId(0, 2)] == 2.0
+        assert len(ledger.free_values()) == topology.num_links == 8
 
 
 class TestBulkPathOperations:
@@ -156,11 +121,3 @@ class TestBulkPathOperations:
         version = ledger.version
         ledger.set_spares({})
         assert ledger.version == version
-
-    def test_bulk_ops_on_freshly_added_links(self):
-        topology = line_topology()
-        ledger = ReservationLedger(topology)
-        topology.add_duplex_link(0, 2, capacity=8.0)
-        ledger.reserve_primary_path([LinkId(0, 2), LinkId(2, 3)], 1.5)
-        assert ledger.primary_reserved(LinkId(0, 2)) == 1.5
-        assert ledger.audit() == []

@@ -19,7 +19,7 @@ from repro.network import (
     torus,
     tree,
 )
-from tests.routing_oracle import to_networkx
+from tests.routing_oracle import residual_topology, to_networkx
 
 
 def _is_strongly_connected(topology) -> bool:
@@ -157,7 +157,7 @@ class TestOtherGenerators:
     def test_tree_is_1_connected(self):
         topology = tree(branching=2, depth=2)
         # Removing the root disconnects the leaves.
-        residual = topology.subgraph_without(failed_nodes=[0])
+        residual = residual_topology(topology, failed_nodes=[0])
         assert not _is_strongly_connected(residual)
 
     @pytest.mark.parametrize("factory", [line, ring, star, complete_graph])

@@ -10,7 +10,7 @@ import textwrap
 import pytest
 
 import repro
-from repro.network import LinkId, ReservationLedger, Topology, torus
+from repro.network import LinkId, ReservationLedger, Topology
 from repro.network.reservations import InsufficientCapacityError
 
 
@@ -126,27 +126,6 @@ class TestNetworkxInterop:
             stdout=subprocess.DEVNULL,
             env={**os.environ, "PYTHONPATH": source},
         )
-
-
-class TestSubgraphWithout:
-    def test_node_removal_removes_incident_links(self):
-        topology = torus(3, 3)
-        residual = topology.subgraph_without(failed_nodes=[4])
-        assert not residual.has_node(4)
-        assert all(4 not in (l.src, l.dst) for l in residual.links())
-
-    def test_link_removal(self):
-        topology = torus(3, 3)
-        victim = LinkId(0, 1)
-        residual = topology.subgraph_without(failed_links=[victim])
-        assert victim not in residual
-        assert residual.num_links == topology.num_links - 1
-
-    def test_original_unchanged(self):
-        topology = torus(3, 3)
-        before = topology.num_links
-        topology.subgraph_without(failed_nodes=[0])
-        assert topology.num_links == before
 
 
 class TestReservationLedger:

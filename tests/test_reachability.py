@@ -17,11 +17,10 @@ there, all on the standard library's ``ast`` alone:
   miss dead code but cannot flag live code.  Import statements and
   ``__all__`` are not mentions; a root may also name its target in a
   string, as ``benchmarks/e2e/layers.py`` does;
-* **parameters** (over ``repro.experiments``, ``repro.chaos``,
-  ``repro.scenario``, ``repro.obs`` and ``repro.sim``) — a parameter with
-  a default is a knob somebody turns: some call of that name sets it, by keyword, by position or
-  through ``*`` / ``**``.  One no call sets is a constant written as an
-  option.
+* **parameters** (over the packages of ``GATED_PACKAGES``) — a parameter
+  with a default is a knob somebody turns: some call of that name sets
+  it, by keyword, by position or through ``*`` / ``**``.  One no call
+  sets is a constant written as an option.
 
 What the first two walks do not reach must equal ``ALLOWED``, each entry
 with the reason it stays: a frozen-benchmark target, what a named test
@@ -315,7 +314,8 @@ def test_src_ships_only_what_an_entry_point_reaches():
 #: The packages whose defaulted parameters must each have a caller.
 GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario",
                    "repro.obs", "repro.sim", "repro.network", "repro.recovery",
-                   "repro.core", "repro.cli")
+                   "repro.core", "repro.cli", "repro.faults", "repro.channels",
+                   "repro.datapath")
 
 
 def test_no_experiment_parameter_has_a_default_nobody_overrides():

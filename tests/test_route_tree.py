@@ -7,12 +7,14 @@ BFS.  Whichever way a search goes, it must return exactly what the
 dict-based reference kernel (``tests/routing_oracle.py``) returns with the
 equivalent closure predicate.  The loads below are seeded ledger walks
 that push links under the floor and release them again, on one ledger,
-two alternating ledgers, and a ledger followed from a residual topology.
+two alternating ledgers, and one ledger under a failure, routed with
+exclusions and held to the reference on the residual copy.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -23,7 +25,6 @@ from repro.network.reservations import ReservationLedger
 from repro.routing import (
     NoPathError,
     RouteConstraints,
-    flat_view,
     hop_distance,
     shortest_path,
 )
@@ -31,6 +32,7 @@ from repro.routing.flatgraph import FlatTopology
 from tests.routing_oracle import (
     reference_hop_distance,
     reference_shortest_path,
+    residual_topology,
 )
 from tests.test_flatgraph import _outcome, _topologies
 
@@ -207,19 +209,41 @@ class TestFloorSearches:
         assert 0 < queries.bfs < queries.searches
 
     def test_residual_topology_follows_the_live_ledger(self, monkeypatch):
+        """A failure is an exclusion on the live topology: each floor and
+        plain search under it returns what the reference returns on the
+        residual copy, gated by the same live ledger."""
         queries = Queries(monkeypatch, 11)
         topology = torus(4, 4, 6.0)
         ledger = ReservationLedger(topology)
-        residual = topology.subgraph_without(
-            failed_nodes=[5], failed_links=list(topology.links())[:6]
-        )
+        dead_links = list(topology.links())[:6]
+        residual = residual_topology(topology, [5], dead_links)
+        failed = RouteConstraints(excluded_nodes=frozenset({5}),
+                                  excluded_links=frozenset(dead_links))
+        nodes = list(residual.nodes())
         walk = LoadWalk(ledger, 5)
         for _ in range(120):
             walk.step()
             walk.step()
-            queries.check(residual, ledger, 2)
-        assert flat_view(residual).topology is not ledger.topology
-        assert 0 < queries.bfs < queries.searches
+            src, dst = queries.rng.sample(nodes, 2)
+            bandwidth = queries.rng.choice(Queries.BANDWIDTHS)
+            max_hops = queries.rng.choice([None, 2, 4])
+            floor = replace(failed, max_hops=max_hops,
+                            link_admissible=ledger.capacity_floor(bandwidth))
+            closure = RouteConstraints(
+                link_admissible=lambda link: ledger.can_reserve_primary(
+                    link, bandwidth),
+                max_hops=max_hops,
+            )
+            assert _outcome(shortest_path, topology, src, dst, floor) == (
+                _outcome(reference_shortest_path, residual, src, dst, closure)
+            ), (src, dst, bandwidth, max_hops)
+            plain = replace(failed, max_hops=max_hops)
+            assert _outcome(shortest_path, topology, src, dst, plain) == (
+                _outcome(reference_shortest_path, residual, src, dst,
+                         RouteConstraints(max_hops=max_hops))
+            ), (src, dst, max_hops)
+        # Every floor search excludes something, so each ran the BFS.
+        assert queries.bfs >= 120
 
 
 class TestWorkCount:
