@@ -14,7 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.util.validation import check_non_negative, check_probability
+from repro.util.validation import (
+    check_count,
+    check_non_negative,
+    check_probability,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -39,8 +43,7 @@ class DelayQoS:
     per_channel_baseline: bool = True
 
     def __post_init__(self) -> None:
-        if self.slack_hops < 0:
-            raise ValueError(f"slack_hops must be >= 0, got {self.slack_hops}")
+        check_count(self.slack_hops, "slack_hops")
 
     def max_hops(self, shortest_possible: int) -> int:
         """Longest admissible path for a connection whose unconstrained
@@ -73,12 +76,9 @@ class FaultToleranceQoS:
     max_backups: int = 2
 
     def __post_init__(self) -> None:
-        if self.num_backups < 0:
-            raise ValueError(f"num_backups must be >= 0, got {self.num_backups}")
-        if self.mux_degree < 0:
-            raise ValueError(f"mux_degree must be >= 0, got {self.mux_degree}")
-        if self.max_backups < 0:
-            raise ValueError(f"max_backups must be >= 0, got {self.max_backups}")
+        check_count(self.num_backups, "num_backups")
+        check_count(self.mux_degree, "mux_degree")
+        check_count(self.max_backups, "max_backups")
         if self.required_pr is not None:
             check_probability(self.required_pr, "required_pr")
             if self.max_backups < 1:

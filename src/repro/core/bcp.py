@@ -149,18 +149,40 @@ class BCPNetwork:
         self._connections[offer.connection.connection_id] = offer.connection
         return offer
 
-    def teardown(self, connection: "DConnection | int") -> None:
-        """Tear down a connection by object or id."""
-        if isinstance(connection, int):
-            connection = self.connection(connection)
-        self.engine.teardown(connection)
-        self._connections.pop(connection.connection_id, None)
+    def teardown(self, *connections: "DConnection | int") -> None:
+        """Tear down one or more connections, by object or id, in order.
+
+        All of them are checked before any is touched: an id that is not
+        an ``int`` raises ``TypeError``, an unknown id ``KeyError``, and a
+        connection named twice ``ValueError``.
+        """
+        if not connections:
+            raise TypeError("teardown needs at least one connection")
+        resolved = [
+            connection if isinstance(connection, DConnection)
+            else self.connection(connection)
+            for connection in connections
+        ]
+        ids = [connection.connection_id for connection in resolved]
+        if len(set(ids)) < len(ids):
+            raise ValueError(f"teardown names a connection twice: {ids}")
+        for connection in resolved:
+            self.engine.teardown(connection)
+            self._connections.pop(connection.connection_id, None)
 
     # ------------------------------------------------------------------
     # connection access
     # ------------------------------------------------------------------
     def connection(self, connection_id: int) -> DConnection:
-        """The live connection with the given id; raises ``KeyError``."""
+        """The live connection with the given id; raises ``KeyError``, or
+        ``TypeError`` for an id that is not an ``int`` (a ``bool`` is
+        not one)."""
+        if isinstance(connection_id, bool) or not isinstance(
+            connection_id, int
+        ):
+            raise TypeError(
+                f"a connection id must be an int, got {connection_id!r}"
+            )
         try:
             return self._connections[connection_id]
         except KeyError:

@@ -8,17 +8,31 @@ recovery evaluation), which turns the existing churn engine into a
 remote load generator: every seeded draw happens client-side against a
 local topology mirror rebuilt from the server's ``hello`` spec, so a
 remote run's stats are byte-identical to a local run's.
+
+A round trip carries what the engine hands over in one call: an arrival
+batch is one ``establish`` request, and the departures due before the
+next arrival or epoch boundary are one ``teardown`` request.  An
+establish item names only the QoS fields that differ from their
+dataclass defaults.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 from repro.core.bcp import EstablishmentError
 from repro.network.components import LinkId
 from repro.recovery import RecoveryStats
 from repro.scenario.spec import ScenarioSpec
 from repro.serve.protocol import MessageStream, connect
+
+
+#: Seconds a connect, send or receive may block before ``OSError``.
+TIMEOUT_S = 30.0
+
+#: Spec objects whose wire operand a :class:`RemoteNetwork` remembers.
+OPERAND_CACHE = 64
 
 
 class ServeError(Exception):
@@ -28,9 +42,8 @@ class ServeError(Exception):
 class ServeClient:
     """Blocking request/response client over one server connection."""
 
-    def __init__(self, address: str, timeout: "float | None" = 30.0) -> None:
+    def __init__(self, address: str) -> None:
         self.address = address
-        self.timeout = timeout
         self._stream: "MessageStream | None" = None
         self._next_id = 0
 
@@ -45,7 +58,7 @@ class ServeClient:
         while True:
             try:
                 self._stream = MessageStream(
-                    connect(self.address, timeout=self.timeout)
+                    connect(self.address, timeout=TIMEOUT_S)
                 )
                 break
             except OSError:
@@ -117,6 +130,7 @@ class RemoteNetwork:
 
     def __init__(self, client: ServeClient, retry_window: float = 0.0) -> None:
         self.client = client
+        self._operands: dict[int, tuple] = {}
         hello = self.reconnect(retry_window)
         self.spec = ScenarioSpec.from_dict(hello["spec"])
         self.topology = self.spec.topology.build()
@@ -132,33 +146,15 @@ class RemoteNetwork:
         """Admit a batch remotely; per-request results in order, each a
         :class:`RemoteConnection` or an
         :class:`~repro.core.bcp.EstablishmentError`."""
-        response = self.client.call(
-            "establish",
-            requests=[
-                {
-                    "src": request.src,
-                    "dst": request.dst,
-                    "traffic": {
-                        "bandwidth": request.traffic.bandwidth,
-                        "max_message_size": request.traffic.max_message_size,
-                        "max_message_rate": request.traffic.max_message_rate,
-                    },
-                    "delay_qos": {
-                        "slack_hops": request.delay_qos.slack_hops,
-                        "per_channel_baseline": (
-                            request.delay_qos.per_channel_baseline
-                        ),
-                    },
-                    "ft_qos": {
-                        "num_backups": request.ft_qos.num_backups,
-                        "mux_degree": request.ft_qos.mux_degree,
-                        "required_pr": request.ft_qos.required_pr,
-                        "max_backups": request.ft_qos.max_backups,
-                    },
-                }
-                for request in requests
-            ],
-        )
+        items = []
+        for request in requests:
+            item = {"src": request.src, "dst": request.dst}
+            for name in ("traffic", "delay_qos", "ft_qos"):
+                operand = self._operand(getattr(request, name))
+                if operand:
+                    item[name] = operand
+            items.append(item)
+        response = self.client.call("establish", requests=items)
         self._num_connections = response["connections"]
         return [
             RemoteConnection(item["connection_id"], item["total_hops"])
@@ -167,8 +163,32 @@ class RemoteNetwork:
             for item in response["results"]
         ]
 
-    def teardown(self, connection_id: int) -> None:
-        response = self.client.call("teardown", connection_id=connection_id)
+    def _operand(self, spec) -> dict:
+        """The fields of a traffic / QoS spec that differ from their
+        dataclass defaults (in value or in type), worked out once per
+        spec object: the churn engine sends the same three with every
+        request.  An entry holds its spec, so no other object can take
+        its ``id``; a caller building fresh specs per request only ever
+        refills a small cache."""
+        cached = self._operands.get(id(spec))
+        if cached is None:
+            operand = {}
+            for field in fields(spec):
+                value = getattr(spec, field.name)
+                if not (value == field.default
+                        and type(value) is type(field.default)):
+                    operand[field.name] = value
+            if len(self._operands) >= OPERAND_CACHE:
+                self._operands.clear()
+            cached = self._operands[id(spec)] = (spec, operand)
+        return cached[1]
+
+    def teardown(self, *connection_ids: int) -> None:
+        """Tear down one or more connections in one round trip; the
+        server checks every id before it tears any down."""
+        response = self.client.call(
+            "teardown", connection_ids=list(connection_ids)
+        )
         self._num_connections = response["connections"]
 
     @property

@@ -134,21 +134,26 @@ class AdmissionServer:
         """Serve one connected peer until EOF or ``shutdown``.
 
         Public so tests and the in-process bench can run the full
-        protocol over a ``socketpair`` without binding a listener.
+        protocol over a ``socketpair`` without binding a listener.  A
+        peer that disconnects mid-exchange ends its connection quietly.
         """
         stream = MessageStream(sock)
-        while True:
-            try:
-                request = stream.recv()
-            except ProtocolError as error:
-                self._c_errors.inc()
-                stream.send({"id": None, "ok": False, "error": str(error)})
-                return
-            if request is None:
-                return
-            stream.send(self.handle_request(request))
-            if not self._running:
-                return
+        try:
+            while True:
+                try:
+                    request = stream.recv()
+                except ProtocolError as error:
+                    self._c_errors.inc()
+                    stream.send({"id": None, "ok": False, "error": str(error)})
+                    return
+                if request is None:
+                    return
+                stream.send(self.handle_request(request))
+                if not self._running:
+                    return
+        except ConnectionError:
+            # The peer vanished: its connection is over, not the server.
+            return
 
     def handle_request(self, request: dict) -> dict:
         """Dispatch one request dict to its ``op`` handler."""
@@ -194,13 +199,27 @@ class AdmissionServer:
         return {"connections": self.network.num_connections}
 
     def _op_establish(self, request: dict) -> dict:
+        # A spec is built once per distinct operand of the request (a
+        # churn batch repeats one); the value types are part of the key,
+        # so ``1``, ``1.0`` and ``true`` stay three operands.
+        built: dict = {}
+
+        def spec(kind, item: dict, name: str):
+            operand = item.get(name, {})
+            key = (kind, *[(field, type(value), value)
+                           for field, value in operand.items()])
+            made = built.get(key)
+            if made is None:
+                made = built[key] = kind(**operand)
+            return made
+
         requests = [
             BatchRequest(
                 src=item["src"],
                 dst=item["dst"],
-                traffic=TrafficSpec(**item.get("traffic", {})),
-                delay_qos=DelayQoS(**item.get("delay_qos", {})),
-                ft_qos=FaultToleranceQoS(**item.get("ft_qos", {})),
+                traffic=spec(TrafficSpec, item, "traffic"),
+                delay_qos=spec(DelayQoS, item, "delay_qos"),
+                ft_qos=spec(FaultToleranceQoS, item, "ft_qos"),
             )
             for item in request["requests"]
         ]
@@ -227,8 +246,11 @@ class AdmissionServer:
         return {"results": encoded, "connections": self.network.num_connections}
 
     def _op_teardown(self, request: dict) -> dict:
-        self.network.teardown(request["connection_id"])
-        self._c_teardowns.inc()
+        # Anything but a list of ints fails the network's checks: a JSON
+        # scalar does not unpack, a string or object unpacks to strings.
+        ids = request["connection_ids"]
+        self.network.teardown(*ids)
+        self._c_teardowns.inc(len(ids))
         return {"connections": self.network.num_connections}
 
     def _op_audit(self, request: dict) -> dict:

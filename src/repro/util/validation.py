@@ -28,6 +28,16 @@ def check_non_negative(value: float, name: str) -> float:
     return value
 
 
+def check_count(value: int, name: str) -> int:
+    """Require a non-negative ``int``: a ``bool`` or an integral float is
+    not one, however it compares."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return value
+
+
 def check_non_negative_finite(value: float, name: str) -> float:
     """Require ``0 <= value < inf`` (NaN fails both comparisons)."""
     if not 0 <= value < float("inf"):

@@ -11,7 +11,10 @@ through establish → hold → teardown cycles on a simulated clock:
   same-pair requests share a single routing pass;
 * each admitted connection **holds** for an exponential time (mean
   ``holding_time``) and is then torn down through the incremental bulk
-  path (only the links its channels crossed are touched);
+  path (only the links its channels crossed are touched); the
+  departures due before the next arrival or epoch boundary are one
+  :meth:`~repro.core.bcp.BCPNetwork.teardown` call (one round trip for
+  a served network);
 * at every **epoch boundary** (``epoch_interval``) the engine audits the
   reservation ledger, cross-checks the multiplexing engine's required
   pools against the ledger's mirrored spare pools, samples the blocking /
@@ -293,7 +296,7 @@ class ChurnEngine:
                     self._next_epoch = min(boundary, duration)
                 continue
             if depart_at is not None and depart_at <= now:
-                self._process_departure()
+                self._process_departures(horizon, arrival_at, next_epoch)
                 continue
             self._next_arrival = self._process_arrivals(
                 arrival_at, depart_at, next_epoch
@@ -378,11 +381,35 @@ class ChurnEngine:
             self.stats.peak_connections = live
         return upcoming
 
-    def _process_departure(self) -> None:
-        _, _, connection_id = heapq.heappop(self._departures)
-        self.network.teardown(connection_id)
-        self.stats.departures += 1
-        self._c_departures.inc()
+    def _process_departures(
+        self,
+        horizon: float,
+        arrival_at: "float | None",
+        next_epoch: "float | None",
+    ) -> None:
+        """Tear down the run of departures due next, in one call.
+
+        The run is every departure the loop would process back to back:
+        due no later than ``horizon`` (the pause or the end of the run),
+        strictly before the next epoch boundary, and no later than the
+        next arrival (a departure wins a tie with an arrival, an epoch a
+        tie with a departure).  The connections go in heap order, as one
+        teardown per departure would take them.
+        """
+        departures = self._departures
+        ids = []
+        while departures:
+            at = departures[0][0]
+            if (
+                at > horizon
+                or (next_epoch is not None and at >= next_epoch)
+                or (arrival_at is not None and at > arrival_at)
+            ):
+                break
+            ids.append(heapq.heappop(departures)[2])
+        self.network.teardown(*ids)
+        self.stats.departures += len(ids)
+        self._c_departures.inc(len(ids))
 
     # ------------------------------------------------------------------
     # epoch boundaries

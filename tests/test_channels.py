@@ -53,6 +53,11 @@ class TestDelayQoS:
         with pytest.raises(ValueError):
             DelayQoS(slack_hops=-1)
 
+    @pytest.mark.parametrize("slack", [2.5, 2.0, True])
+    def test_non_int_slack_rejected(self, slack):
+        with pytest.raises(ValueError, match="slack_hops must be an int"):
+            DelayQoS(slack_hops=slack)
+
 
 class TestFaultToleranceQoS:
     def test_prescriptive_default(self):
@@ -79,6 +84,12 @@ class TestFaultToleranceQoS:
     def test_negative_counts_rejected(self, field):
         with pytest.raises(ValueError):
             FaultToleranceQoS(**{field: -1})
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2"])
+    @pytest.mark.parametrize("field", ["num_backups", "mux_degree", "max_backups"])
+    def test_non_int_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an int"):
+            FaultToleranceQoS(**{field: value})
 
 
 class TestChannel:

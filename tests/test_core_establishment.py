@@ -210,6 +210,44 @@ class TestTeardown:
         with pytest.raises(KeyError):
             torus4.teardown(999)
 
+    def test_several_connections_in_one_call(self, torus4):
+        first, second, third = (torus4.establish(0, dst) for dst in (5, 6, 7))
+        torus4.teardown(third.connection_id, first)
+        assert torus4.connections() == [second]
+        assert first.state is third.state is ConnectionState.CLOSED
+
+    @pytest.mark.parametrize("bad", [True, False, 1.0, "1", None])
+    def test_non_int_id_rejected(self, torus4, bad):
+        torus4.establish(0, 5)
+        torus4.establish(0, 6)  # id 1: what ``True`` would alias
+        version = torus4.ledger.version
+        with pytest.raises(TypeError, match="must be an int"):
+            torus4.teardown(bad)
+        assert torus4.num_connections == 2
+        assert torus4.ledger.version == version
+
+    @pytest.mark.parametrize("ids, error", [
+        ((0, 999), KeyError), ((0, 1.0), TypeError), ((0, 1, 0), ValueError),
+    ])
+    def test_every_id_checked_before_any_teardown(self, torus4, ids, error):
+        torus4.establish(0, 5)
+        torus4.establish(0, 6)
+        version = torus4.ledger.version
+        with pytest.raises(error):
+            torus4.teardown(*ids)
+        assert torus4.num_connections == 2
+        assert torus4.ledger.version == version
+
+    def test_repeated_id_rejected(self, torus4):
+        connection = torus4.establish(0, 5)
+        with pytest.raises(ValueError, match="twice"):
+            torus4.teardown(connection.connection_id, connection)
+        assert torus4.num_connections == 1
+
+    def test_teardown_needs_a_connection(self, torus4):
+        with pytest.raises(TypeError, match="at least one"):
+            torus4.teardown()
+
 
 class TestLiteralScheme:
     def test_meets_requirement(self, torus4):

@@ -151,7 +151,7 @@ class TestAdmissionServer:
     def test_hello_carries_spec_and_schema(self, served):
         client, server = served
         hello = client.call("hello")
-        assert hello["schema"] == "repro.serve/1"
+        assert hello["schema"] == "repro.serve/2"
         assert ScenarioSpec.from_dict(hello["spec"]) == server.spec
 
     def test_unknown_op_is_an_error_response(self, served):
@@ -163,7 +163,7 @@ class TestAdmissionServer:
         client, _ = served
         # The connection survives the failed op.
         with pytest.raises(ServeError, match="unknown connection id"):
-            client.call("teardown", connection_id=999)
+            client.call("teardown", connection_ids=[999])
         assert client.call("ping")["ok"] is True
 
     def test_establish_teardown_round_trip(self, served):
@@ -195,7 +195,9 @@ class TestAdmissionServer:
         assert [item["ok"] for item in response["results"]] == [True, True]
         assert response["connections"] == 2 == server.network.num_connections
         first = response["results"][0]["connection_id"]
-        assert client.call("teardown", connection_id=first)["connections"] == 1
+        assert client.call(
+            "teardown", connection_ids=[first]
+        )["connections"] == 1
         # The op other clients poll stays.
         assert client.call("num_connections")["value"] == 1
 
@@ -216,7 +218,7 @@ class TestAdmissionServer:
         assert server.network.network_load() == alone.network_load() > 0.0
         assert server.network.audit_invariants() == []
         server.handle_request({"id": 2, "op": "teardown",
-                               "connection_id": admitted["connection_id"]})
+                               "connection_ids": [admitted["connection_id"]]})
         assert server.network.network_load() == 0.0
         assert server.network.audit_invariants() == []
 
@@ -306,19 +308,32 @@ class TestRemoteChurn:
             local_network, config, metrics=MetricsRegistry()
         ).run()
 
-        remote_network = RemoteNetwork(client)
+        class CountingRemote(RemoteNetwork):
+            teardown_calls = 0
+
+            def teardown(self, *connection_ids):
+                self.teardown_calls += 1
+                super().teardown(*connection_ids)
+
+        remote_network = CountingRemote(client)
         remote = ChurnEngine(
             remote_network, config, metrics=MetricsRegistry()
         ).run()
 
         assert remote.to_dict() == local.to_dict()
         assert remote.peak_connections > 0 < remote.final_connections
-        # One round trip per admitted batch and per departure, four per
-        # epoch (audit, load, spare, evaluate) and the two handshakes
-        # (fixture, adapter); the live count rides on the responses.
+        # One round trip per admitted batch and per run of departures,
+        # four per epoch (audit, load, spare, evaluate) and the two
+        # handshakes (fixture, adapter); the live count rides on the
+        # responses.
         assert remote.batches > 0 < remote.departures
+        runs = remote_network.teardown_calls
+        assert 0 < runs < remote.departures
+        assert server.registry.counter("serve.teardowns").value == (
+            remote.departures
+        )
         assert server.registry.counter("serve.requests").value == (
-            2 + remote.batches + remote.departures + 4 * remote.epochs
+            2 + remote.batches + runs + 4 * remote.epochs
         )
         # Admission latency was observed server-side for every arrival.
         histograms = server.registry.snapshot()["histograms"]
