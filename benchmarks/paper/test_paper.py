@@ -38,7 +38,7 @@ from repro.baselines import ReactiveOutcome, evaluate_reactive
 from repro.cli import build_parser, main, run_experiment
 from repro.core.multiplexing import LinkMuxState
 from repro.core.muxkernel import ComponentArena, VectorLinkMux
-from repro.core.overlap import OverlapPolicy
+from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.experiments.setup import FAILURE_MODELS
 from repro.experiments.workloads import all_pairs, establish_workload
 from repro.faults import FailureScenario, all_single_link_failures
@@ -597,8 +597,12 @@ def test_churn_reference_run(tmp_path, capsys, quoted):
 # ----------------------------------------------------------------------
 # Section 6: complexity of backup multiplexing, measured in-process
 # ----------------------------------------------------------------------
-def _random_components(rng: random.Random):
-    return Route(rng.sample(range(400), rng.randint(3, 9))).components
+#: One interner for every drawn primary, as an engine has.
+_SPACE = ComponentSpace()
+
+
+def _random_primary(rng: random.Random) -> int:
+    return _SPACE.path_mask(Route(rng.sample(range(400), rng.randint(3, 9))))
 
 
 def _measure(population: int, operation: str) -> float:
@@ -614,22 +618,22 @@ def _measure(population: int, operation: str) -> float:
     else:
         state = LinkMuxState(LinkId("x", "y"), OverlapPolicy())
     rng = random.Random(7)
-    pool = [_random_components(rng) for _ in range(64)]
+    pool = [_random_primary(rng) for _ in range(64)]
     for cid in range(population):
-        components = rng.choice(pool)
-        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), components)
+        mask = rng.choice(pool)
+        state.add(cid, 1.0, rng.choice((1, 3, 5, 6)), mask)
     if operation == "naive":
         # The scratch recompute doubles as the incremental pool's oracle.
         assert state.spare_required_recomputed() == pytest.approx(
             state.spare_required())
-    components = pool[13]
+    mask = pool[13]
     repetitions = 30
     start = time.perf_counter()
     for i in range(repetitions):
         if operation == "naive":
             state.spare_required_recomputed()
         else:
-            state.add(10_000 + i, 1.0, 3, components)
+            state.add(10_000 + i, 1.0, 3, mask)
             state.remove(10_000 + i)
     return (time.perf_counter() - start) / repetitions
 

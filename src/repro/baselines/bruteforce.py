@@ -10,7 +10,7 @@ identical — the comparison then isolates *where* the spare sits.
 from __future__ import annotations
 
 from repro.core.bcp import BCPNetwork
-from repro.recovery.evaluator import ActivationOrder, RecoveryEvaluator
+from repro.recovery.evaluator import RecoveryEvaluator
 
 
 def uniform_spare_amount(network: BCPNetwork) -> float:
@@ -27,22 +27,16 @@ def uniform_spare_amount(network: BCPNetwork) -> float:
 
 
 def brute_force_evaluator(
-    network: BCPNetwork,
-    order: ActivationOrder = ActivationOrder.PRIORITY,
-    spare_per_link: float | None = None,
-    seed: "int | None" = 0,
+    network: BCPNetwork, seed: "int | None" = 0
 ) -> RecoveryEvaluator:
     """A recovery evaluator using brute-force uniform spare pools.
 
-    ``spare_per_link`` defaults to :func:`uniform_spare_amount` of the
-    already-established network, i.e. the paper's same-total-overhead
-    comparison.  Everything else (workload, routing, backup paths) is
-    shared with the proposed scheme, so differences in R_fast come purely
-    from spare placement.
+    Every link gets :func:`uniform_spare_amount` of the already-established
+    network, i.e. the paper's same-total-overhead comparison.  Everything
+    else (workload, routing, backup paths, activation order) is shared
+    with the proposed scheme, so differences in R_fast come purely from
+    spare placement.
     """
-    amount = uniform_spare_amount(network) if spare_per_link is None else (
-        spare_per_link
-    )
     return RecoveryEvaluator(
-        network, order=order, spare_override=amount, seed=seed
+        network, spare_override=uniform_spare_amount(network), seed=seed
     )

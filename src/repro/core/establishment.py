@@ -122,13 +122,12 @@ def spare_aware_backup_cost(engine: "EstablishmentEngine",
     *growth* the backup would cause there, so routes prefer links whose
     existing pools already cover the new backup.
     """
-    policy = engine.mux.policy
-    components = policy.component_set(connection.primary.path)
+    mask = engine.mux.primary_mask(connection.primary.path)
     bandwidth = connection.traffic.bandwidth
 
     def cost(link: LinkId) -> float:
         required = engine.mux.link_state(link).preview_add(
-            bandwidth, mux_degree, components
+            bandwidth, mux_degree, mask
         )
         growth = max(0.0, required - engine.ledger.spare_reserved(link))
         # The per-hop base (2x the channel bandwidth) keeps routes short —
@@ -630,8 +629,7 @@ class EstablishmentEngine:
         else:
             baseline = hop_distance(self.topology, src, dst)
         max_hops = connection.delay_qos.max_hops(baseline)
-        primary = connection.primary
-        components = self.mux.policy.component_set(primary.path)
+        mask = self.mux.primary_mask(connection.primary.path)
         bandwidth = traffic.bandwidth
 
         cost = None
@@ -664,7 +662,7 @@ class EstablishmentEngine:
                 if not self.ledger.can_set_spare(
                     link,
                     self.mux.link_state(link).preview_add(
-                        bandwidth, mux_degree, components
+                        bandwidth, mux_degree, mask
                     ),
                 )
             ]
@@ -732,8 +730,7 @@ class EstablishmentEngine:
         # and sc is at most the component count of the primary path, so
         # degrees beyond that are all equivalent (Section 3.4).
         policy = self.mux.policy
-        components = policy.component_set(connection.primary.path)
-        max_degree = len(components) + 1
+        max_degree = policy.component_count(connection.primary.path) + 1
         candidates = list(range(max_degree, -1, -1))
 
         chosen: int | None = None
@@ -751,8 +748,8 @@ class EstablishmentEngine:
         ``path`` at the given degree — evaluated without mutating state,
         from the per-link |Ψ| counts a reservation message would collect."""
         policy = self.mux.policy
-        primary_components = policy.component_set(connection.primary.path)
-        primary_count = len(primary_components)
+        mask = self.mux.primary_mask(connection.primary.path)
+        primary_count = mask.bit_count()
 
         backup_counts = []
         p_muxfs = []
@@ -763,7 +760,7 @@ class EstablishmentEngine:
 
         psi_new = [
             self.mux.link_state(link).psi_sizes_for_candidate(
-                primary_components, [degree]
+                mask, [degree]
             )[degree]
             for link in path.links
         ]

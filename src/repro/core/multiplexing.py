@@ -44,11 +44,13 @@ all stay below the threshold never loads either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.channels.channel import Channel, ChannelRole
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network.components import LinkId
 from repro.obs.registry import get_registry
+from repro.routing.paths import Path
 from repro.util.validation import check_positive
 
 #: Resident backups on one link above which the engine promotes it from
@@ -64,9 +66,10 @@ KERNEL_MIN_POPULATION = 256
 
 def check_resident(state, channel_ids: list[int]) -> None:
     """Raise ``KeyError`` unless ``state.remove_many(channel_ids)`` would
-    succeed: every id resident and listed once.  Both link-state classes
-    call it before removing anything, and the engine calls it on every
-    link of a teardown before touching any."""
+    succeed: every id resident and listed once.  Both link-state classes'
+    ``remove_many`` call it before removing anything; the engine calls it
+    once on every link of a teardown before touching any, then removes
+    through the link states' unchecked ``_remove_resident``."""
     seen = set()
     for channel_id in channel_ids:
         if channel_id not in state or channel_id in seen:
@@ -81,14 +84,14 @@ class MuxEntry:
     channel_id: int
     bandwidth: float
     mux_degree: int
-    primary_components: frozenset
+    #: The primary's components as an integer bitset under the engine's
+    #: :class:`~repro.core.overlap.ComponentSpace` — one int, shared by
+    #: every link entry of the backup; ``c(M)`` is its popcount.
+    mask: int
     #: bw(B_i) + Σ bw over Π(B_i, ℓ); maintained incrementally.  Π itself
     #: is not stored: membership is a pure function of the two entries,
     #: so removal re-derives it with the pair test that ``add`` used.
     requirement: float = 0.0
-    #: Integer bitset of ``primary_components`` under the owning link
-    #: state's :class:`~repro.core.overlap.ComponentSpace`.
-    mask: int = 0
 
 
 @dataclass(slots=True)
@@ -114,18 +117,9 @@ class _PairScan:
 class LinkMuxState:
     """Multiplexing state of the backups on one simplex link."""
 
-    def __init__(
-        self,
-        link: LinkId,
-        policy: OverlapPolicy,
-        space: "ComponentSpace | None" = None,
-    ) -> None:
+    def __init__(self, link: LinkId, policy: OverlapPolicy) -> None:
         self.link = link
         self.policy = policy
-        #: Component interner, shared across every link of an engine:
-        #: each distinct primary resolves to an integer bitset once, and
-        #: every pairwise shared-count below is a popcount.
-        self._space = space if space is not None else ComponentSpace()
         self._entries: dict[int, MuxEntry] = {}
         self._spare_required = 0.0
         #: The last integer-mode pair scan — a previewed candidate's, or
@@ -217,7 +211,7 @@ class LinkMuxState:
         )
 
     def psi_sizes_for_candidate(
-        self, primary_components: frozenset, mux_degrees: list[int]
+        self, mask: int, mux_degrees: list[int]
     ) -> dict[int, int]:
         """|Ψ| a *new* backup would see on this link, per candidate degree.
 
@@ -225,12 +219,11 @@ class LinkMuxState:
         scheme (Section 3.4): the reservation message collects these counts
         so the destination can pick the largest admissible ν.
         """
-        mask = self._space.mask(primary_components)
-        count = len(primary_components)
+        count = mask.bit_count()
         sizes = dict.fromkeys(mux_degrees, 0)
         for other in self._entries.values():
             shared = (mask & other.mask).bit_count()
-            other_count = len(other.primary_components)
+            other_count = other.mask.bit_count()
             for degree in mux_degrees:
                 if self.policy.multiplexable_counts(
                     count, other_count, shared, degree
@@ -245,8 +238,8 @@ class LinkMuxState:
         """Whether ``other`` may share ``perspective``'s spare, judged by
         ``perspective``'s own threshold ν."""
         return self.policy.multiplexable_counts(
-            len(perspective.primary_components),
-            len(other.primary_components),
+            perspective.mask.bit_count(),
+            other.mask.bit_count(),
             (perspective.mask & other.mask).bit_count(),
             perspective.mux_degree,
         )
@@ -291,16 +284,13 @@ class LinkMuxState:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def preview_add(
-        self, bandwidth: float, mux_degree: int, primary_components: frozenset
-    ) -> float:
+    def preview_add(self, bandwidth: float, mux_degree: int, mask: int) -> float:
         """Pool size this link would need if the described backup joined.
 
         Pure query — used by establishment to test admission before
         committing, without mutating any state.
         """
         check_positive(bandwidth, "bandwidth")
-        mask = self._space.mask(primary_components)
         if not self.policy.exact:
             # Entries the candidate does not conflict with keep their
             # current requirement, whose maximum is already maintained in
@@ -310,7 +300,7 @@ class LinkMuxState:
             if scan.charged_peak >= 0.0 and scan.charged_peak + bandwidth > best:
                 best = scan.charged_peak + bandwidth
             return max(best, scan.requirement)
-        candidate = MuxEntry(-1, bandwidth, mux_degree, primary_components, mask=mask)
+        candidate = MuxEntry(-1, bandwidth, mux_degree, mask)
         new_requirement = bandwidth
         best = 0.0
         for other in self._entries.values():
@@ -327,7 +317,7 @@ class LinkMuxState:
         channel_id: int,
         bandwidth: float,
         mux_degree: int,
-        primary_components: frozenset,
+        mask: int,
     ) -> float:
         """Register a backup; returns the new required pool size.
 
@@ -337,10 +327,7 @@ class LinkMuxState:
         if channel_id in self._entries:
             raise ValueError(f"backup {channel_id} already on link {self.link}")
         check_positive(bandwidth, "bandwidth")
-        mask = self._space.mask(primary_components)
-        entry = MuxEntry(
-            channel_id, bandwidth, mux_degree, primary_components, bandwidth, mask
-        )
+        entry = MuxEntry(channel_id, bandwidth, mux_degree, mask, bandwidth)
         # Requirements only grow on add, so the cached maximum needs at
         # most the new entry's requirement and the ones that just grew.
         peak = self._spare_required
@@ -373,6 +360,10 @@ class LinkMuxState:
         size.  Validate-then-apply: an unknown id raises ``KeyError``
         and leaves the link untouched."""
         check_resident(self, channel_ids)
+        return self._remove_resident(channel_ids)
+
+    def _remove_resident(self, channel_ids: list[int]) -> float:
+        """:meth:`remove_many` for ids :func:`check_resident` passed."""
         self._scan = None
         entries = self._entries
         exact = self.policy.exact
@@ -406,7 +397,7 @@ class LinkMuxState:
                     other.requirement -= bandwidth
         if peak_moved:
             self._spare_required = max(
-                (other.requirement for other in entries.values()), default=0.0
+                map(attrgetter("requirement"), entries.values()), default=0.0
             )
         return self._spare_required
 
@@ -423,10 +414,10 @@ class MultiplexingEngine:
 
     def __init__(self, policy: OverlapPolicy | None = None) -> None:
         self.policy = policy or OverlapPolicy()
-        #: Engine-wide interners: primaries' component sets resolve once
-        #: to an integer bitset (scalar links) or a packed arena row
-        #: (promoted links), no matter how many links a backup crosses.
-        #: The arena is created by the first promotion.
+        #: Engine-wide interners: a primary resolves once per admission
+        #: to an integer bitset, which every link the backup crosses
+        #: keeps (scalar links) or keys a packed arena row by (promoted
+        #: links).  The arena is created by the first promotion.
         self._space = ComponentSpace()
         self._arena = None
         self._links: dict = {}
@@ -445,9 +436,7 @@ class MultiplexingEngine:
         """The (lazily created) multiplexing state of ``link``."""
         state = self._links.get(link)
         if state is None:
-            state = self._links[link] = LinkMuxState(
-                link, self.policy, self._space
-            )
+            state = self._links[link] = LinkMuxState(link, self.policy)
         return state
 
     def spare_required(self, link: LinkId) -> float:
@@ -464,14 +453,23 @@ class MultiplexingEngine:
         """
         return self._links
 
+    def primary_mask(self, path: Path) -> int:
+        """The bitset of a primary's components under the policy — its
+        links and its nodes (interior ones only unless
+        ``count_endpoints``) — interning new ones.  Work it out once per
+        admission and hand it to every link."""
+        space = self._space
+        nodes = path.nodes if self.policy.count_endpoints else path.interior_nodes
+        return space.intern(nodes) | space.intern(path.links)
+
     # ------------------------------------------------------------------
-    def _add(self, link: LinkId, backup: Channel, components: frozenset) -> float:
+    def _add(self, link: LinkId, backup: Channel, mask: int) -> float:
         """Register ``backup`` on one link, promoting the link to the
         vectorized kernel when this add takes it past
         :data:`KERNEL_MIN_POPULATION`."""
         state = self.link_state(link)
         required = state.add(
-            backup.channel_id, backup.bandwidth, backup.mux_degree, components
+            backup.channel_id, backup.bandwidth, backup.mux_degree, mask
         )
         if (
             len(state) > KERNEL_MIN_POPULATION
@@ -490,26 +488,24 @@ class MultiplexingEngine:
 
     def _publish_obs(self) -> None:
         """Export interner health into the session registry: gauges
-        ``mux.space.components`` (interned bit positions),
-        ``mux.space.rows`` (interned primary sets) and ``mux.space.bytes``
-        (the packed arena promoted links share; 0 until a link has been
-        promoted).  The three values move only when an interner grows,
-        so most calls find nothing new and return; a swapped process
-        registry (an obs session started or ended) republishes, since
-        gauges belong to the registry that minted them."""
+        ``mux.space.components`` (interned bit positions) and
+        ``mux.space.bytes`` (the packed arena promoted links share; 0
+        until a link has been promoted).  Both move only when an
+        interner grows, so most calls find nothing new and return; a
+        swapped process registry (an obs session started or ended)
+        republishes, since gauges belong to the registry that minted
+        them."""
         registry = get_registry()
         health = (
             len(self._space),
-            self._space.rows,
             self._arena.nbytes if self._arena is not None else 0,
         )
         if registry is self._obs_registry and health == self._obs_health:
             return
         self._obs_registry = registry
         self._obs_health = health
-        components, rows, nbytes = health
+        components, nbytes = health
         registry.gauge("mux.space.components").set(float(components))
-        registry.gauge("mux.space.rows").set(float(rows))
         registry.gauge("mux.space.bytes").set(float(nbytes))
 
     def add_backup(self, backup: Channel, primary: Channel) -> dict[LinkId, float]:
@@ -517,10 +513,9 @@ class MultiplexingEngine:
         required pool size per link."""
         if backup.role is not ChannelRole.BACKUP:
             raise ValueError(f"channel {backup.channel_id} is not a backup")
-        components = self.policy.component_set(primary.path)
+        mask = self.primary_mask(primary.path)
         requirements = {
-            link: self._add(link, backup, components)
-            for link in backup.path.links
+            link: self._add(link, backup, mask) for link in backup.path.links
         }
         self._publish_obs()
         return requirements
@@ -539,7 +534,7 @@ class MultiplexingEngine:
         transplanted over the freshly computed ones — see
         :meth:`LinkMuxState.set_requirements` for why."""
         for backup, primary, _ in entries:
-            self._add(link, backup, self.policy.component_set(primary.path))
+            self._add(link, backup, self.primary_mask(primary.path))
         self.link_state(link).set_requirements(
             {backup.channel_id: requirement for backup, _, requirement in entries},
             spare_required,
@@ -572,8 +567,9 @@ class MultiplexingEngine:
                 per_link.setdefault(link, []).append(backup.channel_id)
         for link, channel_ids in per_link.items():
             check_resident(self.link_state(link), channel_ids)
+        links = self._links
         requirements = {
-            link: self._links[link].remove_many(channel_ids)
+            link: links[link]._remove_resident(channel_ids)
             for link, channel_ids in per_link.items()
         }
         self._publish_obs()

@@ -8,11 +8,13 @@ constant factor at paper scale, but not at 10⁵–10⁶ live backups.  This
 module keeps the same O(n) update contract and replaces the n Python pair
 tests with *one vectorized conflict test per link*:
 
-* :class:`ComponentArena` — a process-wide interner mapping components to
-  bit positions and each distinct primary component set to one row of a
-  shared numpy ``uint64`` arena (grown geometrically in both rows and
-  words).  ``sc(M_i, M_j)`` for one candidate against many rows is a
-  single ``bitwise_count(words[rows] & words[row]).sum(axis=1)``.
+* :class:`ComponentArena` — an engine-wide table from each distinct
+  primary mask (the engine's
+  :class:`~repro.core.overlap.ComponentSpace` bitset) to one row of a
+  shared numpy ``uint64`` arena holding the same bits (grown
+  geometrically in both rows and words).  ``sc(M_i, M_j)`` for one
+  candidate against many rows is a single
+  ``bitwise_count(words[rows] & words[row]).sum(axis=1)``.
 * :class:`VectorLinkMux` — the multiplexing state of one link with
   array-resident per-entry columns (``channel_id``, ``bandwidth``,
   ``mux_degree``, ``requirement``, arena row) plus a per-link
@@ -55,27 +57,26 @@ __all__ = ["ComponentArena", "VectorLinkMux"]
 
 
 class ComponentArena:
-    """Packed-bitset interner over network components.
+    """Packed-bitset rows keyed by primary mask.
 
-    Components (nodes/links) are assigned bit positions on first sight;
-    each distinct primary-path component *set* is interned to one row of
-    a shared 2-D ``uint64`` arena.  Both dimensions grow geometrically,
-    so a settled workload stops allocating.  The arena is append-only:
-    rows are never evicted, because distinct primary paths are bounded by
-    the topology (not by churn volume) and teardown must not invalidate
-    the rows other live backups reference.
+    Each distinct primary mask is copied, word by word, into one row of
+    a shared 2-D ``uint64`` arena; bit ``i`` of the mask is bit ``i`` of
+    the row, so a row popcount equals the mask's.  Both dimensions grow
+    geometrically, so a settled workload stops allocating.  The arena is
+    append-only: rows are never evicted, because distinct primary paths
+    are bounded by the topology (not by churn volume) and teardown must
+    not invalidate the rows other live backups reference.
     """
 
-    __slots__ = ("_bits", "_rows", "_sets", "_words", "_width")
+    __slots__ = ("_rows", "_masks", "_words", "_width")
 
     #: Initial geometry: 64 rows x 4 words (256 component bits).
     _INITIAL_ROWS = 64
     _INITIAL_WORDS = 4
 
     def __init__(self) -> None:
-        self._bits: dict[object, int] = {}
-        self._rows: dict[frozenset, int] = {}
-        self._sets: list[frozenset] = []
+        self._rows: dict[int, int] = {}
+        self._masks: list[int] = []
         self._words = np.zeros(
             (self._INITIAL_ROWS, self._INITIAL_WORDS), dtype=np.uint64
         )
@@ -84,22 +85,17 @@ class ComponentArena:
 
     # -- geometry ------------------------------------------------------
     def __len__(self) -> int:
-        """Distinct components interned so far (bit positions in use)."""
-        return len(self._bits)
-
-    @property
-    def rows(self) -> int:
-        """Distinct primary component sets interned so far."""
-        return len(self._sets)
+        """Distinct masks interned so far (rows in use)."""
+        return len(self._masks)
 
     @property
     def nbytes(self) -> int:
         """Allocated arena size in bytes."""
         return self._words.nbytes
 
-    def components(self, row: int) -> frozenset:
-        """The component set interned at ``row``."""
-        return self._sets[row]
+    def mask(self, row: int) -> int:
+        """The mask interned at ``row``."""
+        return self._masks[row]
 
     def _grow_rows(self, needed: int) -> None:
         allocated = self._words.shape[0]
@@ -125,33 +121,26 @@ class ComponentArena:
             self._width = needed_words
 
     # -- interning -----------------------------------------------------
-    def row(self, components: frozenset) -> int:
-        """The arena row of ``components``, interning it if new."""
-        cached = self._rows.get(components)
+    def row(self, mask: int) -> int:
+        """The arena row of ``mask``, interning it if new."""
+        cached = self._rows.get(mask)
         if cached is not None:
             return cached
-        bits = self._bits
-        positions = []
-        for component in components:
-            bit = bits.get(component)
-            if bit is None:
-                bit = len(bits)
-                bits[component] = bit
-            positions.append(bit)
-        row = len(self._sets)
+        row = len(self._masks)
         self._grow_rows(row + 1)
-        if positions:
-            self._grow_width((max(positions) >> 6) + 1)
-        words = self._words[row]
-        for bit in positions:
-            words[bit >> 6] |= np.uint64(1 << (bit & 63))
-        self._rows[components] = row
-        self._sets.append(components)
+        words = (mask.bit_length() + 63) >> 6
+        if words:
+            self._grow_width(words)
+            self._words[row, :words] = np.frombuffer(
+                mask.to_bytes(8 * words, "little"), dtype="<u8"
+            )
+        self._rows[mask] = row
+        self._masks.append(mask)
         return row
 
     # -- kernels -------------------------------------------------------
     def shared_counts(self, rows, row: int):
-        """``sc`` between the set at ``row`` and each set in ``rows`` —
+        """``sc`` between the mask at ``row`` and each mask in ``rows`` —
         the one-vectorized-conflict-test-per-link primitive."""
         words = self._words[:, : self._width]
         return np.bitwise_count(words[rows] & words[row]).sum(
@@ -212,7 +201,7 @@ class VectorLinkMux:
         self._requirement = np.zeros(cap, dtype=np.float64)
         self._row = np.zeros(cap, dtype=np.int64)
         #: Per-entry index into this link's distinct-row table: shared
-        #: counts are computed once per *distinct* primary set on the
+        #: counts are computed once per *distinct* primary on the
         #: link, then gathered per entry — entries routinely share
         #: primaries, and distinct primaries through one link are
         #: bounded by the topology, not by the resident population.
@@ -244,12 +233,11 @@ class VectorLinkMux:
         return self._materialize(self._ids[channel_id])
 
     def _materialize(self, pos: int):
-        components = self.arena.components(int(self._row[pos]))
         return MuxEntry(
             channel_id=int(self._channel_ids[pos]),
             bandwidth=float(self._bandwidth[pos]),
             mux_degree=int(self._degree[pos]),
-            primary_components=components,
+            mask=self.arena.mask(int(self._row[pos])),
             requirement=float(self._requirement[pos]),
         )
 
@@ -273,8 +261,8 @@ class VectorLinkMux:
         self._spare_required = spare_required
 
     def _shared_with_all(self, row: int):
-        """``sc`` between the set at ``row`` and every resident entry:
-        one vectorized pass over the link's *distinct* primary sets,
+        """``sc`` between the mask at ``row`` and every resident entry:
+        one vectorized pass over the link's *distinct* primaries,
         gathered out per entry."""
         row_shared = self.arena.shared_counts(
             self._distinct_rows[: self._distinct_n], row
@@ -311,14 +299,14 @@ class VectorLinkMux:
         return int(multiplexable.sum())
 
     def psi_sizes_for_candidate(
-        self, primary_components: frozenset, mux_degrees: list[int]
+        self, mask: int, mux_degrees: list[int]
     ) -> dict[int, int]:
         """|Ψ| a *new* backup would see on this link, per candidate degree
         (the forward-pass computation of the literal scheme)."""
         sizes = dict.fromkeys(mux_degrees, 0)
         if self._n == 0:
             return sizes
-        shared = self._shared_with_all(self.arena.row(primary_components))
+        shared = self._shared_with_all(self.arena.row(mask))
         for degree in mux_degrees:
             if degree > 0:
                 sizes[degree] = int((shared < degree).sum())
@@ -345,9 +333,7 @@ class VectorLinkMux:
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
-    def preview_add(
-        self, bandwidth: float, mux_degree: int, primary_components: frozenset
-    ) -> float:
+    def preview_add(self, bandwidth: float, mux_degree: int, mask: int) -> float:
         """Pool size this link would need if the described backup joined
         (pure query; one vectorized conflict test)."""
         check_positive(bandwidth, "bandwidth")
@@ -355,7 +341,7 @@ class VectorLinkMux:
         best = self._spare_required
         if n == 0:
             return max(best, bandwidth)
-        shared = self._shared_with_all(self.arena.row(primary_components))
+        shared = self._shared_with_all(self.arena.row(mask))
         degrees = self._degree[:n]
         in_pi = self._pi_mask(mux_degree, degrees, shared)
         new_requirement = _left_fold_sum(bandwidth, self._bandwidth[:n][in_pi])
@@ -371,7 +357,7 @@ class VectorLinkMux:
         channel_id: int,
         bandwidth: float,
         mux_degree: int,
-        primary_components: frozenset,
+        mask: int,
     ) -> float:
         """Register a backup; returns the new required pool size.
 
@@ -382,7 +368,7 @@ class VectorLinkMux:
         if channel_id in self._ids:
             raise ValueError(f"backup {channel_id} already on link {self.link}")
         check_positive(bandwidth, "bandwidth")
-        row = self.arena.row(primary_components)
+        row = self.arena.row(mask)
         n = self._n
         peak = self._spare_required
         requirement = bandwidth
@@ -409,7 +395,7 @@ class VectorLinkMux:
         for entry in entries:
             self._append(
                 entry.channel_id, entry.bandwidth, entry.mux_degree,
-                entry.requirement, self.arena.row(entry.primary_components),
+                entry.requirement, self.arena.row(entry.mask),
             )
         self._spare_required = spare_required
 
@@ -423,6 +409,10 @@ class VectorLinkMux:
         Validate-then-apply: an unknown id raises ``KeyError`` and
         leaves the link untouched."""
         check_resident(self, channel_ids)
+        return self._remove_resident(channel_ids)
+
+    def _remove_resident(self, channel_ids: list[int]) -> float:
+        """:meth:`remove_many` for ids ``check_resident`` passed."""
         for channel_id in channel_ids:
             self._remove_at(self._ids.pop(channel_id))
         n = self._n

@@ -55,37 +55,30 @@ def simultaneous_activation_probability(
 class ComponentSpace:
     """Interner from components (nodes/links) to bit positions.
 
-    The multiplexing engine's hot loop compares primary-path component
-    sets pairwise (``sc(M_i, M_j)``).  Interning every component to a bit
-    and every component *set* to an integer mask turns each comparison
-    into ``(mask_a & mask_b).bit_count()`` — one machine-word-ish
-    operation instead of a hashed frozenset intersection.
+    The multiplexing engine's hot loop compares primary paths pairwise
+    (``sc(M_i, M_j)``).  Interning every component to a bit and every
+    primary to an integer mask turns each comparison into
+    ``(mask_a & mask_b).bit_count()`` — one machine-word-ish operation
+    instead of a hashed frozenset intersection.
 
-    Two ways in.  :meth:`mask` memoises per frozenset, so each distinct
-    primary path the mux holds is interned once no matter how many links
-    its backups land on.  :meth:`path_mask` reads a path's nodes and
-    links directly and memoises nothing: the recovery plan interns each
-    backup once, and no frozenset need exist for it.  A bit's position is
-    the order its component was first seen, which depends on the way in;
-    masks are only ``&``-ed and popcounted, which no relabelling of bits
-    changes.
+    :meth:`intern` reads components (a path's nodes, then its links) and
+    memoises nothing: the engine works out a primary's mask once per
+    admission and hands that one int to every link the backup crosses,
+    and the recovery plan interns each backup once.  A bit's position is
+    the order its component was first seen; masks are only ``&``-ed and
+    popcounted, which no relabelling of bits changes.
     """
 
-    __slots__ = ("_bits", "_set_masks")
+    __slots__ = ("_bits",)
 
     def __init__(self) -> None:
         self._bits: dict[object, int] = {}
-        self._set_masks: dict[frozenset, int] = {}
 
     def __len__(self) -> int:
         return len(self._bits)
 
-    @property
-    def rows(self) -> int:
-        """Distinct component sets :meth:`mask` has memoised so far."""
-        return len(self._set_masks)
-
-    def _intern(self, components: Iterable) -> int:
+    def intern(self, components: Iterable) -> int:
+        """The integer bitset of ``components``, interning new ones."""
         bits = self._bits
         mask = 0
         for component in components:
@@ -96,23 +89,15 @@ class ComponentSpace:
             mask |= bit
         return mask
 
-    def mask(self, components: frozenset) -> int:
-        """The integer bitset of ``components``, interning new ones."""
-        cached = self._set_masks.get(components)
-        if cached is None:
-            cached = self._set_masks[components] = self._intern(components)
-        return cached
-
     def path_mask(self, path: Path) -> int:
-        """The integer bitset of every node and link of ``path``,
-        interning new ones; memoised nowhere."""
-        return self._intern(path.nodes) | self._intern(path.links)
+        """The integer bitset of every node and link of ``path``."""
+        return self.intern(path.nodes) | self.intern(path.links)
 
     def known(self, components: Iterable) -> int:
         """The bits of those ``components`` some interned set contains.
 
-        Interns and memoises nothing, so one-off query sets (a failure
-        scenario's components) never pile up in the space.
+        Interns nothing, so one-off query sets (a failure scenario's
+        components) never pile up in the space.
         """
         bits = self._bits
         mask = 0
@@ -156,13 +141,6 @@ class OverlapPolicy:
         """``c(M)`` under this policy."""
         return primary_path.component_count(self.count_endpoints)
 
-    def component_set(self, primary_path: Path) -> frozenset:
-        """The component set of a primary under this policy (cached on the
-        path object)."""
-        if self.count_endpoints:
-            return primary_path.components
-        return primary_path.transit_components
-
     def shared_count(self, primary_i: Path, primary_j: Path) -> int:
         """``sc(M_i, M_j)`` under this policy."""
         return shared_component_count(primary_i, primary_j, self.count_endpoints)
@@ -179,8 +157,8 @@ class OverlapPolicy:
     ) -> bool:
         """Multiplexability test from pre-computed counts.
 
-        The hot path of the multiplexing engine: entries cache their
-        component sets, so only ``shared`` varies per pair.
+        The hot path of the multiplexing engine: an entry's component
+        count is its mask's popcount, so only ``shared`` varies per pair.
         """
         if mux_degree <= 0:
             return False

@@ -47,8 +47,8 @@ def p_muxf_upper_bound(psi_sizes: Sequence[int], nu: float) -> float:
 
 
 def pr_single_backup(
-    primary_components: int,
-    backup_components: int,
+    primary_count: int,
+    backup_count: int,
     failure_probability: float,
 ) -> float:
     """``P_r`` of a D-connection with one disjointly-routed backup that no
@@ -58,14 +58,14 @@ def pr_single_backup(
     ``P_muxf = 0``; :func:`pr_multiple_backups` takes each backup's
     ``P_muxf``.
     """
-    primary_ok = channel_reliability(primary_components, failure_probability)
-    backup_ok = channel_reliability(backup_components, failure_probability)
+    primary_ok = channel_reliability(primary_count, failure_probability)
+    backup_ok = channel_reliability(backup_count, failure_probability)
     return primary_ok + (1.0 - primary_ok) * backup_ok
 
 
 def pr_multiple_backups(
-    primary_components: int,
-    backup_components: Sequence[int],
+    primary_count: int,
+    backup_counts: Sequence[int],
     failure_probability: float,
     p_muxfs: Sequence[float] | None = None,
 ) -> float:
@@ -78,14 +78,14 @@ def pr_multiple_backups(
     Disjoint routing makes the channel failures independent.
     """
     if p_muxfs is None:
-        p_muxfs = [0.0] * len(backup_components)
-    if len(p_muxfs) != len(backup_components):
+        p_muxfs = [0.0] * len(backup_counts)
+    if len(p_muxfs) != len(backup_counts):
         raise ValueError(
-            f"{len(backup_components)} backups but {len(p_muxfs)} P_muxf values"
+            f"{len(backup_counts)} backups but {len(p_muxfs)} P_muxf values"
         )
-    primary_ok = channel_reliability(primary_components, failure_probability)
+    primary_ok = channel_reliability(primary_count, failure_probability)
     all_backups_unavailable = 1.0
-    for components, p_muxf in zip(backup_components, p_muxfs):
+    for components, p_muxf in zip(backup_counts, p_muxfs):
         check_probability(p_muxf, "p_muxf")
         available = channel_reliability(components, failure_probability) * (
             1.0 - p_muxf

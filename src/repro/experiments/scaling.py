@@ -93,10 +93,9 @@ def _multiplexable_fraction(network: BCPNetwork, mux_degree: int) -> float:
         for i, a in enumerate(entries):
             for b in entries[i + 1:]:
                 total += 1
-                shared = len(a.primary_components & b.primary_components)
                 if policy.multiplexable_counts(
-                    len(a.primary_components), len(b.primary_components),
-                    shared, mux_degree,
+                    a.mask.bit_count(), b.mask.bit_count(),
+                    (a.mask & b.mask).bit_count(), mux_degree,
                 ):
                     multiplexable += 1
         fractions.append(multiplexable / total)

@@ -10,13 +10,14 @@ when node ids are tuples.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Hashable
 
 # A node is identified by any hashable value; generators produce ints.
 NodeId = Hashable
 
 
-class LinkId:
+class LinkId(tuple):
     """Identity of one simplex (uni-directional) link.
 
     A duplex connection between neighbours is modelled as two independent
@@ -24,46 +25,48 @@ class LinkId:
     model ("neighbor nodes are connected by two simplex links").  Each
     direction fails, and is reserved, independently.
 
-    Immutable and hashable like the frozen dataclass it replaces, but
-    with the hash computed once at construction: link ids key every hot
-    dict in the system (ledgers, mux states, spare snapshots), so the
-    per-lookup tuple hash showed up in establishment profiles.
+    A ``(src, dst)`` tuple underneath, so that hashing and field access
+    run in C: link ids key every hot dict in the system (ledgers, mux
+    states, spare snapshots).  The hash is ``hash((src, dst))``, but a
+    link id equals only another link id, never a tuple node, and it is
+    immutable.
     """
 
-    __slots__ = ("src", "dst", "_hash")
+    __slots__ = ()
 
-    def __init__(self, src: NodeId, dst: NodeId) -> None:
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "_hash", hash((src, dst)))
+    def __new__(cls, src: NodeId, dst: NodeId) -> "LinkId":
+        return tuple.__new__(cls, (src, dst))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"LinkId is immutable; cannot set {name!r}")
+    src = property(itemgetter(0), doc="The sending node.")
+    dst = property(itemgetter(1), doc="The receiving node.")
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is LinkId:
-            return self.src == other.src and self.dst == other.dst
-        return NotImplemented
+            return tuple.__eq__(self, other)
+        return False if isinstance(other, tuple) else NotImplemented
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __ne__(self, other: object) -> bool:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = tuple.__hash__
 
     def __reduce__(self):
-        return (LinkId, (self.src, self.dst))
+        return (LinkId, tuple(self))
 
     def reversed(self) -> "LinkId":
         """The companion simplex link in the opposite direction."""
-        return LinkId(self.dst, self.src)
+        return LinkId(self[1], self[0])
 
     def endpoints(self) -> tuple[NodeId, NodeId]:
         """Both endpoint nodes, source first."""
-        return (self.src, self.dst)
+        return tuple(self)
 
     def __repr__(self) -> str:
-        return f"LinkId(src={self.src!r}, dst={self.dst!r})"
+        return f"LinkId(src={self[0]!r}, dst={self[1]!r})"
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.src}->{self.dst}"
+        return f"{self[0]}->{self[1]}"
 
 
 # A component is either a node id or a link id.  Type alias for signatures.

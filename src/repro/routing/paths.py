@@ -3,17 +3,18 @@
 A :class:`Path` is an immutable node sequence plus the simplex links it
 traverses: together they *are* its components — the nodes and links
 whose failure disables it.  Every other view is derived on demand.  The
-component *set* (a frozenset, cached on first use) drives the overlap
-computation ``sc(M_i, M_j)`` of backup multiplexing (Section 3.2); the
 component *count* is arithmetic, because a simple path repeats no node.
-A backup path never needs the set: the recovery plan interns its nodes
-and links straight into a bitmask, and the registry indexes it by link.
+No admission or evaluation step builds the component *set*: the
+multiplexing engine interns a primary's nodes and links straight into
+one bitmask, the recovery plan does the same for a backup, and the
+registry indexes a backup by link.  The set (a frozenset, cached on
+first use) serves :func:`shared_component_count`, :meth:`Path.intersects`
+and the reactive baseline.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from functools import cached_property
 
 from repro.network.components import LinkId, NodeId
 from repro.network.topology import Topology
@@ -33,7 +34,7 @@ class Path:
         derived from ``nodes`` on first use otherwise.
     """
 
-    __slots__ = ("_nodes", "__dict__")
+    __slots__ = ("_nodes", "_links", "_components", "_transit")
 
     def __init__(
         self, nodes: Sequence[NodeId], links: "Sequence[LinkId] | None" = None
@@ -44,14 +45,16 @@ class Path:
         if len(set(node_tuple)) != len(node_tuple):
             raise ValueError(f"path contains repeated nodes: {node_tuple!r}")
         self._nodes = node_tuple
+        link_tuple = None
         if links is not None:
             link_tuple = tuple(links)
             if len(link_tuple) != len(node_tuple) - 1:
                 raise ValueError(
                     f"{len(link_tuple)} links cannot join {len(node_tuple)} nodes"
                 )
-            # Pre-fills the ``links`` cached property.
-            self.__dict__["links"] = link_tuple
+        self._links = link_tuple
+        self._components = None
+        self._transit = None
 
     # ------------------------------------------------------------------
     # basic views
@@ -74,12 +77,14 @@ class Path:
         """Number of links traversed."""
         return len(self._nodes) - 1
 
-    @cached_property
+    @property
     def links(self) -> tuple[LinkId, ...]:
-        """The simplex links traversed, in order."""
-        return tuple(
-            LinkId(src, dst) for src, dst in zip(self._nodes, self._nodes[1:])
-        )
+        """The simplex links traversed, in order (built on first use)."""
+        links = self._links
+        if links is None:
+            nodes = self._nodes
+            links = self._links = tuple(map(LinkId, nodes, nodes[1:]))
+        return links
 
     @property
     def interior_nodes(self) -> tuple[NodeId, ...]:
@@ -89,21 +94,32 @@ class Path:
     # ------------------------------------------------------------------
     # component sets
     # ------------------------------------------------------------------
-    @cached_property
+    @property
     def components(self) -> frozenset:
         """All components of the path: every node (endpoints included) and
-        every link.  This is the paper's literal component count ``c(M)``."""
-        return frozenset(self._nodes) | frozenset(self.links)
+        every link, built on first use.  This is the paper's literal
+        component count ``c(M)``."""
+        components = self._components
+        if components is None:
+            components = self._components = (
+                frozenset(self._nodes) | frozenset(self.links)
+            )
+        return components
 
-    @cached_property
+    @property
     def transit_components(self) -> frozenset:
-        """Components excluding the endpoint nodes.
+        """Components excluding the endpoint nodes, built on first use.
 
         A failure of an endpoint makes the connection unrecoverable by any
         protocol, so the evaluation excludes such connections (Section 7.2);
         this set answers "does this *recoverable* failure hit the path?".
         """
-        return frozenset(self.interior_nodes) | frozenset(self.links)
+        transit = self._transit
+        if transit is None:
+            transit = self._transit = (
+                frozenset(self.interior_nodes) | frozenset(self.links)
+            )
+        return transit
 
     def component_count(self, count_endpoints: bool = True) -> int:
         """``c(M)`` — the number of failure-prone components of the path.
@@ -117,9 +133,10 @@ class Path:
     def intersects(self, components: frozenset | set) -> bool:
         """Whether any of ``components`` lies on this path."""
         # Iterate the smaller set for speed; failure sets are tiny.
-        if len(components) <= len(self.components):
-            return any(item in self.components for item in components)
-        return any(item in components for item in self.components)
+        own = self.components
+        if len(components) <= len(own):
+            return any(item in own for item in components)
+        return any(item in components for item in own)
 
     # ------------------------------------------------------------------
     # validation

@@ -54,10 +54,6 @@ from repro.workload.churn import ChurnConfig, ChurnEngine
 #: Result-row schema identifier (bumped on incompatible format changes).
 RESULT_SCHEMA = "repro.scenario-result/1"
 
-#: ``spare_mode`` of an ``eval`` cell -> what builds the evaluator of its table.
-_EVALUATORS = {"multiplexed": RecoveryEvaluator, "bruteforce": brute_force_evaluator}
-
-
 class TopologyCache:
     """Compiled topologies shared across cells of the same family/size.
 
@@ -190,7 +186,10 @@ def _run_eval_cell(spec: ScenarioSpec, cache: TopologyCache):
     # Table 1 or, under ``spare_mode="bruteforce"``, of Table 3.
     table_row = dict(zip(SPEC_FAILURE_MODELS, FAILURE_MODELS))
     models = standard_failure_models(topology, workload.samples, spec.seed)
-    evaluator = _EVALUATORS[workload.spare_mode](network, seed=spec.seed)
+    if workload.spare_mode == "bruteforce":
+        evaluator = brute_force_evaluator(network, seed=spec.seed)
+    else:
+        evaluator = RecoveryEvaluator(network, seed=spec.seed)
     stats = evaluator.evaluate_many(models[table_row[workload.failure_model]])
     outcome = {
         "requested": report.requested,

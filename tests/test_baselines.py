@@ -61,7 +61,7 @@ class TestBruteForce:
 
     def test_explicit_spare_override(self):
         network = build_loaded()
-        evaluator = brute_force_evaluator(network, spare_per_link=0.0)
+        evaluator = RecoveryEvaluator(network, spare_override=0.0)
         stats = evaluator.evaluate_many(
             all_single_link_failures(network.topology)
         )

@@ -10,20 +10,23 @@ import pytest
 from repro.channels import Channel, ChannelRole, TrafficSpec
 from repro.core import multiplexing
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
-from repro.core.overlap import OverlapPolicy
+from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network import LinkId
 from repro.obs import obs_session
 from repro.routing import Path
 
 LINK = LinkId("x", "y")
+#: One interner for every hand-built primary below, as an engine has.
+SPACE = ComponentSpace()
 
 
 def state(**policy_kwargs) -> LinkMuxState:
     return LinkMuxState(LINK, OverlapPolicy(**policy_kwargs))
 
 
-def components(*nodes) -> frozenset:
-    return Path(nodes).components
+def mask_of(*nodes) -> int:
+    """The bitset of the primary through ``nodes`` (endpoints counted)."""
+    return SPACE.path_mask(Path(nodes))
 
 
 class TestLinkMuxStateBasics:
@@ -32,12 +35,12 @@ class TestLinkMuxStateBasics:
 
     def test_single_backup_needs_own_bandwidth(self):
         s = state()
-        comps = components(1, 2, 3)
+        comps = mask_of(1, 2, 3)
         assert s.add(0, 2.0, 3, comps) == 2.0
 
     def test_duplicate_add_rejected(self):
         s = state()
-        comps = components(1, 2, 3)
+        comps = mask_of(1, 2, 3)
         s.add(0, 1.0, 3, comps)
         with pytest.raises(ValueError, match="already"):
             s.add(0, 1.0, 3, comps)
@@ -48,7 +51,7 @@ class TestLinkMuxStateBasics:
 
     def test_len_and_contains(self):
         s = state()
-        comps = components(1, 2)
+        comps = mask_of(1, 2)
         s.add(5, 1.0, 1, comps)
         assert len(s) == 1 and 5 in s and 6 not in s
 
@@ -56,36 +59,36 @@ class TestLinkMuxStateBasics:
 class TestSharingSemantics:
     def test_disjoint_primaries_share_at_mux1(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(4, 5, 6)
+        a = mask_of(1, 2, 3)
+        b = mask_of(4, 5, 6)
         s.add(0, 1.0, 1, a)
         assert s.add(1, 1.0, 1, b) == 1.0  # fully multiplexed
 
     def test_overlapping_primaries_do_not_share_at_mux1(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(9, 2, 8)  # shares node 2
+        a = mask_of(1, 2, 3)
+        b = mask_of(9, 2, 8)  # shares node 2
         s.add(0, 1.0, 1, a)
         assert s.add(1, 1.0, 1, b) == 2.0
 
     def test_mux0_disables_sharing_entirely(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(4, 5, 6)
+        a = mask_of(1, 2, 3)
+        b = mask_of(4, 5, 6)
         s.add(0, 1.0, 0, a)
         assert s.add(1, 1.0, 0, b) == 2.0
 
     def test_link_sharing_blocks_mux3(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(0, 2, 3, 4)  # shares link 2->3 (sc = 3)
+        a = mask_of(1, 2, 3)
+        b = mask_of(0, 2, 3, 4)  # shares link 2->3 (sc = 3)
         s.add(0, 1.0, 3, a)
         assert s.add(1, 1.0, 3, b) == 2.0
 
     def test_node_sharing_allowed_at_mux3(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(9, 2, 8)  # sc = 1 < 3
+        a = mask_of(1, 2, 3)
+        b = mask_of(9, 2, 8)  # sc = 1 < 3
         s.add(0, 1.0, 3, a)
         assert s.add(1, 1.0, 3, b) == 1.0
 
@@ -94,8 +97,8 @@ class TestSharingSemantics:
         # peers of priority <= its own; a LOWER-priority conflicting backup
         # (larger degree) is excluded — it will activate after us.
         s = state()
-        a = components(1, 2, 3)
-        b = components(9, 2, 8)  # conflicts with a at degree 1 (sc=1)
+        a = mask_of(1, 2, 3)
+        b = mask_of(9, 2, 8)  # conflicts with a at degree 1 (sc=1)
         s.add(0, 1.0, 1, a)       # high priority
         spare = s.add(1, 1.0, 6, b)  # low priority, sc=1 < 6: shares
         # Entry a: conflicts judged at degree 1 but only peers with degree
@@ -104,9 +107,9 @@ class TestSharingSemantics:
 
     def test_requirement_is_max_over_entries(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(9, 2, 8)    # conflicts with a (sc=1)
-        c = components(10, 11, 12)  # disjoint from both
+        a = mask_of(1, 2, 3)
+        b = mask_of(9, 2, 8)    # conflicts with a (sc=1)
+        c = mask_of(10, 11, 12)  # disjoint from both
         s.add(0, 1.0, 1, a)
         s.add(1, 1.0, 1, b)
         assert s.spare_required() == 2.0
@@ -115,8 +118,8 @@ class TestSharingSemantics:
 
     def test_heterogeneous_bandwidths(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(9, 2, 8)
+        a = mask_of(1, 2, 3)
+        b = mask_of(9, 2, 8)
         s.add(0, 5.0, 1, a)
         assert s.add(1, 2.0, 1, b) == 7.0
 
@@ -133,7 +136,7 @@ class TestIncrementalConsistency:
             (5, (6, 5, 3), 0),
         ]
         for cid, nodes, degree in paths:
-            comps = components(*nodes)
+            comps = mask_of(*nodes)
             s.add(cid, 1.0 + cid * 0.5, degree, comps)
             assert s.spare_required() == pytest.approx(
                 s.spare_required_recomputed()
@@ -152,17 +155,17 @@ class TestIncrementalConsistency:
             (2, (7, 5, 4), 6),
         ]
         for cid, nodes, degree in backups:
-            comps = components(*nodes)
+            comps = mask_of(*nodes)
             predicted = s.preview_add(1.0, degree, comps)
             actual = s.add(cid, 1.0, degree, comps)
             assert predicted == pytest.approx(actual)
 
     def test_preview_does_not_mutate(self):
         s = state()
-        comps = components(1, 2, 3)
+        comps = mask_of(1, 2, 3)
         s.add(0, 1.0, 1, comps)
         before = s.spare_required()
-        other = components(9, 2, 8)
+        other = mask_of(9, 2, 8)
         s.preview_add(1.0, 1, other)
         assert s.spare_required() == before and len(s) == 1
 
@@ -170,9 +173,9 @@ class TestIncrementalConsistency:
 class TestPsiSets:
     def test_psi_counts_multiplexed_peers(self):
         s = state()
-        a = components(1, 2, 3)
-        b = components(4, 5, 6)     # disjoint: multiplexable with a
-        c = components(9, 2, 8)     # conflicts with a
+        a = mask_of(1, 2, 3)
+        b = mask_of(4, 5, 6)     # disjoint: multiplexable with a
+        c = mask_of(9, 2, 8)     # conflicts with a
         s.add(0, 1.0, 1, a)
         s.add(1, 1.0, 1, b)
         s.add(2, 1.0, 1, c)
@@ -181,9 +184,9 @@ class TestPsiSets:
 
     def test_psi_sizes_for_candidate(self):
         s = state()
-        a = components(1, 2, 3)
+        a = mask_of(1, 2, 3)
         s.add(0, 1.0, 1, a)
-        candidate = components(9, 2, 8)  # sc = 1 against a
+        candidate = mask_of(9, 2, 8)  # sc = 1 against a
         sizes = s.psi_sizes_for_candidate(candidate, [0, 1, 2, 6])
         assert sizes == {0: 0, 1: 0, 2: 1, 6: 1}
 
@@ -271,9 +274,9 @@ class TestEngineOverlapCache:
         )
 
     def test_masks_resolve_pairs_without_set_intersections(self):
-        # Two backups sharing two links: each primary's component set is
-        # interned once in the engine-wide space (5 distinct components
-        # each, sharing node 4), however many links the backups cross.
+        # Two backups sharing two links: each primary is interned once in
+        # the engine-wide space (5 distinct components each, sharing node
+        # 4), and every link entry of a backup holds that one int.
         with obs_session() as registry:
             engine = MultiplexingEngine()
             engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
@@ -282,7 +285,21 @@ class TestEngineOverlapCache:
                              self._primary(1, (0, 9, 4)))
             gauges = registry.snapshot()["gauges"]
         assert gauges["mux.space.components"]["value"] == 9
-        assert gauges["mux.space.rows"]["value"] == 2
+        assert "mux.space.rows" not in gauges
+        for channel_id, links in ((0, [(1, 2), (2, 3), (3, 4)]),
+                                  (1, [(0, 2), (2, 3), (3, 4)])):
+            masks = [engine.link_state(LinkId(*link)).entry(channel_id).mask
+                     for link in links]
+            assert masks[0].bit_count() == 5
+            assert all(mask is masks[0] for mask in masks)
+
+    def test_mask_counts_interior_nodes_without_endpoints(self):
+        engine = MultiplexingEngine(OverlapPolicy(count_endpoints=False))
+        path = Path((1, 8, 9, 4))
+        mask = engine.primary_mask(path)
+        assert mask.bit_count() == path.component_count(False) == 5
+        # Sharing only the endpoints is sharing nothing.
+        assert mask & engine.primary_mask(Path((1, 7, 4))) == 0
 
     def test_kernel_interns_into_shared_arena(self, monkeypatch):
         # The promoted twin of the test above: with the promotion
@@ -301,13 +318,14 @@ class TestEngineOverlapCache:
         arenas = {id(state.arena) for state in states.values()}
         assert len(arenas) == 1
         arena = states[LinkId(2, 3)].arena
-        assert len(arena) == 9
-        assert arena.rows == 2
+        assert len(arena) == 2
+        assert len(engine._space) == 9
 
     def test_masks_agree_with_set_intersections(self):
         # The popcount pair test must size pools exactly as explicit set
-        # intersections do, whether the link state shares the engine's
-        # interner or owns a private one.
+        # intersections do, whichever interner numbered the bits: the
+        # engine's, or a private one that saw the components in another
+        # order.
         engine = MultiplexingEngine()
         engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
                          self._primary(0, (1, 8, 4)))
@@ -315,11 +333,11 @@ class TestEngineOverlapCache:
                          self._primary(1, (0, 9, 4)))
         shared_space = engine.link_state(LinkId(2, 3))
         own_space = LinkMuxState(LinkId(2, 3), engine.policy)
+        private = ComponentSpace()
+        private.intern(range(20))
         primaries = [self._primary(0, (1, 8, 4)), self._primary(1, (0, 9, 4))]
         for i, (primary, degree) in enumerate(zip(primaries, (3, 2))):
-            own_space.add(
-                i, 1.0, degree, engine.policy.component_set(primary.path)
-            )
+            own_space.add(i, 1.0, degree, private.path_mask(primary.path))
         # By hand: the primaries share only node 4 (sc = 1 < 2 < 3), so
         # the two backups multiplex and one unit of spare covers both.
         a, b = (primary.path.components for primary in primaries)
@@ -330,9 +348,9 @@ class TestEngineOverlapCache:
                 == 1.0)
         # A candidate through node 4 alone (sc = 1 with each primary)
         # multiplexes with both residents at degree 2.
-        preview_args = (1.0, 2, frozenset({4, 7}))
-        assert (shared_space.preview_add(*preview_args)
-                == own_space.preview_add(*preview_args)
+        candidate = Path((4, 7))
+        assert (shared_space.preview_add(1.0, 2, engine.primary_mask(candidate))
+                == own_space.preview_add(1.0, 2, private.path_mask(candidate))
                 == 1.0)
 
     def test_readd_with_new_primary_not_served_stale_counts(self):
@@ -378,7 +396,7 @@ class TestPairScanMemo:
     def candidate(self, rng):
         nodes = rng.sample(range(10), rng.randint(2, 5))
         return (rng.choice(self.BANDWIDTHS), rng.choice(self.DEGREES),
-                components(*nodes))
+                mask_of(*nodes))
 
     @pytest.mark.parametrize("exact", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -412,10 +430,10 @@ class TestPairScanMemo:
     def test_preview_a_preview_b_add_a(self):
         previewing, twin = state(), state()
         for s in (previewing, twin):
-            s.add(0, 1.0, 1, components(1, 2, 3))
-            s.add(1, 0.5, 3, components(3, 4, 5))
-        a = (2.75, 1, components(1, 2, 9))
-        b = (0.25, 6, components(7, 8))
+            s.add(0, 1.0, 1, mask_of(1, 2, 3))
+            s.add(1, 0.5, 3, mask_of(3, 4, 5))
+        a = (2.75, 1, mask_of(1, 2, 9))
+        b = (0.25, 6, mask_of(7, 8))
         predicted = previewing.preview_add(*a)
         previewing.preview_add(*b)
         assert previewing.add(2, *a) == twin.add(2, *a) == predicted
@@ -424,9 +442,9 @@ class TestPairScanMemo:
     def test_remove_between_preview_and_add(self):
         previewing, twin = state(), state()
         for s in (previewing, twin):
-            s.add(0, 1.0, 1, components(1, 2, 3))
-            s.add(1, 0.5, 1, components(3, 4, 5))
-        candidate = (2.0, 1, components(1, 4))   # conflicts with both
+            s.add(0, 1.0, 1, mask_of(1, 2, 3))
+            s.add(1, 0.5, 1, mask_of(3, 4, 5))
+        candidate = (2.0, 1, mask_of(1, 4))   # conflicts with both
         stale = previewing.preview_add(*candidate)
         for s in (previewing, twin):
             s.remove(0)
@@ -437,8 +455,8 @@ class TestPairScanMemo:
     def test_set_requirements_between_preview_and_add(self):
         previewing, twin = state(), state()
         for s in (previewing, twin):
-            s.add(0, 1.0, 1, components(1, 2, 3))
-        candidate = (2.0, 1, components(1, 9))
+            s.add(0, 1.0, 1, mask_of(1, 2, 3))
+        candidate = (2.0, 1, mask_of(1, 9))
         previewing.preview_add(*candidate)
         for s in (previewing, twin):
             s.set_requirements({0: 4.0}, 4.0)
@@ -450,7 +468,7 @@ class TestPairScanMemo:
         """Adding the same description twice: the second add (and a
         preview between them) must see the first as a resident."""
         s = state()
-        candidate = (1.0, 1, components(1, 2, 3))
+        candidate = (1.0, 1, mask_of(1, 2, 3))
         assert s.preview_add(*candidate) == 1.0
         assert s.add(0, *candidate) == 1.0
         assert s.preview_add(*candidate) == 2.0
@@ -460,9 +478,9 @@ class TestPairScanMemo:
 
     def test_psi_of_an_older_entry_rescans(self):
         s = state()
-        s.add(0, 1.0, 1, components(1, 2, 3))
+        s.add(0, 1.0, 1, mask_of(1, 2, 3))
         assert s.psi_size(0) == 0
-        s.add(1, 1.0, 1, components(7, 8, 9))      # multiplexes with 0
+        s.add(1, 1.0, 1, mask_of(7, 8, 9))      # multiplexes with 0
         assert s.psi_size(1) == 1
         assert s.psi_size(0) == 1                  # not 1's scan, not stale
         s.remove(1)
@@ -471,8 +489,8 @@ class TestPairScanMemo:
     def test_preview_on_one_link_never_serves_another(self):
         engine = MultiplexingEngine()
         near, far = LinkId(1, 2), LinkId(2, 3)
-        engine.link_state(near).add(0, 1.0, 1, components(1, 5, 3))
-        candidate = (1.0, 1, components(1, 6, 3))  # conflicts on `near`
+        engine.link_state(near).add(0, 1.0, 1, mask_of(1, 5, 3))
+        candidate = (1.0, 1, mask_of(1, 6, 3))  # conflicts on `near`
         assert engine.link_state(near).preview_add(*candidate) == 2.0
         assert engine.link_state(far).preview_add(*candidate) == 1.0
         assert engine.link_state(far).add(1, *candidate) == 1.0
@@ -499,14 +517,13 @@ class TestPairScanMemo:
                 traffic=TrafficSpec(bandwidth=rng.choice(self.BANDWIDTHS)),
                 mux_degree=rng.choice(self.DEGREES),
             )
+            mask = engine.primary_mask(primary.path)
             predicted = engine.link_state(LINK).preview_add(
-                backup.bandwidth, backup.mux_degree,
-                engine.policy.component_set(primary.path),
+                backup.bandwidth, backup.mux_degree, mask
             )
             grown = engine.add_backup(backup, primary)[LINK]
             assert predicted == grown == twin.add(
-                cid, backup.bandwidth, backup.mux_degree,
-                primary.path.components,
+                cid, backup.bandwidth, backup.mux_degree, mask
             )
             live = engine.link_state(LINK)
             kinds.append(type(live).__name__)
@@ -520,10 +537,10 @@ class TestPairScanMemo:
 class TestLazyPoolMaximum:
     def test_maximum_through_untouched_shrunk_and_departed_holders(self):
         s = state()
-        s.add(0, 1.0, 1, components(1, 2, 3))
-        s.add(1, 2.0, 1, components(3, 4, 5))   # conflicts with 0 (node 3)
-        s.add(2, 0.5, 1, components(7, 8))      # multiplexes with both
-        s.add(3, 2.5, 1, components(9, 10))     # multiplexes with all
+        s.add(0, 1.0, 1, mask_of(1, 2, 3))
+        s.add(1, 2.0, 1, mask_of(3, 4, 5))   # conflicts with 0 (node 3)
+        s.add(2, 0.5, 1, mask_of(7, 8))      # multiplexes with both
+        s.add(3, 2.5, 1, mask_of(9, 10))     # multiplexes with all
         assert [e.requirement for e in s.entries()] == [3.0, 3.0, 0.5, 2.5]
         # Neither peak holder (0, 1) is charged by 2: maximum untouched.
         assert s.remove(2) == 3.0 == s.spare_required_recomputed()
@@ -553,17 +570,17 @@ class TestPublishOnChange:
         second = self._pair(1, (1, 2, 3), (1, 9, 3))
         with obs_session() as outer:
             engine.add_backup(*first)
-            assert outer.snapshot()["gauges"]["mux.space.rows"]["value"] == 1
+            gauges = outer.snapshot()["gauges"]
+            assert gauges["mux.space.components"]["value"] == 5
+            assert gauges["mux.space.bytes"]["value"] == 0
             with obs_session() as inner:
                 # Nothing grew, but this registry has never been told.
                 engine.remove_backup(first[0])
                 engine.add_backup(*first)
                 gauges = inner.snapshot()["gauges"]
-                assert gauges["mux.space.rows"]["value"] == 1
                 assert gauges["mux.space.components"]["value"] == 5
             engine.add_backup(*second)           # interner grew
             gauges = outer.snapshot()["gauges"]
-            assert gauges["mux.space.rows"]["value"] == 2
             assert gauges["mux.space.components"]["value"] == 8
 
     def test_steady_state_skips_the_gauge_lookups(self, monkeypatch):
@@ -581,6 +598,8 @@ class TestPublishOnChange:
                 engine.remove_backup(backup)
                 engine.add_backup(backup, primary)
             engine.remove_backup(backup)
+            # A new primary made of interned components grows nothing.
+            engine.add_backup(*self._pair(1, (1, 2, 3), (1, 8)))
             assert lookups == []
 
     def test_pickled_engine_forgets_the_registry(self):

@@ -24,7 +24,7 @@ from repro.core.bcp import BatchRequest
 from repro.core.dconnection import DConnection
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
 from repro.core.muxkernel import ComponentArena, VectorLinkMux
-from repro.core.overlap import OverlapPolicy
+from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.experiments.setup import load_network
 from repro.network.spec import TopologySpec
 from repro.network.components import LinkId
@@ -35,6 +35,8 @@ from repro.recovery import RecoveryEvaluator
 from repro.routing.paths import Path
 
 LINK = LinkId("u", "v")
+#: One interner for the twins' primaries, as an engine has.
+SPACE = ComponentSpace()
 BANDWIDTHS = (0.5, 1.0, 1.25, 2.0, 3.3)
 DEGREES = (0, 1, 2, 3, 5, 6)
 
@@ -117,11 +119,11 @@ class TestVectorVsReferenceProperty:
                 assert vector.remove(cid) == reference.remove(cid)
             else:
                 path = _random_walk_path(topology, rng)
-                components = policy.component_set(path)
+                mask = SPACE.path_mask(path)
                 bw = rng.choice(BANDWIDTHS)
                 degree = rng.choice(DEGREES)
-                grown = vector.add(next_id, bw, degree, components)
-                assert grown == reference.add(next_id, bw, degree, components)
+                grown = vector.add(next_id, bw, degree, mask)
+                assert grown == reference.add(next_id, bw, degree, mask)
                 live.append(next_id)
                 next_id += 1
             if step % 25 == 0:
@@ -141,23 +143,23 @@ class TestVectorVsReferenceProperty:
         vector, reference = _twin_states(policy)
         for cid in range(60):
             path = _random_walk_path(topology, rng)
-            components = policy.component_set(path)
+            mask = SPACE.path_mask(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
-            vector.add(cid, bw, degree, components)
-            reference.add(cid, bw, degree, components)
+            vector.add(cid, bw, degree, mask)
+            reference.add(cid, bw, degree, mask)
         for _ in range(40):
             path = _random_walk_path(topology, rng)
-            components = policy.component_set(path)
+            mask = SPACE.path_mask(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
             assert vector.preview_add(
-                bw, degree, components
-            ) == reference.preview_add(bw, degree, components)
+                bw, degree, mask
+            ) == reference.preview_add(bw, degree, mask)
             degrees = list(DEGREES)
             assert vector.psi_sizes_for_candidate(
-                components, degrees
-            ) == reference.psi_sizes_for_candidate(components, degrees)
+                mask, degrees
+            ) == reference.psi_sizes_for_candidate(mask, degrees)
 
     def test_bulk_teardown_matches_sequential_removal(self):
         topology = TOPOLOGY_FAMILIES["torus"]()
@@ -166,11 +168,11 @@ class TestVectorVsReferenceProperty:
         vector, reference = _twin_states(policy)
         for cid in range(80):
             path = _random_walk_path(topology, rng)
-            components = policy.component_set(path)
+            mask = SPACE.path_mask(path)
             bw = rng.choice(BANDWIDTHS)
             degree = rng.choice(DEGREES)
-            vector.add(cid, bw, degree, components)
-            reference.add(cid, bw, degree, components)
+            vector.add(cid, bw, degree, mask)
+            reference.add(cid, bw, degree, mask)
         victims = rng.sample(range(80), 30)
         final = vector.remove_many(victims)
         for cid in victims:
@@ -182,8 +184,8 @@ class TestVectorVsReferenceProperty:
         """Validate-then-apply on both backends: an unknown (or
         repeated) id fails loudly and leaves the link untouched."""
         for state in _twin_states():
-            state.add(1, 1.0, 1, frozenset({"a", "b"}))
-            state.add(2, 2.0, 1, frozenset({"b", "c"}))
+            state.add(1, 1.0, 1, SPACE.intern(("a", "b")))
+            state.add(2, 2.0, 1, SPACE.intern(("b", "c")))
             before = [
                 (entry.channel_id, entry.requirement)
                 for entry in state.entries()
@@ -256,7 +258,7 @@ class TestVectorVsReferenceProperty:
                         grown = engine.add_backup(backup, primary)[LINK]
                         assert grown == reference.add(
                             next_id, backup.bandwidth, backup.mux_degree,
-                            policy.component_set(primary.path),
+                            engine.primary_mask(primary.path),
                         )
                         live[next_id] = backup
                         next_id += 1
@@ -273,7 +275,7 @@ class TestVectorVsReferenceProperty:
                     ]
                     for cid in rng.sample(sorted(live), min(3, len(live))):
                         assert state.psi_size(cid) == reference.psi_size(cid)
-                    candidate = policy.component_set(
+                    candidate = engine.primary_mask(
                         _random_walk_path(topology, rng)
                     )
                     bw, degree = rng.choice(BANDWIDTHS), rng.choice(DEGREES)
@@ -438,9 +440,9 @@ class TestTransplant:
         reference = LinkMuxState(LINK, policy)
         for cid in range(50):
             path = _random_walk_path(topology, rng)
-            components = policy.component_set(path)
+            mask = SPACE.path_mask(path)
             reference.add(
-                cid, rng.choice(BANDWIDTHS), rng.choice(DEGREES), components
+                cid, rng.choice(BANDWIDTHS), rng.choice(DEGREES), mask
             )
         # A history the transplant must not recompute away.
         for cid in (3, 17, 40):
@@ -450,10 +452,10 @@ class TestTransplant:
         _assert_twins_equal(vector, reference)
         # The transplant is live: the same subsequent ops stay identical.
         path = _random_walk_path(topology, rng)
-        components = policy.component_set(path)
+        mask = SPACE.path_mask(path)
         assert vector.add(
-            777, 2.0, 3, components
-        ) == reference.add(777, 2.0, 3, components)
+            777, 2.0, 3, mask
+        ) == reference.add(777, 2.0, 3, mask)
         assert vector.remove(10) == reference.remove(10)
         _assert_twins_equal(vector, reference)
 
@@ -465,9 +467,9 @@ class TestComponentArena:
         rng = random.Random(11)
         for i in range(150):  # > 64 rows, > 256 component bits
             members = frozenset(rng.sample(range(600), rng.randint(3, 12)))
-            sets.append((arena.row(members), members))
-        assert arena.rows == len({row for row, _ in sets})
-        assert len(arena) == len({c for _, members in sets for c in members})
+            mask = sum(1 << bit for bit in members)
+            sets.append((arena.row(mask), members))
+        assert len(arena) == len({row for row, _ in sets})
         assert arena.nbytes > 0
         import numpy as np
 
@@ -479,9 +481,10 @@ class TestComponentArena:
 
     def test_row_interning_is_stable(self):
         arena = ComponentArena()
-        a = frozenset({"x", "y", "z"})
-        assert arena.row(a) == arena.row(frozenset({"z", "y", "x"}))
-        assert arena.components(arena.row(a)) == a
+        mask = SPACE.intern(("x", "y", "z"))
+        assert arena.row(mask) == arena.row(SPACE.intern(("z", "y", "x")))
+        assert arena.mask(arena.row(mask)) == mask
+        assert arena.row(0) != arena.row(mask) and arena.mask(arena.row(0)) == 0
 
 
 class TestObsExport:
@@ -503,7 +506,6 @@ class TestObsExport:
         assert snapshot["counters"]["mux.kernel.promotions"] == len(promoted)
         gauges = snapshot["gauges"]
         assert gauges["mux.space.components"]["value"] > 0
-        assert gauges["mux.space.rows"]["value"] > 0
         assert gauges["mux.space.bytes"]["value"] > 0
 
 

@@ -1,5 +1,5 @@
 """Allocation gates for a loaded network: it is freed by reference count,
-and it stores each backup's components once, as its path's nodes and
+and it stores each channel's components once, as its path's nodes and
 links.
 
 ``benchmarks/paper/test_allocation.py`` holds the same checks at the
@@ -44,16 +44,18 @@ def test_a_dropped_network_leaves_nothing_to_collect():
     assert unreachable == 0, "the network left cyclic garbage"
 
 
-def test_no_backup_path_builds_its_component_set():
-    """The evaluator over every single-node failure and a protocol run
-    read a backup's components through its nodes and links only."""
+def test_no_channel_path_builds_its_component_set():
+    """Build, the evaluator over every single-node failure, a protocol run
+    and teardown read every primary's and backup's components through
+    its nodes and links only: the mux engine interns a primary straight
+    into a bitmask."""
     network = _loaded_torus4()
-    backups = [
-        backup.path
+    paths = [
+        channel.path
         for connection in network.connections()
-        for backup in connection.backups
+        for channel in (connection.primary, *connection.backups)
     ]
-    assert len(backups) == 240
+    assert len(paths) == 480
     RecoveryEvaluator(network).evaluate_many(
         all_single_node_failures(network.topology)
     )
@@ -61,5 +63,9 @@ def test_no_backup_path_builds_its_component_set():
     simulation.fail(5, at=1.0)
     simulation.run(until=500.0)
     assert simulation.metrics.recovered_count() > 0
-    built = [path for path in backups if "components" in path.__dict__]
-    assert not built, f"{len(built)} of {len(backups)} backup paths"
+    for connection in network.connections():
+        network.teardown(connection)
+    assert not hasattr(paths[0], "__dict__")
+    built = [path for path in paths
+             if path._components is not None or path._transit is not None]
+    assert not built, f"{len(built)} of {len(paths)} channel paths"

@@ -25,11 +25,43 @@ class TestLinkId:
         assert LinkId(1, 2) != LinkId(2, 1)
 
     def test_no_collision_with_tuple_nodes(self):
-        # A LinkId between ints must not equal a tuple node id.
-        assert LinkId(0, 1) != (0, 1)
+        # A LinkId between ints must not equal a tuple node id, from
+        # either side of either operator.
+        link, node = LinkId(0, 1), (0, 1)
+        assert link != node and node != link
+        assert not link == node and not node == link
+        keyed = {node: "node", link: "link"}
+        assert len(keyed) == 2
+        assert keyed[node] == "node" and keyed[LinkId(0, 1)] == "link"
+        assert len({node, link}) == 2
 
     def test_hashable_and_stable(self):
         assert len({LinkId(1, 2), LinkId(1, 2), LinkId(2, 1)}) == 2
+
+    @pytest.mark.parametrize("src, dst", [(0, 1), ("a", "b"), ((0, 1), (2, 3))])
+    def test_hash_is_the_pair_hash(self, src, dst):
+        # What keeps every set and dict of links in the same order.
+        assert hash(LinkId(src, dst)) == hash((src, dst))
+        assert LinkId(src, dst).src == src and LinkId(src, dst).dst == dst
+
+    def test_pickle_and_deepcopy_round_trip(self):
+        import copy
+        import pickle
+
+        link = LinkId((0, 1), "b")
+        for clone in (pickle.loads(pickle.dumps(link)), copy.deepcopy(link),
+                      copy.copy(link)):
+            assert type(clone) is LinkId
+            assert clone == link and hash(clone) == hash(link)
+            assert (clone.src, clone.dst) == ((0, 1), "b")
+
+    def test_immutable(self):
+        link = LinkId(1, 2)
+        for name in ("src", "dst", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(link, name, 3)
+        assert not hasattr(link, "__dict__")
+        assert (link.src, link.dst) == (1, 2)
 
 
 class TestTopologyConstruction:

@@ -6,7 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.multiplexing import LinkMuxState
-from repro.core.overlap import OverlapPolicy, simultaneous_activation_probability
+from repro.core.overlap import (
+    ComponentSpace,
+    OverlapPolicy,
+    simultaneous_activation_probability,
+)
 from repro.core.reliability import (
     p_muxf_upper_bound,
     pr_multiple_backups,
@@ -74,8 +78,7 @@ class TestPathProperties:
         path = Path(nodes)
         with_endpoints = path.component_count(True)
         without = path.component_count(False)
-        assert "components" not in path.__dict__
-        assert "transit_components" not in path.__dict__
+        assert path._components is None and path._transit is None
         assert with_endpoints == len(path.components)
         assert without == len(path.transit_components)
 
@@ -154,6 +157,10 @@ class TestOverlapProperties:
 # ---------------------------------------------------------------------------
 
 
+#: One interner for every drawn primary, as an engine has.
+SPACE = ComponentSpace()
+
+
 class TestMuxStateProperties:
     @given(mux_operations())
     @settings(max_examples=60, deadline=None)
@@ -162,8 +169,7 @@ class TestMuxStateProperties:
         for op in operations:
             if op[0] == "add":
                 _, cid, nodes, degree, bandwidth = op
-                path = Path(nodes)
-                state.add(cid, bandwidth, degree, path.components)
+                state.add(cid, bandwidth, degree, SPACE.path_mask(Path(nodes)))
             else:
                 state.remove(op[1])
             incremental = state.spare_required()
@@ -178,8 +184,7 @@ class TestMuxStateProperties:
         for op in operations:
             if op[0] == "add":
                 _, cid, nodes, degree, bandwidth = op
-                path = Path(nodes)
-                state.add(cid, bandwidth, degree, path.components)
+                state.add(cid, bandwidth, degree, SPACE.path_mask(Path(nodes)))
                 live[cid] = bandwidth
             else:
                 state.remove(op[1])
@@ -199,9 +204,9 @@ class TestMuxStateProperties:
             if op[0] != "add":
                 continue
             _, cid, nodes, degree, bandwidth = op
-            path = Path(nodes)
-            preview = state.preview_add(bandwidth, degree, path.components)
-            actual = state.add(cid, bandwidth, degree, path.components)
+            mask = SPACE.path_mask(Path(nodes))
+            preview = state.preview_add(bandwidth, degree, mask)
+            actual = state.add(cid, bandwidth, degree, mask)
             assert abs(preview - actual) < 1e-9
 
 

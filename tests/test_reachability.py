@@ -315,7 +315,7 @@ def test_src_ships_only_what_an_entry_point_reaches():
 GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario",
                    "repro.obs", "repro.sim", "repro.network", "repro.recovery",
                    "repro.core", "repro.cli", "repro.faults", "repro.channels",
-                   "repro.datapath", "repro.serve")
+                   "repro.datapath", "repro.serve", "repro.baselines")
 
 
 def test_no_experiment_parameter_has_a_default_nobody_overrides():

@@ -40,6 +40,28 @@ class TestPathBasics:
         assert len({Path([1, 2]), Path([1, 2])}) == 1
 
 
+class TestSlots:
+    def test_no_instance_dict(self):
+        path = Path([1, 2, 3])
+        assert not hasattr(path, "__dict__")
+        with pytest.raises(AttributeError):
+            path.extra = 1
+
+    def test_views_are_built_once(self):
+        path = Path([1, 2, 3])
+        assert path._links is None and path._components is None
+        assert path.links is path.links
+        assert path.components is path.components
+        assert path.transit_components is path.transit_components
+
+    def test_given_links_are_kept(self):
+        topology = torus(3, 3)
+        links = (topology.link(0, 1), topology.link(1, 2))
+        path = Path([0, 1, 2], links)
+        assert all(a is b for a, b in zip(path.links, links))
+        assert path._components is None
+
+
 class TestComponents:
     def test_component_set_counts_nodes_and_links(self):
         path = Path([1, 2, 3])
