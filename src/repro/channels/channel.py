@@ -35,8 +35,7 @@ class Channel:
     connection_id:
         The owning D-connection.
     role:
-        Primary or backup.  A backup promoted by activation keeps its
-        serial but its role becomes ``PRIMARY``.
+        Primary or backup.
     serial:
         0 for the primary, 1.. for backups in establishment order.
     path:
@@ -75,12 +74,6 @@ class Channel:
     def fails_under(self, failed_components: frozenset | set) -> bool:
         """Whether this channel is disabled by the given component failures."""
         return self.path.intersects(failed_components)
-
-    def promote(self) -> None:
-        """Turn a backup into the connection's new primary (activation)."""
-        if self.role is not ChannelRole.BACKUP:
-            raise ValueError(f"channel {self.channel_id} is not a backup")
-        self.role = ChannelRole.PRIMARY
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -3,8 +3,8 @@
 Bundles a topology with the reservation ledger, channel registry,
 multiplexing engine, and establishment engine, and exposes the operations
 of the Backup Channel Protocol at the network-management level:
-establishing and tearing down D-connections, committing a switchover to a
-backup after a failure, and reading the utilization metrics the paper
+establishing D-connections (one request, or a batch admitted in order)
+and tearing them down, and reading the utilization metrics the paper
 reports (network-load and spare-bandwidth fractions).
 
 The *runtime* side of BCP — failure reporting, activation messages, RCC
@@ -14,8 +14,6 @@ discrete-event kernel; steady-state failure coverage evaluation lives in
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from repro.channels.qos import DelayQoS, FaultToleranceQoS
 from repro.channels.registry import ChannelRegistry
@@ -39,7 +37,6 @@ __all__ = [
     "BCPNetwork",
     "BatchRequest",
     "EstablishmentError",
-    "ReconfigurationReport",
     "SPARE_MIRROR_EPSILON",
 ]
 
@@ -48,32 +45,6 @@ __all__ = [
 #: round-off only; anything larger is a consistency violation (see
 #: :meth:`BCPNetwork.audit_invariants`).
 SPARE_MIRROR_EPSILON = 1e-6
-
-
-@dataclass
-class ReconfigurationReport:
-    """Outcome of the resource reconfiguration after a switchover
-    (Section 4.4).
-
-    Attributes
-    ----------
-    converted:
-        Links where the activated backup's bandwidth moved from the spare
-        pool to the primary pool.
-    deficits:
-        Links whose post-activation spare pool could not be restored to the
-        size the remaining backups require, mapped to the missing
-        bandwidth.  Backups crossing these links have degraded
-        fault-tolerance until they are re-established elsewhere.
-    """
-
-    converted: list[LinkId] = field(default_factory=list)
-    deficits: dict[LinkId, float] = field(default_factory=dict)
-
-    @property
-    def fully_restored(self) -> bool:
-        """Whether every remaining backup kept its full spare coverage."""
-        return not self.deficits
 
 
 class BCPNetwork:
@@ -125,7 +96,8 @@ class BCPNetwork:
     def establish_batch(
         self, requests: "list[BatchRequest]"
     ) -> "list[DConnection | EstablishmentError]":
-        """Admit a batch of requests through one shared routing pass; see
+        """Admit a batch of requests in order, exactly as one
+        :meth:`establish` per request would; see
         :meth:`~repro.core.establishment.EstablishmentEngine.establish_batch`.
 
         Successes are registered as live connections; failures stay in
@@ -201,72 +173,6 @@ class BCPNetwork:
         if isinstance(connection, int):
             connection = self.connection(connection)
         return connection_pr(connection, self.mux)
-
-    # ------------------------------------------------------------------
-    # switchover (channel switching + resource reconfiguration, Section 4)
-    # ------------------------------------------------------------------
-    def switch_to_backup(
-        self, connection: "DConnection | int"
-    ) -> ReconfigurationReport:
-        """Promote the lowest-serial backup to primary (the serial-number
-        rule that keeps both end-nodes consistent, Section 4.2) and
-        reconfigure resources.  The old primary's reservations are
-        released (its teardown after failure — in the runtime protocol
-        this happens via rejoin-timer expiry).
-
-        Per Section 4.4, after activation the spare pools are recomputed
-        for the remaining backups; links that cannot re-reserve the full
-        requirement are reported as deficits.
-        """
-        if isinstance(connection, int):
-            connection = self.connection(connection)
-        if not connection.backups:
-            raise EstablishmentError(
-                f"connection {connection.connection_id} has no backups"
-            )
-        backup = connection.backups_in_serial_order()[0]
-
-        report = ReconfigurationReport()
-
-        # 1. The backup stops being multiplexed: remove it from the mux
-        #    state, which shrinks each link's *required* pool.
-        requirements = self.mux.remove_backup(backup)
-
-        # 2. Release the failed primary's dedicated bandwidth.
-        self.engine.admission.release_primary(
-            connection.primary.path, connection.traffic
-        )
-
-        # 3. On each link of the activated path, draw the channel's
-        #    bandwidth out of the spare pool into the primary pool, then
-        #    restore the pool toward the remaining backups' requirement.
-        bandwidth = connection.traffic.bandwidth
-        for link in backup.path.links:
-            entry = self.ledger.ledger(link)
-            draw = min(bandwidth, entry.spare)
-            if draw > 0:
-                self.ledger.convert_spare_to_primary(link, draw)
-            if draw < bandwidth:
-                # The pool was already drained below this backup's need —
-                # the caller should have checked activatability first; we
-                # still honour the switch by taking free capacity.
-                self.ledger.reserve_primary(link, bandwidth - draw)
-            report.converted.append(link)
-
-        # 4. Reconcile every touched link's pool with the new requirement.
-        touched = set(requirements) | set(backup.path.links)
-        for link in touched:
-            required = self.mux.spare_required(link)
-            entry = self.ledger.ledger(link)
-            affordable = min(required, entry.capacity - entry.primary)
-            self.ledger.set_spare(link, affordable)
-            if affordable < required:
-                report.deficits[link] = required - affordable
-
-        # 5. Flip roles in the connection object; the old primary is gone.
-        old_primary = connection.switch_to_backup(backup)
-        self.registry.remove(old_primary.channel_id)
-        return report
 
     # ------------------------------------------------------------------
     # metrics (Section 7.1)

@@ -91,21 +91,6 @@ class DConnection:
         keeps both end-nodes consistent (Section 4.2)."""
         return sorted(self.backups, key=lambda channel: channel.serial)
 
-    def switch_to_backup(self, backup: Channel) -> Channel:
-        """Promote ``backup`` to primary; the old primary is returned for
-        teardown/repair bookkeeping and removed from the connection."""
-        if backup not in self.backups:
-            raise ValueError(
-                f"channel {backup.channel_id} is not a backup of connection "
-                f"{self.connection_id}"
-            )
-        old_primary = self.primary
-        self.backups.remove(backup)
-        backup.promote()
-        self.primary = backup
-        self.state = ConnectionState.ACTIVE
-        return old_primary
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DConnection(id={self.connection_id}, "

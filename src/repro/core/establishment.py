@@ -68,23 +68,14 @@ class EstablishmentError(Exception):
 
 @dataclass(frozen=True)
 class BatchRequest:
-    """One establishment request in a batched admission pass.
-
-    Requests with equal :meth:`group_key` (same endpoints, bandwidth, and
-    QoS) are admitted through one shared routing pass by
-    :meth:`EstablishmentEngine.establish_batch`.
-    """
+    """One establishment request of
+    :meth:`EstablishmentEngine.establish_batch`."""
 
     src: NodeId
     dst: NodeId
     traffic: TrafficSpec = TrafficSpec()
     delay_qos: DelayQoS = DelayQoS()
     ft_qos: FaultToleranceQoS = FaultToleranceQoS()
-
-    def group_key(self) -> tuple:
-        """Requests sharing this key can reuse one primary route."""
-        return (self.src, self.dst, self.traffic.bandwidth,
-                self.delay_qos, self.ft_qos)
 
 
 @dataclass
@@ -215,81 +206,23 @@ class EstablishmentEngine:
     def establish_batch(
         self, requests: "list[BatchRequest]"
     ) -> "list[DConnection | EstablishmentError]":
-        """Admit a batch of requests through shared routing work.
-
-        Requests are grouped by :meth:`BatchRequest.group_key`; within a
-        group the primary is routed once and the path *reused* for the
-        following requests as long as every link still passes the
-        admission test (``can_reserve_primary``), re-routing only on
-        saturation.  Because establishment is all-or-nothing, a fresh
-        route that fails leaves the network unchanged — so the same
-        failure is propagated to the group's remaining members without
-        re-running the search.  Declarative (literal-``P_r``) requests
-        re-route per connection anyway and are admitted individually.
+        """Admit a batch of requests in order, one :meth:`establish` each.
 
         Returns a list aligned with ``requests``: each entry is the
         established :class:`DConnection` or the
-        :class:`EstablishmentError` that blocked it.  The outcome for
-        every request is identical to sequential one-at-a-time
-        establishment, except that a reused path may be a different
-        (equal-length, still shortest feasible) member of the same
-        shortest-path equivalence class.
+        :class:`EstablishmentError` that blocked it.  Results, connection
+        and channel ids and every reservation are exactly those of
+        calling :meth:`establish` once per request in the same order.
         """
-        results: "list[DConnection | EstablishmentError]" = [None] * len(requests)
-        groups: dict[tuple, list[int]] = {}
-        for index, request in enumerate(requests):
-            groups.setdefault(request.group_key(), []).append(index)
-        for indices in groups.values():
-            cached_path: Path | None = None
-            blocked: EstablishmentError | None = None
-            for index in indices:
-                request = requests[index]
-                if request.ft_qos.is_declarative:
-                    try:
-                        results[index] = self.establish_literal(
-                            request.src, request.dst, request.traffic,
-                            request.delay_qos, request.ft_qos,
-                        )
-                    except EstablishmentError as error:
-                        results[index] = error
-                    continue
-                if blocked is not None:
-                    results[index] = blocked
-                    continue
-                bandwidth = request.traffic.bandwidth
-                reuse = cached_path is not None and all(
-                    self.ledger.can_reserve_primary(link, bandwidth)
-                    for link in cached_path.links
-                )
-                while True:
-                    try:
-                        if reuse:
-                            connection = self._commit_primary(
-                                request.src, request.dst, request.traffic,
-                                request.delay_qos, request.ft_qos, cached_path,
-                            )
-                        else:
-                            connection = self._establish_primary_only(
-                                request.src, request.dst, request.traffic,
-                                request.delay_qos, request.ft_qos,
-                            )
-                        connection = self._attach_backups(connection, request.ft_qos)
-                    except EstablishmentError as error:
-                        if reuse:
-                            # All-or-nothing rolled everything back; retry
-                            # this request with a fresh route before giving
-                            # up on it (the reused path may simply have
-                            # poor backup prospects now).
-                            reuse = False
-                            cached_path = None
-                            continue
-                        results[index] = error
-                        blocked = error
-                        cached_path = None
-                        break
-                    results[index] = connection
-                    cached_path = connection.primary.path
-                    break
+        results: "list[DConnection | EstablishmentError]" = []
+        for request in requests:
+            try:
+                results.append(self.establish(
+                    request.src, request.dst, request.traffic,
+                    request.delay_qos, request.ft_qos,
+                ))
+            except EstablishmentError as error:
+                results.append(error)
         return results
 
     def _attach_backups(
@@ -463,19 +396,6 @@ class EstablishmentEngine:
             f"from mux={old_degree} to mux={new_degree}"
         )
 
-    def remove_backup(self, connection: DConnection, backup: Channel) -> None:
-        """Tear down one backup channel, shrinking spare pools."""
-        if backup not in connection.backups:
-            raise ValueError(
-                f"channel {backup.channel_id} is not a backup of "
-                f"connection {connection.connection_id}"
-            )
-        requirements = self.mux.remove_backup(backup)
-        for link, required in requirements.items():
-            self.ledger.set_spare(link, required)
-        self.registry.remove(backup.channel_id)
-        connection.backups.remove(backup)
-
     def teardown(self, connection: DConnection) -> None:
         """Tear down the whole D-connection, releasing every reservation.
 
@@ -508,18 +428,8 @@ class EstablishmentEngine:
         delay_qos: DelayQoS,
         ft_qos: FaultToleranceQoS,
     ) -> DConnection:
-        path = self._route_primary(src, dst, traffic, delay_qos)
-        return self._commit_primary(src, dst, traffic, delay_qos, ft_qos, path)
-
-    def _route_primary(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        traffic: TrafficSpec,
-        delay_qos: DelayQoS,
-    ) -> Path:
-        """Shortest admissible primary path — the routing half of
-        establishment, separated so batched admission can reuse it."""
+        """Route the shortest admissible primary path, reserve it, and
+        mint the primary channel and its connection."""
         if src == dst:
             raise EstablishmentError(f"source equals destination: {src!r}")
         try:
@@ -531,23 +441,11 @@ class EstablishmentEngine:
             max_hops=delay_qos.max_hops(shortest_possible),
         )
         try:
-            return shortest_path(self.topology, src, dst, constraints)
+            path = shortest_path(self.topology, src, dst, constraints)
         except NoPathError as error:
             raise EstablishmentError(
                 f"no admissible primary path {src!r}->{dst!r}: {error}"
             ) from error
-
-    def _commit_primary(
-        self,
-        src: NodeId,
-        dst: NodeId,
-        traffic: TrafficSpec,
-        delay_qos: DelayQoS,
-        ft_qos: FaultToleranceQoS,
-        path: Path,
-    ) -> DConnection:
-        """Reserve ``path`` and mint the primary channel + connection —
-        the commitment half of establishment."""
         try:
             self.admission.reserve_primary(path, traffic)
         except AdmissionError as error:  # pragma: no cover - predicate guards

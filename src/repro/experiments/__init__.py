@@ -220,8 +220,8 @@ FLAGS = {
     "--bandwidth": Flag("bandwidth", positive,
                         "bandwidth each connection requests"),
     "--batch-window": Flag("batch_window", at_least(0, float),
-                           "arrivals closer than this share one batched "
-                           "admission pass"),
+                           "arrivals closer than this are admitted as one "
+                           "batch, in order"),
     "--epoch-interval": Flag("epoch_interval", positive,
                              "ledger audit + time-series sampling cadence"),
     "--eval-scenarios": Flag("eval_scenarios", at_least(0),

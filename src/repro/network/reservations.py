@@ -356,21 +356,6 @@ class ReservationLedger:
             entry.spare = amount
         self._commit(entry for entry, _ in resolved)
 
-    def convert_spare_to_primary(self, link: LinkId, bandwidth: float) -> None:
-        """Move ``bandwidth`` from the spare pool into the primary pool.
-
-        This is the resource-reconfiguration step after a backup activation
-        (Section 4.4): the activated channel's bandwidth is no longer
-        shareable spare but dedicated primary reservation.
-        """
-        check_non_negative(bandwidth, "bandwidth")
-        entry = self._links[link]
-        if entry.spare + _EPSILON < bandwidth:
-            raise InsufficientCapacityError(link, bandwidth, entry.spare)
-        entry.spare -= bandwidth
-        entry.primary += bandwidth
-        self._commit((entry,))
-
     # ------------------------------------------------------------------
     # network-wide metrics (paper Section 7.1)
     # ------------------------------------------------------------------

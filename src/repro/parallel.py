@@ -80,7 +80,6 @@ def parallel_map(
     items: Iterable,
     *,
     workers: "int | None" = 1,
-    metrics: "MetricsRegistry | None" = None,
 ) -> list:
     """Ordered map over independent tasks, optionally across processes.
 
@@ -88,12 +87,12 @@ def parallel_map(
     cell, a reliability configuration (each establishes its own network)
     or a chaos schedule.  ``func`` and every item must be picklable; each
     task runs under its own fresh metrics registry (worker *or* inline —
-    same semantics), and the per-task snapshots are folded into
-    ``metrics`` (default: session registry) in item order.  Results come
-    back in item order; a task exception propagates to the caller.
+    same semantics), and the per-task snapshots are folded into the
+    session registry in item order.  Results come back in item order; a
+    task exception propagates to the caller.
     """
     item_list = list(items)
-    registry = metrics if metrics is not None else get_registry()
+    registry = get_registry()
     sink = get_trace_sink()
     traced = sink is not None
     worker_count = min(resolve_workers(workers), max(1, len(item_list)))

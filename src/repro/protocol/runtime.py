@@ -775,12 +775,11 @@ def simulate_scenario(
     config: ProtocolConfig | None = None,
     failure_time: float = 1.0,
     horizon: float = 500.0,
-    seed: "int | None" = 0,
-    metrics: "MetricsRegistry | None" = None,
 ) -> ProtocolMetrics:
-    """Convenience wrapper: inject one scenario into a fresh runtime, run
-    to ``horizon``, return the metrics."""
-    simulation = ProtocolSimulation(network, config, seed, metrics=metrics)
+    """Convenience wrapper: inject one scenario into a fresh seed-0
+    runtime on the session registry, run to ``horizon``, return the
+    metrics."""
+    simulation = ProtocolSimulation(network, config)
     simulation.inject_scenario(scenario, failure_time)
     simulation.run(until=horizon)
     return simulation.metrics

@@ -40,24 +40,23 @@ class SignalingParams:
         check_non_negative(self.processing_delay, "processing_delay")
 
 
-def establishment_latency(hops: int, params: "SignalingParams | None" = None,
-                          attempts: int = 1) -> float:
-    """Closed-form signalling latency of establishing one channel.
+#: The timing model every establishment is priced with.
+SIGNALING = SignalingParams()
+
+
+def establishment_latency(hops: int) -> float:
+    """Closed-form signalling latency of establishing one channel under
+    :data:`SIGNALING`.
 
     Forward pass: ``hops`` transfers and ``hops + 1`` node visits;
-    backward pass the same.  ``attempts`` multiplies the whole round trip
-    (the contention retries of [BAN93]-style recovery).
+    backward pass the same.
     """
     if hops < 1:
         raise ValueError(f"hops must be >= 1, got {hops}")
-    if attempts < 1:
-        raise ValueError(f"attempts must be >= 1, got {attempts}")
-    params = params or SignalingParams()
     # Forward: every node processes once ((hops+1) nodes) over `hops`
     # transfers; backward: `hops` transfers, each followed by processing
     # at the receiving node (the destination's processing is shared).
-    round_trip = (
-        2 * hops * params.hop_delay
-        + (2 * hops + 1) * params.processing_delay
+    return (
+        2 * hops * SIGNALING.hop_delay
+        + (2 * hops + 1) * SIGNALING.processing_delay
     )
-    return attempts * round_trip

@@ -7,8 +7,8 @@ through establish → hold → teardown cycles on a simulated clock:
   arrival requests a D-connection between a seeded node pair;
 * arrivals landing within ``batch_window`` of each other — without a
   departure or epoch boundary in between — are admitted as one **batch**
-  through :meth:`~repro.core.bcp.BCPNetwork.establish_batch`, so
-  same-pair requests share a single routing pass;
+  through :meth:`~repro.core.bcp.BCPNetwork.establish_batch`, in arrival
+  order (one call, so one round trip for a served network);
 * each admitted connection **holds** for an exponential time (mean
   ``holding_time``) and is then torn down through the incremental bulk
   path (only the links its channels crossed are touched); the
@@ -58,8 +58,8 @@ class ChurnConfig:
     """Parameters of one churn run.
 
     ``pairs`` bounds the node-pair pool: arrivals draw from a pre-sampled
-    pool of that many ordered pairs (with repetition), which makes
-    same-pair batching effective; ``0`` draws a fresh pair per arrival.
+    pool of that many ordered pairs (with repetition), so the same pairs
+    contend for the same links; ``0`` draws a fresh pair per arrival.
     ``eval_scenarios`` enables the per-epoch recovery evaluation with a
     deterministic sample of that many single-link failures.
     """

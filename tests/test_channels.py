@@ -104,16 +104,6 @@ class TestChannel:
         assert channel.fails_under({LinkId(1, 2)})
         assert not channel.fails_under({99})
 
-    def test_promote(self):
-        backup = make_channel(role=ChannelRole.BACKUP, serial=1)
-        backup.promote()
-        assert backup.role is ChannelRole.PRIMARY
-        assert backup.serial == 1  # serial survives promotion
-
-    def test_promote_primary_rejected(self):
-        with pytest.raises(ValueError, match="not a backup"):
-            make_channel().promote()
-
     def test_negative_serial_rejected(self):
         with pytest.raises(ValueError):
             make_channel(serial=-1)
@@ -159,7 +149,7 @@ class TestChannelRegistry:
         registry.add(backup)
         link = backup.path.links[0]
         assert registry.primaries_on_link(link) == []
-        backup.promote()
+        backup.role = ChannelRole.PRIMARY
         assert registry.primaries_on_link(link) == [backup]
 
     def test_component_index_and_affected_by(self):

@@ -1,4 +1,4 @@
-"""The batched departure loop against the one-teardown-per-departure oracle.
+"""The churn engine's batched loops against their one-at-a-time oracles.
 
 Both engines drive a recording network through the same seeded churn
 run.  They must agree on the stats, the registry counters, the final
@@ -7,6 +7,10 @@ operations (a teardown of several ids counts as that many teardowns, in
 order).  The cases that could tell the two apart: a ``run(until=...)``
 pause that splits a run of departures, a departure tied with an arrival,
 and a departure tied with an epoch boundary.
+
+The batch of arrivals is held the same way: a network that admits it as
+one ``establish`` per request ends a churn run with the same stats and
+snapshot bytes as the plain one.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import math
 import pytest
 
 from repro.core.bcp import BCPNetwork
+from repro.core.establishment import EstablishmentError
 from repro.network import torus
 from repro.obs.registry import MetricsRegistry
 from repro.serve import snapshot_network
@@ -173,3 +178,34 @@ def test_departures_tied_with_arrivals_and_epochs(rows):
 @pytest.mark.parametrize("rows", [4, 8])
 def test_a_pause_on_a_tied_instant(rows):
     assert_same_run(rows, TIED, pause=5.0, draws=tied_draws)
+
+
+class OneEstablishPerRequest(BCPNetwork):
+    """A network that admits a batch as one ``establish`` per request."""
+
+    def establish_batch(self, requests):
+        results = []
+        for request in requests:
+            try:
+                results.append(self.establish(
+                    request.src, request.dst, request.traffic,
+                    request.delay_qos, request.ft_qos,
+                ))
+            except EstablishmentError as error:
+                results.append(error)
+        return results
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_batch_is_its_requests_in_order(seed):
+    """``repro churn``'s workload: 64 pairs on the 8x8 torus, so one
+    batch often holds the same pair more than once."""
+    config = ChurnConfig(seed=seed, mux_degree=3, pairs=64)
+    runs = []
+    for network_class in (BCPNetwork, OneEstablishPerRequest):
+        network = network_class(torus(8, 8))
+        stats = ChurnEngine(network, config, metrics=MetricsRegistry()).run()
+        runs.append((stats.to_dict(),
+                     json.dumps(snapshot_network(network), sort_keys=True)))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["batches"] < runs[0][0]["arrivals"]

@@ -6,7 +6,6 @@ import pytest
 
 from repro import (
     ChannelRole,
-    ConnectionState,
     DConnection,
     DelayQoS,
     FaultToleranceQoS,
@@ -57,22 +56,6 @@ class TestDConnection:
         conn = connection()
         conn.backups.reverse()  # scrambled storage order
         assert [b.serial for b in conn.backups_in_serial_order()] == [1, 2]
-
-    def test_switch_to_backup(self):
-        conn = connection()
-        target = conn.backups[1]
-        old = conn.switch_to_backup(target)
-        assert old.serial == 0
-        assert conn.primary is target
-        assert conn.primary.role is ChannelRole.PRIMARY
-        assert len(conn.backups) == 1
-        assert conn.state is ConnectionState.ACTIVE
-
-    def test_switch_to_foreign_channel_rejected(self):
-        conn = connection()
-        stranger = channel(99, ChannelRole.BACKUP, 9, (1, 20, 3))
-        with pytest.raises(ValueError, match="not a backup"):
-            conn.switch_to_backup(stranger)
 
     def test_wrong_roles_rejected(self):
         backup = channel(1, ChannelRole.BACKUP, 1, (1, 10, 3))

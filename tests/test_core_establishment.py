@@ -3,6 +3,9 @@ BCPNetwork facade."""
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 
 from repro import (
@@ -17,6 +20,8 @@ from repro import (
 )
 from repro.core import BatchRequest
 from repro.routing.shortest import hop_distance
+from repro.serve import snapshot_network
+from tests.switchover_oracle import switch_to_backup
 
 
 class TestPrimaryEstablishment:
@@ -307,7 +312,7 @@ class TestSwitchover:
         )
         backup = connection.backups[0]
         old_primary_path = connection.primary.path
-        report = torus4.switch_to_backup(connection)
+        report = switch_to_backup(torus4, connection)
         assert connection.primary is backup
         assert connection.primary.role is ChannelRole.PRIMARY
         assert connection.backups == []
@@ -323,13 +328,13 @@ class TestSwitchover:
             0, 5, ft_qos=FaultToleranceQoS(num_backups=0, mux_degree=0)
         )
         with pytest.raises(EstablishmentError, match="no backups"):
-            torus4.switch_to_backup(connection)
+            switch_to_backup(torus4, connection)
 
     def test_switch_prefers_lowest_serial(self, torus4):
         connection = torus4.establish(
             0, 5, ft_qos=FaultToleranceQoS(num_backups=2, mux_degree=3)
         )
-        torus4.switch_to_backup(connection)
+        switch_to_backup(torus4, connection)
         assert connection.primary.serial == 1
         assert [backup.serial for backup in connection.backups] == [2]
 
@@ -340,7 +345,7 @@ class TestSwitchover:
             torus4.establish(0, 5, ft_qos=qos),
         ]
         load_before = torus4.network_load()
-        torus4.switch_to_backup(connections[0])
+        switch_to_backup(torus4, connections[0])
         # Load is conserved: the promoted path now carries the bandwidth.
         assert torus4.network_load() == pytest.approx(load_before, rel=0.5)
         # The sibling's backup must still be fully covered.
@@ -385,13 +390,27 @@ class TestLeakAudit:
     def test_switchover_is_not_a_leak(self, torus4):
         qos = FaultToleranceQoS(num_backups=2, mux_degree=3)
         connections = [torus4.establish(0, 5, ft_qos=qos) for _ in range(3)]
-        torus4.switch_to_backup(connections[1])
+        switch_to_backup(torus4, connections[1])
         assert torus4.audit_invariants() == []
 
 
+def contended_batch(seed: int) -> tuple[float, list[BatchRequest]]:
+    """A seeded contended batch on a 4x4 torus: a capacity of 2, 3 or 4,
+    3 to 12 requests over 3 node pairs, one backup at mux 0, 1 or 3."""
+    rng = random.Random(seed)
+    capacity = rng.choice((2.0, 3.0, 4.0))
+    qos = FaultToleranceQoS(num_backups=1, mux_degree=rng.choice((0, 1, 3)))
+    pairs = [tuple(rng.sample(range(16), 2)) for _ in range(3)]
+    requests = [
+        BatchRequest(*rng.choice(pairs), ft_qos=qos)
+        for _ in range(rng.randint(3, 12))
+    ]
+    return capacity, requests
+
+
 class TestBatchEstablishment:
-    """establish_batch must match sequential establishment outcomes while
-    sharing routing passes within same-(src, dst, QoS) groups."""
+    """establish_batch is one establish per request, in order: the same
+    results, connection and channel ids, and network state."""
 
     def make_network(self, capacity=200.0):
         return BCPNetwork(torus(4, 4, capacity=capacity))
@@ -410,18 +429,28 @@ class TestBatchEstablishment:
                 results.append(error)
         return results
 
-    def assert_equivalent(self, batch_results, sequential_results):
-        # Connection ids are minted group-by-group in batch mode, so they
-        # are not compared; admission outcomes and channel paths are.
-        assert len(batch_results) == len(sequential_results)
-        for got, want in zip(batch_results, sequential_results):
+    def assert_equivalent(self, batch, sequential, requests):
+        """Admit ``requests`` as one batch on ``batch`` and one by one on
+        ``sequential``; returns the batch's results."""
+        got_results = batch.establish_batch(requests)
+        want_results = self.run_sequential(sequential, requests)
+        assert len(got_results) == len(want_results) == len(requests)
+        for got, want in zip(got_results, want_results):
             if isinstance(want, EstablishmentError):
                 assert isinstance(got, EstablishmentError)
-            else:
-                assert got.primary.path.nodes == want.primary.path.nodes
-                assert [b.path.nodes for b in got.backups] == [
-                    b.path.nodes for b in want.backups
-                ]
+                assert str(got) == str(want)
+                continue
+            assert got.connection_id == want.connection_id
+            assert [c.channel_id for c in got.channels] == [
+                c.channel_id for c in want.channels
+            ]
+            assert [c.path.nodes for c in got.channels] == [
+                c.path.nodes for c in want.channels
+            ]
+        assert json.dumps(snapshot_network(batch)) == json.dumps(
+            snapshot_network(sequential)
+        )
+        return got_results
 
     def test_matches_sequential_same_pair(self):
         requests = [
@@ -430,10 +459,7 @@ class TestBatchEstablishment:
         ]
         batch = self.make_network()
         sequential = self.make_network()
-        self.assert_equivalent(
-            batch.establish_batch(requests),
-            self.run_sequential(sequential, requests),
-        )
+        self.assert_equivalent(batch, sequential, requests)
         assert batch.network_load() == sequential.network_load()
         assert batch.spare_fraction() == sequential.spare_fraction()
 
@@ -447,10 +473,7 @@ class TestBatchEstablishment:
         ]
         batch = self.make_network()
         sequential = self.make_network()
-        self.assert_equivalent(
-            batch.establish_batch(requests),
-            self.run_sequential(sequential, requests),
-        )
+        self.assert_equivalent(batch, sequential, requests)
         assert batch.ledger.audit() == []
 
     def test_matches_sequential_under_saturation(self):
@@ -461,10 +484,7 @@ class TestBatchEstablishment:
         requests = [BatchRequest(0, 1) for _ in range(16)]
         batch = self.make_network(capacity=3.0)
         sequential = self.make_network(capacity=3.0)
-        batch_results = batch.establish_batch(requests)
-        self.assert_equivalent(
-            batch_results, self.run_sequential(sequential, requests)
-        )
+        batch_results = self.assert_equivalent(batch, sequential, requests)
         assert any(isinstance(r, EstablishmentError) for r in batch_results)
         assert batch.ledger.audit() == []
 
@@ -473,10 +493,29 @@ class TestBatchEstablishment:
         requests = [BatchRequest(0, 5, ft_qos=qos) for _ in range(2)]
         batch = self.make_network()
         sequential = self.make_network()
-        self.assert_equivalent(
-            batch.establish_batch(requests),
-            self.run_sequential(sequential, requests),
-        )
+        self.assert_equivalent(batch, sequential, requests)
+
+    def test_contended_batch_blocks_what_sequential_blocks(self):
+        """Requests of three pairs interleaved on a tight torus: admitting
+        them pair by pair, not in arrival order, blocks the sixth."""
+        qos = FaultToleranceQoS(num_backups=1, mux_degree=3)
+        pairs = [(2, 4), (2, 4), (3, 7), (2, 4), (3, 7), (3, 7), (14, 7),
+                 (2, 4), (14, 7)]
+        requests = [BatchRequest(src, dst, ft_qos=qos) for src, dst in pairs]
+        batch = self.make_network(capacity=2.0)
+        sequential = self.make_network(capacity=2.0)
+        results = self.assert_equivalent(batch, sequential, requests)
+        assert not isinstance(results[5], EstablishmentError)
+        assert batch.spare_fraction() == sequential.spare_fraction()
+
+    @pytest.mark.parametrize("block", range(4))
+    def test_seeded_contended_batches_match_sequential(self, block):
+        for seed in range(50 * block, 50 * (block + 1)):
+            capacity, requests = contended_batch(seed)
+            self.assert_equivalent(
+                self.make_network(capacity), self.make_network(capacity),
+                requests,
+            )
 
     def test_results_align_with_requests(self):
         network = self.make_network()

@@ -12,7 +12,7 @@ from repro.experiments.panel import run_table1
 from repro.network.spec import TopologySpec
 from repro.experiments.workloads import all_pairs, establish_workload
 from repro.faults import sample_double_node_failures
-from repro.protocol import ProtocolConfig, simulate_scenario
+from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.faults import FailureScenario
 
 
@@ -59,13 +59,15 @@ class TestDeterminism:
             scenario = FailureScenario.of_links(
                 [connection.primary.path.links[1]]
             )
-            metrics = simulate_scenario(
-                network, scenario,
+            simulation = ProtocolSimulation(
+                network,
                 ProtocolConfig(frame_loss_probability=0.2,
                                max_retransmissions=12),
                 seed=9,
             )
-            record = metrics.recoveries[connection.connection_id]
+            simulation.inject_scenario(scenario, 1.0)
+            simulation.run(until=500.0)
+            record = simulation.metrics.recoveries[connection.connection_id]
             return (record.recovered_serial, record.service_disruption,
                     record.completed_at)
 

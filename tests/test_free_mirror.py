@@ -72,7 +72,7 @@ class Walk:
         self.steps = [
             self.reserve_primary, self.release_primary,
             self.reserve_primary_path, self.release_primary_path,
-            self.set_spare, self.set_spares, self.convert_spare_to_primary,
+            self.set_spare, self.set_spares,
             self.failed_path_reserve, self.failed_set_spares,
             self.restore_pools,
         ]
@@ -123,12 +123,6 @@ class Walk:
         self.attempt(self.ledger.set_spares, {
             link: self.rng.uniform(0.0, 4.0) for link in self.links(5)
         })
-
-    def convert_spare_to_primary(self) -> None:
-        (link,) = self.links()
-        pool = self.ledger.spare_reserved(link)
-        self.attempt(self.ledger.convert_spare_to_primary, link,
-                     self.rng.uniform(0.0, pool))
 
     def failed_path_reserve(self) -> None:
         """Validate-then-apply: the last link cannot fit, so nothing on

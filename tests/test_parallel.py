@@ -135,8 +135,10 @@ class TestParallelMap:
 
     def test_folds_worker_metrics_in_order(self):
         reg1, reg2 = MetricsRegistry(), MetricsRegistry()
-        parallel_map(_record_and_square, range(5), workers=1, metrics=reg1)
-        parallel_map(_record_and_square, range(5), workers=2, metrics=reg2)
+        with obs_session(reg1):
+            parallel_map(_record_and_square, range(5), workers=1)
+        with obs_session(reg2):
+            parallel_map(_record_and_square, range(5), workers=2)
         snap1, snap2 = reg1.snapshot(), reg2.snapshot()
         assert snap1["counters"] == snap2["counters"] == {
             "test.map_calls": 5

@@ -23,6 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro import BCPNetwork, EstablishmentError, FaultToleranceQoS, torus
+from tests.switchover_oracle import switch_to_backup
 
 NODES = 9  # 3x3 torus
 
@@ -64,7 +65,7 @@ class BCPNetworkMachine(RuleBasedStateMachine):
     def switchover(self, index):
         candidates = [c for c in self.live if c.backups]
         connection = candidates[index % len(candidates)]
-        self.network.switch_to_backup(connection)
+        switch_to_backup(self.network, connection)
 
     # ------------------------------------------------------------------
     @invariant()
@@ -134,7 +135,7 @@ def test_full_teardown_after_random_walk():
         else:
             candidates = [c for c in live if c.backups]
             if candidates:
-                network.switch_to_backup(rng.choice(candidates))
+                switch_to_backup(network, rng.choice(candidates))
     for connection in live:
         network.teardown(connection)
     assert network.network_load() == pytest.approx(0.0)

@@ -27,9 +27,9 @@ def single_connection():
     return network, connection
 
 
-def fail_primary_mid(network, connection, config=None, horizon=500.0, **kwargs):
+def fail_primary_mid(network, connection, config=None, horizon=500.0):
     scenario = FailureScenario.of_links([connection.primary.path.links[1]])
-    return simulate_scenario(network, scenario, config, horizon=horizon, **kwargs)
+    return simulate_scenario(network, scenario, config, horizon=horizon)
 
 
 class TestBasicRecovery:
@@ -239,8 +239,12 @@ class TestRCCIntegration:
         network, connection = single_connection
         config = ProtocolConfig(frame_loss_probability=0.3,
                                 max_retransmissions=12)
-        metrics = fail_primary_mid(network, connection, config, seed=11)
-        assert metrics.recoveries[connection.connection_id].recovered
+        simulation = ProtocolSimulation(network, config, seed=11)
+        simulation.inject_scenario(
+            FailureScenario.of_links([connection.primary.path.links[1]]), 1.0
+        )
+        simulation.run(until=500.0)
+        assert simulation.metrics.recoveries[connection.connection_id].recovered
 
     def test_disruption_scales_with_dmax(self, single_connection):
         network, connection = single_connection

@@ -39,23 +39,12 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ROOT_DIRS = ("benchmarks", "scripts", "examples")
 
-_SWITCHOVER = (
-    "§4.4 management-level switchover: the reference "
-    "test_integration_crosscheck.py compares the runtime protocol against, "
-    "and the mutation the stateful / free-mirror property tests drive"
-)
 _DAEMON = "protocol/daemon.py is ROADMAP item 1's file; not opened here"
 
 ALLOWED = {
     "repro.routing.disjoint":
         "frozen benchmarks/e2e/layers.py wraps its shortest_path by module "
         "name; goes with ROADMAP item 2",
-    "repro.core.bcp.BCPNetwork.switch_to_backup": _SWITCHOVER,
-    "repro.core.bcp.ReconfigurationReport": _SWITCHOVER,
-    "repro.core.dconnection.DConnection.switch_to_backup": _SWITCHOVER,
-    "repro.channels.channel.Channel.promote": _SWITCHOVER,
-    "repro.network.reservations.ReservationLedger.convert_spare_to_primary":
-        _SWITCHOVER,
     "repro.protocol.daemon.BCPDaemon.initiate_closure": _DAEMON,
     "repro.protocol.runtime.ProtocolSimulation.close_connection":
         "the only caller of BCPDaemon.initiate_closure; " + _DAEMON,
@@ -315,7 +304,9 @@ def test_src_ships_only_what_an_entry_point_reaches():
 GATED_PACKAGES = ("repro.experiments", "repro.chaos", "repro.scenario",
                    "repro.obs", "repro.sim", "repro.network", "repro.recovery",
                    "repro.core", "repro.cli", "repro.faults", "repro.channels",
-                   "repro.datapath", "repro.serve", "repro.baselines")
+                   "repro.datapath", "repro.serve", "repro.baselines",
+                   "repro.parallel", "repro.workload", "repro.analysis",
+                   "repro.util", "repro.protocol")
 
 
 def test_no_experiment_parameter_has_a_default_nobody_overrides():

@@ -18,6 +18,7 @@ from repro.network import LinkId
 from repro.network.generators import ring
 from repro.serve.state import restore_network, snapshot_network
 from tests import registry_oracle as oracle
+from tests.switchover_oracle import switch_to_backup
 
 STEPS = 120
 
@@ -76,7 +77,7 @@ def _walk(network: BCPNetwork, seed: int) -> int:
         elif roll < 0.9:
             switchable = [c for c in connections if c.backups]
             if switchable:
-                network.switch_to_backup(rng.choice(switchable))
+                switch_to_backup(network, rng.choice(switchable))
                 changed += 1
         else:
             restored = BCPNetwork(network.topology)

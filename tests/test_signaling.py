@@ -7,26 +7,22 @@ import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.analysis import recovery_delay_bound
-from repro.protocol.signaling import SignalingParams, establishment_latency
+from repro.protocol.signaling import (
+    SIGNALING,
+    SignalingParams,
+    establishment_latency,
+)
 
 
 class TestClosedForm:
     def test_round_trip_formula(self):
-        params = SignalingParams(hop_delay=2.0, processing_delay=1.0)
+        assert SIGNALING == SignalingParams(hop_delay=2.0, processing_delay=1.0)
         # 4 hops: 8 transfers + 9 node-processing steps = 16 + 9 = 25.
-        assert establishment_latency(4, params) == pytest.approx(25.0)
-
-    def test_attempts_multiply(self):
-        params = SignalingParams()
-        assert establishment_latency(4, params, attempts=3) == pytest.approx(
-            3 * establishment_latency(4, params)
-        )
+        assert establishment_latency(4) == pytest.approx(25.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             establishment_latency(0)
-        with pytest.raises(ValueError):
-            establishment_latency(3, attempts=0)
         with pytest.raises(ValueError):
             SignalingParams(hop_delay=0.0)
 
