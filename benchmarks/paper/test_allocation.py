@@ -40,6 +40,15 @@ RETAINED_BUDGET = 24_000
 NETWORK_OBJECT_BUDGET = 58_200
 NETWORK_MIB_BUDGET = 10.5
 
+#: What compiling that network's protocol plan adds, measured on CPython
+#: 3.11: 16 262 tracked objects and 5.14 MiB traced.  Each fact is stored
+#: once: per node a channel id -> position map, per channel its meta tuple
+#: and path, per connection its channel ids.  With a row per (channel,
+#: node) pair, a connection index per node and an owned-link frozenset per
+#: primary the plan held 63 157 objects and 14.08 MiB.
+PLAN_OBJECT_BUDGET = 17_000
+PLAN_MIB_BUDGET = 5.8
+
 
 def _loaded_network(rows: int) -> BCPNetwork:
     network = BCPNetwork(torus(rows, rows, capacity=200.0))
@@ -78,6 +87,29 @@ def test_loaded_network_size_and_lifetime():
     assert unreachable == 0, "the dropped network left cyclic garbage"
     assert tracked <= NETWORK_OBJECT_BUDGET, tracked
     assert heap_mib <= NETWORK_MIB_BUDGET, heap_mib
+
+
+def test_protocol_plan_size():
+    network = _loaded_network(8)
+    protocol_plan(_loaded_network(4))  # every module the compile reaches
+    gc.collect()
+    gc.disable()
+    try:
+        start = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            protocol_plan(network)
+            assert gc.collect() == 0
+            heap_mib = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+        tracked = len(gc.get_objects()) - start
+    finally:
+        gc.enable()
+    print(f"8x8 protocol plan: {tracked} tracked objects, "
+          f"{heap_mib:.2f} MiB traced")
+    assert tracked <= PLAN_OBJECT_BUDGET, tracked
+    assert heap_mib <= PLAN_MIB_BUDGET, heap_mib
 
 
 def test_node_failure_leaves_nothing_to_collect():

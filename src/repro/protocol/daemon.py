@@ -66,7 +66,7 @@ class BackupInfo:
     mux_degree: int
 
 
-@dataclass
+@dataclass(slots=True)
 class EndpointView:
     """Connection-level state kept at each end-node (Section 4.2)."""
 
@@ -694,7 +694,7 @@ class BCPDaemon:
         sweeps keep the lower-only rule — an old sweep still in flight
         must never demote a newer primary it crosses."""
         records = self.records
-        for channel_id in self.table.by_connection[record.connection_id]:
+        for channel_id in self.table.channels_of(record.connection_id):
             other = records[channel_id]
             if (
                 other.connection_id != record.connection_id

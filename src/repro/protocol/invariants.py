@@ -316,7 +316,7 @@ class InvariantAuditor:
             )
             primaries: dict[int, list[int]] = {}
             for connection_id in touched:
-                for channel_id in daemon.table.by_connection[connection_id]:
+                for channel_id in daemon.table.channels_of(connection_id):
                     record = daemon.records[channel_id]
                     if not record.is_endpoint:
                         continue

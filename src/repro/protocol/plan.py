@@ -4,12 +4,14 @@ Section 3.4 has every BCP daemon hold a record for each channel through
 its node.  Those records are written at *establishment* and read only by
 the channels a failure actually hits (Section 4), so nothing about them
 depends on the simulation that reads them.  They are compiled once per
-network state into a :class:`ProtocolPlan` — per node, the channel table
-in registration order, the two indices the daemon's whole-node scans
-reduce to, and the end-node view templates — and every
+network state into a :class:`ProtocolPlan`, and every
 :class:`~repro.protocol.runtime.ProtocolSimulation` of that state reads
 it (the per-failure answer is looked up, not re-derived — the idea of
-Enhanced Multiple Routing Configurations, PAPERS.md).
+Enhanced Multiple Routing Configurations, PAPERS.md).  Each fact is
+stored once: per channel its meta tuple and path (its installed state is
+its serial: 0 is the primary), per connection its channel ids, and per
+node only each channel's position on its path, the neighbour index the
+daemon's failure scan reads and the end-node view templates.
 
 The plan is owned by the :class:`~repro.core.bcp.BCPNetwork` it describes
 (``network._protocol_plan``) and keyed on ``network.ledger.version``,
@@ -31,7 +33,7 @@ from typing import NamedTuple
 
 from repro.channels.channel import ChannelRole
 from repro.core.bcp import BCPNetwork
-from repro.network.components import LinkId, NodeId
+from repro.network.components import NodeId
 from repro.protocol.daemon import BackupInfo, EndpointView
 from repro.protocol.states import (
     ChannelEvent,
@@ -42,27 +44,10 @@ from repro.routing.paths import Path
 from repro.util.lazytable import FilledOnTouch
 
 
-class ChannelRow(NamedTuple):
-    """One channel through one node, as establishment left it."""
-
-    #: Registration position in the node's channel table.
-    position: int
-    connection_id: int
-    serial: int
-    path: Path
-    mux_degree: int
-    #: Installed Fig. 4 state: PRIMARY or BACKUP.
-    state: LocalChannelState
-    #: Position of the node on ``path``.
-    index: int
-
-
 class EndpointRow(NamedTuple):
     """What an end-node knows about one of its connections before any
     failure; the template of an :class:`EndpointView`."""
 
-    #: Registration position in the node's view table.
-    position: int
     source: NodeId
     destination: NodeId
     role: str
@@ -70,12 +55,6 @@ class EndpointRow(NamedTuple):
     current_serial: int
     #: Backups in serial order (a view copies this into its own list).
     backups: tuple[BackupInfo, ...]
-
-
-_ESTABLISH = {
-    LocalChannelState.PRIMARY: ChannelEvent.ESTABLISH_PRIMARY,
-    LocalChannelState.BACKUP: ChannelEvent.ESTABLISH_BACKUP,
-}
 
 
 class LazyTable(FilledOnTouch):
@@ -113,33 +92,44 @@ class LazyTable(FilledOnTouch):
     def touched(self) -> list:
         """The entries materialised so far, in registration order.  Every
         other entry is still exactly what its row says."""
-        rows = self._rows
-        return [
-            entry for _, entry in sorted(
-                dict.items(self), key=lambda item: rows[item[0]].position
-            )
-        ]
+        return list(map(
+            self.__getitem__, filter(dict.keys(self).__contains__, self._rows)
+        ))
 
 
 class NodeTable:
-    """Everything the daemon at one node was told at establishment."""
+    """Everything the daemon at one node was told at establishment: which
+    channels pass through it, and where.  What a channel is — its
+    connection, serial, ν, path and installed state — is stored once per
+    channel, in the plan, and read from there."""
 
-    __slots__ = ("node", "channels", "endpoints", "by_neighbour",
-                 "by_connection")
+    __slots__ = ("node", "channels", "endpoints", "by_neighbour", "_meta",
+                 "_paths", "_connections")
 
-    def __init__(self, node: NodeId) -> None:
+    def __init__(self, node: NodeId, meta: Mapping, paths: Mapping,
+                 connections: Mapping) -> None:
         self.node = node
-        #: channel id -> row, in registration order.
-        self.channels: dict[int, ChannelRow] = {}
+        #: channel id -> position of the node on the channel's path, in
+        #: registration order.
+        self.channels: dict[int, int] = {}
         #: connection id -> view template, in registration order.
         self.endpoints: dict[int, EndpointRow] = {}
         #: neighbour node -> ids of the channels whose previous or next
         #: hop it is, in registration order: the only records a failure of
         #: that neighbour, or of a link to or from it, can relate to.
         self.by_neighbour: dict[NodeId, tuple[int, ...]] = {}
-        #: connection id -> ids of its channels through this node, in
-        #: registration order.
-        self.by_connection: dict[int, tuple[int, ...]] = {}
+        # The plan's network-wide tables (not the plan: no cycle).
+        self._meta = meta
+        self._paths = paths
+        self._connections = connections
+
+    def channels_of(self, connection_id: int) -> list[int]:
+        """Ids of the connection's channels through this node, in
+        registration order (a connection's channels register one after
+        another, in ``connection.channels`` order)."""
+        channels = self.channels
+        return [channel_id for channel_id in self._connections[connection_id]
+                if channel_id in channels]
 
     def records(self) -> LazyTable:
         """A fresh, untouched channel-record table for one daemon."""
@@ -150,17 +140,23 @@ class NodeTable:
         return LazyTable(self.endpoints, self._view)
 
     def _record(self, channel_id: int) -> LocalChannelRecord:
-        row = self.channels[channel_id]
+        index = self.channels[channel_id]
+        connection_id, serial, _, _, mux_degree = self._meta[channel_id]
         record = LocalChannelRecord(
             channel_id=channel_id,
-            connection_id=row.connection_id,
-            serial=row.serial,
-            path=row.path,
+            connection_id=connection_id,
+            serial=serial,
+            path=self._paths[channel_id],
             node=self.node,
-            mux_degree=row.mux_degree,
-            index=row.index,
+            mux_degree=mux_degree,
+            index=index,
         )
-        record.transition(row.state, _ESTABLISH[row.state])
+        if serial:
+            record.transition(LocalChannelState.BACKUP,
+                              ChannelEvent.ESTABLISH_BACKUP)
+        else:
+            record.transition(LocalChannelState.PRIMARY,
+                              ChannelEvent.ESTABLISH_PRIMARY)
         return record
 
     def _view(self, connection_id: int) -> EndpointView:
@@ -180,42 +176,43 @@ class ProtocolPlan:
     """Simulation-independent protocol state of a loaded network at one
     ledger version."""
 
-    __slots__ = ("version", "tables", "channel_meta", "owned_links")
+    __slots__ = ("version", "tables", "channel_meta", "channel_paths",
+                 "connection_channels")
 
     def __init__(self, network: BCPNetwork) -> None:
         #: ``network.ledger.version`` this plan was compiled at.
         self.version = network.ledger.version
+        meta: dict[int, tuple[int, int, float, int, int]] = {}
+        paths: dict[int, Path] = {}
+        connections: dict[int, tuple[int, ...]] = {}
         #: node -> its table, for every node of the topology.
         self.tables: dict[NodeId, NodeTable] = {
-            node: NodeTable(node) for node in network.topology.nodes()
+            node: NodeTable(node, meta, paths, connections)
+            for node in network.topology.nodes()
         }
-        meta: dict[int, tuple[int, int, float, int, int]] = {}
-        owned: dict[int, frozenset[LinkId]] = {}
         tables = self.tables
         for connection in network.connections():
             connection_id = connection.connection_id
-            for channel in connection.channels:
+            channels = connection.channels
+            connections[connection_id] = tuple(
+                channel.channel_id for channel in channels
+            )
+            for channel in channels:
                 channel_id = channel.channel_id
-                path = channel.path
-                primary = channel.role is ChannelRole.PRIMARY
-                state = (LocalChannelState.PRIMARY if primary
-                         else LocalChannelState.BACKUP)
+                # A record's installed state is read off its serial.
+                assert (channel.serial == 0) == (
+                    channel.role is ChannelRole.PRIMARY
+                ), f"channel {channel_id}: serial 0 must be the primary"
+                path = paths[channel_id] = channel.path
                 meta[channel_id] = (
                     connection_id, channel.serial, channel.bandwidth,
                     path.hops, channel.mux_degree,
                 )
-                if primary:
-                    owned[channel_id] = frozenset(path.links)
                 nodes = path.nodes
                 last = len(nodes) - 1
                 for index, node in enumerate(nodes):
                     table = tables[node]
-                    table.channels[channel_id] = ChannelRow(
-                        len(table.channels), connection_id, channel.serial,
-                        path, channel.mux_degree, state, index,
-                    )
-                    table.by_connection.setdefault(
-                        connection_id, []).append(channel_id)
+                    table.channels[channel_id] = index
                     if index:
                         table.by_neighbour.setdefault(
                             nodes[index - 1], []).append(channel_id)
@@ -235,31 +232,30 @@ class ProtocolPlan:
                 (connection.source, "source"),
                 (connection.destination, "destination"),
             ):
-                endpoints = tables[node].endpoints
-                endpoints[connection_id] = EndpointRow(
-                    len(endpoints), connection.source, connection.destination,
-                    role, connection.primary.channel_id,
-                    connection.primary.serial, backups,
+                tables[node].endpoints[connection_id] = EndpointRow(
+                    connection.source, connection.destination, role,
+                    connection.primary.channel_id, connection.primary.serial,
+                    backups,
                 )
         for table in tables.values():
-            # The indices were grown as lists; freeze them.
+            # The index was grown as lists; freeze it.
             table.by_neighbour = {
                 neighbour: tuple(ids)
                 for neighbour, ids in table.by_neighbour.items()
-            }
-            table.by_connection = {
-                connection_id: tuple(ids)
-                for connection_id, ids in table.by_connection.items()
             }
         #: channel id -> (connection id, serial, bandwidth, hops, mux degree)
         self.channel_meta: Mapping[
             int, tuple[int, int, float, int, int]
         ] = MappingProxyType(meta)
-        #: primary channel id -> the links of its original dedicated
-        #: reservation (a simulation copies a channel's set on first touch).
-        self.owned_links: Mapping[
-            int, frozenset[LinkId]
-        ] = MappingProxyType(owned)
+        #: channel id -> its path.  A primary's links are those of its
+        #: original dedicated reservation (a simulation copies them into a
+        #: set of its own on first touch).
+        self.channel_paths: Mapping[int, Path] = MappingProxyType(paths)
+        #: connection id -> ids of its channels, in ``connection.channels``
+        #: order.
+        self.connection_channels: Mapping[
+            int, tuple[int, ...]
+        ] = MappingProxyType(connections)
 
 
 def protocol_plan(network: BCPNetwork) -> ProtocolPlan:

@@ -39,7 +39,7 @@ from repro.sim.trace import TraceLog
 from repro.util.rng import make_rng
 
 
-@dataclass
+@dataclass(slots=True)
 class RecoveryRecord:
     """Per-connection recovery trace."""
 
@@ -443,11 +443,13 @@ class ProtocolSimulation:
 
     def _owned(self, channel_id: int) -> set[LinkId]:
         """This simulation's own set of the links ``channel_id`` holds a
-        dedicated reservation on, seeded from the plan on first touch."""
+        dedicated reservation on, seeded on first touch: a primary's
+        path, nothing for a backup."""
         owned = self._owned_links.get(channel_id)
         if owned is None:
-            owned = self._owned_links[channel_id] = set(
-                self.plan.owned_links.get(channel_id, ())
+            owned = self._owned_links[channel_id] = (
+                set() if self._channel_meta[channel_id][1]
+                else set(self.plan.channel_paths[channel_id].links)
             )
         return owned
 

@@ -109,7 +109,7 @@ class IllegalTransitionError(Exception):
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalChannelRecord:
     """Everything a BCP daemon knows about one channel through its node.
 

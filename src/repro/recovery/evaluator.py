@@ -52,7 +52,7 @@ from repro.util.validation import check_non_negative
 
 # Activation-order sort keys over the contending records.
 _by_priority = attrgetter("mux_degree", "connection_id")
-_by_connection_id = attrgetter("connection_id")
+_connection_id_of = attrgetter("connection_id")
 
 
 class ActivationOrder(enum.Enum):
@@ -300,7 +300,7 @@ class RecoveryEvaluator:
         if self.order is ActivationOrder.RANDOM:
             self._rng.shuffle(contenders)
         elif self.order is ActivationOrder.CONNECTION_ID:
-            contenders.sort(key=_by_connection_id)
+            contenders.sort(key=_connection_id_of)
         elif not plan.priority_ordered:
             contenders.sort(key=_by_priority)
 

@@ -30,11 +30,18 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Tracked objects one node-5 simulation of the loaded 4x4 torus adds
 #: (construction + run, the network's plan already compiled: compiling
-#: it inside the window adds its 4 614).  Measured 3 183 on CPython 3.11;
-#: the parent of the PR that added this gate kept 7 818 and left 2 940 of
-#: them to the collector.  A bound method per timer again reads 3 545, a
-#: closure per timer ~4 400.
+#: it inside the window adds ``PLAN_BUDGET``'s).  Measured 3 183 on
+#: CPython 3.11; the parent of the PR that added this gate kept 7 818 and
+#: left 2 940 of them to the collector.  A bound method per timer again
+#: reads 3 545, a closure per timer ~4 400.
 RETAINED_BUDGET = 3_500
+
+#: Tracked objects compiling the loaded 4x4 torus's protocol plan adds.
+#: Measured 998 on CPython 3.11: one view template per endpoint and one
+#: ``BackupInfo`` tuple per connection, nothing per (channel, node) pair
+#: but a dict entry.  A row per (channel, node) pair, a connection index
+#: per node and an owned-link frozenset per primary made it 2 885.
+PLAN_BUDGET = 1_100
 
 
 @pytest.fixture
@@ -72,6 +79,16 @@ class TestSimulationLeavesNoGarbage:
         del simulation
         gc.collect()
         assert abs(len(gc.get_objects()) - start) <= 50
+
+
+    def test_plan_stores_each_fact_once(self, loaded_torus4,
+                                        collector_off):
+        gc.collect()
+        start = len(gc.get_objects())
+        protocol_plan(loaded_torus4)
+        assert gc.collect() == 0, "compiling the plan left cyclic garbage"
+        compiled = len(gc.get_objects()) - start
+        assert compiled <= PLAN_BUDGET, compiled
 
 
 class TestHandleLifetime:

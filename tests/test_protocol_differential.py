@@ -21,6 +21,7 @@ from repro.protocol import (
 )
 from repro.protocol import plan as plan_module
 from repro.protocol.plan import protocol_plan
+from repro.serve.state import restore_network, snapshot_network
 from repro.sim import TraceLog
 from tests.planted import UnguardedOracleSimulation, UnguardedSimulation
 from tests.protocol_oracle import OracleAuditor, OracleSimulation
@@ -342,6 +343,36 @@ class TestPlanLifetime:
         assert [key for key, _ in table.items()] == channel_ids
         assert sorted(built) == channel_ids and len(table.touched()) == 4
 
+    @pytest.mark.parametrize("restored", [False, True],
+                             ids=["established", "restored"])
+    def test_connection_lookup_at_a_node(self, torus4, restored):
+        qos = FaultToleranceQoS(num_backups=2, mux_degree=3)
+        for src in (0, 5):
+            for dst in range(16):
+                if dst != src:
+                    torus4.establish(src, dst, ft_qos=qos)
+        network = torus4
+        if restored:
+            network = BCPNetwork(torus4.topology)
+            restore_network(network, snapshot_network(torus4))
+        connections = network.connections()
+        assert len(connections) == 30
+        assert all(len(connection.backups) == 2 for connection in connections)
+        plan = protocol_plan(network)
+        for node, table in plan.tables.items():
+            for connection in connections:
+                through = [
+                    channel for channel in connection.channels
+                    if node in channel.path.nodes
+                ]
+                assert table.channels_of(connection.connection_id) == [
+                    channel.channel_id for channel in through
+                ]
+                for channel in through:
+                    assert table.channels[channel.channel_id] == (
+                        channel.path.nodes.index(node)
+                    )
+
     def test_simulation_state_never_aliases_the_plan(self, ring6):
         qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
         connection = ring6.establish(0, 2, ft_qos=qos)
@@ -379,14 +410,14 @@ class TestPlanLifetime:
 
         assert plan.tables[source].endpoints[connection.connection_id] == row
         assert len(row.backups) == 1
-        assert plan.owned_links[primary.channel_id] == frozenset(
+        # A primary's owned links are its path's, which nothing wrote to.
+        assert plan.channel_paths[primary.channel_id].links == (
             primary.path.links
         )
-        assert backup.channel_id not in plan.owned_links
         with pytest.raises(TypeError):
             plan.channel_meta[primary.channel_id] = ()
         with pytest.raises(TypeError):
-            plan.owned_links[backup.channel_id] = frozenset()
+            plan.channel_paths[backup.channel_id] = primary.path
 
         second = ProtocolSimulation(ring6, seed=0, metrics=NULL_REGISTRY)
         assert second.plan is plan
