@@ -14,19 +14,23 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
+import weakref
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.analysis.delay import required_rcc_frame_messages
 from repro.experiments.workloads import all_pairs, establish_workload
 from repro.obs import NULL_REGISTRY
-from repro.protocol import ProtocolConfig, ProtocolSimulation
+from repro.protocol import InvariantAuditor, ProtocolConfig, ProtocolSimulation
 from repro.protocol.config import RCCParams
 from repro.protocol.plan import protocol_plan
 
 #: Tracked objects the node-19 simulation adds (construction + run, the
-#: first seed-0 scenario of ``protocol-recovery``).  Measured 22 570 on
-#: CPython 3.11; the parent of the PR that added this check kept 59 500
-#: and left 19 538 of them to the collector.
+#: first seed-0 scenario of ``protocol-recovery``).  Measured 20 907 on
+#: CPython 3.11.  While every RCC link seeded its loss generator up front
+#: and the daemons, links and runtime pointed at each other strongly it
+#: kept 22 568, and dropping it left 18 333 objects to the collector; the
+#: parent of the PR that added this check kept 59 500 and left 19 538 of
+#: them to the collector after the run itself.
 RETAINED_BUDGET = 24_000
 
 #: What one loaded 8x8 mux=3 network holds (all 4 032 pairs, one shared
@@ -119,20 +123,36 @@ def test_node_failure_leaves_nothing_to_collect():
         max_messages_per_frame=required_rcc_frame_messages(network)
     ))
     protocol_plan(network)  # the plan is the network's, not the run's
-    gc.collect()
-    gc.disable()
-    try:
-        start = len(gc.get_objects())
-        simulation = ProtocolSimulation(
-            network, config, seed=0, metrics=NULL_REGISTRY
+    for audited in (False, True):
+        gc.collect()
+        gc.disable()
+        try:
+            start = len(gc.get_objects())
+            simulation = ProtocolSimulation(
+                network, config, seed=0, metrics=NULL_REGISTRY
+            )
+            auditor = InvariantAuditor(simulation) if audited else None
+            if auditor is not None:
+                auditor.attach()
+            simulation.fail(19, at=1.0)
+            simulation.run(until=500.0)
+            retained = len(gc.get_objects()) - start
+            unreachable = gc.collect()
+            drained = simulation.engine.pending == 0
+            recoveries = simulation.metrics.recoveries.values()
+            recovered = sum(record.recovered for record in recoveries)
+            # Dropping the drained run frees it by reference count.
+            alive = weakref.ref(simulation)
+            del simulation, auditor, recoveries
+            freed = alive() is None
+            dropped_unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert drained and recovered > 100
+        assert unreachable == 0, "the run left cyclic garbage"
+        if not audited:
+            assert retained <= RETAINED_BUDGET, retained
+        assert freed, "the dropped simulation is held by a cycle"
+        assert dropped_unreachable == 0, (
+            "the dropped simulation left cyclic garbage"
         )
-        simulation.fail(19, at=1.0)
-        simulation.run(until=500.0)
-        retained = len(gc.get_objects()) - start
-        unreachable = gc.collect()
-    finally:
-        gc.enable()
-    recoveries = simulation.metrics.recoveries.values()
-    assert sum(record.recovered for record in recoveries) > 100
-    assert unreachable == 0, "the run left cyclic garbage"
-    assert retained <= RETAINED_BUDGET, retained

@@ -16,6 +16,11 @@ from repro.util.validation import (
     check_probability,
 )
 
+#: An unacknowledged RCC frame is resent after
+#: ``ACK_TIMEOUT_FACTOR * 2 * rcc.max_delay`` — a quarter more than the
+#: hop round trip its ack needs.
+ACK_TIMEOUT_FACTOR = 1.25
+
 
 class SwitchingScheme(enum.Enum):
     """The three channel-switching schemes of Section 4.2 (Fig. 5)."""
@@ -86,9 +91,8 @@ class ProtocolConfig:
     #: higher-priority activation short on spare may preempt an activated
     #: lower-priority backup on the congested link.
     preemption: bool = False
-    #: Retransmission: resend an unacked frame after
-    #: ``ack_timeout_factor * 2 * rcc.max_delay``.
-    ack_timeout_factor: float = 1.25
+    #: Retransmission: resend an unacked frame after :attr:`ack_timeout`,
+    #: at most this many times before giving the frame up.
     max_retransmissions: int = 8
     #: Random per-frame loss (exercises the ack/retransmit machinery even
     #: without component failures).
@@ -130,7 +134,6 @@ class ProtocolConfig:
         check_non_negative(
             self.activation_delay_per_degree, "activation_delay_per_degree"
         )
-        check_positive(self.ack_timeout_factor, "ack_timeout_factor")
         if self.max_retransmissions < 0:
             raise ValueError(
                 f"max_retransmissions must be >= 0, got {self.max_retransmissions}"
@@ -158,7 +161,7 @@ class ProtocolConfig:
     @property
     def ack_timeout(self) -> float:
         """How long a frame waits for its hop-by-hop ack before resending."""
-        return self.ack_timeout_factor * 2.0 * self.rcc.max_delay
+        return ACK_TIMEOUT_FACTOR * 2.0 * self.rcc.max_delay
 
     @property
     def switchover_retry_window(self) -> float:

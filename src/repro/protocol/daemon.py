@@ -23,13 +23,14 @@ The daemon implements:
 from __future__ import annotations
 
 import enum
+import weakref
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.network.components import LinkId, NodeId
-from repro.obs.registry import get_registry
 from repro.protocol.config import SwitchingScheme
 from repro.protocol.messages import (
+    HEARTBEAT_CHANNEL,
     ActivationAck,
     ActivationMessage,
     ChannelClosure,
@@ -45,7 +46,7 @@ from repro.protocol.states import (
     LocalChannelState,
 )
 from repro.routing.paths import Path
-from repro.sim.timers import PeriodicTimer, Timeout
+from repro.sim.timers import PeriodicTimer, Timeout, WeakCallback
 
 
 class _FailureSide(enum.Enum):
@@ -111,11 +112,28 @@ class _PendingActivation:
 
 
 class BCPDaemon:
-    """The BCP agent at one node."""
+    """The BCP agent at one node.
+
+    The runtime owns its daemons, so a daemon holds nothing that leads
+    back to it strongly.  It keeps the acyclic services it uses on every
+    message — engine, config, metrics, trace, failed-component set, the
+    RCC links it sends on, topology — and reaches the runtime itself
+    through one weak proxy, for the rarer calls (draws, teardown,
+    episodes, re-establishment).  Its timers call it back through
+    :class:`~repro.sim.timers.WeakCallback`, so they do not hold it either.
+    """
 
     def __init__(self, node: NodeId, runtime) -> None:
         self.node = node
-        self.runtime = runtime
+        self.runtime = weakref.proxy(runtime)
+        self._engine = runtime.engine
+        self._config = runtime.config
+        self._metrics = runtime.metrics
+        self._failed = runtime.failed_components
+        #: link -> RCCLink, the runtime's own map (filled once the daemons
+        #: every link delivers to exist).
+        self._rcc = runtime._rcc
+        self._topology = runtime.network.topology
         #: This node's slice of the compiled plan: what establishment
         #: installed here, plus the indices the whole-node scans read.
         self.table = runtime.plan.tables[node]
@@ -128,15 +146,14 @@ class BCPDaemon:
         #: In-flight switchover handshakes this end-node initiated, keyed
         #: by connection id (at most one per connection).
         self._pending: dict[int, _PendingActivation] = {}
-        # The timer callbacks, bound once: every timer of this daemon holds
-        # the same method object instead of binding one of its own.
-        self._rejoin_expired = self._rejoin_expired
-        self._activation_retry = self._activation_retry
-        self._probe_tick = self._probe_tick
+        # The timer callbacks, made once: every timer of this daemon holds
+        # the same object, and none of them holds the daemon.
+        self._on_rejoin_expiry = WeakCallback(self._rejoin_expired)
+        self._on_activation_timeout = WeakCallback(self._activation_retry)
+        self._on_probe_tick = WeakCallback(self._probe_tick)
         # Network-wide control-plane counters, shared by every daemon of
-        # the runtime (stub runtimes without .obs fall back to the
-        # session registry).
-        obs = getattr(runtime, "obs", None) or get_registry()
+        # the runtime.
+        obs = runtime.obs
         self._c_detections = obs.counter("protocol.detections")
         self._c_reports = obs.counter("protocol.reports_sent")
         self._c_received = obs.counter("protocol.messages_received")
@@ -156,25 +173,21 @@ class BCPDaemon:
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    @property
-    def _config(self):
-        return self.runtime.config
-
     def _alive(self) -> bool:
-        return self.runtime.node_up(self.node)
+        return self.node not in self._failed
 
     def _point(self, kind: str, connection_id: int, **attrs: object) -> None:
         """Record one step of a connection's handling at this node, filed
         under the connection's open recovery episode (callers guard on
         ``self._log.active``)."""
         self._log.point(
-            kind, self.node, self.runtime.engine.now,
+            kind, self.node, self._engine.now,
             parent=self.runtime.episode_parent(connection_id),
             connection=connection_id, **attrs,
         )
 
     def _send(self, next_hop: NodeId, message: ControlMessage) -> None:
-        self.runtime.rcc_send(self.node, next_hop, message)
+        self._rcc[self._topology.link(self.node, next_hop)].send(message)
 
     def _next_hop(self, record: LocalChannelRecord, direction: Direction):
         if direction is Direction.TO_SOURCE:
@@ -185,9 +198,9 @@ class BCPDaemon:
         timer = self._rejoin_timers.get(record.channel_id)
         if timer is None:
             timer = Timeout(
-                self.runtime.engine,
+                self._engine,
                 self._config.rejoin_timeout,
-                self._rejoin_expired, record.channel_id,
+                self._on_rejoin_expiry, record.channel_id,
             )
             self._rejoin_timers[record.channel_id] = timer
         timer.start()
@@ -370,11 +383,14 @@ class BCPDaemon:
         """Dispatch one control message delivered by the RCC layer."""
         if not self._alive():
             return
-        self._c_received.inc()
         try:
             record = self.records[message.channel_id]
         except KeyError:
+            if message.channel_id == HEARTBEAT_CHANNEL:
+                # Link-level heartbeat, not channel control traffic.
+                self.runtime.heartbeats.on_heartbeat(message.link)
             return  # the channel was never established through this node
+        self._c_received.inc()
         if isinstance(message, FailureReport):
             self._receive_failure_report(record, message)
         elif isinstance(message, ActivationMessage):
@@ -440,8 +456,8 @@ class BCPDaemon:
                 self._start_probe_timer(record.channel_id)
             return
         view.unhealthy.add(record.channel_id)
-        self.runtime.metrics.note_endpoint_informed(
-            record.connection_id, record.channel_id, self.runtime.engine.now
+        self._metrics.note_endpoint_informed(
+            record.connection_id, record.channel_id, self._engine.now
         )
         if self._log.active:
             self._point(
@@ -480,14 +496,14 @@ class BCPDaemon:
         backup = view.next_backup()
         if backup is None:
             view.recovering = False
-            self.runtime.metrics.note_unrecoverable(
-                view.connection_id, self.runtime.engine.now, self.node
+            self._metrics.note_unrecoverable(
+                view.connection_id, self._engine.now, self.node
             )
             if self._log.active:
                 self._point("unrecoverable", view.connection_id,
                             role=view.role)
                 self.runtime.end_episode(
-                    view.connection_id, self.runtime.engine.now,
+                    view.connection_id, self._engine.now,
                     outcome="unrecoverable",
                 )
             if view.role == "source":
@@ -497,9 +513,7 @@ class BCPDaemon:
             return
         delay = backup.mux_degree * self._config.activation_delay_per_degree
         if delay > 0:
-            self.runtime.engine.schedule(
-                delay, self._send_activation, view, backup
-            )
+            self._engine.schedule(delay, self._send_activation, view, backup)
         else:
             self._send_activation(view, backup)
 
@@ -526,8 +540,8 @@ class BCPDaemon:
             else Direction.TO_SOURCE
         )
         if view.role == "source":
-            self.runtime.metrics.note_activation_sent(
-                view.connection_id, backup.serial, self.runtime.engine.now
+            self._metrics.note_activation_sent(
+                view.connection_id, backup.serial, self._engine.now
             )
         if record.state is not LocalChannelState.BACKUP:
             # Already promoted by the other end's activation sweeping the
@@ -628,9 +642,9 @@ class BCPDaemon:
                 return  # mux failure mid-switchover: reports + fallback ran
         if changed:
             if record.is_source:
-                self.runtime.metrics.note_source_resumed(
+                self._metrics.note_source_resumed(
                     record.connection_id, record.serial,
-                    self.runtime.engine.now,
+                    self._engine.now,
                 )
                 if self._log.active:
                     self._point("resumed", record.connection_id,
@@ -721,9 +735,9 @@ class BCPDaemon:
         """Start the ack timer for an activation this end-node just sent."""
         self._cancel_pending(view.connection_id)
         timer = Timeout(
-            self.runtime.engine,
+            self._engine,
             self._config.switchover_ack_timeout,
-            self._activation_retry, view.connection_id,
+            self._on_activation_timeout, view.connection_id,
         )
         self._pending[view.connection_id] = _PendingActivation(
             backup=backup, episode=view.episode, attempts=0, timer=timer,
@@ -866,7 +880,7 @@ class BCPDaemon:
         on exhaustion, declare a multiplexing failure (Section 3.3)."""
         # The topology's own interned id: the runtime keys its draws on it
         # and the record may keep it, so nothing is built per draw.
-        link = self.runtime.network.topology.link(self.node, record.downstream)
+        link = self._topology.link(self.node, record.downstream)
         drawn, preempted = self.runtime.try_draw(
             link, record.channel_id, record.mux_degree
         )
@@ -881,8 +895,8 @@ class BCPDaemon:
         # component failure (Section 4.1).
         record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
         self._start_rejoin_timer(record)
-        self.runtime.metrics.note_mux_failure(
-            record.connection_id, record.channel_id, link, self.runtime.engine.now
+        self._metrics.note_mux_failure(
+            record.connection_id, record.channel_id, link, self._engine.now
         )
         if self._log.active:
             self._point(
@@ -906,8 +920,8 @@ class BCPDaemon:
             self._start_rejoin_timer(record)
         if self._log.active:
             self._point("preemption", record.connection_id, channel=channel_id)
-        self.runtime.metrics.note_preemption(
-            record.connection_id, channel_id, self.runtime.engine.now
+        self._metrics.note_preemption(
+            record.connection_id, channel_id, self._engine.now
         )
         self._emit_report(record, Direction.TO_SOURCE, None)
         self._emit_report(record, Direction.TO_DESTINATION, None)
@@ -945,9 +959,9 @@ class BCPDaemon:
         timer = self._probe_timers.get(channel_id)
         if timer is None:
             timer = PeriodicTimer(
-                self.runtime.engine,
+                self._engine,
                 self._config.rejoin_probe_interval,
-                self._probe_tick, channel_id,
+                self._on_probe_tick, channel_id,
             )
             self._probe_timers[channel_id] = timer
         if not timer.running:
@@ -1001,8 +1015,8 @@ class BCPDaemon:
                 record.transition(LocalChannelState.BACKUP, ChannelEvent.REJOIN)
                 self._cancel_rejoin_timer(record.channel_id)
                 self._refresh_view_after_rejoin(record)
-                self.runtime.metrics.note_rejoined(
-                    record.connection_id, record.channel_id, self.runtime.engine.now
+                self._metrics.note_rejoined(
+                    record.connection_id, record.channel_id, self._engine.now
                 )
             next_hop = record.upstream
             if next_hop is not None:
@@ -1030,8 +1044,8 @@ class BCPDaemon:
             self._cancel_rejoin_timer(record.channel_id)
         if record.is_source:
             self._refresh_view_after_rejoin(record)
-            self.runtime.metrics.note_rejoined(
-                record.connection_id, record.channel_id, self.runtime.engine.now
+            self._metrics.note_rejoined(
+                record.connection_id, record.channel_id, self._engine.now
             )
             if self._log.active:
                 self._point("rejoined", record.connection_id,

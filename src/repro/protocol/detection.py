@@ -18,106 +18,89 @@ channel-level healing is the rejoin machinery's job.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 from repro.network.components import LinkId
-from repro.protocol.messages import ControlMessage
-from repro.sim.timers import Timeout
-
-#: Channel-id value marking link-level (not channel-level) control traffic.
-HEARTBEAT_CHANNEL = -1
-
-
-@dataclass(frozen=True, slots=True)
-class Heartbeat(ControlMessage):
-    """One link heartbeat (rides the RCC like any control message)."""
-
-    link: "LinkId | None" = None
-
-
-class HeartbeatDetector:
-    """Link-failure detection for one *incoming* link of a node."""
-
-    def __init__(self, runtime, link: LinkId) -> None:
-        self.runtime = runtime
-        self.link = link
-        self.config = runtime.config
-        timeout = (
-            self.config.heartbeat_miss_threshold * self.config.heartbeat_period
-            + self.config.rcc.max_delay
-        )
-        self._timer = Timeout(runtime.engine, timeout, self._declare_failed)
-        self._declared = False
-
-    def start(self) -> None:
-        """Arm the detector (called once at simulation start)."""
-        self._timer.start()
-
-    def on_heartbeat(self) -> None:
-        """A beat arrived: the link is (again) considered healthy."""
-        self._declared = False
-        self._timer.start()
-
-    def _declare_failed(self) -> None:
-        if self._declared:
-            return
-        self._declared = True
-        receiver = self.link.dst
-        if not self.runtime.node_up(receiver):
-            return  # a dead node detects nothing
-        trace = self.runtime.trace
-        if trace.active:
-            trace.point("hb-detect", receiver, self.runtime.engine.now,
-                        link=str(self.link), cause="missed-heartbeats")
-        self.runtime.daemons[receiver].on_component_failure(self.link)
-        # One declaration per outage; the timer re-arms when beats resume.
+from repro.protocol.messages import HEARTBEAT_CHANNEL, Heartbeat
+from repro.sim.timers import Timeout, WeakCallback
 
 
 class HeartbeatService:
-    """Heartbeat emission and detection across a whole runtime."""
+    """Heartbeat emission and detection across a whole runtime.
+
+    Every *incoming* link has one detection timer at its receiving node: a
+    beat restarts it, and its expiry declares the link failed there.  The
+    runtime owns the service, so the service reaches it through a weak
+    proxy and its timers call it through one shared
+    :class:`~repro.sim.timers.WeakCallback`.
+    """
 
     def __init__(self, runtime) -> None:
-        self.runtime = runtime
-        self.detectors: dict[LinkId, HeartbeatDetector] = {
-            link: HeartbeatDetector(runtime, link)
+        self.runtime = weakref.proxy(runtime)
+        config = runtime.config
+        timeout = (
+            config.heartbeat_miss_threshold * config.heartbeat_period
+            + config.rcc.max_delay
+        )
+        declare = WeakCallback(self._declare_failed)
+        self._timers: dict[LinkId, Timeout] = {
+            link: Timeout(runtime.engine, timeout, declare, link)
             for link in runtime.network.topology.links()
         }
+        #: Links declared failed in the current outage: one declaration
+        #: each, until beats resume.
+        self._declared: set[LinkId] = set()
 
     def start(self) -> None:
         """Arm every detector and schedule the periodic beats."""
-        period = self.runtime.config.heartbeat_period
-        for detector in self.detectors.values():
-            detector.start()
-        for link in self.runtime.network.topology.links():
+        runtime = self.runtime
+        period = runtime.config.heartbeat_period
+        for timer in self._timers.values():
+            timer.start()
+        for link in self._timers:
             # Stagger nothing: determinism beats phase-spreading here.
-            self.runtime.engine.schedule(period, self._beat, link)
+            runtime.engine.schedule(period, self._beat, link)
 
     def _beat(self, link: LinkId) -> None:
         runtime = self.runtime
         if runtime.node_up(link.src):
-            runtime.rcc_send(link.src, link.dst, Heartbeat(
-                channel_id=HEARTBEAT_CHANNEL, link=link
-            ))
+            runtime._rcc[link].send(
+                Heartbeat(channel_id=HEARTBEAT_CHANNEL, link=link)
+            )
         runtime.engine.schedule(runtime.config.heartbeat_period,
                                 self._beat, link)
 
     def on_heartbeat(self, link: LinkId) -> None:
-        """Route a received beat to its link's detector."""
-        detector = self.detectors.get(link)
-        if detector is not None:
-            detector.on_heartbeat()
+        """A beat arrived: the link is (again) considered healthy."""
+        self._declared.discard(link)
+        self._timers[link].start()
+
+    def _declare_failed(self, link: LinkId) -> None:
+        if link in self._declared:
+            return
+        self._declared.add(link)
+        runtime = self.runtime
+        receiver = link.dst
+        if not runtime.node_up(receiver):
+            return  # a dead node detects nothing
+        trace = runtime.trace
+        if trace.active:
+            trace.point("hb-detect", receiver, runtime.engine.now,
+                        link=str(link), cause="missed-heartbeats")
+        runtime.daemons[receiver].on_component_failure(link)
+        # One declaration per outage; the timer re-arms when beats resume.
 
     def on_node_failed(self, node) -> None:
         """Disarm the dead node's own detectors (a crashed node detects
         nothing); detectors *at its neighbours* stay armed — their missed
         beats are exactly how the crash is discovered."""
-        for link, detector in self.detectors.items():
+        for link, timer in self._timers.items():
             if link.dst == node:
-                detector._timer.cancel()
+                timer.cancel()
 
     def on_node_repaired(self, node) -> None:
         """Re-arm the repaired node's detectors for its incoming links."""
-        for link, detector in self.detectors.items():
+        for link, timer in self._timers.items():
             if link.dst == node:
-                detector._declared = False
-                detector._timer.start()
+                self._declared.discard(link)
+                timer.start()

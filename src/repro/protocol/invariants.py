@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 from repro.network.components import LinkId
 from repro.protocol.states import LocalChannelState, allowed_transitions
+from repro.sim.timers import WeakCallback
 
 #: Bandwidth slack for conservation comparisons, matching the ledger's
 #: admission tolerance.
@@ -116,16 +117,20 @@ class InvariantAuditor:
     # lifecycle
     # ------------------------------------------------------------------
     def attach(self) -> None:
-        """Snapshot the conservation baseline and install the RCC hooks."""
+        """Snapshot the conservation baseline and install the RCC hooks.
+
+        The hooks hold the auditor weakly: the auditor holds the
+        simulation, which owns the links, so a strong hook would tie all
+        three into one reference cycle.  Keep a reference to the auditor
+        while the run goes on: once it is dropped, its hooks do nothing."""
         if self._attached:
             return
         self._attached = True
         self._check_transition_table()
         self._baseline_spares = dict(self.simulation._spare_pools)
+        hook = WeakCallback(self._on_frame_delivered)
         for rcc in self.simulation._rcc.values():
-            rcc.on_frame_delivered = self._chain(
-                rcc.on_frame_delivered, self._on_frame_delivered
-            )
+            rcc.on_frame_delivered = self._chain(rcc.on_frame_delivered, hook)
 
     def detach(self) -> None:
         """Remove the RCC hooks (baseline and findings are kept)."""

@@ -12,13 +12,20 @@ Acknowledgments ride the *reverse* RCC link as pure-ack frames, which are
 themselves not acknowledged.  Frames are lost when the physical link (or
 either endpoint node) is down, or — to exercise the machinery — with a
 configurable random probability.
+
+A link holds its receiving daemon and its reverse link weakly: the daemon
+sends on links that lead back to this one (the reverse among them), so
+either edge held strongly would close a reference cycle.  Both are
+dereferenced once per arriving frame, never per message.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
-from collections.abc import Callable
+from collections.abc import Callable, Set
 from dataclasses import dataclass, field
+from random import Random
 
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry, get_registry
@@ -55,25 +62,41 @@ class _PendingFrame:
     timer: "EventHandle | None" = field(default=None, repr=False)
 
 
+def _absent() -> None:
+    """The reverse of a link that has none."""
+    return None
+
+
 class RCCLink:
-    """The RCC in one direction of one physical link."""
+    """The RCC in one direction of one physical link.
+
+    ``failed`` is the runtime's set of failed components, read in place:
+    the link carries frames while neither it nor either endpoint is in
+    it.  ``receiver`` is what the link delivers to (``receiver.receive(
+    message)`` for every message of an arriving frame, in order) and is
+    held weakly; whoever builds the link keeps the receiver and the
+    reverse link alive (the runtime owns all of them).
+    """
 
     def __init__(
         self,
         engine: EventEngine,
         link: LinkId,
         config: ProtocolConfig,
-        link_up: Callable[[LinkId], bool],
-        deliver: Callable[[ControlMessage], None],
+        failed: Set,
+        receiver,
         seed: "int | None" = 0,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
         self.engine = engine
         self.link = link
         self.config = config
-        self._link_up = link_up
-        self._deliver = deliver
-        self._rng = make_rng(seed)
+        self._failed = failed
+        self._receiver = weakref.ref(receiver)
+        #: The loss generator's seed; the generator itself is built on the
+        #: first frame that can be lost, so a loss-free run builds none.
+        self._seed = seed
+        self._rng: "Random | None" = None
         self.stats = RCCStats()
         # Network-wide transport metrics: every RCCLink of a runtime
         # shares these instruments, so they aggregate across links.
@@ -96,12 +119,11 @@ class RCCLink:
         #: Enqueue times of the messages in each not-yet-delivered frame,
         #: for the max_message_delay statistic.
         self._frame_times: dict[int, float] = {}
-        #: The reverse-direction RCCLink, used to carry our acks.
-        self.reverse: "RCCLink | None" = None
+        self._reverse: "Callable[[], RCCLink | None]" = _absent
         #: Called with the link id when a frame exhausts its retransmission
-        #: budget — the sender-side liveness signal (a heartbeat-detection
-        #: runtime uses it to detect dead *outgoing* links, which missed
-        #: incoming beats cannot reveal).
+        #: budget — the sender-side liveness signal, which every runtime
+        #: wires to its failure handling: it detects dead *outgoing* links,
+        #: which missed incoming traffic cannot reveal.
         self.on_give_up: "Callable[[LinkId], None] | None" = None
         #: Per-link frame-loss override; ``None`` falls back to the shared
         #: ``config.frame_loss_probability``.  Lets chaos profiles and
@@ -113,6 +135,22 @@ class RCCLink:
         #: its sequence-number and dead-link-delivery checks here.
         self.on_frame_delivered: "Callable[[RCCLink, RCCFrame], None] | None" \
             = None
+
+    @property
+    def reverse(self) -> "RCCLink | None":
+        """The reverse-direction RCCLink, which carries our acks (held
+        weakly: the two point at each other)."""
+        return self._reverse()
+
+    @reverse.setter
+    def reverse(self, link: "RCCLink | None") -> None:
+        self._reverse = _absent if link is None else weakref.ref(link)
+
+    def _down(self) -> bool:
+        """Whether the link or either endpoint has failed."""
+        failed = self._failed
+        link = self.link
+        return link in failed or link.src in failed or link.dst in failed
 
     # ------------------------------------------------------------------
     # sending
@@ -168,9 +206,12 @@ class RCCLink:
             if self.loss_probability is None
             else self.loss_probability
         )
-        if not self._link_up(self.link) or (
-            loss > 0 and self._rng.random() < loss
-        ):
+        lost = self._down()
+        if not lost and loss > 0:
+            if self._rng is None:
+                self._rng = make_rng(self._seed)
+            lost = self._rng.random() < loss
+        if lost:
             self.stats.frames_lost += 1
             self._m_lost.inc()
             return  # lost; the retransmit timer covers non-pure-ack frames
@@ -230,16 +271,24 @@ class RCCLink:
     # receiving (runs at the *destination* node of the link)
     # ------------------------------------------------------------------
     def _arrive(self, frame: RCCFrame) -> None:
-        if not self._link_up(self.link):
+        if self._down():
             # The link (or an endpoint) died while the frame was in flight.
             self.stats.frames_lost += 1
             return
         self.stats.frames_delivered += 1
-        for seq in frame.acks:
-            self._handle_ack_on_reverse(seq)
+        # Acks carried by this link acknowledge frames sent on the reverse
+        # link (we receive at this link's dst, which sends on the reverse);
+        # our ack for this frame rides the reverse too.
+        reverse = self._reverse()
+        if reverse is not None:
+            for seq in frame.acks:
+                reverse._handle_ack(seq)
         if frame.is_pure_ack:
             return
-        self._queue_ack(frame.seq)
+        if reverse is not None:
+            self.stats.acks_sent += 1
+            reverse._pending_acks.append(frame.seq)
+            reverse._schedule_transmission()
         if frame.seq in self._seen_seqs:
             self.stats.duplicates_dropped += 1
             return
@@ -251,19 +300,7 @@ class RCCLink:
             )
         if self.on_frame_delivered is not None:
             self.on_frame_delivered(self, frame)
+        receive = self._receiver().receive
         for message in frame.messages:
             self.stats.messages_delivered += 1
-            self._deliver(message)
-
-    def _handle_ack_on_reverse(self, seq: int) -> None:
-        # Acks carried by this link acknowledge frames sent on the reverse
-        # link (we receive at this link's dst, which sends on the reverse).
-        if self.reverse is not None:
-            self.reverse._handle_ack(seq)
-
-    def _queue_ack(self, seq: int) -> None:
-        if self.reverse is None:
-            return
-        self.stats.acks_sent += 1
-        self.reverse._pending_acks.append(seq)
-        self.reverse._schedule_transmission()
+            receive(message)

@@ -11,6 +11,13 @@ the channel's bandwidth from the link's spare pool; exhausted pools cause
 multiplexing failures; with preemption enabled (Section 4.3) a
 higher-priority activation may evict an already-activated lower-priority
 backup from a congested link.
+
+A simulation is an ownership tree: it owns the engine, the daemons, the
+RCC links and the per-run tables, and nothing it owns holds it (or a
+sibling that leads back to it) strongly — see :class:`~repro.protocol.
+daemon.BCPDaemon` and :class:`~repro.protocol.rcc.RCCLink` for where the
+back-edges go weak.  Once its calendar has drained, dropping the last
+reference frees the whole run by reference count.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from repro.network.components import LinkId, NodeId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
 from repro.protocol.config import ProtocolConfig
 from repro.protocol.daemon import BCPDaemon
-from repro.protocol.messages import ControlMessage
 from repro.protocol.plan import protocol_plan
 from repro.protocol.rcc import RCCLink
 from repro.protocol.signaling import establishment_latency
@@ -35,6 +41,7 @@ from repro.routing.shortest import (
     shortest_path,
 )
 from repro.sim.engine import EventEngine
+from repro.sim.timers import WeakCallback
 from repro.sim.trace import TraceLog
 from repro.util.rng import make_rng
 
@@ -273,6 +280,8 @@ class ProtocolSimulation:
         self.trace = trace if trace is not None else TraceLog(keep=0)
         #: connection id -> open ``episode`` span id.
         self._episode_spans: dict[int, int] = {}
+        #: Every failed node and link.  Daemons and RCC links read this very
+        #: set, so it is mutated in place and never rebound.
         self.failed_components: set = set()
 
         #: What establishment installed at every node, compiled once per
@@ -280,24 +289,30 @@ class ProtocolSimulation:
         #: it even if the network is changed afterwards.
         self.plan = protocol_plan(network)
         rng = make_rng(seed)
+        #: link -> the RCC on it; the daemons send on this very map.
+        self._rcc: dict[LinkId, RCCLink] = {}
         self.daemons: dict[NodeId, BCPDaemon] = {
             node: self.daemon_class(node, self)
             for node in network.topology.nodes()
         }
-        self._rcc: dict[LinkId, RCCLink] = {}
+        # Sender-side liveness is always on: an RCC frame exhausting its
+        # retransmission budget means the link is not delivering, and the
+        # owning daemon must treat the link as failed (same path as
+        # heartbeat detection) rather than silently dropping the messages.
+        on_give_up = WeakCallback(self._on_rcc_give_up)
         for link in network.topology.links():
-            self._rcc[link] = RCCLink(
+            rcc = self._rcc[link] = RCCLink(
                 engine=self.engine,
                 link=link,
                 config=self.config,
-                link_up=self.link_up,
-                deliver=self._make_deliver(link.dst),
+                failed=self.failed_components,
+                receiver=self.daemons[link.dst],
                 seed=rng.getrandbits(64),
                 metrics=self.obs,
             )
+            rcc.on_give_up = on_give_up
         for link, rcc in self._rcc.items():
-            reverse = self._rcc.get(link.reversed())
-            rcc.reverse = reverse
+            rcc.reverse = self._rcc.get(link.reversed())
 
         # Spare pools and draw bookkeeping.
         self._spare_pools = network.ledger.snapshot_spares()
@@ -317,12 +332,6 @@ class ProtocolSimulation:
         #: Links already declared failed via RCC give-up (one declaration
         #: per outage; cleared on repair).
         self._suspected_links: set[LinkId] = set()
-        # Sender-side liveness is always on: an RCC frame exhausting its
-        # retransmission budget means the link is not delivering, and the
-        # owning daemon must treat the link as failed (same path as
-        # heartbeat detection) rather than silently dropping the messages.
-        for rcc in self._rcc.values():
-            rcc.on_give_up = self._on_rcc_give_up
         if self.config.heartbeat_detection:
             from repro.protocol.detection import HeartbeatService
 
@@ -330,11 +339,16 @@ class ProtocolSimulation:
             self.heartbeats.start()
 
     def _on_rcc_give_up(self, link: LinkId) -> None:
-        """Sender-side liveness verdict; note that an ack-path failure is
+        """Sender-side liveness verdict.  An ack-path failure is
         indistinguishable from a forward failure here, so a single simplex
         failure makes *both* directions suspected — a real limitation of
-        ack-based detection (the affected healthy channels just switch to
-        their backups unnecessarily, which is safe)."""
+        ack-based detection.  The false suspicion is not safe: the healthy
+        channels on the suspected link switch to their backups although
+        their primary is intact, and under a cascade the two end-nodes can
+        end up on different channels.  Chaos run 56
+        (``tests/test_switchover_regression.py``, ROADMAP item 1) is the
+        counterexample: 0->4 is declared failed because its acks ride the
+        dead 4->0, and connection 0 ends in ``endpoint-disagreement``."""
         trace = self.trace
         if trace.active:
             trace.point("rcc-give-up", link.src, self.engine.now,
@@ -347,25 +361,6 @@ class ProtocolSimulation:
             trace.point("hb-detect", link.src, self.engine.now,
                         link=str(link), cause="rcc-give-up")
         self.daemons[link.src].on_component_failure(link)
-
-    # ------------------------------------------------------------------
-    # construction helpers
-    # ------------------------------------------------------------------
-    def _make_deliver(self, node: NodeId):
-        daemon = None
-
-        def deliver(message: ControlMessage) -> None:
-            nonlocal daemon
-            link = getattr(message, "link", None)
-            if link is not None and self.heartbeats is not None:
-                # Link-level heartbeat, not channel control traffic.
-                self.heartbeats.on_heartbeat(link)
-                return
-            if daemon is None:
-                daemon = self.daemons[node]
-            daemon.receive(message)
-
-        return deliver
 
     # ------------------------------------------------------------------
     # health model
@@ -381,17 +376,6 @@ class ProtocolSimulation:
             and link.src not in self.failed_components
             and link.dst not in self.failed_components
         )
-
-    # ------------------------------------------------------------------
-    # RCC transport entry point for daemons
-    # ------------------------------------------------------------------
-    def rcc_send(self, src: NodeId, next_hop: NodeId, message: ControlMessage) -> None:
-        """Hand a control message to the RCC toward ``next_hop``."""
-        try:
-            link = self.network.topology.link(src, next_hop)
-        except KeyError:  # pragma: no cover - paths always follow links
-            return
-        self._rcc[link].send(message)
 
     # ------------------------------------------------------------------
     # spare-pool draws

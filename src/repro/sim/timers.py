@@ -2,16 +2,41 @@
 
 :class:`Timeout` models one-shot, restartable timers (retransmission and
 rejoin timers in the BCP runtime); :class:`PeriodicTimer` models fixed-rate
-recurring work (the RCC eligibility clock).
+recurring work (the RCC eligibility clock).  :class:`WeakCallback` is the
+callback an owner hands to a timer or link it owns itself.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 from typing import Any
 
 from repro.sim.engine import EventEngine, EventHandle
 from repro.util.validation import check_positive_finite
+
+
+class WeakCallback:
+    """A bound method, called through a weak reference to its object.
+
+    A timer (or a link) that an object owns and that calls one of its
+    methods back would otherwise close an ``owner -> timer -> bound
+    method -> owner`` cycle, which only the cycle collector frees.  This
+    holds the function and a weak reference instead, so dropping the
+    owner frees both by reference count; calling it once the owner is
+    gone does nothing.  Make one per method and owner, and share it.
+    """
+
+    __slots__ = ("_owner", "_function")
+
+    def __init__(self, method: Callable[..., None]) -> None:
+        self._owner = weakref.ref(method.__self__)
+        self._function = method.__func__
+
+    def __call__(self, *args: Any) -> None:
+        owner = self._owner()
+        if owner is not None:
+            self._function(owner, *args)
 
 
 class Timeout:

@@ -5,8 +5,14 @@ CPython frees by reference count; only what sits in a reference cycle
 waits for the collector, and every object a run *keeps* is traversed by
 each full collection.  These tests run with the collector off and count:
 a run makes no cyclic garbage, keeps a pinned number of tracked objects,
-and gives all of them back when the simulation is dropped.  A regression
-here fails on a count, not a time.
+and — once its calendar has drained — is freed by reference count the
+moment the last reference to it goes, leaving the collector nothing.  A
+regression here fails on a count, not a time.
+
+A heartbeat-detection run never drains: every beat schedules the next, so
+its calendar always holds events bound to the objects that own the
+engine.  Dropping one leaves the collector work by construction, and it
+is out of scope here.
 """
 
 from __future__ import annotations
@@ -19,9 +25,17 @@ from pathlib import Path
 
 import pytest
 
+from repro.chaos import (
+    FAIL,
+    REPAIR,
+    ChaosEvent,
+    ChaosSchedule,
+    ChaosTrigger,
+    run_schedule,
+)
 from repro.network import LinkId
 from repro.obs import NULL_REGISTRY
-from repro.protocol import ProtocolConfig, ProtocolSimulation
+from repro.protocol import InvariantAuditor, ProtocolConfig, ProtocolSimulation
 from repro.protocol.plan import protocol_plan
 from repro.protocol.rcc import RCCLink
 from repro.sim import EventEngine, PeriodicTimer, Timeout
@@ -30,10 +44,11 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
 #: Tracked objects one node-5 simulation of the loaded 4x4 torus adds
 #: (construction + run, the network's plan already compiled: compiling
-#: it inside the window adds ``PLAN_BUDGET``'s).  Measured 3 183 on
-#: CPython 3.11; the parent of the PR that added this gate kept 7 818 and
-#: left 2 940 of them to the collector.  A bound method per timer again
-#: reads 3 545, a closure per timer ~4 400.
+#: it inside the window adds ``PLAN_BUDGET``'s).  Measured 2 768 on
+#: CPython 3.11; 3 181 while every RCC link seeded its loss generator up
+#: front and the daemons, links and runtime pointed at each other
+#: strongly (dropping the run then left 2 699 objects to the collector),
+#: and the parent of the PR that added this gate kept 7 818.
 RETAINED_BUDGET = 3_500
 
 #: Tracked objects compiling the loaded 4x4 torus's protocol plan adds.
@@ -60,6 +75,20 @@ class Probe:
     channel_id = 0
 
 
+class Receiver:
+    """An RCC receiver that drops what it is handed."""
+
+    def receive(self, message) -> None:
+        pass
+
+
+def assert_freed_on_drop(alive: weakref.ref) -> None:
+    """The dropped simulation went by reference count: nothing it owned
+    closed a cycle back to it."""
+    assert alive() is None, "the dropped simulation is held by a cycle"
+    assert gc.collect() == 0, "the dropped simulation left cyclic garbage"
+
+
 class TestSimulationLeavesNoGarbage:
     def test_node_failure_on_the_loaded_torus(self, loaded_torus4,
                                               collector_off):
@@ -73,12 +102,53 @@ class TestSimulationLeavesNoGarbage:
         simulation.fail(5, at=1.0)
         simulation.run(until=500.0)
         assert simulation.metrics.recovered_count() > 0
+        assert simulation.engine.pending == 0
         retained = len(gc.get_objects()) - start
         assert gc.collect() == 0, "the run left cyclic garbage"
         assert retained <= RETAINED_BUDGET, retained
+        alive = weakref.ref(simulation)
         del simulation
-        gc.collect()
-        assert abs(len(gc.get_objects()) - start) <= 50
+        assert_freed_on_drop(alive)
+
+    def test_audited_run_is_freed_on_drop(self, loaded_torus4,
+                                          collector_off):
+        simulation = ProtocolSimulation(
+            loaded_torus4, seed=0, metrics=NULL_REGISTRY
+        )
+        auditor = InvariantAuditor(simulation)
+        auditor.attach()
+        simulation.fail(5, at=1.0)
+        simulation.run(until=500.0)
+        auditor.check_quiescent(drained=simulation.engine.pending == 0)
+        assert simulation.engine.pending == 0 and auditor.ok
+        alive = weakref.ref(simulation)
+        del simulation, auditor
+        assert_freed_on_drop(alive)
+
+    def test_chaos_run_is_freed_on_drop(self, loaded_torus4, monkeypatch,
+                                        collector_off):
+        built = []
+
+        class Watched(ProtocolSimulation):
+            def __init__(self, *args, **kwargs) -> None:
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr("repro.chaos.engine.ProtocolSimulation", Watched)
+        # A static failure and repair plus a reactive one: both of the
+        # engine's closures (the injector and the trigger listener) run.
+        schedule = ChaosSchedule(
+            seed=3, profile="test", horizon=500.0,
+            events=(ChaosEvent(time=1.0, action=FAIL, component=5),
+                    ChaosEvent(time=40.0, action=REPAIR, component=5)),
+            triggers=(ChaosTrigger(category="activate", delay=2.0,
+                                   action=FAIL, component=LinkId(0, 1)),),
+        )
+        result = run_schedule(schedule, loaded_torus4)
+        assert result.drained and result.recovered > 0
+        assert len(result.materialized) == 3
+        assert len(built) == 1
+        assert_freed_on_drop(built[0])
 
 
     def test_plan_stores_each_fact_once(self, loaded_torus4,
@@ -134,9 +204,10 @@ class TestHandleLifetime:
     def test_acknowledged_frame_dies_on_the_ack(self, collector_off):
         engine = EventEngine(metrics=NULL_REGISTRY)
         config = ProtocolConfig()
+        receiver = Receiver()
         forward, backward = (
-            RCCLink(engine, link, config, lambda link: True,
-                    lambda message: None, seed=1, metrics=NULL_REGISTRY)
+            RCCLink(engine, link, config, set(), receiver, seed=1,
+                    metrics=NULL_REGISTRY)
             for link in (LinkId("a", "b"), LinkId("b", "a"))
         )
         forward.reverse, backward.reverse = backward, forward

@@ -14,14 +14,22 @@ LINK = LinkId("a", "b")
 BACK = LinkId("b", "a")
 
 
-def make_pair(config=None, up=None, engine=None):
-    """A forward/reverse RCC pair delivering into lists."""
+class Inbox(list):
+    """A receiver that keeps what it is handed, in order."""
+
+    receive = list.append
+
+
+def make_pair(config=None, failed=None, engine=None):
+    """A forward/reverse RCC pair delivering into lists; the links are
+    down while ``LINK`` is in ``failed``.  A link holds its receiver and
+    its reverse weakly, so a test keeps all five."""
     engine = engine or EventEngine()
     config = config or ProtocolConfig()
-    health = up if up is not None else (lambda link: True)
-    delivered_fwd, delivered_rev = [], []
-    forward = RCCLink(engine, LINK, config, health, delivered_fwd.append, seed=1)
-    backward = RCCLink(engine, BACK, config, health, delivered_rev.append, seed=2)
+    failed = failed if failed is not None else set()
+    delivered_fwd, delivered_rev = Inbox(), Inbox()
+    forward = RCCLink(engine, LINK, config, failed, delivered_fwd, seed=1)
+    backward = RCCLink(engine, BACK, config, failed, delivered_rev, seed=2)
     forward.reverse = backward
     backward.reverse = forward
     return engine, forward, backward, delivered_fwd, delivered_rev
@@ -33,7 +41,7 @@ def report(channel_id=0):
 
 class TestDelivery:
     def test_message_delivered_after_dmax(self):
-        engine, forward, _, delivered, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         forward.send(report(7))
         engine.run()
         assert len(delivered) == 1
@@ -42,7 +50,7 @@ class TestDelivery:
 
     def test_batching_respects_frame_size(self):
         config = ProtocolConfig(rcc=RCCParams(max_messages_per_frame=2))
-        engine, forward, _, delivered, _ = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(config)
         for i in range(5):
             forward.send(report(i))
         engine.run()
@@ -54,7 +62,7 @@ class TestDelivery:
         config = ProtocolConfig(
             rcc=RCCParams(max_messages_per_frame=1, max_rate=0.5)  # 2.0 apart
         )
-        engine, forward, _, delivered, _ = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(config)
         forward.send(report(0))
         forward.send(report(1))
         engine.run()
@@ -63,21 +71,21 @@ class TestDelivery:
         assert engine.now >= 3.0
 
     def test_in_order_delivery(self):
-        engine, forward, _, delivered, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         for i in range(10):
             forward.send(report(i))
         engine.run()
         assert [m.channel_id for m in delivered] == list(range(10))
 
     def test_ack_clears_pending(self):
-        engine, forward, _, _, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         forward.send(report())
         engine.run()
         assert forward.stats.retransmissions == 0
         assert not forward._pending  # all frames acknowledged
 
     def test_max_message_delay_tracked(self):
-        engine, forward, _, _, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         forward.send(report())
         engine.run()
         assert forward.stats.max_message_delay == pytest.approx(
@@ -88,7 +96,7 @@ class TestDelivery:
 class TestLossAndRetransmission:
     def test_lossy_link_recovers_by_retransmission(self):
         config = ProtocolConfig(frame_loss_probability=0.4)
-        engine, forward, _, delivered, _ = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(config)
         for i in range(20):
             forward.send(report(i))
         engine.run()
@@ -98,7 +106,7 @@ class TestLossAndRetransmission:
     def test_duplicates_dropped_when_ack_lost(self):
         # Loss applies to acks too; retransmitted frames must be deduped.
         config = ProtocolConfig(frame_loss_probability=0.5)
-        engine, forward, _, delivered, _ = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(config)
         for i in range(30):
             forward.send(report(i))
         engine.run()
@@ -107,7 +115,9 @@ class TestLossAndRetransmission:
 
     def test_dead_link_gives_up_after_budget(self):
         config = ProtocolConfig(max_retransmissions=3)
-        engine, forward, _, delivered, _ = make_pair(config, up=lambda link: False)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            config, failed={LINK}
+        )
         forward.send(report())
         engine.run()
         assert delivered == []
@@ -116,7 +126,9 @@ class TestLossAndRetransmission:
 
     def test_give_up_hook_fires_once_per_frame(self):
         config = ProtocolConfig(max_retransmissions=2)
-        engine, forward, _, _, _ = make_pair(config, up=lambda link: False)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            config, failed={LINK}
+        )
         declared = []
         forward.on_give_up = declared.append
         forward.send(report(1))
@@ -133,7 +145,9 @@ class TestLossAndRetransmission:
         config = ProtocolConfig(
             max_retransmissions=1, rcc=RCCParams(max_messages_per_frame=1)
         )
-        engine, forward, _, _, _ = make_pair(config, up=lambda link: False)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            config, failed={LINK}
+        )
         declared = []
         forward.on_give_up = declared.append
         for i in range(3):
@@ -143,7 +157,7 @@ class TestLossAndRetransmission:
         assert forward.stats.gave_up == 3
 
     def test_give_up_hook_not_fired_on_success(self):
-        engine, forward, _, _, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         declared = []
         forward.on_give_up = declared.append
         forward.send(report())
@@ -151,25 +165,21 @@ class TestLossAndRetransmission:
         assert declared == []
 
     def test_link_healing_mid_retry_delivers(self):
-        state = {"up": False}
+        failed = {LINK}
         config = ProtocolConfig(max_retransmissions=8)
-        engine, forward, _, delivered, _ = make_pair(
-            config, up=lambda link: state["up"]
-        )
+        engine, forward, backward, delivered, delivered_rev = make_pair(config, failed)
         forward.send(report(5))
-        engine.schedule(4.0, lambda: state.__setitem__("up", True))
+        engine.schedule(4.0, failed.discard, LINK)
         engine.run()
         assert [m.channel_id for m in delivered] == [5]
 
     def test_frame_lost_in_flight_when_link_dies(self):
-        state = {"up": True}
+        failed = set()
         config = ProtocolConfig(max_retransmissions=0)
-        engine, forward, _, delivered, _ = make_pair(
-            config, up=lambda link: state["up"]
-        )
+        engine, forward, backward, delivered, delivered_rev = make_pair(config, failed)
         forward.send(report())
         # Kill the link while the frame is flying (delivery at t=1.0).
-        engine.schedule(0.5, lambda: state.__setitem__("up", False))
+        engine.schedule(0.5, failed.add, LINK)
         engine.run()
         assert delivered == []
         assert forward.stats.frames_lost >= 1
@@ -177,7 +187,7 @@ class TestLossAndRetransmission:
 
 class TestFrameSemantics:
     def test_pure_ack_frames_not_acked(self):
-        engine, forward, backward, _, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         forward.send(report())
         engine.run()
         # The reverse link sent exactly the ack traffic; it must not itself
@@ -190,7 +200,7 @@ class TestFrameSemantics:
         assert not RCCFrame(seq=0, messages=(report(),)).is_pure_ack
 
     def test_acks_piggyback_on_data_frames(self):
-        engine, forward, backward, _, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         forward.send(report(0))
         # Give the reverse direction data to carry the ack.
         engine.schedule(1.0, lambda: backward.send(report(1)))
@@ -199,7 +209,7 @@ class TestFrameSemantics:
         assert backward.stats.messages_delivered == 1
 
     def test_same_instant_messages_batch_into_one_frame(self):
-        engine, forward, _, delivered, _ = make_pair()
+        engine, forward, backward, delivered, delivered_rev = make_pair()
         for i in range(3):
             forward.send(report(i))
         engine.run()
