@@ -5,11 +5,8 @@ Gives the protocol runtime a trace log, kills one link, and prints the
 complete causal chain — crash, neighbour detection, failure reports
 hopping node by node toward both end-nodes, bidirectional activation,
 spare draws, end-to-end completion — exactly the sequence of the paper's
-Section 4 walkthrough and Fig. 5(c).
-
-Also runs the same failure with heartbeat-based detection enabled (no
-oracle: neighbours notice missed beats) to show the detection latency the
-paper's companion work [HAN97a] studies.
+Section 4 walkthrough and Fig. 5(c).  Detection is the paper's: the
+crashed link's neighbours learn of it at once.
 
 Run:  python examples/trace_walkthrough.py
 """
@@ -30,12 +27,13 @@ def build():
     return network, connection
 
 
-def run(network, connection, config, label):
-    simulation = ProtocolSimulation(network, config, trace=TraceLog())
+def run(network, connection):
+    simulation = ProtocolSimulation(network, ProtocolConfig(),
+                                    trace=TraceLog())
     victim = connection.primary.path.links[2]
     simulation.inject_scenario(FailureScenario.of_links([victim]), at=10.0)
     simulation.run(until=400.0)
-    print(f"\n=== {label}: failing {victim} at t=10 ===")
+    print(f"\n=== failing {victim} at t=10 ===")
     interesting = [
         row for row in simulation.trace.rows
         if row.kind != "report-hop" or row.t < 20
@@ -49,19 +47,7 @@ def run(network, connection, config, label):
 
 def main() -> None:
     network, connection = build()
-    run(network, connection, ProtocolConfig(),
-        "oracle detection (paper's assumption)")
-    run(
-        network,
-        connection,
-        ProtocolConfig(
-            heartbeat_detection=True,
-            heartbeat_period=2.0,
-            heartbeat_miss_threshold=2,
-            rejoin_timeout=120.0,
-        ),
-        "heartbeat detection (emergent)",
-    )
+    run(network, connection)
 
 
 if __name__ == "__main__":

@@ -24,6 +24,7 @@ triple always yields the same schedule.
 from __future__ import annotations
 
 from repro.chaos.schedule import FAIL, REPAIR, ChaosEvent, ChaosSchedule, ChaosTrigger
+from repro.protocol.config import REJOIN_PROBE_INTERVAL, SWITCHOVER_RETRY_WINDOW
 
 #: First injection time: late enough that establishment-time state is
 #: fully installed, early enough to keep runs short.
@@ -211,7 +212,7 @@ def build_schedule(profile: str, seed: int, network, config) -> ChaosSchedule:
     events, triggers = generator(rng, network, config)
     events = sorted(events, key=lambda event: event.time)
     last = max((event.time for event in events), default=BASE_TIME)
-    slack = config.rejoin_timeout + config.rejoin_probe_interval + 50.0
+    slack = config.rejoin_timeout + REJOIN_PROBE_INTERVAL + 50.0
     if triggers:
         # A triggered injection lands within a recovery window of a
         # static one; give its own rejoin cycle room too.
@@ -223,7 +224,7 @@ def build_schedule(profile: str, seed: int, network, config) -> ChaosSchedule:
         (len(connection.backups) for connection in network.connections()),
         default=1,
     )
-    slack += config.switchover_retry_window * max(max_backups, 1)
+    slack += SWITCHOVER_RETRY_WINDOW * max(max_backups, 1)
     return ChaosSchedule(
         seed=seed,
         profile=profile,

@@ -73,7 +73,7 @@ class DConnection:
         """Hop count summed over every channel (primary + backups).
 
         The churn engine's modelled establishment latency is
-        ``per_hop_latency * total_hops``; remote connection handles
+        ``PER_HOP_LATENCY * total_hops``; remote connection handles
         (:mod:`repro.serve`) carry the same number so client-side stats
         stay byte-identical to a local run.
         """

@@ -37,7 +37,7 @@ from repro.protocol.runtime import (
     RecoveryRecord,
     simulate_scenario,
 )
-from repro.protocol.signaling import SignalingParams, establishment_latency
+from repro.protocol.signaling import establishment_latency
 from repro.protocol.states import ChannelEvent, LocalChannelState
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "ProtocolMetrics",
     "RecoveryRecord",
     "simulate_scenario",
-    "SignalingParams",
     "establishment_latency",
     "ProtocolConfig",
     "RCCParams",

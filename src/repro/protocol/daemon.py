@@ -28,9 +28,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.network.components import LinkId, NodeId
-from repro.protocol.config import SwitchingScheme
+from repro.protocol.config import (
+    REJOIN_PROBE_INTERVAL,
+    SWITCHOVER_ACK_TIMEOUT,
+    SWITCHOVER_BACKOFF,
+    SWITCHOVER_RETRY_LIMIT,
+    SwitchingScheme,
+)
 from repro.protocol.messages import (
-    HEARTBEAT_CHANNEL,
     ActivationAck,
     ActivationMessage,
     ChannelClosure,
@@ -119,7 +124,7 @@ class BCPDaemon:
     message — engine, config, metrics, trace, failed-component set, the
     RCC links it sends on, topology — and reaches the runtime itself
     through one weak proxy, for the rarer calls (draws, teardown,
-    episodes, re-establishment).  Its timers call it back through
+    episodes).  Its timers call it back through
     :class:`~repro.sim.timers.WeakCallback`, so they do not hold it either.
     """
 
@@ -386,9 +391,6 @@ class BCPDaemon:
         try:
             record = self.records[message.channel_id]
         except KeyError:
-            if message.channel_id == HEARTBEAT_CHANNEL:
-                # Link-level heartbeat, not channel control traffic.
-                self.runtime.heartbeats.on_heartbeat(message.link)
             return  # the channel was never established through this node
         self._c_received.inc()
         if isinstance(message, FailureReport):
@@ -506,10 +508,6 @@ class BCPDaemon:
                     view.connection_id, self._engine.now,
                     outcome="unrecoverable",
                 )
-            if view.role == "source":
-                # Section 4.4: all channels lost — fall back to building a
-                # new primary from scratch (if the runtime allows it).
-                self.runtime.request_reestablishment(view.connection_id)
             return
         delay = backup.mux_degree * self._config.activation_delay_per_degree
         if delay > 0:
@@ -736,7 +734,7 @@ class BCPDaemon:
         self._cancel_pending(view.connection_id)
         timer = Timeout(
             self._engine,
-            self._config.switchover_ack_timeout,
+            SWITCHOVER_ACK_TIMEOUT,
             self._on_activation_timeout, view.connection_id,
         )
         self._pending[view.connection_id] = _PendingActivation(
@@ -765,7 +763,7 @@ class BCPDaemon:
 
     def _activation_retry(self, connection_id: int) -> None:
         """Ack timer fired: resend the activation with backoff, or give the
-        backup up after ``switchover_retry_limit`` resends."""
+        backup up after ``SWITCHOVER_RETRY_LIMIT`` resends."""
         if not self._alive():
             return
         pending = self._pending.get(connection_id)
@@ -785,7 +783,7 @@ class BCPDaemon:
             # timer was in flight; the handshake is moot.
             self._cancel_pending(connection_id)
             return
-        if pending.attempts >= self._config.switchover_retry_limit:
+        if pending.attempts >= SWITCHOVER_RETRY_LIMIT:
             self._exhaust_pending(view, pending)
             return
         pending.attempts += 1
@@ -795,7 +793,7 @@ class BCPDaemon:
                 "activation-retry", connection_id,
                 serial=backup.serial, episode=pending.episode,
                 attempt=pending.attempts,
-                limit=self._config.switchover_retry_limit,
+                limit=SWITCHOVER_RETRY_LIMIT,
             )
         direction = (
             Direction.TO_DESTINATION if view.role == "source"
@@ -813,8 +811,8 @@ class BCPDaemon:
                     episode=pending.episode,
                 ),
             )
-        pending.timer.duration = self._config.switchover_ack_timeout * (
-            self._config.switchover_backoff ** pending.attempts
+        pending.timer.duration = (
+            SWITCHOVER_ACK_TIMEOUT * SWITCHOVER_BACKOFF ** pending.attempts
         )
         pending.timer.start()
 
@@ -822,8 +820,8 @@ class BCPDaemon:
         self, view: EndpointView, pending: _PendingActivation
     ) -> None:
         """Graceful degradation: the handshake never completed — declare
-        the backup dead and fall through to the next backup, or to
-        source-initiated re-establishment, instead of wedging."""
+        the backup dead and fall through to the next backup, or report
+        the connection unrecoverable, instead of wedging."""
         self._cancel_pending(view.connection_id)
         backup = pending.backup
         self._c_so_exhausted.inc()
@@ -960,7 +958,7 @@ class BCPDaemon:
         if timer is None:
             timer = PeriodicTimer(
                 self._engine,
-                self._config.rejoin_probe_interval,
+                REJOIN_PROBE_INTERVAL,
                 self._on_probe_tick, channel_id,
             )
             self._probe_timers[channel_id] = timer

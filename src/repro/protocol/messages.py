@@ -11,11 +11,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.network.components import LinkId
-
-#: Channel-id value marking link-level (not channel-level) control traffic.
-HEARTBEAT_CHANNEL = -1
-
 
 class Direction(enum.Enum):
     """Travel direction of a control message along a channel's path."""
@@ -98,14 +93,6 @@ class ChannelClosure(ControlMessage):
     explicit teardown)."""
 
     direction: Direction = Direction.TO_DESTINATION
-
-
-@dataclass(frozen=True, slots=True)
-class Heartbeat(ControlMessage):
-    """One link heartbeat (rides the RCC like any control message; see
-    :mod:`repro.protocol.detection`)."""
-
-    link: "LinkId | None" = None
 
 
 @dataclass(frozen=True, slots=True)

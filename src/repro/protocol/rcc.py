@@ -10,8 +10,8 @@ the original ack was lost).
 
 Acknowledgments ride the *reverse* RCC link as pure-ack frames, which are
 themselves not acknowledged.  Frames are lost when the physical link (or
-either endpoint node) is down, or — to exercise the machinery — with a
-configurable random probability.
+either endpoint node) is down, or — to exercise the machinery — with the
+link's own random :attr:`RCCLink.loss_probability`.
 
 A link holds its receiving daemon and its reverse link weakly: the daemon
 sends on links that lead back to this one (the reverse among them), so
@@ -29,7 +29,7 @@ from random import Random
 
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry, get_registry
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import MAX_RETRANSMISSIONS, ProtocolConfig
 from repro.protocol.messages import ControlMessage, RCCFrame
 from repro.sim.engine import EventEngine, EventHandle
 from repro.util.rng import make_rng
@@ -125,10 +125,10 @@ class RCCLink:
         #: wires to its failure handling: it detects dead *outgoing* links,
         #: which missed incoming traffic cannot reveal.
         self.on_give_up: "Callable[[LinkId], None] | None" = None
-        #: Per-link frame-loss override; ``None`` falls back to the shared
-        #: ``config.frame_loss_probability``.  Lets chaos profiles and
-        #: tests make *one* link lossy without touching the others.
-        self.loss_probability: "float | None" = None
+        #: Probability that a frame launched on this link is lost.  No
+        #: runtime or chaos profile sets it; tests do, to exercise the
+        #: ack/retransmit machinery without component failures.
+        self.loss_probability = 0.0
         #: Delivery observer: called as ``observer(rcc, frame)`` just
         #: before a frame's messages are handed to the daemon (after the
         #: link-health and duplicate checks).  The invariant auditor hangs
@@ -201,11 +201,7 @@ class RCCLink:
     def _launch(self, frame: RCCFrame) -> None:
         self.stats.frames_sent += 1
         self._m_frames.inc()
-        loss = (
-            self.config.frame_loss_probability
-            if self.loss_probability is None
-            else self.loss_probability
-        )
+        loss = self.loss_probability
         lost = self._down()
         if not lost and loss > 0:
             if self._rng is None:
@@ -228,7 +224,7 @@ class RCCLink:
     def _retransmit(self, pending: _PendingFrame) -> None:
         if pending.frame.seq not in self._pending:
             return  # acked in the meantime
-        if pending.retries >= self.config.max_retransmissions:
+        if pending.retries >= MAX_RETRANSMISSIONS:
             pending.timer = None
             del self._pending[pending.frame.seq]
             self._frame_times.pop(pending.frame.seq, None)

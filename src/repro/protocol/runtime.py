@@ -29,17 +29,10 @@ from repro.core.bcp import BCPNetwork
 from repro.faults.models import FailureScenario
 from repro.network.components import LinkId, NodeId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
-from repro.protocol.config import ProtocolConfig
+from repro.protocol.config import MAX_RETRANSMISSIONS, ProtocolConfig
 from repro.protocol.daemon import BCPDaemon
 from repro.protocol.plan import protocol_plan
 from repro.protocol.rcc import RCCLink
-from repro.protocol.signaling import establishment_latency
-from repro.routing.shortest import (
-    NoPathError,
-    RouteConstraints,
-    hop_distance,
-    shortest_path,
-)
 from repro.sim.engine import EventEngine
 from repro.sim.timers import WeakCallback
 from repro.sim.trace import TraceLog
@@ -65,10 +58,6 @@ class RecoveryRecord:
     unrecoverable: bool = False
     endpoint_failed: bool = False
     mux_failures: int = 0
-    #: Slow-path recovery: when a from-scratch replacement channel
-    #: finished its establishment round trip (Section 4.4), if enabled.
-    reestablished_at: float | None = None
-    reestablished_hops: int | None = None
 
     @property
     def recovered(self) -> bool:
@@ -84,14 +73,6 @@ class RecoveryRecord:
         if resumed is None:
             return None
         return resumed - self.failed_at
-
-    @property
-    def slow_recovery_disruption(self) -> float | None:
-        """Failure to re-established service, for connections that lost
-        every channel and took the slow path."""
-        if self.failed_at is None or self.reestablished_at is None:
-            return None
-        return self.reestablished_at - self.failed_at
 
 
 class ProtocolMetrics:
@@ -109,7 +90,6 @@ class ProtocolMetrics:
         self.rejoins = 0
         self.mux_failures = 0
         self.unrecoverable = 0
-        self.reestablished = 0
         obs = registry if registry is not None else get_registry()
         self._c_primary_failed = obs.counter("protocol.primary_failures")
         self._c_informed = obs.counter("protocol.endpoint_informed")
@@ -117,12 +97,10 @@ class ProtocolMetrics:
         self._c_recoveries = obs.counter("protocol.recoveries")
         self._c_mux_failures = obs.counter("protocol.mux_failures")
         self._c_unrecoverable = obs.counter("protocol.unrecoverable")
-        self._c_reestablished = obs.counter("protocol.reestablished")
         self._c_preemptions = obs.counter("protocol.preemptions")
         self._c_rejoins = obs.counter("protocol.rejoins")
         self._h_recovery_delay = obs.histogram("protocol.recovery_delay")
         self._h_inform_delay = obs.histogram("protocol.inform_delay")
-        self._h_slow_delay = obs.histogram("protocol.slow_recovery_delay")
 
     def _record(self, connection_id: int) -> RecoveryRecord:
         record = self.recoveries.get(connection_id)
@@ -200,20 +178,6 @@ class ProtocolMetrics:
             record.unrecoverable = True
             self.unrecoverable += 1
             self._c_unrecoverable.inc()
-
-    def note_reestablished(
-        self, connection_id: int, time: float, hops: int
-    ) -> None:
-        """Record slow-path re-establishment completing."""
-        record = self._record(connection_id)
-        if record.reestablished_at is None:
-            record.reestablished_at = time
-            record.reestablished_hops = hops
-            self.reestablished += 1
-            self._c_reestablished.inc()
-            slow = record.slow_recovery_disruption
-            if slow is not None:
-                self._h_slow_delay.record(slow)
 
     def note_preemption(
         self, connection_id: int, channel_id: int, time: float
@@ -297,8 +261,8 @@ class ProtocolSimulation:
         }
         # Sender-side liveness is always on: an RCC frame exhausting its
         # retransmission budget means the link is not delivering, and the
-        # owning daemon must treat the link as failed (same path as
-        # heartbeat detection) rather than silently dropping the messages.
+        # owning daemon must treat the link as failed (the same hand-off a
+        # detected crash takes) rather than silently dropping the messages.
         on_give_up = WeakCallback(self._on_rcc_give_up)
         for link in network.topology.links():
             rcc = self._rcc[link] = RCCLink(
@@ -327,16 +291,9 @@ class ProtocolSimulation:
         #: channel be re-activated without new resources.  Filled by
         #: :meth:`_owned` as channels are touched.
         self._owned_links: dict[int, set[LinkId]] = {}
-
-        self.heartbeats = None
         #: Links already declared failed via RCC give-up (one declaration
         #: per outage; cleared on repair).
         self._suspected_links: set[LinkId] = set()
-        if self.config.heartbeat_detection:
-            from repro.protocol.detection import HeartbeatService
-
-            self.heartbeats = HeartbeatService(self)
-            self.heartbeats.start()
 
     def _on_rcc_give_up(self, link: LinkId) -> None:
         """Sender-side liveness verdict.  An ack-path failure is
@@ -353,7 +310,7 @@ class ProtocolSimulation:
         if trace.active:
             trace.point("rcc-give-up", link.src, self.engine.now,
                         link=str(link),
-                        retries=self.config.max_retransmissions)
+                        retries=MAX_RETRANSMISSIONS)
         if not self.node_up(link.src) or link in self._suspected_links:
             return
         self._suspected_links.add(link)
@@ -544,54 +501,6 @@ class ProtocolSimulation:
             )
 
     # ------------------------------------------------------------------
-    # slow-path re-establishment (Section 4.4)
-    # ------------------------------------------------------------------
-    def request_reestablishment(self, connection_id: int) -> None:
-        """Route a replacement primary in the residual network (the live
-        topology minus the failed components, which the search excludes)
-        and pay the two-pass establishment latency; no-op unless enabled
-        in config."""
-        if not self.config.reestablish_unrecoverable:
-            return
-        connection = self.network.connection(connection_id)
-        topology = self.network.topology
-        failed = self.failed_components
-        bandwidth = connection.traffic.bandwidth
-        try:
-            shortest_possible = hop_distance(
-                topology, connection.source, connection.destination
-            )
-            path = shortest_path(
-                topology,
-                connection.source,
-                connection.destination,
-                RouteConstraints(
-                    excluded_nodes=frozenset(
-                        c for c in failed if not isinstance(c, LinkId)),
-                    excluded_links=frozenset(
-                        c for c in failed if isinstance(c, LinkId)),
-                    link_admissible=self.network.ledger.capacity_floor(bandwidth),
-                    max_hops=connection.delay_qos.max_hops(shortest_possible),
-                ),
-            )
-        except NoPathError:
-            if self.trace.active:
-                self.trace.point("no-route", connection.source,
-                                 self.engine.now, connection=connection_id)
-            return
-        latency = establishment_latency(path.hops)
-        if self.trace.active:
-            self.trace.point("reestablish", connection.source,
-                             self.engine.now, connection=connection_id,
-                             hops=path.hops, ready_in=latency)
-        self.engine.schedule(
-            latency, self._note_reestablished, connection_id, path.hops
-        )
-
-    def _note_reestablished(self, connection_id: int, hops: int) -> None:
-        self.metrics.note_reestablished(connection_id, self.engine.now, hops)
-
-    # ------------------------------------------------------------------
     # recovery-episode spans
     # ------------------------------------------------------------------
     def _begin_episode(self, connection_id: int, component, now: float) -> None:
@@ -611,7 +520,6 @@ class ProtocolSimulation:
             k_hops=max(ch.path.hops for ch in connection.channels),
             num_backups=max(1, connection.num_backups),
             d_max=self.config.rcc.max_delay,
-            detection_delay=self.config.detection_delay,
         )
 
     def episode_parent(self, connection_id: int) -> "int | None":
@@ -664,8 +572,6 @@ class ProtocolSimulation:
             daemon = self.daemons.get(component)
             if daemon is not None:
                 daemon.on_repaired()
-            if self.heartbeats is not None:
-                self.heartbeats.on_node_repaired(component)
         if self.trace.active:
             self.trace.point("repair", component, self.engine.now)
 
@@ -698,8 +604,6 @@ class ProtocolSimulation:
             for link in self.network.topology.incident_links(component):
                 if link.src == component:
                     self._rcc[link].halt()
-            if self.heartbeats is not None:
-                self.heartbeats.on_node_failed(component)
         # Metrics: which connections lost their primary to this component?
         for channel in self.network.registry.on_component(component):
             if channel.role is not ChannelRole.PRIMARY:
@@ -723,16 +627,13 @@ class ProtocolSimulation:
                     parent=self.episode_parent(channel.connection_id),
                     connection=channel.connection_id,
                 )
-        # Detection: with heartbeats it is emergent (missed beats); the
-        # paper's default assumes an external detector informing the
-        # neighbours after `detection_delay`.
-        if self.config.heartbeat_detection:
-            return
+        # Detection is immediate (Section 5.3): the paper assumes an
+        # external detector ([HAN97a]).  Each neighbour still learns in an
+        # event of its own, queued behind any failure already scheduled
+        # for the same instant.
         for neighbour in self._neighbours_of(component):
             self.engine.schedule(
-                self.config.detection_delay,
-                self.daemons[neighbour].on_component_failure,
-                component,
+                0.0, self.daemons[neighbour].on_component_failure, component
             )
 
     def _neighbours_of(self, component) -> list[NodeId]:

@@ -15,38 +15,19 @@ trip in the time unit of the recovery protocol's clock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+#: Per-hop transfer time of an establishment message.  These messages are
+#: *not* time-critical and do not ride the RCC — Section 5.1 explicitly
+#: excludes reconfiguration traffic — so they see ordinary queueing; twice
+#: the RCC's 1.0 hop delay keeps the comparison conservative.
+HOP_DELAY = 2.0
 
-from repro.util.validation import check_non_negative, check_positive
-
-
-@dataclass(frozen=True)
-class SignalingParams:
-    """Timing model of establishment signalling.
-
-    ``hop_delay`` is the per-hop message transfer time (these messages are
-    *not* time-critical and do not ride the RCC — Section 5.1 explicitly
-    excludes reconfiguration traffic — so they see ordinary queueing);
-    ``processing_delay`` is the per-node admission-test / table-update
-    time.  Both default to multiples of the RCC's 1.0 hop delay to keep
-    the comparison conservative.
-    """
-
-    hop_delay: float = 2.0
-    processing_delay: float = 1.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.hop_delay, "hop_delay")
-        check_non_negative(self.processing_delay, "processing_delay")
-
-
-#: The timing model every establishment is priced with.
-SIGNALING = SignalingParams()
+#: Per-node admission-test / table-update time of an establishment.
+PROCESSING_DELAY = 1.0
 
 
 def establishment_latency(hops: int) -> float:
     """Closed-form signalling latency of establishing one channel under
-    :data:`SIGNALING`.
+    :data:`HOP_DELAY` and :data:`PROCESSING_DELAY`.
 
     Forward pass: ``hops`` transfers and ``hops + 1`` node visits;
     backward pass the same.
@@ -56,7 +37,4 @@ def establishment_latency(hops: int) -> float:
     # Forward: every node processes once ((hops+1) nodes) over `hops`
     # transfers; backward: `hops` transfers, each followed by processing
     # at the receiving node (the destination's processing is shared).
-    return (
-        2 * hops * SIGNALING.hop_delay
-        + (2 * hops + 1) * SIGNALING.processing_delay
-    )
+    return 2 * hops * HOP_DELAY + (2 * hops + 1) * PROCESSING_DELAY

@@ -61,7 +61,6 @@ class ProtocolSpec:
     mux_degree: int = 3
     d_max: float = 1.0
     scheme: int = 3
-    detection_delay: float = 0.0
 
     def __post_init__(self) -> None:
         if self.num_backups < 0:
@@ -73,7 +72,6 @@ class ProtocolSpec:
                 f"mux_degree must be >= 0, got {self.mux_degree}"
             )
         check_positive(self.d_max, "d_max")
-        check_non_negative(self.detection_delay, "detection_delay")
         SwitchingScheme(self.scheme)  # raises on unknown scheme numbers
 
     def config(self) -> ProtocolConfig:
@@ -81,7 +79,6 @@ class ProtocolSpec:
         return ProtocolConfig(
             scheme=SwitchingScheme(self.scheme),
             rcc=RCCParams(max_delay=self.d_max),
-            detection_delay=self.detection_delay,
         )
 
     def qos(self) -> FaultToleranceQoS:

@@ -56,7 +56,7 @@ KINDS = frozenset({
     "switchover-demote", "switchover-exhausted", "switchover-reconcile",
     "switchover-restore", "mux-failure", "preemption", "unrecoverable",
     # soft state and teardown (§4.4)
-    "rejoined", "teardown", "closure", "no-route", "reestablish",
+    "rejoined", "teardown", "closure",
     # the combinatorial evaluator's per-scenario summary
     "scenario",
 })

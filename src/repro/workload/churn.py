@@ -25,7 +25,7 @@ through establish → hold → teardown cycles on a simulated clock:
 Determinism: four independent RNG streams (arrival gaps, node pairs,
 holding times, per-epoch evaluation) are derived from one seed via
 :func:`~repro.util.rng.spawn_rngs`, every simulated quantity (including
-the recorded establishment latency, ``per_hop_latency`` x channel hops)
+the recorded establishment latency, :data:`PER_HOP_LATENCY` x channel hops)
 is computed from seeded state, and per-epoch scenario evaluation folds
 only its *counters* into the session registry (its wall-clock timers
 stay in a private registry).  Metrics and stats exports are therefore
@@ -51,6 +51,12 @@ from repro.recovery import RecoveryStats, evaluate_scenarios
 from repro.util.rng import spawn_rngs
 from repro.util.validation import check_non_negative, check_positive
 
+#: Every churn arrival asks for this delay QoS: a path at most this many
+#: hops longer than the shortest possible one.
+SLACK_HOPS = 2
+
+#: Recorded establishment latency per channel hop.
+PER_HOP_LATENCY = 0.001
 
 
 @dataclass(frozen=True)
@@ -71,12 +77,10 @@ class ChurnConfig:
     bandwidth: float = 1.0
     num_backups: int = 1
     mux_degree: int = 1
-    slack_hops: int = 2
     batch_window: float = 0.05
     epoch_interval: float = 10.0
     eval_scenarios: int = 0
     pairs: int = 0
-    per_hop_latency: float = 0.001
     #: Declarative SLO target specs (see :mod:`repro.obs.slo`), evaluated
     #: against the engine's registry snapshot at every epoch boundary,
     #: e.g. ``("churn.establish_latency.p99 <= 0.02",)``.  Breaches are
@@ -90,7 +94,6 @@ class ChurnConfig:
         check_positive(self.bandwidth, "bandwidth")
         check_positive(self.epoch_interval, "epoch_interval")
         check_non_negative(self.batch_window, "batch_window")
-        check_non_negative(self.per_hop_latency, "per_hop_latency")
         if self.num_backups < 0:
             raise ValueError(f"num_backups must be >= 0, got {self.num_backups}")
         if self.mux_degree < 0:
@@ -211,7 +214,7 @@ class ChurnEngine:
             raise ValueError("churn needs a topology with at least two nodes")
         self._nodes = nodes
         self._pool = [self._draw_pair() for _ in range(config.pairs)]
-        self._delay_qos = DelayQoS(slack_hops=config.slack_hops)
+        self._delay_qos = DelayQoS(slack_hops=SLACK_HOPS)
         self._ft_qos = FaultToleranceQoS(
             num_backups=config.num_backups, mux_degree=config.mux_degree
         )
@@ -362,7 +365,7 @@ class ChurnEngine:
                 self.stats.established += 1
                 self._c_established.inc()
                 self._h_latency.record(
-                    config.per_hop_latency * result.total_hops
+                    PER_HOP_LATENCY * result.total_hops
                 )
                 self._departure_seq += 1
                 heapq.heappush(

@@ -17,6 +17,10 @@ shrinker to reduce it to a few events:
   schedules then drive the end-nodes into ``multiple-active`` /
   ``endpoint-disagreement`` violations.
 
+Beside them, :class:`LossySimulation` plants random frame loss on every
+RCC link, and :func:`retransmission_budget` moves the RCC's resend limit:
+fault injection no runtime of ``src/`` turns on.
+
 They live here — not in ``src/`` — so the product has one path and no
 switch that selects a wrong one.  Everything not overridden below is the
 product code itself.  :func:`plant` points the chaos engine at a variant,
@@ -52,6 +56,33 @@ class DoubleReleaseSimulation(ProtocolSimulation):
             self._spare_pools[link] = (
                 self._spare_pools.get(link, 0.0) + released
             )
+
+
+class Lossy:
+    """Simulation mixin: every RCC link loses each frame it launches with
+    probability ``loss``.  Each link keeps the seed the runtime drew for
+    it, so a seeded run loses the same frames on every replay."""
+
+    def __init__(self, *args, loss: float, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        for rcc in self._rcc.values():
+            rcc.loss_probability = loss
+
+
+class LossySimulation(Lossy, ProtocolSimulation):
+    pass
+
+
+class LossyOracleSimulation(Lossy, OracleSimulation):
+    pass
+
+
+def retransmission_budget(monkeypatch, budget: int) -> None:
+    """Resend an unacked RCC frame at most ``budget`` times for the rest
+    of the test, in the RCC link that counts and the runtime that traces
+    the give-up."""
+    monkeypatch.setattr("repro.protocol.rcc.MAX_RETRANSMISSIONS", budget)
+    monkeypatch.setattr("repro.protocol.runtime.MAX_RETRANSMISSIONS", budget)
 
 
 class UnguardedSwitchover:

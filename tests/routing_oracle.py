@@ -152,9 +152,9 @@ def residual_topology(topology: Topology, failed_nodes: Iterable[NodeId] = (),
     """A copy of ``topology`` with the given components removed: the
     residual network a failure leaves, as a graph of its own.
 
-    The reactive re-establishment baseline and the runtime's slow path
-    search the network's own topology with the failed components
-    excluded instead; ``test_exclusion_routing`` holds the two equal.
+    The reactive re-establishment baseline searches the network's own
+    topology with the failed components excluded instead;
+    ``test_exclusion_routing`` holds the two equal.
     """
     dead_nodes = set(failed_nodes)
     dead_links = set(failed_links)

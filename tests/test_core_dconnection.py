@@ -12,7 +12,11 @@ from repro import (
     TrafficSpec,
 )
 from repro.channels.channel import Channel
-from repro.protocol.config import ProtocolConfig, RCCParams
+from repro.protocol.config import (
+    SWITCHOVER_RETRY_WINDOW,
+    ProtocolConfig,
+    RCCParams,
+)
 from repro.routing import Path
 
 
@@ -75,6 +79,8 @@ class TestProtocolConfig:
         config = ProtocolConfig()
         assert config.rcc.min_interval == pytest.approx(0.1)
         assert config.ack_timeout == pytest.approx(2.5)
+        # One backup's handshake: the first wait and two backed-off resends.
+        assert SWITCHOVER_RETRY_WINDOW == pytest.approx(12.0 + 24.0 + 48.0)
 
     def test_rcc_validation(self):
         with pytest.raises(ValueError):
@@ -87,9 +93,5 @@ class TestProtocolConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ProtocolConfig(rejoin_timeout=0.0)
-        with pytest.raises(ValueError):
-            ProtocolConfig(max_retransmissions=-1)
-        with pytest.raises(ValueError):
-            ProtocolConfig(frame_loss_probability=1.5)
         with pytest.raises(ValueError):
             ProtocolConfig(activation_delay_per_degree=-0.1)

@@ -12,8 +12,8 @@ from repro.experiments.panel import run_table1
 from repro.network.spec import TopologySpec
 from repro.experiments.workloads import all_pairs, establish_workload
 from repro.faults import sample_double_node_failures
-from repro.protocol import ProtocolConfig, ProtocolSimulation
 from repro.faults import FailureScenario
+from tests.planted import LossySimulation, retransmission_budget
 
 
 class TestDeterminism:
@@ -50,7 +50,9 @@ class TestDeterminism:
         assert [s.failed_nodes for s in a] == [s.failed_nodes for s in b]
         assert [s.failed_nodes for s in a] != [s.failed_nodes for s in c]
 
-    def test_protocol_run_repeatable(self):
+    def test_protocol_run_repeatable(self, monkeypatch):
+        retransmission_budget(monkeypatch, 12)
+
         def run_once():
             network = BCPNetwork(torus(4, 4, capacity=200.0))
             connection = network.establish(
@@ -59,12 +61,7 @@ class TestDeterminism:
             scenario = FailureScenario.of_links(
                 [connection.primary.path.links[1]]
             )
-            simulation = ProtocolSimulation(
-                network,
-                ProtocolConfig(frame_loss_probability=0.2,
-                               max_retransmissions=12),
-                seed=9,
-            )
+            simulation = LossySimulation(network, seed=9, loss=0.2)
             simulation.inject_scenario(scenario, 1.0)
             simulation.run(until=500.0)
             record = simulation.metrics.recoveries[connection.connection_id]

@@ -1,8 +1,8 @@
 """A failure is a set of route exclusions, held to the residual copy.
 
-The reactive baseline and the runtime's slow path route "in the residual
-network".  They search the network's own topology with the failed
-components passed as ``RouteConstraints`` exclusions; the oracle is the
+The reactive baseline routes "in the residual network".  It searches the
+network's own topology with the failed components passed as
+``RouteConstraints`` exclusions; the oracle is the
 residual network built as a second, shrunken ``Topology``
 (``tests/routing_oracle.py::residual_topology``).  Here both reactive
 searches — the capacity-floor search and the exclusion-only probe that

@@ -9,10 +9,9 @@ and — once its calendar has drained — is freed by reference count the
 moment the last reference to it goes, leaving the collector nothing.  A
 regression here fails on a count, not a time.
 
-A heartbeat-detection run never drains: every beat schedules the next, so
-its calendar always holds events bound to the objects that own the
-engine.  Dropping one leaves the collector work by construction, and it
-is out of scope here.
+A run drains once its soft state has expired: the runtime has no timer
+that re-arms itself for ever.  Each test asserts its run drained before
+dropping it, since a pending event holds the objects that own the engine.
 """
 
 from __future__ import annotations

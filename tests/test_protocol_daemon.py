@@ -17,6 +17,7 @@ from repro.protocol import (
     SwitchingScheme,
 )
 from repro.protocol.states import LocalChannelState
+from tests.planted import retransmission_budget
 
 
 def build_ring_network():
@@ -114,12 +115,13 @@ class TestReportingRules:
 
 
 class TestRejoinEdgeCases:
-    def test_late_rejoin_triggers_closure(self):
+    def test_late_rejoin_triggers_closure(self, monkeypatch):
         # Fig. 6: the rejoin timer expires at some nodes before the rejoin
         # confirm passes; the channel must end NON_EXISTENT everywhere
         # rather than half-repaired.
         network, connection = build_ring_network()
-        config = ProtocolConfig(rejoin_timeout=6.0, max_retransmissions=30)
+        retransmission_budget(monkeypatch, 30)
+        config = ProtocolConfig(rejoin_timeout=6.0)
         simulation = ProtocolSimulation(network, config)
         victim = connection.primary.path.links[1]
         simulation.inject_scenario(FailureScenario.of_links([victim]), at=1.0)
@@ -204,15 +206,14 @@ class TestTimerLifecycle:
     timers re-arming while probes are pending, crashes with a switchover
     handshake in flight, and repairs racing the give-up boundary."""
 
-    def test_rejoin_timer_rearm_while_probe_pending(self):
+    def test_rejoin_timer_rearm_while_probe_pending(self, monkeypatch):
         # The primary fails, rejoins after a quick repair, then fails
         # AGAIN while round one's probe timer may still be pending.  The
         # re-armed timer must drive a clean second rejoin cycle — not a
         # double fire, not a channel stuck in U.
         network, connection = build_ring_network()
-        config = ProtocolConfig(
-            rejoin_timeout=100.0, rejoin_probe_interval=5.0
-        )
+        monkeypatch.setattr("repro.protocol.daemon.REJOIN_PROBE_INTERVAL", 5.0)
+        config = ProtocolConfig(rejoin_timeout=100.0)
         simulation = ProtocolSimulation(network, config)
         auditor = InvariantAuditor(simulation)
         auditor.attach()

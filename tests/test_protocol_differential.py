@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import pickle
 import random
+from functools import partial
 
 import pytest
 
@@ -23,7 +24,12 @@ from repro.protocol import plan as plan_module
 from repro.protocol.plan import protocol_plan
 from repro.serve.state import restore_network, snapshot_network
 from repro.sim import TraceLog
-from tests.planted import UnguardedOracleSimulation, UnguardedSimulation
+from tests.planted import (
+    LossyOracleSimulation,
+    LossySimulation,
+    UnguardedOracleSimulation,
+    UnguardedSimulation,
+)
 from tests.protocol_oracle import OracleAuditor, OracleSimulation
 from tests.test_recovery_differential import TOPOLOGIES, build_network
 
@@ -34,16 +40,10 @@ CONFIGS = {
     "scheme2": (ProtocolConfig(scheme=SwitchingScheme.SCHEME_2), (0, 1, 4)),
     "scheme3": (ProtocolConfig(scheme=SwitchingScheme.SCHEME_3),
                 (0, 1, 2, 3, 4)),
-    "lossy": (ProtocolConfig(frame_loss_probability=0.15), (2, 3)),
-    # Detection by missed beats; a long period keeps the beat traffic
-    # (every link, both ways, to the horizon) from dominating the sweep.
-    "heartbeat": (ProtocolConfig(
-        heartbeat_detection=True, heartbeat_period=10.0,
-        heartbeat_miss_threshold=2,
-    ), (0, 4)),
+    # Every RCC link drops 15 % of its frames (see ``SIMULATIONS``).
+    "lossy": (ProtocolConfig(), (2, 3)),
     "preemption": (ProtocolConfig(
         preemption=True, activation_delay_per_degree=0.25,
-        reestablish_unrecoverable=True,
     ), (2, 3)),
     # The planted race (``tests/planted.py``, see ``SIMULATIONS``) makes
     # the auditor report multiple-active and endpoint-disagreement
@@ -53,8 +53,10 @@ CONFIGS = {
 }
 
 #: name -> (product simulation, oracle simulation), where they are not
-#: the plain pair: both run the same planted daemon mixin.
+#: the plain pair: both run the same planted mixin.
 SIMULATIONS = {
+    "lossy": (partial(LossySimulation, loss=0.15),
+              partial(LossyOracleSimulation, loss=0.15)),
     "unguarded": (UnguardedSimulation, UnguardedOracleSimulation),
 }
 

@@ -7,6 +7,7 @@ import pytest
 from repro.network import LinkId
 from repro.protocol.config import ProtocolConfig, RCCParams
 from repro.protocol.messages import FailureReport, RCCFrame
+from repro.protocol import rcc as rcc_module
 from repro.protocol.rcc import RCCLink
 from repro.sim import EventEngine
 
@@ -20,10 +21,11 @@ class Inbox(list):
     receive = list.append
 
 
-def make_pair(config=None, failed=None, engine=None):
+def make_pair(config=None, failed=None, engine=None, loss=0.0):
     """A forward/reverse RCC pair delivering into lists; the links are
-    down while ``LINK`` is in ``failed``.  A link holds its receiver and
-    its reverse weakly, so a test keeps all five."""
+    down while ``LINK`` is in ``failed`` and each loses a frame with
+    probability ``loss``.  A link holds its receiver and its reverse
+    weakly, so a test keeps all five."""
     engine = engine or EventEngine()
     config = config or ProtocolConfig()
     failed = failed if failed is not None else set()
@@ -32,6 +34,7 @@ def make_pair(config=None, failed=None, engine=None):
     backward = RCCLink(engine, BACK, config, failed, delivered_rev, seed=2)
     forward.reverse = backward
     backward.reverse = forward
+    forward.loss_probability = backward.loss_probability = loss
     return engine, forward, backward, delivered_fwd, delivered_rev
 
 
@@ -95,8 +98,8 @@ class TestDelivery:
 
 class TestLossAndRetransmission:
     def test_lossy_link_recovers_by_retransmission(self):
-        config = ProtocolConfig(frame_loss_probability=0.4)
-        engine, forward, backward, delivered, delivered_rev = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            loss=0.4)
         for i in range(20):
             forward.send(report(i))
         engine.run()
@@ -105,18 +108,18 @@ class TestLossAndRetransmission:
 
     def test_duplicates_dropped_when_ack_lost(self):
         # Loss applies to acks too; retransmitted frames must be deduped.
-        config = ProtocolConfig(frame_loss_probability=0.5)
-        engine, forward, backward, delivered, delivered_rev = make_pair(config)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            loss=0.5)
         for i in range(30):
             forward.send(report(i))
         engine.run()
         ids = [m.channel_id for m in delivered]
         assert len(ids) == len(set(ids))  # no duplicate delivery
 
-    def test_dead_link_gives_up_after_budget(self):
-        config = ProtocolConfig(max_retransmissions=3)
+    def test_dead_link_gives_up_after_budget(self, monkeypatch):
+        monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 3)
         engine, forward, backward, delivered, delivered_rev = make_pair(
-            config, failed={LINK}
+            failed={LINK}
         )
         forward.send(report())
         engine.run()
@@ -124,10 +127,10 @@ class TestLossAndRetransmission:
         assert forward.stats.gave_up == 1
         assert forward.stats.retransmissions == 3
 
-    def test_give_up_hook_fires_once_per_frame(self):
-        config = ProtocolConfig(max_retransmissions=2)
+    def test_give_up_hook_fires_once_per_frame(self, monkeypatch):
+        monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 2)
         engine, forward, backward, delivered, delivered_rev = make_pair(
-            config, failed={LINK}
+            failed={LINK}
         )
         declared = []
         forward.on_give_up = declared.append
@@ -136,15 +139,14 @@ class TestLossAndRetransmission:
         engine.run()
         assert declared == [LINK]
 
-    def test_give_up_fires_once_per_exhausted_frame(self):
+    def test_give_up_fires_once_per_exhausted_frame(self, monkeypatch):
         # With one message per frame, each queued report exhausts its own
         # retransmission budget and triggers its own give-up callback.
         # Deduplicating these into one failure declaration is the
         # runtime's job (see ProtocolSimulation._on_rcc_give_up), not the
         # transport's.
-        config = ProtocolConfig(
-            max_retransmissions=1, rcc=RCCParams(max_messages_per_frame=1)
-        )
+        monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 1)
+        config = ProtocolConfig(rcc=RCCParams(max_messages_per_frame=1))
         engine, forward, backward, delivered, delivered_rev = make_pair(
             config, failed={LINK}
         )
@@ -166,17 +168,18 @@ class TestLossAndRetransmission:
 
     def test_link_healing_mid_retry_delivers(self):
         failed = {LINK}
-        config = ProtocolConfig(max_retransmissions=8)
-        engine, forward, backward, delivered, delivered_rev = make_pair(config, failed)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            failed=failed)
         forward.send(report(5))
         engine.schedule(4.0, failed.discard, LINK)
         engine.run()
         assert [m.channel_id for m in delivered] == [5]
 
-    def test_frame_lost_in_flight_when_link_dies(self):
+    def test_frame_lost_in_flight_when_link_dies(self, monkeypatch):
+        monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 0)
         failed = set()
-        config = ProtocolConfig(max_retransmissions=0)
-        engine, forward, backward, delivered, delivered_rev = make_pair(config, failed)
+        engine, forward, backward, delivered, delivered_rev = make_pair(
+            failed=failed)
         forward.send(report())
         # Kill the link while the frame is flying (delivery at t=1.0).
         engine.schedule(0.5, failed.add, LINK)

@@ -15,6 +15,7 @@ from repro.protocol import (
     simulate_scenario,
 )
 from repro.protocol.states import LocalChannelState
+from tests.planted import LossySimulation, retransmission_budget
 
 
 @pytest.fixture
@@ -235,11 +236,11 @@ class TestRejoin:
 
 
 class TestRCCIntegration:
-    def test_recovery_survives_lossy_control_plane(self, single_connection):
+    def test_recovery_survives_lossy_control_plane(self, single_connection,
+                                                   monkeypatch):
         network, connection = single_connection
-        config = ProtocolConfig(frame_loss_probability=0.3,
-                                max_retransmissions=12)
-        simulation = ProtocolSimulation(network, config, seed=11)
+        retransmission_budget(monkeypatch, 12)
+        simulation = LossySimulation(network, seed=11, loss=0.3)
         simulation.inject_scenario(
             FailureScenario.of_links([connection.primary.path.links[1]]), 1.0
         )

@@ -6,9 +6,10 @@ from __future__ import annotations
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
-from repro.protocol import ProtocolConfig, ProtocolSimulation
+from repro.protocol import ProtocolSimulation
 from repro.protocol.states import LocalChannelState
 from repro.sim import TraceLog
+from tests.planted import LossySimulation
 
 
 @pytest.fixture
@@ -133,8 +134,7 @@ class TestLossyRecovery:
         ack/retransmit machinery must absorb the losses (retransmissions
         observed) and still deliver a finite service disruption."""
         network, connection = single_connection
-        config = ProtocolConfig(frame_loss_probability=0.2)
-        simulation = ProtocolSimulation(network, config, seed=1)
+        simulation = LossySimulation(network, seed=1, loss=0.2)
         simulation.fail(connection.primary.path.links[1], at=1.0)
         simulation.run(until=600.0)
 

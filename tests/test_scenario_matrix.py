@@ -102,6 +102,9 @@ def test_unknown_keys_rejected():
         )
     with pytest.raises(ValueError, match="unknown field"):
         ScenarioSpec.from_dict({"name": "t", "extra": 1})
+    # A retired protocol knob is rejected by name, not silently dropped.
+    with pytest.raises(ValueError, match="unknown field.*detection_delay"):
+        ProtocolSpec.from_dict({"num_backups": 1, "detection_delay": 0.0})
     with pytest.raises(ValueError, match="schema"):
         ScenarioSpec.from_dict({"schema": "repro.scenario/999", "name": "t"})
 
@@ -281,9 +284,12 @@ def test_load_cells_single_spec(tmp_path):
 def test_load_cells_malformed_line_names_location(tmp_path):
     path = tmp_path / "bad.jsonl"
     good = ScenarioSpec(name="ok").to_json()
-    path.write_text(good + "\n" + '{"name": "x", "bogus": 1}' + "\n")
-    with pytest.raises(ValueError, match=r"bad\.jsonl:2"):
-        load_cells(str(path))
+    for line, key in (('{"name": "x", "bogus": 1}', "bogus"),
+                      ('{"name": "x", "protocol": {"detection_delay": 0.0}}',
+                       "detection_delay")):
+        path.write_text(good + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=rf"bad\.jsonl:2.*{key}"):
+            load_cells(str(path))
 
 
 def test_load_cells_rejects_empty_and_invalid(tmp_path):

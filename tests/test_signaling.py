@@ -8,23 +8,21 @@ import pytest
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.analysis import recovery_delay_bound
 from repro.protocol.signaling import (
-    SIGNALING,
-    SignalingParams,
+    HOP_DELAY,
+    PROCESSING_DELAY,
     establishment_latency,
 )
 
 
 class TestClosedForm:
     def test_round_trip_formula(self):
-        assert SIGNALING == SignalingParams(hop_delay=2.0, processing_delay=1.0)
+        assert (HOP_DELAY, PROCESSING_DELAY) == (2.0, 1.0)
         # 4 hops: 8 transfers + 9 node-processing steps = 16 + 9 = 25.
         assert establishment_latency(4) == pytest.approx(25.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             establishment_latency(0)
-        with pytest.raises(ValueError):
-            SignalingParams(hop_delay=0.0)
 
 
 class TestLatencyArgument:

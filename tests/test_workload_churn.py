@@ -37,7 +37,7 @@ class TestChurnConfig:
             {"bandwidth": 0.0},
             {"epoch_interval": 0.0},
             {"batch_window": -0.1},
-            {"per_hop_latency": -1.0},
+            {"holding_time": 0.0},
             {"num_backups": -1},
             {"mux_degree": -1},
             {"eval_scenarios": -1},
