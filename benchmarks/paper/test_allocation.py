@@ -34,15 +34,17 @@ from repro.protocol.plan import protocol_plan
 RETAINED_BUDGET = 24_000
 
 #: What one loaded 8x8 mux=3 network holds (all 4 032 pairs, one shared
-#: traffic spec), measured on CPython 3.11: 52 895 tracked objects and
-#: 9.52 MiB of traced heap.  While the mux engine keyed each primary by
-#: its component frozenset and a path kept a ``__dict__``, the same build
-#: held 64 992 objects and 12.84 MiB; before each channel's components
-#: were stored once, as its path's nodes and links, 81 121 objects and
-#: 21.79 MiB, and dropping it left 28 895 objects to the cycle collector.
-#: The budgets allow 10 % over the measurement.
-NETWORK_OBJECT_BUDGET = 58_200
-NETWORK_MIB_BUDGET = 10.5
+#: traffic spec), measured on CPython 3.11: 38 575 tracked objects and
+#: 7.14 MiB of traced heap.  While every link kept a ``MuxEntry`` per
+#: backup and the registry a ``{channel id: Channel}`` dict per link, and
+#: channels and connections had no slots, 52 895 objects and 9.52 MiB;
+#: while the mux engine keyed each primary by its component frozenset and
+#: a path kept a ``__dict__``, 64 992 objects and 12.84 MiB; before each
+#: channel's components were stored once, as its path's nodes and links,
+#: 81 121 objects and 21.79 MiB, and dropping it left 28 895 objects to
+#: the cycle collector.  The budgets allow 10 % over the measurement.
+NETWORK_OBJECT_BUDGET = 42_400
+NETWORK_MIB_BUDGET = 7.9
 
 #: What compiling that network's protocol plan adds, measured on CPython
 #: 3.11: 16 262 tracked objects and 5.14 MiB traced.  Each fact is stored

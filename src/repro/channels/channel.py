@@ -24,7 +24,7 @@ class ChannelRole(enum.Enum):
     BACKUP = "backup"
 
 
-@dataclass
+@dataclass(slots=True)
 class Channel:
     """One virtual circuit (primary or backup) of a D-connection.
 

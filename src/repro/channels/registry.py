@@ -3,10 +3,13 @@
 The registry indexes channels by id and by link, so that the
 multiplexing engine can enumerate the channels on a link, and the fault
 models can answer "which channels does this failure disable?" in time
-proportional to the answer.  The link index is the only per-component
-one: every node of a path is an end of one of its links, so a node's
-channels are those on the links at that node, which a node -> links map
-names.
+proportional to the answer.  The channels themselves live once, in the
+id index; a link's entry is the list of the ids of the channels that
+cross it, in registration order.  The link index is the only
+per-component one: every node of a path is an end of one of its links,
+so a node's channels are those on the links at that node, which a
+node -> links map names (a channel through the node is on two of them
+and is listed once).
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ class ChannelRegistry:
 
     def __init__(self) -> None:
         self._by_id: dict[int, Channel] = {}
-        #: link -> {channel id: channel}, in registration order; only
+        #: link -> ids of the channels on it, in registration order; only
         #: links that carry a channel have an entry.
-        self._by_link: dict[LinkId, dict[int, Channel]] = {}
+        self._by_link: dict[LinkId, list[int]] = {}
         #: node -> the keys of ``_by_link`` with that node at either end.
         self._links_at: dict[NodeId, set[LinkId]] = {}
         self._next_id = 0
@@ -71,10 +74,10 @@ class ChannelRegistry:
         for link in channel.path.links:
             carried = by_link.get(link)
             if carried is None:
-                carried = by_link[link] = {}
+                carried = by_link[link] = []
                 for node in (link.src, link.dst):
                     self._links_at.setdefault(node, set()).add(link)
-            carried[channel_id] = channel
+            carried.append(channel_id)
         return channel
 
     def remove(self, channel_id: int) -> Channel:
@@ -85,7 +88,7 @@ class ChannelRegistry:
         by_link = self._by_link
         for link in channel.path.links:
             carried = by_link[link]
-            del carried[channel_id]
+            carried.remove(channel_id)
             if not carried:
                 del by_link[link]
                 for node in (link.src, link.dst):
@@ -117,19 +120,20 @@ class ChannelRegistry:
 
     def primaries_on_link(self, link: LinkId) -> list[Channel]:
         """Primary channels traversing ``link``, in registration order."""
+        by_id = self._by_id
         return [
             channel
-            for channel in self._by_link.get(link, {}).values()
-            if channel.role is ChannelRole.PRIMARY
+            for channel_id in self._by_link.get(link, ())
+            if (channel := by_id[channel_id]).role is ChannelRole.PRIMARY
         ]
 
-    def _on(self, component: object) -> dict[int, Channel]:
-        """``{channel id: channel}`` of the channels whose path includes
-        ``component`` (a node or a link); an empty dict if none do."""
+    def _ids_on(self, component: object) -> set[int]:
+        """Ids of the channels whose path includes ``component`` (a node
+        or a link)."""
         by_link = self._by_link
         if isinstance(component, LinkId):
-            return by_link.get(component, {})
-        on: dict[int, Channel] = {}
+            return set(by_link.get(component, ()))
+        on: set[int] = set()
         for link in self._links_at.get(component, ()):
             on.update(by_link[link])
         return on
@@ -137,14 +141,14 @@ class ChannelRegistry:
     def on_component(self, component: object) -> list[Channel]:
         """Channels whose path includes the given node or link, in
         ascending channel id."""
-        on = self._on(component)
-        return [on[channel_id] for channel_id in sorted(on)]
+        by_id = self._by_id
+        return [by_id[channel_id] for channel_id in sorted(self._ids_on(component))]
 
     def affected_by(self, failed_components: Iterable[object]) -> set[int]:
         """Ids of channels disabled by failing all of ``failed_components``."""
         affected: set[int] = set()
         for component in failed_components:
-            affected.update(self._on(component))
+            affected |= self._ids_on(component)
         return affected
 
     def channel_count_on_link(self, link: LinkId) -> int:

@@ -31,7 +31,7 @@ class ConnectionState(enum.Enum):
     CLOSED = "closed"
 
 
-@dataclass
+@dataclass(slots=True)
 class DConnection:
     """One dependable real-time connection."""
 

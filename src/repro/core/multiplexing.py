@@ -21,6 +21,15 @@ the same order.
 ``Ψ(B_i, ℓ)`` — the backups *multiplexed with* ``B_i`` (sharing its spare)
 — feeds the multiplexing-failure bound of Section 3.3.
 
+Storage: what is per backup is stored once.
+:meth:`MultiplexingEngine.add_backup` builds one slotted
+:class:`BackupRow` per backup (channel id, bandwidth, ν, primary mask)
+and every link the backup crosses references that same object; a
+:class:`LinkMuxState` keeps its rows in registration order plus the one
+fact that differs per link, the backup's requirement there.
+:class:`MuxEntry` is the per-(backup, link) view that ``entries()`` and
+``entry()`` build on read; mutating one writes nothing back.
+
 Complexity (Section 6): adding or removing a backup updates a link in
 O(n) pairwise tests by maintaining each entry's requirement incrementally;
 recomputing from scratch would be O(n²).  Both paths exist (the scratch
@@ -44,7 +53,7 @@ all stay below the threshold never loads either.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import indexOf
 
 from repro.channels.channel import Channel, ChannelRole
 from repro.core.overlap import ComponentSpace, OverlapPolicy
@@ -77,21 +86,34 @@ def check_resident(state, channel_ids: list[int]) -> None:
         seen.add(channel_id)
 
 
-@dataclass(slots=True)
-class MuxEntry:
-    """Multiplexing bookkeeping for one backup on one link."""
+@dataclass(slots=True, eq=False)
+class BackupRow:
+    """What one backup brings to every link it crosses, stored once: the
+    engine builds one per backup and each link state references it."""
 
     channel_id: int
     bandwidth: float
     mux_degree: int
     #: The primary's components as an integer bitset under the engine's
-    #: :class:`~repro.core.overlap.ComponentSpace` — one int, shared by
-    #: every link entry of the backup; ``c(M)`` is its popcount.
+    #: :class:`~repro.core.overlap.ComponentSpace`; ``c(M)`` is its
+    #: popcount.
+    mask: int
+
+
+@dataclass(slots=True)
+class MuxEntry:
+    """Multiplexing bookkeeping for one backup on one link — a view built
+    on read from the backup's :class:`BackupRow` and its requirement on
+    the link; mutating it changes no link state."""
+
+    channel_id: int
+    bandwidth: float
+    mux_degree: int
     mask: int
     #: bw(B_i) + Σ bw over Π(B_i, ℓ); maintained incrementally.  Π itself
-    #: is not stored: membership is a pure function of the two entries,
-    #: so removal re-derives it with the pair test that ``add`` used.
-    requirement: float = 0.0
+    #: is not stored: membership is a pure function of the two rows, so
+    #: removal re-derives it with the pair test that ``add`` used.
+    requirement: float
 
 
 @dataclass(slots=True)
@@ -103,8 +125,8 @@ class _PairScan:
     key: tuple
     #: bw(candidate) + Σ bw over Π(candidate, ℓ), folded in resident order.
     requirement: float
-    #: Residents whose Π gains the candidate, in resident order.
-    charged: "list[MuxEntry]"
+    #: Ids of the residents whose Π gains the candidate, in resident order.
+    charged: "list[int]"
     #: Largest current requirement among ``charged`` (-1.0 if none).
     charged_peak: float
     #: |Ψ(candidate, ℓ)|.
@@ -120,7 +142,12 @@ class LinkMuxState:
     def __init__(self, link: LinkId, policy: OverlapPolicy) -> None:
         self.link = link
         self.policy = policy
-        self._entries: dict[int, MuxEntry] = {}
+        #: The resident backups' shared rows, in registration order.
+        self._rows: list[BackupRow] = []
+        #: channel id -> its requirement on this link, in the same order
+        #: as ``_rows``: bw(B_i) + Σ bw over Π(B_i, ℓ), maintained
+        #: incrementally.
+        self._requirements: dict[int, float] = {}
         self._spare_required = 0.0
         #: The last integer-mode pair scan — a previewed candidate's, or
         #: the last added entry's; any later mutation drops or replaces it.
@@ -130,18 +157,41 @@ class LinkMuxState:
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._rows)
 
     def __contains__(self, channel_id: object) -> bool:
-        return channel_id in self._entries
+        return channel_id in self._requirements
+
+    def _position(self, channel_id: int) -> int:
+        """Where a resident backup sits in ``_rows``; raises ``KeyError``
+        if absent.  ``_requirements`` lists the residents in the same
+        order, so this is one C-level search of its keys."""
+        if channel_id not in self._requirements:
+            raise KeyError(channel_id)
+        return indexOf(self._requirements, channel_id)
+
+    def row(self, channel_id: int) -> BackupRow:
+        """The shared row of one resident backup; raises ``KeyError``."""
+        return self._rows[self._position(channel_id)]
 
     def entries(self) -> list[MuxEntry]:
-        """All backup entries on this link, in registration order."""
-        return list(self._entries.values())
+        """All backup entries on this link, in registration order
+        (views: mutating one does not write back)."""
+        return [
+            MuxEntry(
+                row.channel_id, row.bandwidth, row.mux_degree, row.mask,
+                requirement,
+            )
+            for row, requirement in zip(self._rows, self._requirements.values())
+        ]
 
     def entry(self, channel_id: int) -> MuxEntry:
-        """The entry for one backup; raises ``KeyError`` if absent."""
-        return self._entries[channel_id]
+        """The entry view for one backup; raises ``KeyError`` if absent."""
+        row = self.row(channel_id)
+        return MuxEntry(
+            channel_id, row.bandwidth, row.mux_degree, row.mask,
+            self._requirements[channel_id],
+        )
 
     def set_requirements(
         self, requirements: "dict[int, float]", spare_required: float
@@ -158,8 +208,11 @@ class LinkMuxState:
         resident requirement, as in every recorded state:
         :meth:`remove_many` relies on that to skip recomputing it.
         """
+        resident = self._requirements
         for channel_id, requirement in requirements.items():
-            self._entries[channel_id].requirement = requirement
+            if channel_id not in resident:
+                raise KeyError(channel_id)
+            resident[channel_id] = requirement
         self._spare_required = spare_required
         self._scan = None
 
@@ -174,12 +227,12 @@ class LinkMuxState:
     def spare_required_recomputed(self) -> float:
         """O(n²) from-scratch recomputation — validation oracle for the
         incremental bookkeeping, and the naive baseline of Section 6."""
-        entries = list(self._entries.values())
+        rows = self._rows
         best = 0.0
-        for entry in entries:
-            requirement = entry.bandwidth
-            for other in entries:
-                if other.channel_id != entry.channel_id and self._in_pi(entry, other):
+        for row in rows:
+            requirement = row.bandwidth
+            for other in rows:
+                if other is not row and self._in_pi(row, other):
                     requirement += other.bandwidth
             best = max(best, requirement)
         return best
@@ -187,27 +240,27 @@ class LinkMuxState:
     def psi_size(self, channel_id: int) -> int:
         """|Ψ(B_i, ℓ)| — how many backups share spare with ``B_i``
         (Section 3.3's multiplexing-failure bound input)."""
-        entry = self._entries[channel_id]
+        scan = self._scan
+        if scan is not None and scan.channel_id == channel_id:
+            # Nothing changed since this entry's own add scanned.
+            return scan.psi
+        row = self.row(channel_id)
         if not self.policy.exact:
-            scan = self._scan
-            if scan is not None and scan.channel_id == channel_id:
-                # Nothing changed since this entry's own add scanned.
-                return scan.psi
             # Integer mode, inlined: multiplexable ⇔ sc < ν.
-            degree = entry.mux_degree
+            degree = row.mux_degree
             if degree <= 0:
                 return 0
-            mask = entry.mask
+            mask = row.mask
             return sum(
                 1
-                for other in self._entries.values()
-                if other is not entry
+                for other in self._rows
+                if other is not row
                 and (mask & other.mask).bit_count() < degree
             )
         return sum(
             1
-            for other in self._entries.values()
-            if other is not entry and self._multiplexable(entry, other)
+            for other in self._rows
+            if other is not row and self._multiplexable(row, other)
         )
 
     def psi_sizes_for_candidate(
@@ -221,7 +274,7 @@ class LinkMuxState:
         """
         count = mask.bit_count()
         sizes = dict.fromkeys(mux_degrees, 0)
-        for other in self._entries.values():
+        for other in self._rows:
             shared = (mask & other.mask).bit_count()
             other_count = other.mask.bit_count()
             for degree in mux_degrees:
@@ -234,7 +287,7 @@ class LinkMuxState:
     # ------------------------------------------------------------------
     # pair tests
     # ------------------------------------------------------------------
-    def _multiplexable(self, perspective: MuxEntry, other: MuxEntry) -> bool:
+    def _multiplexable(self, perspective: BackupRow, other: BackupRow) -> bool:
         """Whether ``other`` may share ``perspective``'s spare, judged by
         ``perspective``'s own threshold ν."""
         return self.policy.multiplexable_counts(
@@ -244,7 +297,7 @@ class LinkMuxState:
             perspective.mux_degree,
         )
 
-    def _in_pi(self, perspective: MuxEntry, other: MuxEntry) -> bool:
+    def _in_pi(self, perspective: BackupRow, other: BackupRow) -> bool:
         """Whether ``other`` belongs to Π(perspective, ℓ)."""
         return other.mux_degree <= perspective.mux_degree and not self._multiplexable(
             perspective, other
@@ -261,11 +314,12 @@ class LinkMuxState:
         scan = self._scan
         if scan is not None and scan.channel_id is None and scan.key == key:
             return scan
+        requirements = self._requirements
         requirement = bandwidth
         charged = []
         charged_peak = -1.0
         psi = 0
-        for other in self._entries.values():
+        for other in self._rows:
             shared = (mask & other.mask).bit_count()
             other_degree = other.mux_degree
             if shared < degree:
@@ -275,9 +329,11 @@ class LinkMuxState:
             if degree <= other_degree and (
                 other_degree <= 0 or shared >= other_degree
             ):
-                charged.append(other)
-                if other.requirement > charged_peak:
-                    charged_peak = other.requirement
+                other_id = other.channel_id
+                charged.append(other_id)
+                other_requirement = requirements[other_id]
+                if other_requirement > charged_peak:
+                    charged_peak = other_requirement
         scan = self._scan = _PairScan(key, requirement, charged, charged_peak, psi)
         return scan
 
@@ -300,16 +356,16 @@ class LinkMuxState:
             if scan.charged_peak >= 0.0 and scan.charged_peak + bandwidth > best:
                 best = scan.charged_peak + bandwidth
             return max(best, scan.requirement)
-        candidate = MuxEntry(-1, bandwidth, mux_degree, mask)
+        candidate = BackupRow(-1, bandwidth, mux_degree, mask)
         new_requirement = bandwidth
         best = 0.0
-        for other in self._entries.values():
+        for other, requirement in zip(self._rows, self._requirements.values()):
             if self._in_pi(candidate, other):
                 new_requirement += other.bandwidth
             if self._in_pi(other, candidate):
-                best = max(best, other.requirement + bandwidth)
+                best = max(best, requirement + bandwidth)
             else:
-                best = max(best, other.requirement)
+                best = max(best, requirement)
         return max(best, new_requirement)
 
     def add(
@@ -319,36 +375,47 @@ class LinkMuxState:
         mux_degree: int,
         mask: int,
     ) -> float:
-        """Register a backup; returns the new required pool size.
+        """Register a backup; returns the new required pool size."""
+        return self.add_row(BackupRow(channel_id, bandwidth, mux_degree, mask))
+
+    def add_row(self, row: BackupRow) -> float:
+        """Register the backup ``row`` describes, referencing ``row``
+        itself; returns the new required pool size.
 
         O(n) in the number of backups already on the link: one pairwise
         test per existing entry, updating requirements incrementally.
         """
-        if channel_id in self._entries:
+        channel_id = row.channel_id
+        requirements = self._requirements
+        if channel_id in requirements:
             raise ValueError(f"backup {channel_id} already on link {self.link}")
+        bandwidth = row.bandwidth
         check_positive(bandwidth, "bandwidth")
-        entry = MuxEntry(channel_id, bandwidth, mux_degree, mask, bandwidth)
         # Requirements only grow on add, so the cached maximum needs at
         # most the new entry's requirement and the ones that just grew.
         peak = self._spare_required
         if not self.policy.exact:
-            scan = self._pair_scan(mask, mux_degree, bandwidth)
-            entry.requirement = scan.requirement
-            for other in scan.charged:
-                other.requirement += bandwidth
-                if other.requirement > peak:
-                    peak = other.requirement
+            scan = self._pair_scan(row.mask, row.mux_degree, bandwidth)
+            requirement = scan.requirement
+            for other_id in scan.charged:
+                grown = requirements[other_id] + bandwidth
+                requirements[other_id] = grown
+                if grown > peak:
+                    peak = grown
             scan.channel_id = channel_id
         else:
-            for other in self._entries.values():
-                if self._in_pi(entry, other):
-                    entry.requirement += other.bandwidth
-                if self._in_pi(other, entry):
-                    other.requirement += bandwidth
-                    if other.requirement > peak:
-                        peak = other.requirement
-        self._entries[channel_id] = entry
-        self._spare_required = max(peak, entry.requirement)
+            requirement = bandwidth
+            for other in self._rows:
+                if self._in_pi(row, other):
+                    requirement += other.bandwidth
+                if self._in_pi(other, row):
+                    grown = requirements[other.channel_id] + bandwidth
+                    requirements[other.channel_id] = grown
+                    if grown > peak:
+                        peak = grown
+        self._rows.append(row)
+        requirements[channel_id] = requirement
+        self._spare_required = max(peak, requirement)
         return self._spare_required
 
     def remove(self, channel_id: int) -> float:
@@ -365,40 +432,41 @@ class LinkMuxState:
     def _remove_resident(self, channel_ids: list[int]) -> float:
         """:meth:`remove_many` for ids :func:`check_resident` passed."""
         self._scan = None
-        entries = self._entries
+        rows = self._rows
+        requirements = self._requirements
         exact = self.policy.exact
         # Requirements only shrink on remove, so the pool maximum moves
         # only if an entry that held it leaves or sheds bandwidth.
         old_peak = self._spare_required
         peak_moved = False
         for channel_id in channel_ids:
-            entry = entries.pop(channel_id)
-            if entry.requirement >= old_peak:
+            leaver = rows.pop(self._position(channel_id))
+            if requirements.pop(channel_id) >= old_peak:
                 peak_moved = True
-            bandwidth = entry.bandwidth
-            degree = entry.mux_degree
-            mask = entry.mask
+            bandwidth = leaver.bandwidth
+            degree = leaver.mux_degree
+            mask = leaver.mask
             # Survivors whose Π held the leaver shed its bandwidth —
-            # in_pi(other, entry), the test ``add`` charged them by.
-            for other in entries.values():
+            # in_pi(other, leaver), the test ``add`` charged them by.
+            for other in rows:
                 other_degree = other.mux_degree
                 if degree > other_degree:
                     continue
                 if exact:
-                    charged = not self._multiplexable(other, entry)
+                    charged = not self._multiplexable(other, leaver)
                 else:
                     charged = (
                         other_degree <= 0
                         or (mask & other.mask).bit_count() >= other_degree
                     )
                 if charged:
-                    if other.requirement >= old_peak:
+                    other_id = other.channel_id
+                    requirement = requirements[other_id]
+                    if requirement >= old_peak:
                         peak_moved = True
-                    other.requirement -= bandwidth
+                    requirements[other_id] = requirement - bandwidth
         if peak_moved:
-            self._spare_required = max(
-                map(attrgetter("requirement"), entries.values()), default=0.0
-            )
+            self._spare_required = max(requirements.values(), default=0.0)
         return self._spare_required
 
 
@@ -463,14 +531,12 @@ class MultiplexingEngine:
         return space.intern(nodes) | space.intern(path.links)
 
     # ------------------------------------------------------------------
-    def _add(self, link: LinkId, backup: Channel, mask: int) -> float:
-        """Register ``backup`` on one link, promoting the link to the
-        vectorized kernel when this add takes it past
+    def _add(self, link: LinkId, row: BackupRow) -> float:
+        """Register the backup ``row`` describes on one link, promoting
+        the link to the vectorized kernel when this add takes it past
         :data:`KERNEL_MIN_POPULATION`."""
         state = self.link_state(link)
-        required = state.add(
-            backup.channel_id, backup.bandwidth, backup.mux_degree, mask
-        )
+        required = state.add_row(row)
         if (
             len(state) > KERNEL_MIN_POPULATION
             and isinstance(state, LinkMuxState)
@@ -485,6 +551,13 @@ class MultiplexingEngine:
             self._links[link] = promoted
             get_registry().counter("mux.kernel.promotions").inc()
         return required
+
+    def _row(self, backup: Channel, primary: Channel) -> BackupRow:
+        """The one row every link of ``backup`` references."""
+        return BackupRow(
+            backup.channel_id, backup.bandwidth, backup.mux_degree,
+            self.primary_mask(primary.path),
+        )
 
     def _publish_obs(self) -> None:
         """Export interner health into the session registry: gauges
@@ -513,10 +586,8 @@ class MultiplexingEngine:
         required pool size per link."""
         if backup.role is not ChannelRole.BACKUP:
             raise ValueError(f"channel {backup.channel_id} is not a backup")
-        mask = self.primary_mask(primary.path)
-        requirements = {
-            link: self._add(link, backup, mask) for link in backup.path.links
-        }
+        row = self._row(backup, primary)
+        requirements = {link: self._add(link, row) for link in backup.path.links}
         self._publish_obs()
         return requirements
 
@@ -532,13 +603,24 @@ class MultiplexingEngine:
         Adds are replayed in that order (so the link lands on whichever
         backend its population selects), then the recorded floats are
         transplanted over the freshly computed ones — see
-        :meth:`LinkMuxState.set_requirements` for why."""
+        :meth:`LinkMuxState.set_requirements` for why.  A backup whose
+        row a link restored earlier holds reuses that row, so a restored
+        network stores each backup's row once, as a built one does."""
         for backup, primary, _ in entries:
-            self._add(link, backup, self.primary_mask(primary.path))
+            self._add(link, self._restored_row(backup, primary))
         self.link_state(link).set_requirements(
             {backup.channel_id: requirement for backup, _, requirement in entries},
             spare_required,
         )
+
+    def _restored_row(self, backup: Channel, primary: Channel) -> BackupRow:
+        """``backup``'s row as a scalar link restored before holds it,
+        else a new one."""
+        for link in backup.path.links:
+            state = self._links.get(link)
+            if isinstance(state, LinkMuxState) and backup.channel_id in state:
+                return state.row(backup.channel_id)
+        return self._row(backup, primary)
 
     def remove_backup(self, backup: Channel) -> dict[LinkId, float]:
         """Deregister ``backup`` from every link of its path; returns the

@@ -388,6 +388,12 @@ class VectorLinkMux:
         self._spare_required = max(peak, requirement)
         return self._spare_required
 
+    def add_row(self, row) -> float:
+        """:meth:`add` for a backup the engine describes by its shared
+        :class:`~repro.core.multiplexing.BackupRow`, whose fields this
+        link copies into its columns."""
+        return self.add(row.channel_id, row.bandwidth, row.mux_degree, row.mask)
+
     def adopt(self, entries: list, spare_required: float) -> None:
         """Take over another link state's resident ``entries`` (in
         registration order) and pool maximum verbatim — promotion: no

@@ -241,7 +241,8 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
 
     # 1. Connections and channels.  Channels register in channel-id
     # order: registration originally happened in allocation order, and
-    # dicts preserve the survivors' relative order across deletions, so
+    # the registry's id dict and link lists preserve the survivors'
+    # relative order across deletions, so
     # this reproduces the live registry's iteration order exactly.
     connections = [
         _decode_connection(data) for data in snapshot["connections"]

@@ -174,6 +174,43 @@ class TestChannelRegistry:
         with pytest.raises(KeyError):
             ChannelRegistry().remove(5)
 
+    def test_node_lists_a_transit_channel_once_in_id_order(self):
+        registry = ChannelRegistry()
+        # Registered out of id order; 5 and 2 each cross two links at 2.
+        five = registry.add(make_channel(channel_id=5, nodes=(1, 2, 3)))
+        two = registry.add(make_channel(channel_id=2, nodes=(4, 2, 5)))
+        seven = registry.add(make_channel(channel_id=7, nodes=(2, 6)))
+        assert registry.on_component(2) == [two, five, seven]
+        assert all(
+            a is b for a, b in zip(registry.on_component(2), (two, five, seven))
+        )
+        assert registry.on_component(LinkId(1, 2)) == [five]
+        assert registry.affected_by([2, LinkId(1, 2)]) == {2, 5, 7}
+
+    def test_remove_unknown_leaves_every_index(self):
+        registry = ChannelRegistry()
+        for channel_id, nodes in ((0, (1, 2, 3)), (1, (3, 2, 1)),
+                                  (2, (2, 3, 4))):
+            registry.add(make_channel(channel_id=channel_id, nodes=nodes))
+        registry.remove(1)
+        components = [1, 2, 3, 4, *(LinkId(a, b) for a in range(1, 5)
+                                    for b in range(1, 5) if a != b)]
+
+        def indexes():
+            return (
+                [channel.channel_id for channel in registry.channels()],
+                {link: list(ids) for link, ids in registry._by_link.items()},
+                {node: set(links) for node, links in registry._links_at.items()},
+                [[channel.channel_id for channel in registry.on_component(c)]
+                 for c in components],
+            )
+
+        before = indexes()
+        for unknown in (1, 9):
+            with pytest.raises(KeyError):
+                registry.remove(unknown)
+            assert indexes() == before
+
 
 class TestAdmissionController:
     @pytest.fixture

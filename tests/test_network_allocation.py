@@ -1,6 +1,6 @@
 """Allocation gates for a loaded network: it is freed by reference count,
-and it stores each channel's components once, as its path's nodes and
-links.
+it stores each channel's components once, as its path's nodes and links,
+and each backup's multiplexing facts once, as one row its links share.
 
 ``benchmarks/paper/test_allocation.py`` holds the same checks at the
 paper's 8x8 scale, with pinned heap and tracked-object budgets.
@@ -9,6 +9,7 @@ paper's 8x8 scale, with pinned heap and tracked-object budgets.
 from __future__ import annotations
 
 import gc
+import tracemalloc
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.experiments.workloads import all_pairs, establish_workload
@@ -16,6 +17,14 @@ from repro.faults import all_single_node_failures
 from repro.obs import NULL_REGISTRY
 from repro.protocol import ProtocolSimulation
 from repro.recovery import RecoveryEvaluator
+
+#: What the loaded 4x4 mux=3 network below holds (240 connections),
+#: measured on CPython 3.11: 2 767 tracked objects and 0.430 MiB of
+#: traced heap.  While every link kept a ``MuxEntry`` per backup and the
+#: registry a ``{channel id: Channel}`` dict per link, 3 167 and 0.515 MiB.
+#: The budgets allow 10 % over the measurement.
+NETWORK_OBJECT_BUDGET = 3_050
+NETWORK_MIB_BUDGET = 0.48
 
 
 def _loaded_torus4() -> BCPNetwork:
@@ -69,3 +78,44 @@ def test_no_channel_path_builds_its_component_set():
     built = [path for path in paths
              if path._components is not None or path._transit is not None]
     assert not built, f"{len(built)} of {len(paths)} channel paths"
+
+
+def test_loaded_network_size():
+    _loaded_torus4()  # every module the build reaches is imported
+    gc.collect()
+    gc.disable()
+    try:
+        start = len(gc.get_objects())
+        tracemalloc.start()
+        try:
+            network = _loaded_torus4()
+            # A collection untracks the tuples and dicts that hold no
+            # container, so the count below is the settled one.
+            assert gc.collect() == 0
+            heap_mib = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+        tracked = len(gc.get_objects()) - start
+    finally:
+        gc.enable()
+    assert network.num_connections == 240
+    assert tracked <= NETWORK_OBJECT_BUDGET, tracked
+    assert heap_mib <= NETWORK_MIB_BUDGET, heap_mib
+
+
+def test_every_link_of_a_backup_holds_its_one_row():
+    network = _loaded_torus4()
+    mux = network.mux
+    backups = [
+        backup
+        for connection in network.connections()
+        for backup in connection.backups
+    ]
+    assert len(backups) == 240
+    for backup in backups:
+        rows = [mux.link_state(link).row(backup.channel_id)
+                for link in backup.path.links]
+        assert all(row is rows[0] for row in rows), backup
+        assert (rows[0].channel_id, rows[0].bandwidth, rows[0].mux_degree) == (
+            backup.channel_id, backup.bandwidth, backup.mux_degree
+        )
