@@ -19,10 +19,13 @@ import weakref
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.analysis.delay import required_rcc_frame_messages
 from repro.experiments.workloads import all_pairs, establish_workload
+from repro.faults import all_single_link_failures, all_single_node_failures
 from repro.obs import NULL_REGISTRY
 from repro.protocol import InvariantAuditor, ProtocolConfig, ProtocolSimulation
 from repro.protocol.config import RCCParams
-from repro.protocol.plan import protocol_plan
+from repro.recovery import RecoveryEvaluator
+from repro.core.plan import network_plan
+from repro.protocol.plan import node_tables
 
 #: Tracked objects the node-19 simulation adds (construction + run, the
 #: first seed-0 scenario of ``protocol-recovery``).  Measured 20 907 on
@@ -46,14 +49,29 @@ RETAINED_BUDGET = 24_000
 NETWORK_OBJECT_BUDGET = 42_400
 NETWORK_MIB_BUDGET = 7.9
 
-#: What compiling that network's protocol plan adds, measured on CPython
-#: 3.11: 16 262 tracked objects and 5.14 MiB traced.  Each fact is stored
-#: once: per node a channel id -> position map, per channel its meta tuple
-#: and path, per connection its channel ids.  With a row per (channel,
-#: node) pair, a connection index per node and an owned-link frozenset per
-#: primary the plan held 63 157 objects and 14.08 MiB.
-PLAN_OBJECT_BUDGET = 17_000
-PLAN_MIB_BUDGET = 5.8
+#: What the first simulation of that network compiles — the plan and the
+#: daemons' index on it — measured on CPython 3.11: 798 tracked objects
+#: and 2.64 MiB traced.  The plan copies no per-channel fact: it keeps the
+#: network's own channels back to back in one tuple, per node the daemons
+#: keep a channel map, an endpoint map and a neighbour index filled on
+#: touch.  With one tuple of channels per connection, 4 819 objects and
+#: 2.79 MiB.  While a separate protocol plan copied a meta tuple
+#: and a path entry per channel, an eager neighbour index and a view
+#: template per endpoint, 16 262 objects and 5.14 MiB (budgets 17 000 and
+#: 5.8); with a row per (channel, node) pair, a connection index per node
+#: and an owned-link frozenset per primary, 63 157 objects and 14.08 MiB.
+PLAN_OBJECT_BUDGET = 880
+PLAN_MIB_BUDGET = 3.0
+
+#: The same plan with both consumers' indexes filled: the daemons' (as
+#: above) and the evaluator's, by all 320 single failures.  Measured
+#: 12 655 tracked objects and 4.07 MiB on CPython 3.11.  The budget is
+#: what the two separate compiles held together before they were folded
+#: into one plan — 16 262 objects and 5.14 MiB for the protocol plan plus
+#: about 12 200 and 2.05 MiB for the filled recovery plan — so the fold
+#: can never cost more than it replaced.
+COMBINED_OBJECT_BUDGET = 28_462
+COMBINED_MIB_BUDGET = 7.19
 
 
 def _loaded_network(rows: int) -> BCPNetwork:
@@ -95,16 +113,27 @@ def test_loaded_network_size_and_lifetime():
     assert heap_mib <= NETWORK_MIB_BUDGET, heap_mib
 
 
-def test_protocol_plan_size():
-    network = _loaded_network(8)
-    protocol_plan(_loaded_network(4))  # every module the compile reaches
+def _compile_for_protocol(network: BCPNetwork) -> None:
+    """What the first simulation of a network state compiles: the plan
+    and the daemons' index on it."""
+    node_tables(network_plan(network), network.topology.nodes())
+
+
+def _single_failures(network: BCPNetwork) -> list:
+    topology = network.topology
+    return (all_single_link_failures(topology)
+            + all_single_node_failures(topology))
+
+
+def _allocated(compile_) -> tuple[int, float]:
+    """Tracked objects and traced MiB that ``compile_()`` leaves behind."""
     gc.collect()
     gc.disable()
     try:
         start = len(gc.get_objects())
         tracemalloc.start()
         try:
-            protocol_plan(network)
+            compile_()
             assert gc.collect() == 0
             heap_mib = tracemalloc.get_traced_memory()[0] / 2**20
         finally:
@@ -112,10 +141,37 @@ def test_protocol_plan_size():
         tracked = len(gc.get_objects()) - start
     finally:
         gc.enable()
+    return tracked, heap_mib
+
+
+def test_protocol_plan_size():
+    network = _loaded_network(8)
+    _compile_for_protocol(_loaded_network(4))  # every module it reaches
+    tracked, heap_mib = _allocated(lambda: _compile_for_protocol(network))
     print(f"8x8 protocol plan: {tracked} tracked objects, "
           f"{heap_mib:.2f} MiB traced")
     assert tracked <= PLAN_OBJECT_BUDGET, tracked
     assert heap_mib <= PLAN_MIB_BUDGET, heap_mib
+
+
+def test_plan_with_both_indexes_size():
+    network = _loaded_network(8)
+    scenarios = _single_failures(network)
+    warm = _loaded_network(4)  # every module both consumers reach
+    _compile_for_protocol(warm)
+    RecoveryEvaluator(warm, metrics=NULL_REGISTRY).evaluate_many(
+        _single_failures(warm))
+
+    def compile_both() -> None:
+        _compile_for_protocol(network)
+        RecoveryEvaluator(network, metrics=NULL_REGISTRY).evaluate_many(
+            scenarios)
+
+    tracked, heap_mib = _allocated(compile_both)
+    print(f"8x8 plan, both indexes filled: {tracked} tracked objects, "
+          f"{heap_mib:.2f} MiB traced")
+    assert tracked <= COMBINED_OBJECT_BUDGET, tracked
+    assert heap_mib <= COMBINED_MIB_BUDGET, heap_mib
 
 
 def test_node_failure_leaves_nothing_to_collect():
@@ -124,7 +180,7 @@ def test_node_failure_leaves_nothing_to_collect():
     config = ProtocolConfig(rcc=RCCParams(
         max_messages_per_frame=required_rcc_frame_messages(network)
     ))
-    protocol_plan(network)  # the plan is the network's, not the run's
+    _compile_for_protocol(network)  # the plan is the network's, not the run's
     for audited in (False, True):
         gc.collect()
         gc.disable()

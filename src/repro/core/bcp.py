@@ -69,12 +69,10 @@ class BCPNetwork:
             backup_cost_factory=cost_factory,
         )
         self._connections: dict[int, DConnection] = {}
-        #: Compiled recovery plan (see :mod:`repro.recovery.plan`), built
-        #: lazily and recompiled whenever ``ledger.version`` moves on.
-        self._recovery_plan = None
-        #: Compiled protocol state (see :mod:`repro.protocol.plan`), same
-        #: lifetime rule.
-        self._protocol_plan = None
+        #: Compiled plan both evaluation paths read (see
+        #: :mod:`repro.core.plan`), built lazily and recompiled whenever
+        #: ``ledger.version`` moves on.
+        self._plan = None
 
     # ------------------------------------------------------------------
     # establishment / teardown
@@ -228,13 +226,12 @@ class BCPNetwork:
         return violations
 
     def __getstate__(self) -> dict:
-        # The compiled plans are derived state, cheap to recompile and as
-        # large as the connection table — drop them from pickles (only a
+        # The compiled plan is derived state, cheap to recompile and as
+        # large as the connection table — drop it from pickles (only a
         # chaos campaign's pool processes receive a pickled network, and
         # recompile on first use), like ``Topology._flat``.
         state = self.__dict__.copy()
-        state["_recovery_plan"] = None
-        state["_protocol_plan"] = None
+        state["_plan"] = None
         return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

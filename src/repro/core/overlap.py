@@ -64,7 +64,7 @@ class ComponentSpace:
     :meth:`intern` reads components (a path's nodes, then its links) and
     memoises nothing: the engine works out a primary's mask once per
     admission and hands that one int to every link the backup crosses,
-    and the recovery plan interns each backup once.  A bit's position is
+    and the compiled plan interns each backup once.  A bit's position is
     the order its component was first seen; masks are only ``&``-ed and
     popcounted, which no relabelling of bits changes.
     """

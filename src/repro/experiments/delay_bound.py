@@ -88,7 +88,7 @@ def run_delay_bound(
     ``connections`` distinct connections are picked evenly from the
     workload; every link of each one's primary path is failed in turn, one
     simulation per injection, all on the one network's compiled
-    :class:`~repro.protocol.plan.ProtocolPlan`.
+    :class:`~repro.core.plan.NetworkPlan`.
     """
     qos = FaultToleranceQoS(num_backups=num_backups, mux_degree=1)
     network, _ = load_network(config, qos)

@@ -80,7 +80,7 @@ def run_message_loss(
 ) -> MessageLossResult:
     """Measure per-message loss around single link failures: one
     simulation with a live data stream per injection, all on the one
-    network's compiled :class:`~repro.protocol.plan.ProtocolPlan`."""
+    network's compiled :class:`~repro.core.plan.NetworkPlan`."""
     qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
     network, _ = load_network(config, qos)
     result = MessageLossResult(

@@ -4,10 +4,9 @@ A pool pays when each task does its own expensive set-up — a matrix cell
 or a reliability configuration establishes a whole network — because the
 set-up is the work and it parallelises.  Work against one *shared* loaded
 network (scenario evaluation, failure injection) does not: the per-failure
-answer is a lookup in plans compiled once per network
-(:mod:`repro.recovery.plan`, :mod:`repro.protocol.plan`), those plans are
-dropped from pickles, and a worker would recompile them to save
-microseconds.  Such work runs in-process
+answer is a lookup in the plan compiled once per network state
+(:mod:`repro.core.plan`), the plan is dropped from pickles, and a worker
+would recompile it to save microseconds.  Such work runs in-process
 (:func:`repro.recovery.evaluate_scenarios`); the measurements are in
 docs/architecture.md, "Parallel evaluation".
 

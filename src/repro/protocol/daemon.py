@@ -4,8 +4,8 @@ Each node runs one daemon.  It keeps a :class:`LocalChannelRecord` for
 every channel whose path crosses the node, and — at the end-nodes of a
 D-connection — an :class:`EndpointView` with the connection-level
 knowledge needed for channel switching (backup serials, paths, health).
-Both tables are read from the node's slice of the compiled
-:class:`~repro.protocol.plan.ProtocolPlan`: what establishment wrote is
+Both tables are read from the node's table of the compiled plan
+(:mod:`repro.protocol.plan`): what establishment wrote is
 shared by every simulation of the network state, and a record or view
 becomes this daemon's own mutable object the first time it is touched.
 
@@ -64,7 +64,7 @@ class _FailureSide(enum.Enum):
 @dataclass(frozen=True, slots=True)
 class BackupInfo:
     """Endpoint-side knowledge of one backup channel (immutable: the
-    compiled plan's instances are shared by every view built from it)."""
+    daemons' index shares its instances with every view built from it)."""
 
     channel_id: int
     serial: int
@@ -139,9 +139,9 @@ class BCPDaemon:
         #: every link delivers to exist).
         self._rcc = runtime._rcc
         self._topology = runtime.network.topology
-        #: This node's slice of the compiled plan: what establishment
+        #: This node's table of the compiled plan: what establishment
         #: installed here, plus the indices the whole-node scans read.
-        self.table = runtime.plan.tables[node]
+        self.table = runtime.tables[node]
         #: channel id -> record, for every channel through this node.
         self.records: Mapping[int, LocalChannelRecord] = self.table.records()
         #: connection id -> view, for every connection ending here.
@@ -282,7 +282,7 @@ class BCPDaemon:
         record.transition(LocalChannelState.NON_EXISTENT, ChannelEvent.EXPIRE)
         if self._log.active:
             self._point("teardown", record.connection_id, channel=channel_id)
-        self.runtime.release_channel_at_node(channel_id, self.node)
+        self.runtime.release_channel_at_node(record)
 
     # ------------------------------------------------------------------
     # failure detection (called by the runtime on the failed component's
@@ -302,7 +302,7 @@ class BCPDaemon:
         else:
             neighbour = component
         records = self.records
-        for channel_id in self.table.by_neighbour.get(neighbour, ()):
+        for channel_id in self.table.by_neighbour[neighbour]:
             record = records[channel_id]
             side = self._relation(record, component)
             if side is None:
@@ -879,9 +879,7 @@ class BCPDaemon:
         # The topology's own interned id: the runtime keys its draws on it
         # and the record may keep it, so nothing is built per draw.
         link = self._topology.link(self.node, record.downstream)
-        drawn, preempted = self.runtime.try_draw(
-            link, record.channel_id, record.mux_degree
-        )
+        drawn, preempted = self.runtime.try_draw(link, record)
         for victim_id in preempted:
             self._preempt(victim_id)
         if drawn:
@@ -942,7 +940,7 @@ class BCPDaemon:
         pending = self._pending.get(record.connection_id)
         if pending is not None and pending.backup.channel_id == channel_id:
             self._cancel_pending(record.connection_id)
-        self.runtime.release_channel_at_node(channel_id, self.node)
+        self.runtime.release_channel_at_node(record)
         if self._log.active:
             self._point("closure", record.connection_id, channel=channel_id)
         if record.downstream is not None:
@@ -999,8 +997,7 @@ class BCPDaemon:
             # Healing a multiplexing failure needs the spare back
             # (Section 4.4); if the pool is still dry, drop the request.
             drawn, _ = self.runtime.try_draw(
-                record.mux_failed_link, record.channel_id, record.mux_degree,
-                allow_preemption=False,
+                record.mux_failed_link, record, allow_preemption=False,
             )
             if not drawn:
                 return
@@ -1094,7 +1091,7 @@ class BCPDaemon:
             pending = self._pending.get(record.connection_id)
             if pending is not None and pending.backup.channel_id == record.channel_id:
                 self._cancel_pending(record.connection_id)
-            self.runtime.release_channel_at_node(record.channel_id, self.node)
+            self.runtime.release_channel_at_node(record)
         next_hop = self._next_hop(record, message.direction)
         if next_hop is not None:
             self._send(next_hop, message)

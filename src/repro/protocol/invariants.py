@@ -348,18 +348,15 @@ class InvariantAuditor:
             for daemon in simulation.daemons.values()
             for view in daemon.views.touched()
         }
-        for connection in simulation.network.connections():
-            if connection.connection_id not in touched:
-                continue
-            src, dst = connection.source, connection.destination
+        # The connections the run was built on, in plan order.
+        plan = simulation.plan
+        for connection_id in sorted(touched, key=plan.position_of.__getitem__):
+            path = plan.channels(plan.position_of[connection_id])[0].path
+            src, dst = path.source, path.destination
             if not (simulation.node_up(src) and simulation.node_up(dst)):
                 continue
-            view_src = simulation.daemons[src].views.get(
-                connection.connection_id
-            )
-            view_dst = simulation.daemons[dst].views.get(
-                connection.connection_id
-            )
+            view_src = simulation.daemons[src].views.get(connection_id)
+            view_dst = simulation.daemons[dst].views.get(connection_id)
             if view_src is None or view_dst is None:
                 continue
             # Skip connections that never finished recovering (out of
@@ -372,7 +369,7 @@ class InvariantAuditor:
             if view_src.current_channel != view_dst.current_channel:
                 self.record(
                     "endpoint-disagreement",
-                    f"connection {connection.connection_id}",
+                    f"connection {connection_id}",
                     f"source {src!r} carries channel "
                     f"{view_src.current_channel} but destination {dst!r} "
                     f"carries {view_dst.current_channel}",

@@ -1,38 +1,24 @@
-"""The compiled protocol state: one network state, prepared once.
+"""The daemons' index over the network's compiled plan.
 
 Section 3.4 has every BCP daemon hold a record for each channel through
-its node.  Those records are written at *establishment* and read only by
-the channels a failure actually hits (Section 4), so nothing about them
-depends on the simulation that reads them.  They are compiled once per
-network state into a :class:`ProtocolPlan`, and every
-:class:`~repro.protocol.runtime.ProtocolSimulation` of that state reads
-it (the per-failure answer is looked up, not re-derived — the idea of
-Enhanced Multiple Routing Configurations, PAPERS.md).  Each fact is
-stored once: per channel its meta tuple and path (its installed state is
-its serial: 0 is the primary), per connection its channel ids, and per
-node only each channel's position on its path, the neighbour index the
-daemon's failure scan reads and the end-node view templates.
-
-The plan is owned by the :class:`~repro.core.bcp.BCPNetwork` it describes
-(``network._protocol_plan``) and keyed on ``network.ledger.version``,
-exactly like :mod:`repro.recovery.plan`; a simulation pins the plan it
-was built on, so establishing or tearing down afterwards does not move
-the ground under a run in flight.
-
-Everything in the plan is immutable and shared.  What a simulation
-mutates — a record's state and ``reported`` value, a view's ``backups``
-list and health sets — lives in objects a :class:`LazyTable` builds from
-the plan's rows on first touch, one table per daemon per simulation.
+its node.  What establishment wrote is the network's
+:class:`~repro.core.plan.NetworkPlan`; :func:`node_tables` indexes it per
+node once per plan, when the first
+:class:`~repro.protocol.runtime.ProtocolSimulation` of the network state
+is built, and every later simulation of the state shares the index.  A
+:class:`NodeTable` keeps only what a node looks up and the plan cannot
+answer; a record or view reads everything else off the plan's channels
+when it is first built.  The index is immutable and shared: what a
+simulation mutates lives in objects a :class:`LazyTable` builds from it
+on first touch, one table per daemon per simulation.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Mapping
-from types import MappingProxyType
-from typing import NamedTuple
+from collections.abc import Callable, Iterable, Iterator, Mapping
 
-from repro.channels.channel import ChannelRole
-from repro.core.bcp import BCPNetwork
+from repro.channels.channel import Channel, ChannelRole
+from repro.core.plan import NetworkPlan
 from repro.network.components import NodeId
 from repro.protocol.daemon import BackupInfo, EndpointView
 from repro.protocol.states import (
@@ -40,21 +26,7 @@ from repro.protocol.states import (
     LocalChannelRecord,
     LocalChannelState,
 )
-from repro.routing.paths import Path
 from repro.util.lazytable import FilledOnTouch
-
-
-class EndpointRow(NamedTuple):
-    """What an end-node knows about one of its connections before any
-    failure; the template of an :class:`EndpointView`."""
-
-    source: NodeId
-    destination: NodeId
-    role: str
-    current_channel: int
-    current_serial: int
-    #: Backups in serial order (a view copies this into its own list).
-    backups: tuple[BackupInfo, ...]
 
 
 class LazyTable(FilledOnTouch):
@@ -99,37 +71,57 @@ class LazyTable(FilledOnTouch):
 
 class NodeTable:
     """Everything the daemon at one node was told at establishment: which
-    channels pass through it, and where.  What a channel is — its
-    connection, serial, ν, path and installed state — is stored once per
-    channel, in the plan, and read from there."""
+    channels pass through it and which connections end at it.  What a
+    channel is — its connection, serial, path and ν — is the plan's, and
+    read from there."""
 
-    __slots__ = ("node", "channels", "endpoints", "by_neighbour", "_meta",
-                 "_paths", "_connections")
+    __slots__ = ("node", "channels", "endpoints", "by_neighbour", "_flat",
+                 "_starts", "_degrees", "_position_of", "_backups")
 
-    def __init__(self, node: NodeId, meta: Mapping, paths: Mapping,
-                 connections: Mapping) -> None:
+    def __init__(self, node: NodeId, plan: NetworkPlan,
+                 backups: Mapping[int, tuple[BackupInfo, ...]]) -> None:
         self.node = node
-        #: channel id -> position of the node on the channel's path, in
-        #: registration order.
-        self.channels: dict[int, int] = {}
-        #: connection id -> view template, in registration order.
-        self.endpoints: dict[int, EndpointRow] = {}
-        #: neighbour node -> ids of the channels whose previous or next
-        #: hop it is, in registration order: the only records a failure of
-        #: that neighbour, or of a link to or from it, can relate to.
-        self.by_neighbour: dict[NodeId, tuple[int, ...]] = {}
-        # The plan's network-wide tables (not the plan: no cycle).
-        self._meta = meta
-        self._paths = paths
-        self._connections = connections
+        #: channel id -> channel, in registration order.
+        self.channels: dict[int, Channel] = {}
+        #: connection id -> plan position, in registration order.
+        self.endpoints: dict[int, int] = {}
+        channels = self.channels
+
+        def adjacent(neighbour: NodeId) -> tuple[int, ...]:
+            found = []
+            for channel_id, channel in channels.items():
+                nodes = channel.path.nodes
+                index = nodes.index(node)
+                if (index and nodes[index - 1] == neighbour) or (
+                    index + 1 < len(nodes) and nodes[index + 1] == neighbour
+                ):
+                    found.append(channel_id)
+            return tuple(found)
+
+        #: neighbour -> ids of the channels whose previous or next hop it
+        #: is, in registration order.  Read it with ``[]``: ``.get`` is
+        #: ``dict``'s own and would miss what is not filled yet.
+        self.by_neighbour = FilledOnTouch(adjacent)
+        # The plan's snapshot (not the plan: no cycle).
+        self._flat = plan._channels
+        self._starts = plan._starts
+        self._degrees = plan.degrees
+        self._position_of = plan.position_of
+        #: plan position -> the connection's backups as both of its
+        #: end-nodes' views start out, shared by every node's table.
+        self._backups = backups
 
     def channels_of(self, connection_id: int) -> list[int]:
         """Ids of the connection's channels through this node, in
         registration order (a connection's channels register one after
-        another, in ``connection.channels`` order)."""
-        channels = self.channels
-        return [channel_id for channel_id in self._connections[connection_id]
-                if channel_id in channels]
+        another, in plan order)."""
+        channels, starts = self.channels, self._starts
+        position = self._position_of[connection_id]
+        return [
+            channel.channel_id
+            for channel in self._flat[starts[position]:starts[position + 1]]
+            if channel.channel_id in channels
+        ]
 
     def records(self) -> LazyTable:
         """A fresh, untouched channel-record table for one daemon."""
@@ -140,18 +132,24 @@ class NodeTable:
         return LazyTable(self.endpoints, self._view)
 
     def _record(self, channel_id: int) -> LocalChannelRecord:
-        index = self.channels[channel_id]
-        connection_id, serial, _, _, mux_degree = self._meta[channel_id]
+        channel = self.channels[channel_id]
+        position = self._position_of[channel.connection_id]
+        start, flat = self._starts[position], self._flat
+        # The channel's ν as the plan pinned it (``index`` finds it by
+        # identity first, so the scan stops at the channel itself).
+        index = (0 if flat[start] is channel
+                 else flat.index(channel, start + 1) - start)
         record = LocalChannelRecord(
             channel_id=channel_id,
-            connection_id=connection_id,
-            serial=serial,
-            path=self._paths[channel_id],
+            connection_id=channel.connection_id,
+            serial=channel.serial,
+            path=channel.path,
             node=self.node,
-            mux_degree=mux_degree,
-            index=index,
+            mux_degree=self._degrees[position][index],
+            bandwidth=channel.traffic.bandwidth,
         )
-        if serial:
+        # A record's installed state is read off its serial.
+        if channel.serial:
             record.transition(LocalChannelState.BACKUP,
                               ChannelEvent.ESTABLISH_BACKUP)
         else:
@@ -160,108 +158,55 @@ class NodeTable:
         return record
 
     def _view(self, connection_id: int) -> EndpointView:
-        row = self.endpoints[connection_id]
+        position = self.endpoints[connection_id]
+        primary = self._flat[self._starts[position]]
+        nodes = primary.path.nodes
         return EndpointView(
             connection_id=connection_id,
-            source=row.source,
-            destination=row.destination,
-            role=row.role,
-            current_channel=row.current_channel,
-            current_serial=row.current_serial,
-            backups=list(row.backups),
+            source=nodes[0],
+            destination=nodes[-1],
+            role="source" if self.node == nodes[0] else "destination",
+            current_channel=primary.channel_id,
+            current_serial=primary.serial,
+            backups=list(self._backups[position]),
         )
 
 
-class ProtocolPlan:
-    """Simulation-independent protocol state of a loaded network at one
-    ledger version."""
+def node_tables(plan: NetworkPlan,
+                nodes: Iterable[NodeId]) -> dict[NodeId, NodeTable]:
+    """The daemons' index of ``plan``, one :class:`NodeTable` per node of
+    the topology, built once per plan, which it pins (the first
+    simulation of a network state builds it while the network still is
+    at the plan's version)."""
+    tables = plan.tables
+    if tables is None:
+        nodes = list(nodes)
+        plan.pin((*nodes, *plan.links))
+        # The plan's snapshot (not the plan: no cycle).
+        flat, starts, degrees = plan._channels, plan._starts, plan.degrees
 
-    __slots__ = ("version", "tables", "channel_meta", "channel_paths",
-                 "connection_channels")
-
-    def __init__(self, network: BCPNetwork) -> None:
-        #: ``network.ledger.version`` this plan was compiled at.
-        self.version = network.ledger.version
-        meta: dict[int, tuple[int, int, float, int, int]] = {}
-        paths: dict[int, Path] = {}
-        connections: dict[int, tuple[int, ...]] = {}
-        #: node -> its table, for every node of the topology.
-        self.tables: dict[NodeId, NodeTable] = {
-            node: NodeTable(node, meta, paths, connections)
-            for node in network.topology.nodes()
-        }
-        tables = self.tables
-        for connection in network.connections():
-            connection_id = connection.connection_id
-            channels = connection.channels
-            connections[connection_id] = tuple(
-                channel.channel_id for channel in channels
+        def backups_of(position: int) -> tuple[BackupInfo, ...]:
+            nus = degrees[position]
+            return tuple(
+                BackupInfo(backup.channel_id, backup.serial, backup.path,
+                           nus[index])
+                for index, backup in enumerate(
+                    flat[starts[position] + 1:starts[position + 1]], 1)
             )
+
+        # Filled for the connections a run touches, not for all of them.
+        backups = FilledOnTouch(backups_of)
+        tables = {node: NodeTable(node, plan, backups) for node in nodes}
+        for connection_id, position in plan.position_of.items():
+            channels = plan.channels(position)
             for channel in channels:
-                channel_id = channel.channel_id
-                # A record's installed state is read off its serial.
                 assert (channel.serial == 0) == (
                     channel.role is ChannelRole.PRIMARY
-                ), f"channel {channel_id}: serial 0 must be the primary"
-                path = paths[channel_id] = channel.path
-                meta[channel_id] = (
-                    connection_id, channel.serial, channel.bandwidth,
-                    path.hops, channel.mux_degree,
-                )
-                nodes = path.nodes
-                last = len(nodes) - 1
-                for index, node in enumerate(nodes):
-                    table = tables[node]
-                    table.channels[channel_id] = index
-                    if index:
-                        table.by_neighbour.setdefault(
-                            nodes[index - 1], []).append(channel_id)
-                    if index < last:
-                        table.by_neighbour.setdefault(
-                            nodes[index + 1], []).append(channel_id)
-            backups = tuple(
-                BackupInfo(
-                    channel_id=backup.channel_id,
-                    serial=backup.serial,
-                    path=backup.path,
-                    mux_degree=backup.mux_degree,
-                )
-                for backup in connection.backups_in_serial_order()
-            )
-            for node, role in (
-                (connection.source, "source"),
-                (connection.destination, "destination"),
-            ):
-                tables[node].endpoints[connection_id] = EndpointRow(
-                    connection.source, connection.destination, role,
-                    connection.primary.channel_id, connection.primary.serial,
-                    backups,
-                )
-        for table in tables.values():
-            # The index was grown as lists; freeze it.
-            table.by_neighbour = {
-                neighbour: tuple(ids)
-                for neighbour, ids in table.by_neighbour.items()
-            }
-        #: channel id -> (connection id, serial, bandwidth, hops, mux degree)
-        self.channel_meta: Mapping[
-            int, tuple[int, int, float, int, int]
-        ] = MappingProxyType(meta)
-        #: channel id -> its path.  A primary's links are those of its
-        #: original dedicated reservation (a simulation copies them into a
-        #: set of its own on first touch).
-        self.channel_paths: Mapping[int, Path] = MappingProxyType(paths)
-        #: connection id -> ids of its channels, in ``connection.channels``
-        #: order.
-        self.connection_channels: Mapping[
-            int, tuple[int, ...]
-        ] = MappingProxyType(connections)
-
-
-def protocol_plan(network: BCPNetwork) -> ProtocolPlan:
-    """The plan for ``network``'s current state, compiled at most once
-    per ledger version."""
-    plan = network._protocol_plan
-    if plan is None or plan.version != network.ledger.version:
-        plan = network._protocol_plan = ProtocolPlan(network)
-    return plan
+                ), f"channel {channel.channel_id}: serial 0 must be the primary"
+                for node in channel.path.nodes:
+                    tables[node].channels[channel.channel_id] = channel
+            path = channels[0].path
+            tables[path.source].endpoints[connection_id] = position
+            tables[path.destination].endpoints[connection_id] = position
+        plan.tables = tables
+    return tables

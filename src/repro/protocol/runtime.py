@@ -24,15 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.channels.channel import ChannelRole
+from repro.channels.channel import Channel
 from repro.core.bcp import BCPNetwork
+from repro.core.plan import network_plan
 from repro.faults.models import FailureScenario
 from repro.network.components import LinkId, NodeId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
 from repro.protocol.config import MAX_RETRANSMISSIONS, ProtocolConfig
 from repro.protocol.daemon import BCPDaemon
-from repro.protocol.plan import protocol_plan
+from repro.protocol.plan import node_tables
 from repro.protocol.rcc import RCCLink
+from repro.protocol.states import LocalChannelRecord
 from repro.sim.engine import EventEngine
 from repro.sim.timers import WeakCallback
 from repro.sim.trace import TraceLog
@@ -248,10 +250,12 @@ class ProtocolSimulation:
         #: set, so it is mutated in place and never rebound.
         self.failed_components: set = set()
 
-        #: What establishment installed at every node, compiled once per
-        #: network state and pinned here: this simulation keeps running on
-        #: it even if the network is changed afterwards.
-        self.plan = protocol_plan(network)
+        #: What establishment installed, compiled once per network state
+        #: and pinned here: this simulation keeps running on it even if
+        #: the network is changed afterwards.
+        self.plan = network_plan(network)
+        #: node -> what establishment installed there (the plan's own).
+        self.tables = node_tables(self.plan, network.topology.nodes())
         rng = make_rng(seed)
         #: link -> the RCC on it; the daemons send on this very map.
         self._rcc: dict[LinkId, RCCLink] = {}
@@ -282,8 +286,6 @@ class ProtocolSimulation:
         self._spare_pools = network.ledger.snapshot_spares()
         self._draws: dict[LinkId, dict[int, float]] = {}
         self._drawn_links: dict[int, set[LinkId]] = {}
-        #: channel id -> (connection id, serial, bandwidth, hops, mux degree)
-        self._channel_meta = self.plan.channel_meta
         #: Links where a channel holds a *dedicated* reservation (its
         #: original primary reservation, or spare converted by a completed
         #: activation, Section 4.4).  Activating over an owned link needs
@@ -345,23 +347,23 @@ class ProtocolSimulation:
     def try_draw(
         self,
         link: LinkId,
-        channel_id: int,
-        mux_degree: int,
+        record: LocalChannelRecord,
         allow_preemption: "bool | None" = None,
     ) -> tuple[bool, list[int]]:
-        """Draw the channel's bandwidth from ``link``'s spare pool.
+        """Draw ``record``'s channel's bandwidth from ``link``'s spare pool.
 
         Returns ``(drawn, preempted_channel_ids)``.  With preemption
         enabled, activated backups of strictly lower priority (larger mux
         degree) are evicted one by one until the draw fits or no victims
         remain (Section 4.3).
         """
-        bandwidth = self._channel_meta[channel_id][2]
-        if link in self._owned(channel_id):
+        channel_id = record.channel_id
+        bandwidth = record.bandwidth
+        if link in self._owned(record):
             # The channel still holds its dedicated reservation here (an
             # original primary that was repaired and rejoined): no spare
             # draw needed.
-            self._note_link_active(channel_id, link)
+            self._note_link_active(record, link)
             return True, []
         draws_here = self._draws.setdefault(link, {})
         if channel_id in draws_here:
@@ -373,32 +375,32 @@ class ProtocolSimulation:
         while self.spare_remaining(link) + 1e-9 < bandwidth:
             if not preempt:
                 return False, victims
-            victim = self._pick_victim(link, mux_degree)
+            victim = self._pick_victim(link, record.mux_degree)
             if victim is None:
                 return False, victims
             victims.append(victim)
             self.release_draw(link, victim)
         draws_here[channel_id] = bandwidth
-        self._note_link_active(channel_id, link)
+        self._note_link_active(record, link)
         return True, victims
 
-    def _owned(self, channel_id: int) -> set[LinkId]:
-        """This simulation's own set of the links ``channel_id`` holds a
-        dedicated reservation on, seeded on first touch: a primary's
-        path, nothing for a backup."""
-        owned = self._owned_links.get(channel_id)
+    def _owned(self, record: LocalChannelRecord) -> set[LinkId]:
+        """This simulation's own set of the links ``record``'s channel
+        holds a dedicated reservation on, seeded on first touch: a
+        primary's path, nothing for a backup."""
+        owned = self._owned_links.get(record.channel_id)
         if owned is None:
-            owned = self._owned_links[channel_id] = (
-                set() if self._channel_meta[channel_id][1]
-                else set(self.plan.channel_paths[channel_id].links)
+            owned = self._owned_links[record.channel_id] = (
+                set() if record.serial else set(record.path.links)
             )
         return owned
 
-    def _note_link_active(self, channel_id: int, link: LinkId) -> None:
-        drawn_links = self._drawn_links.setdefault(channel_id, set())
+    def _note_link_active(self, record: LocalChannelRecord,
+                          link: LinkId) -> None:
+        drawn_links = self._drawn_links.setdefault(record.channel_id, set())
         drawn_links.add(link)
-        connection_id, serial, _, hops, _ = self._channel_meta[channel_id]
-        if len(drawn_links) == hops:
+        connection_id, serial = record.connection_id, record.serial
+        if len(drawn_links) == record.path.hops:
             self.metrics.note_completed(connection_id, serial, self.engine.now)
             if self.trace.active:
                 self.trace.point(
@@ -406,12 +408,12 @@ class ProtocolSimulation:
                     parent=self.episode_parent(connection_id),
                     connection=connection_id, serial=serial,
                 )
-                record = self.metrics.recoveries.get(connection_id)
-                if record is not None and record.recovered_serial == serial:
+                recovery = self.metrics.recoveries.get(connection_id)
+                if recovery is not None and recovery.recovered_serial == serial:
                     # The episode ends when the *source* resumed service
                     # (the paper's Γ endpoint), which precedes the final
                     # hop's draw completing here.
-                    resumed = record.attempts.get(serial, self.engine.now)
+                    resumed = recovery.attempts.get(serial, self.engine.now)
                     self.end_episode(
                         connection_id, resumed,
                         outcome="recovered", serial=serial,
@@ -419,7 +421,7 @@ class ProtocolSimulation:
                     )
             # The activated channel's bandwidth is now dedicated to it
             # (spare converted to primary, Section 4.4).
-            self._owned(channel_id).update(drawn_links)
+            self._owned(record).update(drawn_links)
 
     def _pick_victim(self, link: LinkId, degree: int) -> "int | None":
         """Lowest-priority (largest mux degree) channel drawing on ``link``
@@ -427,8 +429,11 @@ class ProtocolSimulation:
         of Section 4.3, or ``None``."""
         best: "int | None" = None
         best_degree = degree
+        # Every channel drawing on the link holds its record at the
+        # link's source.
+        records = self.daemons[link.src].records
         for cid in self._draws.get(link, ()):
-            cid_degree = self._channel_meta[cid][4]
+            cid_degree = records[cid].mux_degree
             if cid_degree > best_degree:
                 best = cid
                 best_degree = cid_degree
@@ -443,16 +448,17 @@ class ProtocolSimulation:
         if drawn_links is not None:
             drawn_links.discard(link)
 
-    def release_channel_at_node(self, channel_id: int, node: NodeId) -> None:
-        """Soft-state teardown hook: release this node's outgoing draw and
-        dedicated reservation for the channel (rejoin-timer expiry or
-        closure)."""
+    def release_channel_at_node(self, record: LocalChannelRecord) -> None:
+        """Soft-state teardown hook: release the outgoing draw and
+        dedicated reservation of ``record``'s channel at its node
+        (rejoin-timer expiry or closure)."""
+        channel_id, node = record.channel_id, record.node
         drawn_links = self._drawn_links.get(channel_id)
         if drawn_links:
             for link in list(drawn_links):
                 if link.src == node:
                     self.release_draw(link, channel_id)
-        owned = self._owned(channel_id)
+        owned = self._owned(record)
         for link in list(owned):
             if link.src == node:
                 owned.discard(link)
@@ -492,33 +498,34 @@ class ProtocolSimulation:
     def close_connection(self, connection_id: int, at: float) -> None:
         """Schedule a client teardown of every channel of a connection:
         the source sends closure messages down each path at time ``at``."""
-        connection = self.network.connection(connection_id)
-        for channel in connection.channels:
+        channels = self.plan.channels(self.plan.position_of[connection_id])
+        source = self.daemons[channels[0].path.source]
+        for channel in channels:
             self.engine.schedule_at(
-                at,
-                self.daemons[connection.source].initiate_closure,
-                channel.channel_id,
+                at, source.initiate_closure, channel.channel_id,
             )
 
     # ------------------------------------------------------------------
     # recovery-episode spans
     # ------------------------------------------------------------------
-    def _begin_episode(self, connection_id: int, component, now: float) -> None:
-        """Open the connection's ``episode`` span at the failed component
-        (first failure wins; callers guard on ``self.trace.active``).
+    def _begin_episode(self, channels: "tuple[Channel, ...]", component,
+                       now: float) -> None:
+        """Open the ``episode`` span of the connection of ``channels`` at
+        the failed component (first failure wins; callers guard on
+        ``self.trace.active``).
 
         The span carries the connection's (K, b, D_max) configuration so
         an offline reader can check the episode against the analytic Γ
         bound without the network object.
         """
+        connection_id = channels[0].connection_id
         if connection_id in self._episode_spans:
             return
-        connection = self.network.connection(connection_id)
         self._episode_spans[connection_id] = self.trace.begin(
             "episode", component, now,
             connection=connection_id,
-            k_hops=max(ch.path.hops for ch in connection.channels),
-            num_backups=max(1, connection.num_backups),
+            k_hops=max(channel.path.hops for channel in channels),
+            num_backups=max(1, len(channels) - 1),
             d_max=self.config.rcc.max_delay,
         )
 
@@ -605,27 +612,26 @@ class ProtocolSimulation:
                 if link.src == component:
                     self._rcc[link].halt()
         # Metrics: which connections lost their primary to this component?
-        for channel in self.network.registry.on_component(component):
-            if channel.role is not ChannelRole.PRIMARY:
-                continue
-            connection = self.network.connection(channel.connection_id)
+        for channels in self._hit_by(component):
+            path = channels[0].path
+            connection_id = channels[0].connection_id
             endpoint_failed = (
-                connection.source in self.failed_components
-                or connection.destination in self.failed_components
+                path.source in self.failed_components
+                or path.destination in self.failed_components
             )
             self.metrics.note_primary_failed(
-                channel.connection_id, now, endpoint_failed
+                connection_id, now, endpoint_failed
             )
             if trace.active:
-                self._begin_episode(channel.connection_id, component, now)
+                self._begin_episode(channels, component, now)
                 # A failure landing while recovery is already in flight
                 # shows up as a child of the open episode, so the offline
                 # Γ check can date its clock from the *latest* triggering
                 # failure rather than the first.
                 trace.point(
                     "primary-failed", component, now,
-                    parent=self.episode_parent(channel.connection_id),
-                    connection=channel.connection_id,
+                    parent=self.episode_parent(connection_id),
+                    connection=connection_id,
                 )
         # Detection is immediate (Section 5.3): the paper assumes an
         # external detector ([HAN97a]).  Each neighbour still learns in an
@@ -635,6 +641,13 @@ class ProtocolSimulation:
             self.engine.schedule(
                 0.0, self.daemons[neighbour].on_component_failure, component
             )
+
+    def _hit_by(self, component) -> "list[tuple[Channel, ...]]":
+        """The channels of each connection whose primary crosses
+        ``component`` — the plan's answer, the evaluator's too."""
+        plan = self.plan
+        return [plan.channels(position)
+                for position in plan.primaries_on(component)]
 
     def _neighbours_of(self, component) -> list[NodeId]:
         topology = self.network.topology

@@ -125,6 +125,8 @@ class LocalChannelRecord:
     path: Path
     node: NodeId
     mux_degree: int
+    #: What an activation draws on each link of the path (Mbps).
+    bandwidth: float
     state: LocalChannelState = LocalChannelState.NON_EXISTENT
     #: Reporting dedup: directions in which this node already forwarded a
     #: failure report for the current failure episode.  Never mutated in
@@ -135,25 +137,17 @@ class LocalChannelRecord:
     #: spare for it (a multiplexing failure); a rejoin through this node
     #: must re-acquire spare on that link before the channel can heal.
     mux_failed_link: object = None
-    #: Position of ``node`` on ``path``; looked up when not given (the
-    #: compiled protocol plan already knows it).
-    index: "int | None" = field(default=None, repr=False, compare=False)
+    #: Position of ``node`` on ``path``.
+    index: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        nodes = self.path.nodes
-        if self.index is None:
-            if self.node not in nodes:
-                raise ValueError(
-                    f"node {self.node!r} is not on the path of channel "
-                    f"{self.channel_id}"
-                )
-            self.index = nodes.index(self.node)
-        elif not (0 <= self.index < len(nodes)
-                  and nodes[self.index] == self.node):
+        try:
+            self.index = self.path.nodes.index(self.node)
+        except ValueError:
             raise ValueError(
-                f"node {self.node!r} is not at position {self.index} of "
-                f"the path of channel {self.channel_id}"
-            )
+                f"node {self.node!r} is not on the path of channel "
+                f"{self.channel_id}"
+            ) from None
 
     # ------------------------------------------------------------------
     # topology of the record's position on the path

@@ -23,7 +23,7 @@ Section 7.4.
 
 A scenario costs time proportional to what it hits, not to the network,
 and is a merge of lookups in the network's
-:class:`~repro.recovery.plan.RecoveryPlan`: the union of
+:class:`~repro.core.plan.NetworkPlan`: the union of
 ``primaries_on(component)`` over the failed components is the work list,
 ``record(position)`` describes each connection on it, a backup is dead
 iff ``mask & failed`` on integers, and both passes of a draw run inline on
@@ -42,11 +42,11 @@ from time import perf_counter
 from typing import NamedTuple
 
 from repro.core.bcp import BCPNetwork
+from repro.core.plan import ConnectionRecord, NetworkPlan, network_plan
 from repro.faults.models import FailureScenario
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
 from repro.recovery.metrics import RecoveryStats
-from repro.recovery.plan import ConnectionRecord, RecoveryPlan, recovery_plan
 from repro.util.rng import make_rng
 from repro.util.validation import check_non_negative
 
@@ -196,7 +196,7 @@ class RecoveryEvaluator:
             else {}
         )
         # The plan the flat pools below are laid out for; see _current_plan.
-        self._plan: "RecoveryPlan | None" = None
+        self._plan: "NetworkPlan | None" = None
         self._spare_pool: list[float] = []
         self._free_pool: list[float] = []
 
@@ -226,14 +226,14 @@ class RecoveryEvaluator:
             check_non_negative(amount, f"spare_override for link {link}")
         return {link: float(override.get(link, 0.0)) for link in topology.links()}
 
-    def _current_plan(self) -> RecoveryPlan:
+    def _current_plan(self) -> NetworkPlan:
         """The network's plan, with this evaluator's flat base pools laid
         out in its link order.
 
         Connections are read live (the plan recompiles when the ledger
         moved); the pool *amounts* stay the construction snapshot.
         """
-        plan = recovery_plan(self.network)
+        plan = network_plan(self.network)
         if plan is not self._plan:
             self._plan = plan
             spares, free = self._base_spares, self._base_free

@@ -6,7 +6,7 @@ whose failure disables it.  Every other view is derived on demand.  The
 component *count* is arithmetic, because a simple path repeats no node.
 No admission or evaluation step builds the component *set*: the
 multiplexing engine interns a primary's nodes and links straight into
-one bitmask, the recovery plan does the same for a backup, and the
+one bitmask, the compiled plan does the same for a backup, and the
 registry indexes a backup by link.  The set (a frozenset, cached on
 first use) serves :func:`shared_component_count`, :meth:`Path.intersects`
 and the reactive baseline.

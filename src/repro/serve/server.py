@@ -6,7 +6,7 @@ compiled flat views, route-cache floor tables, the mux-kernel arena, and
 the reservation ledger all persist across requests instead of being
 rebuilt per CLI invocation.  Requests arrive over the line-delimited
 JSON protocol of :mod:`repro.serve.protocol`; recovery queries are
-answered in-process from the warm network's compiled recovery plan
+answered in-process from the warm network's compiled plan
 (:func:`repro.recovery.evaluate_scenarios`) — the server never forks.
 
 The server itself is single-threaded and handles one connection at a

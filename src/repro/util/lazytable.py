@@ -1,8 +1,9 @@
 """Lookup tables filled on first touch.
 
-A compiled plan (:mod:`repro.recovery.plan`, :mod:`repro.protocol.plan`)
-answers most of its keys never and a few of them thousands of times, so
-its tables compute an entry when it is first asked for and keep it.
+The compiled plan (:mod:`repro.core.plan`) and the indexes its consumers
+build on it (:mod:`repro.protocol.plan`) answer most of their keys never
+and a few of them thousands of times, so their tables compute an entry
+when it is first asked for and keep it.
 """
 
 from __future__ import annotations

@@ -46,6 +46,7 @@ class OracleDaemon(BCPDaemon):
         serial: int,
         path: Path,
         mux_degree: int,
+        bandwidth: float,
         state: LocalChannelState,
     ) -> LocalChannelRecord:
         record = LocalChannelRecord(
@@ -55,6 +56,7 @@ class OracleDaemon(BCPDaemon):
             path=path,
             node=self.node,
             mux_degree=mux_degree,
+            bandwidth=bandwidth,
         )
         event = (
             ChannelEvent.ESTABLISH_PRIMARY
@@ -130,19 +132,27 @@ class OracleDaemon(BCPDaemon):
 
 class OracleSimulation(ProtocolSimulation):
     """A :class:`ProtocolSimulation` (same arguments) whose daemons and
-    draw bookkeeping are built the old way: fresh, eager, per simulation."""
+    draw bookkeeping are built the old way: fresh, eager, per simulation,
+    and whose failures find the primaries they hit in the live registry."""
 
     daemon_class = OracleDaemon
 
     def __init__(self, network: BCPNetwork, *args, **kwargs) -> None:
         super().__init__(network, *args, **kwargs)
-        self.plan = None  # nothing below may read it
-        self._channel_meta = {}
+        self.plan = self.tables = None  # nothing below may read them
         self._owned_links = {}
         _install_channels(self)
 
-    def _owned(self, channel_id: int) -> set:
-        return self._owned_links.setdefault(channel_id, set())
+    def _owned(self, record) -> set:
+        return self._owned_links.setdefault(record.channel_id, set())
+
+    def _hit_by(self, component) -> list:
+        network = self.network
+        return [
+            tuple(network.connection(channel.connection_id).channels)
+            for channel in network.registry.on_component(component)
+            if channel.role is ChannelRole.PRIMARY
+        ]
 
 
 def _install_channels(simulation: ProtocolSimulation) -> None:
@@ -152,13 +162,6 @@ def _install_channels(simulation: ProtocolSimulation) -> None:
                 LocalChannelState.PRIMARY
                 if channel.role is ChannelRole.PRIMARY
                 else LocalChannelState.BACKUP
-            )
-            simulation._channel_meta[channel.channel_id] = (
-                connection.connection_id,
-                channel.serial,
-                channel.bandwidth,
-                channel.path.hops,
-                channel.mux_degree,
             )
             if channel.role is ChannelRole.PRIMARY:
                 simulation._owned_links[channel.channel_id] = set(
@@ -171,6 +174,7 @@ def _install_channels(simulation: ProtocolSimulation) -> None:
                     serial=channel.serial,
                     path=channel.path,
                     mux_degree=channel.mux_degree,
+                    bandwidth=channel.bandwidth,
                     state=state,
                 )
         backups = [

@@ -12,6 +12,7 @@ import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.faults import (
+    FailureScenario,
     all_single_link_failures,
     all_single_node_failures,
 )
@@ -81,6 +82,24 @@ class TestCrossCheck:
         eval_rec, eval_lost = evaluator_outcomes(mux1_network, scenario)
         assert proto_rec == eval_rec
         assert proto_lost == eval_lost
+
+    def test_link_pairs_through_one_link_agree(self, mux1_network):
+        # Two simplex links failing together: every pair that includes
+        # one fixed link.  Both paths read the one compiled plan of the
+        # same network, and at mux=1 no spare pool is contended, so the
+        # recovered and lost sets agree connection by connection.
+        fixed, *others = mux1_network.topology.links()
+        assert len(others) == 63
+        disrupted = 0
+        for other in others:
+            scenario = FailureScenario.of_links([fixed, other])
+            proto_rec, proto_lost = protocol_outcomes(mux1_network, scenario)
+            eval_rec, eval_lost = evaluator_outcomes(mux1_network, scenario)
+            assert proto_rec == eval_rec, other
+            assert proto_lost == eval_lost, other
+            disrupted += len(eval_lost)
+        # Some pairs cut a primary and its backup at once.
+        assert disrupted
 
     def test_full_single_failure_coverage_both_paths(self, mux1_network):
         # The paper's mux=1 guarantee holds under both models.

@@ -12,6 +12,8 @@ from functools import partial
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS
+from repro.core import plan as core_plan
+from repro.core.plan import network_plan
 from repro.network.generators import torus
 from repro.obs import NULL_REGISTRY, MetricsRegistry
 from repro.protocol import (
@@ -21,7 +23,8 @@ from repro.protocol import (
     SwitchingScheme,
 )
 from repro.protocol import plan as plan_module
-from repro.protocol.plan import protocol_plan
+from repro.protocol.daemon import BackupInfo
+from repro.protocol.plan import node_tables
 from repro.serve.state import restore_network, snapshot_network
 from repro.sim import TraceLog
 from tests.planted import (
@@ -125,8 +128,17 @@ def assert_same_run(got, want, context) -> None:
             assert record == expected, (context, node, channel_id)
             assert record.index == expected.index, (context, node, channel_id)
         assert dict(daemon.views.items()) == reference.views, (context, node)
+    channels = {
+        channel.channel_id: channel
+        for connection in sim.network.connections()
+        for channel in connection.channels
+    }
     for channel_id, owned in ref._owned_links.items():
-        assert sim._owned(channel_id) == owned, (context, channel_id)
+        # What the product seeds a channel's set with on first touch.
+        channel = channels[channel_id]
+        seeded = set() if channel.serial else set(channel.path.links)
+        assert sim._owned_links.get(channel_id, seeded) == owned, (
+            context, channel_id)
 
 
 def touched_bound(simulation) -> int:
@@ -231,13 +243,13 @@ def test_audit_stays_proportional_to_the_failure():
 @pytest.fixture
 def count_compiles(monkeypatch):
     compiled = []
-    real_init = plan_module.ProtocolPlan.__init__
+    real_init = core_plan.NetworkPlan.__init__
 
     def counting_init(self, network):
         compiled.append(network)
         real_init(self, network)
 
-    monkeypatch.setattr(plan_module.ProtocolPlan, "__init__", counting_init)
+    monkeypatch.setattr(core_plan.NetworkPlan, "__init__", counting_init)
     return lambda: len(compiled)
 
 
@@ -250,7 +262,10 @@ class TestPlanLifetime:
         ]
         assert count_compiles() == 1
         assert len({id(simulation.plan) for simulation in simulations}) == 1
-        assert simulations[0].plan is protocol_plan(loaded_torus4)
+        assert simulations[0].plan is network_plan(loaded_torus4)
+        # ... and so is the daemons' index on it.
+        assert len({id(simulation.tables) for simulation in simulations}) == 1
+        assert simulations[0].tables is simulations[0].plan.tables
 
         # The plan is recompiled exactly when ledger.version moves.
         version = loaded_torus4.ledger.version
@@ -260,20 +275,20 @@ class TestPlanLifetime:
         ProtocolSimulation(loaded_torus4, metrics=NULL_REGISTRY)
         assert count_compiles() == 2
         assert after.plan is not simulations[0].plan
-        assert extra.primary.channel_id in after.plan.channel_meta
-        assert extra.primary.channel_id not in simulations[0].plan.channel_meta
+        assert extra.connection_id in after.plan.position_of
+        assert extra.connection_id not in simulations[0].plan.position_of
         loaded_torus4.teardown(extra)
         ProtocolSimulation(loaded_torus4, metrics=NULL_REGISTRY)
         assert count_compiles() == 3
 
     def test_plan_not_pickled_or_shared_between_networks(self, torus4):
         torus4.establish(0, 5)
-        plan = protocol_plan(torus4)
-        assert protocol_plan(torus4) is plan
+        plan = network_plan(torus4)
+        assert network_plan(torus4) is plan
         clone = pickle.loads(pickle.dumps(torus4))
-        assert clone._protocol_plan is None
-        assert protocol_plan(clone) is not plan
-        assert protocol_plan(torus4) is plan
+        assert clone._plan is None
+        assert network_plan(clone) is not plan
+        assert network_plan(torus4) is plan
 
     def test_simulation_keeps_running_on_its_pinned_plan(self, torus4):
         qos = FaultToleranceQoS(num_backups=1, mux_degree=1)
@@ -288,15 +303,63 @@ class TestPlanLifetime:
 
         reference = outcome(
             ProtocolSimulation(torus4, seed=0, trace=TraceLog()))
+        assert set(reference[1]) == {first.connection_id}
+        assert reference[1][first.connection_id].recovered
+
         # Build, then change the network twice before running.
         pinned = ProtocolSimulation(torus4, seed=0, trace=TraceLog())
         second = torus4.establish(0, 5, ft_qos=qos)
         torus4.teardown(second)
         third = torus4.establish(5, 0, ft_qos=qos)
-        assert pinned.plan is not protocol_plan(torus4)
+        assert pinned.plan is not network_plan(torus4)
         assert third.primary.channel_id not in pinned.daemons[5].records
         assert outcome(pinned) == reference
-        assert pinned.metrics.recoveries[first.connection_id].recovered
+        torus4.teardown(third)
+
+        # A connection established afterwards over the failed link is not
+        # the run's: no daemon of it ever installed the connection.
+        pinned = ProtocolSimulation(torus4, seed=0, trace=TraceLog())
+        again = torus4.establish(0, 5, ft_qos=qos)
+        assert victim in again.primary.path.links
+        assert outcome(pinned) == reference
+        torus4.teardown(again)
+
+        # A connection torn down afterwards is still the run's: its
+        # primary fails and it recovers, exactly as before.
+        pinned = ProtocolSimulation(torus4, seed=0, trace=TraceLog())
+        torus4.teardown(first)
+        assert outcome(pinned) == reference
+
+    def test_pinned_run_outlives_its_network(self):
+        """A run built on a network that is then emptied runs exactly as
+        it would have on the network it was built on — its failures, its
+        episodes and its audit (here the planted race's endpoint
+        disagreements) included."""
+        network = build_network("torus", 0)
+        schedule = schedules_for(network, 0)[3]
+
+        def outcome(simulation, auditor):
+            for time, action, component in schedule:
+                getattr(simulation, action)(component, at=time)
+            simulation.run(until=HORIZON)
+            auditor.check_quiescent(drained=simulation.engine.pending == 0)
+            return (simulation.trace.rows, simulation.metrics.recoveries,
+                    simulation.engine.events_processed, auditor.violations)
+
+        def built():
+            simulation = UnguardedSimulation(
+                network, seed=0, trace=TraceLog(), metrics=NULL_REGISTRY)
+            auditor = InvariantAuditor(simulation)
+            auditor.attach()
+            return simulation, auditor
+
+        reference = outcome(*built())
+        assert any(violation.invariant == "endpoint-disagreement"
+                   for violation in reference[3])
+        pinned = built()
+        network.teardown(*network.connections())
+        assert network.num_connections == 0
+        assert outcome(*pinned) == reference
 
     def test_lazy_table_fills_on_touch_and_reads_like_the_full_table(
         self, ring6
@@ -307,7 +370,8 @@ class TestPlanLifetime:
             channel.channel_id
             for connection in connections for channel in connection.channels
         ]
-        node_table = protocol_plan(ring6).tables[0]
+        node_table = node_tables(
+            network_plan(ring6), ring6.topology.nodes())[0]
         built = []
         real_record = node_table._record
 
@@ -360,8 +424,9 @@ class TestPlanLifetime:
         connections = network.connections()
         assert len(connections) == 30
         assert all(len(connection.backups) == 2 for connection in connections)
-        plan = protocol_plan(network)
-        for node, table in plan.tables.items():
+        tables = node_tables(network_plan(network), network.topology.nodes())
+        for node, table in tables.items():
+            records = table.records()
             for connection in connections:
                 through = [
                     channel for channel in connection.channels
@@ -371,7 +436,10 @@ class TestPlanLifetime:
                     channel.channel_id for channel in through
                 ]
                 for channel in through:
-                    assert table.channels[channel.channel_id] == (
+                    # The network's own channel, and its position on the
+                    # path read off it.
+                    assert table.channels[channel.channel_id] is channel
+                    assert records[channel.channel_id].index == (
                         channel.path.nodes.index(node)
                     )
 
@@ -381,11 +449,16 @@ class TestPlanLifetime:
         primary = connection.primary
         backup = connection.backups[0]
         source = connection.source
+        installed = [BackupInfo(
+            channel_id=backup.channel_id, serial=backup.serial,
+            path=backup.path, mux_degree=backup.mux_degree,
+        )]
 
         first = ProtocolSimulation(ring6, seed=0, metrics=NULL_REGISTRY)
         plan = first.plan
-        row = plan.tables[source].endpoints[connection.connection_id]
-        assert len(row.backups) == 1
+        position = plan.position_of[connection.connection_id]
+        snapshot = (plan.channels(position), plan.degrees[position])
+        assert snapshot == ((primary, backup), (1, 1))
         # Fail and repair the primary inside the rejoin window: the healed
         # primary is appended to the source view's backups (the rejoin
         # append), the record reports, the view's health sets change.
@@ -407,32 +480,35 @@ class TestPlanLifetime:
         record.reported = record.reported | {"anything"}
         assert not untouched.reported
         view.unhealthy.add(12345)
-        first._owned(primary.channel_id).clear()
-        first._owned(backup.channel_id).add(primary.path.links[0])
+        first._owned(record).clear()
+        first._owned(untouched).add(primary.path.links[0])
 
-        assert plan.tables[source].endpoints[connection.connection_id] == row
-        assert len(row.backups) == 1
-        # A primary's owned links are its path's, which nothing wrote to.
-        assert plan.channel_paths[primary.channel_id].links == (
-            primary.path.links
+        # The plan, and the network's channels it points at, are as
+        # establishment left them.
+        assert (plan.channels(position), plan.degrees[position]) == snapshot
+        assert connection.backups == [backup]
+        assert primary.path.links == tuple(
+            ring6.topology.link(a, b)
+            for a, b in zip(primary.path.nodes, primary.path.nodes[1:])
         )
         with pytest.raises(TypeError):
-            plan.channel_meta[primary.channel_id] = ()
+            plan.degrees[position] = ()
         with pytest.raises(TypeError):
-            plan.channel_paths[backup.channel_id] = primary.path
+            plan.position_of[connection.connection_id] = 0
 
         second = ProtocolSimulation(ring6, seed=0, metrics=NULL_REGISTRY)
         assert second.plan is plan
         fresh_view = second.daemons[source].views[connection.connection_id]
         assert fresh_view is not view
-        assert fresh_view.backups == list(row.backups)
+        assert fresh_view.backups == installed
         assert fresh_view.backups is not view.backups
         assert not fresh_view.unhealthy and not fresh_view.attempted
         fresh_record = second.daemons[source].records[primary.channel_id]
         assert fresh_record is not record
         assert not fresh_record.reported
-        assert second._owned(primary.channel_id) == set(primary.path.links)
-        assert second._owned(backup.channel_id) == set()
+        assert second._owned(fresh_record) == set(primary.path.links)
+        assert second._owned(
+            second.daemons[source].records[backup.channel_id]) == set()
         # The second simulation behaves like one on a fresh network.
         reference = OracleSimulation(ring6, seed=0, metrics=NULL_REGISTRY)
         for simulation in (second, reference):

@@ -25,6 +25,7 @@ def record(node=2, nodes=(1, 2, 3)):
         path=Path(nodes),
         node=node,
         mux_degree=3,
+        bandwidth=1.0,
     )
 
 

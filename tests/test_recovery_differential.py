@@ -13,6 +13,8 @@ import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, TrafficSpec
 from repro.channels.channel import Channel, ChannelRole
+from repro.core import plan as plan_module
+from repro.core.plan import network_plan
 from repro.core.establishment import EstablishmentError
 from repro.faults import (
     FailureScenario,
@@ -24,8 +26,6 @@ from repro.network.generators import hypercube, mesh, ring, torus
 from repro.obs import NULL_REGISTRY
 from repro.recovery import ActivationOrder, RecoveryEvaluator, evaluate_scenarios
 from repro.recovery import evaluator as evaluator_module
-from repro.recovery import plan as plan_module
-from repro.recovery.plan import recovery_plan
 from repro.routing.paths import Path
 from tests.recovery_oracle import OracleEvaluator
 from tests.switchover_oracle import switch_to_backup
@@ -216,7 +216,7 @@ def test_priority_sorts_when_establishment_order_is_not_priority_order(
 ):
     network = mixed_degree_network((6, 3, 1))
     assert {c.mux_degree for c in network.connections()} == {6, 3, 1}
-    assert not recovery_plan(network).priority_ordered
+    assert not network_plan(network).priority_ordered
     results = compare_with_oracle(network, scenarios_for(network, 0))
     assert count_priority_keys() > 0
     # Somewhere the activation order really differs from connections()
@@ -232,7 +232,7 @@ def test_priority_does_not_sort_a_network_already_in_priority_order(
     count_priority_keys, degrees
 ):
     network = mixed_degree_network(degrees)
-    assert recovery_plan(network).priority_ordered
+    assert network_plan(network).priority_ordered
     compare_with_oracle(network, scenarios_for(network, 0))
     assert count_priority_keys() == 0
 
@@ -273,18 +273,18 @@ def test_backup_with_an_off_topology_hop_never_draws():
 # ----------------------------------------------------------------------
 @pytest.fixture
 def count_compiles(monkeypatch, tmp_path):
-    """Count ``RecoveryPlan`` compilations in this process *and* in any
+    """Count ``NetworkPlan`` compilations in this process *and* in any
     forked worker (each appends a line to a shared file)."""
     log = tmp_path / "compiles.log"
     log.touch()
-    real_init = plan_module.RecoveryPlan.__init__
+    real_init = plan_module.NetworkPlan.__init__
 
     def counting_init(self, network):
         with open(log, "a") as handle:
             handle.write("compile\n")
         real_init(self, network)
 
-    monkeypatch.setattr(plan_module.RecoveryPlan, "__init__", counting_init)
+    monkeypatch.setattr(plan_module.NetworkPlan, "__init__", counting_init)
     return lambda: len(log.read_text().splitlines())
 
 
@@ -334,12 +334,12 @@ class TestPlanLifetime:
         import pickle
 
         torus4.establish(0, 5)
-        plan = recovery_plan(torus4)
-        assert recovery_plan(torus4) is plan
+        plan = network_plan(torus4)
+        assert network_plan(torus4) is plan
         clone = pickle.loads(pickle.dumps(torus4))
-        assert clone._recovery_plan is None
-        assert recovery_plan(clone) is not plan
-        assert recovery_plan(torus4) is plan
+        assert clone._plan is None
+        assert network_plan(clone) is not plan
+        assert network_plan(torus4) is plan
 
     def test_plan_built_once_per_network_state_not_per_shard(
         self, loaded_torus4, count_compiles
@@ -434,7 +434,7 @@ class TestDemandFill:
             network = build_network("torus", 0)
             evaluator = RecoveryEvaluator(network, metrics=NULL_REGISTRY)
             evaluator.evaluate_many(scenarios_for(network, 0))
-            assert network._recovery_plan is not None
+            assert network._plan is not None
             freed = weakref.ref(network)
             del network, evaluator
             # No cycle runs through the plan: dropping the last reference
