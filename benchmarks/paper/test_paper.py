@@ -651,5 +651,7 @@ def test_incremental_beats_naive_at_scale():
 def test_vectorized_beats_incremental_at_scale():
     """The kernel's constant factor where the margin is the kernel's, not
     the runner's: at 3 200 resident backups one vectorized conflict test
-    beats 3 200 per-pair Python tests ~11x (1.5x at 400, ~4x at 1 600)."""
+    beats 3 200 per-pair Python tests ~7x (~1x at 400, ~3.5x at 1 600;
+    the per-pair pass skips a resident that cannot conflict after one
+    popcount, which most of these rarely-overlapping primaries are)."""
     assert _measure(3200, "incremental") > 3 * _measure(3200, "vectorized")

@@ -480,15 +480,18 @@ class EstablishmentEngine:
     # ------------------------------------------------------------------
     # backup routing and commitment
     # ------------------------------------------------------------------
-    def _disjointness_constraints(self, connection: DConnection) -> tuple[set, set]:
+    def _disjointness_constraints(
+        self, connection: DConnection
+    ) -> tuple[frozenset, frozenset]:
         """Interior nodes and links of every existing channel of the
         connection — the components a new backup must avoid."""
         excluded_nodes: set = set()
         excluded_links: set = set()
         for channel in connection.channels:
-            excluded_nodes.update(channel.path.interior_nodes)
-            excluded_links.update(channel.path.links)
-        return excluded_nodes, excluded_links
+            path = channel.path
+            excluded_nodes.update(path.interior_nodes)
+            excluded_links.update(path.links)
+        return frozenset(excluded_nodes), frozenset(excluded_links)
 
     def _route_backup(self, connection: DConnection, mux_degree: int) -> Path:
         """Shortest feasible disjoint backup path.
@@ -501,9 +504,7 @@ class EstablishmentEngine:
         routing, the baseline path itself is the first path verified.
         """
         src, dst = connection.source, connection.destination
-        traffic = connection.traffic
         excluded_nodes, excluded_links = self._disjointness_constraints(connection)
-        excluded_nodes = frozenset(excluded_nodes)
         path: Path | None = None
         if connection.delay_qos.per_channel_baseline:
             # The backup's delay budget is relative to the shortest path
@@ -515,7 +516,7 @@ class EstablishmentEngine:
                     dst,
                     RouteConstraints(
                         excluded_nodes=excluded_nodes,
-                        excluded_links=frozenset(excluded_links),
+                        excluded_links=excluded_links,
                     ),
                 )
             except NoPathError as error:
@@ -528,7 +529,9 @@ class EstablishmentEngine:
             baseline = hop_distance(self.topology, src, dst)
         max_hops = connection.delay_qos.max_hops(baseline)
         mask = self.mux.primary_mask(connection.primary.path)
-        bandwidth = traffic.bandwidth
+        bandwidth = connection.traffic.bandwidth
+        link_state = self.mux.link_state
+        can_set_spare = self.ledger.can_set_spare
 
         cost = None
         if self.backup_cost_factory is not None:
@@ -544,7 +547,7 @@ class EstablishmentEngine:
             if path is None:
                 constraints = RouteConstraints(
                     excluded_nodes=excluded_nodes,
-                    excluded_links=frozenset(excluded_links | extra_excluded),
+                    excluded_links=excluded_links | extra_excluded,
                     max_hops=max_hops,
                 )
                 try:
@@ -557,11 +560,9 @@ class EstablishmentEngine:
             violations = [
                 link
                 for link in path.links
-                if not self.ledger.can_set_spare(
+                if not can_set_spare(
                     link,
-                    self.mux.link_state(link).preview_add(
-                        bandwidth, mux_degree, mask
-                    ),
+                    link_state(link).preview_add(bandwidth, mux_degree, mask),
                 )
             ]
             if not violations:

@@ -37,6 +37,13 @@ recompute doubles as a validation oracle) and the ratio tests of
 ``benchmarks/paper`` measure the gap.  Admitting one
 backup costs one such pass per link, not three: the admission preview,
 the commit and the new entry's |Ψ| share :meth:`LinkMuxState._pair_scan`.
+Under the integer test most of a pass is decided by one popcount: a
+backup is in another's Π only if their primaries share at least as many
+components as the larger of their two ν, so a resident sharing fewer
+than the candidate's (or the leaver's) ν costs one popcount and one
+comparison, and only the conflicting residents run the full test.  On the
+§7 8×8 torus that is 69.7 % of the pairs an all-pairs build tests at ν=3
+and 92.2 % at ν=6.
 
 Two link-state backends exist and only :class:`MultiplexingEngine` knows
 it: every link starts on the per-pair :class:`LinkMuxState` below, and is
@@ -63,13 +70,17 @@ from repro.routing.paths import Path
 from repro.util.validation import check_positive
 
 #: Resident backups on one link above which the engine promotes it from
-#: :class:`LinkMuxState` to the vectorized kernel.  Measured crossover of
-#: one preview+add+remove cycle on one link, kernel vs scalar, in µs:
-#: n=25 95/11 · 100 80/37 · 200 88/71 · 400 109/142 · 800 137/284 ·
-#: 3200 185/1121 — the kernel pays ~80 µs of fixed numpy overhead per
-#: link operation and wins from ~250-300 backups up.  The paper's §7
-#: networks (8×8 torus, all pairs) put a median of 73 and at most 110
-#: backups on a link (263 with double backups), so they run scalar.
+#: :class:`LinkMuxState` to the vectorized kernel.  One preview+add+remove
+#: cycle on one link, kernel vs scalar, in µs (random shortest-path
+#: primaries of the 8×8 torus, ν=3, best of 2 × 9 runs on a shared 2-vCPU
+#: host): n=25 86/13 · 100 96/27 · 200 106/73 · 400 152/135 ·
+#: 800 207/196 · 3200 494/757.  The kernel pays ~90 µs of fixed numpy
+#: overhead per link operation.  The scalar pass skips every resident
+#: that cannot conflict after one popcount, so the kernel only breaks
+#: even at ~800 backups (~500 with the full test per resident, same
+#: measurement); the threshold is not retuned.  The paper's §7 networks (8×8
+#: torus, all pairs) put a median of 73 and at most 110 backups on a link
+#: (263 with double backups), so they run scalar.
 KERNEL_MIN_POPULATION = 256
 
 
@@ -162,17 +173,13 @@ class LinkMuxState:
     def __contains__(self, channel_id: object) -> bool:
         return channel_id in self._requirements
 
-    def _position(self, channel_id: int) -> int:
-        """Where a resident backup sits in ``_rows``; raises ``KeyError``
-        if absent.  ``_requirements`` lists the residents in the same
-        order, so this is one C-level search of its keys."""
+    def row(self, channel_id: int) -> BackupRow:
+        """The shared row of one resident backup; raises ``KeyError``.
+        ``_requirements`` lists the residents in ``_rows`` order, so the
+        row's position is one C-level search of its keys."""
         if channel_id not in self._requirements:
             raise KeyError(channel_id)
-        return indexOf(self._requirements, channel_id)
-
-    def row(self, channel_id: int) -> BackupRow:
-        """The shared row of one resident backup; raises ``KeyError``."""
-        return self._rows[self._position(channel_id)]
+        return self._rows[indexOf(self._requirements, channel_id)]
 
     def entries(self) -> list[MuxEntry]:
         """All backup entries on this link, in registration order
@@ -304,37 +311,50 @@ class LinkMuxState:
         )
 
     def _pair_scan(self, mask: int, degree: int, bandwidth: float) -> _PairScan:
-        """The integer-mode pass over the residents for one candidate:
-        ``in_pi(p, o) ⇔ o.ν ≤ p.ν and not (p.ν > 0 and sc < p.ν)`` with
-        ``sc`` a popcount, judged both ways per resident.  Served from
-        the link's memo when the same candidate was scanned last and
-        nothing mutated since — a commit that follows its own preview —
-        and rescanned otherwise."""
+        """The integer-mode pass over the residents for one candidate.
+
+        With ``sc`` the pair's shared-component popcount (never negative,
+        so ``ν ≤ 0`` needs no case of its own), the two tests are
+        ``o ∈ Π(c) ⇔ o.ν ≤ c.ν and sc ≥ c.ν`` and ``c ∈ Π(o) ⇔ c.ν ≤ o.ν
+        and sc ≥ o.ν``.  Both need ``sc ≥ c.ν`` (the second through
+        ``sc ≥ o.ν ≥ c.ν``), so a resident with ``sc < c.ν`` is in
+        Ψ(c), in neither Π, and costs one popcount and one comparison;
+        |Ψ| is the residents minus the conflicting ones.  Only those run
+        the full test, in resident order, so every float is folded in
+        the order the plain per-pair test folds it.  Served from the
+        link's memo when the same candidate was scanned last and nothing
+        mutated since — a commit that follows its own preview — and
+        rescanned otherwise."""
         key = (mask, degree, bandwidth)
         scan = self._scan
         if scan is not None and scan.channel_id is None and scan.key == key:
             return scan
         requirements = self._requirements
+        rows = self._rows
         requirement = bandwidth
         charged = []
         charged_peak = -1.0
-        psi = 0
-        for other in self._rows:
+        conflicting = 0
+        for other in rows:
             shared = (mask & other.mask).bit_count()
-            other_degree = other.mux_degree
             if shared < degree:
-                psi += 1
-            elif other_degree <= degree:
+                continue
+            conflicting += 1
+            other_degree = other.mux_degree
+            if other_degree <= degree:
                 requirement += other.bandwidth
-            if degree <= other_degree and (
-                other_degree <= 0 or shared >= other_degree
-            ):
-                other_id = other.channel_id
-                charged.append(other_id)
-                other_requirement = requirements[other_id]
-                if other_requirement > charged_peak:
-                    charged_peak = other_requirement
-        scan = self._scan = _PairScan(key, requirement, charged, charged_peak, psi)
+                if other_degree < degree:
+                    continue
+            elif shared < other_degree:
+                continue
+            other_id = other.channel_id
+            charged.append(other_id)
+            other_requirement = requirements[other_id]
+            if other_requirement > charged_peak:
+                charged_peak = other_requirement
+        scan = self._scan = _PairScan(
+            key, requirement, charged, charged_peak, len(rows) - conflicting
+        )
         return scan
 
     # ------------------------------------------------------------------
@@ -398,10 +418,11 @@ class LinkMuxState:
             scan = self._pair_scan(row.mask, row.mux_degree, bandwidth)
             requirement = scan.requirement
             for other_id in scan.charged:
-                grown = requirements[other_id] + bandwidth
-                requirements[other_id] = grown
-                if grown > peak:
-                    peak = grown
+                requirements[other_id] += bandwidth
+            # Rounding is monotonic, so the largest grown requirement is
+            # the largest charged one grown.
+            if scan.charged_peak >= 0.0 and scan.charged_peak + bandwidth > peak:
+                peak = scan.charged_peak + bandwidth
             scan.channel_id = channel_id
         else:
             requirement = bandwidth
@@ -430,7 +451,13 @@ class LinkMuxState:
         return self._remove_resident(channel_ids)
 
     def _remove_resident(self, channel_ids: list[int]) -> float:
-        """:meth:`remove_many` for ids :func:`check_resident` passed."""
+        """:meth:`remove_many` for ids :func:`check_resident` passed.
+
+        A survivor sheds the leaver's bandwidth iff the leaver is in its
+        Π — ``in_pi(other, leaver)``, the test ``add`` charged it by.
+        Under the integer test that needs ``sc ≥ other.ν ≥ leaver.ν``,
+        so a survivor sharing fewer than ``leaver.ν`` components is
+        skipped after one popcount and one comparison."""
         self._scan = None
         rows = self._rows
         requirements = self._requirements
@@ -440,26 +467,32 @@ class LinkMuxState:
         old_peak = self._spare_required
         peak_moved = False
         for channel_id in channel_ids:
-            leaver = rows.pop(self._position(channel_id))
+            # Rows and requirements are in the same order (see ``row``).
+            leaver = rows.pop(indexOf(requirements, channel_id))
             if requirements.pop(channel_id) >= old_peak:
                 peak_moved = True
             bandwidth = leaver.bandwidth
             degree = leaver.mux_degree
-            mask = leaver.mask
-            # Survivors whose Π held the leaver shed its bandwidth —
-            # in_pi(other, leaver), the test ``add`` charged them by.
-            for other in rows:
-                other_degree = other.mux_degree
-                if degree > other_degree:
-                    continue
-                if exact:
-                    charged = not self._multiplexable(other, leaver)
-                else:
-                    charged = (
-                        other_degree <= 0
-                        or (mask & other.mask).bit_count() >= other_degree
-                    )
-                if charged:
+            if exact:
+                for other in rows:
+                    if degree > other.mux_degree or self._multiplexable(
+                        other, leaver
+                    ):
+                        continue
+                    other_id = other.channel_id
+                    requirement = requirements[other_id]
+                    if requirement >= old_peak:
+                        peak_moved = True
+                    requirements[other_id] = requirement - bandwidth
+            else:
+                mask = leaver.mask
+                for other in rows:
+                    shared = (mask & other.mask).bit_count()
+                    if shared < degree:
+                        continue
+                    other_degree = other.mux_degree
+                    if other_degree < degree or shared < other_degree:
+                        continue
                     other_id = other.channel_id
                     requirement = requirements[other_id]
                     if requirement >= old_peak:
@@ -535,7 +568,9 @@ class MultiplexingEngine:
         """Register the backup ``row`` describes on one link, promoting
         the link to the vectorized kernel when this add takes it past
         :data:`KERNEL_MIN_POPULATION`."""
-        state = self.link_state(link)
+        state = self._links.get(link)
+        if state is None:
+            state = self.link_state(link)
         required = state.add_row(row)
         if (
             len(state) > KERNEL_MIN_POPULATION

@@ -97,19 +97,35 @@ def pr_multiple_backups(
 def connection_pr(connection, engine) -> float:
     """``P_r`` of a live :class:`~repro.core.dconnection.DConnection`.
 
-    Reads each backup's |Ψ| sets from the multiplexing ``engine`` and its
-    ν from the backup's mux degree; λ is the engine policy's.
+    Reads each backup's |Ψ| on every link of its path from the
+    multiplexing ``engine`` and its ν from the backup's mux degree; λ is
+    the engine policy's.
 
     This is the number BCP reports back to the client after establishment
     (the "resultant P_r" of the loose negotiation scheme, Section 3.4).
+    It is :func:`pr_multiple_backups` over :func:`p_muxf_upper_bound`,
+    folded in one pass with every float expression in the order those
+    two evaluate it, so the result is bit-identical to composing them.
+    The counts and the policy's λ are valid by construction; each
+    backup's ν is checked as :func:`p_muxf_upper_bound` checks it.
     """
     policy = engine.policy
-    lam = policy.failure_probability
-    primary_count = policy.component_count(connection.primary.path)
-    backup_counts = []
-    p_muxfs = []
+    survive = 1.0 - policy.failure_probability
+    count_endpoints = policy.count_endpoints
+    link_state = engine.link_state
+    all_backups_unavailable = 1.0
     for backup in connection.backups:
-        backup_counts.append(policy.component_count(backup.path))
-        psi = engine.psi_sizes(backup).values()
-        p_muxfs.append(p_muxf_upper_bound(list(psi), policy.nu(backup.mux_degree)))
-    return pr_multiple_backups(primary_count, backup_counts, lam, p_muxfs)
+        keep = 1.0 - check_probability(policy.nu(backup.mux_degree), "nu")
+        channel_id = backup.channel_id
+        path = backup.path
+        p_muxf = 0.0
+        for link in path.links:
+            p_muxf += 1.0 - keep ** link_state(link).psi_size(channel_id)
+        available = survive ** path.component_count(count_endpoints) * (
+            1.0 - min(1.0, p_muxf)
+        )
+        all_backups_unavailable *= 1.0 - available
+    primary_ok = survive ** connection.primary.path.component_count(
+        count_endpoints
+    )
+    return 1.0 - (1.0 - primary_ok) * all_backups_unavailable

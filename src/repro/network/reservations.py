@@ -277,13 +277,14 @@ class ReservationLedger:
         link.  ``links`` must not repeat a link (paths are simple).
         """
         check_non_negative(bandwidth, "bandwidth")
-        entries = [(link, self._links[link]) for link in links]
-        for link, entry in entries:
+        links = tuple(links)
+        entries = [self._links[link] for link in links]
+        for link, entry in zip(links, entries):
             if entry.free + _EPSILON < bandwidth:
                 raise InsufficientCapacityError(link, bandwidth, entry.free)
-        for _, entry in entries:
+        for entry in entries:
             entry.primary += bandwidth
-        self._commit(entry for _, entry in entries)
+        self._commit(entries)
 
     def release_primary_path(
         self, links: Iterable[LinkId], bandwidth: float
@@ -294,16 +295,17 @@ class ReservationLedger:
         validate-then-apply with a single version bump.
         """
         check_non_negative(bandwidth, "bandwidth")
-        entries = [(link, self._links[link]) for link in links]
-        for link, entry in entries:
+        links = tuple(links)
+        entries = [self._links[link] for link in links]
+        for link, entry in zip(links, entries):
             if entry.primary + _EPSILON < bandwidth:
                 raise ValueError(
                     f"link {link}: releasing {bandwidth:g} primary but only "
                     f"{entry.primary:g} reserved"
                 )
-        for _, entry in entries:
+        for entry in entries:
             entry.primary = max(0.0, entry.primary - bandwidth)
-        self._commit(entry for _, entry in entries)
+        self._commit(entries)
 
     # ------------------------------------------------------------------
     # spare-pool operations
@@ -341,7 +343,7 @@ class ReservationLedger:
         bump the version per link (defeating floor-table reuse) and need
         manual rollback on mid-path failure.
         """
-        resolved = []
+        entries = []
         for link, amount in amounts.items():
             check_non_negative(amount, "amount")
             entry = self._links[link]
@@ -349,12 +351,12 @@ class ReservationLedger:
                 raise InsufficientCapacityError(
                     link, amount, entry.capacity - entry.primary
                 )
-            resolved.append((entry, amount))
-        if not resolved:
+            entries.append(entry)
+        if not entries:
             return
-        for entry, amount in resolved:
+        for entry, amount in zip(entries, amounts.values()):
             entry.spare = amount
-        self._commit(entry for entry, _ in resolved)
+        self._commit(entries)
 
     # ------------------------------------------------------------------
     # network-wide metrics (paper Section 7.1)

@@ -360,7 +360,7 @@ class BCPDaemon:
     ) -> None:
         if direction in record.reported:
             return
-        record.reported = record.reported | {direction}
+        record.mark_reported(direction)
         report = FailureReport(
             channel_id=record.channel_id,
             direction=direction,
@@ -420,7 +420,7 @@ class BCPDaemon:
             self._start_rejoin_timer(record)
         if record.state is LocalChannelState.NON_EXISTENT:
             return  # already torn down; nothing to do or forward
-        record.reported = record.reported | {report.direction}
+        record.mark_reported(report.direction)
         next_hop = self._next_hop(record, report.direction)
         if next_hop is None:
             self._end_node_learns_failure(record, report)

@@ -13,6 +13,7 @@ import enum
 from dataclasses import dataclass, field
 
 from repro.network.components import NodeId
+from repro.protocol.messages import Direction
 from repro.routing.paths import Path
 
 
@@ -96,6 +97,11 @@ def allowed_transitions() -> dict[LocalChannelState, frozenset[LocalChannelState
 #: The one empty ``reported`` value every record starts from and returns
 #: to: immutable, so sharing it between records and simulations is safe.
 NOTHING_REPORTED: frozenset = frozenset()
+#: The other three values a daemon gives ``reported``, shared the same
+#: way (see :meth:`LocalChannelRecord.mark_reported`).
+REPORTED_TO_SOURCE: frozenset = frozenset((Direction.TO_SOURCE,))
+REPORTED_TO_DESTINATION: frozenset = frozenset((Direction.TO_DESTINATION,))
+REPORTED_BOTH: frozenset = REPORTED_TO_SOURCE | REPORTED_TO_DESTINATION
 
 
 class IllegalTransitionError(Exception):
@@ -130,8 +136,8 @@ class LocalChannelRecord:
     state: LocalChannelState = LocalChannelState.NON_EXISTENT
     #: Reporting dedup: directions in which this node already forwarded a
     #: failure report for the current failure episode.  Never mutated in
-    #: place: a write rebinds it (``reported | {direction}``), so a record
-    #: owns a set only while it is UNHEALTHY and has reported.
+    #: place: a write rebinds it to one of the four shared module values
+    #: (:meth:`mark_reported`), so no record owns a set.
     reported: frozenset = NOTHING_REPORTED
     #: Set when the channel entered U because this node could not draw
     #: spare for it (a multiplexing failure); a rejoin through this node
@@ -203,3 +209,16 @@ class LocalChannelRecord:
         self.state = target
         if target is not LocalChannelState.UNHEALTHY:
             self.reported = NOTHING_REPORTED
+
+    def mark_reported(self, direction: Direction) -> None:
+        """Add ``direction`` to ``reported``, rebinding it to the shared
+        value that holds exactly the directions reported so far."""
+        reported = self.reported
+        if direction in reported:
+            return
+        if reported:
+            self.reported = REPORTED_BOTH
+        elif direction is Direction.TO_SOURCE:
+            self.reported = REPORTED_TO_SOURCE
+        else:
+            self.reported = REPORTED_TO_DESTINATION

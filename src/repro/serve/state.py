@@ -198,20 +198,79 @@ def _check_topology(network: BCPNetwork, snapshot: dict) -> list:
     return links
 
 
-def _check_mux_rows(snapshot: dict) -> None:
-    """Reject a row whose ``spare_required`` is not its largest resident
-    requirement: the engine takes the recorded pool maximum on trust and
-    does not recompute it until a holder leaves.  Exact ``==``: every
-    recorded state satisfies it bit for bit."""
+def _check_ids(
+    connections: "list[DConnection]", counters: dict
+) -> "dict[int, Channel]":
+    """Every channel of ``connections`` by id.  Rejects a connection or
+    channel id listed twice, and an id counter that would hand out an id
+    the snapshot already holds."""
+    channels: dict[int, Channel] = {}
+    connection_ids = set()
+    for connection in connections:
+        if connection.connection_id in connection_ids:
+            raise ValueError(
+                f"snapshot lists connection {connection.connection_id} twice"
+            )
+        connection_ids.add(connection.connection_id)
+        for channel in connection.channels:
+            if channel.channel_id in channels:
+                raise ValueError(
+                    f"snapshot lists channel {channel.channel_id} twice"
+                )
+            channels[channel.channel_id] = channel
+    for key, ids in (("next_channel_id", channels),
+                     ("next_connection_id", connection_ids)):
+        floor = max(ids) + 1 if ids else 0
+        if not counters[key] >= floor:
+            raise ValueError(
+                f"snapshot counter {key} = {counters[key]!r} would reuse an "
+                f"id (the snapshot holds ids below {floor})"
+            )
+    return channels
+
+
+def _check_mux_rows(
+    snapshot: dict, links: list, channels: "dict[int, Channel]"
+) -> None:
+    """Reject a mux row that :meth:`MultiplexingEngine.restore_link`
+    could not replay, before anything is mutated: a link index outside
+    the topology, an entry naming a channel the snapshot does not hold,
+    a channel that is not a backup or whose path does not cross the
+    row's link, a channel listed twice, or a ``spare_required`` that is
+    not the row's largest resident requirement (the engine takes the
+    recorded pool maximum on trust and does not recompute it until a
+    holder leaves; exact ``==``, as every recorded state satisfies it
+    bit for bit)."""
     for row in snapshot["mux"]:
+        index = row["link"]
+        where = f"snapshot mux row for link index {index!r}"
+        if (isinstance(index, bool) or not isinstance(index, int)
+                or not 0 <= index < len(links)):
+            raise ValueError(f"{where}: no such link")
+        link = links[index]
+        seen = set()
+        for channel_id, _ in row["entries"]:
+            channel = channels.get(channel_id)
+            if channel is None:
+                raise ValueError(
+                    f"{where}: channel {channel_id!r} is not in the snapshot"
+                )
+            if channel.role is not ChannelRole.BACKUP:
+                raise ValueError(f"{where}: channel {channel_id} is not a backup")
+            if link not in channel.path.links:
+                raise ValueError(
+                    f"{where}: backup {channel_id} does not cross the link"
+                )
+            if channel_id in seen:
+                raise ValueError(f"{where}: backup {channel_id} listed twice")
+            seen.add(channel_id)
         largest = max(
             (requirement for _, requirement in row["entries"]), default=0.0
         )
         if row["spare_required"] != largest:
             raise ValueError(
-                f"snapshot mux row for link index {row['link']}: "
-                f"spare_required {row['spare_required']!r} is not its "
-                f"largest resident requirement {largest!r}"
+                f"{where}: spare_required {row['spare_required']!r} is not "
+                f"its largest resident requirement {largest!r}"
             )
 
 
@@ -237,33 +296,35 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
             "restore_network needs a fresh network; this one already "
             f"holds {network.num_connections} connection(s)"
         )
-    _check_mux_rows(snapshot)
 
-    # 1. Connections and channels.  Channels register in channel-id
-    # order: registration originally happened in allocation order, and
-    # the registry's id dict and link lists preserve the survivors'
-    # relative order across deletions, so
-    # this reproduces the live registry's iteration order exactly.
+    # 1. Decode and check everything before anything is mutated: the
+    # channel and connection ids, the id counters, every mux row, and
+    # (validate-then-apply, first to write) the reservation pools.
     connections = [
         _decode_connection(data) for data in snapshot["connections"]
     ]
-    channels: dict[int, Channel] = {}
-    for connection in connections:
-        network._connections[connection.connection_id] = connection
-        for channel in connection.channels:
-            channels[channel.channel_id] = channel
-    for channel in sorted(channels.values(), key=lambda c: c.channel_id):
-        network.registry.add(channel)
-    counters = snapshot["counters"]
-    network.registry.next_id = counters["next_channel_id"]
-    network.engine.next_connection_id = counters["next_connection_id"]
+    channels = _check_ids(connections, snapshot["counters"])
+    _check_mux_rows(snapshot, links, channels)
 
     # 2. Reservation pools, verbatim (bumps the ledger version).
     network.ledger.restore_pools(
         (pair[0], pair[1]) for pair in snapshot["ledger"]
     )
 
-    # 3. Multiplexing state, link by link in recorded insertion order
+    # 3. Connections and channels.  Channels register in channel-id order:
+    # registration originally happened in allocation order, and the
+    # registry's id dict and link lists preserve the survivors' relative
+    # order across deletions, so this reproduces the live registry's
+    # iteration order exactly.
+    for connection in connections:
+        network._connections[connection.connection_id] = connection
+    for channel_id in sorted(channels):
+        network.registry.add(channels[channel_id])
+    counters = snapshot["counters"]
+    network.registry.next_id = counters["next_channel_id"]
+    network.engine.next_connection_id = counters["next_connection_id"]
+
+    # 4. Multiplexing state, link by link in recorded insertion order
     # with the recorded floats (see module docstring).
     for row in snapshot["mux"]:
         entries = []

@@ -14,6 +14,7 @@ from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network import LinkId
 from repro.obs import obs_session
 from repro.routing import Path
+from tests.mux_oracle import FrozensetLinkMuxState
 
 LINK = LinkId("x", "y")
 #: One interner for every hand-built primary below, as an engine has.
@@ -549,6 +550,102 @@ class TestLazyPoolMaximum:
         # The sole holder leaves.
         assert s.remove(3) == 1.0 == s.spare_required_recomputed()
         assert s.remove(0) == 0.0
+
+
+class TestEarlyExitBoundary:
+    """Integer mode skips a resident sharing fewer than ν components
+    after one popcount (the pair scan: fewer than the candidate's ν;
+    removal: fewer than the leaver's ν).  Put every overlap on either
+    side of that cut, for every order of the two degrees, and hold the
+    link to the frozenset oracle float for float."""
+
+    #: Exactly representable, so incremental sums equal the recompute.
+    BANDWIDTHS = (0.25, 0.5, 1.0, 2.75)
+    #: The candidate's primary: components 0..9.
+    CANDIDATE = frozenset(range(10))
+
+    @staticmethod
+    def near(degree: int) -> "list[int]":
+        return [d for d in (degree - 1, degree, degree + 1) if d >= 0]
+
+    def residents(self, candidate_degree: int):
+        """``(id, bandwidth, ν, components)``: for each ν_o below, at and
+        above ν_c (and 0), one resident per overlap with the candidate
+        within one of ν_c or ν_o.  Residents overlap each other in the
+        shared prefix of the candidate's components."""
+        degrees = sorted({0, *self.near(candidate_degree)})
+        rows = []
+        for other_degree in degrees:
+            overlaps = sorted(
+                {*self.near(candidate_degree), *self.near(other_degree)}
+            )
+            for overlap in overlaps:
+                channel_id = len(rows)
+                components = frozenset(range(overlap)) | {
+                    100 + 10 * channel_id + k for k in range(3)
+                }
+                rows.append((
+                    channel_id, self.BANDWIDTHS[channel_id % 4],
+                    other_degree, components,
+                ))
+        return rows
+
+    @staticmethod
+    def floats(link) -> list:
+        return [
+            (entry.channel_id, entry.requirement.hex(),
+             link.psi_size(entry.channel_id))
+            for entry in link.entries()
+        ] + [link.spare_required().hex()]
+
+    def assert_agree(self, link, oracle) -> None:
+        assert self.floats(link) == self.floats(oracle)
+        assert link.spare_required() == link.spare_required_recomputed()
+
+    @pytest.mark.parametrize("candidate_degree", [0, 1, 3])
+    def test_scan_and_removal_at_the_cut(self, candidate_degree):
+        space = ComponentSpace()
+        link = state()
+        oracle = FrozensetLinkMuxState(LINK, OverlapPolicy())
+        residents = self.residents(candidate_degree)
+        for channel_id, bandwidth, degree, components in residents:
+            mask = space.intern(sorted(components))
+            assert (link.preview_add(bandwidth, degree, mask).hex()
+                    == oracle.preview_add(bandwidth, degree, components).hex())
+            assert (link.add(channel_id, bandwidth, degree, mask).hex()
+                    == oracle.add(channel_id, bandwidth, degree, components).hex())
+            self.assert_agree(link, oracle)
+
+        candidate_id = len(residents)
+        mask = space.intern(sorted(self.CANDIDATE))
+        for bandwidth in self.BANDWIDTHS:
+            assert (link.preview_add(bandwidth, candidate_degree, mask).hex()
+                    == oracle.preview_add(
+                        bandwidth, candidate_degree, self.CANDIDATE).hex())
+        # Ψ of the candidate: every resident sharing fewer than ν_c.
+        expected_psi = sum(
+            len(components & self.CANDIDATE) < candidate_degree
+            for _, _, _, components in residents
+        )
+        assert (link.add(candidate_id, 2.75, candidate_degree, mask).hex()
+                == oracle.add(
+                    candidate_id, 2.75, candidate_degree, self.CANDIDATE).hex())
+        assert link.psi_size(candidate_id) == expected_psi
+        self.assert_agree(link, oracle)
+
+        # Every resident leaves, one call each and then the rest in one
+        # batch, so each ν is a leaver against survivors on both sides of
+        # its cut; the candidate leaves in the middle.
+        order = [candidate_id] + [row[0] for row in residents]
+        order.insert(len(order) // 2, order.pop(0))
+        half = len(order) // 2
+        for channel_id in order[:half]:
+            assert (link.remove_many([channel_id]).hex()
+                    == oracle.remove_many([channel_id]).hex())
+            self.assert_agree(link, oracle)
+        assert (link.remove_many(order[half:]).hex()
+                == oracle.remove_many(order[half:]).hex())
+        assert len(link) == 0 and link.spare_required() == 0.0
 
 
 class TestSharedRows:

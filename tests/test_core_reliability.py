@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
+from repro.core.overlap import OverlapPolicy
 from repro.core.reliability import (
     channel_reliability,
     connection_pr,
@@ -143,3 +144,42 @@ class TestConnectionPr:
             return min(values)
 
         assert achieved(6) <= achieved(1)
+
+    @pytest.mark.parametrize("failure_probability", [1e-6, 0.05])
+    def test_equals_the_composed_bound_bit_for_bit(self, failure_probability):
+        """``connection_pr`` folds the P_muxf bound and the multi-backup
+        formula in one pass; on a loaded network with zero, one and two
+        backups per connection and every degree from 0 to 6 it must
+        return exactly the float the two public functions compose."""
+        policy = OverlapPolicy(failure_probability=failure_probability)
+        network = BCPNetwork(torus(4, 4), policy=policy)
+        pairs = [(src, dst) for src in range(16) for dst in range(16)
+                 if src != dst]
+        for index, (src, dst) in enumerate(pairs):
+            network.establish(src, dst, ft_qos=FaultToleranceQoS(
+                num_backups=index % 3, mux_degree=index % 7))
+        checked = 0
+        for connection in network.connections():
+            backups = connection.backups
+            composed = pr_multiple_backups(
+                policy.component_count(connection.primary.path),
+                [policy.component_count(backup.path) for backup in backups],
+                failure_probability,
+                [p_muxf_upper_bound(list(network.mux.psi_sizes(backup).values()),
+                                    policy.nu(backup.mux_degree))
+                 for backup in backups],
+            )
+            assert connection_pr(connection, network.mux).hex() == composed.hex()
+            checked += len(backups)
+        assert checked > 40
+
+    def test_rejects_a_degree_whose_threshold_is_no_probability(self):
+        network = BCPNetwork(
+            torus(4, 4), policy=OverlapPolicy(failure_probability=0.3)
+        )
+        connection = network.establish(
+            0, 5, ft_qos=FaultToleranceQoS(num_backups=1, mux_degree=1)
+        )
+        connection.backups[0].mux_degree = 4  # ν = 1.2
+        with pytest.raises(ValueError, match="nu"):
+            connection_pr(connection, network.mux)

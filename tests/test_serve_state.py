@@ -211,6 +211,102 @@ class TestRestoreGuards:
         restore_network(target, snapshot)
         assert dumps(snapshot_network(target)) == dumps(snapshot)
 
+    @staticmethod
+    def four_connection_snapshot() -> dict:
+        network = fresh_network()
+        for src, dst in ((0, 5), (1, 10), (2, 7), (12, 3)):
+            network.establish(src, dst)
+        return json.loads(dumps(snapshot_network(network)))
+
+    @staticmethod
+    def corrupt(snapshot: dict, corruption: str) -> int:
+        """Apply one mux-row corruption; returns the row's link index."""
+        row = snapshot["mux"][0]
+        entries = row["entries"]
+        if corruption == "unknown channel":
+            entries[0][0] = 999
+        elif corruption == "primary channel":
+            entries[0][0] = snapshot["connections"][0]["primary"]["id"]
+        elif corruption == "backup off the link":
+            crossing = {channel_id for channel_id, _ in entries}
+            entries[0][0] = next(
+                backup["id"]
+                for connection in snapshot["connections"]
+                for backup in connection["backups"]
+                if backup["id"] not in crossing
+            )
+        elif corruption == "backup listed twice":
+            entries.append(list(entries[0]))
+        elif corruption == "link out of range":
+            row["link"] = len(snapshot["topology"]["links"])
+        return row["link"]
+
+    @pytest.mark.parametrize("corruption, message", [
+        ("unknown channel", "channel 999 is not in the snapshot"),
+        ("primary channel", "is not a backup"),
+        ("backup off the link", "does not cross the link"),
+        ("backup listed twice", "listed twice"),
+        ("link out of range", "no such link"),
+    ])
+    def test_rejects_a_bad_mux_entry_and_touches_nothing(
+        self, corruption, message
+    ):
+        """Every mux entry is checked against the decoded connections
+        before the target network is mutated: a bad one raises
+        ``ValueError`` naming its row and leaves no connection, channel
+        or pool behind."""
+        snapshot = self.four_connection_snapshot()
+        index = self.corrupt(snapshot, corruption)
+        self.assert_refused_untouched(
+            snapshot, rf"link index {index}: .*{message}"
+        )
+
+    @pytest.mark.parametrize("corruption, message", [
+        ("channel id twice", "lists channel .* twice"),
+        ("connection id twice", "lists connection .* twice"),
+        ("channel counter behind", "next_channel_id = 0 would reuse an id"),
+        ("connection counter behind",
+         "next_connection_id = 3 would reuse an id"),
+        ("negative pool", "negative restored pool"),
+        ("pool over capacity", "requested 1e\\+09 but only 160 available"),
+    ])
+    def test_rejects_bad_ids_counters_and_pools_and_touches_nothing(
+        self, corruption, message
+    ):
+        """The rest of a snapshot is checked before anything is written
+        too: a repeated channel or connection id, an id counter that
+        would hand out an id the snapshot holds, and a pool the ledger
+        refuses all leave the target network as it was."""
+        snapshot = self.four_connection_snapshot()
+        connections = snapshot["connections"]
+        if corruption == "channel id twice":
+            connections[1]["primary"]["id"] = connections[0]["primary"]["id"]
+        elif corruption == "connection id twice":
+            connections[1]["id"] = connections[0]["id"]
+        elif corruption == "channel counter behind":
+            snapshot["counters"]["next_channel_id"] = 0
+        elif corruption == "connection counter behind":
+            snapshot["counters"]["next_connection_id"] = 3
+        elif corruption == "negative pool":
+            snapshot["ledger"][3][0] = -5.0
+        elif corruption == "pool over capacity":
+            snapshot["ledger"][3][0] = 1e9
+        self.assert_refused_untouched(snapshot, message)
+
+    @staticmethod
+    def assert_refused_untouched(snapshot: dict, message: str) -> None:
+        target = fresh_network()
+        version = target.ledger.version
+        with pytest.raises(
+            (ValueError, InsufficientCapacityError), match=message
+        ):
+            restore_network(target, snapshot)
+        assert target.num_connections == 0
+        assert next(target.registry.channels(), None) is None
+        assert target.ledger.version == version
+        assert target.spare_fraction() == 0.0
+        assert not target.mux.link_states()
+
     def test_load_snapshot_rejects_wrong_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/1"}\n')
