@@ -682,9 +682,13 @@ class MultiplexingEngine:
         for backup in backups:
             for link in backup.path.links:
                 per_link.setdefault(link, []).append(backup.channel_id)
-        for link, channel_ids in per_link.items():
-            check_resident(self.link_state(link), channel_ids)
         links = self._links
+        for link, channel_ids in per_link.items():
+            # Looked up, not created: a refused removal adds no state.
+            state = links.get(link)
+            if state is None:
+                raise KeyError(f"backup {channel_ids[0]} not on link {link}")
+            check_resident(state, channel_ids)
         requirements = {
             link: links[link]._remove_resident(channel_ids)
             for link, channel_ids in per_link.items()

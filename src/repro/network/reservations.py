@@ -413,14 +413,24 @@ class ReservationLedger:
         """Overwrite every link's pools from a :meth:`snapshot_pools` row
         list (same order and length as ``topology.links()``).
 
-        Validate-then-apply: pool values must be non-negative and fit the
-        link's capacity (admission tolerance applies), or nothing changes.
+        Validate-then-apply (:meth:`check_pools`), or nothing changes.
         On success the ledger :attr:`version` is bumped, the change log
         voided and the spare cache dropped, so every consumer —
         route-cache floor tables, the flat view's free-capacity mirror,
         spare-pool snapshots — recompiles instead of serving pre-restore
         state.
         """
+        for entry, primary, spare in self.check_pools(pools):
+            entry.primary = primary
+            entry.spare = spare
+        self._void_log()
+        self._version += 1
+
+    def check_pools(self, pools: "Iterable[tuple[float, float]]") -> list:
+        """Raise unless :meth:`restore_pools` would take ``pools``: one row
+        per link, every pool non-negative and within the link's capacity
+        (admission tolerance applies).  Returns ``(entry, primary,
+        spare)`` per link; changes nothing."""
         rows = list(pools)
         if len(rows) != len(self._links):
             raise ValueError(
@@ -439,11 +449,7 @@ class ReservationLedger:
                     link, primary + spare, entry.capacity
                 )
             resolved.append((entry, primary, spare))
-        for entry, primary, spare in resolved:
-            entry.primary = primary
-            entry.spare = spare
-        self._void_log()
-        self._version += 1
+        return resolved
 
     def snapshot_spares(self) -> dict[LinkId, float]:
         """Copy of every link's current spare reservation.

@@ -138,7 +138,21 @@ class BCPDaemon:
         #: link -> RCCLink, the runtime's own map (filled once the daemons
         #: every link delivers to exist).
         self._rcc = runtime._rcc
+        #: neighbour -> the RCCLink toward it, filled on first send.
+        self._links: dict[NodeId, object] = {}
         self._topology = runtime.network.topology
+        #: Message class -> its handler, read off this daemon's class so
+        #: a subclass's override is the one called (plain functions: the
+        #: map holds no bound method, so no cycle back to the daemon).
+        cls = type(self)
+        self._handlers = {
+            FailureReport: cls._receive_failure_report,
+            ActivationMessage: cls._receive_activation,
+            ActivationAck: cls._receive_activation_ack,
+            RejoinRequest: cls._receive_rejoin_request,
+            RejoinConfirm: cls._receive_rejoin_confirm,
+            ChannelClosure: cls._receive_closure,
+        }
         #: This node's table of the compiled plan: what establishment
         #: installed here, plus the indices the whole-node scans read.
         self.table = runtime.tables[node]
@@ -159,6 +173,8 @@ class BCPDaemon:
         # Network-wide control-plane counters, shared by every daemon of
         # the runtime.
         obs = runtime.obs
+        #: With a no-op registry the counters are not called at all.
+        self._counting = obs.enabled
         self._c_detections = obs.counter("protocol.detections")
         self._c_reports = obs.counter("protocol.reports_sent")
         self._c_received = obs.counter("protocol.messages_received")
@@ -192,7 +208,11 @@ class BCPDaemon:
         )
 
     def _send(self, next_hop: NodeId, message: ControlMessage) -> None:
-        self._rcc[self._topology.link(self.node, next_hop)].send(message)
+        rcc = self._links.get(next_hop)
+        if rcc is None:
+            rcc = self._links[next_hop] = self._rcc[
+                self._topology.link(self.node, next_hop)]
+        rcc.send(message)
 
     def _next_hop(self, record: LocalChannelRecord, direction: Direction):
         if direction is Direction.TO_SOURCE:
@@ -252,7 +272,8 @@ class BCPDaemon:
         for view in self.views.values():
             view.unhealthy.add(view.current_channel)
             view.episode += 1
-            self._c_so_episodes.inc()
+            if self._counting:
+                self._c_so_episodes.inc()
             view.recovering = False
             if self._log.active:
                 self._point("switchover-reconcile", view.connection_id,
@@ -332,7 +353,8 @@ class BCPDaemon:
         if record.state in (LocalChannelState.PRIMARY, LocalChannelState.BACKUP):
             record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(record)
-            self._c_detections.inc()
+            if self._counting:
+                self._c_detections.inc()
             if self._log.active:
                 self._point(
                     "detect", record.connection_id,
@@ -358,7 +380,7 @@ class BCPDaemon:
         self, record: LocalChannelRecord, direction: Direction, component,
         mux_failure: bool = False,
     ) -> None:
-        if direction in record.reported:
+        if record.has_reported(direction):
             return
         record.mark_reported(direction)
         report = FailureReport(
@@ -372,7 +394,8 @@ class BCPDaemon:
             # This node *is* the target end-node.
             self._end_node_learns_failure(record, report)
         else:
-            self._c_reports.inc()
+            if self._counting:
+                self._c_reports.inc()
             if self._log.active:
                 self._point(
                     "report-hop", record.connection_id,
@@ -386,25 +409,15 @@ class BCPDaemon:
     # ------------------------------------------------------------------
     def receive(self, message: ControlMessage) -> None:
         """Dispatch one control message delivered by the RCC layer."""
-        if not self._alive():
+        if self.node in self._failed:
             return
         try:
             record = self.records[message.channel_id]
         except KeyError:
             return  # the channel was never established through this node
-        self._c_received.inc()
-        if isinstance(message, FailureReport):
-            self._receive_failure_report(record, message)
-        elif isinstance(message, ActivationMessage):
-            self._receive_activation(record, message)
-        elif isinstance(message, ActivationAck):
-            self._receive_activation_ack(record, message)
-        elif isinstance(message, RejoinRequest):
-            self._receive_rejoin_request(record, message)
-        elif isinstance(message, RejoinConfirm):
-            self._receive_rejoin_confirm(record, message)
-        elif isinstance(message, ChannelClosure):
-            self._receive_closure(record, message)
+        if self._counting:
+            self._c_received.inc()
+        self._handlers[type(message)](self, record, message)
 
     # -- failure reports ------------------------------------------------
     def _receive_failure_report(
@@ -412,7 +425,7 @@ class BCPDaemon:
     ) -> None:
         if (
             record.state is LocalChannelState.UNHEALTHY
-            and report.direction in record.reported
+            and record.has_reported(report.direction)
         ):
             return  # duplicate: already seen/forwarded this episode
         if record.state in (LocalChannelState.PRIMARY, LocalChannelState.BACKUP):
@@ -425,7 +438,8 @@ class BCPDaemon:
         if next_hop is None:
             self._end_node_learns_failure(record, report)
         else:
-            self._c_reports.inc()
+            if self._counting:
+                self._c_reports.inc()
             if self._log.active:
                 self._point(
                     "report-hop", record.connection_id,
@@ -449,7 +463,8 @@ class BCPDaemon:
             # adopting the far end's activation), this report is the first
             # confirmed sighting — make sure the source is probing for a
             # repair (both calls are idempotent).
-            self._c_so_duplicates.inc()
+            if self._counting:
+                self._c_so_duplicates.inc()
             if (
                 view.role == "source"
                 and record.state is LocalChannelState.UNHEALTHY
@@ -478,7 +493,8 @@ class BCPDaemon:
         # The channel carrying data died: a new recovery round starts.
         # Any handshake still in flight is for a dead channel — drop it.
         view.episode += 1
-        self._c_so_episodes.inc()
+        if self._counting:
+            self._c_so_episodes.inc()
         self._cancel_pending(view.connection_id)
         if not self._initiates_activation(view):
             return
@@ -606,7 +622,8 @@ class BCPDaemon:
         ):
             # A leftover from an earlier recovery round, or a lower serial
             # than what this end already carries: deterministically stale.
-            self._c_so_stale.inc()
+            if self._counting:
+                self._c_so_stale.inc()
             if self._log.active:
                 self._point("activation-stale", record.connection_id,
                             serial=message.serial, episode=message.episode)
@@ -678,7 +695,8 @@ class BCPDaemon:
         those dead here too."""
         if message.episode > view.episode:
             view.episode = message.episode
-            self._c_so_episodes.inc()
+            if self._counting:
+                self._c_so_episodes.inc()
         if view.current_serial < message.serial:
             view.unhealthy.add(view.current_channel)
         for info in view.backups:
@@ -717,7 +735,8 @@ class BCPDaemon:
                 continue
             other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
             self._start_rejoin_timer(other)
-            self._c_so_demotions.inc()
+            if self._counting:
+                self._c_so_demotions.inc()
             if self._log.active:
                 self._point(
                     "switchover-demote", record.connection_id,
@@ -753,7 +772,8 @@ class BCPDaemon:
         pending.timer.cancel()
         self._pending.pop(view.connection_id, None)
         view.recovering = False
-        self._c_so_completed.inc()
+        if self._counting:
+            self._c_so_completed.inc()
         if self._log.active:
             self._point(
                 "activation-ack", view.connection_id,
@@ -787,7 +807,8 @@ class BCPDaemon:
             self._exhaust_pending(view, pending)
             return
         pending.attempts += 1
-        self._c_so_retries.inc()
+        if self._counting:
+            self._c_so_retries.inc()
         if self._log.active:
             self._point(
                 "activation-retry", connection_id,
@@ -824,7 +845,8 @@ class BCPDaemon:
         the connection unrecoverable, instead of wedging."""
         self._cancel_pending(view.connection_id)
         backup = pending.backup
-        self._c_so_exhausted.inc()
+        if self._counting:
+            self._c_so_exhausted.inc()
         if self._log.active:
             self._point(
                 "switchover-exhausted", view.connection_id,
@@ -844,8 +866,9 @@ class BCPDaemon:
             self._emit_report(record, away, None)
         view.unhealthy.add(backup.channel_id)
         view.episode += 1
-        self._c_so_episodes.inc()
-        self._c_so_fallbacks.inc()
+        if self._counting:
+            self._c_so_episodes.inc()
+            self._c_so_fallbacks.inc()
         self._initiate_recovery(view)
 
     def _receive_activation_ack(
@@ -867,7 +890,8 @@ class BCPDaemon:
             and pending.backup.serial == ack.serial
             and pending.episode == ack.episode
         ):
-            self._c_so_acks.inc()
+            if self._counting:
+                self._c_so_acks.inc()
             self._complete_pending(view, pending, how="ack")
         # No pending (the counterpart sweep already completed the
         # handshake) or a mismatched round: nothing to do — acks are
@@ -1076,7 +1100,8 @@ class BCPDaemon:
             # restore service over it with a fresh handshake round instead
             # of staying adrift on an abandoned channel.
             view.episode += 1
-            self._c_so_episodes.inc()
+            if self._counting:
+                self._c_so_episodes.inc()
             if self._log.active:
                 self._point("switchover-restore", record.connection_id,
                             channel=record.channel_id)

@@ -21,11 +21,7 @@ from repro.channels.channel import Channel, ChannelRole
 from repro.core.plan import NetworkPlan
 from repro.network.components import NodeId
 from repro.protocol.daemon import BackupInfo, EndpointView
-from repro.protocol.states import (
-    ChannelEvent,
-    LocalChannelRecord,
-    LocalChannelState,
-)
+from repro.protocol.states import LocalChannelRecord, LocalChannelState
 from repro.util.lazytable import FilledOnTouch
 
 
@@ -139,7 +135,7 @@ class NodeTable:
         # identity first, so the scan stops at the channel itself).
         index = (0 if flat[start] is channel
                  else flat.index(channel, start + 1) - start)
-        record = LocalChannelRecord(
+        return LocalChannelRecord(
             channel_id=channel_id,
             connection_id=channel.connection_id,
             serial=channel.serial,
@@ -147,15 +143,11 @@ class NodeTable:
             node=self.node,
             mux_degree=self._degrees[position][index],
             bandwidth=channel.traffic.bandwidth,
+            # The installed state, read off the serial: where Fig. 4's
+            # ESTABLISH_BACKUP / ESTABLISH_PRIMARY take a new record.
+            state=(LocalChannelState.BACKUP if channel.serial
+                   else LocalChannelState.PRIMARY),
         )
-        # A record's installed state is read off its serial.
-        if channel.serial:
-            record.transition(LocalChannelState.BACKUP,
-                              ChannelEvent.ESTABLISH_BACKUP)
-        else:
-            record.transition(LocalChannelState.PRIMARY,
-                              ChannelEvent.ESTABLISH_PRIMARY)
-        return record
 
     def _view(self, connection_id: int) -> EndpointView:
         position = self.endpoints[connection_id]

@@ -78,6 +78,19 @@ class RCCLink:
     reverse link alive (the runtime owns all of them).
     """
 
+    # Slotted: a simulation builds one per simplex link, and an instance
+    # dict this wide would be a private (unshared) table each.
+    __slots__ = (
+        "engine", "link", "config", "_per_frame", "_min_interval",
+        "_max_delay", "_ack_timeout", "_failed", "_parts", "_receiver",
+        "_seed", "_rng", "stats", "_counting", "_m_messages", "_m_frames",
+        "_m_lost", "_m_retransmissions", "_m_gave_up", "_m_queue_depth",
+        "_m_batch", "_queue", "_next_seq", "_last_tx", "_tx_scheduled",
+        "_pending", "_pending_acks", "_seen_seqs", "_frame_times",
+        "_reverse", "on_give_up", "loss_probability", "on_frame_delivered",
+        "__weakref__",
+    )
+
     def __init__(
         self,
         engine: EventEngine,
@@ -91,7 +104,14 @@ class RCCLink:
         self.engine = engine
         self.link = link
         self.config = config
+        # The frozen config's numbers, read once instead of per frame.
+        self._per_frame = config.rcc.max_messages_per_frame
+        self._min_interval = config.rcc.min_interval
+        self._max_delay = config.rcc.max_delay
+        self._ack_timeout = config.ack_timeout
         self._failed = failed
+        #: The components whose failure takes the link down.
+        self._parts = (link, link.src, link.dst)
         self._receiver = weakref.ref(receiver)
         #: The loss generator's seed; the generator itself is built on the
         #: first frame that can be lost, so a loss-free run builds none.
@@ -101,6 +121,8 @@ class RCCLink:
         # Network-wide transport metrics: every RCCLink of a runtime
         # shares these instruments, so they aggregate across links.
         obs = metrics if metrics is not None else get_registry()
+        #: With a no-op registry the instruments are not called at all.
+        self._counting = obs.enabled
         self._m_messages = obs.counter("rcc.messages_sent")
         self._m_frames = obs.counter("rcc.frames_sent")
         self._m_lost = obs.counter("rcc.frames_lost")
@@ -148,9 +170,7 @@ class RCCLink:
 
     def _down(self) -> bool:
         """Whether the link or either endpoint has failed."""
-        failed = self._failed
-        link = self.link
-        return link in failed or link.src in failed or link.dst in failed
+        return not self._failed.isdisjoint(self._parts)
 
     # ------------------------------------------------------------------
     # sending
@@ -158,49 +178,51 @@ class RCCLink:
     def send(self, message: ControlMessage) -> None:
         """Queue a control message; it rides the next eligible frame."""
         self.stats.messages_sent += 1
-        self._m_messages.inc()
         self._queue.append((self.engine.now, message))
-        self._m_queue_depth.set(len(self._queue))
+        if self._counting:
+            self._m_messages.inc()
+            self._m_queue_depth.set(len(self._queue))
         self._schedule_transmission()
 
     def _schedule_transmission(self) -> None:
         if self._tx_scheduled is not None and self._tx_scheduled.active:
             return
-        eligible_at = max(
-            self.engine.now, self._last_tx + self.config.rcc.min_interval
-        )
+        eligible_at = max(self.engine.now, self._last_tx + self._min_interval)
         self._tx_scheduled = self.engine.schedule_at(eligible_at, self._transmit)
 
     def _transmit(self) -> None:
         self._tx_scheduled = None
-        if not self._queue and not self._pending_acks:
+        queue, acks = self._queue, self._pending_acks
+        if not queue and not acks:
             return
-        batch: list[ControlMessage] = []
-        oldest_enqueue = self.engine.now
-        while self._queue and len(batch) < self.config.rcc.max_messages_per_frame:
-            enqueued_at, message = self._queue.popleft()
-            oldest_enqueue = min(oldest_enqueue, enqueued_at)
-            batch.append(message)
-        self._m_queue_depth.set(len(self._queue))
-        acks = tuple(self._pending_acks)
-        self._pending_acks.clear()
-        frame = RCCFrame(seq=self._next_seq, messages=tuple(batch), acks=acks)
+        now = self.engine.now
+        # Enqueue times never decrease, so the frame's oldest message is
+        # its first.
+        oldest_enqueue = queue[0][0] if queue else now
+        popleft = queue.popleft
+        batch = tuple([popleft()[1]
+                       for _ in range(min(len(queue), self._per_frame))])
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        frame = RCCFrame(seq, batch, tuple(acks))
+        acks.clear()
+        if self._counting:
+            self._m_queue_depth.set(len(queue))
+            if batch:
+                self._m_batch.record(len(batch))
+        self._last_tx = now
         if batch:
-            self._m_batch.record(len(batch))
-        self._next_seq += 1
-        self._last_tx = self.engine.now
-        if not frame.is_pure_ack:
-            pending = _PendingFrame(frame=frame)
-            self._pending[frame.seq] = pending
-            self._frame_times[frame.seq] = oldest_enqueue
+            pending = self._pending[seq] = _PendingFrame(frame)
+            self._frame_times[seq] = oldest_enqueue
             self._arm_retransmit(pending)
         self._launch(frame)
-        if self._queue:
+        if queue:
             self._schedule_transmission()
 
     def _launch(self, frame: RCCFrame) -> None:
         self.stats.frames_sent += 1
-        self._m_frames.inc()
+        if self._counting:
+            self._m_frames.inc()
         loss = self.loss_probability
         lost = self._down()
         if not lost and loss > 0:
@@ -209,16 +231,17 @@ class RCCLink:
             lost = self._rng.random() < loss
         if lost:
             self.stats.frames_lost += 1
-            self._m_lost.inc()
+            if self._counting:
+                self._m_lost.inc()
             return  # lost; the retransmit timer covers non-pure-ack frames
-        self.engine.schedule(self.config.rcc.max_delay, self._arrive, frame)
+        self.engine.schedule(self._max_delay, self._arrive, frame)
 
     # ------------------------------------------------------------------
     # retransmission
     # ------------------------------------------------------------------
     def _arm_retransmit(self, pending: _PendingFrame) -> None:
         pending.timer = self.engine.schedule(
-            self.config.ack_timeout, self._retransmit, pending
+            self._ack_timeout, self._retransmit, pending
         )
 
     def _retransmit(self, pending: _PendingFrame) -> None:
@@ -229,13 +252,15 @@ class RCCLink:
             del self._pending[pending.frame.seq]
             self._frame_times.pop(pending.frame.seq, None)
             self.stats.gave_up += 1
-            self._m_gave_up.inc()
+            if self._counting:
+                self._m_gave_up.inc()
             if self.on_give_up is not None:
                 self.on_give_up(self.link)
             return
         pending.retries += 1
         self.stats.retransmissions += 1
-        self._m_retransmissions.inc()
+        if self._counting:
+            self._m_retransmissions.inc()
         self._arm_retransmit(pending)
         self._launch(pending.frame)
 
@@ -258,7 +283,8 @@ class RCCLink:
         self._frame_times.clear()
         self._queue.clear()
         self._pending_acks.clear()
-        self._m_queue_depth.set(0)
+        if self._counting:
+            self._m_queue_depth.set(0)
         if self._tx_scheduled is not None:
             self._tx_scheduled.cancel()
             self._tx_scheduled = None
@@ -271,7 +297,8 @@ class RCCLink:
             # The link (or an endpoint) died while the frame was in flight.
             self.stats.frames_lost += 1
             return
-        self.stats.frames_delivered += 1
+        stats = self.stats
+        stats.frames_delivered += 1
         # Acks carried by this link acknowledge frames sent on the reverse
         # link (we receive at this link's dst, which sends on the reverse);
         # our ack for this frame rides the reverse too.
@@ -282,21 +309,23 @@ class RCCLink:
         if frame.is_pure_ack:
             return
         if reverse is not None:
-            self.stats.acks_sent += 1
+            stats.acks_sent += 1
             reverse._pending_acks.append(frame.seq)
             reverse._schedule_transmission()
-        if frame.seq in self._seen_seqs:
-            self.stats.duplicates_dropped += 1
+        seq = frame.seq
+        if seq in self._seen_seqs:
+            stats.duplicates_dropped += 1
             return
-        self._seen_seqs.add(frame.seq)
-        enqueued_at = self._frame_times.pop(frame.seq, None)
+        self._seen_seqs.add(seq)
+        enqueued_at = self._frame_times.pop(seq, None)
         if enqueued_at is not None:
-            self.stats.max_message_delay = max(
-                self.stats.max_message_delay, self.engine.now - enqueued_at
-            )
+            delay = self.engine.now - enqueued_at
+            if delay > stats.max_message_delay:
+                stats.max_message_delay = delay
         if self.on_frame_delivered is not None:
             self.on_frame_delivered(self, frame)
         receive = self._receiver().receive
-        for message in frame.messages:
-            self.stats.messages_delivered += 1
+        messages = frame.messages
+        stats.messages_delivered += len(messages)
+        for message in messages:
             receive(message)

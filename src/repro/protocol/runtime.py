@@ -93,6 +93,8 @@ class ProtocolMetrics:
         self.mux_failures = 0
         self.unrecoverable = 0
         obs = registry if registry is not None else get_registry()
+        #: With a no-op registry the instruments are not called at all.
+        self._counting = obs.enabled
         self._c_primary_failed = obs.counter("protocol.primary_failures")
         self._c_informed = obs.counter("protocol.endpoint_informed")
         self._c_activations = obs.counter("protocol.activations")
@@ -119,7 +121,8 @@ class ProtocolMetrics:
         record = self._record(connection_id)
         if record.failed_at is None:
             record.failed_at = time
-            self._c_primary_failed.inc()
+            if self._counting:
+                self._c_primary_failed.inc()
         record.endpoint_failed = record.endpoint_failed or endpoint_failed
 
     def note_endpoint_informed(
@@ -129,9 +132,10 @@ class ProtocolMetrics:
         record = self._record(connection_id)
         if record.informed_at is None:
             record.informed_at = time
-            self._c_informed.inc()
-            if record.failed_at is not None:
-                self._h_inform_delay.record(time - record.failed_at)
+            if self._counting:
+                self._c_informed.inc()
+                if record.failed_at is not None:
+                    self._h_inform_delay.record(time - record.failed_at)
 
     def note_activation_sent(
         self, connection_id: int, serial: int, time: float
@@ -140,7 +144,8 @@ class ProtocolMetrics:
         record = self._record(connection_id)
         if serial not in record.attempts:
             record.attempts[serial] = time
-            self._c_activations.inc()
+            if self._counting:
+                self._c_activations.inc()
 
     def note_source_resumed(
         self, connection_id: int, serial: int, time: float
@@ -150,7 +155,8 @@ class ProtocolMetrics:
         record = self._record(connection_id)
         if serial not in record.attempts:
             record.attempts[serial] = time
-            self._c_activations.inc()
+            if self._counting:
+                self._c_activations.inc()
 
     def note_completed(self, connection_id: int, serial: int, time: float) -> None:
         """Record a backup becoming fully active end to end."""
@@ -158,17 +164,19 @@ class ProtocolMetrics:
         if record.recovered_serial is None:
             record.recovered_serial = serial
             record.completed_at = time
-            self._c_recoveries.inc()
-            disruption = record.service_disruption
-            if disruption is not None:
-                self._h_recovery_delay.record(disruption)
+            if self._counting:
+                self._c_recoveries.inc()
+                disruption = record.service_disruption
+                if disruption is not None:
+                    self._h_recovery_delay.record(disruption)
 
     def note_mux_failure(
         self, connection_id: int, channel_id: int, link: LinkId, time: float
     ) -> None:
         """Count a multiplexing failure on ``link``."""
         self.mux_failures += 1
-        self._c_mux_failures.inc()
+        if self._counting:
+            self._c_mux_failures.inc()
         self._record(connection_id).mux_failures += 1
 
     def note_unrecoverable(
@@ -179,21 +187,24 @@ class ProtocolMetrics:
         if not record.unrecoverable:
             record.unrecoverable = True
             self.unrecoverable += 1
-            self._c_unrecoverable.inc()
+            if self._counting:
+                self._c_unrecoverable.inc()
 
     def note_preemption(
         self, connection_id: int, channel_id: int, time: float
     ) -> None:
         """Count a lower-priority backup losing its spare."""
         self.preemptions += 1
-        self._c_preemptions.inc()
+        if self._counting:
+            self._c_preemptions.inc()
 
     def note_rejoined(
         self, connection_id: int, channel_id: int, time: float
     ) -> None:
         """Count a channel healing via the rejoin machinery."""
         self.rejoins += 1
-        self._c_rejoins.inc()
+        if self._counting:
+            self._c_rejoins.inc()
 
     # -- summaries --------------------------------------------------------
     def service_disruptions(self) -> dict[int, float]:

@@ -89,6 +89,14 @@ _ALLOWED: dict[LocalChannelState, frozenset[LocalChannelState]] = (
 )
 
 
+#: ``TRANSITIONS`` keyed by the members' values: a value is a ``str``,
+#: which hashes in C, where an ``Enum`` member hashes in Python.
+_BY_VALUE: dict[tuple[str, str], LocalChannelState] = {
+    (state._value_, event._value_): target
+    for (state, event), target in TRANSITIONS.items()
+}
+
+
 def allowed_transitions() -> dict[LocalChannelState, frozenset[LocalChannelState]]:
     """The event-agnostic closure of ``TRANSITIONS`` (for auditors)."""
     return dict(_ALLOWED)
@@ -143,46 +151,35 @@ class LocalChannelRecord:
     #: spare for it (a multiplexing failure); a rejoin through this node
     #: must re-acquire spare on that link before the channel can heal.
     mux_failed_link: object = None
+    # The record's place on its path: fixed when it is built (nothing
+    # rebinds ``path`` or ``node``), so the hot path reads plain slots.
     #: Position of ``node`` on ``path``.
     index: int = field(init=False, repr=False, compare=False)
+    is_source: bool = field(init=False, repr=False, compare=False)
+    is_destination: bool = field(init=False, repr=False, compare=False)
+    #: Previous / next node along the channel direction, if any.
+    upstream: "NodeId | None" = field(init=False, repr=False, compare=False)
+    downstream: "NodeId | None" = field(init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
+        nodes = self.path.nodes
         try:
-            self.index = self.path.nodes.index(self.node)
+            index = self.index = nodes.index(self.node)
         except ValueError:
             raise ValueError(
                 f"node {self.node!r} is not on the path of channel "
                 f"{self.channel_id}"
             ) from None
-
-    # ------------------------------------------------------------------
-    # topology of the record's position on the path
-    # ------------------------------------------------------------------
-    @property
-    def is_source(self) -> bool:
-        return self.index == 0
-
-    @property
-    def is_destination(self) -> bool:
-        return self.index == len(self.path.nodes) - 1
+        last = len(nodes) - 1
+        self.is_source = index == 0
+        self.is_destination = index == last
+        self.upstream = nodes[index - 1] if index else None
+        self.downstream = nodes[index + 1] if index < last else None
 
     @property
     def is_endpoint(self) -> bool:
         return self.is_source or self.is_destination
-
-    @property
-    def upstream(self) -> "NodeId | None":
-        """Previous node along the channel direction, if any."""
-        if self.is_source:
-            return None
-        return self.path.nodes[self.index - 1]
-
-    @property
-    def downstream(self) -> "NodeId | None":
-        """Next node along the channel direction, if any."""
-        if self.is_destination:
-            return None
-        return self.path.nodes[self.index + 1]
 
     # ------------------------------------------------------------------
     # state machine
@@ -197,7 +194,7 @@ class LocalChannelRecord:
         defined for the current state and lead exactly to ``target``.
         """
         if event is not None:
-            expected = TRANSITIONS.get((self.state, event))
+            expected = _BY_VALUE.get((self.state._value_, event._value_))
             if expected is not target:
                 raise IllegalTransitionError(
                     self.channel_id, self.node, self.state, target
@@ -210,15 +207,25 @@ class LocalChannelRecord:
         if target is not LocalChannelState.UNHEALTHY:
             self.reported = NOTHING_REPORTED
 
+    def has_reported(self, direction: Direction) -> bool:
+        """Whether ``direction`` is in ``reported``, told by identity
+        against the four shared values (no member is hashed)."""
+        reported = self.reported
+        if reported is REPORTED_BOTH:
+            return True
+        if reported is NOTHING_REPORTED:
+            return False
+        return (reported is REPORTED_TO_SOURCE) is (
+            direction is Direction.TO_SOURCE
+        )
+
     def mark_reported(self, direction: Direction) -> None:
         """Add ``direction`` to ``reported``, rebinding it to the shared
         value that holds exactly the directions reported so far."""
-        reported = self.reported
-        if direction in reported:
-            return
-        if reported:
+        if self.reported is NOTHING_REPORTED:
+            self.reported = (
+                REPORTED_TO_SOURCE if direction is Direction.TO_SOURCE
+                else REPORTED_TO_DESTINATION
+            )
+        elif not self.has_reported(direction):
             self.reported = REPORTED_BOTH
-        elif direction is Direction.TO_SOURCE:
-            self.reported = REPORTED_TO_SOURCE
-        else:
-            self.reported = REPORTED_TO_DESTINATION

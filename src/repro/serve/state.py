@@ -40,7 +40,7 @@ import json
 from repro.channels.channel import Channel, ChannelRole
 from repro.channels.qos import DelayQoS, FaultToleranceQoS
 from repro.channels.traffic import TrafficSpec
-from repro.core.bcp import BCPNetwork
+from repro.core.bcp import SPARE_MIRROR_EPSILON, BCPNetwork
 from repro.core.dconnection import ConnectionState, DConnection
 from repro.routing.paths import Path
 
@@ -229,6 +229,42 @@ def _check_ids(
     return channels
 
 
+def _check_paths(
+    network: BCPNetwork, connections: "list[DConnection]", links: list,
+    pools: list,
+) -> None:
+    """Reject a decoded channel whose path steps off the topology, and
+    primary pools the decoded primaries do not account for, before
+    anything is mutated (one pass over the hops).  ``pools`` is what
+    :meth:`~repro.network.reservations.ReservationLedger.check_pools`
+    returned, in ``links`` order.  They are compared as
+    :meth:`BCPNetwork.audit_invariants` compares them: a pool may hold
+    less than the primaries crossing its link carry, never more."""
+    has_link = network.topology.has_link
+    carried: dict = {}
+    for connection in connections:
+        for channel in connection.channels:
+            nodes = channel.path.nodes
+            for src, dst in zip(nodes, nodes[1:]):
+                if not has_link(src, dst):
+                    raise ValueError(
+                        f"snapshot connection {connection.connection_id}: "
+                        f"channel {channel.channel_id} steps over {src!r}->"
+                        f"{dst!r}, which is not a link of the topology"
+                    )
+        bandwidth = connection.traffic.bandwidth
+        for link in connection.primary.path.links:
+            carried[link] = carried.get(link, 0.0) + bandwidth
+    for link, (_, primary, _) in zip(links, pools):
+        crossing = carried.get(link, 0.0)
+        if primary - crossing > SPARE_MIRROR_EPSILON:
+            raise ValueError(
+                f"snapshot primary pool of link {link} holds "
+                f"{primary!r} but the snapshot's connections carry "
+                f"{crossing!r} over it"
+            )
+
+
 def _check_mux_rows(
     snapshot: dict, links: list, channels: "dict[int, Channel]"
 ) -> None:
@@ -298,18 +334,20 @@ def restore_network(network: BCPNetwork, snapshot: dict) -> None:
         )
 
     # 1. Decode and check everything before anything is mutated: the
-    # channel and connection ids, the id counters, every mux row, and
-    # (validate-then-apply, first to write) the reservation pools.
+    # channel and connection ids, the id counters, the reservation pools
+    # (the ledger's own check), every channel's hops and the primary
+    # pools they account for, and every mux row.
     connections = [
         _decode_connection(data) for data in snapshot["connections"]
     ]
     channels = _check_ids(connections, snapshot["counters"])
+    pools = [(pair[0], pair[1]) for pair in snapshot["ledger"]]
+    _check_paths(network, connections, links,
+                 network.ledger.check_pools(pools))
     _check_mux_rows(snapshot, links, channels)
 
     # 2. Reservation pools, verbatim (bumps the ledger version).
-    network.ledger.restore_pools(
-        (pair[0], pair[1]) for pair in snapshot["ledger"]
-    )
+    network.ledger.restore_pools(pools)
 
     # 3. Connections and channels.  Channels register in channel-id order:
     # registration originally happened in allocation order, and the

@@ -65,7 +65,7 @@ class EventHandle:
             self.active = False
             self._callback = self._args = None
             engine = self._engine
-            engine._live -= 1
+            engine._cancelled += 1
             if engine._timed:
                 engine._c_cancelled.inc()
 
@@ -74,13 +74,15 @@ class EventEngine:
     """A discrete-event clock and calendar."""
 
     def __init__(self, metrics: "MetricsRegistry | None" = None) -> None:
-        self._now = 0.0
+        #: Current simulation time: a plain attribute, since every layer
+        #: reads it per message.  The engine's to write.
+        self.now = 0.0
         self._seq = 0
         self._heap: list[tuple[float, int, EventHandle]] = []
         self._events_processed = 0
-        #: Live count of pending events in the calendar, maintained on
-        #: push/fire/cancel so :attr:`pending` is O(1).
-        self._live = 0
+        #: Events cancelled while pending: with ``_seq`` (events pushed)
+        #: and ``_events_processed`` it makes :attr:`pending` O(1).
+        self._cancelled = 0
         self._metrics = metrics if metrics is not None else get_registry()
         #: Whether the registry is a live one.  When it is not, the
         #: instruments below are the shared no-op twins and the hot path
@@ -96,11 +98,6 @@ class EventEngine:
 
     # ------------------------------------------------------------------
     @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
-    @property
     def events_processed(self) -> int:
         """Number of events fired so far (diagnostics)."""
         return self._events_processed
@@ -109,19 +106,19 @@ class EventEngine:
     def pending(self) -> int:
         """Number of non-cancelled events still in the calendar (cancelled
         tombstones awaiting their pop are excluded).  O(1)."""
-        return self._live
+        return self._seq - self._events_processed - self._cancelled
 
     # ------------------------------------------------------------------
     def schedule(
         self, delay: float, callback: Callable[..., None], *args: Any
     ) -> EventHandle:
         """Schedule ``callback(*args)`` to run ``delay`` from now."""
-        time = self._now + delay
+        time = self.now + delay
         # One chained test rejects NaN (every comparison is False), both
         # infinities, a negative delay and a sum that overflowed to inf.
         if not (delay >= 0 and time < inf):
             raise SimulationError(
-                f"cannot schedule {delay!r} from {self._now}: the delay must "
+                f"cannot schedule {delay!r} from {self.now}: the delay must "
                 "be finite and non-negative, the fire time finite"
             )
         return self._push(time, callback, args)
@@ -131,10 +128,10 @@ class EventEngine:
     ) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute ``time``."""
         # NaN would silently corrupt heap ordering; it fails this test too.
-        if not (self._now <= time < inf):
+        if not (self.now <= time < inf):
             raise SimulationError(
                 f"cannot schedule at {time!r}: the time must be finite and "
-                f"not before the clock ({self._now})"
+                f"not before the clock ({self.now})"
             )
         return self._push(time, callback, args)
 
@@ -145,7 +142,6 @@ class EventEngine:
         event = EventHandle(time, callback, args, self)
         heappush(self._heap, (time, self._seq, event))
         self._seq += 1
-        self._live += 1
         if self._timed:
             self._c_scheduled.inc()
             self._g_heap.set(len(self._heap))
@@ -154,8 +150,7 @@ class EventEngine:
     # ------------------------------------------------------------------
     def _fire(self, event: EventHandle) -> None:
         event.active = False
-        self._live -= 1
-        self._now = event.time
+        self.now = event.time
         self._events_processed += 1
         callback, args = event._callback, event._args
         event._callback = event._args = None
@@ -207,11 +202,15 @@ class EventEngine:
                 until = None
         heap = self._heap
         fired = 0
+        # A fire time is finite, so an infinite horizon never stops the
+        # loop and an infinite limit is never reached.
+        horizon = inf if until is None else until
+        limit = inf if max_events is None else max_events
         while heap:
-            if max_events is not None and fired >= max_events:
-                return self._now
+            if fired >= limit:
+                return self.now
             time, _, event = heap[0]
-            if event.active and until is not None and time > until:
+            if event.active and time > horizon:
                 break
             heappop(heap)  # the head: a live event in range, or a tombstone
             if self._timed:
@@ -220,5 +219,5 @@ class EventEngine:
                 self._fire(event)
                 fired += 1
         if until is not None:
-            self._now = max(self._now, until)
-        return self._now
+            self.now = max(self.now, until)
+        return self.now

@@ -237,6 +237,18 @@ class TestMultiplexingEngine:
         assert all(value == 0.0 for value in requirements.values())
         assert engine.spare_required(LinkId(1, 2)) == 0.0
 
+    def test_refused_remove_adds_no_link_state(self):
+        # Node numbers of a 4x4 torus: 0->4->5 and 10->11->15 are paths
+        # of it that share no link.
+        engine = MultiplexingEngine()
+        engine.add_backup(self._backup(0, (0, 4, 5), 1),
+                          self._primary(0, (0, 1, 5)))
+        assert len(engine.link_states()) == 2
+        stranger = self._backup(1, (10, 11, 15), 1)
+        with pytest.raises(KeyError, match=r"backup 1 not on link 10->11"):
+            engine.remove_backup(stranger)
+        assert len(engine.link_states()) == 2
+
     def test_spare_required_unknown_link_is_zero(self):
         assert MultiplexingEngine().spare_required(LinkId(7, 8)) == 0.0
 

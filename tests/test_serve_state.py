@@ -293,6 +293,27 @@ class TestRestoreGuards:
             snapshot["ledger"][3][0] = 1e9
         self.assert_refused_untouched(snapshot, message)
 
+    def test_rejects_a_primary_off_the_topology_and_touches_nothing(self):
+        snapshot = self.four_connection_snapshot()
+        connection = snapshot["connections"][0]
+        assert connection["id"] == 0
+        connection["primary"]["nodes"] = [0, 99, 5]
+        self.assert_refused_untouched(
+            snapshot, r"connection 0: channel \d+ steps over 0->99"
+        )
+
+    def test_rejects_pools_the_primaries_do_not_carry(self):
+        """A primary moved onto another real route leaves its old links'
+        pools holding bandwidth no snapshot connection carries."""
+        snapshot = self.four_connection_snapshot()
+        primary = snapshot["connections"][0]["primary"]
+        assert primary["nodes"] in ([0, 1, 5], [0, 4, 5])
+        primary["nodes"] = [0, 4 if primary["nodes"][1] == 1 else 1, 5]
+        self.assert_refused_untouched(
+            snapshot, r"primary pool of link 0->\d holds .* but the "
+            r"snapshot's connections carry 0.0"
+        )
+
     @staticmethod
     def assert_refused_untouched(snapshot: dict, message: str) -> None:
         target = fresh_network()
