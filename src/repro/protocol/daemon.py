@@ -128,6 +128,18 @@ class BCPDaemon:
     :class:`~repro.sim.timers.WeakCallback`, so they do not hold it either.
     """
 
+    # 33 attributes: past the 30 keys a shared-key instance dict holds.
+    __slots__ = (
+        "node", "runtime", "_engine", "_config", "_metrics", "_failed", "_rcc",
+        "_links", "_topology", "_handlers", "table", "records", "views",
+        "_rejoin_timers", "_probe_timers", "_pending", "_on_rejoin_expiry",
+        "_on_activation_timeout", "_on_probe_tick", "_counting",
+        "_c_detections", "_c_reports", "_c_received", "_c_so_episodes",
+        "_c_so_duplicates", "_c_so_stale", "_c_so_retries", "_c_so_exhausted",
+        "_c_so_demotions", "_c_so_acks", "_c_so_completed", "_c_so_fallbacks",
+        "_log", "__weakref__",
+    )
+
     def __init__(self, node: NodeId, runtime) -> None:
         self.node = node
         self.runtime = weakref.proxy(runtime)

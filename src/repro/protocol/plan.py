@@ -51,8 +51,13 @@ class LazyTable(FilledOnTouch):
     def __len__(self) -> int:
         return len(self._rows)
 
-    # ``dict``'s own would see the built entries only.
-    get = Mapping.get
+    def get(self, key, default=None):
+        # ``dict``'s own would see the built entries only.
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
     keys = Mapping.keys
     items = Mapping.items
     values = Mapping.values

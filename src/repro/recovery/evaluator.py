@@ -24,12 +24,14 @@ Section 7.4.
 A scenario costs time proportional to what it hits, not to the network,
 and is a merge of lookups in the network's
 :class:`~repro.core.plan.NetworkPlan`: the union of
-``primaries_on(component)`` over the failed components is the work list,
+``primaries_on(component)`` over the components the scenario names is the
+work list (a node's list holds every primary on its links),
 ``record(position)`` describes each connection on it, a backup is dead
 iff ``mask & failed`` on integers, and both passes of a draw run inline on
 the flat scenario-local pools.  ``ActivationOrder.PRIORITY`` sorts only
 when ``connections()`` order is not already priority order (on every
-paper network it is).
+paper network it is).  A draw records only what a tally needs (see
+``_BY_CODE``); the per-connection dicts are built when first read.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ _FAST_RECOVERED = ConnectionOutcome.FAST_RECOVERED
 _MUX_FAILURE = ConnectionOutcome.MUX_FAILURE
 _CHANNELS_LOST = ConnectionOutcome.CHANNELS_LOST
 _EXCLUDED = ConnectionOutcome.EXCLUDED
+#: A contender's outcome by its draw code: the serial drawn (FAST_RECOVERED
+#: for any code not here), 0 channels lost, -1 a multiplexing failure.
+_BY_CODE = {0: _CHANNELS_LOST, -1: _MUX_FAILURE}
 
 
 class OutcomeTally(NamedTuple):
@@ -99,7 +104,8 @@ class OutcomeTally(NamedTuple):
 
 @dataclass
 class ScenarioResult:
-    """Outcome of one failure scenario."""
+    """Outcome of one failure scenario.  A drawn one builds ``outcomes``
+    and ``activated_serial`` from its draw's record when first read."""
 
     scenario: FailureScenario
     outcomes: dict[int, ConnectionOutcome] = field(default_factory=dict)
@@ -111,6 +117,22 @@ class ScenarioResult:
     _tally: "OutcomeTally | None" = field(
         default=None, repr=False, compare=False
     )
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: a drawn
+        # result's two dicts, built once from its record.
+        if name not in ("outcomes", "activated_serial") or "_record" not in vars(self):
+            raise AttributeError(name)
+        excluded, contenders, codes = vars(self).pop("_record")
+        outcomes = self.outcomes = dict.fromkeys(
+            [record.connection_id for record in excluded], _EXCLUDED
+        )
+        activated = self.activated_serial = {}
+        for record, code in zip(contenders, codes):
+            outcomes[record.connection_id] = _BY_CODE.get(code, _FAST_RECOVERED)
+            if code > 0:
+                activated[record.connection_id] = code
+        return getattr(self, name)
 
     def tally(self) -> OutcomeTally:
         """Every outcome count at once."""
@@ -272,31 +294,32 @@ class RecoveryEvaluator:
 
     def _evaluate(self, scenario: FailureScenario) -> ScenarioResult:
         topology = self.network.topology
-        for component in (*scenario.failed_nodes, *scenario.failed_links):
+        named = (*scenario.failed_nodes, *scenario.failed_links)
+        for component in named:
             if component not in topology:
                 raise ValueError(
                     f"scenario {scenario} fails {component!r}, which is not "
                     f"a component of {topology.name}"
                 )
-        failed_components = scenario.components(topology)
         plan = self._current_plan()
-        result = ScenarioResult(scenario=scenario)
 
         # The connections whose primary the scenario crosses, in
-        # connections() order.  A failed backup alone does not disrupt
-        # service; it is handled by resource reconfiguration, not here.
+        # connections() order.  A node's list already holds every primary
+        # on its links.  A failed backup alone does not disrupt service; it
+        # is handled by resource reconfiguration, not here.
+        if len(named) == 1:
+            hit = plan.primaries_on(named[0])
+        else:
+            hit = sorted(set().union(*map(plan.primaries_on, named)))
         failed_nodes = scenario.failed_nodes
-        outcomes = result.outcomes
+        excluded: list[ConnectionRecord] = []
         contenders: list[ConnectionRecord] = []
-        for record in map(plan.record, sorted(
-            set().union(*map(plan.primaries_on, failed_components))
-        )):
+        for record in map(plan.record, hit):
             if record.source in failed_nodes or record.destination in failed_nodes:
                 # Unrecoverable by any protocol; excluded (Section 7.2).
-                outcomes[record.connection_id] = _EXCLUDED
+                excluded.append(record)
             else:
                 contenders.append(record)
-        excluded = len(outcomes)
         if self.order is ActivationOrder.RANDOM:
             self._rng.shuffle(contenders)
         elif self.order is ActivationOrder.CONNECTION_ID:
@@ -306,50 +329,50 @@ class RecoveryEvaluator:
 
         # Every record above is compiled, so every component a backup of
         # theirs crosses has its bit by now.
-        failed = plan.space.known(failed_components)
+        failed = plan.space.known(scenario.components(topology))
         # Scenario-local remaining amounts; draws persist within the
         # scenario.
         pools = self._spare_pool.copy()
-        free = self._free_pool.copy()
         fallback = self.free_capacity_fallback
-        activated = result.activated_serial
-        fast = mux = 0
+        free = self._free_pool.copy() if fallback else None
+        codes: list[int] = []
+        code_of = codes.append
         for record in contenders:
             bandwidth = record.bandwidth
-            outcome = _CHANNELS_LOST
+            code = 0
             for serial, mask, links in record.backups:
                 if mask & failed:
                     continue
                 # Atomically draw ``bandwidth`` on every link: check all,
                 # then take all.  In fallback mode a link short on spare
-                # may cover the shortfall from its free capacity.
+                # covers the shortfall from its free capacity.
                 for link in links:
                     available = pools[link]
                     if available + 1e-9 < bandwidth and (
                         not fallback
                         or free[link] + 1e-9 < bandwidth - available
                     ):
-                        outcome = _MUX_FAILURE
+                        code = -1
                         break
                 else:
+                    if fallback:
+                        # The shortfall comes out of free capacity.
+                        for link in links:
+                            if (short := pools[link] - bandwidth) < -1e-9:
+                                free[link] += short
                     for link in links:
                         remaining = pools[link] - bandwidth
-                        if remaining < -1e-9:
-                            free[link] += remaining
-                            remaining = 0.0
                         # max(0.0, remaining) without the call: absorbs
                         # float round-off.
                         pools[link] = remaining if remaining > 0.0 else 0.0
-                    activated[record.connection_id] = serial
-                    outcome = _FAST_RECOVERED
-                    fast += 1
+                    code = serial
                     break
-            if outcome is _MUX_FAILURE:
-                mux += 1
-            outcomes[record.connection_id] = outcome
-        result._tally = OutcomeTally(
-            fast, mux, len(contenders) - fast - mux, excluded
-        )
+            code_of(code)
+        # Not __init__: a drawn result holds its record, not the dicts.
+        result = ScenarioResult.__new__(ScenarioResult)
+        result.scenario, result._record = scenario, (excluded, contenders, codes)
+        lost, mux = codes.count(0), codes.count(-1)
+        result._tally = OutcomeTally(len(codes) - lost - mux, mux, lost, len(excluded))
         return result
 
     def evaluate_many(self, scenarios: Iterable[FailureScenario]) -> RecoveryStats:

@@ -8,6 +8,8 @@ outcomes must agree exactly, and network-wide accounting must line up.
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
@@ -100,6 +102,29 @@ class TestCrossCheck:
             disrupted += len(eval_lost)
         # Some pairs cut a primary and its backup at once.
         assert disrupted
+
+    def test_node_pairs_disagree_where_a_dead_end_node_draws(
+        self, mux1_network
+    ):
+        # Two nodes failing together: all C(16, 2) pairs.  Exactly one
+        # connection of one pair comes out differently, and it is a
+        # contention that only the protocol has: the surviving end-node of
+        # a connection whose other end crashed still sends its backup's
+        # activation, which takes spare up to the dead node, while the
+        # evaluator excludes that connection (Section 7.2) and draws
+        # nothing for it.  For node pair (0, 9) that is 8 -> 0, whose
+        # activation takes a unit of 8->12, where the evaluator's ten
+        # recoverable activations fit the pool of 10 exactly; in the
+        # protocol 5 -> 15 (connection 89) arrives last and mux-fails.
+        disagree = {}
+        for pair in itertools.combinations(range(16), 2):
+            scenario = FailureScenario.of_nodes(pair)
+            proto_rec, proto_lost = protocol_outcomes(mux1_network, scenario)
+            eval_rec, eval_lost = evaluator_outcomes(mux1_network, scenario)
+            assert proto_rec | proto_lost == eval_rec | eval_lost, pair
+            if proto_rec != eval_rec:
+                disagree[pair] = (eval_rec - proto_rec, proto_rec - eval_rec)
+        assert disagree == {(0, 9): ({89}, set())}
 
     def test_full_single_failure_coverage_both_paths(self, mux1_network):
         # The paper's mux=1 guarantee holds under both models.

@@ -134,6 +134,101 @@ def test_matches_full_scan_oracle(kind, seed):
     )
 
 
+def mixed_scenarios(network: BCPNetwork, seed: int) -> list[FailureScenario]:
+    """Scenarios naming more than one kind of component: a node with one
+    of its own incident links, a link with a node at neither of its
+    ends, and two links."""
+    rng = random.Random(seed)
+    topology = network.topology
+    nodes, links = list(topology.nodes()), list(topology.links())
+    scenarios = []
+    for node in rng.sample(nodes, 4):
+        scenarios.append(FailureScenario(
+            failed_nodes=frozenset([node]),
+            failed_links=frozenset([rng.choice(topology.incident_links(node))]),
+        ))
+    for link in rng.sample(links, 4):
+        node = rng.choice([n for n in nodes if n not in (link.src, link.dst)])
+        scenarios.append(FailureScenario(
+            failed_nodes=frozenset([node]), failed_links=frozenset([link]),
+        ))
+    scenarios += [
+        FailureScenario.of_links(rng.sample(links, 2)) for _ in range(6)
+    ]
+    return scenarios
+
+
+@pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mixed_scenarios_match_full_scan_oracle(kind, seed):
+    network = build_network(kind, seed)
+    results = compare_with_oracle(
+        network, mixed_scenarios(network, seed), seed, (None, 1.5)
+    )
+    # Each scenario kind hits somebody; some exclude, some contend.
+    assert all(got.outcomes for got in results[:14])
+    assert any(got.tally().excluded for got in results)
+    assert any(got.tally().mux_failures for got in results)
+
+
+class TestLazyDetail:
+    """A drawn result keeps only its compact record; the per-connection
+    dicts are built when first read, once."""
+
+    def test_evaluate_many_builds_no_per_connection_dict(self, monkeypatch):
+        network = build_network("torus", 0)
+        evaluator = RecoveryEvaluator(network, metrics=NULL_REGISTRY)
+        drawn, builds = [], []
+        real_evaluate = RecoveryEvaluator._evaluate
+        real_build = evaluator_module.ScenarioResult.__getattr__
+
+        def keep(self, scenario):
+            drawn.append(real_evaluate(self, scenario))
+            return drawn[-1]
+
+        def counting_build(self, name):
+            builds.append(name)
+            return real_build(self, name)
+
+        monkeypatch.setattr(RecoveryEvaluator, "_evaluate", keep)
+        monkeypatch.setattr(
+            evaluator_module.ScenarioResult, "__getattr__", counting_build
+        )
+        scenarios = scenarios_for(network, 0)
+        stats = evaluator.evaluate_many(scenarios)
+        assert stats.scenarios == len(drawn) == len(scenarios)
+        assert stats.fast_recovered and stats.mux_failures
+        assert builds == []
+        for result in drawn:
+            assert "outcomes" not in vars(result)
+            assert "activated_serial" not in vars(result)
+        # Read afterwards, the detail is the oracle's.
+        oracle = OracleEvaluator(network)
+        for result, scenario in zip(drawn, scenarios):
+            want = oracle.evaluate(scenario)
+            assert list(result.outcomes.items()) == list(want.outcomes.items())
+            assert list(result.activated_serial.items()) == list(
+                want.activated_serial.items()
+            )
+        assert len(builds) == len(drawn)  # one build per result, not two
+
+    @pytest.mark.parametrize("first", ["outcomes", "activated_serial"])
+    def test_second_read_returns_the_cached_object(self, first):
+        network = build_network("torus", 0)
+        evaluator = RecoveryEvaluator(network, metrics=NULL_REGISTRY)
+        scenario = all_single_node_failures(network.topology)[5]
+        result = evaluator.evaluate(scenario)
+        built = getattr(result, first)
+        assert getattr(result, first) is built
+        outcomes, activated = result.outcomes, result.activated_serial
+        assert result.outcomes is outcomes
+        assert result.activated_serial is activated
+        assert "_record" not in vars(result)
+        assert outcomes and activated
+        with pytest.raises(AttributeError):
+            result.no_such_field
+
+
 # ----------------------------------------------------------------------
 # what a scenario can see, and in what order it activates
 # ----------------------------------------------------------------------

@@ -31,6 +31,7 @@ different instructions.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import subprocess
@@ -49,21 +50,36 @@ def count_opcodes(work) -> Counter:
 
     def on_call(frame, event, arg):
         module = frame.f_globals.get("__name__", "?")
-        frame.f_trace_opcodes = True
-        frame.f_trace_lines = False
 
         def on_opcode(frame, event, arg):
             if event == "opcode":
                 counts[module] += 1
             return on_opcode
 
+        frame.f_trace_opcodes = True
+        frame.f_trace_lines = False
+        # CPython 3.13 counts nothing in a frame whose local tracer is
+        # only returned, not set.
+        frame.f_trace = on_opcode
         return on_opcode
 
+    # CPython 3.12 decides at ``settrace`` whether opcode events exist at
+    # all, and only once some frame has asked for them: without this, a
+    # fresh interpreter's first count was empty.
+    caller = sys._getframe()
+    caller.f_trace_opcodes = True
+    # A collection that fired mid-count would run whatever finalizers the
+    # process's garbage holds, and count them.
+    collecting = gc.isenabled()
+    gc.disable()
     sys.settrace(on_call)
     try:
         work()
     finally:
         sys.settrace(None)
+        caller.f_trace_opcodes = False
+        if collecting:
+            gc.enable()
     return counts
 
 
