@@ -113,9 +113,7 @@ def run_schedule(
     sink = get_trace_sink()
     trace = sink if sink is not None else TraceLog(keep=FLIGHT_ROWS)
     first_row = trace.next_id
-    simulation = ProtocolSimulation(
-        network, config, seed=schedule.seed, trace=trace
-    )
+    simulation = ProtocolSimulation(network, config, trace=trace)
     auditor = InvariantAuditor(simulation)
     auditor.attach()
     engine = simulation.engine

@@ -169,7 +169,7 @@ def _run_stats(args: argparse.Namespace) -> tuple[str, int]:
     qos = FaultToleranceQoS(num_backups=args.backups, mux_degree=args.mux)
     network, _ = load_network(_config(args), qos)
     links = sorted(network.topology.links(), key=str)[:args.failures]
-    simulation = ProtocolSimulation(network, ProtocolConfig(), seed=0)
+    simulation = ProtocolSimulation(network, ProtocolConfig())
     simulation.inject_scenario(FailureScenario.of_links(links), at=1.0)
     # Explicit timed injections on top of (or instead of, with
     # --failures 0) the default scenario.

@@ -17,8 +17,8 @@ from repro.util.validation import check_non_negative, check_positive
 #: hop round trip its ack needs.
 ACK_TIMEOUT_FACTOR = 1.25
 
-#: An RCC frame is resent at most this many times; then the sender gives
-#: it up and declares the link failed.
+#: An RCC frame is resent at most this many times; then the sender drops
+#: it and counts it (``rcc.gave_up``), and concludes nothing from it.
 MAX_RETRANSMISSIONS = 8
 
 #: The source re-probes a failed channel (rejoin-request) at this
@@ -97,9 +97,8 @@ class ProtocolConfig:
 
     Failure detection is not one of them: the paper assumes a detector
     ([HAN97a]) and Section 5.3 assumes it is immediate, so a crash
-    reaches its neighbours at the instant it happens; a dead outgoing
-    link is also declared failed when an RCC frame exhausts
-    :data:`MAX_RETRANSMISSIONS`.
+    reaches its neighbours at the instant it happens, and that notice is
+    the only failure information a daemon gets.
     """
 
     scheme: SwitchingScheme = SwitchingScheme.SCHEME_3

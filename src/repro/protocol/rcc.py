@@ -10,8 +10,11 @@ the original ack was lost).
 
 Acknowledgments ride the *reverse* RCC link as pure-ack frames, which are
 themselves not acknowledged.  Frames are lost when the physical link (or
-either endpoint node) is down, or — to exercise the machinery — with the
-link's own random :attr:`RCCLink.loss_probability`.
+either endpoint node) is down, and only then.  A frame that exhausts its
+retransmission budget is dropped and counted (``gave_up``); the link
+draws no conclusion from it.  Failures are learnt from the neighbour
+notice of the runtime's fault injector alone (Section 5.3 leaves
+detection out of BCP).
 
 A link holds its receiving daemon and its reverse link weakly: the daemon
 sends on links that lead back to this one (the reverse among them), so
@@ -25,14 +28,12 @@ import weakref
 from collections import deque
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
-from random import Random
 
 from repro.network.components import LinkId
-from repro.obs.registry import MetricsRegistry, get_registry
+from repro.obs.registry import MetricsRegistry
 from repro.protocol.config import MAX_RETRANSMISSIONS, ProtocolConfig
 from repro.protocol.messages import ControlMessage, RCCFrame
 from repro.sim.engine import EventEngine, EventHandle
-from repro.util.rng import make_rng
 
 
 @dataclass
@@ -75,7 +76,9 @@ class RCCLink:
     it.  ``receiver`` is what the link delivers to (``receiver.receive(
     message)`` for every message of an arriving frame, in order) and is
     held weakly; whoever builds the link keeps the receiver and the
-    reverse link alive (the runtime owns all of them).
+    reverse link alive (the runtime owns all of them).  ``metrics`` is the
+    registry its transport counters go to (the runtime's, shared by every
+    link).
     """
 
     # Slotted: a simulation builds one per simplex link, and an instance
@@ -83,12 +86,11 @@ class RCCLink:
     __slots__ = (
         "engine", "link", "config", "_per_frame", "_min_interval",
         "_max_delay", "_ack_timeout", "_failed", "_parts", "_receiver",
-        "_seed", "_rng", "stats", "_counting", "_m_messages", "_m_frames",
-        "_m_lost", "_m_retransmissions", "_m_gave_up", "_m_queue_depth",
-        "_m_batch", "_queue", "_next_seq", "_last_tx", "_tx_scheduled",
-        "_pending", "_pending_acks", "_seen_seqs", "_frame_times",
-        "_reverse", "on_give_up", "loss_probability", "on_frame_delivered",
-        "__weakref__",
+        "stats", "_counting", "_m_messages", "_m_frames", "_m_lost",
+        "_m_retransmissions", "_m_gave_up", "_m_queue_depth", "_m_batch",
+        "_queue", "_next_seq", "_last_tx", "_tx_scheduled", "_pending",
+        "_pending_acks", "_seen_seqs", "_frame_times", "_reverse",
+        "on_frame_delivered", "__weakref__",
     )
 
     def __init__(
@@ -98,8 +100,7 @@ class RCCLink:
         config: ProtocolConfig,
         failed: Set,
         receiver,
-        seed: "int | None" = 0,
-        metrics: "MetricsRegistry | None" = None,
+        metrics: MetricsRegistry,
     ) -> None:
         self.engine = engine
         self.link = link
@@ -113,23 +114,18 @@ class RCCLink:
         #: The components whose failure takes the link down.
         self._parts = (link, link.src, link.dst)
         self._receiver = weakref.ref(receiver)
-        #: The loss generator's seed; the generator itself is built on the
-        #: first frame that can be lost, so a loss-free run builds none.
-        self._seed = seed
-        self._rng: "Random | None" = None
         self.stats = RCCStats()
         # Network-wide transport metrics: every RCCLink of a runtime
         # shares these instruments, so they aggregate across links.
-        obs = metrics if metrics is not None else get_registry()
         #: With a no-op registry the instruments are not called at all.
-        self._counting = obs.enabled
-        self._m_messages = obs.counter("rcc.messages_sent")
-        self._m_frames = obs.counter("rcc.frames_sent")
-        self._m_lost = obs.counter("rcc.frames_lost")
-        self._m_retransmissions = obs.counter("rcc.retransmissions")
-        self._m_gave_up = obs.counter("rcc.gave_up")
-        self._m_queue_depth = obs.gauge("rcc.queue_depth")
-        self._m_batch = obs.histogram("rcc.messages_per_frame")
+        self._counting = metrics.enabled
+        self._m_messages = metrics.counter("rcc.messages_sent")
+        self._m_frames = metrics.counter("rcc.frames_sent")
+        self._m_lost = metrics.counter("rcc.frames_lost")
+        self._m_retransmissions = metrics.counter("rcc.retransmissions")
+        self._m_gave_up = metrics.counter("rcc.gave_up")
+        self._m_queue_depth = metrics.gauge("rcc.queue_depth")
+        self._m_batch = metrics.histogram("rcc.messages_per_frame")
 
         self._queue: deque[tuple[float, ControlMessage]] = deque()
         self._next_seq = 0
@@ -142,15 +138,6 @@ class RCCLink:
         #: for the max_message_delay statistic.
         self._frame_times: dict[int, float] = {}
         self._reverse: "Callable[[], RCCLink | None]" = _absent
-        #: Called with the link id when a frame exhausts its retransmission
-        #: budget — the sender-side liveness signal, which every runtime
-        #: wires to its failure handling: it detects dead *outgoing* links,
-        #: which missed incoming traffic cannot reveal.
-        self.on_give_up: "Callable[[LinkId], None] | None" = None
-        #: Probability that a frame launched on this link is lost.  No
-        #: runtime or chaos profile sets it; tests do, to exercise the
-        #: ack/retransmit machinery without component failures.
-        self.loss_probability = 0.0
         #: Delivery observer: called as ``observer(rcc, frame)`` just
         #: before a frame's messages are handed to the daemon (after the
         #: link-health and duplicate checks).  The invariant auditor hangs
@@ -223,13 +210,7 @@ class RCCLink:
         self.stats.frames_sent += 1
         if self._counting:
             self._m_frames.inc()
-        loss = self.loss_probability
-        lost = self._down()
-        if not lost and loss > 0:
-            if self._rng is None:
-                self._rng = make_rng(self._seed)
-            lost = self._rng.random() < loss
-        if lost:
+        if self._down():
             self.stats.frames_lost += 1
             if self._counting:
                 self._m_lost.inc()
@@ -254,8 +235,6 @@ class RCCLink:
             self.stats.gave_up += 1
             if self._counting:
                 self._m_gave_up.inc()
-            if self.on_give_up is not None:
-                self.on_give_up(self.link)
             return
         pending.retries += 1
         self.stats.retransmissions += 1
@@ -274,7 +253,7 @@ class RCCLink:
         """Stop all sender-side activity: a crashed source node transmits
         nothing, so its queued messages, unacked frames, and pending
         retransmit/transmit timers are dropped on the spot (instead of
-        ticking on pointlessly until give-up)."""
+        ticking on pointlessly until their budget runs out)."""
         for pending in self._pending.values():
             if pending.timer is not None:
                 pending.timer.cancel()

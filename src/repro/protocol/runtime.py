@@ -30,15 +30,13 @@ from repro.core.plan import network_plan
 from repro.faults.models import FailureScenario
 from repro.network.components import LinkId, NodeId
 from repro.obs.registry import MetricsRegistry, get_registry, get_trace_sink
-from repro.protocol.config import MAX_RETRANSMISSIONS, ProtocolConfig
+from repro.protocol.config import ProtocolConfig
 from repro.protocol.daemon import BCPDaemon
 from repro.protocol.plan import node_tables
 from repro.protocol.rcc import RCCLink
 from repro.protocol.states import LocalChannelRecord
 from repro.sim.engine import EventEngine
-from repro.sim.timers import WeakCallback
 from repro.sim.trace import TraceLog
-from repro.util.rng import make_rng
 
 
 @dataclass(slots=True)
@@ -232,6 +230,8 @@ class ProtocolSimulation:
 
     #: The per-node agent every node of this runtime runs.
     daemon_class = BCPDaemon
+    #: The control channel every link of this runtime runs.
+    rcc_class = RCCLink
 
     def __init__(
         self,
@@ -243,6 +243,9 @@ class ProtocolSimulation:
     ) -> None:
         self.network = network
         self.config = config or ProtocolConfig()
+        #: The run's seed.  The protocol draws nothing at random, so it
+        #: only names the run; randomness planted on a run seeds from it.
+        self.seed = seed
         #: Metrics registry every layer of this runtime records into
         #: (session default unless one is passed explicitly).
         self.obs = metrics if metrics is not None else get_registry()
@@ -267,29 +270,21 @@ class ProtocolSimulation:
         self.plan = network_plan(network)
         #: node -> what establishment installed there (the plan's own).
         self.tables = node_tables(self.plan, network.topology.nodes())
-        rng = make_rng(seed)
         #: link -> the RCC on it; the daemons send on this very map.
         self._rcc: dict[LinkId, RCCLink] = {}
         self.daemons: dict[NodeId, BCPDaemon] = {
             node: self.daemon_class(node, self)
             for node in network.topology.nodes()
         }
-        # Sender-side liveness is always on: an RCC frame exhausting its
-        # retransmission budget means the link is not delivering, and the
-        # owning daemon must treat the link as failed (the same hand-off a
-        # detected crash takes) rather than silently dropping the messages.
-        on_give_up = WeakCallback(self._on_rcc_give_up)
         for link in network.topology.links():
-            rcc = self._rcc[link] = RCCLink(
+            self._rcc[link] = self.rcc_class(
                 engine=self.engine,
                 link=link,
                 config=self.config,
                 failed=self.failed_components,
                 receiver=self.daemons[link.dst],
-                seed=rng.getrandbits(64),
                 metrics=self.obs,
             )
-            rcc.on_give_up = on_give_up
         for link, rcc in self._rcc.items():
             rcc.reverse = self._rcc.get(link.reversed())
 
@@ -304,33 +299,6 @@ class ProtocolSimulation:
         #: channel be re-activated without new resources.  Filled by
         #: :meth:`_owned` as channels are touched.
         self._owned_links: dict[int, set[LinkId]] = {}
-        #: Links already declared failed via RCC give-up (one declaration
-        #: per outage; cleared on repair).
-        self._suspected_links: set[LinkId] = set()
-
-    def _on_rcc_give_up(self, link: LinkId) -> None:
-        """Sender-side liveness verdict.  An ack-path failure is
-        indistinguishable from a forward failure here, so a single simplex
-        failure makes *both* directions suspected — a real limitation of
-        ack-based detection.  The false suspicion is not safe: the healthy
-        channels on the suspected link switch to their backups although
-        their primary is intact, and under a cascade the two end-nodes can
-        end up on different channels.  Chaos run 56
-        (``tests/test_switchover_regression.py``, ROADMAP item 1) is the
-        counterexample: 0->4 is declared failed because its acks ride the
-        dead 4->0, and connection 0 ends in ``endpoint-disagreement``."""
-        trace = self.trace
-        if trace.active:
-            trace.point("rcc-give-up", link.src, self.engine.now,
-                        link=str(link),
-                        retries=MAX_RETRANSMISSIONS)
-        if not self.node_up(link.src) or link in self._suspected_links:
-            return
-        self._suspected_links.add(link)
-        if trace.active:
-            trace.point("hb-detect", link.src, self.engine.now,
-                        link=str(link), cause="rcc-give-up")
-        self.daemons[link.src].on_component_failure(link)
 
     # ------------------------------------------------------------------
     # health model
@@ -581,12 +549,7 @@ class ProtocolSimulation:
 
     def _apply_repair(self, component) -> None:
         self.failed_components.discard(component)
-        if isinstance(component, LinkId):
-            self._suspected_links.discard(component)
-            self._suspected_links.discard(component.reversed())
-        else:
-            for link in self.network.topology.incident_links(component):
-                self._suspected_links.discard(link)
+        if not isinstance(component, LinkId):
             daemon = self.daemons.get(component)
             if daemon is not None:
                 daemon.on_repaired()
@@ -645,9 +608,10 @@ class ProtocolSimulation:
                     connection=connection_id,
                 )
         # Detection is immediate (Section 5.3): the paper assumes an
-        # external detector ([HAN97a]).  Each neighbour still learns in an
-        # event of its own, queued behind any failure already scheduled
-        # for the same instant.
+        # external detector ([HAN97a]).  This notice is the only one: an
+        # RCC frame that exhausts its resends is dropped, not a verdict.
+        # Each neighbour still learns in an event of its own, queued
+        # behind any failure already scheduled for the same instant.
         for neighbour in self._neighbours_of(component):
             self.engine.schedule(
                 0.0, self.daemons[neighbour].on_component_failure, component
@@ -687,9 +651,8 @@ def simulate_scenario(
     failure_time: float = 1.0,
     horizon: float = 500.0,
 ) -> ProtocolMetrics:
-    """Convenience wrapper: inject one scenario into a fresh seed-0
-    runtime on the session registry, run to ``horizon``, return the
-    metrics."""
+    """Convenience wrapper: inject one scenario into a fresh runtime on
+    the session registry, run to ``horizon``, return the metrics."""
     simulation = ProtocolSimulation(network, config)
     simulation.inject_scenario(scenario, failure_time)
     simulation.run(until=horizon)

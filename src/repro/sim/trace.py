@@ -49,7 +49,7 @@ KINDS = frozenset({
     # the run and the injected faults
     "run", "failure", "repair", "episode", "primary-failed",
     # detection and reporting (§4.1)
-    "detect", "hb-detect", "rcc-give-up", "report-hop", "informed",
+    "detect", "report-hop", "informed",
     # channel switching (§4.2-4.3)
     "activate", "resumed", "recovered", "activation-ack",
     "activation-retry", "activation-stale", "activation-adopt",

@@ -18,8 +18,10 @@ shrinker to reduce it to a few events:
   ``endpoint-disagreement`` violations.
 
 Beside them, :class:`LossySimulation` plants random frame loss on every
-RCC link, and :func:`retransmission_budget` moves the RCC's resend limit:
-fault injection no runtime of ``src/`` turns on.
+RCC link (:class:`LossyLink`), and :func:`retransmission_budget` moves
+the RCC's resend limit: fault injection no runtime of ``src/`` turns on.
+The product's links lose a frame only while the link or an endpoint is
+down.
 
 They live here — not in ``src/`` — so the product has one path and no
 switch that selects a wrong one.  Everything not overridden below is the
@@ -35,12 +37,14 @@ from repro.protocol.messages import (
     Direction,
     FailureReport,
 )
+from repro.protocol.rcc import RCCLink
 from repro.protocol.runtime import ProtocolSimulation
 from repro.protocol.states import (
     ChannelEvent,
     LocalChannelRecord,
     LocalChannelState,
 )
+from repro.util.rng import make_rng
 from tests.protocol_oracle import OracleDaemon, OracleSimulation
 
 
@@ -58,15 +62,50 @@ class DoubleReleaseSimulation(ProtocolSimulation):
             )
 
 
+class LossyLink(RCCLink):
+    """An RCC link that also loses each frame it launches on a live link
+    with probability ``loss``.  Its generator is seeded with ``seed`` and
+    built on the first frame that can be lost, so a loss-free link builds
+    none and a frame on a dead link draws nothing."""
+
+    __slots__ = ("loss", "seed", "_rng")
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.loss = 0.0
+        self.seed = 0
+        self._rng = None
+
+    def _launch(self, frame) -> None:
+        if self.loss > 0 and not self._down():
+            if self._rng is None:
+                self._rng = make_rng(self.seed)
+            if self._rng.random() < self.loss:
+                # Counted as the product counts a frame on a dead link.
+                self.stats.frames_sent += 1
+                self.stats.frames_lost += 1
+                if self._counting:
+                    self._m_frames.inc()
+                    self._m_lost.inc()
+                return
+        super()._launch(frame)
+
+
 class Lossy:
-    """Simulation mixin: every RCC link loses each frame it launches with
-    probability ``loss``.  Each link keeps the seed the runtime drew for
-    it, so a seeded run loses the same frames on every replay."""
+    """Simulation mixin: every RCC link is a :class:`LossyLink` losing
+    frames with probability ``loss``.  The links' seeds are drawn from the
+    run's seed in topology link order, so a seeded run loses the same
+    frames on every replay."""
+
+    rcc_class = LossyLink
 
     def __init__(self, *args, loss: float, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        for rcc in self._rcc.values():
-            rcc.loss_probability = loss
+        rng = make_rng(self.seed)
+        for link in self.network.topology.links():
+            rcc = self._rcc[link]
+            rcc.loss = loss
+            rcc.seed = rng.getrandbits(64)
 
 
 class LossySimulation(Lossy, ProtocolSimulation):
@@ -79,10 +118,8 @@ class LossyOracleSimulation(Lossy, OracleSimulation):
 
 def retransmission_budget(monkeypatch, budget: int) -> None:
     """Resend an unacked RCC frame at most ``budget`` times for the rest
-    of the test, in the RCC link that counts and the runtime that traces
-    the give-up."""
+    of the test."""
     monkeypatch.setattr("repro.protocol.rcc.MAX_RETRANSMISSIONS", budget)
-    monkeypatch.setattr("repro.protocol.runtime.MAX_RETRANSMISSIONS", budget)
 
 
 class UnguardedSwitchover:

@@ -256,8 +256,13 @@ class TestCampaigns:
             for name, value in serial[2]["counters"].items()
         )
 
-    def test_healthy_protocol_passes_clean_campaign(self, chaos_network):
-        schedules = build_campaign(0, 6, chaos_network)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_healthy_protocol_passes_clean_campaign(self, chaos_network,
+                                                    seed):
+        """``repro chaos --campaign-size 200 --seed S``'s campaign (the
+        same network and profiles): its cascades once left the two ends
+        of a connection on different channels."""
+        schedules = build_campaign(seed, 200, chaos_network)
         results = run_campaign(schedules, chaos_network, workers=1)
         summary = campaign_summary(results)
         assert summary["failing_runs"] == 0

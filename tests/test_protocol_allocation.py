@@ -217,7 +217,7 @@ class TestHandleLifetime:
         config = ProtocolConfig()
         receiver = Receiver()
         forward, backward = (
-            RCCLink(engine, link, config, set(), receiver, seed=1,
+            RCCLink(engine, link, config, set(), receiver,
                     metrics=NULL_REGISTRY)
             for link in (LinkId("a", "b"), LinkId("b", "a"))
         )

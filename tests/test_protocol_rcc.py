@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.network import LinkId
+from repro.obs import MetricsRegistry
 from repro.protocol.config import ProtocolConfig, RCCParams
 from repro.protocol.messages import FailureReport, RCCFrame
 from repro.protocol import rcc as rcc_module
-from repro.protocol.rcc import RCCLink
 from repro.sim import EventEngine
+from tests.planted import LossyLink
 
 LINK = LinkId("a", "b")
 BACK = LinkId("b", "a")
@@ -30,11 +31,13 @@ def make_pair(config=None, failed=None, engine=None, loss=0.0):
     config = config or ProtocolConfig()
     failed = failed if failed is not None else set()
     delivered_fwd, delivered_rev = Inbox(), Inbox()
-    forward = RCCLink(engine, LINK, config, failed, delivered_fwd, seed=1)
-    backward = RCCLink(engine, BACK, config, failed, delivered_rev, seed=2)
+    metrics = MetricsRegistry()
+    forward = LossyLink(engine, LINK, config, failed, delivered_fwd, metrics)
+    backward = LossyLink(engine, BACK, config, failed, delivered_rev, metrics)
     forward.reverse = backward
     backward.reverse = forward
-    forward.loss_probability = backward.loss_probability = loss
+    forward.loss = backward.loss = loss
+    forward.seed, backward.seed = 1, 2
     return engine, forward, backward, delivered_fwd, delivered_rev
 
 
@@ -127,44 +130,22 @@ class TestLossAndRetransmission:
         assert forward.stats.gave_up == 1
         assert forward.stats.retransmissions == 3
 
-    def test_give_up_hook_fires_once_per_frame(self, monkeypatch):
-        monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 2)
-        engine, forward, backward, delivered, delivered_rev = make_pair(
-            failed={LINK}
-        )
-        declared = []
-        forward.on_give_up = declared.append
-        forward.send(report(1))
-        forward.send(report(2))  # batches into the same frame
-        engine.run()
-        assert declared == [LINK]
-
-    def test_give_up_fires_once_per_exhausted_frame(self, monkeypatch):
-        # With one message per frame, each queued report exhausts its own
-        # retransmission budget and triggers its own give-up callback.
-        # Deduplicating these into one failure declaration is the
-        # runtime's job (see ProtocolSimulation._on_rcc_give_up), not the
-        # transport's.
+    def test_exhausted_frames_are_dropped_and_counted(self, monkeypatch):
+        # One message per frame: each report exhausts a budget of its
+        # own and is counted once.  The link concludes nothing from it:
+        # nothing is delivered or left pending, and the calendar drains.
         monkeypatch.setattr(rcc_module, "MAX_RETRANSMISSIONS", 1)
         config = ProtocolConfig(rcc=RCCParams(max_messages_per_frame=1))
         engine, forward, backward, delivered, delivered_rev = make_pair(
             config, failed={LINK}
         )
-        declared = []
-        forward.on_give_up = declared.append
         for i in range(3):
             forward.send(report(i))
         engine.run()
-        assert declared == [LINK, LINK, LINK]
+        assert delivered == []
         assert forward.stats.gave_up == 3
-
-    def test_give_up_hook_not_fired_on_success(self):
-        engine, forward, backward, delivered, delivered_rev = make_pair()
-        declared = []
-        forward.on_give_up = declared.append
-        forward.send(report())
-        engine.run()
-        assert declared == []
+        assert not forward._pending
+        assert engine.pending == 0
 
     def test_link_healing_mid_retry_delivers(self):
         failed = {LINK}

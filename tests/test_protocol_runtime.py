@@ -260,54 +260,6 @@ class TestRCCIntegration:
         assert d_fast < d_slow
 
 
-class TestGiveUpDeduplication:
-    """RCC give-up declares a link failure once per outage, not once per
-    frame that exhausts its retransmission budget on that link."""
-
-    @pytest.fixture
-    def make_simulation(self, single_connection, monkeypatch):
-        from repro.obs import MetricsRegistry
-
-        network, connection = single_connection
-        simulation = ProtocolSimulation(network, metrics=MetricsRegistry())
-        link = connection.primary.path.links[1]
-        declared = []
-        # A daemon has slots, not a dict: the hook is patched on its class
-        # and records what link.src's daemon is told; every other daemon
-        # runs the real handler.
-        daemon = simulation.daemons[link.src]
-        real = type(daemon).on_component_failure
-
-        def hook(self, component):
-            if self is daemon:
-                declared.append(component)
-            else:
-                real(self, component)
-
-        monkeypatch.setattr(type(daemon), "on_component_failure", hook)
-        return simulation, link, declared
-
-    def test_repeated_give_ups_declare_once(self, make_simulation):
-        simulation, link, declared = make_simulation
-        for _ in range(3):
-            simulation._on_rcc_give_up(link)
-        assert declared == [link]
-
-    def test_repair_rearms_the_declaration(self, make_simulation):
-        simulation, link, declared = make_simulation
-        simulation._on_rcc_give_up(link)
-        simulation._apply_repair(link)  # clears both directions
-        simulation._on_rcc_give_up(link)
-        assert declared == [link, link]
-
-    def test_down_source_node_suppresses_declaration(self, make_simulation):
-        simulation, link, declared = make_simulation
-        simulation.failed_components.add(link.src)
-        simulation._on_rcc_give_up(link)
-        assert declared == []
-        assert link not in simulation._suspected_links
-
-
 class TestInjectionValidation:
     """``fail`` / ``repair`` / ``inject_scenario`` reject a component the
     topology lacks when it is scheduled — not as a bare ``KeyError`` from

@@ -20,9 +20,11 @@ Each artifact is replayed twice:
 The artifacts' scenarios derive a plain product config: which daemon
 ran is the harness's choice, not a recorded switch.
 
-Two open cascade bugs are pinned as strict xfails: run 56's endpoint
-disagreement (an artifact), and a ring12 run of the ci_smoke lattice
-whose recovered episodes overrun their Γ bound (rebuilt from its cell).
+Run 56 of ``repro chaos --seed 0 --campaign-size 200`` (an artifact)
+is a cascade the product once failed, and must replay clean.  One open
+cascade bug is pinned as a strict xfail: a ring12 run of the ci_smoke
+lattice whose recovered episodes overrun their Γ bound (rebuilt from its
+cell).
 """
 
 from __future__ import annotations
@@ -102,18 +104,12 @@ class TestSwitchoverRaceArtifacts:
         assert result.drained
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="open protocol bug: invariant endpoint-disagreement — after "
-           "three cascading link failures the drained run leaves source 0 "
-           "on channel 1 and destination 8 on channel 0 (ROADMAP, "
-           "cross-path item)",
-)
 def test_cascade_leaves_both_ends_on_one_channel():
     """Run 56 of ``repro chaos --seed 0 --campaign-size 200``, shrunk to
-    three link failures through the product daemon.  Fixing it moves the
-    ``protocol-recovery`` calendar, so it waits for its own issue; until
-    then the strict xfail keeps the artifact reproducing."""
+    three link failures.  The RCC's own give-up verdict once declared
+    0->4 failed because its acks rode the dead 4->0, and the two ends
+    settled on different channels; with the neighbour notice as the only
+    detector both ends agree."""
     payload = load_artifact(RUN56)
     result = replay_artifact(payload)
     assert result.drained
@@ -167,32 +163,36 @@ def test_ring12_cascade_recovers_within_gamma():
     assert [(e.connection_id, e.gamma) for e in episodes.violations()] == []
 
 
-def _flight_of_run56(session_sink: "TraceLog | None") -> tuple[list, int]:
-    """Replay run 56 (after one other run, when there is a session sink);
-    its flight rows, and the first id the run 56 replay could get."""
+def _flight_of_race(session_sink: "TraceLog | None") -> tuple[list, int]:
+    """Replay the first switchover race (after one other run, when there
+    is a session sink); its flight rows, and the first id the race
+    replay could get."""
     with obs_session(MetricsRegistry(), session_sink):
         first_id = 1
         if session_sink is not None:
-            replay_artifact(load_artifact(RACE_ARTIFACTS[0]))
+            replay_artifact(load_artifact(RUN56))
             first_id = session_sink.next_id
-        result = replay_artifact(load_artifact(RUN56))
+        result = replay_artifact(load_artifact(RACE_ARTIFACTS[0]))
     return result.flight["rows"], first_id
 
 
 @pytest.mark.parametrize("shared", [False, True],
                          ids=["no-sink", "session-sink"])
-def test_cascade_flight_recording_carries_its_causal_chain(shared):
-    """The artifact the cascade bug is debugged from: its flight
-    recording holds the episode spans and the steps filed under them —
-    with or without a storing session sink, and only rows of this run."""
-    rows, first_id = _flight_of_run56(TraceLog() if shared else None)
+def test_cascade_flight_recording_carries_its_causal_chain(shared,
+                                                           monkeypatch):
+    """The artifact a cascade bug is debugged from — the switchover race
+    under the unguarded daemon: its flight recording holds the episode
+    spans and the steps filed under them — with or without a storing
+    session sink, and only rows of this run."""
+    plant(monkeypatch, UnguardedSimulation)
+    rows, first_id = _flight_of_race(TraceLog() if shared else None)
     ids = {row["id"] for row in rows}
     episodes = {row["id"] for row in rows if row["kind"] == "episode"}
     assert episodes
     assert any(row["parent"] in episodes for row in rows)
     assert min(ids) >= first_id  # nothing from the earlier run
     # The same rows either way, numbered after whatever came before.
-    alone, _ = _flight_of_run56(None)
+    alone, _ = _flight_of_race(None)
     shift = first_id - 1
     assert [
         {**row, "id": row["id"] - shift,

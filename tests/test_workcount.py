@@ -58,12 +58,12 @@ PINNED = {
     },
     "protocol": {
         "repro.sim.engine": 403_034,
-        "repro.protocol.rcc": 299_737,
-        "repro.protocol.daemon": 258_452,
+        "repro.protocol.rcc": 288_490,
+        "repro.protocol.daemon": 243_522,
         "repro.protocol.plan": 72_912,
-        "repro.protocol.states": 70_038,
-        "repro.sim.timers": 57_630,
-        "repro.protocol.runtime": 53_229,
+        "repro.protocol.states": 68_258,
+        "repro.sim.timers": 56_286,
+        "repro.protocol.runtime": 50_810,
         "repro.protocol.messages": 31_784,
         "repro.util.lazytable": 8_068,
         "repro.util.validation": 6_828,
@@ -74,10 +74,8 @@ PINNED = {
         "repro.protocol.config": 955,
         "repro.core.plan": 894,
         "repro.network.reservations": 594,
-        "random": 56,
         "repro.sim.trace": 34,
         "__main__": 32,
-        "repro.util.rng": 13,
     },
     "evaluator": {
         "repro.recovery.evaluator": 139_173,
