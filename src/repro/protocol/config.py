@@ -10,7 +10,11 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.util.validation import check_non_negative, check_positive
+from repro.util.validation import (
+    check_non_negative_finite,
+    check_positive,
+    check_positive_finite,
+)
 
 #: An unacknowledged RCC frame is resent after
 #: ``ACK_TIMEOUT_FACTOR * 2 * rcc.max_delay`` — a quarter more than the
@@ -82,8 +86,10 @@ class RCCParams:
                 f"max_messages_per_frame must be >= 1, got "
                 f"{self.max_messages_per_frame}"
             )
+        # An infinite rate is no spacing at all (``min_interval`` 0); an
+        # infinite hop delay is no deadline any event could be put at.
         check_positive(self.max_rate, "max_rate")
-        check_positive(self.max_delay, "max_delay")
+        check_positive_finite(self.max_delay, "max_delay")
 
     @property
     def min_interval(self) -> float:
@@ -116,8 +122,10 @@ class ProtocolConfig:
     preemption: bool = False
 
     def __post_init__(self) -> None:
-        check_positive(self.rejoin_timeout, "rejoin_timeout")
-        check_non_negative(
+        # Every rejoin timer is scheduled this far ahead, and an activation
+        # up to ν times the per-degree delay: checked once here.
+        check_positive_finite(self.rejoin_timeout, "rejoin_timeout")
+        check_non_negative_finite(
             self.activation_delay_per_degree, "activation_delay_per_degree"
         )
 

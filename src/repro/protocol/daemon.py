@@ -51,7 +51,8 @@ from repro.protocol.states import (
     LocalChannelState,
 )
 from repro.routing.paths import Path
-from repro.sim.timers import PeriodicTimer, Timeout, WeakCallback
+from repro.sim.engine import EventHandle
+from repro.sim.timers import WeakCallback
 
 
 class _FailureSide(enum.Enum):
@@ -113,7 +114,7 @@ class _PendingActivation:
     backup: BackupInfo
     episode: int
     attempts: int
-    timer: Timeout
+    timer: EventHandle
 
 
 class BCPDaemon:
@@ -124,8 +125,9 @@ class BCPDaemon:
     message — engine, config, metrics, trace, failed-component set, the
     RCC links it sends on, topology — and reaches the runtime itself
     through one weak proxy, for the rarer calls (draws, teardown,
-    episodes).  Its timers call it back through
-    :class:`~repro.sim.timers.WeakCallback`, so they do not hold it either.
+    episodes).  Its timers are plain calendar entries that call it back
+    through :class:`~repro.sim.timers.WeakCallback`, so they do not hold it
+    either.
     """
 
     # 33 attributes: past the 30 keys a shared-key instance dict holds.
@@ -172,13 +174,14 @@ class BCPDaemon:
         self.records: Mapping[int, LocalChannelRecord] = self.table.records()
         #: connection id -> view, for every connection ending here.
         self.views: Mapping[int, EndpointView] = self.table.views()
-        self._rejoin_timers: dict[int, Timeout] = {}
-        self._probe_timers: dict[int, PeriodicTimer] = {}
+        #: channel id -> its latest rejoin deadline / probe tick.
+        self._rejoin_timers: dict[int, EventHandle] = {}
+        self._probe_timers: dict[int, EventHandle] = {}
         #: In-flight switchover handshakes this end-node initiated, keyed
         #: by connection id (at most one per connection).
         self._pending: dict[int, _PendingActivation] = {}
-        # The timer callbacks, made once: every timer of this daemon holds
-        # the same object, and none of them holds the daemon.
+        # The timer callbacks, made once: every timer event of this daemon
+        # holds the same object, and none of them holds the daemon.
         self._on_rejoin_expiry = WeakCallback(self._rejoin_expired)
         self._on_activation_timeout = WeakCallback(self._activation_retry)
         self._on_probe_tick = WeakCallback(self._probe_tick)
@@ -232,15 +235,15 @@ class BCPDaemon:
         return record.downstream
 
     def _start_rejoin_timer(self, record: LocalChannelRecord) -> None:
-        timer = self._rejoin_timers.get(record.channel_id)
-        if timer is None:
-            timer = Timeout(
-                self._engine,
-                self._config.rejoin_timeout,
-                self._on_rejoin_expiry, record.channel_id,
-            )
-            self._rejoin_timers[record.channel_id] = timer
-        timer.start()
+        """(Re)arm the channel's rejoin deadline: the new one is scheduled
+        before the old one is cancelled."""
+        channel_id = record.channel_id
+        timers = self._rejoin_timers
+        old = timers.get(channel_id)
+        timers[channel_id] = self._engine.schedule(
+            self._config.rejoin_timeout, self._on_rejoin_expiry, channel_id)
+        if old is not None:
+            old.cancel()
 
     def _cancel_rejoin_timer(self, channel_id: int) -> None:
         timer = self._rejoin_timers.get(channel_id)
@@ -258,7 +261,7 @@ class BCPDaemon:
         for timer in self._rejoin_timers.values():
             timer.cancel()
         for timer in self._probe_timers.values():
-            timer.stop()
+            timer.cancel()
         for pending in self._pending.values():
             pending.timer.cancel()
         self._pending.clear()
@@ -763,15 +766,13 @@ class BCPDaemon:
     def _arm_pending(self, view: EndpointView, backup: BackupInfo) -> None:
         """Start the ack timer for an activation this end-node just sent."""
         self._cancel_pending(view.connection_id)
-        timer = Timeout(
-            self._engine,
-            SWITCHOVER_ACK_TIMEOUT,
-            self._on_activation_timeout, view.connection_id,
-        )
         self._pending[view.connection_id] = _PendingActivation(
-            backup=backup, episode=view.episode, attempts=0, timer=timer,
+            backup=backup, episode=view.episode, attempts=0,
+            timer=self._engine.schedule(
+                SWITCHOVER_ACK_TIMEOUT, self._on_activation_timeout,
+                view.connection_id,
+            ),
         )
-        timer.start()
 
     def _cancel_pending(self, connection_id: int) -> None:
         pending = self._pending.pop(connection_id, None)
@@ -844,10 +845,11 @@ class BCPDaemon:
                     episode=pending.episode,
                 ),
             )
-        pending.timer.duration = (
-            SWITCHOVER_ACK_TIMEOUT * SWITCHOVER_BACKOFF ** pending.attempts
+        # The expired handle is this event's own: nothing to cancel.
+        pending.timer = self._engine.schedule(
+            SWITCHOVER_ACK_TIMEOUT * SWITCHOVER_BACKOFF ** pending.attempts,
+            self._on_activation_timeout, connection_id,
         )
-        pending.timer.start()
 
     def _exhaust_pending(
         self, view: EndpointView, pending: _PendingActivation
@@ -988,27 +990,25 @@ class BCPDaemon:
 
     # -- rejoin (Section 4.4) ---------------------------------------------
     def _start_probe_timer(self, channel_id: int) -> None:
+        """Start probing every ``REJOIN_PROBE_INTERVAL``, unless the
+        channel's probe already ticks."""
         timer = self._probe_timers.get(channel_id)
-        if timer is None:
-            timer = PeriodicTimer(
-                self._engine,
-                REJOIN_PROBE_INTERVAL,
-                self._on_probe_tick, channel_id,
-            )
-            self._probe_timers[channel_id] = timer
-        if not timer.running:
-            timer.start()
+        if timer is None or not timer.active:
+            self._probe_timers[channel_id] = self._engine.schedule(
+                REJOIN_PROBE_INTERVAL, self._on_probe_tick, channel_id)
 
     def _probe_tick(self, channel_id: int) -> None:
+        # The next tick is scheduled before this one's work, which may
+        # cancel it.
+        timer = self._probe_timers[channel_id] = self._engine.schedule(
+            REJOIN_PROBE_INTERVAL, self._on_probe_tick, channel_id)
         record = self.records.get(channel_id)
         if (
             not self._alive()
             or record is None
             or record.state is not LocalChannelState.UNHEALTHY
         ):
-            timer = self._probe_timers.get(channel_id)
-            if timer is not None:
-                timer.stop()
+            timer.cancel()
             return
         self.start_rejoin_probe(channel_id)
 

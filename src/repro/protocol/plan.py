@@ -140,18 +140,14 @@ class NodeTable:
         # identity first, so the scan stops at the channel itself).
         index = (0 if flat[start] is channel
                  else flat.index(channel, start + 1) - start)
+        serial = channel.serial
         return LocalChannelRecord(
-            channel_id=channel_id,
-            connection_id=channel.connection_id,
-            serial=channel.serial,
-            path=channel.path,
-            node=self.node,
-            mux_degree=self._degrees[position][index],
-            bandwidth=channel.traffic.bandwidth,
+            channel_id, channel.connection_id, serial, channel.path,
+            self.node, self._degrees[position][index],
+            channel.traffic.bandwidth,
             # The installed state, read off the serial: where Fig. 4's
             # ESTABLISH_BACKUP / ESTABLISH_PRIMARY take a new record.
-            state=(LocalChannelState.BACKUP if channel.serial
-                   else LocalChannelState.PRIMARY),
+            LocalChannelState.BACKUP if serial else LocalChannelState.PRIMARY,
         )
 
     def _view(self, connection_id: int) -> EndpointView:

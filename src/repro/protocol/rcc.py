@@ -28,6 +28,7 @@ import weakref
 from collections import deque
 from collections.abc import Callable, Set
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from repro.network.components import LinkId
 from repro.obs.registry import MetricsRegistry
@@ -55,12 +56,17 @@ class RCCStats:
 
 @dataclass(slots=True)
 class _PendingFrame:
-    """An unacknowledged frame.  ``timer`` is dropped the moment the
-    frame is acked, given up on or halted, so nothing outlives it."""
+    """An unacknowledged frame.  Its ``timer`` (its retransmit event) is
+    armed whenever the frame is in ``RCCLink._pending``, and cancelled
+    the moment the frame is acked or halted, so nothing outlives it."""
 
     frame: RCCFrame
     retries: int = 0
     timer: "EventHandle | None" = field(default=None, repr=False)
+
+
+#: A queue entry's message (entries are ``(enqueue time, message)``).
+_message_of = itemgetter(1)
 
 
 def _absent() -> None:
@@ -155,10 +161,6 @@ class RCCLink:
     def reverse(self, link: "RCCLink | None") -> None:
         self._reverse = _absent if link is None else weakref.ref(link)
 
-    def _down(self) -> bool:
-        """Whether the link or either endpoint has failed."""
-        return not self._failed.isdisjoint(self._parts)
-
     # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
@@ -169,11 +171,14 @@ class RCCLink:
         if self._counting:
             self._m_messages.inc()
             self._m_queue_depth.set(len(self._queue))
-        self._schedule_transmission()
+        if self._tx_scheduled is None:
+            self._schedule_transmission()
 
     def _schedule_transmission(self) -> None:
-        if self._tx_scheduled is not None and self._tx_scheduled.active:
-            return
+        """Schedule the next frame at its eligibility time.  Callers check
+        ``_tx_scheduled is None`` first: it holds the pending transmission
+        from here until :meth:`_transmit` fires it or :meth:`halt` cancels
+        it, and is ``None`` otherwise."""
         eligible_at = max(self.engine.now, self._last_tx + self._min_interval)
         self._tx_scheduled = self.engine.schedule_at(eligible_at, self._transmit)
 
@@ -182,26 +187,30 @@ class RCCLink:
         queue, acks = self._queue, self._pending_acks
         if not queue and not acks:
             return
-        now = self.engine.now
-        # Enqueue times never decrease, so the frame's oldest message is
-        # its first.
-        oldest_enqueue = queue[0][0] if queue else now
-        popleft = queue.popleft
-        batch = tuple([popleft()[1]
-                       for _ in range(min(len(queue), self._per_frame))])
         seq = self._next_seq
         self._next_seq = seq + 1
-        frame = RCCFrame(seq, batch, tuple(acks))
+        self._last_tx = self.engine.now
+        if queue:
+            # Enqueue times never decrease, so the frame's oldest message
+            # is its first.
+            self._frame_times[seq] = queue[0][0]
+            if len(queue) <= self._per_frame:
+                batch = tuple(map(_message_of, queue))
+                queue.clear()
+            else:
+                popleft = queue.popleft
+                batch = tuple([popleft()[1] for _ in range(self._per_frame)])
+            frame = RCCFrame(seq, batch, tuple(acks))
+            pending = self._pending[seq] = _PendingFrame(frame)
+            pending.timer = self.engine.schedule(
+                self._ack_timeout, self._retransmit, pending)
+            if self._counting:
+                self._m_batch.record(len(batch))
+        else:
+            frame = RCCFrame(seq, (), tuple(acks))
         acks.clear()
         if self._counting:
             self._m_queue_depth.set(len(queue))
-            if batch:
-                self._m_batch.record(len(batch))
-        self._last_tx = now
-        if batch:
-            pending = self._pending[seq] = _PendingFrame(frame)
-            self._frame_times[seq] = oldest_enqueue
-            self._arm_retransmit(pending)
         self._launch(frame)
         if queue:
             self._schedule_transmission()
@@ -210,7 +219,7 @@ class RCCLink:
         self.stats.frames_sent += 1
         if self._counting:
             self._m_frames.inc()
-        if self._down():
+        if not self._failed.isdisjoint(self._parts):  # the link is down
             self.stats.frames_lost += 1
             if self._counting:
                 self._m_lost.inc()
@@ -220,16 +229,10 @@ class RCCLink:
     # ------------------------------------------------------------------
     # retransmission
     # ------------------------------------------------------------------
-    def _arm_retransmit(self, pending: _PendingFrame) -> None:
-        pending.timer = self.engine.schedule(
-            self._ack_timeout, self._retransmit, pending
-        )
-
     def _retransmit(self, pending: _PendingFrame) -> None:
         if pending.frame.seq not in self._pending:
             return  # acked in the meantime
         if pending.retries >= MAX_RETRANSMISSIONS:
-            pending.timer = None
             del self._pending[pending.frame.seq]
             self._frame_times.pop(pending.frame.seq, None)
             self.stats.gave_up += 1
@@ -240,14 +243,9 @@ class RCCLink:
         self.stats.retransmissions += 1
         if self._counting:
             self._m_retransmissions.inc()
-        self._arm_retransmit(pending)
+        pending.timer = self.engine.schedule(
+            self._ack_timeout, self._retransmit, pending)
         self._launch(pending.frame)
-
-    def _handle_ack(self, seq: int) -> None:
-        pending = self._pending.pop(seq, None)
-        if pending is not None and pending.timer is not None:
-            pending.timer.cancel()
-            pending.timer = None
 
     def halt(self) -> None:
         """Stop all sender-side activity: a crashed source node transmits
@@ -255,9 +253,7 @@ class RCCLink:
         retransmit/transmit timers are dropped on the spot (instead of
         ticking on pointlessly until their budget runs out)."""
         for pending in self._pending.values():
-            if pending.timer is not None:
-                pending.timer.cancel()
-                pending.timer = None
+            pending.timer.cancel()
         self._pending.clear()
         self._frame_times.clear()
         self._queue.clear()
@@ -272,25 +268,31 @@ class RCCLink:
     # receiving (runs at the *destination* node of the link)
     # ------------------------------------------------------------------
     def _arrive(self, frame: RCCFrame) -> None:
-        if self._down():
-            # The link (or an endpoint) died while the frame was in flight.
-            self.stats.frames_lost += 1
-            return
         stats = self.stats
+        if not self._failed.isdisjoint(self._parts):
+            # The link (or an endpoint) died while the frame was in flight.
+            stats.frames_lost += 1
+            if self._counting:
+                self._m_lost.inc()
+            return
         stats.frames_delivered += 1
         # Acks carried by this link acknowledge frames sent on the reverse
         # link (we receive at this link's dst, which sends on the reverse);
         # our ack for this frame rides the reverse too.
         reverse = self._reverse()
         if reverse is not None:
+            unacked = reverse._pending
             for seq in frame.acks:
-                reverse._handle_ack(seq)
+                pending = unacked.pop(seq, None)
+                if pending is not None:
+                    pending.timer.cancel()
         if frame.is_pure_ack:
             return
         if reverse is not None:
             stats.acks_sent += 1
             reverse._pending_acks.append(frame.seq)
-            reverse._schedule_transmission()
+            if reverse._tx_scheduled is None:
+                reverse._schedule_transmission()
         seq = frame.seq
         if seq in self._seen_seqs:
             stats.duplicates_dropped += 1

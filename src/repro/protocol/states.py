@@ -123,7 +123,7 @@ class IllegalTransitionError(Exception):
         )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class LocalChannelRecord:
     """Everything a BCP daemon knows about one channel through its node.
 
@@ -141,37 +141,50 @@ class LocalChannelRecord:
     mux_degree: int
     #: What an activation draws on each link of the path (Mbps).
     bandwidth: float
-    state: LocalChannelState = LocalChannelState.NON_EXISTENT
+    state: LocalChannelState
     #: Reporting dedup: directions in which this node already forwarded a
     #: failure report for the current failure episode.  Never mutated in
     #: place: a write rebinds it to one of the four shared module values
     #: (:meth:`mark_reported`), so no record owns a set.
-    reported: frozenset = NOTHING_REPORTED
+    reported: frozenset
     #: Set when the channel entered U because this node could not draw
     #: spare for it (a multiplexing failure); a rejoin through this node
     #: must re-acquire spare on that link before the channel can heal.
-    mux_failed_link: object = None
+    mux_failed_link: object
     # The record's place on its path: fixed when it is built (nothing
     # rebinds ``path`` or ``node``), so the hot path reads plain slots.
     #: Position of ``node`` on ``path``.
-    index: int = field(init=False, repr=False, compare=False)
-    is_source: bool = field(init=False, repr=False, compare=False)
-    is_destination: bool = field(init=False, repr=False, compare=False)
+    index: int = field(repr=False, compare=False)
+    is_source: bool = field(repr=False, compare=False)
+    is_destination: bool = field(repr=False, compare=False)
     #: Previous / next node along the channel direction, if any.
-    upstream: "NodeId | None" = field(init=False, repr=False, compare=False)
-    downstream: "NodeId | None" = field(init=False, repr=False,
-                                        compare=False)
+    upstream: "NodeId | None" = field(repr=False, compare=False)
+    downstream: "NodeId | None" = field(repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        nodes = self.path.nodes
+    def __init__(
+        self, channel_id: int, connection_id: int, serial: int, path: Path,
+        node: NodeId, mux_degree: int, bandwidth: float,
+        state: LocalChannelState = LocalChannelState.NON_EXISTENT,
+    ) -> None:
+        nodes = path.nodes
         try:
-            index = self.index = nodes.index(self.node)
+            index = nodes.index(node)
         except ValueError:
             raise ValueError(
-                f"node {self.node!r} is not on the path of channel "
-                f"{self.channel_id}"
+                f"node {node!r} is not on the path of channel {channel_id}"
             ) from None
         last = len(nodes) - 1
+        self.channel_id = channel_id
+        self.connection_id = connection_id
+        self.serial = serial
+        self.path = path
+        self.node = node
+        self.mux_degree = mux_degree
+        self.bandwidth = bandwidth
+        self.state = state
+        self.reported = NOTHING_REPORTED
+        self.mux_failed_link = None
+        self.index = index
         self.is_source = index == 0
         self.is_destination = index == last
         self.upstream = nodes[index - 1] if index else None

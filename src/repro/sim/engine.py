@@ -121,7 +121,13 @@ class EventEngine:
                 f"cannot schedule {delay!r} from {self.now}: the delay must "
                 "be finite and non-negative, the fire time finite"
             )
-        return self._push(time, callback, args)
+        event = EventHandle(time, callback, args, self)
+        heappush(self._heap, (time, self._seq, event))
+        self._seq += 1
+        if self._timed:
+            self._c_scheduled.inc()
+            self._g_heap.set(len(self._heap))
+        return event
 
     def schedule_at(
         self, time: float, callback: Callable[..., None], *args: Any
@@ -133,12 +139,6 @@ class EventEngine:
                 f"cannot schedule at {time!r}: the time must be finite and "
                 f"not before the clock ({self.now})"
             )
-        return self._push(time, callback, args)
-
-    def _push(
-        self, time: float, callback: Callable[..., None], args: tuple
-    ) -> EventHandle:
-        """Put one already-validated event on the calendar."""
         event = EventHandle(time, callback, args, self)
         heappush(self._heap, (time, self._seq, event))
         self._seq += 1
@@ -149,6 +149,8 @@ class EventEngine:
 
     # ------------------------------------------------------------------
     def _fire(self, event: EventHandle) -> None:
+        """Fire one popped live event (``step`` and timed ``run``; the
+        untimed ``run`` does the same inline)."""
         event.active = False
         self.now = event.time
         self._events_processed += 1
@@ -177,7 +179,7 @@ class EventEngine:
             event = heappop(heap)[2]
             if self._timed:
                 # The gauge tracks the physical heap (tombstones included),
-                # so every pop moves it — not just pushes in ``_push``.
+                # so every pop moves it — not just pushes.
                 self._g_heap.set(len(heap))
             if event.active:
                 self._fire(event)
@@ -201,6 +203,7 @@ class EventEngine:
             if until == inf:
                 until = None
         heap = self._heap
+        timed = self._timed
         fired = 0
         # A fire time is finite, so an infinite horizon never stops the
         # loop and an infinite limit is never reached.
@@ -213,10 +216,19 @@ class EventEngine:
             if event.active and time > horizon:
                 break
             heappop(heap)  # the head: a live event in range, or a tombstone
-            if self._timed:
+            if timed:
                 self._g_heap.set(len(heap))
-            if event.active:
-                self._fire(event)
+                if event.active:
+                    self._fire(event)
+                    fired += 1
+            elif event.active:
+                # ``_fire``'s untimed half, in this frame.
+                event.active = False
+                self.now = time
+                self._events_processed += 1
+                callback, args = event._callback, event._args
+                event._callback = event._args = None
+                callback(*args)
                 fired += 1
         if until is not None:
             self.now = max(self.now, until)

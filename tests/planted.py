@@ -77,7 +77,7 @@ class LossyLink(RCCLink):
         self._rng = None
 
     def _launch(self, frame) -> None:
-        if self.loss > 0 and not self._down():
+        if self.loss > 0 and self._failed.isdisjoint(self._parts):
             if self._rng is None:
                 self._rng = make_rng(self.seed)
             if self._rng.random() < self.loss:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
@@ -95,3 +97,19 @@ class TestProtocolConfig:
             ProtocolConfig(rejoin_timeout=0.0)
         with pytest.raises(ValueError):
             ProtocolConfig(activation_delay_per_degree=-0.1)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_timer_durations_must_be_finite(self, bad):
+        # Every rejoin timer is scheduled ``rejoin_timeout`` ahead, every
+        # frame ``max_delay`` ahead and an activation ν times the
+        # per-degree delay ahead: a value no event could be put at fails
+        # here, not when the first such event is scheduled mid-run.
+        with pytest.raises(ValueError):
+            ProtocolConfig(rejoin_timeout=bad)
+        with pytest.raises(ValueError):
+            RCCParams(max_delay=bad)
+        with pytest.raises(ValueError):
+            ProtocolConfig(activation_delay_per_degree=bad)
+
+    def test_an_unbounded_rate_spaces_frames_by_nothing(self):
+        assert RCCParams(max_rate=math.inf).min_interval == 0.0

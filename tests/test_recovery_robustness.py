@@ -1,11 +1,13 @@
-"""Robustness regressions: RCC give-ups on a dead link, timer lifecycle
-on node death, and recovery under a lossy control channel."""
+"""Robustness regressions: RCC give-ups on a dead link, the transport
+counters on a flapping link, timer lifecycle on node death, and recovery
+under a lossy control channel."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro import BCPNetwork, FaultToleranceQoS, torus
+from repro.obs import MetricsRegistry
 from repro.protocol import ProtocolSimulation
 from repro.protocol.states import LocalChannelState
 from tests.planted import LossySimulation
@@ -36,6 +38,28 @@ class TestRCCGiveUpDetection:
         assert record.recovered_serial == 1
 
 
+class TestTransportCounters:
+    def test_registry_counts_every_lost_frame(self, single_connection):
+        """A frame can be lost at launch (the link is already down) or in
+        flight (it dies before the frame arrives); the registry's
+        counters and the links' own stats count both the same way."""
+        network, connection = single_connection
+        registry = MetricsRegistry()
+        simulation = ProtocolSimulation(network, seed=0, metrics=registry)
+        link = connection.primary.path.links[1]
+        simulation.fail(link, at=1.0)
+        simulation.repair(link, at=3.0)
+        simulation.fail(link, at=3.5)
+        simulation.fail(2, at=3.6)
+        simulation.run(until=500.0)
+        totals = simulation.rcc_totals()
+        counters = registry.snapshot()["counters"]
+        assert totals["frames_lost"] == 45  # 44 lost at launch, 1 in flight
+        for key in ("frames_sent", "frames_lost", "retransmissions",
+                    "gave_up"):
+            assert counters.get(f"rcc.{key}", 0) == totals[key], key
+
+
 class TestTimerLifecycleOnCrash:
     def test_crash_cancels_pending_rejoin_timers(self, single_connection):
         """A node that dies with rejoin timers pending must disarm them:
@@ -55,7 +79,7 @@ class TestTimerLifecycleOnCrash:
         daemon = simulation.daemons[crashed]
         assert daemon._rejoin_timers
         assert all(
-            not timer.running for timer in daemon._rejoin_timers.values()
+            not handle.active for handle in daemon._rejoin_timers.values()
         )
 
         # Well past the original expiry (1 + rejoin_timeout), the dead

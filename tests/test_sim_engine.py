@@ -6,7 +6,8 @@ import math
 
 import pytest
 
-from repro.sim import EventEngine, PeriodicTimer, SimulationError, Timeout
+from repro.protocol import ProtocolConfig, RCCParams
+from repro.sim import EventEngine, SimulationError
 
 
 class TestEventEngine:
@@ -200,104 +201,154 @@ class TestEventEngine:
         assert engine.now == 0.0
 
 
+def rearm(engine, old, delay, callback, *args):
+    """Restart a timer the way the BCP daemon does: schedule the new
+    deadline first, then cancel the old handle, so a deadline the engine
+    rejects leaves the armed one in place."""
+    handle = engine.schedule(delay, callback, *args)
+    if old is not None:
+        old.cancel()
+    return handle
+
+
 class TestTimeout:
+    """One-shot timers (rejoin deadlines, switchover ack timers) are
+    plain calendar entries: an ``EventHandle`` per deadline."""
+
     def test_fires_after_duration(self):
         engine = EventEngine()
         fired = []
-        timer = Timeout(engine, 3.0, lambda: fired.append(engine.now))
-        timer.start()
+        handle = engine.schedule(3.0, lambda: fired.append(engine.now))
         engine.run()
         assert fired == [3.0]
-        assert not timer.running
+        assert not handle.active
 
     def test_callback_receives_its_arguments_on_every_expiry(self):
         engine = EventEngine()
         fired = []
-        timer = Timeout(engine, 3.0, lambda *args: fired.append(args), 7, "x")
-        timer.start()
-        engine.run()
-        timer.start()
-        engine.run()
+        handle = None
+        for _ in range(2):
+            handle = rearm(engine, handle, 3.0,
+                           lambda *args: fired.append(args), 7, "x")
+            engine.run()
         assert fired == [(7, "x"), (7, "x")]
 
     def test_restart_resets_deadline(self):
         engine = EventEngine()
         fired = []
-        timer = Timeout(engine, 3.0, lambda: fired.append(engine.now))
-        timer.start()
-        engine.schedule(2.0, timer.start)  # restart before expiry
+        timer = {}
+
+        def on_expiry():
+            fired.append(engine.now)
+
+        def restart():
+            timer["handle"] = rearm(engine, timer["handle"], 3.0, on_expiry)
+
+        timer["handle"] = engine.schedule(3.0, on_expiry)
+        engine.schedule(2.0, restart)  # restart before expiry
         engine.run()
         assert fired == [5.0]
 
     def test_cancel(self):
         engine = EventEngine()
         fired = []
-        timer = Timeout(engine, 3.0, lambda: fired.append(1))
-        timer.start()
-        timer.cancel()
+        handle = engine.schedule(3.0, lambda: fired.append(1))
+        handle.cancel()
+        assert not handle.active and engine.pending == 0
         engine.run()
         assert fired == []
 
     def test_cancel_idempotent(self):
-        timer = Timeout(EventEngine(), 1.0, lambda: None)
-        timer.cancel()
-        timer.cancel()
+        engine = EventEngine()
+        handle = engine.schedule(1.0, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert engine.pending == 0
+        engine.run()
+        handle.cancel()  # a fired-and-cancelled handle: still a no-op
+        assert engine.pending == 0 and engine.events_processed == 0
 
     def test_duration_validated(self):
+        # A timer's duration is a config value, checked when it is built.
         with pytest.raises(ValueError):
-            Timeout(EventEngine(), 0.0, lambda: None)
+            ProtocolConfig(rejoin_timeout=0.0)
+        with pytest.raises(ValueError):
+            RCCParams(max_delay=0.0)
 
     def test_restart_from_own_callback_rearms(self):
-        # A retransmission-style timer restarts itself on expiry; the
-        # handle must be cleared before the callback runs so the restart
-        # schedules a fresh event instead of cancelling itself.
+        # A retransmission-style timer restarts itself on expiry: its own
+        # handle is inactive while the callback runs, so the restart's
+        # cancel of it is a no-op and the fresh event stands.
         engine = EventEngine()
         fired = []
+        timer = {}
 
         def on_expiry():
+            assert not timer["handle"].active
             fired.append(engine.now)
             if len(fired) < 3:
-                timer.start()
+                timer["handle"] = rearm(engine, timer["handle"], 2.0,
+                                        on_expiry)
 
-        timer = Timeout(engine, 2.0, on_expiry)
-        timer.start()
+        timer["handle"] = engine.schedule(2.0, on_expiry)
         engine.run()
         assert fired == [2.0, 4.0, 6.0]
-        assert not timer.running
+        assert not timer["handle"].active
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_duration_rejected(self, bad):
-        with pytest.raises(ValueError):
-            Timeout(EventEngine(), bad, lambda: None)
+        engine = EventEngine()
+        with pytest.raises(SimulationError):
+            engine.schedule(bad, lambda: None)
+        assert engine.pending == 0
 
     def test_rejected_restart_keeps_the_armed_deadline(self):
         engine = EventEngine()
         fired = []
-        timer = Timeout(engine, 3.0, lambda: fired.append(engine.now))
-        timer.start()
-        timer.duration = math.inf  # the engine will refuse this deadline
+        handle = engine.schedule(3.0, lambda: fired.append(engine.now))
         with pytest.raises(SimulationError):
-            timer.start()
-        assert timer.running
+            rearm(engine, handle, math.inf, fired.append)
+        assert handle.active
         assert engine.pending == 1
         engine.run()
         assert fired == [3.0]
+
+
+class Ticker:
+    """A periodic timer as the daemon's rejoin probes run: each tick
+    schedules its successor before it does its work."""
+
+    def __init__(self, engine, period, work, *args):
+        self.engine, self.period, self.work, self.args = (
+            engine, period, work, args)
+        self.handle = None
+
+    def start(self):
+        self.handle = rearm(self.engine, self.handle, self.period, self.tick)
+
+    def stop(self):
+        self.handle.cancel()
+
+    def tick(self):
+        self.handle = self.engine.schedule(self.period, self.tick)
+        self.work(*self.args)
 
 
 class TestPeriodicTimer:
     def test_fires_periodically_until_stopped(self):
         engine = EventEngine()
         fired = []
-        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
+        timer = Ticker(engine, 2.0, lambda: fired.append(engine.now))
         timer.start()
         engine.schedule(7.0, timer.stop)
         engine.run()
         assert fired == [2.0, 4.0, 6.0]
+        assert engine.pending == 0
 
     def test_callback_receives_its_arguments_on_every_tick(self):
         engine = EventEngine()
         fired = []
-        timer = PeriodicTimer(
+        timer = Ticker(
             engine, 2.0, lambda *args: fired.append((engine.now, *args)), 7
         )
         timer.start()
@@ -308,7 +359,7 @@ class TestPeriodicTimer:
     def test_restart_replaces_schedule(self):
         engine = EventEngine()
         fired = []
-        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
+        timer = Ticker(engine, 2.0, lambda: fired.append(engine.now))
         timer.start()
         engine.schedule(1.0, timer.start)  # restart at t=1
         engine.schedule(6.0, timer.stop)
@@ -317,19 +368,21 @@ class TestPeriodicTimer:
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_period_rejected(self, bad):
-        with pytest.raises(ValueError):
-            PeriodicTimer(EventEngine(), bad, lambda: None)
+        engine = EventEngine()
+        timer = Ticker(engine, bad, lambda: None)
+        with pytest.raises(SimulationError):
+            timer.start()
+        assert timer.handle is None and engine.pending == 0
 
     def test_rejected_restart_keeps_the_running_schedule(self):
         engine = EventEngine()
         fired = []
-        timer = PeriodicTimer(engine, 2.0, lambda: fired.append(engine.now))
+        timer = Ticker(engine, 2.0, lambda: fired.append(engine.now))
         timer.start()
         timer.period = math.inf  # the engine will refuse this deadline
         with pytest.raises(SimulationError):
             timer.start()
-        assert timer.running and engine.pending == 1
+        assert timer.handle.active and engine.pending == 1
         timer.period = 2.0
         engine.run(until=5.0)
         assert fired == [2.0, 4.0]
-

@@ -57,16 +57,15 @@ PINNED = {
         "importlib._bootstrap": 62,
     },
     "protocol": {
-        "repro.sim.engine": 403_034,
-        "repro.protocol.rcc": 288_490,
-        "repro.protocol.daemon": 243_522,
+        "repro.sim.engine": 348_791,
+        "repro.protocol.daemon": 246_048,
+        "repro.protocol.rcc": 234_866,
         "repro.protocol.plan": 72_912,
-        "repro.protocol.states": 68_258,
-        "repro.sim.timers": 56_286,
+        "repro.protocol.states": 64_496,
         "repro.protocol.runtime": 50_810,
         "repro.protocol.messages": 31_784,
+        "repro.sim.timers": 15_418,
         "repro.util.lazytable": 8_068,
-        "repro.util.validation": 6_828,
         "repro.routing.paths": 4_590,
         "repro.network.components": 1_984,
         "repro.obs.registry": 1_310,
@@ -74,6 +73,7 @@ PINNED = {
         "repro.protocol.config": 955,
         "repro.core.plan": 894,
         "repro.network.reservations": 594,
+        "repro.util.validation": 48,
         "repro.sim.trace": 34,
         "__main__": 32,
     },
