@@ -14,10 +14,8 @@ EXPERIMENTS.md names for it, and three things are held to that one run:
   parses the document; there is no second copy of the numbers);
 * the numbers EXPERIMENTS.md quotes in prose, through ``quoted``.
 
-The two ratio tests at the bottom measure both sides in this process, so
-they need no baseline and cannot go stale; the second is the standing
-evidence for the promoted (``VectorLinkMux``) side of the multiplexing
-engine, which no paper-scale workload reaches.
+The ratio test at the bottom measures both sides in this process, so it
+needs no baseline and cannot go stale.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro import BCPNetwork, FaultToleranceQoS, torus
 from repro.baselines import ReactiveOutcome, evaluate_reactive
 from repro.cli import build_parser, main, run_experiment
 from repro.core.multiplexing import LinkMuxState
-from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.experiments.setup import FAILURE_MODELS
 from repro.experiments.workloads import all_pairs, establish_workload
@@ -609,14 +606,9 @@ def _measure(population: int, operation: str) -> float:
     """Mean latency of one op against a ``population``-entry link.
 
     Primaries are drawn from a 64-path pool: backups of recurring
-    connections share primary routes (the churn steady state), which is
-    the sharing the kernel's per-link distinct-row table factors out.
+    connections share primary routes (the churn steady state).
     """
-    if operation == "vectorized":
-        state = VectorLinkMux(LinkId("x", "y"), OverlapPolicy(),
-                              ComponentArena())
-    else:
-        state = LinkMuxState(LinkId("x", "y"), OverlapPolicy())
+    state = LinkMuxState(LinkId("x", "y"), OverlapPolicy())
     rng = random.Random(7)
     pool = [_random_primary(rng) for _ in range(64)]
     for cid in range(population):
@@ -647,11 +639,3 @@ def test_incremental_beats_naive_at_scale():
     # Allow generous noise; the orders of growth must still separate.
     assert naive_ratio > incremental_ratio * 1.5
 
-
-def test_vectorized_beats_incremental_at_scale():
-    """The kernel's constant factor where the margin is the kernel's, not
-    the runner's: at 3 200 resident backups one vectorized conflict test
-    beats 3 200 per-pair Python tests ~7x (~1x at 400, ~3.5x at 1 600;
-    the per-pair pass skips a resident that cannot conflict after one
-    popcount, which most of these rarely-overlapping primaries are)."""
-    assert _measure(3200, "incremental") > 3 * _measure(3200, "vectorized")

@@ -2,9 +2,8 @@
 
 A package states what it re-exports and from which submodule; a
 submodule is imported when one of its names is first read.  Importing the
-package, or one of its submodules, then no longer imports every sibling —
-which keeps numpy out of every process that neither promotes a link to
-the multiplexing kernel nor evaluates the Markov model.
+package, or one of its submodules, then no longer imports every sibling,
+so a process loads only the modules it uses.
 """
 
 from __future__ import annotations

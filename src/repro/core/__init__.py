@@ -5,8 +5,6 @@
 * :mod:`repro.core.multiplexing` — per-link backup multiplexing state,
   Π/Ψ sets, spare-pool sizing with O(n) incremental maintenance
   (Sections 3.2, 6).
-* :mod:`repro.core.muxkernel` — the vectorized packed-bitset kernel the
-  multiplexing engine promotes densely populated links to.
 * :mod:`repro.core.reliability` — the combinatorial ``P_r`` model and the
   multiplexing-failure bound (Sections 3.1, 3.3).
 * :mod:`repro.core.dconnection` — dependable-connection objects.
@@ -29,7 +27,6 @@ if TYPE_CHECKING:  # for tools; at run time a name is imported on first use
         NegotiationOffer,
     )
     from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
-    from repro.core.muxkernel import ComponentArena, VectorLinkMux
     from repro.core.overlap import (
         OverlapPolicy,
         simultaneous_activation_probability,
@@ -50,8 +47,6 @@ __all__ = [
     "NegotiationOffer",
     "MultiplexingEngine",
     "LinkMuxState",
-    "ComponentArena",
-    "VectorLinkMux",
     "OverlapPolicy",
     "simultaneous_activation_probability",
     "channel_reliability",
@@ -66,7 +61,6 @@ __getattr__ = lazy_exports(__name__, {
         "BatchRequest", "EstablishmentEngine", "NegotiationOffer",
     ),
     "multiplexing": ("LinkMuxState", "MultiplexingEngine"),
-    "muxkernel": ("ComponentArena", "VectorLinkMux"),
     "overlap": (
         "OverlapPolicy",
         "simultaneous_activation_probability",

@@ -33,8 +33,8 @@ fact that differs per link, the backup's requirement there.
 Complexity (Section 6): adding or removing a backup updates a link in
 O(n) pairwise tests by maintaining each entry's requirement incrementally;
 recomputing from scratch would be O(n²).  Both paths exist (the scratch
-recompute doubles as a validation oracle) and the ratio tests of
-``benchmarks/paper`` measure the gap.  Admitting one
+recompute doubles as a validation oracle) and the ratio test of
+``benchmarks/paper`` measures the gap.  Admitting one
 backup costs one such pass per link, not three: the admission preview,
 the commit and the new entry's |Ψ| share :meth:`LinkMuxState._pair_scan`.
 Under the integer test most of a pass is decided by one popcount: a
@@ -45,16 +45,9 @@ comparison, and only the conflicting residents run the full test.  On the
 §7 8×8 torus that is 69.7 % of the pairs an all-pairs build tests at ν=3
 and 92.2 % at ν=6.
 
-Two link-state backends exist and only :class:`MultiplexingEngine` knows
-it: every link starts on the per-pair :class:`LinkMuxState` below, and is
-promoted once, one-way, to the vectorized packed-bitset kernel
-(:class:`~repro.core.muxkernel.VectorLinkMux`) when its resident
-population passes :data:`KERNEL_MIN_POPULATION`.  Both keep the same O(n)
-contract and are property-tested bit-identical, so *when* a link is
-promoted cannot change an output byte.  Exact-``S`` policies, which the
-kernel does not implement, never promote.  The kernel module — and numpy
-with it — is imported by the first promotion, so a process whose links
-all stay below the threshold never loads either.
+Every link runs on :class:`LinkMuxState`: the pure-Python pass above is
+the only multiplexing backend, and the runtime needs nothing beyond the
+standard library.
 """
 
 from __future__ import annotations
@@ -65,31 +58,16 @@ from operator import indexOf
 from repro.channels.channel import Channel, ChannelRole
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network.components import LinkId
-from repro.obs.registry import get_registry
 from repro.routing.paths import Path
 from repro.util.validation import check_positive
-
-#: Resident backups on one link above which the engine promotes it from
-#: :class:`LinkMuxState` to the vectorized kernel.  One preview+add+remove
-#: cycle on one link, kernel vs scalar, in µs (random shortest-path
-#: primaries of the 8×8 torus, ν=3, best of 2 × 9 runs on a shared 2-vCPU
-#: host): n=25 86/13 · 100 96/27 · 200 106/73 · 400 152/135 ·
-#: 800 207/196 · 3200 494/757.  The kernel pays ~90 µs of fixed numpy
-#: overhead per link operation.  The scalar pass skips every resident
-#: that cannot conflict after one popcount, so the kernel only breaks
-#: even at ~800 backups (~500 with the full test per resident, same
-#: measurement); the threshold is not retuned.  The paper's §7 networks (8×8
-#: torus, all pairs) put a median of 73 and at most 110 backups on a link
-#: (263 with double backups), so they run scalar.
-KERNEL_MIN_POPULATION = 256
 
 
 def check_resident(state, channel_ids: list[int]) -> None:
     """Raise ``KeyError`` unless ``state.remove_many(channel_ids)`` would
-    succeed: every id resident and listed once.  Both link-state classes'
-    ``remove_many`` call it before removing anything; the engine calls it
-    once on every link of a teardown before touching any, then removes
-    through the link states' unchecked ``_remove_resident``."""
+    succeed: every id resident and listed once.  ``remove_many`` calls
+    it before removing anything; the engine calls it once on every link
+    of a teardown before touching any, then removes through the link
+    states' unchecked ``_remove_resident``."""
     seen = set()
     for channel_id in channel_ids:
         if channel_id not in state or channel_id in seen:
@@ -506,32 +484,19 @@ class LinkMuxState:
 class MultiplexingEngine:
     """Backup-multiplexing state across all links of a network.
 
-    Owns one link state per link (created lazily), keyed by the channels'
-    paths, and is the only code that knows there are two link-state
-    implementations (see :data:`KERNEL_MIN_POPULATION`).  The engine is
-    pure bookkeeping: the establishment machinery is responsible for
-    mirroring pool sizes into the reservation ledger.
+    Owns one :class:`LinkMuxState` per link (created lazily), keyed by
+    the channels' paths.  The engine is pure bookkeeping: the
+    establishment machinery is responsible for mirroring pool sizes into
+    the reservation ledger.
     """
 
     def __init__(self, policy: OverlapPolicy | None = None) -> None:
         self.policy = policy or OverlapPolicy()
-        #: Engine-wide interners: a primary resolves once per admission
+        #: Engine-wide interner: a primary resolves once per admission
         #: to an integer bitset, which every link the backup crosses
-        #: keeps (scalar links) or keys a packed arena row by (promoted
-        #: links).  The arena is created by the first promotion.
+        #: keeps in its row.
         self._space = ComponentSpace()
-        self._arena = None
         self._links: dict = {}
-        #: What :meth:`_publish_obs` last published, and where.
-        self._obs_registry = None
-        self._obs_health: tuple = ()
-
-    def __getstate__(self) -> dict:
-        # A metrics registry belongs to its process; a pickled engine
-        # (in a pool worker) republishes into whatever registry it finds.
-        state = self.__dict__.copy()
-        state["_obs_registry"] = None
-        return state
 
     def link_state(self, link: LinkId):
         """The (lazily created) multiplexing state of ``link``."""
@@ -565,27 +530,11 @@ class MultiplexingEngine:
 
     # ------------------------------------------------------------------
     def _add(self, link: LinkId, row: BackupRow) -> float:
-        """Register the backup ``row`` describes on one link, promoting
-        the link to the vectorized kernel when this add takes it past
-        :data:`KERNEL_MIN_POPULATION`."""
+        """Register the backup ``row`` describes on one link."""
         state = self._links.get(link)
         if state is None:
             state = self.link_state(link)
-        required = state.add_row(row)
-        if (
-            len(state) > KERNEL_MIN_POPULATION
-            and isinstance(state, LinkMuxState)
-            and not self.policy.exact
-        ):
-            from repro.core.muxkernel import ComponentArena, VectorLinkMux
-
-            if self._arena is None:
-                self._arena = ComponentArena()
-            promoted = VectorLinkMux(link, self.policy, self._arena)
-            promoted.adopt(state.entries(), required)
-            self._links[link] = promoted
-            get_registry().counter("mux.kernel.promotions").inc()
-        return required
+        return state.add_row(row)
 
     def _row(self, backup: Channel, primary: Channel) -> BackupRow:
         """The one row every link of ``backup`` references."""
@@ -594,37 +543,13 @@ class MultiplexingEngine:
             self.primary_mask(primary.path),
         )
 
-    def _publish_obs(self) -> None:
-        """Export interner health into the session registry: gauges
-        ``mux.space.components`` (interned bit positions) and
-        ``mux.space.bytes`` (the packed arena promoted links share; 0
-        until a link has been promoted).  Both move only when an
-        interner grows, so most calls find nothing new and return; a
-        swapped process registry (an obs session started or ended)
-        republishes, since gauges belong to the registry that minted
-        them."""
-        registry = get_registry()
-        health = (
-            len(self._space),
-            self._arena.nbytes if self._arena is not None else 0,
-        )
-        if registry is self._obs_registry and health == self._obs_health:
-            return
-        self._obs_registry = registry
-        self._obs_health = health
-        components, nbytes = health
-        registry.gauge("mux.space.components").set(float(components))
-        registry.gauge("mux.space.bytes").set(float(nbytes))
-
     def add_backup(self, backup: Channel, primary: Channel) -> dict[LinkId, float]:
         """Register ``backup`` on every link of its path; returns the new
         required pool size per link."""
         if backup.role is not ChannelRole.BACKUP:
             raise ValueError(f"channel {backup.channel_id} is not a backup")
         row = self._row(backup, primary)
-        requirements = {link: self._add(link, row) for link in backup.path.links}
-        self._publish_obs()
-        return requirements
+        return {link: self._add(link, row) for link in backup.path.links}
 
     def restore_link(
         self,
@@ -635,8 +560,7 @@ class MultiplexingEngine:
         """Rebuild ``link`` from a snapshot row: ``entries`` holds
         ``(backup, primary, requirement)`` in recorded insertion order.
 
-        Adds are replayed in that order (so the link lands on whichever
-        backend its population selects), then the recorded floats are
+        Adds are replayed in that order, then the recorded floats are
         transplanted over the freshly computed ones — see
         :meth:`LinkMuxState.set_requirements` for why.  A backup whose
         row a link restored earlier holds reuses that row, so a restored
@@ -649,11 +573,11 @@ class MultiplexingEngine:
         )
 
     def _restored_row(self, backup: Channel, primary: Channel) -> BackupRow:
-        """``backup``'s row as a scalar link restored before holds it,
-        else a new one."""
+        """``backup``'s row as a link restored before holds it, else a
+        new one."""
         for link in backup.path.links:
             state = self._links.get(link)
-            if isinstance(state, LinkMuxState) and backup.channel_id in state:
+            if state is not None and backup.channel_id in state:
                 return state.row(backup.channel_id)
         return self._row(backup, primary)
 
@@ -689,12 +613,10 @@ class MultiplexingEngine:
             if state is None:
                 raise KeyError(f"backup {channel_ids[0]} not on link {link}")
             check_resident(state, channel_ids)
-        requirements = {
+        return {
             link: links[link]._remove_resident(channel_ids)
             for link, channel_ids in per_link.items()
         }
-        self._publish_obs()
-        return requirements
 
     def psi_sizes(self, backup: Channel) -> dict[LinkId, int]:
         """|Ψ(B_i, ℓ)| for every link of the backup's path — the inputs of

@@ -224,9 +224,24 @@ class InvariantAuditor:
         if not drained:
             return
         self._check_draw_leaks()
-        self._check_single_active()
-        self._check_soft_state_expired()
+        touched = self._touched_records()
+        self._check_single_active(touched)
+        self._check_soft_state_expired(touched)
         self._check_no_pending_handshakes()
+
+    def _touched_records(self) -> "dict[object, list]":
+        """Each alive node's touched records, read once for both record
+        checks.  The untouched siblings :meth:`_check_single_active`
+        materialises for its count come after this read; they are still
+        as establishment installed them, so none is UNHEALTHY and
+        :meth:`_check_soft_state_expired` loses nothing by not seeing
+        them."""
+        simulation = self.simulation
+        return {
+            node: daemon.records.touched()
+            for node, daemon in simulation.daemons.items()
+            if simulation.node_up(node)
+        }
 
     # -- state-machine table consistency ----------------------------------
     def _check_transition_table(self) -> None:
@@ -304,23 +319,22 @@ class InvariantAuditor:
                     )
 
     # -- at most one active channel per connection ------------------------
-    def _check_single_active(self) -> None:
+    def _check_single_active(self, touched: "dict[object, list]") -> None:
         """At quiescence each alive end-node must consider exactly one
         channel current, and must not host two PRIMARY records for the
         same connection (a transient that is legal mid-activation but a
         switching bug if it persists)."""
-        simulation = self.simulation
-        for node, daemon in simulation.daemons.items():
-            if not simulation.node_up(node):
-                continue
+        daemons = self.simulation.daemons
+        for node, records in touched.items():
+            daemon = daemons[node]
             # A connection's records are contiguous in registration order,
             # so the touched connections come out in that order too; their
             # untouched siblings are read (and materialised) for the count.
-            touched = dict.fromkeys(
-                record.connection_id for record in daemon.records.touched()
+            connections = dict.fromkeys(
+                record.connection_id for record in records
             )
             primaries: dict[int, list[int]] = {}
-            for connection_id in touched:
+            for connection_id in connections:
                 for channel_id in daemon.table.channels_of(connection_id):
                     record = daemon.records[channel_id]
                     if not record.is_endpoint:
@@ -376,15 +390,12 @@ class InvariantAuditor:
                 )
 
     # -- bounded soft state -----------------------------------------------
-    def _check_soft_state_expired(self) -> None:
+    def _check_soft_state_expired(self, touched: "dict[object, list]") -> None:
         """With the event heap drained, no alive node may still hold an
         UNHEALTHY record: its rejoin timer either healed it (B) or expired
         it (N).  An UNHEALTHY survivor means a timer was lost."""
-        simulation = self.simulation
-        for node, daemon in simulation.daemons.items():
-            if not simulation.node_up(node):
-                continue
-            for record in daemon.records.touched():
+        for node, records in touched.items():
+            for record in records:
                 if record.state is LocalChannelState.UNHEALTHY:
                     self.record(
                         "stuck-soft-state", f"channel {record.channel_id}",

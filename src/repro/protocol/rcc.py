@@ -27,7 +27,7 @@ from __future__ import annotations
 import weakref
 from collections import deque
 from collections.abc import Callable, Set
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from repro.network.components import LinkId
@@ -52,17 +52,6 @@ class RCCStats:
     acks_sent: int = 0
     #: Worst message queueing+delivery delay observed on this link.
     max_message_delay: float = 0.0
-
-
-@dataclass(slots=True)
-class _PendingFrame:
-    """An unacknowledged frame.  Its ``timer`` (its retransmit event) is
-    armed whenever the frame is in ``RCCLink._pending``, and cancelled
-    the moment the frame is acked or halted, so nothing outlives it."""
-
-    frame: RCCFrame
-    retries: int = 0
-    timer: "EventHandle | None" = field(default=None, repr=False)
 
 
 #: A queue entry's message (entries are ``(enqueue time, message)``).
@@ -137,7 +126,11 @@ class RCCLink:
         self._next_seq = 0
         self._last_tx = -float("inf")
         self._tx_scheduled: EventHandle | None = None
-        self._pending: dict[int, _PendingFrame] = {}
+        #: An unacknowledged frame is its own retransmit event: sequence
+        #: number -> the pending handle of ``_retransmit(frame, retries)``.
+        #: The ack or :meth:`halt` that pops a handle cancels it, so no
+        #: retransmission fires for a frame that left this map.
+        self._pending: dict[int, EventHandle] = {}
         self._pending_acks: list[int] = []
         self._seen_seqs: set[int] = set()
         #: Enqueue times of the messages in each not-yet-delivered frame,
@@ -201,9 +194,8 @@ class RCCLink:
                 popleft = queue.popleft
                 batch = tuple([popleft()[1] for _ in range(self._per_frame)])
             frame = RCCFrame(seq, batch, tuple(acks))
-            pending = self._pending[seq] = _PendingFrame(frame)
-            pending.timer = self.engine.schedule(
-                self._ack_timeout, self._retransmit, pending)
+            self._pending[seq] = self.engine.schedule(
+                self._ack_timeout, self._retransmit, frame, 0)
             if self._counting:
                 self._m_batch.record(len(batch))
         else:
@@ -229,31 +221,29 @@ class RCCLink:
     # ------------------------------------------------------------------
     # retransmission
     # ------------------------------------------------------------------
-    def _retransmit(self, pending: _PendingFrame) -> None:
-        if pending.frame.seq not in self._pending:
-            return  # acked in the meantime
-        if pending.retries >= MAX_RETRANSMISSIONS:
-            del self._pending[pending.frame.seq]
-            self._frame_times.pop(pending.frame.seq, None)
+    def _retransmit(self, frame: RCCFrame, retries: int) -> None:
+        seq = frame.seq
+        if retries >= MAX_RETRANSMISSIONS:
+            del self._pending[seq]
+            self._frame_times.pop(seq, None)
             self.stats.gave_up += 1
             if self._counting:
                 self._m_gave_up.inc()
             return
-        pending.retries += 1
         self.stats.retransmissions += 1
         if self._counting:
             self._m_retransmissions.inc()
-        pending.timer = self.engine.schedule(
-            self._ack_timeout, self._retransmit, pending)
-        self._launch(pending.frame)
+        self._pending[seq] = self.engine.schedule(
+            self._ack_timeout, self._retransmit, frame, retries + 1)
+        self._launch(frame)
 
     def halt(self) -> None:
         """Stop all sender-side activity: a crashed source node transmits
         nothing, so its queued messages, unacked frames, and pending
         retransmit/transmit timers are dropped on the spot (instead of
         ticking on pointlessly until their budget runs out)."""
-        for pending in self._pending.values():
-            pending.timer.cancel()
+        for handle in self._pending.values():
+            handle.cancel()
         self._pending.clear()
         self._frame_times.clear()
         self._queue.clear()
@@ -283,9 +273,9 @@ class RCCLink:
         if reverse is not None:
             unacked = reverse._pending
             for seq in frame.acks:
-                pending = unacked.pop(seq, None)
-                if pending is not None:
-                    pending.timer.cancel()
+                handle = unacked.pop(seq, None)
+                if handle is not None:
+                    handle.cancel()
         if frame.is_pure_ack:
             return
         if reverse is not None:

@@ -2,10 +2,10 @@
 
 The batch CLI re-admits the world on every invocation; :mod:`repro.serve`
 keeps one :class:`~repro.core.bcp.BCPNetwork` — its compiled flat views,
-route caches, mux-kernel arena, and reservation ledger — warm across
-requests and exposes establish/teardown/audit/recovery-query operations
-over a line-delimited JSON protocol (:mod:`repro.serve.protocol`) on a
-Unix or TCP socket.
+route caches, per-link multiplexing state, and reservation ledger — warm
+across requests and exposes establish/teardown/audit/recovery-query
+operations over a line-delimited JSON protocol (:mod:`repro.serve.protocol`)
+on a Unix or TCP socket.
 
 * :mod:`repro.serve.server` — the single-threaded
   :class:`~repro.serve.server.AdmissionServer`; recovery queries run

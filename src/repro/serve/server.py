@@ -2,8 +2,8 @@
 
 One :class:`AdmissionServer` owns one warm
 :class:`~repro.core.bcp.BCPNetwork` for the lifetime of the process:
-compiled flat views, route-cache floor tables, the mux-kernel arena, and
-the reservation ledger all persist across requests instead of being
+compiled flat views, route-cache floor tables, the per-link multiplexing
+state, and the reservation ledger all persist across requests instead of being
 rebuilt per CLI invocation.  Requests arrive over the line-delimited
 JSON protocol of :mod:`repro.serve.protocol`; recovery queries are
 answered in-process from the warm network's compiled plan

@@ -7,6 +7,11 @@ used to take the primary's component *frozenset* and intern it itself,
 memoised per set.  This module is that version, kept verbatim apart from
 its names, so ``tests/test_mux_differential.py`` can hold the mask path
 to it float for float.
+
+:func:`plant_kernel` makes every link an engine creates the vectorized
+:class:`~repro.core.muxkernel.VectorLinkMux` instead, so the tests that
+hold the kernel to the scalar pass can drive it through a whole network
+while the kernel module stays in ``src/``.
 """
 
 from __future__ import annotations
@@ -14,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
+from repro.core.multiplexing import BackupRow, MultiplexingEngine
+from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import OverlapPolicy
 from repro.network.components import LinkId
 from repro.util.validation import check_positive
@@ -371,3 +378,31 @@ class FrozensetLinkMuxState:
                 (other.requirement for other in entries.values()), default=0.0
             )
         return self._spare_required
+
+
+class PlantedKernel(VectorLinkMux):
+    """The vectorized kernel as a planted link state.  A restore reads a
+    backup's row from a link that holds it; the kernel keeps columns, so
+    :meth:`row` rebuilds the row from them."""
+
+    def row(self, channel_id: int) -> BackupRow:
+        entry = self.entry(channel_id)
+        return BackupRow(
+            channel_id, entry.bandwidth, entry.mux_degree, entry.mask
+        )
+
+
+def _kernel_link_state(engine: MultiplexingEngine, link: LinkId):
+    """:meth:`MultiplexingEngine.link_state`, creating a
+    :class:`PlantedKernel` (an engine's links share one arena)."""
+    state = engine._links.get(link)
+    if state is None:
+        arena = vars(engine).setdefault("_kernel_arena", ComponentArena())
+        state = engine._links[link] = PlantedKernel(link, engine.policy, arena)
+    return state
+
+
+def plant_kernel(monkeypatch) -> None:
+    """Until ``monkeypatch`` undoes it, every link a multiplexing engine
+    creates is a :class:`PlantedKernel`."""
+    monkeypatch.setattr(MultiplexingEngine, "link_state", _kernel_link_state)

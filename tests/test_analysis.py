@@ -20,7 +20,7 @@ from repro.core.reliability import pr_single_backup
 class TestMarkovModel:
     def test_generator_rows_sum_to_zero(self):
         model = DConnectionMarkovModel(0.02, 0.03, 0.005, repair_rate=1.0)
-        assert np.allclose(model.generator.sum(axis=1), 0.0)
+        assert np.allclose(np.array(model.generator).sum(axis=1), 0.0)
 
     def test_reliability_at_zero_is_one(self):
         model = DConnectionMarkovModel(0.02, 0.03)
@@ -84,7 +84,7 @@ class TestMarkovModel:
                  1e300, 1.7976931348623157e308]
         previous = 1.0
         for t in times:
-            probabilities = model.state_probabilities(t)
+            probabilities = np.array(model.state_probabilities(t))
             assert ((probabilities >= 0.0) & (probabilities <= 1.0)).all()
             assert probabilities.sum() == pytest.approx(1.0, abs=1e-12)
             reliability = model.reliability(t)
@@ -117,8 +117,9 @@ class TestMarkovModel:
             generator = DConnectionMarkovModel(
                 lam1, lam2, shared * min(lam1, lam2), mu
             ).generator
-            ours = _transition_matrix(generator, t)
-            worst = max(worst, abs(ours - linalg.expm(generator * t)).max())
+            ours = np.array(_transition_matrix(generator, t))
+            reference = linalg.expm(np.array(generator) * t)
+            worst = max(worst, abs(ours - reference).max())
             assert abs(ours.sum(axis=1) - 1.0).max() <= 1e-12
             assert ours.min() >= 0.0 and ours.max() <= 1.0
         assert worst <= 1e-12

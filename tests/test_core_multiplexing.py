@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
 
 from repro.channels import Channel, ChannelRole, TrafficSpec
-from repro.core import multiplexing
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
 from repro.core.overlap import ComponentSpace, OverlapPolicy
 from repro.network import LinkId
-from repro.obs import obs_session
 from repro.routing import Path
 from tests.mux_oracle import FrozensetLinkMuxState
 
@@ -290,15 +287,12 @@ class TestEngineOverlapCache:
         # Two backups sharing two links: each primary is interned once in
         # the engine-wide space (5 distinct components each, sharing node
         # 4), and every link entry of a backup holds that one int.
-        with obs_session() as registry:
-            engine = MultiplexingEngine()
-            engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
-                             self._primary(0, (1, 8, 4)))
-            engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
-                             self._primary(1, (0, 9, 4)))
-            gauges = registry.snapshot()["gauges"]
-        assert gauges["mux.space.components"]["value"] == 9
-        assert "mux.space.rows" not in gauges
+        engine = MultiplexingEngine()
+        engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
+                         self._primary(0, (1, 8, 4)))
+        engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
+                         self._primary(1, (0, 9, 4)))
+        assert len(engine._space) == 9
         for channel_id, links in ((0, [(1, 2), (2, 3), (3, 4)]),
                                   (1, [(0, 2), (2, 3), (3, 4)])):
             masks = [engine.link_state(LinkId(*link)).entry(channel_id).mask
@@ -313,26 +307,6 @@ class TestEngineOverlapCache:
         assert mask.bit_count() == path.component_count(False) == 5
         # Sharing only the endpoints is sharing nothing.
         assert mask & engine.primary_mask(Path((1, 7, 4))) == 0
-
-    def test_kernel_interns_into_shared_arena(self, monkeypatch):
-        # The promoted twin of the test above: with the promotion
-        # threshold at zero every link moves to the kernel on its first
-        # backup, and all of them intern into one shared arena.
-        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
-        with obs_session() as registry:
-            engine = MultiplexingEngine()
-            engine.add_backup(self._backup(0, (1, 2, 3, 4), 3),
-                             self._primary(0, (1, 8, 4)))
-            engine.add_backup(self._backup(1, (0, 2, 3, 4), 3),
-                             self._primary(1, (0, 9, 4)))
-            counters = registry.snapshot()["counters"]
-        states = engine.link_states()
-        assert counters["mux.kernel.promotions"] == len(states) == 4
-        arenas = {id(state.arena) for state in states.values()}
-        assert len(arenas) == 1
-        arena = states[LinkId(2, 3)].arena
-        assert len(arena) == 2
-        assert len(engine._space) == 9
 
     def test_masks_agree_with_set_intersections(self):
         # The popcount pair test must size pools exactly as explicit set
@@ -508,43 +482,6 @@ class TestPairScanMemo:
         assert engine.link_state(far).preview_add(*candidate) == 1.0
         assert engine.link_state(far).add(1, *candidate) == 1.0
         assert engine.link_state(near).add(1, *candidate) == 2.0
-
-    def test_memoised_preview_then_promoting_add(self, monkeypatch):
-        """The add that crosses ``KERNEL_MIN_POPULATION`` consumes its
-        own preview's scan; promotion then adopts exactly those floats."""
-        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 6)
-        rng = random.Random(4)
-        engine = MultiplexingEngine()
-        twin = state()
-        kinds = []
-        for cid in range(12):
-            nodes = rng.sample(range(10), 4)
-            primary = Channel(
-                channel_id=1000 + cid, connection_id=cid,
-                role=ChannelRole.PRIMARY, serial=0, path=Path(nodes),
-                traffic=TrafficSpec(),
-            )
-            backup = Channel(
-                channel_id=cid, connection_id=cid, role=ChannelRole.BACKUP,
-                serial=1, path=Path([LINK.src, LINK.dst]),
-                traffic=TrafficSpec(bandwidth=rng.choice(self.BANDWIDTHS)),
-                mux_degree=rng.choice(self.DEGREES),
-            )
-            mask = engine.primary_mask(primary.path)
-            predicted = engine.link_state(LINK).preview_add(
-                backup.bandwidth, backup.mux_degree, mask
-            )
-            grown = engine.add_backup(backup, primary)[LINK]
-            assert predicted == grown == twin.add(
-                cid, backup.bandwidth, backup.mux_degree, mask
-            )
-            live = engine.link_state(LINK)
-            kinds.append(type(live).__name__)
-            assert engine.psi_sizes(backup)[LINK] == twin.psi_size(cid)
-            assert [
-                (e.channel_id, e.requirement) for e in live.entries()
-            ] == [(e.channel_id, e.requirement) for e in twin.entries()]
-        assert kinds[5] == "LinkMuxState" and kinds[6] == "VectorLinkMux"
 
 
 class TestLazyPoolMaximum:
@@ -754,63 +691,3 @@ class TestSharedRows:
             rows = [restored.link_state(link).row(backup.channel_id)
                     for link in backup.path.links]
             assert all(row is rows[0] for row in rows)
-
-
-class TestPublishOnChange:
-    def _pair(self, cid, nodes, primary_nodes):
-        backup = Channel(
-            channel_id=cid, connection_id=cid, role=ChannelRole.BACKUP,
-            serial=1, path=Path(nodes), traffic=TrafficSpec(), mux_degree=3,
-        )
-        primary = Channel(
-            channel_id=cid + 1000, connection_id=cid,
-            role=ChannelRole.PRIMARY, serial=0, path=Path(primary_nodes),
-            traffic=TrafficSpec(),
-        )
-        return backup, primary
-
-    def test_gauges_follow_registry_swaps_and_interner_growth(self):
-        engine = MultiplexingEngine()
-        first = self._pair(0, (1, 2, 3), (1, 8, 3))
-        second = self._pair(1, (1, 2, 3), (1, 9, 3))
-        with obs_session() as outer:
-            engine.add_backup(*first)
-            gauges = outer.snapshot()["gauges"]
-            assert gauges["mux.space.components"]["value"] == 5
-            assert gauges["mux.space.bytes"]["value"] == 0
-            with obs_session() as inner:
-                # Nothing grew, but this registry has never been told.
-                engine.remove_backup(first[0])
-                engine.add_backup(*first)
-                gauges = inner.snapshot()["gauges"]
-                assert gauges["mux.space.components"]["value"] == 5
-            engine.add_backup(*second)           # interner grew
-            gauges = outer.snapshot()["gauges"]
-            assert gauges["mux.space.components"]["value"] == 8
-
-    def test_steady_state_skips_the_gauge_lookups(self, monkeypatch):
-        engine = MultiplexingEngine()
-        backup, primary = self._pair(0, (1, 2, 3), (1, 8, 3))
-        with obs_session() as registry:
-            engine.add_backup(backup, primary)
-            lookups = []
-            original = registry.gauge
-            monkeypatch.setattr(
-                registry, "gauge",
-                lambda name: lookups.append(name) or original(name),
-            )
-            for _ in range(5):
-                engine.remove_backup(backup)
-                engine.add_backup(backup, primary)
-            engine.remove_backup(backup)
-            # A new primary made of interned components grows nothing.
-            engine.add_backup(*self._pair(1, (1, 2, 3), (1, 8)))
-            assert lookups == []
-
-    def test_pickled_engine_forgets_the_registry(self):
-        engine = MultiplexingEngine()
-        with obs_session():
-            engine.add_backup(*self._pair(0, (1, 2, 3), (1, 8, 3)))
-            clone = pickle.loads(pickle.dumps(engine))
-        assert clone._obs_registry is None
-        assert clone.spare_required(LinkId(1, 2)) == 1.0

@@ -32,10 +32,9 @@ _PRELUDE = textwrap.dedent("""
 
 #: All pairs on the 4x4 torus at ν=3, then one pass through every layer a
 #: paper-scale run touches: evaluator, protocol simulation, snapshot and
-#: restore.  ``sys.argv[1]`` overrides the kernel promotion threshold.
+#: restore.
 _WORKLOAD = _PRELUDE + textwrap.dedent("""
     from repro.channels.qos import FaultToleranceQoS
-    from repro.core import multiplexing
     from repro.core.bcp import BCPNetwork
     from repro.experiments.setup import load_network
     from repro.faults.enumerate import all_single_link_failures
@@ -45,10 +44,8 @@ _WORKLOAD = _PRELUDE + textwrap.dedent("""
     from repro.recovery.evaluator import RecoveryEvaluator
     from repro.serve.state import restore_network, snapshot_network
 
-    if len(sys.argv) > 1:
-        multiplexing.KERNEL_MIN_POPULATION = int(sys.argv[1])
     config = TopologySpec(rows=4, cols=4)
-    with obs_session() as registry:
+    with obs_session():
         network, report = load_network(
             config, FaultToleranceQoS(num_backups=1, mux_degree=3))
         scenarios = all_single_link_failures(network.topology)
@@ -59,14 +56,12 @@ _WORKLOAD = _PRELUDE + textwrap.dedent("""
         snapshot = snapshot_network(network)
         restored = BCPNetwork(config.build())
         restore_network(restored, snapshot)
-        counters = registry.snapshot()["counters"]
     assert snapshot_network(restored) == snapshot
     print(json.dumps({
         "heavy": heavy(),
         "established": report.established,
         "scenarios": stats.scenarios,
         "recovered": simulation.metrics.recovered_count(),
-        "promotions": counters.get("mux.kernel.promotions", 0),
         "spare_fraction": network.spare_fraction().hex(),
         "restored_spare_fraction": restored.spare_fraction().hex(),
     }))
@@ -124,27 +119,59 @@ def test_experiment_setup_loads_no_protocol_chaos_or_scenario():
     assert run_fresh(script) == []
 
 
-@pytest.fixture(scope="module")
-def scalar_run() -> dict:
-    """The workload at the shipped promotion threshold."""
-    return run_fresh(_WORKLOAD)
+def test_paper_scale_layers_never_load_numpy():
+    run = run_fresh(_WORKLOAD)
+    assert run["established"] == 240 and run["scenarios"] == 64
+    assert run["recovered"] > 0
+    assert run["heavy"] == []
+    assert run["restored_spare_fraction"] == run["spare_fraction"]
 
 
-def test_paper_scale_layers_never_load_numpy(scalar_run):
-    assert scalar_run["established"] == 240 and scalar_run["scenarios"] == 64
-    assert scalar_run["recovered"] > 0
-    assert scalar_run["promotions"] == 0
-    assert scalar_run["heavy"] == []
+def test_dense_links_run_the_scalar_pass_without_numpy():
+    """All pairs on a 32-node ring put 360-376 backups on every link,
+    past the 256 at which links were once moved to a numpy kernel: the
+    build loads no numpy, every link stays a ``LinkMuxState``, and the
+    spare fraction is the bits the kernel-promoting build produced."""
+    script = _PRELUDE + textwrap.dedent("""
+        from repro.channels.qos import FaultToleranceQoS
+        from repro.experiments.setup import load_network
+        from repro.network.spec import TopologySpec
+
+        network, report = load_network(
+            TopologySpec(family="ring", size=32, capacity=1e6),
+            FaultToleranceQoS(num_backups=1, mux_degree=1))
+        states = network.mux.link_states().values()
+        print(json.dumps({
+            "heavy": heavy(),
+            "established": report.established,
+            "smallest": min(len(state) for state in states),
+            "kinds": sorted({type(state).__name__ for state in states}),
+            "spare_fraction": network.spare_fraction().hex(),
+        }))
+    """)
+    run = run_fresh(script)
+    assert run["established"] == 992 and run["smallest"] == 360
+    assert run["kinds"] == ["LinkMuxState"]
+    assert run["heavy"] == []
+    assert run["spare_fraction"] == "0x1.4b4070329802cp-12"
 
 
-def test_first_promotion_loads_numpy_and_changes_no_bit(scalar_run):
-    promoted = run_fresh(_WORKLOAD, "4")
-    assert promoted["promotions"] > 0
-    assert promoted["heavy"] == ["numpy"]
-    for key in ("established", "scenarios", "recovered", "spare_fraction",
-                "restored_spare_fraction"):
-        assert promoted[key] == scalar_run[key], key
-    assert promoted["restored_spare_fraction"] == promoted["spare_fraction"]
+def test_markov_reliability_command_loads_no_numerics():
+    """The one command that once needed numpy, the Markov model
+    comparison of ``repro reliability``, runs on the standard library."""
+    script = _PRELUDE + textwrap.dedent("""
+        import contextlib
+        import io
+
+        from repro.cli import main
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = main(["reliability", "--rows", "4", "--cols", "4"])
+        print(json.dumps({"heavy": heavy(), "status": status}))
+    """)
+    run = run_fresh(script)
+    assert run["status"] in (0, None)
+    assert run["heavy"] == []
 
 
 @pytest.mark.parametrize("package", ["repro.core", "repro.analysis"])

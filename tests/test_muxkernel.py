@@ -1,13 +1,13 @@
-"""Property and golden tests for the two multiplexing backends.
+"""Property and golden tests: the vectorized kernel against the scalar pass.
 
-Every test here drives the vectorized
-:class:`~repro.core.muxkernel.VectorLinkMux` and the per-pair
-:class:`~repro.core.multiplexing.LinkMuxState` (constructed directly,
-or reached through a :class:`MultiplexingEngine` whose promotion
-threshold the test patches) through identical op sequences and demands
-*bit-identical* results — ``==`` on floats, never ``pytest.approx``.
-That identity is what lets the engine choose a link's backend from its
-population without the choice ever showing in an output.
+Every link of a running program is a
+:class:`~repro.core.multiplexing.LinkMuxState`.
+:class:`~repro.core.muxkernel.VectorLinkMux` stays in ``src/`` only
+because the frozen ``benchmarks/e2e/layers.py`` names it; until it goes,
+every test here drives it and the per-pair state (constructed directly,
+or planted as every link of a :class:`MultiplexingEngine`) through
+identical op sequences and demands *bit-identical* results — ``==`` on
+floats, never ``pytest.approx``.
 """
 
 from __future__ import annotations
@@ -19,20 +19,17 @@ import pytest
 from repro import BCPNetwork, FaultToleranceQoS
 from repro.channels.traffic import TrafficSpec
 from repro.channels import Channel, ChannelRole
-from repro.core import multiplexing
 from repro.core.bcp import BatchRequest
 from repro.core.dconnection import DConnection
 from repro.core.multiplexing import LinkMuxState, MultiplexingEngine
 from repro.core.muxkernel import ComponentArena, VectorLinkMux
 from repro.core.overlap import ComponentSpace, OverlapPolicy
-from repro.experiments.setup import load_network
-from repro.network.spec import TopologySpec
 from repro.network.components import LinkId
 from repro.network.generators import random_regular, ring, torus
 from repro.faults import all_single_link_failures
-from repro.obs import obs_session
 from repro.recovery import RecoveryEvaluator
 from repro.routing.paths import Path
+from tests.mux_oracle import plant_kernel
 
 LINK = LinkId("u", "v")
 #: One interner for the twins' primaries, as an engine has.
@@ -219,80 +216,6 @@ class TestVectorVsReferenceProperty:
             LinkId("a", "b"): 0.0, LinkId("b", "c"): 0.0,
         }
 
-    def test_promotion_is_invisible_across_the_threshold(self):
-        """A random add/remove walk on one engine-owned link that climbs
-        past ``KERNEL_MIN_POPULATION``, falls back below it and climbs
-        again, compared after every op against a never-promoted
-        ``LinkMuxState``."""
-        threshold = multiplexing.KERNEL_MIN_POPULATION
-        topology = TOPOLOGY_FAMILIES["torus"]()
-        rng = random.Random(256)
-        policy = OverlapPolicy()
-        reference = LinkMuxState(LINK, policy)
-        live: dict[int, Channel] = {}
-        next_id = 0
-        saw_scalar_above_zero = saw_promoted_below = False
-        with obs_session() as registry:
-            engine = MultiplexingEngine(policy)
-            # (target population, probability that a step removes)
-            for target, p_remove in (
-                (threshold + 40, 0.2), (threshold - 60, 0.8),
-                (threshold + 20, 0.2),
-            ):
-                while len(reference) != target:
-                    if live and rng.random() < p_remove:
-                        cid = rng.choice(sorted(live))
-                        grown = engine.remove_backup(live.pop(cid))[LINK]
-                        assert grown == reference.remove(cid)
-                    else:
-                        primary = _channel(
-                            10_000_000 + next_id,
-                            _random_walk_path(topology, rng).nodes,
-                            ChannelRole.PRIMARY,
-                        )
-                        backup = _channel(
-                            next_id, (LINK.src, LINK.dst), ChannelRole.BACKUP,
-                            bandwidth=rng.choice(BANDWIDTHS),
-                            mux_degree=rng.choice(DEGREES),
-                        )
-                        grown = engine.add_backup(backup, primary)[LINK]
-                        assert grown == reference.add(
-                            next_id, backup.bandwidth, backup.mux_degree,
-                            engine.primary_mask(primary.path),
-                        )
-                        live[next_id] = backup
-                        next_id += 1
-                    state = engine.link_state(LINK)
-                    promoted = isinstance(state, VectorLinkMux)
-                    saw_scalar_above_zero |= not promoted and len(state) > 0
-                    saw_promoted_below |= promoted and len(state) <= threshold
-                    assert state.spare_required() == reference.spare_required()
-                    assert [
-                        (e.channel_id, e.requirement) for e in state.entries()
-                    ] == [
-                        (e.channel_id, e.requirement)
-                        for e in reference.entries()
-                    ]
-                    for cid in rng.sample(sorted(live), min(3, len(live))):
-                        assert state.psi_size(cid) == reference.psi_size(cid)
-                    candidate = engine.primary_mask(
-                        _random_walk_path(topology, rng)
-                    )
-                    bw, degree = rng.choice(BANDWIDTHS), rng.choice(DEGREES)
-                    assert state.preview_add(
-                        bw, degree, candidate
-                    ) == reference.preview_add(bw, degree, candidate)
-                    assert state.psi_sizes_for_candidate(
-                        candidate, list(DEGREES)
-                    ) == reference.psi_sizes_for_candidate(
-                        candidate, list(DEGREES)
-                    )
-            counters = registry.snapshot()["counters"]
-        # Promoted once, one-way: the link stayed on the kernel while
-        # its population sat below the threshold.
-        assert saw_scalar_above_zero and saw_promoted_below
-        assert counters["mux.kernel.promotions"] == 1
-
 
 class TestPolicyAgreement:
     """Integer ``sc < α`` test vs exact ``S < α·λ`` — the paper derives
@@ -317,19 +240,15 @@ class TestPolicyAgreement:
             )
             checked += 1
 
-    def test_exact_policy_engine_stays_on_reference_path(self, monkeypatch):
-        """The kernel does not implement exact-S, so an exact engine
-        never promotes — not even with the threshold at zero."""
-        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
-        with obs_session() as registry:
-            engine = MultiplexingEngine(OverlapPolicy(exact=True))
-            primary = _channel(100, ("p", "q", "r"), ChannelRole.PRIMARY)
-            for cid in range(3):
-                engine.add_backup(
-                    _channel(cid, ("a", "b", "c"), ChannelRole.BACKUP), primary
-                )
-            counters = registry.snapshot()["counters"]
-        assert "mux.kernel.promotions" not in counters
+    def test_exact_policy_engine_stays_on_reference_path(self):
+        """The kernel does not implement exact-S; an exact engine keeps
+        every link on the per-pair state."""
+        engine = MultiplexingEngine(OverlapPolicy(exact=True))
+        primary = _channel(100, ("p", "q", "r"), ChannelRole.PRIMARY)
+        for cid in range(3):
+            engine.add_backup(
+                _channel(cid, ("a", "b", "c"), ChannelRole.BACKUP), primary
+            )
         states = engine.link_states()
         assert len(states) == 2
         for state in states.values():
@@ -341,15 +260,18 @@ class TestPolicyAgreement:
 
 
 class TestEngineGolden:
-    """Two BCPNetworks replaying one workload, one with every link
-    promoted on its first backup and one never promoting: every
-    observable — spare pools, Ψ sizes, P_r, recovery stats — matches."""
+    """Two BCPNetworks replaying one workload, one with the kernel
+    planted on every link and one on the scalar pass: every observable —
+    spare pools, Ψ sizes, P_r, recovery stats — matches."""
 
     @staticmethod
     def _build_pair(monkeypatch):
         networks = []
-        for threshold in (0, 10**9):
-            monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", threshold)
+        for kernel in (True, False):
+            if kernel:
+                plant_kernel(monkeypatch)
+            else:
+                monkeypatch.undo()
             network = BCPNetwork(torus(6, 6))
             rng = random.Random(4242)
             nodes = list(network.topology.nodes())
@@ -485,44 +407,3 @@ class TestComponentArena:
         assert arena.row(mask) == arena.row(SPACE.intern(("z", "y", "x")))
         assert arena.mask(arena.row(mask)) == mask
         assert arena.row(0) != arena.row(mask) and arena.mask(arena.row(0)) == 0
-
-
-class TestObsExport:
-    def test_kernel_counters_and_arena_gauges(self, monkeypatch):
-        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 0)
-        with obs_session() as registry:
-            network = BCPNetwork(torus(4, 4))
-            network.establish(0, 5, ft_qos=FaultToleranceQoS(num_backups=1))
-            conn = network.establish(
-                1, 6, ft_qos=FaultToleranceQoS(num_backups=1)
-            )
-            network.teardown(conn)
-            snapshot = registry.snapshot()
-        promoted = [
-            state for state in network.mux.link_states().values()
-            if isinstance(state, VectorLinkMux)
-        ]
-        assert promoted
-        assert snapshot["counters"]["mux.kernel.promotions"] == len(promoted)
-        gauges = snapshot["gauges"]
-        assert gauges["mux.space.components"]["value"] > 0
-        assert gauges["mux.space.bytes"]["value"] > 0
-
-
-class TestPaperScaleTraffic:
-    def test_paper_network_never_reaches_the_threshold(self):
-        """The fact the selection rests on: the 8×8 torus ν=3 all-pairs
-        build keeps every link far below ``KERNEL_MIN_POPULATION``, so
-        the paper-scale experiments run on the scalar path throughout."""
-        with obs_session() as registry:
-            network, report = load_network(
-                TopologySpec(family="torus", rows=8, cols=8),
-                FaultToleranceQoS(num_backups=1, mux_degree=3),
-            )
-            counters = registry.snapshot()["counters"]
-        assert report.established == 4032
-        populations = [
-            len(state) for state in network.mux.link_states().values()
-        ]
-        assert max(populations) < multiplexing.KERNEL_MIN_POPULATION
-        assert "mux.kernel.promotions" not in counters

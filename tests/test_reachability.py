@@ -47,6 +47,9 @@ ALLOWED = {
     "repro.routing.disjoint":
         "frozen benchmarks/e2e/layers.py wraps its shortest_path by module "
         "name; goes with ROADMAP item 2",
+    "repro.core.muxkernel":
+        "frozen benchmarks/e2e/layers.py wraps VectorLinkMux.preview_add by "
+        "module name; goes with ROADMAP 2(viii)",
     "repro.protocol.daemon.BCPDaemon.initiate_closure": _DAEMON,
     "repro.protocol.runtime.ProtocolSimulation.close_connection":
         "the only caller of BCPDaemon.initiate_closure; " + _DAEMON,

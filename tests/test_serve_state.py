@@ -16,7 +16,6 @@ import json
 
 import pytest
 
-from repro.core import multiplexing
 from repro.core.bcp import BCPNetwork
 from repro.core.muxkernel import VectorLinkMux
 from repro.network import LinkId, Topology, torus
@@ -32,6 +31,7 @@ from repro.serve import (
     write_snapshot,
 )
 from repro.workload import ChurnConfig, ChurnEngine
+from tests.mux_oracle import plant_kernel
 
 
 def churn_config() -> ChurnConfig:
@@ -46,7 +46,7 @@ def fresh_network() -> BCPNetwork:
     return BCPNetwork(torus(4, 4, capacity=160.0))
 
 
-def promoted_links(network: BCPNetwork) -> int:
+def kernel_links(network: BCPNetwork) -> int:
     return sum(
         isinstance(state, VectorLinkMux)
         for state in network.mux.link_states().values()
@@ -114,39 +114,23 @@ class TestSnapshotRoundTrip:
         self, snapshot_kernel, restore_kernel, monkeypatch
     ):
         """A snapshot taken with every link on one backend restores
-        byte-identically into a network that puts them on the other."""
-        def threshold(kernel: bool) -> None:
-            monkeypatch.setattr(
-                multiplexing, "KERNEL_MIN_POPULATION", 0 if kernel else 10**9
-            )
+        byte-identically into a network that puts them on the other
+        (the vectorized kernel planted for the test)."""
+        def backend(kernel: bool) -> None:
+            monkeypatch.undo()
+            if kernel:
+                plant_kernel(monkeypatch)
 
         config = churn_config()
-        threshold(snapshot_kernel)
+        backend(snapshot_kernel)
         network = fresh_network()
         ChurnEngine(network, config, metrics=MetricsRegistry()).run(until=10.0)
         snapshot = snapshot_network(network)
-        threshold(restore_kernel)
+        backend(restore_kernel)
         restored = fresh_network()
         restore_network(restored, snapshot)
-        assert bool(promoted_links(network)) == snapshot_kernel
-        assert bool(promoted_links(restored)) == restore_kernel
-        assert dumps(snapshot_network(restored)) == dumps(snapshot)
-        assert restored.audit_invariants() == []
-
-    def test_promoted_link_that_emptied_out_round_trips(self, monkeypatch):
-        """Promotion is one-way in a live network but a restore selects
-        afresh from the recorded population: links that were promoted
-        and then drained below the threshold come back scalar, and the
-        snapshot is byte-identical all the same."""
-        monkeypatch.setattr(multiplexing, "KERNEL_MIN_POPULATION", 3)
-        network = fresh_network()
-        ChurnEngine(
-            network, churn_config(), metrics=MetricsRegistry()
-        ).run(until=10.0)
-        snapshot = snapshot_network(network)
-        restored = fresh_network()
-        restore_network(restored, snapshot)
-        assert 0 < promoted_links(restored) < promoted_links(network)
+        assert bool(kernel_links(network)) == snapshot_kernel
+        assert bool(kernel_links(restored)) == restore_kernel
         assert dumps(snapshot_network(restored)) == dumps(snapshot)
         assert restored.audit_invariants() == []
 

@@ -33,14 +33,14 @@ from tests import workcount
 #: Row -> module -> bytecodes executed, CPython 3.11.
 PINNED = {
     "build": {
-        "repro.core.multiplexing": 493_449,
+        "repro.core.multiplexing": 465_329,
         "repro.routing.flatgraph": 483_359,
         "repro.network.reservations": 186_291,
         "repro.core.establishment": 123_306,
         "repro.channels.registry": 70_238,
         "repro.routing.paths": 63_840,
         "repro.routing.shortest": 54_240,
-        "repro.core.overlap": 53_485,
+        "repro.core.overlap": 50_605,
         "repro.core.reliability": 33_280,
         "repro.util.validation": 32_855,
         "repro.core.bcp": 18_587,
@@ -48,8 +48,8 @@ PINNED = {
         "repro.core.dconnection": 17_040,
         "repro.network.topology": 15_600,
         "repro.channels.qos": 14_225,
-        "repro.obs.registry": 13_990,
         "repro.channels.traffic": 12_960,
+        "repro.obs.registry": 7_970,
         "repro.channels.admission": 7_685,
         "__main__": 5_599,
         "repro.network.generators": 1_616,
@@ -59,7 +59,7 @@ PINNED = {
     "protocol": {
         "repro.sim.engine": 348_791,
         "repro.protocol.daemon": 246_048,
-        "repro.protocol.rcc": 234_866,
+        "repro.protocol.rcc": 223_024,
         "repro.protocol.plan": 72_912,
         "repro.protocol.states": 64_496,
         "repro.protocol.runtime": 50_810,
