@@ -24,11 +24,15 @@ triple always yields the same schedule.
 from __future__ import annotations
 
 from repro.chaos.schedule import FAIL, REPAIR, ChaosEvent, ChaosSchedule, ChaosTrigger
-from repro.protocol.config import REJOIN_PROBE_INTERVAL, SWITCHOVER_RETRY_WINDOW
+from repro.protocol.config import SWITCHOVER_RETRY_WINDOW
 
 #: First injection time: late enough that establishment-time state is
 #: fully installed, early enough to keep runs short.
 BASE_TIME = 5.0
+
+#: Horizon room for the rejoin a last-moment repair starts: its hint up
+#: to the source, the rejoin-request down and the confirm back.
+REJOIN_SLACK = 10.0
 
 
 # ----------------------------------------------------------------------
@@ -165,12 +169,13 @@ def backup_before_primary(rng, network, config):
 
 def repair_race(rng, network, config):
     """Repair the failed primary link right around the rejoin-timeout
-    boundary, racing soft-state expiry against the rejoin probes."""
+    boundary, racing soft-state expiry against the rejoin the repair
+    notice starts."""
     connection = _pick_connection(rng, network)
     link = _mid_link(rng, connection.primary)
     # The rejoin timer arms at detection (shortly after the crash); a
     # repair inside [0.85, 1.15] x timeout lands on both sides of expiry
-    # across seeds, including the probe-vs-expiry race in the middle.
+    # across seeds, including the rejoin-vs-expiry race in the middle.
     offset = config.rejoin_timeout * rng.uniform(0.85, 1.15)
     events = [
         ChaosEvent(time=BASE_TIME, action=FAIL, component=link),
@@ -196,8 +201,8 @@ def build_schedule(profile: str, seed: int, network, config) -> ChaosSchedule:
     """Generate one schedule for ``profile`` from ``seed``.
 
     The horizon is sized so every soft-state timer armed by the last
-    injection can expire and the probe timers can notice and self-stop —
-    a run that still has pending events at the horizon has genuinely
+    injection can expire, and the rejoin a last repair starts can finish
+    — a run that still has pending events at the horizon has genuinely
     failed to quiesce.
     """
     from repro.util.rng import make_rng
@@ -212,7 +217,7 @@ def build_schedule(profile: str, seed: int, network, config) -> ChaosSchedule:
     events, triggers = generator(rng, network, config)
     events = sorted(events, key=lambda event: event.time)
     last = max((event.time for event in events), default=BASE_TIME)
-    slack = config.rejoin_timeout + REJOIN_PROBE_INTERVAL + 50.0
+    slack = config.rejoin_timeout + REJOIN_SLACK + 50.0
     if triggers:
         # A triggered injection lands within a recovery window of a
         # static one; give its own rejoin cycle room too.

@@ -25,11 +25,6 @@ ACK_TIMEOUT_FACTOR = 1.25
 #: it and counts it (``rcc.gave_up``), and concludes nothing from it.
 MAX_RETRANSMISSIONS = 8
 
-#: The source re-probes a failed channel (rejoin-request) at this
-#: interval while its rejoin timer runs, so a repair anywhere in the
-#: window is caught even after earlier probes died at the break.
-REJOIN_PROBE_INTERVAL = 10.0
-
 #: Switchover handshake (Section 4.2 hardening): an end-node that
 #: initiates an activation expects an end-to-end ActivationAck from the
 #: far end-node within ``SWITCHOVER_ACK_TIMEOUT``; on expiry it resends,
@@ -109,8 +104,10 @@ class ProtocolConfig:
 
     scheme: SwitchingScheme = SwitchingScheme.SCHEME_3
     rcc: RCCParams = field(default_factory=RCCParams)
-    #: Soft-state rejoin timer (Section 4.4) — must cover reporting delay +
-    #: rejoin round trip for repairs to beat the teardown.
+    #: Soft-state rejoin timer (Section 4.4).  A repair's neighbours are
+    #: told of it as of a failure, and the rejoin starts then: a channel
+    #: heals if its last repair leaves room, before this expires, for the
+    #: hint up to the source and the request-confirm round trip.
     rejoin_timeout: float = 50.0
     #: Priority-based activation, delay variant (Section 4.3): an end-node
     #: waits ``mux_degree * activation_delay_per_degree`` before sending an

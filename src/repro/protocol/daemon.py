@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from repro.network.components import LinkId, NodeId
 from repro.protocol.config import (
-    REJOIN_PROBE_INTERVAL,
     SWITCHOVER_ACK_TIMEOUT,
     SWITCHOVER_BACKOFF,
     SWITCHOVER_RETRY_LIMIT,
@@ -130,12 +129,12 @@ class BCPDaemon:
     either.
     """
 
-    # 33 attributes: past the 30 keys a shared-key instance dict holds.
+    # 31 attributes: past the 30 keys a shared-key instance dict holds.
     __slots__ = (
         "node", "runtime", "_engine", "_config", "_metrics", "_failed", "_rcc",
         "_links", "_topology", "_handlers", "table", "records", "views",
-        "_rejoin_timers", "_probe_timers", "_pending", "_on_rejoin_expiry",
-        "_on_activation_timeout", "_on_probe_tick", "_counting",
+        "_rejoin_timers", "_pending", "_on_rejoin_expiry",
+        "_on_activation_timeout", "_counting",
         "_c_detections", "_c_reports", "_c_received", "_c_so_episodes",
         "_c_so_duplicates", "_c_so_stale", "_c_so_retries", "_c_so_exhausted",
         "_c_so_demotions", "_c_so_acks", "_c_so_completed", "_c_so_fallbacks",
@@ -174,9 +173,8 @@ class BCPDaemon:
         self.records: Mapping[int, LocalChannelRecord] = self.table.records()
         #: connection id -> view, for every connection ending here.
         self.views: Mapping[int, EndpointView] = self.table.views()
-        #: channel id -> its latest rejoin deadline / probe tick.
+        #: channel id -> its latest rejoin deadline.
         self._rejoin_timers: dict[int, EventHandle] = {}
-        self._probe_timers: dict[int, EventHandle] = {}
         #: In-flight switchover handshakes this end-node initiated, keyed
         #: by connection id (at most one per connection).
         self._pending: dict[int, _PendingActivation] = {}
@@ -184,7 +182,6 @@ class BCPDaemon:
         # holds the same object, and none of them holds the daemon.
         self._on_rejoin_expiry = WeakCallback(self._rejoin_expired)
         self._on_activation_timeout = WeakCallback(self._activation_retry)
-        self._on_probe_tick = WeakCallback(self._probe_tick)
         # Network-wide control-plane counters, shared by every daemon of
         # the runtime.
         obs = runtime.obs
@@ -256,11 +253,9 @@ class BCPDaemon:
         The ``_alive()`` guards already make post-crash callbacks no-ops,
         but the armed events would still fire (and keep the event heap
         from draining); a crashed node holds no soft state, so its rejoin
-        and probe timers are cancelled outright.
+        timers are cancelled outright.
         """
         for timer in self._rejoin_timers.values():
-            timer.cancel()
-        for timer in self._probe_timers.values():
             timer.cancel()
         for pending in self._pending.values():
             pending.timer.cancel()
@@ -284,6 +279,12 @@ class BCPDaemon:
         for record in self.records.touched():
             if record.state is LocalChannelState.UNHEALTHY:
                 self._start_rejoin_timer(record)
+                if record.is_endpoint:
+                    # A failure this end detected itself is one its view
+                    # may never have been told of (Scheme 1 reports
+                    # nothing to the source).
+                    self.views[record.connection_id].unhealthy.add(
+                        record.channel_id)
         for view in self.views.values():
             view.unhealthy.add(view.current_channel)
             view.episode += 1
@@ -294,8 +295,9 @@ class BCPDaemon:
                 self._point("switchover-reconcile", view.connection_id,
                             suspect=view.current_channel)
             if view.role == "source":
-                # Probe everything believed dead: a channel whose soft
-                # state survived elsewhere can heal back into a standby.
+                # Probe everything believed dead, once: this repair is
+                # the source's own notice, and a channel whose soft state
+                # survived elsewhere can heal back into a standby.
                 for channel_id in sorted(view.unhealthy):
                     probed = self.records.get(channel_id)
                     if (
@@ -304,7 +306,6 @@ class BCPDaemon:
                         and probed.state is not LocalChannelState.NON_EXISTENT
                     ):
                         self.start_rejoin_probe(channel_id)
-                        self._start_probe_timer(channel_id)
             if self._initiates_activation(view):
                 self._initiate_recovery(view)
 
@@ -329,21 +330,37 @@ class BCPDaemon:
         we host that traverses it and start the recovery machinery."""
         if not self._alive():
             return
-        # Only a channel whose previous or next hop is the failed node, or
-        # the far end of the failed link, can relate to the component.
-        if isinstance(component, LinkId):
-            neighbour = (
-                component.src if component.dst == self.node else component.dst
-            )
-        else:
-            neighbour = component
         records = self.records
-        for channel_id in self.table.by_neighbour[neighbour]:
+        for channel_id in self.table.by_neighbour[self._far_end(component)]:
             record = records[channel_id]
             side = self._relation(record, component)
             if side is None:
                 continue
             self._handle_detected_failure(record, side, component)
+
+    def on_component_repaired(self, component) -> None:
+        """A component adjacent to this node came back (Section 4.4):
+        every channel we host that runs into it downstream may heal, so
+        this node handles a repair hint for it as if one had arrived —
+        the source probes, any other node passes the hint up the path.
+        A record still primary or backup here is hinted too: this node
+        may have been down itself when the component failed."""
+        if not self._alive():
+            return
+        records = self.records
+        for channel_id in self.table.by_neighbour[self._far_end(component)]:
+            record = records[channel_id]
+            if self._relation(record, component) is _FailureSide.DOWNSTREAM:
+                self._receive_rejoin_request(record, RejoinRequest(
+                    channel_id=channel_id, direction=Direction.TO_SOURCE))
+
+    def _far_end(self, component) -> NodeId:
+        """The neighbour a component adjacent to this node leads to: a
+        link's other end, or the node itself.  Only a channel whose
+        previous or next hop it is can relate to the component."""
+        if isinstance(component, LinkId):
+            return component.src if component.dst == self.node else component.dst
+        return component
 
     def _relation(self, record: LocalChannelRecord, component):
         """Whether ``component`` is this record's upstream/downstream
@@ -474,18 +491,8 @@ class BCPDaemon:
             # is dead (e.g. a component report racing a mux report, or an
             # exhaustion declaration racing the real failure report) —
             # recovery already ran for it; re-running would double-attempt.
-            # But if this end learned of the death *implicitly* (by
-            # adopting the far end's activation), this report is the first
-            # confirmed sighting — make sure the source is probing for a
-            # repair (both calls are idempotent).
             if self._counting:
                 self._c_so_duplicates.inc()
-            if (
-                view.role == "source"
-                and record.state is LocalChannelState.UNHEALTHY
-            ):
-                self.start_rejoin_probe(record.channel_id)
-                self._start_probe_timer(record.channel_id)
             return
         view.unhealthy.add(record.channel_id)
         self._metrics.note_endpoint_informed(
@@ -496,13 +503,6 @@ class BCPDaemon:
                 "informed", record.connection_id,
                 channel=record.channel_id, role=view.role,
             )
-        if view.role == "source":
-            # Soft-state repair attempt (Section 4.4): probe the failed
-            # channel's path now and periodically while it stays
-            # unhealthy, so a repair anywhere inside the rejoin window is
-            # caught even if earlier probes died at the break.
-            self.start_rejoin_probe(record.channel_id)
-            self._start_probe_timer(record.channel_id)
         if record.channel_id != view.current_channel:
             return  # a standby backup failed; health table updated, done
         # The channel carrying data died: a new recovery round starts.
@@ -989,32 +989,9 @@ class BCPDaemon:
             )
 
     # -- rejoin (Section 4.4) ---------------------------------------------
-    def _start_probe_timer(self, channel_id: int) -> None:
-        """Start probing every ``REJOIN_PROBE_INTERVAL``, unless the
-        channel's probe already ticks."""
-        timer = self._probe_timers.get(channel_id)
-        if timer is None or not timer.active:
-            self._probe_timers[channel_id] = self._engine.schedule(
-                REJOIN_PROBE_INTERVAL, self._on_probe_tick, channel_id)
-
-    def _probe_tick(self, channel_id: int) -> None:
-        # The next tick is scheduled before this one's work, which may
-        # cancel it.
-        timer = self._probe_timers[channel_id] = self._engine.schedule(
-            REJOIN_PROBE_INTERVAL, self._on_probe_tick, channel_id)
-        record = self.records.get(channel_id)
-        if (
-            not self._alive()
-            or record is None
-            or record.state is not LocalChannelState.UNHEALTHY
-        ):
-            timer.cancel()
-            return
-        self.start_rejoin_probe(channel_id)
-
     def start_rejoin_probe(self, channel_id: int) -> None:
         """Source-side entry point: probe whether a failed channel's path
-        has healed (called by the runtime or by tests)."""
+        has healed (on a repair notice or hint, or by tests)."""
         record = self.records.get(channel_id)
         if record is None or not record.is_source:
             raise ValueError(
@@ -1029,6 +1006,14 @@ class BCPDaemon:
     ) -> None:
         if record.state is LocalChannelState.NON_EXISTENT:
             return  # torn down; the request dies here
+        if message.direction is Direction.TO_SOURCE:
+            # A repair hint: the source probes if it still has something
+            # to heal; no record changes state on the way up.
+            if not record.is_source:
+                self._send(record.upstream, message)
+            elif record.state is LocalChannelState.UNHEALTHY:
+                self.start_rejoin_probe(record.channel_id)
+            return
         if record.mux_failed_link is not None:
             # Healing a multiplexing failure needs the spare back
             # (Section 4.4); if the pool is still dry, drop the request.
@@ -1046,9 +1031,6 @@ class BCPDaemon:
                 record.transition(LocalChannelState.BACKUP, ChannelEvent.REJOIN)
                 self._cancel_rejoin_timer(record.channel_id)
                 self._refresh_view_after_rejoin(record)
-                self._metrics.note_rejoined(
-                    record.connection_id, record.channel_id, self._engine.now
-                )
             next_hop = record.upstream
             if next_hop is not None:
                 self._send(next_hop, RejoinConfirm(channel_id=record.channel_id))
@@ -1070,19 +1052,23 @@ class BCPDaemon:
                     ),
                 )
             return
-        if record.state is LocalChannelState.UNHEALTHY:
+        healed = record.state is LocalChannelState.UNHEALTHY
+        if healed:
             record.transition(LocalChannelState.BACKUP, ChannelEvent.REJOIN)
             self._cancel_rejoin_timer(record.channel_id)
-        if record.is_source:
-            self._refresh_view_after_rejoin(record)
+        if not record.is_source:
+            self._send(record.upstream, message)
+            return
+        self._refresh_view_after_rejoin(record)
+        if healed:
+            # The channel's rejoin, counted once: where the source
+            # leaves U.
             self._metrics.note_rejoined(
                 record.connection_id, record.channel_id, self._engine.now
             )
             if self._log.active:
                 self._point("rejoined", record.connection_id,
                             channel=record.channel_id)
-            return
-        self._send(record.upstream, message)
 
     def _refresh_view_after_rejoin(self, record: LocalChannelRecord) -> None:
         """Update this endpoint's connection view when a channel heals: it

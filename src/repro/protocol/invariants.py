@@ -4,8 +4,9 @@ The BCP correctness argument rests on a handful of properties that no
 single unit test pins down globally: spare pools are conserved, every
 activation draw is eventually released, RCC sequence numbers stay
 monotonic and duplicate-free, no control message is delivered over a dead
-link, each connection carries at most one active channel, and soft state
-(unhealthy channels) expires in bounded time.  The
+link, each connection carries at most one active channel, soft state
+(unhealthy channels) expires in bounded time, and a channel whose path
+is repaired with its rejoin window still open rejoins.  The
 :class:`InvariantAuditor` attaches to a running simulation as a pure
 observer — engine event hook plus per-link RCC delivery hooks — and
 checks these properties continuously (cheap sweeps after every event the
@@ -59,7 +60,8 @@ class InvariantViolation:
     #: Stable invariant name (``reservation-conservation``,
     #: ``rcc-monotonicity``, ``dead-link-delivery``, ``draw-leak``,
     #: ``multiple-active``, ``endpoint-disagreement``, ``stuck-soft-state``,
-    #: ``illegal-transition``, ``quiescence-timeout``).
+    #: ``repair-not-rejoined``, ``illegal-transition``,
+    #: ``quiescence-timeout``).
     invariant: str
     #: The component/channel/connection the breach concerns (stringified).
     subject: str
@@ -111,6 +113,12 @@ class InvariantAuditor:
         #: Highest frame seq delivered per link, and every seq delivered,
         #: for the monotonicity / at-most-once checks.
         self._delivered_seqs: dict[LinkId, set[int]] = {}
+        #: The failed components as the last sweep saw them: a sweep
+        #: after every injection tells repairs and failures from them.
+        self._failed_seen: frozenset = frozenset()
+        #: channel id -> when a repair left its path whole with its
+        #: rejoin window open; dropped when its path fails again.
+        self._owed: dict[int, float] = {}
         self._attached = False
 
     # ------------------------------------------------------------------
@@ -128,6 +136,7 @@ class InvariantAuditor:
         self._attached = True
         self._check_transition_table()
         self._baseline_spares = dict(self.simulation._spare_pools)
+        self._failed_seen = frozenset(self.simulation.failed_components)
         hook = WeakCallback(self._on_frame_delivered)
         for rcc in self.simulation._rcc.values():
             rcc.on_frame_delivered = self._chain(rcc.on_frame_delivered, hook)
@@ -206,7 +215,9 @@ class InvariantAuditor:
     # sweeps
     # ------------------------------------------------------------------
     def check_event(self) -> None:
-        """Cheap sweep, safe after every injected fault/repair."""
+        """Cheap sweep, safe after every injected fault/repair (call it
+        after each one for the repair check to see them all)."""
+        self._track_repairs()
         self._check_conservation()
         ledger = self.simulation.network.ledger
         for problem in ledger.audit():
@@ -228,6 +239,7 @@ class InvariantAuditor:
         self._check_single_active(touched)
         self._check_soft_state_expired(touched)
         self._check_no_pending_handshakes()
+        self._check_repairs_rejoined()
 
     def _touched_records(self) -> "dict[object, list]":
         """Each alive node's touched records, read once for both record
@@ -402,6 +414,81 @@ class InvariantAuditor:
                         f"still UNHEALTHY at node {node!r} after the run "
                         f"drained; its rejoin timer never resolved it",
                     )
+
+    # -- a repair inside the rejoin window heals -------------------------
+    def _track_repairs(self) -> None:
+        """Note what failed and what came back since the last sweep."""
+        failed = self.simulation.failed_components
+        seen = self._failed_seen
+        if failed == seen:
+            return
+        registry = self.simulation.network.registry
+        owed = self._owed
+        if owed:
+            for component in failed - seen:
+                for channel in registry.on_component(component):
+                    owed.pop(channel.channel_id, None)
+        for component in seen - failed:
+            for channel in registry.on_component(component):
+                if self._rejoin_owed(channel):
+                    owed[channel.channel_id] = self.simulation.engine.now
+        self._failed_seen = frozenset(failed)
+
+    def _rejoin_owed(self, channel) -> bool:
+        """Whether ``channel`` must now rejoin: its path is whole again
+        both ways (the hint and the confirm ride the reverse links), its
+        source holds it UNHEALTHY, no node has torn it down or lacks spare
+        for it, and every rejoin deadline leaves room for the hint,
+        request and confirm — three path lengths at Section 5.2's per-hop
+        bound (a frame interval, then D_max)."""
+        simulation = self.simulation
+        path = channel.path
+        failed = simulation.failed_components
+        if not failed.isdisjoint(path.nodes) or any(
+            link in failed or link.reversed() in failed for link in path.links
+        ):
+            return False
+        rcc = simulation.config.rcc
+        room = simulation.engine.now + 3 * path.hops * (
+            rcc.min_interval + rcc.max_delay
+        )
+        channel_id = channel.channel_id
+        daemons = simulation.daemons
+        # Only built records are read: an untouched one is still as
+        # establishment installed it, primary or backup.
+        source = dict.get(daemons[path.source].records, channel_id)
+        if source is None or source.state is not LocalChannelState.UNHEALTHY:
+            return False
+        for node in path.nodes:
+            daemon = daemons[node]
+            record = dict.get(daemon.records, channel_id)
+            if record is None:
+                continue
+            if (
+                record.state is LocalChannelState.NON_EXISTENT
+                or record.mux_failed_link is not None
+            ):
+                return False
+            if record.state is LocalChannelState.UNHEALTHY:
+                deadline = daemon._rejoin_timers.get(channel_id)
+                if deadline is None or not deadline.active or (
+                    deadline.time < room
+                ):
+                    return False
+        return True
+
+    def _check_repairs_rejoined(self) -> None:
+        """With the event heap drained, every channel a repair made whole
+        inside its rejoin window must have rejoined since: the repair's
+        neighbours were told of it, and nothing else could stop it."""
+        rejoined_at = self.simulation.metrics.rejoined_at
+        for channel_id, repaired in self._owed.items():
+            if rejoined_at.get(channel_id, -1.0) < repaired:
+                self.record(
+                    "repair-not-rejoined", f"channel {channel_id}",
+                    f"its path was whole again at t={repaired:g} with its "
+                    f"rejoin window open, but it never rejoined",
+                )
 
     # -- no wedged switchover handshakes ----------------------------------
     def _check_no_pending_handshakes(self) -> None:

@@ -78,7 +78,13 @@ class ActivationAck(ControlMessage):
 @dataclass(frozen=True, slots=True)
 class RejoinRequest(ControlMessage):
     """Source-to-destination probe over a failed channel's path: if it
-    gets through, the channel is repairable (Section 4.4)."""
+    gets through, the channel is repairable (Section 4.4).
+
+    Sent ``TO_SOURCE``, it is the hint of a node told of a repair on the
+    channel's path downstream of it: it walks up to the source, which
+    then sends the probe."""
+
+    direction: Direction = Direction.TO_DESTINATION
 
 
 @dataclass(frozen=True, slots=True)

@@ -88,6 +88,8 @@ class ProtocolMetrics:
         self.recoveries: dict[int, RecoveryRecord] = {}
         self.preemptions = 0
         self.rejoins = 0
+        #: channel id -> when its latest rejoin reached its source.
+        self.rejoined_at: dict[int, float] = {}
         self.mux_failures = 0
         self.unrecoverable = 0
         obs = registry if registry is not None else get_registry()
@@ -199,8 +201,10 @@ class ProtocolMetrics:
     def note_rejoined(
         self, connection_id: int, channel_id: int, time: float
     ) -> None:
-        """Count a channel healing via the rejoin machinery."""
+        """Count a channel healing via the rejoin machinery (once per
+        U -> B rejoin: the source calls this as it leaves U)."""
         self.rejoins += 1
+        self.rejoined_at[channel_id] = time
         if self._counting:
             self._c_rejoins.inc()
 
@@ -555,6 +559,13 @@ class ProtocolSimulation:
                 daemon.on_repaired()
         if self.trace.active:
             self.trace.point("repair", component, self.engine.now)
+        # A repair is detected as a failure is (Section 5.3's premise,
+        # both ways): each live neighbour is told in an event of its own,
+        # and starts the rejoin of what it hosts over the component.
+        for neighbour in self._neighbours_of(component):
+            self.engine.schedule(
+                0.0, self.daemons[neighbour].on_component_repaired, component
+            )
 
     def inject_scenario(self, scenario: FailureScenario, at: float) -> None:
         """Crash every component of ``scenario`` at time ``at``.
@@ -577,7 +588,7 @@ class ProtocolSimulation:
             trace.point("failure", component, now)
         if not isinstance(component, LinkId):
             # A dead node holds no timers and transmits nothing: disarm its
-            # rejoin/probe timers and halt every outgoing RCC so events
+            # rejoin timers and halt every outgoing RCC so events
             # armed before the crash cannot fire callbacks after it.
             daemon = self.daemons.get(component)
             if daemon is not None:

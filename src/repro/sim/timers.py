@@ -2,8 +2,7 @@
 
 A protocol timer is a plain calendar entry, an
 :class:`~repro.sim.engine.EventHandle`: its owner restarts it by
-scheduling the new deadline and then cancelling the old handle, and a
-periodic callback schedules its successor before it does its work.  What
+scheduling the new deadline and then cancelling the old handle.  What
 calls the owner back is one shared :class:`WeakCallback` per method, with
 the timer's key (a channel or connection id) as the event's argument.
 """

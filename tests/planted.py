@@ -1,9 +1,9 @@
 """Planted bugs: the protocol with one load-bearing guard taken out.
 
 BCP's guarantees rest on guards the paper only sketches.  The tests prove
-two of them are load-bearing by running the product *without* them and
-requiring the invariant auditor to catch the damage and the ddmin
-shrinker to reduce it to a few events:
+three of them are load-bearing by running the product *without* them and
+requiring the invariant auditor to catch the damage (and, for the first
+two, the ddmin shrinker to reduce it to a few events):
 
 * :class:`DoubleReleaseSimulation` — releasing an activation draw also
   credits the bandwidth back into the runtime's spare pool (a spare-pool
@@ -16,6 +16,9 @@ shrinker to reduce it to a few events:
   reconciliation after an end-node repair.  Regional/cascade chaos
   schedules then drive the end-nodes into ``multiple-active`` /
   ``endpoint-disagreement`` violations.
+* :class:`RepairDeaf` — a daemon that ignores the runtime's repair
+  notices (Section 4.4's rejoin has no other trigger).  The auditor's
+  ``repair-not-rejoined`` check must flag each channel it leaves in U.
 
 Beside them, :class:`LossySimulation` plants random frame loss on every
 RCC link (:class:`LossyLink`), and :func:`retransmission_budget` moves
@@ -150,9 +153,6 @@ class UnguardedSwitchover:
                 "informed", record.connection_id,
                 channel=record.channel_id, role=view.role,
             )
-        if view.role == "source":
-            self.start_rejoin_probe(record.channel_id)
-            self._start_probe_timer(record.channel_id)
         if record.channel_id != view.current_channel:
             return  # a standby backup failed; health table updated, done
         if not self._initiates_activation(view):
@@ -255,6 +255,30 @@ class UnguardedSwitchover:
                     mux_degree=record.mux_degree,
                 )
             )
+
+
+class RepairDeaf:
+    """Daemon mixin that is never told of a repair on a channel's path:
+    a channel then heals only when its own source is the repaired node."""
+
+    def on_component_repaired(self, component) -> None:
+        return
+
+
+class RepairDeafDaemon(RepairDeaf, BCPDaemon):
+    pass
+
+
+class RepairDeafOracleDaemon(RepairDeaf, OracleDaemon):
+    pass
+
+
+class RepairDeafSimulation(ProtocolSimulation):
+    daemon_class = RepairDeafDaemon
+
+
+class RepairDeafOracleSimulation(OracleSimulation):
+    daemon_class = RepairDeafOracleDaemon
 
 
 class UnguardedDaemon(UnguardedSwitchover, BCPDaemon):

@@ -4,7 +4,7 @@ This is the protocol runtime as it stood before the compiled protocol
 plan: every simulation eagerly installs a :class:`LocalChannelRecord` at
 every node of every channel and an :class:`EndpointView` at both ends of
 every connection (``_install_channels`` via ``register_channel`` /
-``register_endpoint``), the daemon's three whole-node operations scan
+``register_endpoint``), the daemon's four whole-node operations scan
 every record it holds, and the auditor sweeps every record and view.  It
 is slow and obviously right, and it lives here — not in ``src/`` — so the
 product has one construction path and the tests have something
@@ -18,8 +18,14 @@ from __future__ import annotations
 
 from repro.channels.channel import ChannelRole
 from repro.core.bcp import BCPNetwork
-from repro.protocol.daemon import BackupInfo, BCPDaemon, EndpointView
+from repro.protocol.daemon import (
+    BackupInfo,
+    BCPDaemon,
+    EndpointView,
+    _FailureSide,
+)
 from repro.protocol.invariants import InvariantAuditor
+from repro.protocol.messages import Direction, RejoinRequest
 from repro.protocol.runtime import ProtocolSimulation
 from repro.protocol.states import (
     ChannelEvent,
@@ -72,7 +78,7 @@ class OracleDaemon(BCPDaemon):
     def register_endpoint(self, view: EndpointView) -> None:
         self.views[view.connection_id] = view
 
-    # -- the three whole-node scans ---------------------------------------
+    # -- the four whole-node scans ----------------------------------------
     def on_component_failure(self, component) -> None:
         if not self._alive():
             return
@@ -81,6 +87,15 @@ class OracleDaemon(BCPDaemon):
             if side is None:
                 continue
             self._handle_detected_failure(record, side, component)
+
+    def on_component_repaired(self, component) -> None:
+        if not self._alive():
+            return
+        for record in list(self.records.values()):
+            if self._relation(record, component) is _FailureSide.DOWNSTREAM:
+                self._receive_rejoin_request(record, RejoinRequest(
+                    channel_id=record.channel_id,
+                    direction=Direction.TO_SOURCE))
 
     def _demote_stale_primaries(self, record, all_serials: bool = False) -> None:
         for other in self.records.values():
@@ -108,6 +123,9 @@ class OracleDaemon(BCPDaemon):
         for record in self.records.values():
             if record.state is LocalChannelState.UNHEALTHY:
                 self._start_rejoin_timer(record)
+                if record.is_endpoint:
+                    self.views[record.connection_id].unhealthy.add(
+                        record.channel_id)
         for view in self.views.values():
             view.unhealthy.add(view.current_channel)
             view.episode += 1
@@ -125,7 +143,6 @@ class OracleDaemon(BCPDaemon):
                         and probed.state is not LocalChannelState.NON_EXISTENT
                     ):
                         self.start_rejoin_probe(channel_id)
-                        self._start_probe_timer(channel_id)
             if self._initiates_activation(view):
                 self._initiate_recovery(view)
 

@@ -42,7 +42,12 @@ from repro.scenario import (
     build_loaded_network,
     load_cells,
 )
-from tests.planted import DoubleReleaseSimulation, UnguardedSimulation, plant
+from tests.planted import (
+    DoubleReleaseSimulation,
+    RepairDeafSimulation,
+    UnguardedSimulation,
+    plant,
+)
 
 #: The chaos harness's network: six antipodal connections with two
 #: backups each over the 4x4 torus, mux 1.
@@ -277,6 +282,25 @@ class TestCampaigns:
         summary = campaign_summary(results)
         assert summary["failing_runs"] > 0
         assert "reservation-conservation" in summary["violations"]
+
+
+    def test_repair_deaf_daemons_break_the_repair_check(
+        self, chaos_network, monkeypatch
+    ):
+        """A repair the daemons are not told of heals nothing: the
+        auditor's ``repair-not-rejoined`` check flags the channels the
+        product rejoins on the same schedules."""
+        config = ProtocolConfig()
+        schedules = build_campaign(0, 12, chaos_network, config,
+                                   profiles=("flapping", "repair_race"))
+        product = campaign_summary(
+            run_campaign(schedules, chaos_network, config, workers=1))
+        plant(monkeypatch, RepairDeafSimulation)
+        deaf = campaign_summary(
+            run_campaign(schedules, chaos_network, config, workers=1))
+        assert product["violations"] == {} and product["rejoins"] > 0
+        assert deaf["rejoins"] == 0
+        assert deaf["violations"].get("repair-not-rejoined", 0) > 0
 
 
 class TestShrinking:

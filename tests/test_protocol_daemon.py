@@ -152,6 +152,67 @@ class TestRejoinEdgeCases:
                 connection.primary.channel_id
             ]
             assert record.state is LocalChannelState.BACKUP, node
+        # One channel healed once: counted where its source leaves U.
+        assert simulation.metrics.rejoins == 1
+
+    def test_two_breaks_rejoin_after_the_last_repair(self):
+        # The notice of the first repair sends a request that dies at the
+        # second break: nothing leaves U until the second repair's request
+        # reaches the destination and its confirm returns.
+        network, connection = build_ring_network()
+        simulation = ProtocolSimulation(
+            network, ProtocolConfig(rejoin_timeout=100.0))
+        channel_id = connection.primary.channel_id
+        first, _, second = connection.primary.path.links
+        simulation.inject_scenario(
+            FailureScenario.of_links([first, second]), at=1.0)
+        simulation.repair(first, at=5.0)
+        simulation.repair(second, at=40.0)
+        simulation.run(until=39.0)
+        for node in connection.primary.path.nodes:
+            record = simulation.daemons[node].records[channel_id]
+            assert record.state is LocalChannelState.UNHEALTHY, node
+        simulation.run(until=400.0)
+        for node in connection.primary.path.nodes:
+            record = simulation.daemons[node].records[channel_id]
+            assert record.state is LocalChannelState.BACKUP, node
+        assert simulation.metrics.rejoins == 1
+
+    def test_mid_path_node_repair_rejoins(self):
+        network, connection = build_ring_network()
+        simulation = ProtocolSimulation(
+            network, ProtocolConfig(rejoin_timeout=100.0))
+        channel_id = connection.primary.channel_id
+        victim = connection.primary.path.interior_nodes[0]
+        simulation.fail(victim, at=1.0)
+        simulation.repair(victim, at=10.0)
+        simulation.run(until=400.0)
+        # The repaired node was down when the channel failed, so its own
+        # record never left P; every record that went U rejoined.
+        for node in connection.primary.path.nodes:
+            record = simulation.daemons[node].records[channel_id]
+            expected = (LocalChannelState.PRIMARY if node == victim
+                        else LocalChannelState.BACKUP)
+            assert record.state is expected, node
+        assert simulation.metrics.rejoins == 1
+
+    def test_repair_after_the_resends_gave_up_rejoins(self):
+        # A request sent when the channel failed would have been resent
+        # 8 times and dropped by 25 time units later; the repair at 30 is
+        # healed by the request its own notice starts.
+        network, connection = build_ring_network()
+        simulation = ProtocolSimulation(
+            network, ProtocolConfig(rejoin_timeout=100.0))
+        victim = connection.primary.path.links[1]
+        simulation.inject_scenario(FailureScenario.of_links([victim]), at=1.0)
+        simulation.repair(victim, at=30.0)
+        simulation.run(until=400.0)
+        for node in connection.primary.path.nodes:
+            record = simulation.daemons[node].records[
+                connection.primary.channel_id
+            ]
+            assert record.state is LocalChannelState.BACKUP, node
+        assert simulation.metrics.rejoins == 1
 
     def test_rejoined_primary_survives_second_failure(self):
         # After repair+rejoin the old primary serves as the backup for a
@@ -203,16 +264,16 @@ class TestNodeDeath:
 
 class TestTimerLifecycle:
     """Daemon timer lifecycle under overlapping failure/repair: rejoin
-    timers re-arming while probes are pending, crashes with a switchover
-    handshake in flight, and repairs racing the give-up boundary."""
+    timers re-arming after a rejoin, crashes with a switchover handshake
+    in flight, and repairs racing the give-up boundary."""
 
-    def test_rejoin_timer_rearm_while_probe_pending(self, monkeypatch):
+    def test_rejoin_timer_rearm_while_probe_pending(self):
         # The primary fails, rejoins after a quick repair, then fails
-        # AGAIN while round one's probe timer may still be pending.  The
-        # re-armed timer must drive a clean second rejoin cycle — not a
-        # double fire, not a channel stuck in U.
+        # AGAIN and is repaired again.  The second failure re-arms the
+        # timers the first rejoin cancelled, and the second repair's
+        # notice must drive a clean second rejoin cycle — not a double
+        # fire, not a channel stuck in U.
         network, connection = build_ring_network()
-        monkeypatch.setattr("repro.protocol.daemon.REJOIN_PROBE_INTERVAL", 5.0)
         config = ProtocolConfig(rejoin_timeout=100.0)
         simulation = ProtocolSimulation(network, config)
         auditor = InvariantAuditor(simulation)

@@ -30,6 +30,8 @@ from repro.sim import TraceLog
 from tests.planted import (
     LossyOracleSimulation,
     LossySimulation,
+    RepairDeafOracleSimulation,
+    RepairDeafSimulation,
     UnguardedOracleSimulation,
     UnguardedSimulation,
 )
@@ -48,11 +50,16 @@ CONFIGS = {
     "preemption": (ProtocolConfig(
         preemption=True, activation_delay_per_degree=0.25,
     ), (2, 3)),
+    # Preemption without the delay variant: activations race for spare.
+    "preemption-prompt": (ProtocolConfig(preemption=True), (2, 4)),
     # The planted race (``tests/planted.py``, see ``SIMULATIONS``) makes
     # the auditor report multiple-active and endpoint-disagreement
     # violations: the touched-only sweep must list them exactly as the
     # full sweep does.
     "unguarded": (ProtocolConfig(), (3, 4)),
+    # Daemons deaf to repair notices (``tests/planted.py``): the
+    # schedules with repairs leave ``repair-not-rejoined`` violations.
+    "deaf": (ProtocolConfig(), (3, 4)),
 }
 
 #: name -> (product simulation, oracle simulation), where they are not
@@ -61,6 +68,7 @@ SIMULATIONS = {
     "lossy": (partial(LossySimulation, loss=0.15),
               partial(LossyOracleSimulation, loss=0.15)),
     "unguarded": (UnguardedSimulation, UnguardedOracleSimulation),
+    "deaf": (RepairDeafSimulation, RepairDeafOracleSimulation),
 }
 
 HORIZON = 400.0
@@ -100,6 +108,9 @@ def run(simulation_class, auditor_class, network, config, seed, schedule):
     auditor.attach()
     for time, action, component in schedule:
         getattr(simulation, action)(component, at=time)
+        # The auditor's sweep right after each injection, as the chaos
+        # engine runs it.
+        simulation.engine.schedule_at(time, auditor.check_event)
     simulation.run(until=HORIZON)
     auditor.check_quiescent(drained=simulation.engine.pending == 0)
     return simulation, auditor, registry.snapshot()["counters"]

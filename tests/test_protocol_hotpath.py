@@ -68,7 +68,20 @@ class TestNullInstrumentsAreNotCalled:
         ):
             monkeypatch.setattr(cls, method,
                                 counting(f"{cls.__name__}.{method}"))
-        simulation = node_failure_run(loaded_torus4)
+        simulation = ProtocolSimulation(loaded_torus4, seed=0,
+                                        metrics=NULL_REGISTRY)
+        auditor = InvariantAuditor(simulation)
+        auditor.attach()
+        simulation.fail(5, at=1.0)
+        simulation.run(until=1.5)
+        # A link that dies under a frame in flight makes the RCC resend
+        # it until it gives up: the retransmission path runs too.
+        busy = next(rcc.link for rcc in simulation._rcc.values()
+                    if rcc._pending)
+        simulation.fail(busy, at=1.5)
+        simulation.run(until=500.0)
+        auditor.check_quiescent(drained=simulation.engine.pending == 0)
+        assert simulation.engine.pending == 0 and auditor.ok
         assert simulation.metrics.recovered_count() > 0
         assert sum(rcc.stats.retransmissions
                    for rcc in simulation._rcc.values()) > 0

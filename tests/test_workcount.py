@@ -57,19 +57,19 @@ PINNED = {
         "importlib._bootstrap": 62,
     },
     "protocol": {
-        "repro.sim.engine": 348_791,
-        "repro.protocol.daemon": 246_048,
-        "repro.protocol.rcc": 223_024,
-        "repro.protocol.plan": 72_912,
+        "repro.protocol.daemon": 172_235,
+        "repro.sim.engine": 106_829,
+        "repro.protocol.rcc": 74_396,
+        "repro.protocol.plan": 68_462,
         "repro.protocol.states": 64_496,
-        "repro.protocol.runtime": 50_810,
-        "repro.protocol.messages": 31_784,
-        "repro.sim.timers": 15_418,
+        "repro.protocol.runtime": 50_813,
+        "repro.protocol.messages": 16_904,
         "repro.util.lazytable": 8_068,
+        "repro.sim.timers": 6_675,
         "repro.routing.paths": 4_590,
         "repro.network.components": 1_984,
         "repro.obs.registry": 1_310,
-        "repro.network.topology": 1_211,
+        "repro.network.topology": 1_155,
         "repro.protocol.config": 955,
         "repro.core.plan": 894,
         "repro.network.reservations": 594,
