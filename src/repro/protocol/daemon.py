@@ -49,7 +49,6 @@ from repro.protocol.states import (
     LocalChannelRecord,
     LocalChannelState,
 )
-from repro.routing.paths import Path
 from repro.sim.engine import EventHandle
 from repro.sim.timers import WeakCallback
 
@@ -68,7 +67,6 @@ class BackupInfo:
 
     channel_id: int
     serial: int
-    path: Path
     mux_degree: int
 
 
@@ -77,8 +75,6 @@ class EndpointView:
     """Connection-level state kept at each end-node (Section 4.2)."""
 
     connection_id: int
-    source: NodeId
-    destination: NodeId
     role: str  # "source" | "destination"
     current_channel: int  # channel id currently carrying (or meant to carry) data
     backups: list[BackupInfo] = field(default_factory=list)
@@ -247,6 +243,12 @@ class BCPDaemon:
         if timer is not None:
             timer.cancel()
 
+    def _enter_unhealthy(self, record: LocalChannelRecord) -> None:
+        """Fig. 4's FAIL: the record goes U and its rejoin deadline is
+        armed (Section 4.4)."""
+        record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
+        self._start_rejoin_timer(record)
+
     def on_crashed(self) -> None:
         """The node died: disarm every pending timer.
 
@@ -305,7 +307,8 @@ class BCPDaemon:
                         and probed.is_source
                         and probed.state is not LocalChannelState.NON_EXISTENT
                     ):
-                        self.start_rejoin_probe(channel_id)
+                        self._receive_rejoin_request(
+                            probed, RejoinRequest(channel_id=channel_id))
             if self._initiates_activation(view):
                 self._initiate_recovery(view)
 
@@ -383,8 +386,7 @@ class BCPDaemon:
         self, record: LocalChannelRecord, side: _FailureSide, component
     ) -> None:
         if record.state in (LocalChannelState.PRIMARY, LocalChannelState.BACKUP):
-            record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(record)
+            self._enter_unhealthy(record)
             if self._counting:
                 self._c_detections.inc()
             if self._log.active:
@@ -412,29 +414,35 @@ class BCPDaemon:
         self, record: LocalChannelRecord, direction: Direction, component,
         mux_failure: bool = False,
     ) -> None:
-        if record.has_reported(direction):
-            return
+        if not record.has_reported(direction):
+            self._report_hop(record, FailureReport(
+                channel_id=record.channel_id,
+                direction=direction,
+                failed_component=component,
+                mux_failure=mux_failure,
+            ))
+
+    def _report_hop(
+        self, record: LocalChannelRecord, report: FailureReport
+    ) -> None:
+        """One hop of a failure report (Section 4.2): mark its direction
+        reported here, then hand it to this end-node if the report is
+        bound for it, else pass it on."""
+        direction = report.direction
         record.mark_reported(direction)
-        report = FailureReport(
-            channel_id=record.channel_id,
-            direction=direction,
-            failed_component=component,
-            mux_failure=mux_failure,
-        )
         next_hop = self._next_hop(record, direction)
         if next_hop is None:
-            # This node *is* the target end-node.
             self._end_node_learns_failure(record, report)
-        else:
-            if self._counting:
-                self._c_reports.inc()
-            if self._log.active:
-                self._point(
-                    "report-hop", record.connection_id,
-                    channel=record.channel_id, direction=direction.value,
-                    via=str(next_hop),
-                )
-            self._send(next_hop, report)
+            return
+        if self._counting:
+            self._c_reports.inc()
+        if self._log.active:
+            self._point(
+                "report-hop", record.connection_id,
+                channel=record.channel_id, direction=direction.value,
+                via=str(next_hop),
+            )
+        self._send(next_hop, report)
 
     # ------------------------------------------------------------------
     # message dispatch (called by the RCC layer)
@@ -461,24 +469,10 @@ class BCPDaemon:
         ):
             return  # duplicate: already seen/forwarded this episode
         if record.state in (LocalChannelState.PRIMARY, LocalChannelState.BACKUP):
-            record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(record)
+            self._enter_unhealthy(record)
         if record.state is LocalChannelState.NON_EXISTENT:
             return  # already torn down; nothing to do or forward
-        record.mark_reported(report.direction)
-        next_hop = self._next_hop(record, report.direction)
-        if next_hop is None:
-            self._end_node_learns_failure(record, report)
-        else:
-            if self._counting:
-                self._c_reports.inc()
-            if self._log.active:
-                self._point(
-                    "report-hop", record.connection_id,
-                    channel=record.channel_id,
-                    direction=report.direction.value, via=str(next_hop),
-                )
-            self._send(next_hop, report)
+        self._report_hop(record, report)
 
     def _end_node_learns_failure(
         self, record: LocalChannelRecord, report: FailureReport
@@ -564,10 +558,6 @@ class BCPDaemon:
                 serial=backup.serial, role=view.role,
             )
         record = self.records[backup.channel_id]
-        direction = (
-            Direction.TO_DESTINATION if view.role == "source"
-            else Direction.TO_SOURCE
-        )
         if view.role == "source":
             self._metrics.note_activation_sent(
                 view.connection_id, backup.serial, self._engine.now
@@ -585,19 +575,8 @@ class BCPDaemon:
         if view.role == "source":
             if not self._draw_or_mux_fail(record):
                 return
-        next_hop = self._next_hop(record, direction)
-        if next_hop is not None:
-            self._send(
-                next_hop,
-                ActivationMessage(
-                    channel_id=backup.channel_id,
-                    direction=direction,
-                    connection_id=view.connection_id,
-                    serial=backup.serial,
-                    episode=view.episode,
-                ),
-            )
-            self._arm_pending(view, backup)
+        self._send_activation_hop(view, record)
+        self._arm_pending(view, backup)
 
     def _receive_activation(
         self, record: LocalChannelRecord, message: ActivationMessage
@@ -748,8 +727,7 @@ class BCPDaemon:
                 or other.state is not LocalChannelState.PRIMARY
             ):
                 continue
-            other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(other)
+            self._enter_unhealthy(other)
             if self._counting:
                 self._c_so_demotions.inc()
             if self._log.active:
@@ -761,6 +739,31 @@ class BCPDaemon:
             view = self.views.get(record.connection_id)
             if view is not None:
                 view.unhealthy.add(other.channel_id)
+
+    @staticmethod
+    def _away(record: LocalChannelRecord) -> Direction:
+        """The direction an end-node's own messages travel on
+        ``record``'s path: toward the far end-node."""
+        if record.is_source:
+            return Direction.TO_DESTINATION
+        return Direction.TO_SOURCE
+
+    def _send_activation_hop(
+        self, view: EndpointView, record: LocalChannelRecord
+    ) -> None:
+        """Send this end-node's activation of ``record``'s channel, in
+        the view's current round, one hop toward the far end-node."""
+        direction = self._away(record)
+        self._send(
+            self._next_hop(record, direction),
+            ActivationMessage(
+                channel_id=record.channel_id,
+                direction=direction,
+                connection_id=view.connection_id,
+                serial=record.serial,
+                episode=view.episode,
+            ),
+        )
 
     # -- switchover handshake retry/backoff --------------------------------
     def _arm_pending(self, view: EndpointView, backup: BackupInfo) -> None:
@@ -829,22 +832,7 @@ class BCPDaemon:
                 attempt=pending.attempts,
                 limit=SWITCHOVER_RETRY_LIMIT,
             )
-        direction = (
-            Direction.TO_DESTINATION if view.role == "source"
-            else Direction.TO_SOURCE
-        )
-        next_hop = self._next_hop(record, direction)
-        if next_hop is not None:
-            self._send(
-                next_hop,
-                ActivationMessage(
-                    channel_id=backup.channel_id,
-                    direction=direction,
-                    connection_id=connection_id,
-                    serial=backup.serial,
-                    episode=pending.episode,
-                ),
-            )
+        self._send_activation_hop(view, record)
         # The expired handle is this event's own: nothing to cancel.
         pending.timer = self._engine.schedule(
             SWITCHOVER_ACK_TIMEOUT * SWITCHOVER_BACKOFF ** pending.attempts,
@@ -869,15 +857,10 @@ class BCPDaemon:
             )
         record = self.records.get(backup.channel_id)
         if record is not None and record.state is LocalChannelState.PRIMARY:
-            record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(record)
+            self._enter_unhealthy(record)
             # Tell the rest of the path (and the far end, if reachable)
             # the attempt is abandoned, so promoted hops release.
-            away = (
-                Direction.TO_DESTINATION if view.role == "source"
-                else Direction.TO_SOURCE
-            )
-            self._emit_report(record, away, None)
+            self._emit_report(record, self._away(record), None)
         view.unhealthy.add(backup.channel_id)
         view.episode += 1
         if self._counting:
@@ -927,8 +910,7 @@ class BCPDaemon:
         # Spare exhausted: the backup cannot function (mux failure).  The
         # channel enters U and both end-nodes are told, exactly like a
         # component failure (Section 4.1).
-        record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-        self._start_rejoin_timer(record)
+        self._enter_unhealthy(record)
         self._metrics.note_mux_failure(
             record.connection_id, record.channel_id, link, self._engine.now
         )
@@ -950,8 +932,7 @@ class BCPDaemon:
         if record is None:
             return
         if record.state is LocalChannelState.PRIMARY:
-            record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(record)
+            self._enter_unhealthy(record)
         if self._log.active:
             self._point("preemption", record.connection_id, channel=channel_id)
         self._metrics.note_preemption(
@@ -960,47 +941,7 @@ class BCPDaemon:
         self._emit_report(record, Direction.TO_SOURCE, None)
         self._emit_report(record, Direction.TO_DESTINATION, None)
 
-    # -- teardown ----------------------------------------------------------
-    def initiate_closure(self, channel_id: int) -> None:
-        """Client-initiated teardown: release the channel here and send a
-        channel-closure message down its path (Section 4.4: "a
-        'channel-closure message' is usually sent over the channel's
-        path, so that resources for the channel may be released")."""
-        record = self.records.get(channel_id)
-        if record is None or not record.is_source:
-            raise ValueError(
-                f"node {self.node!r} is not the source of channel {channel_id}"
-            )
-        if record.state is LocalChannelState.NON_EXISTENT:
-            return
-        record.transition(LocalChannelState.NON_EXISTENT, ChannelEvent.CLOSE)
-        self._cancel_rejoin_timer(channel_id)
-        pending = self._pending.get(record.connection_id)
-        if pending is not None and pending.backup.channel_id == channel_id:
-            self._cancel_pending(record.connection_id)
-        self.runtime.release_channel_at_node(record)
-        if self._log.active:
-            self._point("closure", record.connection_id, channel=channel_id)
-        if record.downstream is not None:
-            self._send(
-                record.downstream,
-                ChannelClosure(channel_id=channel_id,
-                               direction=Direction.TO_DESTINATION),
-            )
-
     # -- rejoin (Section 4.4) ---------------------------------------------
-    def start_rejoin_probe(self, channel_id: int) -> None:
-        """Source-side entry point: probe whether a failed channel's path
-        has healed (on a repair notice or hint, or by tests)."""
-        record = self.records.get(channel_id)
-        if record is None or not record.is_source:
-            raise ValueError(
-                f"node {self.node!r} is not the source of channel {channel_id}"
-            )
-        next_hop = record.downstream
-        if next_hop is not None:
-            self._send(next_hop, RejoinRequest(channel_id=channel_id))
-
     def _receive_rejoin_request(
         self, record: LocalChannelRecord, message: RejoinRequest
     ) -> None:
@@ -1012,7 +953,8 @@ class BCPDaemon:
             if not record.is_source:
                 self._send(record.upstream, message)
             elif record.state is LocalChannelState.UNHEALTHY:
-                self.start_rejoin_probe(record.channel_id)
+                self._receive_rejoin_request(
+                    record, RejoinRequest(channel_id=record.channel_id))
             return
         if record.mux_failed_link is not None:
             # Healing a multiplexing failure needs the spare back
@@ -1044,13 +986,8 @@ class BCPDaemon:
             # Rejoin timer already expired here: resources are gone, so the
             # repair must be undone along the rest of the path (Fig. 6).
             if record.downstream is not None:
-                self._send(
-                    record.downstream,
-                    ChannelClosure(
-                        channel_id=record.channel_id,
-                        direction=Direction.TO_DESTINATION,
-                    ),
-                )
+                self._send(record.downstream,
+                           ChannelClosure(channel_id=record.channel_id))
             return
         healed = record.state is LocalChannelState.UNHEALTHY
         if healed:
@@ -1084,7 +1021,6 @@ class BCPDaemon:
                 BackupInfo(
                     channel_id=record.channel_id,
                     serial=record.serial,
-                    path=record.path,
                     mux_degree=record.mux_degree,
                 )
             )
@@ -1115,6 +1051,5 @@ class BCPDaemon:
             if pending is not None and pending.backup.channel_id == record.channel_id:
                 self._cancel_pending(record.connection_id)
             self.runtime.release_channel_at_node(record)
-        next_hop = self._next_hop(record, message.direction)
-        if next_hop is not None:
-            self._send(next_hop, message)
+        if record.downstream is not None:
+            self._send(record.downstream, message)

@@ -78,11 +78,13 @@ class ActivationAck(ControlMessage):
 @dataclass(frozen=True, slots=True)
 class RejoinRequest(ControlMessage):
     """Source-to-destination probe over a failed channel's path: if it
-    gets through, the channel is repairable (Section 4.4).
+    gets through, the channel is repairable (Section 4.4).  Every node
+    it passes, the source included, handles it the same way: one whose
+    record mux-failed re-draws that spare first, or drops the request.
 
     Sent ``TO_SOURCE``, it is the hint of a node told of a repair on the
     channel's path downstream of it: it walks up to the source, which
-    then sends the probe."""
+    then handles the probe itself."""
 
     direction: Direction = Direction.TO_DESTINATION
 
@@ -95,10 +97,9 @@ class RejoinConfirm(ControlMessage):
 
 @dataclass(frozen=True, slots=True)
 class ChannelClosure(ControlMessage):
-    """Tear the channel down at each node (undo of a late rejoin, or an
-    explicit teardown)."""
-
-    direction: Direction = Direction.TO_DESTINATION
+    """Tear the channel down at each node downstream of the sender: the
+    undo of a late rejoin (Fig. 6), sent by a node whose rejoin timer
+    expired before the rejoin-confirm passed it."""
 
 
 @dataclass(frozen=True, slots=True)

@@ -153,12 +153,10 @@ class NodeTable:
     def _view(self, connection_id: int) -> EndpointView:
         position = self.endpoints[connection_id]
         primary = self._flat[self._starts[position]]
-        nodes = primary.path.nodes
         return EndpointView(
             connection_id=connection_id,
-            source=nodes[0],
-            destination=nodes[-1],
-            role="source" if self.node == nodes[0] else "destination",
+            role=("source" if self.node == primary.path.nodes[0]
+                  else "destination"),
             current_channel=primary.channel_id,
             current_serial=primary.serial,
             backups=list(self._backups[position]),
@@ -181,8 +179,7 @@ def node_tables(plan: NetworkPlan,
         def backups_of(position: int) -> tuple[BackupInfo, ...]:
             nus = degrees[position]
             return tuple(
-                BackupInfo(backup.channel_id, backup.serial, backup.path,
-                           nus[index])
+                BackupInfo(backup.channel_id, backup.serial, nus[index])
                 for index, backup in enumerate(
                     flat[starts[position] + 1:starts[position + 1]], 1)
             )

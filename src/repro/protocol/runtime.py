@@ -434,7 +434,7 @@ class ProtocolSimulation:
     def release_channel_at_node(self, record: LocalChannelRecord) -> None:
         """Soft-state teardown hook: release the outgoing draw and
         dedicated reservation of ``record``'s channel at its node
-        (rejoin-timer expiry or closure)."""
+        (rejoin-timer expiry or a late-rejoin closure)."""
         channel_id, node = record.channel_id, record.node
         drawn_links = self._drawn_links.get(channel_id)
         if drawn_links:
@@ -474,19 +474,6 @@ class ProtocolSimulation:
             (rcc.stats.max_message_delay for rcc in self._rcc.values()),
             default=0.0,
         )
-
-    # ------------------------------------------------------------------
-    # client-initiated teardown
-    # ------------------------------------------------------------------
-    def close_connection(self, connection_id: int, at: float) -> None:
-        """Schedule a client teardown of every channel of a connection:
-        the source sends closure messages down each path at time ``at``."""
-        channels = self.plan.channels(self.plan.position_of[connection_id])
-        source = self.daemons[channels[0].path.source]
-        for channel in channels:
-            self.engine.schedule_at(
-                at, source.initiate_closure, channel.channel_id,
-            )
 
     # ------------------------------------------------------------------
     # recovery-episode spans

@@ -198,21 +198,12 @@ class LocalChannelRecord:
     # state machine
     # ------------------------------------------------------------------
     def transition(self, target: LocalChannelState,
-                   event: "ChannelEvent | None" = None) -> None:
-        """Move to ``target``; raises :class:`IllegalTransitionError` for
-        transitions outside Fig. 4.
-
-        When ``event`` is given, the move is additionally validated
-        against the explicit ``TRANSITIONS`` table: the event must be
-        defined for the current state and lead exactly to ``target``.
-        """
-        if event is not None:
-            expected = _BY_VALUE.get((self.state._value_, event._value_))
-            if expected is not target:
-                raise IllegalTransitionError(
-                    self.channel_id, self.node, self.state, target
-                )
-        elif target not in _ALLOWED[self.state]:
+                   event: ChannelEvent) -> None:
+        """Move to ``target`` on ``event``; raises
+        :class:`IllegalTransitionError` unless the explicit
+        ``TRANSITIONS`` table defines ``event`` for the current state and
+        it leads exactly to ``target``."""
+        if _BY_VALUE.get((self.state._value_, event._value_)) is not target:
             raise IllegalTransitionError(
                 self.channel_id, self.node, self.state, target
             )

@@ -56,7 +56,7 @@ KINDS = frozenset({
     "switchover-demote", "switchover-exhausted", "switchover-reconcile",
     "switchover-restore", "mux-failure", "preemption", "unrecoverable",
     # soft state and teardown (§4.4)
-    "rejoined", "teardown", "closure",
+    "rejoined", "teardown",
     # the combinatorial evaluator's per-scenario summary
     "scenario",
 })

@@ -117,8 +117,6 @@ class EndpointRow(NamedTuple):
     """What an end-node knows about one of its connections before any
     failure; the template of an :class:`EndpointView`."""
 
-    source: NodeId
-    destination: NodeId
     role: str
     current_channel: int
     current_serial: int
@@ -193,8 +191,6 @@ class NodeTable:
         row = self.endpoints[connection_id]
         return EndpointView(
             connection_id=connection_id,
-            source=row.source,
-            destination=row.destination,
             role=row.role,
             current_channel=row.current_channel,
             current_serial=row.current_serial,
@@ -253,7 +249,6 @@ class ProtocolPlan:
                 BackupInfo(
                     channel_id=backup.channel_id,
                     serial=backup.serial,
-                    path=backup.path,
                     mux_degree=backup.mux_degree,
                 )
                 for backup in connection.backups_in_serial_order()
@@ -263,7 +258,7 @@ class ProtocolPlan:
                 (connection.destination, "destination"),
             ):
                 tables[node].endpoints[connection_id] = EndpointRow(
-                    connection.source, connection.destination, role,
+                    role,
                     connection.primary.channel_id, connection.primary.serial,
                     backups,
                 )

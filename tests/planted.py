@@ -251,7 +251,6 @@ class UnguardedSwitchover:
                 BackupInfo(
                     channel_id=record.channel_id,
                     serial=record.serial,
-                    path=record.path,
                     mux_degree=record.mux_degree,
                 )
             )

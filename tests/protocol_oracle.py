@@ -64,14 +64,11 @@ class OracleDaemon(BCPDaemon):
             mux_degree=mux_degree,
             bandwidth=bandwidth,
         )
-        event = (
+        record.transition(state, (
             ChannelEvent.ESTABLISH_PRIMARY
             if state is LocalChannelState.PRIMARY
             else ChannelEvent.ESTABLISH_BACKUP
-            if state is LocalChannelState.BACKUP
-            else None
-        )
-        record.transition(state, event)
+        ))
         self.records[channel_id] = record
         return record
 
@@ -106,8 +103,7 @@ class OracleDaemon(BCPDaemon):
                 or other.state is not LocalChannelState.PRIMARY
             ):
                 continue
-            other.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
-            self._start_rejoin_timer(other)
+            self._enter_unhealthy(other)
             self._c_so_demotions.inc()
             if self._log.active:
                 self._point(
@@ -142,7 +138,8 @@ class OracleDaemon(BCPDaemon):
                         and probed.is_source
                         and probed.state is not LocalChannelState.NON_EXISTENT
                     ):
-                        self.start_rejoin_probe(channel_id)
+                        self._receive_rejoin_request(
+                            probed, RejoinRequest(channel_id=channel_id))
             if self._initiates_activation(view):
                 self._initiate_recovery(view)
 
@@ -198,7 +195,6 @@ def _install_channels(simulation: ProtocolSimulation) -> None:
             BackupInfo(
                 channel_id=backup.channel_id,
                 serial=backup.serial,
-                path=backup.path,
                 mux_degree=backup.mux_degree,
             )
             for backup in connection.backups_in_serial_order()
@@ -210,8 +206,6 @@ def _install_channels(simulation: ProtocolSimulation) -> None:
             simulation.daemons[node].register_endpoint(
                 EndpointView(
                     connection_id=connection.connection_id,
-                    source=connection.source,
-                    destination=connection.destination,
                     role=role,
                     current_channel=connection.primary.channel_id,
                     current_serial=connection.primary.serial,
@@ -219,7 +213,6 @@ def _install_channels(simulation: ProtocolSimulation) -> None:
                         BackupInfo(
                             channel_id=info.channel_id,
                             serial=info.serial,
-                            path=info.path,
                             mux_degree=info.mux_degree,
                         )
                         for info in backups

@@ -12,7 +12,7 @@ from repro.protocol import (
     ProtocolSimulation,
 )
 from repro.protocol.messages import RCCFrame
-from repro.protocol.states import LocalChannelState
+from repro.protocol.states import ChannelEvent, LocalChannelState
 from tests.planted import DoubleReleaseSimulation
 
 
@@ -172,7 +172,7 @@ class TestDirectChecks:
         auditor.attach()
         daemon = simulation.daemons[connection.source]
         record = daemon.records[connection.primary.channel_id]
-        record.transition(LocalChannelState.UNHEALTHY)
+        record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
         auditor.check_quiescent(drained=True)
         assert any(
             v.invariant == "stuck-soft-state" for v in auditor.violations
@@ -187,7 +187,7 @@ class TestDirectChecks:
         auditor.attach()
         daemon = simulation.daemons[connection.source]
         record = daemon.records[connection.primary.channel_id]
-        record.transition(LocalChannelState.UNHEALTHY)
+        record.transition(LocalChannelState.UNHEALTHY, ChannelEvent.FAIL)
         auditor.check_quiescent(drained=False)
         assert auditor.ok
 

@@ -16,8 +16,9 @@ from repro.protocol import (
     ProtocolSimulation,
     SwitchingScheme,
 )
+from repro.protocol.daemon import BCPDaemon
+from repro.protocol.messages import RejoinRequest
 from repro.protocol.states import LocalChannelState
-from tests.planted import retransmission_budget
 
 
 def build_ring_network():
@@ -116,28 +117,79 @@ class TestReportingRules:
 
 class TestRejoinEdgeCases:
     def test_late_rejoin_triggers_closure(self, monkeypatch):
-        # Fig. 6: the rejoin timer expires at some nodes before the rejoin
-        # confirm passes; the channel must end NON_EXISTENT everywhere
-        # rather than half-repaired.
+        # Fig. 6: the rejoin timer of node 1 (armed at 1.0) expires at 11.0,
+        # after the repair's rejoin-request passed it (7.4) and before the
+        # confirm comes back (11.4).  Nodes 2 and 3 have rejoined by then;
+        # node 1's closure must sweep them, so the channel ends
+        # NON_EXISTENT everywhere, holding nothing, rather than
+        # half-repaired.
+        closed = []
+        receive_closure = BCPDaemon._receive_closure
+
+        def recording(daemon, record, message):
+            closed.append((daemon.node, record.state))
+            receive_closure(daemon, record, message)
+
+        monkeypatch.setattr(BCPDaemon, "_receive_closure", recording)
         network, connection = build_ring_network()
-        retransmission_budget(monkeypatch, 30)
-        config = ProtocolConfig(rejoin_timeout=6.0)
-        simulation = ProtocolSimulation(network, config)
-        victim = connection.primary.path.links[1]
+        simulation = ProtocolSimulation(
+            network, ProtocolConfig(rejoin_timeout=10.0))
+        primary = connection.primary
+        victim = primary.path.links[1]
         simulation.inject_scenario(FailureScenario.of_links([victim]), at=1.0)
-        # Repair arrives after the rejoin timers have expired; retransmitted
-        # rejoin traffic may then leak through, and must be undone.
-        simulation.repair(victim, at=40.0)
+        simulation.repair(victim, at=5.4)
         simulation.run(until=400.0)
-        states = {
-            node: simulation.daemons[node].records[
-                connection.primary.channel_id
-            ].state
-            for node in connection.primary.path.nodes
-        }
-        assert set(states.values()) <= {
-            LocalChannelState.NON_EXISTENT
-        }, states
+        # Every node downstream of the expired hop had rejoined, and the
+        # closure reached each of them.
+        assert closed == [
+            (node, LocalChannelState.BACKUP) for node in primary.path.nodes[2:]
+        ]
+        records = [simulation.daemons[node].records[primary.channel_id]
+                   for node in primary.path.nodes]
+        for node, record in zip(primary.path.nodes, records):
+            assert record.state is LocalChannelState.NON_EXISTENT, node
+        # ... and released what it held there: no link of the path stays
+        # reserved or drawn for the channel.
+        assert simulation._owned(records[0]) == set()
+        assert not simulation._drawn_links.get(primary.channel_id)
+        assert simulation.metrics.rejoins == 0
+
+    def test_source_redraws_its_mux_failed_spare_before_rejoining(self):
+        # The source's own activation finds no spare on the backup's first
+        # link: the backup goes U along its path with the mux-failed link
+        # recorded at the source.  A rejoin-request through the source
+        # must win that spare back, as at every other hop, before the
+        # channel may heal (Section 4.4).
+        network, connection = build_ring_network()
+        simulation = ProtocolSimulation(
+            network, ProtocolConfig(rejoin_timeout=100.0))
+        backup = connection.backups[0]
+        first = backup.path.links[0]
+        spare = simulation.spare_remaining(first)
+        simulation._spare_pools[first] = 0.0
+        simulation.fail(connection.primary.path.links[0], at=1.0)
+        source = simulation.daemons[connection.source]
+        # What a repair hint brings to the source.
+        hint = RejoinRequest(channel_id=backup.channel_id,
+                             direction=Direction.TO_SOURCE)
+        simulation.engine.schedule_at(20.0, source.receive, hint)
+        simulation.run(until=40.0)
+        assert source.records[backup.channel_id].mux_failed_link == first
+        for node in backup.path.nodes:
+            record = simulation.daemons[node].records[backup.channel_id]
+            assert record.state is LocalChannelState.UNHEALTHY, node
+        assert simulation.metrics.rejoins == 0
+
+        simulation._spare_pools[first] = spare
+        simulation.engine.schedule_at(40.0, source.receive, hint)
+        simulation.run(until=80.0)
+        # The unit was drawn and given straight back: a standby holds none.
+        assert simulation.spare_remaining(first) == spare
+        assert source.records[backup.channel_id].mux_failed_link is None
+        for node in backup.path.nodes:
+            record = simulation.daemons[node].records[backup.channel_id]
+            assert record.state is LocalChannelState.BACKUP, node
+        assert simulation.metrics.rejoins == 1
 
     def test_prompt_repair_rejoins_everywhere(self):
         network, connection = build_ring_network()

@@ -462,7 +462,7 @@ class TestPlanLifetime:
         source = connection.source
         installed = [BackupInfo(
             channel_id=backup.channel_id, serial=backup.serial,
-            path=backup.path, mux_degree=backup.mux_degree,
+            mux_degree=backup.mux_degree,
         )]
 
         first = ProtocolSimulation(ring6, seed=0, metrics=NULL_REGISTRY)

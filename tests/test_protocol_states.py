@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.protocol.states import (
+    ChannelEvent,
     IllegalTransitionError,
     LocalChannelRecord,
     LocalChannelState,
@@ -15,6 +16,24 @@ N = LocalChannelState.NON_EXISTENT
 P = LocalChannelState.PRIMARY
 B = LocalChannelState.BACKUP
 U = LocalChannelState.UNHEALTHY
+
+#: The event each legal move of the sequences below is made on.
+ON = {
+    (N, P): ChannelEvent.ESTABLISH_PRIMARY,
+    (N, B): ChannelEvent.ESTABLISH_BACKUP,
+    (B, P): ChannelEvent.ACTIVATE,
+    (P, U): ChannelEvent.FAIL,
+    (B, U): ChannelEvent.FAIL,
+    (U, B): ChannelEvent.REJOIN,
+    (U, N): ChannelEvent.EXPIRE,
+    (P, N): ChannelEvent.CLOSE,
+    (B, N): ChannelEvent.CLOSE,
+}
+
+
+def move(r, state):
+    """Take ``r`` to ``state`` on the event that legal move is made on."""
+    r.transition(state, ON[r.state, state])
 
 
 def record(node=2, nodes=(1, 2, 3)):
@@ -45,7 +64,7 @@ class TestStateMachine:
     def test_legal_sequences(self, sequence):
         r = record()
         for state in sequence:
-            r.transition(state)
+            move(r, state)
         assert r.state is sequence[-1]
 
     @pytest.mark.parametrize(
@@ -61,27 +80,29 @@ class TestStateMachine:
     def test_illegal_transitions_raise(self, sequence, bad):
         r = record()
         for state in sequence:
-            r.transition(state)
-        with pytest.raises(IllegalTransitionError):
-            r.transition(bad)
+            move(r, state)
+        for event in ChannelEvent:
+            with pytest.raises(IllegalTransitionError):
+                r.transition(bad, event)
+            assert r.state is (sequence[-1] if sequence else N)
 
     def test_reported_cleared_on_leaving_unhealthy(self):
         r = record()
-        r.transition(B)
-        r.transition(U)
+        move(r, B)
+        move(r, U)
         r.reported = r.reported | {"to_source"}  # the daemon's write path
         assert r.reported == {"to_source"}
-        r.transition(B)
+        move(r, B)
         assert r.reported == frozenset()
 
     def test_empty_reported_is_one_shared_immutable_value(self):
         first, second = record(), record()
-        first.transition(B)
-        first.transition(U)
+        move(first, B)
+        move(first, U)
         # A write rebinds the writer's attribute; nobody else can see it.
         first.reported = first.reported | {"to_source"}
         assert second.reported == frozenset()
-        first.transition(B)
+        move(first, B)
         assert first.reported is second.reported
         with pytest.raises(AttributeError):
             first.reported.add("to_source")

@@ -41,8 +41,6 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 ROOT_DIRS = ("benchmarks", "scripts", "examples")
 
-_DAEMON = "protocol/daemon.py is ROADMAP item 1's file; not opened here"
-
 ALLOWED = {
     "repro.routing.disjoint":
         "frozen benchmarks/e2e/layers.py wraps its shortest_path by module "
@@ -50,9 +48,6 @@ ALLOWED = {
     "repro.core.muxkernel":
         "frozen benchmarks/e2e/layers.py wraps VectorLinkMux.preview_add by "
         "module name; goes with ROADMAP 2(viii)",
-    "repro.protocol.daemon.BCPDaemon.initiate_closure": _DAEMON,
-    "repro.protocol.runtime.ProtocolSimulation.close_connection":
-        "the only caller of BCPDaemon.initiate_closure; " + _DAEMON,
     "repro.routing.shortest.RouteConstraints.allows_link":
         "the per-link predicate tests/routing_oracle.py's reference search "
         "filters with",

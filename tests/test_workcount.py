@@ -57,11 +57,11 @@ PINNED = {
         "importlib._bootstrap": 62,
     },
     "protocol": {
-        "repro.protocol.daemon": 172_235,
+        "repro.protocol.daemon": 177_060,
         "repro.sim.engine": 106_829,
         "repro.protocol.rcc": 74_396,
-        "repro.protocol.plan": 68_462,
-        "repro.protocol.states": 64_496,
+        "repro.protocol.plan": 67_100,
+        "repro.protocol.states": 60_661,
         "repro.protocol.runtime": 50_813,
         "repro.protocol.messages": 16_904,
         "repro.util.lazytable": 8_068,
